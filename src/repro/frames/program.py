@@ -41,6 +41,29 @@ samplers:
 
 Any other channel type raises :class:`FrameLoweringError`; callers fall
 back to the batched tableau backend.
+
+**Draw/apply split.**  A depolarize site needs one uniform per shot but
+acts on the few shots where that uniform falls under ``p``.  After
+:func:`fuse_layers` the compiler (:func:`hoist_draws`) walks the op
+list and groups every maximal *run* of depolarize sites with no other
+rng consumer (measure, reset, fault reset) between them; one
+``OP_DEPOLARIZE_DRAW`` in front of the run pulls all of its uniforms
+in a single ``rng.random((rows, B))`` and every site keeps only its
+row index into that buffer.  The sites are consecutive on the rng
+chain, so the block draw is the same generator calls concatenated, and
+the Cliffords the draw is hoisted over consume no rng: the stream, and
+therefore every record and weight, is **bit-identical** to per-site
+draws.  At run time the draw extracts the ``(row, shot)`` hits in one
+vectorised compare; a site with no hit returns at once, a site with a
+few flips those single bits, and a row whose hit count passes a fixed
+density threshold falls back to dense mask-and-pack of the pre-drawn
+row, batched over the draw's dense rows (see
+:meth:`~repro.frames.simulator.FrameSimulator.depolarize_draw`).
+Runs longer than :data:`MAX_DRAW_ROWS` are cut into consecutive draws
+(stream-identical), bounding the buffer at ``MAX_DRAW_ROWS x B``
+doubles whatever the run length.  Every site carries its draw's run
+id; a program slice that separates a site from its draw fails loudly
+in the executor.
 """
 
 from __future__ import annotations
@@ -65,7 +88,8 @@ OP_CZ = 3           # (OP_CZ, a, b)
 OP_SWAP = 4         # (OP_SWAP, a, b)
 OP_MEASURE = 5      # (OP_MEASURE, qubit, cbit, reference_bit)
 OP_RESET = 6        # (OP_RESET, qubit) — circuit reset (in the reference too)
-OP_DEPOLARIZE = 7   # (OP_DEPOLARIZE, qubit, p)
+OP_DEPOLARIZE = 7   # (OP_DEPOLARIZE, qubit, p, run_id, row) — the
+                    # last two appended by hoist_draws
 OP_RESET_NOISE = 8  # (OP_RESET_NOISE, qubit, p, x_value|None) — fault reset
 
 #: Fused-layer opcodes: a group of qubit-disjoint same-type ops
@@ -80,13 +104,21 @@ OP_SWAP_LAYER = 13       # (OP_SWAP_LAYER, a_array, b_array)
 OP_MEASURE_LAYER = 14    # (OP_MEASURE_LAYER, qubit_array, cbit_array,
                          #  reference_bit_array)
 OP_RESET_LAYER = 15      # (OP_RESET_LAYER, qubit_array)
-OP_DEPOLARIZE_LAYER = 16  # (OP_DEPOLARIZE_LAYER, qubit_array, p_array)
+OP_DEPOLARIZE_LAYER = 16  # (OP_DEPOLARIZE_LAYER, qubit_array, p_array,
+                          #  run_id, first_row)
+
+#: The draw half of a run of depolarize sites (see :func:`hoist_draws`):
+#: one uniform row per site qubit, drawn in site order.
+OP_DEPOLARIZE_DRAW = 17   # (OP_DEPOLARIZE_DRAW, p_array, run_id)
 
 #: Scalar opcode → its fused-layer twin.
 _LAYER_OF = {OP_H: OP_H_LAYER, OP_S: OP_S_LAYER, OP_CX: OP_CX_LAYER,
              OP_CZ: OP_CZ_LAYER, OP_SWAP: OP_SWAP_LAYER,
              OP_MEASURE: OP_MEASURE_LAYER, OP_RESET: OP_RESET_LAYER,
              OP_DEPOLARIZE: OP_DEPOLARIZE_LAYER}
+
+#: Every fused-layer opcode.
+LAYER_OPS = frozenset(_LAYER_OF.values())
 
 #: Opcode → profiler kernel-bucket name (:mod:`repro.obs.prof`):
 #: scalar kinds plus their ``.fused`` layer twins, so the profile
@@ -99,7 +131,8 @@ OP_KIND = {OP_H: "h", OP_S: "s", OP_CX: "cx", OP_CZ: "cz",
            OP_SWAP_LAYER: "swap.fused",
            OP_MEASURE_LAYER: "measure.fused",
            OP_RESET_LAYER: "reset.fused",
-           OP_DEPOLARIZE_LAYER: "depolarize.fused"}
+           OP_DEPOLARIZE_LAYER: "depolarize.fused",
+           OP_DEPOLARIZE_DRAW: "depolarize.draw"}
 
 #: Opcodes whose execution consumes the shared rng stream.  Their
 #: mutual order is a hard scheduling constraint: permuting any two
@@ -144,6 +177,8 @@ class FrameProgram:
     twirled_reset_sites: int = 0
     #: Channels the program lowered (informational).
     num_channels: int = 0
+    #: Fused-layer ops in :attr:`ops` (feeds ``frames.fused_ops``).
+    fused_ops: int = 0
 
     @property
     def deterministic_reference(self) -> bool:
@@ -213,10 +248,11 @@ def fuse_layers(ops: List[Tuple]) -> List[Tuple]:
     emitted as a single fused layer: a whole stabilisation sweep of CX
     legs, a round's ancilla measurements, or the depolarize sites
     behind them collapse into one vectorised op each.  Fused rng layers
-    draw their samples in the scalar order (loops for per-site
-    ``random`` calls; ``Generator.bytes`` streams identically whether
-    pulled per row or in one block), so a fused program's records are
-    **bit-identical** to the unfused program's — fusion is pure
+    draw their samples in the scalar order (``Generator.bytes`` and
+    ``Generator.random`` stream identically whether pulled per row or
+    in one block; depolarize uniforms are drawn per *run* by
+    :func:`hoist_draws`, not per layer), so a fused program's records
+    are **bit-identical** to the unfused program's — fusion is pure
     scheduling, not approximation.
     """
     n = len(ops)
@@ -297,6 +333,62 @@ def fuse_layers(ops: List[Tuple]) -> List[Tuple]:
                 emitted += 1
                 release(j)
             _emit_group(code, group, out)
+    return out
+
+
+#: Upper bound on the uniform rows one ``OP_DEPOLARIZE_DRAW`` pulls (a
+#: single site wider than this still draws whole).  The run-time buffer
+#: is ``rows x batch_size`` doubles — 512 KiB at the canonical 512-shot
+#: block — so memory follows this constant, not the run length.
+MAX_DRAW_ROWS = 128
+
+#: Ops that consume rng without being depolarize sites: each ends a run.
+_RUN_CLOSERS = frozenset({OP_MEASURE, OP_MEASURE_LAYER, OP_RESET,
+                          OP_RESET_LAYER, OP_RESET_NOISE})
+
+
+def hoist_draws(ops: List[Tuple]) -> List[Tuple]:
+    """Split every depolarize site into a shared draw and its apply.
+
+    Walks a (fused) op list and opens a run at each depolarize site not
+    already inside one; the run ends at the next other rng consumer or
+    when :data:`MAX_DRAW_ROWS` would be exceeded.  One
+    ``OP_DEPOLARIZE_DRAW`` carrying the run's per-row probabilities is
+    emitted directly in front of the run's first site, and every site
+    gains ``(run_id, row)`` — its rows in the drawn buffer.  Row order
+    is site order, so the one block draw equals the per-site draws
+    concatenated (module docstring).
+    """
+    out: List[Tuple] = []
+    run_id = -1
+    draw_at = -1         # index in ``out`` of the open run's draw op
+    ps: List[float] = []
+
+    def close() -> None:
+        nonlocal draw_at
+        if draw_at >= 0:
+            out[draw_at] = (OP_DEPOLARIZE_DRAW, np.array(ps, dtype=float),
+                            run_id)
+            draw_at = -1
+
+    for op in ops:
+        code = op[0]
+        if code == OP_DEPOLARIZE or code == OP_DEPOLARIZE_LAYER:
+            site_ps = [op[2]] if code == OP_DEPOLARIZE else list(op[2])
+            if draw_at >= 0 and len(ps) + len(site_ps) > MAX_DRAW_ROWS:
+                close()
+            if draw_at < 0:
+                run_id += 1
+                draw_at = len(out)
+                out.append(())   # placeholder, filled by close()
+                ps = []
+            out.append(op + (run_id, len(ps)))
+            ps.extend(site_ps)
+        else:
+            if code in _RUN_CLOSERS:
+                close()
+            out.append(op)
+    close()
     return out
 
 
@@ -414,13 +506,15 @@ def compile_frame_program(circuit: Circuit,
                 if channel.triggers_on(gate):
                     _lower_channel(channel, gate, sim, ops, reset_counts)
 
+    ops = hoist_draws(fuse_layers(ops))
     return FrameProgram(
         num_qubits=circuit.num_qubits,
         num_cbits=num_cbits,
-        ops=fuse_layers(ops),
+        ops=ops,
         reference_record=ref,
         random_cbits=tuple(random_cbits),
         exact_reset_sites=reset_counts[0],
         twirled_reset_sites=reset_counts[1],
         num_channels=0 if noise is None else len(noise),
+        fused_ops=sum(1 for op in ops if op[0] in LAYER_OPS),
     )

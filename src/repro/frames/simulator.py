@@ -31,19 +31,21 @@ import numpy as np
 
 from .packing import (
     FULL_WORD,
+    WORD_BITS,
     bernoulli_words,
-    pack_bool,
     pack_bool_rows,
     random_words,
     unpack_words,
     words_for,
 )
 from .program import (
+    LAYER_OPS,
     OP_CX,
     OP_CX_LAYER,
     OP_CZ,
     OP_CZ_LAYER,
     OP_DEPOLARIZE,
+    OP_DEPOLARIZE_DRAW,
     OP_DEPOLARIZE_LAYER,
     OP_H,
     OP_H_LAYER,
@@ -62,12 +64,42 @@ from .program import (
 from .. import obs
 from ..obs import prof as _prof
 
-_LAYER_OPS = frozenset((OP_CX_LAYER, OP_CZ_LAYER, OP_H_LAYER,
-                        OP_S_LAYER, OP_SWAP_LAYER, OP_MEASURE_LAYER,
-                        OP_RESET_LAYER, OP_DEPOLARIZE_LAYER))
 _OBS_BLOCKS = obs.counter("frames.blocks")
 _OBS_OPS = obs.counter("frames.ops")
 _OBS_FUSED = obs.counter("frames.fused_ops")
+_OBS_SITES = obs.counter("frames.depolarize_sites")
+_OBS_HITS = obs.counter("frames.depolarize_hits")
+_OBS_DENSE = obs.counter("frames.depolarize_dense_sites")
+
+#: A drawn depolarize row with more hits than this takes the dense
+#: mask-and-pack path instead of single-bit flips.  Fixed from the d=5
+#: block-scale bench: a flip costs ~0.5 us of interpreter time, a dense
+#: row ~4 us at 512 shots (packed in one sweep per draw).
+DENSE_HITS_PER_ROW = 8
+
+#: A Clifford operand: one qubit, or a fused layer's disjoint qubits.
+Qubits = Union[int, np.ndarray]
+
+_CUT_RUN = ("depolarize site of run {} executed against the draw of run {}: "
+            "the op slice separates the site from its OP_DEPOLARIZE_DRAW")
+
+#: ``_BIT[j]``: the word with only shot-bit ``j`` set.
+_BIT = [np.uint64(1) << np.uint64(j) for j in range(WORD_BITS)]
+
+#: Opcode -> handler method, the one dispatch table (plain and
+#: profiled): an op executes as ``handler(*op[1:])``.
+_HANDLER = {
+    OP_H: "h", OP_H_LAYER: "h", OP_S: "s", OP_S_LAYER: "s",
+    OP_CX: "cx", OP_CX_LAYER: "cx", OP_CZ: "cz", OP_CZ_LAYER: "cz",
+    OP_SWAP: "swap", OP_SWAP_LAYER: "swap",
+    OP_MEASURE: "_measure_into", OP_MEASURE_LAYER: "_measure_layer_into",
+    OP_RESET: "reset", OP_RESET_LAYER: "reset",
+    OP_RESET_NOISE: "reset_noise", OP_DEPOLARIZE_DRAW: "depolarize_draw",
+    OP_DEPOLARIZE: "depolarize", OP_DEPOLARIZE_LAYER: "depolarize_layer"}
+
+#: Ops whose first operand is an array, one entry per scalar-equivalent
+#: op — how the profiler reads a fused op's width straight from the op.
+_WIDE_OPS = LAYER_OPS | {OP_DEPOLARIZE_DRAW}
 
 
 class FrameSimulator:
@@ -124,58 +156,44 @@ class FrameSimulator:
         # historical per-qubit loop bit-for-bit.
         self.z = random_words(rng, n * self.num_words).reshape(
             n, self.num_words).copy()
+        # The open depolarize draw (see depolarize_draw): run id, the
+        # drawn uniforms, their (row, shot) hits in CSR form, dense rows.
+        self._run = -1
+        self._u = self._hits = self._row_ptr = None
+        self._dense_words = self._dense_slot = None
+        #: Depolarize [rows drawn, hits, rows packed densely] — of the
+        #: last :meth:`run_packed`, or since construction before one.
+        self.depolarize_stats = [0, 0, 0]
+        self._record = None    # exec_ops' record words, for measures
+        self._handlers = [getattr(self, _HANDLER[code])
+                          for code in range(len(_HANDLER))]
 
     # ------------------------------------------------------------------
-    # Frame propagation (conjugation by the ideal Cliffords)
+    # Frame propagation (conjugation by the ideal Cliffords).  Every
+    # operand is a qubit index or — for a fused layer — an index array
+    # of pairwise-disjoint qubits (the compiler guarantees
+    # disjointness), so the fancy-indexed whole-layer op matches the
+    # gate-by-gate semantics exactly; no rng is involved.
     # ------------------------------------------------------------------
-    def h(self, a: int) -> None:
+    def h(self, a: Qubits) -> None:
         tmp = self.x[a].copy()
         self.x[a] = self.z[a]
         self.z[a] = tmp
 
-    def s(self, a: int) -> None:
+    def s(self, a: Qubits) -> None:
         self.z[a] ^= self.x[a]
 
-    def cx(self, c: int, t: int) -> None:
+    def cx(self, c: Qubits, t: Qubits) -> None:
         self.x[t] ^= self.x[c]
         self.z[c] ^= self.z[t]
 
-    def cz(self, a: int, b: int) -> None:
+    def cz(self, a: Qubits, b: Qubits) -> None:
         self.z[a] ^= self.x[b]
         self.z[b] ^= self.x[a]
 
-    def swap(self, a: int, b: int) -> None:
+    def swap(self, a: Qubits, b: Qubits) -> None:
         self.x[[a, b]] = self.x[[b, a]]
         self.z[[a, b]] = self.z[[b, a]]
-
-    # ------------------------------------------------------------------
-    # Fused layers: one (len(layer), W) kernel sweep per run of
-    # qubit-disjoint same-type Cliffords (the compiler guarantees
-    # disjointness, so fancy-indexed whole-layer ops match the
-    # gate-by-gate semantics exactly — and no rng is involved, so the
-    # sampled streams are unchanged by fusion).
-    # ------------------------------------------------------------------
-    def h_layer(self, qs: np.ndarray) -> None:
-        tmp = self.x[qs].copy()
-        self.x[qs] = self.z[qs]
-        self.z[qs] = tmp
-
-    def s_layer(self, qs: np.ndarray) -> None:
-        self.z[qs] ^= self.x[qs]
-
-    def cx_layer(self, cs: np.ndarray, ts: np.ndarray) -> None:
-        self.x[ts] ^= self.x[cs]
-        self.z[cs] ^= self.z[ts]
-
-    def cz_layer(self, a: np.ndarray, b: np.ndarray) -> None:
-        self.z[a] ^= self.x[b]
-        self.z[b] ^= self.x[a]
-
-    def swap_layer(self, a: np.ndarray, b: np.ndarray) -> None:
-        ab = np.concatenate([a, b])
-        ba = np.concatenate([b, a])
-        self.x[ab] = self.x[ba]
-        self.z[ab] = self.z[ba]
 
     def measure_layer(self, qs: np.ndarray, refs: np.ndarray) -> np.ndarray:
         """Fused Z-measure of disjoint qubits; returns ``(k, W)`` words.
@@ -190,34 +208,15 @@ class FrameSimulator:
             self.rng, len(qs) * self.num_words).reshape(len(qs), -1)
         return out
 
-    def reset_layer(self, qs: np.ndarray) -> None:
-        self.x[qs] = 0
-        self.z[qs] = random_words(
-            self.rng, len(qs) * self.num_words).reshape(len(qs), -1)
-
-    def depolarize_layer(self, qs: np.ndarray, ps: np.ndarray) -> None:
-        """Fused depolarize sites: per-site draws stay in scalar order,
-        mask packing and frame application collapse to one sweep."""
-        u = np.empty((len(qs), self.batch_size))
-        for i in range(len(qs)):
-            u[i] = self.rng.random(self.batch_size)
-        ps = self._tilted_layer_llr(ps, u)
-        third = ps[:, None] / 3.0
-        mx = pack_bool_rows(u < third)
-        my = pack_bool_rows((u >= third) & (u < 2 * third))
-        mz = pack_bool_rows((u >= 2 * third) & (u < ps[:, None]))
-        self.x[qs] ^= mx | my
-        self.z[qs] ^= mz | my
-
     # ------------------------------------------------------------------
     # Tilted (importance-sampled) depolarize helpers
     # ------------------------------------------------------------------
-    def _tilted_p(self, p: float) -> float:
-        """The sampling probability of a nominal-``p`` depolarize site
-        under the simulator's tilt: at most ``tilt_p_cap``, but never
-        below ``p`` (a site already past the cap stays at ``p`` — zero
-        likelihood ratio — rather than under-sampling the tail)."""
-        return max(p, min(self.tilt * p, self.tilt_p_cap))
+    def _tilted_p(self, p):
+        """The sampling probability of nominal-``p`` depolarize sites
+        (scalar or array) under the tilt: at most ``tilt_p_cap``, but
+        never below ``p`` (a site already past the cap stays at ``p``
+        — zero likelihood ratio — rather than under-sampling the tail)."""
+        return np.maximum(p, np.minimum(self.tilt * p, self.tilt_p_cap))
 
     def _accumulate_llr(self, p: float, q: float, fired: np.ndarray) -> None:
         """Add one site's log-likelihood-ratio to every shot's weight.
@@ -233,10 +232,8 @@ class FrameSimulator:
 
     def _tilted_layer_llr(self, ps: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Resolve a depolarize layer's sampling probabilities and bank
-        the layer's log-likelihood ratios; identity at tilt=1."""
-        if self.log_weights is None:
-            return ps
-        qs_p = np.maximum(ps, np.minimum(self.tilt * ps, self.tilt_p_cap))
+        the layer's log-likelihood ratios (tilted simulators only)."""
+        qs_p = self._tilted_p(ps)
         fired = u < qs_p[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             llr_hit = np.log(ps / qs_p)
@@ -263,31 +260,113 @@ class FrameSimulator:
         self.z[a] ^= random_words(self.rng, self.num_words)
         return out
 
-    def reset(self, a: int) -> None:
+    def reset(self, a: Qubits) -> None:
         """Circuit reset (present in the reference run too): both runs
-        land in |0>, so the X difference vanishes and Z is randomised."""
+        land in |0>, so the X difference vanishes and Z is randomised
+        (a layer in one block draw: the per-qubit draws concatenated)."""
         self.x[a] = 0
-        self.z[a] = random_words(self.rng, self.num_words)
+        self.z[a] = random_words(
+            self.rng, np.size(a) * self.num_words).reshape(self.z[a].shape)
 
     # ------------------------------------------------------------------
     # Lowered noise ops
     # ------------------------------------------------------------------
-    def depolarize(self, a: int, p: float) -> None:
+    def depolarize_draw(self, ps: np.ndarray, run=None) -> None:
+        """The draw half of a run of depolarize sites: one uniform row
+        per entry of ``ps`` in a single generator call (stream-identical
+        to per-site draws), reduced at once to what the sites need.
+
+        One vectorised compare finds the hits ``u < p``, kept in CSR
+        form so a site finds its rows' hits — usually none — by two
+        list lookups.  Rows past :data:`DENSE_HITS_PER_ROW` hits get
+        their X/Z masks packed here, in one sweep; sparser rows flip
+        single bits when :meth:`depolarize` / :meth:`depolarize_layer`
+        apply them by row, quoting ``run``.
+        """
+        k, B = len(ps), self.batch_size
+        u = self.rng.random((k, B))
+        if self.log_weights is not None:
+            ps = self._tilted_p(ps)
+        p = ps[:, None]
+        hits = (u < p).ravel().nonzero()[0]   # flat row * B + shot, sorted
+        self._run, self._u, self._hits = run, u, hits
+        self.depolarize_stats[0] += k
+        self.depolarize_stats[1] += hits.size
+        if not hits.size:
+            self._row_ptr = [0] * (k + 1)
+            return
+        ptr = np.searchsorted(hits, np.arange(0, (k + 1) * B, B))
+        self._row_ptr = ptr.tolist()
+        if hits.size <= DENSE_HITS_PER_ROW:    # no row can be dense
+            return
+        dense = (ptr[1:] - ptr[:-1] > DENSE_HITS_PER_ROW).nonzero()[0]
+        if dense.size:
+            ud, pd = u[dense], p[dense]
+            third = pd / 3.0
+            self._dense_words = pack_bool_rows(np.concatenate(
+                [ud < 2 * third, (ud >= third) & (ud < pd)])
+                ).reshape(2, dense.size, -1)     # [X|Z, slot, word]
+            self._dense_slot = {r: j for j, r in enumerate(dense.tolist())}
+            self.depolarize_stats[2] += dense.size
+
+    def _apply_row(self, a: int, p: float, row: int) -> None:
+        """XOR drawn row ``row``'s Pauli errors into qubit ``a``.
+
+        Per shot ``u < p`` fires the site: X iff ``u < 2p/3``, Z iff
+        ``u >= p/3`` (X, Y, Z at ``p/3`` each, Eq. 4) — the dense masks
+        and the single-bit flips make the same comparisons.
+        """
+        lo, hi = self._row_ptr[row], self._row_ptr[row + 1]
+        if hi - lo > DENSE_HITS_PER_ROW:
+            x_words, z_words = self._dense_words[:, self._dense_slot[row]]
+            self.x[a] ^= x_words
+            self.z[a] ^= z_words
+            return
+        u = self._u[row]
+        third = p / 3.0
+        for c in (self._hits[lo:hi] - row * self.batch_size).tolist():
+            word, bit, uc = c >> 6, _BIT[c & 63], u[c]
+            if uc < 2 * third:
+                self.x[a, word] ^= bit
+            if uc >= third:
+                self.z[a, word] ^= bit
+
+    def depolarize(self, a: int, p: float, run=None, row: int = 0) -> None:
         """Per-shot X/Y/Z error with probability ``p/3`` each (Eq. 4).
 
-        Under a tilt the site samples at the boosted probability and
-        banks the shot's log-likelihood ratio (see the class doc)."""
-        u = self.rng.random(self.batch_size)
+        Compiled programs pass the site's ``(run, row)`` in the open
+        :meth:`depolarize_draw`; called bare, the site draws its own
+        row.  Under a tilt the site samples at the boosted probability
+        and banks the shot's log-likelihood ratio (see the class doc).
+        """
+        if run is None:
+            self.depolarize_draw(np.array([p], dtype=float))
+        if run != self._run:
+            raise RuntimeError(_CUT_RUN.format(run, self._run))
         if self.log_weights is not None:
             q = self._tilted_p(p)
-            self._accumulate_llr(p, q, u < q)
+            self._accumulate_llr(p, q, self._u[row] < q)
             p = q
-        third = p / 3.0
-        mx = pack_bool(u < third)
-        my = pack_bool((u >= third) & (u < 2 * third))
-        mz = pack_bool((u >= 2 * third) & (u < p))
-        self.x[a] ^= mx | my
-        self.z[a] ^= mz | my
+        if self._row_ptr[row] != self._row_ptr[row + 1]:
+            self._apply_row(a, p, row)
+
+    def depolarize_layer(self, qs: np.ndarray, ps: np.ndarray,
+                         run=None, row: int = 0) -> None:
+        """Fused depolarize sites on disjoint qubits: rows ``row ..
+        row + len(qs)`` of the open draw (or, called bare, of its own
+        block draw)."""
+        if run is None:
+            self.depolarize_draw(ps)
+        if run != self._run:
+            raise RuntimeError(_CUT_RUN.format(run, self._run))
+        end = row + len(qs)
+        if self.log_weights is not None:
+            ps = self._tilted_layer_llr(ps, self._u[row:end])
+        ptr = self._row_ptr
+        if ptr[row] != ptr[end]:
+            for i in range(len(qs)):
+                if ptr[row + i] != ptr[row + i + 1]:
+                    self._apply_row(qs[i], ps[i], row + i)
 
     def reset_noise(self, a: int, p: float,
                     x_value: Optional[int] = None) -> None:
@@ -330,15 +409,21 @@ class FrameSimulator:
             raise ValueError("program wider than simulator register")
         record_words = np.zeros((program.num_cbits, self.num_words),
                                 dtype=np.uint64)
-        _OBS_BLOCKS.inc()
-        fused = program.__dict__.get("_obs_fused")
-        if fused is None:
-            fused = sum(1 for op in program.ops if op[0] in _LAYER_OPS)
-            program.__dict__["_obs_fused"] = fused
-        _OBS_OPS.inc(len(program.ops))
-        _OBS_FUSED.inc(fused)
+        self.depolarize_stats = [0, 0, 0]
         self.exec_ops(program.ops, record_words)
+        _OBS_BLOCKS.inc()
+        _OBS_OPS.inc(len(program.ops))
+        _OBS_FUSED.inc(program.fused_ops)
+        for ctr, n in zip((_OBS_SITES, _OBS_HITS, _OBS_DENSE),
+                          self.depolarize_stats):
+            ctr.inc(n)
         return record_words
+
+    def _measure_into(self, a: int, cbit: int, reference_bit: int) -> None:
+        self._record[cbit] = self.measure(a, reference_bit)
+
+    def _measure_layer_into(self, qs, cbits, refs) -> None:
+        self._record[cbits] = self.measure_layer(qs, refs)
 
     def exec_ops(self, ops, record_words: np.ndarray) -> None:
         """Execute a slice of compiled ops against ``record_words``.
@@ -346,86 +431,43 @@ class FrameSimulator:
         The dispatch core of :meth:`run_packed`, exposed so staged
         executors (the multilevel-splitting driver in
         :mod:`repro.rare.split`) can run a program segment by segment,
-        resampling the batch between segments.
+        resampling the batch between segments.  No draw stays open
+        across calls: a slice that separates a depolarize site from
+        its ``OP_DEPOLARIZE_DRAW`` raises instead of applying one
+        batch's hits to another.
 
-        With a profiler enabled (``repro perf record``) dispatch
-        switches to the sampling twin below; this ``None`` check is
-        the entire hot-path cost when profiling is off.
+        With a profiler enabled (``repro perf record``) one block in
+        ``prof.SAMPLE_EVERY`` additionally reads the clock wherever the
+        opcode changes (runs of one opcode share a bucket; fused ops
+        count their width as scalar-equivalent ops); every block
+        contributes wall time, and the profiler scales the sampled
+        buckets to it at snapshot.  Scalar frame ops are sub-µs to a
+        few µs each: clocking every block would alone break the < 2%
+        budget.  Off, the ``None`` check is the entire hot-path cost.
         """
-        if _prof._ACTIVE is not None:
-            self._exec_ops_profiled(ops, record_words, _prof._ACTIVE)
+        self._record = record_words
+        self._run = -1
+        table = self._handlers
+        prof = _prof._ACTIVE
+        if prof is None:
+            for op in ops:
+                table[op[0]](*op[1:])
             return
-        self._exec_ops_plain(ops, record_words)
-
-    def _exec_ops_plain(self, ops, record_words: np.ndarray) -> None:
-        for op in ops:
-            code = op[0]
-            if code == OP_CX:
-                self.cx(op[1], op[2])
-            elif code == OP_CX_LAYER:
-                self.cx_layer(op[1], op[2])
-            elif code == OP_H:
-                self.h(op[1])
-            elif code == OP_H_LAYER:
-                self.h_layer(op[1])
-            elif code == OP_MEASURE:
-                record_words[op[2]] = self.measure(op[1], op[3])
-            elif code == OP_MEASURE_LAYER:
-                record_words[op[2]] = self.measure_layer(op[1], op[3])
-            elif code == OP_DEPOLARIZE:
-                self.depolarize(op[1], op[2])
-            elif code == OP_DEPOLARIZE_LAYER:
-                self.depolarize_layer(op[1], op[2])
-            elif code == OP_RESET_NOISE:
-                self.reset_noise(op[1], op[2], op[3])
-            elif code == OP_RESET:
-                self.reset(op[1])
-            elif code == OP_RESET_LAYER:
-                self.reset_layer(op[1])
-            elif code == OP_CZ:
-                self.cz(op[1], op[2])
-            elif code == OP_CZ_LAYER:
-                self.cz_layer(op[1], op[2])
-            elif code == OP_S:
-                self.s(op[1])
-            elif code == OP_S_LAYER:
-                self.s_layer(op[1])
-            elif code == OP_SWAP:
-                self.swap(op[1], op[2])
-            elif code == OP_SWAP_LAYER:
-                self.swap_layer(op[1], op[2])
-            else:  # pragma: no cover - compiler emits no other opcodes
-                raise NotImplementedError(f"opcode {code}")
-
-    def _exec_ops_profiled(self, ops, record_words: np.ndarray,
-                           prof) -> None:
-        """Sampling twin of :meth:`exec_ops`: one block in
-        ``prof.SAMPLE_EVERY`` runs a per-op-timed mirror of the
-        dispatch chain (each op lands in its per-kind kernel bucket;
-        fused layers count their width as scalar-equivalent ops), the
-        rest run the plain chain — every block contributes wall time,
-        and the profiler scales the sampled buckets to it at snapshot.
-        Sampling is what keeps the enabled overhead < 2%: scalar frame
-        ops are a few µs each, so clocking *every* op costs ~2% by
-        itself.  Within a sampled block the clock is read only at
-        opcode-change boundaries (runs of one opcode share a bucket).
-        The mirrored chain must stay in lockstep with
-        :meth:`_exec_ops_plain` — the profiled/unprofiled bit-identity
-        test enforces it."""
-        table, sampled = prof.begin_block()
+        stats, sampled = prof.begin_block()
         pc = perf_counter
+        t_blk = pc()
         if not sampled:
-            t0 = pc()
-            self._exec_ops_plain(ops, record_words)
-            prof.end_block(pc() - t0)
+            for op in ops:
+                table[op[0]](*op[1:])
+            prof.end_block(pc() - t_blk)
             return
-        n_codes = len(table)
-        t_acc = [0.0] * n_codes
-        c_acc = [0] * n_codes
-        o_acc = [0] * n_codes   # layer widths; scalar codes stay 0
-        run_code = -1           # sentinel: no run open yet
+        t_acc = [0.0] * len(table)
+        c_acc = [0] * len(table)
+        w_acc = [0] * len(table)   # fused ops: width beyond the call
+        wide = _WIDE_OPS
+        run_code = -1              # sentinel: no opcode run open yet
         run_n = 0
-        t_blk = t_run = pc()
+        t_run = t_blk
         for op in ops:
             code = op[0]
             if code != run_code:
@@ -437,62 +479,19 @@ class FrameSimulator:
                 run_code = code
                 run_n = 0
             run_n += 1
-            if code == OP_CX:
-                self.cx(op[1], op[2])
-            elif code == OP_CX_LAYER:
-                self.cx_layer(op[1], op[2])
-                o_acc[code] += len(op[1])
-            elif code == OP_H:
-                self.h(op[1])
-            elif code == OP_H_LAYER:
-                self.h_layer(op[1])
-                o_acc[code] += len(op[1])
-            elif code == OP_MEASURE:
-                record_words[op[2]] = self.measure(op[1], op[3])
-            elif code == OP_MEASURE_LAYER:
-                record_words[op[2]] = self.measure_layer(op[1], op[3])
-                o_acc[code] += len(op[1])
-            elif code == OP_DEPOLARIZE:
-                self.depolarize(op[1], op[2])
-            elif code == OP_DEPOLARIZE_LAYER:
-                self.depolarize_layer(op[1], op[2])
-                o_acc[code] += len(op[1])
-            elif code == OP_RESET_NOISE:
-                self.reset_noise(op[1], op[2], op[3])
-            elif code == OP_RESET:
-                self.reset(op[1])
-            elif code == OP_RESET_LAYER:
-                self.reset_layer(op[1])
-                o_acc[code] += len(op[1])
-            elif code == OP_CZ:
-                self.cz(op[1], op[2])
-            elif code == OP_CZ_LAYER:
-                self.cz_layer(op[1], op[2])
-                o_acc[code] += len(op[1])
-            elif code == OP_S:
-                self.s(op[1])
-            elif code == OP_S_LAYER:
-                self.s_layer(op[1])
-                o_acc[code] += len(op[1])
-            elif code == OP_SWAP:
-                self.swap(op[1], op[2])
-            elif code == OP_SWAP_LAYER:
-                self.swap_layer(op[1], op[2])
-                o_acc[code] += len(op[1])
-            else:  # pragma: no cover - compiler emits no other opcodes
-                raise NotImplementedError(f"opcode {code}")
+            if code in wide:
+                w_acc[code] += len(op[1]) - 1
+            table[code](*op[1:])
         t_end = pc()
         if run_code >= 0:
             t_acc[run_code] += t_end - t_run
             c_acc[run_code] += run_n
         for code, calls in enumerate(c_acc):
-            if not calls:
-                continue
-            st = table[code]
-            st.total_s += t_acc[code]
-            st.count += calls
-            # Scalar codes never touch o_acc: one op per call.
-            st.ops += o_acc[code] or calls
+            if calls:
+                st = stats[code]
+                st.total_s += t_acc[code]
+                st.count += calls
+                st.ops += calls + w_acc[code]
         prof.end_block(t_end - t_blk)
 
     def shot_weights(self) -> np.ndarray:

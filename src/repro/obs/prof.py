@@ -7,10 +7,12 @@ shots are bit-identical with profiling on or off, property-tested):
 
 * **Kernel buckets** — the frames executor times ops against
   per-op-kind buckets (``cx``, ``h``, ``measure``, ``depolarize``, the
-  ``.fused`` layer twins, ...).  Per-op clocking is *sampled*: one
-  block in :data:`SAMPLE_EVERY` runs the timed twin (blocks are
-  homogeneous repeats of one compiled program, so sampled shares are
-  exact shares), every block contributes its wall time, and
+  ``.fused`` layer twins, ``depolarize.draw`` vs the apply sites,
+  ...).  Per-op clocking is *sampled*: one block in
+  :data:`SAMPLE_EVERY` reads the clock around the executor's one
+  dispatch table (blocks are homogeneous repeats of one compiled
+  program, so sampled shares are exact shares), every block
+  contributes its wall time, and
   :meth:`Profiler.snapshot` scales the sampled buckets up to
   whole-run wall time — scalar frame ops are a few µs each, and
   clocking every one of them would alone blow the overhead budget.
@@ -44,9 +46,11 @@ _TABLE_SIZE = 32
 
 #: Per-op kernel timing samples one block in this many (the first
 #: block is always sampled, so short runs still fill their buckets);
-#: the remaining blocks run the plain dispatch chain and contribute
-#: wall time only.
-SAMPLE_EVERY = 4
+#: the remaining blocks dispatch unclocked and contribute wall time
+#: only.  A clocked d=5 block costs ~0.2 ms extra on a ~3 ms
+#: sample+decode block, so 1 in 16 keeps the sampler's share of the
+#: < 2% budget near 0.5%.
+SAMPLE_EVERY = 16
 
 
 class KernelStats:

@@ -181,6 +181,18 @@ def render_report(path: Union[str, Sequence[str]]) -> str:
         lines += _section("profile")
         lines.append(render_profile(profile))
 
+    blocks = counters.get("frames.blocks", 0)
+    if blocks:
+        sites = counters.get("frames.depolarize_sites", 0)
+        dense = counters.get("frames.depolarize_dense_sites", 0)
+        lines += _section("frames sampler")
+        lines.append(f"frames  {blocks:,} blocks, "
+                     f"{counters.get('frames.ops', 0):,} ops "
+                     f"({counters.get('frames.fused_ops', 0):,} fused); "
+                     f"depolarize {sites:,} sites, "
+                     f"{counters.get('frames.depolarize_hits', 0):,} hits, "
+                     f"{dense:,} dense ({_fmt_rate(dense, sites)})")
+
     hits = counters.get("decode.cache_hits", 0)
     misses = counters.get("decode.cache_misses", 0)
     patterns = counters.get("decode.patterns", 0)

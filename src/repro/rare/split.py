@@ -61,7 +61,10 @@ def split_points(program: FrameProgram, experiment: MemoryExperiment,
     round (every cbit of that round's plaquette tables measured, both
     bases); at most ``levels`` boundaries are kept, evenly spaced over
     the interior rounds — the final round is never a boundary (there is
-    nothing left to redistribute toward).
+    nothing left to redistribute toward).  A measure op closes every
+    depolarize draw run (:func:`repro.frames.program.hoist_draws`), so
+    no boundary separates a site from its draw — and
+    :meth:`FrameSimulator.exec_ops` raises if one ever did.
     """
     tables = [np.asarray(t, dtype=np.intp)
               for t in (experiment.z_syndrome_cbits,

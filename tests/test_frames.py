@@ -18,6 +18,8 @@ import pytest
 from repro.circuits import Circuit
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
 from repro.decoders import decoder_for
+from repro.frames import program as frames_program
+from repro.frames import simulator as frames_simulator
 from repro.frames import (
     FrameLoweringError,
     FrameSimulator,
@@ -48,6 +50,7 @@ from repro.noise import (
     ErasureChannel,
     NoiseModel,
     RadiationChannel,
+    RadiationEvent,
     run_batch_noisy,
 )
 from repro.noise.base import NoiseChannel
@@ -278,6 +281,197 @@ class TestNoiseLowering:
             rec = run_batch_noisy(circ, noise, 128,
                                   rng=np.random.Generator(bitgen))
             assert rec.shape == (128, 1)
+
+
+def reference_run(ops, num_qubits, num_cbits, batch_size, seed):
+    """Replay a *scalar, unhoisted* op list the pre-draw/apply way:
+    every depolarize site draws its own ``rng.random(B)`` and XORs
+    three packed masks.  The oracle the compiled draw/apply programs
+    must match bit for bit — kept here, not in ``src/``."""
+    P = frames_program
+    sim = FrameSimulator(num_qubits, batch_size, rng=seed)
+    words = np.zeros((num_cbits, sim.num_words), dtype=np.uint64)
+    for op in ops:
+        code = op[0]
+        if code == P.OP_DEPOLARIZE:
+            _, q, p = op
+            u = sim.rng.random(batch_size)
+            third = p / 3.0
+            mx = pack_bool(u < third)
+            my = pack_bool((u >= third) & (u < 2 * third))
+            mz = pack_bool((u >= 2 * third) & (u < p))
+            sim.x[q] ^= mx | my
+            sim.z[q] ^= mz | my
+        elif code == P.OP_MEASURE:
+            words[op[2]] = sim.measure(op[1], op[3])
+        else:
+            {P.OP_H: sim.h, P.OP_S: sim.s, P.OP_CX: sim.cx, P.OP_CZ: sim.cz,
+             P.OP_SWAP: sim.swap, P.OP_RESET: sim.reset,
+             P.OP_RESET_NOISE: sim.reset_noise}[code](*op[1:])
+    return words, sim
+
+
+def scalar_ops(monkeypatch, circuit, noise):
+    """The lowered op list before fusion and draw hoisting."""
+    with monkeypatch.context() as m:
+        m.setattr(frames_program, "fuse_layers", list)
+        m.setattr(frames_program, "hoist_draws", list)
+        return compile_frame_program(circuit, noise, rng=1).ops
+
+
+def strike_noise(experiment, p, strike):
+    """Depolarizing floor, optionally under a strike whose fault-reset
+    sites (``OP_RESET_NOISE``) interleave with — and close — the
+    depolarize runs."""
+    n = experiment.circuit.num_qubits
+    event = RadiationEvent(n // 2, {q: abs(q - n // 2) for q in range(n)},
+                           num_qubits=n)
+    per_round = (len(experiment.z_syndrome_cbits[0])
+                 + len(experiment.x_syndrome_cbits[0]))
+    channels = {"none": [], "channel": [event.channel(1)],
+                "burst": [event.burst(1, per_round, scale=0.7)]}[strike]
+    return NoiseModel(channels + [DepolarizingNoise(p)])
+
+
+class TestDrawApply:
+    """The depolarize draw/apply split is pure scheduling: compiled
+    programs sample bit-identically to per-site draws."""
+
+    @pytest.fixture(scope="class")
+    def experiment(self):
+        return build_memory_experiment(XXZZCode(3, 3), rounds=3)
+
+    def assert_matches_reference(self, monkeypatch, experiment, noise,
+                                 batch_size, seed=5):
+        circuit = experiment.circuit
+        program = compile_frame_program(circuit, noise, rng=1)
+        sim = FrameSimulator(circuit.num_qubits, batch_size, rng=seed)
+        words = sim.run_packed(program)
+        ref_words, ref = reference_run(
+            scalar_ops(monkeypatch, circuit, noise), circuit.num_qubits,
+            program.num_cbits, batch_size, seed)
+        assert np.array_equal(words, ref_words)
+        assert np.array_equal(sim.x, ref.x)
+        assert np.array_equal(sim.z, ref.z)
+        # same number of generator calls: the streams stay in step
+        assert sim.rng.random() == ref.rng.random()
+        return program, sim
+
+    @pytest.mark.parametrize("strike", ["none", "channel", "burst"])
+    @pytest.mark.parametrize("batch_size", [64, 100, 512, 1000])
+    @pytest.mark.parametrize("p", [1e-4, 1e-3, 1e-2, 0.1, 0.3])
+    def test_bit_identical_to_per_site_draws(self, monkeypatch, experiment,
+                                             p, batch_size, strike):
+        program, sim = self.assert_matches_reference(
+            monkeypatch, experiment, strike_noise(experiment, p, strike),
+            batch_size)
+        if strike != "none":
+            assert any(op[0] == frames_program.OP_RESET_NOISE
+                       for op in program.ops)
+        sites, hits, dense = sim.depolarize_stats
+        assert sites > 0 and dense <= sites
+        # both regimes are exercised across the p sweep
+        if p * batch_size > 4 * frames_simulator.DENSE_HITS_PER_ROW:
+            assert dense > 0.9 * sites
+        if p * batch_size < 0.2:
+            assert dense == 0
+
+    def test_run_longer_than_buffer_is_cut(self, monkeypatch, experiment):
+        """Runs past MAX_DRAW_ROWS split into consecutive draws (a site
+        is never split) and still match the per-site reference."""
+        P = frames_program
+        noise = strike_noise(experiment, 0.02, "none")
+        whole = compile_frame_program(experiment.circuit, noise, rng=1)
+        monkeypatch.setattr(P, "MAX_DRAW_ROWS", 7)
+        program, _ = self.assert_matches_reference(
+            monkeypatch, experiment, noise, 200)
+        draws = [op for op in program.ops if op[0] == P.OP_DEPOLARIZE_DRAW]
+        assert len(draws) > sum(op[0] == P.OP_DEPOLARIZE_DRAW
+                                for op in whole.ops)
+        assert max(len(op[1]) for op in draws) <= 7
+        assert sum(len(op[1]) for op in draws) == sum(
+            len(op[1]) for op in whole.ops if op[0] == P.OP_DEPOLARIZE_DRAW)
+
+    def test_draw_ops_precede_their_sites(self, experiment):
+        """Every site quotes the run id and rows of the draw before it;
+        rows tile the draw exactly, and measure/reset close the run."""
+        P = frames_program
+        program = compile_frame_program(
+            experiment.circuit, strike_noise(experiment, 0.01, "burst"),
+            rng=1)
+        open_run, next_row, rows = None, 0, 0
+        for op in program.ops:
+            code = op[0]
+            if code == P.OP_DEPOLARIZE_DRAW:
+                assert next_row == rows       # previous draw fully used
+                open_run, rows, next_row = op[2], len(op[1]), 0
+            elif code in (P.OP_DEPOLARIZE, P.OP_DEPOLARIZE_LAYER):
+                assert op[3] == open_run and op[4] == next_row
+                next_row += 1 if code == P.OP_DEPOLARIZE else len(op[1])
+            elif code in P._RUN_CLOSERS:
+                assert next_row == rows
+                open_run = None
+        assert next_row == rows
+        assert program.fused_ops == sum(op[0] in P.LAYER_OPS
+                                        for op in program.ops)
+
+    def test_cut_run_fails_loudly(self, experiment):
+        """An op slice that separates a site from its draw must raise,
+        not apply stale hits."""
+        P = frames_program
+        program = compile_frame_program(
+            experiment.circuit, strike_noise(experiment, 0.01, "none"),
+            rng=1)
+        first_site = next(i for i, op in enumerate(program.ops)
+                          if op[0] in (P.OP_DEPOLARIZE,
+                                       P.OP_DEPOLARIZE_LAYER))
+        sim = FrameSimulator(experiment.circuit.num_qubits, 64, rng=0)
+        words = np.zeros((program.num_cbits, sim.num_words), np.uint64)
+        sim.exec_ops(program.ops[:first_site + 1], words)   # draw + site
+        with pytest.raises(RuntimeError, match="OP_DEPOLARIZE_DRAW"):
+            sim.exec_ops(program.ops[first_site + 1:], words)
+
+    @pytest.mark.parametrize("k,B", [(1, 64), (7, 100), (184, 512)])
+    def test_numpy_block_draw_contract(self, k, B):
+        """What the hoist rests on: ``Generator.random((k, B))`` is
+        ``k`` successive ``random(B)`` calls — also when the block is
+        split into two consecutive partial draws."""
+        per_site = np.random.default_rng(42)
+        rows = np.stack([per_site.random(B) for _ in range(k)])
+        block = np.random.default_rng(42)
+        assert np.array_equal(block.random((k, B)), rows)
+        cut = np.random.default_rng(42)
+        head = cut.random((k // 2, B))
+        tail = cut.random((k - k // 2, B))
+        assert np.array_equal(np.concatenate([head, tail]), rows)
+        assert block.random() == cut.random() == per_site.random()
+
+    def test_sparse_and_dense_apply_agree_at_threshold(self, monkeypatch):
+        """Same pre-drawn rows through the single-bit flips and through
+        the dense masks: identical frames, in particular for rows with
+        exactly threshold - 1, threshold and threshold + 1 hits."""
+        S = frames_simulator
+        T = S.DENSE_HITS_PER_ROW
+        k, B = 96, 512
+        qs, ps = np.arange(k), np.full(k, T / B)   # ~T hits per row
+
+        def frames(threshold):
+            monkeypatch.setattr(S, "DENSE_HITS_PER_ROW", threshold)
+            sim = FrameSimulator(k, B, rng=3)
+            sim.depolarize_layer(qs, ps)
+            return sim
+
+        switched, sparse, dense = frames(T), frames(10**9), frames(-1)
+        counts = np.diff(switched._row_ptr)
+        assert {T - 1, T, T + 1} <= set(counts.tolist())
+        assert switched.depolarize_stats == [k, counts.sum(),
+                                             (counts > T).sum()]
+        assert sparse.depolarize_stats[2] == 0
+        assert dense.depolarize_stats[2] == k
+        for other in (sparse, dense):
+            assert np.array_equal(switched.x, other.x)
+            assert np.array_equal(switched.z, other.z)
+        assert switched.x.any() and switched.z.any()
 
 
 class TestCrossValidation:

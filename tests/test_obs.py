@@ -278,6 +278,10 @@ class TestSession:
         assert counters["decode.patterns"] > 0
         assert counters["decode.cache_hits"] > 0
         assert counters["frames.blocks"] > 0
+        # The sparse/dense decision is a counted fact, per block.
+        assert counters["frames.depolarize_hits"] > 0
+        assert 0 < counters["frames.depolarize_dense_sites"] \
+            < counters["frames.depolarize_sites"]
         for phase in ("sample", "decode", "aggregate"):
             assert snap["spans"][phase]["count"] > 0
         assert snap["workers"]
@@ -351,6 +355,11 @@ class TestReport:
                       "scheduler.leases": 8, "scheduler.steals": 1,
                       "scheduler.worker_crashes": 1,
                       "scheduler.requeued_leases": 2,
+                      "frames.blocks": 8, "frames.ops": 9576,
+                      "frames.fused_ops": 976,
+                      "frames.depolarize_sites": 7488,
+                      "frames.depolarize_hits": 1900,
+                      "frames.depolarize_dense_sites": 936,
                       "rare.pilot_shots": 6144},
          "gauges": {"rare.pilot_tilt": 8.0, "rare.ess": 512.5},
          "spans": {"sample": {"total_s": 1.5, "count": 8,
@@ -382,6 +391,8 @@ class TestReport:
         assert "1.500s     1.100s self x8" in text
         assert "0.500s     0.500s self x8" in text
         assert "cache hit rate   80.0% (80 hits / 20 misses)" in text
+        assert ("frames  8 blocks, 9,576 ops (976 fused); depolarize "
+                "7,488 sites, 1,900 hits, 936 dense (12.5%)") in text
         assert "leases dispatched  8 (1 steal refill(s))" in text
         assert "worker crashes     1 (2 lease(s) requeued)" in text
         assert "worker 0: 2,048 shots, 205 sh/s" in text

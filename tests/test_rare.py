@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.injection import Campaign, CodeSpec, InjectionTask
+from repro.injection import Campaign, CodeSpec, FaultSpec, InjectionTask
 from repro.injection.adaptive import AdaptivePolicy
 from repro.injection.campaign import (_task_context, iter_task_chunks,
                                       run_task)
@@ -310,6 +310,33 @@ class TestSplitting:
         assert rounds_done == sorted(set(rounds_done))
         assert all(1 <= r < 4 for r in rounds_done)
 
+    @pytest.mark.parametrize("distance,rounds", [(3, 4), (5, 5)])
+    def test_split_points_never_cut_a_draw_run(self, distance, rounds):
+        """A boundary sits right after a measure, and a measure closes
+        every depolarize draw run: no segment starts between an
+        ``OP_DEPOLARIZE_DRAW`` and the sites that read its rows (the
+        executor would raise on such a slice)."""
+        from repro.frames.program import (OP_DEPOLARIZE,
+                                          OP_DEPOLARIZE_DRAW,
+                                          OP_DEPOLARIZE_LAYER)
+        from repro.rare.split import split_points
+
+        task = moderate_task(SamplerSpec(kind="split", levels=rounds),
+                             code=CodeSpec("xxzz", (distance, distance)),
+                             backend="frames", rounds=rounds)
+        experiment, _, _, program, _, _ = _task_context(task)
+        points = split_points(program, experiment, rounds)
+        assert len(points) == rounds - 1
+        for op_index, _ in points:
+            run_of_last_draw = max(
+                (op[2] for op in program.ops[:op_index]
+                 if op[0] == OP_DEPOLARIZE_DRAW), default=-1)
+            later_site_runs = {
+                op[3] for op in program.ops[op_index:]
+                if op[0] in (OP_DEPOLARIZE, OP_DEPOLARIZE_LAYER)}
+            assert later_site_runs
+            assert min(later_site_runs) > run_of_last_draw
+
     def test_split_requires_frame_backend(self):
         task = moderate_task(SamplerSpec(kind="split"), backend="tableau")
         with pytest.raises(ValueError, match="frame backend"):
@@ -342,6 +369,53 @@ class TestWeightedDeterminism:
             moderate_task(SamplerSpec(kind="split", levels=1),
                           backend="frames", shots=2048, seed=0),
         ], root_seed=99)
+
+    #: ``run_task(...).payload`` of five weighted frames points,
+    #: recorded at the commit before depolarize draws were hoisted per
+    #: run (PR 15; linux x86-64, numpy 2.4): counts *and* the four
+    #: weight moments.  Tilted sites read pre-drawn rows but keep the
+    #: per-site / per-layer LLR summation order, and split boundaries
+    #: never cut a run, so every float must come out the same.
+    RECORDED = {
+        "d3_tilt": (dict(code=CodeSpec("xxzz", (3, 3)), intrinsic_p=0.004,
+                         rounds=2, readout="data", seed=7,
+                         sampler=SamplerSpec(kind="tilt", tilt=4.0)),
+                    (1024, 75, 208, 180, 1022.359419868468,
+                     3028.7806549854104, 5.116771203548183,
+                     0.9470961926629011)),
+        "d3_split": (dict(code=CodeSpec("xxzz", (3, 3)), intrinsic_p=0.004,
+                          rounds=3, readout="data", seed=7,
+                          sampler=SamplerSpec(kind="split", levels=2)),
+                     (1024, 21, 86, 97, 1018.4673941135406,
+                      1746.5639694507538, 16.157442569732666,
+                      25.134639360261417)),
+        "d5_tilt": (dict(code=CodeSpec("xxzz", (5, 5)), intrinsic_p=0.002,
+                         rounds=3, seed=11,
+                         sampler=SamplerSpec(kind="tilt", tilt=3.0)),
+                    (1024, 156, 196, 174, 1155.1081669392515,
+                     5872.1187387763675, 53.562272453960475,
+                     86.0139120773766)),
+        "d5_split": (dict(code=CodeSpec("xxzz", (5, 5)), intrinsic_p=0.002,
+                          rounds=4, seed=11,
+                          sampler=SamplerSpec(kind="split", levels=3)),
+                     (1024, 107, 164, 105, 739.641384072462,
+                      49080.87563029974, 8.974469813399931,
+                      24.848739938066554)),
+        "d3_strike_tilt": (dict(code=CodeSpec("xxzz", (3, 3)),
+                                intrinsic_p=0.004, rounds=3, seed=13,
+                                fault=FaultSpec(kind="radiation",
+                                                root_qubit=4, time_index=1),
+                                sampler=SamplerSpec(kind="tilt", tilt=4.0)),
+                           (1024, 359, 342, 245, 1033.9545233746321,
+                            5096.702895902472, 270.14642439601505,
+                            1029.4570752402706)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_payloads_match_recorded(self, name):
+        spec, payload = self.RECORDED[name]
+        task = InjectionTask(shots=1024, backend="frames", **spec)
+        assert run_task(task).payload == payload
 
     def test_workers_bit_identical_weighted(self):
         """workers=1|2|4 must agree on counts AND weight moments."""
