@@ -48,8 +48,7 @@ def _campaign():
 
 def _timed_run(workers):
     t0 = time.perf_counter()
-    results = _campaign().run(max_workers=1) if workers == 1 \
-        else _campaign().run(workers=workers)
+    results = _campaign().run(workers=workers)
     return time.perf_counter() - t0, results.counts()
 
 

@@ -5,10 +5,10 @@ Usage::
     python -m repro fig3            # temporal decay series
     python -m repro fig5 --shots 500
     python -m repro headline        # all observation checks (long)
-    repro fig6 --workers 8 --csv out.csv
+    repro fig6 --workers 8 --csv out.csv   # -j 8: scheduler workers
     repro fig5 --store fig5.jsonl   # checkpoint / resume the sweep
     repro campaign spec.json --store sweep.jsonl --adaptive 0.2
-    repro campaign spec.json -j 8   # block-level work-stealing scheduler
+    repro campaign spec.json -j 1   # same scheduler loop, in-process
     repro fig6 --backend tableau    # pin the batched-tableau backend
     repro store merge all.jsonl hostA.jsonl hostB.jsonl
     repro store lookup sweep.jsonl --key 860e    # cached counts by key
@@ -78,12 +78,11 @@ def _policy(args):
 def _engine_kwargs(args) -> dict:
     """Campaign-engine pass-through shared by figure subcommands."""
     return {
-        "max_workers": args.workers,
         "store": getattr(args, "store", None),
         "adaptive": _policy(args),
         "chunk_shots": getattr(args, "chunk_shots", None),
         "backend": getattr(args, "backend", None),
-        "workers": getattr(args, "jobs", None),
+        "workers": args.workers,
     }
 
 
@@ -198,11 +197,7 @@ def cmd_detect(args) -> None:
     roc, policies = fig_detect.run(
         shots=args.shots, distance=args.distance, rounds=args.rounds,
         strike_round=args.strike_round, intensity=args.intensity,
-        decoder=args.decoder, max_workers=args.workers,
-        store=getattr(args, "store", None), adaptive=_policy(args),
-        chunk_shots=getattr(args, "chunk_shots", None),
-        backend=getattr(args, "backend", None),
-        workers=getattr(args, "jobs", None))
+        decoder=args.decoder, **_engine_kwargs(args))
     _write([p.to_row() for p in roc], args,
            "Detection — ROC / latency / localisation vs strike intensity")
     print()
@@ -253,6 +248,7 @@ def _sampler_override(args):
 def cmd_campaign(args) -> None:
     from .injection.store import CampaignStore
     from .injection.sweep import build_sweep
+    from .parallel import default_workers
 
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -265,7 +261,7 @@ def cmd_campaign(args) -> None:
     store = CampaignStore(args.store) if args.store else None
     workers = args.workers
     if workers is None:
-        workers = campaign.workers or os.cpu_count() or 1
+        workers = default_workers(campaign.workers)
     banked = campaign.banked(store, adaptive=policy, backend=args.backend,
                              recovery=args.recovery, sampler=sampler,
                              decoder=decoder)
@@ -779,16 +775,16 @@ COMMANDS = {
 }
 
 
-def _add_engine_options(sub: argparse.ArgumentParser,
-                        jobs_flag: bool = True) -> None:
-    if jobs_flag:
-        sub.add_argument("-j", "--jobs", type=int, default=None,
-                         metavar="N",
-                         help="work-stealing worker processes "
-                              "(block-level parallelism via "
-                              "repro.parallel; counts and adaptive "
-                              "stop shots stay bit-identical to a "
-                              "serial run)")
+def _add_engine_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("-j", "--workers", type=int, default=None,
+                     metavar="N",
+                     help="worker processes for the repro.parallel "
+                          "scheduler (default: the sweep spec's "
+                          "'workers' key where there is one, else "
+                          "REPRO_WORKERS, else all cores; 1 runs the "
+                          "same loop in-process; counts and adaptive "
+                          "stop shots are bit-identical for any "
+                          "worker count)")
     sub.add_argument("--store", type=str, default=None,
                      help="JSONL checkpoint file; re-running with the "
                           "same store resumes instead of restarting")
@@ -832,8 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=f"regenerate {name} data")
         sub.add_argument("--shots", type=int, default=800,
                          help="shots per configuration point")
-        sub.add_argument("--workers", type=int, default=None,
-                         help="process-pool size (default: all cores)")
         sub.add_argument("--csv", type=str, default=None,
                          help="also write rows to this CSV file")
         if name == "fig6":
@@ -864,8 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(1.0 = the paper's full strike)")
     det.add_argument("--decoder", type=str, default="mwpm",
                      help="base decoder for the policy panel")
-    det.add_argument("--workers", type=int, default=None,
-                     help="process-pool size (default: all cores)")
     det.add_argument("--csv", type=str, default=None,
                      help="write the ROC rows here (policy rows go to "
                           "a .policies sibling)")
@@ -876,15 +868,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="path to the sweep spec (JSON)")
     camp.add_argument("--shots", type=int, default=None,
                       help="override the spec's per-point shot budget")
-    camp.add_argument("-j", "--workers", type=int, default=None,
-                      metavar="N",
-                      help="worker processes for the work-stealing "
-                           "scheduler (default: the spec's 'workers' "
-                           "key, else all cores; counts are "
-                           "bit-identical for any worker count)")
     camp.add_argument("--csv", type=str, default=None,
                       help="also write result rows to this CSV file")
-    _add_engine_options(camp, jobs_flag=False)
+    _add_engine_options(camp)
     from .detect.recovery import RECOVERY_POLICIES
 
     camp.add_argument("--recovery", type=str, default=None,

@@ -10,17 +10,11 @@ pattern to a readout-correction parity.  Everything batchy — syndrome
 extraction, detector differencing, per-batch deduplication, the
 cross-batch :class:`~repro.decoders.batch.DecodeCache`, correction
 scatter — is shared here.
-
-The pre-batch entry points ``correction_parity`` and ``decode_prepared``
-remain as thin deprecated shims (emitting :class:`DeprecationWarning`)
-and will be removed once external callers have migrated; in-repo code
-uses ``decode_batch`` / ``decode_detectors``.
 """
 
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional
@@ -289,26 +283,6 @@ class Decoder(abc.ABC):
         return DecodeResult(decoded=raw ^ corrections,
                             expected=experiment.expected_logical,
                             corrections=corrections)
-
-    # ------------------------------------------------------------------
-    # Deprecated pre-batch entry points (shims)
-    # ------------------------------------------------------------------
-    def correction_parity(self, detector_bits: np.ndarray) -> int:
-        """Deprecated: use :meth:`decode_detectors`."""
-        warnings.warn(
-            "Decoder.correction_parity is deprecated; use "
-            "decode_detectors (cached per-pattern decode)",
-            DeprecationWarning, stacklevel=2)
-        return self.decode_detectors(detector_bits)
-
-    def decode_prepared(self, experiment: MemoryExperiment,
-                        det: np.ndarray, raw: np.ndarray) -> DecodeResult:
-        """Deprecated: build a :class:`~repro.decoders.batch.
-        SyndromeBatch` and call :meth:`decode_batch` instead."""
-        warnings.warn(
-            "Decoder.decode_prepared is deprecated; use decode_batch "
-            "over a SyndromeBatch", DeprecationWarning, stacklevel=2)
-        return self._decode_prepared(experiment, det, raw)
 
 
 def prepare_decode_inputs(experiment: MemoryExperiment, records: np.ndarray,

@@ -3,7 +3,7 @@
 Every figure module follows the same pattern:
 
 * ``build_campaign(shots, ...)`` — the exact task list,
-* ``run(shots, max_workers)`` — execute and post-process,
+* ``run(shots, ..., workers)`` — execute and post-process,
 * ``format_table(data)`` — the rows/series the paper's figure reports.
 
 Shot counts default to laptop-scale statistics (Wilson CIs of a few
@@ -30,7 +30,7 @@ DEFAULT_ROUNDS = 2
 NUM_TIME_SAMPLES = 10
 
 
-def execute(campaign: Campaign, max_workers: Optional[int] = None,
+def execute(campaign: Campaign,
             store: Union[CampaignStore, str, None] = None,
             adaptive: Optional[AdaptivePolicy] = None,
             chunk_shots: Optional[int] = None,
@@ -43,13 +43,14 @@ def execute(campaign: Campaign, max_workers: Optional[int] = None,
     takes a :class:`CampaignStore` or a path), adaptive shot allocation,
     backend selection (``backend="auto"|"frames"|"tableau"``; tasks
     default to "auto", which prefers the bit-packed Pauli-frame sampler),
-    block-level multiprocess scheduling (``workers`` routes >1 through
-    the :mod:`repro.parallel` work-stealing scheduler, bit-identical to
-    serial) — apply uniformly to all figures without per-module
+    block-level scheduling (``workers`` processes under the
+    :mod:`repro.parallel` scheduler — ``None`` = ``REPRO_WORKERS``, else
+    all cores; ``1`` = the same loop in-process; counts bit-identical
+    at any value) — apply uniformly to all figures without per-module
     plumbing.
     """
-    return campaign.run(max_workers=max_workers, chunk_shots=chunk_shots,
-                        adaptive=adaptive, backend=backend,
+    return campaign.run(chunk_shots=chunk_shots, adaptive=adaptive,
+                        backend=backend,
                         resume=CampaignStore.coerce(store),
                         workers=workers)
 

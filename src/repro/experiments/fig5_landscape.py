@@ -53,15 +53,14 @@ def build_campaign(shots: int = 1500,
 
 
 def run(shots: int = 1500, p_values: Sequence[float] = P_VALUES,
-        configs=CONFIGS, max_workers: Optional[int] = None,
-        store=None, adaptive=None, chunk_shots: Optional[int] = None,
-        backend: Optional[str] = None,
+        configs=CONFIGS, store=None, adaptive=None,
+        chunk_shots: Optional[int] = None, backend: Optional[str] = None,
         workers: Optional[int] = None) -> Dict[str, Landscape]:
     """Execute the sweep and assemble one landscape per code."""
     campaign = build_campaign(shots=shots, p_values=p_values,
                               configs=configs)
-    results = execute(campaign, max_workers=max_workers, store=store,
-                      adaptive=adaptive, chunk_shots=chunk_shots,
+    results = execute(campaign, store=store, adaptive=adaptive,
+                      chunk_shots=chunk_shots,
                       backend=backend, workers=workers)
     times = sample_times(NUM_TIME_SAMPLES)
     landscapes: Dict[str, Landscape] = {}

@@ -121,16 +121,15 @@ class DistanceRow:
         }
 
 
-def run(shots: int = 600, max_workers: Optional[int] = None,
-        max_roots: Optional[int] = None, store=None, adaptive=None,
-        chunk_shots: Optional[int] = None,
+def run(shots: int = 600, max_roots: Optional[int] = None,
+        store=None, adaptive=None, chunk_shots: Optional[int] = None,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
         deep: bool = False, deep_p: float = DEEP_P) -> List[DistanceRow]:
     campaign = build_campaign(shots=shots, max_roots=max_roots,
                               deep=deep, deep_p=deep_p)
-    results = execute(campaign, max_workers=max_workers, store=store,
-                      adaptive=adaptive, chunk_shots=chunk_shots,
+    results = execute(campaign, store=store, adaptive=adaptive,
+                      chunk_shots=chunk_shots,
                       backend=backend, workers=workers)
     rows: List[DistanceRow] = []
     for spec, _ in _configs():

@@ -129,8 +129,7 @@ class SpreadData:
         return rows
 
 
-def run(shots: int = 800, max_workers: Optional[int] = None,
-        samples_per_size: int = SAMPLES_PER_SIZE,
+def run(shots: int = 800, samples_per_size: int = SAMPLES_PER_SIZE,
         configs=CONFIGS, store=None, adaptive=None,
         chunk_shots: Optional[int] = None,
         backend: Optional[str] = None,
@@ -138,8 +137,8 @@ def run(shots: int = 800, max_workers: Optional[int] = None,
     campaign = build_campaign(shots=shots,
                               samples_per_size=samples_per_size,
                               configs=configs)
-    results = execute(campaign, max_workers=max_workers, store=store,
-                      adaptive=adaptive, chunk_shots=chunk_shots,
+    results = execute(campaign, store=store, adaptive=adaptive,
+                      chunk_shots=chunk_shots,
                       backend=backend, workers=workers)
     out: List[SpreadData] = []
     for code, sizes in configs:

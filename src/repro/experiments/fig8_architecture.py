@@ -131,8 +131,8 @@ class ArchitectureData:
         }
 
 
-def run(shots: int = 400, max_workers: Optional[int] = None,
-        configs=CONFIGS, time_indices: Optional[Sequence[int]] = None,
+def run(shots: int = 400, configs=CONFIGS,
+        time_indices: Optional[Sequence[int]] = None,
         max_roots: Optional[int] = None, store=None, adaptive=None,
         chunk_shots: Optional[int] = None,
         backend: Optional[str] = None,
@@ -140,8 +140,8 @@ def run(shots: int = 400, max_workers: Optional[int] = None,
     campaign = build_campaign(shots=shots, configs=configs,
                               time_indices=time_indices,
                               max_roots=max_roots)
-    results = execute(campaign, max_workers=max_workers, store=store,
-                      adaptive=adaptive, chunk_shots=chunk_shots,
+    results = execute(campaign, store=store, adaptive=adaptive,
+                      chunk_shots=chunk_shots,
                       backend=backend, workers=workers)
     out: List[ArchitectureData] = []
     for code, archs in configs:

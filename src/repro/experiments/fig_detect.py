@@ -178,7 +178,7 @@ def run(shots: int = 1024, distance: int = DEFAULT_DISTANCE,
         rounds: int = DEFAULT_ROUNDS,
         strike_round: int = DEFAULT_STRIKE_ROUND,
         intensity: float = 1.0, decoder: str = "mwpm",
-        max_workers: Optional[int] = None, store=None, adaptive=None,
+        store=None, adaptive=None,
         chunk_shots: Optional[int] = None, backend: Optional[str] = None,
         workers: Optional[int] = None
         ) -> Tuple[List[RocPoint], List[Dict[str, object]]]:
@@ -193,7 +193,7 @@ def run(shots: int = 1024, distance: int = DEFAULT_DISTANCE,
     campaign = build_campaign(shots=shots, distance=distance, rounds=rounds,
                               strike_round=strike_round, intensity=intensity,
                               decoder=decoder)
-    results = execute(campaign, max_workers=max_workers, store=store,
-                      adaptive=adaptive, chunk_shots=chunk_shots,
+    results = execute(campaign, store=store, adaptive=adaptive,
+                      chunk_shots=chunk_shots,
                       backend=backend, workers=workers)
     return roc, policy_rows(results)

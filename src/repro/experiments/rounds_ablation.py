@@ -53,13 +53,12 @@ class RoundsRow:
                 "strike_ler": self.strike_ler}
 
 
-def run(shots: int = 1000, max_workers: Optional[int] = None,
-        rounds_list: Sequence[int] = ROUND_COUNTS, store=None,
-        adaptive=None, chunk_shots: Optional[int] = None,
+def run(shots: int = 1000, rounds_list: Sequence[int] = ROUND_COUNTS,
+        store=None, adaptive=None, chunk_shots: Optional[int] = None,
         workers: Optional[int] = None) -> List[RoundsRow]:
     results = execute(build_campaign(shots=shots, rounds_list=rounds_list),
-                      max_workers=max_workers, store=store,
-                      adaptive=adaptive, chunk_shots=chunk_shots,
+                      store=store, adaptive=adaptive,
+                      chunk_shots=chunk_shots,
                       workers=workers)
     rows = []
     for rounds in rounds_list:

@@ -31,8 +31,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from functools import lru_cache
-from typing import (Callable, Iterable, Iterator, List, Optional, Tuple,
-                    Union)
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,11 +54,10 @@ from ..decoders import DecoderSpec, SyndromeBatch, as_decoder, decoder_for
 from ..rare.sampler import SamplerSpec, as_sampler
 from ..rare.stats import WeightStats
 from ..transpile import transpile
-from ..util.parallel import parallel_map
 from ..util.rng import block_seed, frame_ref_seed, task_seed
 from .adaptive import AdaptivePolicy
-from .results import (SIM_BLOCK, ChunkResult, InjectionResult, ResultSet,
-                      normalize_prior)
+from .results import (SIM_BLOCK, ZERO_PRIOR, ChunkResult, InjectionResult,
+                      ResultSet)
 from .spec import ArchSpec, CodeSpec, InjectionTask, build_arch, build_experiment
 from .store import CampaignStore, task_key
 
@@ -74,8 +72,6 @@ _OBS_SHOTS = obs.counter("engine.shots")
 _OBS_ERRORS = obs.counter("engine.errors")
 _OBS_BLOCKS = obs.counter("engine.blocks")
 _OBS_CHUNKS = obs.counter("engine.chunks")
-_OBS_DECISIONS = obs.counter("engine.decisions")
-_OBS_EARLY_STOPS = obs.counter("engine.early_stops")
 
 
 @lru_cache(maxsize=256)
@@ -249,9 +245,10 @@ def execute_block(experiment: MemoryExperiment, decoder, noise, program,
 
     Returns ``(num_errors, raw_errors, corrections,
     weight_stats-or-None)``.  This is the one place a noise realisation
-    is ever drawn, shared by the serial engine, the parallel workers
-    (via :func:`iter_task_chunks`) and the auto-tilt pilot — so every
-    consumer samples the identical stream for identical inputs.
+    is ever drawn, shared by every lease the scheduler runs (in-process
+    or in a worker, via :func:`iter_task_chunks`) and the auto-tilt
+    pilot — so every consumer samples the identical stream for
+    identical inputs.
 
     On the frame backend the block stays bit-packed end to end: the
     sampler's word stream is wrapped in a :class:`~repro.decoders.
@@ -342,11 +339,10 @@ def iter_task_chunks(task: InjectionTask,
     # however many calls schedule them.
     experiment, decoder, noise, program, sampler, tilted = \
         _task_context(task)
-    if task.recovery != "static":
+    recovering = task.recovery != "static"
+    if recovering:
         # Imported lazily (repro.detect sits above the decoder layer).
         from ..detect.recovery import BurstAdaptiveDecoder
-
-        decoder = BurstAdaptiveDecoder(decoder, policy=task.recovery)
     pos = start_shot
     while pos < total:
         t0 = time.perf_counter()
@@ -358,9 +354,15 @@ def iter_task_chunks(task: InjectionTask,
             size = min(SIM_BLOCK, end - block)
             rng = np.random.default_rng(
                 block_seed(task.seed, block // SIM_BLOCK))
+            # A fresh recovery wrapper per block: it caches burst
+            # estimates first-come, so a shared one would make a
+            # block's counts depend on which blocks it decoded before
+            # — on the chunk grouping and the worker count.
+            block_decoder = BurstAdaptiveDecoder(
+                decoder, policy=task.recovery) if recovering else decoder
             b_err, b_raw, b_corr, b_stats = execute_block(
-                experiment, decoder, noise, program, sampler, tilted,
-                size, rng)
+                experiment, block_decoder, noise, program, sampler,
+                tilted, size, rng)
             errors += b_err
             raw += b_raw
             corr += b_corr
@@ -393,24 +395,14 @@ def _assemble(task: InjectionTask, shots: int, errors: int, raw: int,
         elapsed_s=elapsed, chunks=max(chunks, 1), weights=weights)
 
 
-def _weight_stats(task: InjectionTask, shots: int,
-                  weights: Optional[Tuple[float, float, float, float]]
-                  ) -> Optional[WeightStats]:
-    """The policy-facing weighted moments, or ``None`` for plain MC."""
-    if not task.sampler.weighted:
-        return None
-    w = weights or (0.0, 0.0, 0.0, 0.0)
-    return WeightStats(shots=shots, wsum=w[0], wsq=w[1], esum=w[2],
-                       esq=w[3], iid=task.sampler.kind != "split")
-
-
 def run_task(task: InjectionTask,
              chunk_shots: Optional[int] = None,
              adaptive: Optional[AdaptivePolicy] = None,
-             prior: Tuple = (0, 0, 0, 0, 0.0, 0),
-             on_chunk: Optional[Callable[[ChunkResult], None]] = None
-             ) -> InjectionResult:
-    """Execute one campaign point (picklable module-level worker).
+             prior: Tuple = ZERO_PRIOR) -> InjectionResult:
+    """Execute one campaign point in this process.
+
+    A one-task campaign on the scheduler's in-process route: build the
+    point's :class:`~repro.parallel.plan.TaskPlan`, drain it in order.
 
     ``prior`` — ``(shots, errors, raw_errors, corrections, elapsed_s,
     chunks[, weight_moments])`` already banked for this point (store
@@ -421,54 +413,13 @@ def run_task(task: InjectionTask,
     — the stop shot depends only on the canonical block stream, never
     on ``chunk_shots`` (which keeps its role as checkpoint granularity
     within a segment) or on how a parallel scheduler interleaved the
-    work.  Without a policy exactly ``task.shots`` run.  ``on_chunk``
-    fires after each finished chunk (serial checkpoint streaming).
+    work.  Without a policy exactly ``task.shots`` run.
     """
-    shots, errors, raw, corr, elapsed, nchunks, weights = \
-        normalize_prior(prior)
-    weighted = task.sampler.weighted
-    if weighted and weights is None:
-        weights = (0.0, 0.0, 0.0, 0.0)
-    mon = obs.active()
-    target = adaptive.ceiling(task.shots) if adaptive else task.shots
-    while shots < target:
-        # Decisions fire only ON the watermark grid: a prior that
-        # happens to sit between watermarks (e.g. a fine-grained
-        # checkpoint) resumes sampling to the next watermark first, so
-        # the evaluated prefixes — and the stop shot — match an
-        # uninterrupted run exactly.
-        if adaptive and shots % adaptive.decision_step == 0 and shots:
-            _OBS_DECISIONS.inc()
-            if adaptive.should_stop(errors, shots, task.shots,
-                                    _weight_stats(task, shots, weights)):
-                _OBS_EARLY_STOPS.inc()
-                break
-        segment_end = (adaptive.next_watermark(shots, task.shots)
-                       if adaptive else target)
-        for chunk in iter_task_chunks(task, chunk_shots=chunk_shots,
-                                      start_shot=shots,
-                                      total_shots=segment_end):
-            shots = chunk.end
-            errors += chunk.errors
-            raw += chunk.raw_errors
-            corr += chunk.corrections_applied
-            elapsed += chunk.elapsed_s
-            nchunks += 1
-            if weighted:
-                weights = chunk.fold_weights(weights)
-            if on_chunk is not None:
-                on_chunk(chunk)
-            if mon is not None:
-                ws = (_weight_stats(task, shots, weights) if weighted
-                      else None)
-                if ws is not None:
-                    obs.gauge("rare.ess").set(ws.ess)
-                    obs.gauge("rare.wsum").set(ws.wsum)
-                    obs.gauge("rare.wsq").set(ws.wsq)
-                mon.task_progress(task, shots, errors, target, ws)
-                mon.tick()
-    return _assemble(task, shots, errors, raw, corr, elapsed, nchunks,
-                     weights if weighted else None)
+    from ..parallel import WorkStealingScheduler
+
+    scheduler = WorkStealingScheduler(1, chunk_shots=chunk_shots,
+                                      adaptive=adaptive)
+    return scheduler.run([task], priors=[prior])[0]
 
 
 def _replay_prior(store: CampaignStore, key: str,
@@ -477,48 +428,19 @@ def _replay_prior(store: CampaignStore, key: str,
     """The resumable prior for one point, policy decisions replayed.
 
     Without a policy this is :meth:`CampaignStore.partial`.  With one,
-    banked chunks are consumed in contiguous order while re-evaluating
-    the stopping rule at each watermark, so the prior ends exactly
-    where an uninterrupted adaptive run would have stopped — a store
-    may legitimately hold chunks *past* that point (a parallel
-    worker's speculative in-flight leases land in its shard before the
-    stop decision; a fixed-budget run banks the whole budget) and they
-    must not drag the resumed stop shot forward.  A banked chunk that
-    straddles an undecided watermark (coarser ``chunk_shots`` than the
-    decision grid) is not consumed: its counts at the watermark are
-    unrecoverable, so the engine re-samples from the last aligned
-    boundary instead — canonical blocks make the re-run bit-identical.
+    a :class:`~repro.parallel.plan.TaskPlan` replays the banked chunks,
+    so the prior ends exactly where an uninterrupted adaptive run would
+    have stopped.
     """
-    task_shots = task.shots
     if adaptive is None:
         return store.partial(key)
-    shots = errors = raw = corr = nchunks = 0
-    elapsed = 0.0
-    weights = (0.0, 0.0, 0.0, 0.0)
-    weighted = task.sampler.weighted
-    ceiling = adaptive.ceiling(task_shots)
-    for chunk in store.chunks_for(key):
-        if chunk.start != shots or shots >= ceiling:
-            break
-        boundary = adaptive.next_watermark(shots, task_shots)
-        if chunk.end > boundary or (chunk.end % SIM_BLOCK
-                                    and chunk.end < ceiling):
-            break
-        shots = chunk.end
-        errors += chunk.errors
-        raw += chunk.raw_errors
-        corr += chunk.corrections_applied
-        elapsed += chunk.elapsed_s
-        nchunks += 1
-        if weighted:
-            weights = chunk.fold_weights(weights)
-        if shots >= boundary and adaptive.should_stop(
-                errors, shots, task_shots,
-                _weight_stats(task, shots, weights) if weighted
-                else None):
-            break
-    return (shots, errors, raw, corr, elapsed, nchunks,
-            weights if weighted else None)
+    banked = store.chunks_for(key)
+    if not banked:
+        return ZERO_PRIOR
+    from ..parallel import TaskPlan
+
+    return TaskPlan(0, task, ZERO_PRIOR, DEFAULT_CHUNK_SHOTS, adaptive,
+                    banked=banked).prior()
 
 
 def _reusable(banked: Optional[InjectionResult],
@@ -543,19 +465,6 @@ def _reusable(banked: Optional[InjectionResult],
                                 else None)
 
 
-def _run_point(payload: Tuple[InjectionTask, Optional[int],
-                              Optional[AdaptivePolicy],
-                              Tuple[int, int, int, int, float, int]]
-               ) -> Tuple[InjectionResult, List[ChunkResult]]:
-    """Pool worker: run one point, returning its new chunks for the
-    parent process to checkpoint (workers never touch the store file)."""
-    task, chunk_shots, adaptive, prior = payload
-    new_chunks: List[ChunkResult] = []
-    result = run_task(task, chunk_shots=chunk_shots, adaptive=adaptive,
-                      prior=prior, on_chunk=new_chunks.append)
-    return result, new_chunks
-
-
 class Campaign:
     """A set of injection tasks executed together.
 
@@ -569,7 +478,8 @@ class Campaign:
         under any parallel schedule.
     workers:
         Default worker count for :meth:`run` (the sweep-spec
-        ``"workers"`` key); ``None`` leaves the choice to the caller.
+        ``"workers"`` key); ``None`` leaves it to ``REPRO_WORKERS``,
+        else the CPU count.
     """
 
     def __init__(self, tasks: Optional[Iterable[InjectionTask]] = None,
@@ -634,8 +544,7 @@ class Campaign:
                                            decoder)
                    if _reusable(store.result_for(t), adaptive))
 
-    def run(self, max_workers: Optional[int] = None,
-            chunk_shots: Optional[int] = None,
+    def run(self, chunk_shots: Optional[int] = None,
             adaptive: Optional[AdaptivePolicy] = None,
             resume: Union[CampaignStore, str, None] = None,
             backend: Optional[str] = None,
@@ -643,16 +552,16 @@ class Campaign:
             workers: Optional[int] = None,
             sampler: Union[SamplerSpec, str, None] = None,
             decoder: Union[DecoderSpec, str, None] = None) -> ResultSet:
-        """Run all tasks; ``max_workers=1`` forces serial execution.
+        """Run all tasks through the :mod:`repro.parallel` scheduler.
 
-        ``workers`` — hand the campaign to the :mod:`repro.parallel`
-        work-stealing scheduler with that many worker processes
-        (``None`` falls back to the campaign's own ``workers`` default,
-        e.g. from a sweep spec).  Unlike the legacy point-level pool
-        (``max_workers``), the scheduler splits *within* tasks at
-        simulation-block granularity, so even a single deep point
-        scales across cores; counts and adaptive stop shots are
-        bit-identical to a serial run.
+        ``workers`` — worker processes (``None`` falls back to the
+        campaign's own ``workers`` default, e.g. from a sweep spec,
+        then ``REPRO_WORKERS``, then the CPU count).  The scheduler
+        splits *within* tasks at simulation-block granularity, so even
+        a single deep point scales across cores; ``workers=1`` — or a
+        plan of a single lease — runs the same loop in this process
+        without forking.  Counts and adaptive stop shots are
+        bit-identical for any worker count.
 
         ``resume`` — a :class:`CampaignStore` (or its path): completed
         points are reconstructed from the checkpoint instead of re-run,
@@ -676,9 +585,8 @@ class Campaign:
         """
         mon = obs.active()
         try:
-            return self._run(mon, max_workers, chunk_shots, adaptive,
-                             resume, backend, recovery, workers, sampler,
-                             decoder)
+            return self._run(mon, chunk_shots, adaptive, resume, backend,
+                             recovery, workers, sampler, decoder)
         finally:
             if mon is not None:
                 # Campaign boundary, not session end: force a telemetry
@@ -686,42 +594,34 @@ class Campaign:
                 # (headline runs several campaigns in one session).
                 mon.campaign_end()
 
-    def _run(self, mon, max_workers, chunk_shots, adaptive, resume,
-             backend, recovery, workers, sampler, decoder) -> ResultSet:
+    def _run(self, mon, chunk_shots, adaptive, resume, backend, recovery,
+             workers, sampler, decoder) -> ResultSet:
+        from ..parallel import (WorkStealingScheduler, absorb_stale_shards,
+                                default_workers)
+
         seeded = self._seeded(backend, recovery, sampler, decoder)
         store = CampaignStore.coerce(resume)
-        if workers is None and max_workers is None:
-            # The sweep-spec default fills in only when the caller
-            # expressed no preference: an explicit max_workers=1 (the
-            # documented serial switch) must never be overridden into
-            # a process fleet by a spec's "workers" key.
-            workers = self.workers
-        use_scheduler = workers is not None and int(workers) > 1
-        if workers is not None and int(workers) == 1:
-            max_workers = 1     # "one process total" — serial streaming
+        if workers is None:
+            workers = default_workers(self.workers)
         if store is not None:
             # A crashed parallel run leaves per-worker shards next to
             # the store; fold them in before computing priors —
-            # whatever mode this resume runs in — so no completed
-            # chunk is ever re-sampled.
-            from ..parallel import absorb_stale_shards
-
+            # whatever worker count this resume runs at — so no
+            # completed chunk is ever re-sampled.
             absorb_stale_shards(store)
         results: List[Optional[InjectionResult]] = [None] * len(seeded)
         todo: List[int] = []
-        payloads = []
-        keys: List[Optional[str]] = [None] * len(seeded)
+        priors: List[Tuple] = []
         for i, t in enumerate(seeded):
-            prior = (0, 0, 0, 0, 0.0, 0, None)
+            prior = ZERO_PRIOR
             if store is not None:
-                keys[i] = task_key(t)
                 banked = store.result_for(t)
                 if _reusable(banked, adaptive):
                     results[i] = banked
                     continue
-                prior = _replay_prior(store, keys[i], adaptive, t)
+                prior = _replay_prior(store, task_key(t), adaptive, t)
             todo.append(i)
-            payloads.append((t, chunk_shots, adaptive, prior))
+            priors.append(prior)
 
         if mon is not None:
             mon.begin_campaign(
@@ -731,46 +631,10 @@ class Campaign:
                 if banked is not None:
                     mon.task_done(seeded[i], banked.shots, banked.errors)
 
-        if use_scheduler and payloads:
-            from ..parallel import WorkStealingScheduler
-
-            scheduler = WorkStealingScheduler(
-                int(workers), chunk_shots=chunk_shots, adaptive=adaptive,
-                store=store)
-            for i, result in zip(todo, scheduler.run(
-                    [seeded[i] for i in todo],
-                    priors=[p[3] for p in payloads])):
-                results[i] = result
-            return ResultSet(results)
-
-        if store is not None and (max_workers == 1 or len(payloads) <= 1):
-            # Serial + store: stream every chunk straight to the
-            # checkpoint, so even a kill mid-point loses at most one
-            # chunk of work.
-            for j, (t, cs, ad, prior) in enumerate(payloads):
-                i, key = todo[j], keys[todo[j]]
-                result = run_task(
-                    t, chunk_shots=cs, adaptive=ad, prior=prior,
-                    on_chunk=lambda c, k=key: store.append_chunk(k, c))
-                store.mark_done(key, result)
-                results[i] = result
-                if mon is not None:
-                    mon.task_done(t, result.shots, result.errors)
-            return ResultSet(results)
-
-        def checkpoint(j: int, out: Tuple[InjectionResult,
-                                          List[ChunkResult]]) -> None:
-            result, new_chunks = out
-            i = todo[j]
+        scheduler = WorkStealingScheduler(
+            int(workers), chunk_shots=chunk_shots, adaptive=adaptive,
+            store=store)
+        for i, result in zip(todo, scheduler.run(
+                [seeded[i] for i in todo], priors=priors)):
             results[i] = result
-            if store is not None:
-                for chunk in new_chunks:
-                    store.append_chunk(keys[i], chunk)
-                store.mark_done(keys[i], result)
-            if mon is not None:
-                mon.task_done(seeded[i], result.shots, result.errors)
-                mon.tick()
-
-        parallel_map(_run_point, payloads, max_workers=max_workers,
-                     on_result=checkpoint)
         return ResultSet(results)

@@ -61,6 +61,13 @@ def fold_moments(acc: WeightMoments, blocks: Sequence[WeightMoments]
     return (wsum, wsq, esum, esq)
 
 
+#: The empty prior: nothing banked yet.
+ZERO_PRIOR = (0, 0, 0, 0, 0.0, 0, None)
+
+#: Zero weight-moment accumulator ``(wsum, wsq, esum, esq)``.
+ZERO_MOMENTS: WeightMoments = (0.0, 0.0, 0.0, 0.0)
+
+
 def normalize_prior(prior) -> Tuple[int, int, int, int, float, int,
                                     Optional[WeightMoments]]:
     """Coerce a banked-counts prior into its canonical 7-tuple.
@@ -124,7 +131,7 @@ class ChunkResult:
         """This chunk's weighted moments (unit-weight for MC chunks)."""
         if self.block_weights is None:
             return WeightStats.from_counts(self.shots, self.errors)
-        wsum, wsq, esum, esq = self.fold_weights((0.0, 0.0, 0.0, 0.0))
+        wsum, wsq, esum, esq = self.fold_weights(ZERO_MOMENTS)
         return WeightStats(shots=self.shots, wsum=wsum, wsq=wsq,
                            esum=esum, esq=esq)
 
@@ -150,6 +157,43 @@ class ChunkResult:
                    corrections_applied=int(row["corrections"]),
                    elapsed_s=float(row.get("elapsed_s", 0.0)),
                    block_weights=weights)
+
+
+class ChunkTally:
+    """Running counts over a contiguous run of a task's chunks.
+
+    The one place chunk counts are folded: the scheduler's contiguous
+    frontier (:class:`repro.parallel.plan.TaskPlan`, and through it
+    ``run_task``, store replay and the service) and the store's
+    resumable prefix (:meth:`CampaignStore.partial`) all advance by
+    :meth:`add`, in stream order, so every route lands on bit-identical
+    counts and weight moments.  Deciding *which* chunk may be folded
+    next (contiguity, watermarks, duplicates) is the caller's job.
+    """
+
+    def __init__(self, prior=ZERO_PRIOR, weighted: bool = False) -> None:
+        (self.shots, self.errors, self.raw_errors, self.corrections,
+         self.elapsed_s, self.chunks, weights) = normalize_prior(prior)
+        #: Whether the stream is importance-weighted (the moments are
+        #: folded either way; MC chunks contribute unit weights).
+        self.weighted = weighted or weights is not None
+        self.weights: WeightMoments = weights or ZERO_MOMENTS
+
+    def add(self, chunk: ChunkResult) -> None:
+        self.shots += chunk.shots
+        self.errors += chunk.errors
+        self.raw_errors += chunk.raw_errors
+        self.corrections += chunk.corrections_applied
+        self.elapsed_s += chunk.elapsed_s
+        self.chunks += 1
+        self.weights = chunk.fold_weights(self.weights)
+        self.weighted = self.weighted or chunk.weighted
+
+    def prior(self) -> Tuple:
+        """The counts so far, in the canonical 7-tuple prior form."""
+        return (self.shots, self.errors, self.raw_errors, self.corrections,
+                self.elapsed_s, self.chunks,
+                self.weights if self.weighted else None)
 
 
 @dataclass

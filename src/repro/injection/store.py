@@ -26,7 +26,7 @@ import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
-from .results import SIM_BLOCK, ChunkResult, InjectionResult
+from .results import SIM_BLOCK, ChunkResult, ChunkTally, InjectionResult
 from .spec import InjectionTask
 
 #: Bump when the canonical task serialization changes shape.
@@ -43,10 +43,6 @@ from .spec import InjectionTask
 #: errors, so the full decoder configuration must shape the key (and
 #: the serialized form changed from a string to a dict).
 KEY_VERSION = 5
-
-
-#: Zero weight-moment accumulator ``(wsum, wsq, esum, esq)``.
-_ZERO_W = (0.0, 0.0, 0.0, 0.0)
 
 
 def canonical_task(task: InjectionTask) -> Dict[str, object]:
@@ -165,29 +161,14 @@ class CampaignStore:
         position — the truncated block's counts are dropped and
         resampled at full size when a later run raises the ceiling.
         """
-        shots = errors = raw = corr = nchunks = 0
-        elapsed = 0.0
-        weights = _ZERO_W
-        weighted = False
-        aligned = (0, 0, 0, 0, 0.0, 0, None)
+        tally = ChunkTally()
+        aligned = tally.prior()
         for chunk in self.chunks_for(key):
-            if chunk.start != shots:
+            if chunk.start != tally.shots:
                 break
-            shots += chunk.shots
-            errors += chunk.errors
-            raw += chunk.raw_errors
-            corr += chunk.corrections_applied
-            elapsed += chunk.elapsed_s
-            nchunks += 1
-            if chunk.weighted:
-                weighted = True
-            weights = chunk.fold_weights(weights)
-            if shots % SIM_BLOCK == 0:
-                aligned = (shots, errors, raw, corr, elapsed, nchunks,
-                           weights if weighted else None)
-        if shots % SIM_BLOCK == 0:
-            return (shots, errors, raw, corr, elapsed, nchunks,
-                    weights if weighted else None)
+            tally.add(chunk)
+            if tally.shots % SIM_BLOCK == 0:
+                aligned = tally.prior()
         return aligned
 
     def result_for(self, task: InjectionTask) -> Optional[InjectionResult]:

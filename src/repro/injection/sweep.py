@@ -26,8 +26,8 @@ as_decoder` — ``readout``, ``layout``, ``backend``, ``recovery``,
 ``sampler`` — a kind string like ``"tilt:8"`` or a mapping, see
 :func:`repro.rare.sampler.as_sampler`) apply to every task.  A
 ``"workers"`` key sets the campaign's default worker-process count
-(``Campaign.run`` routes >1 through the :mod:`repro.parallel`
-work-stealing scheduler; counts stay bit-identical either way).  Each
+for the :mod:`repro.parallel` scheduler (1 = the same loop in-process;
+counts stay bit-identical either way).  Each
 task is tagged with its axis coordinates so results group naturally.
 """
 

@@ -37,7 +37,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Stopwatch,
     counter,
     event,
     gauge,
@@ -76,7 +75,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Stopwatch",
     "counter",
     "gauge",
     "span",

@@ -508,38 +508,6 @@ def render_prometheus(snapshot: Dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-class Stopwatch:
-    """Accumulates named wall-clock segments (a private registry).
-
-    The historical ``repro.util.timing.Stopwatch`` API, now backed by
-    :class:`MetricsRegistry` spans; ``repro.util`` re-exports it for
-    compatibility.
-    """
-
-    def __init__(self) -> None:
-        self._reg = MetricsRegistry()
-
-    @property
-    def totals(self) -> Dict[str, float]:
-        return {k: s.total_s for k, s in self._reg._spans.items()}
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        return {k: s.count for k, s in self._reg._spans.items()}
-
-    def section(self, name: str):
-        return self._reg.span(name)
-
-    def report(self) -> str:
-        totals = self.totals
-        counts = self.counts
-        lines = []
-        for name in sorted(totals, key=totals.get, reverse=True):
-            lines.append(f"{name:30s} {totals[name]:9.3f}s "
-                         f"x{counts[name]}")
-        return "\n".join(lines)
-
-
 #: The process-global registry every engine call site instruments.
 _REGISTRY = MetricsRegistry()
 

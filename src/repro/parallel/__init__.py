@@ -1,16 +1,21 @@
-"""Multiprocess work-stealing campaign execution (``repro.parallel``).
+"""Campaign execution (``repro.parallel``): one scheduler, any scale.
 
-The scale leg of the reproduction: a priority/work-stealing scheduler
-that spreads a campaign's canonical simulation blocks across worker
-processes with per-worker JSONL store shards, crash tolerance, and
-stop decisions that are bit-identical to a serial run.  Reached through
-``Campaign.run(workers=N)``, the sweep-spec ``"workers"`` key, and
-``repro campaign -j N``.
+Every campaign runs through :class:`WorkStealingScheduler`, and every
+chunk is banked through :class:`TaskPlan`.  With one effective worker
+(``workers=1``, or a plan of a single lease) the scheduler drains the
+plans in its own process; otherwise it spreads the canonical
+simulation blocks across worker processes by priority and work
+stealing, with per-worker JSONL store shards and crash tolerance.
+Counts and adaptive stop shots are bit-identical either way.  Reached
+through ``Campaign.run(workers=N)``, the sweep-spec ``"workers"`` key
+and ``-j/--workers N`` on every campaign-running command; with none of
+them, :func:`default_workers` (``REPRO_WORKERS``, else the CPU count)
+decides.
 """
 
 from .plan import ChunkLease, TaskPlan, plan_leases
 from .scheduler import (WorkStealingScheduler, absorb_stale_shards,
-                        lease_run_size)
+                        default_workers, lease_run_size)
 from .worker import execute_lease, shard_path, worker_main
 
 __all__ = [
@@ -18,6 +23,7 @@ __all__ = [
     "TaskPlan",
     "WorkStealingScheduler",
     "absorb_stale_shards",
+    "default_workers",
     "execute_lease",
     "lease_run_size",
     "plan_leases",

@@ -20,21 +20,24 @@ many, whatever order results arrive in.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .. import obs
 from ..injection.adaptive import AdaptivePolicy
-from ..injection.results import (SIM_BLOCK, ChunkResult, InjectionResult,
-                                 normalize_prior)
-from ..rare.stats import WeightStats
-
+from ..injection.results import (SIM_BLOCK, ChunkResult, ChunkTally,
+                                 InjectionResult)
 from ..injection.spec import InjectionTask
+from ..rare.stats import WeightStats
 
 #: Counts tuple banked per task before the run (store resume):
 #: ``(shots, errors, raw_errors, corrections, elapsed_s, chunks)``,
 #: optionally extended with accumulated importance-weight moments
 #: ``(wsum, wsq, esum, esq)`` as a seventh element.
 Prior = Tuple
+
+#: Policy-evaluation counters (cached once; obs.reset zeroes in place).
+_OBS_DECISIONS = obs.counter("engine.decisions")
+_OBS_EARLY_STOPS = obs.counter("engine.early_stops")
 
 
 class ChunkLease(NamedTuple):
@@ -71,58 +74,46 @@ def plan_leases(task_index: int, start: int, target: int,
     return leases
 
 
-class TaskPlan:
+class TaskPlan(ChunkTally):
     """Scheduling state for one campaign point.
 
-    Tracks which leases are pending (unleased), leased (on some
-    worker's deque or in flight), and completed; advances the
-    contiguous frontier as results arrive; and fires the adaptive
-    policy at each crossed watermark, truncating the plan when the
-    point resolves early.
+    The only frontier aggregator in the system: serial runs, forked
+    workers, store resume and the campaign service all bank chunks
+    through it.  Tracks which leases are pending (unleased), leased (on
+    some worker's deque or in flight), and completed; advances the
+    contiguous frontier as results arrive (the inherited
+    :class:`ChunkTally` holds the counts along it); and evaluates the
+    adaptive policy at each watermark the frontier reaches, truncating
+    the plan when the point resolves early.  ``banked`` — a store's
+    chunks for the point, in start order — is replayed on top of
+    ``prior`` before the remainder is planned.
     """
 
     def __init__(self, index: int, task: InjectionTask, prior: Prior,
                  chunk_shots: int,
-                 adaptive: Optional[AdaptivePolicy]) -> None:
+                 adaptive: Optional[AdaptivePolicy],
+                 banked: Iterable[ChunkResult] = ()) -> None:
+        super().__init__(prior, weighted=task.sampler.weighted)
         self.index = index
         self.task = task
         self.adaptive = adaptive
-        (self.prior_shots, prior_errors, prior_raw, prior_corr,
-         prior_elapsed, self.prior_chunks, prior_weights) = \
-            normalize_prior(prior)
-        # Cumulative counts along the contiguous frontier.
-        self.shots = self.prior_shots
-        self.errors = prior_errors
-        self.raw_errors = prior_raw
-        self.corrections = prior_corr
-        self.elapsed_s = prior_elapsed
-        self.chunks = self.prior_chunks
-        #: Accumulated weight moments along the frontier (weighted
-        #: samplers only) — folded per canonical block, so the values
-        #: are bit-identical to a serial run's.
-        self.weighted = task.sampler.weighted
-        self.weights = (prior_weights or (0.0, 0.0, 0.0, 0.0)) \
-            if self.weighted else None
         self.target = (adaptive.ceiling(task.shots) if adaptive
                        else task.shots)
-        # Replay the prior's decision only ON the watermark grid (an
-        # off-grid prior resumes to the next watermark first), exactly
-        # like the serial engine.
-        self.stopped = (adaptive is not None and self.shots < self.target
-                        and self.shots > 0
-                        and self.shots % adaptive.decision_step == 0
-                        and adaptive.should_stop(self.errors, self.shots,
-                                                 task.shots,
-                                                 self._weight_stats()))
-        if self.stopped:
-            self.target = self.shots
-        self.pending: Deque[ChunkLease] = deque(plan_leases(
-            index, self.shots, self.target, chunk_shots, adaptive,
-            task.shots))
+        self.stopped = False
+        self.pending: Deque[ChunkLease] = deque()
         #: Completed-but-not-yet-contiguous results, keyed by start.
         self._completed: Dict[int, ChunkResult] = {}
         #: Leases currently owned by a worker (deque or in flight).
         self.leased: Dict[int, ChunkLease] = {}
+        # A prior sitting ON the watermark grid replays its decision; an
+        # off-grid one (e.g. a fine-grained checkpoint) resumes sampling
+        # to the next watermark first, so the evaluated prefixes — and
+        # the stop shot — match an uninterrupted run exactly.
+        self._decide()
+        self._replay(banked)
+        self.pending.extend(plan_leases(
+            index, self.shots, self.target, chunk_shots, adaptive,
+            task.shots))
 
     # -- scheduling views ---------------------------------------------
     @property
@@ -161,7 +152,7 @@ class TaskPlan:
         """Bank one completed lease; returns True if it was new.
 
         Advances the contiguous frontier and evaluates the policy at
-        every watermark the frontier crosses, in order.  Results for
+        every watermark the frontier reaches, in order.  Results for
         already-banked or beyond-stop ranges (a re-run after a crash,
         or a speculative in-flight chunk finishing after the stop
         decision) are discarded — counts stay a function of the
@@ -173,30 +164,54 @@ class TaskPlan:
             return False
         self._completed[chunk.start] = chunk
         while self.shots in self._completed:
-            nxt = self._completed[self.shots]
-            watermark = (self.adaptive.next_watermark(
-                self.shots, self.task.shots)
-                if self.adaptive is not None else self.target)
-            self.shots = nxt.end
-            self.errors += nxt.errors
-            self.raw_errors += nxt.raw_errors
-            self.corrections += nxt.corrections_applied
-            self.elapsed_s += nxt.elapsed_s
-            self.chunks += 1
-            if self.weighted:
-                self.weights = nxt.fold_weights(self.weights)
-            if self.adaptive is not None and self.shots >= watermark \
-                    and self.shots < self.target:
-                obs.counter("engine.decisions").inc()
-                if self.adaptive.should_stop(
-                        self.errors, self.shots, self.task.shots,
-                        self._weight_stats()):
-                    obs.counter("engine.early_stops").inc()
-                    self._stop_at_frontier()
-                    break
+            self.add(self._completed.pop(self.shots))
+            self._decide()
         return True
 
-    def _weight_stats(self) -> Optional[WeightStats]:
+    def _replay(self, banked: Iterable[ChunkResult]) -> None:
+        """Advance the frontier over a store's banked chunks (given in
+        start order) before anything is planned.
+
+        Policy decisions are re-evaluated at each watermark, so the
+        frontier ends exactly where an uninterrupted run would have
+        stopped — a store may legitimately hold chunks *past* that
+        point (a parallel worker's speculative in-flight leases land in
+        its shard before the stop decision; a fixed-budget run banks
+        the whole budget) and they must not drag the resumed stop shot
+        forward.  A banked chunk that straddles an undecided watermark
+        (coarser ``chunk_shots`` than the decision grid) is not
+        consumed: its counts at the watermark are unrecoverable, so the
+        run re-samples from the last aligned boundary instead —
+        canonical blocks make the re-run bit-identical.  Neither is a
+        chunk ending off the block grid short of the target, nor
+        anything after a gap or overlap.
+        """
+        for chunk in banked:
+            if chunk.start != self.shots or self.shots >= self.target:
+                break
+            watermark = self.target if self.adaptive is None else \
+                self.adaptive.next_watermark(self.shots, self.task.shots)
+            if chunk.end > watermark or (
+                    chunk.end % SIM_BLOCK and chunk.end < self.target):
+                break
+            self.add(chunk)
+            self._decide()
+
+    def _decide(self) -> None:
+        """Evaluate the policy if the frontier sits on a decision
+        watermark short of the target (leases never straddle one, so
+        the counts are exactly the watermark's prefix counts)."""
+        if self.adaptive is None or not 0 < self.shots < self.target \
+                or self.shots % self.adaptive.decision_step:
+            return
+        _OBS_DECISIONS.inc()
+        if self.adaptive.should_stop(self.errors, self.shots,
+                                     self.task.shots,
+                                     self.weight_stats()):
+            _OBS_EARLY_STOPS.inc()
+            self._stop_at_frontier()
+
+    def weight_stats(self) -> Optional[WeightStats]:
         """Frontier weight moments for policy decisions (None for MC)."""
         if not self.weighted:
             return None
@@ -210,8 +225,7 @@ class TaskPlan:
         self.stopped = True
         self.target = self.shots
         self.pending.clear()
-        for start in [s for s in self._completed if s >= self.target]:
-            del self._completed[start]
+        self._completed.clear()
         # In-flight leases stay in ``leased`` until their (discarded)
         # results or their worker's death accounts for them.
         for start in [s for s, lease in self.leased.items()
@@ -220,10 +234,7 @@ class TaskPlan:
 
     def result(self) -> InjectionResult:
         """The point's final, order-independent aggregate (swap counts
-        come from the same cached transpilation the serial path uses)."""
+        come from the cached transpilation the workers use)."""
         from ..injection.campaign import _assemble
 
-        return _assemble(self.task, self.shots, self.errors,
-                         self.raw_errors, self.corrections,
-                         self.elapsed_s, self.chunks,
-                         self.weights if self.weighted else None)
+        return _assemble(self.task, *self.prior())

@@ -17,9 +17,17 @@ intact:
   steals the back half of the longest deque.  Leases queue on the
   parent side; only a small pipeline is ever buffered in a worker, so
   almost all planned work remains stealable.
+* **One loop, in-process or forked** — the scheduler is the engine's
+  only executor.  With one effective worker (``workers=1``, or a plan
+  of a single lease) it drains the plans itself, in task order, at the
+  engine's checkpoint grain; otherwise it forks.  The choice is
+  computed from the inputs, never set by the caller, and both routes
+  bank every chunk through the same :class:`~repro.parallel.plan.
+  TaskPlan`.
 * **Crash tolerance** — a dead worker's leased chunks are requeued
   and the campaign completes with a :class:`RuntimeWarning`; if every
-  worker dies, the scheduler finishes the remaining leases in-process.
+  worker dies (or none can be started), the remaining leases finish
+  through that same in-process drain.
   Requeued chunks may execute twice; canonical block seeding makes the
   re-run bit-identical, and the store's ``(key, start)`` dedup folds
   the duplicates away.
@@ -49,12 +57,14 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..injection.adaptive import AdaptivePolicy
-from ..injection.campaign import _normalize_chunk
-from ..injection.results import SIM_BLOCK, ChunkResult, InjectionResult
+from ..injection.campaign import DEFAULT_CHUNK_SHOTS, _normalize_chunk
+from ..injection.results import (SIM_BLOCK, ZERO_PRIOR, ChunkResult,
+                                 InjectionResult)
 from ..injection.spec import InjectionTask
 from ..injection.store import CampaignStore, task_key
+from . import worker
 from .plan import ChunkLease, Prior, TaskPlan
-from .worker import execute_lease, shard_path, worker_main
+from .worker import shard_path, worker_main
 
 #: Chunks buffered inside a worker process (in its inbox) at any time.
 #: Enough to hide the queue round-trip behind compute; small enough
@@ -88,6 +98,20 @@ _OBS_LEASE_RUN = obs.registry().histogram(
     "scheduler.lease_run_s",
     (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
      60.0, 120.0))
+
+
+def default_workers(spec_workers: Optional[int] = None) -> int:
+    """The worker count when the caller names none: the sweep spec's
+    ``"workers"`` key, else ``REPRO_WORKERS``, else the CPU count."""
+    if spec_workers is not None:
+        return max(1, int(spec_workers))
+    env = os.environ.get("REPRO_WORKERS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            pass
+    return max(1, os.cpu_count() or 1)
 
 
 def lease_run_size(pending: int, alive: int, chunk_shots: int,
@@ -135,7 +159,8 @@ def _mp_context():
 
 
 class WorkStealingScheduler:
-    """Execute a list of campaign points across worker processes."""
+    """Execute a list of campaign points, in-process or across worker
+    processes."""
 
     def __init__(self, workers: int,
                  chunk_shots: Optional[int] = None,
@@ -144,10 +169,15 @@ class WorkStealingScheduler:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.requested_workers = int(workers)
-        # Parallel default: one canonical SIM_BLOCK per lease — the
-        # finest stealable grain the reproducibility contract allows.
-        self.chunk_shots = (SIM_BLOCK if chunk_shots is None
-                            else _normalize_chunk(chunk_shots))
+        # Default grain: a fleet leases one canonical SIM_BLOCK at a
+        # time — the finest stealable grain the reproducibility
+        # contract allows; a lone worker has nobody to share with and
+        # takes the engine's checkpoint chunk.
+        if chunk_shots is not None:
+            self.chunk_shots = _normalize_chunk(chunk_shots)
+        else:
+            self.chunk_shots = (DEFAULT_CHUNK_SHOTS if workers == 1
+                                else SIM_BLOCK)
         self.adaptive = adaptive
         self.store = store
 
@@ -155,7 +185,7 @@ class WorkStealingScheduler:
     def run(self, tasks: List[InjectionTask],
             priors: Optional[List[Prior]] = None) -> List[InjectionResult]:
         if priors is None:
-            priors = [(0, 0, 0, 0, 0.0, 0)] * len(tasks)
+            priors = [ZERO_PRIOR] * len(tasks)
         plans = [TaskPlan(i, task, prior, self.chunk_shots, self.adaptive)
                  for i, (task, prior) in enumerate(zip(tasks, priors))]
         self._plans = plans
@@ -166,8 +196,13 @@ class WorkStealingScheduler:
             if plan.done:
                 self._mark_done(plan)
         total_leases = sum(len(p.pending) for p in plans)
-        if total_leases:
+        if min(self.requested_workers, total_leases) > 1:
             self._execute(plans, total_leases)
+        else:
+            # One effective worker: a process fleet would only add
+            # fork, queue and shard-merge cost (and hide the work from
+            # the parent's profiler).
+            self._drain(plans)
         return [plan.result() for plan in plans]
 
     # -- store plumbing ------------------------------------------------
@@ -194,7 +229,7 @@ class WorkStealingScheduler:
     # -- the scheduling loop -------------------------------------------
     def _execute(self, plans: List[TaskPlan], total_leases: int) -> None:
         ctx = _mp_context()
-        num_workers = max(1, min(self.requested_workers, total_leases))
+        num_workers = min(self.requested_workers, total_leases)
         results_q = ctx.Queue()
         workers: Dict[int, Tuple[object, object]] = {}  # wid -> (proc, inbox)
         tasks = [plan.task for plan in plans]
@@ -243,7 +278,7 @@ class WorkStealingScheduler:
             for plan in plans:
                 self._push_plan(plan)
             if not workers:
-                self._run_inline(plans)
+                self._fall_back(plans)
                 return
             for wid in list(self._alive):
                 self._pump(wid, workers)
@@ -254,7 +289,7 @@ class WorkStealingScheduler:
                 except queue.Empty:
                     self._reap_dead(workers)
                     if not self._alive:
-                        self._run_inline(plans)
+                        self._fall_back(plans)
                         return
                     continue
                 kind = message[0]
@@ -329,17 +364,13 @@ class WorkStealingScheduler:
             prev = self._sec_per_shot.get(task_index)
             self._sec_per_shot[task_index] = rate if prev is None else \
                 _RATE_ALPHA * rate + (1.0 - _RATE_ALPHA) * prev
-        target_before = plan.target
-        with obs.span("aggregate"):
-            plan.record(chunk)
         mon = obs.active()
         if mon is not None:
             if metrics_snap is not None:
                 mon.worker_snapshot(wid, metrics_snap)
-            mon.task_progress(plan.task, plan.shots, plan.errors,
-                              plan.target, plan._weight_stats())
             _OBS_QUEUE.set(sum(len(p.pending) for p in self._plans))
-            mon.tick()
+        target_before = plan.target
+        self._bank(plan, chunk)
         if plan.target < target_before:
             # Adaptive stop: drop the task's now-moot leases from every
             # deque (in-flight ones finish and are discarded on
@@ -350,6 +381,23 @@ class WorkStealingScheduler:
                          and lease.start >= plan.target]
                 for lease in stale:
                     dq.remove(lease)
+
+    def _bank(self, plan: TaskPlan, chunk: ChunkResult) -> None:
+        """Fold one finished chunk into its plan, report progress, and
+        finalize the point when that completes it — the one arrival
+        path, whichever process ran the chunk."""
+        with obs.span("aggregate"):
+            plan.record(chunk)
+        mon = obs.active()
+        if mon is not None:
+            stats = plan.weight_stats()
+            if stats is not None:
+                obs.gauge("rare.ess").set(stats.ess)
+                obs.gauge("rare.wsum").set(stats.wsum)
+                obs.gauge("rare.wsq").set(stats.wsq)
+            mon.task_progress(plan.task, plan.shots, plan.errors,
+                              plan.target, stats)
+            mon.tick()
         if plan.done and not self._finalized[plan.index]:
             self._mark_done(plan)
 
@@ -431,14 +479,20 @@ class WorkStealingScheduler:
             for other in list(self._alive):
                 self._pump(other, workers)
 
-    def _run_inline(self, plans: List[TaskPlan]) -> None:
-        """Every worker is gone: finish the remaining leases in the
-        scheduler process so the campaign still completes."""
+    def _fall_back(self, plans: List[TaskPlan]) -> None:
+        """No worker process is left (or none could be started): finish
+        in this process so the campaign still completes."""
         warnings.warn(
             "no parallel workers remain alive; finishing the campaign "
             "in-process", RuntimeWarning, stacklevel=2)
         obs.event("scheduler.inline_fallback",
                   "all workers dead; finishing in-process")
+        self._drain(plans)
+
+    def _drain(self, plans: List[TaskPlan]) -> None:
+        """Run every remaining lease in this process, in task order,
+        streaming each chunk to the store before it is banked (a kill
+        mid-point loses at most one chunk of work)."""
         for plan in plans:
             # Reclaim leases stranded in dead workers' pipelines
             # (descending, so appendleft restores ascending order).
@@ -448,10 +502,13 @@ class WorkStealingScheduler:
                 plan.give_back(lease)
             while plan.shots < plan.target and plan.pending:
                 lease = plan.pending.popleft()
-                chunk = execute_lease(plan.task, lease.start, lease.shots)
+                # Through the module, so a wrapper installed on
+                # ``worker.execute_lease`` (the e2e tracer) sees it.
+                chunk = worker.execute_lease(plan.task, lease.start,
+                                             lease.shots)
                 if self.store is not None:
                     self.store.append_chunk(self._keys[plan.index], chunk)
-                plan.record(chunk)
+                self._bank(plan, chunk)
             if plan.done and not self._finalized[plan.index]:
                 self._mark_done(plan)
 

@@ -4,9 +4,9 @@ Each worker owns one inbox queue (scheduler → worker), shares one
 results queue (workers → scheduler), and — when the campaign is
 checkpointed — one private JSONL shard of the campaign store.  A worker
 only ever sees :class:`~repro.parallel.plan.ChunkLease` messages: it
-executes the lease through the exact same
-:func:`~repro.injection.campaign.iter_task_chunks` streaming path the
-serial engine uses (so counts are bit-identical by construction),
+executes the lease through the exact same :func:`execute_lease` call
+the scheduler's in-process drain uses (so counts are bit-identical by
+construction),
 appends the finished chunk to its shard for crash durability, then
 reports the counts upstream as the scheduler's feedback channel for
 globally-aggregated adaptive stop decisions.
@@ -46,8 +46,9 @@ def shard_path(store_path: str, worker_id: int) -> str:
 
 def execute_lease(task: InjectionTask, start: int, shots: int
                   ) -> ChunkResult:
-    """Run one lease as a single streaming chunk (shared with the
-    scheduler's in-process fallback when every worker has died)."""
+    """Run one lease as a single streaming chunk — the one call every
+    route executes blocks through: forked workers, the scheduler's
+    in-process drain, and the service's runners."""
     chunk = next(iter_task_chunks(task, chunk_shots=shots,
                                   start_shot=start,
                                   total_shots=start + shots))

@@ -32,20 +32,17 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .. import obs
 from ..obs import trace
-from ..injection.campaign import DEFAULT_CHUNK_SHOTS, _assemble, \
-    _normalize_chunk
-from ..injection.results import ChunkResult, InjectionResult, \
-    normalize_prior
+from ..injection.campaign import DEFAULT_CHUNK_SHOTS, _normalize_chunk
+from ..injection.results import ChunkResult, wilson_interval
 from ..injection.spec import InjectionTask, task_from_dict
 from ..injection.store import CampaignStore, canonical_task, task_key
 from ..injection.sweep import build_sweep
-from ..parallel.plan import plan_leases
+from ..parallel.plan import ChunkLease, TaskPlan
 
 #: Default lease time-to-live: a slice not completed (or failed) this
 #: many seconds after leasing is presumed lost to a runner crash and
@@ -121,90 +118,42 @@ class Lease:
         return wire
 
 
-class PointState:
-    """One in-flight campaign point: slice queue + contiguous frontier.
+class PointState(TaskPlan):
+    """One in-flight campaign point: a fixed-budget
+    :class:`~repro.parallel.plan.TaskPlan` plus the service's own
+    bookkeeping.
 
-    The service twin of :class:`repro.parallel.plan.TaskPlan`, minus
-    adaptive stopping (service jobs run their spec's fixed budget —
+    Service jobs run their spec's budget without adaptive stopping —
     which is what makes a cached result reusable by *every* later
-    request for the same key).  Out-of-order slice completions park in
-    ``_completed`` until the frontier reaches them, so the weight-fold
-    order — and therefore every weighted count — matches a serial run
-    exactly.
+    request for the same key — so the plan is built with
+    ``adaptive=None``.  Slice queue, contiguous frontier, duplicate
+    discard and the weight-fold order are the plan's; this class adds
+    who is waiting, the trace context and the queue clock.
     """
 
     def __init__(self, key: str, task: InjectionTask, prior: Tuple,
                  slice_shots: int,
                  ctx: Optional[trace.TraceContext] = None) -> None:
+        super().__init__(0, task, prior, slice_shots, None)
         self.key = key
-        self.task = task
         #: The creating job's point span context — leases derive from
         #: it, so span ids are stable across dispatch topologies.
         self.ctx = ctx
         self.created = time.time()
+        now = time.monotonic()
         #: Per-slice enqueue time (monotonic), refreshed on requeue —
         #: feeds the queue-time histogram at lease handout.
-        self.queued_at: Dict[int, float] = {}
-        (self.shots, self.errors, self.raw_errors, self.corrections,
-         self.elapsed_s, self.chunks, weights) = normalize_prior(prior)
-        self.weighted = task.sampler.weighted
-        self.weights = (weights or (0.0, 0.0, 0.0, 0.0)) \
-            if self.weighted else None
-        self.target = task.shots
-        self.pending: Deque[Tuple[int, int]] = deque(
-            (lease.start, lease.shots) for lease in plan_leases(
-                0, self.shots, self.target, slice_shots, None, task.shots))
-        now = time.monotonic()
-        for start, _ in self.pending:
-            self.queued_at[start] = now
-        #: Completed-but-not-yet-contiguous chunks, keyed by start.
-        self._completed: Dict[int, ChunkResult] = {}
-        #: Starts currently leased out (requeue bookkeeping).
-        self.leased: Dict[int, str] = {}
+        self.queued_at: Dict[int, float] = {
+            lease.start: now for lease in self.pending}
         #: Job ids subscribed to this computation.
         self.jobs: set = set()
-
-    @property
-    def done(self) -> bool:
-        return self.shots >= self.target
-
-    def record(self, chunk: ChunkResult) -> bool:
-        """Bank one completed slice; ``True`` if it was new.
-
-        Duplicates (an expired lease completed late, a crash re-run)
-        and already-banked ranges are discarded, keeping counts a
-        function of the canonical prefix alone.
-        """
-        self.leased.pop(chunk.start, None)
-        if chunk.start in self._completed or chunk.start < self.shots \
-                or chunk.start >= self.target:
-            return False
-        self._completed[chunk.start] = chunk
-        while self.shots in self._completed:
-            nxt = self._completed.pop(self.shots)
-            self.shots = nxt.end
-            self.errors += nxt.errors
-            self.raw_errors += nxt.raw_errors
-            self.corrections += nxt.corrections_applied
-            self.elapsed_s += nxt.elapsed_s
-            self.chunks += 1
-            if self.weighted:
-                self.weights = nxt.fold_weights(self.weights)
-        return True
 
     def requeue(self, start: int, shots: int) -> None:
         """Return an expired/failed lease's slice to the front of the
         queue (front-first keeps the frontier contiguous)."""
-        self.leased.pop(start, None)
-        if start >= self.shots and start not in self._completed:
-            self.pending.appendleft((start, shots))
+        if start in self.leased:
             self.queued_at[start] = time.monotonic()
-
-    def result(self) -> InjectionResult:
-        return _assemble(self.task, self.shots, self.errors,
-                         self.raw_errors, self.corrections,
-                         self.elapsed_s, self.chunks,
-                         self.weights if self.weighted else None)
+        self.give_back(ChunkLease(self.index, start, shots))
 
     def row(self) -> Dict[str, object]:
         """Progress row for status responses (partial results included:
@@ -217,8 +166,6 @@ class PointState:
             "errors": self.errors,
         }
         if self.shots:
-            from ..injection.results import wilson_interval
-
             lo, hi = wilson_interval(self.errors, self.shots)
             row["ler"] = self.errors / self.shots
             row["ler_lo"] = lo
@@ -523,8 +470,7 @@ class Dispatcher:
         health = self._touch_runner(str(runner))
         out: List[Lease] = []
         for point in self.points.values():
-            while point.pending and len(out) < max_leases:
-                start, shots = point.pending.popleft()
+            for _, start, shots in point.take(max_leases - len(out)):
                 lease = Lease(
                     lease_id=f"L{next(self._lease_seq)}-{point.key[:8]}",
                     key=point.key, task=point.task, start=start,
@@ -534,7 +480,6 @@ class Dispatcher:
                     if point.ctx is not None else None,
                     t_leased=now,
                     t_queued=point.queued_at.pop(start, now))
-                point.leased[start] = lease.lease_id
                 self._leases[lease.lease_id] = lease
                 _OBS_LEASES.inc()
                 health["leases"] = int(health["leases"]) + 1

@@ -1,15 +1,9 @@
-"""Shared utilities: RNG spawning, parallel map, timing."""
+"""Shared utilities: RNG spawning."""
 
-from .parallel import default_workers, parallel_map
 from .rng import as_generator, spawn_seeds, task_seed
-from .timing import Stopwatch, timed
 
 __all__ = [
-    "parallel_map",
-    "default_workers",
     "as_generator",
     "spawn_seeds",
     "task_seed",
-    "Stopwatch",
-    "timed",
 ]

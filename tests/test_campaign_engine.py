@@ -113,9 +113,9 @@ class TestAdaptivePolicy:
 
     def test_adaptive_campaign_spends_less(self):
         tasks = [mid_rate_task(shots=8192, seed=s) for s in (3, 4)]
-        fixed = Campaign(tasks).run(max_workers=1)
+        fixed = Campaign(tasks).run(workers=1)
         adaptive = Campaign(tasks).run(
-            max_workers=1, adaptive=AdaptivePolicy(rel_halfwidth=0.3))
+            workers=1, adaptive=AdaptivePolicy(rel_halfwidth=0.3))
         assert adaptive.total_shots() < fixed.total_shots()
 
     def test_policy_validation(self):
@@ -144,19 +144,19 @@ class TestStoreResume:
         as an uninterrupted run."""
         tasks = self.make_tasks(5)
         uninterrupted = Campaign(tasks, root_seed=11).run(
-            max_workers=workers)
+            workers=workers)
         path = tmp_path / "store.jsonl"
         # first life: only 3 of 5 points get to run before the "kill"
         Campaign(tasks[:3], root_seed=11).run(
-            max_workers=workers, resume=CampaignStore(path))
+            workers=workers, resume=CampaignStore(path))
         # second life: full campaign against the same store
         resumed = Campaign(tasks, root_seed=11).run(
-            max_workers=workers, resume=CampaignStore(path))
+            workers=workers, resume=CampaignStore(path))
         assert resumed.counts() == uninterrupted.counts()
         # and all 5 are now banked: a third run re-executes nothing
         store = CampaignStore(path)
         assert len(store) == 5
-        again = Campaign(tasks, root_seed=11).run(max_workers=workers,
+        again = Campaign(tasks, root_seed=11).run(workers=workers,
                                                   resume=store)
         assert again.counts() == uninterrupted.counts()
 
@@ -173,13 +173,13 @@ class TestStoreResume:
         store.close()
         st2 = CampaignStore(path)
         assert st2.partial(key)[0] == SIM_BLOCK
-        rs = Campaign([t]).run(max_workers=1, resume=st2)
+        rs = Campaign([t]).run(workers=1, resume=st2)
         assert rs[0].counts == run_task(t).counts
 
     def test_torn_final_line_tolerated(self, tmp_path):
         t = mid_rate_task(shots=600, seed=3)
         path = tmp_path / "store.jsonl"
-        Campaign([t]).run(max_workers=1, resume=CampaignStore(path))
+        Campaign([t]).run(workers=1, resume=CampaignStore(path))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"kind": "chunk", "key": "crash')  # torn write
         store = CampaignStore(path)
@@ -189,9 +189,9 @@ class TestStoreResume:
         t = mid_rate_task(shots=16384, seed=7)
         policy = AdaptivePolicy(rel_halfwidth=0.25)
         path = tmp_path / "store.jsonl"
-        first = Campaign([t]).run(max_workers=1, adaptive=policy,
+        first = Campaign([t]).run(workers=1, adaptive=policy,
                                   resume=CampaignStore(path))
-        second = Campaign([t]).run(max_workers=1, adaptive=policy,
+        second = Campaign([t]).run(workers=1, adaptive=policy,
                                    resume=CampaignStore(path))
         assert second[0].counts == first[0].counts
 
@@ -203,15 +203,15 @@ class TestStoreResume:
         t = mid_rate_task(shots=4096, seed=7)
         path = tmp_path / "store.jsonl"
         policy = AdaptivePolicy(rel_halfwidth=0.25)
-        early = Campaign([t]).run(max_workers=1, adaptive=policy,
+        early = Campaign([t]).run(workers=1, adaptive=policy,
                                   resume=CampaignStore(path))
         assert early[0].shots < t.shots
-        topped = Campaign([t]).run(max_workers=1,
+        topped = Campaign([t]).run(workers=1,
                                    resume=CampaignStore(path))
         assert topped[0].shots == t.shots
         assert topped[0].counts == run_task(t).counts
         # and an adaptive resume happily reuses the richer result
-        reread = Campaign([t]).run(max_workers=1, adaptive=policy,
+        reread = Campaign([t]).run(workers=1, adaptive=policy,
                                    resume=CampaignStore(path))
         assert reread[0].counts == topped[0].counts
 
@@ -222,12 +222,12 @@ class TestStoreResume:
         full size, matching a fresh run at the higher ceiling."""
         t = mid_rate_task(shots=1300, seed=5)      # 1300 = 2.54 blocks
         path = tmp_path / "store.jsonl"
-        banked = Campaign([t]).run(max_workers=1,
+        banked = Campaign([t]).run(workers=1,
                                    resume=CampaignStore(path))
         assert banked[0].shots == 1300
         policy = AdaptivePolicy(rel_halfwidth=1e-6, min_shots=1,
                                 max_shots=2048)    # forces a top-up
-        topped = Campaign([t]).run(max_workers=1, adaptive=policy,
+        topped = Campaign([t]).run(workers=1, adaptive=policy,
                                    resume=CampaignStore(path))
         fresh = run_task(t, adaptive=policy)
         assert topped[0].counts == fresh.counts
@@ -288,5 +288,5 @@ class TestSweepSpec:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         campaign = build_sweep(json.loads(path.read_text()))
-        rs = campaign.run(max_workers=1)
+        rs = campaign.run(workers=1)
         assert len(rs) == 1 and rs[0].shots == 128

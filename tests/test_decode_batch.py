@@ -348,7 +348,7 @@ class TestEngineInvariance:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_worker_invariance(self, workers):
         tasks = [self._task("frames", seed=s) for s in (1, 2)]
-        serial = Campaign(tasks).run(max_workers=1)
+        serial = Campaign(tasks).run(workers=1)
         parallel = Campaign(tasks).run(workers=workers)
         assert serial.counts() == parallel.counts()
 
@@ -383,26 +383,6 @@ class TestEngineInvariance:
 
 
 class TestDeprecatedShims:
-    def test_correction_parity_warns_and_matches(self):
-        g = DetectorGraph(RepetitionCode(5), rounds=2)
-        dec = MWPMDecoder(g, use_final_data=False)
-        bits = np.zeros(g.num_nodes, dtype=np.uint8)
-        bits[0] = 1
-        with pytest.warns(DeprecationWarning):
-            legacy = dec.correction_parity(bits)
-        assert legacy == dec.decode_detectors(bits) == 1
-
-    def test_decode_prepared_warns_and_matches(self):
-        exp = build_memory_experiment(RepetitionCode(5))
-        dec = decoder_for(exp, "mwpm")
-        rec = _noisy_records(exp, 0.02, 128, rng=17)
-        det, raw = prepare_decode_inputs(exp, rec, dec.graph,
-                                         dec.use_final_data)
-        with pytest.warns(DeprecationWarning):
-            legacy = dec.decode_prepared(exp, det, raw)
-        current = dec.decode_batch(exp, rec)
-        np.testing.assert_array_equal(legacy.decoded, current.decoded)
-
     def test_legacy_record_words_kwarg_still_accepted(self):
         exp = build_memory_experiment(RepetitionCode(5))
         dec = decoder_for(exp, "mwpm")

@@ -97,7 +97,7 @@ class TestFig5Small:
         configs = ((CodeSpec("repetition", (3, 1)), ArchSpec("mesh", (2, 3)),
                     1),)
         return fig5_landscape.run(shots=120, p_values=(1e-8, 1e-1),
-                                  configs=configs, max_workers=2)
+                                  configs=configs, workers=2)
 
     def test_shape(self, landscapes):
         ls = landscapes["repetition-(3,1)"]
@@ -123,7 +123,7 @@ class TestFig5Small:
 @pytest.mark.slow
 class TestFig6Small:
     def test_rows_structure(self):
-        rows = fig6_distance.run(shots=60, max_workers=4, max_roots=2)
+        rows = fig6_distance.run(shots=60, workers=4, max_roots=2)
         families = {(r.family, r.distance) for r in rows}
         assert ("repetition", (3, 1)) in families
         assert ("xxzz", (3, 3)) in families
@@ -131,7 +131,7 @@ class TestFig6Small:
             assert 0.0 <= r.median_ler <= 1.0
 
     def test_bitflip_advantage_pairs(self):
-        rows = fig6_distance.run(shots=60, max_workers=4, max_roots=2)
+        rows = fig6_distance.run(shots=60, workers=4, max_roots=2)
         adv = fig6_distance.bitflip_advantage(rows)
         assert len(adv) == 2
 
@@ -141,7 +141,7 @@ class TestFig7Small:
     def test_spread_data(self):
         configs = ((CodeSpec("repetition", (5, 1)), (1, 3, 6)),)
         data = fig7_spread.run(shots=80, samples_per_size=2,
-                               configs=configs, max_workers=4)
+                               configs=configs, workers=4)
         d = data[0]
         assert d.sizes == [1, 3, 6]
         assert 0 <= d.radiation_ler <= 1
@@ -168,7 +168,7 @@ class TestFig8Small:
                     (ArchSpec("mesh", (2, 3)), ArchSpec("linear", (6,)))),)
         return fig8_architecture.run(shots=60, configs=configs,
                                      time_indices=(0, 5),
-                                     max_workers=4)
+                                     workers=4)
 
     def test_panels(self, arch_data):
         assert len(arch_data) == 2

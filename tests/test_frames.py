@@ -577,13 +577,13 @@ class TestEngineIntegration:
         store = CampaignStore(tmp_path / "store.jsonl")
         store.append_chunk(task_key(t), next(iter_task_chunks(
             t, chunk_shots=SIM_BLOCK)))
-        rs = Campaign([t]).run(max_workers=1, resume=store)
+        rs = Campaign([t]).run(workers=1, resume=store)
         assert rs[0].counts == run_task(t).counts
 
     def test_campaign_backend_override(self):
         tasks = [self.make_task(seed=s, shots=600) for s in (1, 2)]
-        frames = Campaign(tasks).run(max_workers=1, backend="frames")
-        tableau = Campaign(tasks).run(max_workers=1, backend="tableau")
+        frames = Campaign(tasks).run(workers=1, backend="frames")
+        tableau = Campaign(tasks).run(workers=1, backend="tableau")
         assert all(r.task.backend == "frames" for r in frames)
         assert all(r.task.backend == "tableau" for r in tableau)
         # different random streams, same physics
@@ -597,7 +597,7 @@ class TestEngineIntegration:
         assert campaign.tasks[0].backend == "tableau"
 
     def test_result_rows_report_backend(self):
-        rs = Campaign([self.make_task(shots=128)]).run(max_workers=1)
+        rs = Campaign([self.make_task(shots=128)]).run(workers=1)
         assert rs.to_rows()[0]["backend"] == "auto"
 
     def test_xxzz_radiation_auto_falls_back_to_tableau(self):
@@ -615,7 +615,7 @@ class TestEngineIntegration:
 class TestStoreMerge:
     def shard(self, tmp_path, name, tasks):
         path = tmp_path / name
-        Campaign(tasks, root_seed=11).run(max_workers=1,
+        Campaign(tasks, root_seed=11).run(workers=1,
                                           resume=CampaignStore(path))
         return path
 
@@ -639,8 +639,8 @@ class TestStoreMerge:
         campaign = Campaign(tasks, root_seed=11)
         assert campaign.banked(merged) == 4
         # the merged store reproduces an uninterrupted run exactly
-        uninterrupted = Campaign(tasks, root_seed=11).run(max_workers=1)
-        resumed = Campaign(tasks, root_seed=11).run(max_workers=1,
+        uninterrupted = Campaign(tasks, root_seed=11).run(workers=1)
+        resumed = Campaign(tasks, root_seed=11).run(workers=1,
                                                     resume=merged)
         assert resumed.counts() == uninterrupted.counts()
 
@@ -663,11 +663,11 @@ class TestStoreMerge:
 
         t = self.make_task(0, shots=8192, seed=7)
         early_path = tmp_path / "early.jsonl"
-        Campaign([t]).run(max_workers=1,
+        Campaign([t]).run(workers=1,
                           adaptive=AdaptivePolicy(rel_halfwidth=0.25),
                           resume=CampaignStore(early_path))
         full_path = tmp_path / "full.jsonl"
-        full = Campaign([t]).run(max_workers=1,
+        full = Campaign([t]).run(workers=1,
                                  resume=CampaignStore(full_path))
         out = tmp_path / "merged.jsonl"
         CampaignStore.merge(out, [early_path, full_path])

@@ -135,20 +135,20 @@ class TestCampaign:
 
     def test_serial_parallel_agree(self):
         tasks = self.make_tasks()
-        serial = Campaign(tasks, root_seed=11).run(max_workers=1)
-        parallel = Campaign(tasks, root_seed=11).run(max_workers=4)
+        serial = Campaign(tasks, root_seed=11).run(workers=1)
+        parallel = Campaign(tasks, root_seed=11).run(workers=4)
         assert [r.errors for r in serial] == [r.errors for r in parallel]
 
     def test_distinct_tasks_get_distinct_seeds(self):
         tasks = self.make_tasks()
-        rs = Campaign(tasks, root_seed=1).run(max_workers=1)
+        rs = Campaign(tasks, root_seed=1).run(workers=1)
         seeds = {r.task.seed for r in rs}
         assert len(seeds) == len(tasks)
 
     def test_explicit_seed_preserved(self):
         t = InjectionTask(code=CodeSpec("repetition", (3, 1)),
                           shots=10, seed=12345)
-        rs = Campaign([t]).run(max_workers=1)
+        rs = Campaign([t]).run(workers=1)
         assert rs[0].task.seed == 12345
 
     def test_extend_and_len(self):

@@ -127,12 +127,12 @@ class TestCampaignIntegration:
             ).with_tags(root=r)
             for r in range(3)
         ]
-        results = Campaign(tasks, root_seed=5).run(max_workers=2)
+        results = Campaign(tasks, root_seed=5).run(workers=2)
         assert len(results) == 3
         rows = results.to_rows()
         assert all("ler" in row for row in rows)
         # Re-running must reproduce counts exactly.
-        again = Campaign(tasks, root_seed=5).run(max_workers=1)
+        again = Campaign(tasks, root_seed=5).run(workers=1)
         assert [r.errors for r in results] == [r.errors for r in again]
 
     def test_decoder_comparison_consistency(self):
@@ -143,9 +143,9 @@ class TestCampaignIntegration:
                                       time_index=2),
                       intrinsic_p=0.01, shots=800, seed=123)
         mwpm = Campaign([InjectionTask(decoder="mwpm", **common)]).run(
-            max_workers=1)[0]
+            workers=1)[0]
         uf = Campaign([InjectionTask(decoder="union-find", **common)]).run(
-            max_workers=1)[0]
+            workers=1)[0]
         assert mwpm.logical_error_rate <= uf.logical_error_rate + 0.05
 
 

@@ -49,7 +49,7 @@ class TestAsciiHeatmap:
 class TestRoundsAblation:
     def test_small_sweep(self):
         rows = rounds_ablation.run(shots=80, rounds_list=(1, 2),
-                                   max_workers=2)
+                                   workers=2)
         assert [r.rounds for r in rows] == [1, 2]
         for r in rows:
             assert 0.0 <= r.noise_only_ler <= 1.0

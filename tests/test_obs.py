@@ -250,7 +250,7 @@ class TestSession:
         last, every record schema-stamped with increasing seq."""
         path = str(tmp_path / "t.jsonl")
         with obs.session(telemetry=path, quiet=True):
-            Campaign(rep_tasks(n=1, shots=512)).run(max_workers=1)
+            Campaign(rep_tasks(n=1, shots=512)).run(workers=1)
         records = [json.loads(line)
                    for line in open(path, encoding="utf-8")]
         assert records[0]["kind"] == "start"
@@ -296,7 +296,7 @@ class TestBitIdentity:
     def test_counts_identical_any_workers(self, backend, tmp_path):
         campaign = d3_sweep(backend)
         baseline = Campaign(campaign.tasks, root_seed=29).run(
-            max_workers=1)
+            workers=1)
         for workers in (1, 2, 4):
             path = str(tmp_path / f"t{workers}.jsonl")
             with obs.session(telemetry=path, quiet=True):
@@ -309,7 +309,7 @@ class TestBitIdentity:
         campaign = d3_sweep(backend, shots=8192)
         policy = AdaptivePolicy(rel_halfwidth=0.3, min_shots=512)
         baseline = Campaign(campaign.tasks, root_seed=29).run(
-            max_workers=1, adaptive=policy)
+            workers=1, adaptive=policy)
         path = str(tmp_path / "t.jsonl")
         with obs.session(telemetry=path, quiet=True):
             monitored = Campaign(campaign.tasks, root_seed=29).run(
@@ -327,7 +327,7 @@ class TestCrashTelemetry:
         monkeypatch.setenv(CRASH_WORKER_ENV, "0")
         monkeypatch.setenv(CRASH_AFTER_ENV, "1")
         tasks = rep_tasks(n=3, shots=1536, seed=7)
-        serial = Campaign(tasks, root_seed=7).run(max_workers=1)
+        serial = Campaign(tasks, root_seed=7).run(workers=1)
         path = str(tmp_path / "t.jsonl")
         with obs.session(telemetry=path, quiet=True):
             with pytest.warns(RuntimeWarning, match="died .* requeued"):

@@ -18,8 +18,14 @@ from repro.injection import (
     build_sweep,
     run_task,
 )
-from repro.parallel import TaskPlan, absorb_stale_shards, plan_leases
-from repro.parallel.worker import CRASH_AFTER_ENV, CRASH_WORKER_ENV
+from repro.injection.campaign import _replay_prior
+from repro.injection.results import ZERO_PRIOR, ChunkResult
+from repro.injection.store import task_key
+from repro.parallel import (TaskPlan, absorb_stale_shards, default_workers,
+                            plan_leases)
+from repro.parallel.worker import (CRASH_AFTER_ENV, CRASH_WORKER_ENV,
+                                   execute_lease)
+from repro.service.dispatcher import Dispatcher, execute_lease_wire
 
 
 def d3_sweep_tasks(backend, shots=1536):
@@ -51,7 +57,7 @@ class TestWorkerCountDeterminism:
     @pytest.mark.parametrize("backend", ["frames", "tableau"])
     def test_fixed_budget_counts_identical(self, backend):
         campaign = d3_sweep_tasks(backend)
-        serial = Campaign(campaign.tasks, root_seed=29).run(max_workers=1)
+        serial = Campaign(campaign.tasks, root_seed=29).run(workers=1)
         for workers in (2, 4):
             par = Campaign(campaign.tasks, root_seed=29).run(
                 workers=workers)
@@ -64,7 +70,7 @@ class TestWorkerCountDeterminism:
         campaign = d3_sweep_tasks(backend, shots=8192)
         policy = AdaptivePolicy(rel_halfwidth=0.3, min_shots=512)
         serial = Campaign(campaign.tasks, root_seed=29).run(
-            max_workers=1, adaptive=policy)
+            workers=1, adaptive=policy)
         par = Campaign(campaign.tasks, root_seed=29).run(
             workers=4, adaptive=policy)
         assert [r.shots for r in par] == [r.shots for r in serial]
@@ -80,6 +86,115 @@ class TestWorkerCountDeterminism:
         serial = run_task(t)
         par = Campaign([t]).run(workers=4)
         assert par[0].counts == serial.counts
+
+
+#: One weighted point (tilted sampler: the weight moments are non-trivial
+#: floats, so a fold-order slip shows), seeded the way a sweep seeds it.
+ROUTE_SPEC = {"codes": [["repetition", [3, 1]]], "p_values": [0.05],
+              "shots": 8192, "backend": "tableau", "sampler": "tilt:2",
+              "root_seed": 31}
+#: Stops this point at 3072 shots — three watermarks in.
+ROUTE_POLICY = AdaptivePolicy(rel_halfwidth=0.08)
+
+
+def _run_route(route, task, policy, store):
+    """One point through one route, resuming from ``store``."""
+    if route == "run_task":
+        return run_task(task, adaptive=policy, prior=_replay_prior(
+            store, task_key(task), policy, task))
+    if route == "dispatcher":
+        dispatcher = Dispatcher(store)
+        dispatcher.submit(ROUTE_SPEC)
+        while dispatcher.has_work():
+            for lease in dispatcher.lease("test", max_leases=3):
+                done = execute_lease_wire(lease.to_wire())
+                dispatcher.complete(done["lease"], done["chunks"])
+        return store.result_for(task)
+    workers = {"workers=1": 1, "workers=2": 2}[route]
+    return Campaign([task]).run(workers=workers, adaptive=policy,
+                                resume=store)[0]
+
+
+class TestRouteEquivalence:
+    """Every way a point can run banks its chunks through one TaskPlan:
+    route x stopping rule x store state all land on one payload."""
+
+    @pytest.mark.parametrize("banked", ["fresh", "partial", "hostile"])
+    @pytest.mark.parametrize("route,mode", [
+        (route, mode)
+        for route in ("run_task", "workers=1", "workers=2", "dispatcher")
+        for mode in ("fixed", "adaptive")
+        # service jobs run their fixed budget
+        if (route, mode) != ("dispatcher", "adaptive")])
+    def test_payload_identical(self, route, mode, banked, tmp_path):
+        task = build_sweep(ROUTE_SPEC)._seeded()[0]
+        policy = ROUTE_POLICY if mode == "adaptive" else None
+        want = run_task(task, adaptive=policy)
+        assert want.shots == (3072 if policy else task.shots)
+        store = CampaignStore(tmp_path / "store.jsonl")
+        key = task_key(task)
+        if banked == "partial":
+            # killed mid-point: three 512-shot chunks, off the
+            # watermark grid
+            spans = [(0, 512), (512, 512), (1024, 512)]
+        elif banked == "hostile":
+            # a chunk straddling the 3072 watermark the policy stops
+            # at, then a gap, then a chunk well past the stop
+            spans = [(0, 1024), (1024, 1024), (2048, 1536), (4096, 512)]
+        else:
+            spans = []
+        for start, shots in spans:
+            store.append_chunk(key, execute_lease(task, start, shots))
+        got = _run_route(route, task, policy, store)
+        assert got.payload == want.payload
+
+    def test_recovery_policy_invariant_to_route(self):
+        """A burst-recovery decoder estimates the strike from the block
+        it is decoding, never from blocks seen earlier: counts do not
+        move with chunk size or worker count."""
+        task = InjectionTask(
+            code=CodeSpec("xxzz", (3, 3)),
+            fault=FaultSpec(kind="radiation", root_qubit=4,
+                            strike_round=2, intensity=0.5),
+            rounds=6, intrinsic_p=0.005, decoder="union-find",
+            backend="frames", recovery="reweight", shots=1024, seed=11)
+        want = run_task(task, chunk_shots=SIM_BLOCK).counts
+        assert run_task(task, chunk_shots=2 * SIM_BLOCK).counts == want
+        for workers in (1, 2):
+            assert Campaign([task]).run(workers=workers)[0].counts == want
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_fixed_replay_equals_store_partial(self, weighted, tmp_path):
+        """With no policy, plan replay and CampaignStore.partial read
+        the same resumable prefix: both stop at a gap, at an overlap,
+        and before a chunk ending off the block grid."""
+        task = mid_rate_tasks(n=1, shots=8192, seed=3)[0]
+        key = task_key(task)
+
+        def chunk(start, shots):
+            moments = tuple((float(n), n * 1.5, 0.25 * n, 0.125 * n)
+                            for n in range(start, start + shots, 512)
+                            ) if weighted else None
+            return ChunkResult(start=start, shots=shots,
+                               errors=start % 7 + 1, raw_errors=3,
+                               corrections_applied=2, elapsed_s=0.5,
+                               block_weights=moments)
+
+        layouts = {
+            "gap": [(0, 1024), (1024, 512), (2048, 512)],
+            "overlap": [(0, 1024), (512, 1024), (1536, 512)],
+            "partial-final-block": [(0, 1024), (1024, 300)],
+        }
+        for name, spans in layouts.items():
+            store = CampaignStore(tmp_path / f"{name}-{weighted}.jsonl")
+            for start, shots in spans:
+                store.append_chunk(key, chunk(start, shots))
+            plan = TaskPlan(0, task, ZERO_PRIOR, 2 * SIM_BLOCK, None,
+                            banked=store.chunks_for(key))
+            assert plan.prior() == store.partial(key), name
+            assert plan.shots == {"gap": 1536, "overlap": 1024,
+                                  "partial-final-block": 1024}[name]
+            assert plan.pending[0].start == plan.shots
 
 
 class TestWatermarkPolicy:
@@ -139,7 +254,7 @@ class TestWatermarkPolicy:
 class TestShardedStore:
     def test_parallel_store_run_is_resumable(self, tmp_path):
         tasks = mid_rate_tasks(n=3, shots=1536)
-        serial = Campaign(tasks, root_seed=5).run(max_workers=1)
+        serial = Campaign(tasks, root_seed=5).run(workers=1)
         path = str(tmp_path / "store.jsonl")
         rs = Campaign(tasks, root_seed=5).run(
             workers=3, resume=CampaignStore(path))
@@ -159,8 +274,8 @@ class TestShardedStore:
         Campaign(tasks[:2], root_seed=5).run(
             workers=2, resume=CampaignStore(path))
         resumed = Campaign(tasks, root_seed=5).run(
-            max_workers=1, resume=CampaignStore(path))
-        uninterrupted = Campaign(tasks, root_seed=5).run(max_workers=1)
+            workers=1, resume=CampaignStore(path))
+        uninterrupted = Campaign(tasks, root_seed=5).run(workers=1)
         assert resumed.counts() == uninterrupted.counts()
 
     def test_stale_shards_absorbed_on_resume(self, tmp_path):
@@ -207,7 +322,7 @@ class TestShardedStore:
         for start in range(0, banked_end, SIM_BLOCK):
             store.append_chunk(key, execute_lease(t, start, SIM_BLOCK))
         store.close()
-        for run_kwargs in ({"max_workers": 1}, {"workers": 2}):
+        for run_kwargs in ({"workers": 1}, {"workers": 2}):
             resumed = Campaign([t]).run(adaptive=policy,
                                         resume=CampaignStore(path),
                                         **run_kwargs)
@@ -227,7 +342,7 @@ class TestShardedStore:
         store = CampaignStore(path)
         store.append_chunk(task_key(t), execute_lease(t, 0, SIM_BLOCK))
         store.close()
-        resumed = Campaign([t]).run(max_workers=1, adaptive=policy,
+        resumed = Campaign([t]).run(workers=1, adaptive=policy,
                                     resume=CampaignStore(path))
         assert resumed[0].shots == uninterrupted.shots
         assert resumed[0].counts == uninterrupted.counts
@@ -242,7 +357,7 @@ class TestCrashTolerance:
         monkeypatch.setenv(CRASH_WORKER_ENV, "0")
         monkeypatch.setenv(CRASH_AFTER_ENV, "1")
         tasks = mid_rate_tasks(n=3, shots=1536)
-        serial = Campaign(tasks, root_seed=7).run(max_workers=1)
+        serial = Campaign(tasks, root_seed=7).run(workers=1)
         with pytest.warns(RuntimeWarning, match="died .* requeued"):
             crashed = Campaign(tasks, root_seed=7).run(workers=2)
         assert crashed.counts() == serial.counts()
@@ -253,23 +368,35 @@ class TestCrashTolerance:
         monkeypatch.setenv(CRASH_WORKER_ENV, "0,1")
         monkeypatch.setenv(CRASH_AFTER_ENV, "1")
         tasks = mid_rate_tasks(n=2, shots=1536)
-        serial = Campaign(tasks, root_seed=9).run(max_workers=1)
+        serial = Campaign(tasks, root_seed=9).run(workers=1)
         with pytest.warns(RuntimeWarning, match="in-process"):
             crashed = Campaign(tasks, root_seed=9).run(workers=2)
         assert crashed.counts() == serial.counts()
 
-    def test_worker_exception_propagates(self):
-        """A deterministic task failure surfaces as a campaign error,
-        not an endless requeue loop."""
+    @staticmethod
+    def bad_task():
+        """Two leases of a task whose strike round is outside the
+        experiment: every execution raises ValueError."""
         bad = InjectionTask(code=CodeSpec("repetition", (3, 1)),
                             fault=FaultSpec(kind="radiation",
                                             root_qubit=0, time_index=0,
                                             strike_round=1),
-                            rounds=4, intrinsic_p=0.05, shots=SIM_BLOCK,
-                            seed=3)
+                            rounds=4, intrinsic_p=0.05,
+                            shots=2 * SIM_BLOCK, seed=3)
         object.__setattr__(bad.fault, "strike_round", 10)  # > rounds
+        return bad
+
+    def test_worker_exception_propagates(self):
+        """A deterministic task failure surfaces as a campaign error,
+        not an endless requeue loop."""
         with pytest.raises(RuntimeError, match="failed in a worker"):
-            Campaign([bad]).run(workers=2)
+            Campaign([self.bad_task()]).run(workers=2)
+
+    def test_in_process_exception_propagates(self):
+        """The same failure on the in-process route surfaces as itself
+        instead of looping."""
+        with pytest.raises(ValueError, match="strike_round 10 outside"):
+            Campaign([self.bad_task()]).run(workers=1)
 
 
 class TestSweepWorkersKey:
@@ -283,23 +410,43 @@ class TestSweepWorkersKey:
         assert serial.workers is None
         # the spec default drives Campaign.run's routing
         rs = campaign.run()
-        assert rs.counts() == serial.run(max_workers=1).counts()
+        assert rs.counts() == serial.run(workers=1).counts()
 
     def test_explicit_serial_overrides_spec_workers(self, monkeypatch):
-        """max_workers=1 (the documented serial switch) must win over a
+        """workers=1 (the documented serial switch) must win over a
         spec's 'workers' default — no process fleet behind the caller's
         back."""
-        import repro.parallel
+        import repro.parallel.scheduler
 
         def _boom(*args, **kwargs):
-            raise AssertionError("scheduler must not be used")
+            raise AssertionError("no worker process may be started")
 
-        monkeypatch.setattr(repro.parallel, "WorkStealingScheduler", _boom)
+        monkeypatch.setattr(repro.parallel.scheduler, "_mp_context", _boom)
         campaign = build_sweep({"codes": [["repetition", [3, 1]]],
                                 "workers": 8, "shots": 1024,
                                 "p_values": [0.05]})
-        rs = campaign.run(max_workers=1)
+        rs = campaign.run(workers=1)
         assert rs[0].shots == 1024
+
+    def test_single_lease_plan_never_forks(self, monkeypatch):
+        """The fork decision is computed from the plan, not set by the
+        caller: one planned lease runs in-process at any worker count."""
+        import repro.parallel.scheduler
+
+        def _boom(*args, **kwargs):
+            raise AssertionError("no worker process may be started")
+
+        monkeypatch.setattr(repro.parallel.scheduler, "_mp_context", _boom)
+        t = mid_rate_tasks(n=1, shots=SIM_BLOCK, seed=17)[0]
+        assert Campaign([t]).run(workers=8)[0].counts == run_task(t).counts
+
+    def test_default_workers_resolution(self, monkeypatch):
+        """Spec 'workers' key, then REPRO_WORKERS, then the CPU count."""
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert default_workers() == 3
+        assert default_workers(5) == 5
+        monkeypatch.setenv("REPRO_WORKERS", "many")
+        assert default_workers() >= 1
 
 
 class TestGracefulInterrupt:
@@ -314,7 +461,7 @@ class TestGracefulInterrupt:
         from repro.parallel.scheduler import WorkStealingScheduler
 
         tasks = mid_rate_tasks(n=2, shots=4096, seed=5)
-        serial = Campaign(tasks, root_seed=5).run(max_workers=1)
+        serial = Campaign(tasks, root_seed=5).run(workers=1)
         store_path = str(tmp_path / "store.jsonl")
 
         original = WorkStealingScheduler._on_chunk

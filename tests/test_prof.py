@@ -149,10 +149,10 @@ class TestBitIdentity:
     def test_counts_identical(self, backend):
         campaign = d3_sweep(backend)
         baseline = Campaign(campaign.tasks, root_seed=29).run(
-            max_workers=1)
+            workers=1)
         with prof.profile():
             profiled = Campaign(campaign.tasks, root_seed=29).run(
-                max_workers=1)
+                workers=1)
         assert profiled.counts() == baseline.counts()
         assert profiled.payloads() == baseline.payloads()
 
@@ -160,10 +160,10 @@ class TestBitIdentity:
         campaign = d3_sweep(backend, shots=8192)
         policy = AdaptivePolicy(rel_halfwidth=0.3, min_shots=512)
         baseline = Campaign(campaign.tasks, root_seed=29).run(
-            max_workers=1, adaptive=policy)
+            workers=1, adaptive=policy)
         with prof.profile():
             profiled = Campaign(campaign.tasks, root_seed=29).run(
-                max_workers=1, adaptive=policy)
+                workers=1, adaptive=policy)
         assert [r.shots for r in profiled] == [r.shots for r in baseline]
         assert profiled.counts() == baseline.counts()
 
@@ -173,7 +173,7 @@ class TestBitIdentity:
         serial run exactly."""
         campaign = d3_sweep(backend)
         baseline = Campaign(campaign.tasks, root_seed=29).run(
-            max_workers=1)
+            workers=1)
         with prof.profile():
             profiled = Campaign(campaign.tasks, root_seed=29).run(
                 workers=2)

@@ -419,7 +419,7 @@ class TestWeightedDeterminism:
 
     def test_workers_bit_identical_weighted(self):
         """workers=1|2|4 must agree on counts AND weight moments."""
-        serial = self._campaign().run(max_workers=1).payloads()
+        serial = self._campaign().run(workers=1).payloads()
         assert self._campaign().run(workers=2).payloads() == serial
         assert self._campaign().run(workers=4).payloads() == serial
 
@@ -448,7 +448,7 @@ class TestWeightedDeterminism:
                 intrinsic_p=0.01, seed=0)], root_seed=3)
 
         policy = AdaptivePolicy(rel_halfwidth=0.25)
-        serial = camp().run(max_workers=1, adaptive=policy).payloads()
+        serial = camp().run(workers=1, adaptive=policy).payloads()
         par = camp().run(workers=4, adaptive=policy).payloads()
         assert serial == par
         assert serial[0][0] < 16384  # the policy actually stopped early

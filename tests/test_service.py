@@ -100,7 +100,7 @@ class TestCacheAndCoalescing:
         job = d.submit(SPEC)["job"]
         drain(d)
         served = d.job_status(job)["results"]
-        direct = build_sweep(SPEC).run(max_workers=1)
+        direct = build_sweep(SPEC).run(workers=1)
         assert len(served) == len(direct)
         for row, res in zip(served, direct):
             assert row["shots"] == res.shots
@@ -156,7 +156,7 @@ class TestLeaseLifecycle:
         drain(d)
         status = d.job_status(job)
         assert status["state"] == "done"
-        direct = build_sweep(SPEC).run(max_workers=1)
+        direct = build_sweep(SPEC).run(workers=1)
         for row, res in zip(status["results"], direct):
             assert (row["shots"], row["errors"]) == (res.shots,
                                                      res.errors)
@@ -255,7 +255,7 @@ class TestHTTPService:
         assert client.status(again["job"])["results"] == first
 
         # bit-identity across the HTTP boundary
-        direct = build_sweep(SPEC).run(max_workers=1)
+        direct = build_sweep(SPEC).run(workers=1)
         for row, res in zip(first, direct):
             assert (row["shots"], row["errors"]) == (res.shots,
                                                      res.errors)
@@ -298,7 +298,7 @@ class TestRemoteRunnerTopology:
                               poll_s=0.05, idle_timeout_s=2.0)
             assert done == 4  # 2 points x 2 slices
             status = client.wait(receipt["job"], timeout_s=30)
-            direct = build_sweep(SPEC).run(max_workers=1)
+            direct = build_sweep(SPEC).run(workers=1)
             for row, res in zip(status["results"], direct):
                 assert (row["shots"], row["errors"]) == (res.shots,
                                                          res.errors)

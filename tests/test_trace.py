@@ -575,7 +575,7 @@ class TestFleetAggregation:
             assert {s["name"] for s in tb["spans"]} >= {
                 "job", "point", "lease", "chunk"}
 
-            direct = build_sweep(SPEC).run(max_workers=1)
+            direct = build_sweep(SPEC).run(workers=1)
             for status in (fa, fb):
                 for row, res in zip(status["results"], direct):
                     assert (row["shots"], row["errors"]) == \
