@@ -21,6 +21,17 @@ loop at d=5, p=5e-4, frames + MWPM.  ``REPRO_BENCH_LAX`` relaxes the
 bar for contended CI runners (the smoke lane sets it); the run always
 records shots/s for both paths plus the decode-cache hit rate in the
 ``--bench-json`` perf trajectory.
+
+The second bench is the opposite regime — the paper's: a radiation
+strike, where nearly every shot has its own syndrome, dedup and cache
+buy nothing and the decode costs what the matcher costs per distinct
+pattern.  It decodes the first two blocks of the e2e benchmark's
+``strike_decode`` t = 0 point through ``decode_batch`` (the batch
+matcher kernel) and through the per-pattern reference it replaced (one
+``_dp_match`` recursion, or ``_nx_match`` past 16 defects, per distinct
+pattern), asserts identical corrections and >= 3x, and records
+patterns/s, the defect-count histogram and the share of matcher time
+left in NetworkX blossom.
 """
 
 import dataclasses
@@ -31,10 +42,13 @@ import numpy as np
 from conftest import bench_bar, bench_report
 
 from repro.decoders import SyndromeBatch, prepare_decode_inputs
+from repro.decoders.matching import _DP_LIMIT, _dp_match, _nx_match
 from repro.frames.packing import unpack_words
 from repro.frames.simulator import FrameSimulator
-from repro.injection import CodeSpec, InjectionTask, SIM_BLOCK, run_task
+from repro.injection import (CodeSpec, InjectionTask, SIM_BLOCK,
+                             build_sweep, run_task)
 from repro.injection.campaign import _task_context
+from repro.obs import prof
 
 #: 8 canonical blocks: enough for the cross-block cache to matter.
 SHOTS = 4096
@@ -44,18 +58,24 @@ TASK = InjectionTask(code=CodeSpec("xxzz", (5, 5)), intrinsic_p=5e-4,
                      shots=SHOTS, seed=2024)
 
 
+def _packed_blocks(task):
+    """The task's canonical block stream: ``(record words, size)``."""
+    experiment, _, _, program, _, _ = _task_context(task)
+    for b, start in enumerate(range(0, task.shots, SIM_BLOCK)):
+        size = min(SIM_BLOCK, task.shots - start)
+        sim = FrameSimulator(experiment.circuit.num_qubits, size,
+                             rng=np.random.default_rng((task.seed, b)))
+        yield sim.run_packed(program), size
+
+
 def _per_shot_loop():
     """The pre-redesign path: unpack every record row, decode each shot
     individually, no dedup, no cache.  Returns (errors, checked_ok)."""
-    experiment, decoder, _, program, _, _ = _task_context(TASK)
+    experiment, decoder = _task_context(TASK)[:2]
     plain = dataclasses.replace(decoder, cache_decodes=False)
     errors = 0
     checked = False
-    for b, start in enumerate(range(0, SHOTS, SIM_BLOCK)):
-        size = min(SIM_BLOCK, SHOTS - start)
-        sim = FrameSimulator(experiment.circuit.num_qubits, size,
-                             rng=np.random.default_rng((TASK.seed, b)))
-        words = sim.run_packed(program)
+    for words, size in _packed_blocks(TASK):
         records = np.ascontiguousarray(unpack_words(words, size).T)
         det, raw = prepare_decode_inputs(experiment, records, plain.graph,
                                          plain.use_final_data)
@@ -117,3 +137,98 @@ def test_batched_decode_speedup(benchmark, capsys):
     bar = bench_bar(3.0, 1.5)
     assert speedup >= bar, \
         f"batched decode speedup {speedup:.2f}x < {bar}x"
+
+
+#: The e2e benchmark's ``strike_decode`` MWPM spec (workloads.py), of
+#: which the bench decodes the t = 0 point's first two blocks.
+STRIKE_SPEC = {
+    "codes": [{"kind": "xxzz", "distance": [5, 5]}], "rounds": 5,
+    "p_values": [1e-3], "decoder": "mwpm", "backend": "frames",
+    "shots": 2 * SIM_BLOCK, "root_seed": 2024,
+    "faults": [{"kind": "radiation", "root_qubit": 12, "time_index": 0}],
+}
+
+
+def _per_pattern_reference(experiment, decoder, batches):
+    """Corrections per block, one matcher call per distinct pattern:
+    the memoised ``_dp_match`` recursion up to ``_DP_LIMIT`` defects,
+    ``_nx_match`` beyond — what ``MWPMDecoder`` ran before the batch
+    kernel.  The memo stands in for dedup + decode cache."""
+    graph = decoder.graph
+    dist, parity, bcol = graph.distances, graph.parities, graph.num_nodes
+    memo = {(): 0}
+    out = []
+    for batch in batches:
+        det, _ = prepare_decode_inputs(experiment, batch.records, graph,
+                                       decoder.use_final_data)
+        corrections = np.empty(batch.batch_size, dtype=np.uint8)
+        for i, bits in enumerate(det.reshape(batch.batch_size, -1)):
+            events = tuple(np.flatnonzero(bits).tolist())
+            if events not in memo:
+                match = _dp_match if len(events) <= _DP_LIMIT else _nx_match
+                memo[events] = match(events, dist, parity, bcol)[1]
+            corrections[i] = memo[events]
+        out.append(corrections)
+    return out, sorted(map(len, memo))
+
+
+def test_strike_regime_matcher(benchmark, capsys):
+    """Batch matcher kernel vs per-pattern recursion on strike blocks."""
+    task = build_sweep(STRIKE_SPEC).tasks[0]
+    experiment, decoder = _task_context(task)[:2]
+    batches = [SyndromeBatch.from_record_words(words, size)
+               for words, size in _packed_blocks(task)]
+
+    def cold():
+        """A decoder with an empty decode cache on the warm graph."""
+        return (dataclasses.replace(decoder, graph=decoder.graph),), {}
+
+    def decode(fresh):
+        return [fresh.decode_batch(experiment, batch).corrections
+                for batch in batches]
+
+    decode(*cold()[0])      # warm the graph tables and the lattices
+    t0 = time.perf_counter()
+    want, defect_counts = _per_pattern_reference(experiment, decoder,
+                                                 batches)
+    reference_s = time.perf_counter() - t0
+
+    got = benchmark.pedantic(decode, setup=cold, rounds=3, iterations=1)
+    batched_s = benchmark.stats.stats.min
+    for ours, theirs in zip(got, want):
+        np.testing.assert_array_equal(ours, theirs)
+
+    with prof.profile() as p:
+        decode(*cold()[0])
+    stages = p.snapshot()["stages"]
+    blossom = stages.get("decode.matcher.blossom",
+                         {"total_s": 0.0, "calls": 0})
+    blossom_share = blossom["total_s"] / stages["decode.matcher"]["total_s"]
+
+    distinct = len(defect_counts) - 1       # minus the empty pattern
+    histogram = np.bincount(defect_counts)
+    speedup = reference_s / batched_s
+    bench_report(
+        benchmark, capsys,
+        f"\n[decode-batch] strike regime, {task.shots} shots / {distinct} "
+        f"distinct patterns: batched {batched_s:.3f}s "
+        f"({distinct / batched_s:,.0f} patterns/s), per-pattern "
+        f"{reference_s:.2f}s ({distinct / reference_s:,.0f} patterns/s), "
+        f"x{speedup:.1f}; {blossom['calls']} patterns > {_DP_LIMIT} "
+        f"defects in blossom = {blossom_share:.0%} of matcher time; "
+        f"defects/pattern histogram {histogram.tolist()}",
+        shots=task.shots,
+        distinct_patterns=distinct,
+        batched_patterns_per_s=distinct / batched_s,
+        per_pattern_patterns_per_s=distinct / reference_s,
+        speedup=speedup,
+        defect_histogram=histogram.tolist(),
+        blossom_patterns=blossom["calls"],
+        blossom_share_of_matcher=blossom_share)
+
+    # The regime the bench claims: dedup buys (almost) nothing.
+    assert distinct > 0.9 * task.shots
+
+    bar = bench_bar(3.0, 1.5)
+    assert speedup >= bar, \
+        f"strike-regime matcher speedup {speedup:.2f}x < {bar}x"

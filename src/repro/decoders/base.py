@@ -6,10 +6,13 @@ block, consuming either the frame backend's packed word stream directly
 (bit-sliced column extraction, no full-record unpack) or plain uint8
 record rows.  Concrete decoders implement one method,
 :meth:`Decoder._decode_pattern`: decode a single flattened detector
-pattern to a readout-correction parity.  Everything batchy — syndrome
-extraction, detector differencing, per-batch deduplication, the
-cross-batch :class:`~repro.decoders.batch.DecodeCache`, correction
-scatter — is shared here.
+pattern to a readout-correction parity.  A decoder that can match many
+patterns at once also overrides :meth:`Decoder._decode_patterns`, which
+receives every distinct pattern of a block that missed the cache in one
+call.  Everything else batchy — syndrome extraction, detector
+differencing, per-batch deduplication, the cross-batch
+:class:`~repro.decoders.batch.DecodeCache`, correction scatter — is
+shared here.
 """
 
 from __future__ import annotations
@@ -80,12 +83,15 @@ class Decoder(abc.ABC):
     Concrete decoders carry a ``graph`` (:class:`~repro.decoders.
     detector_graph.DetectorGraph`), a ``use_final_data`` flag and a
     ``cache_decodes`` switch, and implement :meth:`_decode_pattern` —
-    the per-pattern decode.  The batch pipeline (packed or row-wise
-    syndrome extraction, detector differencing, unique-pattern
-    deduplication, the cross-batch decode cache, readout correction) is
-    shared here, so alternate decode strategies — a reweighted graph,
-    pre-modified detectors — plug in at :meth:`_decode_prepared`
-    without duplicating it.
+    the per-pattern decode — and optionally :meth:`_decode_patterns`,
+    the batch hook it is reached through: the distinct patterns of a
+    block that miss the cache are decoded by one call (the default
+    loops :meth:`_decode_pattern`; MWPM matches them together).  The
+    batch pipeline (packed or row-wise syndrome extraction, detector
+    differencing, unique-pattern deduplication, the cross-batch decode
+    cache, readout correction) is shared here, so alternate decode
+    strategies — a reweighted graph, pre-modified detectors — plug in
+    at :meth:`_decode_prepared` without duplicating it.
     """
 
     graph: "object"
@@ -108,6 +114,19 @@ class Decoder(abc.ABC):
     @abc.abstractmethod
     def _decode_pattern(self, detector_bits: np.ndarray) -> int:
         """Decode one flattened detector pattern -> readout correction."""
+
+    def _decode_patterns(self, bits: np.ndarray) -> np.ndarray:
+        """Decode ``(N, D)`` uint8 detector patterns -> ``N`` readout
+        corrections.
+
+        The batch hook: :meth:`_pattern_parities` hands it every
+        distinct pattern of a block that missed the cache, in one call.
+        The default decodes them one by one through
+        :meth:`_decode_pattern`; a decoder that can match patterns
+        together (:class:`~repro.decoders.matching.MWPMDecoder`)
+        overrides it."""
+        return np.fromiter(map(self._decode_pattern, bits),
+                           dtype=np.uint8, count=bits.shape[0])
 
     # ------------------------------------------------------------------
     # Syndrome-dedup decode cache
@@ -139,65 +158,54 @@ class Decoder(abc.ABC):
 
         ``keys`` is ``(N, ceil(num_detectors / 8))`` uint8 — little-
         endian packed detector patterns.  Patterns are deduplicated
-        within the batch, each distinct one resolved through the decode
-        cache (or :meth:`_decode_pattern` on a miss), and the parities
-        scattered back — exact, since identical patterns decode
-        identically.
+        within the batch, every distinct one probed in the decode
+        cache, the misses decoded together by one
+        :meth:`_decode_patterns` call, and the parities scattered back
+        — exact, since identical patterns decode identically.
 
         With a profiler enabled the three stages — pattern dedup,
         cache probe, matcher — are attributed separately
         (``decode.dedup`` / ``decode.cache_probe`` /
-        ``decode.matcher``); one ``None`` check per batch otherwise.
+        ``decode.matcher``).
         """
-        prof = _prof._ACTIVE
-        t0 = perf_counter() if prof is not None else 0.0
+        t0 = perf_counter()
         uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        if prof is not None:
-            prof.stage("decode.dedup", perf_counter() - t0)
+        t1 = perf_counter()
+        distinct = int(uniq.shape[0])
         cache = self._cache()
-        _OBS_PATTERNS.inc(int(keys.shape[0]))
-        _OBS_DISTINCT.inc(int(uniq.shape[0]))
-        out = np.empty(uniq.shape[0], dtype=np.uint8)
-        misses = 0
-        if prof is None:
-            for i in range(uniq.shape[0]):
-                key = uniq[i].tobytes()
-                parity = cache.get(num_detectors, key) \
-                    if cache is not None else None
-                if parity is None:
-                    misses += 1
-                    bits = np.unpackbits(uniq[i], count=num_detectors,
-                                         bitorder="little")
-                    parity = int(self._decode_pattern(bits)) & 1
-                    if cache is not None:
-                        cache.put(num_detectors, key, parity)
-                out[i] = parity
+        out = np.empty(distinct, dtype=np.uint8)
+        if cache is None:
+            missed = range(distinct)
         else:
-            pc = perf_counter
-            probe_s = 0.0
-            match_s = 0.0
-            for i in range(uniq.shape[0]):
-                t1 = pc()
-                key = uniq[i].tobytes()
-                parity = cache.get(num_detectors, key) \
-                    if cache is not None else None
-                probe_s += pc() - t1
+            key_bytes = [row.tobytes() for row in uniq]
+            missed = []
+            for i, key in enumerate(key_bytes):
+                parity = cache.get(num_detectors, key)
                 if parity is None:
-                    misses += 1
-                    t2 = pc()
-                    bits = np.unpackbits(uniq[i], count=num_detectors,
-                                         bitorder="little")
-                    parity = int(self._decode_pattern(bits)) & 1
-                    match_s += pc() - t2
-                    if cache is not None:
-                        cache.put(num_detectors, key, parity)
-                out[i] = parity
-            prof.stage("decode.cache_probe", probe_s,
-                       calls=int(uniq.shape[0]))
-            if misses:
-                prof.stage("decode.matcher", match_s, calls=misses)
-        _OBS_MISSES.inc(misses)
-        _OBS_HITS.inc(int(uniq.shape[0]) - misses)
+                    missed.append(i)
+                else:
+                    out[i] = parity
+        t2 = perf_counter()
+        prof = _prof._ACTIVE
+        if prof is not None:
+            prof.stage("decode.dedup", t1 - t0)
+            prof.stage("decode.cache_probe", t2 - t1, calls=distinct)
+        if missed:
+            bits = np.unpackbits(uniq[missed], axis=1, count=num_detectors,
+                                 bitorder="little")
+            decoded = np.asarray(self._decode_patterns(bits),
+                                 dtype=np.uint8) & 1
+            if prof is not None:
+                prof.stage("decode.matcher", perf_counter() - t2,
+                           calls=len(missed))
+            out[missed] = decoded
+            if cache is not None:
+                for i, parity in zip(missed, decoded.tolist()):
+                    cache.put(num_detectors, key_bytes[i], parity)
+        _OBS_PATTERNS.inc(int(keys.shape[0]))
+        _OBS_DISTINCT.inc(distinct)
+        _OBS_MISSES.inc(len(missed))
+        _OBS_HITS.inc(distinct - len(missed))
         return out[inverse]
 
     # ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,8 +134,28 @@ class DetectorGraph:
                         self.node_id(r, p2), self.node_id(r + 1, p1),
                         qubit=q, logical_flip=flip, hook=True))
 
-        self._dist: Optional[np.ndarray] = None
-        self._parity: Optional[np.ndarray] = None
+        #: Everything derived lazily from the edges and their weights
+        #: (:meth:`derived`); a reweighted copy starts with its own.
+        self._derived: Dict[str, Any] = {}
+
+    def derived(self, name: str,
+                build: Callable[["DetectorGraph"], Any]) -> Any:
+        """``build(self)``, computed on first use and kept under
+        ``name`` for the life of this graph.
+
+        Holds every table that depends only on the graph (edges,
+        weights): the shortest paths, and the tables shaped by their
+        one consumer — union-find's growth tables, the matcher's bucket
+        tables.  Hanging those here rather than on the decoder means a
+        decoder rebound to another graph (``dataclasses.replace(
+        decoder, graph=...)``, the ``reweight`` recovery policy) can
+        never read the tables of the graph it left, and
+        :meth:`reweighted` forgets them all by starting an empty
+        dict."""
+        table = self._derived.get(name)
+        if table is None:
+            table = self._derived[name] = build(self)
+        return table
 
     # ------------------------------------------------------------------
     # Reweighting (burst-adaptive decoding)
@@ -164,14 +184,15 @@ class DetectorGraph:
             if w <= 0.0:
                 raise ValueError("edge weights must be positive")
             g.edges.append(e if w == e.weight else replace(e, weight=w))
-        g._dist = None
-        g._parity = None
+        g._derived = {}
         return g
 
     @property
     def unit_weights(self) -> bool:
         """True when every edge still carries the default weight 1."""
-        return all(e.weight == 1.0 for e in self.edges)
+        return self.derived(
+            "unit_weights",
+            lambda g: all(e.weight == 1.0 for e in g.edges))
 
     # ------------------------------------------------------------------
     def node_id(self, round_index: int, plaquette_index: int) -> int:
@@ -205,8 +226,9 @@ class DetectorGraph:
     # ------------------------------------------------------------------
     # All-pairs shortest paths with logical parity
     # ------------------------------------------------------------------
-    def _build_paths(self) -> None:
-        """Shortest paths from every node, tracking logical parity.
+    def _build_paths(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Shortest paths from every node, tracking logical parity:
+        ``(distances, parities)``.
 
         Unit-weight graphs (the static decode) use BFS; reweighted
         graphs use Dijkstra over the edge weights.  Distances/parities
@@ -236,9 +258,7 @@ class DetectorGraph:
                             parity[src, v] = parity[src, u] ^ int(flip)
                             if v != bidx:  # boundary absorbs: don't expand
                                 queue.append(v)
-            self._dist = dist
-            self._parity = parity
-            return
+            return dist, parity
         wadj: List[List[Tuple[int, float, bool]]] = [[] for _ in range(n + 1)]
         for e in self.edges:
             u = e.u if e.u != BOUNDARY else bidx
@@ -264,22 +284,17 @@ class DetectorGraph:
                         dist[src, v] = nd
                         parity[src, v] = parity[src, u] ^ int(flip)
                         heapq.heappush(heap, (nd, v))
-        self._dist = dist
-        self._parity = parity
+        return dist, parity
 
     @property
     def distances(self) -> np.ndarray:
         """``(num_nodes, num_nodes + 1)``; last column is the boundary."""
-        if self._dist is None:
-            self._build_paths()
-        return self._dist
+        return self.derived("paths", DetectorGraph._build_paths)[0]
 
     @property
     def parities(self) -> np.ndarray:
         """Logical parity along a BFS shortest path (same shape)."""
-        if self._parity is None:
-            self._build_paths()
-        return self._parity
+        return self.derived("paths", DetectorGraph._build_paths)[1]
 
     def distance_between(self, u: int, v: int = BOUNDARY) -> float:
         col = self.num_nodes if v == BOUNDARY else v

@@ -1,28 +1,74 @@
 """Minimum-weight perfect-matching decoder (paper §II-D).
 
 Flagged detectors are matched pairwise (or to the boundary) so that the
-total shortest-path weight is minimal; the correction applied to the raw
-readout is the XOR of the logical parities along the matched paths.
+total shortest-path weight is minimal; the correction applied to the
+raw readout is the XOR of the logical parities along the matched paths.
 
-Two exact matching engines:
+Two exact matching engines, chosen by a pattern's defect count alone:
 
-* a bitmask dynamic program, optimal and fast for up to ~16 events
-  (covers virtually every shot of the paper's codes), and
-* NetworkX ``max_weight_matching`` on the negated-weight event graph
-  with per-event boundary copies, used for larger event sets.
+* up to :data:`_DP_LIMIT` defects — a bitmask dynamic program over the
+  sets of still-unmatched defects: the lowest unmatched defect goes to
+  the boundary or to one of the others.  :func:`_dp_match` is that
+  recurrence written as a memoised recursion, one pattern at a time;
+  it is the reference the tests compare against and has no production
+  caller.  Production runs :func:`_dp_match_batch`: the *same*
+  recurrence evaluated bottom-up for a whole bucket of patterns at
+  once (below);
+* more defects — NetworkX ``max_weight_matching`` (blossom) on the
+  negated-weight event graph with per-event boundary copies, one
+  pattern at a time (:func:`_nx_match`).
+
+**The lattice.**  Because the recursion always removes the *lowest*
+unmatched defect, of the ``2**k`` subsets of ``k`` defects it only
+ever visits ``Fib(k + 2)`` (2 584 at ``k = 16``, with 18 687 options
+between them), and which ones depends on ``k`` only.  :func:`_lattice`
+enumerates them once per ``k``, layered by how many defects are still
+unmatched: a state of ``c`` unmatched defects has exactly ``c`` options
+(boundary, or one of the ``c - 1`` partners) and every option lands
+one or two layers down.  So a layer is one ``(patterns, states, c)``
+gather-add of "option cost + cost of the state it leads to" and one
+``argmin`` over the option axis — numpy does per layer what the
+recursion does per option.
+
+**Why the answer is the same bit for bit, ties included.**  Each
+candidate is computed with the recursion's own float operations in the
+recursion's order — ``(distance + _BOUNDARY_BIAS) + rest`` for the
+boundary, ``distance + rest`` for a pair — and laid out in the
+recursion's option order: boundary first, then partners ascending.
+The recursion keeps a candidate only when it is strictly cheaper than
+the best so far, i.e. it keeps the *first* minimum, which is what
+``argmin`` returns.  An unreachable partner (infinite distance), which
+the recursion skips, is an infinite candidate that can never be a
+first minimum ahead of the boundary option.  Patterns of fewer defects
+share a bucket by padding with dummy defects placed *after* the real
+ones — boundary cost exactly ``0.0``, every pair distance infinite —
+so every real state sees its real candidates, in order, followed by
+infinite ones, and ``0.0 + x`` is ``x``.
+
+**Why** :data:`_DP_LIMIT` **does not move.**  On a degenerate pattern
+(several matchings of equal weight, of different logical parity) the
+two engines break the tie differently, so moving the limit — or
+swapping either engine for one with another tie rule — changes
+individual corrections and with them the per-point ``(shots,
+errors)`` the repo benchmark pins (``benchmarks/e2e/golden.json``).
 
 Identical syndromes decode identically, so shots are deduplicated
-before matching — a large win at low fault intensity.
+before matching (:meth:`Decoder._pattern_parities`) — a large win at
+low fault intensity; under a radiation strike nearly every shot has
+its own syndrome and the batch kernel is what the decode costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from functools import lru_cache
+from time import perf_counter
+from typing import Dict, List, NamedTuple, Tuple
 
 import networkx as nx
 import numpy as np
 
+from ..obs import prof as _prof
 from .base import Decoder
 from .detector_graph import DetectorGraph
 
@@ -34,10 +80,26 @@ _DP_LIMIT = 16
 #: matches carry an epsilon penalty.
 _BOUNDARY_BIAS = 1e-6
 
+#: Patterns of up to this many defects share one dummy-padded bucket
+#: (a bucket costs ~its layer count in numpy calls whatever it holds,
+#: and at low fault intensity a block misses only a handful of light
+#: patterns); heavier patterns are bucketed by exact defect count.
+_PAD_LIMIT = 6
+
+#: A bucket is matched in slices of at most this many (pattern,
+#: option) candidates, which bounds the kernel's working set — about
+#: 20 bytes per candidate — whatever the block holds.
+_SLICE_CANDIDATES = 1 << 18
+
+#: Heaviest defect count of each bucket, after the zero-defect
+#: patterns (which decode to no correction).
+_BUCKET_TOPS = (0, *range(_PAD_LIMIT, _DP_LIMIT + 1))
+
 
 def _dp_match(events: Tuple[int, ...], dist: np.ndarray, parity: np.ndarray,
               bcol: int) -> Tuple[float, int]:
-    """Exact min-weight matching via bitmask DP.
+    """Exact min-weight matching via bitmask DP — the reference
+    recursion (see the module docstring).
 
     Each event is either paired with another event or matched to the
     boundary.  Returns ``(total weight, correction parity)``.
@@ -78,6 +140,99 @@ def _dp_match(events: Tuple[int, ...], dist: np.ndarray, parity: np.ndarray,
     return solve(full)
 
 
+def _set_bits(mask: int) -> List[int]:
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+class _Lattice(NamedTuple):
+    """The states :func:`_dp_match` visits on ``k`` events, as index
+    tables.
+
+    States are numbered by layer — the empty set is state 0, the full
+    set the last — and ``layers[c - 1] = (first, entry, rest)`` holds
+    the states with ``c`` unmatched events, numbered from ``first``:
+    ``entry[s, o]`` is where option ``o`` of state ``s`` reads a
+    pattern's flattened ``(k, 1 + k)`` table (row: the state's lowest
+    event; column 0, the boundary, for option 0, then the partners'
+    columns ascending) and ``rest[s, o]`` is the number of the state
+    that option leaves behind.
+    """
+
+    states: int
+    options: int
+    layers: Tuple[Tuple[int, np.ndarray, np.ndarray], ...]
+
+
+@lru_cache(maxsize=None)
+def _lattice(k: int) -> _Lattice:
+    """The lattice for ``k`` events — a function of ``k`` alone, so
+    built on first use (nothing at import) and kept."""
+    by_count: List[set] = [set() for _ in range(k + 1)]
+    by_count[k].add((1 << k) - 1)
+    for c in range(k, 0, -1):
+        for mask in by_count[c]:
+            rem = mask & (mask - 1)
+            by_count[c - 1].add(rem)
+            for j in _set_bits(rem):
+                by_count[c - 2].add(rem & ~(1 << j))
+    number: Dict[int, int] = {}
+    for masks in by_count:
+        for mask in sorted(masks):
+            number[mask] = len(number)
+    layers = []
+    for c in range(1, k + 1):
+        masks = sorted(by_count[c])
+        entry = np.empty((len(masks), c), dtype=np.intp)
+        rest = np.empty((len(masks), c), dtype=np.intp)
+        for s, mask in enumerate(masks):
+            low = (mask & -mask).bit_length() - 1
+            rem = mask & (mask - 1)
+            partners = _set_bits(rem)
+            entry[s] = [low * (k + 1) + col
+                        for col in [0] + [j + 1 for j in partners]]
+            rest[s] = [number[rem]] + [number[rem & ~(1 << j)]
+                                       for j in partners]
+        for table in (entry, rest):
+            table.setflags(write=False)
+        layers.append((number[masks[0]], entry, rest))
+    return _Lattice(states=len(number),
+                    options=sum(entry.size for _, entry, _ in layers),
+                    layers=tuple(layers))
+
+
+def _dp_match_batch(cost: np.ndarray, flip: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_dp_match` for ``P`` patterns of ``k`` events at once.
+
+    ``cost`` and ``flip`` are ``(P, k, 1 + k)``: per pattern, each
+    event's boundary-biased boundary distance (column 0) and its
+    distances to the pattern's events (columns 1..k), and the logical
+    parities along those paths.  Returns ``(total weight, correction
+    parity)``, each ``(P,)`` — bit-identical to the recursion on every
+    pattern (module docstring).
+    """
+    P, k, _ = cost.shape
+    lattice = _lattice(k)
+    cost = cost.reshape(P, -1)
+    flip = flip.reshape(P, -1)
+    best = np.empty((P, lattice.states))
+    best_flip = np.empty((P, lattice.states), dtype=np.uint8)
+    best[:, 0] = 0.0
+    best_flip[:, 0] = 0
+    rows = np.arange(P)[:, None]
+    for first, entry, rest in lattice.layers:
+        states, options = entry.shape
+        cand = cost[:, entry] + best[:, rest]       # (P, states, options)
+        cand_flip = flip[:, entry] ^ best_flip[:, rest]
+        # Each state's first minimum, as a position on the flattened
+        # (states * options) axis.
+        pick = cand.argmin(axis=2) + np.arange(0, entry.size, options)
+        best[:, first:first + states] = cand.reshape(P, -1)[rows, pick]
+        best_flip[:, first:first + states] = \
+            cand_flip.reshape(P, -1)[rows, pick]
+    return best[:, -1], best_flip[:, -1]
+
+
 def _nx_match(events: Tuple[int, ...], dist: np.ndarray, parity: np.ndarray,
               bcol: int) -> Tuple[float, int]:
     """Exact min-weight matching via NetworkX blossom on negated weights."""
@@ -109,6 +264,25 @@ def _nx_match(events: Tuple[int, ...], dist: np.ndarray, parity: np.ndarray,
     return total, corr
 
 
+def _bucket_tables(graph: DetectorGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """``graph.distances`` / ``graph.parities`` laid out for bucket
+    gathers, ``(num_nodes + 1, num_nodes + 2)`` each: node
+    ``num_nodes`` is the padding dummy (infinitely far from every
+    node, free to send to the boundary, no parity) and the last
+    column is the boundary with :data:`_BOUNDARY_BIAS` already added
+    — the recursion's ``dist[e, bcol] + _BOUNDARY_BIAS``, done once
+    per graph (``graph.derived``) instead of once per option."""
+    n = graph.num_nodes
+    cost = np.full((n + 1, n + 2), np.inf)
+    cost[:n, :n] = graph.distances[:, :n]
+    cost[:n, n + 1] = graph.distances[:, n] + _BOUNDARY_BIAS
+    cost[n, n + 1] = 0.0
+    flip = np.zeros((n + 1, n + 2), dtype=np.uint8)
+    flip[:n, :n] = graph.parities[:, :n]
+    flip[:n, n + 1] = graph.parities[:, n]
+    return cost, flip
+
+
 @dataclass
 class MWPMDecoder(Decoder):
     """MWPM decoder bound to a detector graph.
@@ -129,20 +303,57 @@ class MWPMDecoder(Decoder):
 
     # ------------------------------------------------------------------
     def _decode_pattern(self, detector_bits: np.ndarray) -> int:
-        """Decode one flattened detector pattern -> readout correction.
+        """Decode one flattened detector pattern -> readout correction."""
+        return int(self._decode_patterns(
+            np.asarray(detector_bits, dtype=np.uint8)[None, :])[0])
+
+    def _decode_patterns(self, bits: np.ndarray) -> np.ndarray:
+        """Decode ``(N, D)`` detector patterns together.
 
         Shortest-path distances respect the graph's edge weights, so a
         reweighted graph (burst-adaptive recovery) changes the matching
-        through this one table."""
-        events = tuple(int(i) for i in np.nonzero(detector_bits)[0])
-        if not events:
-            return 0
-        dist = self.graph.distances
-        parity = self.graph.parities
-        bcol = self.graph.num_nodes
-        if len(events) <= _DP_LIMIT:
-            _, corr = _dp_match(events, dist, parity, bcol)
-        else:
-            _, corr = _nx_match(events, dist, parity, bcol)
-        return corr
+        through its own tables.  Patterns are bucketed by defect count
+        — one padded bucket up to :data:`_PAD_LIMIT`, one per count up
+        to :data:`_DP_LIMIT` — and each bucket matched by
+        :func:`_dp_match_batch`; heavier patterns go to
+        :func:`_nx_match` one by one."""
+        graph = self.graph
+        n = graph.num_nodes
+        cost, flip = graph.derived("mwpm", _bucket_tables)
+        out = np.zeros(bits.shape[0], dtype=np.uint8)
 
+        # Per pattern: the boundary column, then its events ascending
+        # (a stable sort brings the set bits forward in order), padded
+        # with the dummy node.
+        counts = np.count_nonzero(bits, axis=1)
+        found = np.argsort(bits ^ 1, axis=1, kind="stable")[:, :_DP_LIMIT]
+        found[np.arange(found.shape[1]) >= counts[:, None]] = n
+        nodes = np.concatenate(
+            [np.full((bits.shape[0], 1), n + 1), found], axis=1)
+
+        order = np.argsort(counts, kind="stable")
+        edges = np.searchsorted(counts[order], _BUCKET_TOPS,
+                                side="right").tolist()
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if lo == hi:
+                continue
+            k = int(counts[order[hi - 1]])      # the bucket's heaviest
+            step = max(1, _SLICE_CANDIDATES // _lattice(k).options)
+            for at in range(lo, hi, step):
+                which = order[at:min(at + step, hi)]
+                cols = nodes[which, :1 + k]
+                index = (cols[:, 1:, None], cols[:, None, :])
+                out[which] = _dp_match_batch(cost[index], flip[index])[1]
+
+        heavy = order[edges[-1]:]
+        if heavy.size:
+            prof = _prof._ACTIVE
+            t0 = perf_counter() if prof is not None else 0.0
+            dist, parity = graph.distances, graph.parities
+            for r in heavy:
+                events = tuple(int(i) for i in np.nonzero(bits[r])[0])
+                out[r] = _nx_match(events, dist, parity, n)[1]
+            if prof is not None:
+                prof.stage("decode.matcher/decode.matcher.blossom",
+                           perf_counter() - t0, calls=int(heavy.size))
+        return out

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -63,6 +63,36 @@ class _DSU:
         return ra
 
 
+class _GrowthTables(NamedTuple):
+    """What cluster growth reads from a graph, per edge index — built
+    once per :class:`DetectorGraph` (``graph.derived``), not per
+    pattern."""
+
+    #: ``(u, v, logical_flip)`` with the boundary as node ``num_nodes``.
+    edges: List[Tuple[int, int, bool]]
+    #: Weight-aware growth targets (weights floored at the erasure
+    #: weight) and the legacy one-unit targets.
+    weights: List[float]
+    units: List[float]
+    #: Edges the graph marks as erased: pre-grown before growth starts.
+    erased: List[int]
+    max_weight: float
+
+
+def _growth_tables(graph: DetectorGraph) -> _GrowthTables:
+    bnode = graph.num_nodes
+    weights = [max(e.weight, ERASED_WEIGHT) for e in graph.edges]
+    return _GrowthTables(
+        edges=[(e.u if e.u != BOUNDARY else bnode,
+                e.v if e.v != BOUNDARY else bnode,
+                e.logical_flip) for e in graph.edges],
+        weights=weights,
+        units=[1.0] * len(weights),
+        erased=[ei for ei, e in enumerate(graph.edges)
+                if e.weight <= ERASED_WEIGHT],
+        max_weight=max(weights, default=1.0))
+
+
 @dataclass
 class UnionFindDecoder(Decoder):
     """Union-find decoder bound to a detector graph.
@@ -90,14 +120,8 @@ class UnionFindDecoder(Decoder):
         g = self.graph
         n = g.num_nodes
         bnode = n  # virtual boundary index
-
-        edges = [(e.u if e.u != BOUNDARY else bnode,
-                  e.v if e.v != BOUNDARY else bnode,
-                  e.logical_flip) for e in g.edges]
-        incident: List[List[int]] = [[] for _ in range(n + 1)]
-        for ei, (u, v, _) in enumerate(edges):
-            incident[u].append(ei)
-            incident[v].append(ei)
+        tables = g.derived("union-find", _growth_tables)
+        edges = tables.edges
 
         dsu = _DSU(n + 1)
         dsu.boundary[bnode] = True
@@ -107,8 +131,7 @@ class UnionFindDecoder(Decoder):
         # one unit otherwise — on unit graphs the two coincide and every
         # step below is exactly 0.5, reproducing the legacy half-steps.
         weighted = self.weighted_growth and not g.unit_weights
-        target = ([max(e.weight, ERASED_WEIGHT) for e in g.edges]
-                  if weighted else [1.0] * len(edges))
+        target = tables.weights if weighted else tables.units
         growth = [0.0] * len(edges)
         grown: Set[int] = set()
 
@@ -116,12 +139,11 @@ class UnionFindDecoder(Decoder):
         # near-free — the burst-adaptive reweighting of an estimated
         # strike region — start fully grown, seeding clusters that span
         # the damaged volume before weighted growth begins.
-        for ei, e in enumerate(g.edges):
-            if e.weight <= ERASED_WEIGHT:
-                u, v, _ = edges[ei]
-                growth[ei] = target[ei]
-                grown.add(ei)
-                dsu.union(u, v)
+        for ei in tables.erased:
+            u, v, _ = edges[ei]
+            growth[ei] = target[ei]
+            grown.add(ei)
+            dsu.union(u, v)
 
         def odd_roots() -> Set[int]:
             roots = set()
@@ -133,7 +155,7 @@ class UnionFindDecoder(Decoder):
 
         # Growth phase.
         guard = 0
-        max_target = max(target) if target else 1.0
+        max_target = tables.max_weight if weighted else 1.0
         guard_limit = (4 * (n + len(edges) + 2)
                        * max(1, int(math.ceil(max_target))))
         while True:

@@ -126,8 +126,12 @@ class Profiler:
 
     def stage(self, name: str, dt: float, calls: int = 1) -> None:
         """Attribute ``dt`` seconds to sub-phase ``name`` under the
-        current span path (per batch, not per op — cheap)."""
-        key = (tuple(registry()._stack), name)
+        current span path (per batch, not per op — cheap).  A name
+        written ``"stage/sub-stage"`` lands beneath ``stage`` in the
+        path tree, so the part does not count twice against the span's
+        self-time."""
+        *under, name = name.split("/")
+        key = (tuple(registry()._stack) + tuple(under), name)
         row = self._stages.get(key)
         if row is None:
             row = self._stages[key] = [0.0, 0]

@@ -7,7 +7,13 @@ The redesign's contract, pinned here from four sides:
   shots as uint8 rows, including when the packed tail words carry
   garbage don't-care bits.
 * **Cache transparency** — the syndrome-dedup cache is exact: cache
-  on/off, and fresh-vs-warm caches, never change a single decoded bit.
+  on/off, fresh-vs-warm caches, and a cache that fills up mid-batch
+  never change a single decoded bit.
+* **Batched misses** — the distinct patterns a block misses are decoded
+  by one ``_decode_patterns`` call: the profiler's stage counts still
+  tie out, a decoder that only implements ``_decode_pattern`` still
+  decodes, union-find's per-graph tables cannot go stale, and the
+  strike-regime counts are pinned to the pre-batching commit's.
 * **Engine invariance** — campaign counts stay independent of chunk
   size, worker count and store resume now that the frames hot path
   feeds packed words straight to the decoder.
@@ -23,7 +29,9 @@ import pytest
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
 from repro.decoders import (
     BOUNDARY,
+    ERASED_WEIGHT,
     DecodeCache,
+    Decoder,
     DecoderSpec,
     DetectorGraph,
     MWPMDecoder,
@@ -45,6 +53,7 @@ from repro.injection import (
     run_task,
 )
 from repro.noise import DepolarizingNoise, NoiseModel, run_batch_noisy
+from repro.obs import prof
 
 
 def _noisy_records(exp, p, shots, rng):
@@ -194,6 +203,113 @@ class TestPackedRowsBitIdentity:
         again = dec.decode_batch(exp, rec)
         assert dec.cache_info.hits > 0
         np.testing.assert_array_equal(first.decoded, again.decoded)
+
+
+@pytest.mark.parametrize("kind", ["mwpm", "union-find"])
+class TestBatchedMisses:
+    """Probe every key, decode the misses together, scatter."""
+
+    @pytest.fixture(scope="class")
+    def shots(self):
+        exp = build_memory_experiment(XXZZCode(3, 3), rounds=3)
+        return exp, _noisy_records(exp, 0.03, 300, rng=5)
+
+    def test_cache_filling_mid_batch_identical(self, kind, shots):
+        exp, rec = shots
+        plain = decoder_for(exp, dataclasses.replace(as_decoder(kind),
+                                                     cache=False))
+        want = plain.decode_batch(exp, rec).corrections
+        dec = decoder_for(exp, kind)
+        dec.__dict__["_decode_cache"] = DecodeCache(capacity=7)
+        first = dec.decode_batch(exp, rec)
+        info = dec.cache_info
+        assert len(info) == 7 < info.misses     # filled, then refused
+        np.testing.assert_array_equal(first.corrections, want)
+        again = dec.decode_batch(exp, rec)
+        assert info.hits == 7                   # the admitted ones replay
+        np.testing.assert_array_equal(again.corrections, want)
+
+    def test_profiler_on_off_identical_and_stages_tie_out(self, kind,
+                                                          shots):
+        exp, rec = shots
+        want = decoder_for(exp, kind).decode_batch(exp, rec).corrections
+        dec = decoder_for(exp, kind)
+        with prof.profile() as p:
+            got = dec.decode_batch(exp, rec).corrections
+            dec.decode_batch(exp, rec[:50])     # all hits: no matcher call
+        np.testing.assert_array_equal(got, want)
+        stages = p.snapshot()["stages"]
+        info = dec.cache_info
+        assert stages["decode.dedup"]["calls"] == 2
+        assert stages["decode.cache_probe"]["calls"] \
+            == info.hits + info.misses
+        assert stages["decode.matcher"]["calls"] == info.misses
+
+    def test_per_pattern_only_decoder_uses_default_hook(self, kind, shots):
+        """A decoder written against the one-method contract — only
+        ``_decode_pattern`` — decodes through the default
+        ``_decode_patterns`` loop."""
+        exp, rec = shots
+        inner = decoder_for(exp, kind)
+
+        class PerPattern(Decoder):
+            graph = inner.graph
+            use_final_data = inner.use_final_data
+            name = "per-pattern"
+            calls = 0
+
+            def _decode_pattern(self, detector_bits):
+                type(self).calls += 1
+                return inner._decode_pattern(detector_bits)
+
+        got = PerPattern().decode_batch(exp, rec)
+        reference = decoder_for(exp, kind)
+        want = reference.decode_batch(exp, rec)
+        np.testing.assert_array_equal(got.corrections, want.corrections)
+        # Once per distinct pattern, as the built-in decoders.
+        assert PerPattern.calls == reference.cache_info.misses
+
+
+class TestUnionFindGraphTables:
+    """The growth tables hoisted onto the graph: same parities as the
+    per-pattern rebuild (digests taken at the parent commit), and a
+    ``reweighted()`` copy of an already-decoded graph starts clean."""
+
+    #: ``np.packbits`` of the 120 parities, hex — parent commit.
+    PARENT = {"base": "9a00c0642332064c138121b110822c",
+              "erased": "9808c04c213140581280c585108268"}
+
+    @staticmethod
+    def _erase_near(graph, node):
+        near = graph.distances[node, :graph.num_nodes] <= 1
+        return graph.reweighted(
+            lambda e: ERASED_WEIGHT
+            if e.u >= 0 and e.v >= 0 and near[e.u] and near[e.v]
+            else (2.0 if e.hook else e.weight))
+
+    @staticmethod
+    def _digest(decoder, patterns):
+        parities = np.array([decoder._decode_pattern(bits)
+                             for bits in patterns], dtype=np.uint8)
+        return np.packbits(parities).tobytes().hex()
+
+    def test_parities_match_parent_and_no_stale_tables(self):
+        base = DetectorGraph(XXZZCode(5, 5), rounds=5, hook_edges=True)
+        rng = np.random.default_rng(41)
+        uniform = rng.random((120, base.num_nodes))
+        density = rng.choice([0.03, 0.1, 0.25], size=(120, 1))
+        patterns = (uniform < density).astype(np.uint8)
+        dec = UnionFindDecoder(base, use_final_data=False,
+                               cache_decodes=False)
+        assert self._digest(dec, patterns) == self.PARENT["base"]
+        # Built from a graph whose tables already exist: the copy must
+        # not see them (38 erased edges, hooks at weight 2).
+        erased = self._erase_near(base, 30)
+        assert base.unit_weights and not erased.unit_weights
+        rebound = dataclasses.replace(dec, graph=erased)
+        assert self._digest(rebound, patterns) == self.PARENT["erased"]
+        # ... and decoding on the copy left the original's alone.
+        assert self._digest(dec, patterns) == self.PARENT["base"]
 
 
 class TestPackedPrepare:
@@ -380,6 +496,28 @@ class TestEngineInvariance:
         t = self._task("frames", decoder="union-find")
         r = run_task(t)
         assert r.shots == t.shots
+
+    @pytest.mark.parametrize("decoder,parent_counts", [
+        ("mwpm", [(256, 100, 57, 89), (256, 58, 35, 65),
+                  (256, 25, 29, 30)]),
+        ("union-find", [(256, 99, 57, 78), (256, 61, 35, 68),
+                        (256, 29, 29, 30)]),
+    ])
+    def test_strike_regime_counts_pinned(self, decoder, parent_counts):
+        """The e2e benchmark's ``strike_decode`` points at 256 shots,
+        seed 2024 — ``(shots, errors, raw_errors, corrections)`` as the
+        commit before the batch matcher kernel counted them.  Nearly
+        every syndrome is distinct and tie-degenerate here, so a
+        matcher that breaks one tie differently moves these."""
+        from repro.injection import build_sweep
+
+        campaign = build_sweep({
+            "codes": [{"kind": "xxzz", "distance": [5, 5]}], "rounds": 5,
+            "p_values": [1e-3], "decoder": decoder, "backend": "frames",
+            "shots": 256, "root_seed": 2024,
+            "faults": [{"kind": "radiation", "root_qubit": 12,
+                        "time_index": t} for t in (0, 1, 2)]})
+        assert campaign.run(workers=1).counts() == parent_counts
 
 
 class TestDeprecatedShims:

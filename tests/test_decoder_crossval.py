@@ -1,4 +1,5 @@
-"""Cross-validation: union-find vs MWPM on randomized low-weight syndromes.
+"""Cross-validation: union-find vs MWPM on randomized low-weight
+syndromes, and the batch matcher kernel vs the reference recursion.
 
 Measured contracts (exhaustive weight-1 scans and weight-2 scans /
 3000-sample sweeps on the d=3/d=5 rotated-XXZZ and repetition graphs):
@@ -11,6 +12,12 @@ Measured contracts (exhaustive weight-1 scans and weight-2 scans /
   mis-peel a small fraction of weight-2 sets (~0.6% on rep-5 /
   xxzz-5) — the documented "accuracy slightly below MWPM by design"
   trade-off, pinned here so a regression (or a silent fix) is visible.
+* **Batch kernel** — ``MWPMDecoder._decode_patterns`` (the bottom-up
+  lattice DP, vectorised across a bucket of patterns) returns the
+  parity, and ``_dp_match_batch`` the cost, of the memoised recursion
+  ``_dp_match`` *bit for bit, ties included*: for every defect count
+  1..16, random and clustered defects, unit / hook / reweighted graphs,
+  single-count, mixed-count (dummy-padded) and one-pattern batches.
 """
 
 import numpy as np
@@ -21,10 +28,12 @@ from hypothesis import strategies as st
 from repro.codes import RepetitionCode, XXZZCode
 from repro.decoders import (
     BOUNDARY,
+    ERASED_WEIGHT,
     DetectorGraph,
     MWPMDecoder,
     UnionFindDecoder,
 )
+from repro.decoders import matching
 
 _SETTINGS = dict(max_examples=40, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -133,3 +142,119 @@ class TestUnionFindVsMwpm:
                     UnionFindDecoder(graph, use_final_data=False)):
             assert dec.decode_detectors(bits) in (0, 1)
             assert dec.decode_detectors(np.zeros_like(bits)) == 0
+
+
+#: (label, code factory, rounds) for the kernel-vs-recursion property.
+BATCH_CODES = [
+    ("xxzz-5x5", lambda: XXZZCode(5, 5), 6),
+    ("xxzz-3x3", lambda: XXZZCode(3, 3), 4),
+    ("xxzz-3x5", lambda: XXZZCode(3, 5), 4),
+    ("rep-7", lambda: RepetitionCode(7), 5),
+]
+
+
+def _batch_graph(label, weights):
+    key = (label, weights)
+    if key not in _CACHE:
+        factory, rounds = next((f, r) for (l, f, r) in BATCH_CODES
+                               if l == label)
+        graph = DetectorGraph(factory(), rounds=rounds,
+                              hook_edges=weights == "hook")
+        if weights == "reweighted":
+            # Erased, fractional and heavy edges: Dijkstra tables with
+            # near-ties that unit graphs never produce.
+            rng = np.random.default_rng(len(graph.edges))
+            drawn = rng.choice([ERASED_WEIGHT, 0.25, 0.5, 1.0, 1.0, 2.0],
+                               size=len(graph.edges))
+            by_edge = dict(zip(map(id, graph.edges), drawn))
+            graph = graph.reweighted(lambda e: by_edge[id(e)])
+        _CACHE[key] = graph
+    return _CACHE[key]
+
+
+def _reference_parity(graph, bits):
+    """One pattern through the per-pattern engines, as every commit
+    before the batch kernel decoded it."""
+    events = tuple(int(i) for i in np.nonzero(bits)[0])
+    if not events:
+        return 0
+    match = (matching._dp_match if len(events) <= matching._DP_LIMIT
+             else matching._nx_match)
+    return match(events, graph.distances, graph.parities,
+                 graph.num_nodes)[1]
+
+
+def _defect_patterns(graph, rng):
+    """Two patterns per defect count 1..16 — one of uniformly random
+    defects, one clustered around a random node (the strike shape) —
+    plus the empty pattern and, where the graph is large enough, two
+    beyond ``_DP_LIMIT`` (the blossom route)."""
+    n = graph.num_nodes
+    counts = [0] + 2 * list(range(1, matching._DP_LIMIT + 1))
+    counts += [k for k in (17, 19) if k <= n]
+    patterns = np.zeros((len(counts), n), dtype=np.uint8)
+    for row, k in enumerate(counts):
+        if row % 2:
+            chosen = rng.choice(n, size=k, replace=False)
+        else:
+            centre = int(rng.integers(n))
+            chosen = np.argsort(graph.distances[centre, :n]
+                                + 2.0 * rng.random(n))[:k]
+        patterns[row, chosen] = 1
+    return patterns
+
+
+class TestBatchMatcherVsRecursion:
+    @pytest.mark.parametrize("weights", ["unit", "hook", "reweighted"])
+    @pytest.mark.parametrize("label", [c[0] for c in BATCH_CODES])
+    def test_parities_bit_identical(self, label, weights):
+        graph = _batch_graph(label, weights)
+        decoder = MWPMDecoder(graph, use_final_data=False,
+                              cache_decodes=False)
+        patterns = _defect_patterns(graph, np.random.default_rng(2024))
+        want = np.array([_reference_parity(graph, bits)
+                         for bits in patterns], dtype=np.uint8)
+        # Mixed counts: the padded bucket, the exact-count buckets and
+        # the blossom route, all in one call.
+        np.testing.assert_array_equal(
+            decoder._decode_patterns(patterns), want)
+        counts = patterns.sum(axis=1)
+        for k in np.unique(counts):
+            np.testing.assert_array_equal(
+                decoder._decode_patterns(patterns[counts == k]),
+                want[counts == k], err_msg=f"single-count batch k={k}")
+        for bits, parity in zip(patterns, want):
+            assert decoder._decode_patterns(bits[None, :])[0] == parity
+            assert decoder._decode_pattern(bits) == parity
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 11])
+    def test_kernel_cost_parity_and_ties_on_degenerate_tables(self, k):
+        """Small-integer weights make most minima ties, unreachable
+        nodes make whole option rows infinite: the kernel must still
+        return the recursion's cost and parity exactly — alone, and
+        padded with dummy events."""
+        rng = np.random.default_rng(k)
+        n, pad = 24, 2
+        dist = rng.integers(1, 4, size=(n, n + 1)).astype(float)
+        dist[rng.random((n, n + 1)) < 0.15] = np.inf
+        dist[:, :n] = np.minimum(dist[:, :n], dist[:, :n].T)
+        dist[:3] = np.inf                   # events nothing can reach
+        parity = rng.integers(0, 2, size=(n, n + 1), dtype=np.uint8)
+        events = np.sort(np.stack([rng.choice(n, size=k, replace=False)
+                                   for _ in range(40)]), axis=1)
+        want = [matching._dp_match(tuple(int(e) for e in row), dist,
+                                   parity, n) for row in events]
+
+        cost = np.full((len(events), k + pad, 1 + k + pad), np.inf)
+        flip = np.zeros(cost.shape, dtype=np.uint8)
+        cost[:, :k, 0] = dist[events, n] + matching._BOUNDARY_BIAS
+        cost[:, k:, 0] = 0.0                # dummies: free to retire
+        flip[:, :k, 0] = parity[events, n]
+        cost[:, :k, 1:1 + k] = dist[events[:, :, None], events[:, None, :]]
+        flip[:, :k, 1:1 + k] = parity[events[:, :, None],
+                                      events[:, None, :]]
+        for width in (k, k + pad):
+            got_cost, got_flip = matching._dp_match_batch(
+                cost[:, :width, :1 + width], flip[:, :width, :1 + width])
+            assert got_cost.tolist() == [c for c, _ in want], width
+            assert got_flip.tolist() == [p for _, p in want], width

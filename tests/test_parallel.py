@@ -509,7 +509,10 @@ class TestGracefulInterrupt:
             "from repro.injection import build_sweep\n"
             "spec = {'codes': [['xxzz', [5, 5]]],\n"
             "        'p_values': [0.005, 0.01, 0.02, 0.03],\n"
-            "        'shots': 50000, 'rounds': 3, 'root_seed': 3}\n"
+            # Minutes of work: the signal must land mid-campaign however
+            # fast the decode gets (50 000 shots a point now finish
+            # inside the 3 s below).
+            "        'shots': 2000000, 'rounds': 3, 'root_seed': 3}\n"
             "print('READY', flush=True)\n"
             "try:\n"
             f"    build_sweep(spec).run(workers=2, resume={store_path!r})\n"

@@ -15,6 +15,7 @@ from repro.injection import (
     AdaptivePolicy,
     Campaign,
     CodeSpec,
+    FaultSpec,
     InjectionTask,
     build_sweep,
     run_task,
@@ -111,6 +112,25 @@ class TestProfiler:
         assert any(path.startswith("sample/frames.")
                    for path in snap["paths"])
         assert "decode/decode.matcher" in snap["paths"]
+
+    def test_blossom_share_is_a_sub_stage_of_the_matcher(self):
+        """Patterns past the DP limit (a strike produces them) are
+        timed beneath ``decode.matcher``, not beside it."""
+        strike = InjectionTask(
+            code=CodeSpec("xxzz", (5, 5)), intrinsic_p=1e-3, rounds=5,
+            fault=FaultSpec(kind="radiation", root_qubit=12, time_index=0),
+            decoder="mwpm", backend="frames", shots=256, seed=7)
+        with prof.profile() as p:
+            run_task(strike)
+        snap = p.snapshot()
+        matcher = snap["stages"]["decode.matcher"]
+        blossom = snap["stages"]["decode.matcher.blossom"]
+        assert 1 <= blossom["calls"] < matcher["calls"]
+        assert blossom["total_s"] <= matcher["total_s"]
+        assert "decode/decode.matcher/decode.matcher.blossom" \
+            in snap["paths"]
+        assert snap["paths"]["decode/decode.matcher"]["self_s"] \
+            <= matcher["total_s"] - blossom["total_s"] + 1e-6
 
     def test_flame_lines_collapsed_stack_format(self):
         with prof.profile() as p:
