@@ -129,7 +129,7 @@ def reweight_graph(graph: DetectorGraph, cluster: StrikeCluster
 
 
 class _ExperimentGeometry:
-    """Per-experiment tables the model inversion needs, built once.
+    """Per-experiment tables the model inversion needs.
 
     * qubit positions (half-step embedding) — ``None`` disables the
       model path;
@@ -299,11 +299,12 @@ class BurstAdaptiveDecoder:
        backend's record words when offered, else by packing the uint8
        records once,
     2. runs the streaming CUSUM detector,
-    3. applies the recovery policy to the flagged shots,
+    3. applies the recovery policy to the flagged shots.
 
-    caching reweighted graphs by quantised estimate signature, since a
-    deterministic strike reproduces the same estimate block after
-    block.
+    Nothing is carried from one batch to the next: the campaign engine
+    builds a wrapper per simulation block, and every estimate comes
+    from the batch being decoded — which is what keeps a point's
+    counts independent of how its blocks were grouped or scheduled.
     """
 
     base: Decoder
@@ -323,10 +324,6 @@ class BurstAdaptiveDecoder:
 
     def __post_init__(self) -> None:
         self.policy = RecoveryPolicy.coerce(self.policy)
-        self._graph_cache: Dict[Tuple, DetectorGraph] = {}
-        self._estimate_cache: Dict[Tuple, Optional[BurstEstimate]] = {}
-        self._adapted_cache: Dict[int, Decoder] = {}
-        self._geometry: Optional[_ExperimentGeometry] = None
 
     @property
     def name(self) -> str:
@@ -377,8 +374,10 @@ class BurstAdaptiveDecoder:
         if cluster is None:
             return self.base._decode_prepared(experiment, det, raw)
         self.last_cluster = cluster
-        reweighted = self._reweighted(packed, report, cluster, experiment)
-        adapted = self._adapted(reweighted)
+        # The base decoder rebound to this batch's reweighted graph
+        # (its syndrome cache is only valid against that graph).
+        adapted = dataclasses.replace(self.base, graph=self._reweighted(
+            packed, report, cluster, experiment))
 
         corrections = np.zeros(det.shape[0], dtype=np.uint8)
         clean = ~flagged
@@ -393,53 +392,17 @@ class BurstAdaptiveDecoder:
                             expected=experiment.expected_logical,
                             corrections=corrections)
 
-    def _adapted(self, reweighted: DetectorGraph) -> Decoder:
-        """The base decoder rebound to a reweighted graph, cached per
-        graph object so its syndrome-dedup cache (valid only against
-        that graph) persists across the blocks of a deterministic
-        strike."""
-        adapted = self._adapted_cache.get(id(reweighted))
-        if adapted is None:
-            adapted = dataclasses.replace(self.base, graph=reweighted)
-            self._adapted_cache[id(reweighted)] = adapted
-        return adapted
-
     # ------------------------------------------------------------------
     def _reweighted(self, packed: PackedSyndromes, report: DetectionReport,
                     cluster: StrikeCluster, experiment: MemoryExperiment
                     ) -> DetectorGraph:
-        """Model-inverted graded graph, or the binary-erasure fallback
-        for codes without a planar embedding; cached on the quantised
-        estimate so repeat blocks of one task reuse the path tables."""
-        if self._geometry is None:
-            self._geometry = _ExperimentGeometry(experiment,
-                                                 self.base.graph.basis)
-        # A deterministic strike reproduces the same cluster block after
-        # block; key the (bisection-heavy) model inversion on it so only
-        # the first block of a campaign task pays for the estimation.
-        cluster_key = (cluster.window, cluster.plaquettes,
-                       cluster.epicenter)
-        if cluster_key in self._estimate_cache:
-            est = self._estimate_cache[cluster_key]
-        else:
-            est = estimate_burst(packed, report, self._geometry, cluster)
-            self._estimate_cache[cluster_key] = est
+        """Model-inverted graded graph for this batch's strike, or the
+        binary-erasure fallback for codes without a planar embedding."""
+        geometry = _ExperimentGeometry(experiment, self.base.graph.basis)
+        est = estimate_burst(packed, report, geometry, cluster)
         self.last_estimate = est
         if est is None:
-            key = ("erase", cluster.window, cluster.plaquettes,
-                   cluster.qubits)
-            graph = self._graph_cache.get(key)
-            if graph is None:
-                graph = reweight_graph(self.base.graph, cluster)
-                self._graph_cache[key] = graph
-            return graph
-        key = ("model", round(est.position[0] * 2) / 2,
-               round(est.position[1] * 2) / 2, est.onset_round,
-               round(est.amplitude, 2))
-        graph = self._graph_cache.get(key)
-        if graph is None:
-            graph = model_reweighted_graph(
-                self.base.graph, est, self._geometry,
-                intrinsic_edge_prob=self.intrinsic_edge_prob)
-            self._graph_cache[key] = graph
-        return graph
+            return reweight_graph(self.base.graph, cluster)
+        return model_reweighted_graph(
+            self.base.graph, est, geometry,
+            intrinsic_edge_prob=self.intrinsic_edge_prob)

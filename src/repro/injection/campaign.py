@@ -59,7 +59,7 @@ from .adaptive import AdaptivePolicy
 from .results import (SIM_BLOCK, ZERO_PRIOR, ChunkResult, InjectionResult,
                       ResultSet)
 from .spec import ArchSpec, CodeSpec, InjectionTask, build_arch, build_experiment
-from .store import CampaignStore, task_key
+from .store import CampaignStore
 
 #: Default chunk (checkpoint / adaptive-decision) granularity, in shots.
 #: Rounded up to a whole number of blocks.
@@ -422,27 +422,6 @@ def run_task(task: InjectionTask,
     return scheduler.run([task], priors=[prior])[0]
 
 
-def _replay_prior(store: CampaignStore, key: str,
-                  adaptive: Optional[AdaptivePolicy],
-                  task: InjectionTask) -> Tuple:
-    """The resumable prior for one point, policy decisions replayed.
-
-    Without a policy this is :meth:`CampaignStore.partial`.  With one,
-    a :class:`~repro.parallel.plan.TaskPlan` replays the banked chunks,
-    so the prior ends exactly where an uninterrupted adaptive run would
-    have stopped.
-    """
-    if adaptive is None:
-        return store.partial(key)
-    banked = store.chunks_for(key)
-    if not banked:
-        return ZERO_PRIOR
-    from ..parallel import TaskPlan
-
-    return TaskPlan(0, task, ZERO_PRIOR, DEFAULT_CHUNK_SHOTS, adaptive,
-                    banked=banked).prior()
-
-
 def _reusable(banked: Optional[InjectionResult],
               adaptive: Optional[AdaptivePolicy]) -> bool:
     """Is a stored completed result valid for the *current* run mode?
@@ -596,32 +575,21 @@ class Campaign:
 
     def _run(self, mon, chunk_shots, adaptive, resume, backend, recovery,
              workers, sampler, decoder) -> ResultSet:
-        from ..parallel import (WorkStealingScheduler, absorb_stale_shards,
-                                default_workers)
+        from ..parallel import WorkStealingScheduler, default_workers
 
         seeded = self._seeded(backend, recovery, sampler, decoder)
         store = CampaignStore.coerce(resume)
         if workers is None:
             workers = default_workers(self.workers)
-        if store is not None:
-            # A crashed parallel run leaves per-worker shards next to
-            # the store; fold them in before computing priors —
-            # whatever worker count this resume runs at — so no
-            # completed chunk is ever re-sampled.
-            absorb_stale_shards(store)
         results: List[Optional[InjectionResult]] = [None] * len(seeded)
-        todo: List[int] = []
-        priors: List[Tuple] = []
-        for i, t in enumerate(seeded):
-            prior = ZERO_PRIOR
-            if store is not None:
+        if store is not None:
+            for i, t in enumerate(seeded):
                 banked = store.result_for(t)
                 if _reusable(banked, adaptive):
                     results[i] = banked
-                    continue
-                prior = _replay_prior(store, task_key(t), adaptive, t)
-            todo.append(i)
-            priors.append(prior)
+        # Everything else runs; the scheduler resumes each point from
+        # the chunks the store holds for it.
+        todo = [i for i, result in enumerate(results) if result is None]
 
         if mon is not None:
             mon.begin_campaign(
@@ -635,6 +603,6 @@ class Campaign:
             int(workers), chunk_shots=chunk_shots, adaptive=adaptive,
             store=store)
         for i, result in zip(todo, scheduler.run(
-                [seeded[i] for i in todo], priors=priors)):
+                [seeded[i] for i in todo])):
             results[i] = result
         return ResultSet(results)

@@ -14,6 +14,15 @@ with the same policy).
 The format is deliberately dumb: one self-describing JSON object per
 line, tolerant of a torn final line after a crash, diffable, and
 mergeable with ``cat``.
+
+One writer per run: records are appended only by the process that owns
+a point's :class:`~repro.parallel.plan.TaskPlan` (the scheduler's
+parent process, or the service head), each chunk as the plan's
+frontier advances over it and flushed at once — so the file holds, per
+point, the canonical prefix that was banked, in stream order, and a
+hard kill loses only chunks that had not reached the frontier.
+Workers and remote runners never open the store.  Combining the
+stores of several hosts is :meth:`CampaignStore.merge`.
 """
 
 from __future__ import annotations
@@ -455,24 +464,6 @@ class CampaignStore:
                 rec = chunks[ref] if kind == "chunk" else done[ref]
                 fh.write(json.dumps(rec, sort_keys=True, default=str) + "\n")
         os.replace(tmp_path, out_path)
-        return stats
-
-    def absorb_shards(self, shard_paths: Sequence[Union[str, os.PathLike]]
-                      ) -> Dict[str, int]:
-        """Merge per-worker shards into this store, in place.
-
-        The parallel scheduler's end-of-campaign (and stale-shard
-        recovery) path: closes the append handle, runs :meth:`merge`
-        with this store as the implicit first input, then reloads the
-        in-memory indexes from the merged file so the object keeps
-        working for resume queries afterwards.  Returns merge stats.
-        """
-        self.close()
-        stats = CampaignStore.merge(self.path, shard_paths)
-        self._chunks.clear()
-        self._done.clear()
-        if os.path.exists(self.path):
-            self._load()
         return stats
 
     def close(self) -> None:

@@ -5,8 +5,9 @@ chunk is banked through :class:`TaskPlan`.  With one effective worker
 (``workers=1``, or a plan of a single lease) the scheduler drains the
 plans in its own process; otherwise it spreads the canonical
 simulation blocks across worker processes by priority and work
-stealing, with per-worker JSONL store shards and crash tolerance.
-Counts and adaptive stop shots are bit-identical either way.  Reached
+stealing, with crash tolerance.  Workers only compute: the process
+that owns the plans is the store's single writer.  Counts and
+adaptive stop shots are bit-identical either way.  Reached
 through ``Campaign.run(workers=N)``, the sweep-spec ``"workers"`` key
 and ``-j/--workers N`` on every campaign-running command; with none of
 them, :func:`default_workers` (``REPRO_WORKERS``, else the CPU count)
@@ -14,19 +15,17 @@ decides.
 """
 
 from .plan import ChunkLease, TaskPlan, plan_leases
-from .scheduler import (WorkStealingScheduler, absorb_stale_shards,
-                        default_workers, lease_run_size)
-from .worker import execute_lease, shard_path, worker_main
+from .scheduler import (WorkStealingScheduler, default_workers,
+                        lease_run_size)
+from .worker import execute_lease, worker_main
 
 __all__ = [
     "ChunkLease",
     "TaskPlan",
     "WorkStealingScheduler",
-    "absorb_stale_shards",
     "default_workers",
     "execute_lease",
     "lease_run_size",
     "plan_leases",
-    "shard_path",
     "worker_main",
 ]

@@ -1,4 +1,5 @@
-"""Deterministic chunk planning and watermark aggregation.
+"""Deterministic chunk planning, watermark aggregation, and the store
+write path.
 
 The scheduler never hands a worker anything but a :class:`ChunkLease` —
 a ``[start, start + shots)`` slice of one task's canonical block
@@ -6,7 +7,7 @@ stream.  Because every block is seeded from the task seed by its block
 index alone (:func:`repro.util.rng.block_seed`), a lease's counts are a
 pure function of ``(task, start, shots)``: it does not matter which
 worker runs it, when, or how many times (a re-run after a crash is
-bit-identical, so duplicates merge away).
+bit-identical, so duplicates are discarded on arrival).
 
 :class:`TaskPlan` owns the other half of the determinism contract: it
 aggregates completed leases into a *contiguous frontier* and evaluates
@@ -15,6 +16,12 @@ watermark, with the cumulative counts **at exactly that watermark**.
 Leases are pre-split so none straddles a watermark, so those prefix
 counts — and therefore the stop shot — are identical for one worker or
 many, whatever order results arrive in.
+
+It is also the store's only writer: the process that owns a point's
+plan appends each chunk as the frontier advances over it and the done
+record when the plan completes, so a store holds, per point, exactly
+the canonical prefix its plans folded — in stream order, no
+speculative past-stop chunk, no requeue duplicate.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from ..injection.adaptive import AdaptivePolicy
 from ..injection.results import (SIM_BLOCK, ChunkResult, ChunkTally,
                                  InjectionResult)
 from ..injection.spec import InjectionTask
+from ..injection.store import CampaignStore
 from ..rare.stats import WeightStats
 
 #: Counts tuple banked per task before the run (store resume):
@@ -86,17 +94,26 @@ class TaskPlan(ChunkTally):
     adaptive policy at each watermark the frontier reaches, truncating
     the plan when the point resolves early.  ``banked`` — a store's
     chunks for the point, in start order — is replayed on top of
-    ``prior`` before the remainder is planned.
+    ``prior`` before the remainder is planned.  With a ``store`` (and
+    the point's ``key`` in it) ``banked`` is read from it, every chunk
+    the frontier then advances over is appended to it, and so is the
+    done record once the plan completes.
     """
 
     def __init__(self, index: int, task: InjectionTask, prior: Prior,
                  chunk_shots: int,
                  adaptive: Optional[AdaptivePolicy],
-                 banked: Iterable[ChunkResult] = ()) -> None:
+                 banked: Iterable[ChunkResult] = (),
+                 store: Optional[CampaignStore] = None,
+                 key: Optional[str] = None) -> None:
         super().__init__(prior, weighted=task.sampler.weighted)
         self.index = index
         self.task = task
         self.adaptive = adaptive
+        self.store = store
+        self.key = key
+        if store is not None:
+            banked = store.chunks_for(key)
         self.target = (adaptive.ceiling(task.shots) if adaptive
                        else task.shots)
         self.stopped = False
@@ -114,6 +131,9 @@ class TaskPlan(ChunkTally):
         self.pending.extend(plan_leases(
             index, self.shots, self.target, chunk_shots, adaptive,
             task.shots))
+        # Banked chunks that already complete the point (a run killed
+        # between its last chunk and its done record).
+        self._mark_if_done()
 
     # -- scheduling views ---------------------------------------------
     @property
@@ -128,7 +148,9 @@ class TaskPlan(ChunkTally):
 
     @property
     def done(self) -> bool:
-        return self.shots >= self.target and not self.leased
+        """The frontier has reached the target (a requeued duplicate
+        may still be running somewhere; its result is discarded)."""
+        return self.shots >= self.target
 
     def take(self, max_leases: int) -> List[ChunkLease]:
         """Lease up to ``max_leases`` pending chunks (front first, so a
@@ -157,6 +179,12 @@ class TaskPlan(ChunkTally):
         or a speculative in-flight chunk finishing after the stop
         decision) are discarded — counts stay a function of the
         canonical prefix ``[0, stop)`` alone.
+
+        A chunk reaches the store when the frontier folds it, not when
+        it arrives: one that completed ahead of a gap waits in memory,
+        and a stop decision short of it drops it unwritten.  (A kill
+        loses the waiting ones; a resume could not have used them —
+        :meth:`_replay` ends at the first gap.)
         """
         self.leased.pop(chunk.start, None)
         if chunk.start in self._completed or chunk.start < self.shots \
@@ -164,9 +192,21 @@ class TaskPlan(ChunkTally):
             return False
         self._completed[chunk.start] = chunk
         while self.shots in self._completed:
-            self.add(self._completed.pop(self.shots))
+            ready = self._completed.pop(self.shots)
+            if self.store is not None:
+                self.store.append_chunk(self.key, ready)
+            self.add(ready)
             self._decide()
+        self._mark_if_done()
         return True
+
+    def _mark_if_done(self) -> None:
+        """Write the point's done record if the plan is complete.  Runs
+        after construction and after each accepted chunk — the only
+        moments the frontier or the target move — so the record is
+        written once."""
+        if self.store is not None and self.done:
+            self.store.mark_done(self.key, self.result())
 
     def _replay(self, banked: Iterable[ChunkResult]) -> None:
         """Advance the frontier over a store's banked chunks (given in
@@ -175,13 +215,12 @@ class TaskPlan(ChunkTally):
         Policy decisions are re-evaluated at each watermark, so the
         frontier ends exactly where an uninterrupted run would have
         stopped — a store may legitimately hold chunks *past* that
-        point (a parallel worker's speculative in-flight leases land in
-        its shard before the stop decision; a fixed-budget run banks
-        the whole budget) and they must not drag the resumed stop shot
-        forward.  A banked chunk that straddles an undecided watermark
-        (coarser ``chunk_shots`` than the decision grid) is not
-        consumed: its counts at the watermark are unrecoverable, so the
-        run re-samples from the last aligned boundary instead —
+        point (a fixed-budget run banks the whole budget; a looser
+        policy stops later) and they must not drag the resumed stop
+        shot forward.  A banked chunk that straddles an undecided
+        watermark (coarser ``chunk_shots`` than the decision grid) is
+        not consumed: its counts at the watermark are unrecoverable, so
+        the run re-samples from the last aligned boundary instead —
         canonical blocks make the re-run bit-identical.  Neither is a
         chunk ending off the block grid short of the target, nor
         anything after a gap or overlap.
@@ -228,9 +267,6 @@ class TaskPlan(ChunkTally):
         self._completed.clear()
         # In-flight leases stay in ``leased`` until their (discarded)
         # results or their worker's death accounts for them.
-        for start in [s for s, lease in self.leased.items()
-                      if lease.start >= self.target]:
-            del self.leased[start]
 
     def result(self) -> InjectionResult:
         """The point's final, order-independent aggregate (swap counts

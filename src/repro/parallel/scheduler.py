@@ -29,22 +29,19 @@ intact:
   worker dies (or none can be started), the remaining leases finish
   through that same in-process drain.
   Requeued chunks may execute twice; canonical block seeding makes the
-  re-run bit-identical, and the store's ``(key, start)`` dedup folds
-  the duplicates away.
-* **Deterministic sharded aggregation** — each worker appends finished
-  chunks to its own JSONL shard (no write contention, crash-durable)
-  while the results queue feeds the same counts back as the global
-  aggregation channel.  Adaptive stop decisions are made only at
-  shots-completed watermarks over the contiguous frontier
-  (:class:`~repro.parallel.plan.TaskPlan`), never on worker arrival
-  order, so final counts and stop shots are bit-identical for
-  ``workers=1|2|4``.  Shards are merged into the main store through
-  :meth:`CampaignStore.merge` when the campaign ends.
+  re-run bit-identical, and the plan discards the duplicate on arrival.
+* **Deterministic aggregation, one writer** — workers only compute:
+  every chunk comes back over the results queue and is banked by this
+  process through the point's :class:`~repro.parallel.plan.TaskPlan`,
+  which is also what writes it to the store.  Adaptive stop decisions
+  are made only at shots-completed watermarks over the contiguous
+  frontier, never on worker arrival order, so final counts and stop
+  shots are bit-identical for ``workers=1|2|4`` — and a hard kill of
+  this process loses only chunks that had not yet joined a frontier.
 """
 
 from __future__ import annotations
 
-import glob
 import heapq
 import multiprocessing as mp
 import os
@@ -64,7 +61,7 @@ from ..injection.spec import InjectionTask
 from ..injection.store import CampaignStore, task_key
 from . import worker
 from .plan import ChunkLease, Prior, TaskPlan
-from .worker import shard_path, worker_main
+from .worker import worker_main
 
 #: Chunks buffered inside a worker process (in its inbox) at any time.
 #: Enough to hide the queue round-trip behind compute; small enough
@@ -133,25 +130,6 @@ def lease_run_size(pending: int, alive: int, chunk_shots: int,
     return max(1, min(LEASE_RUN_CAP, fair, desired))
 
 
-def absorb_stale_shards(store: CampaignStore) -> Optional[Dict[str, int]]:
-    """Fold leftover per-worker shards (an interrupted parallel run)
-    into ``store`` so a resume sees every chunk that actually ran."""
-    paths = sorted(glob.glob(glob.escape(store.path) + ".shard-*"))
-    if not paths:
-        return None
-    warnings.warn(
-        f"absorbing {len(paths)} leftover worker shard(s) from an "
-        f"interrupted parallel run into {store.path!r}",
-        RuntimeWarning, stacklevel=2)
-    obs.event("scheduler.stale_shards",
-              f"absorbing {len(paths)} leftover shard(s)",
-              store=store.path, shards=len(paths))
-    stats = store.absorb_shards(paths)
-    for path in paths:
-        os.unlink(path)
-    return stats
-
-
 def _mp_context():
     """Prefer fork (fast spawn, inherited imports); fall back cleanly."""
     methods = mp.get_all_start_methods()
@@ -184,47 +162,37 @@ class WorkStealingScheduler:
     # -- public entry --------------------------------------------------
     def run(self, tasks: List[InjectionTask],
             priors: Optional[List[Prior]] = None) -> List[InjectionResult]:
+        """Run ``tasks`` to completion.  With a store, each point
+        resumes from the chunks banked under its key (replayed on top
+        of its prior) and every new chunk is checkpointed there."""
         if priors is None:
             priors = [ZERO_PRIOR] * len(tasks)
-        plans = [TaskPlan(i, task, prior, self.chunk_shots, self.adaptive)
+        store = self.store
+        plans = [TaskPlan(i, task, prior, self.chunk_shots, self.adaptive,
+                          store=store,
+                          key=None if store is None else task_key(task))
                  for i, (task, prior) in enumerate(zip(tasks, priors))]
         self._plans = plans
-        self._keys = [task_key(t) for t in tasks] \
-            if self.store is not None else [None] * len(tasks)
-        self._finalized = [plan.done for plan in plans]
         for plan in plans:
             if plan.done:
-                self._mark_done(plan)
+                self._report_done(plan)
         total_leases = sum(len(p.pending) for p in plans)
         if min(self.requested_workers, total_leases) > 1:
             self._execute(plans, total_leases)
         else:
             # One effective worker: a process fleet would only add
-            # fork, queue and shard-merge cost (and hide the work from
-            # the parent's profiler).
+            # fork and queue cost (and hide the work from the parent's
+            # profiler).
             self._drain(plans)
         return [plan.result() for plan in plans]
 
-    # -- store plumbing ------------------------------------------------
-    def _mark_done(self, plan: TaskPlan) -> None:
-        self._finalized[plan.index] = True
-        if self.store is not None:
-            self.store.mark_done(self._keys[plan.index], plan.result())
+    @staticmethod
+    def _report_done(plan: TaskPlan) -> None:
         mon = obs.active()
         if mon is not None:
             mon.task_done(plan.task, plan.shots, plan.errors,
                           target=plan.target)
             mon.tick()
-
-    def _absorb_shards(self, worker_ids) -> None:
-        if self.store is None:
-            return
-        paths = [shard_path(self.store.path, w) for w in worker_ids]
-        paths = [p for p in paths if os.path.exists(p)]
-        if paths:
-            self.store.absorb_shards(paths)
-            for path in paths:
-                os.unlink(path)
 
     # -- the scheduling loop -------------------------------------------
     def _execute(self, plans: List[TaskPlan], total_leases: int) -> None:
@@ -233,13 +201,12 @@ class WorkStealingScheduler:
         results_q = ctx.Queue()
         workers: Dict[int, Tuple[object, object]] = {}  # wid -> (proc, inbox)
         tasks = [plan.task for plan in plans]
-        store_path = self.store.path if self.store is not None else None
         # Graceful shutdown: a SIGTERM (service stop, batch-system
         # preemption) becomes a KeyboardInterrupt so it unwinds through
-        # the same finally as Ctrl+C — workers drained, shards absorbed
-        # — instead of killing the parent with shards on disk (the
-        # stale-shard recovery path).  Only installable from the main
-        # thread; elsewhere SIGTERM keeps its default meaning.
+        # the same finally as Ctrl+C — leases requeued, workers told to
+        # exit and joined — instead of killing the parent outright.
+        # Only installable from the main thread; elsewhere SIGTERM
+        # keeps its default meaning.
         previous_term = None
         if threading.current_thread() is threading.main_thread():
 
@@ -253,7 +220,7 @@ class WorkStealingScheduler:
                 inbox = ctx.Queue()
                 proc = ctx.Process(
                     target=worker_main,
-                    args=(wid, tasks, store_path, inbox, results_q),
+                    args=(wid, tasks, inbox, results_q),
                     daemon=True)
                 try:
                     proc.start()
@@ -283,7 +250,8 @@ class WorkStealingScheduler:
             for wid in list(self._alive):
                 self._pump(wid, workers)
             failure: Optional[Tuple[InjectionTask, str]] = None
-            while not all(self._finalized) and failure is None:
+            while failure is None \
+                    and not all(plan.done for plan in plans):
                 try:
                     message = results_q.get(timeout=0.25)
                 except queue.Empty:
@@ -313,10 +281,10 @@ class WorkStealingScheduler:
                     f"worker:\n{tb}")
         except KeyboardInterrupt:
             # Requeue every lease still on a deque or in flight (parent
-            # bookkeeping so the plans' pending state is honest), count
-            # what the interrupt abandoned, and let the finally drain
-            # workers + absorb their shards: every chunk that actually
-            # ran reaches the store, and the resume is warning-free.
+            # bookkeeping so the plans' pending state is honest) and
+            # count what the interrupt abandoned.  Every chunk banked
+            # so far is already in the store; the finally stops the
+            # workers.
             requeued = 0
             for wid in getattr(self, "_inflight", {}):
                 leases = list(self._inflight[wid].values()) \
@@ -328,22 +296,21 @@ class WorkStealingScheduler:
                                     reverse=True):
                     self._plans[lease.task_index].give_back(lease)
                     requeued += 1
-            done = sum(1 for f in self._finalized if f)
+            done = sum(plan.done for plan in plans)
             warnings.warn(
                 f"campaign interrupted: {done}/{len(plans)} point(s) "
-                f"complete, {requeued} leased chunk(s) requeued; worker "
-                f"shards absorbed — rerun with the same store to "
-                f"resume", RuntimeWarning, stacklevel=2)
+                f"complete, {requeued} leased chunk(s) requeued; banked "
+                f"chunks are checkpointed — rerun with the same store "
+                f"to resume", RuntimeWarning, stacklevel=2)
             _OBS_REQUEUED.inc(requeued)
             obs.event("scheduler.interrupted",
                       f"interrupt: {done}/{len(plans)} point(s) done, "
-                      f"{requeued} lease(s) requeued, shards absorbed",
+                      f"{requeued} lease(s) requeued",
                       points_done=done, points_total=len(plans),
                       requeued=requeued)
             raise
         finally:
             self._shutdown(workers)
-            self._absorb_shards(list(workers))
             if previous_term is not None:
                 signal.signal(signal.SIGTERM, previous_term)
 
@@ -383,11 +350,11 @@ class WorkStealingScheduler:
                     dq.remove(lease)
 
     def _bank(self, plan: TaskPlan, chunk: ChunkResult) -> None:
-        """Fold one finished chunk into its plan, report progress, and
-        finalize the point when that completes it — the one arrival
-        path, whichever process ran the chunk."""
+        """Fold one finished chunk into its plan — which checkpoints it
+        — and report progress: the one arrival path, whichever process
+        ran the chunk."""
         with obs.span("aggregate"):
-            plan.record(chunk)
+            accepted = plan.record(chunk)
         mon = obs.active()
         if mon is not None:
             stats = plan.weight_stats()
@@ -398,8 +365,8 @@ class WorkStealingScheduler:
             mon.task_progress(plan.task, plan.shots, plan.errors,
                               plan.target, stats)
             mon.tick()
-        if plan.done and not self._finalized[plan.index]:
-            self._mark_done(plan)
+        if accepted and plan.done:
+            self._report_done(plan)
 
     def _pump(self, wid: int, workers) -> None:
         """Keep ``wid``'s pipeline full from its deque, refilling or
@@ -490,9 +457,8 @@ class WorkStealingScheduler:
         self._drain(plans)
 
     def _drain(self, plans: List[TaskPlan]) -> None:
-        """Run every remaining lease in this process, in task order,
-        streaming each chunk to the store before it is banked (a kill
-        mid-point loses at most one chunk of work)."""
+        """Run every remaining lease in this process, in task order (a
+        kill mid-point loses at most the chunk being run)."""
         for plan in plans:
             # Reclaim leases stranded in dead workers' pipelines
             # (descending, so appendleft restores ascending order).
@@ -504,13 +470,8 @@ class WorkStealingScheduler:
                 lease = plan.pending.popleft()
                 # Through the module, so a wrapper installed on
                 # ``worker.execute_lease`` (the e2e tracer) sees it.
-                chunk = worker.execute_lease(plan.task, lease.start,
-                                             lease.shots)
-                if self.store is not None:
-                    self.store.append_chunk(self._keys[plan.index], chunk)
-                self._bank(plan, chunk)
-            if plan.done and not self._finalized[plan.index]:
-                self._mark_done(plan)
+                self._bank(plan, worker.execute_lease(
+                    plan.task, lease.start, lease.shots))
 
     def _shutdown(self, workers) -> None:
         for wid, (proc, inbox) in workers.items():

@@ -1,35 +1,29 @@
 """Worker-process side of the work-stealing campaign scheduler.
 
-Each worker owns one inbox queue (scheduler → worker), shares one
-results queue (workers → scheduler), and — when the campaign is
-checkpointed — one private JSONL shard of the campaign store.  A worker
-only ever sees :class:`~repro.parallel.plan.ChunkLease` messages: it
-executes the lease through the exact same :func:`execute_lease` call
-the scheduler's in-process drain uses (so counts are bit-identical by
-construction),
-appends the finished chunk to its shard for crash durability, then
-reports the counts upstream as the scheduler's feedback channel for
-globally-aggregated adaptive stop decisions.
-
-Shards exist so that *no completed work is lost to a dead process*:
-the scheduler merges them into the main store afterwards through
-:meth:`CampaignStore.merge`, whose ``(key, start)`` dedup makes
-re-runs of requeued chunks (bit-identical by the canonical-block
-contract) collapse back into one record.
+Each worker owns one inbox queue (scheduler → worker) and shares one
+results queue (workers → scheduler).  A worker only ever sees
+:class:`~repro.parallel.plan.ChunkLease` messages: it executes the
+lease through the exact same :func:`execute_lease` call the
+scheduler's in-process drain uses (so counts are bit-identical by
+construction) and reports the finished chunk upstream.  That is all a
+worker does — it holds no store handle and writes no file; the
+scheduler process, which owns the plans, banks and checkpoints every
+chunk.  A worker whose scheduler has died exits on its own.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
+import queue
 import signal
 import traceback
-from typing import Dict, List, Optional
+from typing import List
 
 from .. import obs
 from ..injection.campaign import iter_task_chunks
 from ..injection.results import ChunkResult
 from ..injection.spec import InjectionTask
-from ..injection.store import CampaignStore, task_key
 
 #: Test-only crash injection: a worker whose id matches
 #: ``REPRO_TEST_CRASH_WORKER`` SIGKILLs itself after completing
@@ -38,10 +32,10 @@ from ..injection.store import CampaignStore, task_key
 CRASH_WORKER_ENV = "REPRO_TEST_CRASH_WORKER"
 CRASH_AFTER_ENV = "REPRO_TEST_CRASH_AFTER"
 
-
-def shard_path(store_path: str, worker_id: int) -> str:
-    """The JSONL shard worker ``worker_id`` appends chunks to."""
-    return f"{store_path}.shard-{worker_id}"
+#: How long an idle worker waits on its inbox between checks that its
+#: scheduler is still alive.  A forked worker inherits the write end
+#: of its own inbox, so a dead parent never shows up as EOF.
+PARENT_POLL_S = 1.0
 
 
 def execute_lease(task: InjectionTask, start: int, shots: int
@@ -65,7 +59,7 @@ def _maybe_crash(worker_id: int, completed: int) -> None:
 
 
 def worker_main(worker_id: int, tasks: List[InjectionTask],
-                store_path: Optional[str], inbox, results) -> None:
+                inbox, results) -> None:
     """Process entry point: drain leases until told to exit.
 
     Messages in: ``("chunk", task_index, start, shots)`` /
@@ -81,34 +75,34 @@ def worker_main(worker_id: int, tasks: List[InjectionTask],
     inheritance never leaks parent counts): the scheduler merges per
     worker by replacement, making the transport idempotent — a lost or
     reordered message can never double-count.
+
+    The scheduler's death (a SIGKILL skips its shutdown) is noticed by
+    the parent pid changing, checked before every lease: the worker
+    drops what is left in its pipeline and returns.
     """
     obs.reset()
-    shard: Optional[CampaignStore] = None
-    if store_path is not None:
-        shard = CampaignStore(shard_path(store_path, worker_id))
-    keys: Dict[int, str] = {}
+    # The pid recorded when the scheduler created this process, not
+    # getppid() now: the scheduler may already be gone.
+    scheduler_pid = mp.parent_process().pid
     completed = 0
-    try:
-        while True:
-            message = inbox.get()
-            if message[0] == "exit":
-                return
-            _, task_index, start, shots = message
-            task = tasks[task_index]
-            try:
-                chunk = execute_lease(task, start, shots)
-            except Exception:
-                results.put(("error", worker_id, task_index, start, shots,
-                             traceback.format_exc()))
-                continue
-            if shard is not None:
-                if task_index not in keys:
-                    keys[task_index] = task_key(task)
-                shard.append_chunk(keys[task_index], chunk)
-            results.put(("chunk", worker_id, task_index, chunk.to_row(),
-                         obs.registry().snapshot()))
-            completed += 1
-            _maybe_crash(worker_id, completed)
-    finally:
-        if shard is not None:
-            shard.close()
+    while os.getppid() == scheduler_pid:
+        try:
+            message = inbox.get(timeout=PARENT_POLL_S)
+        except queue.Empty:
+            continue
+        if message[0] == "exit":
+            return
+        _, task_index, start, shots = message
+        try:
+            chunk = execute_lease(tasks[task_index], start, shots)
+        except Exception:
+            results.put(("error", worker_id, task_index, start, shots,
+                         traceback.format_exc()))
+            continue
+        results.put(("chunk", worker_id, task_index, chunk.to_row(),
+                     obs.registry().snapshot()))
+        completed += 1
+        _maybe_crash(worker_id, completed)
+    # Nobody will ever read the results pipe again: do not let the
+    # queue's feeder thread hold up interpreter exit on it.
+    results.cancel_join_thread()

@@ -16,8 +16,8 @@ as the system of record and simulates **only on cache miss**:
 * :mod:`repro.service.server` — the asyncio JSON-over-HTTP front end
   (stdlib only) plus the in-process local runner pool.
 * :mod:`repro.service.runner` — the pull-based runner loop: a second
-  host leases slices over the same HTTP API and returns store-shard
-  chunk rows for absorption (``repro serve --runner URL``).
+  host leases slices over the same HTTP API and returns chunk rows
+  for the head to bank (``repro serve --runner URL``).
 * :mod:`repro.service.client` — the stdlib HTTP client behind
   ``repro submit`` / ``repro status`` (and the runner).
 * :mod:`repro.service.fleet` — ``repro fleet URL...``: poll several

@@ -3,9 +3,10 @@
 The dispatcher is deliberately synchronous and single-threaded: every
 method is called from the server's event loop (or directly from tests),
 so its state transitions are atomic by construction — a slice completes
-and its chunk lands in the shared :class:`~repro.injection.store.
-CampaignStore` in one indivisible step, and two identical submissions
-racing each other can never both miss the in-flight table.
+and its point's plan banks it, checkpointing to the shared
+:class:`~repro.injection.store.CampaignStore`, in one indivisible
+step, and two identical submissions racing each other can never both
+miss the in-flight table.
 
 Traffic splits three ways at submit time, per point:
 
@@ -17,7 +18,7 @@ Traffic splits three ways at submit time, per point:
     task key); the new job subscribes to the existing computation
     instead of duplicating it.
 ``fresh``
-    Remaining shots (the store's resumable partial prefix is banked
+    Remaining shots (the store's chunks for the point are replayed
     first, so even a half-finished point never re-simulates) are
     partitioned into block-aligned slice leases that local pool
     workers and remote pull runners drain through one API.
@@ -33,12 +34,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from .. import obs
 from ..obs import trace
 from ..injection.campaign import DEFAULT_CHUNK_SHOTS, _normalize_chunk
-from ..injection.results import ChunkResult, wilson_interval
+from ..injection.results import ZERO_PRIOR, ChunkResult, wilson_interval
 from ..injection.spec import InjectionTask, task_from_dict
 from ..injection.store import CampaignStore, canonical_task, task_key
 from ..injection.sweep import build_sweep
@@ -127,15 +128,16 @@ class PointState(TaskPlan):
     which is what makes a cached result reusable by *every* later
     request for the same key — so the plan is built with
     ``adaptive=None``.  Slice queue, contiguous frontier, duplicate
-    discard and the weight-fold order are the plan's; this class adds
-    who is waiting, the trace context and the queue clock.
+    discard, the weight-fold order and the store reads and writes are
+    the plan's; this class adds who is waiting, the trace context and
+    the queue clock.
     """
 
-    def __init__(self, key: str, task: InjectionTask, prior: Tuple,
-                 slice_shots: int,
+    def __init__(self, key: str, task: InjectionTask, slice_shots: int,
+                 store: CampaignStore,
                  ctx: Optional[trace.TraceContext] = None) -> None:
-        super().__init__(0, task, prior, slice_shots, None)
-        self.key = key
+        super().__init__(0, task, ZERO_PRIOR, slice_shots, None,
+                         store=store, key=key)
         #: The creating job's point span context — leases derive from
         #: it, so span ids are stable across dispatch topologies.
         self.ctx = ctx
@@ -272,7 +274,14 @@ class Dispatcher:
                 job.pending.add(key)
                 continue
             banked = self.store.result_for(task)
-            if banked is not None and banked.shots >= task.shots:
+            point = None
+            if banked is None or banked.shots < task.shots:
+                point = PointState(key, task, self.slice_shots, self.store,
+                                   ctx=point_ctx)
+            if point is None or point.done:
+                # Done on arrival also when the store held every chunk
+                # but no done record (a head killed in between): the
+                # plan has just written it.
                 job.cache_hits += 1
                 _OBS_CACHE_HITS.inc()
                 if point_ctx is not None:
@@ -281,8 +290,6 @@ class Dispatcher:
                         cache_hit=True)])
                 continue
             job.fresh += 1
-            point = PointState(key, task, self.store.partial(key),
-                               self.slice_shots, ctx=point_ctx)
             point.jobs.add(job_id)
             self.points[key] = point
             job.pending.add(key)
@@ -512,15 +519,16 @@ class Dispatcher:
                  spans: Optional[List[Mapping[str, Any]]] = None,
                  obs_snapshot: Optional[Mapping[str, Any]] = None
                  ) -> Dict[str, object]:
-        """Absorb a finished slice's chunk rows into the store.
+        """Absorb a finished slice's chunk rows into its point's plan.
 
         Idempotent and late-arrival tolerant: a lease that already
         expired (its slice requeued, possibly re-run elsewhere) still
         has its bit-identical chunks accepted — matched by the payload
         ``key`` — if they cover new ground, and discarded silently
-        otherwise.  Acceptance and the store append happen in one
-        synchronous step — the "atomic absorb" contract: a chunk is
-        either fully banked (frontier + JSONL) or not at all.
+        otherwise.  The plan is the store's writer: a chunk is appended
+        in the same synchronous step that folds it into the frontier
+        (one accepted ahead of a gap waits in memory until the gap
+        closes), and the done record when that completes the point.
 
         ``spans`` (completed span summaries from the executing
         process) merge idempotently by span id — a requeued re-run
@@ -561,7 +569,6 @@ class Dispatcher:
         frontier = point.shots
         for chunk in chunks:
             if point.record(chunk):
-                self.store.append_chunk(point.key, chunk)
                 accepted += 1
         self._shots_done += point.shots - frontier
         _OBS_SLICES.inc()
@@ -623,8 +630,8 @@ class Dispatcher:
 
     # -- completion ----------------------------------------------------
     def _finalize(self, point: PointState) -> None:
-        result = point.result()
-        self.store.mark_done(point.key, result)
+        """Retire a completed point (its plan has written the done
+        record) and release the jobs waiting on it."""
         del self.points[point.key]
         _OBS_POINTS_DONE.inc()
         point_dur = time.time() - point.created

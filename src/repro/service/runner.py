@@ -3,7 +3,8 @@
 A runner is the inverse of the server's local pump: it *pulls* slice
 leases over the same HTTP API the pump uses in-process, executes them
 through the engine's canonical block stream, and pushes the resulting
-store-shard chunk rows back for atomic absorption.  Because a chunk's
+chunk rows back; the head alone banks them and writes the store — a
+runner never opens it.  Because a chunk's
 counts are a pure function of ``(task, start, shots)``, a sweep
 finished by three runners on three hosts is bit-identical to the same
 sweep run by the dispatch head alone.

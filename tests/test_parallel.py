@@ -1,11 +1,18 @@
 """Tests for the multiprocess work-stealing campaign scheduler:
-worker-count determinism, watermark-based adaptive stopping, sharded
-store aggregation, and crash tolerance."""
+worker-count determinism, watermark-based adaptive stopping, the
+single-writer store contract, and crash tolerance."""
 
-import glob
+import json
+import os
 import signal
+import subprocess
+import sys
+import time
+import warnings
 
 import pytest
+
+from repro import obs
 
 from repro.injection import (
     SIM_BLOCK,
@@ -18,14 +25,15 @@ from repro.injection import (
     build_sweep,
     run_task,
 )
-from repro.injection.campaign import _replay_prior
 from repro.injection.results import ZERO_PRIOR, ChunkResult
 from repro.injection.store import task_key
-from repro.parallel import (TaskPlan, absorb_stale_shards, default_workers,
-                            plan_leases)
+from repro.parallel import TaskPlan, default_workers, plan_leases
+from repro.parallel.scheduler import WorkStealingScheduler
 from repro.parallel.worker import (CRASH_AFTER_ENV, CRASH_WORKER_ENV,
                                    execute_lease)
 from repro.service.dispatcher import Dispatcher, execute_lease_wire
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def d3_sweep_tasks(backend, shots=1536):
@@ -48,6 +56,33 @@ def mid_rate_tasks(n=3, shots=4096, seed=0):
                           intrinsic_p=0.05, shots=shots, seed=seed,
                           backend="tableau").with_tags(idx=i)
             for i in range(n)]
+
+
+def interrupted_run(campaign, store_path, nth=3, **run_kwargs):
+    """Run ``campaign`` on two workers against ``store_path`` and hit
+    it with a KeyboardInterrupt as its ``nth`` chunk arrives (``nth -
+    1`` have been banked)."""
+    original = WorkStealingScheduler._on_chunk
+    seen = {"chunks": 0}
+
+    def interrupting(self, *args, **kwargs):
+        seen["chunks"] += 1
+        if seen["chunks"] == nth:
+            raise KeyboardInterrupt
+        return original(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WorkStealingScheduler, "_on_chunk", interrupting)
+        with pytest.warns(RuntimeWarning, match="campaign interrupted"):
+            with pytest.raises(KeyboardInterrupt):
+                campaign.run(workers=2, resume=store_path, **run_kwargs)
+
+
+def chunk_records(path):
+    """The chunk records of a store file, in file order."""
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    return [rec for rec in records if rec["kind"] == "chunk"]
 
 
 class TestWorkerCountDeterminism:
@@ -95,6 +130,12 @@ ROUTE_SPEC = {"codes": [["repetition", [3, 1]]], "p_values": [0.05],
               "root_seed": 31}
 #: Stops this point at 3072 shots — three watermarks in.
 ROUTE_POLICY = AdaptivePolicy(rel_halfwidth=0.08)
+
+
+def _replay_prior(store, key, policy, task):
+    """The prior a plan replays out of ``store`` for one point."""
+    return TaskPlan(0, task, ZERO_PRIOR, 2 * SIM_BLOCK, policy,
+                    banked=store.chunks_for(key)).prior()
 
 
 def _run_route(route, task, policy, store):
@@ -259,16 +300,15 @@ class TestShardedStore:
         rs = Campaign(tasks, root_seed=5).run(
             workers=3, resume=CampaignStore(path))
         assert rs.counts() == serial.counts()
-        # shards were merged into the main store and removed
-        assert glob.glob(path + ".shard-*") == []
+        assert os.listdir(tmp_path) == ["store.jsonl"]
         store = CampaignStore(path)
         assert len(store) == 3
         again = Campaign(tasks, root_seed=5).run(workers=3, resume=store)
         assert again.counts() == serial.counts()
 
     def test_serial_resume_reads_parallel_store(self, tmp_path):
-        """Worker-sharded writes merge into the same store format the
-        serial engine reads: switch worker counts freely mid-campaign."""
+        """A forked run writes the same store the in-process engine
+        reads: switch worker counts freely mid-campaign."""
         tasks = mid_rate_tasks(n=4, shots=1536)
         path = str(tmp_path / "store.jsonl")
         Campaign(tasks[:2], root_seed=5).run(
@@ -279,31 +319,67 @@ class TestShardedStore:
         assert resumed.counts() == uninterrupted.counts()
 
     def test_stale_shards_absorbed_on_resume(self, tmp_path):
-        """Chunks stranded in a dead run's worker shard are folded in
-        (not resampled) when the campaign is relaunched."""
+        """A ``.shard-N`` file left behind by an older version is
+        folded in by hand with ``CampaignStore.merge``; its chunks are
+        then reused, not resampled."""
         t = mid_rate_tasks(n=1, shots=1536)[0]
         seeded = Campaign([t], root_seed=5)._seeded()[0]
         path = str(tmp_path / "store.jsonl")
-        from repro.injection.store import task_key
-        from repro.parallel.worker import execute_lease, shard_path
-
-        shard = CampaignStore(shard_path(path, 0))
+        leftover = path + ".shard-0"
+        shard = CampaignStore(leftover)
         shard.append_chunk(task_key(seeded),
                            execute_lease(seeded, 0, SIM_BLOCK))
         shard.close()
-        store = CampaignStore(path)
-        with pytest.warns(RuntimeWarning, match="leftover worker"):
-            rs = Campaign([t], root_seed=5).run(workers=2, resume=store)
-        assert glob.glob(path + ".shard-*") == []
+        CampaignStore.merge(path, [leftover])
+        leases = obs.counter("scheduler.leases")
+        before = leases.value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rs = Campaign([t], root_seed=5).run(workers=2, resume=path)
+        # three 512-shot leases in the point, one of them banked
+        assert leases.value - before == 2
         assert rs.counts() == [run_task(seeded).counts]
+        # the run never looks for shards: the file is the operator's
+        assert sorted(os.listdir(tmp_path)) == ["store.jsonl",
+                                                "store.jsonl.shard-0"]
 
     def test_absorb_stale_shards_noop_without_shards(self, tmp_path):
-        store = CampaignStore(str(tmp_path / "store.jsonl"))
-        assert absorb_stale_shards(store) is None
+        """A forked run, and an interrupted one, leave exactly one file
+        behind: the store."""
+        tasks = mid_rate_tasks(n=2, shots=4096, seed=5)
+        for name in ("finished", "interrupted"):
+            (tmp_path / name).mkdir()
+        Campaign(tasks, root_seed=5).run(
+            workers=2, resume=str(tmp_path / "finished" / "store.jsonl"))
+        interrupted_run(Campaign(tasks, root_seed=5),
+                        str(tmp_path / "interrupted" / "store.jsonl"))
+        for name in ("finished", "interrupted"):
+            assert os.listdir(tmp_path / name) == ["store.jsonl"]
+
+    def test_resumes_store_written_by_previous_version(self, tmp_path):
+        """The record format is unchanged: a store written at the
+        parent commit (a finished point; a second interrupted after 7
+        of its 8 chunks, shards absorbed) resumes here without
+        resampling what it holds."""
+        spec = {"codes": [["repetition", [3, 1]]],
+                "p_values": [0.05, 0.06], "shots": 4096,
+                "backend": "tableau", "sampler": "tilt:2",
+                "root_seed": 31}
+        path = tmp_path / "store.jsonl"
+        with open(os.path.join(DATA, "store_written_by_pr18.jsonl"),
+                  "rb") as fh:
+            path.write_bytes(fh.read())
+        shots = obs.counter("engine.shots").value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            resumed = build_sweep(spec).run(workers=1, resume=str(path))
+        assert obs.counter("engine.shots").value - shots == SIM_BLOCK
+        assert [r.payload for r in resumed] == \
+            [r.payload for r in build_sweep(spec).run(workers=1)]
 
     def test_speculative_chunks_dont_move_adaptive_stop(self, tmp_path):
         """A store may hold chunks *past* the adaptive stop point (a
-        crashed worker's speculative shard writes): resuming must
+        fixed-budget or looser-policy run got further): resuming must
         replay the watermark decisions over the banked prefix and stop
         at the uninterrupted run's stop shot, not at the end of the
         banked data."""
@@ -450,39 +526,19 @@ class TestSweepWorkersKey:
 
 
 class TestGracefulInterrupt:
-    def test_interrupt_absorbs_shards_and_resumes_cleanly(
-            self, tmp_path, monkeypatch):
-        """A KeyboardInterrupt mid-campaign requeues leases, absorbs
-        worker shards, and emits an obs event; the resume needs no
-        stale-shard recovery and finishes bit-identical to serial."""
-        import warnings
-
-        from repro import obs
-        from repro.parallel.scheduler import WorkStealingScheduler
-
+    def test_interrupt_absorbs_shards_and_resumes_cleanly(self, tmp_path):
+        """A KeyboardInterrupt mid-campaign requeues leases and emits
+        an obs event; the chunks banked before it are already in the
+        store, and the resume is warning-free and bit-identical to
+        serial."""
         tasks = mid_rate_tasks(n=2, shots=4096, seed=5)
         serial = Campaign(tasks, root_seed=5).run(workers=1)
         store_path = str(tmp_path / "store.jsonl")
-
-        original = WorkStealingScheduler._on_chunk
-        seen = {"chunks": 0}
-
-        def interrupting(self, *args, **kwargs):
-            seen["chunks"] += 1
-            if seen["chunks"] == 3:
-                raise KeyboardInterrupt
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(WorkStealingScheduler, "_on_chunk",
-                            interrupting)
-        with pytest.warns(RuntimeWarning, match="campaign interrupted"):
-            with pytest.raises(KeyboardInterrupt):
-                Campaign(tasks, root_seed=5).run(
-                    workers=2, resume=store_path)
-        monkeypatch.setattr(WorkStealingScheduler, "_on_chunk",
-                            original)
-        # shards were absorbed, not left for stale-shard recovery
-        assert not glob.glob(store_path + ".shard-*")
+        interrupted_run(Campaign(tasks, root_seed=5), store_path, nth=3)
+        assert os.listdir(tmp_path) == ["store.jsonl"]
+        # each worker starts at the front of its own point, so the two
+        # chunks banked before the interrupt were both folded
+        assert len(chunk_records(store_path)) == 2
         assert obs.registry().snapshot()["events"] \
             .get("scheduler.interrupted", 0) >= 1
         with warnings.catch_warnings(record=True) as caught:
@@ -496,13 +552,8 @@ class TestGracefulInterrupt:
 
     @pytest.mark.slow
     def test_sigterm_unwinds_like_ctrl_c(self, tmp_path):
-        """SIGTERM to a running parallel campaign drains workers and
-        absorbs shards instead of leaving them on disk."""
-        import os
-        import subprocess
-        import sys
-        import time
-
+        """SIGTERM to a running parallel campaign unwinds like Ctrl+C:
+        workers stopped, nothing but the store left on disk."""
         store_path = str(tmp_path / "store.jsonl")
         script = (
             "import sys\n"
@@ -531,4 +582,215 @@ class TestGracefulInterrupt:
         _, stderr = proc.communicate(timeout=60)
         assert proc.returncode == 130, stderr
         assert "campaign interrupted" in stderr
-        assert not glob.glob(store_path + ".shard-*")
+        assert os.listdir(tmp_path) == ["store.jsonl"]
+
+
+#: Two weighted points for the store-contract routes; ROUTE_POLICY stops
+#: both well short of the budget.
+CONTRACT_SPEC = dict(ROUTE_SPEC, p_values=[0.05, 0.06])
+
+
+def assert_store_contract(store_path, results):
+    """Per point, the chunk records tile ``[0, result.shots)`` exactly
+    and sum to the done record; nothing else sits beside the store."""
+    assert os.listdir(os.path.dirname(store_path)) == \
+        [os.path.basename(store_path)]
+    by_key = {}
+    for rec in chunk_records(store_path):
+        first = by_key.setdefault(rec["key"], {}).setdefault(
+            rec["start"], rec)
+        # a duplicate is a re-run of the same canonical blocks
+        rec, first = dict(rec), dict(first)
+        del rec["elapsed_s"], first["elapsed_s"]
+        assert rec == first
+    store = CampaignStore(store_path)
+    assert len(results) == len(store.keys()) == len(by_key)
+    for result in results:
+        key = task_key(result.task)
+        done = store.done_record(key)
+        position = 0
+        for start in sorted(by_key[key]):
+            assert start == position
+            position += by_key[key][start]["shots"]
+        assert position == result.shots == done["shots"]
+        for field, returned in (
+                ("errors", result.errors),
+                ("raw_errors", result.raw_errors),
+                ("corrections", result.corrections_applied)):
+            assert sum(rec[field] for rec in by_key[key].values()) \
+                == done[field] == returned
+
+
+class TestStoreContract:
+    """One writer: whichever route ran a campaign, the store holds the
+    canonical prefix of every point — once — and its done record."""
+
+    @pytest.mark.parametrize("route", [
+        "workers=1", "workers=2", "worker-crash", "interrupt-resume",
+        "adaptive-workers=2", "service-runner-requeue"])
+    def test_chunks_tile_the_result_and_sum_to_done(
+            self, route, tmp_path, monkeypatch):
+        store_path = str(tmp_path / "store.jsonl")
+        campaign = build_sweep(CONTRACT_SPEC)
+        if route == "workers=1":
+            results = campaign.run(workers=1, resume=store_path)
+        elif route == "workers=2":
+            results = campaign.run(workers=2, resume=store_path)
+        elif route == "worker-crash":
+            monkeypatch.setenv(CRASH_WORKER_ENV, "0")
+            monkeypatch.setenv(CRASH_AFTER_ENV, "2")
+            with pytest.warns(RuntimeWarning, match="died .* requeued"):
+                results = campaign.run(workers=2, resume=store_path)
+        elif route == "interrupt-resume":
+            interrupted_run(campaign, store_path, nth=5)
+            results = campaign.run(workers=2, resume=store_path)
+        elif route == "adaptive-workers=2":
+            results = campaign.run(workers=2, resume=store_path,
+                                   adaptive=ROUTE_POLICY)
+            assert all(r.shots < r.task.shots for r in results)
+        else:
+            results = self.serve_with_requeue(store_path)
+        assert_store_contract(store_path, list(results))
+
+    @staticmethod
+    def serve_with_requeue(store_path):
+        """A dispatch-only head drained by a pull runner, after one
+        lease was taken by a runner that never reports back."""
+        from repro.service import CampaignService, ServiceClient
+        from repro.service.runner import run_runner
+
+        service = CampaignService(store_path, port=0, workers=0,
+                                  slice_shots=SIM_BLOCK)
+        service.start_background()
+        try:
+            client = ServiceClient(service.url)
+            job = client.submit(CONTRACT_SPEC)["job"]
+            assert client.lease(runner="crashy", ttl_s=0.01)
+            run_runner(service.url, runner_id="healthy", poll_s=0.05,
+                       idle_timeout_s=1.0)
+            client.wait(job, timeout_s=30)
+            crashes = client.metrics()["counters"][
+                "service.runner_crashes"]
+        finally:
+            service.stop_background()
+        assert crashes >= 1
+        store = CampaignStore(store_path)
+        return [store.result_for(task)
+                for task in build_sweep(CONTRACT_SPEC)._seeded()]
+
+    def test_chunks_complete_but_unmarked_point_is_served(self, tmp_path):
+        """A head killed between a point's last chunk and its done
+        record: the next submission finds the point complete (its plan
+        writes the record) instead of waiting on it forever."""
+        task = build_sweep(ROUTE_SPEC)._seeded()[0]
+        store = CampaignStore(tmp_path / "store.jsonl")
+        for start in range(0, task.shots, 2 * SIM_BLOCK):
+            store.append_chunk(task_key(task),
+                               execute_lease(task, start, 2 * SIM_BLOCK))
+        receipt = Dispatcher(store).submit(ROUTE_SPEC)
+        assert (receipt["state"], receipt["cache_hits"]) == ("done", 1)
+        assert store.result_for(task).payload == run_task(task).payload
+
+
+def _proc_stat(pid):
+    """``(state, ppid)`` of a process from ``/proc``, ``None`` once it
+    is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            # "pid (comm) state ppid ..."; comm may hold spaces
+            state, ppid = fh.read().rpartition(")")[2].split()[:2]
+    except OSError:
+        return None
+    return state, int(ppid)
+
+
+def _alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _children(pid):
+    """Pids of the live (non-zombie) direct children of ``pid``."""
+    stats = {int(entry): _proc_stat(entry)
+             for entry in os.listdir("/proc") if entry.isdigit()}
+    return [child for child, stat in stats.items()
+            if stat is not None and stat[0] != "Z" and stat[1] == pid]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL")
+                    or not os.path.isdir("/proc/self"),
+                    reason="needs SIGKILL and /proc")
+class TestHardKill:
+    """SIGKILL the scheduler process of a two-worker store campaign:
+    no finally runs, nothing is absorbed, nobody tells the workers."""
+
+    #: ~1.5 s of tableau blocks: still running when the kill lands.
+    SPEC = {"codes": [["repetition", [3, 1]]], "p_values": [0.05, 0.06],
+            "shots": 200 * SIM_BLOCK, "backend": "tableau",
+            "root_seed": 5}
+    #: Chunk records on disk before the kill is sent.
+    BANKED_BEFORE_KILL = 16
+
+    @pytest.fixture(scope="class")
+    def killed(self, tmp_path_factory):
+        """Store path and worker pids of a campaign killed mid-run."""
+        workdir = tmp_path_factory.mktemp("hardkill")
+        store_path = str(workdir / "store.jsonl")
+
+        def chunks_on_disk():
+            # in whatever files the run keeps beside its store
+            return sum((workdir / name).read_bytes().count(
+                b'"kind": "chunk"') for name in os.listdir(workdir))
+
+        script = (
+            "from repro.injection import build_sweep\n"
+            f"build_sweep({self.SPEC!r}).run(workers=2, "
+            f"resume={store_path!r})\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [p for p in sys.path if p] + [env.get("PYTHONPATH", "")])
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while proc.poll() is None and time.monotonic() < deadline \
+                    and chunks_on_disk() < self.BANKED_BEFORE_KILL:
+                time.sleep(0.01)
+            workers = _children(proc.pid)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        yield {"store": store_path, "workers": workers,
+               "exit": proc.returncode}
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_orphaned_workers_exit(self, killed):
+        assert killed["exit"] == -signal.SIGKILL
+        assert len(killed["workers"]) == 2
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline \
+                and any(_alive(pid) for pid in killed["workers"]):
+            time.sleep(0.05)
+        assert not [pid for pid in killed["workers"] if _alive(pid)]
+
+    def test_banked_chunks_survive_and_resume_is_exact(self, killed):
+        assert killed["exit"] == -signal.SIGKILL
+        assert os.listdir(os.path.dirname(killed["store"])) == \
+            ["store.jsonl"]
+        banked = chunk_records(killed["store"])
+        assert len(banked) >= self.BANKED_BEFORE_KILL
+        total = sum(t.shots for t in build_sweep(self.SPEC).tasks)
+        shots = obs.counter("engine.shots").value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            resumed = build_sweep(self.SPEC).run(
+                workers=1, resume=killed["store"])
+        # everything the killed run wrote is a contiguous prefix of its
+        # point, so none of it is sampled again
+        assert obs.counter("engine.shots").value - shots == \
+            total - sum(rec["shots"] for rec in banked)
+        assert resumed.counts() == \
+            build_sweep(self.SPEC).run(workers=1).counts()
+        assert_store_contract(killed["store"], list(resumed))

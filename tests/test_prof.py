@@ -129,8 +129,10 @@ class TestProfiler:
         assert blossom["total_s"] <= matcher["total_s"]
         assert "decode/decode.matcher/decode.matcher.blossom" \
             in snap["paths"]
+        # three values each rounded to 1e-6 by the snapshot: up to
+        # 1.5e-6 apart on rounding alone
         assert snap["paths"]["decode/decode.matcher"]["self_s"] \
-            <= matcher["total_s"] - blossom["total_s"] + 1e-6
+            <= matcher["total_s"] - blossom["total_s"] + 2e-6
 
     def test_flame_lines_collapsed_stack_format(self):
         with prof.profile() as p:
