@@ -164,13 +164,87 @@ def test_frames_d5_noisy(benchmark, d5_experiment, d5_noise):
 
 
 def test_frames_compile_overhead(benchmark, d5_experiment, d5_noise):
-    """Reference pass + lowering cost (paid once per campaign task)."""
+    """Reference pass + lowering cost: paid per task on a reference
+    with a random branch, like this one, and once per circuit and site
+    signature otherwise (``test_frames_compile_amortisation``)."""
 
     def run():
         return compile_frame_program(d5_experiment.circuit, d5_noise, rng=1)
 
     program = benchmark(run)
     assert program.num_channels == 2
+
+
+def test_frames_compile_amortisation(benchmark, capsys):
+    """A Fig. 8-shaped sweep on one architecture — 4 strike roots x 4
+    time samples x 3 p of the d=5 repetition memory on the 5x4 mesh, 48
+    points — through the campaign's program resolution: one structure
+    compiled and 48 programs bound, against a fresh compile per point.
+    """
+    from repro import obs
+    from repro.injection import build_sweep
+    from repro.injection.campaign import (
+        _build_noise,
+        _frame_program,
+        _prepared,
+        _structure_cell,
+    )
+    from repro.util.rng import frame_ref_seed
+
+    tasks = build_sweep({
+        "codes": [{"kind": "repetition", "distance": [5, 1]}],
+        "archs": [{"name": "mesh", "args": [5, 4]}],
+        "faults": [{"kind": "radiation", "root_qubit": root,
+                    "time_index": t}
+                   for root in (0, 5, 10, 15) for t in (0, 2, 4, 8)],
+        "p_values": [1e-4, 1e-3, 1e-2], "root_seed": 8})._seeded()
+    t = tasks[0]
+    # The shared circuit is transpiled once, outside the timing.
+    experiment, _, _ = _prepared(t.code, t.rounds, t.basis, t.arch, t.layout,
+                                 t.decoder, t.readout)
+    points = [(task, _build_noise(task, experiment)) for task in tasks]
+    compiles = obs.counter("frames.compiles")
+
+    def memoised():
+        _structure_cell.cache_clear()
+        return [_frame_program(task, experiment, noise)
+                for task, noise in points]
+
+    def per_point():
+        return [compile_frame_program(experiment.circuit, noise,
+                                      rng=frame_ref_seed(task.seed))
+                for task, noise in points]
+
+    def best_s(run):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    fresh_s = best_s(per_point)
+    before = compiles.value
+    programs = benchmark.pedantic(memoised, rounds=3, iterations=1)
+    structures = (compiles.value - before) // 3
+    memo_s = benchmark.stats.stats.min
+    assert len(programs) == len(points) == 48
+    assert all(len(a.ops) == len(b.ops)
+               for a, b in zip(programs, per_point()))
+    bench_report(
+        benchmark, capsys,
+        f"\n[frames] 48-point sweep on one circuit: per-point compile "
+        f"{1e3 * fresh_s / 48:.2f} ms/point, structure + bind "
+        f"{1e3 * memo_s / 48:.2f} ms/point ({fresh_s / memo_s:.1f}x), "
+        f"{structures} structure(s) compiled",
+        points=48, structures_compiled=structures,
+        seconds_per_point=memo_s / 48,
+        per_point_compile_seconds=fresh_s / 48,
+        speedup=fresh_s / memo_s)
+    assert structures == 1
+    bar = bench_bar(5.0, 3.0)
+    assert fresh_s / memo_s >= bar, \
+        f"structure + bind only {fresh_s / memo_s:.1f}x < {bar}x"
 
 
 def test_frames_vs_tableau_speedup(benchmark, d5_experiment, d5_noise,

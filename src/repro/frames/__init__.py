@@ -4,7 +4,10 @@ The fast path for fault-injection campaigns: one noiseless reference
 run of the memory circuit plus per-shot Pauli-frame propagation with 64
 shots packed per ``uint64`` word.
 
-* :func:`compile_frame_program` — reference pass + noise lowering.
+* :func:`compile_frame_program` — reference pass + noise lowering:
+  :func:`frame_structure` (everything probability-free, shareable
+  across noise models with one :func:`site_signature`) followed by
+  :meth:`FrameStructure.bind`.
 * :class:`FrameSimulator` — bit-packed frame propagation.
 * :func:`run_batch_frames` — drop-in counterpart of
   :func:`repro.noise.executor.run_batch_noisy`.
@@ -26,8 +29,11 @@ from .packing import (
 from .program import (
     FrameLoweringError,
     FrameProgram,
+    FrameStructure,
     compile_frame_program,
+    frame_structure,
     fuse_layers,
+    site_signature,
     supports_noise,
 )
 from .simulator import FrameSimulator
@@ -37,14 +43,17 @@ __all__ = [
     "FrameLoweringError",
     "FrameProgram",
     "FrameSimulator",
+    "FrameStructure",
     "bernoulli_words",
     "column_counts",
     "compile_frame_program",
+    "frame_structure",
     "fuse_layers",
     "pack_bool",
     "popcount_words",
     "random_words",
     "run_batch_frames",
+    "site_signature",
     "supports_noise",
     "unpack_words",
     "validate_backend",

@@ -7,10 +7,12 @@ deterministic Clifford memory circuits the campaigns hammer.  A single
 ``rng`` drives the reference pass, the Z-frame initialisation and every
 noise sampler, so a seed fully determines the run.
 
-Campaign code compiles once per task and reuses the program across the
-task's simulation blocks (see :func:`repro.injection.campaign.
-iter_task_chunks`); this module-level helper recompiles per call, which
-is the right trade-off for ad-hoc and test use.
+Campaign code resolves a program once per task — binding it to a
+structure shared by every task on the circuit that fires at the same
+sites, see :func:`repro.injection.campaign._frame_program` — and reuses
+it across the task's simulation blocks; this module-level helper
+recompiles per call, which is the right trade-off for ad-hoc and test
+use.
 """
 
 from __future__ import annotations

@@ -64,15 +64,31 @@ Runs longer than :data:`MAX_DRAW_ROWS` are cut into consecutive draws
 doubles whatever the run length.  Every site carries its draw's run
 id; a program slice that separates a site from its draw fails loudly
 in the executor.
+
+**Structure and binding.**  Everything above depends on the noise
+model only through *which sites fire* — never on how probable they
+are — so compilation is two steps.  :func:`frame_structure` does the
+expensive one: the reference pass, the Z-determinacy of every fault
+reset site, fusion and draw hoisting, over an op list whose probability
+operands hold *site numbers*.  :meth:`FrameStructure.bind` does the
+cheap one: it reads every site's probability off a noise model with
+the same site signature (:func:`site_signature`) and writes them into
+fresh op tuples, sharing every other op — and every index array,
+marked read-only — with all programs bound from the structure.
+:func:`compile_frame_program` is the two composed; a sweep whose
+points share a circuit and differ in strike root, time sample or ``p``
+compiles one structure and binds it per point
+(:func:`repro.injection.campaign._frame_program`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from .. import obs
 from ..circuits import Circuit, GateType
 from ..noise.base import NoiseModel
 from ..noise.depolarizing import DepolarizingNoise
@@ -153,13 +169,27 @@ LOWERABLE_CHANNELS = (DepolarizingNoise, ErasureChannel, RadiationChannel,
                       RadiationBurst)
 
 
+#: Index of the probability operand in each noise op.  In a
+#: :class:`FrameStructure` it holds the op's site number(s) instead.
+_P_SLOT = {OP_DEPOLARIZE: 2, OP_DEPOLARIZE_LAYER: 2, OP_RESET_NOISE: 2,
+           OP_DEPOLARIZE_DRAW: 1}
+
+_OBS_COMPILES = obs.counter("frames.compiles")
+_OBS_BINDS = obs.counter("frames.binds")
+
+
 class FrameLoweringError(ValueError):
     """The circuit/noise pair cannot be lowered to a frame program."""
 
 
 @dataclass
 class FrameProgram:
-    """Compiled frame program: opcodes + reference record + metadata."""
+    """Compiled frame program: opcodes + reference record + metadata.
+
+    Everything but the probability operands of the noise ops is shared
+    with the :attr:`structure` the program was bound from (and so with
+    every other program bound from it): treat it as read-only.
+    """
 
     num_qubits: int
     num_cbits: int
@@ -179,6 +209,10 @@ class FrameProgram:
     num_channels: int = 0
     #: Fused-layer ops in :attr:`ops` (feeds ``frames.fused_ops``).
     fused_ops: int = 0
+    #: The structure the program was bound from, when other noise
+    #: models can be bound to it too; ``None`` when its reference pass
+    #: was seeded, which makes this program all it could ever bind.
+    structure: Optional["FrameStructure"] = None
 
     @property
     def deterministic_reference(self) -> bool:
@@ -196,6 +230,72 @@ class FrameProgram:
                 f"ops={len(self.ops)}, random_measures="
                 f"{len(self.random_cbits)}, reset_sites="
                 f"{self.exact_reset_sites}+{self.twirled_reset_sites}t)")
+
+
+@dataclass(frozen=True, eq=False)
+class FrameStructure:
+    """The part of a frame program every noise model with one site
+    signature shares; :meth:`bind` makes it a :class:`FrameProgram`."""
+
+    num_qubits: int
+    num_cbits: int
+    #: The scheduled op list, with the probability operand of every
+    #: noise op holding its site number(s) — not executable until bound.
+    ops: Tuple[Tuple, ...]
+    #: Positions in :attr:`ops` of the noise ops.
+    noise_ops: Tuple[int, ...]
+    #: Per site, where its probability sits in the noise model's
+    #: concatenated, flattened channel tables (:func:`_site_table`).
+    site_source: np.ndarray
+    #: :func:`site_signature` of the noise model compiled against.
+    signature: Tuple
+    reference_record: np.ndarray
+    random_cbits: Tuple[int, ...]
+    #: Whether the reference pass drew from its rng (a random-branch
+    #: measurement or circuit reset).  If not, the structure is the same
+    #: for every seed and may be bound for any task on the circuit.
+    seeded: bool
+    exact_reset_sites: int
+    twirled_reset_sites: int
+    fused_ops: int
+
+    def bind(self, noise: Optional[NoiseModel]) -> FrameProgram:
+        """The program of ``noise`` on this structure: every site's
+        probability read off ``noise`` and written into fresh op tuples.
+
+        ``noise`` must fire at the sites the structure was compiled
+        for (equal :func:`site_signature`); op for op the result then
+        equals a fresh compile of ``noise``.
+        """
+        tables = _site_tables(noise, self.num_qubits)
+        if tuple(t.key for t in tables) != self.signature:
+            raise ValueError("noise model fires at other sites than the "
+                             "structure was compiled for")
+        ops = list(self.ops)
+        if self.noise_ops:
+            p = np.concatenate(
+                [t.table.ravel() for t in tables])[self.site_source]
+            scalar = p.tolist()
+            for i in self.noise_ops:
+                op = ops[i]
+                slot = _P_SLOT[op[0]]
+                sites = op[slot]
+                ops[i] = op[:slot] + (
+                    p[sites] if isinstance(sites, np.ndarray)
+                    else scalar[sites],) + op[slot + 1:]
+        _OBS_BINDS.inc()
+        return FrameProgram(
+            num_qubits=self.num_qubits,
+            num_cbits=self.num_cbits,
+            ops=ops,
+            reference_record=self.reference_record,
+            random_cbits=self.random_cbits,
+            exact_reset_sites=self.exact_reset_sites,
+            twirled_reset_sites=self.twirled_reset_sites,
+            num_channels=len(self.signature),
+            fused_ops=self.fused_ops,
+            structure=None if self.seeded else self,
+        )
 
 
 #: Smallest group worth a fused rng layer: below this the layer kernel's
@@ -220,7 +320,7 @@ def _emit_group(code: int, group: List[Tuple], out: List[Tuple]) -> None:
     elif code == OP_DEPOLARIZE:
         out.append((OP_DEPOLARIZE_LAYER,
                     np.array([op[1] for op in group], dtype=np.intp),
-                    np.array([op[2] for op in group], dtype=float)))
+                    np.array([op[2] for op in group], dtype=np.intp)))
     elif _QUBIT_ARITY[code] == 1:
         out.append((_LAYER_OF[code],
                     np.array([op[1] for op in group], dtype=np.intp)))
@@ -231,7 +331,8 @@ def _emit_group(code: int, group: List[Tuple], out: List[Tuple]) -> None:
 
 
 def fuse_layers(ops: List[Tuple]) -> List[Tuple]:
-    """Reschedule a scalar op list into fused ``(k, W)`` kernel sweeps.
+    """Reschedule a scalar structure op list (noise ops carrying site
+    numbers) into fused ``(k, W)`` kernel sweeps.
 
     Per-gate execution costs one numpy dispatch per frame row — the
     dominant cost at campaign block sizes, where a row is all of eight
@@ -350,40 +451,40 @@ _RUN_CLOSERS = frozenset({OP_MEASURE, OP_MEASURE_LAYER, OP_RESET,
 def hoist_draws(ops: List[Tuple]) -> List[Tuple]:
     """Split every depolarize site into a shared draw and its apply.
 
-    Walks a (fused) op list and opens a run at each depolarize site not
-    already inside one; the run ends at the next other rng consumer or
-    when :data:`MAX_DRAW_ROWS` would be exceeded.  One
-    ``OP_DEPOLARIZE_DRAW`` carrying the run's per-row probabilities is
-    emitted directly in front of the run's first site, and every site
-    gains ``(run_id, row)`` — its rows in the drawn buffer.  Row order
-    is site order, so the one block draw equals the per-site draws
-    concatenated (module docstring).
+    Walks a (fused) structure op list and opens a run at each
+    depolarize site not already inside one; the run ends at the next
+    other rng consumer or when :data:`MAX_DRAW_ROWS` would be exceeded.
+    One ``OP_DEPOLARIZE_DRAW`` carrying the run's per-row site numbers
+    (probabilities, once bound) is emitted directly in front of the
+    run's first site, and every site gains ``(run_id, row)`` — its rows
+    in the drawn buffer.  Row order is site order, so the one block
+    draw equals the per-site draws concatenated (module docstring).
     """
     out: List[Tuple] = []
     run_id = -1
     draw_at = -1         # index in ``out`` of the open run's draw op
-    ps: List[float] = []
+    rows: List[int] = []   # the open run's site numbers, one per row
 
     def close() -> None:
         nonlocal draw_at
         if draw_at >= 0:
-            out[draw_at] = (OP_DEPOLARIZE_DRAW, np.array(ps, dtype=float),
-                            run_id)
+            out[draw_at] = (OP_DEPOLARIZE_DRAW,
+                            np.array(rows, dtype=np.intp), run_id)
             draw_at = -1
 
     for op in ops:
         code = op[0]
         if code == OP_DEPOLARIZE or code == OP_DEPOLARIZE_LAYER:
-            site_ps = [op[2]] if code == OP_DEPOLARIZE else list(op[2])
-            if draw_at >= 0 and len(ps) + len(site_ps) > MAX_DRAW_ROWS:
+            sites = [op[2]] if code == OP_DEPOLARIZE else op[2].tolist()
+            if draw_at >= 0 and len(rows) + len(sites) > MAX_DRAW_ROWS:
                 close()
             if draw_at < 0:
                 run_id += 1
                 draw_at = len(out)
                 out.append(())   # placeholder, filled by close()
-                ps = []
-            out.append(op + (run_id, len(ps)))
-            ps.extend(site_ps)
+                rows = []
+            out.append(op + (run_id, len(rows)))
+            rows.extend(sites)
         else:
             if code in _RUN_CLOSERS:
                 close()
@@ -399,69 +500,118 @@ def supports_noise(noise: Optional[NoiseModel]) -> bool:
     return all(type(ch) in LOWERABLE_CHANNELS for ch in noise)
 
 
+def _z_indefinite(sim: TableauSimulator, qubit: int) -> bool:
+    """Would measuring ``qubit`` take the random CHP branch (some
+    stabilizer anticommutes with its ``Z``) and draw from the rng?"""
+    tab = sim.tableau
+    return bool(tab.x[tab.n:, qubit].any())
+
+
 def _z_determinate(sim: TableauSimulator, qubit: int) -> Optional[int]:
     """The definite Z value of ``qubit`` in the reference state, or
     ``None`` when a measurement there would take the random branch."""
-    tab = sim.tableau
-    if tab.x[tab.n:, qubit].any():
+    if _z_indefinite(sim, qubit):
         return None
     # Deterministic CHP branch: non-destructive, consumes no randomness.
-    return int(tab.measure(qubit, sim.rng))
+    return int(sim.tableau.measure(qubit, sim.rng))
 
 
-def _lower_channel(channel, gate, sim: TableauSimulator, ops: List[Tuple],
-                   counts: List[int]) -> None:
-    """Append the frame-level ops for one (channel, gate) firing."""
+def _first_row() -> int:
+    return 0
+
+
+class _SiteTable(NamedTuple):
+    """How one channel lowers (see :func:`_site_table`)."""
+
+    #: The op a site of the channel lowers to.
+    code: int
+    #: ``table[r, q]``: probability of the site after a gate on qubit
+    #: ``q`` while row ``r`` is in force; the site exists iff positive.
+    table: np.ndarray
+    #: The channel's part of the :func:`site_signature`.
+    key: Tuple
+    #: The row in force at the channel's current circuit position.
+    row: Callable[[], int]
+
+
+def _site_table(channel, num_qubits: int) -> _SiteTable:
+    """The per-site probabilities of one channel, as a table.
+
+    A burst has one row per temporal sample, every other channel a
+    single row.  ``key`` is the table's support plus whatever else
+    decides the gates the channel fires after.  This is the one place
+    a channel's probabilities are read from — by lowering (which sites
+    exist), by binding (their values) and by the memo key alike.
+    """
+    gating: Tuple = ()
+    row = _first_row
     if type(channel) is DepolarizingNoise:
-        for q in gate.qubits:
-            if channel.qubits is None or q in channel.qubits:
-                ops.append((OP_DEPOLARIZE, q, channel.p))
-        return
-    if type(channel) is ErasureChannel:
-        sites = [(q, channel.probability) for q in gate.qubits
-                 if q in channel.qubits]
+        code = OP_DEPOLARIZE
+        gating = (channel.include_measurements, channel.include_resets)
+        probs = np.full((1, num_qubits), channel.p)
+        if channel.qubits is not None:
+            probs[0, [q for q in range(num_qubits)
+                      if q not in channel.qubits]] = 0.0
+    elif type(channel) is ErasureChannel:
+        code = OP_RESET_NOISE
+        probs = np.zeros((1, num_qubits))
+        probs[0, [q for q in channel.qubits if q < num_qubits]] = \
+            channel.probability
     elif type(channel) is RadiationChannel:
-        sites = [(q, float(channel.probs[q])) for q in gate.qubits
-                 if q < channel.probs.size and channel.probs[q] > 0.0]
+        code = OP_RESET_NOISE
+        probs = channel.probs[None, :]
     elif type(channel) is RadiationBurst:
-        probs = channel.current_probs()
-        sites = ([] if probs is None else
-                 [(q, float(probs[q])) for q in gate.qubits
-                  if q < probs.size and probs[q] > 0.0])
+        code = OP_RESET_NOISE
+        gating = (channel.strike_round, channel.measures_per_round)
+        probs = channel.probs
+        row = channel.current_sample
     else:
         raise FrameLoweringError(
             f"noise channel {type(channel).__name__} has no frame lowering")
-    for q, p in sites:
-        value = _z_determinate(sim, q)
-        ops.append((OP_RESET_NOISE, q, p, value))
-        counts[0 if value is not None else 1] += 1
+    table = np.zeros((probs.shape[0], num_qubits))
+    width = min(num_qubits, probs.shape[1])
+    table[:, :width] = probs[:, :width]
+    key = (type(channel), gating, len(table), (table > 0.0).tobytes())
+    return _SiteTable(code, table, key, row)
 
 
-def compile_frame_program(circuit: Circuit,
-                          noise: Optional[NoiseModel] = None,
-                          rng: Union[np.random.Generator, int, None] = None
-                          ) -> FrameProgram:
-    """Run the reference pass and lower ``noise`` into a frame program.
+def _site_tables(noise: Optional[NoiseModel], num_qubits: int
+                 ) -> List[_SiteTable]:
+    return [] if noise is None else [_site_table(channel, num_qubits)
+                                     for channel in noise]
 
-    ``rng`` seeds the reference pass's random measurement branches (the
-    compiled program embeds that one reference sample, so the same seed
-    always yields the same program).  Raises :class:`FrameLoweringError`
-    if the circuit uses an unsupported gate or the noise model contains
-    a channel without a frame lowering.
-    """
+
+def site_signature(noise: Optional[NoiseModel], num_qubits: int) -> Tuple:
+    """Everything a :class:`FrameStructure` depends on ``noise``
+    through: per channel, its type and the sites it fires at.  Models
+    with equal signatures on one circuit share a structure; hashable."""
+    return tuple(t.key for t in _site_tables(noise, num_qubits))
+
+
+def frame_structure(circuit: Circuit,
+                    noise: Optional[NoiseModel] = None,
+                    rng: Union[np.random.Generator, int, None] = None
+                    ) -> FrameStructure:
+    """Run the reference pass and schedule ``noise``'s sites: the
+    expensive, probability-free half of :func:`compile_frame_program`
+    (same arguments, same errors)."""
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
-    if noise is not None and not supports_noise(noise):
-        bad = [type(ch).__name__ for ch in noise
-               if type(ch) not in LOWERABLE_CHANNELS]
-        raise FrameLoweringError(
-            f"noise channels without a frame lowering: {bad}")
+    n = circuit.num_qubits
+    tables = _site_tables(noise, n)
+    # Per channel: opcode, row(), which table entries are sites, and
+    # where the table starts in the flat concatenation of them all.
+    starts = np.cumsum([0] + [t.table.size for t in tables]).tolist()
+    lowering = [(t.code, t.row, (t.table > 0.0).tolist(), start)
+                for t, start in zip(tables, starts)]
 
-    sim = TableauSimulator(circuit.num_qubits, rng=rng)
+    sim = TableauSimulator(n, rng=rng)
     num_cbits = max(circuit.num_cbits, 1)
     ref = np.zeros(num_cbits, dtype=np.uint8)
     ops: List[Tuple] = []
     random_cbits: List[int] = []
+    random_reset = False
+    site_source: List[int] = []
     reset_counts = [0, 0]  # [exact, twirled]
     if noise is not None:
         noise.begin_run()
@@ -488,11 +638,14 @@ def compile_frame_program(circuit: Circuit,
             sim.apply(gate)
             ops.append((OP_SWAP, gate.qubits[0], gate.qubits[1]))
         elif gt is GateType.RESET:
+            # A reset is measure-then-flip: on a Z-indefinite qubit the
+            # reference draws its outcome, like a random-branch measure.
+            random_reset |= _z_indefinite(sim, gate.qubits[0])
             sim.apply(gate)
             ops.append((OP_RESET, gate.qubits[0]))
         elif gt is GateType.MEASURE:
             a = gate.qubits[0]
-            random_branch = bool(sim.tableau.x[sim.tableau.n:, a].any())
+            random_branch = _z_indefinite(sim, a)
             outcome = sim.apply(gate)
             ref[gate.cbit] = outcome
             if random_branch:
@@ -500,21 +653,60 @@ def compile_frame_program(circuit: Circuit,
             ops.append((OP_MEASURE, a, gate.cbit, int(outcome)))
         else:  # pragma: no cover - the IR has no other gate types
             raise FrameLoweringError(f"unsupported gate type {gt}")
-        if noise is not None:
-            for channel in noise:
-                channel.observe(gate)
-                if channel.triggers_on(gate):
-                    _lower_channel(channel, gate, sim, ops, reset_counts)
+        if noise is None:
+            continue
+        for channel, (code, row, fires, start) in zip(noise, lowering):
+            channel.observe(gate)
+            if not channel.triggers_on(gate):
+                continue
+            r = row()
+            for q in gate.qubits:
+                if not fires[r][q]:
+                    continue
+                site = len(site_source)
+                site_source.append(start + r * n + q)
+                if code == OP_DEPOLARIZE:
+                    ops.append((OP_DEPOLARIZE, q, site))
+                else:
+                    value = _z_determinate(sim, q)
+                    ops.append((OP_RESET_NOISE, q, site, value))
+                    reset_counts[0 if value is not None else 1] += 1
 
     ops = hoist_draws(fuse_layers(ops))
-    return FrameProgram(
-        num_qubits=circuit.num_qubits,
+    # Every bound program shares these arrays.
+    ref.flags.writeable = False
+    for op in ops:
+        for operand in op:
+            if isinstance(operand, np.ndarray):
+                operand.flags.writeable = False
+    _OBS_COMPILES.inc()
+    return FrameStructure(
+        num_qubits=n,
         num_cbits=num_cbits,
-        ops=ops,
+        ops=tuple(ops),
+        noise_ops=tuple(i for i, op in enumerate(ops) if op[0] in _P_SLOT),
+        site_source=np.array(site_source, dtype=np.intp),
+        signature=tuple(t.key for t in tables),
         reference_record=ref,
         random_cbits=tuple(random_cbits),
+        seeded=bool(random_cbits) or random_reset,
         exact_reset_sites=reset_counts[0],
         twirled_reset_sites=reset_counts[1],
-        num_channels=0 if noise is None else len(noise),
         fused_ops=sum(1 for op in ops if op[0] in LAYER_OPS),
     )
+
+
+def compile_frame_program(circuit: Circuit,
+                          noise: Optional[NoiseModel] = None,
+                          rng: Union[np.random.Generator, int, None] = None
+                          ) -> FrameProgram:
+    """Run the reference pass and lower ``noise`` into a frame program:
+    :func:`frame_structure`, then :meth:`FrameStructure.bind`.
+
+    ``rng`` seeds the reference pass's random measurement branches (the
+    compiled program embeds that one reference sample, so the same seed
+    always yields the same program).  Raises :class:`FrameLoweringError`
+    if the circuit uses an unsupported gate or the noise model contains
+    a channel without a frame lowering.
+    """
+    return frame_structure(circuit, noise, rng).bind(noise)

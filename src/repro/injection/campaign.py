@@ -41,7 +41,9 @@ from ..frames import (
     FrameLoweringError,
     FrameProgram,
     FrameSimulator,
+    FrameStructure,
     compile_frame_program,
+    site_signature,
 )
 from ..noise import (
     DepolarizingNoise,
@@ -72,6 +74,7 @@ _OBS_SHOTS = obs.counter("engine.shots")
 _OBS_ERRORS = obs.counter("engine.errors")
 _OBS_BLOCKS = obs.counter("engine.blocks")
 _OBS_CHUNKS = obs.counter("engine.chunks")
+_OBS_FALLBACKS = obs.counter("engine.backend_fallbacks")
 
 
 @lru_cache(maxsize=256)
@@ -145,6 +148,34 @@ def _build_noise(task: InjectionTask, experiment: MemoryExperiment
     return NoiseModel(channels)
 
 
+@dataclasses.dataclass
+class _StructureCell:
+    """What the first compile of a (circuit, site signature) pair
+    taught about every later point of the pair."""
+
+    #: The structure later points bind to; stays ``None`` when the
+    #: reference pass is seeded (nothing to share).
+    structure: Optional[FrameStructure] = None
+    #: Whether the lowering is exact (no twirled reset site) — a fact
+    #: of the reference tableau's x-bits, so the same for every seed.
+    #: ``None`` until the first compile.
+    exact: Optional[bool] = None
+
+
+@lru_cache(maxsize=256)
+def _structure_cell(code: CodeSpec, rounds: int, basis: str,
+                    arch: Optional[ArchSpec], layout: str,
+                    signature: Tuple) -> _StructureCell:
+    """The memo cell of one (circuit, site signature) pair.
+
+    The key is by value — the :func:`_prepared` arguments the circuit
+    is a function of, and :func:`~repro.frames.site_signature` — and
+    ``lru_cache`` supplies the bound, the eviction and the locking, as
+    it does for the caches around it.
+    """
+    return _StructureCell()
+
+
 def _frame_program(task: InjectionTask, experiment: MemoryExperiment,
                    noise: NoiseModel) -> Optional[FrameProgram]:
     """Resolve the task's backend: a compiled frame program, or ``None``
@@ -160,18 +191,38 @@ def _frame_program(task: InjectionTask, experiment: MemoryExperiment,
     alone (:func:`frame_ref_seed`), so every block, chunk grouping and
     resume of the task shares one reference — the chunking-invariance
     contract holds per backend.
+
+    Points that share a circuit and fire at the same sites share the
+    compiled structure: when its reference pass drew nothing from the
+    seed it *is* the structure any task seed would compile, and the
+    point only binds its probabilities to it.  A reference with a
+    random branch compiles per task seed — except that an ``"auto"``
+    point whose cell already says "twirled" falls back without
+    compiling a program to discard.
     """
     if task.backend == "tableau":
         return None
+    auto = task.backend == "auto"
+    program = None
     try:
-        with obs.span("compile"):
-            program = compile_frame_program(
-                experiment.circuit, noise, rng=frame_ref_seed(task.seed))
+        cell = _structure_cell(
+            task.code, task.rounds, task.basis, task.arch, task.layout,
+            site_signature(noise, experiment.circuit.num_qubits))
+        if not (auto and cell.exact is False):
+            with obs.span("compile"):
+                if cell.structure is not None:
+                    program = cell.structure.bind(noise)
+                else:
+                    program = compile_frame_program(
+                        experiment.circuit, noise,
+                        rng=frame_ref_seed(task.seed))
+                    cell.structure = program.structure
+                    cell.exact = program.exact_noise
     except FrameLoweringError:
-        if task.backend == "frames":
+        if not auto:
             raise
-        return None
-    if task.backend == "auto" and not program.exact_noise:
+    if auto and (program is None or not program.exact_noise):
+        _OBS_FALLBACKS.inc()
         return None
     return program
 

@@ -180,9 +180,11 @@ class CampaignStore:
                 aligned = tally.prior()
         return aligned
 
-    def result_for(self, task: InjectionTask) -> Optional[InjectionResult]:
-        """Reconstruct a completed point's result, or ``None``."""
-        rec = self._done.get(task_key(task))
+    def result_for(self, task: InjectionTask, key: Optional[str] = None
+                   ) -> Optional[InjectionResult]:
+        """Reconstruct a completed point's result, or ``None``.  Pass
+        the task's ``key`` when already at hand to skip re-hashing it."""
+        rec = self._done.get(task_key(task) if key is None else key)
         if rec is None:
             return None
         weights = None
@@ -268,7 +270,7 @@ class CampaignStore:
         row = self.key_stats(key)
         row["label"] = task.label
         row["target_shots"] = task.shots
-        result = self.result_for(task)
+        result = self.result_for(task, key)
         if result is not None and result.weighted:
             lo, hi = result.confidence_interval
             row["ler"] = result.logical_error_rate

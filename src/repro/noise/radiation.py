@@ -275,12 +275,18 @@ class RadiationBurst(NoiseChannel):
         """Syndrome rounds completed at the current circuit position."""
         return self._measures_seen // self.measures_per_round
 
-    def current_probs(self) -> Optional[np.ndarray]:
-        """Per-qubit reset probabilities now, or ``None`` pre-strike."""
+    def current_sample(self) -> Optional[int]:
+        """The temporal sample (row of :attr:`probs`) in force now, or
+        ``None`` pre-strike."""
         k = self.current_round - self.strike_round
         if k < 0:
             return None
-        return self.probs[min(k, self.probs.shape[0] - 1)]
+        return min(k, self.probs.shape[0] - 1)
+
+    def current_probs(self) -> Optional[np.ndarray]:
+        """Per-qubit reset probabilities now, or ``None`` pre-strike."""
+        k = self.current_sample()
+        return None if k is None else self.probs[k]
 
     # -- channel interface ---------------------------------------------
     def triggers_on(self, gate: Gate) -> bool:

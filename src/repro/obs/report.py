@@ -182,7 +182,9 @@ def render_report(path: Union[str, Sequence[str]]) -> str:
         lines.append(render_profile(profile))
 
     blocks = counters.get("frames.blocks", 0)
-    if blocks:
+    binds = counters.get("frames.binds", 0)
+    fallbacks = counters.get("engine.backend_fallbacks", 0)
+    if blocks or binds or fallbacks:
         sites = counters.get("frames.depolarize_sites", 0)
         dense = counters.get("frames.depolarize_dense_sites", 0)
         lines += _section("frames sampler")
@@ -191,7 +193,11 @@ def render_report(path: Union[str, Sequence[str]]) -> str:
                      f"({counters.get('frames.fused_ops', 0):,} fused); "
                      f"depolarize {sites:,} sites, "
                      f"{counters.get('frames.depolarize_hits', 0):,} hits, "
-                     f"{dense:,} dense ({_fmt_rate(dense, sites)})")
+                     f"{dense:,} dense ({_fmt_rate(dense, sites)}); "
+                     f"{binds:,} program(s) bound from "
+                     f"{counters.get('frames.compiles', 0):,} compiled "
+                     f"structure(s), {fallbacks:,} auto fallback(s) "
+                     f"to the tableau")
 
     hits = counters.get("decode.cache_hits", 0)
     misses = counters.get("decode.cache_misses", 0)

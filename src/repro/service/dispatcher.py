@@ -229,6 +229,11 @@ class Dispatcher:
         #: order; completed points leave the table).
         self.points: Dict[str, PointState] = {}
         self.jobs: Dict[str, Job] = {}
+        #: ``key -> (progress row, result row)`` of every finished
+        #: point a status call has served.  A key names one task spec
+        #: and its done record never changes, so each is read from the
+        #: store and built once, for every job and poll that shows it.
+        self._finished: Dict[str, tuple] = {}
         self._leases: Dict[str, Lease] = {}
         self._job_seq = itertools.count(1)
         self._lease_seq = itertools.count(1)
@@ -273,7 +278,7 @@ class Dispatcher:
                 self.points[key].jobs.add(job_id)
                 job.pending.add(key)
                 continue
-            banked = self.store.result_for(task)
+            banked = self.store.result_for(task, key)
             point = None
             if banked is None or banked.shots < task.shots:
                 point = PointState(key, task, self.slice_shots, self.store,
@@ -339,7 +344,6 @@ class Dispatcher:
         status["created"] = job.created
         rows: List[Dict[str, object]] = []
         shots_done = shots_target = 0
-        results: List[Dict[str, object]] = []
         for task, key in zip(job.tasks, job.keys):
             point = self.points.get(key)
             if point is not None:
@@ -348,31 +352,33 @@ class Dispatcher:
                 shots_target += point.target
                 continue
             shots_target += task.shots
-            result = self.store.result_for(task)
-            if result is not None:
-                shots_done += task.shots
-                row = result.to_row()
-                row["key"] = key
-                if include_results:
-                    results.append(row)
-                rows.append({"key": key, "label": task.label,
-                             "status": "done", "shots": result.shots,
-                             "target": task.shots,
-                             "errors": result.errors,
-                             "ler": result.logical_error_rate})
-            else:
-                # Finalized while this status call iterated?  Cannot
-                # happen single-threaded; a missing record means the
-                # store was swapped out from under the service.
-                rows.append({"key": key, "label": task.label,
-                             "status": "absent"})
+            if key not in self._finished:
+                result = self.store.result_for(task, key)
+                if result is None:
+                    # Finalized while this status call iterated?  Cannot
+                    # happen single-threaded; a missing record means the
+                    # store was swapped out from under the service.
+                    rows.append({"key": key, "label": task.label,
+                                 "status": "absent"})
+                    continue
+                result_row = result.to_row()
+                result_row["key"] = key
+                self._finished[key] = (
+                    {"key": key, "label": task.label, "status": "done",
+                     "shots": result.shots, "target": task.shots,
+                     "errors": result.errors,
+                     "ler": result.logical_error_rate}, result_row)
+            shots_done += task.shots
+            rows.append(self._finished[key][0])
         status["points_done"] = sum(1 for r in rows
                                     if r.get("status") == "done")
         status["shots_done"] = shots_done
         status["shots_target"] = shots_target
         status["tasks"] = rows
         if job.done and include_results:
-            status["results"] = results
+            status["results"] = [self._finished[key][1]
+                                 for key in job.keys
+                                 if key in self._finished]
         status["telemetry"] = self._job_telemetry()
         return status
 

@@ -25,6 +25,7 @@ from repro.frames import (
     FrameSimulator,
     bernoulli_words,
     compile_frame_program,
+    frame_structure,
     pack_bool,
     random_words,
     run_batch_frames,
@@ -32,8 +33,10 @@ from repro.frames import (
     unpack_words,
     words_for,
 )
+from repro import obs
 from repro.injection import (
     SIM_BLOCK,
+    ArchSpec,
     Campaign,
     CampaignStore,
     CodeSpec,
@@ -43,6 +46,13 @@ from repro.injection import (
     iter_task_chunks,
     run_task,
     task_key,
+)
+from repro.injection.campaign import (
+    _build_noise,
+    _frame_program,
+    _prepared,
+    _structure_cell,
+    _task_context,
 )
 from repro.injection.results import wilson_interval
 from repro.noise import (
@@ -55,6 +65,7 @@ from repro.noise import (
 )
 from repro.noise.base import NoiseChannel
 from repro.stabilizer import BatchTableauSimulator
+from repro.util.rng import frame_ref_seed
 
 
 def wilson_overlap(a_errors, a_shots, b_errors, b_shots) -> bool:
@@ -474,6 +485,204 @@ class TestDrawApply:
         assert switched.x.any() and switched.z.any()
 
 
+def assert_same_program(got, want):
+    """Op for op: tuple lengths, operand types, array dtypes, values."""
+    for name in ("num_qubits", "num_cbits", "random_cbits",
+                 "exact_reset_sites", "twirled_reset_sites",
+                 "num_channels", "fused_ops"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.reference_record.dtype == want.reference_record.dtype
+    assert np.array_equal(got.reference_record, want.reference_record)
+    assert len(got.ops) == len(want.ops)
+    for a, b in zip(got.ops, want.ops):
+        assert len(a) == len(b), (a, b)
+        for x, y in zip(a, b):
+            assert type(x) is type(y), (a, b)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and x.shape == y.shape, (a, b)
+                assert np.array_equal(x, y), (a, b)
+            else:
+                assert x == y, (a, b)
+
+
+def counted(name):
+    return obs.counter(name).value
+
+
+class TestStructureAndBinding:
+    """A frame program is a shared structure plus a per-point binding:
+    the campaign's memoised route (``_frame_program``) must hand every
+    point the program a fresh per-point compile would."""
+
+    ROOTS = (0, 3)
+    FAULTS = (
+        FaultSpec(),
+        FaultSpec(kind="radiation", root_qubit=ROOTS[0], time_index=0),
+        FaultSpec(kind="radiation", root_qubit=ROOTS[0], time_index=4),
+        FaultSpec(kind="radiation", root_qubit=ROOTS[1], time_index=0),
+        FaultSpec(kind="radiation", root_qubit=ROOTS[0], time_index=0,
+                  spread=False),
+        FaultSpec(kind="erasure", qubits=(2,), probability=1.0),
+        FaultSpec(kind="erasure", qubits=(2,), probability=0.25),
+        FaultSpec(kind="radiation", root_qubit=ROOTS[0], strike_round=1),
+        FaultSpec(kind="radiation", root_qubit=ROOTS[1], strike_round=1,
+                  intensity=0.5),
+    )
+    #: Distinct site signatures among FAULTS on a connected device:
+    #: none, spreading strike, root-only strike, erasure, burst.
+    SIGNATURES = 5
+    P_VALUES = (1e-4, 1e-3, 1e-2)
+
+    def routes(self, task):
+        """One task down the memoised route and through a fresh
+        per-point compile: ``(memoised program, fresh program, circuit
+        width, structures the memoised route compiled, programs it
+        bound)``."""
+        experiment, _, _ = _prepared(
+            task.code, task.rounds, task.basis, task.arch, task.layout,
+            task.decoder, task.readout)
+        noise = _build_noise(task, experiment)
+        compiles, binds = counted("frames.compiles"), counted("frames.binds")
+        memoised = _frame_program(task, experiment, noise)
+        compiles = counted("frames.compiles") - compiles
+        binds = counted("frames.binds") - binds
+        fresh = compile_frame_program(experiment.circuit, noise,
+                                      rng=frame_ref_seed(task.seed))
+        return (memoised, fresh, experiment.circuit.num_qubits, compiles,
+                binds)
+
+    @pytest.mark.parametrize("arch", [None, ArchSpec("mesh", (5, 4)),
+                                      ArchSpec("cairo")],
+                             ids=["no-arch", "mesh", "heavy-hex"])
+    @pytest.mark.parametrize("code", [CodeSpec("repetition", (5, 1)),
+                                      CodeSpec("xxzz", (3, 3))],
+                             ids=["repetition", "xxzz"])
+    def test_bound_program_equals_fresh_compile(self, code, arch):
+        _structure_cell.cache_clear()
+        compiles = binds = points = 0
+        for fault in self.FAULTS:
+            for p in self.P_VALUES:
+                points += 1
+                memoised, fresh, n, compiled, bound = self.routes(
+                    InjectionTask(code=code, arch=arch, fault=fault,
+                                  intrinsic_p=p, backend="frames",
+                                  seed=points))
+                compiles += compiled
+                binds += bound
+                assert_same_program(memoised, fresh)
+                for tilt in (1.0, 4.0):
+                    a = FrameSimulator(n, 100, rng=points, tilt=tilt)
+                    b = FrameSimulator(n, 100, rng=points, tilt=tilt)
+                    assert np.array_equal(a.run_packed(memoised),
+                                          b.run_packed(fresh))
+                    assert np.array_equal(a.shot_weights(),
+                                          b.shot_weights())
+                    assert a.rng.random() == b.rng.random()
+        assert binds == points
+        if code.kind == "repetition":
+            # deterministic reference: one compile per site signature
+            assert not memoised.structure.seeded
+            assert compiles == self.SIGNATURES
+        else:
+            # random-branch reference: one compile per task seed,
+            # nothing to share
+            assert memoised.structure is None
+            assert compiles == points
+
+    def test_random_reference_is_never_shared_across_seeds(self):
+        """Two task seeds on one XXZZ circuit and one site signature
+        each compile their own reference sample."""
+        _structure_cell.cache_clear()
+        base = InjectionTask(code=CodeSpec("xxzz", (3, 3)),
+                             intrinsic_p=1e-3, backend="frames")
+        programs = []
+        for seed in (1, 2, 3, 4):
+            memoised, fresh, _, compiled, _ = self.routes(
+                dataclasses.replace(base, seed=seed))
+            assert compiled == 1
+            assert_same_program(memoised, fresh)
+            programs.append(memoised)
+        assert all(p.structure is None for p in programs)
+        assert len({p.reference_record.tobytes() for p in programs}) > 1
+
+    @pytest.mark.parametrize("first,second", [
+        (FaultSpec(kind="radiation", root_qubit=2),
+         FaultSpec(kind="radiation", root_qubit=2, spread=False)),
+        (FaultSpec(kind="erasure", qubits=(2,)),
+         FaultSpec(kind="erasure", qubits=(2, 3))),
+        (FaultSpec(kind="radiation", root_qubit=2, strike_round=0),
+         FaultSpec(kind="radiation", root_qubit=2, strike_round=1)),
+    ], ids=["spread", "erasure-qubits", "strike-round"])
+    def test_support_change_misses_the_memo(self, first, second):
+        _structure_cell.cache_clear()
+        base = InjectionTask(code=CodeSpec("repetition", (5, 1)),
+                             intrinsic_p=1e-3, seed=5)
+        compiled = []
+        for fault in (first, second, first, second):
+            memoised, fresh, _, compiles, _ = self.routes(
+                dataclasses.replace(base, fault=fault))
+            assert_same_program(memoised, fresh)
+            compiled.append(compiles)
+        assert compiled == [1, 1, 0, 0]
+
+    def test_auto_fallback_is_decided_once_per_structure(self):
+        """Whether reset sites are twirled is a fact of the tableau's
+        x-bits, not of the reference seed: the second ``auto`` point of
+        a twirled structure falls back without compiling."""
+        _structure_cell.cache_clear()
+        base = InjectionTask(
+            code=CodeSpec("xxzz", (3, 3)), intrinsic_p=1e-3,
+            fault=FaultSpec(kind="radiation", root_qubit=2, time_index=0))
+        c0 = counted("frames.compiles")
+        f0 = counted("engine.backend_fallbacks")
+        for seed, time_index in ((1, 0), (2, 4), (3, 8)):
+            task = dataclasses.replace(
+                base, seed=seed, fault=dataclasses.replace(
+                    base.fault, time_index=time_index))
+            experiment, _, _ = _prepared(
+                task.code, task.rounds, task.basis, task.arch, task.layout,
+                task.decoder, task.readout)
+            assert _frame_program(task, experiment,
+                                  _build_noise(task, experiment)) is None
+        assert counted("frames.compiles") - c0 == 1
+        assert counted("engine.backend_fallbacks") - f0 == 3
+        # ... while backend="frames" still gets its per-seed program
+        forced = dataclasses.replace(base, seed=9, backend="frames")
+        memoised, fresh, _, compiled, _ = self.routes(forced)
+        assert compiled == 1
+        assert_same_program(memoised, fresh)
+        assert not memoised.exact_noise
+
+    def test_shared_arrays_are_read_only(self):
+        experiment = build_memory_experiment(XXZZCode(3, 3), rounds=2)
+        structure = frame_structure(
+            experiment.circuit, strike_noise(experiment, 0.01, "none"))
+        one = structure.bind(strike_noise(experiment, 0.01, "none"))
+        two = structure.bind(strike_noise(experiment, 0.02, "none"))
+        shared = [x for a, b in zip(one.ops, two.ops) for x, y in zip(a, b)
+                  if isinstance(x, np.ndarray) and x is y]
+        assert shared
+        for array in shared + [one.reference_record]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        # the probabilities are the program's own
+        own = [(x, y) for a, b in zip(one.ops, two.ops) for x, y in zip(a, b)
+               if isinstance(x, np.ndarray) and x is not y]
+        assert own and all(x.dtype == float and not np.array_equal(x, y)
+                           for x, y in own)
+
+    def test_bind_rejects_a_model_with_other_sites(self):
+        experiment = build_memory_experiment(RepetitionCode(3), rounds=2)
+        structure = frame_structure(experiment.circuit,
+                                    NoiseModel([DepolarizingNoise(0.01)]))
+        for other in (None, NoiseModel([ErasureChannel([0], 0.5)]),
+                      NoiseModel([DepolarizingNoise(0.01, qubits=[0])]),
+                      NoiseModel([DepolarizingNoise(
+                          0.01, include_measurements=True)])):
+            with pytest.raises(ValueError, match="other sites"):
+                structure.bind(other)
+
+
 class TestCrossValidation:
     """Frame vs batch-tableau agreement on seeded campaigns."""
 
@@ -599,6 +808,29 @@ class TestEngineIntegration:
     def test_result_rows_report_backend(self):
         rs = Campaign([self.make_task(shots=128)]).run(workers=1)
         assert rs.to_rows()[0]["backend"] == "auto"
+
+    def test_sweep_on_one_circuit_compiles_once(self):
+        """Two time samples x three p on one transpiled circuit: one
+        structure, six bindings — and the counts the per-point compile
+        produced before structures were shared (rows pinned there)."""
+        _structure_cell.cache_clear()
+        _task_context.cache_clear()
+        campaign = build_sweep({
+            "codes": [{"kind": "repetition", "distance": [5, 1]}],
+            "archs": [{"name": "mesh", "args": [5, 2]}],
+            "faults": [{"kind": "radiation", "root_qubit": 2,
+                        "time_index": t} for t in (0, 4)],
+            "p_values": [1e-3, 1e-2, 5e-2], "shots": 1024,
+            "root_seed": 7})
+        compiles, binds = counted("frames.compiles"), counted("frames.binds")
+        fallbacks = counted("engine.backend_fallbacks")
+        results = campaign.run(workers=1)
+        assert counted("frames.compiles") - compiles == 1
+        assert counted("frames.binds") - binds == 6
+        assert counted("engine.backend_fallbacks") == fallbacks
+        assert [(r.shots, r.errors) for r in results] == [
+            (1024, 518), (1024, 569), (1024, 518),
+            (1024, 45), (1024, 133), (1024, 382)]
 
     def test_xxzz_radiation_auto_falls_back_to_tableau(self):
         """auto on a twirl-lowering task must reproduce the tableau

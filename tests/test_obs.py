@@ -360,6 +360,8 @@ class TestReport:
                       "frames.depolarize_sites": 7488,
                       "frames.depolarize_hits": 1900,
                       "frames.depolarize_dense_sites": 936,
+                      "frames.compiles": 1, "frames.binds": 2,
+                      "engine.backend_fallbacks": 3,
                       "rare.pilot_shots": 6144},
          "gauges": {"rare.pilot_tilt": 8.0, "rare.ess": 512.5},
          "spans": {"sample": {"total_s": 1.5, "count": 8,
@@ -392,7 +394,9 @@ class TestReport:
         assert "0.500s     0.500s self x8" in text
         assert "cache hit rate   80.0% (80 hits / 20 misses)" in text
         assert ("frames  8 blocks, 9,576 ops (976 fused); depolarize "
-                "7,488 sites, 1,900 hits, 936 dense (12.5%)") in text
+                "7,488 sites, 1,900 hits, 936 dense (12.5%); 2 program(s) "
+                "bound from 1 compiled structure(s), 3 auto fallback(s) "
+                "to the tableau") in text
         assert "leases dispatched  8 (1 steal refill(s))" in text
         assert "worker crashes     1 (2 lease(s) requeued)" in text
         assert "worker 0: 2,048 shots, 205 sh/s" in text

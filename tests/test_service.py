@@ -95,6 +95,54 @@ class TestCacheAndCoalescing:
             "cache-served resubmission must not simulate"
         assert d.job_status(receipt["job"])["results"] == first
 
+    def test_polling_reads_each_finished_point_once(self, tmp_path,
+                                                   monkeypatch):
+        """A finished point is immutable: however many jobs show it and
+        however often they are polled, its done record is read from the
+        store once, its rows built once, and ``results`` appear only
+        with the final status."""
+        d = make_dispatcher(tmp_path)
+        reads = []
+        result_for = d.store.result_for
+        monkeypatch.setattr(
+            d.store, "result_for",
+            lambda task, key=None: reads.append(key) or result_for(task,
+                                                                   key))
+        job = d.submit(SPEC)["job"]
+        keys = d.jobs[job].keys
+        assert reads == keys                   # the cache check, by key
+        lease = d.lease(runner="t", max_leases=2)[:2]
+        for one in lease:                      # finish the first point only
+            payload = execute_lease_wire(one.to_wire())
+            d.complete(payload["lease"], payload["chunks"],
+                       key=payload["key"])
+        del reads[:]
+        running = [d.job_status(job) for _ in range(5)]
+        assert all("results" not in s and s["points_done"] == 1
+                   for s in running)
+        assert reads == keys[:1]
+        drain(d)
+        final = [d.job_status(job) for _ in range(3)]
+        assert reads == keys
+        assert final[0]["results"] == final[2]["results"]
+        assert [r["key"] for r in final[0]["results"]] == keys
+        assert final[0]["tasks"][0] == running[0]["tasks"][0]
+        # a resubmit served from cache: the cache check, nothing else
+        del reads[:]
+        again = d.submit(SPEC)["job"]
+        assert d.job_status(again, include_results=False)["state"] == "done"
+        assert d.job_status(again)["results"] == final[0]["results"]
+        assert reads == keys
+
+    def test_swapped_out_store_reports_absent(self, tmp_path):
+        d = make_dispatcher(tmp_path)
+        job = d.submit(SPEC)["job"]
+        drain(d)
+        d.store = CampaignStore(tmp_path / "other.jsonl")
+        status = d.job_status(job)
+        assert [r["status"] for r in status["tasks"]] == ["absent"] * 2
+        assert status["points_done"] == 0 and status["results"] == []
+
     def test_served_results_bit_identical_to_direct_run(self, tmp_path):
         d = make_dispatcher(tmp_path)
         job = d.submit(SPEC)["job"]
