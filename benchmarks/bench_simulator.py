@@ -1,15 +1,28 @@
 """Core-simulator benchmarks + the batch-vs-single ablation.
 
-The batched tableau simulator is the workhorse of every campaign; this
-bench records its throughput and quantifies the vectorization speedup
-over the single-shot reference implementation (DESIGN.md §3).
+The batched tableau simulator is the exact backend: campaigns reach it
+when a fault has no exact frame lowering (a reset on an entangled XXZZ
+data qubit — the paper's Fig. 5 strike traffic) and tier-1 uses it as
+the frames oracle.  This bench records its throughput on those shapes
+and quantifies the vectorization speedup over the single-shot reference
+implementation (DESIGN.md §3).
 """
+
+import time
 
 import numpy as np
 import pytest
+from conftest import bench_bar, bench_report
 
+from repro.arch import mesh
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
-from repro.noise import DepolarizingNoise, NoiseModel, run_batch_noisy
+from repro.noise import (
+    DepolarizingNoise,
+    NoiseModel,
+    RadiationEvent,
+    run_batch_noisy,
+)
+from repro.transpile import transpile
 from repro.stabilizer import (
     BatchTableauSimulator,
     TableauSimulator,
@@ -39,6 +52,65 @@ def test_batch_memory_circuit(benchmark, xxzz_circuit):
 
     records = benchmark(run)
     assert records.shape[0] == BATCH
+
+
+def _throughput(benchmark, capsys, label, run, shots, parent_sps, factor):
+    """Record ``shots_per_s`` (min of 5 own-clock rounds, so the bar
+    also holds under ``--benchmark-disable``) and hold it at ``factor``
+    times the parent kernel's rate (the parent's own rate when LAX)."""
+    run()
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    benchmark(run)
+    sps = shots / min(times)
+    bench_report(benchmark, capsys,
+                 f"\n[tableau] {label}: {shots} shots in "
+                 f"{1e3 * min(times):.1f} ms ({sps:,.0f} shots/s, "
+                 f"{sps / parent_sps:.1f}x the byte-per-bit kernel)",
+                 shots=shots, shots_per_s=sps)
+    bar = bench_bar(factor, 1.0) * parent_sps
+    assert sps >= bar, f"{label}: {sps:,.0f} shots/s < {bar:,.0f}"
+
+
+def test_batch_strike_fig5_shape(benchmark, capsys):
+    """The shape `fig5_grid`'s fallback half runs: XXZZ (3,3) routed
+    onto mesh 5x4, radiation at root 2, t = 0, intrinsic p = 1e-3, one
+    512-shot block pinned to the tableau.
+
+    The byte-per-bit ``(B, 2n, n)`` kernel (PR 20) ran this at 3 400
+    shots/s on the 2-core sandbox; the row-packed kernel must hold
+    >= 2x that (measured 12 800).
+    """
+    arch = mesh(5, 4)
+    circuit = transpile(build_memory_experiment(XXZZCode(3, 3)).circuit,
+                        arch).circuit
+    event = RadiationEvent(2, arch.distances_from(2),
+                           num_qubits=arch.num_qubits)
+    noise = NoiseModel([event.channel(0), DepolarizingNoise(1e-3)])
+    _throughput(
+        benchmark, capsys, "fig5 strike block",
+        lambda: run_batch_noisy(circuit, noise, 512, rng=5,
+                                backend="tableau"),
+        shots=512, parent_sps=3_400, factor=2.0)
+
+
+def test_batch_d5_noiseless(benchmark, capsys):
+    """Noiseless XXZZ (5,5) memory (49 qubits), 512 shots: gate and
+    measurement kernels with no channel in the way.
+
+    The byte-per-bit kernel (PR 20) ran this at 620 shots/s on the
+    2-core sandbox; the row-packed kernel must hold >= 4x that
+    (measured 6 000).
+    """
+    circuit = build_memory_experiment(XXZZCode(5, 5)).circuit
+    _throughput(
+        benchmark, capsys, "xxzz-(5,5) noiseless",
+        lambda: BatchTableauSimulator(circuit.num_qubits, 512,
+                                      rng=1).run(circuit),
+        shots=512, parent_sps=620, factor=4.0)
 
 
 def test_batch_random_clifford(benchmark, random_circuit):

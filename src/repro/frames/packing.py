@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..util.bits import popcount_words  # noqa: F401  (re-export)
+
 #: All-ones uint64 word (avoids repeated Python-int coercion).
 FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: Shots per machine word.
@@ -80,26 +82,6 @@ def unpack_words(words: np.ndarray, batch_size: int) -> np.ndarray:
 def random_words(rng: np.random.Generator, nwords: int) -> np.ndarray:
     """``nwords`` uniformly random uint64 words (one fresh bit per shot)."""
     return np.frombuffer(rng.bytes(int(nwords) * 8), dtype=np.uint64)
-
-
-def popcount_words(words: np.ndarray) -> np.ndarray:
-    """Per-word set-bit counts (uint64 in, int64 out, any shape).
-
-    Word-level popcount is the packed layout's native aggregation: a row
-    of frame/record words reduces to its across-shot event count without
-    ever unpacking to per-shot uint8.  Uses ``numpy.bitwise_count`` when
-    present (numpy >= 2.0), else a byte-table fallback.
-    """
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(words).astype(np.int64)
-    counts = _BYTE_POPCOUNT[words.view(np.uint8)]
-    return counts.reshape(*words.shape, 8).sum(axis=-1, dtype=np.int64)
-
-
-#: Set-bit counts for every byte value (popcount fallback table).
-_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)],
-                          dtype=np.int64)
 
 
 def column_counts(planes: np.ndarray, batch_size: int) -> np.ndarray:

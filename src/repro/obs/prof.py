@@ -18,7 +18,8 @@ shots are bit-identical with profiling on or off, property-tested):
   clocking every one of them would alone blow the overhead budget.
 * **Stages** — coarse sub-phase attribution recorded by name
   (:meth:`Profiler.stage`): the batched decoder splits its time into
-  pattern dedup / cache probe / matcher.
+  pattern dedup / cache probe / matcher, the tableau walk into gates /
+  deterministic and random measurement / noise.
 * **Span paths** — a hook on the registry's span stack accumulates
   wall time per full span *path*, from which per-path self-time
   (cumulative minus nested children, kernels and stages included)

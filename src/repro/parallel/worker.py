@@ -50,11 +50,20 @@ def execute_lease(task: InjectionTask, start: int, shots: int
     return chunk
 
 
-def _maybe_crash(worker_id: int, completed: int) -> None:
+def _maybe_crash(worker_id: int, completed: int, results) -> None:
     doomed = os.environ.get(CRASH_WORKER_ENV, "")
     if str(worker_id) not in doomed.split(","):
         return
     if completed >= int(os.environ.get(CRASH_AFTER_ENV, "1")):
+        # Die between messages.  The feeder thread may still hold the
+        # shared results queue's write lock for an earlier chunk (it
+        # waits for the GIL inside it, so a lease shorter than the
+        # interpreter's switch interval does not outlast it); a SIGKILL
+        # there strands the lock and the surviving workers never report
+        # again — a limit of multiprocessing.Queue, not the requeue
+        # logic this hook exists to exercise.
+        results.close()
+        results.join_thread()
         os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -102,7 +111,7 @@ def worker_main(worker_id: int, tasks: List[InjectionTask],
         results.put(("chunk", worker_id, task_index, chunk.to_row(),
                      obs.registry().snapshot()))
         completed += 1
-        _maybe_crash(worker_id, completed)
+        _maybe_crash(worker_id, completed, results)
     # Nobody will ever read the results pipe again: do not let the
     # queue's feeder thread hold up interpreter exit on it.
     results.cancel_join_thread()

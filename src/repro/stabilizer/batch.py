@@ -2,10 +2,19 @@
 
 Simulates ``B`` independent shots of a Clifford + measure/reset circuit
 simultaneously, holding all ``B`` tableaus in contiguous NumPy arrays
-and applying every operation across the batch in vectorized form.  Per
-the HPC guides, the inner loops are expressed as whole-array boolean
-algebra; Python-level loops only appear over qubits (bounded by the
-register width) and circuit gates.
+and applying every operation across the batch in vectorized form.
+
+Layout: column-major with the tableau rows bit-packed.  ``x`` and ``z``
+are ``(n, 2, Wn, B)`` uint64 and ``r`` is ``(2, Wn, B)``, where ``half``
+0 holds the destabilizers, 1 the stabilizers, ``Wn = ceil(n / 64)`` and
+bit ``i`` of word ``w`` is tableau row ``half * n + 64 w + i`` (padding
+bits past row ``n`` stay zero).  A Clifford or Pauli on qubit ``a``
+touches only the contiguous ``(2, Wn, B)`` columns ``x[a]``/``z[a]`` and
+acts on 64 rows per word op; measurements are loop-free over rows — the
+CHP ``rowsum`` phases are evaluated bit-sliced, mod 4, over the column
+axis.  The shot axis is innermost so that a per-shot mask (one
+all-ones/all-zeros word per shot) broadcasts along NumPy's inner loop.
+Python-level loops only appear over circuit gates.
 
 Stochastic noise is supported through *masked* operations: every gate
 can be restricted to an arbitrary subset of shots, which is how the
@@ -13,27 +22,54 @@ noise executor applies a Pauli error to exactly the shots that sampled
 one.  Masked measurement/reset handle the per-shot branching between
 deterministic and random outcomes without leaving NumPy.
 
-Memory: three arrays of shape ``(B, 2n, n)``/``(B, 2n)`` in ``uint8``;
-for the paper's largest code (30 qubits) and 10⁴ shots this is ~75 MB.
+Draw contract: the only randomness is one ``rng.integers(0, 2, size=k,
+dtype=uint8)`` per measurement with a random branch, over its ``k``
+random-branch shots in ascending order; the pivot is the first
+stabilizer row holding ``X_a`` and the destabilizer slot receives the
+old pivot row, so every shot's tableau equals the single-shot
+:class:`~repro.stabilizer.tableau.Tableau` reference bit for bit
+(``tests/test_tableau_stream.py`` pins records and generator state).
+
+Memory: ``32 n Wn`` bytes per shot plus the sign words; for the paper's
+largest code (30 qubits) and 10⁴ shots this is ~10 MB.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from time import perf_counter
+from typing import List, Optional
 
 import numpy as np
 
 from ..circuits import Circuit, Gate, GateType
+from ..util.bits import popcount_words
+
+_ZERO = np.uint64(0)
+_ONE = np.uint64(1)
+_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def _g_batch(xi: np.ndarray, zi: np.ndarray,
-             xh: np.ndarray, zh: np.ndarray) -> np.ndarray:
-    """Vectorized CHP phase function; int8 inputs broadcast together."""
-    return (
-        (xi & zi) * (zh - xh)
-        + (xi & (1 - zi)) * (zh * (2 * xh - 1))
-        + ((1 - xi) & zi) * (xh * (1 - 2 * zh))
-    )
+def _lanes(mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Boolean per-shot mask -> all-ones/all-zeros word per shot."""
+    if mask is None:
+        return None
+    return np.where(mask, _FULL, _ZERO)
+
+
+def _toggle(target: np.ndarray, bits: np.ndarray,
+            lane: Optional[np.ndarray]) -> None:
+    """``target ^= bits`` on the masked shots (all when ``lane`` is None)."""
+    target ^= bits if lane is None else bits & lane
+
+
+def _exchange(u: np.ndarray, v: np.ndarray,
+              lane: Optional[np.ndarray]) -> None:
+    """Swap ``u`` and ``v`` in place on the masked shots."""
+    diff = u ^ v
+    if lane is not None:
+        diff &= lane
+    u ^= diff
+    v ^= diff
 
 
 class BatchTableauSimulator:
@@ -59,94 +95,64 @@ class BatchTableauSimulator:
         B = int(batch_size)
         self.n = n
         self.batch_size = B
-        self.x = np.zeros((B, 2 * n, n), dtype=np.uint8)
-        self.z = np.zeros((B, 2 * n, n), dtype=np.uint8)
-        self.r = np.zeros((B, 2 * n), dtype=np.uint8)
-        ar = np.arange(n)
-        self.x[:, ar, ar] = 1
-        self.z[:, ar + n, ar] = 1
+        words = (n + 63) // 64
+        self.x = np.zeros((n, 2, words, B), dtype=np.uint64)
+        self.z = np.zeros((n, 2, words, B), dtype=np.uint64)
+        self.r = np.zeros((2, words, B), dtype=np.uint64)
+        # Destabilizer q = X_q ; stabilizer q = Z_q.
+        q = np.arange(n)
+        bit = (_ONE << (q % 64).astype(np.uint64))[:, None]
+        self.x[q, 0, q // 64] = bit
+        self.z[q, 1, q // 64] = bit
         if rng is None:
             rng = np.random.default_rng()
         elif isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(int(rng))
         self.rng = rng
+        #: ``[deterministic_s, random_s]`` measurement wall time, filled
+        #: only while a profiling caller has installed the list.
+        self.measure_clock: Optional[List[float]] = None
 
     # ------------------------------------------------------------------
     # Masked single-qubit Cliffords
     # ------------------------------------------------------------------
     def h(self, a: int, mask: Optional[np.ndarray] = None) -> None:
-        if mask is None:
-            # Copy before assigning: xa/za alias the tableau columns.
-            xa = self.x[:, :, a].copy()
-            za = self.z[:, :, a]
-            self.r ^= xa & za
-            self.x[:, :, a] = za
-            self.z[:, :, a] = xa
-            return
-        xa = self.x[mask, :, a]
-        za = self.z[mask, :, a]
-        self.r[mask] ^= xa & za
-        self.x[mask, :, a] = za
-        self.z[mask, :, a] = xa
+        lane = _lanes(mask)
+        xa, za = self.x[a], self.z[a]
+        _toggle(self.r, xa & za, lane)
+        _exchange(xa, za, lane)
 
     def s(self, a: int, mask: Optional[np.ndarray] = None) -> None:
-        if mask is None:
-            self.r ^= self.x[:, :, a] & self.z[:, :, a]
-            self.z[:, :, a] ^= self.x[:, :, a]
-            return
-        xa = self.x[mask, :, a]
-        za = self.z[mask, :, a]
-        self.r[mask] ^= xa & za
-        self.z[mask, :, a] = za ^ xa
+        lane = _lanes(mask)
+        xa, za = self.x[a], self.z[a]
+        _toggle(self.r, xa & za, lane)
+        _toggle(za, xa, lane)
 
     def sdg(self, a: int, mask: Optional[np.ndarray] = None) -> None:
-        if mask is None:
-            self.r ^= self.x[:, :, a] & (self.z[:, :, a] ^ 1)
-            self.z[:, :, a] ^= self.x[:, :, a]
-            return
-        xa = self.x[mask, :, a]
-        za = self.z[mask, :, a]
-        self.r[mask] ^= xa & (za ^ 1)
-        self.z[mask, :, a] = za ^ xa
+        lane = _lanes(mask)
+        xa, za = self.x[a], self.z[a]
+        _toggle(self.r, xa & ~za, lane)
+        _toggle(za, xa, lane)
 
     def x_gate(self, a: int, mask: Optional[np.ndarray] = None) -> None:
-        if mask is None:
-            self.r ^= self.z[:, :, a]
-        else:
-            self.r[mask] ^= self.z[mask, :, a]
+        _toggle(self.r, self.z[a], _lanes(mask))
 
     def y_gate(self, a: int, mask: Optional[np.ndarray] = None) -> None:
-        if mask is None:
-            self.r ^= self.x[:, :, a] ^ self.z[:, :, a]
-        else:
-            self.r[mask] ^= self.x[mask, :, a] ^ self.z[mask, :, a]
+        _toggle(self.r, self.x[a] ^ self.z[a], _lanes(mask))
 
     def z_gate(self, a: int, mask: Optional[np.ndarray] = None) -> None:
-        if mask is None:
-            self.r ^= self.x[:, :, a]
-        else:
-            self.r[mask] ^= self.x[mask, :, a]
+        _toggle(self.r, self.x[a], _lanes(mask))
 
     # ------------------------------------------------------------------
     # Masked two-qubit Cliffords
     # ------------------------------------------------------------------
     def cx(self, a: int, b: int, mask: Optional[np.ndarray] = None) -> None:
-        if mask is None:
-            xa = self.x[:, :, a]
-            xb = self.x[:, :, b]
-            za = self.z[:, :, a]
-            zb = self.z[:, :, b]
-            self.r ^= xa & zb & (xb ^ za ^ 1)
-            self.x[:, :, b] = xb ^ xa
-            self.z[:, :, a] = za ^ zb
-            return
-        xa = self.x[mask, :, a]
-        xb = self.x[mask, :, b]
-        za = self.z[mask, :, a]
-        zb = self.z[mask, :, b]
-        self.r[mask] ^= xa & zb & (xb ^ za ^ 1)
-        self.x[mask, :, b] = xb ^ xa
-        self.z[mask, :, a] = za ^ zb
+        lane = _lanes(mask)
+        xa, xb = self.x[a], self.x[b]
+        za, zb = self.z[a], self.z[b]
+        _toggle(self.r, xa & zb & ~(xb ^ za), lane)
+        _toggle(xb, xa, lane)
+        _toggle(za, zb, lane)
 
     def cz(self, a: int, b: int, mask: Optional[np.ndarray] = None) -> None:
         self.h(b, mask)
@@ -154,16 +160,9 @@ class BatchTableauSimulator:
         self.h(b, mask)
 
     def swap(self, a: int, b: int, mask: Optional[np.ndarray] = None) -> None:
-        if mask is None:
-            self.x[:, :, [a, b]] = self.x[:, :, [b, a]]
-            self.z[:, :, [a, b]] = self.z[:, :, [b, a]]
-            return
-        xa = self.x[mask, :, a].copy()
-        self.x[mask, :, a] = self.x[mask, :, b]
-        self.x[mask, :, b] = xa
-        za = self.z[mask, :, a].copy()
-        self.z[mask, :, a] = self.z[mask, :, b]
-        self.z[mask, :, b] = za
+        lane = _lanes(mask)
+        _exchange(self.x[a], self.x[b], lane)
+        _exchange(self.z[a], self.z[b], lane)
 
     # ------------------------------------------------------------------
     # Measurement / reset
@@ -175,85 +174,129 @@ class BatchTableauSimulator:
         and the corresponding states are untouched.
         """
         B = self.batch_size
-        n = self.n
-        if mask is None:
-            mask = np.ones(B, dtype=bool)
         outcomes = np.zeros(B, dtype=np.uint8)
-        if not mask.any():
-            return outcomes
-        rand_mask = mask & self.x[:, n:, a].any(axis=1)
-        det_mask = mask & ~rand_mask
-        if det_mask.any():
-            outcomes[det_mask] = self._measure_det(a, det_mask)
-        if rand_mask.any():
-            outcomes[rand_mask] = self._measure_rand(a, rand_mask)
+        # Random where some stabilizer row holds X_a.
+        rand = self.x[a, 1].any(axis=0)
+        if mask is None:
+            det = ~rand
+        else:
+            rand &= mask
+            det = mask & ~rand
+        clock = self.measure_clock
+        t0 = perf_counter() if clock is not None else 0.0
+        k = np.count_nonzero(det)
+        if k:
+            shots = slice(None) if k == B else np.nonzero(det)[0]
+            outcomes[shots] = self._measure_det(a, shots)
+        if clock is not None:
+            t1 = perf_counter()
+            clock[0] += t1 - t0
+            t0 = t1
+        k = np.count_nonzero(rand)
+        if k:
+            outcomes[rand] = self._measure_rand(a, rand, k)
+        if clock is not None:
+            clock[1] += perf_counter() - t0
         return outcomes
 
-    def _measure_det(self, a: int, mask: np.ndarray) -> np.ndarray:
-        """Deterministic branch: qubit in a Z-eigenstate in these shots."""
-        n = self.n
-        S = np.nonzero(mask)[0]
-        k = S.size
-        acc_x = np.zeros((k, n), dtype=np.int8)
-        acc_z = np.zeros((k, n), dtype=np.int8)
-        acc_r = np.zeros(k, dtype=np.int64)
-        xs = self.x[S]
-        zs = self.z[S]
-        rs = self.r[S]
-        for i in range(n):
-            sel = xs[:, i, a] == 1
-            if not sel.any():
-                continue
-            xi = xs[:, i + n, :].astype(np.int8)
-            zi = zs[:, i + n, :].astype(np.int8)
-            gsum = _g_batch(xi, zi, acc_x, acc_z).sum(axis=1, dtype=np.int64)
-            total = 2 * acc_r + 2 * rs[:, i + n].astype(np.int64) + gsum
-            acc_r = np.where(sel, (total % 4) // 2, acc_r)
-            acc_x = np.where(sel[:, None], acc_x ^ xi, acc_x)
-            acc_z = np.where(sel[:, None], acc_z ^ zi, acc_z)
-        return acc_r.astype(np.uint8)
+    def _measure_det(self, a: int, shots) -> np.ndarray:
+        """Deterministic branch: qubit in a Z-eigenstate in these shots.
 
-    def _measure_rand(self, a: int, mask: np.ndarray) -> np.ndarray:
-        """Random branch: some stabilizer anticommutes with Z_a."""
-        n = self.n
-        S = np.nonzero(mask)[0]
-        k = S.size
-        xs = self.x[S]
-        zs = self.z[S]
-        rs = self.r[S].astype(np.int64)
-        # First stabilizer row with x=1 on column a, per shot.
-        p = np.argmax(xs[:, n:, a], axis=1) + n  # (k,)
-        rows = np.arange(k)
-        row_xp = xs[rows, p, :]  # (k, n) uint8
-        row_zp = zs[rows, p, :]
-        row_rp = rs[rows, p]
-        # Rows (destabilizer and stabilizer alike) containing X_a, except
-        # row p itself, each absorb row p via rowsum.
-        tgt = xs[:, :, a] == 1  # (k, 2n)
-        tgt[rows, p] = False
-        xi = row_xp[:, None, :].astype(np.int8)
-        zi = row_zp[:, None, :].astype(np.int8)
-        gsum = _g_batch(xi, zi, xs.astype(np.int8), zs.astype(np.int8)).sum(
-            axis=2, dtype=np.int64)  # (k, 2n)
-        total = 2 * rs + 2 * row_rp[:, None] + gsum
-        new_r = ((total % 4) // 2).astype(np.uint8)
-        rs_u8 = self.r[S]
-        rs_u8 = np.where(tgt, new_r, rs_u8)
-        xs = np.where(tgt[:, :, None], xs ^ row_xp[:, None, :], xs)
-        zs = np.where(tgt[:, :, None], zs ^ row_zp[:, None, :], zs)
-        # Destabilizer slot p-n receives the old stabilizer row p.
-        xs[rows, p - n, :] = row_xp
-        zs[rows, p - n, :] = row_zp
-        rs_u8[rows, p - n] = row_rp.astype(np.uint8)
-        # Row p becomes +/- Z_a with a fresh random outcome.
+        The outcome is the sign of the ordered product of the stabilizer
+        rows picked by the destabilizers holding ``X_a``.  With each row
+        ``(-1)^r prod_q i^(x z) X^x Z^z`` that product's phase exponent
+        is ``sum(x & z) + 2 sum(r) + 2 sum_q sum_j x_j (xor_{i<j} z_i)``
+        (an ``X`` moved left past an earlier row's ``Z`` flips the
+        sign), and the result is ``+-Z...`` so it is 0 or 2 mod 4.
+        """
+        picked = self.x[a, 0][:, shots]                 # (Wn, k)
+        xs = self.x[:, 1][..., shots] & picked          # (n, Wn, k)
+        zs = self.z[:, 1][..., shots] & picked
+        # Exclusive prefix-XOR of zs over rows: log-shift scan inside a
+        # word, parity of the earlier words carried in.
+        scan = zs.copy()
+        shift = 1
+        while shift < min(self.n, 64):
+            scan ^= scan << np.uint64(shift)
+            shift *= 2
+        before = scan << _ONE
+        if scan.shape[1] > 1:
+            parity = scan >> np.uint64(63)
+            carry = np.bitwise_xor.accumulate(parity, axis=1) ^ parity
+            before ^= carry * _FULL
+        flips = np.bitwise_xor.reduce(xs & before, axis=0)
+        flips ^= self.r[1][:, shots] & picked
+        sign = popcount_words(np.bitwise_xor.reduce(flips, axis=0))
+        ys = popcount_words(xs & zs).sum(axis=(0, 1))
+        return (((ys >> 1) + sign) & 1).astype(np.uint8)
+
+    def _measure_rand(self, a: int, sel: np.ndarray, k: int) -> np.ndarray:
+        """Random branch on the ``k`` shots of boolean ``sel``: some
+        stabilizer anticommutes with Z_a.
+
+        Every row holding ``X_a`` except the pivot absorbs the pivot row
+        ``p`` (CHP ``rowsum``) — all rows at once: row ``p`` is
+        broadcast as one all-ones/zeros lane per column, and the phase
+        ``sum_q g`` is taken mod 4 bit-sliced over the column axis
+        (``g != 0`` where the two single-qubit Paulis anticommute,
+        ``g = -1`` on the ``neg`` subset, so bit 1 of the sum is bit 1
+        of ``count(anti)`` XOR ``parity(neg)``).
+
+        A branch taken by most of the batch runs in place over all of
+        it — a shot outside ``sel`` gets no pivot and no target row, so
+        every update below is the identity there; a sparse one gathers
+        its shots and scatters them back.
+        """
+        dense = 2 * k > self.batch_size
+        if dense:
+            xs, zs, rs = self.x, self.z, self.r
+        else:
+            shots = np.nonzero(sel)[0]
+            xs, zs, rs = self.x[..., shots], self.z[..., shots], \
+                self.r[..., shots]
+        # Pivot: the first stabilizer row holding X_a, as a one-hot word.
+        cand = xs[a, 1]                                 # (Wn, k)
+        held = cand != _ZERO
+        first = held & (np.cumsum(held, axis=0) == 1)
+        tgt = xs[a].copy()                              # (2, Wn, k)
+        if dense:
+            first &= sel
+            tgt &= _lanes(sel)
+        piv = np.where(first, cand & (~cand + _ONE), _ZERO)
+        keep = ~piv
+        tgt[1] &= keep
+        xp = _lanes((xs[:, 1] & piv).any(axis=1))       # (n, k)
+        zp = _lanes((zs[:, 1] & piv).any(axis=1))
+        rp = _lanes((rs[1] & piv).any(axis=0))          # (k,)
+        xp4, zp4 = xp[:, None, None], zp[:, None, None]
+        anti = (xs & zp4) ^ (zs & xp4)                  # (n, 2, Wn, k)
+        neg = (xs ^ zs ^ (xp4 ^ zp4) ^ (xp4 & zs)) & anti
+        twos = anti & ~np.bitwise_xor.accumulate(anti, axis=0)
+        phase = np.bitwise_xor.reduce(twos ^ neg, axis=0)
+        rs ^= (phase ^ rp) & tgt
+        xs ^= xp4 & tgt
+        zs ^= zp4 & tgt
         outcome = self.rng.integers(0, 2, size=k, dtype=np.uint8)
-        xs[rows, p, :] = 0
-        zs[rows, p, :] = 0
-        zs[rows, p, a] = 1
-        rs_u8[rows, p] = outcome
-        self.x[S] = xs
-        self.z[S] = zs
-        self.r[S] = rs_u8
+        if dense:
+            drawn = np.zeros(self.batch_size, dtype=bool)
+            drawn[sel] = outcome
+        else:
+            drawn = outcome.astype(bool)
+        # Row p leaves both halves; the destabilizer slot p-n receives
+        # the old stabilizer row p, and row p becomes +/- Z_a with the
+        # fresh random outcome.
+        xs &= keep
+        zs &= keep
+        rs &= keep
+        xs[:, 0] |= xp[:, None] & piv
+        zs[:, 0] |= zp[:, None] & piv
+        rs[0] |= rp & piv
+        zs[a, 1] |= piv
+        rs[1] |= _lanes(drawn) & piv
+        if not dense:
+            self.x[..., shots] = xs
+            self.z[..., shots] = zs
+            self.r[..., shots] = rs
         return outcome
 
     def reset(self, a: int, mask: Optional[np.ndarray] = None) -> None:
@@ -322,8 +365,15 @@ class BatchTableauSimulator:
         """Extract one shot's state as a single :class:`Tableau` (testing)."""
         from .tableau import Tableau
 
+        def rows(packed: np.ndarray) -> np.ndarray:
+            # (..., 2, Wn) words -> (..., 2n) bits in tableau row order.
+            bits = np.unpackbits(
+                np.ascontiguousarray(packed).view(np.uint8), axis=-1,
+                bitorder="little")[..., :self.n]
+            return bits.reshape(*packed.shape[:-2], 2 * self.n)
+
         t = Tableau(self.n)
-        t.x = self.x[shot].copy()
-        t.z = self.z[shot].copy()
-        t.r = self.r[shot].copy()
+        t.x = rows(self.x[..., shot]).T.copy()
+        t.z = rows(self.z[..., shot]).T.copy()
+        t.r = rows(self.r[..., shot])
         return t

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG spawning."""
+"""Shared utilities: RNG spawning, word-level bit primitives."""
 
 from .rng import as_generator, spawn_seeds, task_seed
 

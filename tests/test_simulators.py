@@ -57,36 +57,66 @@ class TestTableauVsStatevector:
 
 
 class TestBatchVsSingle:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_forced_trajectories_identical(self, seed):
-        """Batch B=1 and single-shot agree gate by gate when random
-        measurement outcomes are forced to match."""
-        circuit = random_clifford_circuit(4, 60, rng=seed,
+    @pytest.mark.parametrize("seed,n,batch", [
+        pytest.param(seed, 4, 1, id=str(seed)) for seed in range(10)
+    ] + [
+        # Row words: 33 -> one partly filled, 70 -> two, 130 -> three.
+        pytest.param(seed, n, 3, id=f"n{n}-{seed}")
+        for n in (33, 70, 130) for seed in (0, 1)
+    ])
+    def test_forced_trajectories_identical(self, seed, n, batch):
+        """Every batch shot and its own single-shot reference agree gate
+        by gate when random measurement outcomes are forced to match —
+        with per-shot masks (``batch > 1``) the shots' trajectories
+        diverge, and a masked-out shot must not move at all."""
+        circuit = random_clifford_circuit(n, 15 * n, rng=seed,
                                           measure_prob=0.08, reset_prob=0.05)
-        ts = TableauSimulator(4, rng=0)
-        bs = BatchTableauSimulator(4, 1, rng=seed * 13 + 1)
+        refs = [TableauSimulator(n, rng=0) for _ in range(batch)]
+        bs = BatchTableauSimulator(n, batch, rng=seed * 13 + 1)
+        mask_rng = np.random.default_rng(seed)
         for gate in circuit:
-            if gate.gate_type is GateType.MEASURE:
-                out_b = int(bs.measure(gate.qubits[0])[0])
-                out_s = ts.tableau.measure(gate.qubits[0], ts.rng,
-                                           forced_outcome=out_b)
-                assert out_s == out_b
-            elif gate.gate_type is GateType.RESET:
-                out_b = int(bs.measure(gate.qubits[0])[0])
-                if out_b:
-                    bs.x_gate(gate.qubits[0])
-                out_s = ts.tableau.measure(gate.qubits[0], ts.rng,
-                                           forced_outcome=out_b)
-                if out_s:
-                    ts.tableau.x_gate(gate.qubits[0])
+            mask = None
+            if batch > 1 and mask_rng.random() < 0.7:
+                mask = mask_rng.random(batch) < 0.5
+            hit = np.ones(batch, bool) if mask is None else mask
+            q = gate.qubits[0]
+            if gate.gate_type in (GateType.MEASURE, GateType.RESET):
+                out_b = bs.measure(q, mask)
+                assert not out_b[~hit].any()
+                if gate.gate_type is GateType.RESET:
+                    bs.x_gate(q, out_b.astype(bool))
+                for shot in np.nonzero(hit)[0]:
+                    ts = refs[shot]
+                    out_s = ts.tableau.measure(q, ts.rng,
+                                               forced_outcome=out_b[shot])
+                    assert out_s == out_b[shot]
+                    if out_s and gate.gate_type is GateType.RESET:
+                        ts.tableau.x_gate(q)
             else:
-                ts.apply(gate)
-                bs.apply(gate)
-            single = ts.tableau
-            batch = bs.shot_tableau(0)
-            assert np.array_equal(single.x, batch.x)
-            assert np.array_equal(single.z, batch.z)
-            assert np.array_equal(single.r, batch.r)
+                bs.apply(gate, mask)
+                for shot in np.nonzero(hit)[0]:
+                    refs[shot].apply(gate)
+            for shot, ts in enumerate(refs):
+                single = ts.tableau
+                got = bs.shot_tableau(shot)
+                assert np.array_equal(single.x, got.x)
+                assert np.array_equal(single.z, got.z)
+                assert np.array_equal(single.r, got.r)
+
+    def test_d7_noiseless_detectors_silent(self):
+        """XXZZ (7,7) is 98 qubits — two row words per half: a
+        noiseless memory run must fire no detector and read out the
+        expected logical value."""
+        from repro.codes import XXZZCode, build_memory_experiment
+        from repro.decoders import decoder_for
+        from repro.decoders.base import prepare_decode_inputs
+
+        exp = build_memory_experiment(XXZZCode(7, 7))
+        rec = BatchTableauSimulator(98, 8, rng=2).run(exp.circuit)
+        graph = decoder_for(exp, "union-find").graph
+        det, raw = prepare_decode_inputs(exp, rec, graph, True)
+        assert not det.any()
+        assert (raw == exp.expected_logical).all()
 
     def test_batch_marginals_match_reference(self):
         circuit = random_clifford_circuit(4, 60, rng=12,
