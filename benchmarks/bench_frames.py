@@ -151,6 +151,77 @@ def test_frames_d5_block_scale_noisy(benchmark, capsys, p):
         f"draw/apply {per_site_ms / ms:.2f}x < {bar}x at p={p:g}"
 
 
+@pytest.mark.parametrize("lanes", [1, 2, 4, 8, 16])
+def test_frames_d5_span_width(benchmark, capsys, lanes):
+    """The width sweep behind ``WIDE_BLOCKS``: the `quiet_deep` block
+    (d=5, 5 rounds, p = 5e-4) run as ``lanes`` canonical blocks of 512
+    in one wide execution, every lane on its own generator.
+
+    Measured on the 2-core sandbox when the span executor landed
+    (ms per 512-shot block, min of 5 over 96 blocks): the parent's
+    single-block simulator 3.40; this one 2.80 / 2.23 / 1.91 / 1.56 /
+    1.47 at 1 / 2 / 4 / 8 / 16 lanes.  What is left at 16 is the draw
+    itself — 935 uniform rows a block, ~1.15 ms at 2.4 ns a double,
+    pinned by the stream — so 8 takes most of the gain at half the
+    speculation and kill-loss of 16.  End to end (`quiet_deep`, seed
+    2024, 10/10 alternating pairs): ``wall_s`` 1.51 -> 0.77 s,
+    ``peak_rss_mb`` 57.7 -> 58.1; seed 7: 1.39 -> 0.73 s.
+
+    A lane must cost what a lone block costs: the one-lane case checks
+    the lane form against the plain ``FrameSimulator(n, 512, rng)``
+    call (same records, same rate), and the 8-lane span has to beat
+    the one-lane rate.
+    """
+    from repro.injection.results import SIM_BLOCK
+
+    circuit = build_memory_experiment(XXZZCode(5, 5), rounds=5).circuit
+    n = circuit.num_qubits
+    program = compile_frame_program(
+        circuit, NoiseModel([DepolarizingNoise(5e-4)]), rng=1)
+    blocks = 16
+
+    def span(width, first):
+        return FrameSimulator(
+            n, [SIM_BLOCK] * width,
+            rng=[np.random.default_rng(first + i) for i in range(width)]
+        ).run_packed(program)
+
+    def plain(_, first):
+        return FrameSimulator(
+            n, SIM_BLOCK, rng=np.random.default_rng(first)
+        ).run_packed(program)
+
+    def block_ms(run, width):
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for first in range(0, blocks, width):
+                run(width, first)
+            times.append(time.perf_counter() - t0)
+        return 1e3 * min(times) / blocks
+
+    ms = block_ms(span, lanes)
+    one_ms = ms if lanes == 1 else block_ms(span, 1)
+    benchmark(span, lanes, 0)
+    bench_report(
+        benchmark, capsys,
+        f"\n[frames] d=5 r=5 p=5e-4 span of {lanes} lane(s): "
+        f"{ms:.2f} ms/block, {1e3 * SIM_BLOCK / ms:,.0f} shots/s "
+        f"({one_ms / ms:.2f}x one lane)",
+        shots=lanes * SIM_BLOCK, lanes=lanes, block_ms=ms,
+        shots_per_s=1e3 * SIM_BLOCK / ms, speedup=one_ms / ms)
+    if lanes == 1:
+        assert np.array_equal(span(1, 3), plain(1, 3))
+        plain_ms = block_ms(plain, 1)
+        bar = bench_bar(1.1, 1.25)
+        assert ms <= bar * plain_ms, \
+            f"one lane {ms:.2f} ms vs plain block {plain_ms:.2f} ms"
+    if lanes == 8:
+        bar = bench_bar(1.4, 1.15)
+        assert one_ms / ms >= bar, \
+            f"8-lane span only {one_ms / ms:.2f}x one lane < {bar}x"
+
+
 def test_frames_d5_noisy(benchmark, d5_experiment, d5_noise):
     """Throughput: 10^4 frame shots under radiation + depolarizing."""
     circuit = d5_experiment.circuit

@@ -33,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from ..codes.base import MemoryExperiment
-from ..frames.packing import WORD_BITS, column_counts, unpack_words
+from ..frames.packing import (WORD_BITS, column_counts, unpack_words,
+                              words_for)
 
 
 class SyndromeBatch:
@@ -115,6 +116,19 @@ class SyndromeBatch:
             self._records = np.ascontiguousarray(
                 unpack_words(self.record_words, self.batch_size).T)
         return self._records
+
+    def shots(self, start: int, size: int) -> "SyndromeBatch":
+        """Shots ``[start, start + size)`` as a batch of their own
+        (a packed batch is cut at words: ``start`` must be a multiple
+        of 64)."""
+        if self._records is not None:
+            return SyndromeBatch.from_records(
+                self._records[start:start + size])
+        if start % WORD_BITS:
+            raise ValueError("a packed batch is cut on word boundaries")
+        lo = start // WORD_BITS
+        return SyndromeBatch.from_record_words(
+            self.record_words[:, lo:lo + words_for(size)], size)
 
     def bit_column(self, cbit: int) -> np.ndarray:
         """One classical bit across the batch, shape ``(B,)`` uint8 —

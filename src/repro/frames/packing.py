@@ -40,11 +40,11 @@ def pack_bool(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 1:
         raise ValueError("pack_bool expects a 1-D array")
-    nwords = words_for(bits.size)
-    packed = np.packbits(bits.astype(np.uint8, copy=False),
-                         bitorder="little")
-    if packed.size < nwords * 8:
-        packed = np.pad(packed, (0, nwords * 8 - packed.size))
+    # packbits takes booleans as they are; only a whole number of
+    # words views as uint64 without padding.
+    packed = np.packbits(bits, bitorder="little")
+    if bits.size % WORD_BITS:
+        packed = np.pad(packed, (0, words_for(bits.size) * 8 - packed.size))
     return packed.view(np.uint64)
 
 
@@ -57,11 +57,10 @@ def pack_bool_rows(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 2:
         raise ValueError("pack_bool_rows expects a 2-D array")
-    nwords = words_for(bits.shape[1]) if bits.shape[1] else 0
-    packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1,
-                         bitorder="little")
-    if packed.shape[1] < nwords * 8:
-        packed = np.pad(packed, ((0, 0), (0, nwords * 8 - packed.shape[1])))
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    if bits.shape[1] % WORD_BITS:
+        packed = np.pad(packed, ((0, 0), (0, words_for(bits.shape[1]) * 8
+                                          - packed.shape[1])))
     return packed.view(np.uint64)
 
 
@@ -80,8 +79,22 @@ def unpack_words(words: np.ndarray, batch_size: int) -> np.ndarray:
 
 
 def random_words(rng: np.random.Generator, nwords: int) -> np.ndarray:
-    """``nwords`` uniformly random uint64 words (one fresh bit per shot)."""
-    return np.frombuffer(rng.bytes(int(nwords) * 8), dtype=np.uint64)
+    """``nwords`` uniformly random uint64 words (one fresh bit per shot).
+
+    Read straight off the bit generator.  The stream contract is
+    stated for 64-bit-native bit generators (``PCG64`` — what
+    ``default_rng`` and every engine seed build — ``Philox``,
+    ``SFC64``): on those ``random_raw(n)`` returns the words of
+    ``np.frombuffer(rng.bytes(8 * n), uint64)`` and leaves the same
+    generator state, also between interleaved ``random()`` draws, at an
+    eighth of the cost for a block-sized row.  ``MT19937`` emits 32-bit
+    raw values, so it keeps the ``bytes`` route.
+    """
+    bit_generator = rng.bit_generator
+    if isinstance(bit_generator, np.random.MT19937):
+        return np.frombuffer(rng.bytes(int(nwords) * 8),
+                             dtype=np.uint64).copy()
+    return bit_generator.random_raw(int(nwords))
 
 
 def column_counts(planes: np.ndarray, batch_size: int) -> np.ndarray:

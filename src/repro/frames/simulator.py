@@ -20,12 +20,27 @@ perturbed by it (their ``Z`` commutes with the whole stabilizer group),
 so noiseless records match the reference bit-for-bit.  Noise enters
 through the lowered ops of a :class:`~repro.frames.program.FrameProgram`
 (see that module for exactness notes on reset faults).
+
+**Lanes.**  The shot axis is cut into *lanes*, each with its own
+generator: the lane is the unit of randomness, the simulator the unit
+of execution.  Every op that draws (``__init__``'s Z fill,
+``measure``/``measure_layer``, ``reset``, ``depolarize_draw``,
+``reset_noise``) makes, lane by lane, exactly the generator calls a
+one-lane simulator of that lane's size makes, in the same order, and
+writes them to that lane's word columns; everything else — the
+Cliffords, the op loop, the hit flips, the record writes — runs once
+over the whole ``(n, W)`` arrays.  So a lane's record words, weights
+and final generator state do not depend on which lanes ran beside it,
+and ``FrameSimulator(n, B, rng=g)`` is simply the one-lane case.  The
+campaign engine runs a span of canonical 512-shot blocks as the lanes
+of one simulator: per-op interpreter and dispatch cost is paid once
+per span instead of once per block.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,10 +86,14 @@ _OBS_SITES = obs.counter("frames.depolarize_sites")
 _OBS_HITS = obs.counter("frames.depolarize_hits")
 _OBS_DENSE = obs.counter("frames.depolarize_dense_sites")
 
-#: A drawn depolarize row with more hits than this takes the dense
-#: mask-and-pack path instead of single-bit flips.  Fixed from the d=5
-#: block-scale bench: a flip costs ~0.5 us of interpreter time, a dense
-#: row ~4 us at 512 shots (packed in one sweep per draw).
+#: A depolarize row *expecting* more hits per lane than this (``p``
+#: times the lane size) takes the dense mask-and-pack path instead of
+#: single-bit flips.  Fixed from the d=5 block-scale bench: a flip
+#: costs ~0.5 us of interpreter time, a dense row ~4 us at 512 shots
+#: (packed in one sweep per draw).  The rule reads the row's
+#: probability, not its drawn hits, so each lane's draw can be reduced
+#: and dropped before the next lane's is made; both paths make the
+#: same comparisons, so records are identical under any rule.
 DENSE_HITS_PER_ROW = 8
 
 #: A Clifford operand: one qubit, or a fused layer's disjoint qubits.
@@ -102,6 +121,16 @@ _HANDLER = {
 _WIDE_OPS = LAYER_OPS | {OP_DEPOLARIZE_DRAW}
 
 
+class _Lane(NamedTuple):
+    """One generator's share of the shot axis."""
+
+    rng: np.random.Generator
+    start: int      # first shot
+    shots: int
+    lo: int         # word columns [lo, hi)
+    hi: int
+
+
 class FrameSimulator:
     """X/Z Pauli frames for ``batch_size`` shots, bit-packed in uint64.
 
@@ -110,10 +139,14 @@ class FrameSimulator:
     num_qubits:
         Register width ``n``.
     batch_size:
-        Number of shots ``B`` (64 per word).
+        Number of shots ``B`` (64 per word) — or a sequence of lane
+        sizes, one per generator in ``rng`` (module docstring).  Every
+        lane but the last must be a whole number of words, so shots
+        stay contiguous; :attr:`batch_size` is then their sum.
     rng:
         Generator (or int seed) driving the Z-frame randomisation and
-        every lowered noise sampler.
+        every lowered noise sampler; a sequence of them, one per lane,
+        with a sequence of sizes.  :attr:`rng` is the first lane's.
     tilt:
         Importance-sampling tilt on depolarizing sites: each lowered
         ``OP_DEPOLARIZE`` site with nominal probability ``p`` fires at
@@ -127,46 +160,82 @@ class FrameSimulator:
         event, and its per-site probabilities are already order one.
     """
 
-    def __init__(self, num_qubits: int, batch_size: int,
-                 rng: Union[np.random.Generator, int, None] = None,
+    def __init__(self, num_qubits: int,
+                 batch_size: Union[int, Sequence[int]],
+                 rng: Union[np.random.Generator, int, None,
+                            Sequence[Union[np.random.Generator, int]]] = None,
                  tilt: float = 1.0, tilt_p_cap: float = 0.5) -> None:
         if num_qubits <= 0:
             raise ValueError("need at least one qubit")
         if tilt != 1.0 and tilt < 1.0:
             raise ValueError("tilt must be >= 1")
         n = int(num_qubits)
-        B = int(batch_size)
+        if isinstance(batch_size, (list, tuple)):
+            sizes, rngs = [int(b) for b in batch_size], list(rng)
+        else:
+            sizes, rngs = [int(batch_size)], [rng]
+        if len(sizes) != len(rngs):
+            raise ValueError("need one generator per lane")
+        if any(size % WORD_BITS for size in sizes[:-1]):
+            raise ValueError("every lane but the last must hold a whole "
+                             f"number of {WORD_BITS}-shot words")
+        lanes, start = [], 0
+        for size, lane_rng in zip(sizes, rngs):
+            if lane_rng is None or isinstance(lane_rng, (int, np.integer)):
+                lane_rng = np.random.default_rng(lane_rng)
+            lo = start // WORD_BITS
+            lanes.append(_Lane(lane_rng, start, size, lo,
+                               lo + words_for(size)))
+            start += size
+        self._lanes = lanes
+        #: The dense/sparse rule's lane size (see DENSE_HITS_PER_ROW).
+        self._lane_shots = max(sizes)
+        B = start
         self.n = n
         self.batch_size = B
-        self.num_words = words_for(B)
+        self.num_words = lanes[-1].hi
         self.tilt = float(tilt)
         self.tilt_p_cap = float(tilt_p_cap)
         #: Per-shot accumulated log-likelihood-ratio weights (tilted
         #: sampling only; ``None`` — and zero overhead — at tilt=1).
         self.log_weights = (np.zeros(B, dtype=np.float64)
                             if self.tilt != 1.0 else None)
-        if rng is None or isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(rng)
-        self.rng = rng
+        self.rng = lanes[0].rng
         self.x = np.zeros((n, self.num_words), dtype=np.uint64)
         # Uniformly random initial Z frame: stabilises |0...0>, feeds the
         # random-measurement branches downstream (module docstring).  One
-        # (n, W) draw: Generator.bytes streams identically whether pulled
-        # per row or in one call, so the sampled frames match the
+        # (n, W) draw per lane: the generator streams identically whether
+        # pulled per row or in one call, so the sampled frames match the
         # historical per-qubit loop bit-for-bit.
-        self.z = random_words(rng, n * self.num_words).reshape(
-            n, self.num_words).copy()
+        self.z = self._random_rows(n)
         # The open depolarize draw (see depolarize_draw): run id, the
-        # drawn uniforms, their (row, shot) hits in CSR form, dense rows.
+        # sparse rows' hits in CSR form over rows — shot and uniform
+        # per hit — and the dense rows' packed masks.
         self._run = -1
-        self._u = self._hits = self._row_ptr = None
-        self._dense_words = self._dense_slot = None
-        #: Depolarize [rows drawn, hits, rows packed densely] — of the
-        #: last :meth:`run_packed`, or since construction before one.
+        self._row_ptr = None
+        self._hit_shots = self._hit_u = []
+        self._dense_words = None
+        self._dense_slot = {}
+        #: Depolarize [rows drawn, hits, rows packed densely], counted
+        #: per lane — of the last :meth:`run_packed`, or since
+        #: construction before one.
         self.depolarize_stats = [0, 0, 0]
         self._record = None    # exec_ops' record words, for measures
         self._handlers = [getattr(self, _HANDLER[code])
                           for code in range(len(_HANDLER))]
+
+    def _random_rows(self, k: int) -> np.ndarray:
+        """``(k, W)`` fresh random words: each lane's columns are one
+        ``k * W_lane``-word draw from its own generator — the call a
+        lone block of that size makes."""
+        lanes = self._lanes
+        if len(lanes) == 1:
+            return random_words(lanes[0].rng,
+                                k * self.num_words).reshape(k, -1)
+        out = np.empty((k, self.num_words), dtype=np.uint64)
+        for rng, _, _, lo, hi in lanes:
+            out[:, lo:hi] = random_words(rng, k * (hi - lo)).reshape(k, -1)
+        return out
 
     # ------------------------------------------------------------------
     # Frame propagation (conjugation by the ideal Cliffords).  Every
@@ -204,8 +273,7 @@ class FrameSimulator:
         """
         out = self.x[qs].copy()
         out[refs.astype(bool)] ^= FULL_WORD
-        self.z[qs] ^= random_words(
-            self.rng, len(qs) * self.num_words).reshape(len(qs), -1)
+        self.z[qs] ^= self._random_rows(len(qs))
         return out
 
     # ------------------------------------------------------------------
@@ -230,11 +298,26 @@ class FrameSimulator:
         self.log_weights += np.where(fired, np.log(p / q),
                                      np.log((1.0 - p) / (1.0 - q)))
 
-    def _tilted_layer_llr(self, ps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def _fired(self, row: int, end: int) -> np.ndarray:
+        """``(end - row, B)`` bool: which shots fired rows ``row ..
+        end`` of the open draw — its compare ``u < q`` rebuilt from
+        what the draw kept (a shot fired iff it got an X or a Z)."""
+        fired = np.zeros((end - row, self.batch_size), dtype=bool)
+        ptr, shots = self._row_ptr, self._hit_shots
+        for i in range(end - row):
+            slot = self._dense_slot.get(row + i)
+            if slot is not None:
+                x_words, z_words = self._dense_words[:, slot]
+                fired[i] = unpack_words(x_words | z_words, self.batch_size)
+            elif ptr[row + i] != ptr[row + i + 1]:
+                fired[i, shots[ptr[row + i]:ptr[row + i + 1]]] = True
+        return fired
+
+    def _tilted_layer_llr(self, ps: np.ndarray, row: int) -> np.ndarray:
         """Resolve a depolarize layer's sampling probabilities and bank
         the layer's log-likelihood ratios (tilted simulators only)."""
         qs_p = self._tilted_p(ps)
-        fired = u < qs_p[:, None]
+        fired = self._fired(row, row + len(ps))
         with np.errstate(divide="ignore", invalid="ignore"):
             llr_hit = np.log(ps / qs_p)
             llr_miss = np.log((1.0 - ps) / (1.0 - qs_p))
@@ -257,7 +340,7 @@ class FrameSimulator:
         out = self.x[a].copy()
         if reference_bit:
             out ^= FULL_WORD
-        self.z[a] ^= random_words(self.rng, self.num_words)
+        self.z[a] ^= self._random_rows(1)[0]
         return out
 
     def reset(self, a: Qubits) -> None:
@@ -265,49 +348,98 @@ class FrameSimulator:
         land in |0>, so the X difference vanishes and Z is randomised
         (a layer in one block draw: the per-qubit draws concatenated)."""
         self.x[a] = 0
-        self.z[a] = random_words(
-            self.rng, np.size(a) * self.num_words).reshape(self.z[a].shape)
+        rows = self._random_rows(np.size(a))
+        self.z[a] = rows if np.ndim(a) else rows[0]
 
     # ------------------------------------------------------------------
     # Lowered noise ops
     # ------------------------------------------------------------------
     def depolarize_draw(self, ps: np.ndarray, run=None) -> None:
-        """The draw half of a run of depolarize sites: one uniform row
-        per entry of ``ps`` in a single generator call (stream-identical
-        to per-site draws), reduced at once to what the sites need.
+        """The draw half of a run of depolarize sites: per lane, one
+        uniform row per entry of ``ps`` in a single generator call
+        (stream-identical to per-site draws), reduced at once to what
+        the sites need and then dropped — a span never holds more than
+        one lane's uniforms.
 
-        One vectorised compare finds the hits ``u < p``, kept in CSR
-        form so a site finds its rows' hits — usually none — by two
-        list lookups.  Rows past :data:`DENSE_HITS_PER_ROW` hits get
-        their X/Z masks packed here, in one sweep; sparser rows flip
+        One vectorised compare finds the hits ``u < p``; their shots
+        and uniforms are kept in CSR form over rows, so a site finds
+        its rows' hits — usually none — by two list lookups and flips
         single bits when :meth:`depolarize` / :meth:`depolarize_layer`
-        apply them by row, quoting ``run``.
+        apply them by row, quoting ``run``.  Rows expecting more than
+        :data:`DENSE_HITS_PER_ROW` hits a lane get their X/Z masks
+        packed here instead, in one sweep per lane.
         """
-        k, B = len(ps), self.batch_size
-        u = self.rng.random((k, B))
+        k, lanes = len(ps), self._lanes
         if self.log_weights is not None:
             ps = self._tilted_p(ps)
         p = ps[:, None]
-        hits = (u < p).ravel().nonzero()[0]   # flat row * B + shot, sorted
-        self._run, self._u, self._hits = run, u, hits
-        self.depolarize_stats[0] += k
-        self.depolarize_stats[1] += hits.size
-        if not hits.size:
+        # A run of equal probabilities (one depolarizing strength — the
+        # usual case) compares against the scalar: numpy's broadcast
+        # compare against a (k, 1) column runs ~4x slower.
+        threshold = ps[0] if (ps == ps[0]).all() else p
+        dense = (ps * self._lane_shots > DENSE_HITS_PER_ROW).nonzero()[0]
+        self._dense_slot = {r: j for j, r in enumerate(dense.tolist())}
+        pd = p[dense]
+        if dense.size:
+            self._dense_words = np.empty((2, dense.size, self.num_words),
+                                         dtype=np.uint64)  # [X|Z, slot, word]
+        num_hits = 0
+        hits = []
+        for lane in lanes:
+            lane_hits, dense_hits = self._draw_lane(lane, k, threshold,
+                                                    dense, pd)
+            num_hits += dense_hits
+            if lane_hits is not None:
+                hits.append(lane_hits)
+        self._run = run
+        self.depolarize_stats[0] += k * len(lanes)
+        self.depolarize_stats[2] += dense.size * len(lanes)
+        if not hits:
+            self.depolarize_stats[1] += num_hits
             self._row_ptr = [0] * (k + 1)
             return
-        ptr = np.searchsorted(hits, np.arange(0, (k + 1) * B, B))
-        self._row_ptr = ptr.tolist()
-        if hits.size <= DENSE_HITS_PER_ROW:    # no row can be dense
-            return
-        dense = (ptr[1:] - ptr[:-1] > DENSE_HITS_PER_ROW).nonzero()[0]
+        rows, shots, us = hits[0]
+        if len(hits) > 1:
+            # Each lane's hits are sorted by row; a stable sort keeps
+            # them in lane order within a row.
+            rows, shots, us = (np.concatenate(part) for part in zip(*hits))
+            order = rows.argsort(kind="stable")
+            rows, shots, us = rows[order], shots[order], us[order]
+        self.depolarize_stats[1] += num_hits + rows.size
+        self._row_ptr = np.searchsorted(rows, np.arange(k + 1)).tolist()
+        self._hit_shots = shots.tolist()
+        self._hit_u = us.tolist()
+
+    def _draw_lane(self, lane: _Lane, k: int, threshold, dense: np.ndarray,
+                   pd: np.ndarray):
+        """One lane's share of a draw: ``(k, shots)`` uniforms from the
+        lane's generator, reduced to the sparse rows' hits — ``(rows,
+        shots, uniforms)`` sorted by row, or ``None`` — and the dense
+        rows' masks, packed into the lane's word columns; returns the
+        hits and the dense rows' hit count.  The uniforms die with
+        this frame, so the next lane's draw gets the same, cache-warm
+        block back from the allocator."""
+        rng, start, size, lo, hi = lane
+        u = rng.random((k, size))
+        fired = u < threshold
+        dense_hits = 0
         if dense.size:
-            ud, pd = u[dense], p[dense]
+            every = dense.size == k     # the usual dense draw: no row copy
+            ud = u if every else u[dense]
             third = pd / 3.0
-            self._dense_words = pack_bool_rows(np.concatenate(
-                [ud < 2 * third, (ud >= third) & (ud < pd)])
-                ).reshape(2, dense.size, -1)     # [X|Z, slot, word]
-            self._dense_slot = {r: j for j, r in enumerate(dense.tolist())}
-            self.depolarize_stats[2] += dense.size
+            self._dense_words[:, :, lo:hi] = pack_bool_rows(
+                np.concatenate([ud < 2 * third, (ud >= third) & (ud < pd)])
+                ).reshape(2, dense.size, -1)
+            dense_hits = int(np.count_nonzero(fired if every
+                                              else fired[dense]))
+            if every:
+                return None, dense_hits
+            fired[dense] = False
+        flat = fired.ravel().nonzero()[0]       # row * size + shot, sorted
+        if not flat.size:
+            return None, dense_hits
+        rows = flat // size
+        return (rows, flat - rows * size + start, u.ravel()[flat]), dense_hits
 
     def _apply_row(self, a: int, p: float, row: int) -> None:
         """XOR drawn row ``row``'s Pauli errors into qubit ``a``.
@@ -316,20 +448,21 @@ class FrameSimulator:
         ``u >= p/3`` (X, Y, Z at ``p/3`` each, Eq. 4) — the dense masks
         and the single-bit flips make the same comparisons.
         """
-        lo, hi = self._row_ptr[row], self._row_ptr[row + 1]
-        if hi - lo > DENSE_HITS_PER_ROW:
-            x_words, z_words = self._dense_words[:, self._dense_slot[row]]
+        slot = self._dense_slot.get(row)
+        if slot is not None:
+            x_words, z_words = self._dense_words[:, slot]
             self.x[a] ^= x_words
             self.z[a] ^= z_words
             return
-        u = self._u[row]
+        lo, hi = self._row_ptr[row], self._row_ptr[row + 1]
         third = p / 3.0
-        for c in (self._hits[lo:hi] - row * self.batch_size).tolist():
-            word, bit, uc = c >> 6, _BIT[c & 63], u[c]
+        xa, za = self.x[a], self.z[a]
+        for c, uc in zip(self._hit_shots[lo:hi], self._hit_u[lo:hi]):
+            word, bit = c >> 6, _BIT[c & 63]
             if uc < 2 * third:
-                self.x[a, word] ^= bit
+                xa[word] ^= bit
             if uc >= third:
-                self.z[a, word] ^= bit
+                za[word] ^= bit
 
     def depolarize(self, a: int, p: float, run=None, row: int = 0) -> None:
         """Per-shot X/Y/Z error with probability ``p/3`` each (Eq. 4).
@@ -345,9 +478,10 @@ class FrameSimulator:
             raise RuntimeError(_CUT_RUN.format(run, self._run))
         if self.log_weights is not None:
             q = self._tilted_p(p)
-            self._accumulate_llr(p, q, self._u[row] < q)
+            self._accumulate_llr(p, q, self._fired(row, row + 1)[0])
             p = q
-        if self._row_ptr[row] != self._row_ptr[row + 1]:
+        if self._row_ptr[row] != self._row_ptr[row + 1] \
+                or row in self._dense_slot:
             self._apply_row(a, p, row)
 
     def depolarize_layer(self, qs: np.ndarray, ps: np.ndarray,
@@ -361,11 +495,11 @@ class FrameSimulator:
             raise RuntimeError(_CUT_RUN.format(run, self._run))
         end = row + len(qs)
         if self.log_weights is not None:
-            ps = self._tilted_layer_llr(ps, self._u[row:end])
-        ptr = self._row_ptr
-        if ptr[row] != ptr[end]:
+            ps = self._tilted_layer_llr(ps, row)
+        ptr, dense = self._row_ptr, self._dense_slot
+        if ptr[row] != ptr[end] or dense:
             for i in range(len(qs)):
-                if ptr[row + i] != ptr[row + i + 1]:
+                if ptr[row + i] != ptr[row + i + 1] or row + i in dense:
                     self._apply_row(qs[i], ps[i], row + i)
 
     def reset_noise(self, a: int, p: float,
@@ -378,19 +512,22 @@ class FrameSimulator:
         reset then lowers to a full Pauli twirl (reset to the maximally
         mixed state; see :mod:`repro.frames.program`).
         """
-        mask = bernoulli_words(self.rng, p, self.batch_size)
-        if not mask.any():
-            return
-        keep = ~mask
-        if x_value is None:
-            xbits = random_words(self.rng, self.num_words)
-        elif x_value:
-            xbits = np.full(self.num_words, FULL_WORD, dtype=np.uint64)
-        else:
-            xbits = np.zeros(self.num_words, dtype=np.uint64)
-        self.x[a] = (self.x[a] & keep) | (xbits & mask)
-        zbits = random_words(self.rng, self.num_words)
-        self.z[a] = (self.z[a] & keep) | (zbits & mask)
+        xa, za = self.x[a], self.z[a]
+        for rng, _, size, lo, hi in self._lanes:
+            mask = bernoulli_words(rng, p, size)
+            if not mask.any():
+                continue
+            # Under the mask the lane's X becomes the reset value and
+            # its Z fresh random bits: v ^= (v ^ new) & mask.
+            x = xa[lo:hi]
+            if x_value is None:
+                x ^= (x ^ random_words(rng, hi - lo)) & mask
+            elif x_value:
+                x |= mask
+            else:
+                x &= ~mask
+            z = za[lo:hi]
+            z ^= (z ^ random_words(rng, hi - lo)) & mask
 
     # ------------------------------------------------------------------
     # Program execution
@@ -411,7 +548,7 @@ class FrameSimulator:
                                 dtype=np.uint64)
         self.depolarize_stats = [0, 0, 0]
         self.exec_ops(program.ops, record_words)
-        _OBS_BLOCKS.inc()
+        _OBS_BLOCKS.inc(len(self._lanes))
         _OBS_OPS.inc(len(program.ops))
         _OBS_FUSED.inc(program.fused_ops)
         for ctr, n in zip((_OBS_SITES, _OBS_HITS, _OBS_DENSE),
@@ -436,14 +573,16 @@ class FrameSimulator:
         its ``OP_DEPOLARIZE_DRAW`` raises instead of applying one
         batch's hits to another.
 
-        With a profiler enabled (``repro perf record``) one block in
-        ``prof.SAMPLE_EVERY`` additionally reads the clock wherever the
-        opcode changes (runs of one opcode share a bucket; fused ops
-        count their width as scalar-equivalent ops); every block
-        contributes wall time, and the profiler scales the sampled
-        buckets to it at snapshot.  Scalar frame ops are sub-µs to a
-        few µs each: clocking every block would alone break the < 2%
-        budget.  Off, the ``None`` check is the entire hot-path cost.
+        With a profiler enabled (``repro perf record``) one execution
+        in ``prof.SAMPLE_EVERY`` — a profiler "block", whatever number
+        of lanes it carries — additionally reads the clock wherever
+        the opcode changes (runs of one opcode share a bucket; fused
+        ops count their width as scalar-equivalent ops); every
+        execution contributes wall time, and the profiler scales the
+        sampled buckets to it at snapshot.  Scalar frame ops are sub-µs
+        to a few µs each: clocking every execution would alone break
+        the < 2% budget.  Off, the ``None`` check is the entire
+        hot-path cost.
         """
         self._record = record_words
         self._run = -1

@@ -4,6 +4,7 @@ from .adaptive import DECISION_SHOTS, AdaptivePolicy
 from .campaign import (
     DEFAULT_CHUNK_SHOTS,
     SIM_BLOCK,
+    WIDE_BLOCKS,
     Campaign,
     iter_task_chunks,
     run_task,
@@ -22,6 +23,7 @@ __all__ = [
     "ChunkResult",
     "DEFAULT_CHUNK_SHOTS",
     "SIM_BLOCK",
+    "WIDE_BLOCKS",
     "build_sweep",
     "sweep_size",
     "iter_task_chunks",

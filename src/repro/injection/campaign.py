@@ -8,14 +8,19 @@ simulation, decode, count logical errors.
 Execution is **chunked and streaming**: a task's shot budget is
 partitioned into canonical simulation blocks of :data:`SIM_BLOCK` shots,
 each seeded independently from the task seed via ``SeedSequence``
-(:func:`repro.util.rng.block_seed`).  Blocks are the only unit that ever
-touches the simulator, so
+(:func:`repro.util.rng.block_seed`).  The block is the only unit of
+*randomness* — every block draws from its own generator, whatever runs
+beside it — and the *span*, up to :data:`WIDE_BLOCKS` consecutive
+blocks, the unit of execution: on the frame backend a span is one wide
+simulator run with a lane per block and one ``decode_batch`` call
+(:func:`execute_block`), so per-op dispatch is paid once per span
+while each block's records are those of the block run alone.  So
 
-* memory stays bounded at any shot count (one block of records at a
+* memory stays bounded at any shot count (one span of records at a
   time, counts aggregated as scalars),
 * a run's counts are **bit-identical however the blocks are grouped**
-  into chunks — single-chunk, streamed, interrupted-and-resumed, serial
-  or process-parallel all agree,
+  into spans and chunks — single-chunk, streamed,
+  interrupted-and-resumed, serial or process-parallel all agree,
 * adaptive policies can stop between chunks without perturbing the
   sampled stream of any shot that did run.
 
@@ -31,7 +36,8 @@ from __future__ import annotations
 import dataclasses
 import time
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -66,6 +72,14 @@ from .store import CampaignStore
 #: Default chunk (checkpoint / adaptive-decision) granularity, in shots.
 #: Rounded up to a whole number of blocks.
 DEFAULT_CHUNK_SHOTS = 2 * SIM_BLOCK
+
+#: Canonical blocks executed together as one span — the lanes of one
+#: wide frame execution (:func:`execute_block`).  Scheduling only: each
+#: block still draws from its own seed, so counts do not depend on it.
+#: Fixed by the width sweep in ``benchmarks/bench_frames.py``: at 8 a
+#: frame row is 64 words and per-op dispatch is amortised; 16 adds
+#: little and doubles what an adaptive stop or a kill can waste.
+WIDE_BLOCKS = 8
 
 #: Hot-path metric handles, cached once (obs.reset zeroes them in
 #: place, so these stay valid across resets and forks).  Incremented at
@@ -291,67 +305,124 @@ def _task_context(task: InjectionTask):
 
 
 def execute_block(experiment: MemoryExperiment, decoder, noise, program,
-                  sampler: SamplerSpec, tilted, size: int, rng):
-    """Run + decode one simulation block under a sampling measure.
+                  sampler: SamplerSpec, tilted, sizes: Sequence[int],
+                  rngs: Sequence[np.random.Generator],
+                  recovery: str = "static") -> List[Tuple]:
+    """Run + decode a span of simulation blocks under a sampling
+    measure: block ``i`` holds ``sizes[i]`` shots drawn from
+    ``rngs[i]`` alone.
 
-    Returns ``(num_errors, raw_errors, corrections,
-    weight_stats-or-None)``.  This is the one place a noise realisation
-    is ever drawn, shared by every lease the scheduler runs (in-process
-    or in a worker, via :func:`iter_task_chunks`) and the auto-tilt
-    pilot — so every consumer samples the identical stream for
-    identical inputs.
+    Returns one ``(num_errors, raw_errors, corrections,
+    weight_stats-or-None)`` per block, each what the block yields run
+    on its own.  This is the one place a noise realisation is ever
+    drawn, shared by every lease the scheduler runs (in-process or in
+    a worker, via :func:`iter_task_chunks`) and the auto-tilt pilot —
+    so every consumer samples the identical stream for identical
+    inputs.
 
-    On the frame backend the block stays bit-packed end to end: the
-    sampler's word stream is wrapped in a :class:`~repro.decoders.
-    batch.SyndromeBatch` and packed-native decoders (all in-repo ones,
-    including the burst-adaptive wrapper) extract syndromes, detectors
-    and the raw readout by whole-word ops — the full-record
-    ``unpack_words`` round-trip only happens for third-party decoders
-    that advertise ``packed_native = False``.
+    On the frame backend the span is one wide execution — the blocks
+    are the lanes of a single :class:`~repro.frames.FrameSimulator` —
+    and stays bit-packed end to end: the sampler's word stream is
+    wrapped in a :class:`~repro.decoders.batch.SyndromeBatch` and
+    packed-native decoders (all in-repo ones, including the
+    burst-adaptive wrapper) extract syndromes, detectors and the raw
+    readout by whole-word ops — the full-record ``unpack_words``
+    round-trip only happens for third-party decoders that advertise
+    ``packed_native = False``.  A static decoder decodes the span in
+    one call (a decode is a pure function of the shot's pattern).  The
+    splitting sampler resamples its batch and the tableau has no
+    lanes: those run block by block.
+
+    ``recovery`` other than ``"static"`` decodes each block through a
+    fresh :class:`~repro.detect.recovery.BurstAdaptiveDecoder`: it
+    caches burst estimates first-come, so a shared one would make a
+    block's counts depend on which blocks it decoded before — on the
+    span, the chunk grouping and the worker count.
     """
-    weights = None
+    sizes = [int(size) for size in sizes]
+    num_qubits = experiment.circuit.num_qubits
+    #: (batch, per-shot weights or None, sizes of the blocks in it)
+    batches = []
     with obs.span("sample"):
-        if program is not None:
-            if sampler.kind == "split":
-                from ..rare.split import run_split_packed
-
-                sim = FrameSimulator(experiment.circuit.num_qubits, size,
-                                     rng=rng)
-                record_words, weights = run_split_packed(
-                    sim, program, experiment, sampler)
-            else:
-                tilt = sampler.tilt if sampler.kind == "tilt" else 1.0
-                sim = FrameSimulator(experiment.circuit.num_qubits, size,
-                                     rng=rng, tilt=tilt,
-                                     tilt_p_cap=sampler.p_cap)
-                record_words = sim.run_packed(program)
-                if sampler.kind == "tilt":
-                    weights = sim.shot_weights()
-            batch = SyndromeBatch.from_record_words(record_words, size)
-        elif sampler.kind == "tilt":
-            tilted_model, sink = tilted
-            sink.reset(size)
-            batch = SyndromeBatch.from_records(run_batch_noisy(
-                experiment.circuit, tilted_model, size, rng=rng,
-                backend="tableau"))
-            weights = sink.weights()
+        if program is not None and sampler.kind != "split":
+            tilt = sampler.tilt if sampler.kind == "tilt" else 1.0
+            sim = FrameSimulator(num_qubits, sizes, rng=list(rngs),
+                                 tilt=tilt, tilt_p_cap=sampler.p_cap)
+            record_words = sim.run_packed(program)
+            batches.append((
+                SyndromeBatch.from_record_words(record_words,
+                                                sim.batch_size),
+                sim.shot_weights() if sampler.kind == "tilt" else None,
+                sizes))
         else:
-            batch = SyndromeBatch.from_records(run_batch_noisy(
-                experiment.circuit, noise, size, rng=rng,
-                backend="tableau"))
+            for size, rng in zip(sizes, rngs):
+                weights = None
+                if program is not None:
+                    from ..rare.split import run_split_packed
+
+                    record_words, weights = run_split_packed(
+                        FrameSimulator(num_qubits, size, rng=rng),
+                        program, experiment, sampler)
+                    batch = SyndromeBatch.from_record_words(record_words,
+                                                            size)
+                elif sampler.kind == "tilt":
+                    tilted_model, sink = tilted
+                    sink.reset(size)
+                    batch = SyndromeBatch.from_records(run_batch_noisy(
+                        experiment.circuit, tilted_model, size, rng=rng,
+                        backend="tableau"))
+                    weights = sink.weights()
+                else:
+                    batch = SyndromeBatch.from_records(run_batch_noisy(
+                        experiment.circuit, noise, size, rng=rng,
+                        backend="tableau"))
+                batches.append((batch, weights, [size]))
+    out: List[Tuple] = []
+    for batch, weights, lanes in batches:
+        if recovery == "static":
+            out += _decode_blocks(experiment, decoder, batch, weights,
+                                  lanes, sampler.weighted)
+            continue
+        # Imported lazily (repro.detect sits above the decoder layer).
+        from ..detect.recovery import BurstAdaptiveDecoder
+
+        start = 0
+        for size in lanes:
+            out += _decode_blocks(
+                experiment, BurstAdaptiveDecoder(decoder, policy=recovery),
+                batch.shots(start, size),
+                None if weights is None else weights[start:start + size],
+                [size], sampler.weighted)
+            start += size
+    return out
+
+
+def _decode_blocks(experiment: MemoryExperiment, decoder,
+                   batch: SyndromeBatch, weights, sizes: List[int],
+                   weighted: bool) -> List[Tuple]:
+    """Decode ``batch`` in one call and tally it block by block
+    (``sizes`` partition its shots, in order)."""
     with obs.span("decode"):
         if getattr(decoder, "packed_native", False):
             decoded = decoder.decode_batch(experiment, batch)
         else:
             # Unpack fallback for decoders that only take uint8 rows.
             decoded = decoder.decode_batch(experiment, batch.records)
-    readout = batch.bit_column(experiment.readout_cbit)
-    errors = decoded.num_errors
-    raw = int(np.count_nonzero(readout != experiment.expected_logical))
-    corr = int(np.count_nonzero(decoded.corrections))
-    stats = (WeightStats.from_weights(weights, decoded.errors)
-             if sampler.weighted else None)
-    return errors, raw, corr, stats
+    errors = decoded.errors
+    wrong = batch.bit_column(experiment.readout_cbit) \
+        != experiment.expected_logical
+    out = []
+    start = 0
+    for size in sizes:
+        block = slice(start, start + size)
+        out.append((
+            int(np.count_nonzero(errors[block])),
+            int(np.count_nonzero(wrong[block])),
+            int(np.count_nonzero(decoded.corrections[block])),
+            WeightStats.from_weights(weights[block], errors[block])
+            if weighted else None))
+        start += size
+    return out
 
 
 def _normalize_chunk(chunk_shots: Optional[int]) -> int:
@@ -390,47 +461,47 @@ def iter_task_chunks(task: InjectionTask,
     # however many calls schedule them.
     experiment, decoder, noise, program, sampler, tilted = \
         _task_context(task)
-    recovering = task.recovery != "static"
-    if recovering:
-        # Imported lazily (repro.detect sits above the decoder layer).
-        from ..detect.recovery import BurstAdaptiveDecoder
-    pos = start_shot
+    wide = WIDE_BLOCKS * SIM_BLOCK
+    pos = chunk_start = start_shot
+    chunk_end = min(total, pos + chunk)
+    #: (block result, its share of the span's wall) of the open chunk
+    held: List[Tuple[Tuple, float]] = []
     while pos < total:
+        # One span: the rest of the open chunk and the whole chunks
+        # after it that fit the width, or — a chunk wider than a span —
+        # the next ``wide`` shots of it.
+        end = min(chunk_end, pos + wide)
+        if end == chunk_end:
+            end = min(total, end + (pos + wide - end) // chunk * chunk)
         t0 = time.perf_counter()
-        end = min(total, pos + chunk)
-        errors = raw = corr = 0
-        block_weights = [] if sampler.weighted else None
-        block = pos
-        while block < end:
-            size = min(SIM_BLOCK, end - block)
-            rng = np.random.default_rng(
-                block_seed(task.seed, block // SIM_BLOCK))
-            # A fresh recovery wrapper per block: it caches burst
-            # estimates first-come, so a shared one would make a
-            # block's counts depend on which blocks it decoded before
-            # — on the chunk grouping and the worker count.
-            block_decoder = BurstAdaptiveDecoder(
-                decoder, policy=task.recovery) if recovering else decoder
-            b_err, b_raw, b_corr, b_stats = execute_block(
-                experiment, block_decoder, noise, program, sampler,
-                tilted, size, rng)
-            errors += b_err
-            raw += b_raw
-            corr += b_corr
+        starts = range(pos, end, SIM_BLOCK)
+        sizes = [min(SIM_BLOCK, end - block) for block in starts]
+        blocks = execute_block(
+            experiment, decoder, noise, program, sampler, tilted, sizes,
+            [np.random.default_rng(block_seed(task.seed, block // SIM_BLOCK))
+             for block in starts], task.recovery)
+        # The span's wall, apportioned by shots: chunk times stay sums
+        # of real time.
+        per_shot = (time.perf_counter() - t0) / (end - pos)
+        for size, block in zip(sizes, blocks):
+            held.append((block, per_shot * size))
             _OBS_SHOTS.inc(size)
-            _OBS_ERRORS.inc(b_err)
+            _OBS_ERRORS.inc(block[0])
             _OBS_BLOCKS.inc()
-            if block_weights is not None:
-                block_weights.append((b_stats.wsum, b_stats.wsq,
-                                      b_stats.esum, b_stats.esq))
-            block += size
-        _OBS_CHUNKS.inc()
-        yield ChunkResult(start=pos, shots=end - pos, errors=errors,
-                          raw_errors=raw, corrections_applied=corr,
-                          elapsed_s=time.perf_counter() - t0,
-                          block_weights=(None if block_weights is None
-                                         else tuple(block_weights)))
-        pos = end
+            pos += size
+            if pos == chunk_end:
+                _OBS_CHUNKS.inc()
+                yield ChunkResult(
+                    start=chunk_start, shots=pos - chunk_start,
+                    errors=sum(b[0] for b, _ in held),
+                    raw_errors=sum(b[1] for b, _ in held),
+                    corrections_applied=sum(b[2] for b, _ in held),
+                    elapsed_s=sum(seconds for _, seconds in held),
+                    block_weights=tuple(
+                        (b[3].wsum, b[3].wsq, b[3].esum, b[3].esq)
+                        for b, _ in held) if sampler.weighted else None)
+                chunk_start, held = pos, []
+                chunk_end = min(total, pos + chunk)
 
 
 def _assemble(task: InjectionTask, shots: int, errors: int, raw: int,

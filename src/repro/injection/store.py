@@ -32,6 +32,7 @@ import hashlib
 import json
 import os
 import warnings
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
@@ -61,15 +62,26 @@ def canonical_task(task: InjectionTask) -> Dict[str, object]:
     return d
 
 
+@lru_cache(maxsize=8192)
+def _identity(task: InjectionTask) -> Tuple[str, Dict[str, object]]:
+    """A task's ``(key, canonical dict)``, worked out once per task: a
+    run asks for a point's key at the resume check, at plan
+    construction and for its done record, and ``dataclasses.asdict``
+    over the nested spec is the cost of each.  Tasks are frozen and
+    hashable; the dict is shared, so it is only ever serialised."""
+    canonical = canonical_task(task)
+    blob = json.dumps({"v": KEY_VERSION, "task": canonical},
+                      sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20], canonical
+
+
 def task_key(task: InjectionTask) -> str:
     """Stable content hash identifying one campaign point.
 
     Every spec field participates — including seed and shot budget —
     so a key never aliases two points that could sample differently.
     """
-    blob = json.dumps({"v": KEY_VERSION, "task": canonical_task(task)},
-                      sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
+    return _identity(task)[0]
 
 
 class CampaignStore:
@@ -318,7 +330,7 @@ class CampaignStore:
             "chunks": result.chunks,
             "seed": result.task.seed,
             "label": result.task.label,
-            "task": canonical_task(result.task),
+            "task": _identity(result.task)[1],
         }
         if result.weights is not None:
             rec["wsum"], rec["wsq"], rec["esum"], rec["esq"] = result.weights

@@ -7,7 +7,10 @@ stream.  Because every block is seeded from the task seed by its block
 index alone (:func:`repro.util.rng.block_seed`), a lease's counts are a
 pure function of ``(task, start, shots)``: it does not matter which
 worker runs it, when, or how many times (a re-run after a crash is
-bit-identical, so duplicates are discarded on arrival).
+bit-identical, so duplicates are discarded on arrival).  How the
+engine executes a lease — block by block or as wide spans of several
+blocks, alone or in a run with its neighbours — is invisible here:
+every block draws from its own seed.
 
 :class:`TaskPlan` owns the other half of the determinism contract: it
 aggregates completed leases into a *contiguous frontier* and evaluates

@@ -20,10 +20,11 @@ intact:
 * **One loop, in-process or forked** — the scheduler is the engine's
   only executor.  With one effective worker (``workers=1``, or a plan
   of a single lease) it drains the plans itself, in task order, at the
-  engine's checkpoint grain; otherwise it forks.  The choice is
-  computed from the inputs, never set by the caller, and both routes
-  bank every chunk through the same :class:`~repro.parallel.plan.
-  TaskPlan`.
+  engine's checkpoint grain — handing the engine runs of contiguous
+  equal leases, which it executes as wide spans; otherwise it forks,
+  and each worker call carries one lease.  The choice is computed from
+  the inputs, never set by the caller, and both routes bank every
+  chunk through the same :class:`~repro.parallel.plan.TaskPlan`.
 * **Crash tolerance** — a dead worker's leased chunks are requeued
   and the campaign completes with a :class:`RuntimeWarning`; if every
   worker dies (or none can be started), the remaining leases finish
@@ -53,6 +54,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from .. import obs
+from ..injection import campaign as _engine
 from ..injection.adaptive import AdaptivePolicy
 from ..injection.campaign import DEFAULT_CHUNK_SHOTS, _normalize_chunk
 from ..injection.results import (SIM_BLOCK, ZERO_PRIOR, ChunkResult,
@@ -458,7 +460,8 @@ class WorkStealingScheduler:
 
     def _drain(self, plans: List[TaskPlan]) -> None:
         """Run every remaining lease in this process, in task order (a
-        kill mid-point loses at most the chunk being run)."""
+        kill mid-point loses at most the run being executed — up to
+        ``WIDE_BLOCKS`` blocks, 4096 shots)."""
         for plan in plans:
             # Reclaim leases stranded in dead workers' pipelines
             # (descending, so appendleft restores ascending order).
@@ -468,10 +471,29 @@ class WorkStealingScheduler:
                 plan.give_back(lease)
             while plan.shots < plan.target and plan.pending:
                 lease = plan.pending.popleft()
+                # A run of contiguous equal leases goes to the engine
+                # in one call, to be executed as wide spans.  A fixed
+                # budget takes the full width at once; an adaptive
+                # point never samples further past its frontier than
+                # the frontier has come, so one that resolves at its
+                # first watermark pays no speculation.  What lies past
+                # a stop is dropped by ``TaskPlan.record``.  (The
+                # width is read where the engine reads it.)
+                budget = _engine.WIDE_BLOCKS * SIM_BLOCK
+                if plan.adaptive is not None:
+                    budget = min(budget, plan.shots)
+                run = 1
+                while plan.pending and (run + 1) * lease.shots <= budget \
+                        and plan.pending[0].shots == lease.shots \
+                        and plan.pending[0].start \
+                        == lease.start + run * lease.shots:
+                    plan.pending.popleft()
+                    run += 1
                 # Through the module, so a wrapper installed on
                 # ``worker.execute_lease`` (the e2e tracer) sees it.
-                self._bank(plan, worker.execute_lease(
-                    plan.task, lease.start, lease.shots))
+                for chunk in worker.execute_lease(
+                        plan.task, lease.start, lease.shots, run):
+                    self._bank(plan, chunk)
 
     def _shutdown(self, workers) -> None:
         for wid, (proc, inbox) in workers.items():

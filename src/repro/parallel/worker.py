@@ -18,7 +18,7 @@ import os
 import queue
 import signal
 import traceback
-from typing import List
+from typing import List, Optional, Union
 
 from .. import obs
 from ..injection.campaign import iter_task_chunks
@@ -38,16 +38,23 @@ CRASH_AFTER_ENV = "REPRO_TEST_CRASH_AFTER"
 PARENT_POLL_S = 1.0
 
 
-def execute_lease(task: InjectionTask, start: int, shots: int
-                  ) -> ChunkResult:
+def execute_lease(task: InjectionTask, start: int, shots: int,
+                  run: Optional[int] = None
+                  ) -> Union[ChunkResult, List[ChunkResult]]:
     """Run one lease as a single streaming chunk — the one call every
     route executes blocks through: forked workers, the scheduler's
-    in-process drain, and the service's runners."""
-    chunk = next(iter_task_chunks(task, chunk_shots=shots,
-                                  start_shot=start,
-                                  total_shots=start + shots))
-    assert chunk.shots == shots, "lease must map to exactly one chunk"
-    return chunk
+    in-process drain, and the service's runners.
+
+    With ``run``, execute that many contiguous leases of ``shots``
+    shots each from ``start`` — the engine runs them as wide spans —
+    and return their chunks in order, one per lease."""
+    leases = 1 if run is None else run
+    chunks = list(iter_task_chunks(
+        task, chunk_shots=shots, start_shot=start,
+        total_shots=start + shots * leases))
+    assert [chunk.shots for chunk in chunks] == [shots] * leases, \
+        "each lease must map to exactly one chunk"
+    return chunks[0] if run is None else chunks
 
 
 def _maybe_crash(worker_id: int, completed: int, results) -> None:

@@ -120,9 +120,9 @@ def run_pilot(task, experiment, decoder, noise, program,
             size = min(_PILOT_BLOCK, sampler.pilot_shots - done)
             rng = np.random.default_rng(
                 derive_seed(task.seed, 3, k, block))
-            b_err, _, _, b_stats = execute_block(
+            (b_err, _, _, b_stats), = execute_block(
                 experiment, decoder, noise, program, rung_sampler,
-                tilted, size, rng)
+                tilted, [size], [rng])
             errors += b_err
             if b_stats is None:
                 b_stats = WeightStats.from_counts(size, b_err)

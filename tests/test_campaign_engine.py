@@ -73,6 +73,72 @@ class TestChunkedExecution:
         assert run_task(t, chunk_shots=SIM_BLOCK).chunks == 3
 
 
+class TestSpans:
+    """The engine executes canonical blocks a span at a time; where a
+    span is cut is scheduling, never counts."""
+
+    @staticmethod
+    def chunks(task, chunk_shots, width, monkeypatch, **kw):
+        from repro.injection import campaign as engine
+
+        monkeypatch.setattr(engine, "WIDE_BLOCKS", width)
+        rows = []
+        for chunk in iter_task_chunks(task, chunk_shots=chunk_shots, **kw):
+            row = chunk.to_row()
+            del row["elapsed_s"]
+            rows.append(row)
+        return rows
+
+    @pytest.mark.parametrize("backend", ["frames", "tableau"])
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 8, 12])
+    def test_chunks_identical_however_spans_are_cut(self, blocks, backend,
+                                                    monkeypatch):
+        """Chunks narrower than a span (several to a span), not
+        dividing it (3), as wide (8) and wider (12: a span is a piece
+        of a chunk), with a partial final block."""
+        t = mid_rate_task(shots=25 * SIM_BLOCK + 100, backend=backend)
+        chunk_shots = blocks * SIM_BLOCK
+        want = self.chunks(t, chunk_shots, 1, monkeypatch)
+        assert sum(row["shots"] for row in want) == t.shots
+        assert all(row["shots"] == chunk_shots for row in want[:-1])
+        for width in (2, 8):
+            assert self.chunks(t, chunk_shots, width, monkeypatch) == want
+        # a lease in the middle of the stream
+        assert self.chunks(t, chunk_shots, 8, monkeypatch,
+                           start_shot=chunk_shots,
+                           total_shots=min(3 * chunk_shots, t.shots)) \
+            == want[1:3]
+
+    def test_chunk_seconds_are_the_spans_wall(self, monkeypatch):
+        """A span's wall is apportioned to its chunks by shots: chunk
+        times add up to time really spent, whatever the width."""
+        import time
+
+        from repro.injection import campaign as engine
+
+        t = mid_rate_task(shots=16 * SIM_BLOCK, backend="frames")
+        list(iter_task_chunks(t))               # compile outside the clock
+        for width in (1, 8):
+            monkeypatch.setattr(engine, "WIDE_BLOCKS", width)
+            t0 = time.perf_counter()
+            chunks = list(iter_task_chunks(t))
+            wall = time.perf_counter() - t0
+            assert len(chunks) == 8
+            assert all(c.elapsed_s > 0 for c in chunks)
+            assert 0.5 * wall < sum(c.elapsed_s for c in chunks) <= wall
+
+    def test_counters_count_blocks_and_chunks(self, monkeypatch):
+        from repro import obs
+
+        t = mid_rate_task(shots=6 * SIM_BLOCK + 10, backend="frames")
+        names = ("engine.blocks", "engine.chunks", "engine.shots",
+                 "frames.blocks")
+        before = {name: obs.counter(name).value for name in names}
+        self.chunks(t, 2 * SIM_BLOCK, 8, monkeypatch)
+        assert [obs.counter(name).value - before[name] for name in names] \
+            == [7, 4, t.shots, 7]
+
+
 class TestAdaptivePolicy:
     def test_fake_bernoulli_hits_precision_target(self):
         """On a seeded fake error stream, the policy stops once — and
@@ -137,6 +203,36 @@ class TestStoreResume:
             InjectionTask(code=CodeSpec("repetition", (3, 1)),
                           intrinsic_p=0.05, shots=600,
                           seed=1).with_tags(idx=0))  # seed differs
+
+    def test_a_point_is_hashed_once(self, tmp_path, monkeypatch):
+        """The resume check, the plan and the done record all need a
+        point's key (and the record its canonical form): one
+        ``canonical_task`` walk per distinct task serves them all —
+        and the keys and the store's bytes are what they were."""
+        from repro.injection import store as store_module
+
+        calls = []
+        walk = store_module.canonical_task
+
+        def counting(task):
+            calls.append(task)
+            return walk(task)
+
+        monkeypatch.setattr(store_module, "canonical_task", counting)
+        store_module._identity.cache_clear()
+        tasks = self.make_tasks(4)
+        campaign = Campaign(tasks, root_seed=11)
+        path = tmp_path / "store.jsonl"
+        results = campaign.run(workers=1, resume=CampaignStore(path))
+        assert len(calls) == len(set(calls)) == 4
+        campaign.run(workers=1, resume=CampaignStore(path))
+        assert len(calls) == 4
+        records = [json.loads(line) for line in open(path)]
+        done = [rec for rec in records if rec["kind"] == "done"]
+        assert [rec["key"] for rec in done] \
+            == [task_key(r.task) for r in results]
+        assert [rec["task"] for rec in done] == json.loads(json.dumps(
+            [walk(r.task) for r in results], default=str))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_killed_campaign_resumes_identically(self, tmp_path, workers):

@@ -359,11 +359,11 @@ class TestCacheHitRate:
         experiment, decoder, noise, program, sampler, tilted = \
             _task_context(task)
         execute_block(experiment, decoder, noise, program, sampler,
-                      tilted, 512, np.random.default_rng(0))
+                      tilted, [512], [np.random.default_rng(0)])
         info = decoder.cache_info
         assert info.misses > 0 and info.misses < 200   # in-batch dedup
         execute_block(experiment, decoder, noise, program, sampler,
-                      tilted, 512, np.random.default_rng(1))
+                      tilted, [512], [np.random.default_rng(1)])
         assert info.hits > 0                           # cross-block reuse
 
 

@@ -108,6 +108,38 @@ class TestPacking:
         assert a.shape == (4,)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.Philox, np.random.SFC64])
+    def test_random_words_continue_the_bytes_stream(self, bit_generator):
+        """The stream contract: on a 64-bit-native bit generator the
+        raw words are the words ``rng.bytes`` would have produced, and
+        the generator goes on identically — also with block uniform
+        draws in between, as a frame program interleaves them."""
+        raw = np.random.Generator(bit_generator(11))
+        ref = np.random.Generator(bit_generator(11))
+        for nwords, (k, B) in zip((1, 3, 8, 17, 480),
+                                  ((1, 64), (7, 100), (3, 512), (1, 1),
+                                   (5, 200))):
+            words = random_words(raw, nwords)
+            assert words.dtype == np.uint64 and words.flags.writeable
+            assert np.array_equal(words, np.frombuffer(
+                ref.bytes(8 * nwords), dtype=np.uint64))
+            assert np.array_equal(raw.random((k, B)), ref.random((k, B)))
+        assert str(raw.bit_generator.state["state"]) \
+            == str(ref.bit_generator.state["state"])
+        assert raw.integers(0, 2, size=9, dtype=np.uint8).tolist() \
+            == ref.integers(0, 2, size=9, dtype=np.uint8).tolist()
+
+    def test_random_words_on_a_32_bit_generator_fill_the_word(self):
+        """MT19937's raw output is 32 bits wide: it keeps the bytes
+        route, so the upper half of every word is still sampled."""
+        rng = np.random.Generator(np.random.MT19937(5))
+        ref = np.random.Generator(np.random.MT19937(5))
+        words = random_words(rng, 64)
+        assert np.array_equal(words, np.frombuffer(ref.bytes(8 * 64),
+                                                   dtype=np.uint64))
+        assert (words >> np.uint64(32)).any()
+
     def test_rows_roundtrip_2d(self):
         rng = np.random.default_rng(9)
         bits = rng.integers(0, 2, size=(3, 130)).astype(np.uint8)
@@ -459,12 +491,14 @@ class TestDrawApply:
 
     def test_sparse_and_dense_apply_agree_at_threshold(self, monkeypatch):
         """Same pre-drawn rows through the single-bit flips and through
-        the dense masks: identical frames, in particular for rows with
-        exactly threshold - 1, threshold and threshold + 1 hits."""
+        the dense masks: identical frames.  The rule reads ``p * B``
+        against the threshold, so one draw mixes rows sitting exactly
+        on it (sparse) with rows just past it (dense)."""
         S = frames_simulator
         T = S.DENSE_HITS_PER_ROW
         k, B = 96, 512
-        qs, ps = np.arange(k), np.full(k, T / B)   # ~T hits per row
+        qs = np.arange(k)
+        ps = np.where(qs % 2, (T + 1) / B, T / B)   # odd rows: past T
 
         def frames(threshold):
             monkeypatch.setattr(S, "DENSE_HITS_PER_ROW", threshold)
@@ -473,16 +507,109 @@ class TestDrawApply:
             return sim
 
         switched, sparse, dense = frames(T), frames(10**9), frames(-1)
-        counts = np.diff(switched._row_ptr)
-        assert {T - 1, T, T + 1} <= set(counts.tolist())
-        assert switched.depolarize_stats == [k, counts.sum(),
-                                             (counts > T).sum()]
-        assert sparse.depolarize_stats[2] == 0
-        assert dense.depolarize_stats[2] == k
+        assert sorted(switched._dense_slot) == list(range(1, k, 2))
+        counts = np.diff(switched._row_ptr)     # the sparse rows' hits
+        assert counts[::2].all() and not counts[1::2].any()
+        hits = sparse.depolarize_stats[1]
+        assert hits == np.diff(sparse._row_ptr).sum() > counts.sum()
+        assert switched.depolarize_stats == [k, hits, k // 2]
+        assert sparse.depolarize_stats == [k, hits, 0]
+        assert dense.depolarize_stats == [k, hits, k]
         for other in (sparse, dense):
             assert np.array_equal(switched.x, other.x)
             assert np.array_equal(switched.z, other.z)
         assert switched.x.any() and switched.z.any()
+
+
+class TestLanes:
+    """The lane is the unit of randomness: run beside other lanes in
+    one wide simulator, a lane's record words, frames, weights and
+    final generator state are those of the lone block."""
+
+    @pytest.fixture(scope="class")
+    def programs(self):
+        """name -> (num_qubits, program, tilt)."""
+        quiet = build_memory_experiment(XXZZCode(5, 5), rounds=5)
+        small = build_memory_experiment(XXZZCode(3, 3), rounds=3)
+        out = {}
+
+        def add(name, experiment, noise, tilt=1.0):
+            program = compile_frame_program(experiment.circuit, noise, rng=1)
+            out[name] = (experiment.circuit.num_qubits, program, tilt)
+            return program
+
+        add("quiet", quiet, NoiseModel([DepolarizingNoise(5e-4)]))
+        strike = add("twirled-strike", small,
+                     strike_noise(small, 1e-3, "channel"))
+        assert strike.twirled_reset_sites > 0
+        add("dense", small, NoiseModel([DepolarizingNoise(0.1)]))
+        add("tilt", small, NoiseModel([DepolarizingNoise(2e-3)]), tilt=4.0)
+        # a repetition strike routed onto the 5x4 mesh (exact resets)
+        routed = InjectionTask(
+            code=CodeSpec("repetition", (5, 1)),
+            arch=ArchSpec("mesh", (5, 4)),
+            fault=FaultSpec(kind="radiation", root_qubit=2, time_index=1),
+            intrinsic_p=1e-2, backend="frames", shots=512, seed=13)
+        experiment, _, _, program, _, _ = _task_context(routed)
+        assert program.exact_reset_sites > 0
+        out["transpiled-strike"] = (experiment.circuit.num_qubits,
+                                    program, 1.0)
+        return out
+
+    @pytest.mark.parametrize("last", [512, 200, 64])
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 8])
+    @pytest.mark.parametrize("name", ["quiet", "twirled-strike",
+                                      "transpiled-strike", "dense", "tilt"])
+    def test_each_lane_equals_the_lone_block(self, programs, name, lanes,
+                                             last):
+        num_qubits, program, tilt = programs[name]
+        sizes = [512] * (lanes - 1) + [last]
+        rngs = [np.random.default_rng(100 + i) for i in range(lanes)]
+        wide = FrameSimulator(num_qubits, sizes, rng=rngs, tilt=tilt)
+        assert wide.batch_size == sum(sizes)
+        words = wide.run_packed(program)
+        stats = [0, 0, 0]
+        for i, size in enumerate(sizes):
+            lone_rng = np.random.default_rng(100 + i)
+            lone = FrameSimulator(num_qubits, size, rng=lone_rng, tilt=tilt)
+            lone_words = lone.run_packed(program)
+            lo, hi = 8 * i, 8 * i + lone.num_words
+            assert np.array_equal(words[:, lo:hi], lone_words)
+            assert np.array_equal(wide.x[:, lo:hi], lone.x)
+            assert np.array_equal(wide.z[:, lo:hi], lone.z)
+            if tilt != 1.0:
+                assert np.array_equal(
+                    wide.log_weights[512 * i:512 * i + size],
+                    lone.log_weights)
+            assert rngs[i].bit_generator.state \
+                == lone_rng.bit_generator.state
+            stats = [a + b for a, b in zip(stats, lone.depolarize_stats)]
+        assert hi == wide.num_words
+        # Sites and hits are counted per lane; whether a row is packed
+        # densely is read off the simulator's widest lane.
+        sites, hits, dense = wide.depolarize_stats
+        assert [sites, hits] == stats[:2] and hits > 0
+        if name == "dense" and max(sizes) > 64:
+            assert dense == sites
+        if name == "quiet":
+            assert dense == 0
+
+    def test_lane_shapes_are_validated(self):
+        with pytest.raises(ValueError, match="one generator per lane"):
+            FrameSimulator(2, [64, 64], rng=[1])
+        with pytest.raises(ValueError, match="whole number"):
+            FrameSimulator(2, [100, 64], rng=[1, 2])
+        sim = FrameSimulator(2, [128, 100], rng=[1, 2])
+        assert (sim.batch_size, sim.num_words) == (228, 4)
+        assert sim.frame_bits(0).shape == (2, 228)
+
+    def test_blocks_counter_counts_lanes(self, programs):
+        num_qubits, program, _ = programs["twirled-strike"]
+        blocks = obs.counter("frames.blocks")
+        before = blocks.value
+        FrameSimulator(num_qubits, [512, 512, 64],
+                       rng=[1, 2, 3]).run_packed(program)
+        assert blocks.value - before == 3
 
 
 def assert_same_program(got, want):

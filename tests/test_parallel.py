@@ -27,6 +27,7 @@ from repro.injection import (
 )
 from repro.injection.results import ZERO_PRIOR, ChunkResult
 from repro.injection.store import task_key
+from repro.rare.sampler import as_sampler
 from repro.parallel import TaskPlan, default_workers, plan_leases
 from repro.parallel.scheduler import WorkStealingScheduler
 from repro.parallel.worker import (CRASH_AFTER_ENV, CRASH_WORKER_ENV,
@@ -690,6 +691,119 @@ class TestStoreContract:
         receipt = Dispatcher(store).submit(ROUTE_SPEC)
         assert (receipt["state"], receipt["cache_hits"]) == ("done", 1)
         assert store.result_for(task).payload == run_task(task).payload
+
+
+def store_chunk_rows(path):
+    """The chunk records of a store file minus their wall time."""
+    return [{field: value for field, value in rec.items()
+             if field != "elapsed_s"} for rec in chunk_records(path)]
+
+
+def _span_point(**kw):
+    base = dict(code=CodeSpec("xxzz", (3, 3)), rounds=4, intrinsic_p=0.01,
+                backend="frames", shots=5 * SIM_BLOCK + 200, seed=17)
+    base.update(kw)
+    return InjectionTask(**base)
+
+
+#: name -> (task, adaptive policy): every way a span's blocks reach the
+#: counts — plain, stopped early, decoded block by block, weighted.
+SPAN_POINTS = {
+    "fixed": (_span_point(), None),
+    "adaptive": (_span_point(shots=32 * SIM_BLOCK),
+                 AdaptivePolicy(rel_halfwidth=0.05)),
+    "first-watermark": (_span_point(intrinsic_p=0.05,
+                                    shots=32 * SIM_BLOCK),
+                        AdaptivePolicy(rel_halfwidth=0.9)),
+    "reweight": (_span_point(
+        fault=FaultSpec(kind="radiation", root_qubit=4, strike_round=2,
+                        intensity=0.5),
+        rounds=6, intrinsic_p=0.005, decoder="union-find",
+        recovery="reweight"), None),
+    "tilt": (_span_point(intrinsic_p=0.002, sampler=as_sampler("tilt:4")), None),
+    "split": (_span_point(intrinsic_p=0.002, sampler=as_sampler("split")), None),
+}
+
+
+class TestSpanWidth:
+    """``WIDE_BLOCKS`` is scheduling: result rows, adaptive stop shots
+    and the store's chunk rows are the same whether the engine runs
+    one block at a time or eight as one wide execution, at any worker
+    count."""
+
+    @staticmethod
+    def run(name, width, workers, store_path, monkeypatch):
+        from repro.injection import campaign as engine
+
+        task, policy = SPAN_POINTS[name]
+        monkeypatch.setattr(engine, "WIDE_BLOCKS", width)
+        result = Campaign([task]).run(
+            workers=workers, adaptive=policy, resume=store_path,
+            chunk_shots=2 * SIM_BLOCK)[0]
+        return result, result.to_row(), store_chunk_rows(store_path)
+
+    @pytest.mark.parametrize("name", sorted(SPAN_POINTS))
+    def test_rows_and_store_equal_at_any_width(self, name, tmp_path,
+                                               monkeypatch):
+        want, want_row, want_chunks = self.run(
+            name, 1, 1, str(tmp_path / "w1-j1.jsonl"), monkeypatch)
+        assert want_chunks and sum(c["shots"] for c in want_chunks) \
+            == want.shots
+        for width, workers in ((8, 1), (1, 2), (8, 2), (8, 4)):
+            got, row, chunks = self.run(
+                name, width, workers,
+                str(tmp_path / f"w{width}-j{workers}.jsonl"), monkeypatch)
+            assert got.payload == want.payload, (width, workers)
+            assert row == want_row, (width, workers)
+            assert chunks == want_chunks, (width, workers)
+        task, policy = SPAN_POINTS[name]
+        if name in ("tilt", "split"):
+            assert all(len(c["weights"]) == -(-c["shots"] // SIM_BLOCK)
+                       for c in want_chunks)
+        if policy is not None:
+            assert want.shots < task.shots
+
+    def test_first_watermark_stop_pays_no_speculation(self, tmp_path,
+                                                      monkeypatch):
+        """A run never reaches further past the frontier than the
+        frontier has come: a point that resolves at its first
+        watermark sampled one lease, whatever the width."""
+        sampled = obs.counter("engine.shots")
+        before = sampled.value
+        result, _, _ = self.run("first-watermark", 8, 1,
+                                str(tmp_path / "s.jsonl"), monkeypatch)
+        assert result.shots == 2 * SIM_BLOCK
+        assert sampled.value - before == 2 * SIM_BLOCK
+
+    def test_deep_adaptive_point_speculates_at_most_one_run(
+            self, tmp_path, monkeypatch):
+        sampled = obs.counter("engine.shots")
+        before = sampled.value
+        result, _, _ = self.run("adaptive", 8, 1,
+                                str(tmp_path / "s.jsonl"), monkeypatch)
+        assert result.shots > 8 * SIM_BLOCK
+        assert 0 <= sampled.value - before - result.shots < 8 * SIM_BLOCK
+
+    @pytest.mark.parametrize("first,then", [(8, 1), (1, 8)])
+    @pytest.mark.parametrize("name", ["fixed", "adaptive", "tilt"])
+    def test_store_written_at_one_width_resumes_at_the_other(
+            self, name, first, then, tmp_path, monkeypatch):
+        from repro.injection import campaign as engine
+
+        task, _ = SPAN_POINTS[name]
+        want, want_row, want_chunks = self.run(
+            name, then, 1, str(tmp_path / "whole.jsonl"), monkeypatch)
+        # The first three leases, executed as one run at the other width.
+        monkeypatch.setattr(engine, "WIDE_BLOCKS", first)
+        store = CampaignStore(tmp_path / "killed.jsonl")
+        for chunk in execute_lease(task, 0, 2 * SIM_BLOCK, 3)[:2]:
+            store.append_chunk(task_key(task), chunk)
+        del store
+        got, row, chunks = self.run(
+            name, then, 1, str(tmp_path / "killed.jsonl"), monkeypatch)
+        assert got.payload == want.payload
+        assert chunks == want_chunks
+        assert row == want_row
 
 
 def _proc_stat(pid):

@@ -3,6 +3,7 @@
 with profiling enabled, flamegraph export, `repro perf` CLI, and the
 bench-history regression gate."""
 
+import dataclasses
 import json
 import re
 import time
@@ -112,6 +113,25 @@ class TestProfiler:
         assert any(path.startswith("sample/frames.")
                    for path in snap["paths"])
         assert "decode/decode.matcher" in snap["paths"]
+
+    def test_a_wide_execution_is_one_profiled_block(self):
+        """``begin_block`` brackets one execution, however many lanes
+        (canonical blocks, what ``frames.blocks`` counts) it carries —
+        and clocking it changes no count."""
+        deep = dataclasses.replace(FRAMES_TASK, shots=8 * 512)
+        baseline = run_task(deep)
+        obs.reset()
+        with prof.profile() as p:
+            profiled = run_task(deep)
+        snap = p.snapshot()
+        assert profiled.payload == baseline.payload
+        assert snap["sampling"]["blocks"] == snap["sampling"]["sampled"] == 1
+        counters = obs.registry().snapshot()["counters"]
+        assert counters["frames.blocks"] == counters["engine.blocks"] == 8
+        assert counters["engine.chunks"] == 4
+        # every op was dispatched — and clocked — once for the span
+        assert sum(row["calls"] for row in snap["kernels"].values()) \
+            == counters["frames.ops"]
 
     def test_blossom_share_is_a_sub_stage_of_the_matcher(self):
         """Patterns past the DP limit (a strike produces them) are
