@@ -41,7 +41,7 @@ import numpy as np
 
 from conftest import bench_bar, bench_report
 
-from repro.decoders import SyndromeBatch, prepare_decode_inputs
+from repro.decoders import SyndromeBatch, prepare_packed_inputs
 from repro.decoders.matching import _DP_LIMIT, _dp_match, _nx_match
 from repro.frames.packing import unpack_words
 from repro.frames.simulator import FrameSimulator
@@ -68,6 +68,17 @@ def _packed_blocks(task):
         yield sim.run_packed(program), size
 
 
+def _per_shot_detectors(experiment, decoder, batch):
+    """``(flat detector patterns (B, D), raw readout (B,))`` as uint8
+    rows, one per shot — the word front-end's output, unpacked."""
+    det_words, raw_words = prepare_packed_inputs(
+        experiment, batch.record_words, batch.batch_size, decoder.graph,
+        decoder.use_final_data)
+    planes = det_words.reshape(-1, det_words.shape[-1])
+    return (np.ascontiguousarray(unpack_words(planes, batch.batch_size).T),
+            unpack_words(raw_words, batch.batch_size))
+
+
 def _per_shot_loop():
     """The pre-redesign path: unpack every record row, decode each shot
     individually, no dedup, no cache.  Returns (errors, checked_ok)."""
@@ -76,10 +87,8 @@ def _per_shot_loop():
     errors = 0
     checked = False
     for words, size in _packed_blocks(TASK):
-        records = np.ascontiguousarray(unpack_words(words, size).T)
-        det, raw = prepare_decode_inputs(experiment, records, plain.graph,
-                                         plain.use_final_data)
-        flat = np.ascontiguousarray(det.reshape(size, -1))
+        batch = SyndromeBatch.from_record_words(words, size)
+        flat, raw = _per_shot_detectors(experiment, plain, batch)
         decoded = np.empty(size, dtype=np.uint8)
         for i in range(size):
             decoded[i] = raw[i] ^ plain.decode_detectors(flat[i])
@@ -89,8 +98,7 @@ def _per_shot_loop():
             # Bit-identity spot check: the batched packed path decodes
             # this block's stream to the very same per-shot values.
             fresh = dataclasses.replace(decoder, graph=decoder.graph)
-            batched = fresh.decode_batch(
-                experiment, SyndromeBatch.from_record_words(words, size))
+            batched = fresh.decode_batch(experiment, batch)
             np.testing.assert_array_equal(batched.decoded, decoded)
             checked = True
     return errors, checked
@@ -159,10 +167,9 @@ def _per_pattern_reference(experiment, decoder, batches):
     memo = {(): 0}
     out = []
     for batch in batches:
-        det, _ = prepare_decode_inputs(experiment, batch.records, graph,
-                                       decoder.use_final_data)
+        flat, _ = _per_shot_detectors(experiment, decoder, batch)
         corrections = np.empty(batch.batch_size, dtype=np.uint8)
-        for i, bits in enumerate(det.reshape(batch.batch_size, -1)):
+        for i, bits in enumerate(flat):
             events = tuple(np.flatnonzero(bits).tolist())
             if events not in memo:
                 match = _dp_match if len(events) <= _DP_LIMIT else _nx_match

@@ -129,14 +129,12 @@ def test_detect_overhead_vs_frames(benchmark, burst_setup, record_words,
 
 def test_detect_adaptive_decode_smoke(burst_setup, record_words):
     """The burst-adaptive decoder consumes packed words end to end."""
-    from repro.decoders import decoder_for
-    from repro.frames import unpack_words
+    from repro.decoders import SyndromeBatch, decoder_for
 
     _, experiment, _ = burst_setup
-    words = record_words[:, :8]            # 512-shot slab
-    records = np.ascontiguousarray(unpack_words(words, 512).T)
+    batch = SyndromeBatch.from_record_words(record_words[:, :8], 512)
     dec = BurstAdaptiveDecoder(decoder_for(experiment, "union-find"),
                                policy="reweight")
-    result = dec.decode_batch(experiment, records, record_words=words)
+    result = dec.decode_batch(experiment, batch)
     assert result.num_shots == 512
     assert dec.last_report is not None

@@ -1,14 +1,15 @@
 """Syndrome decoders: detector graph, MWPM (paper default), union-find.
 
 The canonical decode entry point is ``decode_batch`` over a
-:class:`SyndromeBatch` (packed word stream or uint8 rows); decoder
-configuration is carried by :class:`DecoderSpec` (kind, weighting,
-decode cache, hook edges) and built by :func:`decoder_for`.
+:class:`SyndromeBatch` — a block's records as packed words, which uint8
+record rows are packed into on entry; decoder configuration is carried
+by :class:`DecoderSpec` (kind, weighting, decode cache, hook edges) and
+built by :func:`decoder_for`.
 """
 
 from typing import Union
 
-from .base import DecodeResult, Decoder, prepare_decode_inputs
+from .base import DecodeResult, Decoder
 from .batch import (DecodeCache, SyndromeBatch, pack_pattern_columns,
                     prepare_packed_inputs)
 from .detector_graph import (BOUNDARY, ERASED_WEIGHT, DetectorEdge,
@@ -71,6 +72,5 @@ __all__ = [
     "as_decoder",
     "decoder_for",
     "pack_pattern_columns",
-    "prepare_decode_inputs",
     "prepare_packed_inputs",
 ]

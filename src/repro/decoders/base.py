@@ -2,9 +2,9 @@
 
 The canonical entry point is :meth:`Decoder.decode_batch` over a
 :class:`~repro.decoders.batch.SyndromeBatch` — one call per simulation
-block, consuming either the frame backend's packed word stream directly
-(bit-sliced column extraction, no full-record unpack) or plain uint8
-record rows.  Concrete decoders implement one method,
+block, consuming the packed record words as they are (bit-sliced column
+extraction, no full-record unpack).  Concrete decoders implement one
+method,
 :meth:`Decoder._decode_pattern`: decode a single flattened detector
 pattern to a readout-correction parity.  A decoder that can match many
 patterns at once also overrides :meth:`Decoder._decode_patterns`, which
@@ -33,6 +33,10 @@ from .batch import (DecodeCache, SyndromeBatch, pack_pattern_columns,
 
 # Hot-path metric handles (module-level so the per-batch cost is a few
 # integer adds; the registry resets these in place, keeping them valid).
+# A *pattern* is one shot with at least one detection event — event-free
+# shots decode to the identity and are never keyed — so the counters
+# mean the same on every backend: patterns = such shots, distinct = their
+# distinct keys per decode call, hits + misses = distinct.
 _OBS_PATTERNS = obs.counter("decode.patterns")
 _OBS_DISTINCT = obs.counter("decode.distinct_patterns")
 _OBS_HITS = obs.counter("decode.cache_hits")
@@ -87,11 +91,12 @@ class Decoder(abc.ABC):
     the batch hook it is reached through: the distinct patterns of a
     block that miss the cache are decoded by one call (the default
     loops :meth:`_decode_pattern`; MWPM matches them together).  The
-    batch pipeline (packed or row-wise syndrome extraction, detector
+    batch pipeline (word-domain syndrome extraction and detector
     differencing, unique-pattern deduplication, the cross-batch decode
     cache, readout correction) is shared here, so alternate decode
-    strategies — a reweighted graph, pre-modified detectors — plug in
-    at :meth:`_decode_prepared` without duplicating it.
+    strategies — a reweighted graph on some of the shots, pre-modified
+    detector words — plug in between :meth:`_prepare` and
+    :meth:`_corrections` without duplicating it.
     """
 
     graph: "object"
@@ -99,12 +104,6 @@ class Decoder(abc.ABC):
     #: Per-instance syndrome-dedup cache switch (dataclass field on the
     #: concrete decoders; read via ``getattr`` so bare subclasses work).
     cache_decodes: bool = True
-    #: Whether :meth:`decode_batch` consumes packed word streams
-    #: natively.  The shared pipeline handles both forms, so any
-    #: subclass inheriting it is packed-native; third-party decoders
-    #: that override ``decode_batch`` with a rows-only implementation
-    #: advertise ``False`` and the campaign engine unpacks for them.
-    packed_native: bool = True
 
     @property
     @abc.abstractmethod
@@ -211,25 +210,24 @@ class Decoder(abc.ABC):
     # ------------------------------------------------------------------
     # Canonical batch API
     # ------------------------------------------------------------------
-    def decode_batch(self, experiment: MemoryExperiment, batch,
-                     record_words: Optional[np.ndarray] = None
+    def decode_batch(self, experiment: MemoryExperiment, batch
                      ) -> DecodeResult:
         """Decode one batch of shots — the single canonical entry point.
 
-        ``batch`` is a :class:`~repro.decoders.batch.SyndromeBatch`, or
-        (legacy form) a ``(B, num_cbits)`` record array with an optional
-        ``record_words`` word stream alongside.  Packed batches decode
-        without ever unpacking the full record block: syndrome
+        ``batch`` is a :class:`~repro.decoders.batch.SyndromeBatch`;
+        ``(B, num_cbits)`` uint8 record rows are packed into one on
+        entry.  The full record block is never unpacked: syndrome
         extraction and detector differencing stay in the word domain,
-        only the shots with at least one detection event (found by a
-        bit-sliced popcount) have their pattern columns extracted.
+        and only the shots with at least one detection event (found by
+        a bit-sliced popcount) have their pattern columns extracted.
         """
-        batch = SyndromeBatch.coerce(batch, record_words)
-        if batch.packed:
-            return self._decode_packed(experiment, batch)
-        det, raw = prepare_decode_inputs(experiment, batch.records,
-                                         self.graph, self.use_final_data)
-        return self._decode_prepared(experiment, det, raw)
+        if not isinstance(batch, SyndromeBatch):
+            batch = SyndromeBatch.from_records(batch)
+        det_words, raw = self._prepare(experiment, batch)
+        corrections = self._corrections(det_words, batch.batch_size)
+        return DecodeResult(decoded=raw ^ corrections,
+                            expected=experiment.expected_logical,
+                            corrections=corrections)
 
     def decode_detectors(self, detector_bits: np.ndarray) -> int:
         """Decode one flattened detector pattern -> correction parity.
@@ -247,8 +245,9 @@ class Decoder(abc.ABC):
     # ------------------------------------------------------------------
     # Shared pipeline internals
     # ------------------------------------------------------------------
-    def _decode_packed(self, experiment: MemoryExperiment,
-                       batch: SyndromeBatch) -> DecodeResult:
+    def _prepare(self, experiment: MemoryExperiment, batch: SyndromeBatch):
+        """``(detector words (rounds_eff, P, W), raw readout (B,))`` of
+        ``batch`` on this decoder's graph and readout mode."""
         prof = _prof._ACTIVE
         t0 = perf_counter() if prof is not None else 0.0
         det_words, raw_words = prepare_packed_inputs(
@@ -256,101 +255,27 @@ class Decoder(abc.ABC):
             self.use_final_data)
         if prof is not None:
             prof.stage("decode.prepare", perf_counter() - t0)
-        B = batch.batch_size
-        raw = unpack_words(raw_words, B)
+        return det_words, unpack_words(raw_words, batch.batch_size)
+
+    def _corrections(self, det_words: np.ndarray, batch_size: int,
+                     shots: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-shot correction parities ``(B,)`` for detector words.
+
+        ``shots`` — optional ``(B,)`` boolean selection: only those
+        shots are decoded, the rest stay 0 (how burst recovery splits a
+        batch between two graphs)."""
         rounds_eff, P, W = det_words.shape
         D = rounds_eff * P
-        corrections = np.zeros(B, dtype=np.uint8)
+        corrections = np.zeros(batch_size, dtype=np.uint8)
         if D:
             planes = np.ascontiguousarray(det_words.reshape(D, W))
             # Tail-safe per-shot event counts: shots with zero events
             # decode to the identity, so only active shots are keyed.
-            active = np.nonzero(column_counts(planes, B))[0]
+            active = column_counts(planes, batch_size) > 0
+            if shots is not None:
+                active &= shots
+            active = np.nonzero(active)[0]
             if active.size:
                 keys = pack_pattern_columns(planes, active)
                 corrections[active] = self._pattern_parities(keys, D)
-        return DecodeResult(decoded=raw ^ corrections,
-                            expected=experiment.expected_logical,
-                            corrections=corrections)
-
-    def _decode_prepared(self, experiment: MemoryExperiment,
-                         det: np.ndarray, raw: np.ndarray) -> DecodeResult:
-        """Decode already-extracted detectors ``(B, rounds, P)`` against
-        raw readout ``(B,)`` (row-domain tail of the shared pipeline —
-        also the hook for pre-modified detectors, e.g. window
-        discards)."""
-        B = det.shape[0]
-        flat = np.ascontiguousarray(
-            det.reshape(B, -1).astype(np.uint8, copy=False))
-        if flat.shape[1] == 0:
-            return DecodeResult(decoded=raw.copy(),
-                                expected=experiment.expected_logical,
-                                corrections=np.zeros(B, dtype=np.uint8))
-        keys = np.packbits(flat, axis=1, bitorder="little")
-        corrections = self._pattern_parities(keys, flat.shape[1])
-        return DecodeResult(decoded=raw ^ corrections,
-                            expected=experiment.expected_logical,
-                            corrections=corrections)
-
-
-def prepare_decode_inputs(experiment: MemoryExperiment, records: np.ndarray,
-                          graph, use_final_data: bool):
-    """Shared row-domain front-end for syndrome decoders.
-
-    Returns ``(detectors, raw_logical)`` where ``detectors`` has shape
-    ``(B, rounds_eff, P)``.
-
-    Two readout modes:
-
-    * **ancilla** (``use_final_data=False``) — the raw logical value is
-      the dedicated parity-ancilla measurement of Figs. 1-2 and only the
-      mid-circuit syndrome rounds feed the decoder.  A corrupted readout
-      ancilla is undetectable in this mode.
-    * **data** (``use_final_data=True``, qtcodes-style) — the final
-      transversal data measurement provides both the logical parity and
-      one extra reconstructed syndrome round, so late and readout-path
-      errors stay decodable.  Requires the experiment to include data
-      measurements and the decode basis to match the memory basis.
-
-    The word-domain mirror is :func:`~repro.decoders.batch.
-    prepare_packed_inputs`.
-    """
-    syndromes = experiment.syndromes(records, graph.basis)
-    if graph.basis == experiment.basis:
-        det = graph.detection_events(syndromes)
-    else:
-        det = graph.dual_detection_events(syndromes)
-    if not use_final_data:
-        raw = experiment.raw_readout(records).astype(np.uint8)
-        return det, raw
-    if graph.basis != experiment.basis:
-        raise ValueError("data-readout decoding needs decode basis == "
-                         "memory basis")
-    data_bits = experiment.data_measurements(records)
-    if data_bits is None:
-        raise ValueError("experiment was built without data measurements; "
-                         "use use_final_data=False or rebuild with "
-                         "include_data_measurement=True")
-    code = experiment.code
-    col = {q: i for i, q in enumerate(code.data_qubits)}
-    plaquettes = (code.z_plaquettes if graph.basis == "Z"
-                  else code.x_plaquettes)
-    B = records.shape[0]
-    n_p = len(plaquettes)
-    final_syn = np.zeros((B, n_p), dtype=np.uint8)
-    for j, support in enumerate(plaquettes):
-        for q in support:
-            final_syn[:, j] ^= data_bits[:, col[q]]
-    # Final reconstructed round differenced against the last measured one.
-    if experiment.rounds > 0 and syndromes.shape[2]:
-        last = syndromes[:, -1, :]
-    else:
-        last = np.zeros((B, n_p), dtype=np.uint8)
-    final_det = (final_syn ^ last)[:, None, :]
-    det = np.concatenate([det, final_det], axis=1)
-    support = (code.logical_z_support if graph.basis == "Z"
-               else code.logical_x_support)
-    raw = np.zeros(B, dtype=np.uint8)
-    for q in support:
-        raw ^= data_bits[:, col[q]]
-    return det, raw
+        return corrections

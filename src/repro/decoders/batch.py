@@ -1,23 +1,26 @@
-"""Batched syndrome carriers and the packed decode front-end.
+"""The packed record carrier and the word-domain decode front-end.
 
-The campaign engine's frame backend produces records as bit-packed
-word streams — ``(num_cbits, W)`` uint64, 64 shots per word — while the
-tableau backend (and most tests) produce ``(B, num_cbits)`` uint8 rows.
-:class:`SyndromeBatch` wraps either form behind one carrier so
-``Decoder.decode_batch`` is the single entry point for both, and the
-expensive full-record ``unpack_words`` round-trip disappears from the
-frames hot path: a packed-native decoder consumes the words directly.
+A measurement record is words from the moment it leaves a sampler:
+``(num_cbits, W)`` uint64, 64 shots per word.  The frame backend emits
+that form; :meth:`SyndromeBatch.from_records` packs the tableau
+backend's (and most tests') ``(B, num_cbits)`` uint8 rows into it once,
+on entry.  Everything downstream — detection, recovery, decode — reads
+the one form, so there is one extraction and one decode pipeline.
 
-Two packed primitives live here:
+Three word primitives live here:
 
-* :func:`prepare_packed_inputs` — the word-domain mirror of
-  :func:`~repro.decoders.base.prepare_decode_inputs`: syndrome
-  extraction, detector differencing and readout reconstruction as
-  whole-word XORs, never touching per-shot uint8.
+* :func:`detector_words` — record words to the detection events of one
+  plaquette basis: syndrome extraction is row indexing, detector
+  differencing a whole-word XOR of consecutive rounds.  The streaming
+  detector (:class:`~repro.detect.stream.PackedSyndromes`) and the
+  decoders share it.
+* :func:`prepare_packed_inputs` — the decoder's front-end on top of it:
+  the readout mode's raw logical words and, for data readout, the
+  reconstructed final round.
 * :func:`pack_pattern_columns` — bit-sliced column extraction: gather
   selected shots' detector patterns as packed little-endian byte keys,
-  byte-identical to ``numpy.packbits`` over the unpacked rows, so the
-  packed and unpacked paths dedup/cache against the same keys.
+  byte-identical to ``numpy.packbits`` over the unpacked patterns, so
+  the decode cache keys do not depend on how the shots were stored.
 
 Don't-care discipline: bits past ``batch_size`` in the final word of a
 frame stream are garbage (random fills).  Per-shot quantities therefore
@@ -33,114 +36,76 @@ from typing import Optional
 import numpy as np
 
 from ..codes.base import MemoryExperiment
-from ..frames.packing import (WORD_BITS, column_counts, unpack_words,
+from ..frames.packing import (WORD_BITS, pack_bool_rows, unpack_words,
                               words_for)
 
 
 class SyndromeBatch:
-    """One simulation block's measurement records, packed or unpacked.
+    """One simulation block's measurement records as packed words.
 
     Parameters
     ----------
     batch_size:
-        Number of real shots ``B`` (word streams may carry don't-care
-        tail bits past it).
+        Number of real shots ``B``; the stream must be exactly
+        ``words_for(B)`` words wide (its last word may carry don't-care
+        bits past ``B``).
     record_words:
-        ``(num_cbits, W)`` uint64 word stream from
-        :meth:`~repro.frames.simulator.FrameSimulator.run_packed`, or
-        ``None`` when only rows are available.
-    records:
-        ``(B, num_cbits)`` uint8 rows, or ``None`` to unpack lazily
-        from ``record_words`` on first use.
+        ``(num_cbits, W)`` uint64 word stream, e.g. from
+        :meth:`~repro.frames.simulator.FrameSimulator.run_packed`.
     """
 
-    __slots__ = ("batch_size", "record_words", "_records")
+    __slots__ = ("batch_size", "record_words")
 
-    def __init__(self, batch_size: int,
-                 record_words: Optional[np.ndarray] = None,
-                 records: Optional[np.ndarray] = None) -> None:
-        if record_words is None and records is None:
-            raise ValueError("need record_words or records")
-        self.batch_size = int(batch_size)
+    def __init__(self, batch_size: int, record_words: np.ndarray) -> None:
+        record_words = np.ascontiguousarray(record_words, dtype=np.uint64)
+        if record_words.ndim != 2:
+            raise ValueError("record_words must be (num_cbits, W)")
+        batch_size = int(batch_size)
+        if batch_size < 1 or words_for(batch_size) != record_words.shape[1]:
+            raise ValueError(
+                f"a {record_words.shape[1]}-word stream does not hold "
+                f"batch_size={batch_size} shots")
+        self.batch_size = batch_size
         self.record_words = record_words
-        self._records = records
 
     # ------------------------------------------------------------------
     @classmethod
     def from_records(cls, records: np.ndarray) -> "SyndromeBatch":
-        """Wrap ``(B, num_cbits)`` uint8 record rows."""
+        """Pack ``(B, num_cbits)`` uint8 record rows — once, on entry."""
         records = np.asarray(records)
         if records.ndim != 2:
             raise ValueError("records must be (B, num_cbits)")
-        return cls(records.shape[0], records=records)
+        return cls(records.shape[0],
+                   pack_bool_rows(np.ascontiguousarray(records.T)))
 
     @classmethod
     def from_record_words(cls, record_words: np.ndarray, batch_size: int
                           ) -> "SyndromeBatch":
         """Wrap a ``(num_cbits, W)`` packed word stream."""
-        record_words = np.ascontiguousarray(record_words, dtype=np.uint64)
-        if record_words.ndim != 2:
-            raise ValueError("record_words must be (num_cbits, W)")
-        return cls(batch_size, record_words=record_words)
-
-    @classmethod
-    def coerce(cls, obj, record_words: Optional[np.ndarray] = None
-               ) -> "SyndromeBatch":
-        """Accept a ready batch or legacy ``(records[, record_words])``
-        arguments, preferring the packed stream when both are given."""
-        if isinstance(obj, SyndromeBatch):
-            return obj
-        batch = cls.from_records(obj)
-        if record_words is not None:
-            batch.record_words = np.ascontiguousarray(record_words,
-                                                      dtype=np.uint64)
-        return batch
+        return cls(batch_size, record_words)
 
     # ------------------------------------------------------------------
     @property
-    def packed(self) -> bool:
-        """Does this batch carry the native word stream?"""
-        return self.record_words is not None
-
-    @property
     def num_cbits(self) -> int:
-        if self._records is not None:
-            return int(self._records.shape[1])
         return int(self.record_words.shape[0])
 
-    @property
-    def records(self) -> np.ndarray:
-        """``(B, num_cbits)`` uint8 rows, unpacked on first access and
-        kept — the fallback for decoders that are not packed-native."""
-        if self._records is None:
-            self._records = np.ascontiguousarray(
-                unpack_words(self.record_words, self.batch_size).T)
-        return self._records
-
     def shots(self, start: int, size: int) -> "SyndromeBatch":
-        """Shots ``[start, start + size)`` as a batch of their own
-        (a packed batch is cut at words: ``start`` must be a multiple
-        of 64)."""
-        if self._records is not None:
-            return SyndromeBatch.from_records(
-                self._records[start:start + size])
+        """Shots ``[start, start + size)`` as a batch of their own, cut
+        at words: ``start`` must be a multiple of 64."""
         if start % WORD_BITS:
-            raise ValueError("a packed batch is cut on word boundaries")
+            raise ValueError("a batch is cut on word boundaries")
         lo = start // WORD_BITS
-        return SyndromeBatch.from_record_words(
-            self.record_words[:, lo:lo + words_for(size)], size)
+        return SyndromeBatch(
+            size, self.record_words[:, lo:lo + words_for(size)])
 
     def bit_column(self, cbit: int) -> np.ndarray:
         """One classical bit across the batch, shape ``(B,)`` uint8 —
         without unpacking the full record block."""
-        if self._records is not None:
-            return self._records[:, cbit]
         return unpack_words(self.record_words[cbit], self.batch_size)
 
     def __repr__(self) -> str:
-        form = "packed" if self.packed else "rows"
         return (f"SyndromeBatch(B={self.batch_size}, "
-                f"cbits={self.num_cbits}, {form})")
+                f"cbits={self.num_cbits})")
 
 
 class DecodeCache:
@@ -208,7 +173,8 @@ def pack_pattern_columns(plane_words: np.ndarray, shots: np.ndarray
     ``(len(shots), ceil(D / 8))`` uint8, where row ``i`` is shot
     ``shots[i]``'s ``D`` detector bits packed little-endian: exactly
     ``np.packbits(bits, bitorder="little")`` of the unpacked pattern,
-    so keys agree byte-for-byte with the row-domain path.
+    so keys agree byte-for-byte with ones packed from per-shot
+    patterns (:meth:`~repro.decoders.base.Decoder.decode_detectors`).
     """
     shots = np.asarray(shots)
     w_idx = shots // WORD_BITS
@@ -218,31 +184,53 @@ def pack_pattern_columns(plane_words: np.ndarray, shots: np.ndarray
         np.packbits(cols, axis=0, bitorder="little").T)
 
 
+def detector_words(experiment: MemoryExperiment, record_words: np.ndarray,
+                   basis: str) -> np.ndarray:
+    """Record words -> detection events of one plaquette basis.
+
+    Returns ``(rounds, P, W)`` uint64: bit ``j`` of word column ``w`` is
+    shot ``64*w + j``'s detector value — the syndrome XORed with the
+    previous round's; round 0 stands against the prepared eigenstate
+    for the memory basis and is suppressed for its dual, whose first
+    outcomes are random.  Tail bits past the batch size are unspecified.
+    """
+    table = (experiment.z_syndrome_cbits if basis == "Z"
+             else experiment.x_syndrome_cbits)
+    if not table or not table[0]:
+        return np.zeros((experiment.rounds, 0, record_words.shape[1]),
+                        dtype=np.uint64)
+    syn = record_words[np.asarray(table)]            # (rounds, P, W)
+    det = syn.copy()
+    det[1:] ^= syn[:-1]
+    if basis != experiment.basis:
+        det[0] = 0
+    return det
+
+
 def prepare_packed_inputs(experiment: MemoryExperiment,
                           record_words: np.ndarray, batch_size: int,
                           graph, use_final_data: bool):
-    """Word-domain mirror of :func:`~repro.decoders.base.
-    prepare_decode_inputs`.
+    """The decoders' front-end: record words -> what a decode consumes.
 
     Returns ``(detector_words, raw_words)`` where ``detector_words``
-    has shape ``(rounds_eff, P, W)`` — bit ``j`` of word column ``w``
-    is shot ``64*w + j``'s detector value — and ``raw_words`` is the
-    ``(W,)`` packed raw logical readout.  Same readout modes and the
-    same error conditions as the row-domain version; tail bits past
-    ``batch_size`` are unspecified and must be dropped by the caller's
-    tail-safe reductions.
+    has shape ``(rounds_eff, P, W)`` (see :func:`detector_words`) and
+    ``raw_words`` is the ``(W,)`` packed raw logical readout; tail bits
+    past ``batch_size`` are unspecified and must be dropped by the
+    caller's tail-safe reductions.
+
+    Two readout modes:
+
+    * **ancilla** (``use_final_data=False``) — the raw logical value is
+      the dedicated parity-ancilla measurement of Figs. 1-2 and only the
+      mid-circuit syndrome rounds feed the decoder.  A corrupted readout
+      ancilla is undetectable in this mode.
+    * **data** (``use_final_data=True``, qtcodes-style) — the final
+      transversal data measurement provides both the logical parity and
+      one extra reconstructed syndrome round, so late and readout-path
+      errors stay decodable.  Requires the experiment to include data
+      measurements and the decode basis to match the memory basis.
     """
-    table = (experiment.z_syndrome_cbits if graph.basis == "Z"
-             else experiment.x_syndrome_cbits)
-    W = record_words.shape[1]
-    if not table or not table[0]:
-        syn = np.zeros((experiment.rounds, 0, W), dtype=np.uint64)
-    else:
-        syn = record_words[np.asarray(table)]        # (rounds, P, W)
-    det = syn.copy()
-    det[1:] ^= syn[:-1]
-    if graph.basis != experiment.basis:
-        det[0] = 0          # dual basis: round-0 outcomes are random
+    det = detector_words(experiment, record_words, graph.basis)
     if not use_final_data:
         return det, record_words[experiment.readout_cbit]
     if graph.basis != experiment.basis:
@@ -253,22 +241,20 @@ def prepare_packed_inputs(experiment: MemoryExperiment,
                          "use use_final_data=False or rebuild with "
                          "include_data_measurement=True")
     code = experiment.code
-    plaquettes = (code.z_plaquettes if graph.basis == "Z"
-                  else code.x_plaquettes)
-    n_p = len(plaquettes)
-    final_syn = np.zeros((n_p, W), dtype=np.uint64)
-    for j, support in enumerate(plaquettes):
-        for q in support:
-            final_syn[j] ^= record_words[experiment.data_cbits[q]]
-    # Final reconstructed round differenced against the last measured one.
-    if experiment.rounds > 0 and syn.shape[1]:
-        final_det = final_syn ^ syn[-1]
-    else:
-        final_det = final_syn
+    Z = graph.basis == "Z"
+
+    def parity_of(qubits) -> np.ndarray:
+        cbits = np.array([experiment.data_cbits[q] for q in qubits],
+                         dtype=np.intp)
+        return np.bitwise_xor.reduce(record_words[cbits], axis=0)
+
+    # One more round, reconstructed from the data measurement and
+    # differenced against the last measured one — which, in the memory
+    # basis, is what the detector rounds telescope to.
+    final_det = np.bitwise_xor.reduce(det, axis=0)
+    for j, support in enumerate(code.z_plaquettes if Z
+                                else code.x_plaquettes):
+        final_det[j] ^= parity_of(support)
     det = np.concatenate([det, final_det[None]], axis=0)
-    support = (code.logical_z_support if graph.basis == "Z"
-               else code.logical_x_support)
-    raw_words = np.zeros(W, dtype=np.uint64)
-    for q in support:
-        raw_words ^= record_words[experiment.data_cbits[q]]
-    return det, raw_words
+    return det, parity_of(code.logical_z_support if Z
+                          else code.logical_x_support)

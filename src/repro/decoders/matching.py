@@ -288,7 +288,7 @@ class MWPMDecoder(Decoder):
     """MWPM decoder bound to a detector graph.
 
     ``use_final_data`` selects the qtcodes-style data-readout decode
-    (see :func:`~repro.decoders.base.prepare_decode_inputs`); the graph
+    (see :func:`~repro.decoders.batch.prepare_packed_inputs`); the graph
     must then carry ``rounds + 1`` rounds (handled by ``decoder_for``).
     ``cache_decodes`` enables the cross-batch syndrome-dedup cache.
     """

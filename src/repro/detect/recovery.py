@@ -44,7 +44,7 @@ import numpy as np
 
 from .. import obs
 from ..codes.base import MemoryExperiment
-from ..decoders.base import Decoder, DecodeResult, prepare_decode_inputs
+from ..decoders.base import Decoder, DecodeResult
 from ..decoders.batch import SyndromeBatch
 from ..decoders.detector_graph import BOUNDARY, ERASED_WEIGHT, DetectorGraph
 from ..noise.radiation import (
@@ -295,11 +295,11 @@ class BurstAdaptiveDecoder:
     Satisfies the :class:`~repro.decoders.base.Decoder` batch protocol,
     so the campaign engine swaps it in transparently.  Per batch it
 
-    1. builds the packed detection stream — straight from the frame
-       backend's record words when offered, else by packing the uint8
-       records once,
+    1. builds the packed detection stream from the batch's record
+       words,
     2. runs the streaming CUSUM detector,
-    3. applies the recovery policy to the flagged shots.
+    3. applies the recovery policy to the flagged shots — on the
+       detector words, never on unpacked records.
 
     Nothing is carried from one batch to the next: the campaign engine
     builds a wrapper per simulation block, and every estimate comes
@@ -317,11 +317,6 @@ class BurstAdaptiveDecoder:
     last_cluster: Optional[StrikeCluster] = field(default=None, repr=False)
     last_estimate: Optional[BurstEstimate] = field(default=None, repr=False)
 
-    #: The wrapper forwards packed batches to the base decoder on the
-    #: (common) strike-free path, so it is packed-native whenever the
-    #: base is; the campaign engine reads this to skip the unpack.
-    packed_native = True
-
     def __post_init__(self) -> None:
         self.policy = RecoveryPolicy.coerce(self.policy)
 
@@ -334,18 +329,14 @@ class BurstAdaptiveDecoder:
         return self.base.graph
 
     # ------------------------------------------------------------------
-    def decode_batch(self, experiment: MemoryExperiment, batch,
-                     record_words: Optional[np.ndarray] = None
+    def decode_batch(self, experiment: MemoryExperiment, batch
                      ) -> DecodeResult:
-        batch = SyndromeBatch.coerce(batch, record_words)
-        graph = self.base.graph
-        if batch.packed:
-            packed = PackedSyndromes.from_record_words(
-                batch.record_words, experiment, batch.batch_size,
-                basis=graph.basis)
-        else:
-            packed = PackedSyndromes.from_records(batch.records, experiment,
-                                                  basis=graph.basis)
+        if not isinstance(batch, SyndromeBatch):
+            batch = SyndromeBatch.from_records(batch)
+        base = self.base
+        packed = PackedSyndromes.from_record_words(
+            batch.record_words, experiment, batch.batch_size,
+            basis=base.graph.basis)
         with obs.span("detect"):
             report = StreamingDetector(self.config).detect(packed)
         self.last_report = report
@@ -353,41 +344,32 @@ class BurstAdaptiveDecoder:
         self.last_estimate = None
         flagged = report.flagged
         if self.policy is RecoveryPolicy.STATIC or not flagged.any():
-            # Strike-free (or policy-off) batches take the base
-            # decoder's own pipeline — packed-native when the batch is.
-            return self.base.decode_batch(experiment, batch)
+            # Strike-free (or policy-off) batches are the base
+            # decoder's own.
+            return base.decode_batch(experiment, batch)
 
-        det, raw = prepare_decode_inputs(experiment, batch.records, graph,
-                                         self.base.use_final_data)
+        B = batch.batch_size
+        det_words, raw = base._prepare(experiment, batch)
         if self.policy is RecoveryPolicy.DISCARD_WINDOW:
             window = report.active_rounds
             if window is None:
                 window = (int(report.flag_round[flagged].min()),
                           packed.rounds)
-            det = det.copy()
-            det[flagged, window[0]:window[1], :] = 0
-            return self.base._decode_prepared(experiment, det, raw)
-
-        # REWEIGHT
-        cluster = estimate_cluster(packed, report, experiment.code,
-                                   rel_threshold=self.cluster_threshold)
-        if cluster is None:
-            return self.base._decode_prepared(experiment, det, raw)
-        self.last_cluster = cluster
-        # The base decoder rebound to this batch's reweighted graph
-        # (its syndrome cache is only valid against that graph).
-        adapted = dataclasses.replace(self.base, graph=self._reweighted(
-            packed, report, cluster, experiment))
-
-        corrections = np.zeros(det.shape[0], dtype=np.uint8)
-        clean = ~flagged
-        if clean.any():
-            res = self.base._decode_prepared(experiment, det[clean],
-                                             raw[clean])
-            corrections[clean] = res.corrections
-        res = adapted._decode_prepared(experiment, det[flagged],
-                                       raw[flagged])
-        corrections[flagged] = res.corrections
+            det_words[window[0]:window[1]] &= ~pack_shot_mask(flagged)
+        else:
+            self.last_cluster = estimate_cluster(
+                packed, report, experiment.code,
+                rel_threshold=self.cluster_threshold)
+        if self.last_cluster is None:
+            corrections = base._corrections(det_words, B)
+        else:
+            # The base decoder rebound to this batch's reweighted graph
+            # (its syndrome cache is only valid against that graph)
+            # takes the flagged shots, the base itself the clean ones.
+            adapted = dataclasses.replace(base, graph=self._reweighted(
+                packed, report, self.last_cluster, experiment))
+            corrections = base._corrections(det_words, B, ~flagged) \
+                | adapted._corrections(det_words, B, flagged)
         return DecodeResult(decoded=raw ^ corrections,
                             expected=experiment.expected_logical,
                             corrections=corrections)

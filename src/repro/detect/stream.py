@@ -1,21 +1,16 @@
 """Packed syndrome streams: frame-native detector input.
 
-The frame backend's natural output is bit-packed record words — 64
-shots per ``uint64`` (:meth:`repro.frames.simulator.FrameSimulator.
-run_packed`).  Historically every consumer forced an unpack to per-shot
-uint8 records; this module keeps the stream packed end to end for the
-detection path:
+Records are bit-packed words — 64 shots per ``uint64`` — from the
+sampler's exit on (:meth:`repro.frames.simulator.FrameSimulator.
+run_packed`, or :meth:`repro.decoders.batch.SyndromeBatch.from_records`
+for the tableau backend's rows), and the detection path keeps them so:
 
-* syndrome extraction is word *indexing* (one row per round/plaquette
-  cbit),
-* detector differencing is whole-word XOR of consecutive rounds,
+* detection events come from the decoders' own extraction
+  (:func:`repro.decoders.batch.detector_words`: word indexing, then a
+  whole-word XOR of consecutive rounds),
 * per-plaquette event totals are word popcounts,
 * per-shot event counts are bit-sliced vertical-counter adds
   (:func:`repro.frames.packing.column_counts`).
-
-A :class:`PackedSyndromes` built from the tableau backend's uint8
-records packs once at construction and shares the same downstream
-kernels, so the streaming detector is backend-agnostic.
 """
 
 from __future__ import annotations
@@ -26,13 +21,8 @@ from typing import Optional
 import numpy as np
 
 from ..codes.base import MemoryExperiment
-from ..frames.packing import (
-    column_counts,
-    pack_bool,
-    pack_bool_rows,
-    popcount_words,
-    words_for,
-)
+from ..decoders.batch import detector_words
+from ..frames.packing import column_counts, pack_bool, popcount_words
 
 
 @dataclass
@@ -72,69 +62,23 @@ class PackedSyndromes:
     def num_plaquettes(self) -> int:
         return int(self.det.shape[1])
 
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _cbit_table(experiment: MemoryExperiment, basis: str) -> np.ndarray:
-        table = (experiment.z_syndrome_cbits if basis == "Z"
-                 else experiment.x_syndrome_cbits)
-        if not table or not table[0]:
-            return np.zeros((experiment.rounds, 0), dtype=np.intp)
-        return np.asarray(table, dtype=np.intp)
-
-    @classmethod
-    def _assemble(cls, syn_of, experiment: MemoryExperiment, batch_size: int,
-                  basis: str, include_dual: bool) -> "PackedSyndromes":
-        """Shared constructor body: ``syn_of(idx_table) -> (R, P, W)``."""
-        basis = basis or experiment.basis
-        bases = [basis] + ([{"Z": "X", "X": "Z"}[basis]]
-                           if include_dual else [])
-        parts = []
-        num_primary = 0
-        for i, b in enumerate(bases):
-            syn = syn_of(cls._cbit_table(experiment, b))
-            det = syn.copy()
-            det[1:] ^= syn[:-1]
-            if b != experiment.basis:
-                det[0] = 0
-            if i == 0:
-                num_primary = det.shape[1]
-            parts.append(det)
-        det = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        return cls(basis=basis, batch_size=int(batch_size), det=det,
-                   num_primary=num_primary)
-
     @classmethod
     def from_record_words(cls, record_words: np.ndarray,
                           experiment: MemoryExperiment, batch_size: int,
                           basis: Optional[str] = None,
                           include_dual: bool = True) -> "PackedSyndromes":
-        """Frame-native path: consume ``(num_cbits, W)`` record words
-        straight from :meth:`FrameSimulator.run_packed` — no unpack."""
-        return cls._assemble(lambda idx: record_words[idx], experiment,
-                             batch_size, basis or experiment.basis,
-                             include_dual)
-
-    @classmethod
-    def from_records(cls, records: np.ndarray, experiment: MemoryExperiment,
-                     basis: Optional[str] = None,
-                     include_dual: bool = True) -> "PackedSyndromes":
-        """Adapter for uint8 ``(B, num_cbits)`` records (tableau path):
-        packs the syndrome columns once, then shares the packed kernels."""
-        B = int(records.shape[0])
-
-        def syn_of(idx: np.ndarray) -> np.ndarray:
-            rounds, P = idx.shape
-            if P == 0:
-                return np.zeros((rounds, 0, words_for(B)), dtype=np.uint64)
-            syn_bits = records[:, idx]       # (B, rounds, P)
-            flat = np.ascontiguousarray(
-                syn_bits.transpose(1, 2, 0).reshape(rounds * P, B))
-            return pack_bool_rows(flat).reshape(rounds, P, -1)
-
-        return cls._assemble(syn_of, experiment, B,
-                             basis or experiment.basis, include_dual)
+        """Detection events of ``(num_cbits, W)`` record words — the
+        primary basis's plaquettes, then (optionally) the dual's."""
+        basis = basis or experiment.basis
+        det = detector_words(experiment, record_words, basis)
+        num_primary = det.shape[1]
+        if include_dual:
+            dual = {"Z": "X", "X": "Z"}[basis]
+            det = np.concatenate(
+                [det, detector_words(experiment, record_words, dual)],
+                axis=1)
+        return cls(basis=basis, batch_size=int(batch_size), det=det,
+                   num_primary=num_primary)
 
     # ------------------------------------------------------------------
     # Packed reductions

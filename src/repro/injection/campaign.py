@@ -320,18 +320,17 @@ def execute_block(experiment: MemoryExperiment, decoder, noise, program,
     so every consumer samples the identical stream for identical
     inputs.
 
-    On the frame backend the span is one wide execution — the blocks
-    are the lanes of a single :class:`~repro.frames.FrameSimulator` —
-    and stays bit-packed end to end: the sampler's word stream is
-    wrapped in a :class:`~repro.decoders.batch.SyndromeBatch` and
-    packed-native decoders (all in-repo ones, including the
-    burst-adaptive wrapper) extract syndromes, detectors and the raw
-    readout by whole-word ops — the full-record ``unpack_words``
-    round-trip only happens for third-party decoders that advertise
-    ``packed_native = False``.  A static decoder decodes the span in
-    one call (a decode is a pure function of the shot's pattern).  The
-    splitting sampler resamples its batch and the tableau has no
-    lanes: those run block by block.
+    Records are packed words from the sampler's exit on: the frame
+    backend's word stream is wrapped in a :class:`~repro.decoders.
+    batch.SyndromeBatch` as it is, the tableau's rows are packed into
+    one, and decoders (the burst-adaptive wrapper included) extract
+    syndromes, detectors and the raw readout by whole-word ops — no
+    full-record unpack anywhere.  On the frame backend the span is one
+    wide execution — the blocks are the lanes of a single
+    :class:`~repro.frames.FrameSimulator` — and a static decoder
+    decodes it in one call (a decode is a pure function of the shot's
+    pattern).  The splitting sampler resamples its batch and the
+    tableau has no lanes: those run block by block.
 
     ``recovery`` other than ``"static"`` decodes each block through a
     fresh :class:`~repro.detect.recovery.BurstAdaptiveDecoder`: it
@@ -403,11 +402,7 @@ def _decode_blocks(experiment: MemoryExperiment, decoder,
     """Decode ``batch`` in one call and tally it block by block
     (``sizes`` partition its shots, in order)."""
     with obs.span("decode"):
-        if getattr(decoder, "packed_native", False):
-            decoded = decoder.decode_batch(experiment, batch)
-        else:
-            # Unpack fallback for decoders that only take uint8 rows.
-            decoded = decoder.decode_batch(experiment, batch.records)
+        decoded = decoder.decode_batch(experiment, batch)
     errors = decoded.errors
     wrong = batch.bit_column(experiment.readout_cbit) \
         != experiment.expected_logical

@@ -1,6 +1,10 @@
 """Noisy circuit execution.
 
-Two batched backends share one entry point:
+Two batched backends share one entry point; ``backend`` names one of
+them or lets the lowering choose.  Both return ``(B, cbits)`` uint8
+rows here — the campaign engine takes the frame backend's packed words
+directly, and rows become words when they enter a
+:class:`~repro.decoders.batch.SyndromeBatch`.
 
 * ``"tableau"`` — walk the circuit gate by gate on the batched CHP
   tableau simulator, letting the noise model inject errors through the

@@ -35,6 +35,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..codes.base import MemoryExperiment
+from ..decoders.batch import detector_words
 from ..frames.packing import column_counts, pack_bool_rows, unpack_words
 from ..frames.program import OP_MEASURE, OP_MEASURE_LAYER, FrameProgram
 from ..frames.simulator import FrameSimulator
@@ -96,24 +97,10 @@ def split_points(program: FrameProgram, experiment: MemoryExperiment,
 def _event_scores(record_words: np.ndarray, experiment: MemoryExperiment,
                   rounds_done: int, batch_size: int) -> np.ndarray:
     """Per-shot syndrome detection events over the first
-    ``rounds_done`` rounds (both plaquette bases; consecutive-round
-    XOR, round 0 of the dual basis suppressed exactly as the streaming
-    detector does)."""
-    planes = []
-    for basis_table, is_memory in (
-            (experiment.z_syndrome_cbits, experiment.basis == "Z"),
-            (experiment.x_syndrome_cbits, experiment.basis == "X")):
-        if not basis_table or not basis_table[0]:
-            continue
-        idx = np.asarray(basis_table, dtype=np.intp)[:rounds_done]
-        syn = record_words[idx]               # (r, P, W)
-        det = syn.copy()
-        det[1:] ^= syn[:-1]
-        if not is_memory:
-            det[0] = 0
-        planes.append(det.reshape(-1, record_words.shape[-1]))
-    if not planes:
-        return np.zeros(batch_size, dtype=np.int64)
+    ``rounds_done`` rounds, both plaquette bases — the same events the
+    streaming detector and the decoders see."""
+    planes = [detector_words(experiment, record_words, basis)[:rounds_done]
+              .reshape(-1, record_words.shape[-1]) for basis in "ZX"]
     return column_counts(np.concatenate(planes, axis=0), batch_size)
 
 

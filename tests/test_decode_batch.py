@@ -2,10 +2,13 @@
 
 The redesign's contract, pinned here from four sides:
 
-* **Representation invariance** — decoding a :class:`SyndromeBatch`
-  built from packed word streams is bit-identical to decoding the same
-  shots as uint8 rows, including when the packed tail words carry
-  garbage don't-care bits.
+* **Entry-form invariance** — records are words from the carrier on,
+  so the same shots entered as uint8 rows (packed once by
+  ``SyndromeBatch.from_records``) and as a word stream decode to the
+  same bits and leave the same ``decode.*`` counters, including when
+  the stream's tail word carries garbage don't-care bits; the word
+  front-end is checked against the per-shot reference
+  (``DetectorGraph.detection_events`` over ``experiment.syndromes``).
 * **Cache transparency** — the syndrome-dedup cache is exact: cache
   on/off, fresh-vs-warm caches, and a cache that fills up mid-batch
   never change a single decoded bit.
@@ -17,8 +20,6 @@ The redesign's contract, pinned here from four sides:
 * **Engine invariance** — campaign counts stay independent of chunk
   size, worker count and store resume now that the frames hot path
   feeds packed words straight to the decoder.
-* **API surface** — the deprecated per-pattern entry points keep
-  working but warn.
 """
 
 import dataclasses
@@ -40,7 +41,6 @@ from repro.decoders import (
     as_decoder,
     decoder_for,
     pack_pattern_columns,
-    prepare_decode_inputs,
     prepare_packed_inputs,
 )
 from repro.frames.packing import WORD_BITS, pack_bool_rows, unpack_words
@@ -53,6 +53,7 @@ from repro.injection import (
     run_task,
 )
 from repro.noise import DepolarizingNoise, NoiseModel, run_batch_noisy
+from repro import obs
 from repro.obs import prof
 
 
@@ -78,36 +79,50 @@ class TestSyndromeBatch:
         rng = np.random.default_rng(0)
         rec = rng.integers(0, 2, size=(100, 9), dtype=np.uint8)
         batch = SyndromeBatch.from_records(rec)
-        assert not batch.packed
         assert batch.batch_size == 100
         assert batch.num_cbits == 9
-        np.testing.assert_array_equal(batch.records, rec)
+        np.testing.assert_array_equal(batch.record_words,
+                                      _pack_records(rec))
         np.testing.assert_array_equal(batch.bit_column(3), rec[:, 3])
 
-    def test_packed_lazy_unpack_drops_tail(self):
+    def test_bit_column_drops_tail(self):
         rng = np.random.default_rng(1)
         rec = rng.integers(0, 2, size=(70, 5), dtype=np.uint8)
         words = _pack_records(rec, rng)   # garbage bits 70..127
         batch = SyndromeBatch.from_record_words(words, 70)
-        assert batch.packed
         assert batch.num_cbits == 5
-        np.testing.assert_array_equal(batch.records, rec)
-        np.testing.assert_array_equal(batch.bit_column(4), rec[:, 4])
+        for cbit in range(5):
+            np.testing.assert_array_equal(batch.bit_column(cbit),
+                                          rec[:, cbit])
 
-    def test_coerce_accepts_batch_rows_and_legacy_pair(self):
+    def test_shots_cuts_on_word_boundaries(self):
         rng = np.random.default_rng(2)
-        rec = rng.integers(0, 2, size=(64, 4), dtype=np.uint8)
-        words = _pack_records(rec)
-        ready = SyndromeBatch.from_records(rec)
-        assert SyndromeBatch.coerce(ready) is ready
-        assert not SyndromeBatch.coerce(rec).packed
-        legacy = SyndromeBatch.coerce(rec, record_words=words)
-        assert legacy.packed           # packed stream preferred
-        np.testing.assert_array_equal(legacy.records, rec)
+        rec = rng.integers(0, 2, size=(200, 4), dtype=np.uint8)
+        batch = SyndromeBatch.from_records(rec)
+        part = batch.shots(128, 72)
+        assert part.batch_size == 72
+        np.testing.assert_array_equal(part.bit_column(2), rec[128:, 2])
+        with pytest.raises(ValueError, match="word boundaries"):
+            batch.shots(100, 64)
 
     def test_needs_some_payload(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SyndromeBatch(8)
+
+    @pytest.mark.parametrize("batch_size", [0, -3, 64, 129, 200])
+    def test_batch_size_must_fit_the_stream(self, batch_size):
+        """A 100-shot, 2-word stream holds 65..128 shots — it used to
+        "decode" 200."""
+        rng = np.random.default_rng(3)
+        words = _pack_records(
+            rng.integers(0, 2, size=(100, 4), dtype=np.uint8))
+        assert SyndromeBatch.from_record_words(words, 100).batch_size == 100
+        with pytest.raises(ValueError):
+            SyndromeBatch.from_record_words(words, batch_size)
+
+    def test_zero_shot_rows_rejected(self):
+        with pytest.raises(ValueError):
+            SyndromeBatch.from_records(np.zeros((0, 4), dtype=np.uint8))
 
 
 class TestDecodeCache:
@@ -165,8 +180,8 @@ class TestPackPatternColumns:
 ])
 class TestPackedRowsBitIdentity:
     def test_packed_equals_rows(self, kind, code_factory, readout):
-        """Same shots, two carriers, one answer — even with garbage
-        don't-care tail bits in the packed stream."""
+        """Same shots, two entry forms, one answer — even with garbage
+        don't-care tail bits in the word stream."""
         exp = build_memory_experiment(code_factory(), rounds=3)
         rng = np.random.default_rng(11)
         rec = _noisy_records(exp, 0.02, 200, rng=4)
@@ -179,6 +194,38 @@ class TestPackedRowsBitIdentity:
         np.testing.assert_array_equal(via_rows.decoded, via_words.decoded)
         np.testing.assert_array_equal(via_rows.corrections,
                                       via_words.corrections)
+
+    @pytest.mark.parametrize("shots", [1, 63, 64, 65])
+    def test_entry_form_invariance_at_word_edges(self, kind, code_factory,
+                                                 readout, shots):
+        """Rows-in == words-in at batch sizes around a word boundary,
+        for the memory-basis graph and (ancilla readout) its dual —
+        and both leave the same ``decode.*`` counters: a pattern is a
+        shot with at least one detection event, however it entered."""
+        exp = build_memory_experiment(code_factory(), rounds=3)
+        rec = _noisy_records(exp, 0.03, shots, rng=14)
+        words = _pack_records(rec, np.random.default_rng(15))
+        use_final = readout == "data"
+        bases = [exp.basis] + ([] if use_final else
+                               [{"Z": "X", "X": "Z"}[exp.basis]])
+        for basis in bases:
+            results, counters = [], []
+            for batch in (rec, SyndromeBatch.from_record_words(words,
+                                                               shots)):
+                dec = decoder_for(exp, kind, basis=basis,
+                                  use_final_data=use_final)
+                obs.registry().reset()
+                results.append(dec.decode_batch(exp, batch))
+                snap = obs.registry().snapshot()["counters"]
+                counters.append({k: v for k, v in snap.items()
+                                 if k.startswith("decode.")})
+            np.testing.assert_array_equal(results[0].decoded,
+                                          results[1].decoded)
+            np.testing.assert_array_equal(results[0].corrections,
+                                          results[1].corrections)
+            assert counters[0] == counters[1]
+            assert set(counters[0]) >= {"decode.patterns",
+                                        "decode.distinct_patterns"}
 
     def test_cache_off_identical(self, kind, code_factory, readout):
         exp = build_memory_experiment(code_factory(), rounds=3)
@@ -314,22 +361,55 @@ class TestUnionFindGraphTables:
 
 class TestPackedPrepare:
     def test_word_domain_mirror(self):
-        """prepare_packed_inputs == prepare_decode_inputs, bit for bit."""
+        """prepare_packed_inputs against the per-shot reference:
+        ``DetectorGraph.detection_events`` over ``experiment.syndromes``
+        plus, for data readout, the final round reconstructed here from
+        ``data_measurements`` — bit for bit, garbage tail and all."""
         exp = build_memory_experiment(XXZZCode(3, 3), rounds=3)
-        graph = DetectorGraph(exp.code, rounds=exp.rounds)
+        code = exp.code
+        graph = DetectorGraph(code, rounds=exp.rounds)
         rng = np.random.default_rng(13)
         rec = _noisy_records(exp, 0.03, 90, rng=6)
         words = _pack_records(rec, rng)
-        for use_final in (False, True):
-            det, raw = prepare_decode_inputs(exp, rec, graph, use_final)
+        syn = exp.syndromes(rec)                       # (B, rounds, P)
+        det = graph.detection_events(syn)
+        data = exp.data_measurements(rec)              # (B, n_data)
+        col = {q: i for i, q in enumerate(code.data_qubits)}
+
+        def parity(qubits):
+            return np.bitwise_xor.reduce(
+                data[:, [col[q] for q in qubits]], axis=1)
+
+        final_syn = np.stack([parity(s) for s in code.z_plaquettes], axis=1)
+        final_det = (final_syn ^ syn[:, -1])[:, None, :]
+        want = {False: (det, exp.raw_readout(rec)),
+                True: (np.concatenate([det, final_det], axis=1),
+                       parity(code.logical_z_support))}
+        for use_final, (det_ref, raw_ref) in want.items():
             det_w, raw_w = prepare_packed_inputs(exp, words, 90, graph,
                                                  use_final)
-            assert det_w.shape[:2] == det.shape[1:]
+            assert det_w.shape[:2] == det_ref.shape[1:]
             for r in range(det_w.shape[0]):
                 np.testing.assert_array_equal(
-                    unpack_words(det_w[r], 90).T, det[:, r],
+                    unpack_words(det_w[r], 90).T, det_ref[:, r],
                     err_msg=f"round {r} use_final={use_final}")
-            np.testing.assert_array_equal(unpack_words(raw_w, 90), raw)
+            np.testing.assert_array_equal(unpack_words(raw_w, 90), raw_ref)
+
+    def test_dual_basis_matches_reference(self):
+        exp = build_memory_experiment(XXZZCode(3, 3), rounds=3)
+        graph = DetectorGraph(exp.code, rounds=exp.rounds, basis="X")
+        rec = _noisy_records(exp, 0.03, 90, rng=7)
+        det_ref = graph.dual_detection_events(exp.syndromes(rec, "X"))
+        det_w, raw_w = prepare_packed_inputs(
+            exp, _pack_records(rec, np.random.default_rng(8)), 90, graph,
+            False)
+        for r in range(exp.rounds):
+            np.testing.assert_array_equal(unpack_words(det_w[r], 90).T,
+                                          det_ref[:, r])
+        np.testing.assert_array_equal(unpack_words(raw_w, 90),
+                                      exp.raw_readout(rec))
+        with pytest.raises(ValueError, match="decode basis"):
+            prepare_packed_inputs(exp, _pack_records(rec), 90, graph, True)
 
 
 class TestCacheHitRate:
@@ -518,14 +598,3 @@ class TestEngineInvariance:
             "faults": [{"kind": "radiation", "root_qubit": 12,
                         "time_index": t} for t in (0, 1, 2)]})
         assert campaign.run(workers=1).counts() == parent_counts
-
-
-class TestDeprecatedShims:
-    def test_legacy_record_words_kwarg_still_accepted(self):
-        exp = build_memory_experiment(RepetitionCode(5))
-        dec = decoder_for(exp, "mwpm")
-        rec = _noisy_records(exp, 0.02, 128, rng=18)
-        words = _pack_records(rec)
-        res = dec.decode_batch(exp, rec, record_words=words)
-        np.testing.assert_array_equal(
-            res.decoded, dec.decode_batch(exp, rec).decoded)

@@ -2,13 +2,15 @@
 localisation, burst-adaptive recovery, and the campaign/CLI threading."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from repro.codes import XXZZCode, build_memory_experiment
-from repro.decoders import DetectorGraph, ERASED_WEIGHT, decoder_for
+from repro.decoders import (DetectorGraph, ERASED_WEIGHT, SyndromeBatch,
+                            decoder_for)
 from repro.detect import (
     BurstAdaptiveDecoder,
     DetectorConfig,
@@ -107,7 +109,9 @@ class TestPackedSyndromes:
         _, experiment, _, _, _ = strike_setup
         records = np.ascontiguousarray(unpack_words(struck_words, 1024).T)
         a = PackedSyndromes.from_record_words(struck_words, experiment, 1024)
-        b = PackedSyndromes.from_records(records, experiment)
+        rows_in = SyndromeBatch.from_records(records)
+        b = PackedSyndromes.from_record_words(rows_in.record_words,
+                                              experiment, rows_in.batch_size)
         np.testing.assert_array_equal(a.det, b.det)
         assert a.num_primary == b.num_primary
 
@@ -266,8 +270,8 @@ class TestRecovery:
         base = decoder_for(experiment, "union-find")
         wrapped = BurstAdaptiveDecoder(base, policy="static")
         a = base.decode_batch(experiment, records)
-        b = wrapped.decode_batch(experiment, records,
-                                 record_words=struck_words)
+        b = wrapped.decode_batch(
+            experiment, SyndromeBatch.from_record_words(struck_words, 1024))
         np.testing.assert_array_equal(a.corrections, b.corrections)
         assert wrapped.last_report is not None
 
@@ -280,17 +284,17 @@ class TestRecovery:
             base, policy="reweight",
             config=DetectorConfig(baseline=50.0))  # nothing flags
         a = base.decode_batch(experiment, records)
-        b = wrapped.decode_batch(experiment, records,
-                                 record_words=clean_words)
+        b = wrapped.decode_batch(
+            experiment, SyndromeBatch.from_record_words(clean_words, 1024))
         np.testing.assert_array_equal(a.corrections, b.corrections)
 
     def test_reweight_estimates_strike_parameters(self, strike_setup,
                                                   struck_words):
         _, experiment, _, root, _ = strike_setup
-        records = np.ascontiguousarray(unpack_words(struck_words, 1024).T)
         base = decoder_for(experiment, "union-find")
         wrapped = BurstAdaptiveDecoder(base, policy="reweight")
-        wrapped.decode_batch(experiment, records, record_words=struck_words)
+        wrapped.decode_batch(
+            experiment, SyndromeBatch.from_record_words(struck_words, 1024))
         est = wrapped.last_estimate
         assert est is not None
         rp = experiment.code.qubit_positions()[root]
@@ -303,14 +307,12 @@ class TestRecovery:
     def test_discard_window_changes_flagged_decodes_only(self, strike_setup,
                                                          struck_words):
         _, experiment, _, _, _ = strike_setup
-        records = np.ascontiguousarray(unpack_words(struck_words, 1024).T)
+        batch = SyndromeBatch.from_record_words(struck_words, 1024)
         base = decoder_for(experiment, "union-find")
         static = BurstAdaptiveDecoder(base, policy="static")
         discard = BurstAdaptiveDecoder(base, policy="discard_window")
-        a = static.decode_batch(experiment, records,
-                                record_words=struck_words)
-        b = discard.decode_batch(experiment, records,
-                                 record_words=struck_words)
+        a = static.decode_batch(experiment, batch)
+        b = discard.decode_batch(experiment, batch)
         clean = ~discard.last_report.flagged
         np.testing.assert_array_equal(a.corrections[clean],
                                       b.corrections[clean])
@@ -324,15 +326,72 @@ class TestRecovery:
         _, experiment, event, _, mpr = strike_setup
         noise = NoiseModel([event.burst(STRIKE_ROUND, mpr, scale=0.5),
                             DepolarizingNoise(0.005)])
-        words = _frame_words(experiment, noise, 2048, seed=7)
-        records = np.ascontiguousarray(unpack_words(words, 2048).T)
+        batch = SyndromeBatch.from_record_words(
+            _frame_words(experiment, noise, 2048, seed=7), 2048)
         base = decoder_for(experiment, "mwpm")
         errs = {}
         for policy in ("static", "reweight"):
             dec = BurstAdaptiveDecoder(base, policy=policy)
-            errs[policy] = dec.decode_batch(
-                experiment, records, record_words=words).num_errors
+            errs[policy] = dec.decode_batch(experiment, batch).num_errors
         assert errs["reweight"] < errs["static"]
+
+    #: sha256[:16] of ``np.packbits`` of (decoded, corrections) for the
+    #: first 130 shots of ``struck_words`` (123 flagged, 7 clean), as the
+    #: commit before the row-domain pipeline was deleted returned them.
+    PARENT = {
+        ("mwpm", "ancilla", "static"):
+            ("a0b14c5e29565763", "f65db49cff7a29ae"),
+        ("mwpm", "ancilla", "reweight"):
+            ("9fb47d0e429e4f35", "616978529b650e85"),
+        ("mwpm", "ancilla", "discard_window"):
+            ("9f85fdc676fd2c7a", "8fce048a8285bfbc"),
+        ("mwpm", "data", "static"):
+            ("fb7d5165bf050fb3", "f6bc635318186028"),
+        ("mwpm", "data", "reweight"):
+            ("a7e6ae80cdf476ee", "a7e0a1dc1ddaa717"),
+        ("mwpm", "data", "discard_window"):
+            ("ba49c2f34ec6715d", "7801fd538ed1c8da"),
+        ("union-find", "ancilla", "static"):
+            ("5dc05c3267d3287c", "10753932d4b4cbdc"),
+        ("union-find", "ancilla", "reweight"):
+            ("3aa1c90480c0fdd7", "6a40425ce255c672"),
+        ("union-find", "ancilla", "discard_window"):
+            ("279b68ea8a607f8b", "1488dcdbfae87832"),
+        ("union-find", "data", "static"):
+            ("e351369d428cbd26", "408362e9961c23b6"),
+        ("union-find", "data", "reweight"):
+            ("09df1ab1316b1a18", "bc4b599c5e8f0844"),
+        ("union-find", "data", "discard_window"):
+            ("724bbeb1ce607400", "e36243a4122332b1"),
+    }
+
+    @pytest.mark.parametrize("entry", ["rows", "words"])
+    @pytest.mark.parametrize("policy", RECOVERY_POLICIES)
+    @pytest.mark.parametrize("readout", ["ancilla", "data"])
+    @pytest.mark.parametrize("kind", ["mwpm", "union-find"])
+    def test_struck_block_decodes_as_parent(self, strike_setup,
+                                            struck_words, kind, readout,
+                                            policy, entry):
+        """Every policy, matcher and readout mode on a struck d=5
+        block, entered as rows and as words (whose last word then
+        carries 62 other shots as don't-care bits)."""
+        _, experiment, _, _, _ = strike_setup
+        words = struck_words[:, :3]
+        batch = (SyndromeBatch.from_record_words(words, 130)
+                 if entry == "words" else np.ascontiguousarray(
+                     unpack_words(words, 130).T))
+        dec = BurstAdaptiveDecoder(
+            decoder_for(experiment, kind, use_final_data=readout == "data"),
+            policy=policy)
+        res = dec.decode_batch(experiment, batch)
+        assert int(dec.last_report.flagged.sum()) == 123
+
+        def digest(bits):
+            return hashlib.sha256(np.packbits(bits).tobytes()) \
+                .hexdigest()[:16]
+
+        assert (digest(res.decoded), digest(res.corrections)) \
+            == self.PARENT[kind, readout, policy]
 
 
 # ----------------------------------------------------------------------

@@ -108,15 +108,18 @@ class TestBatchVsSingle:
         noiseless memory run must fire no detector and read out the
         expected logical value."""
         from repro.codes import XXZZCode, build_memory_experiment
-        from repro.decoders import decoder_for
-        from repro.decoders.base import prepare_decode_inputs
+        from repro.decoders import (SyndromeBatch, decoder_for,
+                                    prepare_packed_inputs)
+        from repro.frames.packing import unpack_words
 
         exp = build_memory_experiment(XXZZCode(7, 7))
-        rec = BatchTableauSimulator(98, 8, rng=2).run(exp.circuit)
+        batch = SyndromeBatch.from_records(
+            BatchTableauSimulator(98, 8, rng=2).run(exp.circuit))
         graph = decoder_for(exp, "union-find").graph
-        det, raw = prepare_decode_inputs(exp, rec, graph, True)
-        assert not det.any()
-        assert (raw == exp.expected_logical).all()
+        det, raw = prepare_packed_inputs(exp, batch.record_words, 8, graph,
+                                         True)
+        assert not unpack_words(det.reshape(-1, 1), 8).any()
+        assert (unpack_words(raw, 8) == exp.expected_logical).all()
 
     def test_batch_marginals_match_reference(self):
         circuit = random_clifford_circuit(4, 60, rng=12,
