@@ -8,6 +8,7 @@ backend was >= 5x shots/second; measured speedups are orders of
 magnitude beyond that.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 from conftest import bench_bar, bench_report
 
 from repro.codes import XXZZCode, build_memory_experiment
-from repro.frames import FrameSimulator, compile_frame_program, run_batch_frames
+from repro.frames import (FrameSimulator, _native, compile_frame_program,
+                          run_batch_frames)
 from repro.frames.packing import pack_bool, pack_bool_rows
 from repro.noise import (
     DepolarizingNoise,
@@ -107,14 +109,18 @@ class PerSiteSimulator(FrameSimulator):
 
 
 @pytest.mark.parametrize("p", [1e-4, 1e-3, 1e-2, 1e-1])
-def test_frames_d5_block_scale_noisy(benchmark, capsys, p):
+def test_frames_d5_block_scale_noisy(benchmark, capsys, monkeypatch, p):
     """The campaign block under intrinsic noise: d=5, 5 rounds, 512
     shots — what `quiet_deep` replays per block.  One draw per run
     plus hit-only applies must beat per-site sampling >= 2x where
     sites rarely fire (p <= 1e-3) and, through the dense fallback,
     never lose to it — not even at p = 0.1, where every row is dense.
+    A property of the numpy executor (the native op loop has no
+    draw/apply split to gain from), so both sides run on it.
     """
     from repro.injection.results import SIM_BLOCK
+
+    monkeypatch.setattr(_native, "kernel", lambda: None)
 
     circuit = build_memory_experiment(XXZZCode(5, 5), rounds=5).circuit
     program = compile_frame_program(
@@ -152,10 +158,12 @@ def test_frames_d5_block_scale_noisy(benchmark, capsys, p):
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 4, 8, 16])
-def test_frames_d5_span_width(benchmark, capsys, lanes):
+def test_frames_d5_span_width(benchmark, capsys, monkeypatch, lanes):
     """The width sweep behind ``WIDE_BLOCKS``: the `quiet_deep` block
     (d=5, 5 rounds, p = 5e-4) run as ``lanes`` canonical blocks of 512
-    in one wide execution, every lane on its own generator.
+    in one wide execution, every lane on its own generator — on the
+    numpy executor, whose per-op cost the span amortises
+    (``test_frames_native_block`` has the native loop at 1 and 8).
 
     Measured on the 2-core sandbox when the span executor landed
     (ms per 512-shot block, min of 5 over 96 blocks): the parent's
@@ -174,6 +182,7 @@ def test_frames_d5_span_width(benchmark, capsys, lanes):
     """
     from repro.injection.results import SIM_BLOCK
 
+    monkeypatch.setattr(_native, "kernel", lambda: None)
     circuit = build_memory_experiment(XXZZCode(5, 5), rounds=5).circuit
     n = circuit.num_qubits
     program = compile_frame_program(
@@ -220,6 +229,90 @@ def test_frames_d5_span_width(benchmark, capsys, lanes):
         bar = bench_bar(1.4, 1.15)
         assert one_ms / ms >= bar, \
             f"8-lane span only {one_ms / ms:.2f}x one lane < {bar}x"
+
+
+def _native_block_program(name):
+    """``(num_qubits, program)`` of the three shapes the native loop is
+    judged on: the `quiet_deep` block, the `strike_decode` t=0 strike
+    (a fault reset per struck qubit per gate: 3385 ops against the
+    quiet program's 1202) and a `service_sweep` strike point."""
+    from repro.injection import ArchSpec, CodeSpec, FaultSpec, InjectionTask
+    from repro.injection.campaign import _task_context
+
+    task = {
+        "d5-quiet": InjectionTask(
+            code=CodeSpec("xxzz", (5, 5)), rounds=5, intrinsic_p=5e-4),
+        "d5-strike": InjectionTask(
+            code=CodeSpec("xxzz", (5, 5)), rounds=5, intrinsic_p=1e-3,
+            fault=FaultSpec(kind="radiation", root_qubit=12, time_index=0)),
+        "rep9-cairo-strike": InjectionTask(
+            code=CodeSpec("repetition", (9, 1)), arch=ArchSpec("cairo"),
+            intrinsic_p=1e-3,
+            fault=FaultSpec(kind="radiation", root_qubit=0, time_index=0)),
+    }[name]
+    experiment, _, _, program, _, _ = _task_context(
+        dataclasses.replace(task, backend="frames", shots=512, seed=2024))
+    return experiment.circuit.num_qubits, program
+
+
+@pytest.mark.parametrize("lanes", [1, 8])
+@pytest.mark.parametrize("name", ["d5-quiet", "d5-strike",
+                                  "rep9-cairo-strike"])
+def test_frames_native_block(benchmark, capsys, monkeypatch, name, lanes):
+    """The native op loop against the numpy executor, per 512-shot
+    block: one foreign call per span instead of one numpy call per op
+    and lane.  Same records (checked here on every program), so the
+    whole difference is dispatch: the strike programs — a fault reset
+    per struck qubit per gate, none of it fusable — must run >= 3x
+    faster on a lone block.
+
+    Measured on the 2-core sandbox when the loop landed (ms per block,
+    numpy -> native, 1 lane | 8 lanes): d5-quiet 2.9 -> 1.2 | 1.7 ->
+    1.3 (what is left is the draw: 935 rows of 512 uniforms through
+    the generator's ``next_double`` pointer, ~2.1 ns each), d5-strike
+    21.6 -> 3.1 | 15.1 -> 2.8, rep9-cairo-strike 3.5 -> 0.48 | 2.4 ->
+    0.43.
+    """
+    from repro.injection.results import SIM_BLOCK
+
+    if _native.kernel() is None:
+        pytest.skip("native executor unavailable: "
+                    + _native.unavailable_reason())
+    num_qubits, program = _native_block_program(name)
+
+    def span(first=0):
+        return FrameSimulator(
+            num_qubits, [SIM_BLOCK] * lanes,
+            rng=[np.random.default_rng(first + i) for i in range(lanes)]
+        ).run_packed(program)
+
+    def block_ms():
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for first in range(0, 16, lanes):
+                span(first)
+            times.append(time.perf_counter() - t0)
+        return 1e3 * min(times) / 16
+
+    native_words, native_ms = span(), block_ms()
+    with monkeypatch.context() as numpy_only:
+        numpy_only.setattr(_native, "kernel", lambda: None)
+        numpy_words, numpy_ms = span(), block_ms()
+    assert np.array_equal(native_words, numpy_words)
+    benchmark(span)
+    bench_report(
+        benchmark, capsys,
+        f"\n[frames] {name} ({len(program.ops)} ops) x {lanes} lane(s): "
+        f"numpy {numpy_ms:.2f} ms/block, native {native_ms:.2f} ms/block "
+        f"({numpy_ms / native_ms:.1f}x)",
+        shots=lanes * SIM_BLOCK, lanes=lanes, program_ops=len(program.ops),
+        numpy_block_ms=numpy_ms, block_ms=native_ms,
+        speedup=numpy_ms / native_ms)
+    if lanes == 1 and name != "d5-quiet":
+        bar = bench_bar(3.0, 2.0)
+        assert numpy_ms / native_ms >= bar, \
+            f"native loop only {numpy_ms / native_ms:.1f}x numpy < {bar}x"
 
 
 def test_frames_d5_noisy(benchmark, d5_experiment, d5_noise):

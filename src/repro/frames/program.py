@@ -213,6 +213,12 @@ class FrameProgram:
     #: models can be bound to it too; ``None`` when its reference pass
     #: was seeded, which makes this program all it could ever bind.
     structure: Optional["FrameStructure"] = None
+    #: The native executor's view of :attr:`ops`: the structure's
+    #: :func:`encode_ops` stream (shared) and this binding's per-site
+    #: probabilities.  ``None`` on a program put together by hand,
+    #: which then runs on the numpy executor.
+    code: Optional[np.ndarray] = None
+    probabilities: Optional[np.ndarray] = None
 
     @property
     def deterministic_reference(self) -> bool:
@@ -258,6 +264,8 @@ class FrameStructure:
     exact_reset_sites: int
     twirled_reset_sites: int
     fused_ops: int
+    #: :func:`encode_ops` of :attr:`ops`, shared by every bound program.
+    code: np.ndarray
 
     def bind(self, noise: Optional[NoiseModel]) -> FrameProgram:
         """The program of ``noise`` on this structure: every site's
@@ -272,6 +280,7 @@ class FrameStructure:
             raise ValueError("noise model fires at other sites than the "
                              "structure was compiled for")
         ops = list(self.ops)
+        p = np.zeros(0)
         if self.noise_ops:
             p = np.concatenate(
                 [t.table.ravel() for t in tables])[self.site_source]
@@ -295,6 +304,8 @@ class FrameStructure:
             num_channels=len(self.signature),
             fused_ops=self.fused_ops,
             structure=None if self.seeded else self,
+            code=self.code,
+            probabilities=p,
         )
 
 
@@ -491,6 +502,103 @@ def hoist_draws(ops: List[Tuple]) -> List[Tuple]:
             out.append(op)
     close()
     return out
+
+
+#: Words in front of an :func:`encode_ops` stream's first op.
+CODE_HEADER = 3
+
+#: ``x_value`` operand of an encoded ``OP_RESET_NOISE`` whose reference
+#: is Z-indefinite (``None`` in the op tuple).
+_X_TWIRL = 2
+
+
+def encode_ops(ops, num_qubits: int, num_cbits: int,
+               num_sites: int) -> np.ndarray:
+    """Flatten a structure op list (noise ops carrying site numbers)
+    into the int64 stream ``_kernel.c`` executes.
+
+    The stream opens with the three bounds it was checked against —
+    ``num_qubits, num_cbits, num_sites`` (:data:`CODE_HEADER` words) —
+    which the simulator holds against its own arrays before every
+    run.  Then per op the opcode, and: scalar ops their operands as
+    they stand (``x_value`` ``None`` as :data:`_X_TWIRL`); layers
+    their width ``k`` and each operand array in turn;
+    ``OP_DEPOLARIZE_LAYER`` ``k, run, row, qubits, sites`` and
+    ``OP_DEPOLARIZE_DRAW`` ``k, run, sites``.  A depolarize site
+    :func:`hoist_draws` has not seen gets run -1: it draws its own
+    rows, as the bare handler does.
+
+    Every qubit, cbit and site operand is checked against its range
+    here — the kernel indexes unchecked — so an operand the numpy
+    executor would meet with an ``IndexError`` is an ``IndexError``
+    now.
+    """
+    out: List[int] = [num_qubits, num_cbits, num_sites]
+    qubits: List[int] = []
+    cbits: List[int] = []
+    sites: List[int] = []
+
+    def arrays(op, count: int) -> List[List[int]]:
+        lists = [np.asarray(a).tolist() for a in op[1:1 + count]]
+        if len({len(values) for values in lists}) != 1 or not lists[0]:
+            raise ValueError(f"ragged or empty layer op {op!r}")
+        return lists
+
+    for op in ops:
+        code = op[0]
+        out.append(code)
+        if code in (OP_H, OP_S, OP_RESET, OP_CX, OP_CZ, OP_SWAP):
+            qubits.extend(op[1:])
+            out.extend(op[1:])
+        elif code == OP_MEASURE:
+            qubits.append(op[1])
+            cbits.append(op[2])
+            out.extend((op[1], op[2], 1 if op[3] else 0))
+        elif code == OP_RESET_NOISE:
+            qubits.append(op[1])
+            sites.append(op[2])
+            out.extend((op[1], op[2],
+                        _X_TWIRL if op[3] is None else 1 if op[3] else 0))
+        elif code == OP_DEPOLARIZE:
+            qubits.append(op[1])
+            sites.append(op[2])
+            out.extend((op[1], op[2]) + (tuple(op[3:]) or (-1, 0)))
+        elif code in (OP_H_LAYER, OP_S_LAYER, OP_RESET_LAYER,
+                      OP_CX_LAYER, OP_CZ_LAYER, OP_SWAP_LAYER):
+            lists = arrays(op, len(op) - 1)
+            out.append(len(lists[0]))
+            for values in lists:
+                qubits.extend(values)
+                out.extend(values)
+        elif code == OP_MEASURE_LAYER:
+            qs, cs, refs = arrays(op, 3)
+            qubits.extend(qs)
+            cbits.extend(cs)
+            out.append(len(qs))
+            out.extend(qs + cs + [1 if ref else 0 for ref in refs])
+        elif code == OP_DEPOLARIZE_LAYER:
+            qs, rows = arrays(op, 2)
+            qubits.extend(qs)
+            sites.extend(rows)
+            out.append(len(qs))
+            out.extend(tuple(op[3:]) or (-1, 0))
+            out.extend(qs + rows)
+        elif code == OP_DEPOLARIZE_DRAW:
+            rows, = arrays(op, 1)
+            sites.extend(rows)
+            out.extend((len(rows), op[2]))
+            out.extend(rows)
+        else:
+            raise ValueError(f"no native encoding for opcode {code!r}")
+    for what, values, bound in (("qubit", qubits, num_qubits),
+                                ("cbit", cbits, num_cbits),
+                                ("site", sites, num_sites)):
+        if values and not 0 <= min(values) <= max(values) < bound:
+            raise IndexError(f"{what} operand outside [0, {bound}): "
+                             f"{min(values)}..{max(values)}")
+    stream = np.array(out, dtype=np.int64)
+    stream.flags.writeable = False
+    return stream
 
 
 def supports_noise(noise: Optional[NoiseModel]) -> bool:
@@ -693,6 +801,7 @@ def frame_structure(circuit: Circuit,
         exact_reset_sites=reset_counts[0],
         twirled_reset_sites=reset_counts[1],
         fused_ops=sum(1 for op in ops if op[0] in LAYER_OPS),
+        code=encode_ops(ops, n, num_cbits, len(site_source)),
     )
 
 

@@ -54,6 +54,7 @@ from .packing import (
     words_for,
 )
 from .program import (
+    CODE_HEADER,
     LAYER_OPS,
     OP_CX,
     OP_CX_LAYER,
@@ -80,6 +81,8 @@ from .. import obs
 from ..obs import prof as _prof
 
 _OBS_BLOCKS = obs.counter("frames.blocks")
+_OBS_NATIVE = obs.counter("frames.native_blocks")
+_OBS_NUMPY = obs.counter("frames.numpy_blocks")
 _OBS_OPS = obs.counter("frames.ops")
 _OBS_FUSED = obs.counter("frames.fused_ops")
 _OBS_SITES = obs.counter("frames.depolarize_sites")
@@ -119,6 +122,16 @@ _HANDLER = {
 #: Ops whose first operand is an array, one entry per scalar-equivalent
 #: op — how the profiler reads a fused op's width straight from the op.
 _WIDE_OPS = LAYER_OPS | {OP_DEPOLARIZE_DRAW}
+
+
+def _fold_sample(stats, seconds, calls, widths) -> None:
+    """Add one sampled execution's per-opcode seconds, calls and fused
+    width beyond the call to the profiler's opcode-indexed buckets."""
+    for st, dt, n, extra in zip(stats, seconds, calls, widths):
+        if n:
+            st.total_s += dt
+            st.count += n
+            st.ops += n + extra
 
 
 class _Lane(NamedTuple):
@@ -547,7 +560,13 @@ class FrameSimulator:
         record_words = np.zeros((program.num_cbits, self.num_words),
                                 dtype=np.uint64)
         self.depolarize_stats = [0, 0, 0]
-        self.exec_ops(program.ops, record_words)
+        kernel = self._native_kernel(program)
+        if kernel is None:
+            self.exec_ops(program.ops, record_words)
+            _OBS_NUMPY.inc(len(self._lanes))
+        else:
+            self._exec_native(kernel, program, record_words)
+            _OBS_NATIVE.inc(len(self._lanes))
         _OBS_BLOCKS.inc(len(self._lanes))
         _OBS_OPS.inc(len(program.ops))
         _OBS_FUSED.inc(program.fused_ops)
@@ -555,6 +574,65 @@ class FrameSimulator:
                           self.depolarize_stats):
             ctr.inc(n)
         return record_words
+
+    def _native_kernel(self, program: FrameProgram):
+        """The native executor when it can run ``program`` here with
+        the numpy executor's exact outcome, else ``None``: it knows
+        neither the tilt's weights, nor ``MT19937``'s 32-bit raw stream
+        (:func:`~repro.frames.packing.random_words`), nor a handler a
+        subclass overrides; each lane needs a generator of its own (it
+        draws site by site where :meth:`depolarize_draw` draws lane by
+        lane); and it works on the ``(n, W)`` arrays in place."""
+        code, prob = program.code, program.probabilities
+        if (code is None or prob is None or self.log_weights is not None
+                or type(self) is not FrameSimulator):
+            return None
+        # The kernel indexes unchecked: hold the arrays it will be
+        # handed against the bounds the stream was encoded under.
+        num_qubits, num_cbits, num_sites = code[:CODE_HEADER].tolist()
+        if (code.dtype != np.int64 or prob.dtype != np.float64
+                or not (code.flags.c_contiguous and prob.flags.c_contiguous)
+                or num_qubits > self.n or num_cbits > program.num_cbits
+                or num_sites > prob.size):
+            raise ValueError("program.code does not fit the program's "
+                             "probabilities, record or this simulator")
+        generators = [lane.rng.bit_generator for lane in self._lanes]
+        if (any(isinstance(bg, np.random.MT19937) for bg in generators)
+                or len(set(map(id, generators))) != len(generators)):
+            return None
+        shape = (self.n, self.num_words)
+        for frame in (self.x, self.z):
+            if (frame.shape != shape or frame.dtype != np.uint64
+                    or not frame.flags.c_contiguous):
+                return None
+        from . import _native   # first sample, not ``import repro``
+
+        return _native.kernel()
+
+    def _exec_native(self, kernel, program: FrameProgram,
+                     record_words: np.ndarray) -> None:
+        """:meth:`exec_ops` of the whole program as one foreign call
+        (``_kernel.c``), profiled like it: every execution contributes
+        its wall time, a sampled one has the kernel clock its opcode
+        runs into the same buckets."""
+        prof = _prof._ACTIVE
+        stats, sampled = prof.begin_block() if prof else (None, False)
+        t_blk = perf_counter()
+        cut_run, out, acc = kernel(
+            program.code[CODE_HEADER:], program.probabilities,
+            self.x, self.z, record_words,
+            [(lane.shots, lane.lo, lane.hi) for lane in self._lanes],
+            [lane.rng.bit_generator for lane in self._lanes],
+            self._lane_shots, DENSE_HITS_PER_ROW, sampled)
+        if prof is not None:
+            if sampled:
+                k = len(acc) // 3
+                _fold_sample(stats, acc[:k], map(int, acc[k:2 * k]),
+                             map(int, acc[2 * k:]))
+            prof.end_block(perf_counter() - t_blk)
+        if cut_run:
+            raise RuntimeError(_CUT_RUN.format(out[3], out[4]))
+        self.depolarize_stats = out[:3]
 
     def _measure_into(self, a: int, cbit: int, reference_bit: int) -> None:
         self._record[cbit] = self.measure(a, reference_bit)
@@ -625,12 +703,7 @@ class FrameSimulator:
         if run_code >= 0:
             t_acc[run_code] += t_end - t_run
             c_acc[run_code] += run_n
-        for code, calls in enumerate(c_acc):
-            if calls:
-                st = stats[code]
-                st.total_s += t_acc[code]
-                st.count += calls
-                st.ops += calls + w_acc[code]
+        _fold_sample(stats, t_acc, c_acc, w_acc)
         prof.end_block(t_end - t_blk)
 
     def shot_weights(self) -> np.ndarray:

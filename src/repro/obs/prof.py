@@ -10,10 +10,11 @@ shots are bit-identical with profiling on or off, property-tested):
   ``.fused`` layer twins, ``depolarize.draw`` vs the apply sites,
   ...).  Per-op clocking is *sampled*: one block in
   :data:`SAMPLE_EVERY` reads the clock around the executor's one
-  dispatch table — a block here is one executor run, a wide span of
-  several canonical blocks included (blocks are repeats of one
-  compiled program, so sampled shares are the run's shares), every
-  block contributes its wall time, and
+  dispatch table (the native op loop clocks itself, into accumulators
+  folded into these same buckets) — a block here is one executor run,
+  a wide span of several canonical blocks included (blocks are repeats
+  of one compiled program, so sampled shares are the run's shares),
+  every block contributes its wall time, and
   :meth:`Profiler.snapshot` scales the sampled buckets up to
   whole-run wall time — scalar frame ops are a few µs each, and
   clocking every one of them would alone blow the overhead budget.

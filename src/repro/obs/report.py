@@ -197,7 +197,10 @@ def render_report(path: Union[str, Sequence[str]]) -> str:
                      f"{binds:,} program(s) bound from "
                      f"{counters.get('frames.compiles', 0):,} compiled "
                      f"structure(s), {fallbacks:,} auto fallback(s) "
-                     f"to the tableau")
+                     f"to the tableau; executor "
+                     f"{counters.get('frames.native_blocks', 0):,} native / "
+                     f"{counters.get('frames.numpy_blocks', 0):,} numpy "
+                     f"block(s)")
 
     hits = counters.get("decode.cache_hits", 0)
     misses = counters.get("decode.cache_misses", 0)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from .. import obs
 from ..obs import trace
@@ -252,6 +252,9 @@ class Dispatcher:
         #: pool worker, merged by replacement (each is cumulative for
         #: its process, so replacement is idempotent like counters).
         self._runner_snaps: Dict[str, Dict[str, object]] = {}
+        #: Called with a job's id when its last point finishes (the
+        #: server wakes that job's held-open streams with it).
+        self.on_job_done: Optional[Callable[[str], None]] = None
 
     # -- submission ----------------------------------------------------
     def submit(self, spec: Mapping[str, Any]) -> Dict[str, object]:
@@ -660,6 +663,8 @@ class Dispatcher:
                 obs.event("service.job_done", f"{job_id} complete",
                           job=job_id)
                 self._record_job_span(job)
+                if self.on_job_done is not None:
+                    self.on_job_done(job_id)
 
     # -- observability ------------------------------------------------
     def job_trace(self, job_id: str) -> Dict[str, object]:

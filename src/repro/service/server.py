@@ -106,6 +106,11 @@ class CampaignService:
         self._started = time.perf_counter()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
+        #: Set when its job finishes: the job's held-open streams wait
+        #: on it between progress records, so the final record leaves
+        #: at completion, not at the next emit tick.
+        self._job_done: Dict[str, asyncio.Event] = {}
+        self.dispatcher.on_job_done = self._wake_streams
 
     @property
     def url(self) -> str:
@@ -392,11 +397,18 @@ class CampaignService:
             writer, status, text.encode(),
             "text/plain; version=0.0.4; charset=utf-8")
 
+    def _wake_streams(self, job_id: str) -> None:
+        finished = self._job_done.pop(job_id, None)
+        if finished is not None:
+            finished.set()
+
     async def _stream_job(self, writer: asyncio.StreamWriter,
                           job_id: str, query: Dict[str, str]) -> None:
         """``GET /jobs/<id>?stream=1``: hold the response open and emit
-        newline-delimited JSON progress snapshots until the job
-        finishes (final record carries results and ``"final": true``).
+        newline-delimited JSON progress snapshots, one per interval,
+        until the job finishes (final record carries results and
+        ``"final": true``, and is sent when the job finishes rather
+        than an interval later).
 
         ``await drain()`` after every record is the backpressure
         contract — a client that stops reading stalls its own stream
@@ -427,12 +439,20 @@ class CampaignService:
                 if done and "error" not in status:
                     status = self.dispatcher.job_status(job_id)
                     status["final"] = True
+                elif not done:
+                    # Taken in the same loop step as the status, so a
+                    # job that finishes during the write is not missed.
+                    finished = self._job_done.setdefault(
+                        job_id, asyncio.Event())
                 writer.write(json.dumps(status, sort_keys=True,
                                         default=str).encode() + b"\n")
                 await writer.drain()
                 if done or self._stopping:
                     return
-                await asyncio.sleep(interval)
+                try:
+                    await asyncio.wait_for(finished.wait(), interval)
+                except asyncio.TimeoutError:
+                    pass
         except (ConnectionError, asyncio.CancelledError):
             return
         finally:

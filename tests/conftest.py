@@ -1,0 +1,18 @@
+"""Fixtures shared across the suites."""
+
+import pytest
+
+from repro.frames import _native
+
+
+@pytest.fixture(params=["numpy", "native"])
+def executor(request, monkeypatch):
+    """Run the test once per frame-program executor.  ``numpy`` patches
+    the loader out, so ``run_packed`` takes the ``_HANDLER`` table as
+    on a host without a compiler; ``native`` needs the kernel built."""
+    if request.param == "numpy":
+        monkeypatch.setattr(_native, "kernel", lambda: None)
+    elif _native.kernel() is None:
+        pytest.skip("native executor unavailable: "
+                    + _native.unavailable_reason())
+    return request.param

@@ -29,6 +29,35 @@ def mid_rate_task(shots=1536, seed=42, **kw):
                         intrinsic_p=0.05, shots=shots, seed=seed, **kw)
 
 
+class TestExecutorInvariance:
+    """Which frame-program executor sampled a block (the native op
+    loop, or numpy where no C compiler is found) moves no count."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_equal_with_the_native_loader_patched_out(
+            self, workers, monkeypatch):
+        from repro import obs
+        from repro.frames import _native
+
+        strike = FaultSpec(kind="radiation", root_qubit=1, time_index=1)
+        tasks = [mid_rate_task(shots=1536, backend="frames", fault=fault,
+                               ).with_tags(idx=i)
+                 for i, fault in enumerate((FaultSpec(), strike))]
+        policy = AdaptivePolicy(rel_halfwidth=0.2, min_shots=512)
+
+        def run():
+            campaign = Campaign(tasks, root_seed=11)
+            return (campaign.run(workers=workers).counts(),
+                    campaign.run(workers=workers, adaptive=policy).counts())
+
+        native = run()
+        numpy_blocks = obs.counter("frames.numpy_blocks").value
+        monkeypatch.setattr(_native, "kernel", lambda: None)
+        assert run() == native
+        if workers == 1:
+            assert obs.counter("frames.numpy_blocks").value > numpy_blocks
+
+
 class TestChunkedExecution:
     def test_chunked_identical_to_single_chunk(self):
         """The reproducibility contract: counts depend only on the task,

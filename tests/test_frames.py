@@ -18,6 +18,7 @@ import pytest
 from repro.circuits import Circuit
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
 from repro.decoders import decoder_for
+from repro.frames import _native
 from repro.frames import program as frames_program
 from repro.frames import simulator as frames_simulator
 from repro.frames import (
@@ -73,6 +74,12 @@ def wilson_overlap(a_errors, a_shots, b_errors, b_shots) -> bool:
     alo, ahi = wilson_interval(a_errors, a_shots)
     blo, bhi = wilson_interval(b_errors, b_shots)
     return alo <= bhi and blo <= ahi
+
+
+def blocks_run():
+    """``[native, numpy]`` lane counts so far."""
+    return [obs.counter(f"frames.{name}_blocks").value
+            for name in ("native", "numpy")]
 
 
 class TestPacking:
@@ -404,7 +411,8 @@ class TestDrawApply:
     @pytest.mark.parametrize("batch_size", [64, 100, 512, 1000])
     @pytest.mark.parametrize("p", [1e-4, 1e-3, 1e-2, 0.1, 0.3])
     def test_bit_identical_to_per_site_draws(self, monkeypatch, experiment,
-                                             p, batch_size, strike):
+                                             p, batch_size, strike,
+                                             executor):
         program, sim = self.assert_matches_reference(
             monkeypatch, experiment, strike_noise(experiment, p, strike),
             batch_size)
@@ -419,7 +427,8 @@ class TestDrawApply:
         if p * batch_size < 0.2:
             assert dense == 0
 
-    def test_run_longer_than_buffer_is_cut(self, monkeypatch, experiment):
+    def test_run_longer_than_buffer_is_cut(self, monkeypatch, experiment,
+                                           executor):
         """Runs past MAX_DRAW_ROWS split into consecutive draws (a site
         is never split) and still match the per-site reference."""
         P = frames_program
@@ -458,21 +467,32 @@ class TestDrawApply:
         assert program.fused_ops == sum(op[0] in P.LAYER_OPS
                                         for op in program.ops)
 
-    def test_cut_run_fails_loudly(self, experiment):
+    def test_cut_run_fails_loudly(self, experiment, executor):
         """An op slice that separates a site from its draw must raise,
-        not apply stale hits."""
+        not apply stale hits — as ``exec_ops`` slices (always the numpy
+        executor) and as a program of its own under either."""
         P = frames_program
-        program = compile_frame_program(
-            experiment.circuit, strike_noise(experiment, 0.01, "none"),
-            rng=1)
+        circuit = experiment.circuit
+        noise = strike_noise(experiment, 0.01, "none")
+        structure = frame_structure(circuit, noise, rng=1)
+        program = structure.bind(noise)
         first_site = next(i for i, op in enumerate(program.ops)
                           if op[0] in (P.OP_DEPOLARIZE,
                                        P.OP_DEPOLARIZE_LAYER))
-        sim = FrameSimulator(experiment.circuit.num_qubits, 64, rng=0)
+        sim = FrameSimulator(circuit.num_qubits, 64, rng=0)
         words = np.zeros((program.num_cbits, sim.num_words), np.uint64)
         sim.exec_ops(program.ops[:first_site + 1], words)   # draw + site
         with pytest.raises(RuntimeError, match="OP_DEPOLARIZE_DRAW"):
             sim.exec_ops(program.ops[first_site + 1:], words)
+        tail = dataclasses.replace(
+            program, ops=program.ops[first_site + 1:],
+            code=P.encode_ops(structure.ops[first_site + 1:],
+                              program.num_qubits, program.num_cbits,
+                              len(program.probabilities)))
+        before = blocks_run()
+        with pytest.raises(RuntimeError, match="OP_DEPOLARIZE_DRAW"):
+            FrameSimulator(circuit.num_qubits, 64, rng=0).run_packed(tail)
+        assert blocks_run() == before      # a refused run is no block
 
     @pytest.mark.parametrize("k,B", [(1, 64), (7, 100), (184, 512)])
     def test_numpy_block_draw_contract(self, k, B):
@@ -521,47 +541,48 @@ class TestDrawApply:
         assert switched.x.any() and switched.z.any()
 
 
+@pytest.fixture(scope="module")
+def programs():
+    """name -> (num_qubits, program, tilt)."""
+    quiet = build_memory_experiment(XXZZCode(5, 5), rounds=5)
+    small = build_memory_experiment(XXZZCode(3, 3), rounds=3)
+    out = {}
+
+    def add(name, experiment, noise, tilt=1.0):
+        program = compile_frame_program(experiment.circuit, noise, rng=1)
+        out[name] = (experiment.circuit.num_qubits, program, tilt)
+        return program
+
+    add("quiet", quiet, NoiseModel([DepolarizingNoise(5e-4)]))
+    strike = add("twirled-strike", small,
+                 strike_noise(small, 1e-3, "channel"))
+    assert strike.twirled_reset_sites > 0
+    add("dense", small, NoiseModel([DepolarizingNoise(0.1)]))
+    add("tilt", small, NoiseModel([DepolarizingNoise(2e-3)]), tilt=4.0)
+    # a repetition strike routed onto the 5x4 mesh (exact resets)
+    routed = InjectionTask(
+        code=CodeSpec("repetition", (5, 1)),
+        arch=ArchSpec("mesh", (5, 4)),
+        fault=FaultSpec(kind="radiation", root_qubit=2, time_index=1),
+        intrinsic_p=1e-2, backend="frames", shots=512, seed=13)
+    experiment, _, _, program, _, _ = _task_context(routed)
+    assert program.exact_reset_sites > 0
+    out["transpiled-strike"] = (experiment.circuit.num_qubits,
+                                program, 1.0)
+    return out
+
+
 class TestLanes:
     """The lane is the unit of randomness: run beside other lanes in
     one wide simulator, a lane's record words, frames, weights and
     final generator state are those of the lone block."""
-
-    @pytest.fixture(scope="class")
-    def programs(self):
-        """name -> (num_qubits, program, tilt)."""
-        quiet = build_memory_experiment(XXZZCode(5, 5), rounds=5)
-        small = build_memory_experiment(XXZZCode(3, 3), rounds=3)
-        out = {}
-
-        def add(name, experiment, noise, tilt=1.0):
-            program = compile_frame_program(experiment.circuit, noise, rng=1)
-            out[name] = (experiment.circuit.num_qubits, program, tilt)
-            return program
-
-        add("quiet", quiet, NoiseModel([DepolarizingNoise(5e-4)]))
-        strike = add("twirled-strike", small,
-                     strike_noise(small, 1e-3, "channel"))
-        assert strike.twirled_reset_sites > 0
-        add("dense", small, NoiseModel([DepolarizingNoise(0.1)]))
-        add("tilt", small, NoiseModel([DepolarizingNoise(2e-3)]), tilt=4.0)
-        # a repetition strike routed onto the 5x4 mesh (exact resets)
-        routed = InjectionTask(
-            code=CodeSpec("repetition", (5, 1)),
-            arch=ArchSpec("mesh", (5, 4)),
-            fault=FaultSpec(kind="radiation", root_qubit=2, time_index=1),
-            intrinsic_p=1e-2, backend="frames", shots=512, seed=13)
-        experiment, _, _, program, _, _ = _task_context(routed)
-        assert program.exact_reset_sites > 0
-        out["transpiled-strike"] = (experiment.circuit.num_qubits,
-                                    program, 1.0)
-        return out
 
     @pytest.mark.parametrize("last", [512, 200, 64])
     @pytest.mark.parametrize("lanes", [1, 2, 3, 8])
     @pytest.mark.parametrize("name", ["quiet", "twirled-strike",
                                       "transpiled-strike", "dense", "tilt"])
     def test_each_lane_equals_the_lone_block(self, programs, name, lanes,
-                                             last):
+                                             last, executor):
         num_qubits, program, tilt = programs[name]
         sizes = [512] * (lanes - 1) + [last]
         rngs = [np.random.default_rng(100 + i) for i in range(lanes)]
@@ -610,6 +631,224 @@ class TestLanes:
         FrameSimulator(num_qubits, [512, 512, 64],
                        rng=[1, 2, 3]).run_packed(program)
         assert blocks.value - before == 3
+
+
+class TestExecutors:
+    """``run_packed`` has two executors — the numpy ``_HANDLER`` table
+    and the native op loop (``_kernel.c``) — and nothing but the wall
+    clock may tell them apart: record words, final frames,
+    ``depolarize_stats`` and every lane's generator state are equal."""
+
+    SIZES = ([512], [512] * 8, [512, 512, 200])
+
+    @staticmethod
+    def run(monkeypatch, native, num_qubits, program, sizes,
+            bit_generator=np.random.PCG64):
+        """One run under a forced executor: ``(words, x, z, stats,
+        generator states, blocks the native executor ran)``."""
+        with monkeypatch.context() as m:
+            if not native:
+                m.setattr(_native, "kernel", lambda: None)
+            rngs = [np.random.Generator(bit_generator(100 + i))
+                    for i in range(len(sizes))]
+            sim = FrameSimulator(num_qubits, list(sizes), rng=rngs)
+            before = blocks_run()
+            words = sim.run_packed(program)
+            ran = [b - a for a, b in zip(before, blocks_run())]
+        assert sum(ran) == len(sizes) and 0 in ran
+        return (words, sim.x, sim.z, sim.depolarize_stats,
+                [rng.bit_generator.state for rng in rngs], ran[0])
+
+    def assert_executors_agree(self, monkeypatch, num_qubits, program,
+                               sizes, bit_generator=np.random.PCG64,
+                               native_runs=True):
+        if _native.kernel() is None:
+            pytest.skip("native executor unavailable: "
+                        + _native.unavailable_reason())
+        *native, native_blocks = self.run(
+            monkeypatch, True, num_qubits, program, sizes, bit_generator)
+        *numpy, numpy_blocks = self.run(
+            monkeypatch, False, num_qubits, program, sizes, bit_generator)
+        assert native_blocks == (len(sizes) if native_runs else 0)
+        assert numpy_blocks == 0
+        # nested dicts of ints and (Philox, MT19937) arrays
+        np.testing.assert_equal(native, numpy)
+        return native
+
+    @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: f"{len(s)}-lane")
+    @pytest.mark.parametrize("name", ["quiet", "twirled-strike",
+                                      "transpiled-strike", "dense"])
+    def test_records_frames_stats_and_streams_agree(self, monkeypatch,
+                                                    programs, name, sizes):
+        num_qubits, program, _ = programs[name]
+        _, x, z, (sites, hits, _), _ = self.assert_executors_agree(
+            monkeypatch, num_qubits, program, sizes)
+        assert x.any() and z.any() and sites > 0 and hits > 0
+
+    @pytest.mark.parametrize("bit_generator", [np.random.Philox,
+                                               np.random.SFC64])
+    def test_other_64_bit_generators(self, monkeypatch, programs,
+                                     bit_generator):
+        num_qubits, program, _ = programs["twirled-strike"]
+        self.assert_executors_agree(monkeypatch, num_qubits, program,
+                                    [512, 200], bit_generator)
+
+    def test_mt19937_lane_falls_back_and_still_agrees(self, monkeypatch,
+                                                      programs):
+        """``MT19937`` emits 32-bit raw values (``random_words`` keeps
+        the ``bytes`` route for it): the simulator stays on numpy."""
+        num_qubits, program, _ = programs["twirled-strike"]
+        self.assert_executors_agree(monkeypatch, num_qubits, program,
+                                    [512, 200], np.random.MT19937,
+                                    native_runs=False)
+
+    def test_tilt_and_shared_generators_fall_back(self, programs):
+        if _native.kernel() is None:
+            pytest.skip(_native.unavailable_reason())
+        num_qubits, program, _ = programs["quiet"]
+        shared = np.random.default_rng(3)
+        for sim in (FrameSimulator(num_qubits, 64, rng=1, tilt=4.0),
+                    FrameSimulator(num_qubits, [64, 64],
+                                   rng=[shared, shared])):
+            before = blocks_run()
+            sim.run_packed(program)
+            native, numpy = (b - a for a, b in zip(before, blocks_run()))
+            assert native == 0 and numpy > 0
+
+    def hand_program(self, ops, probabilities, num_qubits, num_cbits):
+        """A program from structure-form ``ops`` (noise ops carrying
+        site numbers) the way ``bind`` makes one — for site
+        probabilities no noise model binds (a site exists iff its
+        ``p > 0``)."""
+        P = frames_program
+        p = np.asarray(probabilities, dtype=float)
+        bound = []
+        for op in ops:
+            slot = P._P_SLOT.get(op[0])
+            if slot is not None:
+                sites = op[slot]
+                op = op[:slot] + (p[sites] if isinstance(sites, np.ndarray)
+                                  else float(p[sites]),) + op[slot + 1:]
+            bound.append(op)
+        return P.FrameProgram(
+            num_qubits=num_qubits, num_cbits=num_cbits, ops=bound,
+            reference_record=np.zeros(num_cbits, np.uint8),
+            code=P.encode_ops(ops, num_qubits, num_cbits, len(p)),
+            probabilities=p)
+
+    @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: f"{len(s)}-lane")
+    def test_reset_sites_at_p_zero_one_and_twirled(self, monkeypatch, sizes):
+        """``p == 0`` and ``p == 1`` draw no mask, an empty mask draws
+        no words, a twirled site (``x_value is None``) draws X words
+        before Z words."""
+        P = frames_program
+        n = 4
+        ops = [(P.OP_H_LAYER, np.arange(n))]
+        probabilities = []
+        for p in (0.0, 1.0, 1e-4, 0.3):
+            for q, x_value in enumerate((None, 0, 1, None)):
+                ops.append((P.OP_RESET_NOISE, q, len(probabilities),
+                            x_value))
+                probabilities.append(p)
+            ops += [(P.OP_CX, 0, 1), (P.OP_S, 2), (P.OP_CZ, 2, 3),
+                    (P.OP_SWAP, 1, 3), (P.OP_H, 0)]
+        ops += [(P.OP_MEASURE, 0, 0, 1), (P.OP_RESET, 0),
+                (P.OP_MEASURE_LAYER, np.arange(n), np.arange(1, n + 1),
+                 np.array([0, 1, 0, 1], np.uint8)),
+                (P.OP_RESET_LAYER, np.array([1, 3]))]
+        program = self.hand_program(ops, probabilities, n, n + 1)
+        words, *_ = self.assert_executors_agree(monkeypatch, n, program,
+                                                sizes)
+        assert words.any()
+
+    def test_bare_depolarize_sites_draw_their_own_rows(self, monkeypatch):
+        """Sites ``hoist_draws`` never saw (no run, no row)."""
+        P = frames_program
+        ops = [(P.OP_DEPOLARIZE, 0, 0),
+               (P.OP_DEPOLARIZE_LAYER, np.array([1, 2]), np.array([1, 2])),
+               (P.OP_MEASURE_LAYER, np.arange(3), np.arange(3),
+                np.zeros(3, np.uint8))]
+        program = self.hand_program(ops, [0.3, 1e-3, 0.02], 3, 3)
+        *_, stats, _ = self.assert_executors_agree(
+            monkeypatch, 3, program, [512, 200])
+        assert stats[0] == 6 and stats[2] == 2 * 2   # 0.3, 0.02 are dense
+
+    @pytest.mark.parametrize("op,what", [
+        ((frames_program.OP_CX, 0, 5), "qubit"),
+        ((frames_program.OP_H, -1), "qubit"),
+        ((frames_program.OP_MEASURE, 0, 3, 0), "cbit"),
+        ((frames_program.OP_RESET_NOISE, 0, 2, None), "site"),
+        ((frames_program.OP_CX_LAYER, np.array([0, 1]), np.array([2, 7])),
+         "qubit"),
+        ((frames_program.OP_DEPOLARIZE_DRAW, np.array([0, 2]), 0), "site"),
+    ])
+    def test_out_of_range_operand_is_rejected_at_encode_time(self, op, what):
+        """The kernel indexes unchecked; where the numpy executor would
+        raise ``IndexError`` mid-run, encoding raises it up front."""
+        with pytest.raises(IndexError, match=what):
+            frames_program.encode_ops([op], 5, 3, 2)
+
+    def test_stream_that_does_not_fit_its_arrays_is_refused(self, programs):
+        """The stream carries the bounds it was encoded under; a
+        program whose probabilities or record fall short of them never
+        reaches the kernel."""
+        if _native.kernel() is None:
+            pytest.skip(_native.unavailable_reason())
+        num_qubits, program, _ = programs["twirled-strike"]
+        header = program.code[:frames_program.CODE_HEADER].tolist()
+        assert header == [program.num_qubits, program.num_cbits,
+                          len(program.probabilities)]
+        for short in (
+                dataclasses.replace(
+                    program, probabilities=program.probabilities[:-1]),
+                dataclasses.replace(program,
+                                    num_cbits=program.num_cbits - 1),
+                dataclasses.replace(
+                    program,
+                    probabilities=program.probabilities.astype(np.float32))):
+            with pytest.raises(ValueError, match="does not fit"):
+                FrameSimulator(num_qubits, 64, rng=0).run_packed(short)
+
+    def test_encoding_is_per_structure_and_binding_a_gather(self):
+        experiment = build_memory_experiment(RepetitionCode(3), rounds=2)
+        structure = frame_structure(experiment.circuit,
+                                    strike_noise(experiment, 0.01, "burst"))
+        one = structure.bind(strike_noise(experiment, 0.01, "burst"))
+        two = structure.bind(strike_noise(experiment, 0.02, "burst"))
+        assert one.code is two.code is structure.code
+        assert structure.code.dtype == np.int64
+        assert not structure.code.flags.writeable
+        assert one.probabilities.shape == (len(structure.site_source),)
+        assert not np.array_equal(one.probabilities, two.probabilities)
+        # the vector holds what the op tuples hold
+        slot = frames_program._P_SLOT
+        for op, bare in zip(one.ops, structure.ops):
+            if op[0] in slot:
+                assert np.array_equal(op[slot[op[0]]],
+                                      one.probabilities[bare[slot[op[0]]]])
+
+    def test_unavailable_loader_is_decided_once_and_counted(
+            self, monkeypatch, tmp_path, programs):
+        """Any failure on the way to the library — here no compiler and
+        an empty cache — means the numpy executor for the life of the
+        process: one event with the reason, no second attempt."""
+        def events():
+            return obs.registry().event_counts.get(
+                "frames.native_unavailable", 0)
+
+        monkeypatch.setattr(_native, "_DECIDED", None)
+        before = events()
+        with monkeypatch.context() as hidden:
+            hidden.setenv("XDG_CACHE_HOME", str(tmp_path))
+            hidden.setenv("PATH", str(tmp_path))
+            assert _native.kernel() is None
+        assert "no C compiler" in _native.unavailable_reason()
+        # the compiler is back on PATH; the decision stands
+        num_qubits, program, _ = programs["dense"]
+        ran = blocks_run()
+        FrameSimulator(num_qubits, [64, 64], rng=[1, 2]).run_packed(program)
+        assert [b - a for a, b in zip(ran, blocks_run())] == [0, 2]
+        assert events() == before + 1
 
 
 def assert_same_program(got, want):
@@ -684,7 +923,7 @@ class TestStructureAndBinding:
     @pytest.mark.parametrize("code", [CodeSpec("repetition", (5, 1)),
                                       CodeSpec("xxzz", (3, 3))],
                              ids=["repetition", "xxzz"])
-    def test_bound_program_equals_fresh_compile(self, code, arch):
+    def test_bound_program_equals_fresh_compile(self, code, arch, executor):
         _structure_cell.cache_clear()
         compiles = binds = points = 0
         for fault in self.FAULTS:

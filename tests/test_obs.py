@@ -278,6 +278,10 @@ class TestSession:
         assert counters["decode.patterns"] > 0
         assert counters["decode.cache_hits"] > 0
         assert counters["frames.blocks"] > 0
+        # ... each by one executor or the other
+        assert counters.get("frames.native_blocks", 0) \
+            + counters.get("frames.numpy_blocks", 0) \
+            == counters["frames.blocks"]
         # The sparse/dense decision is a counted fact, per block.
         assert counters["frames.depolarize_hits"] > 0
         assert 0 < counters["frames.depolarize_dense_sites"] \
@@ -356,6 +360,7 @@ class TestReport:
                       "scheduler.worker_crashes": 1,
                       "scheduler.requeued_leases": 2,
                       "frames.blocks": 8, "frames.ops": 9576,
+                      "frames.native_blocks": 6, "frames.numpy_blocks": 2,
                       "frames.fused_ops": 976,
                       "frames.depolarize_sites": 7488,
                       "frames.depolarize_hits": 1900,
@@ -396,7 +401,8 @@ class TestReport:
         assert ("frames  8 blocks, 9,576 ops (976 fused); depolarize "
                 "7,488 sites, 1,900 hits, 936 dense (12.5%); 2 program(s) "
                 "bound from 1 compiled structure(s), 3 auto fallback(s) "
-                "to the tableau") in text
+                "to the tableau; executor 6 native / 2 numpy block(s)") \
+            in text
         assert "leases dispatched  8 (1 steal refill(s))" in text
         assert "worker crashes     1 (2 lease(s) requeued)" in text
         assert "worker 0: 2,048 shots, 205 sh/s" in text

@@ -116,6 +116,26 @@ class TestWorkerCountDeterminism:
         assert any(r.shots < t.shots
                    for r, t in zip(serial, campaign.tasks))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_identical_under_either_frames_executor(
+            self, workers, monkeypatch):
+        """Forked workers inherit the parent's executor decision; with
+        the native loader patched out they sample on numpy — the same
+        counts and the same adaptive stop shots."""
+        from repro.frames import _native
+
+        campaign = d3_sweep_tasks("frames", shots=8192)
+        policy = AdaptivePolicy(rel_halfwidth=0.3, min_shots=512)
+
+        def run():
+            results = Campaign(campaign.tasks, root_seed=29).run(
+                workers=workers, adaptive=policy)
+            return [r.shots for r in results], results.counts()
+
+        native = run()
+        monkeypatch.setattr(_native, "kernel", lambda: None)
+        assert run() == native
+
     def test_single_deep_task_splits_across_workers(self):
         """Block-level scheduling parallelizes within one point."""
         t = mid_rate_tasks(n=1, shots=6 * SIM_BLOCK, seed=41)[0]

@@ -11,7 +11,10 @@ import time
 import pytest
 
 from repro import obs
+from repro.circuits import Circuit
+from repro.frames import run_batch_frames
 from repro.obs import bench, prof
+from repro.injection.campaign import _prepared, _task_context
 from repro.injection import (
     AdaptivePolicy,
     Campaign,
@@ -88,11 +91,26 @@ class TestProfiler:
             spans["inner"]["total_s"], abs=1e-6)
         assert spans["inner"]["child_s"] == 0.0
 
-    def test_kernel_buckets_and_decode_stages(self):
+    def test_kernel_buckets_and_decode_stages(self, executor):
+        # first-call costs (library load, numpy's ctypes interface) are
+        # not the loop's
+        run_batch_frames(Circuit(1).h(0).measure(0, 0), None, 64, rng=0)
+        # ... and the other executor's run must not have left this
+        # one's decoder warm (the matcher assertions below)
+        _task_context.cache_clear()
+        _prepared.cache_clear()
+        obs.reset()
         with prof.profile() as p:
             run_task(FRAMES_TASK)
         snap = p.snapshot()
         kernels = snap["kernels"]
+        # Either executor clocks its own loop where the opcode changes:
+        # the buckets tile the block's wall but for the entry and exit.
+        wall = sum(blk[0] for blk in p._blocks.values())
+        assert 0.5 * wall < sum(row["total_s"] for row in kernels.values()) \
+            <= wall * (1 + 1e-6)
+        ran = obs.registry().snapshot()["counters"]
+        assert ran[f"frames.{executor}_blocks"] == ran["frames.blocks"] == 1
         # The d=3 xxzz program fuses its layers: both scalar and fused
         # kinds appear, fused ops count their width.
         assert "cx.fused" in kernels and "measure.fused" in kernels
@@ -114,7 +132,7 @@ class TestProfiler:
                    for path in snap["paths"])
         assert "decode/decode.matcher" in snap["paths"]
 
-    def test_a_wide_execution_is_one_profiled_block(self):
+    def test_a_wide_execution_is_one_profiled_block(self, executor):
         """``begin_block`` brackets one execution, however many lanes
         (canonical blocks, what ``frames.blocks`` counts) it carries —
         and clocking it changes no count."""

@@ -470,6 +470,22 @@ class TestHTTPObservability:
         records = list(client.stream(receipt["job"]))
         assert len(records) == 1 and records[0]["final"] is True
 
+    def test_final_record_leaves_at_completion(self, service):
+        """The stream is woken by the job finishing: the final record
+        does not wait for the next emit tick (here 30 s away), so a
+        ``wait`` measures the job, not the interval it was asked at."""
+        from repro.service import ServiceClient
+
+        client = ServiceClient(service.url)
+        receipt = client.submit(SPEC)
+        t0 = time.monotonic()
+        records = list(client.stream(receipt["job"], interval_s=30.0))
+        assert time.monotonic() - t0 < 15.0
+        assert records[-1]["final"] is True
+        assert records[-1]["state"] == "done"
+        assert len(records[-1]["results"]) == 2
+        assert not service._job_done      # the waker is dropped
+
     def test_stream_unknown_job_reports_error(self, service):
         from repro.service import ServiceClient
 
