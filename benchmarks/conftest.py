@@ -3,7 +3,8 @@
 Figure benchmarks regenerate each paper figure's data series at reduced
 shot counts (statistics scale with shots; the series *shape* is already
 visible at bench scale) and print the same rows the paper reports.
-Full-scale numbers live in EXPERIMENTS.md / results/.
+Full-scale numbers come from ``repro headline`` and
+``scripts/run_all_experiments.py`` (``results/``).
 
 ``--bench-json PATH`` dumps a machine-readable summary of every
 benchmark that ran — wall time, rounds, and shots/second for

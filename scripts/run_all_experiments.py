@@ -2,7 +2,7 @@
 """Run every paper experiment at recording scale and save the outputs.
 
 Produces ``results/figN_*.txt`` / ``.json`` plus ``results/headline.txt``
-— the numbers recorded in EXPERIMENTS.md.
+— the ``repro headline`` paper-vs-measured table.
 
 ``-j/--workers N`` spreads every campaign across N worker processes via
 the :mod:`repro.parallel` work-stealing scheduler (default: all cores;

@@ -65,7 +65,6 @@ from .noise import (
     RadiationChannel,
     RadiationEvent,
     run_batch_noisy,
-    run_single_noisy,
     spatial_damping,
     temporal_decay,
     transient_decay,
@@ -76,7 +75,6 @@ from .stabilizer import (
     Tableau,
     TableauSimulator,
 )
-from .statevector import StatevectorSimulator
 from .transpile import RoutedCircuit, transpile
 
 __version__ = "1.0.0"
@@ -87,12 +85,10 @@ __all__ = [
     "Circuit", "Gate", "GateType",
     # simulators
     "PauliString", "Tableau", "TableauSimulator", "BatchTableauSimulator",
-    "StatevectorSimulator",
     # noise
     "NoiseChannel", "NoiseModel", "DepolarizingNoise", "ErasureChannel",
     "RadiationChannel", "RadiationEvent", "temporal_decay",
     "spatial_damping", "transient_decay", "run_batch_noisy",
-    "run_single_noisy",
     # arch / transpile
     "ArchitectureGraph", "architecture_by_name", "transpile",
     "RoutedCircuit",

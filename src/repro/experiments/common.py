@@ -7,8 +7,8 @@ Every figure module follows the same pattern:
 * ``format_table(data)`` — the rows/series the paper's figure reports.
 
 Shot counts default to laptop-scale statistics (Wilson CIs of a few
-percent); benchmarks pass smaller values, EXPERIMENTS.md records runs
-at the defaults.
+percent); benchmarks pass smaller values, and the ``repro headline``
+table is computed at the defaults.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Headline observation checks (paper Observations I-VIII).
 
 Consumes the figure campaigns' outputs and evaluates every qualitative
-claim of the paper, producing the paper-vs-measured rows recorded in
-EXPERIMENTS.md.  Each check is a *shape* assertion — orderings, trends,
+claim of the paper, producing the paper-vs-measured rows of the
+``repro headline`` table.  Each check is a *shape* assertion — orderings, trends,
 crossovers — rather than an absolute-number comparison (our substrate
 is a simulator stack, not the authors' exact qtcodes/Qiskit versions).
 """
@@ -155,7 +155,7 @@ def check_observation_7(arch_data: Sequence[ArchitectureData]
     the gate sequence), since physical indices lose meaning after
     transpilation.  The effect is small relative to per-root sampling
     noise — we require the *direction* (negative mean correlation), and
-    EXPERIMENTS.md reports the magnitude honestly.
+    the ``repro headline`` table reports the measured magnitude.
     """
     from ..injection.spec import ArchSpec, CodeSpec
     from .fig8_architecture import first_use_correlation

@@ -20,16 +20,19 @@ branch makes the record (including later measurements whose CHP branch
 is deterministic but whose value is conditioned on the earlier
 collapse) exact in distribution only.
 
-**Noise lowering** turns the supported channel types into bit-packed
-samplers:
+**Noise lowering** reads every channel's
+:meth:`~repro.noise.base.NoiseChannel.site_table` — the one definition
+the batched tableau interprets too — and turns each site into a
+bit-packed sampler:
 
-* :class:`~repro.noise.depolarizing.DepolarizingNoise` → per-qubit
-  ``OP_DEPOLARIZE`` sites (exact: Pauli channels commute with frame
+* ``depolarize`` sites (:class:`~repro.noise.depolarizing.DepolarizingNoise`)
+  → ``OP_DEPOLARIZE`` (exact: Pauli channels commute with frame
   propagation).
-* :class:`~repro.noise.erasure.ErasureChannel` and
-  :class:`~repro.noise.radiation.RadiationChannel` (the paper's Eqs.
-  5-7 reset faults) → ``OP_RESET_NOISE`` sites with a per-site
-  probability.  At sites where the reference state holds the struck
+* ``reset`` sites (:class:`~repro.noise.erasure.ErasureChannel`,
+  :class:`~repro.noise.radiation.RadiationChannel` and
+  :class:`~repro.noise.radiation.RadiationBurst` — the paper's Eqs.
+  5-7 reset faults) → ``OP_RESET_NOISE`` with a per-site probability.
+  At sites where the reference state holds the struck
   qubit in a definite ``Z`` eigenstate (always true for repetition-code
   memories, and for ancillas between their reset and re-entanglement)
   the lowering is *exact*: the fault forces the frame's X component to
@@ -39,8 +42,10 @@ samplers:
   composed with an extra 50% X flip.  Site counts for both cases are
   recorded on the program so the approximation is observable.
 
-Any other channel type raises :class:`FrameLoweringError`; callers fall
-back to the batched tableau backend.
+A channel without a site table, or one overriding ``apply_batch`` (its
+tableau semantics are then no longer the table's), raises
+:class:`FrameLoweringError`; callers fall back to the batched tableau
+backend.
 
 **Draw/apply split.**  A depolarize site needs one uniform per shot but
 acts on the few shots where that uniform falls under ``p``.  After
@@ -84,16 +89,13 @@ compiles one structure and binds it per point
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .. import obs
 from ..circuits import Circuit, GateType
-from ..noise.base import NoiseModel
-from ..noise.depolarizing import DepolarizingNoise
-from ..noise.erasure import ErasureChannel
-from ..noise.radiation import RadiationBurst, RadiationChannel
+from ..noise.base import DEPOLARIZE, NoiseModel, SiteTable
 from ..stabilizer.simulator import TableauSimulator
 
 #: Frame-propagation opcodes (ints for cheap dispatch).
@@ -162,11 +164,6 @@ _QUBIT_ARITY = {OP_H: 1, OP_S: 1, OP_CX: 2, OP_CZ: 2, OP_SWAP: 2,
 
 #: Pauli gate types: they conjugate frames trivially (phases only).
 _FRAME_TRIVIAL = frozenset({GateType.I, GateType.X, GateType.Y, GateType.Z})
-
-#: Channel types the lowering understands.  Exact type match on purpose:
-#: a subclass overriding ``apply_batch`` would be lowered unfaithfully.
-LOWERABLE_CHANNELS = (DepolarizingNoise, ErasureChannel, RadiationChannel,
-                      RadiationBurst)
 
 
 #: Index of the probability operand in each noise op.  In a
@@ -251,7 +248,7 @@ class FrameStructure:
     #: Positions in :attr:`ops` of the noise ops.
     noise_ops: Tuple[int, ...]
     #: Per site, where its probability sits in the noise model's
-    #: concatenated, flattened channel tables (:func:`_site_table`).
+    #: concatenated, flattened channel site tables.
     site_source: np.ndarray
     #: :func:`site_signature` of the noise model compiled against.
     signature: Tuple
@@ -603,9 +600,7 @@ def encode_ops(ops, num_qubits: int, num_cbits: int,
 
 def supports_noise(noise: Optional[NoiseModel]) -> bool:
     """Cheap pre-flight: can every channel be lowered to frame ops?"""
-    if noise is None:
-        return True
-    return all(type(ch) in LOWERABLE_CHANNELS for ch in noise)
+    return noise is None or all(ch.lowers for ch in noise)
 
 
 def _z_indefinite(sim: TableauSimulator, qubit: int) -> bool:
@@ -624,69 +619,18 @@ def _z_determinate(sim: TableauSimulator, qubit: int) -> Optional[int]:
     return int(sim.tableau.measure(qubit, sim.rng))
 
 
-def _first_row() -> int:
-    return 0
-
-
-class _SiteTable(NamedTuple):
-    """How one channel lowers (see :func:`_site_table`)."""
-
-    #: The op a site of the channel lowers to.
-    code: int
-    #: ``table[r, q]``: probability of the site after a gate on qubit
-    #: ``q`` while row ``r`` is in force; the site exists iff positive.
-    table: np.ndarray
-    #: The channel's part of the :func:`site_signature`.
-    key: Tuple
-    #: The row in force at the channel's current circuit position.
-    row: Callable[[], int]
-
-
-def _site_table(channel, num_qubits: int) -> _SiteTable:
-    """The per-site probabilities of one channel, as a table.
-
-    A burst has one row per temporal sample, every other channel a
-    single row.  ``key`` is the table's support plus whatever else
-    decides the gates the channel fires after.  This is the one place
-    a channel's probabilities are read from — by lowering (which sites
-    exist), by binding (their values) and by the memo key alike.
-    """
-    gating: Tuple = ()
-    row = _first_row
-    if type(channel) is DepolarizingNoise:
-        code = OP_DEPOLARIZE
-        gating = (channel.include_measurements, channel.include_resets)
-        probs = np.full((1, num_qubits), channel.p)
-        if channel.qubits is not None:
-            probs[0, [q for q in range(num_qubits)
-                      if q not in channel.qubits]] = 0.0
-    elif type(channel) is ErasureChannel:
-        code = OP_RESET_NOISE
-        probs = np.zeros((1, num_qubits))
-        probs[0, [q for q in channel.qubits if q < num_qubits]] = \
-            channel.probability
-    elif type(channel) is RadiationChannel:
-        code = OP_RESET_NOISE
-        probs = channel.probs[None, :]
-    elif type(channel) is RadiationBurst:
-        code = OP_RESET_NOISE
-        gating = (channel.strike_round, channel.measures_per_round)
-        probs = channel.probs
-        row = channel.current_sample
-    else:
-        raise FrameLoweringError(
-            f"noise channel {type(channel).__name__} has no frame lowering")
-    table = np.zeros((probs.shape[0], num_qubits))
-    width = min(num_qubits, probs.shape[1])
-    table[:, :width] = probs[:, :width]
-    key = (type(channel), gating, len(table), (table > 0.0).tobytes())
-    return _SiteTable(code, table, key, row)
-
-
 def _site_tables(noise: Optional[NoiseModel], num_qubits: int
-                 ) -> List[_SiteTable]:
-    return [] if noise is None else [_site_table(channel, num_qubits)
-                                     for channel in noise]
+                 ) -> List[SiteTable]:
+    """Every channel's :meth:`~repro.noise.base.NoiseChannel.site_table`
+    — the one place lowering (which sites exist), binding (their
+    probabilities) and the memo key read a channel from."""
+    if noise is None:
+        return []
+    for channel in noise:
+        if not channel.lowers:
+            raise FrameLoweringError(f"noise channel {type(channel).__name__}"
+                                     f" has no frame lowering")
+    return [channel.site_table(num_qubits) for channel in noise]
 
 
 def site_signature(noise: Optional[NoiseModel], num_qubits: int) -> Tuple:
@@ -707,11 +651,8 @@ def frame_structure(circuit: Circuit,
         rng = np.random.default_rng(rng)
     n = circuit.num_qubits
     tables = _site_tables(noise, n)
-    # Per channel: opcode, row(), which table entries are sites, and
-    # where the table starts in the flat concatenation of them all.
+    # Where each table starts in the flat concatenation of them all.
     starts = np.cumsum([0] + [t.table.size for t in tables]).tolist()
-    lowering = [(t.code, t.row, (t.table > 0.0).tolist(), start)
-                for t, start in zip(tables, starts)]
 
     sim = TableauSimulator(n, rng=rng)
     num_cbits = max(circuit.num_cbits, 1)
@@ -763,17 +704,13 @@ def frame_structure(circuit: Circuit,
             raise FrameLoweringError(f"unsupported gate type {gt}")
         if noise is None:
             continue
-        for channel, (code, row, fires, start) in zip(noise, lowering):
+        for channel, t, start in zip(noise, tables, starts):
             channel.observe(gate)
-            if not channel.triggers_on(gate):
-                continue
-            r = row()
-            for q in gate.qubits:
-                if not fires[r][q]:
-                    continue
+            r, qubits = t.sites_after(gate)
+            for q in qubits:
                 site = len(site_source)
                 site_source.append(start + r * n + q)
-                if code == OP_DEPOLARIZE:
+                if t.kind == DEPOLARIZE:
                     ops.append((OP_DEPOLARIZE, q, site))
                 else:
                     value = _z_determinate(sim, q)

@@ -16,7 +16,6 @@ import numpy as np
 from ..circuits import Gate, GateType
 from ..noise.base import NoiseChannel
 from ..stabilizer.batch import BatchTableauSimulator
-from ..stabilizer.simulator import TableauSimulator
 
 
 class LogicalFaultChannel(NoiseChannel):
@@ -74,14 +73,6 @@ class LogicalFaultChannel(NoiseChannel):
                 mask = rng.random(B) < pz
                 if mask.any():
                     sim.z_gate(q, mask)
-
-    def apply_single(self, gate: Gate, sim: TableauSimulator,
-                     rng: np.random.Generator) -> None:
-        for q in gate.qubits:
-            if rng.random() < self.rates.get(q, 0.0):
-                sim.tableau.x_gate(q)
-            if rng.random() < self.phase_rates.get(q, 0.0):
-                sim.tableau.z_gate(q)
 
     def __repr__(self) -> str:
         hot = {q: round(p, 4) for q, p in self.rates.items() if p > 0}

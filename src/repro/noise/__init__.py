@@ -8,13 +8,13 @@
 * :class:`RadiationBurst` — the same strike landing mid-run at a
   syndrome round and decaying round by round (detection scenarios).
 * :class:`ErasureChannel` — non-spreading reset faults (Figs. 6-7).
-* :func:`run_batch_noisy` / :func:`run_single_noisy` — noisy execution.
+* :func:`run_batch_noisy` — noisy execution on either backend.
 """
 
 from .base import NoiseChannel, NoiseModel
 from .depolarizing import DepolarizingNoise
 from .erasure import ErasureChannel
-from .executor import run_batch_noisy, run_single_noisy
+from .executor import run_batch_noisy
 from .radiation import (
     DEFAULT_GAMMA,
     DEFAULT_NUM_SAMPLES,
@@ -35,7 +35,6 @@ __all__ = [
     "DepolarizingNoise",
     "ErasureChannel",
     "run_batch_noisy",
-    "run_single_noisy",
     "RadiationBurst",
     "RadiationChannel",
     "RadiationEvent",

@@ -16,10 +16,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..circuits import Gate, GateType, UNITARY_GATES
-from ..stabilizer.batch import BatchTableauSimulator
-from ..stabilizer.simulator import TableauSimulator
-from .base import NoiseChannel
+from ..circuits import GateType, UNITARY_GATES
+from .base import DEPOLARIZE, NoiseChannel, SiteTable
+
+#: Gates the channel follows by default: every non-identity unitary.
+_GATE_SITES = UNITARY_GATES - {GateType.I}
 
 
 class DepolarizingNoise(NoiseChannel):
@@ -48,54 +49,16 @@ class DepolarizingNoise(NoiseChannel):
         self.include_resets = include_resets
         self.qubits = None if qubits is None else frozenset(qubits)
 
-    def triggers_on(self, gate: Gate) -> bool:
-        gt = gate.gate_type
-        if gt in UNITARY_GATES and gt is not GateType.I:
-            pass
-        elif gt is GateType.MEASURE and self.include_measurements:
-            pass
-        elif gt is GateType.RESET and self.include_resets:
-            pass
-        else:
-            return False
-        if self.qubits is not None and not any(q in self.qubits
-                                               for q in gate.qubits):
-            return False
-        return self.p > 0.0
-
-    # ------------------------------------------------------------------
-    def _active_qubits(self, gate: Gate):
-        if self.qubits is None:
-            return gate.qubits
-        return tuple(q for q in gate.qubits if q in self.qubits)
-
-    def apply_batch(self, gate: Gate, sim: BatchTableauSimulator,
-                    rng: np.random.Generator) -> None:
-        B = sim.batch_size
-        third = self.p / 3.0
-        for q in self._active_qubits(gate):
-            u = rng.random(B)
-            mx = u < third
-            my = (u >= third) & (u < 2 * third)
-            mz = (u >= 2 * third) & (u < self.p)
-            if mx.any():
-                sim.x_gate(q, mx)
-            if my.any():
-                sim.y_gate(q, my)
-            if mz.any():
-                sim.z_gate(q, mz)
-
-    def apply_single(self, gate: Gate, sim: TableauSimulator,
-                     rng: np.random.Generator) -> None:
-        third = self.p / 3.0
-        for q in self._active_qubits(gate):
-            u = rng.random()
-            if u < third:
-                sim.tableau.x_gate(q)
-            elif u < 2 * third:
-                sim.tableau.y_gate(q)
-            elif u < self.p:
-                sim.tableau.z_gate(q)
+    def site_table(self, num_qubits: int) -> SiteTable:
+        gates = _GATE_SITES
+        if self.include_measurements:
+            gates |= {GateType.MEASURE}
+        if self.include_resets:
+            gates |= {GateType.RESET}
+        probs = np.full(num_qubits, self.p)
+        if self.qubits is not None:
+            probs[[q for q in range(num_qubits) if q not in self.qubits]] = 0.0
+        return self.build_table(DEPOLARIZE, probs, num_qubits, gates)
 
     def __repr__(self) -> str:
         return f"DepolarizingNoise(p={self.p!r})"

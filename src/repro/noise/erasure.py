@@ -13,10 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..circuits import Gate, GateType
-from ..stabilizer.batch import BatchTableauSimulator
-from ..stabilizer.simulator import TableauSimulator
-from .base import NoiseChannel
+from .base import RESET, NoiseChannel, SiteTable
 
 
 class ErasureChannel(NoiseChannel):
@@ -39,28 +36,11 @@ class ErasureChannel(NoiseChannel):
             raise ValueError("probability must lie in [0, 1]")
         self.probability = float(probability)
 
-    def triggers_on(self, gate: Gate) -> bool:
-        if gate.gate_type is GateType.BARRIER or self.probability <= 0.0:
-            return False
-        return any(q in self.qubits for q in gate.qubits)
-
-    def apply_batch(self, gate: Gate, sim: BatchTableauSimulator,
-                    rng: np.random.Generator) -> None:
-        for q in gate.qubits:
-            if q not in self.qubits:
-                continue
-            if self.probability >= 1.0:
-                sim.reset(q)
-            else:
-                mask = rng.random(sim.batch_size) < self.probability
-                if mask.any():
-                    sim.reset(q, mask)
-
-    def apply_single(self, gate: Gate, sim: TableauSimulator,
-                     rng: np.random.Generator) -> None:
-        for q in gate.qubits:
-            if q in self.qubits and rng.random() < self.probability:
-                sim.tableau.reset(q, rng)
+    def site_table(self, num_qubits: int) -> SiteTable:
+        probs = np.zeros(num_qubits)
+        probs[[q for q in self.qubits if q < num_qubits]] = self.probability
+        # A certain erasure resets without drawing (the tableau stream).
+        return self.build_table(RESET, probs, num_qubits, draw_certain=False)
 
     def __repr__(self) -> str:
         return (f"ErasureChannel(qubits={sorted(self.qubits)}, "

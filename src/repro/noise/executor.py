@@ -11,29 +11,26 @@ directly, and rows become words when they enter a
   masked gate API.  Exact for anything a channel can express.
 * ``"frames"`` — compile the circuit + noise into a bit-packed
   Pauli-frame program (:mod:`repro.frames`) and propagate 64 shots per
-  word.  Orders of magnitude faster; requires every channel to have a
-  frame lowering.
+  word.  Orders of magnitude faster; requires every channel to lower
+  (:attr:`~repro.noise.base.NoiseChannel.lowers`).
 * ``"auto"`` (default) — frames when the lowering is *exact* (every
   channel lowers, and every fault-reset site hits a reference-Z-
   determinate qubit), tableau otherwise.  ``"frames"`` additionally
   accepts programs with twirled reset sites — the documented
   reset-to-mixed approximation — trading a small bias at high fault
   intensity for the full speedup.
-
-The single-shot path exists for tests and debugging.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from ..circuits import Circuit, GateType
 from ..obs import prof as _prof
 from ..stabilizer.batch import BatchTableauSimulator
-from ..stabilizer.simulator import TableauSimulator
 from .base import NoiseModel
 
 
@@ -136,18 +133,3 @@ def _walk_tableau_profiled(prof, sim: BatchTableauSimulator,
     prof.stage("tableau.measure_rand", clock[1])
     prof.stage("tableau.noise", noise_s)
 
-
-def run_single_noisy(circuit: Circuit, noise: Optional[NoiseModel],
-                     rng: Union[np.random.Generator, int, None] = None
-                     ) -> Dict[int, int]:
-    """Run one noisy shot; returns {cbit: outcome}."""
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        rng = np.random.default_rng(rng)
-    sim = TableauSimulator(circuit.num_qubits, rng=rng)
-    if noise is not None:
-        noise.begin_run()
-    for gate in circuit:
-        sim.apply(gate)
-        if noise is not None and gate.gate_type is not GateType.BARRIER:
-            noise.apply_single(gate, sim, rng)
-    return dict(sim.record)

@@ -23,9 +23,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuits import Gate, GateType
-from ..stabilizer.batch import BatchTableauSimulator
-from ..stabilizer.simulator import TableauSimulator
-from .base import NoiseChannel
+from .base import RESET, NoiseChannel, SiteTable
 
 #: Paper defaults.
 DEFAULT_GAMMA = 10.0
@@ -191,29 +189,8 @@ class RadiationChannel(NoiseChannel):
         if ((self.probs < 0) | (self.probs > 1)).any():
             raise ValueError("probabilities must lie in [0, 1]")
 
-    def triggers_on(self, gate: Gate) -> bool:
-        if gate.gate_type is GateType.BARRIER:
-            return False
-        return any(q < self.probs.size and self.probs[q] > 0.0
-                   for q in gate.qubits)
-
-    def apply_batch(self, gate: Gate, sim: BatchTableauSimulator,
-                    rng: np.random.Generator) -> None:
-        B = sim.batch_size
-        for q in gate.qubits:
-            p = self.probs[q] if q < self.probs.size else 0.0
-            if p <= 0.0:
-                continue
-            mask = rng.random(B) < p
-            if mask.any():
-                sim.reset(q, mask)
-
-    def apply_single(self, gate: Gate, sim: TableauSimulator,
-                     rng: np.random.Generator) -> None:
-        for q in gate.qubits:
-            p = self.probs[q] if q < self.probs.size else 0.0
-            if p > 0.0 and rng.random() < p:
-                sim.tableau.reset(q, rng)
+    def site_table(self, num_qubits: int) -> SiteTable:
+        return self.build_table(RESET, self.probs, num_qubits)
 
     def __repr__(self) -> str:
         hot = np.nonzero(self.probs > 0)[0]
@@ -264,6 +241,7 @@ class RadiationBurst(NoiseChannel):
 
     # -- position tracking ---------------------------------------------
     def begin_run(self) -> None:
+        super().begin_run()
         self._measures_seen = 0
 
     def observe(self, gate: Gate) -> None:
@@ -289,37 +267,11 @@ class RadiationBurst(NoiseChannel):
         return None if k is None else self.probs[k]
 
     # -- channel interface ---------------------------------------------
-    def triggers_on(self, gate: Gate) -> bool:
-        if gate.gate_type is GateType.BARRIER:
-            return False
-        probs = self.current_probs()
-        if probs is None:
-            return False
-        return any(q < probs.size and probs[q] > 0.0 for q in gate.qubits)
-
-    def apply_batch(self, gate: Gate, sim: BatchTableauSimulator,
-                    rng: np.random.Generator) -> None:
-        probs = self.current_probs()
-        if probs is None:
-            return
-        B = sim.batch_size
-        for q in gate.qubits:
-            p = probs[q] if q < probs.size else 0.0
-            if p <= 0.0:
-                continue
-            mask = rng.random(B) < p
-            if mask.any():
-                sim.reset(q, mask)
-
-    def apply_single(self, gate: Gate, sim: TableauSimulator,
-                     rng: np.random.Generator) -> None:
-        probs = self.current_probs()
-        if probs is None:
-            return
-        for q in gate.qubits:
-            p = probs[q] if q < probs.size else 0.0
-            if p > 0.0 and rng.random() < p:
-                sim.tableau.reset(q, rng)
+    def site_table(self, num_qubits: int) -> SiteTable:
+        return self.build_table(
+            RESET, self.probs, num_qubits,
+            gating=(self.strike_round, self.measures_per_round),
+            row=self.current_sample)
 
     def __repr__(self) -> str:
         return (f"RadiationBurst(root={self.event.root_qubit}, "

@@ -72,7 +72,8 @@ class TiltedDepolarizingNoise(DepolarizingNoise):
     def apply_batch(self, gate, sim, rng: np.random.Generator) -> None:
         B = sim.batch_size
         third = self.q / 3.0
-        for qubit in self._active_qubits(gate):
+        _, qubits = self.walk_table(sim.n).sites_after(gate)
+        for qubit in qubits:
             u = rng.random(B)
             if self.q > self.p:
                 self.sink.log_w += np.where(u < self.q, self._llr_hit,
@@ -86,13 +87,6 @@ class TiltedDepolarizingNoise(DepolarizingNoise):
                 sim.y_gate(qubit, my)
             if mz.any():
                 sim.z_gate(qubit, mz)
-
-    def apply_single(self, gate, sim, rng: np.random.Generator) -> None:
-        # The sink's weight array is batch-shaped; the single-shot
-        # executor has no per-shot weight plumbing to hand the LLR to.
-        raise NotImplementedError(
-            "tilted sampling is batch-only: run_single_noisy has no "
-            "per-shot weight channel — use the batched executor")
 
     def __repr__(self) -> str:
         return (f"TiltedDepolarizingNoise(p={self.p!r}, q={self.q!r})")
@@ -113,8 +107,9 @@ def tilted_noise_model(noise: NoiseModel, sampler: SamplerSpec
     tilted into a shared :class:`WeightSink`.
 
     Non-depolarizing channels are shared by reference (they keep their
-    own per-run state via ``begin_run``); exact type match mirrors the
-    frame compiler's ``LOWERABLE_CHANNELS`` rule.
+    own per-run state via ``begin_run``).  Only exact
+    :class:`DepolarizingNoise` is tilted: a subclass may define other
+    sites than its parent's.
     """
     sink = WeightSink()
     channels = []

@@ -63,7 +63,7 @@ class StatevectorSimulator:
         """Tensor axis of ``qubit`` (qubit 0 = axis 0 = MSB)."""
         return qubit
 
-    def _apply_single(self, mat: np.ndarray, qubit: int) -> None:
+    def _apply_1q(self, mat: np.ndarray, qubit: int) -> None:
         psi = self.state.reshape([2] * self.n)
         psi = np.moveaxis(psi, self._axis(qubit), 0)
         psi = np.tensordot(mat, psi, axes=([1], [0]))
@@ -87,7 +87,7 @@ class StatevectorSimulator:
         if gt is GateType.BARRIER:
             return None
         if gt in _SINGLE:
-            self._apply_single(_SINGLE[gt], gate.qubits[0])
+            self._apply_1q(_SINGLE[gt], gate.qubits[0])
             return None
         if gt is GateType.CX:
             m = np.eye(4, dtype=complex)
@@ -147,7 +147,7 @@ class StatevectorSimulator:
 
     def reset(self, qubit: int) -> None:
         if self.measure(qubit):
-            self._apply_single(_X, qubit)
+            self._apply_1q(_X, qubit)
 
     # ------------------------------------------------------------------
     def expectation(self, pauli: PauliString) -> float:

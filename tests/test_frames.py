@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit
+from repro.circuits import Circuit, GateType
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
 from repro.decoders import decoder_for
 from repro.frames import _native
@@ -67,6 +67,8 @@ from repro.noise import (
 from repro.noise.base import NoiseChannel
 from repro.stabilizer import BatchTableauSimulator
 from repro.util.rng import frame_ref_seed
+
+import test_tableau_stream as tableau_stream
 
 
 def wilson_overlap(a_errors, a_shots, b_errors, b_shots) -> bool:
@@ -257,9 +259,6 @@ class TestNoiseLowering:
             def apply_batch(self, gate, sim, rng):
                 pass
 
-            def apply_single(self, gate, sim, rng):
-                pass
-
         circ = Circuit(1).x(0).measure(0, 0)
         noise = NoiseModel([Custom()])
         assert not supports_noise(noise)
@@ -272,13 +271,22 @@ class TestNoiseLowering:
         assert (rec[:, 0] == 1).all()
 
     def test_subclassed_channel_not_lowered(self):
-        """Exact type match: a subclass may override apply_batch, so it
-        must not be silently lowered as its parent."""
+        """A subclass overriding apply_batch has tableau semantics its
+        site table no longer states, so it must not be lowered as its
+        parent; a plain subclass is its parent's table and lowers."""
 
         class Tweaked(DepolarizingNoise):
+            def apply_batch(self, gate, sim, rng):
+                pass
+
+        class Plain(DepolarizingNoise):
             pass
 
         assert not supports_noise(NoiseModel([Tweaked(0.1)]))
+        with pytest.raises(FrameLoweringError):
+            compile_frame_program(Circuit(1).h(0).measure(0, 0),
+                                  NoiseModel([Tweaked(0.1)]))
+        assert supports_noise(NoiseModel([Plain(0.1)]))
 
     def test_executor_auto_requires_exact_lowering(self):
         """backend='auto' keeps the paper's reset semantics: a twirl
@@ -381,6 +389,59 @@ def strike_noise(experiment, p, strike):
     channels = {"none": [], "channel": [event.channel(1)],
                 "burst": [event.burst(1, per_round, scale=0.7)]}[strike]
     return NoiseModel(channels + [DepolarizingNoise(p)])
+
+
+class _CountingRng:
+    """A generator that counts its ``random`` calls (one per drawing
+    tableau site) and forwards everything else."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self.random_calls = 0
+
+    def random(self, *args, **kwargs):
+        self.random_calls += 1
+        return self._rng.random(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestSiteAgreement:
+    """The frame lowering and the tableau interpreter read one site
+    table, so they visit the same sites: for every lowerable noise case
+    of the tableau stream pin, the sites the tableau walk visits equal
+    the compiled structure's ``site_source``."""
+
+    @pytest.mark.parametrize("noise_kind", [
+        kind for kind in tableau_stream.NOISES
+        if kind not in ("none", "logical")])
+    @pytest.mark.parametrize("circuit_name", sorted(tableau_stream.CIRCUITS))
+    def test_tableau_visits_every_frame_site(self, circuit_name, noise_kind,
+                                             monkeypatch):
+        circuit, distances, nq, mpr = tableau_stream.CIRCUITS[circuit_name]
+
+        def noise():
+            return tableau_stream._noise(noise_kind, distances, nq, mpr)
+
+        assert supports_noise(noise())
+        sites = len(frame_structure(circuit, noise(), rng=0).site_source)
+        # Every site draws one uniform row, except a certain erasure,
+        # which resets every shot unmasked — as a circuit reset does.
+        unmasked = [0]
+        reset = BatchTableauSimulator.reset
+
+        def counting_reset(sim, a, mask=None):
+            unmasked[0] += mask is None
+            return reset(sim, a, mask)
+
+        monkeypatch.setattr(BatchTableauSimulator, "reset", counting_reset)
+        rng = _CountingRng(1)
+        run_batch_noisy(circuit, noise(), 2, rng=rng, backend="tableau")
+        circuit_resets = sum(g.gate_type is GateType.RESET for g in circuit)
+        visited = rng.random_calls + unmasked[0] - circuit_resets
+        assert sites > 0
+        assert visited == sites
 
 
 class TestDrawApply:

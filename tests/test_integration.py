@@ -171,11 +171,6 @@ class TestDualBasisMemory:
                     if mask.any():
                         sim.z_gate(q, mask)
 
-            def apply_single(self, gate, sim, rng):
-                for q in gate.qubits:
-                    if rng.random() < self.p:
-                        sim.tableau.z_gate(q)
-
         rec = run_batch_noisy(exp.circuit, NoiseModel([ZOnly(0.01)]),
                               1500, rng=8)
         res = dec.decode_batch(exp, rec)

@@ -236,19 +236,38 @@ class TestWeightProperties:
         sim.depolarize(0, 0.002)     # q == p: zero LLR everywhere
         assert np.all(sim.log_weights == 0.0)
 
-    def test_tilted_single_shot_rejected(self):
-        from repro.noise import NoiseModel, DepolarizingNoise
-        from repro.noise.executor import run_single_noisy
-        from repro.circuits import Circuit
+    def test_tilted_tableau_stream_matches_plain_at_q_eq_p(self):
+        """The tilted channel keeps its own tableau loop (it banks LLRs
+        the site table cannot express), so nothing pins its stream but
+        this: at ``q == p`` it must draw and flip exactly as the plain
+        channel — records and generator state bit-identical — and
+        leave every shot at unit weight."""
+        from repro.codes import XXZZCode, build_memory_experiment
+        from repro.frames import supports_noise
+        from repro.noise import (DepolarizingNoise, NoiseModel,
+                                 RadiationEvent, run_batch_noisy)
         from repro.rare.tilt import tilted_noise_model
 
-        model, _ = tilted_noise_model(
-            NoiseModel([DepolarizingNoise(0.01)]),
-            SamplerSpec(kind="tilt", tilt=4.0))
-        circuit = Circuit(1)
-        circuit.h(0)
-        with pytest.raises(NotImplementedError, match="batch-only"):
-            run_single_noisy(circuit, model, rng=1)
+        circuit = build_memory_experiment(XXZZCode(3, 3)).circuit
+        n = circuit.num_qubits
+        event = RadiationEvent(2, {q: abs(q - 2) for q in range(n)},
+                               num_qubits=n)
+        plain = NoiseModel([DepolarizingNoise(1e-2), event.channel(4)])
+        tilted, sink = tilted_noise_model(plain,
+                                          SamplerSpec(kind="tilt", tilt=1.0))
+        assert tilted.channels[0].q == tilted.channels[0].p
+        assert not supports_noise(tilted)      # tableau-only, as before
+        for batch in (1, 63, 512):
+            rngs = [np.random.default_rng(batch) for _ in range(2)]
+            want = run_batch_noisy(circuit, plain, batch, rng=rngs[0],
+                                   backend="tableau")
+            sink.reset(batch)
+            got = run_batch_noisy(circuit, tilted, batch, rng=rngs[1],
+                                  backend="tableau")
+            assert np.array_equal(got, want)
+            assert (rngs[1].bit_generator.state
+                    == rngs[0].bit_generator.state)
+            assert np.all(sink.weights() == 1.0)
 
     def test_untilted_frames_have_unit_weights(self):
         from repro.frames import FrameSimulator
