@@ -16,7 +16,7 @@ properties make it safe to leave enabled in the hot path:
 
 Values are process-local.  Parallel workers carry their own registry
 (zeroed at worker start) and ship cumulative snapshots back to the
-scheduler on the existing results queue; :func:`merge_snapshots` sums
+scheduler over their pipes; :func:`merge_snapshots` sums
 them into the campaign-wide view.
 """
 

@@ -8,7 +8,7 @@ nothing by default.
 
 Both sinks work from the same source of truth: the process-global
 :class:`~repro.obs.metrics.MetricsRegistry` plus per-worker registry
-snapshots that ride the parallel scheduler's existing results queue
+snapshots that ride each parallel worker's pipe to the scheduler
 (cumulative per worker, merged by replacement, so crashes and requeues
 can never double-count).  Monitor state is guarded by the owning PID:
 forked pool children inherit the object but every method no-ops there,

@@ -17,7 +17,7 @@ decides.
 from .plan import ChunkLease, TaskPlan, plan_leases
 from .scheduler import (WorkStealingScheduler, default_workers,
                         lease_run_size)
-from .worker import execute_lease, worker_main
+from .worker import execute_lease
 
 __all__ = [
     "ChunkLease",
@@ -27,5 +27,4 @@ __all__ = [
     "execute_lease",
     "lease_run_size",
     "plan_leases",
-    "worker_main",
 ]

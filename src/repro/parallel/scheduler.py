@@ -20,19 +20,22 @@ intact:
 * **One loop, in-process or forked** — the scheduler is the engine's
   only executor.  With one effective worker (``workers=1``, or a plan
   of a single lease) it drains the plans itself, in task order, at the
-  engine's checkpoint grain — handing the engine runs of contiguous
-  equal leases, which it executes as wide spans; otherwise it forks,
-  and each worker call carries one lease.  The choice is computed from
-  the inputs, never set by the caller, and both routes bank every
-  chunk through the same :class:`~repro.parallel.plan.TaskPlan`.
+  engine's checkpoint grain; otherwise it forks, and each worker gets
+  its own duplex pipe.  Either way the engine is handed runs of
+  contiguous equal leases (:meth:`WorkStealingScheduler._take_run`),
+  which it executes as wide spans.  The choice is computed from the
+  inputs, never set by the caller, and both routes bank every chunk
+  through the same :class:`~repro.parallel.plan.TaskPlan`.
 * **Crash tolerance** — a dead worker's leased chunks are requeued
   and the campaign completes with a :class:`RuntimeWarning`; if every
   worker dies (or none can be started), the remaining leases finish
-  through that same in-process drain.
+  through that same in-process drain.  A worker's death reads as EOF
+  (or a cut-off message) on its own pipe, so it costs that worker and
+  never the campaign.
   Requeued chunks may execute twice; canonical block seeding makes the
   re-run bit-identical, and the plan discards the duplicate on arrival.
 * **Deterministic aggregation, one writer** — workers only compute:
-  every chunk comes back over the results queue and is banked by this
+  every chunk comes back over its worker's pipe and is banked by this
   process through the point's :class:`~repro.parallel.plan.TaskPlan`,
   which is also what writes it to the store.  Adaptive stop decisions
   are made only at shots-completed watermarks over the contiguous
@@ -46,11 +49,11 @@ from __future__ import annotations
 import heapq
 import multiprocessing as mp
 import os
-import queue
 import signal
 import threading
 import warnings
-from collections import deque
+from collections import defaultdict, deque
+from multiprocessing.connection import wait
 from typing import Deque, Dict, List, Optional, Tuple
 
 from .. import obs
@@ -63,11 +66,11 @@ from ..injection.spec import InjectionTask
 from ..injection.store import CampaignStore, task_key
 from . import worker
 from .plan import ChunkLease, Prior, TaskPlan
-from .worker import worker_main
 
-#: Chunks buffered inside a worker process (in its inbox) at any time.
-#: Enough to hide the queue round-trip behind compute; small enough
-#: that nearly all planned work stays on the parent side, stealable.
+#: Runs buffered inside a worker process (sent, not yet reported) at
+#: any time.  Enough to hide the pipe round-trip behind compute; small
+#: enough that nearly all planned work stays on the parent side,
+#: stealable.
 PIPELINE_DEPTH = 2
 #: Lease run handed to one worker before any wall-clock observation.
 MAX_LEASE_RUN = 8
@@ -75,7 +78,7 @@ MAX_LEASE_RUN = 8
 #: Once a task's chunk rate is observed, runs are sized so a worker
 #: holds roughly this many seconds of leased work — deep/slow tasks
 #: shrink to single-lease runs (everything else stays stealable),
-#: cheap tasks batch up to :data:`LEASE_RUN_CAP` to amortise the queue
+#: cheap tasks batch up to :data:`LEASE_RUN_CAP` to amortise the pipe
 #: round-trip.
 TARGET_LEASE_RUN_S = 1.0
 #: Hard cap on an adaptively-sized lease run.
@@ -109,7 +112,9 @@ def default_workers(spec_workers: Optional[int] = None) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            pass
+            warnings.warn(
+                f"ignoring REPRO_WORKERS={env!r} (not an integer); "
+                f"using the CPU count", RuntimeWarning, stacklevel=2)
     return max(1, os.cpu_count() or 1)
 
 
@@ -183,7 +188,7 @@ class WorkStealingScheduler:
             self._execute(plans, total_leases)
         else:
             # One effective worker: a process fleet would only add
-            # fork and queue cost (and hide the work from the parent's
+            # fork and pipe cost (and hide the work from the parent's
             # profiler).
             self._drain(plans)
         return [plan.result() for plan in plans]
@@ -200,9 +205,20 @@ class WorkStealingScheduler:
     def _execute(self, plans: List[TaskPlan], total_leases: int) -> None:
         ctx = _mp_context()
         num_workers = min(self.requested_workers, total_leases)
-        results_q = ctx.Queue()
-        workers: Dict[int, Tuple[object, object]] = {}  # wid -> (proc, inbox)
         tasks = [plan.task for plan in plans]
+        #: Live workers: wid -> (process, the scheduler's end of its pipe).
+        self._workers: Dict[int, Tuple[object, object]] = {}
+        self._deques: Dict[int, Deque[ChunkLease]] = defaultdict(deque)
+        #: Runs sent to each worker and not yet reported, oldest first.
+        self._inflight: Dict[int, Deque[List[ChunkLease]]] = \
+            defaultdict(deque)
+        #: Observed per-shot wall-clock EWMA per task (adaptive lease
+        #: sizing; scheduling-only state).
+        self._sec_per_shot: Dict[int, float] = {}
+        self._heap: List[Tuple[int, int, int]] = []
+        self._heap_seq = 0
+        for plan in plans:
+            self._push_plan(plan)
         # Graceful shutdown: a SIGTERM (service stop, batch-system
         # preemption) becomes a KeyboardInterrupt so it unwinds through
         # the same finally as Ctrl+C — leases requeued, workers told to
@@ -219,85 +235,69 @@ class WorkStealingScheduler:
                                           _term_to_interrupt)
         try:
             for wid in range(num_workers):
-                inbox = ctx.Queue()
-                proc = ctx.Process(
-                    target=worker_main,
-                    args=(wid, tasks, inbox, results_q),
-                    daemon=True)
+                conn, child_end = ctx.Pipe()
+                proc = ctx.Process(target=worker.worker_main,
+                                   args=(wid, tasks, child_end),
+                                   daemon=True)
                 try:
                     proc.start()
                 except OSError as exc:
+                    conn.close()
                     warnings.warn(
                         f"could not start parallel worker {wid} ({exc}); "
-                        f"continuing with {len(workers)} worker(s)",
+                        f"continuing with {len(self._workers)} worker(s)",
                         RuntimeWarning, stacklevel=2)
                     break
-                workers[wid] = (proc, inbox)
+                finally:
+                    # The worker holds the only other copy of its end,
+                    # so its death reads as EOF here.
+                    child_end.close()
+                self._workers[wid] = (proc, conn)
                 _OBS_WORKERS.inc()
-            self._deques: Dict[int, Deque[ChunkLease]] = {
-                wid: deque() for wid in workers}
-            self._inflight: Dict[int, Dict[Tuple[int, int], ChunkLease]] = {
-                wid: {} for wid in workers}
-            #: Observed per-shot wall-clock EWMA per task (adaptive
-            #: lease sizing; scheduling-only state).
-            self._sec_per_shot: Dict[int, float] = {}
-            self._alive = set(workers)
-            self._heap: List[Tuple[int, int, int]] = []
-            self._heap_seq = 0
-            for plan in plans:
-                self._push_plan(plan)
-            if not workers:
-                self._fall_back(plans)
-                return
-            for wid in list(self._alive):
-                self._pump(wid, workers)
-            failure: Optional[Tuple[InjectionTask, str]] = None
-            while failure is None \
-                    and not all(plan.done for plan in plans):
-                try:
-                    message = results_q.get(timeout=0.25)
-                except queue.Empty:
-                    self._reap_dead(workers)
-                    if not self._alive:
-                        self._fall_back(plans)
-                        return
-                    continue
-                kind = message[0]
-                if kind == "chunk":
-                    _, wid, task_index, row, metrics_snap = message
-                    self._on_chunk(wid, task_index,
-                                   ChunkResult.from_row(row),
-                                   metrics_snap)
-                    # Pump every live worker, not just the reporter: a
-                    # worker that went idle while all work was in
-                    # flight elsewhere picks new leases back up here.
-                    for live in list(self._alive):
-                        self._pump(live, workers)
-                elif kind == "error":
-                    _, wid, task_index, start, shots, tb = message
-                    failure = (plans[task_index].task, tb)
-            if failure is not None:
-                task, tb = failure
-                raise RuntimeError(
-                    f"parallel campaign point {task.label!r} failed in a "
-                    f"worker:\n{tb}")
+            # One run per worker per pass, so every worker starts at the
+            # front of its own point.
+            for _ in range(PIPELINE_DEPTH):
+                self._pump()
+            while not all(plan.done for plan in plans):
+                if not self._workers:
+                    # None is left (or none could be started): finish
+                    # in this process so the campaign still completes.
+                    warnings.warn(
+                        "no parallel workers remain alive; finishing the "
+                        "campaign in-process", RuntimeWarning, stacklevel=2)
+                    obs.event("scheduler.inline_fallback",
+                              "all workers dead; finishing in-process")
+                    self._drain(plans)
+                    return
+                handles = {}
+                for wid, (proc, conn) in self._workers.items():
+                    handles[conn] = handles[proc.sentinel] = wid
+                for wid in sorted({handles[ready]
+                                   for ready in wait(list(handles))}):
+                    message = self._recv(self._workers[wid][1])
+                    if message is None:
+                        self._reap(wid)
+                    elif message[0] == "chunks":
+                        _, task_index, rows, metrics_snap = message
+                        for row in rows:
+                            self._on_chunk(wid, task_index,
+                                           ChunkResult.from_row(row),
+                                           metrics_snap)
+                        self._inflight[wid].popleft()
+                        self._pump()
+                    else:
+                        _, task_index, tb = message
+                        raise RuntimeError(
+                            f"parallel campaign point "
+                            f"{plans[task_index].task.label!r} failed in "
+                            f"a worker:\n{tb}")
         except KeyboardInterrupt:
             # Requeue every lease still on a deque or in flight (parent
             # bookkeeping so the plans' pending state is honest) and
             # count what the interrupt abandoned.  Every chunk banked
             # so far is already in the store; the finally stops the
             # workers.
-            requeued = 0
-            for wid in getattr(self, "_inflight", {}):
-                leases = list(self._inflight[wid].values()) \
-                    + list(self._deques[wid])
-                self._inflight[wid].clear()
-                self._deques[wid].clear()
-                for lease in sorted(leases,
-                                    key=lambda lease: lease.start,
-                                    reverse=True):
-                    self._plans[lease.task_index].give_back(lease)
-                    requeued += 1
+            requeued = sum(self._requeue(wid) for wid in self._workers)
             done = sum(plan.done for plan in plans)
             warnings.warn(
                 f"campaign interrupted: {done}/{len(plans)} point(s) "
@@ -312,9 +312,19 @@ class WorkStealingScheduler:
                       requeued=requeued)
             raise
         finally:
-            self._shutdown(workers)
+            self._shutdown()
             if previous_term is not None:
                 signal.signal(signal.SIGTERM, previous_term)
+
+    @staticmethod
+    def _recv(conn):
+        """A worker's next message, or ``None`` once it is dead: its
+        sentinel fired with nothing left to read, its end closed (EOF),
+        or it died mid-message (a cut-off frame reads as OSError)."""
+        try:
+            return conn.recv() if conn.poll() else None
+        except (EOFError, OSError):
+            return None
 
     def _push_plan(self, plan: TaskPlan) -> None:
         """(Re-)enter a task into the priority queue, deepest-first."""
@@ -326,7 +336,6 @@ class WorkStealingScheduler:
     def _on_chunk(self, wid: int, task_index: int, chunk: ChunkResult,
                   metrics_snap: Optional[dict] = None) -> None:
         plan = self._plans[task_index]
-        self._inflight.get(wid, {}).pop((task_index, chunk.start), None)
         if chunk.shots and chunk.elapsed_s > 0.0:
             _OBS_LEASE_RUN.observe(chunk.elapsed_s)
             rate = chunk.elapsed_s / chunk.shots
@@ -370,22 +379,53 @@ class WorkStealingScheduler:
         if accepted and plan.done:
             self._report_done(plan)
 
-    def _pump(self, wid: int, workers) -> None:
-        """Keep ``wid``'s pipeline full from its deque, refilling or
-        stealing when the deque drains."""
-        dq = self._deques[wid]
-        inflight = self._inflight[wid]
-        while len(inflight) < PIPELINE_DEPTH:
-            if not dq and not self._refill(wid):
-                return
-            lease = dq.popleft()
-            plan = self._plans[lease.task_index]
-            if lease.start >= plan.target:
-                continue    # stopped while queued
-            inflight[(lease.task_index, lease.start)] = lease
-            _OBS_LEASES.inc()
-            workers[wid][1].put(("chunk", lease.task_index, lease.start,
-                                 lease.shots))
+    def _pump(self) -> None:
+        """Send each live worker one more run if its pipeline has room,
+        refilling or stealing when its deque drains — every worker, not
+        just one that reported: a worker that went idle while all work
+        was in flight elsewhere picks new leases back up here."""
+        for wid, (_, conn) in sorted(self._workers.items()):
+            dq, inflight = self._deques[wid], self._inflight[wid]
+            while len(inflight) < PIPELINE_DEPTH \
+                    and (dq or self._refill(wid)):
+                run = self._take_run(dq)
+                if not run:
+                    continue    # only leases stopped while queued
+                inflight.append(run)
+                _OBS_LEASES.inc(len(run))
+                lease = run[0]
+                try:
+                    conn.send(("run", lease.task_index, lease.start,
+                               lease.shots, len(run)))
+                except OSError:
+                    pass    # dead: its sentinel fires, _reap requeues
+                break
+
+    def _take_run(self, leases: Deque[ChunkLease]) -> List[ChunkLease]:
+        """Pop the next run off ``leases``: contiguous, equally sized
+        leases of one plan, at most ``WIDE_BLOCKS`` blocks, which the
+        engine executes as wide spans.  Leases already past their
+        plan's target are dropped.  An adaptive plan's run reaches no
+        further past the frontier than the frontier has come, so a
+        point that resolves at its first watermark pays no
+        speculation; what lies past a later stop is dropped by
+        ``TaskPlan.record``."""
+        while leases:
+            first = leases.popleft()
+            plan = self._plans[first.task_index]
+            if first.start < plan.target:
+                break
+        else:
+            return []
+        # (The width is read where the engine reads it.)
+        end = first.start + _engine.WIDE_BLOCKS * SIM_BLOCK
+        if plan.adaptive is not None:
+            end = min(end, 2 * plan.shots)
+        run = [first]
+        while leases and leases[0].end <= end and leases[0] == ChunkLease(
+                first.task_index, run[-1].end, first.shots):
+            run.append(leases.popleft())
+        return run
 
     def _refill(self, wid: int) -> bool:
         """Refill ``wid``'s deque: priority queue first, then steal."""
@@ -394,13 +434,13 @@ class WorkStealingScheduler:
             plan = self._plans[task_index]
             if not plan.pending:
                 continue
-            run = lease_run_size(len(plan.pending), len(self._alive),
+            run = lease_run_size(len(plan.pending), len(self._workers),
                                  self.chunk_shots,
                                  self._sec_per_shot.get(task_index))
             self._deques[wid].extend(plan.take(run))
             self._push_plan(plan)
             return True
-        victims = [w for w in self._alive
+        victims = [w for w in self._workers
                    if w != wid and len(self._deques[w]) > 0]
         if not victims:
             return False
@@ -412,102 +452,64 @@ class WorkStealingScheduler:
         obs.counter("scheduler.stolen_leases").inc(steal)
         return True
 
-    def _reap_dead(self, workers) -> None:
-        """Requeue the leases of any worker that died."""
-        for wid in list(self._alive):
-            proc = workers[wid][0]
-            if proc.is_alive():
-                continue
-            self._alive.discard(wid)
-            leases = list(self._inflight[wid].values()) \
-                + list(self._deques[wid])
-            self._inflight[wid].clear()
-            self._deques[wid].clear()
-            requeued = set()
-            # Descending-start order: give_back appendlefts, so the
-            # requeued chunks come out front-first again and survivors
-            # keep extending the contiguous frontier.
-            for lease in sorted(leases, key=lambda lease: lease.start,
-                                reverse=True):
-                plan = self._plans[lease.task_index]
-                plan.give_back(lease)
-                requeued.add(lease.task_index)
-            for task_index in requeued:
-                self._push_plan(self._plans[task_index])
-            warnings.warn(
-                f"parallel worker {wid} died (exit code {proc.exitcode}); "
-                f"requeued {len(leases)} leased chunk(s) — the campaign "
-                f"continues on {len(self._alive)} worker(s)",
-                RuntimeWarning, stacklevel=2)
-            _OBS_CRASHES.inc()
-            _OBS_REQUEUED.inc(len(leases))
-            obs.event("scheduler.worker_crash",
-                      f"worker {wid} died (exit code {proc.exitcode})",
-                      worker=wid, exitcode=proc.exitcode,
-                      requeued=len(leases))
-            for other in list(self._alive):
-                self._pump(other, workers)
+    def _requeue(self, wid: int) -> int:
+        """Give every lease ``wid`` holds, in flight or on its deque,
+        back to its plan; returns how many."""
+        leases = [lease for run in self._inflight[wid] for lease in run] \
+            + list(self._deques[wid])
+        self._inflight[wid].clear()
+        self._deques[wid].clear()
+        # Descending-start order: give_back appendlefts, so the
+        # requeued chunks come out front-first again and survivors
+        # keep extending the contiguous frontier.
+        for lease in sorted(leases, key=lambda lease: lease.start,
+                            reverse=True):
+            self._plans[lease.task_index].give_back(lease)
+        for task_index in {lease.task_index for lease in leases}:
+            self._push_plan(self._plans[task_index])
+        return len(leases)
 
-    def _fall_back(self, plans: List[TaskPlan]) -> None:
-        """No worker process is left (or none could be started): finish
-        in this process so the campaign still completes."""
+    def _reap(self, wid: int) -> None:
+        """Requeue the leases of a worker that died."""
+        proc, conn = self._workers.pop(wid)
+        proc.kill()    # a worker whose pipe broke can never report again
+        proc.join(timeout=5.0)
+        conn.close()
+        requeued = self._requeue(wid)
         warnings.warn(
-            "no parallel workers remain alive; finishing the campaign "
-            "in-process", RuntimeWarning, stacklevel=2)
-        obs.event("scheduler.inline_fallback",
-                  "all workers dead; finishing in-process")
-        self._drain(plans)
+            f"parallel worker {wid} died (exit code {proc.exitcode}); "
+            f"requeued {requeued} leased chunk(s) — the campaign "
+            f"continues on {len(self._workers)} worker(s)",
+            RuntimeWarning, stacklevel=2)
+        _OBS_CRASHES.inc()
+        _OBS_REQUEUED.inc(requeued)
+        obs.event("scheduler.worker_crash",
+                  f"worker {wid} died (exit code {proc.exitcode})",
+                  worker=wid, exitcode=proc.exitcode, requeued=requeued)
+        self._pump()
 
     def _drain(self, plans: List[TaskPlan]) -> None:
         """Run every remaining lease in this process, in task order (a
         kill mid-point loses at most the run being executed — up to
         ``WIDE_BLOCKS`` blocks, 4096 shots)."""
         for plan in plans:
-            # Reclaim leases stranded in dead workers' pipelines
-            # (descending, so appendleft restores ascending order).
-            for lease in sorted(plan.leased.values(),
-                                key=lambda lease: lease.start,
-                                reverse=True):
-                plan.give_back(lease)
-            while plan.shots < plan.target and plan.pending:
-                lease = plan.pending.popleft()
-                # A run of contiguous equal leases goes to the engine
-                # in one call, to be executed as wide spans.  A fixed
-                # budget takes the full width at once; an adaptive
-                # point never samples further past its frontier than
-                # the frontier has come, so one that resolves at its
-                # first watermark pays no speculation.  What lies past
-                # a stop is dropped by ``TaskPlan.record``.  (The
-                # width is read where the engine reads it.)
-                budget = _engine.WIDE_BLOCKS * SIM_BLOCK
-                if plan.adaptive is not None:
-                    budget = min(budget, plan.shots)
-                run = 1
-                while plan.pending and (run + 1) * lease.shots <= budget \
-                        and plan.pending[0].shots == lease.shots \
-                        and plan.pending[0].start \
-                        == lease.start + run * lease.shots:
-                    plan.pending.popleft()
-                    run += 1
+            while plan.shots < plan.target \
+                    and (run := self._take_run(plan.pending)):
                 # Through the module, so a wrapper installed on
                 # ``worker.execute_lease`` (the e2e tracer) sees it.
                 for chunk in worker.execute_lease(
-                        plan.task, lease.start, lease.shots, run):
+                        plan.task, run[0].start, run[0].shots, len(run)):
                     self._bank(plan, chunk)
 
-    def _shutdown(self, workers) -> None:
-        for wid, (proc, inbox) in workers.items():
-            if proc.is_alive():
-                try:
-                    inbox.put(("exit",))
-                except (OSError, ValueError):
-                    pass
-        for wid, (proc, inbox) in workers.items():
+    def _shutdown(self) -> None:
+        for _, conn in self._workers.values():
+            try:
+                conn.send(("exit",))
+            except OSError:
+                pass    # already gone
+        for proc, conn in self._workers.values():
             proc.join(timeout=5.0)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
-            # Unblock the queue feeder threads so interpreter exit
-            # never hangs on a full pipe.
-            inbox.cancel_join_thread()
-            inbox.close()
+            conn.close()

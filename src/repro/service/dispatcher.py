@@ -716,10 +716,10 @@ def execute_lease_wire(lease: Mapping[str, Any],
     with trace.span(ctx, "lease", here=True, phases=True,
                     key=str(lease["key"])[:16], start=start) as lctx:
         with trace.span(lctx, "chunk", start, shots=shots):
-            chunk = execute_lease(task, start, shots)
+            chunks = execute_lease(task, start, shots)
     payload: Dict[str, object] = {
         "lease": lease["lease"], "key": lease["key"],
-        "chunks": [chunk.to_row()]}
+        "chunks": [chunk.to_row() for chunk in chunks]}
     if ctx is not None:
         payload["spans"] = trace.drain()
     if ship_obs:

@@ -206,7 +206,7 @@ class TestRouteEquivalence:
         else:
             spans = []
         for start, shots in spans:
-            store.append_chunk(key, execute_lease(task, start, shots))
+            store.append_chunk(key, execute_lease(task, start, shots)[0])
         got = _run_route(route, task, policy, store)
         assert got.payload == want.payload
 
@@ -289,7 +289,7 @@ class TestWatermarkPolicy:
         for lease in plan_leases(0, 0, 8192, SIM_BLOCK, policy, t.shots):
             from repro.parallel.worker import execute_lease
             chunks[lease.start] = execute_lease(t, lease.start,
-                                                lease.shots)
+                                                lease.shots)[0]
         orders = [sorted(chunks), sorted(chunks, reverse=True),
                   sorted(chunks, key=lambda s: (s // 1024) % 3)]
         outcomes = []
@@ -349,7 +349,7 @@ class TestShardedStore:
         leftover = path + ".shard-0"
         shard = CampaignStore(leftover)
         shard.append_chunk(task_key(seeded),
-                           execute_lease(seeded, 0, SIM_BLOCK))
+                           execute_lease(seeded, 0, SIM_BLOCK)[0])
         shard.close()
         CampaignStore.merge(path, [leftover])
         leases = obs.counter("scheduler.leases")
@@ -417,7 +417,7 @@ class TestShardedStore:
         # bank a 512-grain prefix one watermark PAST the true stop
         banked_end = uninterrupted.shots + 2 * SIM_BLOCK
         for start in range(0, banked_end, SIM_BLOCK):
-            store.append_chunk(key, execute_lease(t, start, SIM_BLOCK))
+            store.append_chunk(key, execute_lease(t, start, SIM_BLOCK)[0])
         store.close()
         for run_kwargs in ({"workers": 1}, {"workers": 2}):
             resumed = Campaign([t]).run(adaptive=policy,
@@ -437,7 +437,7 @@ class TestShardedStore:
         uninterrupted = run_task(t, adaptive=policy)
         path = str(tmp_path / "store.jsonl")
         store = CampaignStore(path)
-        store.append_chunk(task_key(t), execute_lease(t, 0, SIM_BLOCK))
+        store.append_chunk(task_key(t), execute_lease(t, 0, SIM_BLOCK)[0])
         store.close()
         resumed = Campaign([t]).run(workers=1, adaptive=policy,
                                     resume=CampaignStore(path))
@@ -495,6 +495,28 @@ class TestCrashTolerance:
         with pytest.raises(ValueError, match="strike_round 10 outside"):
             Campaign([self.bad_task()]).run(workers=1)
 
+    def test_death_mid_send_cannot_hang(self):
+        """A worker SIGKILLed half way through writing a reply costs
+        that worker, never the campaign.  Run in a child process, so a
+        hang fails here instead of wedging the suite."""
+        spec = {"codes": [["repetition", [3, 1]]], "p_values": [0.05, 0.06],
+                "shots": 4 * SIM_BLOCK, "backend": "tableau",
+                "root_seed": 7}
+        script = ("import json\n"
+                  "from repro.injection import build_sweep\n"
+                  f"print(json.dumps(build_sweep({spec!r}).run(workers=2)"
+                  ".counts()))\n")
+        env = dict(os.environ, **{CRASH_WORKER_ENV: "0",
+                                  CRASH_AFTER_ENV: "1"})
+        env["PYTHONPATH"] = os.pathsep.join(
+            [p for p in sys.path if p] + [env.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "parallel worker 0 died" in done.stderr
+        serial = build_sweep(spec).run(workers=1).counts()
+        assert json.loads(done.stdout) == json.loads(json.dumps(serial))
+
 
 class TestSweepWorkersKey:
     def test_workers_key_parsed(self):
@@ -544,6 +566,11 @@ class TestSweepWorkersKey:
         assert default_workers(5) == 5
         monkeypatch.setenv("REPRO_WORKERS", "many")
         assert default_workers() >= 1
+
+    def test_malformed_repro_workers_warns(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "four")
+        with pytest.warns(RuntimeWarning, match="REPRO_WORKERS='four'"):
+            assert default_workers() == max(1, os.cpu_count() or 1)
 
 
 class TestGracefulInterrupt:
@@ -707,7 +734,7 @@ class TestStoreContract:
         store = CampaignStore(tmp_path / "store.jsonl")
         for start in range(0, task.shots, 2 * SIM_BLOCK):
             store.append_chunk(task_key(task),
-                               execute_lease(task, start, 2 * SIM_BLOCK))
+                               execute_lease(task, start, 2 * SIM_BLOCK)[0])
         receipt = Dispatcher(store).submit(ROUTE_SPEC)
         assert (receipt["state"], receipt["cache_hits"]) == ("done", 1)
         assert store.result_for(task).payload == run_task(task).payload
@@ -782,6 +809,18 @@ class TestSpanWidth:
                        for c in want_chunks)
         if policy is not None:
             assert want.shots < task.shots
+
+    def test_forked_workers_execute_runs(self, tmp_path):
+        """Forked workers are handed runs of leases, not one lease per
+        message: at one block per lease they sample fewer spans than
+        blocks."""
+        task, _ = SPAN_POINTS["fixed"]
+        with obs.session(telemetry=str(tmp_path / "t.jsonl"),
+                         quiet=True) as monitor:
+            Campaign([task]).run(workers=2, chunk_shots=SIM_BLOCK)
+        workers = obs.merge_snapshots({}, monitor._worker_snaps.values())
+        assert workers["spans"]["sample"]["count"] \
+            < workers["counters"]["engine.blocks"]
 
     def test_first_watermark_stop_pays_no_speculation(self, tmp_path,
                                                       monkeypatch):
