@@ -32,16 +32,24 @@ matcher kernel) and through the per-pattern reference it replaced (one
 pattern), asserts identical corrections and >= 3x, and records
 patterns/s, the defect-count histogram and the share of matcher time
 left in NetworkX blossom.
+
+The third is its union-find twin: the same two blocks decoded by the
+``union-find`` point through ``decode_batch`` — the native kernel,
+two C calls per block (``decoders/_unionfind.c``) — and through a
+loop over ``_decode_pattern``, the pure-Python reference it stands
+beside; it asserts identical corrections and >= 10x.
 """
 
 import dataclasses
 import time
 
 import numpy as np
+import pytest
 
 from conftest import bench_bar, bench_report
 
 from repro.decoders import SyndromeBatch, prepare_packed_inputs
+from repro.decoders import _native as uf_native
 from repro.decoders.matching import _DP_LIMIT, _dp_match, _nx_match
 from repro.frames.packing import unpack_words
 from repro.frames.simulator import FrameSimulator
@@ -239,3 +247,63 @@ def test_strike_regime_matcher(benchmark, capsys):
     bar = bench_bar(3.0, 1.5)
     assert speedup >= bar, \
         f"strike-regime matcher speedup {speedup:.2f}x < {bar}x"
+
+
+def test_strike_regime_union_find(benchmark, capsys):
+    """Native union-find kernel vs the per-pattern reference on the
+    strike blocks of :func:`test_strike_regime_matcher`."""
+    if uf_native.kernel() is None:
+        pytest.skip("native union-find kernel unavailable: "
+                    + uf_native.unavailable_reason())
+    task = build_sweep({**STRIKE_SPEC, "decoder": "union-find"}).tasks[0]
+    experiment, decoder = _task_context(task)[:2]
+    batches = [SyndromeBatch.from_record_words(words, size)
+               for words, size in _packed_blocks(task)]
+
+    def cold():
+        """A decoder with an empty decode cache on the warm graph."""
+        return (dataclasses.replace(decoder, graph=decoder.graph),), {}
+
+    def decode(fresh):
+        return [fresh.decode_batch(experiment, batch).corrections
+                for batch in batches]
+
+    decode(*cold()[0])      # warm the graph tables
+    t0 = time.perf_counter()
+    memo = {(): 0}
+    want = []
+    for batch in batches:
+        flat, _ = _per_shot_detectors(experiment, decoder, batch)
+        corrections = np.empty(batch.batch_size, dtype=np.uint8)
+        for i, bits in enumerate(flat):
+            events = tuple(np.flatnonzero(bits).tolist())
+            if events not in memo:
+                memo[events] = decoder._decode_pattern(bits)
+            corrections[i] = memo[events]
+        want.append(corrections)
+    reference_s = time.perf_counter() - t0
+
+    got = benchmark.pedantic(decode, setup=cold, rounds=3, iterations=1)
+    native_s = benchmark.stats.stats.min
+    for ours, theirs in zip(got, want):
+        np.testing.assert_array_equal(ours, theirs)
+
+    distinct = len(memo) - 1                # minus the empty pattern
+    speedup = reference_s / native_s
+    bench_report(
+        benchmark, capsys,
+        f"\n[decode-batch] strike regime union-find, {task.shots} shots / "
+        f"{distinct} distinct patterns: native {native_s:.3f}s "
+        f"({distinct / native_s:,.0f} patterns/s), per-pattern "
+        f"{reference_s:.2f}s ({distinct / reference_s:,.0f} patterns/s), "
+        f"x{speedup:.1f}",
+        shots=task.shots,
+        distinct_patterns=distinct,
+        native_patterns_per_s=distinct / native_s,
+        per_pattern_patterns_per_s=distinct / reference_s,
+        speedup=speedup)
+
+    assert distinct > 0.9 * task.shots
+    bar = bench_bar(10.0, 4.0)
+    assert speedup >= bar, \
+        f"strike-regime union-find speedup {speedup:.2f}x < {bar}x"

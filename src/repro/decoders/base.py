@@ -90,7 +90,8 @@ class Decoder(abc.ABC):
     the per-pattern decode — and optionally :meth:`_decode_patterns`,
     the batch hook it is reached through: the distinct patterns of a
     block that miss the cache are decoded by one call (the default
-    loops :meth:`_decode_pattern`; MWPM matches them together).  The
+    loops :meth:`_decode_pattern`; MWPM matches them together,
+    union-find grows and peels them in a C kernel).  The
     batch pipeline (word-domain syndrome extraction and detector
     differencing, unique-pattern deduplication, the cross-batch decode
     cache, readout correction) is shared here, so alternate decode
@@ -121,9 +122,10 @@ class Decoder(abc.ABC):
         The batch hook: :meth:`_pattern_parities` hands it every
         distinct pattern of a block that missed the cache, in one call.
         The default decodes them one by one through
-        :meth:`_decode_pattern`; a decoder that can match patterns
-        together (:class:`~repro.decoders.matching.MWPMDecoder`)
-        overrides it."""
+        :meth:`_decode_pattern`; a decoder that can decode patterns
+        together (:class:`~repro.decoders.matching.MWPMDecoder`,
+        :class:`~repro.decoders.unionfind.UnionFindDecoder`) overrides
+        it."""
         return np.fromiter(map(self._decode_pattern, bits),
                            dtype=np.uint8, count=bits.shape[0])
 

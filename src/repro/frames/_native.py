@@ -1,12 +1,11 @@
-"""Build, cache and load the native frame-program executor.
+"""The native frame-program executor: ``_kernel.c`` as a Python call.
 
-``_kernel.c`` (beside this file) is compiled on first use with the
-system C compiler into a cache file named by the hash of its source
-and flags, and loaded with :mod:`ctypes`.  Whether that worked is
-decided **once per process** by :func:`kernel`: any failure — no
-compiler, no writable cache, a library that will not load, a numpy
-whose bit generators publish no ``ctypes`` interface — leaves the
-numpy executor in charge for the life of the process, recorded as one
+``_kernel.c`` (beside this file) is built, cached and loaded by
+:class:`repro._clib.Loader`.  Whether that worked is decided **once
+per process** by :func:`kernel`: any failure — no compiler, no
+writable cache, a library that will not load, a numpy whose bit
+generators publish no ``ctypes`` interface — leaves the numpy executor
+in charge for the life of the process, recorded as one
 ``frames.native_unavailable`` event carrying the reason.
 
 Imported by :meth:`~repro.frames.simulator.FrameSimulator.run_packed`
@@ -16,19 +15,12 @@ on the first sample, never by ``import repro``.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import shutil
-import tempfile
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .. import obs
+from .._clib import Loader
 from .program import OP_KIND
 
-COMPILERS = ("cc", "gcc")
-#: No ``-march=native``: a home directory shared across hosts shares
-#: the cache.
-FLAGS = ("-O2", "-shared", "-fPIC")
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "_kernel.c")
 
@@ -42,6 +34,10 @@ class Kernel:
     """``repro_frames_run`` of a loaded library, as a Python call."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
+        import numpy as np
+
+        # The kernel draws through the bitgen_t numpy publishes here.
+        np.random.PCG64(0).ctypes.bit_generator.value
         run = lib.repro_frames_run
         run.restype = ctypes.c_int64
         run.argtypes = ([ctypes.c_void_p, ctypes.c_int64]      # code
@@ -95,84 +91,16 @@ class Kernel:
                 None if acc is None else list(acc))
 
 
-def _cache_dirs() -> Iterator[str]:
-    """Where the built library may live, most preferred first."""
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    if xdg:
-        yield os.path.join(xdg, "repro")
-    home = os.path.expanduser("~")
-    if home != "~":
-        yield os.path.join(home, ".cache", "repro")
-    # A shared temp dir: keep other users' files out of the load path.
-    yield os.path.join(tempfile.gettempdir(), f"repro-{os.getuid()}")
-
-
-def _build(target: str) -> None:
-    """Compile ``_kernel.c`` to ``target`` — under a temp name first,
-    so a process loading ``target`` never sees a half-written file."""
-    import subprocess   # a cache hit never pays for it
-
-    compiler = next(filter(None, map(shutil.which, COMPILERS)), None)
-    if compiler is None:
-        raise RuntimeError(
-            f"no C compiler ({', '.join(COMPILERS)}) on PATH")
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-    os.close(fd)
-    try:
-        proc = subprocess.run([compiler, *FLAGS, "-o", tmp, SOURCE],
-                              capture_output=True, text=True, timeout=300)
-        if proc.returncode:
-            raise RuntimeError(f"{compiler} failed: "
-                               f"{proc.stderr.strip()[-300:]}")
-        os.replace(tmp, target)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _load() -> Kernel:
-    import numpy as np
-
-    # The kernel draws through the bitgen_t numpy publishes here.
-    np.random.PCG64(0).ctypes.bit_generator.value
-    with open(SOURCE, "rb") as handle:
-        digest = hashlib.sha256(
-            handle.read() + " ".join(FLAGS).encode()).hexdigest()
-    name = f"frames-kernel-{os.uname().machine}-{digest[:20]}.so"
-    error: Optional[Exception] = None
-    for root in _cache_dirs():
-        target = os.path.join(root, name)
-        try:
-            os.makedirs(root, mode=0o700, exist_ok=True)
-            if os.stat(root).st_uid != os.getuid():
-                raise PermissionError(f"{root} belongs to another user")
-            if not os.path.exists(target):
-                _build(target)
-            return Kernel(ctypes.CDLL(target))
-        except OSError as exc:      # unwritable or unloadable: next dir
-            error = exc
-    raise error
-
-
-#: ``(kernel or None, reason or None)`` once decided.
-_DECIDED: Optional[Tuple[Optional[Kernel], Optional[str]]] = None
+_LOADER = Loader(SOURCE, "frames-kernel", "frames.native_unavailable",
+                 Kernel)
 
 
 def kernel() -> Optional[Kernel]:
     """The native executor, or ``None`` when this process runs on the
     numpy one (see :func:`unavailable_reason`)."""
-    global _DECIDED
-    if _DECIDED is None:
-        try:
-            _DECIDED = (_load(), None)
-        except Exception as exc:    # any failure: numpy, decided once
-            reason = f"{type(exc).__name__}: {exc}"
-            _DECIDED = (None, reason)
-            obs.event("frames.native_unavailable", reason)
-    return _DECIDED[0]
+    return _LOADER()
 
 
 def unavailable_reason() -> Optional[str]:
     """Why :func:`kernel` returned ``None`` (``None`` if it did not)."""
-    kernel()
-    return _DECIDED[1]
+    return _LOADER.unavailable_reason()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.decoders import _native as _uf_native
 from repro.frames import _native
 
 
@@ -15,4 +16,18 @@ def executor(request, monkeypatch):
     elif _native.kernel() is None:
         pytest.skip("native executor unavailable: "
                     + _native.unavailable_reason())
+    return request.param
+
+
+@pytest.fixture(params=["python", "native"])
+def uf_executor(request, monkeypatch):
+    """Run the test once per union-find batch path.  ``python`` patches
+    the loader out, so ``_decode_patterns`` loops the per-pattern
+    reference as on a host without a compiler; ``native`` needs the
+    kernel built."""
+    if request.param == "python":
+        monkeypatch.setattr(_uf_native, "kernel", lambda: None)
+    elif _uf_native.kernel() is None:
+        pytest.skip("native union-find kernel unavailable: "
+                    + _uf_native.unavailable_reason())
     return request.param

@@ -15,17 +15,23 @@ The redesign's contract, pinned here from four sides:
 * **Batched misses** — the distinct patterns a block misses are decoded
   by one ``_decode_patterns`` call: the profiler's stage counts still
   tie out, a decoder that only implements ``_decode_pattern`` still
-  decodes, union-find's per-graph tables cannot go stale, and the
-  strike-regime counts are pinned to the pre-batching commit's.
+  decodes, union-find's per-graph tables cannot go stale, its native
+  batch kernel returns the reference's parities bit for bit (and a
+  process without it says so), and the strike-regime counts are pinned
+  to the pre-batching commit's.
 * **Engine invariance** — campaign counts stay independent of chunk
   size, worker count and store resume now that the frames hot path
   feeds packed words straight to the decoder.
 """
 
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
 from repro.decoders import (
@@ -43,6 +49,7 @@ from repro.decoders import (
     pack_pattern_columns,
     prepare_packed_inputs,
 )
+from repro.decoders import _native as uf_native
 from repro.frames.packing import WORD_BITS, pack_bool_rows, unpack_words
 from repro.injection import (
     Campaign,
@@ -319,8 +326,9 @@ class TestBatchedMisses:
 
 class TestUnionFindGraphTables:
     """The growth tables hoisted onto the graph: same parities as the
-    per-pattern rebuild (digests taken at the parent commit), and a
-    ``reweighted()`` copy of an already-decoded graph starts clean."""
+    per-pattern rebuild (digests taken at the parent commit) through
+    the reference and the batch hook alike, and a ``reweighted()`` copy
+    of an already-decoded graph starts clean."""
 
     #: ``np.packbits`` of the 120 parities, hex — parent commit.
     PARENT = {"base": "9a00c0642332064c138121b110822c",
@@ -335,12 +343,16 @@ class TestUnionFindGraphTables:
             else (2.0 if e.hook else e.weight))
 
     @staticmethod
-    def _digest(decoder, patterns):
-        parities = np.array([decoder._decode_pattern(bits)
-                             for bits in patterns], dtype=np.uint8)
-        return np.packbits(parities).tobytes().hex()
+    def _digests(decoder, patterns):
+        """Digest of the reference's parities, then of the batch
+        hook's."""
+        one = np.array([decoder._decode_pattern(bits)
+                        for bits in patterns], dtype=np.uint8)
+        batch = np.asarray(decoder._decode_patterns(patterns),
+                           dtype=np.uint8)
+        return [np.packbits(p).tobytes().hex() for p in (one, batch)]
 
-    def test_parities_match_parent_and_no_stale_tables(self):
+    def test_parities_match_parent_and_no_stale_tables(self, uf_executor):
         base = DetectorGraph(XXZZCode(5, 5), rounds=5, hook_edges=True)
         rng = np.random.default_rng(41)
         uniform = rng.random((120, base.num_nodes))
@@ -348,15 +360,170 @@ class TestUnionFindGraphTables:
         patterns = (uniform < density).astype(np.uint8)
         dec = UnionFindDecoder(base, use_final_data=False,
                                cache_decodes=False)
-        assert self._digest(dec, patterns) == self.PARENT["base"]
+        assert self._digests(dec, patterns) == [self.PARENT["base"]] * 2
         # Built from a graph whose tables already exist: the copy must
         # not see them (38 erased edges, hooks at weight 2).
         erased = self._erase_near(base, 30)
         assert base.unit_weights and not erased.unit_weights
         rebound = dataclasses.replace(dec, graph=erased)
-        assert self._digest(rebound, patterns) == self.PARENT["erased"]
+        assert self._digests(rebound, patterns) \
+            == [self.PARENT["erased"]] * 2
         # ... and decoding on the copy left the original's alone.
-        assert self._digest(dec, patterns) == self.PARENT["base"]
+        assert self._digests(dec, patterns) == [self.PARENT["base"]] * 2
+
+
+#: (label, code factory) of the union-find bit-identity property.
+UF_CODES = {"rep-3": lambda: RepetitionCode(3),
+            "rep-5": lambda: RepetitionCode(5),
+            "xxzz-3": lambda: XXZZCode(3, 3),
+            "xxzz-5": lambda: XXZZCode(5, 5)}
+_UF_GRAPHS = {}
+
+
+def _uf_graph(label, hooks):
+    key = (label, hooks)
+    if key not in _UF_GRAPHS:
+        _UF_GRAPHS[key] = DetectorGraph(UF_CODES[label](), rounds=5,
+                                        hook_edges=hooks)
+    return _UF_GRAPHS[key]
+
+
+def _strike_reweighted(graph, centre):
+    """Erasure-reweighted the way burst recovery does it: erased edges
+    around ``centre``, a graded skirt of fractional weights next to
+    them, hooks at weight 2 — float growth with uneven steps, and
+    pre-grown clusters whose peel order is the one a Python ``set``
+    gives (not the order the edges were added)."""
+    dist = graph.distances[centre, :graph.num_nodes]
+
+    def weight(e):
+        ends = [dist[x] for x in (e.u, e.v) if x != BOUNDARY]
+        if max(ends) <= 1:
+            return ERASED_WEIGHT
+        if min(ends) <= 2:
+            return 0.4
+        return 2.0 if e.hook else e.weight
+
+    return graph.reweighted(weight)
+
+
+def _uf_patterns(graph, rng, count):
+    """Uniform patterns over a spread of densities, and strike-shaped
+    ones: defects clustered around a random node."""
+    n = graph.num_nodes
+    density = rng.choice([0.02, 0.05, 0.1, 0.25, 0.5], size=(count, 1))
+    patterns = (rng.random((count, n)) < density).astype(np.uint8)
+    for row in patterns[::2]:
+        dist = graph.distances[int(rng.integers(n)), :n]
+        row[:] = rng.random(n) < 0.6 * (dist <= rng.integers(1, 4))
+    return patterns
+
+
+class TestUnionFindNativeBatch:
+    """``UnionFindDecoder._decode_patterns`` — the native kernel, or the
+    reference loop on a host without one — against ``_decode_pattern``
+    one pattern at a time: equal parities on every graph shape the
+    decoder meets."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(label=st.sampled_from(sorted(UF_CODES)), hooks=st.booleans(),
+           erased=st.booleans(), weighted_growth=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_batch_equals_reference_loop(self, uf_executor, label, hooks,
+                                         erased, weighted_growth, seed):
+        rng = np.random.default_rng(seed)
+        graph = _uf_graph(label, hooks)
+        if erased:
+            graph = _strike_reweighted(graph,
+                                       int(rng.integers(graph.num_nodes)))
+        dec = UnionFindDecoder(graph, use_final_data=False,
+                               cache_decodes=False,
+                               weighted_growth=weighted_growth)
+        patterns = _uf_patterns(graph, rng, 24)
+        want = np.array([dec._decode_pattern(bits) for bits in patterns],
+                        dtype=np.uint8)
+        counter = obs.counter(f"decode.uf_{uf_executor}_patterns")
+        before = counter.value
+        np.testing.assert_array_equal(dec._decode_patterns(patterns), want)
+        assert counter.value - before == len(patterns)
+        # one at a time through the hook, and the empty batch
+        for bits, parity in zip(patterns[:4], want):
+            assert dec._decode_patterns(bits[None, :])[0] == parity
+        assert dec._decode_patterns(patterns[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("weighted_growth", [False, True])
+    def test_erased_graphs_peel_in_set_order(self, uf_executor,
+                                             weighted_growth):
+        """Where erasure pre-grows clusters, about one pattern in a
+        hundred peels to another parity in the order its edges were
+        added than in the order the reference's ``set`` iterates: 1200
+        such patterns, so a kernel peeling in the wrong order fails."""
+        rng = np.random.default_rng(2506)
+        base = _uf_graph("xxzz-3", False)
+        for centre in range(0, base.num_nodes, 3):
+            dec = UnionFindDecoder(_strike_reweighted(base, centre),
+                                   use_final_data=False,
+                                   cache_decodes=False,
+                                   weighted_growth=weighted_growth)
+            patterns = _uf_patterns(dec.graph, rng, 100)
+            want = [dec._decode_pattern(bits) for bits in patterns]
+            np.testing.assert_array_equal(dec._decode_patterns(patterns),
+                                          want, err_msg=f"centre {centre}")
+
+    def test_growth_that_cannot_converge_raises_like_the_reference(
+            self, uf_executor):
+        """A defect on a detector no edge reaches never pairs up: both
+        paths give up after the same guard and raise."""
+        graph = _uf_graph("rep-3", False).reweighted(lambda e: e.weight)
+        graph.edges = [e for e in graph.edges if 0 not in (e.u, e.v)]
+        dec = UnionFindDecoder(graph, use_final_data=False,
+                               cache_decodes=False)
+        bits = np.zeros((2, graph.num_nodes), dtype=np.uint8)
+        bits[1, 0] = 1
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            dec._decode_pattern(bits[1])
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            dec._decode_patterns(bits)
+
+    def test_unavailable_loader_is_decided_once_and_counted(
+            self, monkeypatch, tmp_path):
+        """No compiler and an empty cache: the reference decodes every
+        pattern for the life of the process, one event says why, and
+        the counters say which path ran."""
+        def events():
+            return obs.registry().event_counts.get(
+                "decoders.native_unavailable", 0)
+
+        monkeypatch.setattr(uf_native._LOADER, "decided", None)
+        before = events()
+        with monkeypatch.context() as hidden:
+            hidden.setenv("XDG_CACHE_HOME", str(tmp_path))
+            hidden.setenv("PATH", str(tmp_path))
+            assert uf_native.kernel() is None
+        assert "no C compiler" in uf_native.unavailable_reason()
+        graph = _uf_graph("xxzz-3", False)
+        patterns = _uf_patterns(graph, np.random.default_rng(5), 10)
+        dec = UnionFindDecoder(graph, use_final_data=False,
+                               cache_decodes=False)
+        native = obs.counter("decode.uf_native_patterns")
+        python = obs.counter("decode.uf_python_patterns")
+        counts = native.value, python.value
+        for _ in range(2):
+            dec._decode_patterns(patterns)
+        assert (native.value, python.value) \
+            == (counts[0], counts[1] + 2 * len(patterns))
+        assert events() == before + 1
+
+    def test_import_repro_loads_no_kernel(self):
+        """The kernel is loaded by the first union-find decode, not by
+        ``import repro``."""
+        probe = ("import sys, repro; print(sorted(m for m in sys.modules "
+                 "if m.endswith('_native') or m == 'repro._clib'))")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestPackedPrepare:

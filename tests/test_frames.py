@@ -897,7 +897,7 @@ class TestExecutors:
             return obs.registry().event_counts.get(
                 "frames.native_unavailable", 0)
 
-        monkeypatch.setattr(_native, "_DECIDED", None)
+        monkeypatch.setattr(_native._LOADER, "decided", None)
         before = events()
         with monkeypatch.context() as hidden:
             hidden.setenv("XDG_CACHE_HOME", str(tmp_path))
