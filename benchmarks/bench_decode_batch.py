@@ -31,13 +31,19 @@ matcher kernel) and through the per-pattern reference it replaced (one
 ``_dp_match`` recursion, or ``_nx_match`` past 16 defects, per distinct
 pattern), asserts identical corrections and >= 3x, and records
 patterns/s, the defect-count histogram and the share of matcher time
-left in NetworkX blossom.
+left in blossom (the patterns past 16 defects).
 
 The third is its union-find twin: the same two blocks decoded by the
 ``union-find`` point through ``decode_batch`` — the native kernel,
 two C calls per block (``decoders/_unionfind.c``) — and through a
 loop over ``_decode_pattern``, the pure-Python reference it stands
 beside; it asserts identical corrections and >= 10x.
+
+The fourth isolates blossom: the distinct patterns past 16 defects of
+the same two blocks, matched in one call to the native blossom
+(``decoders/_blossom.c``) and one by one by NetworkX
+(``_nx_match``, the reference and the no-compiler path); it asserts
+identical parities and >= 20x.
 """
 
 import dataclasses
@@ -49,8 +55,9 @@ import pytest
 from conftest import bench_bar, bench_report
 
 from repro.decoders import SyndromeBatch, prepare_packed_inputs
-from repro.decoders import _native as uf_native
-from repro.decoders.matching import _DP_LIMIT, _dp_match, _nx_match
+from repro.decoders import _native as decoder_native
+from repro.decoders.matching import (_BOUNDARY_BIAS, _DP_LIMIT, _dp_match,
+                                     _nx_match)
 from repro.frames.packing import unpack_words
 from repro.frames.simulator import FrameSimulator
 from repro.injection import (CodeSpec, InjectionTask, SIM_BLOCK,
@@ -252,9 +259,9 @@ def test_strike_regime_matcher(benchmark, capsys):
 def test_strike_regime_union_find(benchmark, capsys):
     """Native union-find kernel vs the per-pattern reference on the
     strike blocks of :func:`test_strike_regime_matcher`."""
-    if uf_native.kernel() is None:
+    if decoder_native.kernel() is None:
         pytest.skip("native union-find kernel unavailable: "
-                    + uf_native.unavailable_reason())
+                    + decoder_native.unavailable_reason())
     task = build_sweep({**STRIKE_SPEC, "decoder": "union-find"}).tasks[0]
     experiment, decoder = _task_context(task)[:2]
     batches = [SyndromeBatch.from_record_words(words, size)
@@ -307,3 +314,53 @@ def test_strike_regime_union_find(benchmark, capsys):
     bar = bench_bar(10.0, 4.0)
     assert speedup >= bar, \
         f"strike-regime union-find speedup {speedup:.2f}x < {bar}x"
+
+
+def test_strike_heavy_patterns_blossom(benchmark, capsys):
+    """Native blossom vs NetworkX on the heavy patterns of the strike
+    blocks of :func:`test_strike_regime_matcher`."""
+    kernel = decoder_native.blossom()
+    if kernel is None:
+        pytest.skip("native blossom kernel unavailable: "
+                    + decoder_native.blossom_unavailable_reason())
+    task = build_sweep(STRIKE_SPEC).tasks[0]
+    experiment, decoder = _task_context(task)[:2]
+    graph = decoder.graph
+    heavy = []
+    for words, size in _packed_blocks(task):
+        flat, _ = _per_shot_detectors(
+            experiment, decoder, SyndromeBatch.from_record_words(words, size))
+        heavy.append(flat[flat.sum(axis=1) > _DP_LIMIT])
+    heavy = np.unique(np.concatenate(heavy), axis=0)
+    assert len(heavy) >= 20
+
+    t0 = time.perf_counter()
+    want = [_nx_match(tuple(np.flatnonzero(bits).tolist()), graph.distances,
+                      graph.parities, graph.num_nodes)[1] for bits in heavy]
+    networkx_s = time.perf_counter() - t0
+
+    event_ptr, events = decoder_native.csr_rows(heavy)
+    _, got = benchmark.pedantic(
+        kernel.match, args=(event_ptr, events, graph.distances,
+                            graph.parities, graph.num_nodes,
+                            _BOUNDARY_BIAS),
+        rounds=5, iterations=1)
+    native_s = benchmark.stats.stats.min
+    np.testing.assert_array_equal(got, want)
+
+    speedup = networkx_s / native_s
+    bench_report(
+        benchmark, capsys,
+        f"\n[decode-batch] strike heavy patterns, {len(heavy)} of "
+        f"{int(heavy.sum(axis=1).min())}..{int(heavy.sum(axis=1).max())} "
+        f"defects: native {native_s * 1e6 / len(heavy):.0f} us/pattern, "
+        f"NetworkX {networkx_s * 1e3 / len(heavy):.1f} ms/pattern, "
+        f"x{speedup:.0f}",
+        heavy_patterns=len(heavy),
+        native_patterns_per_s=len(heavy) / native_s,
+        networkx_patterns_per_s=len(heavy) / networkx_s,
+        speedup=speedup)
+
+    bar = bench_bar(20.0, 5.0)
+    assert speedup >= bar, \
+        f"native blossom speedup {speedup:.2f}x < {bar}x"

@@ -9,38 +9,67 @@ metrics used by the architecture analysis (Fig. 8).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterator, List, Set, Tuple
 
 from .circuit import Circuit
 from .gates import GateType
 
+if TYPE_CHECKING:
+    import networkx as nx
 
-def build_dag(circuit: Circuit) -> nx.DiGraph:
-    """Build the gate-dependency DAG of ``circuit``.
+
+def _dependencies(circuit: Circuit) -> Iterator[Tuple[int, int]]:
+    """The DAG's edges ``(i, j)`` in gate order: gate ``j`` consumes a
+    qubit last written by gate ``i``."""
+    last_use: Dict[int, int] = {}
+    for idx, gate in enumerate(circuit):
+        for q in gate.qubits:
+            prev = last_use.get(q)
+            if prev is not None:
+                yield prev, idx
+            last_use[q] = idx
+
+
+def _successors(circuit: Circuit) -> List[List[int]]:
+    succ: List[List[int]] = [[] for _ in range(len(circuit))]
+    for i, j in _dependencies(circuit):
+        succ[i].append(j)
+    return succ
+
+
+def _descendants(succ: List[List[int]], start: int) -> Set[int]:
+    """Gates reachable from ``start`` (excluding it)."""
+    seen: Set[int] = set()
+    stack = list(succ[start])
+    while stack:
+        idx = stack.pop()
+        if idx not in seen:
+            seen.add(idx)
+            stack.extend(succ[idx])
+    return seen
+
+
+def build_dag(circuit: Circuit) -> "nx.DiGraph":
+    """Build the gate-dependency DAG of ``circuit`` as a NetworkX graph.
 
     Nodes are gate indices (positions in the gate list); an edge
     ``i -> j`` means gate ``j`` consumes a qubit last written by gate
     ``i``.  Barriers create dependencies but appear as nodes too so the
-    graph mirrors the gate list exactly.
+    graph mirrors the gate list exactly.  The reachability helpers
+    below walk the same edges without NetworkX.
     """
+    import networkx as nx
+
     dag = nx.DiGraph()
-    last_use: Dict[int, int] = {}
-    for idx, gate in enumerate(circuit):
-        dag.add_node(idx, gate=gate)
-        for q in gate.qubits:
-            prev = last_use.get(q)
-            if prev is not None:
-                dag.add_edge(prev, idx)
-            last_use[q] = idx
+    dag.add_nodes_from((idx, {"gate": gate})
+                       for idx, gate in enumerate(circuit))
+    dag.add_edges_from(_dependencies(circuit))
     return dag
 
 
 def gate_descendants(circuit: Circuit, gate_index: int) -> Set[int]:
     """Indices of gates causally after ``gate_index``."""
-    dag = build_dag(circuit)
-    return set(nx.descendants(dag, gate_index))
+    return _descendants(_successors(circuit), gate_index)
 
 
 def qubit_descendant_counts(circuit: Circuit) -> Dict[int, int]:
@@ -50,7 +79,7 @@ def qubit_descendant_counts(circuit: Circuit) -> Dict[int, int]:
     particle strike on a qubit can only corrupt gates downstream of the
     first gate touching it, so larger counts mean more exposure.
     """
-    dag = build_dag(circuit)
+    succ = _successors(circuit)
     first_use: Dict[int, int] = {}
     for idx, gate in enumerate(circuit):
         for q in gate.qubits:
@@ -61,7 +90,7 @@ def qubit_descendant_counts(circuit: Circuit) -> Dict[int, int]:
         if idx is None:
             counts[q] = 0
         else:
-            counts[q] = len(nx.descendants(dag, idx)) + 1
+            counts[q] = len(_descendants(succ, idx)) + 1
     return counts
 
 
@@ -70,7 +99,6 @@ def qubit_light_cone(circuit: Circuit, qubit: int) -> Set[int]:
 
     A fault at ``qubit`` can only propagate to qubits in this set.
     """
-    dag = build_dag(circuit)
     first = None
     for idx, gate in enumerate(circuit):
         if qubit in gate.qubits:
@@ -78,7 +106,7 @@ def qubit_light_cone(circuit: Circuit, qubit: int) -> Set[int]:
             break
     if first is None:
         return set()
-    reach = {first} | set(nx.descendants(dag, first))
+    reach = {first} | _descendants(_successors(circuit), first)
     cone: Set[int] = set()
     for idx in reach:
         cone.update(circuit[idx].qubits)

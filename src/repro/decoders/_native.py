@@ -1,15 +1,17 @@
-"""The native union-find kernel: ``_unionfind.c`` as two Python calls.
+"""The native decoder kernels: ``_unionfind.c`` and ``_blossom.c``.
 
-``_unionfind.c`` (beside this file) is built, cached and loaded by
+Each source (beside this file) is built, cached and loaded by its own
 :class:`repro._clib.Loader`.  Whether that worked is decided **once
-per process** by :func:`kernel`: any failure leaves
-:meth:`~repro.decoders.unionfind.UnionFindDecoder._decode_pattern` —
-the reference — in charge for the life of the process, recorded as one
-``decoders.native_unavailable`` event carrying the reason.
+per process** per kernel — by :func:`kernel` for union-find, by
+:func:`blossom` for the matcher's blossom: any failure leaves that
+kernel's reference in charge for the life of the process —
+:meth:`~repro.decoders.unionfind.UnionFindDecoder._decode_pattern`,
+:func:`~repro.decoders.matching._nx_match` — recorded as one
+``decoders.native_unavailable`` / ``decoders.blossom_unavailable``
+event carrying the reason.
 
-Imported by :meth:`~repro.decoders.unionfind.UnionFindDecoder.
-_decode_patterns` on the first union-find decode, never by
-``import repro``.
+Imported by the decoders' batch hooks on their first native-eligible
+pattern, never by ``import repro``.
 """
 
 from __future__ import annotations
@@ -22,14 +24,24 @@ import numpy as np
 
 from .._clib import Loader
 
-SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "_unionfind.c")
+_HERE = os.path.dirname(os.path.abspath(__file__))
+SOURCE = os.path.join(_HERE, "_unionfind.c")
+BLOSSOM_SOURCE = os.path.join(_HERE, "_blossom.c")
 
-#: Kernel return codes (``_unionfind.c``).
+#: Kernel return codes (``_unionfind.c``, ``_blossom.c``).
 OK, NO_CONVERGENCE, NO_MEMORY = 0, 1, 2
 
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
+
+
+def csr_rows(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The set positions of each row of ``(N, D)`` ``bits``, ascending,
+    as CSR int64 ``(ptr (N + 1,), nodes)``."""
+    rows, nodes = np.nonzero(bits)
+    ptr = np.zeros(bits.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=bits.shape[0]), out=ptr[1:])
+    return ptr, nodes.astype(np.int64)
 
 
 class Kernel:
@@ -75,7 +87,7 @@ class Kernel:
             grown_ptr.ctypes.data, grown.ctypes.data)
         if status == NO_CONVERGENCE:
             raise RuntimeError("union-find growth failed to converge")
-        _check(status)
+        _check(status, "union-find")
         return grown_ptr, grown[:grown_ptr[-1]]
 
     def peel(self, n: int, tables, defect_ptr: np.ndarray,
@@ -91,27 +103,85 @@ class Kernel:
         _check(self._peel(
             n, tables.u, tables.v, tables.flip, num_patterns,
             defect_ptr.ctypes.data, defects.ctypes.data,
-            order_ptr.ctypes.data, order.ctypes.data, out.ctypes.data))
+            order_ptr.ctypes.data, order.ctypes.data, out.ctypes.data),
+            "union-find")
         return out
 
 
-def _check(status: int) -> None:
+class Blossom:
+    """``repro_blossom_match`` of a loaded library."""
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        match = lib.repro_blossom_match
+        match.restype = _I64
+        match.argtypes = ([_I64, _PTR, _PTR,                # events
+                           _I64, _I64, _PTR, _PTR,          # tables
+                           ctypes.c_double, _PTR, _PTR])    # bias, out
+        self._match = match
+
+    def match(self, event_ptr: np.ndarray, events: np.ndarray,
+              dist: np.ndarray, parity: np.ndarray, bcol: int,
+              bias: float) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`~repro.decoders.matching._nx_match` for every pattern
+        of CSR int64 ``(event_ptr, events)`` (row indices of ``dist`` /
+        ``parity``, each pattern's ascending, boundary in column
+        ``bcol``): ``(mates, parities)``.  ``mates[2 e:2 (e + k)]``, for
+        the pattern whose ``k`` events start at ``e``, holds each node's
+        mate as a code — ``2 i`` for ``("e", i)``, ``2 i + 1`` for
+        ``("b", i)`` — and ``parities`` is ``(N,)`` uint8."""
+        event_ptr = np.ascontiguousarray(event_ptr, dtype=np.int64)
+        events = np.ascontiguousarray(events, dtype=np.int64)
+        dist = np.ascontiguousarray(dist, dtype=np.float64)
+        parity = np.ascontiguousarray(parity, dtype=np.uint8)
+        rows, cols = dist.shape
+        inside = (parity.shape == dist.shape and 0 <= bcol < cols
+                  and event_ptr.size >= 1 and event_ptr[0] == 0
+                  and event_ptr[-1] == events.size
+                  and bool(np.all(np.diff(event_ptr) >= 0)))
+        if events.size:
+            inside &= 0 <= events.min() and events.max() < min(rows, cols)
+        if not inside:
+            raise ValueError("event CSR and tables do not fit together")
+        mates = np.empty(2 * events.size, dtype=np.int64)
+        out = np.empty(event_ptr.size - 1, dtype=np.uint8)
+        _check(self._match(
+            out.size, event_ptr.ctypes.data, events.ctypes.data,
+            dist.shape[1], bcol, dist.ctypes.data, parity.ctypes.data,
+            bias, mates.ctypes.data, out.ctypes.data), "blossom")
+        return mates, out
+
+
+def _check(status: int, name: str) -> None:
     if status == NO_MEMORY:
-        raise MemoryError("native union-find kernel")
+        raise MemoryError(f"native {name} kernel")
     if status != OK:
-        raise RuntimeError(f"native union-find kernel: status {status}")
+        raise RuntimeError(f"native {name} kernel: status {status}")
 
 
 _LOADER = Loader(SOURCE, "unionfind-kernel", "decoders.native_unavailable",
                  Kernel)
+_BLOSSOM_LOADER = Loader(BLOSSOM_SOURCE, "blossom-kernel",
+                         "decoders.blossom_unavailable", Blossom)
 
 
 def kernel() -> Optional[Kernel]:
-    """The native kernel, or ``None`` when this process decodes through
-    the reference (see :func:`unavailable_reason`)."""
+    """The native union-find kernel, or ``None`` when this process
+    decodes through the reference (see :func:`unavailable_reason`)."""
     return _LOADER()
 
 
 def unavailable_reason() -> Optional[str]:
     """Why :func:`kernel` returned ``None`` (``None`` if it did not)."""
     return _LOADER.unavailable_reason()
+
+
+def blossom() -> Optional[Blossom]:
+    """The native blossom kernel, or ``None`` when this process matches
+    heavy patterns through NetworkX (see
+    :func:`blossom_unavailable_reason`)."""
+    return _BLOSSOM_LOADER()
+
+
+def blossom_unavailable_reason() -> Optional[str]:
+    """Why :func:`blossom` returned ``None`` (``None`` if it did not)."""
+    return _BLOSSOM_LOADER.unavailable_reason()

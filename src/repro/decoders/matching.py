@@ -4,7 +4,9 @@ Flagged detectors are matched pairwise (or to the boundary) so that the
 total shortest-path weight is minimal; the correction applied to the
 raw readout is the XOR of the logical parities along the matched paths.
 
-Two exact matching engines, chosen by a pattern's defect count alone:
+Three exact matching engines; a pattern's defect count alone picks
+the rule, and a host's compiler only picks which of two identical
+implementations of the second rule runs:
 
 * up to :data:`_DP_LIMIT` defects — a bitmask dynamic program over the
   sets of still-unmatched defects: the lowest unmatched defect goes to
@@ -14,9 +16,32 @@ Two exact matching engines, chosen by a pattern's defect count alone:
   caller.  Production runs :func:`_dp_match_batch`: the *same*
   recurrence evaluated bottom-up for a whole bucket of patterns at
   once (below);
-* more defects — NetworkX ``max_weight_matching`` (blossom) on the
-  negated-weight event graph with per-event boundary copies, one
-  pattern at a time (:func:`_nx_match`).
+* more defects — blossom (Edmonds, in Galil's primal-dual form) on the
+  negated-weight event graph with per-event boundary copies.
+  :func:`_nx_match` hands that graph to NetworkX's
+  ``max_weight_matching``, one pattern at a time: the reference, and
+  the path of a process without a C compiler (NetworkX is imported
+  there and nowhere else on the campaign path);
+* the same, natively — ``_blossom.c`` (loaded by
+  :func:`~repro.decoders._native.blossom` on the first such pattern,
+  never on import) matches all of a call's heavy patterns in one
+  foreign call, about 30 us a pattern against NetworkX's 4 ms on the
+  ``strike_decode`` patterns of 17–21 defects.
+
+**Why the port is exact.**  A minimum-weight matching is rarely
+unique on these graphs, so "the same weight" would not keep the
+counts; the kernel returns NetworkX's own matching, pair for pair.  It
+builds :func:`_nx_pairs`' graph node for node (NetworkX's node order,
+each adjacency list in insertion order, ``0.0`` between boundary
+copies, no edge for an infinite distance) and repeats every choice the
+reference makes in the reference's order: its dict and list orders
+(``blossomparent``, ``blossomdual``, ``bestedgeto``, with deletions),
+the LIFO queue, strict ``<`` in every least-slack and delta choice,
+and its float operations (these weights are floats, so
+``allinteger`` is false: slack ``(u + v) - 2 w``, ``delta / 2.0``).
+The parity is XORed over the pairs oriented as NetworkX returns them.
+NetworkX is the oracle in the tests, on generated and recorded
+patterns alike.
 
 **The lattice.**  Because the recursion always removes the *lowest*
 unmatched defect, of the ``2**k`` subsets of ``k`` defects it only
@@ -47,10 +72,12 @@ infinite ones, and ``0.0 + x`` is ``x``.
 
 **Why** :data:`_DP_LIMIT` **does not move.**  On a degenerate pattern
 (several matchings of equal weight, of different logical parity) the
-two engines break the tie differently, so moving the limit — or
-swapping either engine for one with another tie rule — changes
+DP and blossom break the tie differently, so moving the limit — or
+swapping either rule for one with another tie rule — changes
 individual corrections and with them the per-point ``(shots,
 errors)`` the repo benchmark pins (``benchmarks/e2e/golden.json``).
+With blossom native there is also nothing left to gain by moving it:
+a heavy pattern now costs about what a DP pattern does.
 
 Identical syndromes decode identically, so shots are deduplicated
 before matching (:meth:`Decoder._pattern_parities`) — a large win at
@@ -65,9 +92,9 @@ from functools import lru_cache
 from time import perf_counter
 from typing import Dict, List, NamedTuple, Tuple
 
-import networkx as nx
 import numpy as np
 
+from .. import obs
 from ..obs import prof as _prof
 from .base import Decoder
 from .detector_graph import DetectorGraph
@@ -94,6 +121,11 @@ _SLICE_CANDIDATES = 1 << 18
 #: Heaviest defect count of each bucket, after the zero-defect
 #: patterns (which decode to no correction).
 _BUCKET_TOPS = (0, *range(_PAD_LIMIT, _DP_LIMIT + 1))
+
+#: Patterns past :data:`_DP_LIMIT` matched by the native blossom /
+#: through NetworkX (no kernel in this process).
+_OBS_NATIVE = obs.counter("decode.blossom_native_patterns")
+_OBS_PYTHON = obs.counter("decode.blossom_python_patterns")
 
 
 def _dp_match(events: Tuple[int, ...], dist: np.ndarray, parity: np.ndarray,
@@ -233,9 +265,13 @@ def _dp_match_batch(cost: np.ndarray, flip: np.ndarray
     return best[:, -1], best_flip[:, -1]
 
 
-def _nx_match(events: Tuple[int, ...], dist: np.ndarray, parity: np.ndarray,
-              bcol: int) -> Tuple[float, int]:
-    """Exact min-weight matching via NetworkX blossom on negated weights."""
+def _nx_pairs(events: Tuple[int, ...], dist: np.ndarray, bcol: int) -> set:
+    """NetworkX blossom on the pattern's negated-weight graph: the
+    matched pairs of nodes ``("e", i)`` (event ``i``) and ``("b", i)``
+    (its boundary copy), oriented as ``max_weight_matching`` returns
+    them."""
+    import networkx as nx   # the reference only: not on the import path
+
     k = len(events)
     g = nx.Graph()
     for i in range(k):
@@ -248,10 +284,16 @@ def _nx_match(events: Tuple[int, ...], dist: np.ndarray, parity: np.ndarray,
             if np.isfinite(d):
                 g.add_edge(("e", i), ("e", j), weight=-float(d))
             g.add_edge(("b", i), ("b", j), weight=0.0)
-    matching = nx.max_weight_matching(g, maxcardinality=True)
+    return nx.max_weight_matching(g, maxcardinality=True)
+
+
+def _nx_match(events: Tuple[int, ...], dist: np.ndarray, parity: np.ndarray,
+              bcol: int) -> Tuple[float, int]:
+    """Exact min-weight matching via NetworkX blossom (:func:`_nx_pairs`)
+    — the reference the native blossom reproduces."""
     total = 0.0
     corr = 0
-    for a, b in matching:
+    for a, b in _nx_pairs(events, dist, bcol):
         if a[0] == "b" and b[0] == "b":
             continue
         if a[0] == "e" and b[0] == "e":
@@ -262,6 +304,25 @@ def _nx_match(events: Tuple[int, ...], dist: np.ndarray, parity: np.ndarray,
             total += float(dist[events[e[1]], bcol])
             corr ^= int(parity[events[e[1]], bcol])
     return total, corr
+
+
+def _blossom_parities(graph: DetectorGraph, bits: np.ndarray) -> np.ndarray:
+    """Correction parities of ``(N, D)`` patterns past
+    :data:`_DP_LIMIT`: one call to the native blossom, or — in a
+    process without it — :func:`_nx_match` one pattern at a time."""
+    from . import _native   # not on ``import repro``
+
+    dist, parity, n = graph.distances, graph.parities, graph.num_nodes
+    kernel = _native.blossom()
+    if kernel is None or bits.shape[1] > n:
+        _OBS_PYTHON.inc(bits.shape[0])
+        return np.array([_nx_match(tuple(np.flatnonzero(row).tolist()),
+                                   dist, parity, n)[1] for row in bits],
+                        dtype=np.uint8)
+    _OBS_NATIVE.inc(bits.shape[0])
+    event_ptr, events = _native.csr_rows(bits)
+    return kernel.match(event_ptr, events, dist, parity, n,
+                        _BOUNDARY_BIAS)[1]
 
 
 def _bucket_tables(graph: DetectorGraph) -> Tuple[np.ndarray, np.ndarray]:
@@ -315,8 +376,8 @@ class MWPMDecoder(Decoder):
         through its own tables.  Patterns are bucketed by defect count
         — one padded bucket up to :data:`_PAD_LIMIT`, one per count up
         to :data:`_DP_LIMIT` — and each bucket matched by
-        :func:`_dp_match_batch`; heavier patterns go to
-        :func:`_nx_match` one by one."""
+        :func:`_dp_match_batch`; heavier patterns go to blossom
+        together (:func:`_blossom_parities`)."""
         graph = self.graph
         n = graph.num_nodes
         cost, flip = graph.derived("mwpm", _bucket_tables)
@@ -349,10 +410,7 @@ class MWPMDecoder(Decoder):
         if heavy.size:
             prof = _prof._ACTIVE
             t0 = perf_counter() if prof is not None else 0.0
-            dist, parity = graph.distances, graph.parities
-            for r in heavy:
-                events = tuple(int(i) for i in np.nonzero(bits[r])[0])
-                out[r] = _nx_match(events, dist, parity, n)[1]
+            out[heavy] = _blossom_parities(graph, bits[heavy])
             if prof is not None:
                 prof.stage("decode.matcher/decode.matcher.blossom",
                            perf_counter() - t0, calls=int(heavy.size))

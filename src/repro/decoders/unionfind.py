@@ -329,11 +329,7 @@ class UnionFindDecoder(Decoder):
             return super()._decode_patterns(bits)
         _OBS_NATIVE.inc(bits.shape[0])
         weighted = self.weighted_growth and not g.unit_weights
-        rows, defects = np.nonzero(bits)
-        defect_ptr = np.zeros(bits.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=bits.shape[0]),
-                  out=defect_ptr[1:])
-        defects = defects.astype(np.int64)
+        defect_ptr, defects = _native.csr_rows(bits)
         tables = g.derived("union-find/native", _kernel_tables)
         grown_ptr, grown = kernel.grow(n, tables, weighted, defect_ptr,
                                        defects)

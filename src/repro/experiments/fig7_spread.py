@@ -43,8 +43,10 @@ def _subgraph_pool(code: CodeSpec, arch: ArchSpec, size: int,
     """Sample connected clusters inside the *used* part of the lattice."""
     graph = build_arch(arch)
     used = used_physical_qubits(code, arch)
-    sub = graph.graph.subgraph(used)
-    import networkx as nx
+    inside = set(used)
+
+    def neighbors(q: int) -> List[int]:
+        return [w for w in graph.neighbors(q) if w in inside]
 
     rng = np.random.default_rng(seed)
     pools: List[Tuple[int, ...]] = []
@@ -54,7 +56,7 @@ def _subgraph_pool(code: CodeSpec, arch: ArchSpec, size: int,
         attempts += 1
         seed_q = int(rng.choice(used))
         chosen = {seed_q}
-        frontier = set(sub.neighbors(seed_q))
+        frontier = set(neighbors(seed_q))
         ok = True
         while len(chosen) < size:
             frontier -= chosen
@@ -63,7 +65,7 @@ def _subgraph_pool(code: CodeSpec, arch: ArchSpec, size: int,
                 break
             pick = int(rng.choice(sorted(frontier)))
             chosen.add(pick)
-            frontier |= set(sub.neighbors(pick))
+            frontier |= set(neighbors(pick))
         if not ok:
             continue
         key = tuple(sorted(chosen))

@@ -36,6 +36,7 @@ largest code (30 qubits) and 10⁴ shots this is ~10 MB.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from time import perf_counter
 from typing import List, Optional
 
@@ -47,6 +48,34 @@ from ..util.bits import popcount_words
 _ZERO = np.uint64(0)
 _ONE = np.uint64(1)
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: glibc ``mallopt`` parameters (``<malloc.h>``), and the block size
+#: below which :func:`_recycle_scratch` keeps freed memory on the heap.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_SCRATCH_BYTES = 4 << 20
+
+
+@lru_cache(maxsize=None)
+def _recycle_scratch() -> bool:
+    """Let the allocator reuse the batch's temporaries; once per process.
+
+    A random measurement makes about ten ``(n, 2, Wn, B)`` temporaries
+    (160 KiB at n = 20, B = 512).  glibc maps every block above its mmap
+    threshold — 128 KiB until the process frees a larger mapped block —
+    afresh and unmaps it on free, so each temporary costs a page fault
+    per 4 KiB: ~170 000 minor faults in the two workers of one
+    ``fig5_grid`` run.  A 4 MiB threshold, with the heap trimmed only
+    past twice that (glibc's own ratio), brings them to ~6 000.
+    Returns whether the allocator took the settings (False off glibc,
+    where nothing changes)."""
+    import ctypes   # only in a process that runs the tableau
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    return (mallopt(_M_MMAP_THRESHOLD, _SCRATCH_BYTES) == 1
+            and mallopt(_M_TRIM_THRESHOLD, 2 * _SCRATCH_BYTES) == 1)
 
 
 def _lanes(mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -91,6 +120,7 @@ class BatchTableauSimulator:
             raise ValueError("need at least one qubit")
         if batch_size <= 0:
             raise ValueError("need at least one shot")
+        _recycle_scratch()
         n = int(num_qubits)
         B = int(batch_size)
         self.n = n

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.decoders import _native as _uf_native
+from repro.decoders import _native as _decoder_native
 from repro.frames import _native
 
 
@@ -26,8 +26,22 @@ def uf_executor(request, monkeypatch):
     reference as on a host without a compiler; ``native`` needs the
     kernel built."""
     if request.param == "python":
-        monkeypatch.setattr(_uf_native, "kernel", lambda: None)
-    elif _uf_native.kernel() is None:
+        monkeypatch.setattr(_decoder_native, "kernel", lambda: None)
+    elif _decoder_native.kernel() is None:
         pytest.skip("native union-find kernel unavailable: "
-                    + _uf_native.unavailable_reason())
+                    + _decoder_native.unavailable_reason())
+    return request.param
+
+
+@pytest.fixture(params=["python", "native"])
+def blossom_executor(request, monkeypatch):
+    """Run the test once per path MWPM matches patterns of more than
+    ``_DP_LIMIT`` defects on.  ``python`` patches the loader out, so
+    they go to NetworkX one by one as on a host without a compiler;
+    ``native`` needs the blossom kernel built."""
+    if request.param == "python":
+        monkeypatch.setattr(_decoder_native, "blossom", lambda: None)
+    elif _decoder_native.blossom() is None:
+        pytest.skip("native blossom kernel unavailable: "
+                    + _decoder_native.blossom_unavailable_reason())
     return request.param

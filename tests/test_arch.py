@@ -1,8 +1,14 @@
 """Tests for architecture graphs."""
 
+import copy
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.arch import library
+from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
+from repro.transpile import transpile
 from repro.arch import (
     ArchitectureGraph,
     REGISTRY,
@@ -47,6 +53,24 @@ class TestBasicGraphs:
         g = ArchitectureGraph([(0, 1)], num_qubits=4)
         assert g.num_qubits == 4
         assert not g.is_connected()
+
+    def test_edge_past_the_register_rejected(self):
+        with pytest.raises(ValueError, match="outside qubits"):
+            ArchitectureGraph([(0, 5), (1, 2)], num_qubits=3)
+
+    def test_negative_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="outside qubits"):
+            ArchitectureGraph([(-1, 2)])
+        with pytest.raises(ValueError, match="outside qubits"):
+            ArchitectureGraph([(-1, 2)], num_qubits=3)
+
+    def test_duplicate_edges_collapse(self):
+        g = ArchitectureGraph([(0, 1), (1, 0), (0, 1), (1, 2)])
+        assert g.num_qubits == 3
+        assert g.num_edges == 2
+        assert g.edges() == [(0, 1), (1, 2)]
+        assert g.degree(1) == 2
+        assert g.neighbors(1) == [0, 2]
 
 
 class TestDeviceGraphs:
@@ -121,10 +145,7 @@ class TestSubgraphSampling:
         for _ in range(20):
             sub = g.sample_connected_subgraph(5, rng)
             assert len(sub) == 5
-            induced = g.graph.subgraph(sub)
-            import networkx as nx
-
-            assert nx.is_connected(induced)
+            assert g.subgraph(sub).is_connected()
 
     def test_sample_size_one(self):
         g = mesh(2, 2)
@@ -145,6 +166,111 @@ class TestSubgraphSampling:
         g = mesh(4, 4)
         subs = g.sample_connected_subgraphs(3, 10, np.random.default_rng(3))
         assert len(subs) == len(set(subs)) == 10
+
+
+def networkx_twin(factory, *args):
+    """``factory(*args)`` and a NetworkX graph built from the same edge
+    list the way the constructor once built its own: nodes
+    ``0..n-1``, then the edges in the order given."""
+    nx = pytest.importorskip("networkx")
+    calls = []
+
+    class Recording(ArchitectureGraph):
+        def __init__(self, edges, num_qubits=None, *rest, **kwargs):
+            edges = list(edges)
+            calls.append(edges)
+            super().__init__(edges, num_qubits, *rest, **kwargs)
+
+    with mock.patch.object(library, "ArchitectureGraph", Recording):
+        graph = factory(*args)
+    twin = nx.Graph()
+    twin.add_nodes_from(range(graph.num_qubits))
+    twin.add_edges_from(calls[-1])
+    return graph, twin
+
+
+#: Every library family, at the sizes the experiments use.
+LIBRARY = [(linear, 7), (mesh, 2, 3), (mesh, 5, 4), (mesh, 5, 6),
+           (complete, 6), (almaden,), (johannesburg,), (cairo,),
+           (cambridge,), (brooklyn,), (heavy_hex, 3), (heavy_hex, 5)]
+
+
+@pytest.mark.parametrize("factory_args", LIBRARY,
+                         ids=lambda fa: "-".join([fa[0].__name__,
+                                                  *map(str, fa[1:])]))
+class TestAgainstNetworkx:
+    """The plain-adjacency graph answers as the NetworkX graph it
+    replaced: the routing SWAPs, and with them every count, depend on
+    which shortest path comes back."""
+
+    def test_shortest_path_every_ordered_pair(self, factory_args):
+        import networkx as nx
+
+        graph, twin = networkx_twin(*factory_args)
+        for a in range(graph.num_qubits):
+            for b in range(graph.num_qubits):
+                assert graph.shortest_path(a, b) \
+                    == nx.shortest_path(twin, a, b), (a, b)
+
+    def test_edges_distances_and_shape(self, factory_args):
+        import networkx as nx
+
+        graph, twin = networkx_twin(*factory_args)
+        assert graph.edges() == [tuple(sorted(e)) for e in twin.edges()]
+        assert graph.num_edges == twin.number_of_edges()
+        want = np.full((graph.num_qubits,) * 2, np.inf)
+        for src, lengths in nx.all_pairs_shortest_path_length(twin):
+            for dst, d in lengths.items():
+                want[src, dst] = d
+        np.testing.assert_array_equal(graph.distance_matrix(), want)
+        assert graph.is_connected() == nx.is_connected(twin)
+        assert graph.diameter() == nx.diameter(twin)
+        for q in range(graph.num_qubits):
+            assert graph.neighbors(q) == sorted(twin.neighbors(q))
+            assert graph.degree(q) == twin.degree[q]
+
+
+#: The (code, arch) pairs the end-to-end benchmark transpiles.
+E2E_ROUTES = [(RepetitionCode(5), (mesh, 5, 2)), (XXZZCode(3, 3), (mesh, 5, 4))]
+E2E_ROUTES += [(RepetitionCode(d), arch) for d in (3, 5, 7, 9)
+               for arch in ((mesh, 5, 4), (almaden,), (johannesburg,),
+                            (cairo,))]
+
+
+@pytest.mark.parametrize("code,factory_args", E2E_ROUTES)
+def test_transpile_equals_networkx_backed_run(code, factory_args):
+    """Transpiling onto the graph gives the circuit, SWAPs and layouts
+    that a graph answering distances and shortest paths from NetworkX
+    gives."""
+    import networkx as nx
+
+    graph, twin = networkx_twin(*factory_args)
+    backed = copy.copy(graph)
+    backed.shortest_path = lambda a, b: nx.shortest_path(twin, a, b)
+    backed._dist_cache = np.full((graph.num_qubits,) * 2, np.inf)
+    for src, lengths in nx.all_pairs_shortest_path_length(twin):
+        for dst, d in lengths.items():
+            backed._dist_cache[src, dst] = d
+    circuit = build_memory_experiment(code, rounds=2).circuit
+    ours, theirs = transpile(circuit, graph), transpile(circuit, backed)
+    assert ours.swap_count == theirs.swap_count
+    assert list(ours.circuit) == list(theirs.circuit)
+    assert ours.initial_layout == theirs.initial_layout
+    assert ours.final_layout == theirs.final_layout
+
+
+class TestShortestPathEdges:
+    def test_same_qubit(self):
+        assert mesh(2, 2).shortest_path(3, 3) == [3]
+
+    def test_no_path_raises(self):
+        g = ArchitectureGraph([(0, 1)], num_qubits=3)
+        with pytest.raises(ValueError, match="no path"):
+            g.shortest_path(0, 2)
+
+    def test_unknown_qubit_raises(self):
+        with pytest.raises(ValueError, match="qubit 9"):
+            linear(3).shortest_path(0, 9)
 
 
 class TestRegistry:

@@ -17,14 +17,17 @@ The redesign's contract, pinned here from four sides:
   tie out, a decoder that only implements ``_decode_pattern`` still
   decodes, union-find's per-graph tables cannot go stale, its native
   batch kernel returns the reference's parities bit for bit (and a
-  process without it says so), and the strike-regime counts are pinned
-  to the pre-batching commit's.
+  process without it says so), so does MWPM's native blossom — on
+  every heavy pattern of the ``strike_decode`` points, with NetworkX
+  kept off the import path — and the strike-regime counts are pinned
+  to the pre-batching commit's on either blossom path.
 * **Engine invariance** — campaign counts stay independent of chunk
   size, worker count and store resume now that the frames hot path
   feeds packed words straight to the decoder.
 """
 
 import dataclasses
+import json
 import subprocess
 import sys
 
@@ -49,7 +52,8 @@ from repro.decoders import (
     pack_pattern_columns,
     prepare_packed_inputs,
 )
-from repro.decoders import _native as uf_native
+from repro.decoders import _native as decoder_native
+from repro.decoders import matching
 from repro.frames.packing import WORD_BITS, pack_bool_rows, unpack_words
 from repro.injection import (
     Campaign,
@@ -496,13 +500,13 @@ class TestUnionFindNativeBatch:
             return obs.registry().event_counts.get(
                 "decoders.native_unavailable", 0)
 
-        monkeypatch.setattr(uf_native._LOADER, "decided", None)
+        monkeypatch.setattr(decoder_native._LOADER, "decided", None)
         before = events()
         with monkeypatch.context() as hidden:
             hidden.setenv("XDG_CACHE_HOME", str(tmp_path))
             hidden.setenv("PATH", str(tmp_path))
-            assert uf_native.kernel() is None
-        assert "no C compiler" in uf_native.unavailable_reason()
+            assert decoder_native.kernel() is None
+        assert "no C compiler" in decoder_native.unavailable_reason()
         graph = _uf_graph("xxzz-3", False)
         patterns = _uf_patterns(graph, np.random.default_rng(5), 10)
         dec = UnionFindDecoder(graph, use_final_data=False,
@@ -524,6 +528,164 @@ class TestUnionFindNativeBatch:
         out = subprocess.run([sys.executable, "-c", probe], check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+
+@pytest.fixture
+def fresh_decoders():
+    """Empty the campaign's per-process decoder caches before the test,
+    so every pattern reaches the matcher, and after it, so the decode
+    caches it filled reach no other test."""
+    from repro.injection.campaign import _prepared, _task_context
+
+    for cache in (_task_context, _prepared):
+        cache.cache_clear()
+    yield
+    for cache in (_task_context, _prepared):
+        cache.cache_clear()
+
+
+#: The e2e benchmark's ``strike_decode`` MWPM points (workloads.py).
+STRIKE_MWPM = {
+    "codes": [{"kind": "xxzz", "distance": [5, 5]}], "rounds": 5,
+    "p_values": [1e-3], "decoder": "mwpm", "backend": "frames",
+    "shots": 1024,
+    "faults": [{"kind": "radiation", "root_qubit": 12, "time_index": t}
+               for t in (0, 1, 2)]}
+
+
+def _heavy_patterns(graph, rng, count):
+    """Patterns past ``_DP_LIMIT``: uniform, and clustered around a
+    node the way a strike clusters them."""
+    n = graph.num_nodes
+    patterns = np.zeros((count, n), dtype=np.uint8)
+    for i, row in enumerate(patterns):
+        k = int(rng.integers(matching._DP_LIMIT + 1, 31))
+        if i % 2:
+            row[rng.choice(n, size=k, replace=False)] = 1
+        else:
+            dist = graph.distances[int(rng.integers(n)), :n]
+            row[np.argsort(dist + 2.0 * rng.random(n))[:k]] = 1
+    return patterns
+
+
+class TestNativeBlossom:
+    """``MWPMDecoder`` matches its patterns past ``_DP_LIMIT`` in one
+    call to the native blossom — or through NetworkX where the process
+    has none — with ``_nx_match``'s parity on every pattern, counted by
+    path; and NetworkX stays out of a process that has the kernel."""
+
+    def test_batch_equals_reference_and_is_counted(self, blossom_executor):
+        graph = _strike_reweighted(_uf_graph("xxzz-5", True), 30)
+        dec = MWPMDecoder(graph, use_final_data=False, cache_decodes=False)
+        patterns = _heavy_patterns(graph, np.random.default_rng(11), 24)
+        # light patterns ride along: only the heavy ones are counted
+        patterns[::6, 16:] = 0
+        heavy = patterns.sum(axis=1) > matching._DP_LIMIT
+        want = [matching._nx_match(tuple(np.flatnonzero(bits).tolist()),
+                                   graph.distances, graph.parities,
+                                   graph.num_nodes)[1]
+                for bits in patterns[heavy]]
+        counter = obs.counter(f"decode.blossom_{blossom_executor}_patterns")
+        before = counter.value
+        np.testing.assert_array_equal(
+            dec._decode_patterns(patterns)[heavy], want)
+        assert counter.value - before == heavy.sum()
+
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_every_strike_heavy_pattern_matches_networkx(
+            self, fresh_decoders, monkeypatch, seed):
+        """Every pattern the ``strike_decode`` MWPM points hand the
+        blossom: the native pairs are NetworkX's pairs."""
+        from repro.injection import build_sweep
+
+        kernel = decoder_native.blossom()
+        if kernel is None:
+            pytest.skip("native blossom kernel unavailable: "
+                        + decoder_native.blossom_unavailable_reason())
+        seen = []
+        real = matching._blossom_parities
+
+        def spy(graph, bits):
+            seen.append((graph, bits.copy()))
+            return real(graph, bits)
+
+        monkeypatch.setattr(matching, "_blossom_parities", spy)
+        build_sweep({**STRIKE_MWPM, "root_seed": seed}).run(workers=1)
+        assert sum(len(bits) for _, bits in seen) >= 20
+        for graph, bits in seen:
+            ptr, events = decoder_native.csr_rows(bits)
+            mates, _ = kernel.match(ptr, events, graph.distances,
+                                    graph.parities, graph.num_nodes,
+                                    matching._BOUNDARY_BIAS)
+            for p, row in enumerate(bits):
+                pattern = tuple(np.flatnonzero(row).tolist())
+                code = mates[2 * ptr[p]:2 * ptr[p + 1]].tolist()
+                node = [("e", c // 2) if c % 2 == 0 else ("b", c // 2)
+                        for c in range(len(code))]
+                got = {frozenset((node[c], node[m]))
+                       for c, m in enumerate(code)}
+                want = {frozenset(pair) for pair in matching._nx_pairs(
+                    pattern, graph.distances, graph.num_nodes)}
+                assert got == want, pattern
+
+    def test_unavailable_loader_is_decided_once_and_counted(
+            self, monkeypatch, tmp_path):
+        def events():
+            return obs.registry().event_counts.get(
+                "decoders.blossom_unavailable", 0)
+
+        monkeypatch.setattr(decoder_native._BLOSSOM_LOADER, "decided", None)
+        before = events()
+        with monkeypatch.context() as hidden:
+            hidden.setenv("XDG_CACHE_HOME", str(tmp_path))
+            hidden.setenv("PATH", str(tmp_path))
+            assert decoder_native.blossom() is None
+        assert "no C compiler" in decoder_native.blossom_unavailable_reason()
+        graph = _uf_graph("xxzz-5", False)
+        patterns = _heavy_patterns(graph, np.random.default_rng(5), 4)
+        dec = MWPMDecoder(graph, use_final_data=False, cache_decodes=False)
+        native = obs.counter("decode.blossom_native_patterns")
+        python = obs.counter("decode.blossom_python_patterns")
+        counts = native.value, python.value
+        for _ in range(2):
+            dec._decode_patterns(patterns)
+        assert (native.value, python.value) \
+            == (counts[0], counts[1] + 2 * len(patterns))
+        assert events() == before + 1
+
+    def test_networkx_stays_off_the_import_path(self):
+        """A fresh process: ``import repro`` imports no NetworkX, nor
+        does a strike campaign on a mesh whose patterns reach the
+        blossom — where the kernel loads."""
+        probe = """if True:
+            import json, sys
+            import repro
+            imported = ["networkx" in sys.modules]
+            from repro import obs
+            from repro.decoders import _native
+            from repro.injection import build_sweep
+            build_sweep({
+                "codes": [{"kind": "xxzz", "distance": [5, 5]}],
+                "archs": [{"name": "mesh", "args": [10, 5]}], "rounds": 5,
+                "p_values": [1e-3], "decoder": "mwpm", "backend": "frames",
+                "shots": 128, "root_seed": 2024,
+                "faults": [{"kind": "radiation", "root_qubit": 24,
+                            "time_index": 0}]}).run(workers=1)
+            imported.append("networkx" in sys.modules)
+            counters = obs.registry().snapshot()["counters"]
+            print(json.dumps([imported, _native.blossom() is not None,
+                              counters["decode.blossom_native_patterns"],
+                              counters["decode.blossom_python_patterns"]]))
+        """
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True).stdout
+        (at_import, after_run), loaded, native, python = json.loads(out)
+        assert not at_import
+        assert native + python > 0
+        if loaded:
+            assert not after_run and python == 0
+        else:
+            assert native == 0
 
 
 class TestPackedPrepare:
@@ -750,12 +912,15 @@ class TestEngineInvariance:
         ("union-find", [(256, 99, 57, 78), (256, 61, 35, 68),
                         (256, 29, 29, 30)]),
     ])
-    def test_strike_regime_counts_pinned(self, decoder, parent_counts):
+    def test_strike_regime_counts_pinned(self, fresh_decoders,
+                                         blossom_executor, decoder,
+                                         parent_counts):
         """The e2e benchmark's ``strike_decode`` points at 256 shots,
         seed 2024 — ``(shots, errors, raw_errors, corrections)`` as the
         commit before the batch matcher kernel counted them.  Nearly
         every syndrome is distinct and tie-degenerate here, so a
-        matcher that breaks one tie differently moves these."""
+        matcher that breaks one tie differently moves these — on
+        either blossom path."""
         from repro.injection import build_sweep
 
         campaign = build_sweep({

@@ -18,6 +18,11 @@ Measured contracts (exhaustive weight-1 scans and weight-2 scans /
   ``_dp_match`` *bit for bit, ties included*: for every defect count
   1..16, random and clustered defects, unit / hook / reweighted graphs,
   single-count, mixed-count (dummy-padded) and one-pattern batches.
+* **Native blossom** — past 16 defects, ``_blossom.c`` returns the very
+  matching NetworkX's ``max_weight_matching`` returns (the same set of
+  pairs) and ``_nx_match``'s parity: 17..30 defects on repetition and
+  XXZZ d = 3/5/7 graphs, unit / hook / reweighted, and on tie-heavy
+  small-integer tables with unreachable entries.
 """
 
 import numpy as np
@@ -33,7 +38,7 @@ from repro.decoders import (
     MWPMDecoder,
     UnionFindDecoder,
 )
-from repro.decoders import matching
+from repro.decoders import _native, matching
 
 _SETTINGS = dict(max_examples=40, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -153,11 +158,23 @@ BATCH_CODES = [
 ]
 
 
+#: (label, code factory, rounds) for the native-blossom identity: at
+#: least 30 detectors each, so every defect count 17..30 fits.
+BLOSSOM_CODES = [
+    ("rep-3", lambda: RepetitionCode(3), 15),
+    ("rep-5", lambda: RepetitionCode(5), 8),
+    ("rep-7", lambda: RepetitionCode(7), 5),
+    ("xxzz-3", lambda: XXZZCode(3, 3), 8),
+    ("xxzz-5", lambda: XXZZCode(5, 5), 3),
+    ("xxzz-7", lambda: XXZZCode(7, 7), 2),
+]
+
+
 def _batch_graph(label, weights):
     key = (label, weights)
     if key not in _CACHE:
-        factory, rounds = next((f, r) for (l, f, r) in BATCH_CODES
-                               if l == label)
+        factory, rounds = next((f, r) for (l, f, r)
+                               in BATCH_CODES + BLOSSOM_CODES if l == label)
         graph = DetectorGraph(factory(), rounds=rounds,
                               hook_edges=weights == "hook")
         if weights == "reweighted":
@@ -207,7 +224,7 @@ def _defect_patterns(graph, rng):
 class TestBatchMatcherVsRecursion:
     @pytest.mark.parametrize("weights", ["unit", "hook", "reweighted"])
     @pytest.mark.parametrize("label", [c[0] for c in BATCH_CODES])
-    def test_parities_bit_identical(self, label, weights):
+    def test_parities_bit_identical(self, blossom_executor, label, weights):
         graph = _batch_graph(label, weights)
         decoder = MWPMDecoder(graph, use_final_data=False,
                               cache_decodes=False)
@@ -258,3 +275,112 @@ class TestBatchMatcherVsRecursion:
                 cost[:, :width, :1 + width], flip[:, :width, :1 + width])
             assert got_cost.tolist() == [c for c, _ in want], width
             assert got_flip.tolist() == [p for _, p in want], width
+
+
+def _native_match(events, dist, parity):
+    """The native blossom on one pattern: ``(pairs, parity)``, pairs as
+    a set of frozensets of ``_nx_pairs``' node labels."""
+    kernel = _native.blossom()
+    events = np.asarray(events, dtype=np.int64)
+    mates, out = kernel.match(np.array([0, events.size], dtype=np.int64),
+                              events, dist, parity, dist.shape[0],
+                              matching._BOUNDARY_BIAS)
+
+    def node(code):
+        return ("eb"[code % 2], int(code) // 2)
+
+    return ({frozenset((node(c), node(m))) for c, m in enumerate(mates)},
+            int(out[0]))
+
+
+def assert_native_equals_networkx(events, dist, parity):
+    events = tuple(int(e) for e in events)
+    want = {frozenset(pair) for pair in
+            matching._nx_pairs(events, dist, dist.shape[0])}
+    pairs, got_parity = _native_match(events, dist, parity)
+    assert pairs == want, events
+    assert got_parity == matching._nx_match(events, dist, parity,
+                                            dist.shape[0])[1], events
+
+
+@pytest.fixture(scope="module")
+def blossom_kernel():
+    if _native.blossom() is None:
+        pytest.skip("native blossom kernel unavailable: "
+                    + _native.blossom_unavailable_reason())
+
+
+class TestNativeBlossomVsNetworkx:
+    """The native blossom returns NetworkX's matching — the same set of
+    pairs, not one of equal weight — and so its parity, on every
+    pattern past ``_DP_LIMIT``.  NetworkX is the oracle."""
+
+    @settings(**_SETTINGS)
+    @given(label=st.sampled_from([c[0] for c in BLOSSOM_CODES]),
+           weights=st.sampled_from(["unit", "hook", "reweighted"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_detector_graphs(self, blossom_kernel, label, weights, seed):
+        graph = _batch_graph(label, weights)
+        n = graph.num_nodes
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(matching._DP_LIMIT + 1, 31))
+        uniform = rng.choice(n, size=k, replace=False)
+        centre = int(rng.integers(n))
+        clustered = np.argsort(graph.distances[centre, :n]
+                               + 2.0 * rng.random(n))[:k]
+        for events in (uniform, clustered):
+            assert_native_equals_networkx(np.sort(events), graph.distances,
+                                          graph.parities)
+
+    @settings(**_SETTINGS)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           k=st.integers(matching._DP_LIMIT + 1, 30))
+    def test_degenerate_tables(self, blossom_kernel, seed, k):
+        """Small-integer distances (ties everywhere), unreachable pairs
+        and boundaries (no edge, or an edge of weight ``-inf``) and an
+        asymmetric parity table, where a pair's orientation decides the
+        parity it contributes."""
+        rng = np.random.default_rng(seed)
+        n = 40
+        dist = rng.integers(1, 4, size=(n, n + 1)).astype(float)
+        dist[rng.random((n, n + 1)) < 0.15] = np.inf
+        dist[:, :n] = np.minimum(dist[:, :n], dist[:, :n].T)
+        dist[:3] = np.inf
+        parity = rng.integers(0, 2, size=(n, n + 1), dtype=np.uint8)
+        assert_native_equals_networkx(
+            np.sort(rng.choice(n, size=k, replace=False)), dist, parity)
+
+    def test_batch_of_mixed_widths_is_per_pattern(self, blossom_kernel):
+        """One call over patterns of several widths answers each as a
+        call of its own would."""
+        graph = _batch_graph("xxzz-5", "hook")
+        rng = np.random.default_rng(7)
+        patterns = np.zeros((6, graph.num_nodes), dtype=np.uint8)
+        for row, k in zip(patterns, (17, 30, 21, 0, 18, 25)):
+            row[rng.choice(graph.num_nodes, size=k, replace=False)] = 1
+        ptr, events = _native.csr_rows(patterns)
+        _, parities = _native.blossom().match(
+            ptr, events, graph.distances, graph.parities, graph.num_nodes,
+            matching._BOUNDARY_BIAS)
+        for bits, got in zip(patterns, parities):
+            events = np.flatnonzero(bits)
+            want = _native_match(events, graph.distances,
+                                 graph.parities)[1] if events.size else 0
+            assert got == want
+
+    def test_malformed_input_is_refused_before_the_call(self, blossom_kernel):
+        graph = _batch_graph("rep-7", "unit")
+        kernel = _native.blossom()
+        n = graph.num_nodes
+
+        def match(ptr, events, bcol=n):
+            return kernel.match(np.array(ptr), np.array(events),
+                                graph.distances, graph.parities, bcol,
+                                matching._BOUNDARY_BIAS)
+
+        assert match([0, 2], [0, 1])[1].shape == (1,)
+        for ptr, events, bcol in (([0, 2], [0, n], n), ([0, 2], [-1, 1], n),
+                                  ([0, 3], [0, 1], n), ([1, 2], [0, 1], n),
+                                  ([0, 2], [0, 1], n + 1)):
+            with pytest.raises(ValueError, match="do not fit"):
+                match(ptr, events, bcol)

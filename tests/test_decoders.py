@@ -93,7 +93,7 @@ class TestMWPMDetails:
         bits[g.node_id(1, 1)] = 1  # measurement error: no logical flip
         assert dec.decode_detectors(bits) == 0
 
-    def test_many_events_fall_back_to_networkx(self):
+    def test_many_events_go_to_blossom(self):
         """Patterns larger than the DP limit still decode (blossom path)."""
         code = RepetitionCode(15)
         exp = build_memory_experiment(code, rounds=3)

@@ -195,6 +195,20 @@ class TestBatchMaskedOps:
         np.testing.assert_array_equal(bs.measure(1), [1, 0, 0, 1])
 
 
+def test_batch_temporaries_are_recycled_on_glibc():
+    """A batch simulator raises glibc's mmap and trim thresholds once per
+    process, so its temporaries are reused, not mapped afresh (a no-op
+    elsewhere)."""
+    import platform
+
+    from repro.stabilizer import batch
+
+    BatchTableauSimulator(2, 8, rng=0)
+    assert batch._recycle_scratch.cache_info().currsize == 1
+    if platform.system() == "Linux" and platform.libc_ver()[0] == "glibc":
+        assert batch._recycle_scratch()
+
+
 class TestRunShot:
     def test_run_shot_convenience(self):
         c = Circuit(1).x(0).measure(0, 0)
