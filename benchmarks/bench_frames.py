@@ -250,7 +250,7 @@ def _native_block_program(name):
             intrinsic_p=1e-3,
             fault=FaultSpec(kind="radiation", root_qubit=0, time_index=0)),
     }[name]
-    experiment, _, _, program, _, _ = _task_context(
+    experiment, _, _, program, _ = _task_context(
         dataclasses.replace(task, backend="frames", shots=512, seed=2024))
     return experiment.circuit.num_qubits, program
 

@@ -920,7 +920,10 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=("ancilla", "data"),
                       help="readout mode (the deep tail needs 'data': "
                            "the ancilla circuit fails linearly in p)")
+    from .frames.backend import BACKENDS
+
     rare.add_argument("--backend", type=str, default=None,
+                      choices=BACKENDS,
                       help="simulation backend (default auto)")
     rare.add_argument("--shots", type=int, default=16384,
                       help="shot ceiling for the tilted estimate")

@@ -83,7 +83,11 @@ marked read-only — with all programs bound from the structure.
 :func:`compile_frame_program` is the two composed; a sweep whose
 points share a circuit and differ in strike root, time sample or ``p``
 compiles one structure and binds it per point
-(:func:`repro.injection.campaign._frame_program`).
+(:func:`repro.injection.campaign._frame_program`).  An importance-
+sampling tilt is a binding too: ``bind(noise, tilt=sampler)`` reads
+the tables :meth:`~repro.noise.base.SiteTable.tilted` — the definition
+the tableau interpreter reads — and hands each depolarize site its
+log-likelihood ratios beside its tilted probability.
 """
 
 from __future__ import annotations
@@ -107,7 +111,8 @@ OP_SWAP = 4         # (OP_SWAP, a, b)
 OP_MEASURE = 5      # (OP_MEASURE, qubit, cbit, reference_bit)
 OP_RESET = 6        # (OP_RESET, qubit) — circuit reset (in the reference too)
 OP_DEPOLARIZE = 7   # (OP_DEPOLARIZE, qubit, p, run_id, row) — the
-                    # last two appended by hoist_draws
+                    # last two appended by hoist_draws; a tilted
+                    # binding appends llr_hit, llr_miss
 OP_RESET_NOISE = 8  # (OP_RESET_NOISE, qubit, p, x_value|None) — fault reset
 
 #: Fused-layer opcodes: a group of qubit-disjoint same-type ops
@@ -123,7 +128,8 @@ OP_MEASURE_LAYER = 14    # (OP_MEASURE_LAYER, qubit_array, cbit_array,
                          #  reference_bit_array)
 OP_RESET_LAYER = 15      # (OP_RESET_LAYER, qubit_array)
 OP_DEPOLARIZE_LAYER = 16  # (OP_DEPOLARIZE_LAYER, qubit_array, p_array,
-                          #  run_id, first_row)
+                          #  run_id, first_row[, llr_hit_array,
+                          #  llr_miss_array])
 
 #: The draw half of a run of depolarize sites (see :func:`hoist_draws`):
 #: one uniform row per site qubit, drawn in site order.
@@ -171,6 +177,9 @@ _FRAME_TRIVIAL = frozenset({GateType.I, GateType.X, GateType.Y, GateType.Z})
 _P_SLOT = {OP_DEPOLARIZE: 2, OP_DEPOLARIZE_LAYER: 2, OP_RESET_NOISE: 2,
            OP_DEPOLARIZE_DRAW: 1}
 
+#: Noise ops a tilted binding appends ``(llr_hit, llr_miss)`` to.
+_WEIGHTED = frozenset({OP_DEPOLARIZE, OP_DEPOLARIZE_LAYER})
+
 _OBS_COMPILES = obs.counter("frames.compiles")
 _OBS_BINDS = obs.counter("frames.binds")
 
@@ -206,9 +215,9 @@ class FrameProgram:
     num_channels: int = 0
     #: Fused-layer ops in :attr:`ops` (feeds ``frames.fused_ops``).
     fused_ops: int = 0
-    #: The structure the program was bound from, when other noise
-    #: models can be bound to it too; ``None`` when its reference pass
-    #: was seeded, which makes this program all it could ever bind.
+    #: The structure the program was bound from, which binds other noise
+    #: models and tilts on its circuit too — for other task seeds only
+    #: when it is not :attr:`~FrameStructure.seeded`.
     structure: Optional["FrameStructure"] = None
     #: The native executor's view of :attr:`ops`: the structure's
     #: :func:`encode_ops` stream (shared) and this binding's per-site
@@ -216,6 +225,11 @@ class FrameProgram:
     #: which then runs on the numpy executor.
     code: Optional[np.ndarray] = None
     probabilities: Optional[np.ndarray] = None
+    #: ``(2, sites)``: each site's log-likelihood ratios where it fires
+    #: / does not, on a program bound with a tilt that moves some site;
+    #: ``None`` on a plain one.  The native executor runs plain
+    #: programs only.
+    log_ratios: Optional[np.ndarray] = None
 
     @property
     def deterministic_reference(self) -> bool:
@@ -264,31 +278,53 @@ class FrameStructure:
     #: :func:`encode_ops` of :attr:`ops`, shared by every bound program.
     code: np.ndarray
 
-    def bind(self, noise: Optional[NoiseModel]) -> FrameProgram:
+    def bind(self, noise: Optional[NoiseModel], tilt=None) -> FrameProgram:
         """The program of ``noise`` on this structure: every site's
         probability read off ``noise`` and written into fresh op tuples.
 
         ``noise`` must fire at the sites the structure was compiled
         for (equal :func:`site_signature`); op for op the result then
         equals a fresh compile of ``noise``.
+
+        With ``tilt`` (a tilt :class:`~repro.rare.sampler.SamplerSpec`)
+        the tables are read :meth:`~repro.noise.base.SiteTable.tilted`:
+        the sites carry their tilted probabilities, and every depolarize
+        op gains its sites' ``(llr_hit, llr_miss)`` as two trailing
+        operands (:attr:`FrameProgram.log_ratios`) — unless the tilt
+        moves no site, which binds the plain program.
         """
         tables = _site_tables(noise, self.num_qubits)
         if tuple(t.key for t in tables) != self.signature:
             raise ValueError("noise model fires at other sites than the "
                              "structure was compiled for")
+        if tilt is not None:
+            tables = [t.tilted(tilt) for t in tables]
         ops = list(self.ops)
         p = np.zeros(0)
+        llr = None
         if self.noise_ops:
             p = np.concatenate(
                 [t.table.ravel() for t in tables])[self.site_source]
+            if tilt is not None:
+                llr = np.concatenate(
+                    [np.zeros((2, t.table.size)) if t.llr is None
+                     else t.llr.reshape(2, -1) for t in tables],
+                    axis=1)[:, self.site_source]
+                if not llr.any():
+                    llr = None
             scalar = p.tolist()
+            hits, misses = (None, None) if llr is None else llr.tolist()
             for i in self.noise_ops:
                 op = ops[i]
                 slot = _P_SLOT[op[0]]
                 sites = op[slot]
-                ops[i] = op[:slot] + (
-                    p[sites] if isinstance(sites, np.ndarray)
-                    else scalar[sites],) + op[slot + 1:]
+                wide = isinstance(sites, np.ndarray)
+                op = op[:slot] + (p[sites] if wide else scalar[sites],) \
+                    + op[slot + 1:]
+                if llr is not None and op[0] in _WEIGHTED:
+                    op += ((llr[0, sites], llr[1, sites]) if wide
+                           else (hits[sites], misses[sites]))
+                ops[i] = op
         _OBS_BINDS.inc()
         return FrameProgram(
             num_qubits=self.num_qubits,
@@ -300,9 +336,10 @@ class FrameStructure:
             twirled_reset_sites=self.twirled_reset_sites,
             num_channels=len(self.signature),
             fused_ops=self.fused_ops,
-            structure=None if self.seeded else self,
+            structure=self,
             code=self.code,
             probabilities=p,
+            log_ratios=llr,
         )
 
 
@@ -744,10 +781,11 @@ def frame_structure(circuit: Circuit,
 
 def compile_frame_program(circuit: Circuit,
                           noise: Optional[NoiseModel] = None,
-                          rng: Union[np.random.Generator, int, None] = None
-                          ) -> FrameProgram:
+                          rng: Union[np.random.Generator, int, None] = None,
+                          tilt=None) -> FrameProgram:
     """Run the reference pass and lower ``noise`` into a frame program:
-    :func:`frame_structure`, then :meth:`FrameStructure.bind`.
+    :func:`frame_structure`, then :meth:`FrameStructure.bind` (with
+    ``tilt``, if given).
 
     ``rng`` seeds the reference pass's random measurement branches (the
     compiled program embeds that one reference sample, so the same seed
@@ -755,4 +793,4 @@ def compile_frame_program(circuit: Circuit,
     if the circuit uses an unsupported gate or the noise model contains
     a channel without a frame lowering.
     """
-    return frame_structure(circuit, noise, rng).bind(noise)
+    return frame_structure(circuit, noise, rng).bind(noise, tilt)

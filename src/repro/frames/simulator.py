@@ -160,28 +160,23 @@ class FrameSimulator:
         Generator (or int seed) driving the Z-frame randomisation and
         every lowered noise sampler; a sequence of them, one per lane,
         with a sequence of sizes.  :attr:`rng` is the first lane's.
-    tilt:
-        Importance-sampling tilt on depolarizing sites: each lowered
-        ``OP_DEPOLARIZE`` site with nominal probability ``p`` fires at
-        ``q = max(p, min(tilt * p, tilt_p_cap))`` instead, and the shot
-        accumulates the exact log-likelihood-ratio ``log P_p / P_q`` in
-        :attr:`log_weights` — a per-shot float row riding alongside the
-        packed X/Z frames.  ``tilt=1`` (the default) keeps the
-        historical bit-identical sampling path and allocates nothing.
-        Fault-reset sites (``OP_RESET_NOISE``) are never tilted: the
-        strike is the *condition* of a radiation campaign, not the rare
-        event, and its per-site probabilities are already order one.
+
+    Importance sampling is the program's, not the simulator's: a
+    program bound with a tilt (:meth:`~repro.frames.program.
+    FrameStructure.bind`) samples its depolarize sites at the tilted
+    probabilities, and each of its sites carries the log-likelihood
+    ratios the shots bank in :attr:`log_weights` — a per-shot float row
+    riding alongside the packed X/Z frames, allocated by the first
+    weighted site.
     """
 
     def __init__(self, num_qubits: int,
                  batch_size: Union[int, Sequence[int]],
                  rng: Union[np.random.Generator, int, None,
-                            Sequence[Union[np.random.Generator, int]]] = None,
-                 tilt: float = 1.0, tilt_p_cap: float = 0.5) -> None:
+                            Sequence[Union[np.random.Generator, int]]] = None
+                 ) -> None:
         if num_qubits <= 0:
             raise ValueError("need at least one qubit")
-        if tilt != 1.0 and tilt < 1.0:
-            raise ValueError("tilt must be >= 1")
         n = int(num_qubits)
         if isinstance(batch_size, (list, tuple)):
             sizes, rngs = [int(b) for b in batch_size], list(rng)
@@ -203,16 +198,12 @@ class FrameSimulator:
         self._lanes = lanes
         #: The dense/sparse rule's lane size (see DENSE_HITS_PER_ROW).
         self._lane_shots = max(sizes)
-        B = start
         self.n = n
-        self.batch_size = B
+        self.batch_size = start
         self.num_words = lanes[-1].hi
-        self.tilt = float(tilt)
-        self.tilt_p_cap = float(tilt_p_cap)
         #: Per-shot accumulated log-likelihood-ratio weights (tilted
-        #: sampling only; ``None`` — and zero overhead — at tilt=1).
-        self.log_weights = (np.zeros(B, dtype=np.float64)
-                            if self.tilt != 1.0 else None)
+        #: programs only; ``None`` — and zero overhead — otherwise).
+        self.log_weights: Optional[np.ndarray] = None
         self.rng = lanes[0].rng
         self.x = np.zeros((n, self.num_words), dtype=np.uint64)
         # Uniformly random initial Z frame: stabilises |0...0>, feeds the
@@ -290,26 +281,22 @@ class FrameSimulator:
         return out
 
     # ------------------------------------------------------------------
-    # Tilted (importance-sampled) depolarize helpers
+    # Importance weights of tilted depolarize sites
     # ------------------------------------------------------------------
-    def _tilted_p(self, p):
-        """The sampling probability of nominal-``p`` depolarize sites
-        (scalar or array) under the tilt: at most ``tilt_p_cap``, but
-        never below ``p`` (a site already past the cap stays at ``p``
-        — zero likelihood ratio — rather than under-sampling the tail)."""
-        return np.maximum(p, np.minimum(self.tilt * p, self.tilt_p_cap))
-
-    def _accumulate_llr(self, p: float, q: float, fired: np.ndarray) -> None:
-        """Add one site's log-likelihood-ratio to every shot's weight.
-
-        The tilt scales all three Pauli arms uniformly (``q/3`` each),
-        so the ratio depends only on whether the site fired:
-        ``log(p/q)`` on error shots, ``log((1-p)/(1-q))`` elsewhere.
-        """
-        if q == p:
-            return
-        self.log_weights += np.where(fired, np.log(p / q),
-                                     np.log((1.0 - p) / (1.0 - q)))
+    def _weigh(self, row: int, llr_hit, llr_miss) -> None:
+        """Bank the log-likelihood ratios of the tilted site(s) at rows
+        ``row ..`` of the open draw: ``llr_hit`` on the shots a site
+        fired, ``llr_miss`` on the rest — a scalar site's at once, a
+        layer's summed over its rows first."""
+        if self.log_weights is None:
+            self.log_weights = np.zeros(self.batch_size)
+        if np.ndim(llr_hit):
+            fired = self._fired(row, row + len(llr_hit))
+            self.log_weights += np.where(fired, llr_hit[:, None],
+                                         llr_miss[:, None]).sum(axis=0)
+        elif llr_hit or llr_miss:
+            self.log_weights += np.where(self._fired(row, row + 1)[0],
+                                         llr_hit, llr_miss)
 
     def _fired(self, row: int, end: int) -> np.ndarray:
         """``(end - row, B)`` bool: which shots fired rows ``row ..
@@ -325,19 +312,6 @@ class FrameSimulator:
             elif ptr[row + i] != ptr[row + i + 1]:
                 fired[i, shots[ptr[row + i]:ptr[row + i + 1]]] = True
         return fired
-
-    def _tilted_layer_llr(self, ps: np.ndarray, row: int) -> np.ndarray:
-        """Resolve a depolarize layer's sampling probabilities and bank
-        the layer's log-likelihood ratios (tilted simulators only)."""
-        qs_p = self._tilted_p(ps)
-        fired = self._fired(row, row + len(ps))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            llr_hit = np.log(ps / qs_p)
-            llr_miss = np.log((1.0 - ps) / (1.0 - qs_p))
-        delta = np.where(fired, llr_hit[:, None], llr_miss[:, None])
-        self.log_weights += np.where((qs_p == ps)[:, None], 0.0,
-                                     delta).sum(axis=0)
-        return qs_p
 
     # ------------------------------------------------------------------
     # Non-unitary ops
@@ -383,8 +357,6 @@ class FrameSimulator:
         packed here instead, in one sweep per lane.
         """
         k, lanes = len(ps), self._lanes
-        if self.log_weights is not None:
-            ps = self._tilted_p(ps)
         p = ps[:, None]
         # A run of equal probabilities (one depolarizing strength — the
         # usual case) compares against the scalar: numpy's broadcast
@@ -477,38 +449,39 @@ class FrameSimulator:
             if uc >= third:
                 za[word] ^= bit
 
-    def depolarize(self, a: int, p: float, run=None, row: int = 0) -> None:
+    def depolarize(self, a: int, p: float, run=None, row: int = 0,
+                   llr_hit=None, llr_miss=None) -> None:
         """Per-shot X/Y/Z error with probability ``p/3`` each (Eq. 4).
 
         Compiled programs pass the site's ``(run, row)`` in the open
         :meth:`depolarize_draw`; called bare, the site draws its own
-        row.  Under a tilt the site samples at the boosted probability
-        and banks the shot's log-likelihood ratio (see the class doc).
+        row.  A site of a tilted program samples at the tilted ``p``
+        and also carries its log-likelihood ratios, which the shots
+        bank in :attr:`log_weights` (see the class doc).
         """
         if run is None:
             self.depolarize_draw(np.array([p], dtype=float))
         if run != self._run:
             raise RuntimeError(_CUT_RUN.format(run, self._run))
-        if self.log_weights is not None:
-            q = self._tilted_p(p)
-            self._accumulate_llr(p, q, self._fired(row, row + 1)[0])
-            p = q
+        if llr_hit is not None:
+            self._weigh(row, llr_hit, llr_miss)
         if self._row_ptr[row] != self._row_ptr[row + 1] \
                 or row in self._dense_slot:
             self._apply_row(a, p, row)
 
     def depolarize_layer(self, qs: np.ndarray, ps: np.ndarray,
-                         run=None, row: int = 0) -> None:
+                         run=None, row: int = 0,
+                         llr_hit=None, llr_miss=None) -> None:
         """Fused depolarize sites on disjoint qubits: rows ``row ..
         row + len(qs)`` of the open draw (or, called bare, of its own
-        block draw)."""
+        block draw); weighted like :meth:`depolarize`."""
         if run is None:
             self.depolarize_draw(ps)
         if run != self._run:
             raise RuntimeError(_CUT_RUN.format(run, self._run))
         end = row + len(qs)
-        if self.log_weights is not None:
-            ps = self._tilted_layer_llr(ps, row)
+        if llr_hit is not None:
+            self._weigh(row, llr_hit, llr_miss)
         ptr, dense = self._row_ptr, self._dense_slot
         if ptr[row] != ptr[end] or dense:
             for i in range(len(qs)):
@@ -578,13 +551,13 @@ class FrameSimulator:
     def _native_kernel(self, program: FrameProgram):
         """The native executor when it can run ``program`` here with
         the numpy executor's exact outcome, else ``None``: it knows
-        neither the tilt's weights, nor ``MT19937``'s 32-bit raw stream
-        (:func:`~repro.frames.packing.random_words`), nor a handler a
-        subclass overrides; each lane needs a generator of its own (it
-        draws site by site where :meth:`depolarize_draw` draws lane by
-        lane); and it works on the ``(n, W)`` arrays in place."""
+        neither a tilted program's weights, nor ``MT19937``'s 32-bit
+        raw stream (:func:`~repro.frames.packing.random_words`), nor a
+        handler a subclass overrides; each lane needs a generator of its
+        own (it draws site by site where :meth:`depolarize_draw` draws
+        lane by lane); and it works on the ``(n, W)`` arrays in place."""
         code, prob = program.code, program.probabilities
-        if (code is None or prob is None or self.log_weights is not None
+        if (code is None or prob is None or program.log_ratios is not None
                 or type(self) is not FrameSimulator):
             return None
         # The kernel indexes unchecked: hold the arrays it will be
@@ -708,7 +681,7 @@ class FrameSimulator:
 
     def shot_weights(self) -> np.ndarray:
         """Per-shot importance weights ``exp(log_weights)`` (unit
-        weights when the simulator is untilted)."""
+        weights when no tilted site ran)."""
         if self.log_weights is None:
             return np.ones(self.batch_size, dtype=np.float64)
         return np.exp(self.log_weights)

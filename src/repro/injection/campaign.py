@@ -191,9 +191,10 @@ def _structure_cell(code: CodeSpec, rounds: int, basis: str,
 
 
 def _frame_program(task: InjectionTask, experiment: MemoryExperiment,
-                   noise: NoiseModel) -> Optional[FrameProgram]:
-    """Resolve the task's backend: a compiled frame program, or ``None``
-    for the batched-tableau path.
+                   noise: NoiseModel, tilt: Optional[SamplerSpec] = None
+                   ) -> Optional[FrameProgram]:
+    """Resolve the task's backend: a compiled frame program — bound
+    with ``tilt``, if given — or ``None`` for the batched-tableau path.
 
     ``"auto"`` takes the frame path only when the lowering is *exact*
     (the paper's fault semantics are preserved bit-for-bit in
@@ -225,12 +226,13 @@ def _frame_program(task: InjectionTask, experiment: MemoryExperiment,
         if not (auto and cell.exact is False):
             with obs.span("compile"):
                 if cell.structure is not None:
-                    program = cell.structure.bind(noise)
+                    program = cell.structure.bind(noise, tilt)
                 else:
                     program = compile_frame_program(
                         experiment.circuit, noise,
-                        rng=frame_ref_seed(task.seed))
-                    cell.structure = program.structure
+                        rng=frame_ref_seed(task.seed), tilt=tilt)
+                    if not program.structure.seeded:
+                        cell.structure = program.structure
                     cell.exact = program.exact_noise
     except FrameLoweringError:
         if not auto:
@@ -256,7 +258,7 @@ def _resolved_sampler(task: InjectionTask) -> SamplerSpec:
     """
     probe = dataclasses.replace(
         task, sampler=dataclasses.replace(task.sampler, tilt=1.0))
-    experiment, decoder, noise, program, _, _ = _task_context(probe)
+    experiment, decoder, noise, program, _ = _task_context(probe)
     # Imported lazily (the pilot executes blocks through this module's
     # own block runner).
     from ..rare.pilot import resolve_tilt
@@ -269,43 +271,37 @@ def _task_context(task: InjectionTask):
     """Worker-side cache of everything a chunk execution needs.
 
     ``(experiment, base decoder, noise model, frame program, resolved
-    sampler, tilted-tableau model)`` depend only on the task spec, so
-    they are shared by every chunk of the task — crucial for the
-    parallel scheduler, whose workers execute a task's blocks one small
-    lease at a time: without this cache each lease would re-run the
-    reference pass, the noise lowering, and (for auto-tilt tasks) the
-    pilot run.
+    sampler)`` depend only on the task spec, so they are shared by every
+    chunk of the task — crucial for the parallel scheduler, whose
+    workers execute a task's blocks one small lease at a time: without
+    this cache each lease would re-run the reference pass, the noise
+    lowering, and (for auto-tilt tasks) the pilot run.
 
     Sampler resolution happens here: ``tilt=0`` (auto) runs the
-    deterministic pilot controller once and pins the chosen tilt;
-    ``split`` validates that the task actually resolved to the frame
-    backend; tableau-path tilts pre-build the tilted noise model and
-    its shared weight sink.
+    deterministic pilot controller once and pins the chosen tilt, and
+    a tilt binds the frame program (the tableau reads it from the
+    sampler as it walks); ``split`` validates that the task actually
+    resolved to the frame backend.
     """
     experiment, decoder, _ = _prepared(
         task.code, task.rounds, task.basis, task.arch, task.layout,
         task.decoder, task.readout)
     noise = _build_noise(task, experiment)
-    program = _frame_program(task, experiment, noise)
     sampler = task.sampler
-    tilted = None
+    if sampler.auto_tilt:
+        sampler = _resolved_sampler(task)
+    program = _frame_program(task, experiment, noise,
+                             sampler if sampler.kind == "tilt" else None)
     if sampler.kind == "split" and program is None:
         raise ValueError(
             "sampler 'split' resamples bit-packed frame batches and "
             "needs the frame backend; set backend='frames' (or 'auto' "
             "with an exactly-lowerable noise model)")
-    if sampler.kind == "tilt":
-        if sampler.auto_tilt:
-            sampler = _resolved_sampler(task)
-        if program is None:
-            from ..rare.tilt import tilted_noise_model
-
-            tilted = tilted_noise_model(noise, sampler)
-    return experiment, decoder, noise, program, sampler, tilted
+    return experiment, decoder, noise, program, sampler
 
 
 def execute_block(experiment: MemoryExperiment, decoder, noise, program,
-                  sampler: SamplerSpec, tilted, sizes: Sequence[int],
+                  sampler: SamplerSpec, sizes: Sequence[int],
                   rngs: Sequence[np.random.Generator],
                   recovery: str = "static") -> List[Tuple]:
     """Run + decode a span of simulation blocks under a sampling
@@ -340,19 +336,17 @@ def execute_block(experiment: MemoryExperiment, decoder, noise, program,
     """
     sizes = [int(size) for size in sizes]
     num_qubits = experiment.circuit.num_qubits
+    tilt = sampler if sampler.kind == "tilt" else None
     #: (batch, per-shot weights or None, sizes of the blocks in it)
     batches = []
     with obs.span("sample"):
         if program is not None and sampler.kind != "split":
-            tilt = sampler.tilt if sampler.kind == "tilt" else 1.0
-            sim = FrameSimulator(num_qubits, sizes, rng=list(rngs),
-                                 tilt=tilt, tilt_p_cap=sampler.p_cap)
+            sim = FrameSimulator(num_qubits, sizes, rng=list(rngs))
             record_words = sim.run_packed(program)
             batches.append((
                 SyndromeBatch.from_record_words(record_words,
                                                 sim.batch_size),
-                sim.shot_weights() if sampler.kind == "tilt" else None,
-                sizes))
+                None if tilt is None else sim.shot_weights(), sizes))
         else:
             for size, rng in zip(sizes, rngs):
                 weights = None
@@ -364,17 +358,13 @@ def execute_block(experiment: MemoryExperiment, decoder, noise, program,
                         program, experiment, sampler)
                     batch = SyndromeBatch.from_record_words(record_words,
                                                             size)
-                elif sampler.kind == "tilt":
-                    tilted_model, sink = tilted
-                    sink.reset(size)
-                    batch = SyndromeBatch.from_records(run_batch_noisy(
-                        experiment.circuit, tilted_model, size, rng=rng,
-                        backend="tableau"))
-                    weights = sink.weights()
                 else:
-                    batch = SyndromeBatch.from_records(run_batch_noisy(
+                    records = run_batch_noisy(
                         experiment.circuit, noise, size, rng=rng,
-                        backend="tableau"))
+                        backend="tableau", tilt=tilt)
+                    if tilt is not None:
+                        records, weights = records
+                    batch = SyndromeBatch.from_records(records)
                 batches.append((batch, weights, [size]))
     out: List[Tuple] = []
     for batch, weights, lanes in batches:
@@ -454,8 +444,7 @@ def iter_task_chunks(task: InjectionTask,
     # program (the reference pass + lowered noise) and the resolved
     # sampling measure are shared by every block of every chunk, across
     # however many calls schedule them.
-    experiment, decoder, noise, program, sampler, tilted = \
-        _task_context(task)
+    experiment, decoder, noise, program, sampler = _task_context(task)
     wide = WIDE_BLOCKS * SIM_BLOCK
     pos = chunk_start = start_shot
     chunk_end = min(total, pos + chunk)
@@ -472,7 +461,7 @@ def iter_task_chunks(task: InjectionTask,
         starts = range(pos, end, SIM_BLOCK)
         sizes = [min(SIM_BLOCK, end - block) for block in starts]
         blocks = execute_block(
-            experiment, decoder, noise, program, sampler, tilted, sizes,
+            experiment, decoder, noise, program, sampler, sizes,
             [np.random.default_rng(block_seed(task.seed, block // SIM_BLOCK))
              for block in starts], task.recovery)
         # The span's wall, apportioned by shots: chunk times stay sums

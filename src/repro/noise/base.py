@@ -7,7 +7,8 @@ which gate types, and with what probability on each qubit while each
 row of the table is in force.  Both backends read that one definition —
 the frame compiler lowers every site of the table to a frame op, and
 :meth:`NoiseChannel.apply_batch` interprets it on the batched tableau
-through the simulator's masked gate API.
+through the simulator's masked gate API.  Importance sampling is one
+more reading of the same table, :meth:`SiteTable.tilted`.
 
 A channel that cannot be written as a site table overrides
 :meth:`~NoiseChannel.apply_batch` instead and runs on the tableau
@@ -57,6 +58,35 @@ class SiteTable(NamedTuple):
     #: False the tableau resets such a site on every shot without
     #: drawing — a stream fact, the fault is the same.
     draw_certain: bool
+    #: ``llr[0, r, q]`` / ``llr[1, r, q]``: the log-likelihood ratio a
+    #: shot banks where the site fires / does not, on a :meth:`tilted`
+    #: table (whose ``table`` then holds the sampling probabilities);
+    #: ``None`` on a nominal one.
+    llr: Optional[np.ndarray] = None
+
+    def tilted(self, sampler) -> "SiteTable":
+        """The table importance-sampled under ``sampler`` (a tilt
+        :class:`~repro.rare.sampler.SamplerSpec`): the one definition
+        both backends read.
+
+        A depolarize site of nominal probability ``p`` fires at ``q``:
+        ``tilt`` times ``p``, at most ``p_cap``, but never below ``p`` —
+        a site already past the cap samples at ``p`` rather than
+        under-sampling the tail.  The tilt scales the three Pauli
+        arms alike, so a shot's likelihood ratio depends only on whether
+        the site fired: ``log(p/q)`` if it did, ``log((1-p)/(1-q))`` if
+        not, zero where ``q == p``.  A reset table comes back as it is:
+        the fault is a radiation campaign's condition, not its rare
+        event.
+        """
+        if self.kind != DEPOLARIZE:
+            return self
+        p = self.table
+        q = np.maximum(p, np.minimum(sampler.tilt * p, sampler.p_cap))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            llr = np.where(q == p, 0.0, np.stack(
+                [np.log(p / q), np.log((1.0 - p) / (1.0 - q))]))
+        return self._replace(table=q, llr=llr)
 
     def sites_after(self, gate: Gate) -> Tuple[int, List[int]]:
         """The row in force and the qubits of ``gate`` (in gate order)
@@ -77,8 +107,10 @@ class NoiseChannel:
     :meth:`apply_batch` for a tableau-only channel.
     """
 
-    #: The table of the current walk (see :meth:`walk_table`).
+    #: The table of the current walk (see :meth:`walk_table`), and the
+    #: tilt it is read under (:meth:`NoiseModel.begin_run`).
     _walk_table: Optional[SiteTable] = None
+    _walk_tilt = None
 
     def site_table(self, num_qubits: int) -> SiteTable:
         """The channel's sites on a ``num_qubits``-wide register."""
@@ -112,10 +144,14 @@ class NoiseChannel:
 
     def walk_table(self, num_qubits: int) -> SiteTable:
         """:meth:`site_table`, built once per walk (:meth:`begin_run`)
-        at the widest register asked for so far."""
+        at the widest register asked for so far — :meth:`SiteTable.
+        tilted` on a tilted walk."""
         t = self._walk_table
         if t is None or t.table.shape[1] < num_qubits:
-            t = self._walk_table = self.site_table(num_qubits)
+            t = self.site_table(num_qubits)
+            if self._walk_tilt is not None:
+                t = t.tilted(self._walk_tilt)
+            self._walk_table = t
         return t
 
     def triggers_on(self, gate: Gate) -> bool:
@@ -133,7 +169,8 @@ class NoiseChannel:
 
         The tableau interpreter of :meth:`site_table`: per site, in
         gate-qubit order, one ``rng.random(B)`` row, and the fault
-        applied on the shots it selects.
+        applied on the shots it selects.  A tilted table's sites also
+        add their log-likelihood ratios to ``sim.log_weights``.
         """
         t = self.walk_table(sim.n)
         r, qubits = t.sites_after(gate)
@@ -151,6 +188,10 @@ class NoiseChannel:
                 continue
             third = p / 3.0
             u = rng.random(B)
+            if t.llr is not None:
+                hit, miss = t.llr[:, r, q]
+                if hit or miss:
+                    sim.log_weights += np.where(u < p, hit, miss)
             mx = u < third
             my = (u >= third) & (u < 2 * third)
             mz = (u >= 2 * third) & (u < p)
@@ -171,7 +212,7 @@ class NoiseChannel:
         :class:`~repro.noise.radiation.RadiationBurst` — also rewind
         their position tracking here.
         """
-        self._walk_table = None
+        self._walk_table = self._walk_tilt = None
 
     def observe(self, gate: Gate) -> None:
         """Advance position tracking past ``gate``.
@@ -197,11 +238,14 @@ class NoiseModel:
     def __len__(self) -> int:
         return len(self.channels)
 
-    def begin_run(self) -> None:
+    def begin_run(self, tilt=None) -> None:
         """Rewind every channel's per-run state (see
-        :meth:`NoiseChannel.begin_run`)."""
+        :meth:`NoiseChannel.begin_run`); with ``tilt`` (a tilt
+        :class:`~repro.rare.sampler.SamplerSpec`) the walk reads every
+        table :meth:`SiteTable.tilted`."""
         for ch in self.channels:
             ch.begin_run()
+            ch._walk_tilt = tilt
 
     def apply_batch(self, gate: Gate, sim: BatchTableauSimulator,
                     rng: np.random.Generator) -> None:

@@ -37,7 +37,7 @@ from .base import NoiseModel
 def run_batch_noisy(circuit: Circuit, noise: Optional[NoiseModel],
                     batch_size: int,
                     rng: Union[np.random.Generator, int, None] = None,
-                    backend: str = "auto") -> np.ndarray:
+                    backend: str = "auto", tilt=None):
     """Run ``batch_size`` noisy shots; returns records ``(B, cbits)``.
 
     Noise channels fire after each gate in model order.  A single RNG
@@ -47,6 +47,12 @@ def run_batch_noisy(circuit: Circuit, noise: Optional[NoiseModel],
     preserving every distribution.  ``backend="frames"`` raises
     :class:`~repro.frames.FrameLoweringError` when a channel has no
     frame lowering; ``"auto"`` falls back to the tableau path instead.
+
+    With ``tilt`` (a tilt :class:`~repro.rare.sampler.SamplerSpec`)
+    both backends sample every site table
+    :meth:`~repro.noise.base.SiteTable.tilted`, and the call returns
+    ``(records, weights)``: the records and each shot's importance
+    weight.
     """
     # Imported lazily: repro.frames consumes this package's channel
     # types, so a module-level import would be circular.
@@ -71,33 +77,37 @@ def run_batch_noisy(circuit: Circuit, noise: Optional[NoiseModel],
         frame_rng = np.random.Generator(type(rng.bit_generator)())
         frame_rng.bit_generator.state = rng.bit_generator.state
         try:
-            program = compile_frame_program(circuit, noise, rng=frame_rng)
+            program = compile_frame_program(circuit, noise, rng=frame_rng,
+                                            tilt=tilt)
         except FrameLoweringError:
             if backend == "frames":
                 raise
             program = None  # auto: anything uncompilable takes tableau
         if program is not None and (backend == "frames"
                                     or program.exact_noise):
-            records = FrameSimulator(circuit.num_qubits, batch_size,
-                                     rng=frame_rng).run(program)
+            sim = FrameSimulator(circuit.num_qubits, batch_size,
+                                 rng=frame_rng)
+            records = sim.run(program)
             rng.bit_generator.state = frame_rng.bit_generator.state
-            return records
+            return records if tilt is None else (records, sim.shot_weights())
     elif backend == "frames":
         raise FrameLoweringError(
             "noise model has channels without a frame lowering")
     sim = BatchTableauSimulator(circuit.num_qubits, batch_size, rng=rng)
     record = np.zeros((batch_size, max(circuit.num_cbits, 1)), dtype=np.uint8)
+    if tilt is not None:
+        sim.log_weights = np.zeros(batch_size)
     if noise is not None:
-        noise.begin_run()
+        noise.begin_run(tilt)
     prof = _prof._ACTIVE
     if prof is not None:
         _walk_tableau_profiled(prof, sim, circuit, noise, record, rng)
-        return record
-    for gate in circuit:
-        sim.apply(gate, record=record)
-        if noise is not None and gate.gate_type is not GateType.BARRIER:
-            noise.apply_batch(gate, sim, rng)
-    return record
+    else:
+        for gate in circuit:
+            sim.apply(gate, record=record)
+            if noise is not None and gate.gate_type is not GateType.BARRIER:
+                noise.apply_batch(gate, sim, rng)
+    return record if tilt is None else (record, np.exp(sim.log_weights))
 
 
 def _walk_tableau_profiled(prof, sim: BatchTableauSimulator,

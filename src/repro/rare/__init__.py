@@ -12,8 +12,12 @@ with variance reduction instead of brute force:
 * :mod:`~repro.rare.stats` — weighted estimators (Horvitz-Thompson and
   self-normalized), effective-sample-size diagnostics, delta-method
   and weighted-Wilson confidence intervals;
-* :mod:`~repro.rare.tilt` — tilted Bernoulli sampling for the
-  batched-tableau backend (the frame backend tilts in-simulator);
+* tilted Bernoulli sampling lives in the noise model's one site
+  definition, :meth:`~repro.noise.base.SiteTable.tilted`: a frame
+  program binds it (``FrameStructure.bind(noise, tilt=sampler)``) and
+  the batched tableau interprets it (``run_batch_noisy(..., tilt=
+  sampler)``), so both backends sample the same sites at the same
+  ``q`` and bank the same log-likelihood ratios;
 * :mod:`~repro.rare.split` — multilevel splitting over compiled frame
   programs (systematic resampling toward high-syndrome trajectories);
 * :mod:`~repro.rare.pilot` — the auto-tilt controller and the

@@ -97,21 +97,20 @@ def run_pilot(task, experiment, decoder, noise, program,
     """Execute the pilot ladder for one task; returns per-rung stats.
 
     ``experiment``/``decoder``/``noise``/``program`` come from the
-    caller's task context (the pilot never rebuilds them).  Each rung
-    runs ``sampler.pilot_shots`` shots in ``_PILOT_BLOCK``-sized
+    caller's task context (the pilot never recompiles them: a frame
+    program's structure is bound afresh under each rung's tilt).  Each
+    rung runs ``sampler.pilot_shots`` shots in ``_PILOT_BLOCK``-sized
     batches on its own reserved seed path.
     """
     from ..injection.campaign import execute_block
-    from .tilt import tilted_noise_model
 
     rungs: List[PilotRung] = []
     for k, tilt in enumerate(tilts):
         rung_sampler = dataclasses.replace(
             sampler, kind="tilt" if tilt != 1.0 else "mc",
             tilt=float(tilt))
-        tilted = None
-        if rung_sampler.kind == "tilt" and program is None:
-            tilted = tilted_noise_model(noise, rung_sampler)
+        rung_program = None if program is None else program.structure.bind(
+            noise, rung_sampler if rung_sampler.kind == "tilt" else None)
         errors = 0
         stats = WeightStats()
         done = 0
@@ -121,8 +120,8 @@ def run_pilot(task, experiment, decoder, noise, program,
             rng = np.random.default_rng(
                 derive_seed(task.seed, 3, k, block))
             (b_err, _, _, b_stats), = execute_block(
-                experiment, decoder, noise, program, rung_sampler,
-                tilted, [size], [rng])
+                experiment, decoder, noise, rung_program, rung_sampler,
+                [size], [rng])
             errors += b_err
             if b_stats is None:
                 b_stats = WeightStats.from_counts(size, b_err)
@@ -177,7 +176,7 @@ def pilot_report(task, target_rel: Optional[float] = None
     base = dataclasses.replace(
         task, sampler=dataclasses.replace(task.sampler, kind="tilt",
                                           tilt=pinned))
-    experiment, decoder, noise, program, _, _ = _task_context(base)
+    experiment, decoder, noise, program, _ = _task_context(base)
     sampler = base.sampler
     rel = sampler.target_rel if target_rel is None else target_rel
     rungs = run_pilot(base, experiment, decoder, noise, program, sampler)

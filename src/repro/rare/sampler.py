@@ -7,10 +7,11 @@ draws its noise realisations from:
     Plain Monte Carlo — the nominal noise model, unit weights.  The
     default; bit-identical to the engine's historical behaviour.
 ``"tilt"``
-    Tilted Bernoulli sampling: every intrinsic depolarizing site fires
-    with probability ``max(p, min(tilt * p, p_cap))`` instead of ``p``,
-    and each shot carries the exact log-likelihood-ratio of its sampled
-    realisation as an importance weight.  ``tilt = 0`` requests the
+    Tilted Bernoulli sampling: every depolarize site fires at ``tilt``
+    times its ``p``, clamped to ``p_cap`` but never below ``p``, and
+    each shot carries the exact log-likelihood-ratio of its sampled
+    realisation as an importance weight
+    (:meth:`~repro.noise.base.SiteTable.tilted`, on both backends).  ``tilt = 0`` requests the
     auto-tilt controller (:mod:`repro.rare.pilot`): a short pilot run
     picks the tilt that minimises predicted shots-to-target from a
     geometric ladder.

@@ -142,6 +142,10 @@ class BatchTableauSimulator:
         #: ``[deterministic_s, random_s]`` measurement wall time, filled
         #: only while a profiling caller has installed the list.
         self.measure_clock: Optional[List[float]] = None
+        #: Per-shot log-likelihood ratios a tilted noise walk banks
+        #: (:meth:`repro.noise.base.NoiseChannel.apply_batch`); ``None``
+        #: on a nominal one.
+        self.log_weights: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Masked single-qubit Cliffords

@@ -208,6 +208,14 @@ class TestRareCommand:
             main(["rare", "--tilt", "0.5", "--pilot-only"])
         assert "error:" in str(exc.value)
 
+    def test_unknown_backend_is_a_usage_error(self, capsys):
+        """``rare --backend`` takes the engine commands' choices: a typo
+        is argparse's exit 2, not a traceback from the task spec."""
+        with pytest.raises(SystemExit) as exc:
+            main(["rare", "--backend", "tablaeu", "--pilot-only"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'tablaeu'" in capsys.readouterr().err
+
 
 class TestStoreCommand:
     SPEC = TestCampaignCommand.SPEC

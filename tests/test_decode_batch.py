@@ -765,14 +765,13 @@ class TestCacheHitRate:
         task = InjectionTask(code=CodeSpec("xxzz", (5, 5)),
                              intrinsic_p=5e-4, rounds=5, backend="frames",
                              shots=512, seed=21)
-        experiment, decoder, noise, program, sampler, tilted = \
-            _task_context(task)
+        experiment, decoder, noise, program, sampler = _task_context(task)
         execute_block(experiment, decoder, noise, program, sampler,
-                      tilted, [512], [np.random.default_rng(0)])
+                      [512], [np.random.default_rng(0)])
         info = decoder.cache_info
         assert info.misses > 0 and info.misses < 200   # in-batch dedup
         execute_block(experiment, decoder, noise, program, sampler,
-                      tilted, [512], [np.random.default_rng(1)])
+                      [512], [np.random.default_rng(1)])
         assert info.hits > 0                           # cross-block reuse
 
 

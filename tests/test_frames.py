@@ -65,6 +65,7 @@ from repro.noise import (
     run_batch_noisy,
 )
 from repro.noise.base import NoiseChannel
+from repro.rare.sampler import SamplerSpec
 from repro.stabilizer import BatchTableauSimulator
 from repro.util.rng import frame_ref_seed
 
@@ -604,14 +605,15 @@ class TestDrawApply:
 
 @pytest.fixture(scope="module")
 def programs():
-    """name -> (num_qubits, program, tilt)."""
+    """name -> (num_qubits, program)."""
     quiet = build_memory_experiment(XXZZCode(5, 5), rounds=5)
     small = build_memory_experiment(XXZZCode(3, 3), rounds=3)
     out = {}
 
-    def add(name, experiment, noise, tilt=1.0):
-        program = compile_frame_program(experiment.circuit, noise, rng=1)
-        out[name] = (experiment.circuit.num_qubits, program, tilt)
+    def add(name, experiment, noise, tilt=None):
+        program = frame_structure(experiment.circuit, noise,
+                                  rng=1).bind(noise, tilt)
+        out[name] = (experiment.circuit.num_qubits, program)
         return program
 
     add("quiet", quiet, NoiseModel([DepolarizingNoise(5e-4)]))
@@ -619,17 +621,18 @@ def programs():
                  strike_noise(small, 1e-3, "channel"))
     assert strike.twirled_reset_sites > 0
     add("dense", small, NoiseModel([DepolarizingNoise(0.1)]))
-    add("tilt", small, NoiseModel([DepolarizingNoise(2e-3)]), tilt=4.0)
+    tilted = add("tilt", small, NoiseModel([DepolarizingNoise(2e-3)]),
+                 tilt=SamplerSpec(kind="tilt", tilt=4.0))
+    assert tilted.log_ratios is not None
     # a repetition strike routed onto the 5x4 mesh (exact resets)
     routed = InjectionTask(
         code=CodeSpec("repetition", (5, 1)),
         arch=ArchSpec("mesh", (5, 4)),
         fault=FaultSpec(kind="radiation", root_qubit=2, time_index=1),
         intrinsic_p=1e-2, backend="frames", shots=512, seed=13)
-    experiment, _, _, program, _, _ = _task_context(routed)
+    experiment, _, _, program, _ = _task_context(routed)
     assert program.exact_reset_sites > 0
-    out["transpiled-strike"] = (experiment.circuit.num_qubits,
-                                program, 1.0)
+    out["transpiled-strike"] = (experiment.circuit.num_qubits, program)
     return out
 
 
@@ -644,22 +647,22 @@ class TestLanes:
                                       "transpiled-strike", "dense", "tilt"])
     def test_each_lane_equals_the_lone_block(self, programs, name, lanes,
                                              last, executor):
-        num_qubits, program, tilt = programs[name]
+        num_qubits, program = programs[name]
         sizes = [512] * (lanes - 1) + [last]
         rngs = [np.random.default_rng(100 + i) for i in range(lanes)]
-        wide = FrameSimulator(num_qubits, sizes, rng=rngs, tilt=tilt)
+        wide = FrameSimulator(num_qubits, sizes, rng=rngs)
         assert wide.batch_size == sum(sizes)
         words = wide.run_packed(program)
         stats = [0, 0, 0]
         for i, size in enumerate(sizes):
             lone_rng = np.random.default_rng(100 + i)
-            lone = FrameSimulator(num_qubits, size, rng=lone_rng, tilt=tilt)
+            lone = FrameSimulator(num_qubits, size, rng=lone_rng)
             lone_words = lone.run_packed(program)
             lo, hi = 8 * i, 8 * i + lone.num_words
             assert np.array_equal(words[:, lo:hi], lone_words)
             assert np.array_equal(wide.x[:, lo:hi], lone.x)
             assert np.array_equal(wide.z[:, lo:hi], lone.z)
-            if tilt != 1.0:
+            if program.log_ratios is not None:
                 assert np.array_equal(
                     wide.log_weights[512 * i:512 * i + size],
                     lone.log_weights)
@@ -686,7 +689,7 @@ class TestLanes:
         assert sim.frame_bits(0).shape == (2, 228)
 
     def test_blocks_counter_counts_lanes(self, programs):
-        num_qubits, program, _ = programs["twirled-strike"]
+        num_qubits, program = programs["twirled-strike"]
         blocks = obs.counter("frames.blocks")
         before = blocks.value
         FrameSimulator(num_qubits, [512, 512, 64],
@@ -741,7 +744,7 @@ class TestExecutors:
                                       "transpiled-strike", "dense"])
     def test_records_frames_stats_and_streams_agree(self, monkeypatch,
                                                     programs, name, sizes):
-        num_qubits, program, _ = programs[name]
+        num_qubits, program = programs[name]
         _, x, z, (sites, hits, _), _ = self.assert_executors_agree(
             monkeypatch, num_qubits, program, sizes)
         assert x.any() and z.any() and sites > 0 and hits > 0
@@ -750,7 +753,7 @@ class TestExecutors:
                                                np.random.SFC64])
     def test_other_64_bit_generators(self, monkeypatch, programs,
                                      bit_generator):
-        num_qubits, program, _ = programs["twirled-strike"]
+        num_qubits, program = programs["twirled-strike"]
         self.assert_executors_agree(monkeypatch, num_qubits, program,
                                     [512, 200], bit_generator)
 
@@ -758,7 +761,7 @@ class TestExecutors:
                                                       programs):
         """``MT19937`` emits 32-bit raw values (``random_words`` keeps
         the ``bytes`` route for it): the simulator stays on numpy."""
-        num_qubits, program, _ = programs["twirled-strike"]
+        num_qubits, program = programs["twirled-strike"]
         self.assert_executors_agree(monkeypatch, num_qubits, program,
                                     [512, 200], np.random.MT19937,
                                     native_runs=False)
@@ -766,11 +769,10 @@ class TestExecutors:
     def test_tilt_and_shared_generators_fall_back(self, programs):
         if _native.kernel() is None:
             pytest.skip(_native.unavailable_reason())
-        num_qubits, program, _ = programs["quiet"]
         shared = np.random.default_rng(3)
-        for sim in (FrameSimulator(num_qubits, 64, rng=1, tilt=4.0),
-                    FrameSimulator(num_qubits, [64, 64],
-                                   rng=[shared, shared])):
+        for name, rngs in (("tilt", [1]), ("quiet", [shared, shared])):
+            num_qubits, program = programs[name]
+            sim = FrameSimulator(num_qubits, [64] * len(rngs), rng=rngs)
             before = blocks_run()
             sim.run_packed(program)
             native, numpy = (b - a for a, b in zip(before, blocks_run()))
@@ -855,7 +857,7 @@ class TestExecutors:
         reaches the kernel."""
         if _native.kernel() is None:
             pytest.skip(_native.unavailable_reason())
-        num_qubits, program, _ = programs["twirled-strike"]
+        num_qubits, program = programs["twirled-strike"]
         header = program.code[:frames_program.CODE_HEADER].tolist()
         assert header == [program.num_qubits, program.num_cbits,
                           len(program.probabilities)]
@@ -905,7 +907,7 @@ class TestExecutors:
             assert _native.kernel() is None
         assert "no C compiler" in _native.unavailable_reason()
         # the compiler is back on PATH; the decision stands
-        num_qubits, program, _ = programs["dense"]
+        num_qubits, program = programs["dense"]
         ran = blocks_run()
         FrameSimulator(num_qubits, [64, 64], rng=[1, 2]).run_packed(program)
         assert [b - a for a, b in zip(ran, blocks_run())] == [0, 2]
@@ -964,7 +966,7 @@ class TestStructureAndBinding:
         """One task down the memoised route and through a fresh
         per-point compile: ``(memoised program, fresh program, circuit
         width, structures the memoised route compiled, programs it
-        bound)``."""
+        bound, noise model)``."""
         experiment, _, _ = _prepared(
             task.code, task.rounds, task.basis, task.arch, task.layout,
             task.decoder, task.readout)
@@ -976,7 +978,7 @@ class TestStructureAndBinding:
         fresh = compile_frame_program(experiment.circuit, noise,
                                       rng=frame_ref_seed(task.seed))
         return (memoised, fresh, experiment.circuit.num_qubits, compiles,
-                binds)
+                binds, noise)
 
     @pytest.mark.parametrize("arch", [None, ArchSpec("mesh", (5, 4)),
                                       ArchSpec("cairo")],
@@ -990,20 +992,22 @@ class TestStructureAndBinding:
         for fault in self.FAULTS:
             for p in self.P_VALUES:
                 points += 1
-                memoised, fresh, n, compiled, bound = self.routes(
+                memoised, fresh, n, compiled, bound, noise = self.routes(
                     InjectionTask(code=code, arch=arch, fault=fault,
                                   intrinsic_p=p, backend="frames",
                                   seed=points))
                 compiles += compiled
                 binds += bound
                 assert_same_program(memoised, fresh)
-                for tilt in (1.0, 4.0):
-                    a = FrameSimulator(n, 100, rng=points, tilt=tilt)
-                    b = FrameSimulator(n, 100, rng=points, tilt=tilt)
-                    assert np.array_equal(a.run_packed(memoised),
-                                          b.run_packed(fresh))
+                for tilt in (None, SamplerSpec(kind="tilt", tilt=4.0)):
+                    a = FrameSimulator(n, 100, rng=points)
+                    b = FrameSimulator(n, 100, rng=points)
+                    assert np.array_equal(
+                        a.run_packed(memoised.structure.bind(noise, tilt)),
+                        b.run_packed(fresh.structure.bind(noise, tilt)))
                     assert np.array_equal(a.shot_weights(),
                                           b.shot_weights())
+                    assert (a.log_weights is None) == (tilt is None)
                     assert a.rng.random() == b.rng.random()
         assert binds == points
         if code.kind == "repetition":
@@ -1012,8 +1016,8 @@ class TestStructureAndBinding:
             assert compiles == self.SIGNATURES
         else:
             # random-branch reference: one compile per task seed,
-            # nothing to share
-            assert memoised.structure is None
+            # nothing to share across seeds
+            assert memoised.structure.seeded
             assert compiles == points
 
     def test_random_reference_is_never_shared_across_seeds(self):
@@ -1024,12 +1028,13 @@ class TestStructureAndBinding:
                              intrinsic_p=1e-3, backend="frames")
         programs = []
         for seed in (1, 2, 3, 4):
-            memoised, fresh, _, compiled, _ = self.routes(
+            memoised, fresh, _, compiled, _, _ = self.routes(
                 dataclasses.replace(base, seed=seed))
             assert compiled == 1
             assert_same_program(memoised, fresh)
             programs.append(memoised)
-        assert all(p.structure is None for p in programs)
+        assert all(p.structure.seeded for p in programs)
+        assert len({id(p.structure) for p in programs}) == len(programs)
         assert len({p.reference_record.tobytes() for p in programs}) > 1
 
     @pytest.mark.parametrize("first,second", [
@@ -1046,7 +1051,7 @@ class TestStructureAndBinding:
                              intrinsic_p=1e-3, seed=5)
         compiled = []
         for fault in (first, second, first, second):
-            memoised, fresh, _, compiles, _ = self.routes(
+            memoised, fresh, _, compiles, _, _ = self.routes(
                 dataclasses.replace(base, fault=fault))
             assert_same_program(memoised, fresh)
             compiled.append(compiles)
@@ -1075,7 +1080,7 @@ class TestStructureAndBinding:
         assert counted("engine.backend_fallbacks") - f0 == 3
         # ... while backend="frames" still gets its per-seed program
         forced = dataclasses.replace(base, seed=9, backend="frames")
-        memoised, fresh, _, compiled, _ = self.routes(forced)
+        memoised, fresh, _, compiled, _, _ = self.routes(forced)
         assert compiled == 1
         assert_same_program(memoised, fresh)
         assert not memoised.exact_noise

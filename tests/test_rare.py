@@ -15,6 +15,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.circuits import Circuit
+from repro.codes import XXZZCode, build_memory_experiment
+from repro.frames import FrameSimulator, frame_structure
 from repro.injection import Campaign, CodeSpec, FaultSpec, InjectionTask
 from repro.injection.adaptive import AdaptivePolicy
 from repro.injection.campaign import (_task_context, iter_task_chunks,
@@ -23,6 +26,9 @@ from repro.injection.results import (SIM_BLOCK, ChunkResult,
                                      wilson_interval)
 from repro.injection.store import CampaignStore, task_key
 from repro.injection.sweep import build_sweep
+from repro.noise import (DepolarizingNoise, NoiseModel, RadiationEvent,
+                         run_batch_noisy)
+from repro.noise.base import NoiseChannel
 from repro.rare.sampler import SamplerSpec, as_sampler
 from repro.rare.stats import (WeightStats, mc_required_shots,
                               variance_reduction_factor, wilson_from_rate)
@@ -35,6 +41,23 @@ def moderate_task(sampler=SamplerSpec(), shots=4096, seed=7, **kw):
                     sampler=sampler)
     defaults.update(kw)
     return InjectionTask(**defaults)
+
+
+class _EdgeRng:
+    """A generator whose uniforms fire every site on shot 0 (``u = 0``)
+    and none on the others (``u`` just under 1); everything else is
+    forwarded to a seeded generator."""
+
+    def __init__(self) -> None:
+        self._rng = np.random.default_rng(0)
+
+    def random(self, size):
+        u = np.full(size, np.nextafter(1.0, 0.0))
+        u[0] = 0.0
+        return u
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
 # ----------------------------------------------------------------------
@@ -224,75 +247,159 @@ class TestWeightProperties:
         """A site whose nominal p already exceeds the cap samples at p
         (plain MC, zero LLR) — never below it (regression: the old
         clamp order could push q under p and silently *under*-sample
-        the tail)."""
-        from repro.frames import FrameSimulator
-        from repro.rare.tilt import tilted_probability
-
+        the tail).  Both backends read the one clamp."""
         spec = SamplerSpec(kind="tilt", tilt=8.0, p_cap=0.001)
-        assert tilted_probability(0.002, spec) == 0.002
-        assert tilted_probability(0.0001, spec) == 0.0008
-        sim = FrameSimulator(1, 64, rng=0, tilt=8.0, tilt_p_cap=0.001)
-        assert sim._tilted_p(0.002) == 0.002
-        sim.depolarize(0, 0.002)     # q == p: zero LLR everywhere
-        assert np.all(sim.log_weights == 0.0)
+        for p, q in ((0.002, 0.002), (0.0001, 0.0008)):
+            table = DepolarizingNoise(p).site_table(1).tilted(spec)
+            assert table.table[0, 0] == q
+            assert (table.llr[:, 0, 0] == 0.0).all() == (q == p)
+        # q == p at every site: the binding is the plain program, and
+        # both backends leave every shot at unit weight
+        circuit = Circuit(1).x(0).measure(0, 0)
+        noise = NoiseModel([DepolarizingNoise(0.002)])
+        program = frame_structure(circuit, noise).bind(noise, spec)
+        assert program.log_ratios is None
+        assert program.probabilities.tolist() == [0.002]
+        sim = FrameSimulator(1, 64, rng=0)
+        sim.run_packed(program)
+        assert sim.log_weights is None
+        for backend in ("frames", "tableau"):
+            _, weights = run_batch_noisy(circuit, noise, 64, rng=0,
+                                         backend=backend, tilt=spec)
+            assert np.all(weights == 1.0)
 
     def test_tilted_tableau_stream_matches_plain_at_q_eq_p(self):
-        """The tilted channel keeps its own tableau loop (it banks LLRs
-        the site table cannot express), so nothing pins its stream but
-        this: at ``q == p`` it must draw and flip exactly as the plain
-        channel — records and generator state bit-identical — and
-        leave every shot at unit weight."""
-        from repro.codes import XXZZCode, build_memory_experiment
-        from repro.frames import supports_noise
-        from repro.noise import (DepolarizingNoise, NoiseModel,
-                                 RadiationEvent, run_batch_noisy)
-        from repro.rare.tilt import tilted_noise_model
-
+        """The tableau tilts in its one interpreter: at ``q == p`` the
+        tilted walk must draw and flip exactly as the plain walk —
+        records and generator state bit-identical — and leave every
+        shot at unit weight."""
         circuit = build_memory_experiment(XXZZCode(3, 3)).circuit
         n = circuit.num_qubits
         event = RadiationEvent(2, {q: abs(q - 2) for q in range(n)},
                                num_qubits=n)
         plain = NoiseModel([DepolarizingNoise(1e-2), event.channel(4)])
-        tilted, sink = tilted_noise_model(plain,
-                                          SamplerSpec(kind="tilt", tilt=1.0))
-        assert tilted.channels[0].q == tilted.channels[0].p
-        assert not supports_noise(tilted)      # tableau-only, as before
+        spec = SamplerSpec(kind="tilt", tilt=1.0)
         for batch in (1, 63, 512):
             rngs = [np.random.default_rng(batch) for _ in range(2)]
             want = run_batch_noisy(circuit, plain, batch, rng=rngs[0],
                                    backend="tableau")
-            sink.reset(batch)
-            got = run_batch_noisy(circuit, tilted, batch, rng=rngs[1],
-                                  backend="tableau")
+            got, weights = run_batch_noisy(circuit, plain, batch,
+                                           rng=rngs[1], backend="tableau",
+                                           tilt=spec)
+            # the walk did read the tilted table
+            assert plain.channels[0].walk_table(n).llr is not None
             assert np.array_equal(got, want)
             assert (rngs[1].bit_generator.state
                     == rngs[0].bit_generator.state)
-            assert np.all(sink.weights() == 1.0)
+            assert np.all(weights == 1.0)
 
     def test_untilted_frames_have_unit_weights(self):
-        from repro.frames import FrameSimulator
-
         sim = FrameSimulator(4, 130, rng=3)
         assert sim.log_weights is None
         assert np.all(sim.shot_weights() == 1.0)
 
+    P, TILT = 0.01, 5.0
+    #: One depolarize site, after an X gate.
+    ONE_SITE = Circuit(1).x(0)
+
+    def _site_llr(self, fired):
+        p, q = self.P, self.TILT * self.P
+        return np.where(fired, math.log(p / q), math.log((1 - p) / (1 - q)))
+
     def test_tilted_site_llr_is_exact(self):
-        """One depolarize site: fired shots carry log(p/q), the rest
-        log((1-p)/(1-q))."""
-        from repro.frames import FrameSimulator
+        """One depolarize site of a tilted frame program: fired shots
+        carry log(p/q), the rest log((1-p)/(1-q))."""
         from repro.frames.packing import unpack_words
 
-        p, tilt = 0.01, 5.0
-        sim = FrameSimulator(1, 256, rng=11, tilt=tilt)
+        noise = NoiseModel([DepolarizingNoise(self.P)])
+        program = frame_structure(self.ONE_SITE, noise).bind(
+            noise, SamplerSpec(kind="tilt", tilt=self.TILT))
+        sim = FrameSimulator(1, 256, rng=11)
         sim.z[:] = 0   # clear the random initial Z frame: after the
         # site fires, x|z holds exactly the error mask
-        sim.depolarize(0, p)
-        q = tilt * p
+        sim.run_packed(program)
         fired = (unpack_words(sim.x[0], 256)
                  | unpack_words(sim.z[0], 256)).astype(bool)
-        expect = np.where(fired, math.log(p / q),
-                          math.log((1 - p) / (1 - q)))
-        assert np.allclose(sim.log_weights, expect)
+        assert 0 < fired.sum() < 256
+        assert np.allclose(sim.log_weights, self._site_llr(fired))
+
+    def test_tilted_tableau_site_llr_is_exact(self):
+        """The same site on the tableau: its one uniform row (the walk's
+        only draw) fires at q — an X or Y, ``u < 2q/3``, flips the
+        readout — and weights the shot like the frame site."""
+        noise = NoiseModel([DepolarizingNoise(self.P)])
+        records, weights = run_batch_noisy(
+            Circuit(1).x(0).measure(0, 0), noise, 256, rng=11,
+            backend="tableau",
+            tilt=SamplerSpec(kind="tilt", tilt=self.TILT))
+        u = np.random.default_rng(11).random(256)
+        q = self.TILT * self.P
+        assert np.array_equal(records[:, 0], 1 ^ (u < 2 * q / 3))
+        fired = u < q
+        assert 0 < fired.sum() < 256
+        assert np.allclose(np.log(weights), self._site_llr(fired))
+
+    def test_backends_tilt_the_same_sites(self, monkeypatch):
+        """The frame binding and the tableau interpreter read one tilted
+        table: over intrinsic depolarizing noise, a strike and a plain
+        ``DepolarizingNoise`` subclass, they visit the same sites in the
+        same order with the same ``(q, llr_hit, llr_miss)`` and bank the
+        same weights; fault-reset sites are never tilted."""
+        from repro.frames.program import (OP_DEPOLARIZE,
+                                          OP_DEPOLARIZE_LAYER,
+                                          OP_RESET_NOISE)
+
+        class Regional(DepolarizingNoise):
+            """A subclass that changes nothing a site table shows."""
+
+        circuit = build_memory_experiment(XXZZCode(3, 3), rounds=2).circuit
+        n = circuit.num_qubits
+        event = RadiationEvent(2, {q: abs(q - 2) for q in range(n)},
+                               num_qubits=n)
+        noise = NoiseModel([DepolarizingNoise(2e-3), event.channel(1),
+                            Regional(0.3, qubits=range(0, n, 2))])
+        spec = SamplerSpec(kind="tilt", tilt=4.0)
+        structure = frame_structure(circuit, noise, rng=0)
+        nominal = structure.bind(noise).probabilities
+        program = structure.bind(noise, spec)
+        reset_sites = {op[2] for op in structure.ops
+                       if op[0] == OP_RESET_NOISE}
+        assert reset_sites
+        # every bound depolarize op carries its sites' ratios
+        for i in structure.noise_ops:
+            code, sites = structure.ops[i][0], structure.ops[i][2]
+            if code in (OP_DEPOLARIZE, OP_DEPOLARIZE_LAYER):
+                np.testing.assert_equal(program.ops[i][-2:], tuple(
+                    program.log_ratios[:, sites]))
+        frames = [("reset" if s in reset_sites else "depolarize",
+                   program.probabilities[s], *program.log_ratios[:, s])
+                  for s in range(len(structure.site_source))]
+        for s in reset_sites:
+            assert frames[s][1:] == (nominal[s], 0.0, 0.0)
+        assert {q for kind, q, *_ in frames if kind == "depolarize"} \
+            == {8e-3, 0.5}
+
+        seen = []
+        interpret = NoiseChannel.apply_batch
+
+        def spy(channel, gate, sim, rng):
+            t = channel.walk_table(sim.n)
+            r, qubits = t.sites_after(gate)
+            for qubit in qubits:
+                llr = (0.0, 0.0) if t.llr is None else t.llr[:, r, qubit]
+                seen.append((t.kind, t.table[r, qubit], *llr))
+            interpret(channel, gate, sim, rng)
+
+        monkeypatch.setattr(NoiseChannel, "apply_batch", spy)
+        _, weights = run_batch_noisy(circuit, noise, 2, rng=_EdgeRng(),
+                                     backend="tableau", tilt=spec)
+        assert seen == frames
+        # shot 0 fires every site, shot 1 none: each banks the ratios
+        # one by one, in site order
+        banked = [0.0, 0.0]
+        for _, _, hit, miss in frames:
+            banked = [banked[0] + hit, banked[1] + miss]
+        assert weights.tolist() == np.exp(banked).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +429,7 @@ class TestSplitting:
                              backend="frames", rounds=4)
         from repro.rare.split import split_points
 
-        experiment, _, _, program, _, _ = _task_context(task)
+        experiment, _, _, program, _ = _task_context(task)
         points = split_points(program, experiment, 3)
         assert 1 <= len(points) <= 3
         rounds_done = [r for _, r in points]
@@ -343,7 +450,7 @@ class TestSplitting:
         task = moderate_task(SamplerSpec(kind="split", levels=rounds),
                              code=CodeSpec("xxzz", (distance, distance)),
                              backend="frames", rounds=rounds)
-        experiment, _, _, program, _, _ = _task_context(task)
+        experiment, _, _, program, _ = _task_context(task)
         points = split_points(program, experiment, rounds)
         assert len(points) == rounds - 1
         for op_index, _ in points:
@@ -510,7 +617,7 @@ class TestPilot:
         task = moderate_task(
             SamplerSpec(kind="tilt", tilt=0.0, pilot_shots=512),
             intrinsic_p=0.002, shots=1024, seed=13)
-        experiment, decoder, noise, program, _, _ = _task_context(
+        experiment, decoder, noise, program, _ = _task_context(
             dataclasses.replace(task, sampler=SamplerSpec(
                 kind="tilt", tilt=2.0)))
         a = resolve_tilt(task, experiment, decoder, noise, program)
