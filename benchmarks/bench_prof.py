@@ -1,7 +1,7 @@
 """Profiler overhead benchmark: profiling on vs off, d=5 hot path.
 
 The profiler's contract is stricter than the telemetry layer's: when
-off it costs one ``None``-check per ``exec_ops`` call, and when *on*
+off it costs one ``None``-check per ``run_packed`` call, and when *on*
 the per-op kernel attribution (``perf_counter`` reads at opcode-run
 boundaries of the executor's dispatch loop, one block in
 ``prof.SAMPLE_EVERY``) must stay under 2% on the d=5
@@ -20,9 +20,8 @@ from repro.obs import prof
 from repro.injection import CodeSpec, InjectionTask, run_task
 
 #: 32 canonical blocks of the bench_obs / bench_decode_batch workload:
-#: ~0.1 s a run, the scale the 2% bar was set at (hoisted depolarize
-#: draws made a block ~3x cheaper; at 8 blocks a run is 25 ms and host
-#: jitter alone swings the ratio by +-2%).
+#: ~0.1 s a run, the scale the 2% bar was set at (at 8 blocks a run is
+#: ~25 ms and host jitter alone swings the ratio by +-2%).
 SHOTS = 16384
 
 TASK = InjectionTask(code=CodeSpec("xxzz", (5, 5)), intrinsic_p=5e-4,

@@ -1,22 +1,25 @@
 /* Native op loop for bound frame programs.
  *
- * One call executes a whole program (the int64 stream of
+ * One call executes ops [first, stop) of a program (the int64 stream of
  * repro.frames.program.encode_ops past its header, plus the binding's
- * probability vector) in place on the simulator's x, z and record
- * words.  Opcodes are the OP_* numbers of program.py; every operand
- * was range-checked when the stream was encoded and the bounds held
- * against the arrays before the call, so nothing is checked here.
+ * probability vector and, on a tilted binding, its log-likelihood
+ * ratios) in place on the simulator's x, z and record words and its
+ * per-shot log-weights.  Opcodes are the OP_* numbers of program.py;
+ * every operand was range-checked when the stream was encoded and the
+ * bounds held against the arrays before the call, so nothing is
+ * checked here.  A scalar op's operands are laid out as a one-wide
+ * layer's, so each kind has one case.
  *
  * Randomness is numpy's: lane l draws through the bitgen_t its
  * generator publishes, with the calls — next_raw where the numpy
  * executor calls random_raw, next_double where it calls
- * Generator.random — and in the order a lone block of that lane's
- * size makes.  The one reordering is the depolarize draw/apply split,
- * collapsed here: OP_DEPOLARIZE_DRAW only opens the run and each site
- * draws its rows as it applies them.  A lane's stream is unchanged
- * because nothing else draws inside a run; a site that is not the
- * next row of the open run is refused (CUT_RUN), as the numpy executor
- * refuses a site whose draw it has not seen.
+ * Generator.random — and in the order the numpy executor makes them:
+ * op by op, and inside an op lane by lane, each lane all of its rows.
+ *
+ * Weights keep the numpy executor's float order: a scalar site adds
+ * its ratio to each shot's log-weight (nothing when both ratios are
+ * 0), a layer sums its rows' ratios from its first row on and adds the
+ * sum once.
  *
  * Built by frames/_native.py with `cc -O2 -shared -fPIC`; C99, libc only.
  */
@@ -40,14 +43,22 @@ enum {
     OP_H, OP_S, OP_CX, OP_CZ, OP_SWAP, OP_MEASURE, OP_RESET, OP_DEPOLARIZE,
     OP_RESET_NOISE, OP_H_LAYER, OP_S_LAYER, OP_CX_LAYER, OP_CZ_LAYER,
     OP_SWAP_LAYER, OP_MEASURE_LAYER, OP_RESET_LAYER, OP_DEPOLARIZE_LAYER,
-    OP_DEPOLARIZE_DRAW, NUM_OPS
+    NUM_OPS
 };
 
-enum { OK = 0, CUT_RUN = 1, NO_MEMORY = 2, BAD_OP = 3 };
+/* Operand words of a scalar op, or per entry of a layer. */
+static const int64_t ARITY[NUM_OPS] = {
+    [OP_H] = 1, [OP_S] = 1, [OP_CX] = 2, [OP_CZ] = 2, [OP_SWAP] = 2,
+    [OP_MEASURE] = 3, [OP_RESET] = 1, [OP_DEPOLARIZE] = 2,
+    [OP_RESET_NOISE] = 3, [OP_H_LAYER] = 1, [OP_S_LAYER] = 1,
+    [OP_CX_LAYER] = 2, [OP_CZ_LAYER] = 2, [OP_SWAP_LAYER] = 2,
+    [OP_MEASURE_LAYER] = 3, [OP_RESET_LAYER] = 1, [OP_DEPOLARIZE_LAYER] = 2,
+};
 
-/* out[]: depolarize rows, hits, dense rows; then the refused site's run
- * and the run that was open. */
-enum { OUT_ROWS, OUT_HITS, OUT_DENSE, OUT_SITE_RUN, OUT_OPEN_RUN };
+enum { OK = 0, NO_MEMORY = 1, BAD_OP = 2 };
+
+/* out[]: depolarize rows, hits. */
+enum { OUT_ROWS, OUT_HITS };
 
 /* reset_noise x_value operand: 0, 1, or reference Z-indefinite (twirl). */
 enum { X_TWIRL = 2 };
@@ -61,9 +72,12 @@ typedef struct {
     const lane_t *lanes;
     bitgen_t *const *gens;
     const double *prob;
-    /* A row expecting more than dense_hits hits in dense_shots shots
-     * is counted dense (simulator.DENSE_HITS_PER_ROW). */
-    double dense_shots, dense_hits;
+    /* Tilted bindings: llr_hit per site, then llr_miss per site, and
+     * the per-shot log-weights; lw is NULL on a plain one. */
+    const double *llr;
+    int64_t num_sites;
+    double *lw;
+    double *layer_lw;           /* scratch: a layer's per-shot sum */
     uint64_t *mask;             /* scratch: the widest lane's words */
     int64_t *out;
 } sim_t;
@@ -197,83 +211,108 @@ static void reset_noise(const sim_t *s, int64_t a, double p, int64_t x_value)
     }
 }
 
-/* One depolarize row, drawn and applied: per lane one uniform per
- * shot; u < p fires, X iff u < 2p/3, Z iff u >= p/3
- * (FrameSimulator._apply_row — its dense masks and single-bit flips
- * make these same comparisons). */
-static void depolarize_row(const sim_t *s, int64_t a, double p)
+/* FrameSimulator._depolarize: per lane, each site's row of one uniform
+ * per shot; u < p fires, X iff u < 2p/3, Z iff u >= p/3.  A weighted
+ * shot banks llr_hit where its site fired, llr_miss elsewhere: a
+ * scalar site's at once, a layer's summed over its rows first. */
+static void depolarize(const sim_t *s, const int64_t *qs,
+                       const int64_t *sites, int64_t k, int layer)
 {
-    double third = p / 3.0, two_thirds = 2 * third;
     int64_t hits = 0;
     for (int64_t l = 0; l < s->num_lanes; l++) {
         const lane_t *lane = &s->lanes[l];
         const bitgen_t *g = s->gens[l];
-        uint64_t *x = s->x + a * s->W + lane->lo;
-        uint64_t *z = s->z + a * s->W + lane->lo;
-        for (int64_t w = 0, left = lane->shots; left > 0; w++, left -= 64) {
-            int64_t bits = left < 64 ? left : 64;
-            uint64_t xm = 0, zm = 0;
-            for (int64_t b = 0; b < bits; b++) {
-                double u = g->next_double(g->state);
-                if (u < p) {
-                    hits++;
-                    xm |= (uint64_t)(u < two_thirds) << b;
-                    zm |= (uint64_t)(u >= third) << b;
-                }
+        double *lw = s->lw ? s->lw + 64 * lane->lo : NULL;
+        double *sum = lw && layer ? s->layer_lw + 64 * lane->lo : lw;
+        for (int64_t i = 0; i < k; i++) {
+            double p = s->prob[sites[i]], third = p / 3.0;
+            double two_thirds = 2 * third, hit = 0.0, miss = 0.0;
+            int weigh = 0;
+            if (lw) {
+                hit = s->llr[sites[i]];
+                miss = s->llr[s->num_sites + sites[i]];
+                weigh = layer || hit != 0.0 || miss != 0.0;
             }
-            x[w] ^= xm;
-            z[w] ^= zm;
+            uint64_t *x = s->x + qs[i] * s->W + lane->lo;
+            uint64_t *z = s->z + qs[i] * s->W + lane->lo;
+            for (int64_t w = 0, left = lane->shots; left > 0;
+                 w++, left -= 64) {
+                int64_t bits = left < 64 ? left : 64;
+                uint64_t xm = 0, zm = 0;
+                for (int64_t b = 0; b < bits; b++) {
+                    double u = g->next_double(g->state);
+                    int fired = u < p;
+                    if (fired) {
+                        hits++;
+                        xm |= (uint64_t)(u < two_thirds) << b;
+                        zm |= (uint64_t)(u >= third) << b;
+                    }
+                    if (weigh) {
+                        double v = fired ? hit : miss;
+                        if (layer && i == 0)
+                            sum[64 * w + b] = v;
+                        else
+                            sum[64 * w + b] += v;
+                    }
+                }
+                x[w] ^= xm;
+                z[w] ^= zm;
+            }
         }
+        if (lw && layer)
+            for (int64_t shot = 0; shot < lane->shots; shot++)
+                lw[shot] += sum[shot];
     }
-    s->out[OUT_HITS] += hits;
-}
-
-/* What FrameSimulator.depolarize_draw counts for rows of these sites. */
-static void count_rows(const sim_t *s, const int64_t *sites, int64_t k)
-{
-    int64_t dense = 0;
-    for (int64_t i = 0; i < k; i++)
-        dense += s->prob[sites[i]] * s->dense_shots > s->dense_hits;
     s->out[OUT_ROWS] += k * s->num_lanes;
-    s->out[OUT_DENSE] += dense * s->num_lanes;
+    s->out[OUT_HITS] += hits;
 }
 
 /* prof: NULL, or 3 * NUM_OPS doubles — per opcode seconds, calls and
  * fused width beyond the call — clocked where the opcode changes, as
- * FrameSimulator.exec_ops clocks its sampled blocks. */
+ * FrameSimulator._exec_numpy clocks its sampled blocks. */
 int64_t repro_frames_run(const int64_t *code, int64_t code_len,
-                         const double *prob,
+                         int64_t first, int64_t stop,
+                         const double *prob, const double *llr,
+                         int64_t num_sites, double *lw,
                          uint64_t *x, uint64_t *z, uint64_t *rec, int64_t W,
                          int64_t num_lanes, const int64_t *lanes,
-                         bitgen_t *const *gens,
-                         int64_t dense_shots, int64_t dense_hits,
-                         int64_t *out, double *prof)
+                         bitgen_t *const *gens, int64_t *out, double *prof)
 {
     sim_t sim = {x, z, rec, W, num_lanes, (const lane_t *)lanes, gens, prob,
-                 (double)dense_shots, (double)dense_hits, NULL, out};
-    const sim_t *s = &sim;
+                 llr, num_sites, lw, NULL, NULL, out};
     const int64_t *pc = code, *end = code + code_len;
-    int64_t open_run = -1, next_row = 0, run_rows = 0;
     int64_t status = OK, run_code = -1;
     double t_run = 0.0;
-    int64_t widest = 0;
+    int64_t widest = 0, shots = 0;
 
     for (int64_t l = 0; l < num_lanes; l++) {
         int64_t words = sim.lanes[l].hi - sim.lanes[l].lo;
         if (words > widest)
             widest = words;
+        shots = 64 * sim.lanes[l].lo + sim.lanes[l].shots;
     }
     sim.mask = malloc((size_t)(widest ? widest : 1) * sizeof(uint64_t));
-    if (!sim.mask)
+    if (lw)
+        sim.layer_lw = malloc((size_t)(shots ? shots : 1) * sizeof(double));
+    if (!sim.mask || (lw && !sim.layer_lw)) {
+        free(sim.mask);
+        free(sim.layer_lw);
         return NO_MEMORY;
-    out[OUT_ROWS] = out[OUT_HITS] = out[OUT_DENSE] = 0;
+    }
+    out[OUT_ROWS] = out[OUT_HITS] = 0;
 
-    while (pc < end) {
-        int64_t op = *pc++, k = 1;
+    for (int64_t i = 0; i < stop && pc < end; i++) {
+        int64_t op = *pc++;
         if (op < 0 || op >= NUM_OPS) {  /* unreachable: encode_ops checked */
             status = BAD_OP;
             break;
         }
+        /* A layer: width k, then its operand arrays at a. */
+        int64_t scalar = op < OP_H_LAYER, k = scalar ? 1 : pc[0];
+        const int64_t *a = scalar ? pc : pc + 1;
+        pc = a + k * ARITY[op];
+        if (i < first)
+            continue;
         if (prof) {
             if (op != run_code) {
                 double t = now();
@@ -283,135 +322,58 @@ int64_t repro_frames_run(const int64_t *code, int64_t code_len,
                 run_code = op;
             }
             prof[NUM_OPS + op] += 1;
+            prof[2 * NUM_OPS + op] += (double)(k - 1);
         }
         switch (op) {
         case OP_H:
-            h(s, pc[0]);
-            pc += 1;
+        case OP_H_LAYER:
+            for (int64_t j = 0; j < k; j++)
+                h(&sim, a[j]);
             break;
         case OP_S:
-            xor_row(z + pc[0] * W, x + pc[0] * W, W);
-            pc += 1;
+        case OP_S_LAYER:
+            for (int64_t j = 0; j < k; j++)
+                xor_row(z + a[j] * W, x + a[j] * W, W);
             break;
-        case OP_CX:
-            cx(s, pc[0], pc[1]);
-            pc += 2;
+        case OP_CX:                 /* controls, targets */
+        case OP_CX_LAYER:
+            for (int64_t j = 0; j < k; j++)
+                cx(&sim, a[j], a[k + j]);
             break;
         case OP_CZ:
-            cz(s, pc[0], pc[1]);
-            pc += 2;
+        case OP_CZ_LAYER:
+            for (int64_t j = 0; j < k; j++)
+                cz(&sim, a[j], a[k + j]);
             break;
         case OP_SWAP:
-            swap(s, pc[0], pc[1]);
-            pc += 2;
+        case OP_SWAP_LAYER:
+            for (int64_t j = 0; j < k; j++)
+                swap(&sim, a[j], a[k + j]);
             break;
-        case OP_MEASURE:            /* qubit, cbit, reference bit */
-            read_out(s, pc[0], pc[1], pc[2]);
-            random_z(s, pc, 1, 0);
-            pc += 3;
+        case OP_MEASURE:            /* qubits, cbits, reference bits */
+        case OP_MEASURE_LAYER:
+            for (int64_t j = 0; j < k; j++)
+                read_out(&sim, a[j], a[k + j], a[2 * k + j]);
+            random_z(&sim, a, k, 0);
             break;
         case OP_RESET:
-            clear_x(s, pc[0]);
-            random_z(s, pc, 1, 1);
-            pc += 1;
+        case OP_RESET_LAYER:
+            for (int64_t j = 0; j < k; j++)
+                clear_x(&sim, a[j]);
+            random_z(&sim, a, k, 1);
             break;
         case OP_RESET_NOISE:        /* qubit, site, x_value */
-            reset_noise(s, pc[0], prob[pc[1]], pc[2]);
-            pc += 3;
+            reset_noise(&sim, a[0], prob[a[1]], a[2]);
             break;
-        case OP_H_LAYER:            /* k, qubits */
-            k = *pc++;
-            for (int64_t i = 0; i < k; i++)
-                h(s, pc[i]);
-            pc += k;
-            break;
-        case OP_S_LAYER:
-            k = *pc++;
-            for (int64_t i = 0; i < k; i++)
-                xor_row(z + pc[i] * W, x + pc[i] * W, W);
-            pc += k;
-            break;
-        case OP_CX_LAYER:           /* k, controls, targets */
-            k = *pc++;
-            for (int64_t i = 0; i < k; i++)
-                cx(s, pc[i], pc[k + i]);
-            pc += 2 * k;
-            break;
-        case OP_CZ_LAYER:
-            k = *pc++;
-            for (int64_t i = 0; i < k; i++)
-                cz(s, pc[i], pc[k + i]);
-            pc += 2 * k;
-            break;
-        case OP_SWAP_LAYER:
-            k = *pc++;
-            for (int64_t i = 0; i < k; i++)
-                swap(s, pc[i], pc[k + i]);
-            pc += 2 * k;
-            break;
-        case OP_MEASURE_LAYER:      /* k, qubits, cbits, reference bits */
-            k = *pc++;
-            for (int64_t i = 0; i < k; i++)
-                read_out(s, pc[i], pc[k + i], pc[2 * k + i]);
-            random_z(s, pc, k, 0);
-            pc += 3 * k;
-            break;
-        case OP_RESET_LAYER:
-            k = *pc++;
-            for (int64_t i = 0; i < k; i++)
-                clear_x(s, pc[i]);
-            random_z(s, pc, k, 1);
-            pc += k;
-            break;
-        case OP_DEPOLARIZE_DRAW:    /* k, run, sites */
-            k = *pc++;
-            open_run = *pc++;
-            next_row = 0;
-            run_rows = k;
-            count_rows(s, pc, k);
-            pc += k;
-            break;
-        case OP_DEPOLARIZE:         /* qubit, site, run, row */
-        case OP_DEPOLARIZE_LAYER: { /* k, run, row, qubits, sites */
-            const int64_t *qs, *sites;
-            int64_t run, row;
-            if (op == OP_DEPOLARIZE) {
-                k = 1;
-                qs = pc;
-                sites = pc + 1;
-                run = pc[2];
-                row = pc[3];
-                pc += 4;
-            } else {
-                k = pc[0];
-                run = pc[1];
-                row = pc[2];
-                qs = pc + 3;
-                sites = qs + k;
-                pc = sites + k;
-            }
-            if (run < 0) {          /* bare site: its own draw */
-                count_rows(s, sites, k);
-            } else if (run != open_run || row != next_row
-                       || row + k > run_rows) {
-                out[OUT_SITE_RUN] = run;
-                out[OUT_OPEN_RUN] = open_run;
-                status = CUT_RUN;
-                goto done;
-            } else {
-                next_row += k;
-            }
-            for (int64_t i = 0; i < k; i++)
-                depolarize_row(s, qs[i], prob[sites[i]]);
+        case OP_DEPOLARIZE:         /* qubits, sites */
+        case OP_DEPOLARIZE_LAYER:
+            depolarize(&sim, a, a + k, k, !scalar);
             break;
         }
-        }
-        if (prof)
-            prof[2 * NUM_OPS + op] += (double)(k - 1);
     }
-done:
     if (prof && run_code >= 0)
         prof[run_code] += now() - t_run;
     free(sim.mask);
+    free(sim.layer_lw);
     return status;
 }

@@ -25,7 +25,7 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "_kernel.c")
 
 #: Kernel return codes (``_kernel.c``).
-OK, CUT_RUN, NO_MEMORY = 0, 1, 2
+OK, NO_MEMORY = 0, 1
 #: Opcode slots in a profile accumulator: seconds, calls, fused width.
 NUM_OPS = len(OP_KIND)
 
@@ -40,28 +40,28 @@ class Kernel:
         np.random.PCG64(0).ctypes.bit_generator.value
         run = lib.repro_frames_run
         run.restype = ctypes.c_int64
-        run.argtypes = ([ctypes.c_void_p, ctypes.c_int64]      # code
-                        + [ctypes.c_void_p] * 4                # prob x z rec
+        run.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3  # code, ops
+                        + [ctypes.c_void_p] * 2                # prob, llr
+                        + [ctypes.c_int64]                     # sites
+                        + [ctypes.c_void_p] * 4                # lw x z rec
                         + [ctypes.c_int64] * 2                 # W, lanes
-                        + [ctypes.c_void_p] * 2                # lanes, gens
-                        + [ctypes.c_int64] * 2                 # dense rule
-                        + [ctypes.c_void_p] * 2)               # out, prof
+                        + [ctypes.c_void_p] * 4)       # lanes gens out prof
         self._run = run
 
-    def __call__(self, code, prob, x, z, record_words,
+    def __call__(self, code, start: int, stop: int, prob, log_ratios,
+                 log_weights, x, z, record_words,
                  lanes: Sequence[Tuple[int, int, int]],
-                 bit_generators: Sequence, dense_shots: int,
-                 dense_hits: int, profile: bool = False
-                 ) -> Tuple[bool, List[int], Optional[List[float]]]:
-        """Run one program over ``x``/``z``/``record_words`` (C-ordered
-        uint64 ``(rows, W)`` arrays) in place.
+                 bit_generators: Sequence, profile: bool = False
+                 ) -> Tuple[List[int], Optional[List[float]]]:
+        """Run ops ``start .. stop`` of one program over
+        ``x``/``z``/``record_words`` (C-ordered uint64 ``(rows, W)``
+        arrays) in place — and, with ``log_ratios`` (C-ordered float64
+        ``(2, sites)``), bank each shot's weight in ``log_weights``.
 
         ``lanes`` are ``(shots, lo, hi)`` per lane and
-        ``bit_generators`` their distinct numpy bit generators, whose
-        locks are held for the call.  Returns whether the kernel
-        refused a depolarize site cut off from its draw, its ``out``
-        words (depolarize rows, hits, dense rows; on a refusal the
-        site's run and the open run) and — with ``profile`` — the
+        ``bit_generators`` their numpy bit generators, whose locks are
+        held for the call.  Returns the kernel's ``out`` words
+        (depolarize rows, hits) and — with ``profile`` — the
         ``3 * NUM_OPS`` accumulator.
         """
         num_lanes = len(lanes)
@@ -69,26 +69,27 @@ class Kernel:
             *[v for lane in lanes for v in lane])
         gens = (ctypes.c_void_p * num_lanes)(
             *[bg.ctypes.bit_generator.value for bg in bit_generators])
-        out = (ctypes.c_int64 * 5)()
+        out = (ctypes.c_int64 * 2)()
         acc = (ctypes.c_double * (3 * NUM_OPS))() if profile else None
-        locks = [bg.lock for bg in bit_generators]
+        weighted = log_ratios is not None
+        locks = list({id(bg): bg.lock for bg in bit_generators}.values())
         for lock in locks:
             lock.acquire()
         try:
             status = self._run(
-                code.ctypes.data, code.size, prob.ctypes.data,
+                code.ctypes.data, code.size, start, stop, prob.ctypes.data,
+                log_ratios.ctypes.data if weighted else None,
+                prob.size, log_weights.ctypes.data if weighted else None,
                 x.ctypes.data, z.ctypes.data, record_words.ctypes.data,
-                x.shape[1], num_lanes, geometry, gens,
-                dense_shots, dense_hits, out, acc)
+                x.shape[1], num_lanes, geometry, gens, out, acc)
         finally:
             for lock in locks:
                 lock.release()
         if status == NO_MEMORY:
             raise MemoryError("native frame executor")
-        if status not in (OK, CUT_RUN):
+        if status != OK:
             raise RuntimeError(f"native frame executor: status {status}")
-        return (status == CUT_RUN, list(out),
-                None if acc is None else list(acc))
+        return list(out), None if acc is None else list(acc)
 
 
 _LOADER = Loader(SOURCE, "frames-kernel", "frames.native_unavailable",

@@ -47,34 +47,18 @@ tableau semantics are then no longer the table's), raises
 :class:`FrameLoweringError`; callers fall back to the batched tableau
 backend.
 
-**Draw/apply split.**  A depolarize site needs one uniform per shot but
-acts on the few shots where that uniform falls under ``p``.  After
-:func:`fuse_layers` the compiler (:func:`hoist_draws`) walks the op
-list and groups every maximal *run* of depolarize sites with no other
-rng consumer (measure, reset, fault reset) between them; one
-``OP_DEPOLARIZE_DRAW`` in front of the run pulls all of its uniforms
-in a single ``rng.random((rows, B))`` and every site keeps only its
-row index into that buffer.  The sites are consecutive on the rng
-chain, so the block draw is the same generator calls concatenated, and
-the Cliffords the draw is hoisted over consume no rng: the stream, and
-therefore every record and weight, is **bit-identical** to per-site
-draws.  At run time the draw extracts the ``(row, shot)`` hits in one
-vectorised compare; a site with no hit returns at once, a site with a
-few flips those single bits, and a row whose hit count passes a fixed
-density threshold falls back to dense mask-and-pack of the pre-drawn
-row, batched over the draw's dense rows (see
-:meth:`~repro.frames.simulator.FrameSimulator.depolarize_draw`).
-Runs longer than :data:`MAX_DRAW_ROWS` are cut into consecutive draws
-(stream-identical), bounding the buffer at ``MAX_DRAW_ROWS x B``
-doubles whatever the run length.  Every site carries its draw's run
-id; a program slice that separates a site from its draw fails loudly
-in the executor.
+**Depolarize draws.**  A depolarize site draws its own uniform row —
+one double per shot, ``u < p`` fires it — where it stands in the op
+list; a fused layer draws its rows in site order.  No draw is shared
+between ops, so the executors run any op range of a program
+(``run_packed``'s ``start``/``stop``, the splitting sampler's
+segments) exactly as the whole program runs those ops.
 
 **Structure and binding.**  Everything above depends on the noise
 model only through *which sites fire* — never on how probable they
 are — so compilation is two steps.  :func:`frame_structure` does the
 expensive one: the reference pass, the Z-determinacy of every fault
-reset site, fusion and draw hoisting, over an op list whose probability
+reset site and fusion, over an op list whose probability
 operands hold *site numbers*.  :meth:`FrameStructure.bind` does the
 cheap one: it reads every site's probability off a noise model with
 the same site signature (:func:`site_signature`) and writes them into
@@ -110,9 +94,8 @@ OP_CZ = 3           # (OP_CZ, a, b)
 OP_SWAP = 4         # (OP_SWAP, a, b)
 OP_MEASURE = 5      # (OP_MEASURE, qubit, cbit, reference_bit)
 OP_RESET = 6        # (OP_RESET, qubit) — circuit reset (in the reference too)
-OP_DEPOLARIZE = 7   # (OP_DEPOLARIZE, qubit, p, run_id, row) — the
-                    # last two appended by hoist_draws; a tilted
-                    # binding appends llr_hit, llr_miss
+OP_DEPOLARIZE = 7   # (OP_DEPOLARIZE, qubit, p) — a tilted binding
+                    # appends llr_hit, llr_miss
 OP_RESET_NOISE = 8  # (OP_RESET_NOISE, qubit, p, x_value|None) — fault reset
 
 #: Fused-layer opcodes: a group of qubit-disjoint same-type ops
@@ -127,13 +110,8 @@ OP_SWAP_LAYER = 13       # (OP_SWAP_LAYER, a_array, b_array)
 OP_MEASURE_LAYER = 14    # (OP_MEASURE_LAYER, qubit_array, cbit_array,
                          #  reference_bit_array)
 OP_RESET_LAYER = 15      # (OP_RESET_LAYER, qubit_array)
-OP_DEPOLARIZE_LAYER = 16  # (OP_DEPOLARIZE_LAYER, qubit_array, p_array,
-                          #  run_id, first_row[, llr_hit_array,
-                          #  llr_miss_array])
-
-#: The draw half of a run of depolarize sites (see :func:`hoist_draws`):
-#: one uniform row per site qubit, drawn in site order.
-OP_DEPOLARIZE_DRAW = 17   # (OP_DEPOLARIZE_DRAW, p_array, run_id)
+OP_DEPOLARIZE_LAYER = 16  # (OP_DEPOLARIZE_LAYER, qubit_array, p_array
+                          #  [, llr_hit_array, llr_miss_array])
 
 #: Scalar opcode → its fused-layer twin.
 _LAYER_OF = {OP_H: OP_H_LAYER, OP_S: OP_S_LAYER, OP_CX: OP_CX_LAYER,
@@ -155,8 +133,7 @@ OP_KIND = {OP_H: "h", OP_S: "s", OP_CX: "cx", OP_CZ: "cz",
            OP_SWAP_LAYER: "swap.fused",
            OP_MEASURE_LAYER: "measure.fused",
            OP_RESET_LAYER: "reset.fused",
-           OP_DEPOLARIZE_LAYER: "depolarize.fused",
-           OP_DEPOLARIZE_DRAW: "depolarize.draw"}
+           OP_DEPOLARIZE_LAYER: "depolarize.fused"}
 
 #: Opcodes whose execution consumes the shared rng stream.  Their
 #: mutual order is a hard scheduling constraint: permuting any two
@@ -174,8 +151,7 @@ _FRAME_TRIVIAL = frozenset({GateType.I, GateType.X, GateType.Y, GateType.Z})
 
 #: Index of the probability operand in each noise op.  In a
 #: :class:`FrameStructure` it holds the op's site number(s) instead.
-_P_SLOT = {OP_DEPOLARIZE: 2, OP_DEPOLARIZE_LAYER: 2, OP_RESET_NOISE: 2,
-           OP_DEPOLARIZE_DRAW: 1}
+_P_SLOT = {OP_DEPOLARIZE: 2, OP_DEPOLARIZE_LAYER: 2, OP_RESET_NOISE: 2}
 
 #: Noise ops a tilted binding appends ``(llr_hit, llr_miss)`` to.
 _WEIGHTED = frozenset({OP_DEPOLARIZE, OP_DEPOLARIZE_LAYER})
@@ -227,8 +203,7 @@ class FrameProgram:
     probabilities: Optional[np.ndarray] = None
     #: ``(2, sites)``: each site's log-likelihood ratios where it fires
     #: / does not, on a program bound with a tilt that moves some site;
-    #: ``None`` on a plain one.  The native executor runs plain
-    #: programs only.
+    #: ``None`` on a plain one.
     log_ratios: Optional[np.ndarray] = None
 
     @property
@@ -306,10 +281,10 @@ class FrameStructure:
             p = np.concatenate(
                 [t.table.ravel() for t in tables])[self.site_source]
             if tilt is not None:
-                llr = np.concatenate(
+                llr = np.ascontiguousarray(np.concatenate(
                     [np.zeros((2, t.table.size)) if t.llr is None
                      else t.llr.reshape(2, -1) for t in tables],
-                    axis=1)[:, self.site_source]
+                    axis=1)[:, self.site_source])
                 if not llr.any():
                     llr = None
             scalar = p.tolist()
@@ -396,8 +371,7 @@ def fuse_layers(ops: List[Tuple]) -> List[Tuple]:
     behind them collapse into one vectorised op each.  Fused rng layers
     draw their samples in the scalar order (``Generator.bytes`` and
     ``Generator.random`` stream identically whether pulled per row or
-    in one block; depolarize uniforms are drawn per *run* by
-    :func:`hoist_draws`, not per layer), so a fused program's records
+    in one block), so a fused program's records
     are **bit-identical** to the unfused program's — fusion is pure
     scheduling, not approximation.
     """
@@ -482,62 +456,6 @@ def fuse_layers(ops: List[Tuple]) -> List[Tuple]:
     return out
 
 
-#: Upper bound on the uniform rows one ``OP_DEPOLARIZE_DRAW`` pulls (a
-#: single site wider than this still draws whole).  The run-time buffer
-#: is ``rows x batch_size`` doubles — 512 KiB at the canonical 512-shot
-#: block — so memory follows this constant, not the run length.
-MAX_DRAW_ROWS = 128
-
-#: Ops that consume rng without being depolarize sites: each ends a run.
-_RUN_CLOSERS = frozenset({OP_MEASURE, OP_MEASURE_LAYER, OP_RESET,
-                          OP_RESET_LAYER, OP_RESET_NOISE})
-
-
-def hoist_draws(ops: List[Tuple]) -> List[Tuple]:
-    """Split every depolarize site into a shared draw and its apply.
-
-    Walks a (fused) structure op list and opens a run at each
-    depolarize site not already inside one; the run ends at the next
-    other rng consumer or when :data:`MAX_DRAW_ROWS` would be exceeded.
-    One ``OP_DEPOLARIZE_DRAW`` carrying the run's per-row site numbers
-    (probabilities, once bound) is emitted directly in front of the
-    run's first site, and every site gains ``(run_id, row)`` — its rows
-    in the drawn buffer.  Row order is site order, so the one block
-    draw equals the per-site draws concatenated (module docstring).
-    """
-    out: List[Tuple] = []
-    run_id = -1
-    draw_at = -1         # index in ``out`` of the open run's draw op
-    rows: List[int] = []   # the open run's site numbers, one per row
-
-    def close() -> None:
-        nonlocal draw_at
-        if draw_at >= 0:
-            out[draw_at] = (OP_DEPOLARIZE_DRAW,
-                            np.array(rows, dtype=np.intp), run_id)
-            draw_at = -1
-
-    for op in ops:
-        code = op[0]
-        if code == OP_DEPOLARIZE or code == OP_DEPOLARIZE_LAYER:
-            sites = [op[2]] if code == OP_DEPOLARIZE else op[2].tolist()
-            if draw_at >= 0 and len(rows) + len(sites) > MAX_DRAW_ROWS:
-                close()
-            if draw_at < 0:
-                run_id += 1
-                draw_at = len(out)
-                out.append(())   # placeholder, filled by close()
-                rows = []
-            out.append(op + (run_id, len(rows)))
-            rows.extend(sites)
-        else:
-            if code in _RUN_CLOSERS:
-                close()
-            out.append(op)
-    close()
-    return out
-
-
 #: Words in front of an :func:`encode_ops` stream's first op.
 CODE_HEADER = 3
 
@@ -556,11 +474,7 @@ def encode_ops(ops, num_qubits: int, num_cbits: int,
     which the simulator holds against its own arrays before every
     run.  Then per op the opcode, and: scalar ops their operands as
     they stand (``x_value`` ``None`` as :data:`_X_TWIRL`); layers
-    their width ``k`` and each operand array in turn;
-    ``OP_DEPOLARIZE_LAYER`` ``k, run, row, qubits, sites`` and
-    ``OP_DEPOLARIZE_DRAW`` ``k, run, sites``.  A depolarize site
-    :func:`hoist_draws` has not seen gets run -1: it draws its own
-    rows, as the bare handler does.
+    their width ``k`` and each operand array in turn.
 
     Every qubit, cbit and site operand is checked against its range
     here — the kernel indexes unchecked — so an operand the numpy
@@ -596,7 +510,7 @@ def encode_ops(ops, num_qubits: int, num_cbits: int,
         elif code == OP_DEPOLARIZE:
             qubits.append(op[1])
             sites.append(op[2])
-            out.extend((op[1], op[2]) + (tuple(op[3:]) or (-1, 0)))
+            out.extend((op[1], op[2]))
         elif code in (OP_H_LAYER, OP_S_LAYER, OP_RESET_LAYER,
                       OP_CX_LAYER, OP_CZ_LAYER, OP_SWAP_LAYER):
             lists = arrays(op, len(op) - 1)
@@ -615,13 +529,7 @@ def encode_ops(ops, num_qubits: int, num_cbits: int,
             qubits.extend(qs)
             sites.extend(rows)
             out.append(len(qs))
-            out.extend(tuple(op[3:]) or (-1, 0))
             out.extend(qs + rows)
-        elif code == OP_DEPOLARIZE_DRAW:
-            rows, = arrays(op, 1)
-            sites.extend(rows)
-            out.extend((len(rows), op[2]))
-            out.extend(rows)
         else:
             raise ValueError(f"no native encoding for opcode {code!r}")
     for what, values, bound in (("qubit", qubits, num_qubits),
@@ -754,7 +662,7 @@ def frame_structure(circuit: Circuit,
                     ops.append((OP_RESET_NOISE, q, site, value))
                     reset_counts[0 if value is not None else 1] += 1
 
-    ops = hoist_draws(fuse_layers(ops))
+    ops = fuse_layers(ops)
     # Every bound program shares these arrays.
     ref.flags.writeable = False
     for op in ops:

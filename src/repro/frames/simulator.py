@@ -24,17 +24,23 @@ through the lowered ops of a :class:`~repro.frames.program.FrameProgram`
 **Lanes.**  The shot axis is cut into *lanes*, each with its own
 generator: the lane is the unit of randomness, the simulator the unit
 of execution.  Every op that draws (``__init__``'s Z fill,
-``measure``/``measure_layer``, ``reset``, ``depolarize_draw``,
-``reset_noise``) makes, lane by lane, exactly the generator calls a
-one-lane simulator of that lane's size makes, in the same order, and
-writes them to that lane's word columns; everything else — the
-Cliffords, the op loop, the hit flips, the record writes — runs once
-over the whole ``(n, W)`` arrays.  So a lane's record words, weights
+``measure``/``measure_layer``, ``reset``, ``depolarize``/
+``depolarize_layer``, ``reset_noise``) makes, lane by lane, exactly
+the generator calls a one-lane simulator of that lane's size makes, in
+the same order, and writes them to that lane's word columns;
+everything else — the Cliffords, the op loop, the record writes — runs
+once over the whole ``(n, W)`` arrays.  So a lane's record words, weights
 and final generator state do not depend on which lanes ran beside it,
 and ``FrameSimulator(n, B, rng=g)`` is simply the one-lane case.  The
 campaign engine runs a span of canonical 512-shot blocks as the lanes
 of one simulator: per-op interpreter and dispatch cost is paid once
 per span instead of once per block.
+
+**Executors.**  :meth:`FrameSimulator.run_packed` runs a program on the
+native op loop (``_kernel.c``, :mod:`repro.frames._native`) wherever
+it is built, and otherwise on this module's numpy handlers — the plain
+reference, one handler call per op, that the native loop must match
+bit for bit: records, frames, weights and every lane's generator state.
 """
 
 from __future__ import annotations
@@ -61,7 +67,6 @@ from .program import (
     OP_CZ,
     OP_CZ_LAYER,
     OP_DEPOLARIZE,
-    OP_DEPOLARIZE_DRAW,
     OP_DEPOLARIZE_LAYER,
     OP_H,
     OP_H_LAYER,
@@ -87,26 +92,9 @@ _OBS_OPS = obs.counter("frames.ops")
 _OBS_FUSED = obs.counter("frames.fused_ops")
 _OBS_SITES = obs.counter("frames.depolarize_sites")
 _OBS_HITS = obs.counter("frames.depolarize_hits")
-_OBS_DENSE = obs.counter("frames.depolarize_dense_sites")
-
-#: A depolarize row *expecting* more hits per lane than this (``p``
-#: times the lane size) takes the dense mask-and-pack path instead of
-#: single-bit flips.  Fixed from the d=5 block-scale bench: a flip
-#: costs ~0.5 us of interpreter time, a dense row ~4 us at 512 shots
-#: (packed in one sweep per draw).  The rule reads the row's
-#: probability, not its drawn hits, so each lane's draw can be reduced
-#: and dropped before the next lane's is made; both paths make the
-#: same comparisons, so records are identical under any rule.
-DENSE_HITS_PER_ROW = 8
 
 #: A Clifford operand: one qubit, or a fused layer's disjoint qubits.
 Qubits = Union[int, np.ndarray]
-
-_CUT_RUN = ("depolarize site of run {} executed against the draw of run {}: "
-            "the op slice separates the site from its OP_DEPOLARIZE_DRAW")
-
-#: ``_BIT[j]``: the word with only shot-bit ``j`` set.
-_BIT = [np.uint64(1) << np.uint64(j) for j in range(WORD_BITS)]
 
 #: Opcode -> handler method, the one dispatch table (plain and
 #: profiled): an op executes as ``handler(*op[1:])``.
@@ -116,12 +104,8 @@ _HANDLER = {
     OP_SWAP: "swap", OP_SWAP_LAYER: "swap",
     OP_MEASURE: "_measure_into", OP_MEASURE_LAYER: "_measure_layer_into",
     OP_RESET: "reset", OP_RESET_LAYER: "reset",
-    OP_RESET_NOISE: "reset_noise", OP_DEPOLARIZE_DRAW: "depolarize_draw",
+    OP_RESET_NOISE: "reset_noise",
     OP_DEPOLARIZE: "depolarize", OP_DEPOLARIZE_LAYER: "depolarize_layer"}
-
-#: Ops whose first operand is an array, one entry per scalar-equivalent
-#: op — how the profiler reads a fused op's width straight from the op.
-_WIDE_OPS = LAYER_OPS | {OP_DEPOLARIZE_DRAW}
 
 
 def _fold_sample(stats, seconds, calls, widths) -> None:
@@ -166,8 +150,8 @@ class FrameSimulator:
     FrameStructure.bind`) samples its depolarize sites at the tilted
     probabilities, and each of its sites carries the log-likelihood
     ratios the shots bank in :attr:`log_weights` — a per-shot float row
-    riding alongside the packed X/Z frames, allocated by the first
-    weighted site.
+    riding alongside the packed X/Z frames, allocated by the first run
+    of a tilted program.
     """
 
     def __init__(self, num_qubits: int,
@@ -196,8 +180,6 @@ class FrameSimulator:
                                lo + words_for(size)))
             start += size
         self._lanes = lanes
-        #: The dense/sparse rule's lane size (see DENSE_HITS_PER_ROW).
-        self._lane_shots = max(sizes)
         self.n = n
         self.batch_size = start
         self.num_words = lanes[-1].hi
@@ -212,19 +194,10 @@ class FrameSimulator:
         # pulled per row or in one call, so the sampled frames match the
         # historical per-qubit loop bit-for-bit.
         self.z = self._random_rows(n)
-        # The open depolarize draw (see depolarize_draw): run id, the
-        # sparse rows' hits in CSR form over rows — shot and uniform
-        # per hit — and the dense rows' packed masks.
-        self._run = -1
-        self._row_ptr = None
-        self._hit_shots = self._hit_u = []
-        self._dense_words = None
-        self._dense_slot = {}
-        #: Depolarize [rows drawn, hits, rows packed densely], counted
-        #: per lane — of the last :meth:`run_packed`, or since
-        #: construction before one.
-        self.depolarize_stats = [0, 0, 0]
-        self._record = None    # exec_ops' record words, for measures
+        #: Depolarize [rows drawn, hits], counted per lane — of the
+        #: last :meth:`run_packed`, or since construction before one.
+        self.depolarize_stats = [0, 0]
+        self._record = None    # _exec_numpy's record words, for measures
         self._handlers = [getattr(self, _HANDLER[code])
                           for code in range(len(_HANDLER))]
 
@@ -281,39 +254,6 @@ class FrameSimulator:
         return out
 
     # ------------------------------------------------------------------
-    # Importance weights of tilted depolarize sites
-    # ------------------------------------------------------------------
-    def _weigh(self, row: int, llr_hit, llr_miss) -> None:
-        """Bank the log-likelihood ratios of the tilted site(s) at rows
-        ``row ..`` of the open draw: ``llr_hit`` on the shots a site
-        fired, ``llr_miss`` on the rest — a scalar site's at once, a
-        layer's summed over its rows first."""
-        if self.log_weights is None:
-            self.log_weights = np.zeros(self.batch_size)
-        if np.ndim(llr_hit):
-            fired = self._fired(row, row + len(llr_hit))
-            self.log_weights += np.where(fired, llr_hit[:, None],
-                                         llr_miss[:, None]).sum(axis=0)
-        elif llr_hit or llr_miss:
-            self.log_weights += np.where(self._fired(row, row + 1)[0],
-                                         llr_hit, llr_miss)
-
-    def _fired(self, row: int, end: int) -> np.ndarray:
-        """``(end - row, B)`` bool: which shots fired rows ``row ..
-        end`` of the open draw — its compare ``u < q`` rebuilt from
-        what the draw kept (a shot fired iff it got an X or a Z)."""
-        fired = np.zeros((end - row, self.batch_size), dtype=bool)
-        ptr, shots = self._row_ptr, self._hit_shots
-        for i in range(end - row):
-            slot = self._dense_slot.get(row + i)
-            if slot is not None:
-                x_words, z_words = self._dense_words[:, slot]
-                fired[i] = unpack_words(x_words | z_words, self.batch_size)
-            elif ptr[row + i] != ptr[row + i + 1]:
-                fired[i, shots[ptr[row + i]:ptr[row + i + 1]]] = True
-        return fired
-
-    # ------------------------------------------------------------------
     # Non-unitary ops
     # ------------------------------------------------------------------
     def measure(self, a: int, reference_bit: int) -> np.ndarray:
@@ -341,152 +281,57 @@ class FrameSimulator:
     # ------------------------------------------------------------------
     # Lowered noise ops
     # ------------------------------------------------------------------
-    def depolarize_draw(self, ps: np.ndarray, run=None) -> None:
-        """The draw half of a run of depolarize sites: per lane, one
-        uniform row per entry of ``ps`` in a single generator call
-        (stream-identical to per-site draws), reduced at once to what
-        the sites need and then dropped — a span never holds more than
-        one lane's uniforms.
+    def depolarize(self, a: int, p: float, llr_hit=None,
+                   llr_miss=None) -> None:
+        """Per-shot X/Y/Z error with probability ``p/3`` each (Eq. 4),
+        from one uniform row per lane (:meth:`_depolarize`).
 
-        One vectorised compare finds the hits ``u < p``; their shots
-        and uniforms are kept in CSR form over rows, so a site finds
-        its rows' hits — usually none — by two list lookups and flips
-        single bits when :meth:`depolarize` / :meth:`depolarize_layer`
-        apply them by row, quoting ``run``.  Rows expecting more than
-        :data:`DENSE_HITS_PER_ROW` hits a lane get their X/Z masks
-        packed here instead, in one sweep per lane.
+        A site of a tilted program samples at the tilted ``p`` and also
+        carries its log-likelihood ratios: each shot banks ``llr_hit``
+        if the site fired, else ``llr_miss``, in :attr:`log_weights`
+        (nothing when both are 0).
         """
-        k, lanes = len(ps), self._lanes
-        p = ps[:, None]
-        # A run of equal probabilities (one depolarizing strength — the
-        # usual case) compares against the scalar: numpy's broadcast
-        # compare against a (k, 1) column runs ~4x slower.
-        threshold = ps[0] if (ps == ps[0]).all() else p
-        dense = (ps * self._lane_shots > DENSE_HITS_PER_ROW).nonzero()[0]
-        self._dense_slot = {r: j for j, r in enumerate(dense.tolist())}
-        pd = p[dense]
-        if dense.size:
-            self._dense_words = np.empty((2, dense.size, self.num_words),
-                                         dtype=np.uint64)  # [X|Z, slot, word]
-        num_hits = 0
-        hits = []
-        for lane in lanes:
-            lane_hits, dense_hits = self._draw_lane(lane, k, threshold,
-                                                    dense, pd)
-            num_hits += dense_hits
-            if lane_hits is not None:
-                hits.append(lane_hits)
-        self._run = run
-        self.depolarize_stats[0] += k * len(lanes)
-        self.depolarize_stats[2] += dense.size * len(lanes)
-        if not hits:
-            self.depolarize_stats[1] += num_hits
-            self._row_ptr = [0] * (k + 1)
-            return
-        rows, shots, us = hits[0]
-        if len(hits) > 1:
-            # Each lane's hits are sorted by row; a stable sort keeps
-            # them in lane order within a row.
-            rows, shots, us = (np.concatenate(part) for part in zip(*hits))
-            order = rows.argsort(kind="stable")
-            rows, shots, us = rows[order], shots[order], us[order]
-        self.depolarize_stats[1] += num_hits + rows.size
-        self._row_ptr = np.searchsorted(rows, np.arange(k + 1)).tolist()
-        self._hit_shots = shots.tolist()
-        self._hit_u = us.tolist()
-
-    def _draw_lane(self, lane: _Lane, k: int, threshold, dense: np.ndarray,
-                   pd: np.ndarray):
-        """One lane's share of a draw: ``(k, shots)`` uniforms from the
-        lane's generator, reduced to the sparse rows' hits — ``(rows,
-        shots, uniforms)`` sorted by row, or ``None`` — and the dense
-        rows' masks, packed into the lane's word columns; returns the
-        hits and the dense rows' hit count.  The uniforms die with
-        this frame, so the next lane's draw gets the same, cache-warm
-        block back from the allocator."""
-        rng, start, size, lo, hi = lane
-        u = rng.random((k, size))
-        fired = u < threshold
-        dense_hits = 0
-        if dense.size:
-            every = dense.size == k     # the usual dense draw: no row copy
-            ud = u if every else u[dense]
-            third = pd / 3.0
-            self._dense_words[:, :, lo:hi] = pack_bool_rows(
-                np.concatenate([ud < 2 * third, (ud >= third) & (ud < pd)])
-                ).reshape(2, dense.size, -1)
-            dense_hits = int(np.count_nonzero(fired if every
-                                              else fired[dense]))
-            if every:
-                return None, dense_hits
-            fired[dense] = False
-        flat = fired.ravel().nonzero()[0]       # row * size + shot, sorted
-        if not flat.size:
-            return None, dense_hits
-        rows = flat // size
-        return (rows, flat - rows * size + start, u.ravel()[flat]), dense_hits
-
-    def _apply_row(self, a: int, p: float, row: int) -> None:
-        """XOR drawn row ``row``'s Pauli errors into qubit ``a``.
-
-        Per shot ``u < p`` fires the site: X iff ``u < 2p/3``, Z iff
-        ``u >= p/3`` (X, Y, Z at ``p/3`` each, Eq. 4) — the dense masks
-        and the single-bit flips make the same comparisons.
-        """
-        slot = self._dense_slot.get(row)
-        if slot is not None:
-            x_words, z_words = self._dense_words[:, slot]
-            self.x[a] ^= x_words
-            self.z[a] ^= z_words
-            return
-        lo, hi = self._row_ptr[row], self._row_ptr[row + 1]
-        third = p / 3.0
-        xa, za = self.x[a], self.z[a]
-        for c, uc in zip(self._hit_shots[lo:hi], self._hit_u[lo:hi]):
-            word, bit = c >> 6, _BIT[c & 63]
-            if uc < 2 * third:
-                xa[word] ^= bit
-            if uc >= third:
-                za[word] ^= bit
-
-    def depolarize(self, a: int, p: float, run=None, row: int = 0,
-                   llr_hit=None, llr_miss=None) -> None:
-        """Per-shot X/Y/Z error with probability ``p/3`` each (Eq. 4).
-
-        Compiled programs pass the site's ``(run, row)`` in the open
-        :meth:`depolarize_draw`; called bare, the site draws its own
-        row.  A site of a tilted program samples at the tilted ``p``
-        and also carries its log-likelihood ratios, which the shots
-        bank in :attr:`log_weights` (see the class doc).
-        """
-        if run is None:
-            self.depolarize_draw(np.array([p], dtype=float))
-        if run != self._run:
-            raise RuntimeError(_CUT_RUN.format(run, self._run))
-        if llr_hit is not None:
-            self._weigh(row, llr_hit, llr_miss)
-        if self._row_ptr[row] != self._row_ptr[row + 1] \
-                or row in self._dense_slot:
-            self._apply_row(a, p, row)
+        weighted = bool(llr_hit or llr_miss)
+        fired = self._depolarize(slice(a, a + 1), 1, p, weighted)
+        if weighted:
+            self.log_weights += np.where(fired[0], llr_hit, llr_miss)
 
     def depolarize_layer(self, qs: np.ndarray, ps: np.ndarray,
-                         run=None, row: int = 0,
                          llr_hit=None, llr_miss=None) -> None:
-        """Fused depolarize sites on disjoint qubits: rows ``row ..
-        row + len(qs)`` of the open draw (or, called bare, of its own
-        block draw); weighted like :meth:`depolarize`."""
-        if run is None:
-            self.depolarize_draw(ps)
-        if run != self._run:
-            raise RuntimeError(_CUT_RUN.format(run, self._run))
-        end = row + len(qs)
+        """Fused depolarize sites on disjoint qubits; a tilted layer
+        sums its rows' ratios per shot, then banks the sum once."""
+        fired = self._depolarize(qs, len(qs), ps[:, None],
+                                 llr_hit is not None)
         if llr_hit is not None:
-            self._weigh(row, llr_hit, llr_miss)
-        ptr, dense = self._row_ptr, self._dense_slot
-        if ptr[row] != ptr[end] or dense:
-            for i in range(len(qs)):
-                if ptr[row + i] != ptr[row + i + 1] or row + i in dense:
-                    self._apply_row(qs[i], ps[i], row + i)
+            self.log_weights += np.where(fired, llr_hit[:, None],
+                                         llr_miss[:, None]).sum(axis=0)
+
+    def _depolarize(self, rows, k: int, p,
+                    weighted: bool) -> Optional[np.ndarray]:
+        """``k`` sites on frame rows ``rows`` at probability ``p`` (a
+        scalar, or a ``(k, 1)`` column): per lane one ``(k, shots)``
+        draw — each site's row in turn, the stream of per-site
+        ``random(shots)`` calls.  ``u < p`` fires a site: X iff
+        ``u < 2p/3``, Z iff ``u >= p/3``; a lane where none fired has
+        nothing to flip.  Returns, when ``weighted``, which shots each
+        site fired: ``(k, B)``."""
+        fired = (np.empty((k, self.batch_size), dtype=bool)
+                 if weighted else None)
+        hits = 0
+        for rng, start, size, lo, hi in self._lanes:
+            u = rng.random((k, size))
+            hit = u < p
+            lane_hits = int(np.count_nonzero(hit))
+            if lane_hits:
+                hits += lane_hits
+                third = p / 3.0
+                self.x[rows, lo:hi] ^= pack_bool_rows(u < 2 * third)
+                self.z[rows, lo:hi] ^= pack_bool_rows((u >= third) & hit)
+            if weighted:
+                fired[:, start:start + size] = hit
+        self.depolarize_stats[0] += k * len(self._lanes)
+        self.depolarize_stats[1] += hits
+        return fired
 
     def reset_noise(self, a: int, p: float,
                     x_value: Optional[int] = None) -> None:
@@ -518,7 +363,9 @@ class FrameSimulator:
     # ------------------------------------------------------------------
     # Program execution
     # ------------------------------------------------------------------
-    def run_packed(self, program: FrameProgram) -> np.ndarray:
+    def run_packed(self, program: FrameProgram, start: int = 0,
+                   stop: Optional[int] = None,
+                   record_words: Optional[np.ndarray] = None) -> np.ndarray:
         """Execute a compiled program; returns record *words*.
 
         The ``(num_cbits, W)`` uint64 result is the backend's native
@@ -527,38 +374,54 @@ class FrameSimulator:
         detector) reduce these words directly — popcount, bit-sliced
         counters, whole-word XOR — without ever materialising per-shot
         uint8 records.
+
+        ``start``/``stop`` run only ``program.ops[start:stop]``, into
+        ``record_words`` if given: no draw spans two ops, so a range
+        draws what it draws inside the whole program, and the splitting
+        sampler (:mod:`repro.rare.split`) runs a program segment by
+        segment, resampling the batch between segments.  The range that
+        ends the program counts the block.
         """
         if program.num_qubits > self.n:
             raise ValueError("program wider than simulator register")
-        record_words = np.zeros((program.num_cbits, self.num_words),
-                                dtype=np.uint64)
-        self.depolarize_stats = [0, 0, 0]
+        start, stop, _ = slice(start, stop).indices(len(program.ops))
+        shape = (program.num_cbits, self.num_words)
+        if record_words is None:
+            record_words = np.zeros(shape, dtype=np.uint64)
+        elif (record_words.shape != shape or record_words.dtype != np.uint64
+              or not record_words.flags.c_contiguous):
+            raise ValueError(f"record_words must be C-ordered uint64 "
+                             f"{shape} words")
+        if program.log_ratios is not None and self.log_weights is None:
+            self.log_weights = np.zeros(self.batch_size)
+        self.depolarize_stats = [0, 0]
         kernel = self._native_kernel(program)
         if kernel is None:
-            self.exec_ops(program.ops, record_words)
-            _OBS_NUMPY.inc(len(self._lanes))
+            self._exec_numpy(program.ops[start:stop], record_words)
         else:
-            self._exec_native(kernel, program, record_words)
-            _OBS_NATIVE.inc(len(self._lanes))
-        _OBS_BLOCKS.inc(len(self._lanes))
-        _OBS_OPS.inc(len(program.ops))
-        _OBS_FUSED.inc(program.fused_ops)
-        for ctr, n in zip((_OBS_SITES, _OBS_HITS, _OBS_DENSE),
-                          self.depolarize_stats):
-            ctr.inc(n)
+            self._exec_native(kernel, program, start, stop, record_words)
+        if stop == len(program.ops):
+            blocks = len(self._lanes)
+            (_OBS_NUMPY if kernel is None else _OBS_NATIVE).inc(blocks)
+            _OBS_BLOCKS.inc(blocks)
+            _OBS_OPS.inc(len(program.ops))
+            _OBS_FUSED.inc(program.fused_ops)
+        _OBS_SITES.inc(self.depolarize_stats[0])
+        _OBS_HITS.inc(self.depolarize_stats[1])
         return record_words
 
     def _native_kernel(self, program: FrameProgram):
         """The native executor when it can run ``program`` here with
         the numpy executor's exact outcome, else ``None``: it knows
-        neither a tilted program's weights, nor ``MT19937``'s 32-bit
-        raw stream (:func:`~repro.frames.packing.random_words`), nor a
-        handler a subclass overrides; each lane needs a generator of its
-        own (it draws site by site where :meth:`depolarize_draw` draws
-        lane by lane); and it works on the ``(n, W)`` arrays in place."""
-        code, prob = program.code, program.probabilities
-        if (code is None or prob is None or program.log_ratios is not None
-                or type(self) is not FrameSimulator):
+        neither ``MT19937``'s 32-bit raw stream
+        (:func:`~repro.frames.packing.random_words`), nor a handler a
+        subclass overrides, nor the pairwise order numpy sums a tilted
+        layer's ratios in on a one-shot batch; and it works on the
+        arrays in place."""
+        code, prob, llr = program.code, program.probabilities, \
+            program.log_ratios
+        if (code is None or prob is None or type(self) is not FrameSimulator
+                or (llr is not None and self.batch_size == 1)):
             return None
         # The kernel indexes unchecked: hold the arrays it will be
         # handed against the bounds the stream was encoded under.
@@ -566,46 +429,50 @@ class FrameSimulator:
         if (code.dtype != np.int64 or prob.dtype != np.float64
                 or not (code.flags.c_contiguous and prob.flags.c_contiguous)
                 or num_qubits > self.n or num_cbits > program.num_cbits
-                or num_sites > prob.size):
+                or num_sites > prob.size
+                or (llr is not None and (
+                    llr.dtype != np.float64 or llr.shape != (2, prob.size)
+                    or not llr.flags.c_contiguous))):
             raise ValueError("program.code does not fit the program's "
                              "probabilities, record or this simulator")
-        generators = [lane.rng.bit_generator for lane in self._lanes]
-        if (any(isinstance(bg, np.random.MT19937) for bg in generators)
-                or len(set(map(id, generators))) != len(generators)):
+        if any(isinstance(lane.rng.bit_generator, np.random.MT19937)
+               for lane in self._lanes):
             return None
         shape = (self.n, self.num_words)
         for frame in (self.x, self.z):
             if (frame.shape != shape or frame.dtype != np.uint64
                     or not frame.flags.c_contiguous):
                 return None
+        lw = self.log_weights
+        if llr is not None and (lw.shape != (self.batch_size,)
+                                or lw.dtype != np.float64
+                                or not lw.flags.c_contiguous):
+            return None
         from . import _native   # first sample, not ``import repro``
 
         return _native.kernel()
 
-    def _exec_native(self, kernel, program: FrameProgram,
-                     record_words: np.ndarray) -> None:
-        """:meth:`exec_ops` of the whole program as one foreign call
-        (``_kernel.c``), profiled like it: every execution contributes
-        its wall time, a sampled one has the kernel clock its opcode
-        runs into the same buckets."""
+    def _exec_native(self, kernel, program: FrameProgram, start: int,
+                     stop: int, record_words: np.ndarray) -> None:
+        """:meth:`_exec_numpy` of ops ``start .. stop`` as one foreign
+        call (``_kernel.c``), profiled like it: every execution
+        contributes its wall time, a sampled one has the kernel clock
+        its opcode runs into the same buckets."""
         prof = _prof._ACTIVE
         stats, sampled = prof.begin_block() if prof else (None, False)
         t_blk = perf_counter()
-        cut_run, out, acc = kernel(
-            program.code[CODE_HEADER:], program.probabilities,
+        self.depolarize_stats, acc = kernel(
+            program.code[CODE_HEADER:], start, stop, program.probabilities,
+            program.log_ratios, self.log_weights,
             self.x, self.z, record_words,
             [(lane.shots, lane.lo, lane.hi) for lane in self._lanes],
-            [lane.rng.bit_generator for lane in self._lanes],
-            self._lane_shots, DENSE_HITS_PER_ROW, sampled)
+            [lane.rng.bit_generator for lane in self._lanes], sampled)
         if prof is not None:
             if sampled:
                 k = len(acc) // 3
                 _fold_sample(stats, acc[:k], map(int, acc[k:2 * k]),
                              map(int, acc[2 * k:]))
             prof.end_block(perf_counter() - t_blk)
-        if cut_run:
-            raise RuntimeError(_CUT_RUN.format(out[3], out[4]))
-        self.depolarize_stats = out[:3]
 
     def _measure_into(self, a: int, cbit: int, reference_bit: int) -> None:
         self._record[cbit] = self.measure(a, reference_bit)
@@ -613,16 +480,9 @@ class FrameSimulator:
     def _measure_layer_into(self, qs, cbits, refs) -> None:
         self._record[cbits] = self.measure_layer(qs, refs)
 
-    def exec_ops(self, ops, record_words: np.ndarray) -> None:
-        """Execute a slice of compiled ops against ``record_words``.
-
-        The dispatch core of :meth:`run_packed`, exposed so staged
-        executors (the multilevel-splitting driver in
-        :mod:`repro.rare.split`) can run a program segment by segment,
-        resampling the batch between segments.  No draw stays open
-        across calls: a slice that separates a depolarize site from
-        its ``OP_DEPOLARIZE_DRAW`` raises instead of applying one
-        batch's hits to another.
+    def _exec_numpy(self, ops, record_words: np.ndarray) -> None:
+        """The numpy executor: ``ops`` against ``record_words``, one
+        handler call per op.
 
         With a profiler enabled (``repro perf record``) one execution
         in ``prof.SAMPLE_EVERY`` — a profiler "block", whatever number
@@ -636,7 +496,6 @@ class FrameSimulator:
         hot-path cost.
         """
         self._record = record_words
-        self._run = -1
         table = self._handlers
         prof = _prof._ACTIVE
         if prof is None:
@@ -654,7 +513,6 @@ class FrameSimulator:
         t_acc = [0.0] * len(table)
         c_acc = [0] * len(table)
         w_acc = [0] * len(table)   # fused ops: width beyond the call
-        wide = _WIDE_OPS
         run_code = -1              # sentinel: no opcode run open yet
         run_n = 0
         t_run = t_blk
@@ -669,7 +527,7 @@ class FrameSimulator:
                 run_code = code
                 run_n = 0
             run_n += 1
-            if code in wide:
+            if code in LAYER_OPS:
                 w_acc[code] += len(op[1]) - 1
             table[code](*op[1:])
         t_end = pc()

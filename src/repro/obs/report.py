@@ -185,15 +185,13 @@ def render_report(path: Union[str, Sequence[str]]) -> str:
     binds = counters.get("frames.binds", 0)
     fallbacks = counters.get("engine.backend_fallbacks", 0)
     if blocks or binds or fallbacks:
-        sites = counters.get("frames.depolarize_sites", 0)
-        dense = counters.get("frames.depolarize_dense_sites", 0)
         lines += _section("frames sampler")
         lines.append(f"frames  {blocks:,} blocks, "
                      f"{counters.get('frames.ops', 0):,} ops "
                      f"({counters.get('frames.fused_ops', 0):,} fused); "
-                     f"depolarize {sites:,} sites, "
-                     f"{counters.get('frames.depolarize_hits', 0):,} hits, "
-                     f"{dense:,} dense ({_fmt_rate(dense, sites)}); "
+                     f"depolarize "
+                     f"{counters.get('frames.depolarize_sites', 0):,} sites, "
+                     f"{counters.get('frames.depolarize_hits', 0):,} hits; "
                      f"{binds:,} program(s) bound from "
                      f"{counters.get('frames.compiles', 0):,} compiled "
                      f"structure(s), {fallbacks:,} auto fallback(s) "

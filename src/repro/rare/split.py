@@ -62,10 +62,10 @@ def split_points(program: FrameProgram, experiment: MemoryExperiment,
     round (every cbit of that round's plaquette tables measured, both
     bases); at most ``levels`` boundaries are kept, evenly spaced over
     the interior rounds — the final round is never a boundary (there is
-    nothing left to redistribute toward).  A measure op closes every
-    depolarize draw run (:func:`repro.frames.program.hoist_draws`), so
-    no boundary separates a site from its draw — and
-    :meth:`FrameSimulator.exec_ops` raises if one ever did.
+    nothing left to redistribute toward).  Any op index is a valid cut
+    (:meth:`FrameSimulator.run_packed` runs op ranges), so the boundary
+    is placed for the science alone: once the round's last measure has
+    written its record bits.
     """
     tables = [np.asarray(t, dtype=np.intp)
               for t in (experiment.z_syndrome_cbits,
@@ -141,13 +141,12 @@ def run_split_packed(sim: FrameSimulator, program: FrameProgram,
     lane is a faithful copy of its parent's whole trajectory.
     """
     points = split_points(program, experiment, sampler.levels)
-    record_words = np.zeros((program.num_cbits, sim.num_words),
-                            dtype=np.uint64)
+    record_words = None
     B = sim.batch_size
     log_w = np.zeros(B, dtype=np.float64)
     pos = 0
     for op_index, rounds_done in points:
-        sim.exec_ops(program.ops[pos:op_index], record_words)
+        record_words = sim.run_packed(program, pos, op_index, record_words)
         pos = op_index
         scores = _event_scores(record_words, experiment, rounds_done, B)
         g = np.power(float(sampler.base),
@@ -159,5 +158,5 @@ def run_split_packed(sim: FrameSimulator, program: FrameProgram,
         sim.z = _gather_columns(sim.z, parents, B)
         record_words = _gather_columns(record_words, parents, B)
         log_w = log_w[parents] + log_mult
-    sim.exec_ops(program.ops[pos:], record_words)
+    record_words = sim.run_packed(program, pos, None, record_words)
     return record_words, np.exp(log_w)

@@ -30,6 +30,7 @@ import threading
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, \
     ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, Optional, Tuple, Union
 
 from .. import obs
@@ -123,12 +124,7 @@ class CampaignService:
         if self.telemetry_path:
             self._writer = TelemetryWriter(self.telemetry_path)
         if self.workers > 1:
-            import multiprocessing as mp
-
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=mp.get_context("fork"),
-                initializer=_worker_init)
+            self._executor = self._new_pool()
         elif self.workers == 1:
             self._executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-slice")
@@ -213,6 +209,25 @@ class CampaignService:
             self._thread.join(timeout_s)
             self._thread = None
 
+    def _new_pool(self) -> ProcessPoolExecutor:
+        import multiprocessing as mp
+
+        return ProcessPoolExecutor(max_workers=self.workers,
+                                   mp_context=mp.get_context("fork"),
+                                   initializer=_worker_init)
+
+    def _replace_pool(self, broken: Executor) -> None:
+        """A pool child died: ``ProcessPoolExecutor`` then refuses every
+        later submit, so swap in a fresh pool — once, however many
+        slots saw ``broken`` fail — and let the requeued slices rerun
+        (slices are canonical, so counts do not move)."""
+        if self._executor is not broken or self._stopping:
+            return
+        broken.shutdown(wait=False)
+        self._executor = self._new_pool()
+        obs.event("service.pool_replaced",
+                  "a pool worker died; started a fresh pool")
+
     # -- local pump ----------------------------------------------------
     async def _pump(self, slot: int) -> None:
         """One local worker slot: lease → execute (off-loop) → absorb.
@@ -230,9 +245,10 @@ class CampaignService:
                 continue
             lease = leases[0]
             wire = lease.to_wire()
+            executor = self._executor
             try:
                 payload = await loop.run_in_executor(
-                    self._executor, _execute_slice, wire)
+                    executor, _execute_slice, wire)
             except asyncio.CancelledError:
                 self.dispatcher.fail(lease.lease_id, "pump cancelled")
                 raise
@@ -240,6 +256,8 @@ class CampaignService:
                 self.dispatcher.fail(lease.lease_id, repr(exc))
                 obs.event("service.local_slice_error", repr(exc),
                           lease=lease.lease_id)
+                if isinstance(exc, BrokenProcessPool):
+                    self._replace_pool(executor)
                 await asyncio.sleep(PUMP_IDLE_S)
                 continue
             self.dispatcher.complete(payload["lease"],

@@ -343,18 +343,20 @@ class TestNoiseLowering:
 
 
 def reference_run(ops, num_qubits, num_cbits, batch_size, seed):
-    """Replay a *scalar, unhoisted* op list the pre-draw/apply way:
-    every depolarize site draws its own ``rng.random(B)`` and XORs
-    three packed masks.  The oracle the compiled draw/apply programs
-    must match bit for bit — kept here, not in ``src/``."""
+    """Replay a *scalar, unfused* op list: every depolarize site draws
+    its own ``rng.random(B)`` and XORs three packed masks.  The oracle
+    the compiled (fused) programs must match bit for bit — kept here,
+    not in ``src/``.  Also returns the rows' hits."""
     P = frames_program
     sim = FrameSimulator(num_qubits, batch_size, rng=seed)
     words = np.zeros((num_cbits, sim.num_words), dtype=np.uint64)
+    hits = 0
     for op in ops:
         code = op[0]
         if code == P.OP_DEPOLARIZE:
             _, q, p = op
             u = sim.rng.random(batch_size)
+            hits += int((u < p).sum())
             third = p / 3.0
             mx = pack_bool(u < third)
             my = pack_bool((u >= third) & (u < 2 * third))
@@ -367,21 +369,19 @@ def reference_run(ops, num_qubits, num_cbits, batch_size, seed):
             {P.OP_H: sim.h, P.OP_S: sim.s, P.OP_CX: sim.cx, P.OP_CZ: sim.cz,
              P.OP_SWAP: sim.swap, P.OP_RESET: sim.reset,
              P.OP_RESET_NOISE: sim.reset_noise}[code](*op[1:])
-    return words, sim
+    return words, sim, hits
 
 
 def scalar_ops(monkeypatch, circuit, noise):
-    """The lowered op list before fusion and draw hoisting."""
+    """The lowered op list before fusion."""
     with monkeypatch.context() as m:
         m.setattr(frames_program, "fuse_layers", list)
-        m.setattr(frames_program, "hoist_draws", list)
         return compile_frame_program(circuit, noise, rng=1).ops
 
 
 def strike_noise(experiment, p, strike):
     """Depolarizing floor, optionally under a strike whose fault-reset
-    sites (``OP_RESET_NOISE``) interleave with — and close — the
-    depolarize runs."""
+    sites (``OP_RESET_NOISE``) interleave with the depolarize sites."""
     n = experiment.circuit.num_qubits
     event = RadiationEvent(n // 2, {q: abs(q - n // 2) for q in range(n)},
                            num_qubits=n)
@@ -446,8 +446,10 @@ class TestSiteAgreement:
 
 
 class TestDrawApply:
-    """The depolarize draw/apply split is pure scheduling: compiled
-    programs sample bit-identically to per-site draws."""
+    """Each depolarize site draws its own uniform rows and applies them:
+    compiled (fused) programs sample bit-identically to the scalar
+    per-site reference, on either executor, whole or op range by op
+    range."""
 
     @pytest.fixture(scope="class")
     def experiment(self):
@@ -459,7 +461,7 @@ class TestDrawApply:
         program = compile_frame_program(circuit, noise, rng=1)
         sim = FrameSimulator(circuit.num_qubits, batch_size, rng=seed)
         words = sim.run_packed(program)
-        ref_words, ref = reference_run(
+        ref_words, ref, hits = reference_run(
             scalar_ops(monkeypatch, circuit, noise), circuit.num_qubits,
             program.num_cbits, batch_size, seed)
         assert np.array_equal(words, ref_words)
@@ -467,6 +469,7 @@ class TestDrawApply:
         assert np.array_equal(sim.z, ref.z)
         # same number of generator calls: the streams stay in step
         assert sim.rng.random() == ref.rng.random()
+        assert sim.depolarize_stats[1] == hits
         return program, sim
 
     @pytest.mark.parametrize("strike", ["none", "channel", "burst"])
@@ -481,126 +484,27 @@ class TestDrawApply:
         if strike != "none":
             assert any(op[0] == frames_program.OP_RESET_NOISE
                        for op in program.ops)
-        sites, hits, dense = sim.depolarize_stats
-        assert sites > 0 and dense <= sites
-        # both regimes are exercised across the p sweep
-        if p * batch_size > 4 * frames_simulator.DENSE_HITS_PER_ROW:
-            assert dense > 0.9 * sites
-        if p * batch_size < 0.2:
-            assert dense == 0
-
-    def test_run_longer_than_buffer_is_cut(self, monkeypatch, experiment,
-                                           executor):
-        """Runs past MAX_DRAW_ROWS split into consecutive draws (a site
-        is never split) and still match the per-site reference."""
-        P = frames_program
-        noise = strike_noise(experiment, 0.02, "none")
-        whole = compile_frame_program(experiment.circuit, noise, rng=1)
-        monkeypatch.setattr(P, "MAX_DRAW_ROWS", 7)
-        program, _ = self.assert_matches_reference(
-            monkeypatch, experiment, noise, 200)
-        draws = [op for op in program.ops if op[0] == P.OP_DEPOLARIZE_DRAW]
-        assert len(draws) > sum(op[0] == P.OP_DEPOLARIZE_DRAW
-                                for op in whole.ops)
-        assert max(len(op[1]) for op in draws) <= 7
-        assert sum(len(op[1]) for op in draws) == sum(
-            len(op[1]) for op in whole.ops if op[0] == P.OP_DEPOLARIZE_DRAW)
-
-    def test_draw_ops_precede_their_sites(self, experiment):
-        """Every site quotes the run id and rows of the draw before it;
-        rows tile the draw exactly, and measure/reset close the run."""
-        P = frames_program
-        program = compile_frame_program(
-            experiment.circuit, strike_noise(experiment, 0.01, "burst"),
-            rng=1)
-        open_run, next_row, rows = None, 0, 0
-        for op in program.ops:
-            code = op[0]
-            if code == P.OP_DEPOLARIZE_DRAW:
-                assert next_row == rows       # previous draw fully used
-                open_run, rows, next_row = op[2], len(op[1]), 0
-            elif code in (P.OP_DEPOLARIZE, P.OP_DEPOLARIZE_LAYER):
-                assert op[3] == open_run and op[4] == next_row
-                next_row += 1 if code == P.OP_DEPOLARIZE else len(op[1])
-            elif code in P._RUN_CLOSERS:
-                assert next_row == rows
-                open_run = None
-        assert next_row == rows
-        assert program.fused_ops == sum(op[0] in P.LAYER_OPS
+        # one row per depolarize site of the program
+        rows = sum(1 if op[0] == frames_program.OP_DEPOLARIZE else len(op[1])
+                   for op in program.ops
+                   if op[0] in (frames_program.OP_DEPOLARIZE,
+                                frames_program.OP_DEPOLARIZE_LAYER))
+        sites, hits = sim.depolarize_stats
+        assert sites == rows > 0
+        if p * batch_size > 4:
+            assert hits > 0
+        assert program.fused_ops == sum(op[0] in frames_program.LAYER_OPS
                                         for op in program.ops)
-
-    def test_cut_run_fails_loudly(self, experiment, executor):
-        """An op slice that separates a site from its draw must raise,
-        not apply stale hits — as ``exec_ops`` slices (always the numpy
-        executor) and as a program of its own under either."""
-        P = frames_program
-        circuit = experiment.circuit
-        noise = strike_noise(experiment, 0.01, "none")
-        structure = frame_structure(circuit, noise, rng=1)
-        program = structure.bind(noise)
-        first_site = next(i for i, op in enumerate(program.ops)
-                          if op[0] in (P.OP_DEPOLARIZE,
-                                       P.OP_DEPOLARIZE_LAYER))
-        sim = FrameSimulator(circuit.num_qubits, 64, rng=0)
-        words = np.zeros((program.num_cbits, sim.num_words), np.uint64)
-        sim.exec_ops(program.ops[:first_site + 1], words)   # draw + site
-        with pytest.raises(RuntimeError, match="OP_DEPOLARIZE_DRAW"):
-            sim.exec_ops(program.ops[first_site + 1:], words)
-        tail = dataclasses.replace(
-            program, ops=program.ops[first_site + 1:],
-            code=P.encode_ops(structure.ops[first_site + 1:],
-                              program.num_qubits, program.num_cbits,
-                              len(program.probabilities)))
-        before = blocks_run()
-        with pytest.raises(RuntimeError, match="OP_DEPOLARIZE_DRAW"):
-            FrameSimulator(circuit.num_qubits, 64, rng=0).run_packed(tail)
-        assert blocks_run() == before      # a refused run is no block
 
     @pytest.mark.parametrize("k,B", [(1, 64), (7, 100), (184, 512)])
     def test_numpy_block_draw_contract(self, k, B):
-        """What the hoist rests on: ``Generator.random((k, B))`` is
-        ``k`` successive ``random(B)`` calls — also when the block is
-        split into two consecutive partial draws."""
+        """What a fused layer's draw rests on: ``Generator.random((k,
+        B))`` is ``k`` successive ``random(B)`` calls."""
         per_site = np.random.default_rng(42)
         rows = np.stack([per_site.random(B) for _ in range(k)])
         block = np.random.default_rng(42)
         assert np.array_equal(block.random((k, B)), rows)
-        cut = np.random.default_rng(42)
-        head = cut.random((k // 2, B))
-        tail = cut.random((k - k // 2, B))
-        assert np.array_equal(np.concatenate([head, tail]), rows)
-        assert block.random() == cut.random() == per_site.random()
-
-    def test_sparse_and_dense_apply_agree_at_threshold(self, monkeypatch):
-        """Same pre-drawn rows through the single-bit flips and through
-        the dense masks: identical frames.  The rule reads ``p * B``
-        against the threshold, so one draw mixes rows sitting exactly
-        on it (sparse) with rows just past it (dense)."""
-        S = frames_simulator
-        T = S.DENSE_HITS_PER_ROW
-        k, B = 96, 512
-        qs = np.arange(k)
-        ps = np.where(qs % 2, (T + 1) / B, T / B)   # odd rows: past T
-
-        def frames(threshold):
-            monkeypatch.setattr(S, "DENSE_HITS_PER_ROW", threshold)
-            sim = FrameSimulator(k, B, rng=3)
-            sim.depolarize_layer(qs, ps)
-            return sim
-
-        switched, sparse, dense = frames(T), frames(10**9), frames(-1)
-        assert sorted(switched._dense_slot) == list(range(1, k, 2))
-        counts = np.diff(switched._row_ptr)     # the sparse rows' hits
-        assert counts[::2].all() and not counts[1::2].any()
-        hits = sparse.depolarize_stats[1]
-        assert hits == np.diff(sparse._row_ptr).sum() > counts.sum()
-        assert switched.depolarize_stats == [k, hits, k // 2]
-        assert sparse.depolarize_stats == [k, hits, 0]
-        assert dense.depolarize_stats == [k, hits, k]
-        for other in (sparse, dense):
-            assert np.array_equal(switched.x, other.x)
-            assert np.array_equal(switched.z, other.z)
-        assert switched.x.any() and switched.z.any()
+        assert block.random() == per_site.random()
 
 
 @pytest.fixture(scope="module")
@@ -624,6 +528,18 @@ def programs():
     tilted = add("tilt", small, NoiseModel([DepolarizingNoise(2e-3)]),
                  tilt=SamplerSpec(kind="tilt", tilt=4.0))
     assert tilted.log_ratios is not None
+    for tilt in (2.0, 16.0):
+        add(f"tilt-{tilt:g}", quiet, NoiseModel([DepolarizingNoise(1e-3)]),
+            tilt=SamplerSpec(kind="tilt", tilt=tilt))
+    # a cap that leaves the strong channel's sites at q == p: zero
+    # ratios beside moved ones, in scalar sites and layers alike
+    strong = range(0, small.circuit.num_qubits, 3)
+    capped = add("tilt-capped", small,
+                 NoiseModel([DepolarizingNoise(2e-3),
+                             DepolarizingNoise(0.02, qubits=strong)]),
+                 tilt=SamplerSpec(kind="tilt", tilt=8.0, p_cap=0.01))
+    assert (capped.log_ratios == 0).all(axis=0).any()
+    assert (capped.log_ratios != 0).all(axis=0).any()
     # a repetition strike routed onto the 5x4 mesh (exact resets)
     routed = InjectionTask(
         code=CodeSpec("repetition", (5, 1)),
@@ -653,7 +569,7 @@ class TestLanes:
         wide = FrameSimulator(num_qubits, sizes, rng=rngs)
         assert wide.batch_size == sum(sizes)
         words = wide.run_packed(program)
-        stats = [0, 0, 0]
+        stats = [0, 0]
         for i, size in enumerate(sizes):
             lone_rng = np.random.default_rng(100 + i)
             lone = FrameSimulator(num_qubits, size, rng=lone_rng)
@@ -670,14 +586,8 @@ class TestLanes:
                 == lone_rng.bit_generator.state
             stats = [a + b for a, b in zip(stats, lone.depolarize_stats)]
         assert hi == wide.num_words
-        # Sites and hits are counted per lane; whether a row is packed
-        # densely is read off the simulator's widest lane.
-        sites, hits, dense = wide.depolarize_stats
-        assert [sites, hits] == stats[:2] and hits > 0
-        if name == "dense" and max(sizes) > 64:
-            assert dense == sites
-        if name == "quiet":
-            assert dense == 0
+        # Sites and hits are counted per lane.
+        assert wide.depolarize_stats == stats and stats[1] > 0
 
     def test_lane_shapes_are_validated(self):
         with pytest.raises(ValueError, match="one generator per lane"):
@@ -698,18 +608,23 @@ class TestLanes:
 
 
 class TestExecutors:
-    """``run_packed`` has two executors — the numpy ``_HANDLER`` table
-    and the native op loop (``_kernel.c``) — and nothing but the wall
-    clock may tell them apart: record words, final frames,
-    ``depolarize_stats`` and every lane's generator state are equal."""
+    """``run_packed`` has two executors — the numpy ``_HANDLER`` table,
+    the reference, and the native op loop (``_kernel.c``) — and nothing
+    but the wall clock may tell them apart: record words, final frames,
+    ``log_weights``, ``depolarize_stats`` and every lane's generator
+    state are equal, for whole programs and op ranges alike."""
 
     SIZES = ([512], [512] * 8, [512, 512, 200])
+    #: Plain, struck, dense and tilted programs of the fixture.
+    NAMES = ["quiet", "twirled-strike", "transpiled-strike", "dense",
+             "tilt", "tilt-2", "tilt-16", "tilt-capped"]
 
     @staticmethod
     def run(monkeypatch, native, num_qubits, program, sizes,
-            bit_generator=np.random.PCG64):
-        """One run under a forced executor: ``(words, x, z, stats,
-        generator states, blocks the native executor ran)``."""
+            bit_generator=np.random.PCG64, cuts=()):
+        """One run under a forced executor, as the op ranges between
+        ``cuts``: ``(words, x, z, log_weights, stats, generator states,
+        blocks the native executor ran)``."""
         with monkeypatch.context() as m:
             if not native:
                 m.setattr(_native, "kernel", lambda: None)
@@ -717,22 +632,28 @@ class TestExecutors:
                     for i in range(len(sizes))]
             sim = FrameSimulator(num_qubits, list(sizes), rng=rngs)
             before = blocks_run()
-            words = sim.run_packed(program)
+            words, stats = None, [0, 0]
+            bounds = [0, *cuts, None]
+            for start, stop in zip(bounds, bounds[1:]):
+                words = sim.run_packed(program, start, stop, words)
+                stats = [a + b for a, b in zip(stats, sim.depolarize_stats)]
             ran = [b - a for a, b in zip(before, blocks_run())]
         assert sum(ran) == len(sizes) and 0 in ran
-        return (words, sim.x, sim.z, sim.depolarize_stats,
+        return (words, sim.x, sim.z, sim.log_weights, stats,
                 [rng.bit_generator.state for rng in rngs], ran[0])
 
     def assert_executors_agree(self, monkeypatch, num_qubits, program,
                                sizes, bit_generator=np.random.PCG64,
-                               native_runs=True):
+                               native_runs=True, cuts=()):
         if _native.kernel() is None:
             pytest.skip("native executor unavailable: "
                         + _native.unavailable_reason())
         *native, native_blocks = self.run(
-            monkeypatch, True, num_qubits, program, sizes, bit_generator)
+            monkeypatch, True, num_qubits, program, sizes, bit_generator,
+            cuts)
         *numpy, numpy_blocks = self.run(
-            monkeypatch, False, num_qubits, program, sizes, bit_generator)
+            monkeypatch, False, num_qubits, program, sizes, bit_generator,
+            cuts)
         assert native_blocks == (len(sizes) if native_runs else 0)
         assert numpy_blocks == 0
         # nested dicts of ints and (Philox, MT19937) arrays
@@ -740,14 +661,53 @@ class TestExecutors:
         return native
 
     @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: f"{len(s)}-lane")
-    @pytest.mark.parametrize("name", ["quiet", "twirled-strike",
-                                      "transpiled-strike", "dense"])
+    @pytest.mark.parametrize("name", NAMES)
     def test_records_frames_stats_and_streams_agree(self, monkeypatch,
                                                     programs, name, sizes):
         num_qubits, program = programs[name]
-        _, x, z, (sites, hits, _), _ = self.assert_executors_agree(
+        _, x, z, log_weights, (sites, hits), _ = self.assert_executors_agree(
             monkeypatch, num_qubits, program, sizes)
         assert x.any() and z.any() and sites > 0 and hits > 0
+        tilted = program.log_ratios is not None
+        assert (log_weights is not None) == tilted
+        if tilted:
+            assert len(np.unique(log_weights)) > 1
+
+    @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: f"{len(s)}-lane")
+    @pytest.mark.parametrize("name", ["twirled-strike", "tilt",
+                                      "tilt-capped", "tilt-16"])
+    def test_op_ranges_agree_with_the_whole_program(self, monkeypatch,
+                                                    programs, name, sizes):
+        """A program run op range by op range — cut anywhere, an empty
+        range included — is the program run whole, on either
+        executor."""
+        num_qubits, program = programs[name]
+        n = len(program.ops)
+        cuts = [1, n // 5, n // 5, n // 2 + 1, n - 1]
+        whole = self.assert_executors_agree(monkeypatch, num_qubits,
+                                            program, sizes)
+        ranged = self.assert_executors_agree(monkeypatch, num_qubits,
+                                             program, sizes, cuts=cuts)
+        np.testing.assert_equal(ranged, whole)
+
+    def test_one_shot_tilted_batch_stays_on_the_reference(self,
+                                                          monkeypatch):
+        """numpy sums a one-shot batch's layer ratios pairwise (from 8
+        rows on), where the kernel sums them in row order: a tilted
+        batch of one shot runs on the reference, a batch of two — and
+        a plain batch of one — native."""
+        P = frames_program
+        k = 12
+        ops = [(P.OP_DEPOLARIZE_LAYER, np.arange(k), np.arange(k)),
+               (P.OP_MEASURE_LAYER, np.arange(k), np.arange(k),
+                np.zeros(k, np.uint8))]
+        llr = np.random.default_rng(0).normal(size=(2, k))
+        tilted = self.hand_program(ops, [0.2] * k, k, k, llr)
+        self.assert_executors_agree(monkeypatch, k, tilted, [1],
+                                    native_runs=False)
+        self.assert_executors_agree(monkeypatch, k, tilted, [2])
+        plain = self.hand_program(ops, [0.2] * k, k, k)
+        self.assert_executors_agree(monkeypatch, k, plain, [1])
 
     @pytest.mark.parametrize("bit_generator", [np.random.Philox,
                                                np.random.SFC64])
@@ -766,38 +726,58 @@ class TestExecutors:
                                     [512, 200], np.random.MT19937,
                                     native_runs=False)
 
-    def test_tilt_and_shared_generators_fall_back(self, programs):
+    @pytest.mark.parametrize("name", ["tilt", "quiet"])
+    def test_tilt_and_shared_generators_agree(self, monkeypatch, programs,
+                                              name):
+        """Both executors draw op by op and, inside an op, lane by lane,
+        each lane all of its rows: lanes that share one generator run
+        native and agree too."""
         if _native.kernel() is None:
             pytest.skip(_native.unavailable_reason())
-        shared = np.random.default_rng(3)
-        for name, rngs in (("tilt", [1]), ("quiet", [shared, shared])):
-            num_qubits, program = programs[name]
-            sim = FrameSimulator(num_qubits, [64] * len(rngs), rng=rngs)
-            before = blocks_run()
-            sim.run_packed(program)
-            native, numpy = (b - a for a, b in zip(before, blocks_run()))
-            assert native == 0 and numpy > 0
+        num_qubits, program = programs[name]
+        results = []
+        for native in (True, False):
+            with monkeypatch.context() as m:
+                if not native:
+                    m.setattr(_native, "kernel", lambda: None)
+                shared = np.random.default_rng(3)
+                sim = FrameSimulator(num_qubits, [64, 64, 30],
+                                     rng=[shared] * 3)
+                before = blocks_run()
+                words = sim.run_packed(program)
+                ran = [b - a for a, b in zip(before, blocks_run())]
+            assert ran == ([3, 0] if native else [0, 3])
+            results.append((words, sim.x, sim.z, sim.log_weights,
+                            shared.bit_generator.state))
+        np.testing.assert_equal(*results)
 
-    def hand_program(self, ops, probabilities, num_qubits, num_cbits):
+    def hand_program(self, ops, probabilities, num_qubits, num_cbits,
+                     log_ratios=None):
         """A program from structure-form ``ops`` (noise ops carrying
         site numbers) the way ``bind`` makes one — for site
-        probabilities no noise model binds (a site exists iff its
+        probabilities (and, given ``(2, sites)`` ``log_ratios``, tilt
+        ratios) no noise model binds (a site exists iff its
         ``p > 0``)."""
         P = frames_program
         p = np.asarray(probabilities, dtype=float)
+        llr = None if log_ratios is None else np.array(log_ratios, float)
         bound = []
         for op in ops:
             slot = P._P_SLOT.get(op[0])
             if slot is not None:
                 sites = op[slot]
-                op = op[:slot] + (p[sites] if isinstance(sites, np.ndarray)
+                wide = isinstance(sites, np.ndarray)
+                op = op[:slot] + (p[sites] if wide
                                   else float(p[sites]),) + op[slot + 1:]
+                if llr is not None and op[0] != P.OP_RESET_NOISE:
+                    op += ((llr[0, sites], llr[1, sites]) if wide
+                           else tuple(llr[:, sites].tolist()))
             bound.append(op)
         return P.FrameProgram(
             num_qubits=num_qubits, num_cbits=num_cbits, ops=bound,
             reference_record=np.zeros(num_cbits, np.uint8),
             code=P.encode_ops(ops, num_qubits, num_cbits, len(p)),
-            probabilities=p)
+            probabilities=p, log_ratios=llr)
 
     @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: f"{len(s)}-lane")
     def test_reset_sites_at_p_zero_one_and_twirled(self, monkeypatch, sizes):
@@ -824,17 +804,24 @@ class TestExecutors:
                                                 sizes)
         assert words.any()
 
-    def test_bare_depolarize_sites_draw_their_own_rows(self, monkeypatch):
-        """Sites ``hoist_draws`` never saw (no run, no row)."""
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bare_depolarize_sites_draw_their_own_rows(self, monkeypatch,
+                                                       weighted):
+        """Hand-built depolarize sites, scalar and fused, tilted or not
+        — a scalar site and a layer row with both ratios 0 included."""
         P = frames_program
         ops = [(P.OP_DEPOLARIZE, 0, 0),
                (P.OP_DEPOLARIZE_LAYER, np.array([1, 2]), np.array([1, 2])),
-               (P.OP_MEASURE_LAYER, np.arange(3), np.arange(3),
-                np.zeros(3, np.uint8))]
-        program = self.hand_program(ops, [0.3, 1e-3, 0.02], 3, 3)
-        *_, stats, _ = self.assert_executors_agree(
-            monkeypatch, 3, program, [512, 200])
-        assert stats[0] == 6 and stats[2] == 2 * 2   # 0.3, 0.02 are dense
+               (P.OP_DEPOLARIZE, 3, 3),
+               (P.OP_MEASURE_LAYER, np.arange(4), np.arange(4),
+                np.zeros(4, np.uint8))]
+        llr = [[-1.2, 0.5, 0.0, 0.0], [0.1, -0.01, 0.0, 0.0]]
+        program = self.hand_program(ops, [0.3, 1e-3, 0.02, 0.05], 4, 4,
+                                    llr if weighted else None)
+        _, _, _, log_weights, stats, _ = self.assert_executors_agree(
+            monkeypatch, 4, program, [512, 200])
+        assert stats[0] == 4 * 2
+        assert (log_weights is not None) == weighted
 
     @pytest.mark.parametrize("op,what", [
         ((frames_program.OP_CX, 0, 5), "qubit"),
@@ -843,7 +830,8 @@ class TestExecutors:
         ((frames_program.OP_RESET_NOISE, 0, 2, None), "site"),
         ((frames_program.OP_CX_LAYER, np.array([0, 1]), np.array([2, 7])),
          "qubit"),
-        ((frames_program.OP_DEPOLARIZE_DRAW, np.array([0, 2]), 0), "site"),
+        ((frames_program.OP_DEPOLARIZE_LAYER, np.array([0, 1]),
+          np.array([0, 2])), "site"),
     ])
     def test_out_of_range_operand_is_rejected_at_encode_time(self, op, what):
         """The kernel indexes unchecked; where the numpy executor would
@@ -871,6 +859,13 @@ class TestExecutors:
                     probabilities=program.probabilities.astype(np.float32))):
             with pytest.raises(ValueError, match="does not fit"):
                 FrameSimulator(num_qubits, 64, rng=0).run_packed(short)
+        # ... nor one whose tilt ratios fall short of its sites
+        num_qubits, tilted = programs["tilt"]
+        for short in (tilted.log_ratios[:, :-1],
+                      np.asfortranarray(tilted.log_ratios)):
+            with pytest.raises(ValueError, match="does not fit"):
+                FrameSimulator(num_qubits, 64, rng=0).run_packed(
+                    dataclasses.replace(tilted, log_ratios=short))
 
     def test_encoding_is_per_structure_and_binding_a_gather(self):
         experiment = build_memory_experiment(RepetitionCode(3), rounds=2)

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.circuits import Circuit
 from repro.codes import XXZZCode, build_memory_experiment
 from repro.frames import FrameSimulator, frame_structure
@@ -437,15 +438,12 @@ class TestSplitting:
         assert all(1 <= r < 4 for r in rounds_done)
 
     @pytest.mark.parametrize("distance,rounds", [(3, 4), (5, 5)])
-    def test_split_points_never_cut_a_draw_run(self, distance, rounds):
-        """A boundary sits right after a measure, and a measure closes
-        every depolarize draw run: no segment starts between an
-        ``OP_DEPOLARIZE_DRAW`` and the sites that read its rows (the
-        executor would raise on such a slice)."""
-        from repro.frames.program import (OP_DEPOLARIZE,
-                                          OP_DEPOLARIZE_DRAW,
-                                          OP_DEPOLARIZE_LAYER)
-        from repro.rare.split import split_points
+    def test_split_points_sit_after_a_measure(self, distance, rounds):
+        """A boundary sits right after the measure that completes its
+        round: the segment before it has written every record bit the
+        scores read, and no op after it measures that round."""
+        from repro.frames.program import OP_MEASURE, OP_MEASURE_LAYER
+        from repro.rare.split import _measured_cbits, split_points
 
         task = moderate_task(SamplerSpec(kind="split", levels=rounds),
                              code=CodeSpec("xxzz", (distance, distance)),
@@ -453,15 +451,17 @@ class TestSplitting:
         experiment, _, _, program, _ = _task_context(task)
         points = split_points(program, experiment, rounds)
         assert len(points) == rounds - 1
-        for op_index, _ in points:
-            run_of_last_draw = max(
-                (op[2] for op in program.ops[:op_index]
-                 if op[0] == OP_DEPOLARIZE_DRAW), default=-1)
-            later_site_runs = {
-                op[3] for op in program.ops[op_index:]
-                if op[0] in (OP_DEPOLARIZE, OP_DEPOLARIZE_LAYER)}
-            assert later_site_runs
-            assert min(later_site_runs) > run_of_last_draw
+        for op_index, rounds_done in points:
+            assert program.ops[op_index - 1][0] in (OP_MEASURE,
+                                                    OP_MEASURE_LAYER)
+            round_cbits = {int(c) for table in (
+                experiment.z_syndrome_cbits, experiment.x_syndrome_cbits)
+                for c in table[rounds_done - 1]}
+            before = {c for op in program.ops[:op_index]
+                      for c in _measured_cbits(op)}
+            after = {c for op in program.ops[op_index:]
+                     for c in _measured_cbits(op)}
+            assert round_cbits <= before and not round_cbits & after
 
     def test_split_requires_frame_backend(self):
         task = moderate_task(SamplerSpec(kind="split"), backend="tableau")
@@ -499,9 +499,10 @@ class TestWeightedDeterminism:
     #: ``run_task(...).payload`` of five weighted frames points,
     #: recorded at the commit before depolarize draws were hoisted per
     #: run (PR 15; linux x86-64, numpy 2.4): counts *and* the four
-    #: weight moments.  Tilted sites read pre-drawn rows but keep the
-    #: per-site / per-layer LLR summation order, and split boundaries
-    #: never cut a run, so every float must come out the same.
+    #: weight moments.  Both executors draw every site's rows where it
+    #: stands and keep the per-site / per-layer LLR summation order, and
+    #: split segments are op ranges of the one stream, so every float
+    #: must come out the same.
     RECORDED = {
         "d3_tilt": (dict(code=CodeSpec("xxzz", (3, 3)), intrinsic_p=0.004,
                          rounds=2, readout="data", seed=7,
@@ -542,6 +543,22 @@ class TestWeightedDeterminism:
         spec, payload = self.RECORDED[name]
         task = InjectionTask(shots=1024, backend="frames", **spec)
         assert run_task(task).payload == payload
+
+    @pytest.mark.parametrize("name", ["d3_strike_tilt", "d5_split"])
+    def test_each_executor_samples_the_recorded_payload(self, name,
+                                                        executor):
+        """Tilted programs and split segments run on the native op loop
+        like plain ones, and on the numpy reference without a compiler:
+        one payload, every block counted to the executor that ran it."""
+        spec, payload = self.RECORDED[name]
+        task = InjectionTask(shots=1024, backend="frames", **spec)
+        counters = [obs.counter(f"frames.{kind}_blocks")
+                    for kind in ("native", "numpy")]
+        before = [c.value for c in counters]
+        assert run_task(task).payload == payload
+        native, numpy = (c.value - b for c, b in zip(counters, before))
+        assert (native, numpy) == ((2, 0) if executor == "native"
+                                   else (0, 2))
 
     def test_workers_bit_identical_weighted(self):
         """workers=1|2|4 must agree on counts AND weight moments."""

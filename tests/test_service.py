@@ -352,3 +352,58 @@ class TestRemoteRunnerTopology:
                                                          res.errors)
         finally:
             svc.stop_background()
+
+
+@pytest.mark.integration
+class TestForkedPool:
+    """``workers > 1`` runs slices in a forked process pool; a pool
+    child that dies costs a fresh pool and a rerun slice, never the job
+    or a count."""
+
+    #: 2 points x 16 slices: children are still busy when one is killed.
+    SPEC = {"codes": [["xxzz", [3, 3]]], "p_values": [0.004, 0.008],
+            "rounds": 3, "shots": 8192, "root_seed": 23}
+
+    def run_job(self, tmp_path, kill):
+        import multiprocessing
+        import os
+        import signal
+        import time
+
+        from repro.service import CampaignService, ServiceClient
+
+        svc = CampaignService(str(tmp_path / "store.jsonl"), port=0,
+                              workers=2, slice_shots=512)
+        svc.start_background()
+        try:
+            client = ServiceClient(svc.url)
+            job = client.submit(self.SPEC)["job"]
+            if kill:
+                deadline = time.monotonic() + 60
+                while client.status(job)["shots_done"] == 0:
+                    assert time.monotonic() < deadline, "no slice finished"
+                    time.sleep(0.02)
+                children = multiprocessing.active_children()
+                assert children, "no pool child to kill"
+                os.kill(children[0].pid, signal.SIGKILL)
+            status = client.wait(job, timeout_s=120)
+        finally:
+            svc.stop_background()
+        assert status["state"] == "done"
+        return status["results"]
+
+    def assert_rows_match_campaign(self, rows):
+        direct = build_sweep(self.SPEC).run(workers=1)
+        assert [(row["shots"], row["errors"]) for row in rows] \
+            == [(res.shots, res.errors) for res in direct]
+
+    def test_rows_equal_campaign_run(self, tmp_path):
+        self.assert_rows_match_campaign(self.run_job(tmp_path, kill=False))
+
+    def test_killed_child_is_replaced_and_the_job_finishes(self, tmp_path):
+        replaced = obs.registry().event_counts.get("service.pool_replaced",
+                                                   0)
+        rows = self.run_job(tmp_path, kill=True)
+        self.assert_rows_match_campaign(rows)
+        assert obs.registry().event_counts.get(
+            "service.pool_replaced", 0) == replaced + 1
