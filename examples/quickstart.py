@@ -17,7 +17,6 @@ from repro import (
     decoder_for,
     run_batch_noisy,
 )
-from repro.circuits import draw
 
 
 def main() -> None:
@@ -31,9 +30,6 @@ def main() -> None:
     #    a transversal logical X, then the parity readout.
     experiment = build_memory_experiment(code)
     print(f"\ncircuit: {experiment.circuit}")
-    labels = ([f"d{i}" for i in range(5)] + [f"mz{i}" for i in range(4)]
-              + ["ro"])
-    print(draw(experiment.circuit, qubit_labels=labels, max_width=100))
 
     # 3. Simulate 4000 noisy shots (vectorized stabilizer simulation).
     noise = NoiseModel([DepolarizingNoise(0.01)])

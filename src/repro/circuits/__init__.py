@@ -3,9 +3,8 @@
 Public surface:
 
 * :class:`~repro.circuits.gates.Gate` / :class:`~repro.circuits.gates.GateType`
+  and the gate-kind sets
 * :class:`~repro.circuits.circuit.Circuit`
-* DAG analysis helpers (:func:`build_dag`, :func:`qubit_descendant_counts`, ...)
-* :func:`~repro.circuits.visual.draw`
 """
 
 from .gates import (
@@ -17,15 +16,6 @@ from .gates import (
     UNITARY_GATES,
 )
 from .circuit import Circuit
-from .dag import (
-    build_dag,
-    critical_path_length,
-    gate_descendants,
-    qubit_descendant_counts,
-    qubit_light_cone,
-    topological_layers,
-)
-from .visual import draw
 
 __all__ = [
     "Gate",
@@ -35,11 +25,4 @@ __all__ = [
     "TWO_QUBIT_GATES",
     "UNITARY_GATES",
     "Circuit",
-    "build_dag",
-    "critical_path_length",
-    "gate_descendants",
-    "qubit_descendant_counts",
-    "qubit_light_cone",
-    "topological_layers",
-    "draw",
 ]

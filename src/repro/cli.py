@@ -40,12 +40,12 @@ from typing import List, Optional
 from .analysis.report import ascii_table, percent, to_csv
 
 
-def _write(rows, args, title: str) -> None:
+def _write(rows, title: str, csv: Optional[str] = None) -> None:
     print(ascii_table(rows, title=title))
-    if getattr(args, "csv", None):
-        with open(args.csv, "w", encoding="utf-8") as fh:
+    if csv:
+        with open(csv, "w", encoding="utf-8") as fh:
             fh.write(to_csv(rows))
-        print(f"\n[csv written to {args.csv}]")
+        print(f"\n[csv written to {csv}]")
 
 
 def _sibling_csv(path: str, suffix: str) -> str:
@@ -63,10 +63,9 @@ def _policy(args):
     """Build the adaptive policy requested on the command line."""
     from .injection.adaptive import AdaptivePolicy
 
-    if getattr(args, "adaptive", None) is None:
-        if getattr(args, "max_shots", None) is not None or \
-                getattr(args, "min_shots", DEFAULT_MIN_SHOTS) \
-                != DEFAULT_MIN_SHOTS:
+    if args.adaptive is None:
+        if args.max_shots is not None \
+                or args.min_shots != DEFAULT_MIN_SHOTS:
             sys.exit("error: --min-shots/--max-shots only apply to "
                      "adaptive runs; pass --adaptive REL as well")
         return None
@@ -78,10 +77,10 @@ def _policy(args):
 def _engine_kwargs(args) -> dict:
     """Campaign-engine pass-through shared by figure subcommands."""
     return {
-        "store": getattr(args, "store", None),
+        "store": args.store,
         "adaptive": _policy(args),
-        "chunk_shots": getattr(args, "chunk_shots", None),
-        "backend": getattr(args, "backend", None),
+        "chunk_shots": args.chunk_shots,
+        "backend": args.backend,
         "workers": args.workers,
     }
 
@@ -90,23 +89,23 @@ def cmd_fig3(args) -> None:
     from .experiments import fig3_temporal
 
     fig3_temporal.run()
-    _write(fig3_temporal.sample_table(), args,
-           "Fig. 3 — sampled injection probabilities (gamma=10, ns=10)")
+    _write(fig3_temporal.sample_table(),
+           "Fig. 3 — sampled injection probabilities (gamma=10, ns=10)",
+           args.csv)
     print()
     # The ablation is a second table: give it a sibling CSV path rather
     # than clobbering the main one (or dropping it, as this once did).
-    ablation_args = argparse.Namespace(
-        csv=_sibling_csv(args.csv, "ablation") if args.csv else None)
-    _write(fig3_temporal.sampling_ablation(), ablation_args,
-           "n_s ablation — step-function approximation error")
+    _write(fig3_temporal.sampling_ablation(),
+           "n_s ablation — step-function approximation error",
+           args.csv and _sibling_csv(args.csv, "ablation"))
 
 
 def cmd_fig4(args) -> None:
     from .experiments import fig4_spatial
 
     data = fig4_spatial.run()
-    _write(data.radial_profile(), args,
-           "Fig. 4 — spatial damping S(d) radial profile (n=1)")
+    _write(data.radial_profile(),
+           "Fig. 4 — spatial damping S(d) radial profile (n=1)", args.csv)
 
 
 def cmd_fig5(args) -> None:
@@ -118,8 +117,7 @@ def cmd_fig5(args) -> None:
         rows.extend(ls.to_rows())
         print(ls.ascii_heatmap())
         print()
-    _write(fig5_landscape.summarize(landscapes), argparse.Namespace(csv=None),
-           "Fig. 5 — landscape summary")
+    _write(fig5_landscape.summarize(landscapes), "Fig. 5 — landscape summary")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(to_csv(rows))
@@ -131,9 +129,10 @@ def cmd_fig6(args) -> None:
 
     rows = fig6_distance.run(shots=args.shots, deep=args.deep,
                              deep_p=args.deep_p, **_engine_kwargs(args))
-    _write([r.to_row() for r in rows], args,
+    _write([r.to_row() for r in rows],
            "Fig. 6 — logical error criticality by code distance"
-           + (" (+ deep intrinsic-noise floor)" if args.deep else ""))
+           + (" (+ deep intrinsic-noise floor)" if args.deep else ""),
+           args.csv)
     adv = fig6_distance.bitflip_advantage(rows)
     if adv:
         print()
@@ -147,7 +146,7 @@ def cmd_fig7(args) -> None:
     rows = []
     for d in data:
         rows.extend(d.to_rows())
-    _write(rows, args, "Fig. 7 — fault spread vs erasure count")
+    _write(rows, "Fig. 7 — fault spread vs erasure count", args.csv)
     for d in data:
         eq = fig7_spread.equivalent_erasures(d)
         print(f"{d.code_label}: spreading fault ~ "
@@ -159,8 +158,8 @@ def cmd_fig8(args) -> None:
     from .experiments import fig8_architecture
 
     data = fig8_architecture.run(shots=args.shots, **_engine_kwargs(args))
-    _write([d.to_row() for d in data], args,
-           "Fig. 8 — logical error by architecture")
+    _write([d.to_row() for d in data],
+           "Fig. 8 — logical error by architecture", args.csv)
     print()
     per_qubit = []
     for d in data:
@@ -187,8 +186,8 @@ def cmd_headline(args) -> None:
     arch_data = fig8_architecture.run(shots=max(200, shots // 2), **kwargs)
     checks = headline.check_all(landscapes, distance_rows, spread_data,
                                 arch_data)
-    _write([c.to_row() for c in checks], args,
-           "Paper observations I-VIII — paper vs measured")
+    _write([c.to_row() for c in checks],
+           "Paper observations I-VIII — paper vs measured", args.csv)
 
 
 def cmd_detect(args) -> None:
@@ -198,66 +197,64 @@ def cmd_detect(args) -> None:
         shots=args.shots, distance=args.distance, rounds=args.rounds,
         strike_round=args.strike_round, intensity=args.intensity,
         decoder=args.decoder, **_engine_kwargs(args))
-    _write([p.to_row() for p in roc], args,
-           "Detection — ROC / latency / localisation vs strike intensity")
+    _write([p.to_row() for p in roc],
+           "Detection — ROC / latency / localisation vs strike intensity",
+           args.csv)
     print()
-    policy_args = argparse.Namespace(
-        csv=_sibling_csv(args.csv, "policies") if args.csv else None)
-    _write(policies, policy_args,
+    _write(policies,
            f"Recovery policies — d={args.distance} rotated code, "
            f"strike at round {args.strike_round} "
-           f"(intensity {args.intensity:g}, paired seeds)")
-
-
-def _decoder_override(args):
-    """The ``--decoder`` override spec, or ``None`` (keep each task's
-    own decoder)."""
-    kind = getattr(args, "decoder", None)
-    if kind is None:
-        return None
-    from .decoders import as_decoder
-
-    try:
-        return as_decoder(kind)
-    except (KeyError, ValueError) as exc:
-        sys.exit(f"error: {exc}")
+           f"(intensity {args.intensity:g}, paired seeds)",
+           args.csv and _sibling_csv(args.csv, "policies"))
 
 
 def _sampler_override(args):
     """The ``--sampler``/``--tilt`` override, or ``None`` (keep each
     task's own sampler)."""
-    kind = getattr(args, "sampler", None)
-    tilt = getattr(args, "tilt", None)
-    if kind is None:
-        if tilt is not None:
-            sys.exit("error: --tilt only applies with --sampler tilt")
+    if args.tilt is not None and args.sampler != "tilt":
+        sys.exit("error: --tilt only applies with --sampler tilt")
+    if args.sampler is None:
         return None
     from .rare.sampler import SamplerSpec
 
-    if kind != "tilt" and tilt is not None:
-        sys.exit("error: --tilt only applies with --sampler tilt")
     try:
-        if kind == "tilt":
-            return SamplerSpec(kind="tilt",
-                               tilt=0.0 if tilt is None else tilt)
-        return SamplerSpec(kind=kind)
+        return SamplerSpec(kind=args.sampler, tilt=args.tilt or 0.0)
     except ValueError as exc:
         sys.exit(f"error: {exc}")
 
 
+def _load_spec(path: str, shots: Optional[int] = None):
+    """Read the sweep spec at ``path`` — with ``--shots`` folded in —
+    and expand it: ``(spec, campaign)``.  The one reader of spec files;
+    a missing file, bad JSON or a spec :func:`build_sweep` rejects
+    exits with ``error: ...``."""
+    from .injection.sweep import build_sweep
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+    except OSError as exc:
+        sys.exit(f"error: cannot read sweep spec {path}: {exc.strerror}")
+    except ValueError as exc:
+        sys.exit(f"error: sweep spec {path} is not valid JSON: {exc}")
+    if not isinstance(spec, dict):
+        sys.exit(f"error: sweep spec {path} is not a JSON object")
+    if shots is not None:
+        spec["shots"] = shots
+    try:
+        return spec, build_sweep(spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        sys.exit(f"error: bad sweep spec {path}: {exc}")
+
+
 def cmd_campaign(args) -> None:
     from .injection.store import CampaignStore
-    from .injection.sweep import build_sweep
     from .parallel import default_workers
 
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    if args.shots is not None:
-        spec["shots"] = args.shots
-    campaign = build_sweep(spec)
+    _, campaign = _load_spec(args.spec, args.shots)
     policy = _policy(args)
     sampler = _sampler_override(args)
-    decoder = _decoder_override(args)
+    decoder = args.decoder
     store = CampaignStore(args.store) if args.store else None
     workers = args.workers
     if workers is None:
@@ -282,7 +279,7 @@ def cmd_campaign(args) -> None:
         # --sampler split on a point that resolved to the tableau
         # backend: a spec error, reported like the other CLI misuses.
         sys.exit(f"error: {exc}")
-    _write(results.to_rows(), args, f"Campaign — {args.spec}")
+    _write(results.to_rows(), f"Campaign — {args.spec}", args.csv)
     ceiling = sum(policy.ceiling(t.shots) if policy else t.shots
                   for t in campaign.tasks)
     spent = results.total_shots()
@@ -318,10 +315,10 @@ def cmd_rare(args) -> None:
         readout=args.readout, backend=args.backend or "auto",
         sampler=sampler, shots=args.shots, seed=args.seed)
     rows = pilot_report(task)
-    _write(rows, args,
+    _write(rows,
            f"Rare-event pilot — d={args.distance} rotated code, "
            f"p={args.p:g}, {args.readout} readout "
-           f"(target ±{args.target_rel:.0%} relative CI)")
+           f"(target ±{args.target_rel:.0%} relative CI)", args.csv)
     if args.pilot_only:
         return
     if sampler.auto_tilt:
@@ -400,12 +397,6 @@ def cmd_serve(args) -> None:
     asyncio.run(_serve())
 
 
-def _service_client(args):
-    from .service.client import ServiceClient
-
-    return ServiceClient(args.url, timeout_s=args.timeout)
-
-
 def _follow_job(client, job: str, timeout_s: float):
     """Stream one job to completion with a live progress line on a
     TTY (plain polling + silent progress otherwise)."""
@@ -427,13 +418,10 @@ def _follow_job(client, job: str, timeout_s: float):
 
 
 def cmd_submit(args) -> None:
-    from .service.client import ServiceError
+    from .service.client import ServiceClient, ServiceError
 
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    if args.shots is not None:
-        spec["shots"] = args.shots
-    client = _service_client(args)
+    spec, _ = _load_spec(args.spec, args.shots)
+    client = ServiceClient(args.url, timeout_s=args.timeout)
     try:
         receipt = client.submit(spec)
         print(f"{receipt['job']}: {receipt['points']} point(s) — "
@@ -456,7 +444,7 @@ def cmd_submit(args) -> None:
         sys.exit(f"error: {exc}")
     rows = status.get("results", [])
     if rows:
-        _write(rows, args, f"Service results — {receipt['job']}",)
+        _write(rows, f"Service results — {receipt['job']}", args.csv)
 
 
 def _watch_status(args, client) -> None:
@@ -528,9 +516,9 @@ def _print_job_status(status) -> None:
 
 
 def cmd_status(args) -> None:
-    from .service.client import ServiceError
+    from .service.client import ServiceClient, ServiceError
 
-    client = _service_client(args)
+    client = ServiceClient(args.url, timeout_s=args.timeout)
     if args.watch:
         _watch_status(args, client)
         return
@@ -602,15 +590,8 @@ def cmd_store(args) -> None:
             sys.exit("error: lookup needs exactly one of --spec FILE "
                      "or --key PREFIX")
         if args.spec is not None:
-            from .injection.sweep import build_sweep
-
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
-            try:
-                tasks = build_sweep(spec)._seeded()
-            except (KeyError, TypeError, ValueError) as exc:
-                sys.exit(f"error: bad sweep spec: {exc}")
-            rows = [store.lookup(t) for t in tasks]
+            rows = [store.lookup(t)
+                    for t in _load_spec(args.spec)[1]._seeded()]
             columns = ["label", "key", "status", "shots",
                        "target_shots", "errors", "ler", "ler_lo",
                        "ler_hi"]
@@ -653,7 +634,6 @@ def cmd_report(args) -> None:
 
 
 def _perf_record(args) -> None:
-    from . import obs
     from .obs import prof
 
     cmd = list(args.cmd)
@@ -665,11 +645,8 @@ def _perf_record(args) -> None:
     if cmd[0] == "perf":
         sys.exit("perf record: cannot wrap perf itself")
     sub = build_parser().parse_args(cmd)
-    telemetry = getattr(sub, "telemetry", None)
     with prof.profile() as profiler:
-        with obs.session(telemetry=telemetry,
-                         quiet=bool(getattr(sub, "quiet", False))):
-            COMMANDS[sub.command](sub)
+        telemetry = _run(sub)
     snap = profiler.snapshot()
     # Artifacts land before the stdout render: a closed pager must not
     # cost the run its flamegraph.
@@ -750,10 +727,6 @@ def cmd_perf(args) -> None:
      "trend": _perf_trend, "check": _perf_check}[args.perf_command](args)
 
 
-#: Figure subcommands that execute injection campaigns (and therefore
-#: accept the engine flags); fig3/fig4 are analytic.
-CAMPAIGN_FIGURES = ("fig5", "fig6", "fig7", "fig8", "headline")
-
 COMMANDS = {
     "fig3": cmd_fig3,
     "fig4": cmd_fig4,
@@ -804,16 +777,56 @@ def _add_engine_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--quiet", action="store_true",
                      help="suppress the live progress line (telemetry "
                           "export, if requested, still runs)")
+    _add_backend_option(sub)
+
+
+def _add_backend_option(sub: argparse.ArgumentParser) -> None:
     from .frames.backend import BACKENDS
 
     sub.add_argument("--backend", type=str, default=None,
                      choices=BACKENDS,
-                     help="simulation backend for every point: 'frames' "
-                          "= bit-packed Pauli-frame sampler (forced; may "
-                          "approximate fault resets as reset-to-mixed), "
-                          "'tableau' = batched CHP tableaus, 'auto' "
-                          "(default) = frames wherever the lowering is "
-                          "exact, tableau elsewhere")
+                     help="simulation backend: 'frames' = bit-packed "
+                          "Pauli-frame sampler (forced; may approximate "
+                          "fault resets as reset-to-mixed), 'tableau' = "
+                          "batched CHP tableaus, 'auto' (default) = "
+                          "frames wherever the lowering is exact, "
+                          "tableau elsewhere")
+
+
+def _decoder_spec(text: str):
+    """``--decoder`` type: ``KIND[:MODS]`` parsed by ``as_decoder``; a
+    bad kind or modifier is an argparse usage error (exit 2)."""
+    from .decoders import as_decoder
+
+    try:
+        return as_decoder(text)
+    except (KeyError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
+def _add_decoder_option(sub: argparse.ArgumentParser, default: Optional[str],
+                        what: str) -> None:
+    sub.add_argument("--decoder", type=_decoder_spec, default=default,
+                     metavar="KIND[:MODS]",
+                     help=f"{what}: 'mwpm' or 'union-find', with optional "
+                          "comma-joined mods after a colon — 'hooks' adds "
+                          "correlated hook edges to the detector graph, "
+                          "'uniform' ignores edge weights, 'nocache' "
+                          "disables the syndrome-dedup decode cache "
+                          "(e.g. 'union-find:hooks')")
+
+
+def _add_service_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--url", type=str, default="http://127.0.0.1:8765",
+                     help="service base URL")
+    sub.add_argument("--timeout", type=float, default=60.0,
+                     help="per-request HTTP timeout, seconds")
+
+
+def _add_history_option(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--history", type=str, default=None, metavar="PATH",
+                     help="history JSONL (default: "
+                          "results/bench/history.jsonl)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -840,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--deep-p", type=float, default=2e-4,
                              help="intrinsic noise level of the deep "
                                   "baseline points")
-        if name in CAMPAIGN_FIGURES:
+        if name not in ("fig3", "fig4"):  # analytic: no campaign to run
             _add_engine_options(sub)
     det = subs.add_parser(
         "detect", help="strike-detection ROC + recovery-policy LER "
@@ -856,8 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--intensity", type=float, default=1.0,
                      help="strike energy scale for the policy panel "
                           "(1.0 = the paper's full strike)")
-    det.add_argument("--decoder", type=str, default="mwpm",
-                     help="base decoder for the policy panel")
+    _add_decoder_option(det, "mwpm", "base decoder for the policy panel")
     det.add_argument("--csv", type=str, default=None,
                      help="write the ROC rows here (policy rows go to "
                           "a .policies sibling)")
@@ -895,16 +907,8 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--tilt", type=float, default=None,
                       help="tilt factor for --sampler tilt (default: "
                            "auto via a pilot run)")
-    camp.add_argument("--decoder", type=str, default=None,
-                      metavar="KIND[:MODS]",
-                      help="decoder for every point: 'mwpm' or "
-                           "'union-find', with optional comma-joined "
-                           "mods after a colon — 'hooks' adds "
-                           "correlated hook edges to the detector "
-                           "graph, 'uniform' ignores edge weights, "
-                           "'nocache' disables the syndrome-dedup "
-                           "decode cache (e.g. 'union-find:hooks'; "
-                           "default: the task's own setting)")
+    _add_decoder_option(camp, None, "decoder for every point (default: "
+                                    "the task's own setting)")
     rare = subs.add_parser(
         "rare", help="rare-event pilot diagnostics + a tilted "
                      "deep-tail LER estimate (repro.rare)")
@@ -914,17 +918,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="intrinsic depolarizing noise level")
     rare.add_argument("--rounds", type=int, default=2,
                       help="syndrome rounds of the memory experiment")
-    rare.add_argument("--decoder", type=str, default="mwpm",
-                      help="decoder for the estimate")
+    _add_decoder_option(rare, "mwpm", "decoder for the estimate")
     rare.add_argument("--readout", type=str, default="data",
                       choices=("ancilla", "data"),
                       help="readout mode (the deep tail needs 'data': "
                            "the ancilla circuit fails linearly in p)")
-    from .frames.backend import BACKENDS
-
-    rare.add_argument("--backend", type=str, default=None,
-                      choices=BACKENDS,
-                      help="simulation backend (default auto)")
+    _add_backend_option(rare)
     rare.add_argument("--shots", type=int, default=16384,
                       help="shot ceiling for the tilted estimate")
     rare.add_argument("--min-shots", type=int, default=DEFAULT_MIN_SHOTS,
@@ -1027,9 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "service")
     submit.add_argument("spec", type=str,
                         help="path to the sweep spec (JSON)")
-    submit.add_argument("--url", type=str,
-                        default="http://127.0.0.1:8765",
-                        help="service base URL")
+    _add_service_options(submit)
     submit.add_argument("--shots", type=int, default=None,
                         help="override the spec's per-point shot "
                              "budget")
@@ -1038,8 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "the result table")
     submit.add_argument("--wait-timeout", type=float, default=3600.0,
                         help="give up waiting after this many seconds")
-    submit.add_argument("--timeout", type=float, default=60.0,
-                        help="per-request HTTP timeout, seconds")
     submit.add_argument("--csv", type=str, default=None,
                         help="with --wait: also write result rows to "
                              "this CSV file")
@@ -1048,11 +1043,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "job's progress and results)")
     status.add_argument("job", type=str, nargs="?", default=None,
                         help="job id (omit for the service overview)")
-    status.add_argument("--url", type=str,
-                        default="http://127.0.0.1:8765",
-                        help="service base URL")
-    status.add_argument("--timeout", type=float, default=60.0,
-                        help="per-request HTTP timeout, seconds")
+    _add_service_options(status)
     status.add_argument("--json", action="store_true",
                         help="emit the raw JSON response")
     status.add_argument("--watch", action="store_true",
@@ -1105,15 +1096,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "fingerprint, benchmark)")
     ingest.add_argument("bench_json", type=str,
                         help="payload written by pytest --bench-json")
-    ingest.add_argument("--history", type=str, default=None,
-                        metavar="PATH",
-                        help="history JSONL (default: "
-                             "results/bench/history.jsonl)")
+    _add_history_option(ingest)
     trend = perf_subs.add_parser(
         "trend", help="per-benchmark shots/s series across commits")
-    trend.add_argument("--history", type=str, default=None, metavar="PATH",
-                       help="history JSONL (default: "
-                            "results/bench/history.jsonl)")
+    _add_history_option(trend)
     trend.add_argument("--bench", type=str, default=None,
                        help="restrict to one benchmark name")
     trend.add_argument("--json", action="store_true",
@@ -1125,9 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("bench_json", type=str, nargs="?", default=None,
                        help="payload to judge (default: the latest "
                             "history point per benchmark)")
-    check.add_argument("--history", type=str, default=None, metavar="PATH",
-                       help="history JSONL (default: "
-                            "results/bench/history.jsonl)")
+    _add_history_option(check)
     check.add_argument("--rel-tol", type=float, default=None,
                        help="relative regression floor (default 0.10, "
                             "0.30 lax)")
@@ -1147,14 +1131,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> Optional[str]:
+    """Run one parsed command inside its telemetry session; returns
+    the ``--telemetry`` path, if any."""
     from . import obs
 
     telemetry = getattr(args, "telemetry", None)
     with obs.session(telemetry=telemetry,
                      quiet=bool(getattr(args, "quiet", False))):
         COMMANDS[args.command](args)
+    return telemetry
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    telemetry = _run(build_parser().parse_args(argv))
     if telemetry:
         print(f"[telemetry written to {telemetry}]")
     return 0

@@ -146,10 +146,6 @@ class TaskPlan(ChunkTally):
         return max(0, self.target - self.shots)
 
     @property
-    def unleased_shots(self) -> int:
-        return sum(lease.shots for lease in self.pending)
-
-    @property
     def done(self) -> bool:
         """The frontier has reached the target (a requeued duplicate
         may still be running somewhere; its result is discarded)."""

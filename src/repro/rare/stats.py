@@ -163,16 +163,6 @@ class WeightStats:
             return max(0.0, num) / (self.wsum * self.wsum)
         raise ValueError(f"unknown estimator mode {mode!r}")
 
-    def delta_interval(self, z: float = 1.96, mode: str = "sn"
-                       ) -> Tuple[float, float]:
-        """Normal interval ``estimate ± z * sqrt(variance)``, clipped."""
-        p = self.estimate(mode)
-        var = self.variance(mode)
-        if not math.isfinite(var):
-            return (0.0, 1.0)
-        half = z * math.sqrt(var)
-        return (max(0.0, p - half), min(1.0, p + half))
-
     @property
     def design_ess(self) -> float:
         """Design-effect effective sample size ``p (1 - p) / Var`` of

@@ -32,6 +32,8 @@ perturbs counts.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional
@@ -75,6 +77,12 @@ def _lease_hist(kind: str, runner: str):
     convention back into a real label."""
     return obs.registry().histogram(
         f"service.lease_{kind}_s/runner={runner}", LEASE_BOUNDS)
+
+
+def _positive(value: Any, kind: type) -> bool:
+    """``value`` is a finite, positive number of ``kind`` (not a bool)."""
+    return isinstance(value, kind) and not isinstance(value, bool) \
+        and 0 < value < math.inf
 
 
 class DispatchError(ValueError):
@@ -479,7 +487,16 @@ class Dispatcher:
               ttl_s: Optional[float] = None,
               now: Optional[float] = None) -> List[Lease]:
         """Hand out up to ``max_leases`` pending slices, oldest point
-        first (so one submission's points finish roughly in order)."""
+        first (so one submission's points finish roughly in order).
+        A ``max_leases`` that is not a positive integer, or a ``ttl_s``
+        that is not a positive finite number, is a :class:`DispatchError`
+        (HTTP 400)."""
+        if not _positive(max_leases, numbers.Integral):
+            raise DispatchError(f"lease max must be a positive integer, "
+                                f"got {max_leases!r}")
+        if ttl_s is not None and not _positive(ttl_s, numbers.Real):
+            raise DispatchError(f"lease ttl_s must be a positive number "
+                                f"of seconds, got {ttl_s!r}")
         now = time.monotonic() if now is None else now
         self.expire(now)
         ttl = self.lease_ttl_s if ttl_s is None else float(ttl_s)

@@ -505,7 +505,7 @@ class CampaignService:
             return 200, self.store.stats()
         if path == "/lease" and method == "POST":
             leases = d.lease(runner=str(body.get("runner", "remote")),
-                             max_leases=int(body.get("max", 1)),
+                             max_leases=body.get("max", 1),
                              ttl_s=body.get("ttl_s"))
             return 200, {"leases": [lease.to_wire()
                                     for lease in leases]}

@@ -110,8 +110,75 @@ class TestCampaignCommand:
         assert "512 shots" in capsys.readouterr().out
 
     def test_missing_spec_fails(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(SystemExit, match="^error: cannot read"):
             main(["campaign", str(tmp_path / "nope.json")])
+
+    @pytest.mark.parametrize("command", ["campaign", "submit"])
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read sweep spec"),
+        ('{"codes": [["repetition", [3, 1]]', "not valid JSON"),
+        ('[1, 2]', "not a JSON object"),
+        ('{"codes": [["repetition", [3, 1]]], "colour": 1}',
+         "bad sweep spec"),
+    ])
+    def test_bad_spec_is_an_error_line(self, tmp_path, command, content,
+                                       message):
+        """A missing, malformed or rejected spec exits with ``error:``
+        before any work starts (``submit`` never reaches the URL)."""
+        path = tmp_path / "spec.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(path), "--url", "http://127.0.0.1:9"]
+                 if command == "submit" else [command, str(path)])
+        assert str(exc.value).startswith("error: ")
+        assert message in str(exc.value)
+
+    def test_lookup_reads_spec_like_campaign(self, tmp_path):
+        store = tmp_path / "s.jsonl"
+        store.write_text("")
+        with pytest.raises(SystemExit, match="^error: cannot read"):
+            main(["store", "lookup", str(store), "--spec",
+                  str(tmp_path / "nope.json")])
+
+    @pytest.mark.parametrize("argv", [
+        ["detect"], ["rare", "--pilot-only"], ["campaign", "spec.json"]])
+    @pytest.mark.parametrize("decoder", ["bogus", "mwpm:bogus"])
+    def test_unknown_decoder_is_a_usage_error(self, capsys, argv, decoder):
+        """Every ``--decoder`` shares one parser: a bad kind or modifier
+        is argparse's exit 2, before any spec is read or shot run."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--decoder", decoder])
+        assert exc.value.code == 2
+        assert "argument --decoder:" in capsys.readouterr().err
+
+    def test_decoder_flag_keeps_task_keys(self, capsys, tmp_path,
+                                          monkeypatch):
+        """``--decoder`` parses to the same :class:`DecoderSpec` the
+        task would build from the string, so store keys do not move."""
+        from repro.decoders import as_decoder
+        from repro.injection.store import task_key
+        from repro.injection.sweep import build_sweep
+        import repro.rare.pilot as pilot
+
+        spec = self.write_spec(tmp_path)
+        store = tmp_path / "s.jsonl"
+        assert main(["campaign", spec, "-j", "1", "--quiet", "--decoder",
+                     "union-find", "--store", str(store)]) == 0
+        keys = {json.loads(line)["key"]
+                for line in store.read_text().splitlines()}
+        task, = build_sweep({**self.SPEC, "decoder": "union-find"})._seeded()
+        assert keys == {task_key(task)}
+
+        seen = []
+
+        def capture(task):
+            seen.append(task)
+            return []
+
+        monkeypatch.setattr(pilot, "pilot_report", capture)
+        assert main(["rare", "--pilot-only", "--decoder", "uf:hooks"]) == 0
+        assert seen[0].decoder == as_decoder("union-find:hooks")
 
     def test_adaptive_knobs_require_adaptive(self, tmp_path):
         """--min/--max-shots without --adaptive would be silently
@@ -270,3 +337,45 @@ class TestStoreCommand:
     def test_store_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["store"])
+
+
+def parser_snapshot(parser, path=("repro",), out=None):
+    """Every subcommand's actions as ``[option_strings, dest, default,
+    choices, nargs]`` (``type``/``help`` left out), keyed by the
+    space-joined command path: positionals in declaration order, then
+    options by ``dest`` (their order only shapes ``--help``)."""
+    import argparse
+
+    out = {} if out is None else out
+    rows = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        choices = action.choices
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in choices.items():
+                parser_snapshot(sub, path + (name,), out)
+            choices = sorted(choices)
+        elif choices is not None:
+            choices = list(choices)
+        default = action.default
+        if isinstance(default, tuple):
+            default = list(default)
+        rows.append([list(action.option_strings), action.dest, default,
+                     choices, action.nargs])
+    rows.sort(key=lambda row: (bool(row[0]), row[1] if row[0] else ""))
+    out[" ".join(path)] = rows
+    return out
+
+
+class TestParserSnapshot:
+    def test_options_unchanged(self):
+        """No option was dropped, renamed or re-defaulted: the parser
+        matches the recorded fixture action for action."""
+        from pathlib import Path
+
+        from repro.cli import build_parser
+
+        fixture = Path(__file__).parent / "data" / "cli_parser.json"
+        expected = json.loads(fixture.read_text())
+        assert parser_snapshot(build_parser()) == expected

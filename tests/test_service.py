@@ -267,6 +267,22 @@ class TestDispatcherErrors:
         with pytest.raises(DispatchError):
             d.lookup()
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_leases": "abc"}, {"max_leases": "2"}, {"max_leases": 1.5},
+        {"max_leases": True}, {"max_leases": 0}, {"max_leases": -3},
+        {"ttl_s": "soon"}, {"ttl_s": 0}, {"ttl_s": -1.0},
+        {"ttl_s": float("nan")}, {"ttl_s": float("inf")}, {"ttl_s": False},
+    ])
+    def test_bad_lease_arguments(self, tmp_path, kwargs):
+        """A malformed lease request is rejected before it touches any
+        state: no runner is registered and no slice leaves the queue."""
+        d = make_dispatcher(tmp_path)
+        d.submit(SPEC)
+        with pytest.raises(DispatchError, match="lease"):
+            d.lease(runner="bad", **kwargs)
+        assert "bad" not in d.runners
+        assert d.lease(runner="good", max_leases=1, ttl_s=5)
+
 
 @pytest.mark.integration
 class TestHTTPService:
@@ -325,6 +341,20 @@ class TestHTTPService:
         with pytest.raises(ServiceError) as err:
             client.submit({"codes": []})
         assert err.value.status == 400
+
+    @pytest.mark.parametrize("body", [
+        {"max": "abc"}, {"max": -3}, {"max": 0}, {"ttl_s": "soon"},
+        {"ttl_s": -1}])
+    def test_malformed_lease_body_is_400(self, service, body):
+        from repro.service import ServiceClient, ServiceError
+
+        client = ServiceClient(service.url)
+        with pytest.raises(ServiceError) as err:
+            client._request("POST", "/lease", body)
+        assert err.value.status == 400
+        assert "lease" in str(err.value)
+        assert client._request("POST", "/lease", {"max": 2}) == {
+            "leases": []}
 
 
 @pytest.mark.integration
