@@ -248,6 +248,99 @@ def test_frames_compile_overhead(benchmark, d5_experiment, d5_noise):
     assert program.num_channels == 2
 
 
+def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
+    """One compile of the struck XXZZ(5,5) — ``strike_decode``'s t = 0
+    point, whose random-branch reference compiles per task seed — with
+    the reference pass on ``_kernel.c`` and on the Python tableau
+    replay, in ms per compile split into the reference pass, fusion,
+    encoding and the walk that is left.  Same structure either way
+    (checked here); the native compile must be >= 3x faster.
+
+    Measured on a 2-vCPU Intel Xeon host when the native pass landed
+    (ms per compile, python -> native, three runs): 60-73 -> 15-19.5 in
+    all (3.7-4.0x), the reference pass 44-52 -> 0.7-0.9 of it; fusion
+    6-10, encoding ~2 and the walk 6-8.5 are the same on both.
+    """
+    from repro.frames import program as frames_program
+    from repro.injection import CodeSpec, FaultSpec, InjectionTask
+    from repro.injection.campaign import _build_noise, _prepared
+
+    if _native.kernel() is None:
+        pytest.skip("native executor unavailable: "
+                    + _native.unavailable_reason())
+    task = InjectionTask(
+        code=CodeSpec("xxzz", (5, 5)), rounds=5, intrinsic_p=1e-3,
+        fault=FaultSpec(kind="radiation", root_qubit=12, time_index=0),
+        backend="frames")
+    experiment, _, _ = _prepared(task.code, task.rounds, task.basis,
+                                 task.arch, task.layout, task.decoder,
+                                 task.readout)
+    noise = _build_noise(task, experiment)
+    parts = ("_run_reference", "fuse_layers", "encode_ops")
+    spent = dict.fromkeys(parts, 0.0)
+
+    def timed(name):
+        inner = getattr(frames_program, name)
+
+        def run(*args):
+            t0 = time.perf_counter()
+            out = inner(*args)
+            spent[name] += time.perf_counter() - t0
+            return out
+        return run
+
+    def compile_once():
+        return frames_program.frame_structure(experiment.circuit, noise,
+                                              rng=1)
+
+    def split_ms(reps=10):
+        """Mean ms per compile, whole and by part."""
+        with monkeypatch.context() as m:
+            for name in parts:
+                m.setattr(frames_program, name, timed(name))
+            for name in parts:
+                spent[name] = 0.0
+            times = []
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                compile_once()
+                times.append(time.perf_counter() - t0)
+        split = {name: 1e3 * spent[name] / reps for name in parts}
+        return 1e3 * sum(times) / reps, split
+
+    native = compile_once()
+    native_ms, native_split = split_ms()
+    with monkeypatch.context() as python_only:
+        python_only.setattr(_native, "kernel", lambda: None)
+        python = compile_once()
+        python_ms, python_split = split_ms()
+    assert native.twirled_reset_sites and native.seeded
+    assert np.array_equal(native.code, python.code)
+    assert native.random_cbits == python.random_cbits
+    benchmark(compile_once)
+
+    def line(name, total, split):
+        walk = total - sum(split.values())
+        return (f"{name} {total:.1f} ms (reference "
+                f"{split['_run_reference']:.1f}, fuse "
+                f"{split['fuse_layers']:.1f}, encode "
+                f"{split['encode_ops']:.1f}, walk {walk:.1f})")
+
+    bench_report(
+        benchmark, capsys,
+        f"\n[frames] struck XXZZ(5,5) compile: "
+        f"{line('python', python_ms, python_split)} -> "
+        f"{line('native', native_ms, native_split)} "
+        f"({python_ms / native_ms:.1f}x)",
+        python_compile_ms=python_ms, compile_ms=native_ms,
+        reference_ms=native_split["_run_reference"],
+        python_reference_ms=python_split["_run_reference"],
+        speedup=python_ms / native_ms)
+    bar = bench_bar(3.0, 2.0)
+    assert python_ms / native_ms >= bar, \
+        f"native compile only {python_ms / native_ms:.1f}x python < {bar}x"
+
+
 def test_frames_compile_amortisation(benchmark, capsys):
     """A Fig. 8-shaped sweep on one architecture — 4 strike roots x 4
     time samples x 3 p of the d=5 repetition memory on the 5x4 mesh, 48

@@ -1,14 +1,14 @@
-/* Native op loop for bound frame programs.
+/* Native loops of the frames backend: two entry points.
  *
- * One call executes ops [first, stop) of a program (the int64 stream of
- * repro.frames.program.encode_ops past its header, plus the binding's
- * probability vector and, on a tilted binding, its log-likelihood
- * ratios) in place on the simulator's x, z and record words and its
- * per-shot log-weights.  Opcodes are the OP_* numbers of program.py;
- * every operand was range-checked when the stream was encoded and the
- * bounds held against the arrays before the call, so nothing is
- * checked here.  A scalar op's operands are laid out as a one-wide
- * layer's, so each kind has one case.
+ * repro_frames_run executes ops [first, stop) of a program (the int64
+ * stream of repro.frames.program.encode_ops past its header, plus the
+ * binding's probability vector and, on a tilted binding, its
+ * log-likelihood ratios) in place on the simulator's x, z and record
+ * words and its per-shot log-weights.  Opcodes are the OP_* numbers of
+ * program.py; every operand was range-checked when the stream was
+ * encoded and the bounds held against the arrays before the call, so
+ * nothing is checked here.  A scalar op's operands are laid out as a
+ * one-wide layer's, so each kind has one case.
  *
  * Randomness is numpy's: lane l draws through the bitgen_t its
  * generator publishes, with the calls — next_raw where the numpy
@@ -20,6 +20,17 @@
  * its ratio to each shot's log-weight (nothing when both ratios are
  * 0), a layer sums its rows' ratios from its first row on and adds the
  * sum once.
+ *
+ * repro_frames_reference is frame compilation's reference pass: the
+ * REF_* stream of repro.frames.program (gates, circuit resets,
+ * measurements and Z-determinacy queries) run once on a bit-packed
+ * Aaronson-Gottesman tableau, the one
+ * repro.stabilizer.tableau.Tableau keeps — the same rows, the same
+ * rowsum with its exact phase sum mod 4, the same pivot — so every
+ * answer and every draw is the Python replay's.  A random branch
+ * (measurement or reset) draws next_uint32 >> 31 from the caller's
+ * generator: what Generator.integers(0, 2) returns and consumes
+ * (bounded Lemire on range 2 keeps the top bit and never rejects).
  *
  * Built by frames/_native.py with `cc -O2 -shared -fPIC`; C99, libc only.
  */
@@ -375,5 +386,239 @@ int64_t repro_frames_run(const int64_t *code, int64_t code_len,
         prof[run_code] += now() - t_run;
     free(sim.mask);
     free(sim.layer_lw);
+    return status;
+}
+
+
+/* ------------------------------------------------------------------ */
+/* The reference pass.                                                */
+
+/* REF_* opcodes of program.py. */
+enum {
+    REF_X, REF_Y, REF_Z, REF_H, REF_S, REF_SDG, REF_CX, REF_CZ, REF_SWAP,
+    REF_RESET, REF_MEASURE, REF_QUERY, NUM_REFS
+};
+
+/* Query answer: a measurement there would take the random branch. */
+enum { INDEFINITE = 2 };
+
+/* 2n generator rows (destabilizers, then stabilizers) plus one scratch
+ * row, W words each; a qubit is a bit column. */
+typedef struct {
+    int64_t n, W;
+    uint64_t *x, *z;
+    uint8_t *r;
+} tableau_t;
+
+static int64_t popcount(uint64_t v)
+{
+    v -= (v >> 1) & 0x5555555555555555ULL;
+    v = (v & 0x3333333333333333ULL) + ((v >> 2) & 0x3333333333333333ULL);
+    v = (v + (v >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return (int64_t)((v * 0x0101010101010101ULL) >> 56);
+}
+
+/* Tableau._rowsum: row h <- row i * row h, the sign from the exponent
+ * sum of the AG phase function g over every column. */
+static void rowsum(const tableau_t *t, int64_t h, int64_t i)
+{
+    uint64_t *xh = t->x + h * t->W, *zh = t->z + h * t->W;
+    const uint64_t *xi = t->x + i * t->W, *zi = t->z + i * t->W;
+    int64_t total = 2 * (int64_t)t->r[h] + 2 * (int64_t)t->r[i];
+    for (int64_t w = 0; w < t->W; w++) {
+        uint64_t a = xi[w], b = zi[w], c = xh[w], d = zh[w];
+        /* g = +1 / -1 per column, by the Pauli of row i (Y, X, Z). */
+        uint64_t plus = (a & b & d & ~c) | (a & ~b & c & d)
+                        | (~a & b & c & ~d);
+        uint64_t minus = (a & b & c & ~d) | (a & ~b & ~c & d)
+                         | (~a & b & c & d);
+        total += popcount(plus) - popcount(minus);
+        xh[w] = c ^ a;
+        zh[w] = d ^ b;
+    }
+    t->r[h] = (uint8_t)((total & 3) >> 1);
+}
+
+/* Tableau's column gates, row by row over the 2n generators. */
+static void gate(const tableau_t *t, int64_t op, int64_t a, int64_t b)
+{
+    int64_t wa = a >> 6, wb = b >> 6;
+    uint64_t ma = (uint64_t)1 << (a & 63), mb = (uint64_t)1 << (b & 63);
+    for (int64_t row = 0; row < 2 * t->n; row++) {
+        uint64_t *x = t->x + row * t->W, *z = t->z + row * t->W;
+        int xa = (x[wa] & ma) != 0, za = (z[wa] & ma) != 0;
+        int xb = (x[wb] & mb) != 0, zb = (z[wb] & mb) != 0;
+        uint8_t *r = t->r + row;
+        switch (op) {
+        case REF_X:
+            *r ^= za;
+            break;
+        case REF_Y:
+            *r ^= xa ^ za;
+            break;
+        case REF_Z:
+            *r ^= xa;
+            break;
+        case REF_H:
+            *r ^= xa & za;
+            if (xa != za) {
+                x[wa] ^= ma;
+                z[wa] ^= ma;
+            }
+            break;
+        case REF_S:
+            *r ^= xa & za;
+            if (xa)
+                z[wa] ^= ma;
+            break;
+        case REF_SDG:
+            *r ^= xa & !za;
+            if (xa)
+                z[wa] ^= ma;
+            break;
+        case REF_CX:                /* control a, target b */
+            *r ^= xa & zb & !(xb ^ za);
+            if (xa)
+                x[wb] ^= mb;
+            if (zb)
+                z[wa] ^= ma;
+            break;
+        case REF_SWAP:
+            if (xa != xb) {
+                x[wa] ^= ma;
+                x[wb] ^= mb;
+            }
+            if (za != zb) {
+                z[wa] ^= ma;
+                z[wb] ^= mb;
+            }
+            break;
+        }
+    }
+}
+
+static int xbit(const tableau_t *t, int64_t row, int64_t a)
+{
+    return (t->x[row * t->W + (a >> 6)] >> (a & 63)) & 1;
+}
+
+/* The first stabilizer row with an X on qubit a, or -1 when the qubit
+ * is Z-determinate. */
+static int64_t pivot(const tableau_t *t, int64_t a)
+{
+    for (int64_t p = t->n; p < 2 * t->n; p++)
+        if (xbit(t, p, a))
+            return p;
+    return -1;
+}
+
+/* Tableau.measure's deterministic branch: the stabilizer rows paired
+ * with the destabilizers holding X on a, multiplied into the scratch
+ * row; its sign is the outcome.  Leaves the generators untouched. */
+static int64_t determinate(const tableau_t *t, int64_t a)
+{
+    int64_t s = 2 * t->n;
+    for (int64_t w = 0; w < t->W; w++)
+        t->x[s * t->W + w] = t->z[s * t->W + w] = 0;
+    t->r[s] = 0;
+    for (int64_t i = 0; i < t->n; i++)
+        if (xbit(t, i, a))
+            rowsum(t, s, i + t->n);
+    return t->r[s];
+}
+
+/* Tableau.measure: the outcome, drawing at a random branch. */
+static int64_t measure(const tableau_t *t, int64_t a, int64_t p,
+                       bitgen_t *gen)
+{
+    if (p < 0)
+        return determinate(t, a);
+    for (int64_t h = 0; h < 2 * t->n; h++)
+        if (h != p && xbit(t, h, a))
+            rowsum(t, h, p);
+    int64_t d = p - t->n, W = t->W;
+    for (int64_t w = 0; w < W; w++) {
+        t->x[d * W + w] = t->x[p * W + w];
+        t->z[d * W + w] = t->z[p * W + w];
+        t->x[p * W + w] = t->z[p * W + w] = 0;
+    }
+    t->r[d] = t->r[p];
+    int64_t outcome = gen->next_uint32(gen->state) >> 31;
+    t->z[p * W + (a >> 6)] = (uint64_t)1 << (a & 63);
+    t->r[p] = (uint8_t)outcome;
+    return outcome;
+}
+
+/* One pass of the stream (len words) from |0..0> on n qubits.  Per
+ * REF_MEASURE and REF_QUERY, in stream order, results[] gets: for a
+ * measurement its outcome plus 2 if it took the random branch, for a
+ * query the qubit's Z value or INDEFINITE; every entry is at least two
+ * words, so len / 2 slots always suffice.  out[] gets the number of
+ * results and whether any measurement or reset drew from gen.  The
+ * caller holds gen's lock. */
+int64_t repro_frames_reference(const int64_t *stream, int64_t len,
+                               int64_t n, bitgen_t *gen, int64_t *results,
+                               int64_t *out)
+{
+    int64_t *first = results, drew = 0;
+    tableau_t t = {n, (n + 63) / 64, NULL, NULL, NULL};
+    size_t words = (size_t)(2 * n + 1) * (size_t)t.W;
+    int64_t status = OK;
+    t.x = calloc(words, sizeof(uint64_t));
+    t.z = calloc(words, sizeof(uint64_t));
+    t.r = calloc((size_t)(2 * n + 1), 1);
+    if (!t.x || !t.z || !t.r) {
+        free(t.x);
+        free(t.z);
+        free(t.r);
+        return NO_MEMORY;
+    }
+    for (int64_t q = 0; q < n; q++) {   /* destabilizer X_q, stabilizer Z_q */
+        t.x[q * t.W + (q >> 6)] = (uint64_t)1 << (q & 63);
+        t.z[(n + q) * t.W + (q >> 6)] = (uint64_t)1 << (q & 63);
+    }
+    for (int64_t i = 0; i < len;) {
+        int64_t op = stream[i], two = op == REF_CX || op == REF_CZ
+                                      || op == REF_SWAP;
+        if (op < 0 || op >= NUM_REFS || i + 1 + two >= len) {
+            status = BAD_OP;
+            break;
+        }
+        int64_t a = stream[i + 1], b = two ? stream[i + 2] : a;
+        if (a < 0 || a >= n || b < 0 || b >= n) {
+            status = BAD_OP;
+            break;
+        }
+        i += 2 + two;
+        int64_t p;
+        switch (op) {
+        case REF_CZ:                /* Tableau.cz: H(b) CX(a, b) H(b) */
+            gate(&t, REF_H, b, b);
+            gate(&t, REF_CX, a, b);
+            gate(&t, REF_H, b, b);
+            break;
+        case REF_RESET:             /* measure, then X if it read 1 */
+            p = pivot(&t, a);
+            drew |= p >= 0;
+            if (measure(&t, a, p, gen))
+                gate(&t, REF_X, a, a);
+            break;
+        case REF_MEASURE:
+            p = pivot(&t, a);
+            drew |= p >= 0;
+            *results++ = measure(&t, a, p, gen) + (p >= 0 ? 2 : 0);
+            break;
+        case REF_QUERY:
+            *results++ = pivot(&t, a) >= 0 ? INDEFINITE : determinate(&t, a);
+            break;
+        default:
+            gate(&t, op, a, b);
+        }
+    }
+    out[0] = results - first;
+    out[1] = drew;
+    free(t.x);
+    free(t.z);
+    free(t.r);
     return status;
 }

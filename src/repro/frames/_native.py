@@ -1,15 +1,17 @@
-"""The native frame-program executor: ``_kernel.c`` as a Python call.
+"""The native frames executors: ``_kernel.c`` as Python calls.
 
 ``_kernel.c`` (beside this file) is built, cached and loaded by
 :class:`repro._clib.Loader`.  Whether that worked is decided **once
 per process** by :func:`kernel`: any failure — no compiler, no
 writable cache, a library that will not load, a numpy whose bit
 generators publish no ``ctypes`` interface — leaves the numpy executor
-in charge for the life of the process, recorded as one
-``frames.native_unavailable`` event carrying the reason.
+and the Python reference replay in charge for the life of the process,
+recorded as one ``frames.native_unavailable`` event carrying the
+reason.
 
 Imported by :meth:`~repro.frames.simulator.FrameSimulator.run_packed`
-on the first sample, never by ``import repro``.
+on the first sample and by :func:`~repro.frames.program.frame_structure`
+on the first compile, never by ``import repro``.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "_kernel.c")
 
 #: Kernel return codes (``_kernel.c``).
-OK, NO_MEMORY = 0, 1
+OK, NO_MEMORY, BAD_OP = 0, 1, 2
 #: Opcode slots in a profile accumulator: seconds, calls, fused width.
 NUM_OPS = len(OP_KIND)
 
 
 class Kernel:
-    """``repro_frames_run`` of a loaded library, as a Python call."""
+    """``repro_frames_run`` of a loaded library, as a Python call, and
+    ``repro_frames_reference`` as :meth:`reference`."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         import numpy as np
@@ -47,6 +50,11 @@ class Kernel:
                         + [ctypes.c_int64] * 2                 # W, lanes
                         + [ctypes.c_void_p] * 4)       # lanes gens out prof
         self._run = run
+        ref = lib.repro_frames_reference
+        ref.restype = ctypes.c_int64
+        ref.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 2  # stream, n
+                        + [ctypes.c_void_p] * 3)          # gen results out
+        self._reference = ref
 
     def __call__(self, code, start: int, stop: int, prob, log_ratios,
                  log_weights, x, z, record_words,
@@ -90,6 +98,31 @@ class Kernel:
         if status != OK:
             raise RuntimeError(f"native frame executor: status {status}")
         return list(out), None if acc is None else list(acc)
+
+    def reference(self, stream: Sequence[int], num_qubits: int,
+                  rng) -> Tuple[List[int], bool]:
+        """:func:`~repro.frames.program.replay_reference` of ``stream``
+        on ``num_qubits`` qubits, drawing through ``rng``'s bit
+        generator with its lock held."""
+        import numpy as np
+
+        code = np.asarray(stream, dtype=np.int64)
+        results = np.zeros(code.size // 2 + 1, dtype=np.int64)
+        out = (ctypes.c_int64 * 2)()
+        bit_generator = rng.bit_generator
+        with bit_generator.lock:
+            status = self._reference(
+                code.ctypes.data, code.size, num_qubits,
+                bit_generator.ctypes.bit_generator.value,
+                results.ctypes.data, out)
+        if status == NO_MEMORY:
+            raise MemoryError("native reference pass")
+        if status == BAD_OP:
+            raise IndexError("reference stream entry outside its opcodes "
+                             f"or [0, {num_qubits}) qubits")
+        if status != OK:
+            raise RuntimeError(f"native reference pass: status {status}")
+        return results[:out[0]].tolist(), bool(out[1])
 
 
 _LOADER = Loader(SOURCE, "frames-kernel", "frames.native_unavailable",

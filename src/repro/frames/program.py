@@ -6,19 +6,34 @@ circuit reduced to frame-propagation opcodes, interleaved with
 *lowered* noise sites, plus the reference measurement record the frames
 are XORed against.
 
-The **reference pass** runs the circuit once, noiselessly, through the
-single-shot :class:`~repro.stabilizer.simulator.TableauSimulator`,
-recording every measurement's outcome and whether it took the
+The **reference pass** runs the circuit once, noiselessly, on a CHP
+tableau, recording every measurement's outcome and whether it took the
 random-outcome CHP branch (some stabilizer anticommutes with the
-measured ``Z``).  Random-branch measurements are still sampled exactly
-by the frame backend — the simulator's Z-frame randomisation at
-initialisation, reset and measurement supplies per-shot randomness with
-the correct cross-measurement correlations — but the flags are kept as
-program metadata: a program with *no* random branches reproduces the
-reference record bit-for-bit on noiseless shots, while any random
-branch makes the record (including later measurements whose CHP branch
-is deterministic but whose value is conditioned on the earlier
-collapse) exact in distribution only.
+measured ``Z``), and answering at every fault-reset site whether the
+qubit holds a definite ``Z`` value there, and which.  The one Python
+walk of :func:`frame_structure` builds the scalar op list and, beside
+it, a flat int64 *reference stream*: an opcode (``REF_*``) and its
+qubits per gate — the Paulis too, which move reference signs but no
+frame — and one ``REF_QUERY`` per fault-reset site.  Measure and
+fault-reset ops are appended with their reference operands blank and
+filled in from the stream's answers.  The stream runs on
+``_kernel.c``'s bit-packed tableau (``repro_frames_reference``)
+wherever the frame executor's library loads
+(``frames.native_compiles``), else on :func:`replay_reference`, a
+replay on the :class:`~repro.stabilizer.simulator.TableauSimulator`
+(``frames.python_compiles``).  Both draw a random branch's outcome as
+``Generator.integers(0, 2)`` does, so the two give one structure and
+leave the generator in one state.
+
+Random-branch measurements are still sampled exactly by the frame
+backend — the simulator's Z-frame randomisation at initialisation,
+reset and measurement supplies per-shot randomness with the correct
+cross-measurement correlations — but the flags are kept as program
+metadata: a program with *no* random branches reproduces the reference
+record bit-for-bit on noiseless shots, while any random branch makes
+the record (including later measurements whose CHP branch is
+deterministic but whose value is conditioned on the earlier collapse)
+exact in distribution only.
 
 **Noise lowering** reads every channel's
 :meth:`~repro.noise.base.NoiseChannel.site_table` — the one definition
@@ -85,6 +100,7 @@ from .. import obs
 from ..circuits import Circuit, GateType
 from ..noise.base import DEPOLARIZE, NoiseModel, SiteTable
 from ..stabilizer.simulator import TableauSimulator
+from ..stabilizer.tableau import Tableau
 
 #: Frame-propagation opcodes (ints for cheap dispatch).
 OP_H = 0            # (OP_H, qubit)
@@ -144,10 +160,6 @@ _RNG_OPS = frozenset({OP_MEASURE, OP_RESET, OP_DEPOLARIZE, OP_RESET_NOISE})
 _QUBIT_ARITY = {OP_H: 1, OP_S: 1, OP_CX: 2, OP_CZ: 2, OP_SWAP: 2,
                 OP_MEASURE: 1, OP_RESET: 1, OP_DEPOLARIZE: 1,
                 OP_RESET_NOISE: 1}
-
-#: Pauli gate types: they conjugate frames trivially (phases only).
-_FRAME_TRIVIAL = frozenset({GateType.I, GateType.X, GateType.Y, GateType.Z})
-
 
 #: Index of the probability operand in each noise op.  In a
 #: :class:`FrameStructure` it holds the op's site number(s) instead.
@@ -548,6 +560,35 @@ def supports_noise(noise: Optional[NoiseModel]) -> bool:
     return noise is None or all(ch.lowers for ch in noise)
 
 
+#: Reference-stream opcodes (``_kernel.c``'s ``REF_*``): each entry is
+#: the opcode and its qubits — two for CX, CZ and SWAP, one otherwise.
+REF_X, REF_Y, REF_Z, REF_H, REF_S, REF_SDG, REF_CX, REF_CZ, REF_SWAP, \
+    REF_RESET, REF_MEASURE, REF_QUERY = range(12)
+
+#: Gate type → (reference opcode or ``None``, frame opcode or ``None``).
+_LOWERING = {
+    GateType.I: (None, None),
+    GateType.X: (REF_X, None), GateType.Y: (REF_Y, None),
+    GateType.Z: (REF_Z, None), GateType.H: (REF_H, OP_H),
+    GateType.S: (REF_S, OP_S), GateType.SDG: (REF_SDG, OP_S),
+    GateType.CX: (REF_CX, OP_CX), GateType.CZ: (REF_CZ, OP_CZ),
+    GateType.SWAP: (REF_SWAP, OP_SWAP), GateType.RESET: (REF_RESET, OP_RESET),
+    GateType.MEASURE: (REF_MEASURE, OP_MEASURE),
+}
+
+#: Answer to a ``REF_QUERY`` on a Z-indefinite qubit.
+_INDEFINITE = 2
+
+#: Tableau method per gate opcode of the stream.
+_TABLEAU_GATES = {REF_X: Tableau.x_gate, REF_Y: Tableau.y_gate,
+                  REF_Z: Tableau.z_gate, REF_H: Tableau.h, REF_S: Tableau.s,
+                  REF_SDG: Tableau.sdg, REF_CX: Tableau.cx,
+                  REF_CZ: Tableau.cz, REF_SWAP: Tableau.swap}
+
+_OBS_NATIVE_COMPILES = obs.counter("frames.native_compiles")
+_OBS_PYTHON_COMPILES = obs.counter("frames.python_compiles")
+
+
 def _z_indefinite(sim: TableauSimulator, qubit: int) -> bool:
     """Would measuring ``qubit`` take the random CHP branch (some
     stabilizer anticommutes with its ``Z``) and draw from the rng?"""
@@ -562,6 +603,58 @@ def _z_determinate(sim: TableauSimulator, qubit: int) -> Optional[int]:
         return None
     # Deterministic CHP branch: non-destructive, consumes no randomness.
     return int(sim.tableau.measure(qubit, sim.rng))
+
+
+def replay_reference(stream: List[int], num_qubits: int,
+                     rng: np.random.Generator) -> Tuple[List[int], bool]:
+    """Run a reference stream once on a :class:`TableauSimulator`: the
+    reference pass without a compiler, and the oracle of
+    ``_kernel.c``'s ``repro_frames_reference``.
+
+    Returns, per ``REF_MEASURE`` and ``REF_QUERY`` entry in stream
+    order, a measurement's outcome plus 2 if it took the random branch
+    and a query's Z value or 2 (indefinite); and whether any
+    measurement or reset drew from ``rng``.
+    """
+    sim = TableauSimulator(num_qubits, rng=rng)
+    tab = sim.tableau
+    results: List[int] = []
+    drew = False
+    i = 0
+    while i < len(stream):
+        code, q = stream[i], stream[i + 1]
+        if code in (REF_CX, REF_CZ, REF_SWAP):
+            _TABLEAU_GATES[code](tab, q, stream[i + 2])
+            i += 3
+            continue
+        i += 2
+        if code == REF_MEASURE:
+            random_branch = _z_indefinite(sim, q)
+            drew |= random_branch
+            results.append(tab.measure(q, rng) + 2 * random_branch)
+        elif code == REF_RESET:
+            drew |= _z_indefinite(sim, q)
+            tab.reset(q, rng)
+        elif code == REF_QUERY:
+            value = _z_determinate(sim, q)
+            results.append(_INDEFINITE if value is None else value)
+        else:
+            _TABLEAU_GATES[code](tab, q)
+    return results, drew
+
+
+def _run_reference(stream: List[int], num_qubits: int,
+                   rng: np.random.Generator) -> Tuple[List[int], bool]:
+    """The reference pass on ``_kernel.c`` when it loads, else on
+    :func:`replay_reference` — counted either way."""
+    from . import _native   # first compile, not ``import repro``
+
+    kernel = _native.kernel()
+    if kernel is None:
+        _OBS_PYTHON_COMPILES.inc()
+        return replay_reference(stream, num_qubits, rng)
+    _OBS_NATIVE_COMPILES.inc()
+    return kernel.reference(stream, num_qubits, rng)
 
 
 def _site_tables(noise: Optional[NoiseModel], num_qubits: int
@@ -598,15 +691,16 @@ def frame_structure(circuit: Circuit,
     tables = _site_tables(noise, n)
     # Where each table starts in the flat concatenation of them all.
     starts = np.cumsum([0] + [t.table.size for t in tables]).tolist()
+    if n <= 0:
+        raise ValueError("need at least one qubit")
 
-    sim = TableauSimulator(n, rng=rng)
     num_cbits = max(circuit.num_cbits, 1)
-    ref = np.zeros(num_cbits, dtype=np.uint8)
     ops: List[Tuple] = []
-    random_cbits: List[int] = []
-    random_reset = False
+    stream: List[int] = []
+    # Positions in ops of the measure and fault-reset ops, in stream
+    # order: their reference operands are filled in after the pass.
+    answered: List[int] = []
     site_source: List[int] = []
-    reset_counts = [0, 0]  # [exact, twirled]
     if noise is not None:
         noise.begin_run()
 
@@ -614,39 +708,18 @@ def frame_structure(circuit: Circuit,
         gt = gate.gate_type
         if gt is GateType.BARRIER:
             continue
-        if gt in _FRAME_TRIVIAL:
-            sim.apply(gate)  # advances the reference; no frame op
-        elif gt is GateType.H:
-            sim.apply(gate)
-            ops.append((OP_H, gate.qubits[0]))
-        elif gt is GateType.S or gt is GateType.SDG:
-            sim.apply(gate)
-            ops.append((OP_S, gate.qubits[0]))
-        elif gt is GateType.CX:
-            sim.apply(gate)
-            ops.append((OP_CX, gate.qubits[0], gate.qubits[1]))
-        elif gt is GateType.CZ:
-            sim.apply(gate)
-            ops.append((OP_CZ, gate.qubits[0], gate.qubits[1]))
-        elif gt is GateType.SWAP:
-            sim.apply(gate)
-            ops.append((OP_SWAP, gate.qubits[0], gate.qubits[1]))
-        elif gt is GateType.RESET:
-            # A reset is measure-then-flip: on a Z-indefinite qubit the
-            # reference draws its outcome, like a random-branch measure.
-            random_reset |= _z_indefinite(sim, gate.qubits[0])
-            sim.apply(gate)
-            ops.append((OP_RESET, gate.qubits[0]))
-        elif gt is GateType.MEASURE:
-            a = gate.qubits[0]
-            random_branch = _z_indefinite(sim, a)
-            outcome = sim.apply(gate)
-            ref[gate.cbit] = outcome
-            if random_branch:
-                random_cbits.append(gate.cbit)
-            ops.append((OP_MEASURE, a, gate.cbit, int(outcome)))
-        else:  # pragma: no cover - the IR has no other gate types
-            raise FrameLoweringError(f"unsupported gate type {gt}")
+        try:
+            ref_op, frame_op = _LOWERING[gt]
+        except KeyError:  # pragma: no cover - the IR has no other types
+            raise FrameLoweringError(f"unsupported gate type {gt}") from None
+        if ref_op is not None:
+            stream.append(ref_op)
+            stream.extend(gate.qubits)
+        if frame_op == OP_MEASURE:
+            answered.append(len(ops))
+            ops.append((OP_MEASURE, gate.qubits[0], gate.cbit, None))
+        elif frame_op is not None:
+            ops.append((frame_op,) + gate.qubits)
         if noise is None:
             continue
         for channel, t, start in zip(noise, tables, starts):
@@ -658,9 +731,25 @@ def frame_structure(circuit: Circuit,
                 if t.kind == DEPOLARIZE:
                     ops.append((OP_DEPOLARIZE, q, site))
                 else:
-                    value = _z_determinate(sim, q)
-                    ops.append((OP_RESET_NOISE, q, site, value))
-                    reset_counts[0 if value is not None else 1] += 1
+                    stream.extend((REF_QUERY, q))
+                    answered.append(len(ops))
+                    ops.append((OP_RESET_NOISE, q, site, None))
+
+    results, drew = _run_reference(stream, n, rng)
+    ref = np.zeros(num_cbits, dtype=np.uint8)
+    random_cbits: List[int] = []
+    reset_counts = [0, 0]  # [exact, twirled]
+    for i, value in zip(answered, results):
+        op = ops[i]
+        if op[0] == OP_MEASURE:
+            ref[op[2]] = value & 1
+            if value >> 1:
+                random_cbits.append(op[2])
+            ops[i] = op[:3] + (value & 1,)
+        else:
+            indefinite = value == _INDEFINITE
+            ops[i] = op[:3] + (None if indefinite else value,)
+            reset_counts[indefinite] += 1
 
     ops = fuse_layers(ops)
     # Every bound program shares these arrays.
@@ -679,7 +768,7 @@ def frame_structure(circuit: Circuit,
         signature=tuple(t.key for t in tables),
         reference_record=ref,
         random_cbits=tuple(random_cbits),
-        seeded=bool(random_cbits) or random_reset,
+        seeded=drew,
         exact_reset_sites=reset_counts[0],
         twirled_reset_sites=reset_counts[1],
         fused_ops=sum(1 for op in ops if op[0] in LAYER_OPS),

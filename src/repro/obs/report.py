@@ -198,7 +198,11 @@ def render_report(path: Union[str, Sequence[str]]) -> str:
                      f"to the tableau; executor "
                      f"{counters.get('frames.native_blocks', 0):,} native / "
                      f"{counters.get('frames.numpy_blocks', 0):,} numpy "
-                     f"block(s)")
+                     f"block(s), reference "
+                     f"{counters.get('frames.native_compiles', 0):,} "
+                     f"native / "
+                     f"{counters.get('frames.python_compiles', 0):,} "
+                     f"python compile(s)")
 
     hits = counters.get("decode.cache_hits", 0)
     misses = counters.get("decode.cache_misses", 0)

@@ -14,6 +14,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import Circuit, GateType
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
@@ -66,7 +68,7 @@ from repro.noise import (
 )
 from repro.noise.base import NoiseChannel
 from repro.rare.sampler import SamplerSpec
-from repro.stabilizer import BatchTableauSimulator
+from repro.stabilizer import BatchTableauSimulator, random_clifford_circuit
 from repro.util.rng import frame_ref_seed
 
 import test_tableau_stream as tableau_stream
@@ -1108,6 +1110,268 @@ class TestStructureAndBinding:
                           0.01, include_measurements=True)])):
             with pytest.raises(ValueError, match="other sites"):
                 structure.bind(other)
+
+
+def native_reference(stream, num_qubits, rng):
+    return _native.kernel().reference(stream, num_qubits, rng)
+
+
+def on_reference(executor, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with every compile's reference pass on
+    one executor — the sampler keeps whichever it has."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(frames_program, "_run_reference",
+                  {"native": native_reference,
+                   "python": frames_program.replay_reference}[executor])
+        return fn(*args, **kwargs)
+
+
+def same_state(a, b):
+    """Equal bit-generator states (MT19937's holds an array)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k])
+                                            for k in a)
+    return np.array_equal(a, b)
+
+
+def needs_native():
+    if _native.kernel() is None:
+        pytest.skip("native reference unavailable: "
+                    + _native.unavailable_reason())
+
+
+def e2e_specs(seed):
+    """The e2e benchmark's workloads at their default size
+    (``benchmarks/e2e/workloads.py``), by name."""
+    def strike(root, t):
+        return {"kind": "radiation", "root_qubit": root, "time_index": t}
+
+    return {
+        "quiet_deep": [{"codes": [["xxzz", [5, 5]]], "rounds": 5,
+                        "p_values": [5e-4], "backend": "frames",
+                        "root_seed": seed}],
+        "strike_decode": [{"codes": [["xxzz", [5, 5]]], "rounds": 5,
+                           "p_values": [1e-3], "decoder": decoder,
+                           "backend": "frames", "root_seed": seed,
+                           "faults": [strike(12, t) for t in (0, 1, 2)]}
+                          for decoder in ("mwpm", "union-find")],
+        "fig5_grid": [{"codes": [code], "archs": [arch],
+                       "faults": [strike(2, t) for t in (0, 2, 4, 6, 8)],
+                       "p_values": [10.0 ** e for e in range(-8, 0)],
+                       "root_seed": seed}
+                      for code, arch in ((["repetition", [5, 1]],
+                                          {"name": "mesh", "args": [5, 2]}),
+                                         (["xxzz", [3, 3]],
+                                          {"name": "mesh", "args": [5, 4]}))],
+        "service_sweep": [{
+            "codes": [["repetition", [d, 1]] for d in (3, 5, 7, 9)],
+            "archs": [{"name": "mesh", "args": [5, 4]}, "almaden",
+                      "johannesburg", "cairo"],
+            "faults": [{"kind": "none"}] + [
+                strike(root, t) for root in (0, 5) for t in (0, 4, 8)],
+            "p_values": [1e-4, 1e-3, 1e-2], "root_seed": seed}],
+    }
+
+
+class TestReferencePass:
+    """The reference pass on ``_kernel.c`` and on the Python replay of
+    the same stream: one structure — ops, reference record and random
+    branches, fault-reset values, site rows, code, ``seeded`` — and one
+    generator state after the compile, on every circuit the campaigns
+    compile and on random ones."""
+
+    @staticmethod
+    def assert_executors_agree(circuit, noise, make_rng):
+        needs_native()
+        out = {}
+        for executor in ("native", "python"):
+            rng = make_rng()
+            out[executor] = (on_reference(executor, frame_structure,
+                                          circuit, noise, rng), rng)
+        (native, native_rng), (python, python_rng) = out["native"], \
+            out["python"]
+        assert_same_program(native.bind(noise), python.bind(noise))
+        assert native.seeded == python.seeded
+        assert np.array_equal(native.site_source, python.site_source)
+        assert np.array_equal(native.code, python.code)
+        assert same_state(native_rng.bit_generator.state,
+                          python_rng.bit_generator.state)
+        return native
+
+    @pytest.mark.parametrize("seed", [2024, 7])
+    @pytest.mark.parametrize("workload", ["quiet_deep", "strike_decode",
+                                          "fig5_grid", "service_sweep"])
+    def test_every_e2e_circuit(self, workload, seed):
+        """Each workload's distinct (circuit, fault, decoder) points,
+        compiled at the reference seed of their first task in the
+        workload's campaign — p moves no structure."""
+        tasks = [task for spec in e2e_specs(seed)[workload]
+                 for task in build_sweep(spec).tasks]
+        seen = {}
+        for task in Campaign(tasks, root_seed=seed)._seeded():
+            seen.setdefault((task.code, task.arch, task.fault,
+                             task.decoder), task)
+        structures = []
+        for task in seen.values():
+            experiment, _, _ = _prepared(
+                task.code, task.rounds, task.basis, task.arch, task.layout,
+                task.decoder, task.readout)
+            structures.append(self.assert_executors_agree(
+                experiment.circuit, _build_noise(task, experiment),
+                lambda: np.random.default_rng(frame_ref_seed(task.seed))))
+        if workload == "strike_decode":
+            # the struck XXZZ(5,5) at t = 0, 1, 2 per decoder: seeded,
+            # twirled, one reference sample per task seed
+            assert len(structures) == 6
+            assert len({s.reference_record.tobytes()
+                        for s in structures}) > 1
+            assert all(s.seeded and s.twirled_reset_sites
+                       for s in structures)
+
+    def test_past_one_word_of_qubits(self):
+        """XXZZ(7,7) under a strike: 98 qubits, two tableau words."""
+        experiment = build_memory_experiment(XXZZCode(7, 7), rounds=2)
+        assert experiment.circuit.num_qubits > 64
+        structure = self.assert_executors_agree(
+            experiment.circuit, strike_noise(experiment, 1e-3, "burst"),
+            lambda: np.random.default_rng(3))
+        assert structure.seeded and structure.twirled_reset_sites
+
+    @pytest.mark.parametrize("arch", ["cairo", "johannesburg"])
+    def test_transpiled_repetition_with_swaps(self, arch):
+        task = InjectionTask(
+            code=CodeSpec("repetition", (9, 1)), arch=ArchSpec(arch),
+            fault=FaultSpec(kind="radiation", root_qubit=4, time_index=1),
+            intrinsic_p=1e-3, backend="frames", seed=11)
+        experiment, _, _ = _prepared(
+            task.code, task.rounds, task.basis, task.arch, task.layout,
+            task.decoder, task.readout)
+        assert any(g.gate_type is GateType.SWAP
+                   for g in experiment.circuit)
+        structure = self.assert_executors_agree(
+            experiment.circuit, _build_noise(task, experiment),
+            lambda: np.random.default_rng(frame_ref_seed(task.seed)))
+        assert structure.exact_reset_sites
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(num_qubits=st.one_of(st.integers(1, 9), st.integers(63, 67)),
+           prefix_gates=st.integers(0, 150), num_gates=st.integers(0, 60),
+           measure_prob=st.floats(0.0, 0.4), reset_prob=st.floats(0.0, 0.3),
+           circuit_seed=st.integers(0, 2 ** 32 - 1),
+           rng_seed=st.integers(0, 2 ** 32 - 1),
+           bit_generator=st.sampled_from([np.random.PCG64,
+                                          np.random.MT19937,
+                                          np.random.Philox]),
+           noise_seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_clifford_circuits(self, num_qubits, prefix_gates,
+                                      num_gates, measure_prob, reset_prob,
+                                      circuit_seed, rng_seed, bit_generator,
+                                      noise_seed):
+        """A random unitary prefix, then random gates, measurements and
+        resets, with fault-reset sites after most gates.  The prefix
+        spreads the stabilizers, so later answers multiply several of
+        them and a wrong rowsum phase shows."""
+        circuit = random_clifford_circuit(num_qubits, prefix_gates,
+                                          rng=circuit_seed)
+        for gate in random_clifford_circuit(
+                num_qubits, num_gates, rng=circuit_seed + 1,
+                measure_prob=measure_prob, reset_prob=reset_prob):
+            circuit.append(gate)
+        pick = np.random.default_rng(noise_seed)
+        radiation = np.where(pick.random(num_qubits) < 0.8,
+                             pick.random(num_qubits), 0.0)
+        erased = pick.choice(num_qubits, size=1 + num_qubits // 4,
+                             replace=False).tolist()
+        noise = NoiseModel([RadiationChannel(radiation),
+                            DepolarizingNoise(1e-2),
+                            ErasureChannel(erased, float(pick.random()))])
+        self.assert_executors_agree(
+            circuit, noise, lambda: np.random.Generator(bit_generator(
+                rng_seed)))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(num_qubits=st.integers(1, 9), prefix_gates=st.integers(0, 300),
+           num_gates=st.integers(0, 60), measure_prob=st.floats(0.0, 0.4),
+           circuit_seed=st.integers(0, 2 ** 32 - 1),
+           rng_seed=st.integers(0, 2 ** 32 - 1))
+    def test_streams_querying_every_qubit(self, num_qubits, prefix_gates,
+                                          num_gates, measure_prob,
+                                          circuit_seed, rng_seed):
+        """Both executors called directly on one stream that queries
+        every qubit after every gate: each answer multiplies in every
+        stabilizer its destabilizers pick, so every rowsum phase term
+        is exercised."""
+        needs_native()
+        gates = list(random_clifford_circuit(
+            num_qubits, prefix_gates, rng=circuit_seed)) + list(
+            random_clifford_circuit(num_qubits, num_gates,
+                                    rng=circuit_seed + 1,
+                                    measure_prob=measure_prob,
+                                    reset_prob=measure_prob / 4))
+        stream = []
+        for gate in gates:
+            ref_op, _ = frames_program._LOWERING[gate.gate_type]
+            stream += [ref_op, *gate.qubits]
+            for q in range(num_qubits):
+                stream += [frames_program.REF_QUERY, q]
+        native_rng = np.random.default_rng(rng_seed)
+        python_rng = np.random.default_rng(rng_seed)
+        assert native_reference(stream, num_qubits, native_rng) \
+            == frames_program.replay_reference(stream, num_qubits,
+                                               python_rng)
+        assert same_state(native_rng.bit_generator.state,
+                          python_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("time_index", [0, 1, 2])
+    def test_batch_records_reuse_the_compile_generator(self, time_index):
+        """``run_batch_frames`` and ``run_batch_noisy(backend="frames")``
+        sample from the generator their compile drew from: equal
+        records on both reference executors."""
+        needs_native()
+        task = InjectionTask(
+            code=CodeSpec("xxzz", (3, 3)), rounds=3,
+            fault=FaultSpec(kind="radiation", root_qubit=4,
+                            time_index=time_index),
+            intrinsic_p=1e-2, backend="frames", seed=5)
+        experiment, _, _ = _prepared(
+            task.code, task.rounds, task.basis, task.arch, task.layout,
+            task.decoder, task.readout)
+        noise = _build_noise(task, experiment)
+        circuit = experiment.circuit
+        for run in (lambda: run_batch_frames(circuit, noise, 300, rng=17),
+                    lambda: run_batch_noisy(circuit, noise, 300, rng=17,
+                                            backend="frames")):
+            native, python = (on_reference(e, run)
+                              for e in ("native", "python"))
+            assert np.array_equal(native, python)
+
+    def test_a_zero_qubit_circuit_is_rejected_on_both(self):
+        circuit = Circuit(1)
+        circuit.num_qubits = 0
+        for executor in ("native", "python"):
+            with pytest.raises(ValueError, match="at least one qubit"):
+                on_reference(executor, frame_structure, circuit, None, 1)
+
+    def test_compiles_are_counted_by_executor(self, monkeypatch):
+        """``frames.native_compiles`` / ``frames.python_compiles``: the
+        executor each compile's reference pass ran on."""
+        circuit = build_memory_experiment(RepetitionCode(3),
+                                          rounds=1).circuit
+
+        def compiles():
+            return (counted("frames.native_compiles"),
+                    counted("frames.python_compiles"))
+
+        if _native.kernel() is not None:
+            before = compiles()
+            frame_structure(circuit, None, rng=1)
+            assert compiles() == (before[0] + 1, before[1])
+        monkeypatch.setattr(_native, "kernel", lambda: None)
+        before = compiles()
+        frame_structure(circuit, None, rng=1)
+        assert compiles() == (before[0], before[1] + 1)
 
 
 class TestCrossValidation:
