@@ -44,6 +44,14 @@ the same two blocks, matched in one call to the native blossom
 (``decoders/_blossom.c``) and one by one by NetworkX
 (``_nx_match``, the reference and the no-compiler path); it asserts
 identical parities and >= 20x.
+
+The fifth is its light-pattern twin: the distinct patterns of at most
+16 defects of the same two blocks, matched in one call to the native
+DP (``repro_dp_match``, beside the blossom) and by the numpy bucket DP
+it replaced (``_bucket_parities``, the no-compiler path) on warm
+lattices; it asserts identical parities and >= 1.5x, and reports apart
+what building the lattices ``k = 1..16`` costs a process cold — a cost
+the native DP never pays.
 """
 
 import dataclasses
@@ -56,7 +64,8 @@ from conftest import bench_bar, bench_report
 
 from repro.decoders import SyndromeBatch, prepare_packed_inputs
 from repro.decoders import _native as decoder_native
-from repro.decoders.matching import (_BOUNDARY_BIAS, _DP_LIMIT, _dp_match,
+from repro.decoders.matching import (_BOUNDARY_BIAS, _DP_LIMIT,
+                                     _bucket_parities, _dp_match, _lattice,
                                      _nx_match)
 from repro.frames.packing import unpack_words
 from repro.frames.simulator import FrameSimulator
@@ -209,7 +218,7 @@ def test_strike_regime_matcher(benchmark, capsys):
         return [fresh.decode_batch(experiment, batch).corrections
                 for batch in batches]
 
-    decode(*cold()[0])      # warm the graph tables and the lattices
+    decode(*cold()[0])      # warm the graph tables, load the matcher
     t0 = time.perf_counter()
     want, defect_counts = _per_pattern_reference(experiment, decoder,
                                                  batches)
@@ -364,3 +373,64 @@ def test_strike_heavy_patterns_blossom(benchmark, capsys):
     bar = bench_bar(20.0, 5.0)
     assert speedup >= bar, \
         f"native blossom speedup {speedup:.2f}x < {bar}x"
+
+
+def test_strike_light_patterns_dp(benchmark, capsys):
+    """Native DP vs the numpy bucket DP on the light patterns of the
+    strike blocks of :func:`test_strike_regime_matcher`."""
+    kernel = decoder_native.blossom()
+    if kernel is None:
+        pytest.skip("native matcher unavailable: "
+                    + decoder_native.blossom_unavailable_reason())
+    task = build_sweep(STRIKE_SPEC).tasks[0]
+    experiment, decoder = _task_context(task)[:2]
+    graph = decoder.graph
+    light = []
+    for words, size in _packed_blocks(task):
+        flat, _ = _per_shot_detectors(
+            experiment, decoder, SyndromeBatch.from_record_words(words, size))
+        counts = flat.sum(axis=1)
+        light.append(flat[(counts > 0) & (counts <= _DP_LIMIT)])
+    light = np.unique(np.concatenate(light), axis=0)
+    assert len(light) >= 100
+
+    _lattice.cache_clear()
+    t0 = time.perf_counter()
+    for k in range(1, _DP_LIMIT + 1):
+        _lattice(k)
+    lattice_s = time.perf_counter() - t0
+
+    want = _bucket_parities(graph, light)       # warm the graph tables
+    numpy_s = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        _bucket_parities(graph, light)
+        numpy_s = min(numpy_s, time.perf_counter() - t0)
+
+    event_ptr, events = decoder_native.csr_rows(light)
+    _, got = benchmark.pedantic(
+        kernel.dp, args=(event_ptr, events, graph.distances, graph.parities,
+                         graph.num_nodes, _BOUNDARY_BIAS),
+        rounds=5, iterations=1)
+    native_s = benchmark.stats.stats.min
+    np.testing.assert_array_equal(got, want)
+
+    speedup = numpy_s / native_s
+    defects = light.sum(axis=1)
+    bench_report(
+        benchmark, capsys,
+        f"\n[decode-batch] strike light patterns, {len(light)} of "
+        f"{int(defects.min())}..{int(defects.max())} defects: native "
+        f"{native_s * 1e6 / len(light):.1f} us/pattern, numpy (warm "
+        f"lattices) {numpy_s * 1e6 / len(light):.1f} us/pattern, "
+        f"x{speedup:.1f}; lattices k=1..{_DP_LIMIT} cold "
+        f"{lattice_s * 1e3:.0f} ms",
+        light_patterns=len(light),
+        native_patterns_per_s=len(light) / native_s,
+        numpy_patterns_per_s=len(light) / numpy_s,
+        cold_lattice_s=lattice_s,
+        speedup=speedup)
+
+    bar = bench_bar(1.5, 1.2)
+    assert speedup >= bar, \
+        f"native DP speedup {speedup:.2f}x < {bar}x"

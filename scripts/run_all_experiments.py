@@ -32,10 +32,10 @@ from repro.experiments import (  # noqa: E402
 )
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")
-os.makedirs(RESULTS, exist_ok=True)
 
 
 def save(name: str, text: str, rows=None) -> None:
+    os.makedirs(RESULTS, exist_ok=True)
     with open(os.path.join(RESULTS, f"{name}.txt"), "w") as fh:
         fh.write(text + "\n")
     if rows is not None:

@@ -1,7 +1,9 @@
 """Build, cache and load the package's C kernels.
 
-A kernel is one C source beside the module that uses it
-(``frames/_kernel.c``, ``decoders/_unionfind.c``).  It is compiled on
+A kernel is one C source beside the module that uses it:
+``frames/_kernel.c`` (the frame executor and compile reference pass),
+``decoders/_unionfind.c`` (union-find) and ``decoders/_blossom.c``
+(MWPM's matcher: the bitmask DP and the blossom).  It is compiled on
 first use with the system C compiler into a cache file named by the
 hash of its source and flags, and loaded with :mod:`ctypes`.  Whether
 that worked is decided **once per process** per kernel by a

@@ -35,6 +35,10 @@
  * matching_dict_to_set orients it -- the endpoint that entered `mate`
  * first comes first -- because a parity table need not be symmetric.
  *
+ * Patterns of at most 16 defects take repro_dp_match instead (at the
+ * end of this file): matching._dp_match's bitmask recursion, the exact
+ * rule the decoder applies to them.
+ *
  * Built by repro/_clib.py with `cc -O2 -shared -fPIC`; C99, libc only.
  */
 
@@ -43,7 +47,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { OK = 0, NO_MEMORY = 2 };
+enum { OK = 0, NO_MEMORY = 2, BAD_INPUT = 3 };
 
 /* Vertices are 0..n-1 in networkx's node order; blossom slot s is the
  * id cap + s, so every per-id table is 2 * cap long. */
@@ -831,4 +835,134 @@ done:
     free(bytes);
     free(ws->queue);
     return status;
+}
+
+/* ---- Patterns of at most DP_LIMIT defects: the bitmask DP ----------
+ *
+ * matching._dp_match, option for option.  A state is the mask of the
+ * pattern's still-unmatched events; its lowest event i goes to the
+ * boundary -- (d[e_i, bcol] + bias) + rest -- or to a partner j > i in
+ * ascending order -- d[e_i, e_j] + rest, skipped when d is not finite --
+ * and a candidate replaces the best only when strictly cheaper, so the
+ * first minimum wins.  Only the states the recursion reaches are
+ * solved; each is memoised in a 1 << k table whose entries count only
+ * when stamped with the current pattern's number, so nothing is
+ * cleared between patterns.  The DP only adds, so there is no multiply
+ * to contract and the sums are the recursion's bit for bit. */
+
+#define DP_LIMIT 16
+
+/* Lowest set bit of a nonzero mask. */
+static int64_t lowest(uint32_t mask)
+{
+#if defined(__GNUC__)
+    return __builtin_ctz(mask);
+#else
+    int64_t i = 0;
+    while (!(mask >> i & 1))
+        i++;
+    return i;
+#endif
+}
+
+typedef struct {
+    double cost;
+    uint32_t stamp;                     /* == dp_t.stamp: solved */
+    uint8_t flip;
+} memo_t;
+
+/* One pattern's k events: the boundary option's cost (d + bias, the
+ * recursion's first add) and parity per event, each pair's distance
+ * and parity, and per event the mask of partners at a finite distance. */
+typedef struct {
+    double bcost[DP_LIMIT], pcost[DP_LIMIT][DP_LIMIT];
+    uint8_t bflip[DP_LIMIT], pflip[DP_LIMIT][DP_LIMIT];
+    uint32_t finite[DP_LIMIT], stamp;
+    memo_t *memo;
+} dp_t;
+
+static void dp_solve(dp_t *dp, uint32_t mask)
+{
+    const int64_t i = lowest(mask);
+    const uint32_t rem = mask & (mask - 1);
+    memo_t *const memo = dp->memo;
+    if (memo[rem].stamp != dp->stamp)
+        dp_solve(dp, rem);
+    double best = dp->bcost[i] + memo[rem].cost;
+    uint8_t flip = dp->bflip[i] ^ memo[rem].flip;
+    for (uint32_t mm = rem & dp->finite[i]; mm; mm &= mm - 1) {
+        const int64_t j = lowest(mm);
+        const uint32_t rest = rem & ~((uint32_t)1 << j);
+        if (memo[rest].stamp != dp->stamp)
+            dp_solve(dp, rest);
+        const double cand = dp->pcost[i][j] + memo[rest].cost;
+        if (cand < best) {
+            best = cand;
+            flip = dp->pflip[i][j] ^ memo[rest].flip;
+        }
+    }
+    memo[mask].cost = best;
+    memo[mask].flip = flip;
+    memo[mask].stamp = dp->stamp;
+}
+
+/* Match every pattern of at most DP_LIMIT events.  The inputs are
+ * repro_blossom_match's, plus the tables' row count; costs[p] receives
+ * the matching's weight and out[p] its correction parity.  BAD_INPUT,
+ * before anything is written, for a pattern of more than DP_LIMIT
+ * events or an event or bcol outside the tables. */
+int64_t repro_dp_match(int64_t num_patterns, const int64_t *event_ptr,
+                       const int64_t *events, int64_t rows, int64_t stride,
+                       int64_t bcol, const double *dist,
+                       const uint8_t *parity, double bias, double *costs,
+                       uint8_t *out)
+{
+    int64_t widest = 0;
+    if (bcol < 0 || bcol >= stride || event_ptr[0] != 0)
+        return BAD_INPUT;
+    for (int64_t p = 0; p < num_patterns; p++) {
+        const int64_t k = event_ptr[p + 1] - event_ptr[p];
+        if (k < 0 || k > DP_LIMIT)
+            return BAD_INPUT;
+        for (int64_t e = event_ptr[p]; e < event_ptr[p + 1]; e++)
+            if (events[e] < 0 || events[e] >= rows || events[e] >= stride)
+                return BAD_INPUT;
+        if (k > widest)
+            widest = k;
+    }
+    memo_t *memo = calloc((size_t)1 << widest, sizeof(memo_t));
+    if (memo == NULL)
+        return NO_MEMORY;
+    dp_t state;
+    dp_t *dp = &state;
+    dp->memo = memo;
+    for (int64_t p = 0; p < num_patterns; p++) {
+        const int64_t *ev = events + event_ptr[p];
+        const int64_t k = event_ptr[p + 1] - event_ptr[p];
+        for (int64_t i = 0; i < k; i++) {
+            const double *drow = dist + ev[i] * stride;
+            const uint8_t *prow = parity + ev[i] * stride;
+            dp->bcost[i] = drow[bcol] + bias;
+            dp->bflip[i] = prow[bcol];
+            dp->finite[i] = 0;
+            for (int64_t j = i + 1; j < k; j++) {
+                dp->pcost[i][j] = drow[ev[j]];
+                dp->pflip[i][j] = prow[ev[j]];
+                if (isfinite(drow[ev[j]]))
+                    dp->finite[i] |= (uint32_t)1 << j;
+            }
+        }
+        /* Stamp 0 is calloc's "never solved"; mask 0 is always solved. */
+        dp->stamp = (uint32_t)p + 1;
+        memo[0].cost = 0.0;
+        memo[0].flip = 0;
+        memo[0].stamp = dp->stamp;
+        const uint32_t full = (uint32_t)(((uint32_t)1 << k) - 1);
+        if (k > 0)
+            dp_solve(dp, full);
+        costs[p] = memo[full].cost;
+        out[p] = memo[full].flip;
+    }
+    free(memo);
+    return OK;
 }

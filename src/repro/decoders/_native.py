@@ -1,11 +1,13 @@
-"""The native decoder kernels: ``_unionfind.c`` and ``_blossom.c``.
+"""The native decoder kernels: ``_unionfind.c`` and ``_blossom.c``
+(MWPM's matcher: the bitmask DP and the blossom).
 
 Each source (beside this file) is built, cached and loaded by its own
 :class:`repro._clib.Loader`.  Whether that worked is decided **once
 per process** per kernel — by :func:`kernel` for union-find, by
-:func:`blossom` for the matcher's blossom: any failure leaves that
-kernel's reference in charge for the life of the process —
-:meth:`~repro.decoders.unionfind.UnionFindDecoder._decode_pattern`,
+:func:`blossom` for MWPM's matcher: any failure leaves that kernel's
+reference in charge for the life of the process —
+:meth:`~repro.decoders.unionfind.UnionFindDecoder._decode_pattern`;
+:func:`~repro.decoders.matching._dp_match_batch` and
 :func:`~repro.decoders.matching._nx_match` — recorded as one
 ``decoders.native_unavailable`` / ``decoders.blossom_unavailable``
 event carrying the reason.
@@ -29,7 +31,7 @@ SOURCE = os.path.join(_HERE, "_unionfind.c")
 BLOSSOM_SOURCE = os.path.join(_HERE, "_blossom.c")
 
 #: Kernel return codes (``_unionfind.c``, ``_blossom.c``).
-OK, NO_CONVERGENCE, NO_MEMORY = 0, 1, 2
+OK, NO_CONVERGENCE, NO_MEMORY, BAD_INPUT = 0, 1, 2, 3
 
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
@@ -109,7 +111,8 @@ class Kernel:
 
 
 class Blossom:
-    """``repro_blossom_match`` of a loaded library."""
+    """``repro_blossom_match`` and ``repro_dp_match`` of a loaded
+    library: MWPM's matcher for patterns of any size."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         match = lib.repro_blossom_match
@@ -117,7 +120,12 @@ class Blossom:
         match.argtypes = ([_I64, _PTR, _PTR,                # events
                            _I64, _I64, _PTR, _PTR,          # tables
                            ctypes.c_double, _PTR, _PTR])    # bias, out
-        self._match = match
+        dp = lib.repro_dp_match
+        dp.restype = _I64
+        dp.argtypes = ([_I64, _PTR, _PTR,                   # events
+                        _I64, _I64, _I64, _PTR, _PTR,       # tables
+                        ctypes.c_double, _PTR, _PTR])       # bias, out
+        self._match, self._dp = match, dp
 
     def match(self, event_ptr: np.ndarray, events: np.ndarray,
               dist: np.ndarray, parity: np.ndarray, bcol: int,
@@ -129,19 +137,8 @@ class Blossom:
         the pattern whose ``k`` events start at ``e``, holds each node's
         mate as a code — ``2 i`` for ``("e", i)``, ``2 i + 1`` for
         ``("b", i)`` — and ``parities`` is ``(N,)`` uint8."""
-        event_ptr = np.ascontiguousarray(event_ptr, dtype=np.int64)
-        events = np.ascontiguousarray(events, dtype=np.int64)
-        dist = np.ascontiguousarray(dist, dtype=np.float64)
-        parity = np.ascontiguousarray(parity, dtype=np.uint8)
-        rows, cols = dist.shape
-        inside = (parity.shape == dist.shape and 0 <= bcol < cols
-                  and event_ptr.size >= 1 and event_ptr[0] == 0
-                  and event_ptr[-1] == events.size
-                  and bool(np.all(np.diff(event_ptr) >= 0)))
-        if events.size:
-            inside &= 0 <= events.min() and events.max() < min(rows, cols)
-        if not inside:
-            raise ValueError("event CSR and tables do not fit together")
+        event_ptr, events, dist, parity = _fit(event_ptr, events, dist,
+                                               parity, bcol)
         mates = np.empty(2 * events.size, dtype=np.int64)
         out = np.empty(event_ptr.size - 1, dtype=np.uint8)
         _check(self._match(
@@ -150,8 +147,50 @@ class Blossom:
             bias, mates.ctypes.data, out.ctypes.data), "blossom")
         return mates, out
 
+    def dp(self, event_ptr: np.ndarray, events: np.ndarray,
+           dist: np.ndarray, parity: np.ndarray, bcol: int,
+           bias: float) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`~repro.decoders.matching._dp_match` for every pattern
+        on :meth:`match`'s inputs: ``(costs, parities)``, ``(N,)``
+        float64 and uint8.  ``ValueError`` when a pattern has more than
+        :data:`~repro.decoders.matching._DP_LIMIT` events (the kernel's
+        refusal)."""
+        event_ptr, events, dist, parity = _fit(event_ptr, events, dist,
+                                               parity, bcol)
+        costs = np.empty(event_ptr.size - 1)
+        out = np.empty(event_ptr.size - 1, dtype=np.uint8)
+        _check(self._dp(
+            out.size, event_ptr.ctypes.data, events.ctypes.data,
+            dist.shape[0], dist.shape[1], bcol, dist.ctypes.data,
+            parity.ctypes.data, bias, costs.ctypes.data, out.ctypes.data),
+            "bitmask DP")
+        return costs, out
+
+
+def _fit(event_ptr: np.ndarray, events: np.ndarray, dist: np.ndarray,
+         parity: np.ndarray, bcol: int) -> Tuple[np.ndarray, ...]:
+    """The matcher's inputs as the kernels read them — contiguous
+    int64 CSR, float64 and uint8 tables — or ``ValueError`` when they
+    do not fit together."""
+    event_ptr = np.ascontiguousarray(event_ptr, dtype=np.int64)
+    events = np.ascontiguousarray(events, dtype=np.int64)
+    dist = np.ascontiguousarray(dist, dtype=np.float64)
+    parity = np.ascontiguousarray(parity, dtype=np.uint8)
+    rows, cols = dist.shape
+    inside = (parity.shape == dist.shape and 0 <= bcol < cols
+              and event_ptr.size >= 1 and event_ptr[0] == 0
+              and event_ptr[-1] == events.size
+              and bool(np.all(np.diff(event_ptr) >= 0)))
+    if events.size:
+        inside &= 0 <= events.min() and events.max() < min(rows, cols)
+    if not inside:
+        raise ValueError("event CSR and tables do not fit together")
+    return event_ptr, events, dist, parity
+
 
 def _check(status: int, name: str) -> None:
+    if status == BAD_INPUT:
+        raise ValueError(f"native {name} kernel: input refused")
     if status == NO_MEMORY:
         raise MemoryError(f"native {name} kernel")
     if status != OK:
@@ -176,8 +215,8 @@ def unavailable_reason() -> Optional[str]:
 
 
 def blossom() -> Optional[Blossom]:
-    """The native blossom kernel, or ``None`` when this process matches
-    heavy patterns through NetworkX (see
+    """The native matcher, or ``None`` when this process matches light
+    patterns with the numpy DP and heavy ones through NetworkX (see
     :func:`blossom_unavailable_reason`)."""
     return _BLOSSOM_LOADER()
 

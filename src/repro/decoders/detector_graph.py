@@ -236,6 +236,9 @@ class DetectorGraph:
         """
         n = self.num_nodes
         bidx = n
+        inf = float("inf")
+        dist: List[List[float]] = []
+        parity: List[List[int]] = []
         if self.unit_weights:
             adj: List[List[Tuple[int, bool]]] = [[] for _ in range(n + 1)]
             for e in self.edges:
@@ -243,48 +246,54 @@ class DetectorGraph:
                 v = e.v if e.v != BOUNDARY else bidx
                 adj[u].append((v, e.logical_flip))
                 adj[v].append((u, e.logical_flip))
-            dist = np.full((n, n + 1), np.inf)
-            parity = np.zeros((n, n + 1), dtype=np.uint8)
             for src in range(n):
-                dist[src, src] = 0
+                d = [inf] * (n + 1)
+                par = [0] * (n + 1)
+                d[src] = 0
                 queue = [src]
                 head = 0
                 while head < len(queue):
                     u = queue[head]
                     head += 1
                     for v, flip in adj[u]:
-                        if not np.isfinite(dist[src, v]):
-                            dist[src, v] = dist[src, u] + 1
-                            parity[src, v] = parity[src, u] ^ int(flip)
+                        if d[v] == inf:
+                            d[v] = d[u] + 1
+                            par[v] = par[u] ^ flip
                             if v != bidx:  # boundary absorbs: don't expand
                                 queue.append(v)
-            return dist, parity
-        wadj: List[List[Tuple[int, float, bool]]] = [[] for _ in range(n + 1)]
-        for e in self.edges:
-            u = e.u if e.u != BOUNDARY else bidx
-            v = e.v if e.v != BOUNDARY else bidx
-            wadj[u].append((v, e.weight, e.logical_flip))
-            wadj[v].append((u, e.weight, e.logical_flip))
-        dist = np.full((n, n + 1), np.inf)
-        parity = np.zeros((n, n + 1), dtype=np.uint8)
-        for src in range(n):
-            dist[src, src] = 0
-            heap = [(0.0, src)]
-            done = np.zeros(n + 1, dtype=bool)
-            while heap:
-                d, u = heapq.heappop(heap)
-                if done[u]:
-                    continue
-                done[u] = True
-                if u == bidx:  # boundary absorbs: do not expand
-                    continue
-                for v, w, flip in wadj[u]:
-                    nd = d + w
-                    if nd < dist[src, v]:
-                        dist[src, v] = nd
-                        parity[src, v] = parity[src, u] ^ int(flip)
-                        heapq.heappush(heap, (nd, v))
-        return dist, parity
+                dist.append(d)
+                parity.append(par)
+        else:
+            wadj: List[List[Tuple[int, float, bool]]] = [
+                [] for _ in range(n + 1)]
+            for e in self.edges:
+                u = e.u if e.u != BOUNDARY else bidx
+                v = e.v if e.v != BOUNDARY else bidx
+                wadj[u].append((v, e.weight, e.logical_flip))
+                wadj[v].append((u, e.weight, e.logical_flip))
+            for src in range(n):
+                d = [inf] * (n + 1)
+                par = [0] * (n + 1)
+                d[src] = 0.0
+                heap = [(0.0, src)]
+                done = [False] * (n + 1)
+                while heap:
+                    du, u = heapq.heappop(heap)
+                    if done[u]:
+                        continue
+                    done[u] = True
+                    if u == bidx:  # boundary absorbs: do not expand
+                        continue
+                    for v, w, flip in wadj[u]:
+                        nd = du + w
+                        if nd < d[v]:
+                            d[v] = nd
+                            par[v] = par[u] ^ flip
+                            heapq.heappush(heap, (nd, v))
+                dist.append(d)
+                parity.append(par)
+        return (np.array(dist, dtype=float).reshape(n, n + 1),
+                np.array(parity, dtype=np.uint8).reshape(n, n + 1))
 
     @property
     def distances(self) -> np.ndarray:

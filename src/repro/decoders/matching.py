@@ -4,32 +4,42 @@ Flagged detectors are matched pairwise (or to the boundary) so that the
 total shortest-path weight is minimal; the correction applied to the
 raw readout is the XOR of the logical parities along the matched paths.
 
-Three exact matching engines; a pattern's defect count alone picks
-the rule, and a host's compiler only picks which of two identical
-implementations of the second rule runs:
+Two exact matching rules; a pattern's defect count alone picks the
+rule, and a host's compiler only picks which of two identical
+implementations of it runs:
 
 * up to :data:`_DP_LIMIT` defects — a bitmask dynamic program over the
   sets of still-unmatched defects: the lowest unmatched defect goes to
   the boundary or to one of the others.  :func:`_dp_match` is that
   recurrence written as a memoised recursion, one pattern at a time;
   it is the reference the tests compare against and has no production
-  caller.  Production runs :func:`_dp_match_batch`: the *same*
-  recurrence evaluated bottom-up for a whole bucket of patterns at
-  once (below);
+  caller.  ``_blossom.c``'s ``repro_dp_match`` runs the same
+  recursion natively for all of a call's light patterns in one
+  foreign call (:func:`_dp_parities`); a process without a C compiler
+  runs :func:`_dp_match_batch` instead, the *same* recurrence
+  evaluated bottom-up in numpy for a whole bucket of patterns at once
+  (below);
 * more defects — blossom (Edmonds, in Galil's primal-dual form) on the
   negated-weight event graph with per-event boundary copies.
   :func:`_nx_match` hands that graph to NetworkX's
   ``max_weight_matching``, one pattern at a time: the reference, and
   the path of a process without a C compiler (NetworkX is imported
-  there and nowhere else on the campaign path);
-* the same, natively — ``_blossom.c`` (loaded by
-  :func:`~repro.decoders._native.blossom` on the first such pattern,
-  never on import) matches all of a call's heavy patterns in one
-  foreign call, about 30 us a pattern against NetworkX's 4 ms on the
-  ``strike_decode`` patterns of 17–21 defects.
+  there and nowhere else on the campaign path).  ``_blossom.c``'s
+  ``repro_blossom_match`` matches all of a call's heavy patterns in
+  one foreign call, about 30 us a pattern against NetworkX's 4 ms on
+  the ``strike_decode`` patterns of 17–21 defects.
 
-**Why the port is exact.**  A minimum-weight matching is rarely
-unique on these graphs, so "the same weight" would not keep the
+Both kernels live in one library, loaded by
+:func:`~repro.decoders._native.blossom` on a process's first decode,
+never on import.  **No flag selects an implementation**, because none
+can move a count: the native DP adds the recursion's floats in the
+recursion's order and keeps the first strict minimum, so its cost and
+parity are the recursion's bit for bit (it only adds, so there is no
+multiply a compiler could contract into a fused multiply-add), and the
+native blossom returns NetworkX's own matching (below).
+
+**Why the blossom port is exact.**  A minimum-weight matching is
+rarely unique on these graphs, so "the same weight" would not keep the
 counts; the kernel returns NetworkX's own matching, pair for pair.  It
 builds :func:`_nx_pairs`' graph node for node (NetworkX's node order,
 each adjacency list in insertion order, ``0.0`` between boundary
@@ -43,10 +53,10 @@ The parity is XORed over the pairs oriented as NetworkX returns them.
 NetworkX is the oracle in the tests, on generated and recorded
 patterns alike.
 
-**The lattice.**  Because the recursion always removes the *lowest*
-unmatched defect, of the ``2**k`` subsets of ``k`` defects it only
-ever visits ``Fib(k + 2)`` (2 584 at ``k = 16``, with 18 687 options
-between them), and which ones depends on ``k`` only.  :func:`_lattice`
+**The numpy DP's lattice.**  Because the recursion always removes
+the *lowest* unmatched defect, of the ``2**k`` subsets of ``k``
+defects it only ever visits ``Fib(k + 2)`` (2 584 at ``k = 16``, with
+18 687 options between them), and which ones depends on ``k`` only.  :func:`_lattice`
 enumerates them once per ``k``, layered by how many defects are still
 unmatched: a state of ``c`` unmatched defects has exactly ``c`` options
 (boundary, or one of the ``c - 1`` partners) and every option lands
@@ -55,7 +65,8 @@ gather-add of "option cost + cost of the state it leads to" and one
 ``argmin`` over the option axis — numpy does per layer what the
 recursion does per option.
 
-**Why the answer is the same bit for bit, ties included.**  Each
+**Why the numpy DP's answer is the same bit for bit, ties
+included.**  Each
 candidate is computed with the recursion's own float operations in the
 recursion's order — ``(distance + _BOUNDARY_BIAS) + rest`` for the
 boundary, ``distance + rest`` for a pair — and laid out in the
@@ -121,6 +132,11 @@ _SLICE_CANDIDATES = 1 << 18
 #: Heaviest defect count of each bucket, after the zero-defect
 #: patterns (which decode to no correction).
 _BUCKET_TOPS = (0, *range(_PAD_LIMIT, _DP_LIMIT + 1))
+
+#: Patterns of at most :data:`_DP_LIMIT` defects matched by the native
+#: DP / by :func:`_bucket_parities` (no kernel in this process).
+_OBS_DP_NATIVE = obs.counter("decode.dp_native_patterns")
+_OBS_DP_PYTHON = obs.counter("decode.dp_python_patterns")
 
 #: Patterns past :data:`_DP_LIMIT` matched by the native blossom /
 #: through NetworkX (no kernel in this process).
@@ -344,6 +360,56 @@ def _bucket_tables(graph: DetectorGraph) -> Tuple[np.ndarray, np.ndarray]:
     return cost, flip
 
 
+def _bucket_parities(graph: DetectorGraph, bits: np.ndarray) -> np.ndarray:
+    """:func:`_dp_match_batch` over ``(N, D)`` patterns of at most
+    :data:`_DP_LIMIT` defects, bucketed by defect count — one padded
+    bucket up to :data:`_PAD_LIMIT`, one per count above — in slices
+    of at most :data:`_SLICE_CANDIDATES` candidates."""
+    n = graph.num_nodes
+    cost, flip = graph.derived("mwpm", _bucket_tables)
+    out = np.zeros(bits.shape[0], dtype=np.uint8)
+
+    # Per pattern: the boundary column, then its events ascending (a
+    # stable sort brings the set bits forward in order), padded with
+    # the dummy node.
+    counts = np.count_nonzero(bits, axis=1)
+    found = np.argsort(bits ^ 1, axis=1, kind="stable")[:, :_DP_LIMIT]
+    found[np.arange(found.shape[1]) >= counts[:, None]] = n
+    nodes = np.concatenate(
+        [np.full((bits.shape[0], 1), n + 1), found], axis=1)
+
+    order = np.argsort(counts, kind="stable")
+    edges = np.searchsorted(counts[order], _BUCKET_TOPS,
+                            side="right").tolist()
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if lo == hi:
+            continue
+        k = int(counts[order[hi - 1]])      # the bucket's heaviest
+        step = max(1, _SLICE_CANDIDATES // _lattice(k).options)
+        for at in range(lo, hi, step):
+            which = order[at:min(at + step, hi)]
+            cols = nodes[which, :1 + k]
+            index = (cols[:, 1:, None], cols[:, None, :])
+            out[which] = _dp_match_batch(cost[index], flip[index])[1]
+    return out
+
+
+def _dp_parities(graph: DetectorGraph, bits: np.ndarray) -> np.ndarray:
+    """Correction parities of ``(N, D)`` patterns of at most
+    :data:`_DP_LIMIT` defects: one call to the native DP, or — in a
+    process without it — :func:`_bucket_parities`."""
+    from . import _native   # not on ``import repro``
+
+    kernel = _native.blossom()
+    if kernel is None or bits.shape[1] > graph.num_nodes:
+        _OBS_DP_PYTHON.inc(bits.shape[0])
+        return _bucket_parities(graph, bits)
+    _OBS_DP_NATIVE.inc(bits.shape[0])
+    event_ptr, events = _native.csr_rows(bits)
+    return kernel.dp(event_ptr, events, graph.distances, graph.parities,
+                     graph.num_nodes, _BOUNDARY_BIAS)[1]
+
+
 @dataclass
 class MWPMDecoder(Decoder):
     """MWPM decoder bound to a detector graph.
@@ -373,40 +439,15 @@ class MWPMDecoder(Decoder):
 
         Shortest-path distances respect the graph's edge weights, so a
         reweighted graph (burst-adaptive recovery) changes the matching
-        through its own tables.  Patterns are bucketed by defect count
-        — one padded bucket up to :data:`_PAD_LIMIT`, one per count up
-        to :data:`_DP_LIMIT` — and each bucket matched by
-        :func:`_dp_match_batch`; heavier patterns go to blossom
-        together (:func:`_blossom_parities`)."""
+        through its own tables.  Patterns of at most :data:`_DP_LIMIT`
+        defects go to the bitmask DP together (:func:`_dp_parities`),
+        heavier ones to blossom together (:func:`_blossom_parities`)."""
         graph = self.graph
-        n = graph.num_nodes
-        cost, flip = graph.derived("mwpm", _bucket_tables)
-        out = np.zeros(bits.shape[0], dtype=np.uint8)
+        out = np.empty(bits.shape[0], dtype=np.uint8)
+        light = np.count_nonzero(bits, axis=1) <= _DP_LIMIT
+        out[light] = _dp_parities(graph, bits[light])
 
-        # Per pattern: the boundary column, then its events ascending
-        # (a stable sort brings the set bits forward in order), padded
-        # with the dummy node.
-        counts = np.count_nonzero(bits, axis=1)
-        found = np.argsort(bits ^ 1, axis=1, kind="stable")[:, :_DP_LIMIT]
-        found[np.arange(found.shape[1]) >= counts[:, None]] = n
-        nodes = np.concatenate(
-            [np.full((bits.shape[0], 1), n + 1), found], axis=1)
-
-        order = np.argsort(counts, kind="stable")
-        edges = np.searchsorted(counts[order], _BUCKET_TOPS,
-                                side="right").tolist()
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if lo == hi:
-                continue
-            k = int(counts[order[hi - 1]])      # the bucket's heaviest
-            step = max(1, _SLICE_CANDIDATES // _lattice(k).options)
-            for at in range(lo, hi, step):
-                which = order[at:min(at + step, hi)]
-                cols = nodes[which, :1 + k]
-                index = (cols[:, 1:, None], cols[:, None, :])
-                out[which] = _dp_match_batch(cost[index], flip[index])[1]
-
-        heavy = order[edges[-1]:]
+        heavy = np.flatnonzero(~light)
         if heavy.size:
             prof = _prof._ACTIVE
             t0 = perf_counter() if prof is not None else 0.0

@@ -35,10 +35,11 @@ def uf_executor(request, monkeypatch):
 
 @pytest.fixture(params=["python", "native"])
 def blossom_executor(request, monkeypatch):
-    """Run the test once per path MWPM matches patterns of more than
-    ``_DP_LIMIT`` defects on.  ``python`` patches the loader out, so
-    they go to NetworkX one by one as on a host without a compiler;
-    ``native`` needs the blossom kernel built."""
+    """Run the test once per path MWPM matches patterns on.  ``python``
+    patches the loader out, so patterns of at most ``_DP_LIMIT``
+    defects go to the numpy DP and heavier ones to NetworkX one by one
+    as on a host without a compiler; ``native`` needs the matcher
+    library (``_blossom.c``) built."""
     if request.param == "python":
         monkeypatch.setattr(_decoder_native, "blossom", lambda: None)
     elif _decoder_native.blossom() is None:

@@ -12,12 +12,20 @@ Measured contracts (exhaustive weight-1 scans and weight-2 scans /
   mis-peel a small fraction of weight-2 sets (~0.6% on rep-5 /
   xxzz-5) — the documented "accuracy slightly below MWPM by design"
   trade-off, pinned here so a regression (or a silent fix) is visible.
-* **Batch kernel** — ``MWPMDecoder._decode_patterns`` (the bottom-up
-  lattice DP, vectorised across a bucket of patterns) returns the
-  parity, and ``_dp_match_batch`` the cost, of the memoised recursion
+* **Batch kernel** — ``MWPMDecoder._decode_patterns`` (the native DP,
+  or with the library hidden the bottom-up lattice DP vectorised
+  across a bucket of patterns) returns the parity, and
+  ``_dp_match_batch`` the cost, of the memoised recursion
   ``_dp_match`` *bit for bit, ties included*: for every defect count
   1..16, random and clustered defects, unit / hook / reweighted graphs,
   single-count, mixed-count (dummy-padded) and one-pattern batches.
+* **Native DP** — up to 16 defects, ``_blossom.c``'s ``repro_dp_match``
+  returns the cost and parity of ``_dp_match`` and of
+  ``_dp_match_batch`` bit for bit, for every defect count 0..16 in one
+  call, on tie-heavy small-integer tables with unreachable entries and
+  rows and on repetition / XXZZ d = 3/5/7 graphs, unit / hook /
+  reweighted; a process with it never builds a ``_lattice``, and one
+  without it decodes every pattern to the same parity.
 * **Native blossom** — past 16 defects, ``_blossom.c`` returns the very
   matching NetworkX's ``max_weight_matching`` returns (the same set of
   pairs) and ``_nx_match``'s parity: 17..30 defects on repetition and
@@ -38,7 +46,9 @@ from repro.decoders import (
     MWPMDecoder,
     UnionFindDecoder,
 )
+from repro import obs
 from repro.decoders import _native, matching
+from repro.injection import build_sweep
 
 _SETTINGS = dict(max_examples=40, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -384,3 +394,154 @@ class TestNativeBlossomVsNetworkx:
                                   ([0, 2], [0, 1], n + 1)):
             with pytest.raises(ValueError, match="do not fit"):
                 match(ptr, events, bcol)
+
+
+def _degenerate_tables(rng, n):
+    """Small-integer distances (ties everywhere) with unreachable
+    entries and three unreachable rows, and an asymmetric parity
+    table."""
+    dist = rng.integers(1, 4, size=(n, n + 1)).astype(float)
+    dist[rng.random((n, n + 1)) < 0.15] = np.inf
+    dist[:, :n] = np.minimum(dist[:, :n], dist[:, :n].T)
+    dist[:3] = np.inf
+    parity = rng.integers(0, 2, size=(n, n + 1), dtype=np.uint8)
+    return dist, parity
+
+
+def _batch_inputs(events, dist, parity):
+    """``_dp_match_batch``'s ``(cost, flip)`` for ``(P, k)`` events."""
+    n = dist.shape[0]
+    cost = np.empty((len(events), events.shape[1], 1 + events.shape[1]))
+    flip = np.empty(cost.shape, dtype=np.uint8)
+    cost[:, :, 0] = dist[events, n] + matching._BOUNDARY_BIAS
+    flip[:, :, 0] = parity[events, n]
+    cost[:, :, 1:] = dist[events[:, :, None], events[:, None, :]]
+    flip[:, :, 1:] = parity[events[:, :, None], events[:, None, :]]
+    return cost, flip
+
+
+class TestNativeDpVsRecursion:
+    """The native DP is ``_dp_match`` — cost and parity, ties included —
+    and so agrees with ``_dp_match_batch`` too."""
+
+    @settings(**{**_SETTINGS, "max_examples": 20})
+    @given(source=st.sampled_from(
+               ["tables"] + [(c[0], w) for c in BLOSSOM_CODES
+                             for w in ("unit", "hook", "reweighted")]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_defect_count_in_one_call(self, blossom_kernel, source,
+                                            seed):
+        rng = np.random.default_rng(seed)
+        if source == "tables":
+            dist, parity = _degenerate_tables(rng, 24)
+        else:
+            graph = _batch_graph(*source)
+            dist, parity = graph.distances, graph.parities
+        n = dist.shape[0]
+        # Every k = 0..16, twice, in shuffled order: one call stamps
+        # its memo per pattern, whatever came before.
+        ks = rng.permutation(2 * list(range(matching._DP_LIMIT + 1)))
+        patterns = [np.sort(rng.choice(n, size=k, replace=False))
+                    for k in ks]
+        ptr = np.concatenate([[0], np.cumsum(ks)])
+        events = np.concatenate(patterns).astype(np.int64)
+        costs, parities = _native.blossom().dp(
+            ptr, events, dist, parity, n, matching._BOUNDARY_BIAS)
+        for k, row, cost, flip in zip(ks, patterns, costs, parities):
+            want = matching._dp_match(tuple(row.tolist()), dist, parity, n)
+            assert (cost, flip) == want, (k, row)
+            assert np.float64(cost).tobytes() \
+                == np.float64(want[0]).tobytes()
+        for k in range(matching._DP_LIMIT + 1):
+            which = np.flatnonzero(ks == k)
+            rows = np.stack([patterns[i] for i in which])
+            batch_cost, batch_flip = matching._dp_match_batch(
+                *_batch_inputs(rows, dist, parity))
+            assert batch_cost.tobytes() == costs[which].tobytes(), k
+            assert batch_flip.tolist() == parities[which].tolist(), k
+
+    def test_refuses_what_it_cannot_match(self, blossom_kernel):
+        graph = _batch_graph("rep-7", "unit")
+        kernel = _native.blossom()
+        n = graph.num_nodes
+
+        def dp(ptr, events):
+            return kernel.dp(np.array(ptr), np.array(events, dtype=np.int64),
+                             graph.distances, graph.parities, n,
+                             matching._BOUNDARY_BIAS)
+
+        limit = matching._DP_LIMIT
+        assert dp([0, limit], range(limit))[1].shape == (1,)
+        assert dp([0], [])[1].shape == (0,)
+        with pytest.raises(ValueError, match="input refused"):
+            dp([0, 0, limit + 1], range(limit + 1))
+        for events in ([0, n], [-1, 1]):
+            with pytest.raises(ValueError, match="do not fit"):
+                dp([0, 2], events)
+
+    def test_kernel_checks_the_event_range_itself(self, blossom_kernel):
+        """Behind the wrapper's check, the kernel refuses an event past
+        the tables' rows before reading anything."""
+        graph = _batch_graph("rep-7", "unit")
+        dist = np.ascontiguousarray(graph.distances)
+        parity = np.ascontiguousarray(graph.parities)
+        n = graph.num_nodes
+        ptr = np.array([0, 2], dtype=np.int64)
+        events = np.array([0, n], dtype=np.int64)
+        costs = np.empty(1)
+        out = np.empty(1, dtype=np.uint8)
+        status = _native.blossom()._dp(
+            1, ptr.ctypes.data, events.ctypes.data, n, n + 1, n,
+            dist.ctypes.data, parity.ctypes.data, matching._BOUNDARY_BIAS,
+            costs.ctypes.data, out.ctypes.data)
+        assert status == _native.BAD_INPUT
+
+
+#: A radiation strike on XXZZ(5,5) under MWPM: patterns of every
+#: defect count up to the low twenties.
+STRIKE = {
+    "codes": [{"kind": "xxzz", "distance": [5, 5]}], "rounds": 5,
+    "p_values": [1e-3], "decoder": "mwpm", "backend": "frames",
+    "shots": 512, "root_seed": 7,
+    "faults": [{"kind": "radiation", "root_qubit": 12, "time_index": 0}]}
+
+_MATCHER_COUNTERS = ("decode.dp_native_patterns", "decode.dp_python_patterns",
+                     "decode.blossom_native_patterns",
+                     "decode.blossom_python_patterns", "decode.cache_misses")
+
+
+def _counters():
+    return np.array([obs.counter(name).value for name in _MATCHER_COUNTERS])
+
+
+class TestNativeMatcherInCampaigns:
+    def test_no_lattice_is_built_with_the_kernel(self, blossom_kernel):
+        matching._lattice.cache_clear()
+        before = _counters()
+        build_sweep(STRIKE).run(workers=1)
+        dp_native, dp_python, bl_native, bl_python, misses = \
+            _counters() - before
+        assert matching._lattice.cache_info().currsize == 0
+        assert dp_python == bl_python == 0
+        assert dp_native > 0 and bl_native > 0
+        assert dp_native + bl_native == misses
+
+    def test_hidden_library_decodes_the_same(self, blossom_kernel,
+                                             monkeypatch):
+        graph = _batch_graph("xxzz-5", "hook")
+        rng = np.random.default_rng(11)
+        counts = rng.integers(0, 25, size=200)
+        patterns = np.zeros((counts.size, graph.num_nodes), dtype=np.uint8)
+        for row, k in zip(patterns, counts):
+            row[rng.choice(graph.num_nodes, size=k, replace=False)] = 1
+        decoder = MWPMDecoder(graph, use_final_data=False,
+                              cache_decodes=False)
+        light = int(np.count_nonzero(counts <= matching._DP_LIMIT))
+        before = _counters()
+        native = decoder._decode_patterns(patterns)
+        monkeypatch.setattr(_native, "blossom", lambda: None)
+        hidden = decoder._decode_patterns(patterns)
+        np.testing.assert_array_equal(hidden, native)
+        dp_native, dp_python, bl_native, bl_python, _ = _counters() - before
+        assert (dp_native, dp_python) == (light, light)
+        assert (bl_native, bl_python) == (counts.size - light,) * 2

@@ -1,10 +1,12 @@
 """Tests for detector-graph construction."""
 
+import heapq
+
 import numpy as np
 import pytest
 
 from repro.codes import RepetitionCode, XXZZCode
-from repro.decoders import BOUNDARY, DetectorGraph
+from repro.decoders import BOUNDARY, ERASED_WEIGHT, DetectorGraph
 
 
 class TestRepetitionGraph:
@@ -117,3 +119,93 @@ class TestPaths:
     def test_parity_time_edge_zero(self):
         g = DetectorGraph(RepetitionCode(3), rounds=2)
         assert g.parity_between(g.node_id(0, 0), g.node_id(1, 0)) == 0
+
+
+def _numpy_paths(graph):
+    """``DetectorGraph._build_paths`` as it was written on numpy arrays
+    (every neighbour read and written through ``dist[src, v]``): the
+    oracle for the list-based rewrite, which must return the same
+    arrays bit for bit."""
+    n = graph.num_nodes
+    bidx = n
+    if graph.unit_weights:
+        adj = [[] for _ in range(n + 1)]
+        for e in graph.edges:
+            u = e.u if e.u != BOUNDARY else bidx
+            v = e.v if e.v != BOUNDARY else bidx
+            adj[u].append((v, e.logical_flip))
+            adj[v].append((u, e.logical_flip))
+        dist = np.full((n, n + 1), np.inf)
+        parity = np.zeros((n, n + 1), dtype=np.uint8)
+        for src in range(n):
+            dist[src, src] = 0
+            queue = [src]
+            head = 0
+            while head < len(queue):
+                u = queue[head]
+                head += 1
+                for v, flip in adj[u]:
+                    if not np.isfinite(dist[src, v]):
+                        dist[src, v] = dist[src, u] + 1
+                        parity[src, v] = parity[src, u] ^ int(flip)
+                        if v != bidx:
+                            queue.append(v)
+        return dist, parity
+    wadj = [[] for _ in range(n + 1)]
+    for e in graph.edges:
+        u = e.u if e.u != BOUNDARY else bidx
+        v = e.v if e.v != BOUNDARY else bidx
+        wadj[u].append((v, e.weight, e.logical_flip))
+        wadj[v].append((u, e.weight, e.logical_flip))
+    dist = np.full((n, n + 1), np.inf)
+    parity = np.zeros((n, n + 1), dtype=np.uint8)
+    for src in range(n):
+        dist[src, src] = 0
+        heap = [(0.0, src)]
+        done = np.zeros(n + 1, dtype=bool)
+        while heap:
+            d, u = heapq.heappop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            if u == bidx:
+                continue
+            for v, w, flip in wadj[u]:
+                nd = d + w
+                if nd < dist[src, v]:
+                    dist[src, v] = nd
+                    parity[src, v] = parity[src, u] ^ int(flip)
+                    heapq.heappush(heap, (nd, v))
+    return dist, parity
+
+
+class TestBuildPathsOracle:
+    """The list-based BFS / Dijkstra visit and push in the numpy
+    version's order, so distances and parities agree bit for bit —
+    ties, unreachable entries and float sums included."""
+
+    @pytest.mark.parametrize("weights", ["unit", "dyadic", "decimal"])
+    @pytest.mark.parametrize("hooks", [False, True])
+    @pytest.mark.parametrize("code", [
+        lambda d: RepetitionCode(d), lambda d: XXZZCode(d, d)],
+        ids=["rep", "xxzz"])
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_same_arrays_as_numpy_version(self, d, code, hooks, weights):
+        graph = DetectorGraph(code(d), rounds=3 if d == 7 else d,
+                              hook_edges=hooks)
+        if weights != "unit":
+            # Erased, fractional and heavy edges; the decimal ones sum
+            # inexactly, so a changed relaxation order would show.
+            choices = ([ERASED_WEIGHT, 0.25, 0.5, 1.0, 1.0, 2.0]
+                       if weights == "dyadic" else [0.1, 0.2, 0.3, 0.7, 1.0])
+            drawn = np.random.default_rng(d).choice(choices,
+                                                    size=len(graph.edges))
+            by_edge = dict(zip(map(id, graph.edges), drawn.tolist()))
+            graph = graph.reweighted(lambda e: by_edge[id(e)])
+        want_dist, want_parity = _numpy_paths(graph)
+        got_dist, got_parity = graph._build_paths()
+        assert got_dist.dtype == want_dist.dtype
+        assert got_parity.dtype == want_parity.dtype
+        np.testing.assert_array_equal(got_dist, want_dist)
+        np.testing.assert_array_equal(got_parity, want_parity)
+        assert got_dist.tobytes() == want_dist.tobytes()

@@ -3,7 +3,9 @@
 Each example runs as ``__main__`` via :mod:`runpy`, with stdout
 captured; a test fails if the script raises or prints nothing.
 ``quickstart.py`` and ``decoder_comparison.py`` run in CI's examples
-step instead.
+step instead.  ``scripts/run_all_experiments.py`` runs at recording
+scale, so only its ``--help`` is smoked: it must parse and leave no
+``results/`` directory behind.
 """
 
 import runpy
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 
 @pytest.mark.parametrize("name", [
@@ -23,3 +26,15 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 def test_example_runs(name, capsys):
     runpy.run_path(str(EXAMPLES / f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_run_all_experiments_help(monkeypatch, capsys):
+    script = ROOT / "scripts" / "run_all_experiments.py"
+    results = ROOT / "results"
+    existed = results.exists()
+    monkeypatch.setattr("sys.argv", [str(script), "--help"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == 0
+    assert "--workers" in capsys.readouterr().out
+    assert results.exists() == existed
