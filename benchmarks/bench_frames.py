@@ -237,9 +237,10 @@ def test_frames_d5_noisy(benchmark, d5_experiment, d5_noise):
 
 
 def test_frames_compile_overhead(benchmark, d5_experiment, d5_noise):
-    """Reference pass + lowering cost: paid per task on a reference
-    with a random branch, like this one, and once per circuit and site
-    signature otherwise (``test_frames_compile_amortisation``)."""
+    """Reference pass + lowering cost: paid once per circuit and site
+    signature (``test_frames_compile_amortisation``); a reference with
+    a random branch, like this one, is then reseeded per task
+    (``test_frames_reseed_struck_d5``)."""
 
     def run():
         return compile_frame_program(d5_experiment.circuit, d5_noise, rng=1)
@@ -248,20 +249,10 @@ def test_frames_compile_overhead(benchmark, d5_experiment, d5_noise):
     assert program.num_channels == 2
 
 
-def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
-    """One compile of the struck XXZZ(5,5) — ``strike_decode``'s t = 0
-    point, whose random-branch reference compiles per task seed — with
-    the reference pass on ``_kernel.c`` and on the Python tableau
-    replay, in ms per compile split into the reference pass, fusion,
-    encoding and the walk that is left.  Same structure either way
-    (checked here); the native compile must be >= 3x faster.
-
-    Measured on a 2-vCPU Intel Xeon host when the native pass landed
-    (ms per compile, python -> native, three runs): 60-73 -> 15-19.5 in
-    all (3.7-4.0x), the reference pass 44-52 -> 0.7-0.9 of it; fusion
-    6-10, encoding ~2 and the walk 6-8.5 are the same on both.
-    """
-    from repro.frames import program as frames_program
+def struck_d5():
+    """``strike_decode``'s t = 0 point — the struck XXZZ(5,5), whose
+    reference pass takes random branches — as ``(experiment, noise)``;
+    skips without the native executor."""
     from repro.injection import CodeSpec, FaultSpec, InjectionTask
     from repro.injection.campaign import _build_noise, _prepared
 
@@ -275,7 +266,26 @@ def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
     experiment, _, _ = _prepared(task.code, task.rounds, task.basis,
                                  task.arch, task.layout, task.decoder,
                                  task.readout)
-    noise = _build_noise(task, experiment)
+    return experiment, _build_noise(task, experiment)
+
+
+def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
+    """One compile of the struck XXZZ(5,5) (:func:`struck_d5`, compiled
+    once per circuit and reseeded for later task seeds:
+    ``test_frames_reseed_struck_d5``) with the reference pass on
+    ``_kernel.c`` and on the Python tableau replay, in ms per compile
+    split into the reference pass, fusion, encoding and the walk that
+    is left.  Same structure either way (checked here); the native
+    compile must be >= 3x faster.
+
+    Measured on a 2-vCPU Intel Xeon host when the native pass landed
+    (ms per compile, python -> native, three runs): 60-73 -> 15-19.5 in
+    all (3.7-4.0x), the reference pass 44-52 -> 0.7-0.9 of it; fusion
+    6-10, encoding ~2 and the walk 6-8.5 are the same on both.
+    """
+    from repro.frames import program as frames_program
+
+    experiment, noise = struck_d5()
     parts = ("_run_reference", "fuse_layers", "encode_ops")
     spent = dict.fromkeys(parts, 0.0)
 
@@ -339,6 +349,46 @@ def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
     bar = bench_bar(3.0, 2.0)
     assert python_ms / native_ms >= bar, \
         f"native compile only {python_ms / native_ms:.1f}x python < {bar}x"
+
+
+def test_frames_reseed_struck_d5(benchmark, capsys):
+    """A reseed of the struck XXZZ(5,5) structure (:func:`struck_d5`)
+    against a compile at the same seed: ms each, and the same structure
+    (checked here).  A reseed reruns only the native reference pass and
+    patches its answers into ``code``, the reference arrays and the
+    answered ops, so it must be >= 5x cheaper than the compile.
+    """
+    from repro.frames import frame_structure
+
+    experiment, noise = struck_d5()
+    circuit = experiment.circuit
+    structure = frame_structure(circuit, noise, rng=1)
+    assert structure.seeded
+
+    def mean_ms(run, reps):
+        t0 = time.perf_counter()
+        for seed in range(2, 2 + reps):
+            run(seed)
+        return 1e3 * (time.perf_counter() - t0) / reps
+
+    compile_ms = mean_ms(lambda seed: frame_structure(circuit, noise, seed),
+                         10)
+    reseed_ms = mean_ms(structure.reseed, 50)
+    reseeded = benchmark(structure.reseed, 2)
+    fresh = frame_structure(circuit, noise, rng=2)
+    assert np.array_equal(reseeded.code, fresh.code)
+    assert np.array_equal(reseeded.reference_record, fresh.reference_record)
+    assert not np.array_equal(reseeded.code, structure.code)
+    bench_report(
+        benchmark, capsys,
+        f"\n[frames] struck XXZZ(5,5): reseed {reseed_ms:.2f} ms vs "
+        f"compile {compile_ms:.1f} ms ({compile_ms / reseed_ms:.1f}x)",
+        reseed_ms=reseed_ms, compile_ms=compile_ms,
+        speedup=compile_ms / reseed_ms)
+    bar = bench_bar(5, 3)
+    assert compile_ms / reseed_ms >= bar, \
+        f"reseed only {compile_ms / reseed_ms:.1f}x cheaper than a " \
+        f"compile < {bar}x"
 
 
 def test_frames_compile_amortisation(benchmark, capsys):

@@ -6,7 +6,8 @@ shots packed per ``uint64`` word.
 
 * :func:`compile_frame_program` — reference pass + noise lowering:
   :func:`frame_structure` (everything probability-free, shareable
-  across noise models with one :func:`site_signature`) followed by
+  across noise models with one :func:`site_signature`, and across
+  reference seeds through :meth:`FrameStructure.reseed`) followed by
   :meth:`FrameStructure.bind`.
 * :class:`FrameSimulator` — bit-packed frame propagation.
 * :func:`run_batch_frames` — drop-in counterpart of

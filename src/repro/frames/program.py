@@ -15,8 +15,9 @@ walk of :func:`frame_structure` builds the scalar op list and, beside
 it, a flat int64 *reference stream*: an opcode (``REF_*``) and its
 qubits per gate — the Paulis too, which move reference signs but no
 frame — and one ``REF_QUERY`` per fault-reset site.  Measure and
-fault-reset ops are appended with their reference operands blank and
-filled in from the stream's answers.  The stream runs on
+fault-reset ops are appended, fused and encoded with their reference
+operands blank; the stream's answers are written in afterwards.  The
+stream runs on
 ``_kernel.c``'s bit-packed tableau (``repro_frames_reference``)
 wherever the frame executor's library loads
 (``frames.native_compiles``), else on :func:`replay_reference`, a
@@ -82,7 +83,22 @@ marked read-only — with all programs bound from the structure.
 :func:`compile_frame_program` is the two composed; a sweep whose
 points share a circuit and differ in strike root, time sample or ``p``
 compiles one structure and binds it per point
-(:func:`repro.injection.campaign._frame_program`).  An importance-
+(:func:`repro.injection.campaign._frame_program`).
+
+**Reseeding.**  Of a structure, only the reference pass's *answer
+values* depend on its seed: in CHP a random outcome sets the
+tableau's phase bits alone, while the walk, fusion's schedule, the
+site rows, which measurements take the random branch, which fault
+resets are Z-indefinite and whether the pass draws at all read only
+the x bits.  So :func:`frame_structure` keeps the reference stream
+and notes each answer's slot — its op, its element in a
+``MEASURE_LAYER`` and its word in ``code`` — and writes the answers
+through the path :meth:`FrameStructure.reseed` takes for any later
+seed: the pass runs again, and only ``code``, the reference arrays
+and the answered op tuples are rebuilt.  A reseeded structure is the
+one a compile at that seed gives, down to the generator's state; a
+sweep over task seeds on one circuit compiles once and reseeds per
+point.  An importance-
 sampling tilt is a binding too: ``bind(noise, tilt=sampler)`` reads
 the tables :meth:`~repro.noise.base.SiteTable.tilted` — the definition
 the tableau interpreter reads — and hands each depolarize site its
@@ -91,8 +107,8 @@ log-likelihood ratios beside its tilted probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -170,6 +186,7 @@ _WEIGHTED = frozenset({OP_DEPOLARIZE, OP_DEPOLARIZE_LAYER})
 
 _OBS_COMPILES = obs.counter("frames.compiles")
 _OBS_BINDS = obs.counter("frames.binds")
+_OBS_RESEEDS = obs.counter("frames.reseeds")
 
 
 class FrameLoweringError(ValueError):
@@ -204,8 +221,9 @@ class FrameProgram:
     #: Fused-layer ops in :attr:`ops` (feeds ``frames.fused_ops``).
     fused_ops: int = 0
     #: The structure the program was bound from, which binds other noise
-    #: models and tilts on its circuit too — for other task seeds only
-    #: when it is not :attr:`~FrameStructure.seeded`.
+    #: models and tilts on its circuit too — for another task seed as it
+    #: stands when it is not :attr:`~FrameStructure.seeded`, else after
+    #: a :meth:`~FrameStructure.reseed` at that seed.
     structure: Optional["FrameStructure"] = None
     #: The native executor's view of :attr:`ops`: the structure's
     #: :func:`encode_ops` stream (shared) and this binding's per-site
@@ -257,13 +275,91 @@ class FrameStructure:
     random_cbits: Tuple[int, ...]
     #: Whether the reference pass drew from its rng (a random-branch
     #: measurement or circuit reset).  If not, the structure is the same
-    #: for every seed and may be bound for any task on the circuit.
+    #: for every seed and may be bound for any task on the circuit; if
+    #: so, :meth:`reseed` gives another seed's.
     seeded: bool
     exact_reset_sites: int
     twirled_reset_sites: int
     fused_ops: int
     #: :func:`encode_ops` of :attr:`ops`, shared by every bound program.
     code: np.ndarray
+    #: The int64 reference stream the walk wrote (read-only): what
+    #: :meth:`reseed` runs the reference pass over again.
+    reference_stream: np.ndarray
+    #: ``(answers, 4)`` int64, one row per measure and fault-reset
+    #: answer in stream order: its op's index in :attr:`ops`, its
+    #: element in a ``MEASURE_LAYER`` or -1, its word in :attr:`code`,
+    #: and its cbit (-1 for a fault reset).
+    answer_slots: np.ndarray
+
+    def reseed(self, rng: Union[np.random.Generator, int, None]
+               ) -> "FrameStructure":
+        """The structure :func:`frame_structure` compiles at ``rng``.
+
+        Only the reference pass runs again — over
+        :attr:`reference_stream` — because every other part of a
+        structure is seed-free: a random CHP outcome sets phase bits
+        only, and the walk, fusion's schedule, the site rows, which
+        measurements take the random branch and which fault resets are
+        Z-indefinite all read the tableau's x bits.  The answers land in
+        copies of the answered ops, the ``MEASURE_LAYER`` reference
+        arrays, :attr:`reference_record` and :attr:`code`; everything
+        else is shared.  ``rng`` ends where a fresh compile leaves it.
+        """
+        _OBS_RESEEDS.inc()
+        return self._answered(rng)
+
+    def _answered(self, rng) -> "FrameStructure":
+        """Run the reference pass and write its answers: the one path
+        of the first compile and of every :meth:`reseed`."""
+        if isinstance(rng, (int, np.integer)) or rng is None:
+            rng = np.random.default_rng(rng)
+        results, drew = _run_reference(self.reference_stream,
+                                       self.num_qubits, rng)
+        op_at, element, word, cbit = self.answer_slots.T.tolist()
+        ops = list(self.ops)
+        record = [0] * self.num_cbits
+        random_cbits: List[int] = []
+        exact = twirled = 0
+        # Per answer, its code word: a measurement's outcome bit, a
+        # fault reset's x_value (0, 1 or _X_TWIRL).
+        encoded: List[int] = []
+        layers: List[Tuple[int, int]] = []
+        for a, (i, e, c, value) in enumerate(zip(op_at, element, cbit,
+                                                  results)):
+            if c >= 0:
+                # In program order, so a cbit's last measurement wins.
+                answer = record[c] = value & 1
+                encoded.append(answer)
+                if value >> 1:
+                    random_cbits.append(c)
+            elif value == _INDEFINITE:
+                twirled += 1
+                answer = None
+                encoded.append(_X_TWIRL)
+            else:
+                exact += 1
+                answer = value
+                encoded.append(value)
+            if e == 0:
+                layers.append((i, a))
+            elif e < 0:
+                ops[i] = ops[i][:3] + (answer,)
+        for i, a in layers:
+            op = ops[i]
+            bits = np.array(encoded[a:a + len(op[3])], dtype=np.uint8)
+            bits.flags.writeable = False
+            ops[i] = op[:3] + (bits,)
+        code = self.code.copy()
+        code[word] = encoded
+        code.flags.writeable = False
+        ref = np.array(record, dtype=np.uint8)
+        ref.flags.writeable = False
+        return replace(
+            self, ops=tuple(ops), reference_record=ref,
+            random_cbits=tuple(random_cbits), seeded=drew,
+            exact_reset_sites=exact, twirled_reset_sites=twirled,
+            code=code)
 
     def bind(self, noise: Optional[NoiseModel], tilt=None) -> FrameProgram:
         """The program of ``noise`` on this structure: every site's
@@ -476,8 +572,9 @@ CODE_HEADER = 3
 _X_TWIRL = 2
 
 
-def encode_ops(ops, num_qubits: int, num_cbits: int,
-               num_sites: int) -> np.ndarray:
+def encode_ops(ops, num_qubits: int, num_cbits: int, num_sites: int,
+               slots: Optional[List[Tuple[int, int, int, int]]] = None
+               ) -> np.ndarray:
     """Flatten a structure op list (noise ops carrying site numbers)
     into the int64 stream ``_kernel.c`` executes.
 
@@ -492,8 +589,13 @@ def encode_ops(ops, num_qubits: int, num_cbits: int,
     here — the kernel indexes unchecked — so an operand the numpy
     executor would meet with an ``IndexError`` is an ``IndexError``
     now.
+
+    ``slots``, if given, receives one :attr:`FrameStructure.answer_slots`
+    row per reference bit and fault-reset ``x_value``, in op order.
     """
     out: List[int] = [num_qubits, num_cbits, num_sites]
+    if slots is None:
+        slots = []
     qubits: List[int] = []
     cbits: List[int] = []
     sites: List[int] = []
@@ -504,7 +606,7 @@ def encode_ops(ops, num_qubits: int, num_cbits: int,
             raise ValueError(f"ragged or empty layer op {op!r}")
         return lists
 
-    for op in ops:
+    for index, op in enumerate(ops):
         code = op[0]
         out.append(code)
         if code in (OP_H, OP_S, OP_RESET, OP_CX, OP_CZ, OP_SWAP):
@@ -514,11 +616,13 @@ def encode_ops(ops, num_qubits: int, num_cbits: int,
             qubits.append(op[1])
             cbits.append(op[2])
             out.extend((op[1], op[2], 1 if op[3] else 0))
+            slots.append((index, -1, len(out) - 1, op[2]))
         elif code == OP_RESET_NOISE:
             qubits.append(op[1])
             sites.append(op[2])
             out.extend((op[1], op[2],
                         _X_TWIRL if op[3] is None else 1 if op[3] else 0))
+            slots.append((index, -1, len(out) - 1, -1))
         elif code == OP_DEPOLARIZE:
             qubits.append(op[1])
             sites.append(op[2])
@@ -536,6 +640,8 @@ def encode_ops(ops, num_qubits: int, num_cbits: int,
             cbits.extend(cs)
             out.append(len(qs))
             out.extend(qs + cs + [1 if ref else 0 for ref in refs])
+            first = len(out) - len(qs)
+            slots.extend((index, e, first + e, c) for e, c in enumerate(cs))
         elif code == OP_DEPOLARIZE_LAYER:
             qs, rows = arrays(op, 2)
             qubits.extend(qs)
@@ -605,7 +711,7 @@ def _z_determinate(sim: TableauSimulator, qubit: int) -> Optional[int]:
     return int(sim.tableau.measure(qubit, sim.rng))
 
 
-def replay_reference(stream: List[int], num_qubits: int,
+def replay_reference(stream: Sequence[int], num_qubits: int,
                      rng: np.random.Generator) -> Tuple[List[int], bool]:
     """Run a reference stream once on a :class:`TableauSimulator`: the
     reference pass without a compiler, and the oracle of
@@ -616,6 +722,7 @@ def replay_reference(stream: List[int], num_qubits: int,
     and a query's Z value or 2 (indefinite); and whether any
     measurement or reset drew from ``rng``.
     """
+    stream = np.asarray(stream, dtype=np.int64).tolist()
     sim = TableauSimulator(num_qubits, rng=rng)
     tab = sim.tableau
     results: List[int] = []
@@ -643,7 +750,7 @@ def replay_reference(stream: List[int], num_qubits: int,
     return results, drew
 
 
-def _run_reference(stream: List[int], num_qubits: int,
+def _run_reference(stream: Sequence[int], num_qubits: int,
                    rng: np.random.Generator) -> Tuple[List[int], bool]:
     """The reference pass on ``_kernel.c`` when it loads, else on
     :func:`replay_reference` — counted either way."""
@@ -684,9 +791,12 @@ def frame_structure(circuit: Circuit,
                     ) -> FrameStructure:
     """Run the reference pass and schedule ``noise``'s sites: the
     expensive, probability-free half of :func:`compile_frame_program`
-    (same arguments, same errors)."""
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        rng = np.random.default_rng(rng)
+    (same arguments, same errors).
+
+    The walk, fusion and encoding leave every reference operand blank
+    and note where each goes; the answers are then written the way
+    :meth:`FrameStructure.reseed` writes another seed's.
+    """
     n = circuit.num_qubits
     tables = _site_tables(noise, n)
     # Where each table starts in the flat concatenation of them all.
@@ -697,9 +807,6 @@ def frame_structure(circuit: Circuit,
     num_cbits = max(circuit.num_cbits, 1)
     ops: List[Tuple] = []
     stream: List[int] = []
-    # Positions in ops of the measure and fault-reset ops, in stream
-    # order: their reference operands are filled in after the pass.
-    answered: List[int] = []
     site_source: List[int] = []
     if noise is not None:
         noise.begin_run()
@@ -716,8 +823,7 @@ def frame_structure(circuit: Circuit,
             stream.append(ref_op)
             stream.extend(gate.qubits)
         if frame_op == OP_MEASURE:
-            answered.append(len(ops))
-            ops.append((OP_MEASURE, gate.qubits[0], gate.cbit, None))
+            ops.append((OP_MEASURE, gate.qubits[0], gate.cbit, 0))
         elif frame_op is not None:
             ops.append((frame_op,) + gate.qubits)
         if noise is None:
@@ -732,48 +838,42 @@ def frame_structure(circuit: Circuit,
                     ops.append((OP_DEPOLARIZE, q, site))
                 else:
                     stream.extend((REF_QUERY, q))
-                    answered.append(len(ops))
                     ops.append((OP_RESET_NOISE, q, site, None))
 
-    results, drew = _run_reference(stream, n, rng)
-    ref = np.zeros(num_cbits, dtype=np.uint8)
-    random_cbits: List[int] = []
-    reset_counts = [0, 0]  # [exact, twirled]
-    for i, value in zip(answered, results):
-        op = ops[i]
-        if op[0] == OP_MEASURE:
-            ref[op[2]] = value & 1
-            if value >> 1:
-                random_cbits.append(op[2])
-            ops[i] = op[:3] + (value & 1,)
-        else:
-            indefinite = value == _INDEFINITE
-            ops[i] = op[:3] + (None if indefinite else value,)
-            reset_counts[indefinite] += 1
-
+    # Fusion keeps the mutual order of the rng ops, so the answered
+    # ops stay in stream order.
     ops = fuse_layers(ops)
     # Every bound program shares these arrays.
-    ref.flags.writeable = False
     for op in ops:
         for operand in op:
             if isinstance(operand, np.ndarray):
                 operand.flags.writeable = False
-    _OBS_COMPILES.inc()
-    return FrameStructure(
+    slots: List[Tuple[int, int, int, int]] = []
+    code = encode_ops(ops, n, num_cbits, len(site_source), slots)
+    reference_stream = np.array(stream, dtype=np.int64)
+    reference_stream.flags.writeable = False
+    answer_slots = np.array(slots, dtype=np.int64).reshape(-1, 4)
+    answer_slots.flags.writeable = False
+    blank = FrameStructure(
         num_qubits=n,
         num_cbits=num_cbits,
         ops=tuple(ops),
         noise_ops=tuple(i for i, op in enumerate(ops) if op[0] in _P_SLOT),
         site_source=np.array(site_source, dtype=np.intp),
         signature=tuple(t.key for t in tables),
-        reference_record=ref,
-        random_cbits=tuple(random_cbits),
-        seeded=drew,
-        exact_reset_sites=reset_counts[0],
-        twirled_reset_sites=reset_counts[1],
+        reference_record=np.zeros(num_cbits, dtype=np.uint8),
+        random_cbits=(),
+        seeded=False,
+        exact_reset_sites=0,
+        twirled_reset_sites=0,
         fused_ops=sum(1 for op in ops if op[0] in LAYER_OPS),
-        code=encode_ops(ops, n, num_cbits, len(site_source)),
+        code=code,
+        reference_stream=reference_stream,
+        answer_slots=answer_slots,
     )
+    structure = blank._answered(rng)
+    _OBS_COMPILES.inc()
+    return structure
 
 
 def compile_frame_program(circuit: Circuit,

@@ -167,8 +167,9 @@ class _StructureCell:
     """What the first compile of a (circuit, site signature) pair
     taught about every later point of the pair."""
 
-    #: The structure later points bind to; stays ``None`` when the
-    #: reference pass is seeded (nothing to share).
+    #: The first compile's structure.  Later points bind it — after a
+    #: :meth:`~repro.frames.FrameStructure.reseed` at their own
+    #: reference seed when its reference pass drew from the seed.
     structure: Optional[FrameStructure] = None
     #: Whether the lowering is exact (no twirled reset site) — a fact
     #: of the reference tableau's x-bits, so the same for every seed.
@@ -208,12 +209,14 @@ def _frame_program(task: InjectionTask, experiment: MemoryExperiment,
     contract holds per backend.
 
     Points that share a circuit and fire at the same sites share the
-    compiled structure: when its reference pass drew nothing from the
-    seed it *is* the structure any task seed would compile, and the
-    point only binds its probabilities to it.  A reference with a
-    random branch compiles per task seed — except that an ``"auto"``
-    point whose cell already says "twirled" falls back without
-    compiling a program to discard.
+    structure the first of them compiled: when its reference pass drew
+    nothing from the seed it *is* the structure any task seed would
+    compile, and the point only binds its probabilities to it.  A
+    reference with a random branch is reseeded — the reference pass
+    alone runs at the point's seed and its answers are patched in,
+    giving the structure a compile at that seed would — and then
+    bound.  An ``"auto"`` point whose cell already says "twirled"
+    falls back without compiling or reseeding a program to discard.
     """
     if task.backend == "tableau":
         return None
@@ -225,15 +228,18 @@ def _frame_program(task: InjectionTask, experiment: MemoryExperiment,
             site_signature(noise, experiment.circuit.num_qubits))
         if not (auto and cell.exact is False):
             with obs.span("compile"):
-                if cell.structure is not None:
-                    program = cell.structure.bind(noise, tilt)
-                else:
+                structure = cell.structure
+                if structure is None:
                     program = compile_frame_program(
                         experiment.circuit, noise,
                         rng=frame_ref_seed(task.seed), tilt=tilt)
-                    if not program.structure.seeded:
-                        cell.structure = program.structure
+                    cell.structure = program.structure
                     cell.exact = program.exact_noise
+                else:
+                    if structure.seeded:
+                        structure = structure.reseed(
+                            frame_ref_seed(task.seed))
+                    program = structure.bind(noise, tilt)
     except FrameLoweringError:
         if not auto:
             raise

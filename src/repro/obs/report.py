@@ -194,7 +194,9 @@ def render_report(path: Union[str, Sequence[str]]) -> str:
                      f"{counters.get('frames.depolarize_hits', 0):,} hits; "
                      f"{binds:,} program(s) bound from "
                      f"{counters.get('frames.compiles', 0):,} compiled "
-                     f"structure(s), {fallbacks:,} auto fallback(s) "
+                     f"structure(s) and "
+                     f"{counters.get('frames.reseeds', 0):,} reseed(s), "
+                     f"{fallbacks:,} auto fallback(s) "
                      f"to the tableau; executor "
                      f"{counters.get('frames.native_blocks', 0):,} native / "
                      f"{counters.get('frames.numpy_blocks', 0):,} numpy "

@@ -63,8 +63,12 @@ def frame_ref_seed(task_seed_: int) -> int:
 
     Uses a two-element spawn path so it can never collide with any
     single-index :func:`block_seed` stream, however deep a campaign's
-    block counter runs.  Compiled once per task, the reference sample —
-    and therefore every block's frame stream — is fixed by the task
-    seed alone, preserving the chunking-invariance contract.
+    block counter runs.  The reference pass runs at this seed once per
+    task — in a compile, or in a
+    :meth:`~repro.frames.FrameStructure.reseed` of the structure an
+    earlier point on the circuit compiled, which gives the same
+    structure — so the reference sample, and therefore every block's
+    frame stream, is fixed by the task seed alone, preserving the
+    chunking-invariance contract.
     """
     return derive_seed(task_seed_, 1, 0)

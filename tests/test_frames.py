@@ -962,20 +962,21 @@ class TestStructureAndBinding:
     def routes(self, task):
         """One task down the memoised route and through a fresh
         per-point compile: ``(memoised program, fresh program, circuit
-        width, structures the memoised route compiled, programs it
-        bound, noise model)``."""
+        width, structures the memoised route compiled, structures it
+        reseeded, programs it bound, noise model)``."""
         experiment, _, _ = _prepared(
             task.code, task.rounds, task.basis, task.arch, task.layout,
             task.decoder, task.readout)
         noise = _build_noise(task, experiment)
-        compiles, binds = counted("frames.compiles"), counted("frames.binds")
+        names = ("frames.compiles", "frames.reseeds", "frames.binds")
+        before = [counted(name) for name in names]
         memoised = _frame_program(task, experiment, noise)
-        compiles = counted("frames.compiles") - compiles
-        binds = counted("frames.binds") - binds
+        compiles, reseeds, binds = (counted(name) - b
+                                    for name, b in zip(names, before))
         fresh = compile_frame_program(experiment.circuit, noise,
                                       rng=frame_ref_seed(task.seed))
         return (memoised, fresh, experiment.circuit.num_qubits, compiles,
-                binds, noise)
+                reseeds, binds, noise)
 
     @pytest.mark.parametrize("arch", [None, ArchSpec("mesh", (5, 4)),
                                       ArchSpec("cairo")],
@@ -985,15 +986,16 @@ class TestStructureAndBinding:
                              ids=["repetition", "xxzz"])
     def test_bound_program_equals_fresh_compile(self, code, arch, executor):
         _structure_cell.cache_clear()
-        compiles = binds = points = 0
+        compiles = reseeds = binds = points = 0
         for fault in self.FAULTS:
             for p in self.P_VALUES:
                 points += 1
-                memoised, fresh, n, compiled, bound, noise = self.routes(
-                    InjectionTask(code=code, arch=arch, fault=fault,
-                                  intrinsic_p=p, backend="frames",
-                                  seed=points))
+                memoised, fresh, n, compiled, reseeded, bound, noise = \
+                    self.routes(InjectionTask(
+                        code=code, arch=arch, fault=fault, intrinsic_p=p,
+                        backend="frames", seed=points))
                 compiles += compiled
+                reseeds += reseeded
                 binds += bound
                 assert_same_program(memoised, fresh)
                 for tilt in (None, SamplerSpec(kind="tilt", tilt=4.0)):
@@ -1007,29 +1009,30 @@ class TestStructureAndBinding:
                     assert (a.log_weights is None) == (tilt is None)
                     assert a.rng.random() == b.rng.random()
         assert binds == points
+        # one compile per site signature; a random-branch reference
+        # reseeds the signature's structure for every later task seed
+        assert compiles == self.SIGNATURES
         if code.kind == "repetition":
-            # deterministic reference: one compile per site signature
             assert not memoised.structure.seeded
-            assert compiles == self.SIGNATURES
+            assert reseeds == 0
         else:
-            # random-branch reference: one compile per task seed,
-            # nothing to share across seeds
             assert memoised.structure.seeded
-            assert compiles == points
+            assert reseeds == points - self.SIGNATURES
 
-    def test_random_reference_is_never_shared_across_seeds(self):
-        """Two task seeds on one XXZZ circuit and one site signature
-        each compile their own reference sample."""
+    def test_random_reference_is_reseeded_per_task_seed(self):
+        """Four task seeds on one XXZZ circuit and one site signature
+        share one compile; each gets its own reference sample."""
         _structure_cell.cache_clear()
         base = InjectionTask(code=CodeSpec("xxzz", (3, 3)),
                              intrinsic_p=1e-3, backend="frames")
-        programs = []
+        programs, work = [], []
         for seed in (1, 2, 3, 4):
-            memoised, fresh, _, compiled, _, _ = self.routes(
+            memoised, fresh, _, compiled, reseeded, _, _ = self.routes(
                 dataclasses.replace(base, seed=seed))
-            assert compiled == 1
+            work.append((compiled, reseeded))
             assert_same_program(memoised, fresh)
             programs.append(memoised)
+        assert work == [(1, 0), (0, 1), (0, 1), (0, 1)]
         assert all(p.structure.seeded for p in programs)
         assert len({id(p.structure) for p in programs}) == len(programs)
         assert len({p.reference_record.tobytes() for p in programs}) > 1
@@ -1048,7 +1051,7 @@ class TestStructureAndBinding:
                              intrinsic_p=1e-3, seed=5)
         compiled = []
         for fault in (first, second, first, second):
-            memoised, fresh, _, compiles, _, _ = self.routes(
+            memoised, fresh, _, compiles, _, _, _ = self.routes(
                 dataclasses.replace(base, fault=fault))
             assert_same_program(memoised, fresh)
             compiled.append(compiles)
@@ -1057,12 +1060,14 @@ class TestStructureAndBinding:
     def test_auto_fallback_is_decided_once_per_structure(self):
         """Whether reset sites are twirled is a fact of the tableau's
         x-bits, not of the reference seed: the second ``auto`` point of
-        a twirled structure falls back without compiling."""
+        a twirled structure falls back without compiling or
+        reseeding."""
         _structure_cell.cache_clear()
         base = InjectionTask(
             code=CodeSpec("xxzz", (3, 3)), intrinsic_p=1e-3,
             fault=FaultSpec(kind="radiation", root_qubit=2, time_index=0))
         c0 = counted("frames.compiles")
+        r0 = counted("frames.reseeds")
         f0 = counted("engine.backend_fallbacks")
         for seed, time_index in ((1, 0), (2, 4), (3, 8)):
             task = dataclasses.replace(
@@ -1074,11 +1079,12 @@ class TestStructureAndBinding:
             assert _frame_program(task, experiment,
                                   _build_noise(task, experiment)) is None
         assert counted("frames.compiles") - c0 == 1
+        assert counted("frames.reseeds") == r0
         assert counted("engine.backend_fallbacks") - f0 == 3
-        # ... while backend="frames" still gets its per-seed program
+        # ... while backend="frames" reseeds it for its own program
         forced = dataclasses.replace(base, seed=9, backend="frames")
-        memoised, fresh, _, compiled, _, _ = self.routes(forced)
-        assert compiled == 1
+        memoised, fresh, _, compiled, reseeded, _, _ = self.routes(forced)
+        assert (compiled, reseeded) == (0, 1)
         assert_same_program(memoised, fresh)
         assert not memoised.exact_noise
 
@@ -1372,6 +1378,234 @@ class TestReferencePass:
         before = compiles()
         frame_structure(circuit, None, rng=1)
         assert compiles() == (before[0], before[1] + 1)
+
+
+def measure_layers(structure):
+    return [op[3] for op in structure.ops
+            if op[0] == frames_program.OP_MEASURE_LAYER]
+
+
+class TestReseed:
+    """A structure compiled at one seed and reseeded at another is the
+    structure a compile at the other seed gives — bound program, code,
+    reference record and random branches, reset counts, ``seeded`` —
+    and leaves the generator where that compile leaves it, with the
+    reference pass on either executor."""
+
+    @staticmethod
+    def assert_reseed_is_compile(executor, structure, circuit, noise,
+                                 make_rng):
+        if executor == "native":
+            needs_native()
+        got_rng, want_rng = make_rng(), make_rng()
+        got = on_reference(executor, structure.reseed, got_rng)
+        want = on_reference(executor, frame_structure, circuit, noise,
+                            want_rng)
+        assert_same_program(got.bind(noise), want.bind(noise))
+        for name in ("code", "reference_record", "reference_stream",
+                     "answer_slots", "site_source"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        for name in ("random_cbits", "exact_reset_sites",
+                     "twirled_reset_sites", "seeded", "noise_ops",
+                     "fused_ops", "signature"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert same_state(got_rng.bit_generator.state,
+                          want_rng.bit_generator.state)
+        for array in [got.code, got.reference_record] \
+                + measure_layers(got):
+            assert not array.flags.writeable
+        return got
+
+    @pytest.mark.parametrize("executor", ["native", "python"])
+    @pytest.mark.parametrize("seed", [2024, 7])
+    @pytest.mark.parametrize("workload", ["quiet_deep", "strike_decode",
+                                          "fig5_grid", "service_sweep"])
+    def test_every_seeded_e2e_point(self, workload, seed, executor):
+        """Per (circuit, site signature) of the workload, one structure
+        compiled at a seed no task uses, reseeded at every seeded
+        point's reference seed."""
+        tasks = [task for spec in e2e_specs(seed)[workload]
+                 for task in build_sweep(spec).tasks]
+        structures = {}
+        points = code_moved = layers_moved = 0
+        for task in Campaign(tasks, root_seed=seed)._seeded():
+            experiment, _, _ = _prepared(
+                task.code, task.rounds, task.basis, task.arch, task.layout,
+                task.decoder, task.readout)
+            circuit = experiment.circuit
+            noise = _build_noise(task, experiment)
+            key = (task.code, task.rounds, task.arch,
+                   frames_program.site_signature(noise, circuit.num_qubits))
+            if key not in structures:
+                structures[key] = frame_structure(circuit, noise, rng=0)
+            structure = structures[key]
+            if not structure.seeded:
+                continue
+            points += 1
+            got = self.assert_reseed_is_compile(
+                executor, structure, circuit, noise,
+                lambda: np.random.default_rng(frame_ref_seed(task.seed)))
+            code_moved += not np.array_equal(got.code, structure.code)
+            layers_moved += any(
+                not np.array_equal(a, b) for a, b in
+                zip(measure_layers(got), measure_layers(structure)))
+        # repetition circuits draw nothing; every XXZZ memory does
+        expected = {"quiet_deep": 1, "strike_decode": 6, "fig5_grid": 40,
+                    "service_sweep": 0}[workload]
+        assert points == expected
+        # every reseed moved answers in code; a quiet memory's random
+        # first round is measure layers (a strike's fault resets split
+        # its rounds into scalar measures)
+        assert code_moved == points
+        assert bool(layers_moved) == (workload == "quiet_deep")
+
+    @pytest.mark.parametrize("executor", ["native", "python"])
+    def test_past_one_word_of_qubits(self, executor):
+        experiment = build_memory_experiment(XXZZCode(7, 7), rounds=2)
+        noise = strike_noise(experiment, 1e-3, "burst")
+        structure = frame_structure(experiment.circuit, noise, rng=3)
+        got = self.assert_reseed_is_compile(
+            executor, structure, experiment.circuit, noise,
+            lambda: np.random.default_rng(4))
+        assert got.seeded and got.twirled_reset_sites
+        assert not np.array_equal(got.code, structure.code)
+
+    @pytest.mark.parametrize("executor", ["native", "python"])
+    def test_transpiled_repetition_with_swaps(self, executor):
+        task = InjectionTask(
+            code=CodeSpec("repetition", (9, 1)), arch=ArchSpec("cairo"),
+            fault=FaultSpec(kind="radiation", root_qubit=4, time_index=1),
+            intrinsic_p=1e-3, backend="frames", seed=11)
+        experiment, _, _ = _prepared(
+            task.code, task.rounds, task.basis, task.arch, task.layout,
+            task.decoder, task.readout)
+        assert any(g.gate_type is GateType.SWAP
+                   for g in experiment.circuit)
+        noise = _build_noise(task, experiment)
+        structure = frame_structure(experiment.circuit, noise, rng=1)
+        got = self.assert_reseed_is_compile(
+            executor, structure, experiment.circuit, noise,
+            lambda: np.random.default_rng(frame_ref_seed(task.seed)))
+        assert got.exact_reset_sites and not got.seeded
+
+    @pytest.mark.parametrize("executor", ["native", "python"])
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(num_qubits=st.one_of(st.integers(1, 9), st.integers(63, 67)),
+           prefix_gates=st.integers(0, 150), num_gates=st.integers(0, 60),
+           measure_prob=st.floats(0.0, 0.4), reset_prob=st.floats(0.0, 0.3),
+           circuit_seed=st.integers(0, 2 ** 32 - 1),
+           seeds=st.tuples(st.integers(0, 2 ** 32 - 1),
+                           st.integers(0, 2 ** 32 - 1)),
+           bit_generator=st.sampled_from([np.random.PCG64,
+                                          np.random.MT19937,
+                                          np.random.Philox]),
+           noise_seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_clifford_circuits(self, executor, num_qubits,
+                                      prefix_gates, num_gates, measure_prob,
+                                      reset_prob, circuit_seed, seeds,
+                                      bit_generator, noise_seed):
+        """Random circuits with radiation, depolarize and erasure sites
+        (as ``TestReferencePass``), compiled at one seed and reseeded
+        at another."""
+        circuit = random_clifford_circuit(num_qubits, prefix_gates,
+                                          rng=circuit_seed)
+        for gate in random_clifford_circuit(
+                num_qubits, num_gates, rng=circuit_seed + 1,
+                measure_prob=measure_prob, reset_prob=reset_prob):
+            circuit.append(gate)
+        pick = np.random.default_rng(noise_seed)
+        radiation = np.where(pick.random(num_qubits) < 0.8,
+                             pick.random(num_qubits), 0.0)
+        erased = pick.choice(num_qubits, size=1 + num_qubits // 4,
+                             replace=False).tolist()
+        noise = NoiseModel([RadiationChannel(radiation),
+                            DepolarizingNoise(1e-2),
+                            ErasureChannel(erased, float(pick.random()))])
+        first, second = seeds
+        structure = frame_structure(
+            circuit, noise, np.random.Generator(bit_generator(first)))
+        self.assert_reseed_is_compile(
+            executor, structure, circuit, noise,
+            lambda: np.random.Generator(bit_generator(second)))
+
+    def test_reseeds_are_counted_by_executor(self, monkeypatch):
+        """A reseed counts ``frames.reseeds`` and its reference pass's
+        executor, never ``frames.compiles``: native + python compiles
+        = compiles + reseeds."""
+        structure = frame_structure(
+            build_memory_experiment(XXZZCode(3, 3), rounds=1).circuit,
+            None, rng=1)
+        names = ("frames.compiles", "frames.reseeds",
+                 "frames.native_compiles", "frames.python_compiles")
+
+        def delta(before):
+            return [counted(name) - b for name, b in zip(names, before)]
+
+        if _native.kernel() is not None:
+            before = [counted(name) for name in names]
+            structure.reseed(2)
+            assert delta(before) == [0, 1, 1, 0]
+        monkeypatch.setattr(_native, "kernel", lambda: None)
+        before = [counted(name) for name in names]
+        structure.reseed(2)
+        assert delta(before) == [0, 1, 0, 1]
+
+    def test_a_strike_sweep_compiles_once(self, tmp_path):
+        """A ``strike_decode``-shaped campaign — struck XXZZ(3,3) at
+        three time samples, MWPM and union-find — compiles once and
+        reseeds five times, and banks the chunk rows it banks when
+        every point compiles its own structure."""
+        tasks = Campaign([
+            task for decoder in ("mwpm", "union-find")
+            for task in build_sweep({
+                "codes": [["xxzz", [3, 3]]], "rounds": 3,
+                "p_values": [1e-3], "decoder": decoder,
+                "faults": [{"kind": "radiation", "root_qubit": 4,
+                            "time_index": t} for t in (0, 1, 2)],
+                "backend": "frames", "shots": 1024}).tasks],
+            root_seed=12)._seeded()
+        assert len(tasks) == 6
+
+        def banked(store):
+            return [[dataclasses.replace(c, elapsed_s=0.0)
+                     for c in store.chunks_for(task_key(t))] for t in tasks]
+
+        def counts():
+            return [counted(f"frames.{name}")
+                    for name in ("compiles", "reseeds", "binds")]
+
+        _structure_cell.cache_clear()
+        _task_context.cache_clear()
+        before = counts()
+        shared = CampaignStore(tmp_path / "shared.jsonl")
+        Campaign(tasks).run(chunk_shots=SIM_BLOCK, workers=1, resume=shared)
+        assert [b - a for a, b in zip(before, counts())] == [1, 5, 6]
+
+        before = counts()
+        alone = CampaignStore(tmp_path / "alone.jsonl")
+        for task in tasks:
+            _structure_cell.cache_clear()
+            _task_context.cache_clear()
+            Campaign([task]).run(chunk_shots=SIM_BLOCK, workers=1,
+                                 resume=alone)
+        assert [b - a for a, b in zip(before, counts())] == [6, 0, 6]
+        assert banked(shared) == banked(alone)
+        assert all(len(rows) == 2 for rows in banked(shared))
+
+        # An auto point on the (twirled) cell still falls back without
+        # compiling or reseeding.
+        task = dataclasses.replace(tasks[0], backend="auto", seed=99)
+        experiment, _, _ = _prepared(
+            task.code, task.rounds, task.basis, task.arch, task.layout,
+            task.decoder, task.readout)
+        before = counts()
+        fallbacks = counted("engine.backend_fallbacks")
+        assert _frame_program(task, experiment,
+                              _build_noise(task, experiment)) is None
+        assert counts() == before
+        assert counted("engine.backend_fallbacks") - fallbacks == 1
 
 
 class TestCrossValidation:

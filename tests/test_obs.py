@@ -284,7 +284,8 @@ class TestSession:
             == counters["frames.blocks"]
         assert counters.get("frames.native_compiles", 0) \
             + counters.get("frames.python_compiles", 0) \
-            == counters["frames.compiles"]
+            == counters["frames.compiles"] \
+            + counters.get("frames.reseeds", 0)
         # Depolarize rows drawn and fired are counted facts.
         assert 0 < counters["frames.depolarize_hits"] \
             < counters["frames.depolarize_sites"] * 512
@@ -366,8 +367,8 @@ class TestReport:
                       "frames.fused_ops": 976,
                       "frames.depolarize_sites": 7488,
                       "frames.depolarize_hits": 1900,
-                      "frames.compiles": 1, "frames.binds": 2,
-                      "frames.native_compiles": 1,
+                      "frames.compiles": 1, "frames.binds": 3,
+                      "frames.reseeds": 2, "frames.native_compiles": 3,
                       "engine.backend_fallbacks": 3,
                       "rare.pilot_shots": 6144},
          "gauges": {"rare.pilot_tilt": 8.0, "rare.ess": 512.5},
@@ -401,10 +402,11 @@ class TestReport:
         assert "0.500s     0.500s self x8" in text
         assert "cache hit rate   80.0% (80 hits / 20 misses)" in text
         assert ("frames  8 blocks, 9,576 ops (976 fused); depolarize "
-                "7,488 sites, 1,900 hits; 2 program(s) "
-                "bound from 1 compiled structure(s), 3 auto fallback(s) "
-                "to the tableau; executor 6 native / 2 numpy block(s), "
-                "reference 1 native / 0 python compile(s)") in text
+                "7,488 sites, 1,900 hits; 3 program(s) "
+                "bound from 1 compiled structure(s) and 2 reseed(s), "
+                "3 auto fallback(s) to the tableau; executor 6 native / "
+                "2 numpy block(s), reference 3 native / 0 python "
+                "compile(s)") in text
         assert "leases dispatched  8 (1 steal refill(s))" in text
         assert "worker crashes     1 (2 lease(s) requeued)" in text
         assert "worker 0: 2,048 shots, 205 sh/s" in text
