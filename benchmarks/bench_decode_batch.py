@@ -84,7 +84,7 @@ TASK = InjectionTask(code=CodeSpec("xxzz", (5, 5)), intrinsic_p=5e-4,
 
 def _packed_blocks(task):
     """The task's canonical block stream: ``(record words, size)``."""
-    experiment, _, _, program, _ = _task_context(task)
+    experiment, _, _, program, _, _ = _task_context(task)
     for b, start in enumerate(range(0, task.shots, SIM_BLOCK)):
         size = min(SIM_BLOCK, task.shots - start)
         sim = FrameSimulator(experiment.circuit.num_qubits, size,

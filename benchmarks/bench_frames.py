@@ -98,7 +98,7 @@ def _native_block_program(name):
             intrinsic_p=1e-3,
             fault=FaultSpec(kind="radiation", root_qubit=0, time_index=0)),
     }[name]
-    experiment, _, _, program, _ = _task_context(
+    experiment, _, _, program, _, _ = _task_context(
         dataclasses.replace(task, backend="frames", shots=512, seed=2024))
     return experiment.circuit.num_qubits, program
 
@@ -184,7 +184,7 @@ def test_frames_tilted_block(benchmark, capsys, monkeypatch, lanes):
     if _native.kernel() is None:
         pytest.skip("native executor unavailable: "
                     + _native.unavailable_reason())
-    experiment, _, _, program, _ = _task_context(InjectionTask(
+    experiment, _, _, program, _, _ = _task_context(InjectionTask(
         code=CodeSpec("xxzz", (5, 5)), rounds=5, intrinsic_p=1e-3,
         backend="frames", shots=SIM_BLOCK, seed=2024,
         sampler=SamplerSpec(kind="tilt", tilt=4.0)))

@@ -3,9 +3,11 @@
 The batched tableau simulator is the exact backend: campaigns reach it
 when a fault has no exact frame lowering (a reset on an entangled XXZZ
 data qubit — the paper's Fig. 5 strike traffic) and tier-1 uses it as
-the frames oracle.  This bench records its throughput on those shapes
-and quantifies the vectorization speedup over the single-shot reference
-implementation (DESIGN.md §3).
+the frames oracle.  Campaigns run it natively (``_kernel.c``); the
+numpy :class:`~repro.stabilizer.BatchTableauSimulator` is the
+reference.  This bench records both on those shapes and quantifies the
+vectorization speedup over the single-shot reference implementation
+(DESIGN.md §3).
 """
 
 import time
@@ -75,26 +77,65 @@ def _throughput(benchmark, capsys, label, run, shots, parent_sps, factor):
     assert sps >= bar, f"{label}: {sps:,.0f} shots/s < {bar:,.0f}"
 
 
-def test_batch_strike_fig5_shape(benchmark, capsys):
+def test_batch_strike_fig5_shape(benchmark, capsys, monkeypatch):
     """The shape `fig5_grid`'s fallback half runs: XXZZ (3,3) routed
     onto mesh 5x4, radiation at root 2, t = 0, intrinsic p = 1e-3, one
-    512-shot block pinned to the tableau.
+    512-shot block on the tableau — on the native executor
+    (``_kernel.c``, from the point's bound program, as the campaign
+    runs it) and on the numpy walk with the library hidden, same host,
+    same records.  Reports ms per block.
 
-    The byte-per-bit ``(B, 2n, n)`` kernel (PR 20) ran this at 3 400
-    shots/s on the 2-core sandbox; the row-packed kernel must hold
-    >= 2x that (measured 12 800).
+    Native must hold >= 5x numpy.  The earlier byte-per-bit
+    ``(B, 2n, n)`` numpy kernel ran this at 3 400 shots/s on a 2-core
+    host; the row-packed numpy walk must still hold >= 2x that
+    (measured 12 800).
     """
+    from repro.frames import _native, compile_frame_program
+
+    if _native.kernel() is None:
+        pytest.skip("native executor unavailable: "
+                    + _native.unavailable_reason())
     arch = mesh(5, 4)
     circuit = transpile(build_memory_experiment(XXZZCode(3, 3)).circuit,
                         arch).circuit
     event = RadiationEvent(2, arch.distances_from(2),
                            num_qubits=arch.num_qubits)
     noise = NoiseModel([event.channel(0), DepolarizingNoise(1e-3)])
-    _throughput(
-        benchmark, capsys, "fig5 strike block",
-        lambda: run_batch_noisy(circuit, noise, 512, rng=5,
-                                backend="tableau"),
-        shots=512, parent_sps=3_400, factor=2.0)
+    program = compile_frame_program(circuit, noise, rng=1)
+
+    def block():
+        return run_batch_noisy(circuit, noise, 512, rng=5,
+                               backend="tableau", program=program)
+
+    def best_ms(rounds):
+        block()
+        times = []
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            block()
+            times.append(time.perf_counter() - t0)
+        return 1e3 * min(times)
+
+    native_ms = best_ms(9)
+    native = benchmark(block)
+    with monkeypatch.context() as hidden:
+        hidden.setattr(_native, "kernel", lambda: None)
+        numpy_ms = best_ms(5)
+        assert np.array_equal(block(), native)
+    ratio = numpy_ms / native_ms
+    numpy_sps = 512 / (numpy_ms / 1e3)
+    bench_report(benchmark, capsys,
+                 f"\n[tableau] fig5 strike block: native {native_ms:.2f} "
+                 f"ms, numpy {numpy_ms:.1f} ms per 512-shot block "
+                 f"({ratio:.1f}x; numpy {numpy_sps:,.0f} shots/s, "
+                 f"{numpy_sps / 3_400:.1f}x the byte-per-bit kernel)",
+                 native_ms=native_ms, numpy_ms=numpy_ms, shots=512,
+                 shots_per_s=512 / (native_ms / 1e3))
+    bar = bench_bar(5, 2)
+    assert ratio >= bar, f"native only {ratio:.1f}x numpy (< {bar}x)"
+    numpy_bar = bench_bar(2.0, 1.0) * 3_400
+    assert numpy_sps >= numpy_bar, \
+        f"numpy walk: {numpy_sps:,.0f} shots/s < {numpy_bar:,.0f}"
 
 
 def test_batch_d5_noiseless(benchmark, capsys):

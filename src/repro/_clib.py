@@ -1,7 +1,8 @@
 """Build, cache and load the package's C kernels.
 
 A kernel is one C source beside the module that uses it:
-``frames/_kernel.c`` (the frame executor and compile reference pass),
+``frames/_kernel.c`` (the frame executor, the compile reference pass
+and the batched tableau),
 ``decoders/_unionfind.c`` (union-find) and ``decoders/_blossom.c``
 (MWPM's matcher: the bitmask DP and the blossom).  It is compiled on
 first use with the system C compiler into a cache file named by the

@@ -1,4 +1,4 @@
-/* Native loops of the frames backend: two entry points.
+/* Native loops of the frames backend: three entry points.
  *
  * repro_frames_run executes ops [first, stop) of a program (the int64
  * stream of repro.frames.program.encode_ops past its header, plus the
@@ -23,14 +23,25 @@
  *
  * repro_frames_reference is frame compilation's reference pass: the
  * REF_* stream of repro.frames.program (gates, circuit resets,
- * measurements and Z-determinacy queries) run once on a bit-packed
- * Aaronson-Gottesman tableau, the one
+ * measurements and Z-determinacy queries; depolarize sites are
+ * skipped) run once on a bit-packed Aaronson-Gottesman tableau, the one
  * repro.stabilizer.tableau.Tableau keeps — the same rows, the same
  * rowsum with its exact phase sum mod 4, the same pivot — so every
  * answer and every draw is the Python replay's.  A random branch
  * (measurement or reset) draws next_uint32 >> 31 from the caller's
  * generator: what Generator.integers(0, 2) returns and consumes
  * (bounded Lemire on range 2 keeps the top bit and never rejects).
+ *
+ * repro_tableau_run is the tableau executor (run_batch_noisy's
+ * "tableau" backend): B shots of the same REF_* stream in lockstep on
+ * batched CHP tableaus laid out as repro.stabilizer.batch's, noise
+ * entries included, so that each REF_DEPOLARIZE and REF_QUERY entry is
+ * the site of its rank.  It draws what BatchTableauSimulator draws, in
+ * its order: B next_double per site (Generator.random(B)), none at a
+ * certain reset site whose table does not draw there, and ceil(k / 4)
+ * next_uint32 per measurement with k random-branch shots, shot j's
+ * outcome bit 7 of byte j % 4 of word j / 4
+ * (Generator.integers(0, 2, size=k, dtype=uint8)).
  *
  * Built by frames/_native.py with `cc -O2 -shared -fPIC`; C99, libc only.
  */
@@ -396,7 +407,7 @@ int64_t repro_frames_run(const int64_t *code, int64_t code_len,
 /* REF_* opcodes of program.py. */
 enum {
     REF_X, REF_Y, REF_Z, REF_H, REF_S, REF_SDG, REF_CX, REF_CZ, REF_SWAP,
-    REF_RESET, REF_MEASURE, REF_QUERY, NUM_REFS
+    REF_RESET, REF_MEASURE, REF_QUERY, REF_DEPOLARIZE, NUM_REFS
 };
 
 /* Query answer: a measurement there would take the random branch. */
@@ -611,6 +622,8 @@ int64_t repro_frames_reference(const int64_t *stream, int64_t len,
         case REF_QUERY:
             *results++ = pivot(&t, a) >= 0 ? INDEFINITE : determinate(&t, a);
             break;
+        case REF_DEPOLARIZE:        /* a noise site: the reference is noiseless */
+            break;
         default:
             gate(&t, op, a, b);
         }
@@ -620,5 +633,387 @@ int64_t repro_frames_reference(const int64_t *stream, int64_t len,
     free(t.x);
     free(t.z);
     free(t.r);
+    return status;
+}
+
+
+/* ------------------------------------------------------------------ */
+/* The tableau executor.                                              */
+
+/* prof[] buckets: the four tableau.* stages of run_batch_noisy. */
+enum { T_GATES, T_MEASURE_DET, T_MEASURE_RAND, T_NOISE, T_STAGES };
+
+/* B tableaus in lockstep, laid out as BatchTableauSimulator's
+ * (n, 2, W, B) x and z and (2, W, B) r: qubit q's column is 2 W rows of
+ * B words (destabilizer half, then stabilizer half; row w of a half
+ * holds tableau rows 64 w .. 64 w + 63 of every shot, shot innermost),
+ * and r is laid out as one column.  A row is padded to P words, one
+ * cache line past B, so that one shot's words in successive rows fall
+ * in different cache sets. */
+typedef struct {
+    int64_t n, W, B, P, C;      /* C = 2 W P: one column */
+    uint64_t *x, *z, *r;
+    bitgen_t *gen;
+    double *prof;
+    /* scratch */
+    uint8_t *outcome, *in;      /* B each */
+    int64_t *shots;             /* B */
+    double *u;                  /* B */
+    uint64_t *tgt, *phase, *acc;    /* 2 W each */
+} batch_t;
+
+/* An unmasked Clifford on every shot: BatchTableauSimulator's h, s,
+ * sdg, x_gate, y_gate, z_gate, cx and swap (cz composes them). */
+static void batch_gate(const batch_t *t, int64_t op, int64_t a, int64_t b)
+{
+    if (op == REF_CZ) {
+        batch_gate(t, REF_H, b, b);
+        batch_gate(t, REF_CX, a, b);
+        batch_gate(t, REF_H, b, b);
+        return;
+    }
+    for (int64_t row = 0; row < 2 * t->W; row++) {
+        uint64_t *xa = t->x + a * t->C + row * t->P;
+        uint64_t *za = t->z + a * t->C + row * t->P;
+        uint64_t *xb = t->x + b * t->C + row * t->P;
+        uint64_t *zb = t->z + b * t->C + row * t->P;
+        uint64_t *r = t->r + row * t->P;
+        int64_t B = t->B;
+        switch (op) {
+        case REF_X:
+            for (int64_t s = 0; s < B; s++)
+                r[s] ^= za[s];
+            break;
+        case REF_Y:
+            for (int64_t s = 0; s < B; s++)
+                r[s] ^= xa[s] ^ za[s];
+            break;
+        case REF_Z:
+            for (int64_t s = 0; s < B; s++)
+                r[s] ^= xa[s];
+            break;
+        case REF_H:
+            for (int64_t s = 0; s < B; s++) {
+                uint64_t xv = xa[s], zv = za[s];
+                r[s] ^= xv & zv;
+                xa[s] = zv;
+                za[s] = xv;
+            }
+            break;
+        case REF_S:
+            for (int64_t s = 0; s < B; s++) {
+                r[s] ^= xa[s] & za[s];
+                za[s] ^= xa[s];
+            }
+            break;
+        case REF_SDG:
+            for (int64_t s = 0; s < B; s++) {
+                r[s] ^= xa[s] & ~za[s];
+                za[s] ^= xa[s];
+            }
+            break;
+        case REF_CX:                /* control a, target b */
+            for (int64_t s = 0; s < B; s++) {
+                r[s] ^= xa[s] & zb[s] & ~(xb[s] ^ za[s]);
+                xb[s] ^= xa[s];
+                za[s] ^= zb[s];
+            }
+            break;
+        case REF_SWAP:
+            for (int64_t s = 0; s < B; s++) {
+                uint64_t xv = xa[s], zv = za[s];
+                xa[s] = xb[s];
+                xb[s] = xv;
+                za[s] = zb[s];
+                zb[s] = zv;
+            }
+            break;
+        }
+    }
+}
+
+/* Shot s's sign flips by the Pauli with x part fx and z part fz on
+ * qubit a (each 0 or 1): X flips the rows holding Z_a, Z those holding
+ * X_a. */
+static void batch_pauli(const batch_t *t, int64_t a, int64_t s, int fx,
+                        int fz)
+{
+    const uint64_t *xa = t->x + a * t->C + s, *za = t->z + a * t->C + s;
+    uint64_t mx = fz ? ~(uint64_t)0 : 0, mz = fx ? ~(uint64_t)0 : 0;
+    for (int64_t i = 0; i < t->C; i += t->P)
+        t->r[i + s] ^= (za[i] & mz) ^ (xa[i] & mx);
+}
+
+/* _measure_det for shot s: the sign of the ordered product of the
+ * stabilizer rows paired with the destabilizers holding X_a, its phase
+ * exponent sum(x & z) + 2 sum(r) + 2 sum_q sum_j x_j (xor_{i<j} z_i)
+ * taken bit-sliced over the rows of each column. */
+static int batch_determinate(const batch_t *t, int64_t a, int64_t s)
+{
+    int64_t W = t->W, P = t->P;
+    const uint64_t *picked = t->x + a * t->C + s;      /* destabilizer half */
+    uint64_t flips = 0, ones = 0, twos = 0;
+    for (int64_t w = 0; w < W; w++)
+        flips ^= t->r[(W + w) * P + s] & picked[w * P];
+    for (int64_t q = 0; q < t->n; q++) {
+        const uint64_t *xq = t->x + q * t->C + W * P + s;
+        const uint64_t *zq = t->z + q * t->C + W * P + s;
+        uint64_t carry = 0;     /* parity of the column's earlier words */
+        for (int64_t w = 0; w < W; w++) {
+            uint64_t xs = xq[w * P] & picked[w * P];
+            if (!xs && w == W - 1)  /* adds nothing, carries nowhere */
+                continue;
+            uint64_t zs = zq[w * P] & picked[w * P], scan = zs;
+            scan ^= scan << 1;      /* inclusive prefix XOR over rows */
+            scan ^= scan << 2;
+            scan ^= scan << 4;
+            scan ^= scan << 8;
+            scan ^= scan << 16;
+            scan ^= scan << 32;
+            flips ^= xs & ((scan << 1) ^ carry);
+            carry ^= (uint64_t)0 - (scan >> 63);
+            uint64_t y = xs & zs;   /* count the Ys mod 4 bit-sliced */
+            twos ^= ones & y;
+            ones ^= y;
+        }
+    }
+    int64_t ys = popcount(ones) + 2 * popcount(twos);
+    return (int)(((ys >> 1) + popcount(flips)) & 1);
+}
+
+/* _measure_rand for shot s with its drawn outcome: every row holding
+ * X_a but the pivot (the first stabilizer row holding it) absorbs the
+ * pivot row, the destabilizer slot receives the old pivot row, and the
+ * pivot becomes +/- Z_a.  One pass over the columns: the pivot row is
+ * not a target, so its bits stay put while the others absorb them. */
+static void batch_collapse(const batch_t *t, int64_t a, int64_t s,
+                           int outcome)
+{
+    int64_t W = t->W, P = t->P, C = t->C, pw = 0;
+    const uint64_t *stab = t->x + a * C + W * P + s;
+    while (!stab[pw * P])
+        pw++;
+    uint64_t pm = stab[pw * P] & (~stab[pw * P] + 1);
+    int64_t d = pw * P, p = (W + pw) * P;   /* the pivot's rows */
+    uint64_t *r = t->r + s;
+    uint64_t rp = r[p] & pm ? ~(uint64_t)0 : 0;
+    for (int64_t h = 0; h < 2 * W; h++) {
+        t->tgt[h] = t->x[a * C + h * P + s];
+        t->phase[h] = t->acc[h] = 0;
+    }
+    t->tgt[W + pw] &= ~pm;
+    for (int64_t q = 0; q < t->n; q++) {
+        uint64_t *xq = t->x + q * C + s, *zq = t->z + q * C + s;
+        uint64_t xp = xq[p] & pm ? ~(uint64_t)0 : 0;
+        uint64_t zp = zq[p] & pm ? ~(uint64_t)0 : 0;
+        if (xp || zp)
+            /* The rowsum phase mod 4 from the old bits: g != 0 where
+             * the Paulis anticommute, -1 on neg; bit 1 of the sum is
+             * the carry of the anti count XOR the parity of neg. */
+            for (int64_t h = 0; h < 2 * W; h++) {
+                uint64_t xv = xq[h * P], zv = zq[h * P];
+                uint64_t anti = (xv & zp) ^ (zv & xp);
+                uint64_t neg = (xv ^ zv ^ (xp ^ zp) ^ (xp & zv)) & anti;
+                t->phase[h] ^= (anti & t->acc[h]) ^ neg;
+                t->acc[h] ^= anti;
+                xq[h * P] = xv ^ (xp & t->tgt[h]);
+                zq[h * P] = zv ^ (zp & t->tgt[h]);
+            }
+        xq[d] = (xq[d] & ~pm) | (xp & pm);
+        zq[d] = (zq[d] & ~pm) | (zp & pm);
+        xq[p] &= ~pm;
+        zq[p] &= ~pm;
+    }
+    for (int64_t h = 0; h < 2 * W; h++)
+        r[h * P] ^= (t->phase[h] ^ rp) & t->tgt[h];
+    r[d] = (r[d] & ~pm) | (rp & pm);
+    r[p] = (r[p] & ~pm) | (outcome ? pm : 0);
+    t->z[a * C + p + s] |= pm;
+}
+
+/* BatchTableauSimulator.measure: the Z outcome of qubit a on the shots
+ * of in[] (every shot when NULL) into outcome[] (0 elsewhere) —
+ * deterministic shots first, then the random-branch ones in ascending
+ * order, drawing one uint8 each as Generator.integers(0, 2, size=k,
+ * dtype=uint8) does. */
+static void batch_measure(const batch_t *t, int64_t a, const uint8_t *in)
+{
+    int64_t W = t->W, P = t->P, k = 0;
+    const uint64_t *stab = t->x + a * t->C + W * P;
+    double t0 = t->prof ? now() : 0.0;
+    for (int64_t s = 0; s < t->B; s++) {
+        t->outcome[s] = 0;
+        if (in && !in[s])
+            continue;
+        uint64_t held = 0;
+        for (int64_t w = 0; w < W; w++)
+            held |= stab[w * P + s];
+        if (held)
+            t->shots[k++] = s;
+        else
+            t->outcome[s] = (uint8_t)batch_determinate(t, a, s);
+    }
+    double t1 = t->prof ? now() : 0.0;
+    uint32_t word = 0;
+    for (int64_t j = 0; j < k; j++) {
+        if (j % 4 == 0)
+            word = t->gen->next_uint32(t->gen->state);
+        int outcome = (word >> (8 * (j % 4) + 7)) & 1;
+        t->outcome[t->shots[j]] = (uint8_t)outcome;
+        batch_collapse(t, a, t->shots[j], outcome);
+    }
+    if (t->prof) {
+        double t2 = now();
+        t->prof[T_MEASURE_DET] += t1 - t0;
+        t->prof[T_MEASURE_RAND] += t2 - t1;
+    }
+}
+
+/* BatchTableauSimulator.reset: measure, then X where it read 1. */
+static void batch_reset(const batch_t *t, int64_t a, const uint8_t *in)
+{
+    batch_measure(t, a, in);
+    for (int64_t s = 0; s < t->B; s++)
+        if (t->outcome[s])
+            batch_pauli(t, a, s, 1, 0);
+}
+
+/* One uniform per shot: Generator.random(B). */
+static void batch_uniforms(const batch_t *t)
+{
+    for (int64_t s = 0; s < t->B; s++)
+        t->u[s] = t->gen->next_double(t->gen->state);
+}
+
+/* NoiseChannel.apply_batch of a depolarize site: u < p / 3 is X, below
+ * 2 p / 3 Y, below p Z; a tilted site banks llr_hit where it fired and
+ * llr_miss elsewhere, unless both are 0. */
+static void batch_depolarize(const batch_t *t, int64_t a, double p,
+                             const double *hit_miss, double *lw)
+{
+    double third = p / 3.0, two_thirds = 2 * third;
+    batch_uniforms(t);
+    if (lw && (hit_miss[0] != 0.0 || hit_miss[1] != 0.0))
+        for (int64_t s = 0; s < t->B; s++)
+            lw[s] += t->u[s] < p ? hit_miss[0] : hit_miss[1];
+    for (int64_t s = 0; s < t->B; s++) {
+        double u = t->u[s];
+        int fx = u < third, fy = u >= third && u < two_thirds;
+        int fz = u >= two_thirds && u < p;
+        if (fx || fy || fz)
+            batch_pauli(t, a, s, fx || fy, fy || fz);
+    }
+}
+
+/* One pass of the stream (len words) from |0..0> on B shots of n
+ * qubits.  The k-th REF_DEPOLARIZE or REF_QUERY entry is site k of
+ * prob[] (and of llr[]: hit per site, then miss per site, NULL on an
+ * untilted run) and draw_certain[]; the m-th REF_MEASURE writes its
+ * outcomes to column cbits[m] of the (B, num_cbits) record.  lw is
+ * the per-shot log-weights, NULL on an untilted run; prof NULL or the
+ * T_STAGES bucket seconds.  The caller holds gen's lock. */
+int64_t repro_tableau_run(const int64_t *stream, int64_t len, int64_t n,
+                          int64_t B, const int64_t *cbits,
+                          int64_t num_measures, int64_t num_cbits,
+                          const double *prob, const uint8_t *draw_certain,
+                          const double *llr, int64_t num_sites, double *lw,
+                          uint8_t *record, bitgen_t *gen, double *prof)
+{
+    int64_t W = (n + 63) / 64, P = (B + 7) / 8 * 8 + 8;
+    batch_t t = {n, W, B, P, 2 * W * P, NULL, NULL, NULL, gen, prof,
+                 NULL, NULL, NULL, NULL, NULL, NULL, NULL};
+    int64_t status = OK, m = 0, k = 0;
+    t.x = calloc((size_t)(n * t.C), sizeof(uint64_t));
+    t.z = calloc((size_t)(n * t.C), sizeof(uint64_t));
+    t.r = calloc((size_t)t.C, sizeof(uint64_t));
+    t.outcome = malloc((size_t)B);
+    t.in = malloc((size_t)B);
+    t.shots = malloc((size_t)B * sizeof(int64_t));
+    t.u = malloc((size_t)B * sizeof(double));
+    t.tgt = malloc((size_t)(6 * W) * sizeof(uint64_t));
+    if (!t.x || !t.z || !t.r || !t.outcome || !t.in || !t.shots || !t.u
+        || !t.tgt) {
+        status = NO_MEMORY;
+        goto done;
+    }
+    t.phase = t.tgt + 2 * W;
+    t.acc = t.phase + 2 * W;
+    for (int64_t q = 0; q < n; q++) {   /* destabilizer X_q, stabilizer Z_q */
+        uint64_t bit = (uint64_t)1 << (q & 63);
+        for (int64_t s = 0; s < B; s++) {
+            t.x[q * t.C + (q >> 6) * P + s] = bit;
+            t.z[q * t.C + (W + (q >> 6)) * P + s] = bit;
+        }
+    }
+    for (int64_t i = 0; i < len;) {
+        int64_t op = stream[i], two = op == REF_CX || op == REF_CZ
+                                      || op == REF_SWAP;
+        if (op < 0 || op >= NUM_REFS || i + 1 + two >= len) {
+            status = BAD_OP;
+            break;
+        }
+        int64_t a = stream[i + 1], b = two ? stream[i + 2] : a;
+        if (a < 0 || a >= n || b < 0 || b >= n) {
+            status = BAD_OP;
+            break;
+        }
+        i += 2 + two;
+        int noise = op == REF_DEPOLARIZE || op == REF_QUERY;
+        if ((noise && k >= num_sites) || (op == REF_MEASURE
+            && (m >= num_measures || cbits[m] < 0 || cbits[m] >= num_cbits))) {
+            status = BAD_OP;
+            break;
+        }
+        double t0 = 0.0, m0 = 0.0;
+        if (prof) {
+            t0 = now();
+            m0 = prof[T_MEASURE_DET] + prof[T_MEASURE_RAND];
+        }
+        switch (op) {
+        case REF_DEPOLARIZE:
+            batch_depolarize(&t, a, prob[k], llr ? (double[2]){
+                llr[k], llr[num_sites + k]} : NULL, llr ? lw : NULL);
+            k++;
+            break;
+        case REF_QUERY:             /* a fault-reset site */
+            if (prob[k] >= 1.0 && !draw_certain[k]) {
+                batch_reset(&t, a, NULL);
+            } else {
+                int any = 0;
+                batch_uniforms(&t);
+                for (int64_t s = 0; s < B; s++)
+                    any |= t.in[s] = t.u[s] < prob[k];
+                if (any)
+                    batch_reset(&t, a, t.in);
+            }
+            k++;
+            break;
+        case REF_MEASURE:
+            batch_measure(&t, a, NULL);
+            for (int64_t s = 0; s < B; s++)
+                record[s * num_cbits + cbits[m]] = t.outcome[s];
+            m++;
+            break;
+        case REF_RESET:
+            batch_reset(&t, a, NULL);
+            break;
+        default:
+            batch_gate(&t, op, a, b);
+        }
+        if (prof)
+            prof[noise ? T_NOISE : T_GATES] += now() - t0
+                - (prof[T_MEASURE_DET] + prof[T_MEASURE_RAND] - m0);
+    }
+    if (status == OK && (m != num_measures || k != num_sites))
+        status = BAD_OP;
+done:
+    free(t.x);
+    free(t.z);
+    free(t.r);
+    free(t.outcome);
+    free(t.in);
+    free(t.shots);
+    free(t.u);
+    free(t.tgt);
     return status;
 }

@@ -4,14 +4,16 @@
 :class:`repro._clib.Loader`.  Whether that worked is decided **once
 per process** by :func:`kernel`: any failure — no compiler, no
 writable cache, a library that will not load, a numpy whose bit
-generators publish no ``ctypes`` interface — leaves the numpy executor
-and the Python reference replay in charge for the life of the process,
-recorded as one ``frames.native_unavailable`` event carrying the
-reason.
+generators publish no ``ctypes`` interface — leaves the numpy executor,
+the Python reference replay and the numpy tableau walk in charge for
+the life of the process, recorded as one ``frames.native_unavailable``
+event carrying the reason.
 
 Imported by :meth:`~repro.frames.simulator.FrameSimulator.run_packed`
-on the first sample and by :func:`~repro.frames.program.frame_structure`
-on the first compile, never by ``import repro``.
+on the first sample, by :func:`~repro.frames.program.frame_structure`
+on the first compile and by
+:func:`~repro.noise.executor.run_batch_noisy` on the first tableau
+run, never by ``import repro``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import ctypes
 import os
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .._clib import Loader
 from .program import OP_KIND
@@ -33,12 +37,11 @@ NUM_OPS = len(OP_KIND)
 
 
 class Kernel:
-    """``repro_frames_run`` of a loaded library, as a Python call, and
-    ``repro_frames_reference`` as :meth:`reference`."""
+    """``repro_frames_run`` of a loaded library, as a Python call,
+    ``repro_frames_reference`` as :meth:`reference` and
+    ``repro_tableau_run`` as :meth:`tableau`."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
-        import numpy as np
-
         # The kernel draws through the bitgen_t numpy publishes here.
         np.random.PCG64(0).ctypes.bit_generator.value
         run = lib.repro_frames_run
@@ -55,6 +58,14 @@ class Kernel:
         ref.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 2  # stream, n
                         + [ctypes.c_void_p] * 3)          # gen results out
         self._reference = ref
+        tab = lib.repro_tableau_run
+        tab.restype = ctypes.c_int64
+        tab.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3  # stream n B
+                        + [ctypes.c_void_p] + [ctypes.c_int64] * 2  # cbits
+                        + [ctypes.c_void_p] * 3     # prob draw_certain llr
+                        + [ctypes.c_int64]          # sites
+                        + [ctypes.c_void_p] * 4)    # lw record gen prof
+        self._tableau = tab
 
     def __call__(self, code, start: int, stop: int, prob, log_ratios,
                  log_weights, x, z, record_words,
@@ -104,8 +115,6 @@ class Kernel:
         """:func:`~repro.frames.program.replay_reference` of ``stream``
         on ``num_qubits`` qubits, drawing through ``rng``'s bit
         generator with its lock held."""
-        import numpy as np
-
         code = np.asarray(stream, dtype=np.int64)
         results = np.zeros(code.size // 2 + 1, dtype=np.int64)
         out = (ctypes.c_int64 * 2)()
@@ -123,6 +132,47 @@ class Kernel:
         if status != OK:
             raise RuntimeError(f"native reference pass: status {status}")
         return results[:out[0]].tolist(), bool(out[1])
+
+    def tableau(self, program, batch_size: int, rng, weighted: bool,
+                profile: bool = False
+                ) -> Tuple[np.ndarray, Optional[np.ndarray],
+                           Optional[List[float]]]:
+        """``batch_size`` shots of a bound ``program``'s circuit and
+        noise on the batched tableau, drawing through ``rng``'s bit
+        generator with its lock held — the records, generator state and
+        (``weighted``) log-weights the numpy walk of
+        :func:`~repro.noise.executor.run_batch_noisy` gives.
+
+        Returns the ``(B, cbits)`` uint8 records, the per-shot
+        log-weights (``None`` unless ``weighted``) and — with
+        ``profile`` — the seconds of the gates, deterministic and
+        random measurements and noise.
+        """
+        structure = program.structure
+        stream = structure.reference_stream
+        slots = structure.answer_slots[:, 3]
+        cbits = np.ascontiguousarray(slots[slots >= 0])
+        prob = program.probabilities
+        llr = program.log_ratios if weighted else None
+        records = np.zeros((batch_size, structure.num_cbits), dtype=np.uint8)
+        log_weights = np.zeros(batch_size) if weighted else None
+        acc = (ctypes.c_double * 4)() if profile else None
+        bit_generator = rng.bit_generator
+        with bit_generator.lock:
+            status = self._tableau(
+                stream.ctypes.data, stream.size, structure.num_qubits,
+                batch_size, cbits.ctypes.data, cbits.size,
+                structure.num_cbits, prob.ctypes.data,
+                structure.draw_certain.ctypes.data,
+                None if llr is None else llr.ctypes.data, prob.size,
+                None if log_weights is None else log_weights.ctypes.data,
+                records.ctypes.data,
+                bit_generator.ctypes.bit_generator.value, acc)
+        if status == NO_MEMORY:
+            raise MemoryError("native tableau executor")
+        if status != OK:
+            raise RuntimeError(f"native tableau executor: status {status}")
+        return records, log_weights, None if acc is None else list(acc)
 
 
 _LOADER = Loader(SOURCE, "frames-kernel", "frames.native_unavailable",

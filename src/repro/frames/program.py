@@ -14,7 +14,13 @@ qubit holds a definite ``Z`` value there, and which.  The one Python
 walk of :func:`frame_structure` builds the scalar op list and, beside
 it, a flat int64 *reference stream*: an opcode (``REF_*``) and its
 qubits per gate — the Paulis too, which move reference signs but no
-frame — and one ``REF_QUERY`` per fault-reset site.  Measure and
+frame — and the *noise entries*, in walk order: one ``REF_QUERY`` per
+fault-reset site and one ``REF_DEPOLARIZE`` per depolarize site, so
+that the k-th noise entry is site k.  The reference pass answers every
+query and skips every depolarize entry; the native tableau executor
+(:func:`~repro.noise.executor.run_batch_noisy`'s ``"tableau"``) runs
+the whole stream, noise entries included, over a bound program's
+probabilities.  Measure and
 fault-reset ops are appended, fused and encoded with their reference
 operands blank; the stream's answers are written in afterwards.  The
 stream runs on
@@ -284,13 +290,19 @@ class FrameStructure:
     #: :func:`encode_ops` of :attr:`ops`, shared by every bound program.
     code: np.ndarray
     #: The int64 reference stream the walk wrote (read-only): what
-    #: :meth:`reseed` runs the reference pass over again.
+    #: :meth:`reseed` runs the reference pass over again, and what the
+    #: native tableau executes — its noise entries are the sites in
+    #: order.
     reference_stream: np.ndarray
     #: ``(answers, 4)`` int64, one row per measure and fault-reset
     #: answer in stream order: its op's index in :attr:`ops`, its
     #: element in a ``MEASURE_LAYER`` or -1, its word in :attr:`code`,
     #: and its cbit (-1 for a fault reset).
     answer_slots: np.ndarray
+    #: Per site, its table's :attr:`~repro.noise.base.SiteTable.
+    #: draw_certain` (uint8, read-only): whether the tableau draws at a
+    #: reset site of probability 1.
+    draw_certain: np.ndarray
 
     def reseed(self, rng: Union[np.random.Generator, int, None]
                ) -> "FrameStructure":
@@ -668,8 +680,10 @@ def supports_noise(noise: Optional[NoiseModel]) -> bool:
 
 #: Reference-stream opcodes (``_kernel.c``'s ``REF_*``): each entry is
 #: the opcode and its qubits — two for CX, CZ and SWAP, one otherwise.
+#: ``REF_QUERY`` and ``REF_DEPOLARIZE`` are the noise entries, one per
+#: fault-reset and depolarize site: the k-th of them is site k.
 REF_X, REF_Y, REF_Z, REF_H, REF_S, REF_SDG, REF_CX, REF_CZ, REF_SWAP, \
-    REF_RESET, REF_MEASURE, REF_QUERY = range(12)
+    REF_RESET, REF_MEASURE, REF_QUERY, REF_DEPOLARIZE = range(13)
 
 #: Gate type → (reference opcode or ``None``, frame opcode or ``None``).
 _LOWERING = {
@@ -745,6 +759,8 @@ def replay_reference(stream: Sequence[int], num_qubits: int,
         elif code == REF_QUERY:
             value = _z_determinate(sim, q)
             results.append(_INDEFINITE if value is None else value)
+        elif code == REF_DEPOLARIZE:
+            continue    # a noise site: the reference is noiseless
         else:
             _TABLEAU_GATES[code](tab, q)
     return results, drew
@@ -808,6 +824,7 @@ def frame_structure(circuit: Circuit,
     ops: List[Tuple] = []
     stream: List[int] = []
     site_source: List[int] = []
+    draw_certain: List[bool] = []
     if noise is not None:
         noise.begin_run()
 
@@ -834,7 +851,9 @@ def frame_structure(circuit: Circuit,
             for q in qubits:
                 site = len(site_source)
                 site_source.append(start + r * n + q)
+                draw_certain.append(t.draw_certain)
                 if t.kind == DEPOLARIZE:
+                    stream.extend((REF_DEPOLARIZE, q))
                     ops.append((OP_DEPOLARIZE, q, site))
                 else:
                     stream.extend((REF_QUERY, q))
@@ -854,6 +873,8 @@ def frame_structure(circuit: Circuit,
     reference_stream.flags.writeable = False
     answer_slots = np.array(slots, dtype=np.int64).reshape(-1, 4)
     answer_slots.flags.writeable = False
+    certain = np.array(draw_certain, dtype=np.uint8)
+    certain.flags.writeable = False
     blank = FrameStructure(
         num_qubits=n,
         num_cbits=num_cbits,
@@ -870,6 +891,7 @@ def frame_structure(circuit: Circuit,
         code=code,
         reference_stream=reference_stream,
         answer_slots=answer_slots,
+        draw_certain=certain,
     )
     structure = blank._answered(rng)
     _OBS_COMPILES.inc()

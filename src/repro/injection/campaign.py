@@ -191,6 +191,37 @@ def _structure_cell(code: CodeSpec, rounds: int, basis: str,
     return _StructureCell()
 
 
+def _point_cell(task: InjectionTask, experiment: MemoryExperiment,
+                noise: NoiseModel) -> _StructureCell:
+    """The memo cell of the point's circuit and site signature; raises
+    :class:`~repro.frames.FrameLoweringError` when a channel has no
+    lowering."""
+    return _structure_cell(
+        task.code, task.rounds, task.basis, task.arch, task.layout,
+        site_signature(noise, experiment.circuit.num_qubits))
+
+
+def _bound(cell: _StructureCell, task: InjectionTask,
+           experiment: MemoryExperiment, noise: NoiseModel,
+           tilt: Optional[SamplerSpec], reseed: bool) -> FrameProgram:
+    """The point's program from its cell: on an empty cell a compile at
+    the task's reference seed that fills it, else the cell's structure
+    — reseeded at that seed first when ``reseed`` and its reference
+    pass drew from its seed — bound to ``noise`` with ``tilt``."""
+    with obs.span("compile"):
+        structure = cell.structure
+        if structure is None:
+            program = compile_frame_program(
+                experiment.circuit, noise, rng=frame_ref_seed(task.seed),
+                tilt=tilt)
+            cell.structure = program.structure
+            cell.exact = program.exact_noise
+            return program
+        if reseed and structure.seeded:
+            structure = structure.reseed(frame_ref_seed(task.seed))
+        return structure.bind(noise, tilt)
+
+
 def _frame_program(task: InjectionTask, experiment: MemoryExperiment,
                    noise: NoiseModel, tilt: Optional[SamplerSpec] = None
                    ) -> Optional[FrameProgram]:
@@ -223,23 +254,10 @@ def _frame_program(task: InjectionTask, experiment: MemoryExperiment,
     auto = task.backend == "auto"
     program = None
     try:
-        cell = _structure_cell(
-            task.code, task.rounds, task.basis, task.arch, task.layout,
-            site_signature(noise, experiment.circuit.num_qubits))
+        cell = _point_cell(task, experiment, noise)
         if not (auto and cell.exact is False):
-            with obs.span("compile"):
-                structure = cell.structure
-                if structure is None:
-                    program = compile_frame_program(
-                        experiment.circuit, noise,
-                        rng=frame_ref_seed(task.seed), tilt=tilt)
-                    cell.structure = program.structure
-                    cell.exact = program.exact_noise
-                else:
-                    if structure.seeded:
-                        structure = structure.reseed(
-                            frame_ref_seed(task.seed))
-                    program = structure.bind(noise, tilt)
+            program = _bound(cell, task, experiment, noise, tilt,
+                             reseed=True)
     except FrameLoweringError:
         if not auto:
             raise
@@ -247,6 +265,28 @@ def _frame_program(task: InjectionTask, experiment: MemoryExperiment,
         _OBS_FALLBACKS.inc()
         return None
     return program
+
+
+def _tableau_program(task: InjectionTask, experiment: MemoryExperiment,
+                     noise: NoiseModel, tilt: Optional[SamplerSpec] = None
+                     ) -> Optional[FrameProgram]:
+    """The program the native tableau executes for a point that runs on
+    the tableau: its cell's structure bound to the point's noise (with
+    ``tilt``) — never reseeded, since the tableau reads no reference
+    answer — or, on an empty cell, a compile that fills it.
+
+    ``None`` where a channel has no lowering or the kernel library does
+    not load: the numpy tableau walks the circuit without a program.
+    """
+    from ..frames import _native    # the first tableau point
+
+    if _native.kernel() is None:
+        return None
+    try:
+        cell = _point_cell(task, experiment, noise)
+    except FrameLoweringError:
+        return None
+    return _bound(cell, task, experiment, noise, tilt, reseed=False)
 
 
 @lru_cache(maxsize=256)
@@ -264,12 +304,12 @@ def _resolved_sampler(task: InjectionTask) -> SamplerSpec:
     """
     probe = dataclasses.replace(
         task, sampler=dataclasses.replace(task.sampler, tilt=1.0))
-    experiment, decoder, noise, program, _ = _task_context(probe)
+    experiment, decoder, noise, program, _, tableau = _task_context(probe)
     # Imported lazily (the pilot executes blocks through this module's
     # own block runner).
     from ..rare.pilot import resolve_tilt
 
-    return resolve_tilt(task, experiment, decoder, noise, program)
+    return resolve_tilt(task, experiment, decoder, noise, program, tableau)
 
 
 @lru_cache(maxsize=64)
@@ -277,7 +317,9 @@ def _task_context(task: InjectionTask):
     """Worker-side cache of everything a chunk execution needs.
 
     ``(experiment, base decoder, noise model, frame program, resolved
-    sampler)`` depend only on the task spec, so they are shared by every
+    sampler, tableau program)`` — the last the native tableau's binding
+    of a point without a frame program (:func:`_tableau_program`) —
+    depend only on the task spec, so they are shared by every
     chunk of the task — crucial for the parallel scheduler, whose
     workers execute a task's blocks one small lease at a time: without
     this cache each lease would re-run the reference pass, the noise
@@ -296,20 +338,23 @@ def _task_context(task: InjectionTask):
     sampler = task.sampler
     if sampler.auto_tilt:
         sampler = _resolved_sampler(task)
-    program = _frame_program(task, experiment, noise,
-                             sampler if sampler.kind == "tilt" else None)
+    tilt = sampler if sampler.kind == "tilt" else None
+    program = _frame_program(task, experiment, noise, tilt)
     if sampler.kind == "split" and program is None:
         raise ValueError(
             "sampler 'split' resamples bit-packed frame batches and "
             "needs the frame backend; set backend='frames' (or 'auto' "
             "with an exactly-lowerable noise model)")
-    return experiment, decoder, noise, program, sampler
+    tableau = None if program is not None else _tableau_program(
+        task, experiment, noise, tilt)
+    return experiment, decoder, noise, program, sampler, tableau
 
 
 def execute_block(experiment: MemoryExperiment, decoder, noise, program,
                   sampler: SamplerSpec, sizes: Sequence[int],
                   rngs: Sequence[np.random.Generator],
-                  recovery: str = "static") -> List[Tuple]:
+                  recovery: str = "static",
+                  tableau: Optional[FrameProgram] = None) -> List[Tuple]:
     """Run + decode a span of simulation blocks under a sampling
     measure: block ``i`` holds ``sizes[i]`` shots drawn from
     ``rngs[i]`` alone.
@@ -332,7 +377,9 @@ def execute_block(experiment: MemoryExperiment, decoder, noise, program,
     :class:`~repro.frames.FrameSimulator` — and a static decoder
     decodes it in one call (a decode is a pure function of the shot's
     pattern).  The splitting sampler resamples its batch and the
-    tableau has no lanes: those run block by block.
+    tableau has no lanes: those run block by block.  Without a frame
+    ``program`` a block runs on the tableau, natively from ``tableau``
+    (:func:`_tableau_program`) when given.
 
     ``recovery`` other than ``"static"`` decodes each block through a
     fresh :class:`~repro.detect.recovery.BurstAdaptiveDecoder`: it
@@ -367,7 +414,7 @@ def execute_block(experiment: MemoryExperiment, decoder, noise, program,
                 else:
                     records = run_batch_noisy(
                         experiment.circuit, noise, size, rng=rng,
-                        backend="tableau", tilt=tilt)
+                        backend="tableau", tilt=tilt, program=tableau)
                     if tilt is not None:
                         records, weights = records
                     batch = SyndromeBatch.from_records(records)
@@ -450,7 +497,8 @@ def iter_task_chunks(task: InjectionTask,
     # program (the reference pass + lowered noise) and the resolved
     # sampling measure are shared by every block of every chunk, across
     # however many calls schedule them.
-    experiment, decoder, noise, program, sampler = _task_context(task)
+    experiment, decoder, noise, program, sampler, tableau = \
+        _task_context(task)
     wide = WIDE_BLOCKS * SIM_BLOCK
     pos = chunk_start = start_shot
     chunk_end = min(total, pos + chunk)
@@ -469,7 +517,7 @@ def iter_task_chunks(task: InjectionTask,
         blocks = execute_block(
             experiment, decoder, noise, program, sampler, sizes,
             [np.random.default_rng(block_seed(task.seed, block // SIM_BLOCK))
-             for block in starts], task.recovery)
+             for block in starts], task.recovery, tableau)
         # The span's wall, apportioned by shots: chunk times stay sums
         # of real time.
         per_shot = (time.perf_counter() - t0) / (end - pos)

@@ -6,9 +6,16 @@ rows here — the campaign engine takes the frame backend's packed words
 directly, and rows become words when they enter a
 :class:`~repro.decoders.batch.SyndromeBatch`.
 
-* ``"tableau"`` — walk the circuit gate by gate on the batched CHP
-  tableau simulator, letting the noise model inject errors through the
-  masked gate API.  Exact for anything a channel can express.
+* ``"tableau"`` — walk the circuit gate by gate on batched CHP
+  tableaus.  Exact for anything a channel can express.  Whenever every
+  channel lowers to a site table and the frames library loads, the
+  walk runs natively (``_kernel.c``'s ``repro_tableau_run``) over the
+  compiled structure's reference stream, whose noise entries are the
+  sites (``stabilizer.native_blocks``); otherwise the numpy
+  :class:`~repro.stabilizer.batch.BatchTableauSimulator` walks it and
+  the noise model injects errors through the masked gate API
+  (``stabilizer.numpy_blocks``).  Records and generator state are the
+  same either way.
 * ``"frames"`` — compile the circuit + noise into a bit-packed
   Pauli-frame program (:mod:`repro.frames`) and propagate 64 shots per
   word.  Orders of magnitude faster; requires every channel to lower
@@ -28,16 +35,24 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .. import obs
 from ..circuits import Circuit, GateType
 from ..obs import prof as _prof
 from ..stabilizer.batch import BatchTableauSimulator
 from .base import NoiseModel
 
+_OBS_NATIVE = obs.counter("stabilizer.native_blocks")
+_OBS_NUMPY = obs.counter("stabilizer.numpy_blocks")
+
+#: The profiler stages of a tableau walk, in ``_kernel.c``'s bucket order.
+_STAGES = ("tableau.gates", "tableau.measure_det", "tableau.measure_rand",
+           "tableau.noise")
+
 
 def run_batch_noisy(circuit: Circuit, noise: Optional[NoiseModel],
                     batch_size: int,
                     rng: Union[np.random.Generator, int, None] = None,
-                    backend: str = "auto", tilt=None):
+                    backend: str = "auto", tilt=None, program=None):
     """Run ``batch_size`` noisy shots; returns records ``(B, cbits)``.
 
     Noise channels fire after each gate in model order.  A single RNG
@@ -53,6 +68,11 @@ def run_batch_noisy(circuit: Circuit, noise: Optional[NoiseModel],
     :meth:`~repro.noise.base.SiteTable.tilted`, and the call returns
     ``(records, weights)``: the records and each shot's importance
     weight.
+
+    ``program`` is read on the tableau path only: a
+    :class:`~repro.frames.FrameProgram` bound from a structure of
+    ``circuit`` and ``noise`` (with ``tilt``), which the native tableau
+    executes instead of compiling one of its own.
     """
     # Imported lazily: repro.frames consumes this package's channel
     # types, so a module-level import would be circular.
@@ -77,22 +97,48 @@ def run_batch_noisy(circuit: Circuit, noise: Optional[NoiseModel],
         frame_rng = np.random.Generator(type(rng.bit_generator)())
         frame_rng.bit_generator.state = rng.bit_generator.state
         try:
-            program = compile_frame_program(circuit, noise, rng=frame_rng,
-                                            tilt=tilt)
+            compiled = compile_frame_program(circuit, noise, rng=frame_rng,
+                                             tilt=tilt)
         except FrameLoweringError:
             if backend == "frames":
                 raise
-            program = None  # auto: anything uncompilable takes tableau
-        if program is not None and (backend == "frames"
-                                    or program.exact_noise):
+            compiled = None  # auto: anything uncompilable takes tableau
+        if compiled is not None and (backend == "frames"
+                                     or compiled.exact_noise):
             sim = FrameSimulator(circuit.num_qubits, batch_size,
                                  rng=frame_rng)
-            records = sim.run(program)
+            records = sim.run(compiled)
             rng.bit_generator.state = frame_rng.bit_generator.state
             return records if tilt is None else (records, sim.shot_weights())
+        if program is None:
+            program = compiled
     elif backend == "frames":
         raise FrameLoweringError(
             "noise model has channels without a frame lowering")
+    kernel = None
+    if supports_noise(noise):
+        from ..frames import _native    # the first tableau run
+
+        kernel = _native.kernel()
+    if kernel is not None:
+        if batch_size <= 0:
+            raise ValueError("need at least one shot")
+        if program is None:
+            # The tableau reads no reference answer: compile on a
+            # scratch generator and leave the caller's stream alone.
+            program = compile_frame_program(
+                circuit, noise, rng=np.random.default_rng(0), tilt=tilt)
+        elif program.num_qubits != circuit.num_qubits:
+            raise ValueError("program compiled for another register width")
+        _OBS_NATIVE.inc()
+        prof = _prof._ACTIVE
+        records, log_weights, stages = kernel.tableau(
+            program, batch_size, rng, tilt is not None, prof is not None)
+        if prof is not None:
+            for name, seconds in zip(_STAGES, stages):
+                prof.stage(name, seconds)
+        return records if tilt is None else (records, np.exp(log_weights))
+    _OBS_NUMPY.inc()
     sim = BatchTableauSimulator(circuit.num_qubits, batch_size, rng=rng)
     record = np.zeros((batch_size, max(circuit.num_cbits, 1)), dtype=np.uint8)
     if tilt is not None:

@@ -184,8 +184,10 @@ def render_report(path: Union[str, Sequence[str]]) -> str:
     blocks = counters.get("frames.blocks", 0)
     binds = counters.get("frames.binds", 0)
     fallbacks = counters.get("engine.backend_fallbacks", 0)
-    if blocks or binds or fallbacks:
-        lines += _section("frames sampler")
+    native = counters.get("stabilizer.native_blocks", 0)
+    numpy_blocks = counters.get("stabilizer.numpy_blocks", 0)
+    if blocks or binds or fallbacks or native or numpy_blocks:
+        lines += _section("samplers")
         lines.append(f"frames  {blocks:,} blocks, "
                      f"{counters.get('frames.ops', 0):,} ops "
                      f"({counters.get('frames.fused_ops', 0):,} fused); "
@@ -205,6 +207,9 @@ def render_report(path: Union[str, Sequence[str]]) -> str:
                      f"native / "
                      f"{counters.get('frames.python_compiles', 0):,} "
                      f"python compile(s)")
+        lines.append(f"tableau sampler  {native + numpy_blocks:,} "
+                     f"block(s): executor {native:,} native / "
+                     f"{numpy_blocks:,} numpy")
 
     hits = counters.get("decode.cache_hits", 0)
     misses = counters.get("decode.cache_misses", 0)

@@ -93,12 +93,13 @@ class PilotRung:
 
 def run_pilot(task, experiment, decoder, noise, program,
               sampler: SamplerSpec,
-              tilts=PILOT_TILTS) -> List[PilotRung]:
+              tilts=PILOT_TILTS, tableau=None) -> List[PilotRung]:
     """Execute the pilot ladder for one task; returns per-rung stats.
 
-    ``experiment``/``decoder``/``noise``/``program`` come from the
-    caller's task context (the pilot never recompiles them: a frame
-    program's structure is bound afresh under each rung's tilt).  Each
+    ``experiment``/``decoder``/``noise``/``program``/``tableau`` come
+    from the caller's task context (the pilot never recompiles them: a
+    frame or tableau program's structure is bound afresh under each
+    rung's tilt).  Each
     rung runs ``sampler.pilot_shots`` shots in ``_PILOT_BLOCK``-sized
     batches on its own reserved seed path.
     """
@@ -109,8 +110,10 @@ def run_pilot(task, experiment, decoder, noise, program,
         rung_sampler = dataclasses.replace(
             sampler, kind="tilt" if tilt != 1.0 else "mc",
             tilt=float(tilt))
-        rung_program = None if program is None else program.structure.bind(
-            noise, rung_sampler if rung_sampler.kind == "tilt" else None)
+        rung_tilt = rung_sampler if rung_sampler.kind == "tilt" else None
+        rung_program, rung_tableau = (
+            None if p is None else p.structure.bind(noise, rung_tilt)
+            for p in (program, tableau))
         errors = 0
         stats = WeightStats()
         done = 0
@@ -121,7 +124,7 @@ def run_pilot(task, experiment, decoder, noise, program,
                 derive_seed(task.seed, 3, k, block))
             (b_err, _, _, b_stats), = execute_block(
                 experiment, decoder, noise, rung_program, rung_sampler,
-                [size], [rng])
+                [size], [rng], tableau=rung_tableau)
             errors += b_err
             if b_stats is None:
                 b_stats = WeightStats.from_counts(size, b_err)
@@ -150,13 +153,13 @@ def choose_tilt(rungs: List[PilotRung], target_rel: float) -> float:
     return best.tilt
 
 
-def resolve_tilt(task, experiment, decoder, noise, program
+def resolve_tilt(task, experiment, decoder, noise, program, tableau=None
                  ) -> SamplerSpec:
     """Resolve an auto-tilt sampler to a concrete pinned tilt."""
     sampler = task.sampler
     with obs.span("pilot"):
         rungs = run_pilot(task, experiment, decoder, noise, program,
-                          sampler)
+                          sampler, tableau=tableau)
         tilt = choose_tilt(rungs, sampler.target_rel)
     obs.counter("rare.pilots").inc()
     obs.gauge("rare.pilot_tilt").set(max(1.0, float(tilt)))
@@ -176,10 +179,11 @@ def pilot_report(task, target_rel: Optional[float] = None
     base = dataclasses.replace(
         task, sampler=dataclasses.replace(task.sampler, kind="tilt",
                                           tilt=pinned))
-    experiment, decoder, noise, program, _ = _task_context(base)
+    experiment, decoder, noise, program, _, tableau = _task_context(base)
     sampler = base.sampler
     rel = sampler.target_rel if target_rel is None else target_rel
-    rungs = run_pilot(base, experiment, decoder, noise, program, sampler)
+    rungs = run_pilot(base, experiment, decoder, noise, program, sampler,
+                      tableau=tableau)
     chosen = choose_tilt(rungs, rel)
     rows = []
     for rung in rungs:

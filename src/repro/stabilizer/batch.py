@@ -4,6 +4,14 @@ Simulates ``B`` independent shots of a Clifford + measure/reset circuit
 simultaneously, holding all ``B`` tableaus in contiguous NumPy arrays
 and applying every operation across the batch in vectorized form.
 
+It is the reference and the fallback of the tableau backend: campaigns
+and :func:`~repro.noise.executor.run_batch_noisy` run the same walk in
+``frames/_kernel.c`` (``repro_tableau_run``) wherever that library
+loads and the noise lowers to a site table, and come here for channels
+without one (:class:`~repro.logical.LogicalFaultChannel`) or on a host
+without a compiler.  Both give one record and leave the generator in
+one state (``tests/test_tableau_native.py``).
+
 Layout: column-major with the tableau rows bit-packed.  ``x`` and ``z``
 are ``(n, 2, Wn, B)`` uint64 and ``r`` is ``(2, Wn, B)``, where ``half``
 0 holds the destabilizers, 1 the stabilizers, ``Wn = ceil(n / 64)`` and
@@ -22,13 +30,18 @@ noise executor applies a Pauli error to exactly the shots that sampled
 one.  Masked measurement/reset handle the per-shot branching between
 deterministic and random outcomes without leaving NumPy.
 
-Draw contract: the only randomness is one ``rng.integers(0, 2, size=k,
-dtype=uint8)`` per measurement with a random branch, over its ``k``
-random-branch shots in ascending order; the pivot is the first
-stabilizer row holding ``X_a`` and the destabilizer slot receives the
-old pivot row, so every shot's tableau equals the single-shot
-:class:`~repro.stabilizer.tableau.Tableau` reference bit for bit
-(``tests/test_tableau_stream.py`` pins records and generator state).
+Draw contract: the only randomness here is one ``rng.integers(0, 2,
+size=k, dtype=uint8)`` per measurement with a random branch, over its
+``k`` random-branch shots in ascending order — byte for byte,
+``ceil(k / 4)`` ``next_uint32`` calls, shot ``j``'s outcome bit 7 of
+byte ``j % 4`` of word ``j // 4`` (numpy's bounded Lemire draw on a
+range of 2 keeps the top bit and never rejects); the noise walk adds
+one ``rng.random(B)`` (``B`` ``next_double`` calls) per drawing site.
+The pivot is the first stabilizer row holding ``X_a`` and the
+destabilizer slot receives the old pivot row, so every shot's tableau
+equals the single-shot :class:`~repro.stabilizer.tableau.Tableau`
+reference bit for bit (``tests/test_tableau_stream.py`` pins records
+and generator state).
 
 Memory: ``32 n Wn`` bytes per shot plus the sign words; for the paper's
 largest code (30 qubits) and 10⁴ shots this is ~10 MB.

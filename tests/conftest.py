@@ -8,9 +8,10 @@ from repro.frames import _native
 
 @pytest.fixture(params=["numpy", "native"])
 def executor(request, monkeypatch):
-    """Run the test once per frame-program executor.  ``numpy`` patches
-    the loader out, so ``run_packed`` takes the ``_HANDLER`` table as
-    on a host without a compiler; ``native`` needs the kernel built."""
+    """Run the test once per executor of the frames library.  ``numpy``
+    patches the loader out, so ``run_packed`` takes the ``_HANDLER``
+    table and the tableau backend the numpy walk, as on a host without
+    a compiler; ``native`` needs the kernel built."""
     if request.param == "numpy":
         monkeypatch.setattr(_native, "kernel", lambda: None)
     elif _native.kernel() is None:

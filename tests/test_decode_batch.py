@@ -765,7 +765,7 @@ class TestCacheHitRate:
         task = InjectionTask(code=CodeSpec("xxzz", (5, 5)),
                              intrinsic_p=5e-4, rounds=5, backend="frames",
                              shots=512, seed=21)
-        experiment, decoder, noise, program, sampler = _task_context(task)
+        experiment, decoder, noise, program, sampler, _ = _task_context(task)
         execute_block(experiment, decoder, noise, program, sampler,
                       [512], [np.random.default_rng(0)])
         info = decoder.cache_info

@@ -429,6 +429,9 @@ class TestSiteAgreement:
 
         assert supports_noise(noise())
         sites = len(frame_structure(circuit, noise(), rng=0).site_source)
+        # The numpy walk is the interpreter under test (the native one
+        # executes the structure's own stream).
+        monkeypatch.setattr(_native, "kernel", lambda: None)
         # Every site draws one uniform row, except a certain erasure,
         # which resets every shot unmasked — as a circuit reset does.
         unmasked = [0]
@@ -548,7 +551,7 @@ def programs():
         arch=ArchSpec("mesh", (5, 4)),
         fault=FaultSpec(kind="radiation", root_qubit=2, time_index=1),
         intrinsic_p=1e-2, backend="frames", shots=512, seed=13)
-    experiment, _, _, program, _ = _task_context(routed)
+    experiment, _, _, program, _, _ = _task_context(routed)
     assert program.exact_reset_sites > 0
     out["transpiled-strike"] = (experiment.circuit.num_qubits, program)
     return out

@@ -370,6 +370,8 @@ class TestReport:
                       "frames.compiles": 1, "frames.binds": 3,
                       "frames.reseeds": 2, "frames.native_compiles": 3,
                       "engine.backend_fallbacks": 3,
+                      "stabilizer.native_blocks": 3,
+                      "stabilizer.numpy_blocks": 0,
                       "rare.pilot_shots": 6144},
          "gauges": {"rare.pilot_tilt": 8.0, "rare.ess": 512.5},
          "spans": {"sample": {"total_s": 1.5, "count": 8,
@@ -407,6 +409,8 @@ class TestReport:
                 "3 auto fallback(s) to the tableau; executor 6 native / "
                 "2 numpy block(s), reference 3 native / 0 python "
                 "compile(s)") in text
+        assert ("tableau sampler  3 block(s): executor 3 native / 0 numpy"
+                in text)
         assert "leases dispatched  8 (1 steal refill(s))" in text
         assert "worker crashes     1 (2 lease(s) requeued)" in text
         assert "worker 0: 2,048 shots, 205 sh/s" in text

@@ -172,19 +172,24 @@ class TestProfiler:
         assert snap["paths"]["decode/decode.matcher"]["self_s"] \
             <= matcher["total_s"] - blossom["total_s"] + 2e-6
 
-    def test_tableau_fallback_is_attributed(self):
+    def test_tableau_fallback_is_attributed(self, executor):
         """An ``auto`` XXZZ strike resets entangled data qubits, falls
         back to the batched tableau, and its ``sample`` span splits into
-        the four tableau stages — once per block, counts untouched."""
+        the four tableau stages — once per block, counts untouched.  The
+        numpy walk clocks them in Python, the native one in C: either
+        way all four appear and sum to no more than the span."""
         strike = InjectionTask(
             code=CodeSpec("xxzz", (3, 3)), intrinsic_p=1e-3,
             fault=FaultSpec(kind="radiation", root_qubit=2, time_index=0),
             backend="auto", shots=1024, seed=7)
         baseline = run_task(strike)
+        obs.reset()
         with prof.profile() as p:
             profiled = run_task(strike)
         assert (profiled.shots, profiled.errors) \
             == (baseline.shots, baseline.errors)
+        counters = obs.registry().snapshot()["counters"]
+        assert counters[f"stabilizer.{executor}_blocks"] == 2
         snap = p.snapshot()
         sample = snap["paths"]["sample"]
         parts = 0.0
@@ -193,7 +198,10 @@ class TestProfiler:
             assert snap["stages"][name]["calls"] == 2  # 512-shot blocks
             assert snap["stages"][name]["total_s"] > 0.0
             parts += snap["paths"][f"sample/{name}"]["total_s"]
-        assert 0.9 * sample["total_s"] <= parts <= sample["total_s"] + 1e-5
+        assert parts <= sample["total_s"] + 1e-5
+        if executor == "numpy":
+            # the Python walk is nearly all of the span
+            assert 0.9 * sample["total_s"] <= parts
         assert not snap["kernels"]  # no frames block ran
 
     def test_flame_lines_collapsed_stack_format(self):

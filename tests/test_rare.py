@@ -18,7 +18,7 @@ import pytest
 from repro import obs
 from repro.circuits import Circuit
 from repro.codes import XXZZCode, build_memory_experiment
-from repro.frames import FrameSimulator, frame_structure
+from repro.frames import FrameSimulator, _native, frame_structure
 from repro.injection import Campaign, CodeSpec, FaultSpec, InjectionTask
 from repro.injection.adaptive import AdaptivePolicy
 from repro.injection.campaign import (_task_context, iter_task_chunks,
@@ -269,11 +269,11 @@ class TestWeightProperties:
                                          backend=backend, tilt=spec)
             assert np.all(weights == 1.0)
 
-    def test_tilted_tableau_stream_matches_plain_at_q_eq_p(self):
+    def test_tilted_tableau_stream_matches_plain_at_q_eq_p(self, executor):
         """The tableau tilts in its one interpreter: at ``q == p`` the
         tilted walk must draw and flip exactly as the plain walk —
         records and generator state bit-identical — and leave every
-        shot at unit weight."""
+        shot at unit weight, on either executor."""
         circuit = build_memory_experiment(XXZZCode(3, 3)).circuit
         n = circuit.num_qubits
         event = RadiationEvent(2, {q: abs(q - 2) for q in range(n)},
@@ -287,8 +287,9 @@ class TestWeightProperties:
             got, weights = run_batch_noisy(circuit, plain, batch,
                                            rng=rngs[1], backend="tableau",
                                            tilt=spec)
-            # the walk did read the tilted table
-            assert plain.channels[0].walk_table(n).llr is not None
+            if executor == "numpy":
+                # the walk did read the tilted table
+                assert plain.channels[0].walk_table(n).llr is not None
             assert np.array_equal(got, want)
             assert (rngs[1].bit_generator.state
                     == rngs[0].bit_generator.state)
@@ -382,6 +383,9 @@ class TestWeightProperties:
 
         seen = []
         interpret = NoiseChannel.apply_batch
+        # The numpy walk is the interpreter under test (the native one
+        # executes the bound program itself).
+        monkeypatch.setattr(_native, "kernel", lambda: None)
 
         def spy(channel, gate, sim, rng):
             t = channel.walk_table(sim.n)
@@ -430,7 +434,7 @@ class TestSplitting:
                              backend="frames", rounds=4)
         from repro.rare.split import split_points
 
-        experiment, _, _, program, _ = _task_context(task)
+        experiment, _, _, program, _, _ = _task_context(task)
         points = split_points(program, experiment, 3)
         assert 1 <= len(points) <= 3
         rounds_done = [r for _, r in points]
@@ -448,7 +452,7 @@ class TestSplitting:
         task = moderate_task(SamplerSpec(kind="split", levels=rounds),
                              code=CodeSpec("xxzz", (distance, distance)),
                              backend="frames", rounds=rounds)
-        experiment, _, _, program, _ = _task_context(task)
+        experiment, _, _, program, _, _ = _task_context(task)
         points = split_points(program, experiment, rounds)
         assert len(points) == rounds - 1
         for op_index, rounds_done in points:
@@ -634,7 +638,7 @@ class TestPilot:
         task = moderate_task(
             SamplerSpec(kind="tilt", tilt=0.0, pilot_shots=512),
             intrinsic_p=0.002, shots=1024, seed=13)
-        experiment, decoder, noise, program, _ = _task_context(
+        experiment, decoder, noise, program, _, _ = _task_context(
             dataclasses.replace(task, sampler=SamplerSpec(
                 kind="tilt", tilt=2.0)))
         a = resolve_tilt(task, experiment, decoder, noise, program)

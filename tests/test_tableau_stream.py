@@ -8,8 +8,11 @@ seed fixes both: one ``rng.integers(0, 2, size=k, dtype=uint8)`` per
 random-branch measure, shots in ascending order, pivot = first
 stabilizer row holding ``X_a``.  Any drift in an outcome or in the
 number/order of draws fails here; no copy of an old kernel is kept as
-an oracle.  (``python tests/test_tableau_stream.py`` rewrites the file —
-only ever at a commit whose stream *is* the contract.)
+an oracle.  Every case runs on both executors — ``_kernel.c``'s native
+tableau and the numpy walk with the library hidden — except
+``logical``, whose channel has no site table and always takes numpy.
+(``python tests/test_tableau_stream.py`` rewrites the file — only ever
+at a commit whose stream *is* the contract.)
 """
 
 import hashlib
@@ -20,8 +23,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.arch import mesh
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
+from repro.frames import _native
 from repro.logical import LogicalFaultChannel
 from repro.noise import (
     DepolarizingNoise,
@@ -107,21 +112,34 @@ def pinned():
     return json.loads(DATA.read_text())
 
 
+def _blocks():
+    counters = obs.registry().snapshot()["counters"]
+    return {executor: counters.get(f"stabilizer.{executor}_blocks", 0)
+            for executor in ("native", "numpy")}
+
+
 def test_pin_covers_every_case(pinned):
     assert len(pinned) == len(CIRCUITS) * len(NOISES) * len(BATCHES)
 
 
 @pytest.mark.parametrize("noise_kind", NOISES)
 @pytest.mark.parametrize("circuit_name", sorted(CIRCUITS))
-def test_records_and_rng_state_pinned(pinned, circuit_name, noise_kind):
+def test_records_and_rng_state_pinned(pinned, circuit_name, noise_kind,
+                                      executor):
+    before = _blocks()
     for key, digests in case_digests(circuit_name, noise_kind).items():
         assert digests[0] == pinned[key][0], f"{key}: records drifted"
         assert digests[1] == pinned[key][1], f"{key}: rng stream drifted"
+    took = "numpy" if noise_kind == "logical" else executor
+    after = _blocks()
+    assert after[took] - before[took] == len(BATCHES)
+    assert after == {**before, took: after[took]}
 
 
 def test_digests_hold_without_bitwise_count(pinned, monkeypatch):
     """The ``numpy>=1.22`` floor has no ``np.bitwise_count``: the
-    byte-table popcount must give the same stream."""
+    byte-table popcount of the numpy walk must give the same stream."""
+    monkeypatch.setattr(_native, "kernel", lambda: None)
     monkeypatch.delattr(np, "bitwise_count", raising=False)
     for circuit_name in sorted(CIRCUITS):
         for kind in ("rad_t0", "depol"):
