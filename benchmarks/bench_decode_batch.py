@@ -27,52 +27,49 @@ strike, where nearly every shot has its own syndrome, dedup and cache
 buy nothing and the decode costs what the matcher costs per distinct
 pattern.  It decodes the first two blocks of the e2e benchmark's
 ``strike_decode`` t = 0 point through ``decode_batch`` (the batch
-matcher kernel) and through the per-pattern reference it replaced (one
-``_dp_match`` recursion, or ``_nx_match`` past 16 defects, per distinct
-pattern), asserts identical corrections and >= 3x, and records
-patterns/s, the defect-count histogram and the share of matcher time
-left in blossom (the patterns past 16 defects).
+matcher kernel) and through the per-pattern oracles it replaced (one
+``dp_match`` recursion, or ``nx_match`` past 16 defects, per distinct
+pattern, from ``tests/oracles``), asserts identical corrections and
+>= 3x, and records patterns/s, the defect-count histogram and the
+share of matcher time left in blossom (the patterns past 16 defects).
 
 The third is its union-find twin: the same two blocks decoded by the
 ``union-find`` point through ``decode_batch`` — the native kernel,
 two C calls per block (``decoders/_unionfind.c``) — and through a
-loop over ``_decode_pattern``, the pure-Python reference it stands
-beside; it asserts identical corrections and >= 10x.
+loop over ``uf_decode_pattern``, its pure-Python oracle; it asserts
+identical corrections and >= 10x.
 
 The fourth isolates blossom: the distinct patterns past 16 defects of
 the same two blocks, matched in one call to the native blossom
 (``decoders/_blossom.c``) and one by one by NetworkX
-(``_nx_match``, the reference and the no-compiler path); it asserts
-identical parities and >= 20x.
+(``nx_match``, the oracle); it asserts identical parities and >= 20x.
 
 The fifth is its light-pattern twin: the distinct patterns of at most
 16 defects of the same two blocks, matched in one call to the native
-DP (``repro_dp_match``, beside the blossom) and by the numpy bucket DP
-it replaced (``_bucket_parities``, the no-compiler path) on warm
-lattices; it asserts identical parities and >= 1.5x, and reports apart
-what building the lattices ``k = 1..16`` costs a process cold — a cost
-the native DP never pays.
+DP (``repro_dp_match``, beside the blossom) and one by one by the
+memoised recursion (``dp_match``, the oracle); it asserts identical
+parities and >= 1.5x.
 """
 
 import dataclasses
 import time
 
 import numpy as np
-import pytest
 
 from conftest import bench_bar, bench_report
 
 from repro.decoders import SyndromeBatch, prepare_packed_inputs
 from repro.decoders import _native as decoder_native
-from repro.decoders.matching import (_BOUNDARY_BIAS, _DP_LIMIT,
-                                     _bucket_parities, _dp_match, _lattice,
-                                     _nx_match)
+from repro.decoders.matching import _BOUNDARY_BIAS, _DP_LIMIT
 from repro.frames.packing import unpack_words
 from repro.frames.simulator import FrameSimulator
 from repro.injection import (CodeSpec, InjectionTask, SIM_BLOCK,
                              build_sweep, run_task)
 from repro.injection.campaign import _task_context
 from repro.obs import prof
+
+from oracles.decoders import (dp_match, mwpm_parity, nx_match,
+                              uf_decode_pattern)
 
 #: 8 canonical blocks: enough for the cross-block cache to matter.
 SHOTS = 4096
@@ -183,11 +180,9 @@ STRIKE_SPEC = {
 
 def _per_pattern_reference(experiment, decoder, batches):
     """Corrections per block, one matcher call per distinct pattern:
-    the memoised ``_dp_match`` recursion up to ``_DP_LIMIT`` defects,
-    ``_nx_match`` beyond — what ``MWPMDecoder`` ran before the batch
+    the memoised ``dp_match`` recursion up to ``_DP_LIMIT`` defects,
+    ``nx_match`` beyond — what ``MWPMDecoder`` ran before the batch
     kernel.  The memo stands in for dedup + decode cache."""
-    graph = decoder.graph
-    dist, parity, bcol = graph.distances, graph.parities, graph.num_nodes
     memo = {(): 0}
     out = []
     for batch in batches:
@@ -196,8 +191,7 @@ def _per_pattern_reference(experiment, decoder, batches):
         for i, bits in enumerate(flat):
             events = tuple(np.flatnonzero(bits).tolist())
             if events not in memo:
-                match = _dp_match if len(events) <= _DP_LIMIT else _nx_match
-                memo[events] = match(events, dist, parity, bcol)[1]
+                memo[events] = mwpm_parity(decoder.graph, bits)
             corrections[i] = memo[events]
         out.append(corrections)
     return out, sorted(map(len, memo))
@@ -266,11 +260,8 @@ def test_strike_regime_matcher(benchmark, capsys):
 
 
 def test_strike_regime_union_find(benchmark, capsys):
-    """Native union-find kernel vs the per-pattern reference on the
+    """Native union-find kernel vs the per-pattern oracle on the
     strike blocks of :func:`test_strike_regime_matcher`."""
-    if decoder_native.kernel() is None:
-        pytest.skip("native union-find kernel unavailable: "
-                    + decoder_native.unavailable_reason())
     task = build_sweep({**STRIKE_SPEC, "decoder": "union-find"}).tasks[0]
     experiment, decoder = _task_context(task)[:2]
     batches = [SyndromeBatch.from_record_words(words, size)
@@ -294,7 +285,7 @@ def test_strike_regime_union_find(benchmark, capsys):
         for i, bits in enumerate(flat):
             events = tuple(np.flatnonzero(bits).tolist())
             if events not in memo:
-                memo[events] = decoder._decode_pattern(bits)
+                memo[events] = uf_decode_pattern(decoder, bits)
             corrections[i] = memo[events]
         want.append(corrections)
     reference_s = time.perf_counter() - t0
@@ -329,9 +320,6 @@ def test_strike_heavy_patterns_blossom(benchmark, capsys):
     """Native blossom vs NetworkX on the heavy patterns of the strike
     blocks of :func:`test_strike_regime_matcher`."""
     kernel = decoder_native.blossom()
-    if kernel is None:
-        pytest.skip("native blossom kernel unavailable: "
-                    + decoder_native.blossom_unavailable_reason())
     task = build_sweep(STRIKE_SPEC).tasks[0]
     experiment, decoder = _task_context(task)[:2]
     graph = decoder.graph
@@ -344,8 +332,8 @@ def test_strike_heavy_patterns_blossom(benchmark, capsys):
     assert len(heavy) >= 20
 
     t0 = time.perf_counter()
-    want = [_nx_match(tuple(np.flatnonzero(bits).tolist()), graph.distances,
-                      graph.parities, graph.num_nodes)[1] for bits in heavy]
+    want = [nx_match(tuple(np.flatnonzero(bits).tolist()), graph.distances,
+                     graph.parities, graph.num_nodes)[1] for bits in heavy]
     networkx_s = time.perf_counter() - t0
 
     event_ptr, events = decoder_native.csr_rows(heavy)
@@ -376,12 +364,9 @@ def test_strike_heavy_patterns_blossom(benchmark, capsys):
 
 
 def test_strike_light_patterns_dp(benchmark, capsys):
-    """Native DP vs the numpy bucket DP on the light patterns of the
-    strike blocks of :func:`test_strike_regime_matcher`."""
+    """Native DP vs the recursion on the light patterns of the strike
+    blocks of :func:`test_strike_regime_matcher`."""
     kernel = decoder_native.blossom()
-    if kernel is None:
-        pytest.skip("native matcher unavailable: "
-                    + decoder_native.blossom_unavailable_reason())
     task = build_sweep(STRIKE_SPEC).tasks[0]
     experiment, decoder = _task_context(task)[:2]
     graph = decoder.graph
@@ -394,18 +379,10 @@ def test_strike_light_patterns_dp(benchmark, capsys):
     light = np.unique(np.concatenate(light), axis=0)
     assert len(light) >= 100
 
-    _lattice.cache_clear()
     t0 = time.perf_counter()
-    for k in range(1, _DP_LIMIT + 1):
-        _lattice(k)
-    lattice_s = time.perf_counter() - t0
-
-    want = _bucket_parities(graph, light)       # warm the graph tables
-    numpy_s = float("inf")
-    for _ in range(5):
-        t0 = time.perf_counter()
-        _bucket_parities(graph, light)
-        numpy_s = min(numpy_s, time.perf_counter() - t0)
+    want = [dp_match(tuple(np.flatnonzero(bits).tolist()), graph.distances,
+                     graph.parities, graph.num_nodes)[1] for bits in light]
+    recursion_s = time.perf_counter() - t0
 
     event_ptr, events = decoder_native.csr_rows(light)
     _, got = benchmark.pedantic(
@@ -415,20 +392,18 @@ def test_strike_light_patterns_dp(benchmark, capsys):
     native_s = benchmark.stats.stats.min
     np.testing.assert_array_equal(got, want)
 
-    speedup = numpy_s / native_s
+    speedup = recursion_s / native_s
     defects = light.sum(axis=1)
     bench_report(
         benchmark, capsys,
         f"\n[decode-batch] strike light patterns, {len(light)} of "
         f"{int(defects.min())}..{int(defects.max())} defects: native "
-        f"{native_s * 1e6 / len(light):.1f} us/pattern, numpy (warm "
-        f"lattices) {numpy_s * 1e6 / len(light):.1f} us/pattern, "
-        f"x{speedup:.1f}; lattices k=1..{_DP_LIMIT} cold "
-        f"{lattice_s * 1e3:.0f} ms",
+        f"{native_s * 1e6 / len(light):.1f} us/pattern, recursion "
+        f"{recursion_s * 1e6 / len(light):.1f} us/pattern, "
+        f"x{speedup:.1f}",
         light_patterns=len(light),
         native_patterns_per_s=len(light) / native_s,
-        numpy_patterns_per_s=len(light) / numpy_s,
-        cold_lattice_s=lattice_s,
+        recursion_patterns_per_s=len(light) / recursion_s,
         speedup=speedup)
 
     bar = bench_bar(1.5, 1.2)

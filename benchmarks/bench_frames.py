@@ -18,12 +18,15 @@ from conftest import bench_bar, bench_report
 from repro.codes import XXZZCode, build_memory_experiment
 from repro.frames import (FrameSimulator, _native, compile_frame_program,
                           run_batch_frames)
+from repro.frames import program as frames_program
 from repro.noise import (
     DepolarizingNoise,
     NoiseModel,
     RadiationEvent,
     run_batch_noisy,
 )
+
+from oracles.frames import numpy_executor, python_reference
 
 #: The acceptance-scale batch: 10^4 shots per configuration point.
 SHOTS = 10_000
@@ -106,8 +109,9 @@ def _native_block_program(name):
 @pytest.mark.parametrize("lanes", [1, 8])
 @pytest.mark.parametrize("name", ["d5-quiet", "d5-strike",
                                   "rep9-cairo-strike"])
-def test_frames_native_block(benchmark, capsys, monkeypatch, name, lanes):
-    """The native op loop against the numpy executor, per 512-shot
+def test_frames_native_block(benchmark, capsys, name, lanes):
+    """The native op loop against its oracle, the numpy executor
+    (``tests/oracles``), per 512-shot
     block: one foreign call per span instead of one numpy call per op
     and lane.  Same records (checked here on every program), so the
     whole difference is dispatch: the strike programs — a fault reset
@@ -123,9 +127,6 @@ def test_frames_native_block(benchmark, capsys, monkeypatch, name, lanes):
     """
     from repro.injection.results import SIM_BLOCK
 
-    if _native.kernel() is None:
-        pytest.skip("native executor unavailable: "
-                    + _native.unavailable_reason())
     num_qubits, program = _native_block_program(name)
 
     def span(first=0):
@@ -144,8 +145,7 @@ def test_frames_native_block(benchmark, capsys, monkeypatch, name, lanes):
         return 1e3 * min(times) / 16
 
     native_words, native_ms = span(), block_ms()
-    with monkeypatch.context() as numpy_only:
-        numpy_only.setattr(_native, "kernel", lambda: None)
+    with numpy_executor():
         numpy_words, numpy_ms = span(), block_ms()
     assert np.array_equal(native_words, numpy_words)
     benchmark(span)
@@ -164,10 +164,10 @@ def test_frames_native_block(benchmark, capsys, monkeypatch, name, lanes):
 
 
 @pytest.mark.parametrize("lanes", [1, 8])
-def test_frames_tilted_block(benchmark, capsys, monkeypatch, lanes):
+def test_frames_tilted_block(benchmark, capsys, lanes):
     """A tilted d=5 block — the `quiet_deep` circuit at p = 1e-3 under a
     fixed tilt of 4, every depolarize site weighted — on the native
-    op loop against the numpy reference, per 512-shot block.  Records
+    op loop against its numpy oracle, per 512-shot block.  Records
     and per-shot weights are checked equal here.
 
     Measured on a 2-core x86-64 host when tilted programs moved onto
@@ -181,9 +181,6 @@ def test_frames_tilted_block(benchmark, capsys, monkeypatch, lanes):
     from repro.injection.results import SIM_BLOCK
     from repro.rare.sampler import SamplerSpec
 
-    if _native.kernel() is None:
-        pytest.skip("native executor unavailable: "
-                    + _native.unavailable_reason())
     experiment, _, _, program, _, _ = _task_context(InjectionTask(
         code=CodeSpec("xxzz", (5, 5)), rounds=5, intrinsic_p=1e-3,
         backend="frames", shots=SIM_BLOCK, seed=2024,
@@ -207,8 +204,7 @@ def test_frames_tilted_block(benchmark, capsys, monkeypatch, lanes):
         return 1e3 * min(times) / 16
 
     native, native_ms = span(), block_ms()
-    with monkeypatch.context() as numpy_only:
-        numpy_only.setattr(_native, "kernel", lambda: None)
+    with numpy_executor():
         reference, numpy_ms = span(), block_ms()
     np.testing.assert_equal(native, reference)
     benchmark(span)
@@ -251,14 +247,10 @@ def test_frames_compile_overhead(benchmark, d5_experiment, d5_noise):
 
 def struck_d5():
     """``strike_decode``'s t = 0 point — the struck XXZZ(5,5), whose
-    reference pass takes random branches — as ``(experiment, noise)``;
-    skips without the native executor."""
+    reference pass takes random branches — as ``(experiment, noise)``."""
     from repro.injection import CodeSpec, FaultSpec, InjectionTask
     from repro.injection.campaign import _build_noise, _prepared
 
-    if _native.kernel() is None:
-        pytest.skip("native executor unavailable: "
-                    + _native.unavailable_reason())
     task = InjectionTask(
         code=CodeSpec("xxzz", (5, 5)), rounds=5, intrinsic_p=1e-3,
         fault=FaultSpec(kind="radiation", root_qubit=12, time_index=0),
@@ -273,7 +265,8 @@ def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
     """One compile of the struck XXZZ(5,5) (:func:`struck_d5`, compiled
     once per circuit and reseeded for later task seeds:
     ``test_frames_reseed_struck_d5``) with the reference pass on
-    ``_kernel.c`` and on the Python tableau replay, in ms per compile
+    ``_kernel.c`` and on its oracle, the Python tableau replay
+    (``tests/oracles``), in ms per compile
     split into the reference pass, fusion, encoding and the walk that
     is left.  Same structure either way (checked here); the native
     compile must be >= 3x faster.
@@ -283,14 +276,14 @@ def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
     all (3.7-4.0x), the reference pass 44-52 -> 0.7-0.9 of it; fusion
     6-10, encoding ~2 and the walk 6-8.5 are the same on both.
     """
-    from repro.frames import program as frames_program
-
     experiment, noise = struck_d5()
-    parts = ("_run_reference", "fuse_layers", "encode_ops")
+    #: Each timed part: where it is looked up, and under which name.
+    parts = {"reference": _native.Kernel, "fuse_layers": frames_program,
+             "encode_ops": frames_program}
     spent = dict.fromkeys(parts, 0.0)
 
     def timed(name):
-        inner = getattr(frames_program, name)
+        inner = getattr(parts[name], name)
 
         def run(*args):
             t0 = time.perf_counter()
@@ -306,8 +299,8 @@ def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
     def split_ms(reps=10):
         """Mean ms per compile, whole and by part."""
         with monkeypatch.context() as m:
-            for name in parts:
-                m.setattr(frames_program, name, timed(name))
+            for name, owner in parts.items():
+                m.setattr(owner, name, timed(name))
             for name in parts:
                 spent[name] = 0.0
             times = []
@@ -320,8 +313,7 @@ def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
 
     native = compile_once()
     native_ms, native_split = split_ms()
-    with monkeypatch.context() as python_only:
-        python_only.setattr(_native, "kernel", lambda: None)
+    with python_reference():
         python = compile_once()
         python_ms, python_split = split_ms()
     assert native.twirled_reset_sites and native.seeded
@@ -332,7 +324,7 @@ def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
     def line(name, total, split):
         walk = total - sum(split.values())
         return (f"{name} {total:.1f} ms (reference "
-                f"{split['_run_reference']:.1f}, fuse "
+                f"{split['reference']:.1f}, fuse "
                 f"{split['fuse_layers']:.1f}, encode "
                 f"{split['encode_ops']:.1f}, walk {walk:.1f})")
 
@@ -343,8 +335,8 @@ def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
         f"{line('native', native_ms, native_split)} "
         f"({python_ms / native_ms:.1f}x)",
         python_compile_ms=python_ms, compile_ms=native_ms,
-        reference_ms=native_split["_run_reference"],
-        python_reference_ms=python_split["_run_reference"],
+        reference_ms=native_split["reference"],
+        python_reference_ms=python_split["reference"],
         speedup=python_ms / native_ms)
     bar = bench_bar(3.0, 2.0)
     assert python_ms / native_ms >= bar, \

@@ -77,24 +77,22 @@ def _throughput(benchmark, capsys, label, run, shots, parent_sps, factor):
     assert sps >= bar, f"{label}: {sps:,.0f} shots/s < {bar:,.0f}"
 
 
-def test_batch_strike_fig5_shape(benchmark, capsys, monkeypatch):
+def test_batch_strike_fig5_shape(benchmark, capsys):
     """The shape `fig5_grid`'s fallback half runs: XXZZ (3,3) routed
     onto mesh 5x4, radiation at root 2, t = 0, intrinsic p = 1e-3, one
     512-shot block on the tableau — on the native executor
     (``_kernel.c``, from the point's bound program, as the campaign
-    runs it) and on the numpy walk with the library hidden, same host,
-    same records.  Reports ms per block.
+    runs it) and on the numpy walk (``_walk_tableau``), same host, same
+    records.  Reports ms per block.
 
     Native must hold >= 5x numpy.  The earlier byte-per-bit
     ``(B, 2n, n)`` numpy kernel ran this at 3 400 shots/s on a 2-core
     host; the row-packed numpy walk must still hold >= 2x that
     (measured 12 800).
     """
-    from repro.frames import _native, compile_frame_program
+    from repro.frames import compile_frame_program
+    from repro.noise.executor import _walk_tableau
 
-    if _native.kernel() is None:
-        pytest.skip("native executor unavailable: "
-                    + _native.unavailable_reason())
     arch = mesh(5, 4)
     circuit = transpile(build_memory_experiment(XXZZCode(3, 3)).circuit,
                         arch).circuit
@@ -107,21 +105,22 @@ def test_batch_strike_fig5_shape(benchmark, capsys, monkeypatch):
         return run_batch_noisy(circuit, noise, 512, rng=5,
                                backend="tableau", program=program)
 
-    def best_ms(rounds):
-        block()
+    def numpy_block():
+        return _walk_tableau(circuit, noise, 512, np.random.default_rng(5))
+
+    def best_ms(run, rounds):
+        run()
         times = []
         for _ in range(rounds):
             t0 = time.perf_counter()
-            block()
+            run()
             times.append(time.perf_counter() - t0)
         return 1e3 * min(times)
 
-    native_ms = best_ms(9)
+    native_ms = best_ms(block, 9)
     native = benchmark(block)
-    with monkeypatch.context() as hidden:
-        hidden.setattr(_native, "kernel", lambda: None)
-        numpy_ms = best_ms(5)
-        assert np.array_equal(block(), native)
+    numpy_ms = best_ms(numpy_block, 5)
+    assert np.array_equal(numpy_block(), native)
     ratio = numpy_ms / native_ms
     numpy_sps = 512 / (numpy_ms / 1e3)
     bench_report(benchmark, capsys,

@@ -23,6 +23,9 @@ Shared helpers (benchmarks import them ``from conftest``):
   one when ``REPRO_BENCH_LAX`` is set (contended CI runners).
 * :func:`bench_report` — record ``extra_info`` keys and print one
   summary line past pytest's capture, in one call.
+
+Benchmarks that time a C kernel against its Python oracle import the
+oracle from ``tests/oracles`` (put on ``sys.path`` below).
 """
 
 import json
@@ -35,6 +38,11 @@ import pytest
 
 # Keep worker pools modest under the benchmark runner.
 os.environ.setdefault("REPRO_WORKERS", "8")
+
+# The kernels' oracles (tests/oracles), which benches time the kernels
+# against.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
 
 
 def bench_bar(strict, lax):

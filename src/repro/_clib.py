@@ -6,15 +6,18 @@ and the batched tableau),
 ``decoders/_unionfind.c`` (union-find) and ``decoders/_blossom.c``
 (MWPM's matcher: the bitmask DP and the blossom).  It is compiled on
 first use with the system C compiler into a cache file named by the
-hash of its source and flags, and loaded with :mod:`ctypes`.  Whether
-that worked is decided **once per process** per kernel by a
-:class:`Loader`: any failure — no compiler, no writable cache, a
-library that will not load, a binding that refuses it — leaves the
-kernel's Python reference in charge for the life of the process,
-recorded as one event carrying the reason.
+hash of its source and flags, and loaded with :mod:`ctypes`.
+
+**A C compiler is required.**  Every kernel has one implementation,
+its C source; there is no Python path to fall back to.  Whether a
+kernel loads is decided **once per process** by a :class:`Loader`:
+any failure — no compiler, no writable cache, a library that will not
+load, a binding that refuses it — is one :class:`RuntimeError`, raised
+on the kernel's first use and again, unchanged, on every later one.
 
 Imported by the kernels' wrappers on first use, never by
-``import repro``.
+``import repro``, so a host without a compiler still imports the
+package and fails only where it samples or decodes.
 """
 
 from __future__ import annotations
@@ -24,9 +27,7 @@ import hashlib
 import os
 import shutil
 import tempfile
-from typing import Any, Callable, Iterator, Optional, Tuple
-
-from . import obs
+from typing import Any, Callable, Iterator, Optional
 
 COMPILERS = ("cc", "gcc")
 #: No ``-march=native``: a home directory shared across hosts shares
@@ -95,32 +96,33 @@ class Loader:
     """One kernel, decided once per process.
 
     Calling the loader returns ``bind(library)`` — the kernel's Python
-    face — or ``None`` when this process runs the reference instead;
-    the first failure is recorded as one ``event`` with the reason
-    (:meth:`unavailable_reason`) and never retried.
+    face.  If that fails, the first call raises one
+    :class:`RuntimeError` naming the kernel, the compilers tried and
+    the cache directories, and every later call raises the same error
+    without trying again.
     """
 
-    def __init__(self, source: str, stem: str, event: str,
+    def __init__(self, source: str, stem: str,
                  bind: Callable[[ctypes.CDLL], Any]) -> None:
         self.source = source
         self.stem = stem
-        self.event = event
         self.bind = bind
-        #: ``(kernel or None, reason or None)`` once decided.
-        self.decided: Optional[Tuple[Any, Optional[str]]] = None
+        self._kernel: Any = None
+        self._error: Optional[RuntimeError] = None
 
     def __call__(self) -> Any:
-        if self.decided is None:
+        if self._kernel is not None:
+            return self._kernel
+        if self._error is None:
             try:
-                self.decided = (self.bind(_load(self.source, self.stem)),
-                                None)
-            except Exception as exc:    # any failure: reference, once
-                reason = f"{type(exc).__name__}: {exc}"
-                self.decided = (None, reason)
-                obs.event(self.event, reason)
-        return self.decided[0]
-
-    def unavailable_reason(self) -> Optional[str]:
-        """Why the loader returned ``None`` (``None`` if it did not)."""
-        self()
-        return self.decided[1]
+                self._kernel = self.bind(_load(self.source, self.stem))
+                return self._kernel
+            except Exception as exc:
+                self._error = RuntimeError(
+                    f"the {os.path.basename(self.source)} kernel did not "
+                    f"load ({type(exc).__name__}: {exc}); it needs a C "
+                    f"compiler ({' or '.join(COMPILERS)}) on PATH and a "
+                    f"writable cache directory "
+                    f"({', '.join(_cache_dirs())})")
+                self._error.__cause__ = exc
+        raise self._error

@@ -2,25 +2,19 @@
 (MWPM's matcher: the bitmask DP and the blossom).
 
 Each source (beside this file) is built, cached and loaded by its own
-:class:`repro._clib.Loader`.  Whether that worked is decided **once
-per process** per kernel — by :func:`kernel` for union-find, by
-:func:`blossom` for MWPM's matcher: any failure leaves that kernel's
-reference in charge for the life of the process —
-:meth:`~repro.decoders.unionfind.UnionFindDecoder._decode_pattern`;
-:func:`~repro.decoders.matching._dp_match_batch` and
-:func:`~repro.decoders.matching._nx_match` — recorded as one
-``decoders.native_unavailable`` / ``decoders.blossom_unavailable``
-event carrying the reason.
+:class:`repro._clib.Loader` on first use — by :func:`kernel` for
+union-find, by :func:`blossom` for MWPM's matcher; a process where
+that fails gets the loader's :class:`RuntimeError` there.
 
-Imported by the decoders' batch hooks on their first native-eligible
-pattern, never by ``import repro``.
+Imported by the decoders' batch hooks on their first pattern, never
+by ``import repro``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -72,8 +66,8 @@ class Kernel:
              defect_ptr: np.ndarray, defects: np.ndarray
              ) -> Tuple[np.ndarray, np.ndarray]:
         """Each pattern's ``grown.add`` sequence, as CSR
-        ``(grown_ptr, grown)``; ``RuntimeError`` where the reference
-        raises it."""
+        ``(grown_ptr, grown)``; ``RuntimeError`` where growth does not
+        converge."""
         num_patterns = defect_ptr.size - 1
         # An edge is added at most once per pattern; pages past the
         # ones written are never touched.
@@ -130,11 +124,12 @@ class Blossom:
     def match(self, event_ptr: np.ndarray, events: np.ndarray,
               dist: np.ndarray, parity: np.ndarray, bcol: int,
               bias: float) -> Tuple[np.ndarray, np.ndarray]:
-        """:func:`~repro.decoders.matching._nx_match` for every pattern
-        of CSR int64 ``(event_ptr, events)`` (row indices of ``dist`` /
-        ``parity``, each pattern's ascending, boundary in column
-        ``bcol``): ``(mates, parities)``.  ``mates[2 e:2 (e + k)]``, for
-        the pattern whose ``k`` events start at ``e``, holds each node's
+        """NetworkX's ``max_weight_matching`` blossom (see
+        :mod:`~repro.decoders.matching`) for every pattern of CSR int64
+        ``(event_ptr, events)`` (row indices of ``dist`` / ``parity``,
+        each pattern's ascending, boundary in column ``bcol``):
+        ``(mates, parities)``.  ``mates[2 e:2 (e + k)]``, for the
+        pattern whose ``k`` events start at ``e``, holds each node's
         mate as a code — ``2 i`` for ``("e", i)``, ``2 i + 1`` for
         ``("b", i)`` — and ``parities`` is ``(N,)`` uint8."""
         event_ptr, events, dist, parity = _fit(event_ptr, events, dist,
@@ -150,11 +145,11 @@ class Blossom:
     def dp(self, event_ptr: np.ndarray, events: np.ndarray,
            dist: np.ndarray, parity: np.ndarray, bcol: int,
            bias: float) -> Tuple[np.ndarray, np.ndarray]:
-        """:func:`~repro.decoders.matching._dp_match` for every pattern
-        on :meth:`match`'s inputs: ``(costs, parities)``, ``(N,)``
-        float64 and uint8.  ``ValueError`` when a pattern has more than
-        :data:`~repro.decoders.matching._DP_LIMIT` events (the kernel's
-        refusal)."""
+        """The bitmask DP (see :mod:`~repro.decoders.matching`) for
+        every pattern on :meth:`match`'s inputs: ``(costs, parities)``,
+        ``(N,)`` float64 and uint8.  ``ValueError`` when a pattern has
+        more than :data:`~repro.decoders.matching._DP_LIMIT` events (the
+        kernel's refusal)."""
         event_ptr, events, dist, parity = _fit(event_ptr, events, dist,
                                                parity, bcol)
         costs = np.empty(event_ptr.size - 1)
@@ -197,30 +192,17 @@ def _check(status: int, name: str) -> None:
         raise RuntimeError(f"native {name} kernel: status {status}")
 
 
-_LOADER = Loader(SOURCE, "unionfind-kernel", "decoders.native_unavailable",
-                 Kernel)
-_BLOSSOM_LOADER = Loader(BLOSSOM_SOURCE, "blossom-kernel",
-                         "decoders.blossom_unavailable", Blossom)
+_LOADER = Loader(SOURCE, "unionfind-kernel", Kernel)
+_BLOSSOM_LOADER = Loader(BLOSSOM_SOURCE, "blossom-kernel", Blossom)
 
 
-def kernel() -> Optional[Kernel]:
-    """The native union-find kernel, or ``None`` when this process
-    decodes through the reference (see :func:`unavailable_reason`)."""
+def kernel() -> Kernel:
+    """The native union-find kernel; :class:`RuntimeError` where it
+    cannot load."""
     return _LOADER()
 
 
-def unavailable_reason() -> Optional[str]:
-    """Why :func:`kernel` returned ``None`` (``None`` if it did not)."""
-    return _LOADER.unavailable_reason()
-
-
-def blossom() -> Optional[Blossom]:
-    """The native matcher, or ``None`` when this process matches light
-    patterns with the numpy DP and heavy ones through NetworkX (see
-    :func:`blossom_unavailable_reason`)."""
+def blossom() -> Blossom:
+    """The native matcher; :class:`RuntimeError` where it cannot
+    load."""
     return _BLOSSOM_LOADER()
-
-
-def blossom_unavailable_reason() -> Optional[str]:
-    """Why :func:`blossom` returned ``None`` (``None`` if it did not)."""
-    return _BLOSSOM_LOADER.unavailable_reason()

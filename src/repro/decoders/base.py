@@ -4,15 +4,12 @@ The canonical entry point is :meth:`Decoder.decode_batch` over a
 :class:`~repro.decoders.batch.SyndromeBatch` — one call per simulation
 block, consuming the packed record words as they are (bit-sliced column
 extraction, no full-record unpack).  Concrete decoders implement one
-method,
-:meth:`Decoder._decode_pattern`: decode a single flattened detector
-pattern to a readout-correction parity.  A decoder that can match many
-patterns at once also overrides :meth:`Decoder._decode_patterns`, which
-receives every distinct pattern of a block that missed the cache in one
-call.  Everything else batchy — syndrome extraction, detector
-differencing, per-batch deduplication, the cross-batch
-:class:`~repro.decoders.batch.DecodeCache`, correction scatter — is
-shared here.
+method, :meth:`Decoder._decode_patterns`: decode every distinct
+flattened detector pattern of a block that missed the cache, in one
+call, to readout-correction parities.  Everything else batchy —
+syndrome extraction, detector differencing, per-batch deduplication,
+the cross-batch :class:`~repro.decoders.batch.DecodeCache`, correction
+scatter — is shared here.
 """
 
 from __future__ import annotations
@@ -41,6 +38,14 @@ _OBS_PATTERNS = obs.counter("decode.patterns")
 _OBS_DISTINCT = obs.counter("decode.distinct_patterns")
 _OBS_HITS = obs.counter("decode.cache_hits")
 _OBS_MISSES = obs.counter("decode.cache_misses")
+
+
+def check_width(bits: np.ndarray, num_nodes: int) -> None:
+    """``ValueError`` when ``(N, D)`` detector patterns are wider than
+    a graph of ``num_nodes`` detectors — the kernels index unchecked."""
+    if bits.shape[1] > num_nodes:
+        raise ValueError(f"detector patterns of {bits.shape[1]} bits are "
+                         f"wider than the graph's {num_nodes} detectors")
 
 
 @dataclass
@@ -86,11 +91,9 @@ class Decoder(abc.ABC):
 
     Concrete decoders carry a ``graph`` (:class:`~repro.decoders.
     detector_graph.DetectorGraph`), a ``use_final_data`` flag and a
-    ``cache_decodes`` switch, and implement :meth:`_decode_pattern` —
-    the per-pattern decode — and optionally :meth:`_decode_patterns`,
-    the batch hook it is reached through: the distinct patterns of a
-    block that miss the cache are decoded by one call (the default
-    loops :meth:`_decode_pattern`; MWPM matches them together,
+    ``cache_decodes`` switch, and implement :meth:`_decode_patterns`,
+    the batch hook: the distinct patterns of a block that miss the
+    cache are decoded by one call (MWPM matches them together,
     union-find grows and peels them in a C kernel).  The
     batch pipeline (word-domain syndrome extraction and detector
     differencing, unique-pattern deduplication, the cross-batch decode
@@ -112,22 +115,12 @@ class Decoder(abc.ABC):
         """Short identifier used in reports."""
 
     @abc.abstractmethod
-    def _decode_pattern(self, detector_bits: np.ndarray) -> int:
-        """Decode one flattened detector pattern -> readout correction."""
-
     def _decode_patterns(self, bits: np.ndarray) -> np.ndarray:
         """Decode ``(N, D)`` uint8 detector patterns -> ``N`` readout
         corrections.
 
-        The batch hook: :meth:`_pattern_parities` hands it every
-        distinct pattern of a block that missed the cache, in one call.
-        The default decodes them one by one through
-        :meth:`_decode_pattern`; a decoder that can decode patterns
-        together (:class:`~repro.decoders.matching.MWPMDecoder`,
-        :class:`~repro.decoders.unionfind.UnionFindDecoder`) overrides
-        it."""
-        return np.fromiter(map(self._decode_pattern, bits),
-                           dtype=np.uint8, count=bits.shape[0])
+        :meth:`_pattern_parities` hands it every distinct pattern of a
+        block that missed the cache, in one call."""
 
     # ------------------------------------------------------------------
     # Syndrome-dedup decode cache

@@ -1,13 +1,11 @@
 """The native frames executors: ``_kernel.c`` as Python calls.
 
 ``_kernel.c`` (beside this file) is built, cached and loaded by
-:class:`repro._clib.Loader`.  Whether that worked is decided **once
-per process** by :func:`kernel`: any failure — no compiler, no
-writable cache, a library that will not load, a numpy whose bit
-generators publish no ``ctypes`` interface — leaves the numpy executor,
-the Python reference replay and the numpy tableau walk in charge for
-the life of the process, recorded as one ``frames.native_unavailable``
-event carrying the reason.
+:class:`repro._clib.Loader` on the first call of :func:`kernel`; a
+process where that fails — no compiler, no writable cache, a library
+that will not load, a numpy whose bit generators publish no ``ctypes``
+interface — gets the loader's :class:`RuntimeError` there and cannot
+sample, compile a frame program or run the tableau on a site table.
 
 Imported by :meth:`~repro.frames.simulator.FrameSimulator.run_packed`
 on the first sample, by :func:`~repro.frames.program.frame_structure`
@@ -112,9 +110,12 @@ class Kernel:
 
     def reference(self, stream: Sequence[int], num_qubits: int,
                   rng) -> Tuple[List[int], bool]:
-        """:func:`~repro.frames.program.replay_reference` of ``stream``
-        on ``num_qubits`` qubits, drawing through ``rng``'s bit
-        generator with its lock held."""
+        """The reference pass over ``stream`` on ``num_qubits``
+        qubits, drawing through ``rng``'s bit generator with its lock
+        held: per ``REF_MEASURE`` and ``REF_QUERY`` entry in stream
+        order, a measurement's outcome plus 2 if it took the random
+        branch and a query's Z value or 2 (indefinite); and whether any
+        measurement or reset drew from ``rng``."""
         code = np.asarray(stream, dtype=np.int64)
         results = np.zeros(code.size // 2 + 1, dtype=np.int64)
         out = (ctypes.c_int64 * 2)()
@@ -140,8 +141,9 @@ class Kernel:
         """``batch_size`` shots of a bound ``program``'s circuit and
         noise on the batched tableau, drawing through ``rng``'s bit
         generator with its lock held — the records, generator state and
-        (``weighted``) log-weights the numpy walk of
-        :func:`~repro.noise.executor.run_batch_noisy` gives.
+        (``weighted``) log-weights the numpy
+        :class:`~repro.stabilizer.batch.BatchTableauSimulator` walk
+        gives.
 
         Returns the ``(B, cbits)`` uint8 records, the per-shot
         log-weights (``None`` unless ``weighted``) and — with
@@ -175,16 +177,10 @@ class Kernel:
         return records, log_weights, None if acc is None else list(acc)
 
 
-_LOADER = Loader(SOURCE, "frames-kernel", "frames.native_unavailable",
-                 Kernel)
+_LOADER = Loader(SOURCE, "frames-kernel", Kernel)
 
 
-def kernel() -> Optional[Kernel]:
-    """The native executor, or ``None`` when this process runs on the
-    numpy one (see :func:`unavailable_reason`)."""
+def kernel() -> Kernel:
+    """The native executor; :class:`RuntimeError` where it cannot
+    load."""
     return _LOADER()
-
-
-def unavailable_reason() -> Optional[str]:
-    """Why :func:`kernel` returned ``None`` (``None`` if it did not)."""
-    return _LOADER.unavailable_reason()

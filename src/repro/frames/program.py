@@ -23,14 +23,12 @@ the whole stream, noise entries included, over a bound program's
 probabilities.  Measure and
 fault-reset ops are appended, fused and encoded with their reference
 operands blank; the stream's answers are written in afterwards.  The
-stream runs on
-``_kernel.c``'s bit-packed tableau (``repro_frames_reference``)
-wherever the frame executor's library loads
-(``frames.native_compiles``), else on :func:`replay_reference`, a
-replay on the :class:`~repro.stabilizer.simulator.TableauSimulator`
-(``frames.python_compiles``).  Both draw a random branch's outcome as
-``Generator.integers(0, 2)`` does, so the two give one structure and
-leave the generator in one state.
+stream runs on ``_kernel.c``'s bit-packed tableau
+(``repro_frames_reference``), which draws a random branch's outcome as
+``Generator.integers(0, 2)`` does; the tests hold it to a replay of the
+stream on the Python
+:class:`~repro.stabilizer.simulator.TableauSimulator` — one structure,
+one generator state.
 
 Random-branch measurements are still sampled exactly by the frame
 backend — the simulator's Z-frame randomisation at initialisation,
@@ -114,15 +112,13 @@ log-likelihood ratios beside its tilted probability.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .. import obs
 from ..circuits import Circuit, GateType
 from ..noise.base import DEPOLARIZE, NoiseModel, SiteTable
-from ..stabilizer.simulator import TableauSimulator
-from ..stabilizer.tableau import Tableau
 
 #: Frame-propagation opcodes (ints for cheap dispatch).
 OP_H = 0            # (OP_H, qubit)
@@ -234,7 +230,7 @@ class FrameProgram:
     #: The native executor's view of :attr:`ops`: the structure's
     #: :func:`encode_ops` stream (shared) and this binding's per-site
     #: probabilities.  ``None`` on a program put together by hand,
-    #: which then runs on the numpy executor.
+    #: which the simulator then refuses.
     code: Optional[np.ndarray] = None
     probabilities: Optional[np.ndarray] = None
     #: ``(2, sites)``: each site's log-likelihood ratios where it fires
@@ -324,10 +320,12 @@ class FrameStructure:
     def _answered(self, rng) -> "FrameStructure":
         """Run the reference pass and write its answers: the one path
         of the first compile and of every :meth:`reseed`."""
+        from . import _native   # first compile, not ``import repro``
+
         if isinstance(rng, (int, np.integer)) or rng is None:
             rng = np.random.default_rng(rng)
-        results, drew = _run_reference(self.reference_stream,
-                                       self.num_qubits, rng)
+        results, drew = _native.kernel().reference(self.reference_stream,
+                                                   self.num_qubits, rng)
         op_at, element, word, cbit = self.answer_slots.T.tolist()
         ops = list(self.ops)
         record = [0] * self.num_cbits
@@ -598,9 +596,8 @@ def encode_ops(ops, num_qubits: int, num_cbits: int, num_sites: int,
     their width ``k`` and each operand array in turn.
 
     Every qubit, cbit and site operand is checked against its range
-    here — the kernel indexes unchecked — so an operand the numpy
-    executor would meet with an ``IndexError`` is an ``IndexError``
-    now.
+    here, because the kernel indexes unchecked: an operand out of range
+    is an ``IndexError`` before any run.
 
     ``slots``, if given, receives one :attr:`FrameStructure.answer_slots`
     row per reference bit and fault-reset ``x_value``, in op order.
@@ -698,86 +695,6 @@ _LOWERING = {
 
 #: Answer to a ``REF_QUERY`` on a Z-indefinite qubit.
 _INDEFINITE = 2
-
-#: Tableau method per gate opcode of the stream.
-_TABLEAU_GATES = {REF_X: Tableau.x_gate, REF_Y: Tableau.y_gate,
-                  REF_Z: Tableau.z_gate, REF_H: Tableau.h, REF_S: Tableau.s,
-                  REF_SDG: Tableau.sdg, REF_CX: Tableau.cx,
-                  REF_CZ: Tableau.cz, REF_SWAP: Tableau.swap}
-
-_OBS_NATIVE_COMPILES = obs.counter("frames.native_compiles")
-_OBS_PYTHON_COMPILES = obs.counter("frames.python_compiles")
-
-
-def _z_indefinite(sim: TableauSimulator, qubit: int) -> bool:
-    """Would measuring ``qubit`` take the random CHP branch (some
-    stabilizer anticommutes with its ``Z``) and draw from the rng?"""
-    tab = sim.tableau
-    return bool(tab.x[tab.n:, qubit].any())
-
-
-def _z_determinate(sim: TableauSimulator, qubit: int) -> Optional[int]:
-    """The definite Z value of ``qubit`` in the reference state, or
-    ``None`` when a measurement there would take the random branch."""
-    if _z_indefinite(sim, qubit):
-        return None
-    # Deterministic CHP branch: non-destructive, consumes no randomness.
-    return int(sim.tableau.measure(qubit, sim.rng))
-
-
-def replay_reference(stream: Sequence[int], num_qubits: int,
-                     rng: np.random.Generator) -> Tuple[List[int], bool]:
-    """Run a reference stream once on a :class:`TableauSimulator`: the
-    reference pass without a compiler, and the oracle of
-    ``_kernel.c``'s ``repro_frames_reference``.
-
-    Returns, per ``REF_MEASURE`` and ``REF_QUERY`` entry in stream
-    order, a measurement's outcome plus 2 if it took the random branch
-    and a query's Z value or 2 (indefinite); and whether any
-    measurement or reset drew from ``rng``.
-    """
-    stream = np.asarray(stream, dtype=np.int64).tolist()
-    sim = TableauSimulator(num_qubits, rng=rng)
-    tab = sim.tableau
-    results: List[int] = []
-    drew = False
-    i = 0
-    while i < len(stream):
-        code, q = stream[i], stream[i + 1]
-        if code in (REF_CX, REF_CZ, REF_SWAP):
-            _TABLEAU_GATES[code](tab, q, stream[i + 2])
-            i += 3
-            continue
-        i += 2
-        if code == REF_MEASURE:
-            random_branch = _z_indefinite(sim, q)
-            drew |= random_branch
-            results.append(tab.measure(q, rng) + 2 * random_branch)
-        elif code == REF_RESET:
-            drew |= _z_indefinite(sim, q)
-            tab.reset(q, rng)
-        elif code == REF_QUERY:
-            value = _z_determinate(sim, q)
-            results.append(_INDEFINITE if value is None else value)
-        elif code == REF_DEPOLARIZE:
-            continue    # a noise site: the reference is noiseless
-        else:
-            _TABLEAU_GATES[code](tab, q)
-    return results, drew
-
-
-def _run_reference(stream: Sequence[int], num_qubits: int,
-                   rng: np.random.Generator) -> Tuple[List[int], bool]:
-    """The reference pass on ``_kernel.c`` when it loads, else on
-    :func:`replay_reference` — counted either way."""
-    from . import _native   # first compile, not ``import repro``
-
-    kernel = _native.kernel()
-    if kernel is None:
-        _OBS_PYTHON_COMPILES.inc()
-        return replay_reference(stream, num_qubits, rng)
-    _OBS_NATIVE_COMPILES.inc()
-    return kernel.reference(stream, num_qubits, rng)
 
 
 def _site_tables(noise: Optional[NoiseModel], num_qubits: int

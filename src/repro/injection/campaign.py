@@ -275,13 +275,9 @@ def _tableau_program(task: InjectionTask, experiment: MemoryExperiment,
     ``tilt``) — never reseeded, since the tableau reads no reference
     answer — or, on an empty cell, a compile that fills it.
 
-    ``None`` where a channel has no lowering or the kernel library does
-    not load: the numpy tableau walks the circuit without a program.
+    ``None`` where a channel has no lowering: the numpy tableau walks
+    the circuit without a program.
     """
-    from ..frames import _native    # the first tableau point
-
-    if _native.kernel() is None:
-        return None
     try:
         cell = _point_cell(task, experiment, noise)
     except FrameLoweringError:

@@ -7,15 +7,17 @@ directly, and rows become words when they enter a
 :class:`~repro.decoders.batch.SyndromeBatch`.
 
 * ``"tableau"`` — walk the circuit gate by gate on batched CHP
-  tableaus.  Exact for anything a channel can express.  Whenever every
-  channel lowers to a site table and the frames library loads, the
-  walk runs natively (``_kernel.c``'s ``repro_tableau_run``) over the
-  compiled structure's reference stream, whose noise entries are the
-  sites (``stabilizer.native_blocks``); otherwise the numpy
-  :class:`~repro.stabilizer.batch.BatchTableauSimulator` walks it and
-  the noise model injects errors through the masked gate API
-  (``stabilizer.numpy_blocks``).  Records and generator state are the
-  same either way.
+  tableaus.  Exact for anything a channel can express.  When every
+  channel lowers to a site table, the walk runs natively
+  (``_kernel.c``'s ``repro_tableau_run``) over the compiled
+  structure's reference stream, whose noise entries are the sites
+  (``stabilizer.native_blocks``).  A channel without a site table
+  (:class:`~repro.logical.LogicalFaultChannel`, say) is walked by the
+  numpy :class:`~repro.stabilizer.batch.BatchTableauSimulator`
+  instead, the noise model injecting errors through the masked gate
+  API (``stabilizer.numpy_blocks``, :func:`_walk_tableau`).  On a
+  site table the two give the same records and generator state; the
+  tests hold them to it.
 * ``"frames"`` — compile the circuit + noise into a bit-packed
   Pauli-frame program (:mod:`repro.frames`) and propagate 64 shots per
   word.  Orders of magnitude faster; requires every channel to lower
@@ -115,29 +117,36 @@ def run_batch_noisy(circuit: Circuit, noise: Optional[NoiseModel],
     elif backend == "frames":
         raise FrameLoweringError(
             "noise model has channels without a frame lowering")
-    kernel = None
-    if supports_noise(noise):
-        from ..frames import _native    # the first tableau run
+    if not supports_noise(noise):
+        return _walk_tableau(circuit, noise, batch_size, rng, tilt)
+    from ..frames import _native    # the first tableau run
 
-        kernel = _native.kernel()
-    if kernel is not None:
-        if batch_size <= 0:
-            raise ValueError("need at least one shot")
-        if program is None:
-            # The tableau reads no reference answer: compile on a
-            # scratch generator and leave the caller's stream alone.
-            program = compile_frame_program(
-                circuit, noise, rng=np.random.default_rng(0), tilt=tilt)
-        elif program.num_qubits != circuit.num_qubits:
-            raise ValueError("program compiled for another register width")
-        _OBS_NATIVE.inc()
-        prof = _prof._ACTIVE
-        records, log_weights, stages = kernel.tableau(
-            program, batch_size, rng, tilt is not None, prof is not None)
-        if prof is not None:
-            for name, seconds in zip(_STAGES, stages):
-                prof.stage(name, seconds)
-        return records if tilt is None else (records, np.exp(log_weights))
+    kernel = _native.kernel()
+    if batch_size <= 0:
+        raise ValueError("need at least one shot")
+    if program is None:
+        # The tableau reads no reference answer: compile on a scratch
+        # generator and leave the caller's stream alone.
+        program = compile_frame_program(
+            circuit, noise, rng=np.random.default_rng(0), tilt=tilt)
+    elif program.num_qubits != circuit.num_qubits:
+        raise ValueError("program compiled for another register width")
+    _OBS_NATIVE.inc()
+    prof = _prof._ACTIVE
+    records, log_weights, stages = kernel.tableau(
+        program, batch_size, rng, tilt is not None, prof is not None)
+    if prof is not None:
+        for name, seconds in zip(_STAGES, stages):
+            prof.stage(name, seconds)
+    return records if tilt is None else (records, np.exp(log_weights))
+
+
+def _walk_tableau(circuit: Circuit, noise: Optional[NoiseModel],
+                  batch_size: int, rng: np.random.Generator, tilt=None):
+    """The tableau backend on the numpy
+    :class:`~repro.stabilizer.batch.BatchTableauSimulator`: what
+    :func:`run_batch_noisy` runs for a channel without a site table,
+    with its return convention."""
     _OBS_NUMPY.inc()
     sim = BatchTableauSimulator(circuit.num_qubits, batch_size, rng=rng)
     record = np.zeros((batch_size, max(circuit.num_cbits, 1)), dtype=np.uint8)

@@ -8,10 +8,9 @@ shots are bit-identical with profiling on or off, property-tested):
 * **Kernel buckets** — the frames executor times ops against
   per-op-kind buckets (``cx``, ``h``, ``measure``, ``depolarize``, the
   ``.fused`` layer twins, ``depolarize.draw`` vs the apply sites,
-  ...).  Per-op clocking is *sampled*: one block in
-  :data:`SAMPLE_EVERY` reads the clock around the executor's one
-  dispatch table (the native op loop clocks itself, into accumulators
-  folded into these same buckets) — a block here is one executor run,
+  ...).  Per-op clocking is *sampled*: in one block in
+  :data:`SAMPLE_EVERY` the native op loop clocks itself, into
+  accumulators folded into these buckets — a block here is one executor run,
   a wide span of several canonical blocks included (blocks are repeats
   of one compiled program, so sampled shares are the run's shares),
   every block contributes its wall time, and

@@ -199,14 +199,7 @@ def render_report(path: Union[str, Sequence[str]]) -> str:
                      f"structure(s) and "
                      f"{counters.get('frames.reseeds', 0):,} reseed(s), "
                      f"{fallbacks:,} auto fallback(s) "
-                     f"to the tableau; executor "
-                     f"{counters.get('frames.native_blocks', 0):,} native / "
-                     f"{counters.get('frames.numpy_blocks', 0):,} numpy "
-                     f"block(s), reference "
-                     f"{counters.get('frames.native_compiles', 0):,} "
-                     f"native / "
-                     f"{counters.get('frames.python_compiles', 0):,} "
-                     f"python compile(s)")
+                     f"to the tableau")
         lines.append(f"tableau sampler  {native + numpy_blocks:,} "
                      f"block(s): executor {native:,} native / "
                      f"{numpy_blocks:,} numpy")

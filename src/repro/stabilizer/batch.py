@@ -4,13 +4,12 @@ Simulates ``B`` independent shots of a Clifford + measure/reset circuit
 simultaneously, holding all ``B`` tableaus in contiguous NumPy arrays
 and applying every operation across the batch in vectorized form.
 
-It is the reference and the fallback of the tableau backend: campaigns
-and :func:`~repro.noise.executor.run_batch_noisy` run the same walk in
-``frames/_kernel.c`` (``repro_tableau_run``) wherever that library
-loads and the noise lowers to a site table, and come here for channels
-without one (:class:`~repro.logical.LogicalFaultChannel`) or on a host
-without a compiler.  Both give one record and leave the generator in
-one state (``tests/test_tableau_native.py``).
+It is the reference of the tableau backend: campaigns and
+:func:`~repro.noise.executor.run_batch_noisy` run the same walk in
+``frames/_kernel.c`` (``repro_tableau_run``) wherever the noise lowers
+to a site table, and come here for channels without one
+(:class:`~repro.logical.LogicalFaultChannel`).  Both give one record
+and leave the generator in one state (``tests/test_tableau_native.py``).
 
 Layout: column-major with the tableau rows bit-packed.  ``x`` and ``z``
 are ``(n, 2, Wn, B)`` uint64 and ``r`` is ``(2, Wn, B)``, where ``half``

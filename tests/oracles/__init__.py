@@ -1,0 +1,28 @@
+"""Test oracles: the Python implementations the C kernels are held to.
+
+Every kernel in ``src/`` (``frames/_kernel.c``, ``decoders/_unionfind.c``,
+``decoders/_blossom.c``) has exactly one implementation there.  The
+plain Python or numpy statement of what each must compute lives here,
+and the tests compare the two bit for bit:
+
+* :mod:`oracles.frames` — the numpy frame executor
+  (:func:`~oracles.frames.exec_numpy`, one handler per op), which
+  ``repro_frames_run`` must match in record words, frames, log-weights,
+  depolarize counts and every lane's generator state; and the reference
+  pass replayed on :class:`~repro.stabilizer.simulator.TableauSimulator`
+  (:func:`~oracles.frames.replay_reference`), which
+  ``repro_frames_reference`` must match in every answer and the
+  generator state it leaves.
+* :mod:`oracles.decoders` — union-find decoded one pattern at a time
+  (:func:`~oracles.decoders.uf_decode_pattern`), whose parity
+  ``repro_uf_grow`` + ``repro_uf_peel`` must give; MWPM's bitmask
+  recursion (:func:`~oracles.decoders.dp_match`), whose cost and parity
+  ``repro_dp_match`` must give, ties included; and NetworkX's blossom
+  (:func:`~oracles.decoders.nx_pairs` / :func:`~oracles.decoders.nx_match`),
+  whose very pairs ``repro_blossom_match`` must return.
+
+The native batched tableau (``repro_tableau_run``) is held to the numpy
+:class:`~repro.stabilizer.batch.BatchTableauSimulator` walk, which
+stays in ``src/`` (it runs channels without a site table) and is
+reached through :func:`repro.noise.executor._walk_tableau`.
+"""

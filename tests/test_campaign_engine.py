@@ -30,14 +30,14 @@ def mid_rate_task(shots=1536, seed=42, **kw):
 
 
 class TestExecutorInvariance:
-    """Which frame-program executor sampled a block (the native op
-    loop, or numpy where no C compiler is found) moves no count."""
+    """Whether a block is sampled and compiled on ``_kernel.c`` or on
+    its oracles (``oracles.frames``) moves no count, in the parent or
+    in forked workers."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_counts_equal_with_the_native_loader_patched_out(
-            self, workers, monkeypatch):
-        from repro import obs
-        from repro.frames import _native
+    def test_counts_equal_on_the_oracles(self, workers, monkeypatch):
+        from oracles import frames as oracle
+        from repro.frames import FrameSimulator
 
         strike = FaultSpec(kind="radiation", root_qubit=1, time_index=1)
         tasks = [mid_rate_task(shots=1536, backend="frames", fault=fault,
@@ -51,11 +51,17 @@ class TestExecutorInvariance:
                     campaign.run(workers=workers, adaptive=policy).counts())
 
         native = run()
-        numpy_blocks = obs.counter("frames.numpy_blocks").value
-        monkeypatch.setattr(_native, "kernel", lambda: None)
-        assert run() == native
+        ran = []
+
+        def numpy_block(sim, *args):
+            ran.append(sim.batch_size)
+            oracle.exec_numpy(sim, *args)
+
+        monkeypatch.setattr(FrameSimulator, "_exec_native", numpy_block)
+        with oracle.python_reference():
+            assert run() == native
         if workers == 1:
-            assert obs.counter("frames.numpy_blocks").value > numpy_blocks
+            assert ran
 
 
 class TestChunkedExecution:

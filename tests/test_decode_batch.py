@@ -13,19 +13,19 @@ The redesign's contract, pinned here from four sides:
   on/off, fresh-vs-warm caches, and a cache that fills up mid-batch
   never change a single decoded bit.
 * **Batched misses** — the distinct patterns a block misses are decoded
-  by one ``_decode_patterns`` call: the profiler's stage counts still
-  tie out, a decoder that only implements ``_decode_pattern`` still
-  decodes, union-find's per-graph tables cannot go stale, its native
-  batch kernel returns the reference's parities bit for bit (and a
-  process without it says so), so does MWPM's native blossom — on
-  every heavy pattern of the ``strike_decode`` points, with NetworkX
-  kept off the import path — and the strike-regime counts are pinned
-  to the pre-batching commit's on either blossom path.
+  by one ``_decode_patterns`` call, the one hook a decoder implements:
+  the profiler's stage counts still tie out, union-find's per-graph
+  tables cannot go stale, its native batch kernel returns its oracle's
+  parities bit for bit, so does MWPM's native blossom — on every heavy
+  pattern of the ``strike_decode`` points, with NetworkX needed by no
+  decode — a pattern wider than the graph is refused, and the
+  strike-regime counts are pinned to the pre-batching commit's.
 * **Engine invariance** — campaign counts stay independent of chunk
   size, worker count and store resume now that the frames hot path
   feeds packed words straight to the decoder.
 """
 
+import contextlib
 import dataclasses
 import json
 import subprocess
@@ -54,6 +54,8 @@ from repro.decoders import (
 )
 from repro.decoders import _native as decoder_native
 from repro.decoders import matching
+from oracles.decoders import (nx_match, nx_pairs, oracle_decoders,
+                              uf_decode_pattern)
 from repro.frames.packing import WORD_BITS, pack_bool_rows, unpack_words
 from repro.injection import (
     Campaign,
@@ -303,29 +305,34 @@ class TestBatchedMisses:
             == info.hits + info.misses
         assert stages["decode.matcher"]["calls"] == info.misses
 
-    def test_per_pattern_only_decoder_uses_default_hook(self, kind, shots):
+    def test_one_hook_decoder(self, kind, shots):
         """A decoder written against the one-method contract — only
-        ``_decode_pattern`` — decodes through the default
-        ``_decode_patterns`` loop."""
+        ``_decode_patterns`` — decodes every distinct pattern once, as
+        the built-in decoders do; without it there is no decoder."""
         exp, rec = shots
         inner = decoder_for(exp, kind)
 
-        class PerPattern(Decoder):
+        class OneHook(Decoder):
             graph = inner.graph
             use_final_data = inner.use_final_data
-            name = "per-pattern"
-            calls = 0
+            name = "one-hook"
+            patterns = 0
 
-            def _decode_pattern(self, detector_bits):
-                type(self).calls += 1
-                return inner._decode_pattern(detector_bits)
+            def _decode_patterns(self, bits):
+                type(self).patterns += len(bits)
+                return inner._decode_patterns(bits)
 
-        got = PerPattern().decode_batch(exp, rec)
+        got = OneHook().decode_batch(exp, rec)
         reference = decoder_for(exp, kind)
         want = reference.decode_batch(exp, rec)
         np.testing.assert_array_equal(got.corrections, want.corrections)
-        # Once per distinct pattern, as the built-in decoders.
-        assert PerPattern.calls == reference.cache_info.misses
+        assert OneHook.patterns == reference.cache_info.misses
+
+        class NoHook(Decoder):
+            name = "no-hook"
+
+        with pytest.raises(TypeError, match="_decode_patterns"):
+            NoHook()
 
 
 class TestUnionFindGraphTables:
@@ -348,15 +355,15 @@ class TestUnionFindGraphTables:
 
     @staticmethod
     def _digests(decoder, patterns):
-        """Digest of the reference's parities, then of the batch
+        """Digest of the oracle's parities, then of the batch
         hook's."""
-        one = np.array([decoder._decode_pattern(bits)
+        one = np.array([uf_decode_pattern(decoder, bits)
                         for bits in patterns], dtype=np.uint8)
         batch = np.asarray(decoder._decode_patterns(patterns),
                            dtype=np.uint8)
         return [np.packbits(p).tobytes().hex() for p in (one, batch)]
 
-    def test_parities_match_parent_and_no_stale_tables(self, uf_executor):
+    def test_parities_match_parent_and_no_stale_tables(self):
         base = DetectorGraph(XXZZCode(5, 5), rounds=5, hook_edges=True)
         rng = np.random.default_rng(41)
         uniform = rng.random((120, base.num_nodes))
@@ -424,10 +431,9 @@ def _uf_patterns(graph, rng, count):
 
 
 class TestUnionFindNativeBatch:
-    """``UnionFindDecoder._decode_patterns`` — the native kernel, or the
-    reference loop on a host without one — against ``_decode_pattern``
-    one pattern at a time: equal parities on every graph shape the
-    decoder meets."""
+    """``UnionFindDecoder._decode_patterns`` — the native kernel —
+    against its oracle, ``uf_decode_pattern`` one pattern at a time:
+    equal parities on every graph shape the decoder meets."""
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
@@ -435,8 +441,8 @@ class TestUnionFindNativeBatch:
     @given(label=st.sampled_from(sorted(UF_CODES)), hooks=st.booleans(),
            erased=st.booleans(), weighted_growth=st.booleans(),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_batch_equals_reference_loop(self, uf_executor, label, hooks,
-                                         erased, weighted_growth, seed):
+    def test_batch_equals_reference_loop(self, label, hooks, erased,
+                                         weighted_growth, seed):
         rng = np.random.default_rng(seed)
         graph = _uf_graph(label, hooks)
         if erased:
@@ -446,23 +452,19 @@ class TestUnionFindNativeBatch:
                                cache_decodes=False,
                                weighted_growth=weighted_growth)
         patterns = _uf_patterns(graph, rng, 24)
-        want = np.array([dec._decode_pattern(bits) for bits in patterns],
+        want = np.array([uf_decode_pattern(dec, bits) for bits in patterns],
                         dtype=np.uint8)
-        counter = obs.counter(f"decode.uf_{uf_executor}_patterns")
-        before = counter.value
         np.testing.assert_array_equal(dec._decode_patterns(patterns), want)
-        assert counter.value - before == len(patterns)
         # one at a time through the hook, and the empty batch
         for bits, parity in zip(patterns[:4], want):
             assert dec._decode_patterns(bits[None, :])[0] == parity
         assert dec._decode_patterns(patterns[:0]).shape == (0,)
 
     @pytest.mark.parametrize("weighted_growth", [False, True])
-    def test_erased_graphs_peel_in_set_order(self, uf_executor,
-                                             weighted_growth):
+    def test_erased_graphs_peel_in_set_order(self, weighted_growth):
         """Where erasure pre-grows clusters, about one pattern in a
         hundred peels to another parity in the order its edges were
-        added than in the order the reference's ``set`` iterates: 1200
+        added than in the order the oracle's ``set`` iterates: 1200
         such patterns, so a kernel peeling in the wrong order fails."""
         rng = np.random.default_rng(2506)
         base = _uf_graph("xxzz-3", False)
@@ -472,12 +474,11 @@ class TestUnionFindNativeBatch:
                                    cache_decodes=False,
                                    weighted_growth=weighted_growth)
             patterns = _uf_patterns(dec.graph, rng, 100)
-            want = [dec._decode_pattern(bits) for bits in patterns]
+            want = [uf_decode_pattern(dec, bits) for bits in patterns]
             np.testing.assert_array_equal(dec._decode_patterns(patterns),
                                           want, err_msg=f"centre {centre}")
 
-    def test_growth_that_cannot_converge_raises_like_the_reference(
-            self, uf_executor):
+    def test_growth_that_cannot_converge_raises_like_the_reference(self):
         """A defect on a detector no edge reaches never pairs up: both
         paths give up after the same guard and raise."""
         graph = _uf_graph("rep-3", False).reweighted(lambda e: e.weight)
@@ -487,38 +488,32 @@ class TestUnionFindNativeBatch:
         bits = np.zeros((2, graph.num_nodes), dtype=np.uint8)
         bits[1, 0] = 1
         with pytest.raises(RuntimeError, match="failed to converge"):
-            dec._decode_pattern(bits[1])
+            uf_decode_pattern(dec, bits[1])
         with pytest.raises(RuntimeError, match="failed to converge"):
             dec._decode_patterns(bits)
 
-    def test_unavailable_loader_is_decided_once_and_counted(
-            self, monkeypatch, tmp_path):
-        """No compiler and an empty cache: the reference decodes every
-        pattern for the life of the process, one event says why, and
-        the counters say which path ran."""
-        def events():
-            return obs.registry().event_counts.get(
-                "decoders.native_unavailable", 0)
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_every_strike_pattern_matches_the_oracle(
+            self, fresh_decoders, monkeypatch, seed):
+        """Every pattern the ``strike_decode`` union-find points hand
+        the kernel decodes to its oracle's parity."""
+        from repro.injection import build_sweep
 
-        monkeypatch.setattr(decoder_native._LOADER, "decided", None)
-        before = events()
-        with monkeypatch.context() as hidden:
-            hidden.setenv("XDG_CACHE_HOME", str(tmp_path))
-            hidden.setenv("PATH", str(tmp_path))
-            assert decoder_native.kernel() is None
-        assert "no C compiler" in decoder_native.unavailable_reason()
-        graph = _uf_graph("xxzz-3", False)
-        patterns = _uf_patterns(graph, np.random.default_rng(5), 10)
-        dec = UnionFindDecoder(graph, use_final_data=False,
-                               cache_decodes=False)
-        native = obs.counter("decode.uf_native_patterns")
-        python = obs.counter("decode.uf_python_patterns")
-        counts = native.value, python.value
-        for _ in range(2):
-            dec._decode_patterns(patterns)
-        assert (native.value, python.value) \
-            == (counts[0], counts[1] + 2 * len(patterns))
-        assert events() == before + 1
+        seen = []
+        real = UnionFindDecoder._decode_patterns
+
+        def spy(decoder, bits):
+            parities = real(decoder, bits)
+            seen.append((decoder, bits.copy(), parities))
+            return parities
+
+        monkeypatch.setattr(UnionFindDecoder, "_decode_patterns", spy)
+        build_sweep({**STRIKE_MWPM, "decoder": "union-find", "shots": 512,
+                     "root_seed": seed}).run(workers=1)
+        assert sum(len(bits) for _, bits, _ in seen) >= 500
+        for decoder, bits, parities in seen:
+            want = [uf_decode_pattern(decoder, row) for row in bits]
+            np.testing.assert_array_equal(parities, want)
 
     def test_import_repro_loads_no_kernel(self):
         """The kernel is loaded by the first union-find decode, not by
@@ -570,26 +565,22 @@ def _heavy_patterns(graph, rng, count):
 
 class TestNativeBlossom:
     """``MWPMDecoder`` matches its patterns past ``_DP_LIMIT`` in one
-    call to the native blossom — or through NetworkX where the process
-    has none — with ``_nx_match``'s parity on every pattern, counted by
-    path; and NetworkX stays out of a process that has the kernel."""
+    call to the native blossom, with its oracle ``nx_match``'s parity on
+    every pattern; and no decode needs NetworkX."""
 
-    def test_batch_equals_reference_and_is_counted(self, blossom_executor):
+    def test_batch_equals_reference(self):
         graph = _strike_reweighted(_uf_graph("xxzz-5", True), 30)
         dec = MWPMDecoder(graph, use_final_data=False, cache_decodes=False)
         patterns = _heavy_patterns(graph, np.random.default_rng(11), 24)
         # light patterns ride along: only the heavy ones are counted
         patterns[::6, 16:] = 0
         heavy = patterns.sum(axis=1) > matching._DP_LIMIT
-        want = [matching._nx_match(tuple(np.flatnonzero(bits).tolist()),
-                                   graph.distances, graph.parities,
-                                   graph.num_nodes)[1]
+        want = [nx_match(tuple(np.flatnonzero(bits).tolist()),
+                         graph.distances, graph.parities,
+                         graph.num_nodes)[1]
                 for bits in patterns[heavy]]
-        counter = obs.counter(f"decode.blossom_{blossom_executor}_patterns")
-        before = counter.value
         np.testing.assert_array_equal(
             dec._decode_patterns(patterns)[heavy], want)
-        assert counter.value - before == heavy.sum()
 
     @pytest.mark.parametrize("seed", [2024, 7])
     def test_every_strike_heavy_pattern_matches_networkx(
@@ -599,9 +590,6 @@ class TestNativeBlossom:
         from repro.injection import build_sweep
 
         kernel = decoder_native.blossom()
-        if kernel is None:
-            pytest.skip("native blossom kernel unavailable: "
-                        + decoder_native.blossom_unavailable_reason())
         seen = []
         real = matching._blossom_parities
 
@@ -624,68 +612,59 @@ class TestNativeBlossom:
                         for c in range(len(code))]
                 got = {frozenset((node[c], node[m]))
                        for c, m in enumerate(code)}
-                want = {frozenset(pair) for pair in matching._nx_pairs(
+                want = {frozenset(pair) for pair in nx_pairs(
                     pattern, graph.distances, graph.num_nodes)}
                 assert got == want, pattern
 
-    def test_unavailable_loader_is_decided_once_and_counted(
-            self, monkeypatch, tmp_path):
-        def events():
-            return obs.registry().event_counts.get(
-                "decoders.blossom_unavailable", 0)
-
-        monkeypatch.setattr(decoder_native._BLOSSOM_LOADER, "decided", None)
-        before = events()
-        with monkeypatch.context() as hidden:
-            hidden.setenv("XDG_CACHE_HOME", str(tmp_path))
-            hidden.setenv("PATH", str(tmp_path))
-            assert decoder_native.blossom() is None
-        assert "no C compiler" in decoder_native.blossom_unavailable_reason()
-        graph = _uf_graph("xxzz-5", False)
-        patterns = _heavy_patterns(graph, np.random.default_rng(5), 4)
-        dec = MWPMDecoder(graph, use_final_data=False, cache_decodes=False)
-        native = obs.counter("decode.blossom_native_patterns")
-        python = obs.counter("decode.blossom_python_patterns")
-        counts = native.value, python.value
-        for _ in range(2):
-            dec._decode_patterns(patterns)
-        assert (native.value, python.value) \
-            == (counts[0], counts[1] + 2 * len(patterns))
-        assert events() == before + 1
-
-    def test_networkx_stays_off_the_import_path(self):
-        """A fresh process: ``import repro`` imports no NetworkX, nor
-        does a strike campaign on a mesh whose patterns reach the
-        blossom — where the kernel loads."""
+    def test_mwpm_decodes_without_networkx(self):
+        """A fresh process where ``import networkx`` fails: ``import
+        repro`` works, and a strike campaign whose patterns reach the
+        blossom decodes on the kernel alone."""
         probe = """if True:
             import json, sys
+            sys.modules["networkx"] = None
             import repro
-            imported = ["networkx" in sys.modules]
-            from repro import obs
-            from repro.decoders import _native
+            from repro.decoders import matching
             from repro.injection import build_sweep
+            heavy = []
+            real = matching._blossom_parities
+            def spy(graph, bits):
+                heavy.append(int(bits.sum(axis=1).min()))
+                return real(graph, bits)
+            matching._blossom_parities = spy
             build_sweep({
                 "codes": [{"kind": "xxzz", "distance": [5, 5]}],
-                "archs": [{"name": "mesh", "args": [10, 5]}], "rounds": 5,
-                "p_values": [1e-3], "decoder": "mwpm", "backend": "frames",
-                "shots": 128, "root_seed": 2024,
-                "faults": [{"kind": "radiation", "root_qubit": 24,
+                "rounds": 5, "p_values": [1e-3], "decoder": "mwpm",
+                "backend": "frames", "shots": 256, "root_seed": 7,
+                "faults": [{"kind": "radiation", "root_qubit": 12,
                             "time_index": 0}]}).run(workers=1)
-            imported.append("networkx" in sys.modules)
-            counters = obs.registry().snapshot()["counters"]
-            print(json.dumps([imported, _native.blossom() is not None,
-                              counters["decode.blossom_native_patterns"],
-                              counters["decode.blossom_python_patterns"]]))
+            print(json.dumps([sys.modules["networkx"] is None, heavy]))
         """
         out = subprocess.run([sys.executable, "-c", probe], check=True,
                              capture_output=True, text=True).stdout
-        (at_import, after_run), loaded, native, python = json.loads(out)
-        assert not at_import
-        assert native + python > 0
-        if loaded:
-            assert not after_run and python == 0
-        else:
-            assert native == 0
+        blocked, heavy = json.loads(out)
+        assert blocked
+        assert heavy and min(heavy) > matching._DP_LIMIT
+
+
+class TestWidePatterns:
+    """A detector pattern wider than the graph is refused with one
+    ``ValueError`` stating both widths, on either decoder."""
+
+    @pytest.mark.parametrize("kind", ["mwpm", "union-find"])
+    def test_decode_detectors_refuses_a_wide_pattern(self, kind):
+        exp = build_memory_experiment(XXZZCode(3, 3), rounds=3)
+        dec = decoder_for(exp, kind)
+        n = dec.graph.num_nodes
+        bits = np.zeros(n + 2, dtype=np.uint8)
+        bits[n + 1] = 1
+        with pytest.raises(ValueError, match=f"{n + 2} bits .* {n} "
+                                             "detectors"):
+            dec.decode_detectors(bits)
+        # a pattern of the graph's width still decodes
+        bits = np.zeros(n, dtype=np.uint8)
+        bits[:2] = 1
+        assert dec.decode_detectors(bits) in (0, 1)
 
 
 class TestPackedPrepare:
@@ -911,15 +890,15 @@ class TestEngineInvariance:
         ("union-find", [(256, 99, 57, 78), (256, 61, 35, 68),
                         (256, 29, 29, 30)]),
     ])
-    def test_strike_regime_counts_pinned(self, fresh_decoders,
-                                         blossom_executor, decoder,
-                                         parent_counts):
+    @pytest.mark.parametrize("path", ["kernel", "oracle"])
+    def test_strike_regime_counts_pinned(self, fresh_decoders, decoder,
+                                         parent_counts, path):
         """The e2e benchmark's ``strike_decode`` points at 256 shots,
         seed 2024 — ``(shots, errors, raw_errors, corrections)`` as the
         commit before the batch matcher kernel counted them.  Nearly
         every syndrome is distinct and tie-degenerate here, so a
-        matcher that breaks one tie differently moves these — on
-        either blossom path."""
+        matcher that breaks one tie differently moves these — on the
+        kernels and on their oracles alike."""
         from repro.injection import build_sweep
 
         campaign = build_sweep({
@@ -928,4 +907,7 @@ class TestEngineInvariance:
             "shots": 256, "root_seed": 2024,
             "faults": [{"kind": "radiation", "root_qubit": 12,
                         "time_index": t} for t in (0, 1, 2)]})
-        assert campaign.run(workers=1).counts() == parent_counts
+        with contextlib.ExitStack() as stack:
+            if path == "oracle":
+                stack.enter_context(oracle_decoders())
+            assert campaign.run(workers=1).counts() == parent_counts

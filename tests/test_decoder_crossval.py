@@ -12,23 +12,20 @@ Measured contracts (exhaustive weight-1 scans and weight-2 scans /
   mis-peel a small fraction of weight-2 sets (~0.6% on rep-5 /
   xxzz-5) — the documented "accuracy slightly below MWPM by design"
   trade-off, pinned here so a regression (or a silent fix) is visible.
-* **Batch kernel** — ``MWPMDecoder._decode_patterns`` (the native DP,
-  or with the library hidden the bottom-up lattice DP vectorised
-  across a bucket of patterns) returns the parity, and
-  ``_dp_match_batch`` the cost, of the memoised recursion
-  ``_dp_match`` *bit for bit, ties included*: for every defect count
-  1..16, random and clustered defects, unit / hook / reweighted graphs,
-  single-count, mixed-count (dummy-padded) and one-pattern batches.
+* **Batch kernel** — ``MWPMDecoder._decode_patterns`` returns the
+  parity of its oracles (``oracles.decoders``: the memoised recursion
+  ``dp_match`` up to 16 defects, NetworkX's ``nx_match`` past them)
+  *bit for bit, ties included*: for every defect count 1..16 and two
+  past it, random and clustered defects, unit / hook / reweighted
+  graphs, single-count, mixed-count and one-pattern batches.
 * **Native DP** — up to 16 defects, ``_blossom.c``'s ``repro_dp_match``
-  returns the cost and parity of ``_dp_match`` and of
-  ``_dp_match_batch`` bit for bit, for every defect count 0..16 in one
-  call, on tie-heavy small-integer tables with unreachable entries and
-  rows and on repetition / XXZZ d = 3/5/7 graphs, unit / hook /
-  reweighted; a process with it never builds a ``_lattice``, and one
-  without it decodes every pattern to the same parity.
+  returns the cost and parity of ``dp_match`` bit for bit, for every
+  defect count 0..16 in one call, on tie-heavy small-integer tables
+  with unreachable entries and rows and on repetition / XXZZ
+  d = 3/5/7 graphs, unit / hook / reweighted.
 * **Native blossom** — past 16 defects, ``_blossom.c`` returns the very
   matching NetworkX's ``max_weight_matching`` returns (the same set of
-  pairs) and ``_nx_match``'s parity: 17..30 defects on repetition and
+  pairs) and ``nx_match``'s parity: 17..30 defects on repetition and
   XXZZ d = 3/5/7 graphs, unit / hook / reweighted, and on tie-heavy
   small-integer tables with unreachable entries.
 """
@@ -49,6 +46,8 @@ from repro.decoders import (
 from repro import obs
 from repro.decoders import _native, matching
 from repro.injection import build_sweep
+from oracles.decoders import (dp_match, mwpm_parity, nx_match, nx_pairs,
+                              uf_decode_pattern)
 
 _SETTINGS = dict(max_examples=40, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -199,18 +198,6 @@ def _batch_graph(label, weights):
     return _CACHE[key]
 
 
-def _reference_parity(graph, bits):
-    """One pattern through the per-pattern engines, as every commit
-    before the batch kernel decoded it."""
-    events = tuple(int(i) for i in np.nonzero(bits)[0])
-    if not events:
-        return 0
-    match = (matching._dp_match if len(events) <= matching._DP_LIMIT
-             else matching._nx_match)
-    return match(events, graph.distances, graph.parities,
-                 graph.num_nodes)[1]
-
-
 def _defect_patterns(graph, rng):
     """Two patterns per defect count 1..16 — one of uniformly random
     defects, one clustered around a random node (the strike shape) —
@@ -234,15 +221,14 @@ def _defect_patterns(graph, rng):
 class TestBatchMatcherVsRecursion:
     @pytest.mark.parametrize("weights", ["unit", "hook", "reweighted"])
     @pytest.mark.parametrize("label", [c[0] for c in BATCH_CODES])
-    def test_parities_bit_identical(self, blossom_executor, label, weights):
+    def test_parities_bit_identical(self, label, weights):
         graph = _batch_graph(label, weights)
         decoder = MWPMDecoder(graph, use_final_data=False,
                               cache_decodes=False)
         patterns = _defect_patterns(graph, np.random.default_rng(2024))
-        want = np.array([_reference_parity(graph, bits)
+        want = np.array([mwpm_parity(graph, bits)
                          for bits in patterns], dtype=np.uint8)
-        # Mixed counts: the padded bucket, the exact-count buckets and
-        # the blossom route, all in one call.
+        # Mixed counts: the DP and the blossom route in one call.
         np.testing.assert_array_equal(
             decoder._decode_patterns(patterns), want)
         counts = patterns.sum(axis=1)
@@ -252,44 +238,27 @@ class TestBatchMatcherVsRecursion:
                 want[counts == k], err_msg=f"single-count batch k={k}")
         for bits, parity in zip(patterns, want):
             assert decoder._decode_patterns(bits[None, :])[0] == parity
-            assert decoder._decode_pattern(bits) == parity
+            assert decoder.decode_detectors(bits) == parity
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 11])
-    def test_kernel_cost_parity_and_ties_on_degenerate_tables(self, k):
-        """Small-integer weights make most minima ties, unreachable
-        nodes make whole option rows infinite: the kernel must still
-        return the recursion's cost and parity exactly — alone, and
-        padded with dummy events."""
-        rng = np.random.default_rng(k)
-        n, pad = 24, 2
-        dist = rng.integers(1, 4, size=(n, n + 1)).astype(float)
-        dist[rng.random((n, n + 1)) < 0.15] = np.inf
-        dist[:, :n] = np.minimum(dist[:, :n], dist[:, :n].T)
-        dist[:3] = np.inf                   # events nothing can reach
-        parity = rng.integers(0, 2, size=(n, n + 1), dtype=np.uint8)
-        events = np.sort(np.stack([rng.choice(n, size=k, replace=False)
-                                   for _ in range(40)]), axis=1)
-        want = [matching._dp_match(tuple(int(e) for e in row), dist,
-                                   parity, n) for row in events]
-
-        cost = np.full((len(events), k + pad, 1 + k + pad), np.inf)
-        flip = np.zeros(cost.shape, dtype=np.uint8)
-        cost[:, :k, 0] = dist[events, n] + matching._BOUNDARY_BIAS
-        cost[:, k:, 0] = 0.0                # dummies: free to retire
-        flip[:, :k, 0] = parity[events, n]
-        cost[:, :k, 1:1 + k] = dist[events[:, :, None], events[:, None, :]]
-        flip[:, :k, 1:1 + k] = parity[events[:, :, None],
-                                      events[:, None, :]]
-        for width in (k, k + pad):
-            got_cost, got_flip = matching._dp_match_batch(
-                cost[:, :width, :1 + width], flip[:, :width, :1 + width])
-            assert got_cost.tolist() == [c for c, _ in want], width
-            assert got_flip.tolist() == [p for _, p in want], width
+    @pytest.mark.parametrize("weights", ["unit", "hook", "reweighted"])
+    @pytest.mark.parametrize("label", [c[0] for c in BATCH_CODES])
+    def test_union_find_parities_bit_identical(self, label, weights):
+        """The same sweep of every defect count through union-find's
+        kernel and its oracle, both growth rules."""
+        graph = _batch_graph(label, weights)
+        patterns = _defect_patterns(graph, np.random.default_rng(2025))
+        for weighted_growth in (True, False):
+            decoder = UnionFindDecoder(graph, use_final_data=False,
+                                       cache_decodes=False,
+                                       weighted_growth=weighted_growth)
+            want = [uf_decode_pattern(decoder, bits) for bits in patterns]
+            np.testing.assert_array_equal(
+                decoder._decode_patterns(patterns), want)
 
 
 def _native_match(events, dist, parity):
     """The native blossom on one pattern: ``(pairs, parity)``, pairs as
-    a set of frozensets of ``_nx_pairs``' node labels."""
+    a set of frozensets of ``nx_pairs``' node labels."""
     kernel = _native.blossom()
     events = np.asarray(events, dtype=np.int64)
     mates, out = kernel.match(np.array([0, events.size], dtype=np.int64),
@@ -306,18 +275,11 @@ def _native_match(events, dist, parity):
 def assert_native_equals_networkx(events, dist, parity):
     events = tuple(int(e) for e in events)
     want = {frozenset(pair) for pair in
-            matching._nx_pairs(events, dist, dist.shape[0])}
+            nx_pairs(events, dist, dist.shape[0])}
     pairs, got_parity = _native_match(events, dist, parity)
     assert pairs == want, events
-    assert got_parity == matching._nx_match(events, dist, parity,
-                                            dist.shape[0])[1], events
-
-
-@pytest.fixture(scope="module")
-def blossom_kernel():
-    if _native.blossom() is None:
-        pytest.skip("native blossom kernel unavailable: "
-                    + _native.blossom_unavailable_reason())
+    assert got_parity == nx_match(events, dist, parity,
+                                  dist.shape[0])[1], events
 
 
 class TestNativeBlossomVsNetworkx:
@@ -329,7 +291,7 @@ class TestNativeBlossomVsNetworkx:
     @given(label=st.sampled_from([c[0] for c in BLOSSOM_CODES]),
            weights=st.sampled_from(["unit", "hook", "reweighted"]),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_detector_graphs(self, blossom_kernel, label, weights, seed):
+    def test_detector_graphs(self, label, weights, seed):
         graph = _batch_graph(label, weights)
         n = graph.num_nodes
         rng = np.random.default_rng(seed)
@@ -345,7 +307,7 @@ class TestNativeBlossomVsNetworkx:
     @settings(**_SETTINGS)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            k=st.integers(matching._DP_LIMIT + 1, 30))
-    def test_degenerate_tables(self, blossom_kernel, seed, k):
+    def test_degenerate_tables(self, seed, k):
         """Small-integer distances (ties everywhere), unreachable pairs
         and boundaries (no edge, or an edge of weight ``-inf``) and an
         asymmetric parity table, where a pair's orientation decides the
@@ -360,7 +322,7 @@ class TestNativeBlossomVsNetworkx:
         assert_native_equals_networkx(
             np.sort(rng.choice(n, size=k, replace=False)), dist, parity)
 
-    def test_batch_of_mixed_widths_is_per_pattern(self, blossom_kernel):
+    def test_batch_of_mixed_widths_is_per_pattern(self):
         """One call over patterns of several widths answers each as a
         call of its own would."""
         graph = _batch_graph("xxzz-5", "hook")
@@ -378,7 +340,7 @@ class TestNativeBlossomVsNetworkx:
                                  graph.parities)[1] if events.size else 0
             assert got == want
 
-    def test_malformed_input_is_refused_before_the_call(self, blossom_kernel):
+    def test_malformed_input_is_refused_before_the_call(self):
         graph = _batch_graph("rep-7", "unit")
         kernel = _native.blossom()
         n = graph.num_nodes
@@ -408,28 +370,16 @@ def _degenerate_tables(rng, n):
     return dist, parity
 
 
-def _batch_inputs(events, dist, parity):
-    """``_dp_match_batch``'s ``(cost, flip)`` for ``(P, k)`` events."""
-    n = dist.shape[0]
-    cost = np.empty((len(events), events.shape[1], 1 + events.shape[1]))
-    flip = np.empty(cost.shape, dtype=np.uint8)
-    cost[:, :, 0] = dist[events, n] + matching._BOUNDARY_BIAS
-    flip[:, :, 0] = parity[events, n]
-    cost[:, :, 1:] = dist[events[:, :, None], events[:, None, :]]
-    flip[:, :, 1:] = parity[events[:, :, None], events[:, None, :]]
-    return cost, flip
-
-
 class TestNativeDpVsRecursion:
-    """The native DP is ``_dp_match`` — cost and parity, ties included —
-    and so agrees with ``_dp_match_batch`` too."""
+    """The native DP is its oracle ``dp_match`` — cost and parity, ties
+    included."""
 
     @settings(**{**_SETTINGS, "max_examples": 20})
     @given(source=st.sampled_from(
                ["tables"] + [(c[0], w) for c in BLOSSOM_CODES
                              for w in ("unit", "hook", "reweighted")]),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_every_defect_count_in_one_call(self, blossom_kernel, source,
+    def test_every_defect_count_in_one_call(self, source,
                                             seed):
         rng = np.random.default_rng(seed)
         if source == "tables":
@@ -448,19 +398,12 @@ class TestNativeDpVsRecursion:
         costs, parities = _native.blossom().dp(
             ptr, events, dist, parity, n, matching._BOUNDARY_BIAS)
         for k, row, cost, flip in zip(ks, patterns, costs, parities):
-            want = matching._dp_match(tuple(row.tolist()), dist, parity, n)
+            want = dp_match(tuple(row.tolist()), dist, parity, n)
             assert (cost, flip) == want, (k, row)
             assert np.float64(cost).tobytes() \
                 == np.float64(want[0]).tobytes()
-        for k in range(matching._DP_LIMIT + 1):
-            which = np.flatnonzero(ks == k)
-            rows = np.stack([patterns[i] for i in which])
-            batch_cost, batch_flip = matching._dp_match_batch(
-                *_batch_inputs(rows, dist, parity))
-            assert batch_cost.tobytes() == costs[which].tobytes(), k
-            assert batch_flip.tolist() == parities[which].tolist(), k
 
-    def test_refuses_what_it_cannot_match(self, blossom_kernel):
+    def test_refuses_what_it_cannot_match(self):
         graph = _batch_graph("rep-7", "unit")
         kernel = _native.blossom()
         n = graph.num_nodes
@@ -479,7 +422,7 @@ class TestNativeDpVsRecursion:
             with pytest.raises(ValueError, match="do not fit"):
                 dp([0, 2], events)
 
-    def test_kernel_checks_the_event_range_itself(self, blossom_kernel):
+    def test_kernel_checks_the_event_range_itself(self):
         """Behind the wrapper's check, the kernel refuses an event past
         the tables' rows before reading anything."""
         graph = _batch_graph("rep-7", "unit")
@@ -505,43 +448,33 @@ STRIKE = {
     "shots": 512, "root_seed": 7,
     "faults": [{"kind": "radiation", "root_qubit": 12, "time_index": 0}]}
 
-_MATCHER_COUNTERS = ("decode.dp_native_patterns", "decode.dp_python_patterns",
-                     "decode.blossom_native_patterns",
-                     "decode.blossom_python_patterns", "decode.cache_misses")
-
-
-def _counters():
-    return np.array([obs.counter(name).value for name in _MATCHER_COUNTERS])
-
 
 class TestNativeMatcherInCampaigns:
-    def test_no_lattice_is_built_with_the_kernel(self, blossom_kernel):
-        matching._lattice.cache_clear()
-        before = _counters()
-        build_sweep(STRIKE).run(workers=1)
-        dp_native, dp_python, bl_native, bl_python, misses = \
-            _counters() - before
-        assert matching._lattice.cache_info().currsize == 0
-        assert dp_python == bl_python == 0
-        assert dp_native > 0 and bl_native > 0
-        assert dp_native + bl_native == misses
+    def test_every_strike_pattern_matches_the_oracles(self, monkeypatch):
+        """Every pattern a strike campaign's MWPM point hands the
+        matcher — each a cache miss, light ones to the DP, heavy ones
+        to the blossom — decodes to its oracle's parity."""
+        from repro.injection.campaign import _prepared, _task_context
 
-    def test_hidden_library_decodes_the_same(self, blossom_kernel,
-                                             monkeypatch):
-        graph = _batch_graph("xxzz-5", "hook")
-        rng = np.random.default_rng(11)
-        counts = rng.integers(0, 25, size=200)
-        patterns = np.zeros((counts.size, graph.num_nodes), dtype=np.uint8)
-        for row, k in zip(patterns, counts):
-            row[rng.choice(graph.num_nodes, size=k, replace=False)] = 1
-        decoder = MWPMDecoder(graph, use_final_data=False,
-                              cache_decodes=False)
-        light = int(np.count_nonzero(counts <= matching._DP_LIMIT))
-        before = _counters()
-        native = decoder._decode_patterns(patterns)
-        monkeypatch.setattr(_native, "blossom", lambda: None)
-        hidden = decoder._decode_patterns(patterns)
-        np.testing.assert_array_equal(hidden, native)
-        dp_native, dp_python, bl_native, bl_python, _ = _counters() - before
-        assert (dp_native, dp_python) == (light, light)
-        assert (bl_native, bl_python) == (counts.size - light,) * 2
+        for cache in (_task_context, _prepared):
+            cache.cache_clear()
+        seen = []
+        for name in ("_dp_parities", "_blossom_parities"):
+            def spy(graph, bits, real=getattr(matching, name)):
+                parities = real(graph, bits)
+                seen.append((graph, bits.copy(), parities.copy()))
+                return parities
+
+            monkeypatch.setattr(matching, name, spy)
+        misses = obs.counter("decode.cache_misses").value
+        build_sweep(STRIKE).run(workers=1)
+        assert sum(len(bits) for _, bits, _ in seen) \
+            == obs.counter("decode.cache_misses").value - misses
+        heavy = 0
+        for graph, bits, parities in seen:
+            for row, parity in zip(bits, parities):
+                heavy += int(row.sum()) > matching._DP_LIMIT
+                assert mwpm_parity(graph, row) == parity
+        assert 0 < heavy < sum(len(bits) for _, bits, _ in seen)
+        for cache in (_task_context, _prepared):
+            cache.cache_clear()

@@ -118,11 +118,11 @@ class TestWorkerCountDeterminism:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_counts_identical_under_either_frames_executor(
-            self, workers, monkeypatch):
-        """Forked workers inherit the parent's executor decision; with
-        the native loader patched out they sample on numpy — the same
-        counts and the same adaptive stop shots."""
-        from repro.frames import _native
+            self, workers):
+        """Forked workers inherit the parent's executor: on the frames
+        kernel's oracles (``oracles.frames``) they sample the same
+        counts and stop at the same adaptive shots."""
+        from oracles import frames as oracle
 
         campaign = d3_sweep_tasks("frames", shots=8192)
         policy = AdaptivePolicy(rel_halfwidth=0.3, min_shots=512)
@@ -133,8 +133,8 @@ class TestWorkerCountDeterminism:
             return [r.shots for r in results], results.counts()
 
         native = run()
-        monkeypatch.setattr(_native, "kernel", lambda: None)
-        assert run() == native
+        with oracle.numpy_executor(), oracle.python_reference():
+            assert run() == native
 
     def test_single_deep_task_splits_across_workers(self):
         """Block-level scheduling parallelizes within one point."""

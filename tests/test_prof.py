@@ -8,6 +8,7 @@ import json
 import re
 import time
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -15,6 +16,7 @@ from repro.circuits import Circuit
 from repro.frames import run_batch_frames
 from repro.obs import bench, prof
 from repro.injection.campaign import _prepared, _task_context
+from repro.noise.executor import _walk_tableau
 from repro.injection import (
     AdaptivePolicy,
     Campaign,
@@ -91,12 +93,12 @@ class TestProfiler:
             spans["inner"]["total_s"], abs=1e-6)
         assert spans["inner"]["child_s"] == 0.0
 
-    def test_kernel_buckets_and_decode_stages(self, executor):
+    def test_kernel_buckets_and_decode_stages(self):
         # first-call costs (library load, numpy's ctypes interface) are
         # not the loop's
         run_batch_frames(Circuit(1).h(0).measure(0, 0), None, 64, rng=0)
-        # ... and the other executor's run must not have left this
-        # one's decoder warm (the matcher assertions below)
+        # ... and no earlier run may have left the decoder warm (the
+        # matcher assertions below)
         _task_context.cache_clear()
         _prepared.cache_clear()
         obs.reset()
@@ -104,13 +106,13 @@ class TestProfiler:
             run_task(FRAMES_TASK)
         snap = p.snapshot()
         kernels = snap["kernels"]
-        # Either executor clocks its own loop where the opcode changes:
-        # the buckets tile the block's wall but for the entry and exit.
+        # The kernel clocks its loop where the opcode changes: the
+        # buckets tile the block's wall but for the entry and exit.
         wall = sum(blk[0] for blk in p._blocks.values())
         assert 0.5 * wall < sum(row["total_s"] for row in kernels.values()) \
             <= wall * (1 + 1e-6)
         ran = obs.registry().snapshot()["counters"]
-        assert ran[f"frames.{executor}_blocks"] == ran["frames.blocks"] == 1
+        assert ran["frames.blocks"] == 1
         # The d=3 xxzz program fuses its layers: both scalar and fused
         # kinds appear, fused ops count their width.
         assert "cx.fused" in kernels and "measure.fused" in kernels
@@ -132,7 +134,7 @@ class TestProfiler:
                    for path in snap["paths"])
         assert "decode/decode.matcher" in snap["paths"]
 
-    def test_a_wide_execution_is_one_profiled_block(self, executor):
+    def test_a_wide_execution_is_one_profiled_block(self):
         """``begin_block`` brackets one execution, however many lanes
         (canonical blocks, what ``frames.blocks`` counts) it carries —
         and clocking it changes no count."""
@@ -172,12 +174,12 @@ class TestProfiler:
         assert snap["paths"]["decode/decode.matcher"]["self_s"] \
             <= matcher["total_s"] - blossom["total_s"] + 2e-6
 
-    def test_tableau_fallback_is_attributed(self, executor):
+    def test_tableau_fallback_is_attributed(self):
         """An ``auto`` XXZZ strike resets entangled data qubits, falls
         back to the batched tableau, and its ``sample`` span splits into
-        the four tableau stages — once per block, counts untouched.  The
-        numpy walk clocks them in Python, the native one in C: either
-        way all four appear and sum to no more than the span."""
+        the four tableau stages — once per block, counts untouched: the
+        native walk clocks them in C, all four appear and sum to no
+        more than the span."""
         strike = InjectionTask(
             code=CodeSpec("xxzz", (3, 3)), intrinsic_p=1e-3,
             fault=FaultSpec(kind="radiation", root_qubit=2, time_index=0),
@@ -189,7 +191,7 @@ class TestProfiler:
         assert (profiled.shots, profiled.errors) \
             == (baseline.shots, baseline.errors)
         counters = obs.registry().snapshot()["counters"]
-        assert counters[f"stabilizer.{executor}_blocks"] == 2
+        assert counters["stabilizer.native_blocks"] == 2
         snap = p.snapshot()
         sample = snap["paths"]["sample"]
         parts = 0.0
@@ -199,10 +201,31 @@ class TestProfiler:
             assert snap["stages"][name]["total_s"] > 0.0
             parts += snap["paths"][f"sample/{name}"]["total_s"]
         assert parts <= sample["total_s"] + 1e-5
-        if executor == "numpy":
-            # the Python walk is nearly all of the span
-            assert 0.9 * sample["total_s"] <= parts
         assert not snap["kernels"]  # no frames block ran
+
+    def test_numpy_tableau_walk_is_attributed(self):
+        """The numpy walk — a channel without a site table takes it —
+        clocks the same four stages in Python, and they are nearly all
+        of its wall."""
+        strike = InjectionTask(
+            code=CodeSpec("xxzz", (3, 3)), intrinsic_p=1e-3,
+            fault=FaultSpec(kind="radiation", root_qubit=2, time_index=0),
+            backend="auto", shots=512, seed=7)
+        experiment, _, noise, *_ = _task_context(strike)
+        with prof.profile() as p:
+            t0 = time.perf_counter()
+            for seed in (1, 2):
+                _walk_tableau(experiment.circuit, noise, 512,
+                              np.random.default_rng(seed))
+            wall = time.perf_counter() - t0
+        stages = p.snapshot()["stages"]
+        parts = 0.0
+        for name in ("tableau.gates", "tableau.measure_det",
+                     "tableau.measure_rand", "tableau.noise"):
+            assert stages[name]["calls"] == 2
+            assert stages[name]["total_s"] > 0.0
+            parts += stages[name]["total_s"]
+        assert 0.9 * wall <= parts <= wall
 
     def test_flame_lines_collapsed_stack_format(self):
         with prof.profile() as p:

@@ -18,7 +18,7 @@ import pytest
 from repro import obs
 from repro.circuits import Circuit
 from repro.codes import XXZZCode, build_memory_experiment
-from repro.frames import FrameSimulator, _native, frame_structure
+from repro.frames import FrameSimulator, frame_structure
 from repro.injection import Campaign, CodeSpec, FaultSpec, InjectionTask
 from repro.injection.adaptive import AdaptivePolicy
 from repro.injection.campaign import (_task_context, iter_task_chunks,
@@ -30,6 +30,7 @@ from repro.injection.sweep import build_sweep
 from repro.noise import (DepolarizingNoise, NoiseModel, RadiationEvent,
                          run_batch_noisy)
 from repro.noise.base import NoiseChannel
+from repro.noise.executor import _walk_tableau
 from repro.rare.sampler import SamplerSpec, as_sampler
 from repro.rare.stats import (WeightStats, mc_required_shots,
                               variance_reduction_factor, wilson_from_rate)
@@ -269,25 +270,29 @@ class TestWeightProperties:
                                          backend=backend, tilt=spec)
             assert np.all(weights == 1.0)
 
-    def test_tilted_tableau_stream_matches_plain_at_q_eq_p(self, executor):
+    @pytest.mark.parametrize("walk", ["native", "numpy"])
+    def test_tilted_tableau_stream_matches_plain_at_q_eq_p(self, walk):
         """The tableau tilts in its one interpreter: at ``q == p`` the
         tilted walk must draw and flip exactly as the plain walk —
         records and generator state bit-identical — and leave every
-        shot at unit weight, on either executor."""
+        shot at unit weight, natively and on the numpy walk."""
         circuit = build_memory_experiment(XXZZCode(3, 3)).circuit
         n = circuit.num_qubits
         event = RadiationEvent(2, {q: abs(q - 2) for q in range(n)},
                                num_qubits=n)
         plain = NoiseModel([DepolarizingNoise(1e-2), event.channel(4)])
         spec = SamplerSpec(kind="tilt", tilt=1.0)
+        def run(rng, tilt=None):
+            if walk == "numpy":
+                return _walk_tableau(circuit, plain, batch, rng, tilt)
+            return run_batch_noisy(circuit, plain, batch, rng=rng,
+                                   backend="tableau", tilt=tilt)
+
         for batch in (1, 63, 512):
             rngs = [np.random.default_rng(batch) for _ in range(2)]
-            want = run_batch_noisy(circuit, plain, batch, rng=rngs[0],
-                                   backend="tableau")
-            got, weights = run_batch_noisy(circuit, plain, batch,
-                                           rng=rngs[1], backend="tableau",
-                                           tilt=spec)
-            if executor == "numpy":
+            want = run(rngs[0])
+            got, weights = run(rngs[1], spec)
+            if walk == "numpy":
                 # the walk did read the tilted table
                 assert plain.channels[0].walk_table(n).llr is not None
             assert np.array_equal(got, want)
@@ -385,7 +390,6 @@ class TestWeightProperties:
         interpret = NoiseChannel.apply_batch
         # The numpy walk is the interpreter under test (the native one
         # executes the bound program itself).
-        monkeypatch.setattr(_native, "kernel", lambda: None)
 
         def spy(channel, gate, sim, rng):
             t = channel.walk_table(sim.n)
@@ -396,8 +400,7 @@ class TestWeightProperties:
             interpret(channel, gate, sim, rng)
 
         monkeypatch.setattr(NoiseChannel, "apply_batch", spy)
-        _, weights = run_batch_noisy(circuit, noise, 2, rng=_EdgeRng(),
-                                     backend="tableau", tilt=spec)
+        _, weights = _walk_tableau(circuit, noise, 2, _EdgeRng(), spec)
         assert seen == frames
         # shot 0 fires every site, shot 1 none: each banks the ratios
         # one by one, in site order
@@ -552,17 +555,14 @@ class TestWeightedDeterminism:
     def test_each_executor_samples_the_recorded_payload(self, name,
                                                         executor):
         """Tilted programs and split segments run on the native op loop
-        like plain ones, and on the numpy reference without a compiler:
-        one payload, every block counted to the executor that ran it."""
+        like plain ones, and on its oracle, the numpy executor: one
+        payload, every block counted."""
         spec, payload = self.RECORDED[name]
         task = InjectionTask(shots=1024, backend="frames", **spec)
-        counters = [obs.counter(f"frames.{kind}_blocks")
-                    for kind in ("native", "numpy")]
-        before = [c.value for c in counters]
+        blocks = obs.counter("frames.blocks")
+        before = blocks.value
         assert run_task(task).payload == payload
-        native, numpy = (c.value - b for c, b in zip(counters, before))
-        assert (native, numpy) == ((2, 0) if executor == "native"
-                                   else (0, 2))
+        assert blocks.value - before == 2
 
     def test_workers_bit_identical_weighted(self):
         """workers=1|2|4 must agree on counts AND weight moments."""

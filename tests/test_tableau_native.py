@@ -1,11 +1,12 @@
-"""The native tableau executor against the numpy walk it replaces.
+"""The native tableau executor against the numpy walk.
 
 ``run_batch_noisy(..., backend="tableau")`` runs on ``_kernel.c``'s
-``repro_tableau_run`` wherever the frames library loads and the noise
-lowers, else on :class:`~repro.stabilizer.batch.BatchTableauSimulator`
-(the reference).  Both must give equal records, bitwise-equal
-log-weights and leave the caller's generator in one state, for any
-circuit, noise, batch size, bit generator and tilt.
+``repro_tableau_run`` wherever the noise lowers to site tables, else
+on :class:`~repro.stabilizer.batch.BatchTableauSimulator`
+(``_walk_tableau``, the reference, called directly here).  Both must
+give equal records, bitwise-equal log-weights and leave the caller's
+generator in one state, for any circuit, noise, batch size, bit
+generator and tilt.
 """
 
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.circuits import Circuit
-from repro.frames import _native, compile_frame_program
+from repro.frames import compile_frame_program
 from repro.injection import (ArchSpec, CodeSpec, FaultSpec, InjectionTask,
                              run_task)
 from repro.injection.campaign import _structure_cell, _task_context
@@ -28,12 +29,9 @@ from repro.noise import (
     RadiationEvent,
     run_batch_noisy,
 )
+from repro.noise.executor import _walk_tableau
 from repro.rare.sampler import SamplerSpec
 from repro.stabilizer import random_clifford_circuit
-
-pytestmark = pytest.mark.skipif(
-    _native.kernel() is None,
-    reason=f"native executor unavailable: {_native.unavailable_reason()}")
 
 BATCHES = (1, 3, 4, 5, 63, 64, 65, 512, 1000)
 GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox)
@@ -49,25 +47,23 @@ def counted(name):
     return obs.registry().snapshot()["counters"].get(name, 0)
 
 
-def run_both(monkeypatch, circuit, noise, batch, make_rng, tilt=None,
+def run_both(circuit, noise, batch, make_rng, tilt=None,
              program=None):
     """``(records, weights or None, generator state)`` per executor:
-    native, then numpy with the library hidden."""
+    native, then the numpy walk."""
     out = []
-    for hidden in (False, True):
-        if hidden:
-            monkeypatch.setattr(_native, "kernel", lambda: None)
-        blocks = counted("stabilizer.numpy_blocks" if hidden
-                         else "stabilizer.native_blocks")
+    for walk in ("native", "numpy"):
+        blocks = counted(f"stabilizer.{walk}_blocks")
         rng = make_rng()
-        result = run_batch_noisy(circuit, noise, batch, rng=rng,
-                                 backend="tableau", tilt=tilt,
-                                 program=None if hidden else program)
+        if walk == "numpy":
+            result = _walk_tableau(circuit, noise, batch, rng, tilt)
+        else:
+            result = run_batch_noisy(circuit, noise, batch, rng=rng,
+                                     backend="tableau", tilt=tilt,
+                                     program=program)
         records, weights = result if tilt is not None else (result, None)
-        assert counted("stabilizer.numpy_blocks" if hidden
-                       else "stabilizer.native_blocks") == blocks + 1
+        assert counted(f"stabilizer.{walk}_blocks") == blocks + 1
         out.append((records, weights, state(rng)))
-    monkeypatch.undo()
     return out
 
 
@@ -115,7 +111,7 @@ def noise_model(kinds, num_qubits, p, pick):
        bit_generator=st.sampled_from(GENERATORS),
        rng_seed=st.integers(0, 2 ** 32 - 1),
        tilt=st.sampled_from([None, 1.0, 3.0]))
-def test_random_clifford_circuits(monkeypatch, num_qubits, prefix_gates,
+def test_random_clifford_circuits(num_qubits, prefix_gates,
                                   num_gates, measure_prob, reset_prob,
                                   circuit_seed, kinds, p, batch,
                                   bit_generator, rng_seed, tilt):
@@ -132,14 +128,14 @@ def test_random_clifford_circuits(monkeypatch, num_qubits, prefix_gates,
                         np.random.default_rng(circuit_seed))
     sampler = None if tilt is None else SamplerSpec(kind="tilt", tilt=tilt)
     native, numpy_run = run_both(
-        monkeypatch, circuit, noise, batch,
+        circuit, noise, batch,
         lambda: np.random.Generator(bit_generator(rng_seed)), sampler)
     assert_same(native, numpy_run)
 
 
 @pytest.mark.parametrize("num_qubits", [64, 65, 130])
 @pytest.mark.parametrize("batch", [5, 65])
-def test_registers_wider_than_a_word(monkeypatch, num_qubits, batch):
+def test_registers_wider_than_a_word(num_qubits, batch):
     """Past 64 qubits a column spans several words per half: the
     deterministic sign carries the parity of the earlier words and the
     pivot may sit in any of them."""
@@ -149,7 +145,7 @@ def test_registers_wider_than_a_word(monkeypatch, num_qubits, batch):
         circuit.append(gate)
     noise = noise_model(["radiation", "depolarize", "erasure"], num_qubits,
                         0.3, np.random.default_rng(13))
-    native, numpy_run = run_both(monkeypatch, circuit, noise, batch,
+    native, numpy_run = run_both(circuit, noise, batch,
                                  lambda: np.random.default_rng(14))
     assert_same(native, numpy_run)
 
@@ -171,7 +167,7 @@ def test_random_outcomes_are_numpys_uint8_draws(shots, bit_generator):
     assert state(got) == state(want)
 
 
-def test_a_call_without_a_program_leaves_numpys_end_state(monkeypatch):
+def test_a_call_without_a_program_leaves_numpys_end_state():
     """The compile a bare call makes draws from a scratch generator: the
     caller's ends where the numpy walk leaves it — and where a call
     given the program does."""
@@ -179,11 +175,11 @@ def test_a_call_without_a_program_leaves_numpys_end_state(monkeypatch):
                                       reset_prob=0.1)
     noise = noise_model(["radiation", "depolarize"], 6, 0.3,
                         np.random.default_rng(4))
-    bare, numpy_run = run_both(monkeypatch, circuit, noise, 100,
+    bare, numpy_run = run_both(circuit, noise, 100,
                                lambda: np.random.default_rng(5))
     assert_same(bare, numpy_run)
     program = compile_frame_program(circuit, noise, rng=99)
-    given_program, _ = run_both(monkeypatch, circuit, noise, 100,
+    given_program, _ = run_both(circuit, noise, 100,
                                 lambda: np.random.default_rng(5),
                                 program=program)
     assert_same(given_program, numpy_run)
@@ -197,31 +193,22 @@ def test_a_program_of_another_width_is_refused():
                         backend="tableau", program=program)
 
 
-def test_campaign_blocks_run_native_and_count(monkeypatch):
+def test_campaign_blocks_run_native_and_count():
     """An ``auto`` fig5-shaped strike falls back to the tableau: its
     blocks run natively from the point's binding of its cell's
-    structure — bound, never recompiled — and bank the counts the numpy
-    walk banks with the library hidden; native + numpy blocks is the
-    number of tableau blocks."""
+    structure — bound, never recompiled — and every tableau block is
+    a native one."""
     task = InjectionTask(
         code=CodeSpec("xxzz", (3, 3)), arch=ArchSpec("mesh", (5, 4)),
         fault=FaultSpec(kind="radiation", root_qubit=2, time_index=4),
         intrinsic_p=1e-3, backend="auto", shots=1536, seed=3)
-    banked = {}
-    for executor in ("native", "numpy"):
-        if executor == "numpy":
-            monkeypatch.setattr(_native, "kernel", lambda: None)
-        _task_context.cache_clear()
-        _structure_cell.cache_clear()
-        obs.reset()
-        result = run_task(task)
-        counters = obs.registry().snapshot()["counters"]
-        assert counters["engine.backend_fallbacks"] == 1
-        assert counters["frames.compiles"] == 1
-        assert counters.get("stabilizer.native_blocks", 0) \
-            + counters.get("stabilizer.numpy_blocks", 0) \
-            == counters["engine.blocks"] == 3
-        assert counters[f"stabilizer.{executor}_blocks"] == 3
-        banked[executor] = (result.shots, result.errors, result.raw_errors,
-                            result.corrections_applied)
-    assert banked["native"] == banked["numpy"]
+    _task_context.cache_clear()
+    _structure_cell.cache_clear()
+    obs.reset()
+    run_task(task)
+    counters = obs.registry().snapshot()["counters"]
+    assert counters["engine.backend_fallbacks"] == 1
+    assert counters["frames.compiles"] == 1
+    assert counters["stabilizer.native_blocks"] \
+        == counters["engine.blocks"] == 3
+    assert counters.get("stabilizer.numpy_blocks", 0) == 0

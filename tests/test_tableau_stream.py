@@ -9,8 +9,9 @@ random-branch measure, shots in ascending order, pivot = first
 stabilizer row holding ``X_a``.  Any drift in an outcome or in the
 number/order of draws fails here; no copy of an old kernel is kept as
 an oracle.  Every case runs on both executors — ``_kernel.c``'s native
-tableau and the numpy walk with the library hidden — except
-``logical``, whose channel has no site table and always takes numpy.
+tableau through the backend, and the numpy walk called directly —
+except ``logical``, whose channel has no site table, so the backend
+takes numpy too.
 (``python tests/test_tableau_stream.py`` rewrites the file — only ever
 at a commit whose stream *is* the contract.)
 """
@@ -26,7 +27,6 @@ import pytest
 from repro import obs
 from repro.arch import mesh
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
-from repro.frames import _native
 from repro.logical import LogicalFaultChannel
 from repro.noise import (
     DepolarizingNoise,
@@ -35,6 +35,7 @@ from repro.noise import (
     RadiationEvent,
     run_batch_noisy,
 )
+from repro.noise.executor import _walk_tableau
 from repro.transpile import transpile
 
 DATA = Path(__file__).parent / "data" / "tableau_records_pr20.json"
@@ -90,17 +91,22 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def case_digests(circuit_name, noise_kind, batches=BATCHES):
+def case_digests(circuit_name, noise_kind, batches=BATCHES,
+                 walk="native"):
     """``{case key: [records sha, rng-state sha]}`` for one circuit and
-    noise kind, one entry per batch size."""
+    noise kind, one entry per batch size — through the tableau backend,
+    or (``walk="numpy"``) straight on the numpy walk."""
     circuit, distances, nq, mpr = CIRCUITS[circuit_name]
     out = {}
     for batch in batches:
         key = f"{circuit_name}/{noise_kind}/B{batch}"
         rng = np.random.default_rng(zlib.crc32(key.encode()))
-        records = run_batch_noisy(
-            circuit, _noise(noise_kind, distances, nq, mpr), batch,
-            rng=rng, backend="tableau")
+        noise = _noise(noise_kind, distances, nq, mpr)
+        if walk == "numpy":
+            records = _walk_tableau(circuit, noise, batch, rng)
+        else:
+            records = run_batch_noisy(circuit, noise, batch, rng=rng,
+                                      backend="tableau")
         state = json.dumps(rng.bit_generator.state, sort_keys=True)
         out[key] = [_sha(repr(records.shape).encode() + records.tobytes()),
                     _sha(state.encode())]
@@ -122,15 +128,17 @@ def test_pin_covers_every_case(pinned):
     assert len(pinned) == len(CIRCUITS) * len(NOISES) * len(BATCHES)
 
 
+@pytest.mark.parametrize("walk", ["numpy", "native"])
 @pytest.mark.parametrize("noise_kind", NOISES)
 @pytest.mark.parametrize("circuit_name", sorted(CIRCUITS))
 def test_records_and_rng_state_pinned(pinned, circuit_name, noise_kind,
-                                      executor):
+                                      walk):
     before = _blocks()
-    for key, digests in case_digests(circuit_name, noise_kind).items():
+    for key, digests in case_digests(circuit_name, noise_kind,
+                                     walk=walk).items():
         assert digests[0] == pinned[key][0], f"{key}: records drifted"
         assert digests[1] == pinned[key][1], f"{key}: rng stream drifted"
-    took = "numpy" if noise_kind == "logical" else executor
+    took = "numpy" if noise_kind == "logical" else walk
     after = _blocks()
     assert after[took] - before[took] == len(BATCHES)
     assert after == {**before, took: after[took]}
@@ -139,11 +147,11 @@ def test_records_and_rng_state_pinned(pinned, circuit_name, noise_kind,
 def test_digests_hold_without_bitwise_count(pinned, monkeypatch):
     """The ``numpy>=1.22`` floor has no ``np.bitwise_count``: the
     byte-table popcount of the numpy walk must give the same stream."""
-    monkeypatch.setattr(_native, "kernel", lambda: None)
     monkeypatch.delattr(np, "bitwise_count", raising=False)
     for circuit_name in sorted(CIRCUITS):
         for kind in ("rad_t0", "depol"):
-            got = case_digests(circuit_name, kind, batches=(63,))
+            got = case_digests(circuit_name, kind, batches=(63,),
+                               walk="numpy")
             assert got == {key: pinned[key] for key in got}
 
 
