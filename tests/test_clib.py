@@ -97,3 +97,72 @@ def test_a_loaded_kernel_is_kept(monkeypatch):
                           lambda lib: calls.append(lib) or object())
     assert loader() is loader()
     assert calls == ["library"]
+
+
+def _probe_source(path, value):
+    path.write_text(f"int probe(void) {{ return {value}; }}\n")
+    return str(path)
+
+
+def _built(root):
+    return sorted(p.name for p in root.iterdir())
+
+
+def test_a_source_edit_builds_beside_the_old_library(tmp_path, monkeypatch):
+    """A library is cached under the hash of its source: a second load
+    builds nothing, and an edited source gets a new file beside the
+    old one."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    cache = tmp_path / "xdg" / "repro"
+    source = _probe_source(tmp_path / "probe.c", 1)
+    assert _clib._load(source, "probe").probe() == 1
+    first = _built(cache)
+    assert len(first) == 1 and first[0].startswith("probe-")
+
+    def no_build(source, target):
+        raise AssertionError("rebuilt a cached library")
+
+    with monkeypatch.context() as cached:
+        cached.setattr(_clib, "_build", no_build)
+        assert _clib._load(source, "probe").probe() == 1
+    _probe_source(tmp_path / "probe.c", 2)
+    assert _clib._load(source, "probe").probe() == 2
+    second = _built(cache)
+    assert len(second) == 2 and set(first) < set(second)
+
+
+def test_an_unusable_cache_dir_falls_through_to_the_next(tmp_path,
+                                                         monkeypatch):
+    """A cache directory that cannot be made is skipped for the next;
+    when none can, the last directory's error is raised."""
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file where a directory should be")
+    good = tmp_path / "good"
+    source = _probe_source(tmp_path / "probe.c", 3)
+    monkeypatch.setattr(_clib, "_cache_dirs",
+                        lambda: iter([str(blocked / "repro"), str(good)]))
+    assert _clib._load(source, "probe").probe() == 3
+    assert len(_built(good)) == 1
+    monkeypatch.setattr(_clib, "_cache_dirs",
+                        lambda: iter([str(blocked / "repro")]))
+    with pytest.raises(OSError):
+        _clib._load(source, "probe")
+
+
+def test_a_compiler_error_is_reported(tmp_path, monkeypatch):
+    """A compiler that fails names itself and the tail of its stderr in
+    the loader's error, and leaves no file in the cache."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    compiler = bin_dir / "cc"
+    compiler.write_text("#!/bin/sh\necho 'probe.c:1: broken' >&2\nexit 1\n")
+    compiler.chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    source = _probe_source(tmp_path / "probe.c", 4)
+    loader = _clib.Loader(source, "probe", lambda lib: lib)
+    with pytest.raises(RuntimeError, match="probe.c kernel did not load") \
+            as failed:
+        loader()
+    assert f"{compiler} failed: probe.c:1: broken" in str(failed.value)
+    assert _built(tmp_path / "xdg" / "repro") == []

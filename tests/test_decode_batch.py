@@ -666,6 +666,22 @@ class TestWidePatterns:
         bits[:2] = 1
         assert dec.decode_detectors(bits) in (0, 1)
 
+    @pytest.mark.parametrize("kind", ["mwpm", "union-find"])
+    def test_batch_hook_refuses_by_width_alone(self, kind):
+        """The batch hook refuses a batch by its width before any
+        kernel call — even when every extra column is zero."""
+        exp = build_memory_experiment(XXZZCode(3, 3), rounds=3)
+        dec = decoder_for(exp, kind)
+        n = dec.graph.num_nodes
+        bits = np.zeros((3, n + 1), dtype=np.uint8)
+        bits[1, :2] = 1
+        with pytest.raises(ValueError, match=f"{n + 1} bits .* {n} "
+                                             "detectors"):
+            dec._decode_patterns(bits)
+        np.testing.assert_array_equal(
+            dec._decode_patterns(bits[:, :n]),
+            [0, dec.decode_detectors(bits[1, :n]), 0])
+
 
 class TestPackedPrepare:
     def test_word_domain_mirror(self):

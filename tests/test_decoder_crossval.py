@@ -255,6 +255,30 @@ class TestBatchMatcherVsRecursion:
             np.testing.assert_array_equal(
                 decoder._decode_patterns(patterns), want)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 11])
+    def test_kernel_cost_parity_and_ties_on_degenerate_tables(self, k):
+        """Small-integer weights make most minima ties, unreachable
+        nodes make whole option rows infinite: the native DP must still
+        return the recursion's cost and parity exactly — for a batch of
+        one defect count, and for each of its patterns alone."""
+        rng = np.random.default_rng(k)
+        dist, parity = _degenerate_tables(rng, 24)
+        n = dist.shape[0]
+        events = np.sort(np.stack([rng.choice(n, size=k, replace=False)
+                                   for _ in range(40)]), axis=1)
+        want = [dp_match(tuple(int(e) for e in row), dist, parity, n)
+                for row in events]
+        kernel = _native.blossom()
+        ptr = np.arange(0, events.size + 1, k, dtype=np.int64)
+        costs, flips = kernel.dp(ptr, events.reshape(-1), dist, parity, n,
+                                 matching._BOUNDARY_BIAS)
+        assert costs.tolist() == [c for c, _ in want]
+        assert flips.tolist() == [p for _, p in want]
+        for row, (cost, flip) in zip(events, want):
+            alone = kernel.dp(np.array([0, k]), row, dist, parity, n,
+                              matching._BOUNDARY_BIAS)
+            assert (alone[0][0], alone[1][0]) == (cost, flip), row
+
 
 def _native_match(events, dist, parity):
     """The native blossom on one pattern: ``(pairs, parity)``, pairs as
