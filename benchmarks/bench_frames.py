@@ -347,8 +347,9 @@ def test_frames_reseed_struck_d5(benchmark, capsys):
     """A reseed of the struck XXZZ(5,5) structure (:func:`struck_d5`)
     against a compile at the same seed: ms each, and the same structure
     (checked here).  A reseed reruns only the native reference pass and
-    patches its answers into ``code``, the reference arrays and the
-    answered ops, so it must be >= 5x cheaper than the compile.
+    patches its answers into a copy of ``code`` and the reference
+    record (the op list is shared), so it must be >= 5x cheaper than
+    the compile.
     """
     from repro.frames import frame_structure
 
@@ -381,6 +382,52 @@ def test_frames_reseed_struck_d5(benchmark, capsys):
     assert compile_ms / reseed_ms >= bar, \
         f"reseed only {compile_ms / reseed_ms:.1f}x cheaper than a " \
         f"compile < {bar}x"
+
+
+def test_frames_bind_struck_d5(benchmark, capsys):
+    """A bind of the struck XXZZ(5,5) structure (:func:`struck_d5`),
+    plain and under a tilt of 4, in µs per bind (min of 5 means over
+    200 binds).  A bind is the site signature check plus one gather of
+    the site tables into ``probabilities`` (and ``log_ratios``); the
+    op list and ``code`` are the structure's.  The plain bind — what
+    every point of a sweep pays — must take <= 50 µs; the tilted one
+    also pays :meth:`~repro.noise.base.SiteTable.tilted` and is
+    reported beside it.
+
+    Measured on a 2-vCPU Xeon host when binds became a gather (µs per
+    bind, before -> after): plain ~1130 -> 22-36, tilted ~1510 -> 54-88.
+    """
+    from repro.frames import frame_structure
+    from repro.rare.sampler import SamplerSpec
+
+    experiment, noise = struck_d5()
+    structure = frame_structure(experiment.circuit, noise, rng=1)
+    tilt = SamplerSpec(kind="tilt", tilt=4.0)
+
+    def bind_us(spec, reps=200):
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for _ in range(reps):
+                structure.bind(noise, spec)
+            times.append(time.perf_counter() - t0)
+        return 1e6 * min(times) / reps
+
+    plain_us, tilted_us = bind_us(None), bind_us(tilt)
+    program = benchmark(structure.bind, noise)
+    tilted = structure.bind(noise, tilt)
+    assert program.ops is tilted.ops is structure.ops
+    assert program.code is structure.code
+    assert tilted.log_ratios is not None
+    bench_report(
+        benchmark, capsys,
+        f"\n[frames] struck XXZZ(5,5) bind: {plain_us:.1f} µs plain, "
+        f"{tilted_us:.1f} µs tilted ({len(structure.site_source)} sites)",
+        bind_us=plain_us, tilted_bind_us=tilted_us,
+        sites=len(structure.site_source))
+    bar = bench_bar(50e-6, 150e-6)
+    assert plain_us * 1e-6 <= bar, \
+        f"bind takes {plain_us:.1f} µs > {1e6 * bar:.0f} µs"
 
 
 def test_frames_compile_amortisation(benchmark, capsys):

@@ -152,7 +152,7 @@ class Kernel:
         """
         structure = program.structure
         stream = structure.reference_stream
-        slots = structure.answer_slots[:, 3]
+        slots = structure.answer_slots[:, 1]
         cbits = np.ascontiguousarray(slots[slots >= 0])
         prob = program.probabilities
         llr = program.log_ratios if weighted else None

@@ -4,7 +4,8 @@ A :class:`FrameProgram` is the compiled form a
 :class:`~repro.frames.simulator.FrameSimulator` executes: the ideal
 circuit reduced to frame-propagation opcodes, interleaved with
 *lowered* noise sites, plus the reference measurement record the frames
-are XORed against.
+are XORed against — encoded in one int64 ``code`` stream, beside
+per-site ``probabilities``.
 
 The **reference pass** runs the circuit once, noiselessly, on a CHP
 tableau, recording every measurement's outcome and whether it took the
@@ -21,8 +22,8 @@ query and skips every depolarize entry; the native tableau executor
 (:func:`~repro.noise.executor.run_batch_noisy`'s ``"tableau"``) runs
 the whole stream, noise entries included, over a bound program's
 probabilities.  Measure and
-fault-reset ops are appended, fused and encoded with their reference
-operands blank; the stream's answers are written in afterwards.  The
+fault-reset ops carry no answer: encoding leaves their answer words
+blank, and the stream's answers are written into ``code`` afterwards.  The
 stream runs on ``_kernel.c``'s bit-packed tableau
 (``repro_frames_reference``), which draws a random branch's outcome as
 ``Generator.integers(0, 2)`` does; the tests hold it to a replay of the
@@ -78,41 +79,44 @@ segments) exactly as the whole program runs those ops.
 model only through *which sites fire* — never on how probable they
 are — so compilation is two steps.  :func:`frame_structure` does the
 expensive one: the reference pass, the Z-determinacy of every fault
-reset site and fusion, over an op list whose probability
-operands hold *site numbers*.  :meth:`FrameStructure.bind` does the
-cheap one: it reads every site's probability off a noise model with
-the same site signature (:func:`site_signature`) and writes them into
-fresh op tuples, sharing every other op — and every index array,
-marked read-only — with all programs bound from the structure.
-:func:`compile_frame_program` is the two composed; a sweep whose
-points share a circuit and differ in strike root, time sample or ``p``
-compiles one structure and binds it per point
-(:func:`repro.injection.campaign._frame_program`).
+reset site and fusion, over one op list whose noise ops carry *site
+numbers* — the structure's op list, built once, holding neither a
+probability nor a reference answer.  :meth:`FrameStructure.bind` does
+the cheap one: it reads every site's probability off a noise model
+with the same site signature (:func:`site_signature`) in one gather
+(``site_source``) into the program's ``probabilities``; the program
+shares the op list, ``code`` and every index array — read-only — with
+all programs bound from the structure.  :func:`compile_frame_program`
+is the two composed; a sweep whose points share a circuit and differ
+in strike root, time sample or ``p`` compiles one structure and binds
+it per point (:func:`repro.injection.campaign._frame_program`).
 
 **Reseeding.**  Of a structure, only the reference pass's *answer
 values* depend on its seed: in CHP a random outcome sets the
 tableau's phase bits alone, while the walk, fusion's schedule, the
 site rows, which measurements take the random branch, which fault
 resets are Z-indefinite and whether the pass draws at all read only
-the x bits.  So :func:`frame_structure` keeps the reference stream
-and notes each answer's slot — its op, its element in a
-``MEASURE_LAYER`` and its word in ``code`` — and writes the answers
-through the path :meth:`FrameStructure.reseed` takes for any later
-seed: the pass runs again, and only ``code``, the reference arrays
-and the answered op tuples are rebuilt.  A reseeded structure is the
-one a compile at that seed gives, down to the generator's state; a
-sweep over task seeds on one circuit compiles once and reseeds per
-point.  An importance-
+the x bits.  So the answers live in ``code`` alone — a measure's
+reference bit and a fault reset's ``x_value`` are words of the stream,
+not operands of an op — and :func:`frame_structure` notes each
+answer's word (``answer_slots``) and writes the answers through the
+path :meth:`FrameStructure.reseed` takes for any later seed: the pass
+runs again, and only ``code``, ``reference_record``, ``random_cbits``
+and the reset counts are rebuilt; the op list is shared.  A reseeded
+structure is the one a compile at that seed gives, down to the
+generator's state; a sweep over task seeds on one circuit compiles
+once and reseeds per point.  An importance-
 sampling tilt is a binding too: ``bind(noise, tilt=sampler)`` reads
 the tables :meth:`~repro.noise.base.SiteTable.tilted` — the definition
-the tableau interpreter reads — and hands each depolarize site its
-log-likelihood ratios beside its tilted probability.
+the tableau interpreter reads — and gathers each site's
+log-likelihood ratios into ``log_ratios`` beside its tilted
+probability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -126,11 +130,12 @@ OP_S = 1            # (OP_S, qubit) — S and SDG propagate frames identically
 OP_CX = 2           # (OP_CX, control, target)
 OP_CZ = 3           # (OP_CZ, a, b)
 OP_SWAP = 4         # (OP_SWAP, a, b)
-OP_MEASURE = 5      # (OP_MEASURE, qubit, cbit, reference_bit)
+OP_MEASURE = 5      # (OP_MEASURE, qubit, cbit) — its reference bit is
+                    # a word of ``code`` only
 OP_RESET = 6        # (OP_RESET, qubit) — circuit reset (in the reference too)
-OP_DEPOLARIZE = 7   # (OP_DEPOLARIZE, qubit, p) — a tilted binding
-                    # appends llr_hit, llr_miss
-OP_RESET_NOISE = 8  # (OP_RESET_NOISE, qubit, p, x_value|None) — fault reset
+OP_DEPOLARIZE = 7   # (OP_DEPOLARIZE, qubit, site)
+OP_RESET_NOISE = 8  # (OP_RESET_NOISE, qubit, site) — fault reset; its
+                    # x_value is a word of ``code`` only
 
 #: Fused-layer opcodes: a group of qubit-disjoint same-type ops
 #: collapsed into one vectorised (len(layer), W) kernel sweep.  See
@@ -141,11 +146,10 @@ OP_S_LAYER = 10          # (OP_S_LAYER, qubit_array)
 OP_CX_LAYER = 11         # (OP_CX_LAYER, control_array, target_array)
 OP_CZ_LAYER = 12         # (OP_CZ_LAYER, a_array, b_array)
 OP_SWAP_LAYER = 13       # (OP_SWAP_LAYER, a_array, b_array)
-OP_MEASURE_LAYER = 14    # (OP_MEASURE_LAYER, qubit_array, cbit_array,
-                         #  reference_bit_array)
+OP_MEASURE_LAYER = 14    # (OP_MEASURE_LAYER, qubit_array, cbit_array) —
+                         # reference bits in ``code`` only
 OP_RESET_LAYER = 15      # (OP_RESET_LAYER, qubit_array)
-OP_DEPOLARIZE_LAYER = 16  # (OP_DEPOLARIZE_LAYER, qubit_array, p_array
-                          #  [, llr_hit_array, llr_miss_array])
+OP_DEPOLARIZE_LAYER = 16  # (OP_DEPOLARIZE_LAYER, qubit_array, site_array)
 
 #: Scalar opcode → its fused-layer twin.
 _LAYER_OF = {OP_H: OP_H_LAYER, OP_S: OP_S_LAYER, OP_CX: OP_CX_LAYER,
@@ -179,13 +183,6 @@ _QUBIT_ARITY = {OP_H: 1, OP_S: 1, OP_CX: 2, OP_CZ: 2, OP_SWAP: 2,
                 OP_MEASURE: 1, OP_RESET: 1, OP_DEPOLARIZE: 1,
                 OP_RESET_NOISE: 1}
 
-#: Index of the probability operand in each noise op.  In a
-#: :class:`FrameStructure` it holds the op's site number(s) instead.
-_P_SLOT = {OP_DEPOLARIZE: 2, OP_DEPOLARIZE_LAYER: 2, OP_RESET_NOISE: 2}
-
-#: Noise ops a tilted binding appends ``(llr_hit, llr_miss)`` to.
-_WEIGHTED = frozenset({OP_DEPOLARIZE, OP_DEPOLARIZE_LAYER})
-
 _OBS_COMPILES = obs.counter("frames.compiles")
 _OBS_BINDS = obs.counter("frames.binds")
 _OBS_RESEEDS = obs.counter("frames.reseeds")
@@ -197,16 +194,22 @@ class FrameLoweringError(ValueError):
 
 @dataclass
 class FrameProgram:
-    """Compiled frame program: opcodes + reference record + metadata.
+    """Compiled frame program: a structure's one op list and ``code``,
+    plus this binding's per-site :attr:`probabilities` (and, tilted,
+    :attr:`log_ratios`).
 
-    Everything but the probability operands of the noise ops is shared
-    with the :attr:`structure` the program was bound from (and so with
-    every other program bound from it): treat it as read-only.
+    Everything but those per-binding arrays is the :attr:`structure`'s
+    (the op list, ``code`` and the reference arrays of its seed), shared
+    with every other program bound from it: treat it as read-only.
     """
 
     num_qubits: int
     num_cbits: int
-    ops: List[Tuple]
+    #: The structure's op list: noise ops carry site numbers, measures
+    #: and fault resets no answer.  The kernel reads :attr:`code`; the
+    #: list gives ``run_packed`` its op ranges and the tests' oracles
+    #: their ops.
+    ops: Sequence[Tuple]
     #: Reference measurement outcomes, indexed by cbit.
     reference_record: np.ndarray
     #: cbits whose reference measurement took the random-outcome branch.
@@ -227,10 +230,11 @@ class FrameProgram:
     #: stands when it is not :attr:`~FrameStructure.seeded`, else after
     #: a :meth:`~FrameStructure.reseed` at that seed.
     structure: Optional["FrameStructure"] = None
-    #: The native executor's view of :attr:`ops`: the structure's
-    #: :func:`encode_ops` stream (shared) and this binding's per-site
-    #: probabilities.  ``None`` on a program put together by hand,
-    #: which the simulator then refuses.
+    #: What the native executor runs: the structure's :func:`encode_ops`
+    #: stream of :attr:`ops` with its seed's answers written in
+    #: (shared), and this binding's per-site probabilities.  ``None`` on
+    #: a program put together by hand, which the simulator then
+    #: refuses.
     code: Optional[np.ndarray] = None
     probabilities: Optional[np.ndarray] = None
     #: ``(2, sites)``: each site's log-likelihood ratios where it fires
@@ -263,13 +267,13 @@ class FrameStructure:
 
     num_qubits: int
     num_cbits: int
-    #: The scheduled op list, with the probability operand of every
-    #: noise op holding its site number(s) — not executable until bound.
+    #: The scheduled op list, seed- and binding-free: noise ops carry
+    #: site numbers, measures and fault resets no answer.  Every
+    #: :meth:`reseed` and every :meth:`bind` shares it.
     ops: Tuple[Tuple, ...]
-    #: Positions in :attr:`ops` of the noise ops.
-    noise_ops: Tuple[int, ...]
     #: Per site, where its probability sits in the noise model's
-    #: concatenated, flattened channel site tables.
+    #: concatenated, flattened channel site tables (read-only): what
+    #: :meth:`bind` gathers.
     site_source: np.ndarray
     #: :func:`site_signature` of the noise model compiled against.
     signature: Tuple
@@ -283,17 +287,17 @@ class FrameStructure:
     exact_reset_sites: int
     twirled_reset_sites: int
     fused_ops: int
-    #: :func:`encode_ops` of :attr:`ops`, shared by every bound program.
+    #: :func:`encode_ops` of :attr:`ops` with this seed's answers
+    #: written in, shared by every bound program.
     code: np.ndarray
     #: The int64 reference stream the walk wrote (read-only): what
     #: :meth:`reseed` runs the reference pass over again, and what the
     #: native tableau executes — its noise entries are the sites in
     #: order.
     reference_stream: np.ndarray
-    #: ``(answers, 4)`` int64, one row per measure and fault-reset
-    #: answer in stream order: its op's index in :attr:`ops`, its
-    #: element in a ``MEASURE_LAYER`` or -1, its word in :attr:`code`,
-    #: and its cbit (-1 for a fault reset).
+    #: ``(answers, 2)`` int64, one row per measure and fault-reset
+    #: answer in stream order: its word in :attr:`code` and its cbit
+    #: (-1 for a fault reset).
     answer_slots: np.ndarray
     #: Per site, its table's :attr:`~repro.noise.base.SiteTable.
     #: draw_certain` (uint8, read-only): whether the tableau draws at a
@@ -310,9 +314,10 @@ class FrameStructure:
         only, and the walk, fusion's schedule, the site rows, which
         measurements take the random branch and which fault resets are
         Z-indefinite all read the tableau's x bits.  The answers land in
-        copies of the answered ops, the ``MEASURE_LAYER`` reference
-        arrays, :attr:`reference_record` and :attr:`code`; everything
-        else is shared.  ``rng`` ends where a fresh compile leaves it.
+        a copy of :attr:`code` and in :attr:`reference_record`,
+        :attr:`random_cbits` and the reset counts; :attr:`ops` and every
+        other array are shared.  ``rng`` ends where a fresh compile
+        leaves it.
         """
         _OBS_RESEEDS.inc()
         return self._answered(rng)
@@ -326,65 +331,49 @@ class FrameStructure:
             rng = np.random.default_rng(rng)
         results, drew = _native.kernel().reference(self.reference_stream,
                                                    self.num_qubits, rng)
-        op_at, element, word, cbit = self.answer_slots.T.tolist()
-        ops = list(self.ops)
+        word, cbit = self.answer_slots.T.tolist()
         record = [0] * self.num_cbits
         random_cbits: List[int] = []
-        exact = twirled = 0
+        twirled = 0
         # Per answer, its code word: a measurement's outcome bit, a
-        # fault reset's x_value (0, 1 or _X_TWIRL).
-        encoded: List[int] = []
-        layers: List[Tuple[int, int]] = []
-        for a, (i, e, c, value) in enumerate(zip(op_at, element, cbit,
-                                                  results)):
-            if c >= 0:
-                # In program order, so a cbit's last measurement wins.
-                answer = record[c] = value & 1
-                encoded.append(answer)
-                if value >> 1:
-                    random_cbits.append(c)
-            elif value == _INDEFINITE:
-                twirled += 1
-                answer = None
-                encoded.append(_X_TWIRL)
-            else:
-                exact += 1
-                answer = value
-                encoded.append(value)
-            if e == 0:
-                layers.append((i, a))
-            elif e < 0:
-                ops[i] = ops[i][:3] + (answer,)
-        for i, a in layers:
-            op = ops[i]
-            bits = np.array(encoded[a:a + len(op[3])], dtype=np.uint8)
-            bits.flags.writeable = False
-            ops[i] = op[:3] + (bits,)
+        # fault reset's x_value (0, 1 or _INDEFINITE).
+        answers: List[int] = []
+        for c, value in zip(cbit, results):
+            if c < 0:
+                twirled += value == _INDEFINITE
+                answers.append(value)
+                continue
+            # In program order, so a cbit's last measurement wins.
+            answers.append(value & 1)
+            record[c] = value & 1
+            if value >> 1:
+                random_cbits.append(c)
         code = self.code.copy()
-        code[word] = encoded
+        code[word] = answers
         code.flags.writeable = False
         ref = np.array(record, dtype=np.uint8)
         ref.flags.writeable = False
         return replace(
-            self, ops=tuple(ops), reference_record=ref,
-            random_cbits=tuple(random_cbits), seeded=drew,
-            exact_reset_sites=exact, twirled_reset_sites=twirled,
-            code=code)
+            self, reference_record=ref, random_cbits=tuple(random_cbits),
+            seeded=drew, exact_reset_sites=cbit.count(-1) - twirled,
+            twirled_reset_sites=twirled, code=code)
 
     def bind(self, noise: Optional[NoiseModel], tilt=None) -> FrameProgram:
         """The program of ``noise`` on this structure: every site's
-        probability read off ``noise`` and written into fresh op tuples.
+        probability gathered off ``noise``'s site tables into
+        :attr:`FrameProgram.probabilities`; the op list and ``code`` are
+        this structure's.
 
         ``noise`` must fire at the sites the structure was compiled
-        for (equal :func:`site_signature`); op for op the result then
-        equals a fresh compile of ``noise``.
+        for (equal :func:`site_signature`); the result then equals a
+        fresh compile of ``noise``.
 
         With ``tilt`` (a tilt :class:`~repro.rare.sampler.SamplerSpec`)
         the tables are read :meth:`~repro.noise.base.SiteTable.tilted`:
-        the sites carry their tilted probabilities, and every depolarize
-        op gains its sites' ``(llr_hit, llr_miss)`` as two trailing
-        operands (:attr:`FrameProgram.log_ratios`) — unless the tilt
-        moves no site, which binds the plain program.
+        the sites carry their tilted probabilities, and every site's
+        ``(llr_hit, llr_miss)`` is gathered into
+        :attr:`FrameProgram.log_ratios` — unless the tilt moves no site,
+        which binds the plain program.
         """
         tables = _site_tables(noise, self.num_qubits)
         if tuple(t.key for t in tables) != self.signature:
@@ -392,37 +381,23 @@ class FrameStructure:
                              "structure was compiled for")
         if tilt is not None:
             tables = [t.tilted(tilt) for t in tables]
-        ops = list(self.ops)
         p = np.zeros(0)
         llr = None
-        if self.noise_ops:
+        if self.site_source.size:
             p = np.concatenate(
-                [t.table.ravel() for t in tables])[self.site_source]
+                [t.table.ravel() for t in tables]).take(self.site_source)
             if tilt is not None:
-                llr = np.ascontiguousarray(np.concatenate(
+                llr = np.concatenate(
                     [np.zeros((2, t.table.size)) if t.llr is None
                      else t.llr.reshape(2, -1) for t in tables],
-                    axis=1)[:, self.site_source])
+                    axis=1).take(self.site_source, axis=1)
                 if not llr.any():
                     llr = None
-            scalar = p.tolist()
-            hits, misses = (None, None) if llr is None else llr.tolist()
-            for i in self.noise_ops:
-                op = ops[i]
-                slot = _P_SLOT[op[0]]
-                sites = op[slot]
-                wide = isinstance(sites, np.ndarray)
-                op = op[:slot] + (p[sites] if wide else scalar[sites],) \
-                    + op[slot + 1:]
-                if llr is not None and op[0] in _WEIGHTED:
-                    op += ((llr[0, sites], llr[1, sites]) if wide
-                           else (hits[sites], misses[sites]))
-                ops[i] = op
         _OBS_BINDS.inc()
         return FrameProgram(
             num_qubits=self.num_qubits,
             num_cbits=self.num_cbits,
-            ops=ops,
+            ops=self.ops,
             reference_record=self.reference_record,
             random_cbits=self.random_cbits,
             exact_reset_sites=self.exact_reset_sites,
@@ -443,29 +418,14 @@ _MIN_RNG_LAYER = 4
 
 
 def _emit_group(code: int, group: List[Tuple], out: List[Tuple]) -> None:
-    """Append one scheduled same-opcode group as a scalar or layer op."""
+    """Append one scheduled same-opcode group as a scalar or layer op:
+    a layer holds each operand of its ops as one index array."""
     if len(group) == 1 or (code in _RNG_OPS and len(group) < _MIN_RNG_LAYER):
         out.extend(group)
         return
-    if code == OP_MEASURE:
-        out.append((OP_MEASURE_LAYER,
-                    np.array([op[1] for op in group], dtype=np.intp),
-                    np.array([op[2] for op in group], dtype=np.intp),
-                    np.array([op[3] for op in group], dtype=np.uint8)))
-    elif code == OP_RESET:
-        out.append((OP_RESET_LAYER,
-                    np.array([op[1] for op in group], dtype=np.intp)))
-    elif code == OP_DEPOLARIZE:
-        out.append((OP_DEPOLARIZE_LAYER,
-                    np.array([op[1] for op in group], dtype=np.intp),
-                    np.array([op[2] for op in group], dtype=np.intp)))
-    elif _QUBIT_ARITY[code] == 1:
-        out.append((_LAYER_OF[code],
-                    np.array([op[1] for op in group], dtype=np.intp)))
-    else:
-        out.append((_LAYER_OF[code],
-                    np.array([op[1] for op in group], dtype=np.intp),
-                    np.array([op[2] for op in group], dtype=np.intp)))
+    _, *operands = zip(*group)
+    out.append((_LAYER_OF[code],) + tuple(
+        np.array(column, dtype=np.intp) for column in operands))
 
 
 def fuse_layers(ops: List[Tuple]) -> List[Tuple]:
@@ -577,13 +537,9 @@ def fuse_layers(ops: List[Tuple]) -> List[Tuple]:
 #: Words in front of an :func:`encode_ops` stream's first op.
 CODE_HEADER = 3
 
-#: ``x_value`` operand of an encoded ``OP_RESET_NOISE`` whose reference
-#: is Z-indefinite (``None`` in the op tuple).
-_X_TWIRL = 2
-
 
 def encode_ops(ops, num_qubits: int, num_cbits: int, num_sites: int,
-               slots: Optional[List[Tuple[int, int, int, int]]] = None
+               slots: Optional[List[Tuple[int, int]]] = None
                ) -> np.ndarray:
     """Flatten a structure op list (noise ops carrying site numbers)
     into the int64 stream ``_kernel.c`` executes.
@@ -591,16 +547,19 @@ def encode_ops(ops, num_qubits: int, num_cbits: int, num_sites: int,
     The stream opens with the three bounds it was checked against —
     ``num_qubits, num_cbits, num_sites`` (:data:`CODE_HEADER` words) —
     which the simulator holds against its own arrays before every
-    run.  Then per op the opcode, and: scalar ops their operands as
-    they stand (``x_value`` ``None`` as :data:`_X_TWIRL`); layers
-    their width ``k`` and each operand array in turn.
+    run.  Then per op the opcode, and: scalar ops their operands;
+    layers their width ``k`` and each operand array in turn.  A
+    measure (each element of a measure layer) and a fault reset also
+    get an answer word — the reference bit, the ``x_value`` — written
+    blank (0) here and filled in by :meth:`FrameStructure.reseed`'s
+    path.
 
     Every qubit, cbit and site operand is checked against its range
     here, because the kernel indexes unchecked: an operand out of range
     is an ``IndexError`` before any run.
 
     ``slots``, if given, receives one :attr:`FrameStructure.answer_slots`
-    row per reference bit and fault-reset ``x_value``, in op order.
+    row per answer word, in op order.
     """
     out: List[int] = [num_qubits, num_cbits, num_sites]
     if slots is None:
@@ -615,7 +574,7 @@ def encode_ops(ops, num_qubits: int, num_cbits: int, num_sites: int,
             raise ValueError(f"ragged or empty layer op {op!r}")
         return lists
 
-    for index, op in enumerate(ops):
+    for op in ops:
         code = op[0]
         out.append(code)
         if code in (OP_H, OP_S, OP_RESET, OP_CX, OP_CZ, OP_SWAP):
@@ -624,18 +583,15 @@ def encode_ops(ops, num_qubits: int, num_cbits: int, num_sites: int,
         elif code == OP_MEASURE:
             qubits.append(op[1])
             cbits.append(op[2])
-            out.extend((op[1], op[2], 1 if op[3] else 0))
-            slots.append((index, -1, len(out) - 1, op[2]))
-        elif code == OP_RESET_NOISE:
-            qubits.append(op[1])
-            sites.append(op[2])
-            out.extend((op[1], op[2],
-                        _X_TWIRL if op[3] is None else 1 if op[3] else 0))
-            slots.append((index, -1, len(out) - 1, -1))
-        elif code == OP_DEPOLARIZE:
+            out.extend((op[1], op[2], 0))
+            slots.append((len(out) - 1, op[2]))
+        elif code in (OP_DEPOLARIZE, OP_RESET_NOISE):
             qubits.append(op[1])
             sites.append(op[2])
             out.extend((op[1], op[2]))
+            if code == OP_RESET_NOISE:
+                out.append(0)
+                slots.append((len(out) - 1, -1))
         elif code in (OP_H_LAYER, OP_S_LAYER, OP_RESET_LAYER,
                       OP_CX_LAYER, OP_CZ_LAYER, OP_SWAP_LAYER):
             lists = arrays(op, len(op) - 1)
@@ -644,13 +600,13 @@ def encode_ops(ops, num_qubits: int, num_cbits: int, num_sites: int,
                 qubits.extend(values)
                 out.extend(values)
         elif code == OP_MEASURE_LAYER:
-            qs, cs, refs = arrays(op, 3)
+            qs, cs = arrays(op, 2)
             qubits.extend(qs)
             cbits.extend(cs)
             out.append(len(qs))
-            out.extend(qs + cs + [1 if ref else 0 for ref in refs])
+            out.extend(qs + cs + [0] * len(qs))
             first = len(out) - len(qs)
-            slots.extend((index, e, first + e, c) for e, c in enumerate(cs))
+            slots.extend((first + e, c) for e, c in enumerate(cs))
         elif code == OP_DEPOLARIZE_LAYER:
             qs, rows = arrays(op, 2)
             qubits.extend(qs)
@@ -693,7 +649,9 @@ _LOWERING = {
     GateType.MEASURE: (REF_MEASURE, OP_MEASURE),
 }
 
-#: Answer to a ``REF_QUERY`` on a Z-indefinite qubit.
+#: Answer to a ``REF_QUERY`` on a Z-indefinite qubit — and so the
+#: ``x_value`` word of such a fault reset in ``code``, which the kernel
+#: lowers to a twirl.
 _INDEFINITE = 2
 
 
@@ -726,9 +684,10 @@ def frame_structure(circuit: Circuit,
     expensive, probability-free half of :func:`compile_frame_program`
     (same arguments, same errors).
 
-    The walk, fusion and encoding leave every reference operand blank
-    and note where each goes; the answers are then written the way
-    :meth:`FrameStructure.reseed` writes another seed's.
+    The ops carry no answer and encoding leaves every answer word of
+    ``code`` blank, noting where each goes; the answers are then
+    written the way :meth:`FrameStructure.reseed` writes another
+    seed's.
     """
     n = circuit.num_qubits
     tables = _site_tables(noise, n)
@@ -757,7 +716,7 @@ def frame_structure(circuit: Circuit,
             stream.append(ref_op)
             stream.extend(gate.qubits)
         if frame_op == OP_MEASURE:
-            ops.append((OP_MEASURE, gate.qubits[0], gate.cbit, 0))
+            ops.append((OP_MEASURE, gate.qubits[0], gate.cbit))
         elif frame_op is not None:
             ops.append((frame_op,) + gate.qubits)
         if noise is None:
@@ -774,30 +733,31 @@ def frame_structure(circuit: Circuit,
                     ops.append((OP_DEPOLARIZE, q, site))
                 else:
                     stream.extend((REF_QUERY, q))
-                    ops.append((OP_RESET_NOISE, q, site, None))
+                    ops.append((OP_RESET_NOISE, q, site))
 
-    # Fusion keeps the mutual order of the rng ops, so the answered
-    # ops stay in stream order.
+    # Fusion keeps the mutual order of the rng ops, so the answer words
+    # stay in stream order.
     ops = fuse_layers(ops)
-    # Every bound program shares these arrays.
+    # Every reseed and bound program shares these arrays.
     for op in ops:
         for operand in op:
             if isinstance(operand, np.ndarray):
                 operand.flags.writeable = False
-    slots: List[Tuple[int, int, int, int]] = []
+    slots: List[Tuple[int, int]] = []
     code = encode_ops(ops, n, num_cbits, len(site_source), slots)
     reference_stream = np.array(stream, dtype=np.int64)
     reference_stream.flags.writeable = False
-    answer_slots = np.array(slots, dtype=np.int64).reshape(-1, 4)
+    answer_slots = np.array(slots, dtype=np.int64).reshape(-1, 2)
     answer_slots.flags.writeable = False
+    source = np.array(site_source, dtype=np.intp)
+    source.flags.writeable = False
     certain = np.array(draw_certain, dtype=np.uint8)
     certain.flags.writeable = False
     blank = FrameStructure(
         num_qubits=n,
         num_cbits=num_cbits,
         ops=tuple(ops),
-        noise_ops=tuple(i for i, op in enumerate(ops) if op[0] in _P_SLOT),
-        site_source=np.array(site_source, dtype=np.intp),
+        site_source=source,
         signature=tuple(t.key for t in tables),
         reference_record=np.zeros(num_cbits, dtype=np.uint8),
         random_cbits=(),

@@ -3,14 +3,17 @@ reference pass replayed on the Python tableau.
 
 **Executor.**  :func:`exec_numpy` runs a bound program's op tuples one
 numpy handler at a time on a :class:`~repro.frames.FrameSimulator`'s
-arrays and lanes.  It has the signature of
-``FrameSimulator._exec_native``, so :func:`numpy_executor` swaps it in
-and every ``run_packed`` caller — lanes, op ranges, the splitting
-sampler — runs on it unchanged.  Every op that draws makes, lane by
-lane, the generator calls a one-lane simulator of that lane's size
-makes; a fused layer is bit-identical to its scalar ops.  A tilted
-layer sums its rows' ratios in row order, then banks the sum once —
-the kernel's order, on any batch size.
+arrays and lanes, reading what the kernel reads: each site's ``p`` from
+``program.probabilities`` and its tilt ratios from
+``program.log_ratios``, each measure's reference bit and each fault
+reset's ``x_value`` from ``program.code`` (:func:`op_answers`).  It
+has the signature of ``FrameSimulator._exec_native``, so
+:func:`numpy_executor` swaps it in and every ``run_packed`` caller —
+lanes, op ranges, the splitting sampler — runs on it unchanged.  Every
+op that draws makes, lane by lane, the generator calls a one-lane
+simulator of that lane's size makes; a fused layer is bit-identical to
+its scalar ops.  A tilted layer sums its rows' ratios in row order,
+then banks the sum once — the kernel's order, on any batch size.
 
 **Reference pass.**  :func:`replay_reference` runs a reference stream
 once on :class:`~repro.stabilizer.simulator.TableauSimulator`;
@@ -165,15 +168,44 @@ def reset_noise(sim, a: int, p: float, x_value: Optional[int] = None) -> None:
         z ^= (z ^ random_words(rng, hi - lo)) & mask
 
 
-#: Opcode -> handler: an op executes as ``handler(sim, *op[1:])``;
-#: measures write their words into the record.
+#: Opcode -> handler of the ops that execute as
+#: ``handler(sim, *op[1:])``: the Cliffords and circuit resets.
 _HANDLER = {
     P.OP_H: h, P.OP_H_LAYER: h, P.OP_S: s, P.OP_S_LAYER: s,
     P.OP_CX: cx, P.OP_CX_LAYER: cx, P.OP_CZ: cz, P.OP_CZ_LAYER: cz,
     P.OP_SWAP: swap, P.OP_SWAP_LAYER: swap,
-    P.OP_RESET: reset, P.OP_RESET_LAYER: reset,
-    P.OP_RESET_NOISE: reset_noise,
-    P.OP_DEPOLARIZE: depolarize, P.OP_DEPOLARIZE_LAYER: depolarize_layer}
+    P.OP_RESET: reset, P.OP_RESET_LAYER: reset}
+
+
+def op_answers(program) -> List:
+    """Per op of ``program.ops`` (a program or a structure), the answer
+    its ``code`` words hold: a measure's reference bit, a measure
+    layer's bits (uint8), a fault reset's ``x_value`` (``None`` where
+    the reference is Z-indefinite); ``None`` for every other op.  Walks
+    the stream beside the ops, holding each opcode word to its op."""
+    code = program.code.tolist()
+    at = P.CODE_HEADER
+    answers: List = []
+    for op in program.ops:
+        assert code[at] == op[0], (at, op)
+        at += 1
+        answer = None
+        if op[0] in P.LAYER_OPS:
+            k = code[at]
+            at += 1 + k * (len(op) - 1)
+            if op[0] == P.OP_MEASURE_LAYER:
+                answer = np.array(code[at:at + k], dtype=np.uint8)
+                at += k
+        else:
+            at += len(op) - 1
+            if op[0] in (P.OP_MEASURE, P.OP_RESET_NOISE):
+                answer = code[at]
+                at += 1
+                if answer == P._INDEFINITE:
+                    answer = None
+        answers.append(answer)
+    assert at == len(code)
+    return answers
 
 
 def exec_numpy(sim, program, start: int, stop: int,
@@ -181,12 +213,22 @@ def exec_numpy(sim, program, start: int, stop: int,
     """Ops ``start .. stop`` of ``program`` against ``record_words``,
     one handler call per op — ``FrameSimulator._exec_native``'s
     oracle."""
-    for op in program.ops[start:stop]:
+    p, llr = program.probabilities, program.log_ratios
+    for op, answer in zip(program.ops[start:stop],
+                          op_answers(program)[start:stop]):
         code = op[0]
         if code == P.OP_MEASURE:
-            record_words[op[2]] = measure(sim, op[1], op[3])
+            record_words[op[2]] = measure(sim, op[1], answer)
         elif code == P.OP_MEASURE_LAYER:
-            record_words[op[2]] = measure_layer(sim, op[1], op[3])
+            record_words[op[2]] = measure_layer(sim, op[1], answer)
+        elif code == P.OP_RESET_NOISE:
+            reset_noise(sim, op[1], float(p[op[2]]), answer)
+        elif code == P.OP_DEPOLARIZE:
+            ratios = () if llr is None else llr[:, op[2]].tolist()
+            depolarize(sim, op[1], float(p[op[2]]), *ratios)
+        elif code == P.OP_DEPOLARIZE_LAYER:
+            ratios = () if llr is None else llr[:, op[2]]
+            depolarize_layer(sim, op[1], p[op[2]], *ratios)
         else:
             _HANDLER[code](sim, *op[1:])
 

@@ -344,19 +344,23 @@ class TestNoiseLowering:
             assert rec.shape == (128, 1)
 
 
-def reference_run(ops, num_qubits, num_cbits, batch_size, seed):
-    """Replay a *scalar, unfused* op list: every depolarize site draws
-    its own ``rng.random(B)`` and XORs three packed masks.  The oracle
-    the compiled (fused) programs must match bit for bit — kept here,
-    not in ``src/``.  Also returns the rows' hits."""
+def reference_run(program, batch_size, seed):
+    """Replay a *scalar, unfused* program's ops, reading what the
+    kernel reads — each site's ``p`` from ``program.probabilities``,
+    each answer from ``program.code`` (``oracle.op_answers``): every
+    depolarize site draws its own ``rng.random(B)`` and XORs three
+    packed masks.  The oracle the compiled (fused) programs must match
+    bit for bit — kept here, not in ``src/``.  Also returns the rows'
+    hits."""
     P = frames_program
-    sim = FrameSimulator(num_qubits, batch_size, rng=seed)
-    words = np.zeros((num_cbits, sim.num_words), dtype=np.uint64)
+    sim = FrameSimulator(program.num_qubits, batch_size, rng=seed)
+    words = np.zeros((program.num_cbits, sim.num_words), dtype=np.uint64)
     hits = 0
-    for op in ops:
+    for op, answer in zip(program.ops, oracle.op_answers(program)):
         code = op[0]
         if code == P.OP_DEPOLARIZE:
-            _, q, p = op
+            _, q, site = op
+            p = float(program.probabilities[site])
             u = sim.rng.random(batch_size)
             hits += int((u < p).sum())
             third = p / 3.0
@@ -366,20 +370,22 @@ def reference_run(ops, num_qubits, num_cbits, batch_size, seed):
             sim.x[q] ^= mx | my
             sim.z[q] ^= mz | my
         elif code == P.OP_MEASURE:
-            words[op[2]] = oracle.measure(sim, op[1], op[3])
+            words[op[2]] = oracle.measure(sim, op[1], answer)
+        elif code == P.OP_RESET_NOISE:
+            oracle.reset_noise(sim, op[1],
+                               float(program.probabilities[op[2]]), answer)
         else:
             {P.OP_H: oracle.h, P.OP_S: oracle.s, P.OP_CX: oracle.cx,
              P.OP_CZ: oracle.cz, P.OP_SWAP: oracle.swap,
-             P.OP_RESET: oracle.reset,
-             P.OP_RESET_NOISE: oracle.reset_noise}[code](sim, *op[1:])
+             P.OP_RESET: oracle.reset}[code](sim, *op[1:])
     return words, sim, hits
 
 
-def scalar_ops(monkeypatch, circuit, noise):
-    """The lowered op list before fusion."""
+def scalar_program(monkeypatch, circuit, noise):
+    """The lowered program before fusion."""
     with monkeypatch.context() as m:
         m.setattr(frames_program, "fuse_layers", list)
-        return compile_frame_program(circuit, noise, rng=1).ops
+        return compile_frame_program(circuit, noise, rng=1)
 
 
 def strike_noise(experiment, p, strike):
@@ -467,8 +473,7 @@ class TestDrawApply:
         sim = FrameSimulator(circuit.num_qubits, batch_size, rng=seed)
         words = sim.run_packed(program)
         ref_words, ref, hits = reference_run(
-            scalar_ops(monkeypatch, circuit, noise), circuit.num_qubits,
-            program.num_cbits, batch_size, seed)
+            scalar_program(monkeypatch, circuit, noise), batch_size, seed)
         assert np.array_equal(words, ref_words)
         assert np.array_equal(sim.x, ref.x)
         assert np.array_equal(sim.z, ref.z)
@@ -698,8 +703,7 @@ class TestExecutors:
         P = frames_program
         k = 12
         ops = [(P.OP_DEPOLARIZE_LAYER, np.arange(k), np.arange(k)),
-               (P.OP_MEASURE_LAYER, np.arange(k), np.arange(k),
-                np.zeros(k, np.uint8))]
+               (P.OP_MEASURE_LAYER, np.arange(k), np.arange(k))]
         llr = np.random.default_rng(0).normal(size=(2, k))
         tilted = self.hand_program(ops, [0.2] * k, k, k, llr)
         self.assert_executors_agree(monkeypatch, k, tilted, [1])
@@ -769,31 +773,27 @@ class TestExecutors:
         np.testing.assert_equal(*results)
 
     def hand_program(self, ops, probabilities, num_qubits, num_cbits,
-                     log_ratios=None):
+                     log_ratios=None, answers=()):
         """A program from structure-form ``ops`` (noise ops carrying
-        site numbers) the way ``bind`` makes one — for site
+        site numbers, no answers) the way ``bind`` makes one — for site
         probabilities (and, given ``(2, sites)`` ``log_ratios``, tilt
         ratios) no noise model binds (a site exists iff its
-        ``p > 0``)."""
+        ``p > 0``).  ``answers`` — reference bits and fault-reset
+        ``x_value`` s (``None``: Z-indefinite), in slot order — are
+        written into ``code``; without them every answer word is 0."""
         P = frames_program
         p = np.asarray(probabilities, dtype=float)
         llr = None if log_ratios is None else np.array(log_ratios, float)
-        bound = []
-        for op in ops:
-            slot = P._P_SLOT.get(op[0])
-            if slot is not None:
-                sites = op[slot]
-                wide = isinstance(sites, np.ndarray)
-                op = op[:slot] + (p[sites] if wide
-                                  else float(p[sites]),) + op[slot + 1:]
-                if llr is not None and op[0] != P.OP_RESET_NOISE:
-                    op += ((llr[0, sites], llr[1, sites]) if wide
-                           else tuple(llr[:, sites].tolist()))
-            bound.append(op)
+        slots = []
+        code = P.encode_ops(ops, num_qubits, num_cbits, len(p), slots)
+        if answers:
+            assert len(answers) == len(slots)
+            code = code.copy()
+            code[[word for word, _ in slots]] = [
+                P._INDEFINITE if a is None else a for a in answers]
         return P.FrameProgram(
-            num_qubits=num_qubits, num_cbits=num_cbits, ops=bound,
-            reference_record=np.zeros(num_cbits, np.uint8),
-            code=P.encode_ops(ops, num_qubits, num_cbits, len(p)),
+            num_qubits=num_qubits, num_cbits=num_cbits, ops=ops,
+            reference_record=np.zeros(num_cbits, np.uint8), code=code,
             probabilities=p, log_ratios=llr)
 
     @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: f"{len(s)}-lane")
@@ -804,19 +804,21 @@ class TestExecutors:
         P = frames_program
         n = 4
         ops = [(P.OP_H_LAYER, np.arange(n))]
-        probabilities = []
+        probabilities, answers = [], []
         for p in (0.0, 1.0, 1e-4, 0.3):
             for q, x_value in enumerate((None, 0, 1, None)):
-                ops.append((P.OP_RESET_NOISE, q, len(probabilities),
-                            x_value))
+                ops.append((P.OP_RESET_NOISE, q, len(probabilities)))
                 probabilities.append(p)
+                answers.append(x_value)
             ops += [(P.OP_CX, 0, 1), (P.OP_S, 2), (P.OP_CZ, 2, 3),
                     (P.OP_SWAP, 1, 3), (P.OP_H, 0)]
-        ops += [(P.OP_MEASURE, 0, 0, 1), (P.OP_RESET, 0),
-                (P.OP_MEASURE_LAYER, np.arange(n), np.arange(1, n + 1),
-                 np.array([0, 1, 0, 1], np.uint8)),
+        ops += [(P.OP_MEASURE, 0, 0), (P.OP_RESET, 0),
+                (P.OP_MEASURE_LAYER, np.arange(n), np.arange(1, n + 1)),
                 (P.OP_RESET_LAYER, np.array([1, 3]))]
-        program = self.hand_program(ops, probabilities, n, n + 1)
+        answers += [1, 0, 1, 0, 1]
+        program = self.hand_program(ops, probabilities, n, n + 1,
+                                    answers=answers)
+        assert oracle.op_answers(program)[1:5] == [None, 0, 1, None]
         words, *_ = self.assert_executors_agree(monkeypatch, n, program,
                                                 sizes)
         assert words.any()
@@ -830,8 +832,7 @@ class TestExecutors:
         ops = [(P.OP_DEPOLARIZE, 0, 0),
                (P.OP_DEPOLARIZE_LAYER, np.array([1, 2]), np.array([1, 2])),
                (P.OP_DEPOLARIZE, 3, 3),
-               (P.OP_MEASURE_LAYER, np.arange(4), np.arange(4),
-                np.zeros(4, np.uint8))]
+               (P.OP_MEASURE_LAYER, np.arange(4), np.arange(4))]
         llr = [[-1.2, 0.5, 0.0, 0.0], [0.1, -0.01, 0.0, 0.0]]
         program = self.hand_program(ops, [0.3, 1e-3, 0.02, 0.05], 4, 4,
                                     llr if weighted else None)
@@ -843,8 +844,8 @@ class TestExecutors:
     @pytest.mark.parametrize("op,what", [
         ((frames_program.OP_CX, 0, 5), "qubit"),
         ((frames_program.OP_H, -1), "qubit"),
-        ((frames_program.OP_MEASURE, 0, 3, 0), "cbit"),
-        ((frames_program.OP_RESET_NOISE, 0, 2, None), "site"),
+        ((frames_program.OP_MEASURE, 0, 3), "cbit"),
+        ((frames_program.OP_RESET_NOISE, 0, 2), "site"),
         ((frames_program.OP_CX_LAYER, np.array([0, 1]), np.array([2, 7])),
          "qubit"),
         ((frames_program.OP_DEPOLARIZE_LAYER, np.array([0, 1]),
@@ -883,42 +884,59 @@ class TestExecutors:
                     dataclasses.replace(tilted, log_ratios=short))
 
     def test_encoding_is_per_structure_and_binding_a_gather(self):
+        P = frames_program
         experiment = build_memory_experiment(RepetitionCode(3), rounds=2)
+        n = experiment.circuit.num_qubits
         structure = frame_structure(experiment.circuit,
                                     strike_noise(experiment, 0.01, "burst"))
         one = structure.bind(strike_noise(experiment, 0.01, "burst"))
         two = structure.bind(strike_noise(experiment, 0.02, "burst"))
-        assert one.code is two.code is structure.code
+        tilted = structure.bind(strike_noise(experiment, 0.01, "burst"),
+                                SamplerSpec(kind="tilt", tilt=4.0))
+        # one op list and one code, shared by identity
+        assert one.ops is two.ops is tilted.ops is structure.ops
+        assert one.code is two.code is tilted.code is structure.code
         assert structure.code.dtype == np.int64
         assert not structure.code.flags.writeable
-        assert one.probabilities.shape == (len(structure.site_source),)
+        # no noise op holds a float, no measure or fault reset an answer
+        kinds = {op[0] for op in structure.ops}
+        assert {P.OP_DEPOLARIZE, P.OP_RESET_NOISE, P.OP_MEASURE} <= kinds
+        for op in structure.ops:
+            assert all(np.asarray(operand).dtype.kind == "i"
+                       for operand in op), op
+            if op[0] in (P.OP_MEASURE, P.OP_RESET_NOISE, P.OP_DEPOLARIZE,
+                         P.OP_MEASURE_LAYER, P.OP_DEPOLARIZE_LAYER):
+                assert len(op) == 3, op
+        # the binding is a gather of the noise model's site tables
+        for program, p in ((one, 0.01), (two, 0.02)):
+            noise = strike_noise(experiment, p, "burst")
+            table = np.concatenate([ch.site_table(n).table.ravel()
+                                    for ch in noise])
+            assert program.probabilities.dtype == np.float64
+            assert np.array_equal(program.probabilities,
+                                  table[structure.site_source])
+            assert program.log_ratios is None
         assert not np.array_equal(one.probabilities, two.probabilities)
-        # the vector holds what the op tuples hold
-        slot = frames_program._P_SLOT
-        for op, bare in zip(one.ops, structure.ops):
-            if op[0] in slot:
-                assert np.array_equal(op[slot[op[0]]],
-                                      one.probabilities[bare[slot[op[0]]]])
+        assert tilted.log_ratios.dtype == np.float64
+        assert tilted.log_ratios.shape == (2, len(structure.site_source))
 
 
 def assert_same_program(got, want):
-    """Op for op: tuple lengths, operand types, array dtypes, values."""
+    """What the kernel reads — ``code``, ``probabilities`` and
+    ``log_ratios`` — dtype and values, plus the metadata and the
+    reference record."""
     for name in ("num_qubits", "num_cbits", "random_cbits",
                  "exact_reset_sites", "twirled_reset_sites",
                  "num_channels", "fused_ops"):
         assert getattr(got, name) == getattr(want, name), name
-    assert got.reference_record.dtype == want.reference_record.dtype
-    assert np.array_equal(got.reference_record, want.reference_record)
     assert len(got.ops) == len(want.ops)
-    for a, b in zip(got.ops, want.ops):
-        assert len(a) == len(b), (a, b)
-        for x, y in zip(a, b):
-            assert type(x) is type(y), (a, b)
-            if isinstance(x, np.ndarray):
-                assert x.dtype == y.dtype and x.shape == y.shape, (a, b)
-                assert np.array_equal(x, y), (a, b)
-            else:
-                assert x == y, (a, b)
+    assert (got.log_ratios is None) == (want.log_ratios is None)
+    for name in ("reference_record", "code", "probabilities",
+                 "log_ratios"):
+        a, b = getattr(got, name), getattr(want, name)
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
 
 
 def counted(name):
@@ -1084,17 +1102,22 @@ class TestStructureAndBinding:
             experiment.circuit, strike_noise(experiment, 0.01, "none"))
         one = structure.bind(strike_noise(experiment, 0.01, "none"))
         two = structure.bind(strike_noise(experiment, 0.02, "none"))
-        shared = [x for a, b in zip(one.ops, two.ops) for x, y in zip(a, b)
-                  if isinstance(x, np.ndarray) and x is y]
-        assert shared
-        for array in shared + [one.reference_record]:
+        layers = [x for op in structure.ops for x in op
+                  if isinstance(x, np.ndarray)]
+        assert layers
+        shared = layers + [one.code, one.reference_record] + [
+            getattr(structure, name) for name in (
+                "site_source", "reference_stream", "answer_slots",
+                "draw_certain")]
+        assert one.code is two.code
+        assert one.reference_record is two.reference_record
+        for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
         # the probabilities are the program's own
-        own = [(x, y) for a, b in zip(one.ops, two.ops) for x, y in zip(a, b)
-               if isinstance(x, np.ndarray) and x is not y]
-        assert own and all(x.dtype == float and not np.array_equal(x, y)
-                           for x, y in own)
+        assert one.probabilities is not two.probabilities
+        assert one.probabilities.dtype == two.probabilities.dtype == float
+        assert not np.array_equal(one.probabilities, two.probabilities)
 
     def test_bind_rejects_a_model_with_other_sites(self):
         experiment = build_memory_experiment(RepetitionCode(3), rounds=2)
@@ -1344,7 +1367,9 @@ class TestReferencePass:
 
 
 def measure_layers(structure):
-    return [op[3] for op in structure.ops
+    """Each measure layer's reference bits, as ``code`` holds them."""
+    return [answer for op, answer in zip(structure.ops,
+                                         oracle.op_answers(structure))
             if op[0] == frames_program.OP_MEASURE_LAYER]
 
 
@@ -1362,19 +1387,19 @@ class TestReseed:
         got = on_reference(executor, structure.reseed, got_rng)
         want = on_reference(executor, frame_structure, circuit, noise,
                             want_rng)
+        assert got.ops is structure.ops
         assert_same_program(got.bind(noise), want.bind(noise))
         for name in ("code", "reference_record", "reference_stream",
                      "answer_slots", "site_source"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         for name in ("random_cbits", "exact_reset_sites",
-                     "twirled_reset_sites", "seeded", "noise_ops",
-                     "fused_ops", "signature"):
+                     "twirled_reset_sites", "seeded", "fused_ops",
+                     "signature"):
             assert getattr(got, name) == getattr(want, name), name
         assert same_state(got_rng.bit_generator.state,
                           want_rng.bit_generator.state)
-        for array in [got.code, got.reference_record] \
-                + measure_layers(got):
+        for array in (got.code, got.reference_record):
             assert not array.flags.writeable
         return got
 

@@ -372,12 +372,20 @@ class TestWeightProperties:
         reset_sites = {op[2] for op in structure.ops
                        if op[0] == OP_RESET_NOISE}
         assert reset_sites
-        # every bound depolarize op carries its sites' ratios
-        for i in structure.noise_ops:
-            code, sites = structure.ops[i][0], structure.ops[i][2]
-            if code in (OP_DEPOLARIZE, OP_DEPOLARIZE_LAYER):
-                np.testing.assert_equal(program.ops[i][-2:], tuple(
-                    program.log_ratios[:, sites]))
+        depolarize_sites = {site for op in structure.ops
+                            if op[0] in (OP_DEPOLARIZE, OP_DEPOLARIZE_LAYER)
+                            for site in np.atleast_1d(op[2]).tolist()}
+        sites = len(structure.site_source)
+        assert depolarize_sites | reset_sites == set(range(sites))
+        assert not depolarize_sites & reset_sites
+        # every depolarize site's ratios sit in the bound arrays, which
+        # the tilt moved; the op list is the structure's
+        assert program.ops is structure.ops
+        assert program.log_ratios.dtype == np.float64
+        assert program.log_ratios.shape == (2, sites)
+        assert program.log_ratios.flags.c_contiguous
+        assert (program.log_ratios[:, sorted(depolarize_sites)]
+                != 0).any(axis=0).all()
         frames = [("reset" if s in reset_sites else "depolarize",
                    program.probabilities[s], *program.log_ratios[:, s])
                   for s in range(len(structure.site_source))]
