@@ -56,7 +56,7 @@ import time
 
 import numpy as np
 
-from conftest import bench_bar, bench_report
+from conftest import bench_bar, bench_report, best_of
 
 from repro.decoders import SyndromeBatch, prepare_packed_inputs
 from repro.decoders import _native as decoder_native
@@ -136,9 +136,7 @@ def test_batched_decode_speedup(benchmark, capsys):
 
     # A fresh-process campaign would rebuild the context caches; they
     # are warmed above so the fixture times the steady-state engine.
-    result = benchmark.pedantic(lambda: run_task(TASK),
-                                rounds=1, iterations=1)
-    batched_s = benchmark.stats.stats.min
+    result, batched_s = best_of(benchmark, lambda: run_task(TASK), 1)
     assert result.shots == SHOTS
 
     decoder = _task_context(TASK)[1]
@@ -218,8 +216,7 @@ def test_strike_regime_matcher(benchmark, capsys):
                                                  batches)
     reference_s = time.perf_counter() - t0
 
-    got = benchmark.pedantic(decode, setup=cold, rounds=3, iterations=1)
-    batched_s = benchmark.stats.stats.min
+    got, batched_s = best_of(benchmark, decode, 3, setup=cold)
     for ours, theirs in zip(got, want):
         np.testing.assert_array_equal(ours, theirs)
 
@@ -290,8 +287,7 @@ def test_strike_regime_union_find(benchmark, capsys):
         want.append(corrections)
     reference_s = time.perf_counter() - t0
 
-    got = benchmark.pedantic(decode, setup=cold, rounds=3, iterations=1)
-    native_s = benchmark.stats.stats.min
+    got, native_s = best_of(benchmark, decode, 3, setup=cold)
     for ours, theirs in zip(got, want):
         np.testing.assert_array_equal(ours, theirs)
 
@@ -337,12 +333,10 @@ def test_strike_heavy_patterns_blossom(benchmark, capsys):
     networkx_s = time.perf_counter() - t0
 
     event_ptr, events = decoder_native.csr_rows(heavy)
-    _, got = benchmark.pedantic(
-        kernel.match, args=(event_ptr, events, graph.distances,
-                            graph.parities, graph.num_nodes,
-                            _BOUNDARY_BIAS),
-        rounds=5, iterations=1)
-    native_s = benchmark.stats.stats.min
+    (_, got), native_s = best_of(
+        benchmark, kernel.match, 5,
+        args=(event_ptr, events, graph.distances, graph.parities,
+              graph.num_nodes, _BOUNDARY_BIAS))
     np.testing.assert_array_equal(got, want)
 
     speedup = networkx_s / native_s
@@ -385,11 +379,10 @@ def test_strike_light_patterns_dp(benchmark, capsys):
     recursion_s = time.perf_counter() - t0
 
     event_ptr, events = decoder_native.csr_rows(light)
-    _, got = benchmark.pedantic(
-        kernel.dp, args=(event_ptr, events, graph.distances, graph.parities,
-                         graph.num_nodes, _BOUNDARY_BIAS),
-        rounds=5, iterations=1)
-    native_s = benchmark.stats.stats.min
+    (_, got), native_s = best_of(
+        benchmark, kernel.dp, 5,
+        args=(event_ptr, events, graph.distances, graph.parities,
+              graph.num_nodes, _BOUNDARY_BIAS))
     np.testing.assert_array_equal(got, want)
 
     speedup = recursion_s / native_s

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import bench_bar, bench_report
+from conftest import bench_bar, bench_report, best_of
 
 from repro.codes import XXZZCode, build_memory_experiment
 from repro.frames import (FrameSimulator, _native, compile_frame_program,
@@ -459,11 +459,16 @@ def test_frames_compile_amortisation(benchmark, capsys):
                                  t.decoder, t.readout)
     points = [(task, _build_noise(task, experiment)) for task in tasks]
     compiles = obs.counter("frames.compiles")
+    #: Structures compiled, per run of ``memoised``.
+    structures = []
 
     def memoised():
         _structure_cell.cache_clear()
-        return [_frame_program(task, experiment, noise)
-                for task, noise in points]
+        before = compiles.value
+        programs = [_frame_program(task, experiment, noise)
+                    for task, noise in points]
+        structures.append(compiles.value - before)
+        return programs
 
     def per_point():
         return [compile_frame_program(experiment.circuit, noise,
@@ -479,10 +484,7 @@ def test_frames_compile_amortisation(benchmark, capsys):
         return min(times)
 
     fresh_s = best_s(per_point)
-    before = compiles.value
-    programs = benchmark.pedantic(memoised, rounds=3, iterations=1)
-    structures = (compiles.value - before) // 3
-    memo_s = benchmark.stats.stats.min
+    programs, memo_s = best_of(benchmark, memoised, 3)
     assert len(programs) == len(points) == 48
     assert all(len(a.ops) == len(b.ops)
                for a, b in zip(programs, per_point()))
@@ -491,12 +493,12 @@ def test_frames_compile_amortisation(benchmark, capsys):
         f"\n[frames] 48-point sweep on one circuit: per-point compile "
         f"{1e3 * fresh_s / 48:.2f} ms/point, structure + bind "
         f"{1e3 * memo_s / 48:.2f} ms/point ({fresh_s / memo_s:.1f}x), "
-        f"{structures} structure(s) compiled",
-        points=48, structures_compiled=structures,
+        f"{max(structures)} structure(s) compiled per run",
+        points=48, structures_compiled=max(structures),
         seconds_per_point=memo_s / 48,
         per_point_compile_seconds=fresh_s / 48,
         speedup=fresh_s / memo_s)
-    assert structures == 1
+    assert structures == [1] * 3
     bar = bench_bar(5.0, 3.0)
     assert fresh_s / memo_s >= bar, \
         f"structure + bind only {fresh_s / memo_s:.1f}x < {bar}x"

@@ -3,9 +3,10 @@
 The batched tableau simulator is the exact backend: campaigns reach it
 when a fault has no exact frame lowering (a reset on an entangled XXZZ
 data qubit — the paper's Fig. 5 strike traffic) and tier-1 uses it as
-the frames oracle.  Campaigns run it natively (``_kernel.c``); the
-numpy :class:`~repro.stabilizer.BatchTableauSimulator` is the
-reference.  This bench records both on those shapes and quantifies the
+the frames oracle.  Campaigns run it natively (``_kernel.c``); its
+test oracle, the numpy ``BatchTableauSimulator`` of
+``tests/oracles/tableau.py``, is the reference.  This bench records
+both on those shapes and quantifies the
 vectorization speedup over the single-shot reference implementation
 (DESIGN.md §3).
 """
@@ -25,11 +26,9 @@ from repro.noise import (
     run_batch_noisy,
 )
 from repro.transpile import transpile
-from repro.stabilizer import (
-    BatchTableauSimulator,
-    TableauSimulator,
-    random_clifford_circuit,
-)
+from repro.stabilizer import TableauSimulator, random_clifford_circuit
+
+from oracles.tableau import BatchTableauSimulator, numpy_walk
 
 BATCH = 1024
 
@@ -82,7 +81,7 @@ def test_batch_strike_fig5_shape(benchmark, capsys):
     onto mesh 5x4, radiation at root 2, t = 0, intrinsic p = 1e-3, one
     512-shot block on the tableau — on the native executor
     (``_kernel.c``, from the point's bound program, as the campaign
-    runs it) and on the numpy walk (``_walk_tableau``), same host, same
+    runs it) and on the oracle's numpy walk, same host, same
     records.  Reports ms per block.
 
     Native must hold >= 5x numpy.  The earlier byte-per-bit
@@ -91,7 +90,6 @@ def test_batch_strike_fig5_shape(benchmark, capsys):
     (measured 12 800).
     """
     from repro.frames import compile_frame_program
-    from repro.noise.executor import _walk_tableau
 
     arch = mesh(5, 4)
     circuit = transpile(build_memory_experiment(XXZZCode(3, 3)).circuit,
@@ -106,7 +104,7 @@ def test_batch_strike_fig5_shape(benchmark, capsys):
                                backend="tableau", program=program)
 
     def numpy_block():
-        return _walk_tableau(circuit, noise, 512, np.random.default_rng(5))
+        return numpy_walk(circuit, noise, 512, np.random.default_rng(5))
 
     def best_ms(run, rounds):
         run()

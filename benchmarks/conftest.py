@@ -23,6 +23,8 @@ Shared helpers (benchmarks import them ``from conftest``):
   one when ``REPRO_BENCH_LAX`` is set (contended CI runners).
 * :func:`bench_report` — record ``extra_info`` keys and print one
   summary line past pytest's capture, in one call.
+* :func:`best_of` — best-of-N seconds of a target, with or without
+  ``--benchmark-disable``.
 
 Benchmarks that time a C kernel against its Python oracle import the
 oracle from ``tests/oracles`` (put on ``sys.path`` below).
@@ -33,6 +35,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -60,6 +63,30 @@ def bench_report(benchmark, capsys, message, **extra):
         benchmark.extra_info[key] = value
     with capsys.disabled():
         print(message)
+
+
+def best_of(benchmark, target, rounds, args=(), setup=None):
+    """Run ``target`` ``rounds`` times through ``benchmark.pedantic``
+    (``setup`` returning each round's ``(args, kwargs)``, as pedantic
+    takes it) and return its last result and its best seconds, timed
+    here.  A disabled benchmark calls the target once and keeps no
+    stats, so the remaining rounds run here: the bars see the same
+    best-of-``rounds`` either way."""
+    times = []
+
+    def timed(*a, **kw):
+        t0 = time.perf_counter()
+        try:
+            return target(*a, **kw)
+        finally:
+            times.append(time.perf_counter() - t0)
+
+    result = benchmark.pedantic(timed, args=args, setup=setup,
+                                rounds=rounds, iterations=1)
+    while len(times) < rounds:
+        a, kw = setup() if setup is not None else (args, {})
+        result = timed(*a, **kw)
+    return result, min(times)
 
 
 def pytest_addoption(parser):

@@ -70,7 +70,6 @@ from .noise import (
     transient_decay,
 )
 from .stabilizer import (
-    BatchTableauSimulator,
     PauliString,
     Tableau,
     TableauSimulator,
@@ -84,7 +83,7 @@ __all__ = [
     # circuits
     "Circuit", "Gate", "GateType",
     # simulators
-    "PauliString", "Tableau", "TableauSimulator", "BatchTableauSimulator",
+    "PauliString", "Tableau", "TableauSimulator",
     # noise
     "NoiseChannel", "NoiseModel", "DepolarizingNoise", "ErasureChannel",
     "RadiationChannel", "RadiationEvent", "temporal_decay",

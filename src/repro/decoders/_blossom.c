@@ -1,17 +1,17 @@
 /* Maximum-weight perfect matching (Edmonds' blossom algorithm in
  * Galil's primal-dual form) over a batch of MWPM patterns.
  *
- * The native twin of matching._nx_match (matching.py), which stays the
- * reference: for each pattern this builds the graph _nx_match builds and
- * runs networkx's max_weight_matching(G, maxcardinality=True) on it step
- * for step, so the matching is the same set of pairs, not merely one of
- * the same weight.  What that takes, mirrored one for one:
+ * Its oracle is tests/oracles/decoders.py's nx_match: for each pattern
+ * this builds the graph nx_pairs builds and runs networkx's
+ * max_weight_matching(G, maxcardinality=True) on it step for step, so
+ * the matching is the same set of pairs, not merely one of the same
+ * weight.  What that takes, mirrored one for one:
  *
  *  - the graph: vertices in the order networkx first saw them, (e, i)
- *    and (b, i) interleaved as _nx_match adds them, each adjacency list
+ *    and (b, i) interleaved as nx_pairs adds them, each adjacency list
  *    in edge-insertion order, boundary copies joined at weight 0.0 and
  *    no edge for an infinite pair distance;
- *  - every iteration order the reference's choices depend on: vertices
+ *  - every iteration order the oracle's choices depend on: vertices
  *    in that order, G.neighbors, blossom leaves (a stack walk), the
  *    insertion-ordered dicts -- `blossomparent` is the vertices then the
  *    live blossoms by creation, `blossomdual` the live blossoms by
@@ -30,14 +30,14 @@
  * The final "deltatype == -1" dual update only makes the optimum
  * verifiable and moves no pair, so it is skipped.
  *
- * The decoder reads the correction parity, which _nx_match XORs over
+ * The decoder reads the correction parity, which nx_match XORs over
  * the pairs of the set networkx returns; each pair is oriented as
  * matching_dict_to_set orients it -- the endpoint that entered `mate`
  * first comes first -- because a parity table need not be symmetric.
  *
  * Patterns of at most 16 defects take repro_dp_match instead (at the
- * end of this file): matching._dp_match's bitmask recursion, the exact
- * rule the decoder applies to them.
+ * end of this file): the bitmask recursion of the oracle's dp_match,
+ * the exact rule the decoder applies to them.
  *
  * Built by repro/_clib.py with `cc -O2 -shared -fPIC`; C99, libc only.
  */
@@ -689,7 +689,7 @@ static void match(ws_t *ws)
     }
 }
 
-/* _nx_match's graph: add_node / add_edge in its order. */
+/* nx_pairs's graph: add_node / add_edge in its order. */
 static int64_t vertex(ws_t *ws, int64_t code)
 {
     if (ws->where[code] < 0) {
@@ -839,7 +839,7 @@ done:
 
 /* ---- Patterns of at most DP_LIMIT defects: the bitmask DP ----------
  *
- * matching._dp_match, option for option.  A state is the mask of the
+ * The oracle's dp_match, option for option.  A state is the mask of the
  * pattern's still-unmatched events; its lowest event i goes to the
  * boundary -- (d[e_i, bcol] + bias) + rest -- or to a partner j > i in
  * ascending order -- d[e_i, e_j] + rest, skipped when d is not finite --

@@ -1,24 +1,24 @@
 /* Union-find cluster growth and peeling over a batch of patterns.
  *
- * The native twin of UnionFindDecoder._decode_pattern (unionfind.py),
- * which stays the reference; every parity equals the reference's.
- * Nodes are the graph's detectors 0..n-1 plus the boundary as node n;
- * edge e joins u[e] and v[e] and carries flip[e].
+ * Its oracle is tests/oracles/decoders.py's uf_decode_pattern, the
+ * decoder run one pattern at a time in Python; every parity equals the
+ * oracle's.  Nodes are the graph's detectors 0..n-1 plus the boundary
+ * as node n; edge e joins u[e] and v[e] and carries flip[e].
  *
- * repro_uf_grow replays the reference's growth for each pattern and
- * writes the edges in the order the reference adds them to its `grown`
+ * repro_uf_grow replays the oracle's growth for each pattern and
+ * writes the edges in the order the oracle adds them to its `grown`
  * set: the erased edges, then per synchronized step the completed bulk
  * edges and the accepted boundary edges, each in index order.  The
- * disjoint sets mirror the reference's _DSU (union by rank, path
+ * disjoint sets mirror the oracle's _DSU (union by rank, path
  * halving, the boundary one node), and the float growth repeats its
  * operations one for one: `growth += step`, the smallest residual,
  * `max(step, eps)`, the `target / 2` hold.  There is no multiply-add
  * for the compiler to contract, and no fast-math flag.
  *
- * The reference peels in the iteration order of that Python set, which
+ * The oracle peels in the iteration order of that Python set, which
  * only CPython can define: the caller rebuilds each set from the
  * sequence and hands its order to repro_uf_peel, which builds the
- * adjacency, seeds and DFS as the reference does and peels in reverse.
+ * adjacency, seeds and DFS as the oracle does and peels in reverse.
  *
  * Built by repro/_clib.py with `cc -O2 -shared -fPIC`; C99, libc only.
  */

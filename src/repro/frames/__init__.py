@@ -12,9 +12,6 @@ shots packed per ``uint64`` word.
 * :class:`FrameSimulator` — bit-packed frame propagation.
 * :func:`run_batch_frames` — drop-in counterpart of
   :func:`repro.noise.executor.run_batch_noisy`.
-* :func:`supports_noise` — can a noise model be lowered?
-* :exc:`FrameLoweringError` — raised when it cannot; callers fall back
-  to the batched tableau backend.
 """
 
 from .backend import BACKENDS, run_batch_frames, validate_backend
@@ -28,20 +25,17 @@ from .packing import (
     words_for,
 )
 from .program import (
-    FrameLoweringError,
     FrameProgram,
     FrameStructure,
     compile_frame_program,
     frame_structure,
     fuse_layers,
     site_signature,
-    supports_noise,
 )
 from .simulator import FrameSimulator
 
 __all__ = [
     "BACKENDS",
-    "FrameLoweringError",
     "FrameProgram",
     "FrameSimulator",
     "FrameStructure",
@@ -55,7 +49,6 @@ __all__ = [
     "random_words",
     "run_batch_frames",
     "site_signature",
-    "supports_noise",
     "unpack_words",
     "validate_backend",
     "words_for",

@@ -10,38 +10,40 @@
  * nothing is checked here.  A scalar op's operands are laid out as a
  * one-wide layer's, so each kind has one case.
  *
- * Randomness is numpy's: lane l draws through the bitgen_t its
- * generator publishes, with the calls — next_raw where the numpy
- * executor calls random_raw, next_double where it calls
- * Generator.random — and in the order the numpy executor makes them:
- * op by op, and inside an op lane by lane, each lane all of its rows.
+ * Its oracle is tests/oracles/frames.py's exec_numpy, one numpy handler
+ * per op.  Randomness is numpy's: lane l draws through the bitgen_t its
+ * generator publishes, with the calls — next_raw where the oracle calls
+ * random_raw, next_double where it calls Generator.random — and in the
+ * order the oracle makes them: op by op, and inside an op lane by lane,
+ * each lane all of its rows.
  *
- * Weights keep the numpy executor's float order: a scalar site adds
+ * Weights keep the oracle's float order: a scalar site adds
  * its ratio to each shot's log-weight (nothing when both ratios are
  * 0), a layer sums its rows' ratios from its first row on and adds the
  * sum once.
  *
  * repro_frames_reference is frame compilation's reference pass: the
  * REF_* stream of repro.frames.program (gates, circuit resets,
- * measurements and Z-determinacy queries; depolarize sites are
- * skipped) run once on a bit-packed Aaronson-Gottesman tableau, the one
- * repro.stabilizer.tableau.Tableau keeps — the same rows, the same
+ * measurements and Z-determinacy queries; depolarize and flip sites
+ * are skipped) run once on a bit-packed Aaronson-Gottesman tableau, the
+ * one repro.stabilizer.tableau.Tableau keeps — the same rows, the same
  * rowsum with its exact phase sum mod 4, the same pivot — so every
- * answer and every draw is the Python replay's.  A random branch
- * (measurement or reset) draws next_uint32 >> 31 from the caller's
- * generator: what Generator.integers(0, 2) returns and consumes
- * (bounded Lemire on range 2 keeps the top bit and never rejects).
+ * answer and every draw is that of tests/oracles/frames.py's
+ * replay_reference.  A random branch (measurement or reset) draws
+ * next_uint32 >> 31 from the caller's generator: what
+ * Generator.integers(0, 2) returns and consumes (bounded Lemire on
+ * range 2 keeps the top bit and never rejects).
  *
  * repro_tableau_run is the tableau executor (run_batch_noisy's
  * "tableau" backend): B shots of the same REF_* stream in lockstep on
- * batched CHP tableaus laid out as repro.stabilizer.batch's, noise
- * entries included, so that each REF_DEPOLARIZE and REF_QUERY entry is
- * the site of its rank.  It draws what BatchTableauSimulator draws, in
- * its order: B next_double per site (Generator.random(B)), none at a
- * certain reset site whose table does not draw there, and ceil(k / 4)
- * next_uint32 per measurement with k random-branch shots, shot j's
- * outcome bit 7 of byte j % 4 of word j / 4
- * (Generator.integers(0, 2, size=k, dtype=uint8)).
+ * batched CHP tableaus laid out as the numpy ones of its oracle
+ * (tests/oracles/tableau.py's numpy_walk), noise entries included, so
+ * that each noise entry is the site of its rank.  It draws what the
+ * oracle draws, in its order: B next_double per site
+ * (Generator.random(B)), none at a certain reset site whose table does
+ * not draw there, and ceil(k / 4) next_uint32 per measurement with k
+ * random-branch shots, shot j's outcome bit 7 of byte j % 4 of word
+ * j / 4 (Generator.integers(0, 2, size=k, dtype=uint8)).
  *
  * Built by frames/_native.py with `cc -O2 -shared -fPIC`; C99, libc only.
  */
@@ -63,16 +65,16 @@ typedef struct {
 
 enum {
     OP_H, OP_S, OP_CX, OP_CZ, OP_SWAP, OP_MEASURE, OP_RESET, OP_DEPOLARIZE,
-    OP_RESET_NOISE, OP_H_LAYER, OP_S_LAYER, OP_CX_LAYER, OP_CZ_LAYER,
-    OP_SWAP_LAYER, OP_MEASURE_LAYER, OP_RESET_LAYER, OP_DEPOLARIZE_LAYER,
-    NUM_OPS
+    OP_RESET_NOISE, OP_FLIP, OP_H_LAYER, OP_S_LAYER, OP_CX_LAYER,
+    OP_CZ_LAYER, OP_SWAP_LAYER, OP_MEASURE_LAYER, OP_RESET_LAYER,
+    OP_DEPOLARIZE_LAYER, NUM_OPS
 };
 
 /* Operand words of a scalar op, or per entry of a layer. */
 static const int64_t ARITY[NUM_OPS] = {
     [OP_H] = 1, [OP_S] = 1, [OP_CX] = 2, [OP_CZ] = 2, [OP_SWAP] = 2,
     [OP_MEASURE] = 3, [OP_RESET] = 1, [OP_DEPOLARIZE] = 2,
-    [OP_RESET_NOISE] = 3, [OP_H_LAYER] = 1, [OP_S_LAYER] = 1,
+    [OP_RESET_NOISE] = 3, [OP_FLIP] = 3, [OP_H_LAYER] = 1, [OP_S_LAYER] = 1,
     [OP_CX_LAYER] = 2, [OP_CZ_LAYER] = 2, [OP_SWAP_LAYER] = 2,
     [OP_MEASURE_LAYER] = 3, [OP_RESET_LAYER] = 1, [OP_DEPOLARIZE_LAYER] = 2,
 };
@@ -183,7 +185,7 @@ static void clear_x(const sim_t *s, int64_t a)
         x[w] = 0;
 }
 
-/* FrameSimulator.reset_noise: per lane a Bernoulli(p) mask
+/* The oracle's reset_noise: per lane a Bernoulli(p) mask
  * (packing.bernoulli_words: no draw at p <= 0 or p >= 1), nothing more
  * when it is empty, else the optional X words, then the Z words. */
 static void reset_noise(const sim_t *s, int64_t a, double p, int64_t x_value)
@@ -233,7 +235,7 @@ static void reset_noise(const sim_t *s, int64_t a, double p, int64_t x_value)
     }
 }
 
-/* FrameSimulator._depolarize: per lane, each site's row of one uniform
+/* The oracle's _depolarize: per lane, each site's row of one uniform
  * per shot; u < p fires, X iff u < 2p/3, Z iff u >= p/3.  A weighted
  * shot banks llr_hit where its site fired, llr_miss elsewhere: a
  * scalar site's at once, a layer's summed over its rows first. */
@@ -289,9 +291,26 @@ static void depolarize(const sim_t *s, const int64_t *qs,
     s->out[OUT_HITS] += hits;
 }
 
+/* The oracle's flip: per lane one uniform per shot, u < p toggles the
+ * shot's bit of qubit a's x (or z) row. */
+static void flip(const sim_t *s, uint64_t *row, double p)
+{
+    for (int64_t l = 0; l < s->num_lanes; l++) {
+        const lane_t *lane = &s->lanes[l];
+        const bitgen_t *g = s->gens[l];
+        for (int64_t w = lane->lo, left = lane->shots; left > 0;
+             w++, left -= 64) {
+            int64_t bits = left < 64 ? left : 64;
+            uint64_t word = 0;
+            for (int64_t b = 0; b < bits; b++)
+                word |= (uint64_t)(g->next_double(g->state) < p) << b;
+            row[w] ^= word;
+        }
+    }
+}
+
 /* prof: NULL, or 3 * NUM_OPS doubles — per opcode seconds, calls and
- * fused width beyond the call — clocked where the opcode changes, as
- * FrameSimulator._exec_numpy clocks its sampled blocks. */
+ * fused width beyond the call — clocked where the opcode changes. */
 int64_t repro_frames_run(const int64_t *code, int64_t code_len,
                          int64_t first, int64_t stop,
                          const double *prob, const double *llr,
@@ -391,6 +410,9 @@ int64_t repro_frames_run(const int64_t *code, int64_t code_len,
         case OP_DEPOLARIZE_LAYER:
             depolarize(&sim, a, a + k, k, !scalar);
             break;
+        case OP_FLIP:               /* qubit, site, 0 for X or 1 for Z */
+            flip(&sim, (a[2] ? z : x) + a[0] * W, prob[a[1]]);
+            break;
         }
     }
     if (prof && run_code >= 0)
@@ -407,7 +429,8 @@ int64_t repro_frames_run(const int64_t *code, int64_t code_len,
 /* REF_* opcodes of program.py. */
 enum {
     REF_X, REF_Y, REF_Z, REF_H, REF_S, REF_SDG, REF_CX, REF_CZ, REF_SWAP,
-    REF_RESET, REF_MEASURE, REF_QUERY, REF_DEPOLARIZE, NUM_REFS
+    REF_RESET, REF_MEASURE, REF_QUERY, REF_DEPOLARIZE, REF_FLIP_X,
+    REF_FLIP_Z, NUM_REFS
 };
 
 /* Query answer: a measurement there would take the random branch. */
@@ -623,6 +646,8 @@ int64_t repro_frames_reference(const int64_t *stream, int64_t len,
             *results++ = pivot(&t, a) >= 0 ? INDEFINITE : determinate(&t, a);
             break;
         case REF_DEPOLARIZE:        /* a noise site: the reference is noiseless */
+        case REF_FLIP_X:
+        case REF_FLIP_Z:
             break;
         default:
             gate(&t, op, a, b);
@@ -643,7 +668,7 @@ int64_t repro_frames_reference(const int64_t *stream, int64_t len,
 /* prof[] buckets: the four tableau.* stages of run_batch_noisy. */
 enum { T_GATES, T_MEASURE_DET, T_MEASURE_RAND, T_NOISE, T_STAGES };
 
-/* B tableaus in lockstep, laid out as BatchTableauSimulator's
+/* B tableaus in lockstep, laid out as the oracle's
  * (n, 2, W, B) x and z and (2, W, B) r: qubit q's column is 2 W rows of
  * B words (destabilizer half, then stabilizer half; row w of a half
  * holds tableau rows 64 w .. 64 w + 63 of every shot, shot innermost),
@@ -662,7 +687,7 @@ typedef struct {
     uint64_t *tgt, *phase, *acc;    /* 2 W each */
 } batch_t;
 
-/* An unmasked Clifford on every shot: BatchTableauSimulator's h, s,
+/* An unmasked Clifford on every shot: the oracle's h, s,
  * sdg, x_gate, y_gate, z_gate, cx and swap (cz composes them). */
 static void batch_gate(const batch_t *t, int64_t op, int64_t a, int64_t b)
 {
@@ -831,7 +856,7 @@ static void batch_collapse(const batch_t *t, int64_t a, int64_t s,
     t->z[a * C + p + s] |= pm;
 }
 
-/* BatchTableauSimulator.measure: the Z outcome of qubit a on the shots
+/* The oracle's measure: the Z outcome of qubit a on the shots
  * of in[] (every shot when NULL) into outcome[] (0 elsewhere) —
  * deterministic shots first, then the random-branch ones in ascending
  * order, drawing one uint8 each as Generator.integers(0, 2, size=k,
@@ -869,7 +894,7 @@ static void batch_measure(const batch_t *t, int64_t a, const uint8_t *in)
     }
 }
 
-/* BatchTableauSimulator.reset: measure, then X where it read 1. */
+/* The oracle's reset: measure, then X where it read 1. */
 static void batch_reset(const batch_t *t, int64_t a, const uint8_t *in)
 {
     batch_measure(t, a, in);
@@ -885,7 +910,7 @@ static void batch_uniforms(const batch_t *t)
         t->u[s] = t->gen->next_double(t->gen->state);
 }
 
-/* NoiseChannel.apply_batch of a depolarize site: u < p / 3 is X, below
+/* A depolarize site, as the oracle applies it: u < p / 3 is X, below
  * 2 p / 3 Y, below p Z; a tilted site banks llr_hit where it fired and
  * llr_miss elsewhere, unless both are 0. */
 static void batch_depolarize(const batch_t *t, int64_t a, double p,
@@ -906,7 +931,7 @@ static void batch_depolarize(const batch_t *t, int64_t a, double p,
 }
 
 /* One pass of the stream (len words) from |0..0> on B shots of n
- * qubits.  The k-th REF_DEPOLARIZE or REF_QUERY entry is site k of
+ * qubits.  The k-th noise entry (REF_QUERY and on) is site k of
  * prob[] (and of llr[]: hit per site, then miss per site, NULL on an
  * untilted run) and draw_certain[]; the m-th REF_MEASURE writes its
  * outcomes to column cbits[m] of the (B, num_cbits) record.  lw is
@@ -958,7 +983,7 @@ int64_t repro_tableau_run(const int64_t *stream, int64_t len, int64_t n,
             break;
         }
         i += 2 + two;
-        int noise = op == REF_DEPOLARIZE || op == REF_QUERY;
+        int noise = op >= REF_QUERY;
         if ((noise && k >= num_sites) || (op == REF_MEASURE
             && (m >= num_measures || cbits[m] < 0 || cbits[m] >= num_cbits))) {
             status = BAD_OP;
@@ -986,6 +1011,14 @@ int64_t repro_tableau_run(const int64_t *stream, int64_t len, int64_t n,
                 if (any)
                     batch_reset(&t, a, t.in);
             }
+            k++;
+            break;
+        case REF_FLIP_X:            /* a flip site: u < p is the Pauli */
+        case REF_FLIP_Z:
+            batch_uniforms(&t);
+            for (int64_t s = 0; s < B; s++)
+                if (t.u[s] < prob[k])
+                    batch_pauli(&t, a, s, op == REF_FLIP_X, op == REF_FLIP_Z);
             k++;
             break;
         case REF_MEASURE:

@@ -5,7 +5,7 @@
 process where that fails — no compiler, no writable cache, a library
 that will not load, a numpy whose bit generators publish no ``ctypes``
 interface — gets the loader's :class:`RuntimeError` there and cannot
-sample, compile a frame program or run the tableau on a site table.
+sample, compile a frame program or run the tableau.
 
 Imported by :meth:`~repro.frames.simulator.FrameSimulator.run_packed`
 on the first sample, by :func:`~repro.frames.program.frame_structure`
@@ -141,9 +141,8 @@ class Kernel:
         """``batch_size`` shots of a bound ``program``'s circuit and
         noise on the batched tableau, drawing through ``rng``'s bit
         generator with its lock held — the records, generator state and
-        (``weighted``) log-weights the numpy
-        :class:`~repro.stabilizer.batch.BatchTableauSimulator` walk
-        gives.
+        (``weighted``) log-weights its oracle, ``numpy_walk`` in
+        ``tests/oracles/tableau.py``, gives.
 
         Returns the ``(B, cbits)`` uint8 records, the per-shot
         log-weights (``None`` unless ``weighted``) and — with

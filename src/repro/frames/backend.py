@@ -23,12 +23,7 @@ import numpy as np
 
 from ..circuits import Circuit
 from ..noise.base import NoiseModel
-from .program import (
-    FrameLoweringError,
-    FrameProgram,
-    compile_frame_program,
-    supports_noise,
-)
+from .program import FrameProgram, compile_frame_program
 from .simulator import FrameSimulator
 
 #: Recognised backend selectors, shared by the executor, the campaign
@@ -51,8 +46,7 @@ def run_batch_frames(circuit: Circuit, noise: Optional[NoiseModel],
 
     Returns records ``(B, cbits)`` uint8.  Pass a precompiled
     ``program`` to skip the reference pass (it must have been compiled
-    from the same circuit/noise pair).  Raises
-    :class:`FrameLoweringError` when the noise model cannot be lowered.
+    from the same circuit/noise pair).
     """
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
@@ -64,10 +58,8 @@ def run_batch_frames(circuit: Circuit, noise: Optional[NoiseModel],
 
 __all__ = [
     "BACKENDS",
-    "FrameLoweringError",
     "FrameProgram",
     "compile_frame_program",
     "run_batch_frames",
-    "supports_noise",
     "validate_backend",
 ]

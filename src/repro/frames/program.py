@@ -16,9 +16,10 @@ walk of :func:`frame_structure` builds the scalar op list and, beside
 it, a flat int64 *reference stream*: an opcode (``REF_*``) and its
 qubits per gate — the Paulis too, which move reference signs but no
 frame — and the *noise entries*, in walk order: one ``REF_QUERY`` per
-fault-reset site and one ``REF_DEPOLARIZE`` per depolarize site, so
-that the k-th noise entry is site k.  The reference pass answers every
-query and skips every depolarize entry; the native tableau executor
+fault-reset site, one ``REF_DEPOLARIZE`` per depolarize site and one
+``REF_FLIP_X`` or ``REF_FLIP_Z`` per flip site, so that the k-th noise
+entry is site k.  The reference pass answers every query and skips the
+other noise entries; the native tableau executor
 (:func:`~repro.noise.executor.run_batch_noisy`'s ``"tableau"``) runs
 the whole stream, noise entries included, over a bound program's
 probabilities.  Measure and
@@ -43,7 +44,7 @@ exact in distribution only.
 
 **Noise lowering** reads every channel's
 :meth:`~repro.noise.base.NoiseChannel.site_table` — the one definition
-the batched tableau interprets too — and turns each site into a
+the batched tableau executes too — and turns each site into a
 bit-packed sampler:
 
 * ``depolarize`` sites (:class:`~repro.noise.depolarizing.DepolarizingNoise`)
@@ -62,11 +63,8 @@ bit-packed sampler:
   a reset to the maximally mixed state, i.e. the paper's reset-to-|0>
   composed with an extra 50% X flip.  Site counts for both cases are
   recorded on the program so the approximation is observable.
-
-A channel without a site table, or one overriding ``apply_batch`` (its
-tableau semantics are then no longer the table's), raises
-:class:`FrameLoweringError`; callers fall back to the batched tableau
-backend.
+* ``flip`` sites (:class:`~repro.logical.LogicalFaultChannel`) →
+  ``OP_FLIP``: ``u < p`` toggles the frame's X (or Z) bit (exact).
 
 **Depolarize draws.**  A depolarize site draws its own uniform row —
 one double per shot, ``u < p`` fires it — where it stands in the op
@@ -108,7 +106,7 @@ generator's state; a sweep over task seeds on one circuit compiles
 once and reseeds per point.  An importance-
 sampling tilt is a binding too: ``bind(noise, tilt=sampler)`` reads
 the tables :meth:`~repro.noise.base.SiteTable.tilted` — the definition
-the tableau interpreter reads — and gathers each site's
+the tableau executor reads — and gathers each site's
 log-likelihood ratios into ``log_ratios`` beside its tilted
 probability.
 """
@@ -122,7 +120,7 @@ import numpy as np
 
 from .. import obs
 from ..circuits import Circuit, GateType
-from ..noise.base import DEPOLARIZE, NoiseModel, SiteTable
+from ..noise.base import DEPOLARIZE, FLIP, NoiseModel, SiteTable
 
 #: Frame-propagation opcodes (ints for cheap dispatch).
 OP_H = 0            # (OP_H, qubit)
@@ -136,20 +134,21 @@ OP_RESET = 6        # (OP_RESET, qubit) — circuit reset (in the reference too)
 OP_DEPOLARIZE = 7   # (OP_DEPOLARIZE, qubit, site)
 OP_RESET_NOISE = 8  # (OP_RESET_NOISE, qubit, site) — fault reset; its
                     # x_value is a word of ``code`` only
+OP_FLIP = 9         # (OP_FLIP, qubit, site, 0 for X or 1 for Z)
 
 #: Fused-layer opcodes: a group of qubit-disjoint same-type ops
 #: collapsed into one vectorised (len(layer), W) kernel sweep.  See
 #: :func:`fuse_layers` for why fused programs sample bit-identically to
 #: their scalar form.
-OP_H_LAYER = 9           # (OP_H_LAYER, qubit_array)
-OP_S_LAYER = 10          # (OP_S_LAYER, qubit_array)
-OP_CX_LAYER = 11         # (OP_CX_LAYER, control_array, target_array)
-OP_CZ_LAYER = 12         # (OP_CZ_LAYER, a_array, b_array)
-OP_SWAP_LAYER = 13       # (OP_SWAP_LAYER, a_array, b_array)
-OP_MEASURE_LAYER = 14    # (OP_MEASURE_LAYER, qubit_array, cbit_array) —
+OP_H_LAYER = 10          # (OP_H_LAYER, qubit_array)
+OP_S_LAYER = 11          # (OP_S_LAYER, qubit_array)
+OP_CX_LAYER = 12         # (OP_CX_LAYER, control_array, target_array)
+OP_CZ_LAYER = 13         # (OP_CZ_LAYER, a_array, b_array)
+OP_SWAP_LAYER = 14       # (OP_SWAP_LAYER, a_array, b_array)
+OP_MEASURE_LAYER = 15    # (OP_MEASURE_LAYER, qubit_array, cbit_array) —
                          # reference bits in ``code`` only
-OP_RESET_LAYER = 15      # (OP_RESET_LAYER, qubit_array)
-OP_DEPOLARIZE_LAYER = 16  # (OP_DEPOLARIZE_LAYER, qubit_array, site_array)
+OP_RESET_LAYER = 16      # (OP_RESET_LAYER, qubit_array)
+OP_DEPOLARIZE_LAYER = 17  # (OP_DEPOLARIZE_LAYER, qubit_array, site_array)
 
 #: Scalar opcode → its fused-layer twin.
 _LAYER_OF = {OP_H: OP_H_LAYER, OP_S: OP_S_LAYER, OP_CX: OP_CX_LAYER,
@@ -166,7 +165,7 @@ LAYER_OPS = frozenset(_LAYER_OF.values())
 OP_KIND = {OP_H: "h", OP_S: "s", OP_CX: "cx", OP_CZ: "cz",
            OP_SWAP: "swap", OP_MEASURE: "measure", OP_RESET: "reset",
            OP_DEPOLARIZE: "depolarize", OP_RESET_NOISE: "reset_noise",
-           OP_H_LAYER: "h.fused", OP_S_LAYER: "s.fused",
+           OP_FLIP: "flip", OP_H_LAYER: "h.fused", OP_S_LAYER: "s.fused",
            OP_CX_LAYER: "cx.fused", OP_CZ_LAYER: "cz.fused",
            OP_SWAP_LAYER: "swap.fused",
            OP_MEASURE_LAYER: "measure.fused",
@@ -176,20 +175,17 @@ OP_KIND = {OP_H: "h", OP_S: "s", OP_CX: "cx", OP_CZ: "cz",
 #: Opcodes whose execution consumes the shared rng stream.  Their
 #: mutual order is a hard scheduling constraint: permuting any two
 #: would hand each the other's draws.
-_RNG_OPS = frozenset({OP_MEASURE, OP_RESET, OP_DEPOLARIZE, OP_RESET_NOISE})
+_RNG_OPS = frozenset({OP_MEASURE, OP_RESET, OP_DEPOLARIZE, OP_RESET_NOISE,
+                      OP_FLIP})
 
 #: Qubit operands per opcode (slice of the op tuple holding qubits).
 _QUBIT_ARITY = {OP_H: 1, OP_S: 1, OP_CX: 2, OP_CZ: 2, OP_SWAP: 2,
                 OP_MEASURE: 1, OP_RESET: 1, OP_DEPOLARIZE: 1,
-                OP_RESET_NOISE: 1}
+                OP_RESET_NOISE: 1, OP_FLIP: 1}
 
 _OBS_COMPILES = obs.counter("frames.compiles")
 _OBS_BINDS = obs.counter("frames.binds")
 _OBS_RESEEDS = obs.counter("frames.reseeds")
-
-
-class FrameLoweringError(ValueError):
-    """The circuit/noise pair cannot be lowered to a frame program."""
 
 
 @dataclass
@@ -440,7 +436,7 @@ def fuse_layers(ops: List[Tuple]) -> List[Tuple]:
     * **per-qubit order** — ops touching a common qubit never reorder
       (ops on disjoint qubits always commute as frame maps);
     * **rng order** — ops that consume the shared rng stream (measure,
-      reset, depolarize, fault reset) keep their exact mutual order, so
+      reset, depolarize, fault reset, flip) keep their exact mutual order, so
       every draw lands in the same op as in the scalar program.
 
     Ready ops of one opcode whose qubits are pairwise disjoint are
@@ -517,8 +513,9 @@ def fuse_layers(ops: List[Tuple]) -> List[Tuple]:
             release(i)
             # Extend along the rng chain while the next op is ready,
             # same-opcode, and qubit-disjoint with the group (fault
-            # resets stay scalar: their draw count is data-dependent).
-            while (code != OP_RESET_NOISE and ready_rng >= 0
+            # resets, whose draw count is data-dependent, and flips
+            # stay scalar).
+            while (code in _LAYER_OF and ready_rng >= 0
                    and ops[ready_rng][0] == code):
                 nxt = ops[ready_rng]
                 nq = nxt[1:1 + _QUBIT_ARITY[code]]
@@ -592,6 +589,10 @@ def encode_ops(ops, num_qubits: int, num_cbits: int, num_sites: int,
             if code == OP_RESET_NOISE:
                 out.append(0)
                 slots.append((len(out) - 1, -1))
+        elif code == OP_FLIP:
+            qubits.append(op[1])
+            sites.append(op[2])
+            out.extend(op[1:])
         elif code in (OP_H_LAYER, OP_S_LAYER, OP_RESET_LAYER,
                       OP_CX_LAYER, OP_CZ_LAYER, OP_SWAP_LAYER):
             lists = arrays(op, len(op) - 1)
@@ -626,17 +627,13 @@ def encode_ops(ops, num_qubits: int, num_cbits: int, num_sites: int,
     return stream
 
 
-def supports_noise(noise: Optional[NoiseModel]) -> bool:
-    """Cheap pre-flight: can every channel be lowered to frame ops?"""
-    return noise is None or all(ch.lowers for ch in noise)
-
-
 #: Reference-stream opcodes (``_kernel.c``'s ``REF_*``): each entry is
 #: the opcode and its qubits — two for CX, CZ and SWAP, one otherwise.
-#: ``REF_QUERY`` and ``REF_DEPOLARIZE`` are the noise entries, one per
-#: fault-reset and depolarize site: the k-th of them is site k.
+#: ``REF_QUERY`` and on are the noise entries, one per fault-reset,
+#: depolarize and X or Z flip site: the k-th of them is site k.
 REF_X, REF_Y, REF_Z, REF_H, REF_S, REF_SDG, REF_CX, REF_CZ, REF_SWAP, \
-    REF_RESET, REF_MEASURE, REF_QUERY, REF_DEPOLARIZE = range(13)
+    REF_RESET, REF_MEASURE, REF_QUERY, REF_DEPOLARIZE, REF_FLIP_X, \
+    REF_FLIP_Z = range(15)
 
 #: Gate type → (reference opcode or ``None``, frame opcode or ``None``).
 _LOWERING = {
@@ -662,10 +659,6 @@ def _site_tables(noise: Optional[NoiseModel], num_qubits: int
     probabilities) and the memo key read a channel from."""
     if noise is None:
         return []
-    for channel in noise:
-        if not channel.lowers:
-            raise FrameLoweringError(f"noise channel {type(channel).__name__}"
-                                     f" has no frame lowering")
     return [channel.site_table(num_qubits) for channel in noise]
 
 
@@ -708,10 +701,7 @@ def frame_structure(circuit: Circuit,
         gt = gate.gate_type
         if gt is GateType.BARRIER:
             continue
-        try:
-            ref_op, frame_op = _LOWERING[gt]
-        except KeyError:  # pragma: no cover - the IR has no other types
-            raise FrameLoweringError(f"unsupported gate type {gt}") from None
+        ref_op, frame_op = _LOWERING[gt]
         if ref_op is not None:
             stream.append(ref_op)
             stream.extend(gate.qubits)
@@ -723,17 +713,21 @@ def frame_structure(circuit: Circuit,
             continue
         for channel, t, start in zip(noise, tables, starts):
             channel.observe(gate)
-            r, qubits = t.sites_after(gate)
-            for q in qubits:
+            r, columns = t.sites_after(gate)
+            for c in columns:
                 site = len(site_source)
-                site_source.append(start + r * n + q)
+                site_source.append(start + r * t.table.shape[1] + c)
                 draw_certain.append(t.draw_certain)
-                if t.kind == DEPOLARIZE:
-                    stream.extend((REF_DEPOLARIZE, q))
-                    ops.append((OP_DEPOLARIZE, q, site))
+                if t.kind == FLIP:
+                    q, axis = divmod(c, 2)
+                    stream.extend((REF_FLIP_X + axis, q))
+                    ops.append((OP_FLIP, q, site, axis))
+                elif t.kind == DEPOLARIZE:
+                    stream.extend((REF_DEPOLARIZE, c))
+                    ops.append((OP_DEPOLARIZE, c, site))
                 else:
-                    stream.extend((REF_QUERY, q))
-                    ops.append((OP_RESET_NOISE, q, site))
+                    stream.extend((REF_QUERY, c))
+                    ops.append((OP_RESET_NOISE, c, site))
 
     # Fusion keeps the mutual order of the rng ops, so the answer words
     # stay in stream order.
@@ -785,8 +779,7 @@ def compile_frame_program(circuit: Circuit,
 
     ``rng`` seeds the reference pass's random measurement branches (the
     compiled program embeds that one reference sample, so the same seed
-    always yields the same program).  Raises :class:`FrameLoweringError`
-    if the circuit uses an unsupported gate or the noise model contains
-    a channel without a frame lowering.
+    always yields the same program).  A channel without a site table
+    raises :class:`NotImplementedError`.
     """
     return frame_structure(circuit, noise, rng).bind(noise, tilt)

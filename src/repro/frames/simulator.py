@@ -281,9 +281,8 @@ class FrameSimulator:
     def run(self, program: FrameProgram) -> np.ndarray:
         """Execute a compiled program; returns records ``(B, cbits)``.
 
-        The record layout matches
-        :meth:`repro.stabilizer.batch.BatchTableauSimulator.run` /
-        :func:`repro.noise.executor.run_batch_noisy`, so decoders and
+        The record layout matches the tableau backend's
+        (:func:`repro.noise.executor.run_batch_noisy`), so decoders and
         experiments consume either backend's output unchanged.  Use
         :meth:`run_packed` to keep the records in the packed domain.
         """

@@ -44,7 +44,6 @@ import numpy as np
 from .. import obs
 from ..codes.base import MemoryExperiment
 from ..frames import (
-    FrameLoweringError,
     FrameProgram,
     FrameSimulator,
     FrameStructure,
@@ -193,9 +192,7 @@ def _structure_cell(code: CodeSpec, rounds: int, basis: str,
 
 def _point_cell(task: InjectionTask, experiment: MemoryExperiment,
                 noise: NoiseModel) -> _StructureCell:
-    """The memo cell of the point's circuit and site signature; raises
-    :class:`~repro.frames.FrameLoweringError` when a channel has no
-    lowering."""
+    """The memo cell of the point's circuit and site signature."""
     return _structure_cell(
         task.code, task.rounds, task.basis, task.arch, task.layout,
         site_signature(noise, experiment.circuit.num_qubits))
@@ -231,8 +228,7 @@ def _frame_program(task: InjectionTask, experiment: MemoryExperiment,
     ``"auto"`` takes the frame path only when the lowering is *exact*
     (the paper's fault semantics are preserved bit-for-bit in
     distribution); ``"frames"`` also accepts programs with twirled reset
-    sites — the documented reset-to-mixed approximation — and fails
-    loudly when a channel has no lowering at all.
+    sites — the documented reset-to-mixed approximation.
 
     The program embeds the reference sample, seeded from the task seed
     alone (:func:`frame_ref_seed`), so every block, chunk grouping and
@@ -253,14 +249,9 @@ def _frame_program(task: InjectionTask, experiment: MemoryExperiment,
         return None
     auto = task.backend == "auto"
     program = None
-    try:
-        cell = _point_cell(task, experiment, noise)
-        if not (auto and cell.exact is False):
-            program = _bound(cell, task, experiment, noise, tilt,
-                             reseed=True)
-    except FrameLoweringError:
-        if not auto:
-            raise
+    cell = _point_cell(task, experiment, noise)
+    if not (auto and cell.exact is False):
+        program = _bound(cell, task, experiment, noise, tilt, reseed=True)
     if auto and (program is None or not program.exact_noise):
         _OBS_FALLBACKS.inc()
         return None
@@ -269,20 +260,14 @@ def _frame_program(task: InjectionTask, experiment: MemoryExperiment,
 
 def _tableau_program(task: InjectionTask, experiment: MemoryExperiment,
                      noise: NoiseModel, tilt: Optional[SamplerSpec] = None
-                     ) -> Optional[FrameProgram]:
+                     ) -> FrameProgram:
     """The program the native tableau executes for a point that runs on
     the tableau: its cell's structure bound to the point's noise (with
     ``tilt``) — never reseeded, since the tableau reads no reference
     answer — or, on an empty cell, a compile that fills it.
-
-    ``None`` where a channel has no lowering: the numpy tableau walks
-    the circuit without a program.
     """
-    try:
-        cell = _point_cell(task, experiment, noise)
-    except FrameLoweringError:
-        return None
-    return _bound(cell, task, experiment, noise, tilt, reseed=False)
+    return _bound(_point_cell(task, experiment, noise), task, experiment,
+                  noise, tilt, reseed=False)
 
 
 @lru_cache(maxsize=256)
@@ -323,9 +308,8 @@ def _task_context(task: InjectionTask):
 
     Sampler resolution happens here: ``tilt=0`` (auto) runs the
     deterministic pilot controller once and pins the chosen tilt, and
-    a tilt binds the frame program (the tableau reads it from the
-    sampler as it walks); ``split`` validates that the task actually
-    resolved to the frame backend.
+    a tilt binds the frame or the tableau program; ``split`` validates
+    that the task actually resolved to the frame backend.
     """
     experiment, decoder, _ = _prepared(
         task.code, task.rounds, task.basis, task.arch, task.layout,
@@ -374,7 +358,7 @@ def execute_block(experiment: MemoryExperiment, decoder, noise, program,
     decodes it in one call (a decode is a pure function of the shot's
     pattern).  The splitting sampler resamples its batch and the
     tableau has no lanes: those run block by block.  Without a frame
-    ``program`` a block runs on the tableau, natively from ``tableau``
+    ``program`` a block runs on the native tableau, from ``tableau``
     (:func:`_tableau_program`) when given.
 
     ``recovery`` other than ``"static"`` decodes each block through a

@@ -4,7 +4,9 @@ The paper's future-work direction (§VI): take the *post-QEC logical
 error rates* measured by the physical-layer campaigns and propagate them
 into circuits built from logical (encoded) qubits.  At this layer each
 logical qubit is one IR qubit, and a decoding failure manifests as a
-logical bit-flip with the campaign-measured probability.
+logical bit-flip with the campaign-measured probability.  The channel is
+a :data:`~repro.noise.base.FLIP` site table, so both backends run it
+from one definition.
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..circuits import Gate, GateType
-from ..noise.base import NoiseChannel
-from ..stabilizer.batch import BatchTableauSimulator
+from ..noise.base import FLIP, NoiseChannel, SiteTable
 
 
 class LogicalFaultChannel(NoiseChannel):
@@ -45,6 +45,8 @@ class LogicalFaultChannel(NoiseChannel):
         for p in list(self.rates.values()) + list(self.phase_rates.values()):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"rate {p} is not a probability")
+        if min([0, *self.rates, *self.phase_rates]) < 0:
+            raise ValueError("logical qubit indices are non-negative")
 
     @staticmethod
     def _to_dict(rates) -> Dict[int, float]:
@@ -52,27 +54,15 @@ class LogicalFaultChannel(NoiseChannel):
             return {int(q): float(p) for q, p in rates.items()}
         return {q: float(p) for q, p in enumerate(rates)}
 
-    def triggers_on(self, gate: Gate) -> bool:
-        if gate.gate_type is GateType.BARRIER:
-            return False
-        return any(self.rates.get(q, 0.0) > 0.0
-                   or self.phase_rates.get(q, 0.0) > 0.0
-                   for q in gate.qubits)
-
-    def apply_batch(self, gate: Gate, sim: BatchTableauSimulator,
-                    rng: np.random.Generator) -> None:
-        B = sim.batch_size
-        for q in gate.qubits:
-            px = self.rates.get(q, 0.0)
-            if px > 0.0:
-                mask = rng.random(B) < px
-                if mask.any():
-                    sim.x_gate(q, mask)
-            pz = self.phase_rates.get(q, 0.0)
-            if pz > 0.0:
-                mask = rng.random(B) < pz
-                if mask.any():
-                    sim.z_gate(q, mask)
+    def site_table(self, num_qubits: int) -> SiteTable:
+        """After every operation, per qubit of the gate, an X flip at
+        its rate, then a Z flip at its phase rate."""
+        width = 1 + max([-1, *self.rates, *self.phase_rates])
+        probs = np.zeros((width, 2))
+        for column, rates in enumerate((self.rates, self.phase_rates)):
+            for q, p in rates.items():
+                probs[q, column] = p
+        return self.build_table(FLIP, probs.ravel(), num_qubits)
 
     def __repr__(self) -> str:
         hot = {q: round(p, 4) for q, p in self.rates.items() if p > 0}

@@ -4,15 +4,11 @@ A :class:`NoiseChannel` injects stochastic error operations *after*
 ideal circuit gates.  A channel is defined by its :class:`SiteTable`
 (:meth:`NoiseChannel.site_table`): which kind of fault it injects, after
 which gate types, and with what probability on each qubit while each
-row of the table is in force.  Both backends read that one definition —
-the frame compiler lowers every site of the table to a frame op, and
-:meth:`NoiseChannel.apply_batch` interprets it on the batched tableau
-through the simulator's masked gate API.  Importance sampling is one
-more reading of the same table, :meth:`SiteTable.tilted`.
-
-A channel that cannot be written as a site table overrides
-:meth:`~NoiseChannel.apply_batch` instead and runs on the tableau
-backend only (:attr:`NoiseChannel.lowers`).
+row of the table is in force.  A channel *is* its table: the frame
+compiler lowers every site of it to one frame op and one noise entry of
+the reference stream, which the native batched tableau executes.
+Importance sampling is one more reading of the same table,
+:meth:`SiteTable.tilted`.
 """
 
 from __future__ import annotations
@@ -23,12 +19,14 @@ from typing import (Callable, FrozenSet, Iterable, List, NamedTuple,
 import numpy as np
 
 from ..circuits import Gate, GateType
-from ..stabilizer.batch import BatchTableauSimulator
 
-#: Site kinds: an X, Y or Z error at ``p/3`` each (Eq. 4), or a
-#: non-unitary reset to |0> at ``p`` (Eqs. 5-7, erasures).
+#: Site kinds: an X, Y or Z error at ``p/3`` each (Eq. 4), a non-unitary
+#: reset to |0> at ``p`` (Eqs. 5-7, erasures), or one Pauli at ``p`` —
+#: a flip table has two columns per qubit, ``2q`` an X flip on ``q`` and
+#: ``2q + 1`` a Z flip.
 DEPOLARIZE = "depolarize"
 RESET = "reset"
+FLIP = "flip"
 
 #: Every operation a physical process can follow (barriers are markers).
 ALL_OPERATIONS: FrozenSet[GateType] = frozenset(GateType) - {GateType.BARRIER}
@@ -41,10 +39,11 @@ def _first_row() -> int:
 class SiteTable(NamedTuple):
     """One channel's sites: everything either backend knows of it."""
 
-    #: :data:`DEPOLARIZE` or :data:`RESET`.
+    #: :data:`DEPOLARIZE`, :data:`RESET` or :data:`FLIP`.
     kind: str
-    #: ``table[r, q]``: probability of the site after a gate on qubit
-    #: ``q`` while row ``r`` is in force; the site exists iff positive.
+    #: ``table[r, c]``: probability of the site of column ``c`` (qubit
+    #: ``c``; a flip table's ``c // 2``) after a gate on that qubit while
+    #: row ``r`` is in force; the site exists iff positive.
     table: np.ndarray
     #: Gate types the channel's sites follow.
     gates: FrozenSet[GateType]
@@ -89,28 +88,23 @@ class SiteTable(NamedTuple):
         return self._replace(table=q, llr=llr)
 
     def sites_after(self, gate: Gate) -> Tuple[int, List[int]]:
-        """The row in force and the qubits of ``gate`` (in gate order)
-        that carry a site after it."""
+        """The row in force and the columns of the sites after ``gate``,
+        in gate-qubit order: the qubit, or on a flip table its X column,
+        then its Z column."""
         if gate.gate_type not in self.gates:
             return 0, []
         r = self.row()
         if r is None:
             return 0, []
         probs = self.table[r]
-        return r, [q for q in gate.qubits if probs[q] > 0.0]
+        columns = gate.qubits if self.kind != FLIP else [
+            c for q in gate.qubits for c in (2 * q, 2 * q + 1)]
+        return r, [c for c in columns if probs[c] > 0.0]
 
 
 class NoiseChannel:
-    """Base class for stochastic error channels.
-
-    Subclasses implement :meth:`site_table`, or override
-    :meth:`apply_batch` for a tableau-only channel.
-    """
-
-    #: The table of the current walk (see :meth:`walk_table`), and the
-    #: tilt it is read under (:meth:`NoiseModel.begin_run`).
-    _walk_table: Optional[SiteTable] = None
-    _walk_tilt = None
+    """Base class for stochastic error channels: subclasses implement
+    :meth:`site_table`."""
 
     def site_table(self, num_qubits: int) -> SiteTable:
         """The channel's sites on a ``num_qubits``-wide register."""
@@ -122,103 +116,33 @@ class NoiseChannel:
                     gating: Tuple = (),
                     row: Callable[[], Optional[int]] = _first_row,
                     draw_certain: bool = True) -> SiteTable:
-        """A :class:`SiteTable` from per-qubit probabilities (one row,
+        """A :class:`SiteTable` from per-column probabilities (one row,
         or one per temporal sample), cut or zero-padded to the register;
         ``gating`` is whatever else decides where ``row`` points."""
         probs = np.atleast_2d(np.asarray(probs, dtype=float))
-        table = np.zeros((probs.shape[0], num_qubits))
-        width = min(num_qubits, probs.shape[1])
+        table = np.zeros((probs.shape[0],
+                          num_qubits * (2 if kind == FLIP else 1)))
+        width = min(table.shape[1], probs.shape[1])
         table[:, :width] = probs[:, :width]
         key = (type(self), kind, gates, gating, len(table),
                (table > 0.0).tobytes())
         return SiteTable(kind, table, gates, key, row, draw_certain)
 
-    @property
-    def lowers(self) -> bool:
-        """Whether the frame compiler may lower the channel: it defines
-        :meth:`site_table` and its tableau semantics are the interpreter
-        of that table (:meth:`apply_batch` not overridden)."""
-        cls = type(self)
-        return (cls.site_table is not NoiseChannel.site_table
-                and cls.apply_batch is NoiseChannel.apply_batch)
-
-    def walk_table(self, num_qubits: int) -> SiteTable:
-        """:meth:`site_table`, built once per walk (:meth:`begin_run`)
-        at the widest register asked for so far — :meth:`SiteTable.
-        tilted` on a tilted walk."""
-        t = self._walk_table
-        if t is None or t.table.shape[1] < num_qubits:
-            t = self.site_table(num_qubits)
-            if self._walk_tilt is not None:
-                t = t.tilted(self._walk_tilt)
-            self._walk_table = t
-        return t
-
-    def triggers_on(self, gate: Gate) -> bool:
-        """Whether this channel fires after the given gate: a site of
-        the table follows it (a channel without a table: every
-        non-barrier operation)."""
-        if type(self).site_table is NoiseChannel.site_table:
-            return gate.gate_type is not GateType.BARRIER
-        width = max(gate.qubits, default=-1) + 1
-        return bool(self.walk_table(width).sites_after(gate)[1])
-
-    def apply_batch(self, gate: Gate, sim: BatchTableauSimulator,
-                    rng: np.random.Generator) -> None:
-        """Inject errors after ``gate`` across the whole batch.
-
-        The tableau interpreter of :meth:`site_table`: per site, in
-        gate-qubit order, one ``rng.random(B)`` row, and the fault
-        applied on the shots it selects.  A tilted table's sites also
-        add their log-likelihood ratios to ``sim.log_weights``.
-        """
-        t = self.walk_table(sim.n)
-        r, qubits = t.sites_after(gate)
-        probs = t.table[r]
-        B = sim.batch_size
-        for q in qubits:
-            p = probs[q]
-            if t.kind == RESET:
-                if p >= 1.0 and not t.draw_certain:
-                    sim.reset(q)
-                    continue
-                mask = rng.random(B) < p
-                if mask.any():
-                    sim.reset(q, mask)
-                continue
-            third = p / 3.0
-            u = rng.random(B)
-            if t.llr is not None:
-                hit, miss = t.llr[:, r, q]
-                if hit or miss:
-                    sim.log_weights += np.where(u < p, hit, miss)
-            mx = u < third
-            my = (u >= third) & (u < 2 * third)
-            mz = (u >= 2 * third) & (u < p)
-            if mx.any():
-                sim.x_gate(q, mx)
-            if my.any():
-                sim.y_gate(q, my)
-            if mz.any():
-                sim.z_gate(q, mz)
-
     def begin_run(self) -> None:
         """Reset per-run channel state.
 
-        Called once before each walk over the circuit (batched
-        execution, frame-program lowering).  Drops the walk's cached
-        table; channels whose behaviour depends on circuit *position* —
-        e.g. the round-resolved
-        :class:`~repro.noise.radiation.RadiationBurst` — also rewind
-        their position tracking here.
+        Called once before each walk over the circuit (frame-program
+        lowering).  Channels whose behaviour depends on circuit
+        *position* — e.g. the round-resolved
+        :class:`~repro.noise.radiation.RadiationBurst` — rewind their
+        position tracking here.  Default: no-op.
         """
-        self._walk_table = self._walk_tilt = None
 
     def observe(self, gate: Gate) -> None:
         """Advance position tracking past ``gate``.
 
-        Called exactly once per (non-barrier) gate per run, before
-        :meth:`triggers_on`, by every executor walk.  Default: no-op.
+        Called exactly once per (non-barrier) gate per run, before the
+        sites after it are read.  Default: no-op.
         """
 
 
@@ -238,21 +162,11 @@ class NoiseModel:
     def __len__(self) -> int:
         return len(self.channels)
 
-    def begin_run(self, tilt=None) -> None:
+    def begin_run(self) -> None:
         """Rewind every channel's per-run state (see
-        :meth:`NoiseChannel.begin_run`); with ``tilt`` (a tilt
-        :class:`~repro.rare.sampler.SamplerSpec`) the walk reads every
-        table :meth:`SiteTable.tilted`."""
+        :meth:`NoiseChannel.begin_run`)."""
         for ch in self.channels:
             ch.begin_run()
-            ch._walk_tilt = tilt
-
-    def apply_batch(self, gate: Gate, sim: BatchTableauSimulator,
-                    rng: np.random.Generator) -> None:
-        for ch in self.channels:
-            ch.observe(gate)
-            if ch.triggers_on(gate):
-                ch.apply_batch(gate, sim, rng)
 
     @classmethod
     def compose(cls, *models: "NoiseModel") -> "NoiseModel":

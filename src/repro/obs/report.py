@@ -185,8 +185,7 @@ def render_report(path: Union[str, Sequence[str]]) -> str:
     binds = counters.get("frames.binds", 0)
     fallbacks = counters.get("engine.backend_fallbacks", 0)
     native = counters.get("stabilizer.native_blocks", 0)
-    numpy_blocks = counters.get("stabilizer.numpy_blocks", 0)
-    if blocks or binds or fallbacks or native or numpy_blocks:
+    if blocks or binds or fallbacks or native:
         lines += _section("samplers")
         lines.append(f"frames  {blocks:,} blocks, "
                      f"{counters.get('frames.ops', 0):,} ops "
@@ -200,9 +199,7 @@ def render_report(path: Union[str, Sequence[str]]) -> str:
                      f"{counters.get('frames.reseeds', 0):,} reseed(s), "
                      f"{fallbacks:,} auto fallback(s) "
                      f"to the tableau")
-        lines.append(f"tableau sampler  {native + numpy_blocks:,} "
-                     f"block(s): executor {native:,} native / "
-                     f"{numpy_blocks:,} numpy")
+        lines.append(f"tableau sampler  {native:,} block(s)")
 
     hits = counters.get("decode.cache_hits", 0)
     misses = counters.get("decode.cache_misses", 0)

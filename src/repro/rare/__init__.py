@@ -15,8 +15,8 @@ with variance reduction instead of brute force:
 * tilted Bernoulli sampling lives in the noise model's one site
   definition, :meth:`~repro.noise.base.SiteTable.tilted`: a frame
   program binds it (``FrameStructure.bind(noise, tilt=sampler)``) and
-  the batched tableau interprets it (``run_batch_noisy(..., tilt=
-  sampler)``), so both backends sample the same sites at the same
+  the batched tableau executes that binding (``run_batch_noisy(...,
+  tilt=sampler)``), so both backends sample the same sites at the same
   ``q`` and bank the same log-likelihood ratios;
 * :mod:`~repro.rare.split` — multilevel splitting over compiled frame
   programs (systematic resampling toward high-syndrome trajectories);

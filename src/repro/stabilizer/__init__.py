@@ -3,14 +3,12 @@
 * :class:`PauliString` — symplectic Pauli algebra.
 * :class:`Tableau` — Aaronson–Gottesman tableau (single state).
 * :class:`TableauSimulator` — single-shot reference simulator.
-* :class:`BatchTableauSimulator` — vectorized multi-shot simulator.
 * :func:`random_clifford_circuit` — test-circuit generation.
 """
 
 from .pauli import PauliString, symplectic_commutes
 from .tableau import Tableau
 from .simulator import TableauSimulator, run_shot
-from .batch import BatchTableauSimulator
 from .random_clifford import (
     random_clifford_circuit,
     random_stabilizer_state_circuit,
@@ -22,7 +20,6 @@ __all__ = [
     "Tableau",
     "TableauSimulator",
     "run_shot",
-    "BatchTableauSimulator",
     "random_clifford_circuit",
     "random_stabilizer_state_circuit",
 ]

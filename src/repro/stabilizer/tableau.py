@@ -4,8 +4,9 @@ The tableau tracks ``2n`` rows — ``n`` destabilizers followed by ``n``
 stabilizers — each a Pauli in the symplectic representation, plus a sign
 bit per row.  Gate conjugation and measurement follow the CHP algorithm
 (Aaronson & Gottesman, "Improved simulation of stabilizer circuits",
-2004).  This is the *reference* implementation; the vectorized batch
-simulator in :mod:`repro.stabilizer.batch` is validated against it.
+2004).  This is the *reference* implementation; the frames reference
+pass and the batched tableau in ``frames/_kernel.c`` are validated
+against it.
 """
 
 from __future__ import annotations

@@ -20,9 +20,9 @@ and the tests compare the two bit for bit:
   ``repro_dp_match`` must give, ties included; and NetworkX's blossom
   (:func:`~oracles.decoders.nx_pairs` / :func:`~oracles.decoders.nx_match`),
   whose very pairs ``repro_blossom_match`` must return.
-
-The native batched tableau (``repro_tableau_run``) is held to the numpy
-:class:`~repro.stabilizer.batch.BatchTableauSimulator` walk, which
-stays in ``src/`` (it runs channels without a site table) and is
-reached through :func:`repro.noise.executor._walk_tableau`.
+* :mod:`oracles.tableau` — the numpy batched tableau
+  (:class:`~oracles.tableau.BatchTableauSimulator`) and the site-table
+  interpreter that walks noise on it (:func:`~oracles.tableau.numpy_walk`,
+  :func:`~oracles.tableau.apply_sites`), whose records, log-weights and
+  generator state ``repro_tableau_run`` must give.
 """

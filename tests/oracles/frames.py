@@ -168,6 +168,14 @@ def reset_noise(sim, a: int, p: float, x_value: Optional[int] = None) -> None:
         z ^= (z ^ random_words(rng, hi - lo)) & mask
 
 
+def flip(sim, a: int, p: float, axis: int) -> None:
+    """One flip site: per lane one uniform per shot, ``u < p`` toggles
+    the shot's X (``axis`` 0) or Z (1) frame bit of ``a``."""
+    rows = sim.z if axis else sim.x
+    for rng, _, size, lo, hi in sim._lanes:
+        rows[a, lo:hi] ^= pack_bool_rows(rng.random((1, size)) < p)[0]
+
+
 #: Opcode -> handler of the ops that execute as
 #: ``handler(sim, *op[1:])``: the Cliffords and circuit resets.
 _HANDLER = {
@@ -229,6 +237,8 @@ def exec_numpy(sim, program, start: int, stop: int,
         elif code == P.OP_DEPOLARIZE_LAYER:
             ratios = () if llr is None else llr[:, op[2]]
             depolarize_layer(sim, op[1], p[op[2]], *ratios)
+        elif code == P.OP_FLIP:
+            flip(sim, op[1], float(p[op[2]]), op[3])
         else:
             _HANDLER[code](sim, *op[1:])
 
@@ -297,7 +307,7 @@ def replay_reference(stream: Sequence[int], num_qubits: int,
         elif code == P.REF_QUERY:
             value = _z_determinate(sim, q)
             results.append(P._INDEFINITE if value is None else value)
-        elif code == P.REF_DEPOLARIZE:
+        elif code in (P.REF_DEPOLARIZE, P.REF_FLIP_X, P.REF_FLIP_Z):
             continue    # a noise site: the reference is noiseless
         else:
             _TABLEAU_GATES[code](tab, q)

@@ -1,15 +1,17 @@
-"""Vectorized batched stabilizer simulator.
+"""Oracle of ``frames/_kernel.c``'s batched tableau: a vectorized
+numpy batch stabilizer simulator and the site-table interpreter that
+walks noise on it.
 
-Simulates ``B`` independent shots of a Clifford + measure/reset circuit
-simultaneously, holding all ``B`` tableaus in contiguous NumPy arrays
-and applying every operation across the batch in vectorized form.
-
-It is the reference of the tableau backend: campaigns and
-:func:`~repro.noise.executor.run_batch_noisy` run the same walk in
-``frames/_kernel.c`` (``repro_tableau_run``) wherever the noise lowers
-to a site table, and come here for channels without one
-(:class:`~repro.logical.LogicalFaultChannel`).  Both give one record
-and leave the generator in one state (``tests/test_tableau_native.py``).
+:class:`BatchTableauSimulator` simulates ``B`` independent shots of a
+Clifford + measure/reset circuit simultaneously, holding all ``B``
+tableaus in contiguous NumPy arrays and applying every operation across
+the batch in vectorized form.  :func:`numpy_walk` runs a circuit and a
+noise model on it — every channel's site table read by
+:func:`apply_sites` — with the return convention of
+``run_batch_noisy(..., backend="tableau")``, which runs the same walk
+in ``repro_tableau_run``.  The two give one record, bitwise-equal
+log-weights and leave the generator in one state
+(``tests/test_tableau_native.py``, ``tests/test_tableau_stream.py``).
 
 Layout: column-major with the tableau rows bit-packed.  ``x`` and ``z``
 are ``(n, 2, Wn, B)`` uint64 and ``r`` is ``(2, Wn, B)``, where ``half``
@@ -24,9 +26,9 @@ all-ones/all-zeros word per shot) broadcasts along NumPy's inner loop.
 Python-level loops only appear over circuit gates.
 
 Stochastic noise is supported through *masked* operations: every gate
-can be restricted to an arbitrary subset of shots, which is how the
-noise executor applies a Pauli error to exactly the shots that sampled
-one.  Masked measurement/reset handle the per-shot branching between
+can be restricted to an arbitrary subset of shots, which is how
+:func:`apply_sites` applies a Pauli error to exactly the shots that
+sampled one.  Masked measurement/reset handle the per-shot branching between
 deterministic and random outcomes without leaving NumPy.
 
 Draw contract: the only randomness here is one ``rng.integers(0, 2,
@@ -48,47 +50,18 @@ largest code (30 qubits) and 10⁴ shots this is ~10 MB.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from time import perf_counter
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..circuits import Circuit, Gate, GateType
-from ..util.bits import popcount_words
+from repro.circuits import Circuit, Gate, GateType
+from repro.noise.base import FLIP, RESET, NoiseModel, SiteTable
+from repro.stabilizer.tableau import Tableau
+from repro.util.bits import popcount_words
 
 _ZERO = np.uint64(0)
 _ONE = np.uint64(1)
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-#: glibc ``mallopt`` parameters (``<malloc.h>``), and the block size
-#: below which :func:`_recycle_scratch` keeps freed memory on the heap.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_SCRATCH_BYTES = 4 << 20
-
-
-@lru_cache(maxsize=None)
-def _recycle_scratch() -> bool:
-    """Let the allocator reuse the batch's temporaries; once per process.
-
-    A random measurement makes about ten ``(n, 2, Wn, B)`` temporaries
-    (160 KiB at n = 20, B = 512).  glibc maps every block above its mmap
-    threshold — 128 KiB until the process frees a larger mapped block —
-    afresh and unmaps it on free, so each temporary costs a page fault
-    per 4 KiB: ~170 000 minor faults in the two workers of one
-    ``fig5_grid`` run.  A 4 MiB threshold, with the heap trimmed only
-    past twice that (glibc's own ratio), brings them to ~6 000.
-    Returns whether the allocator took the settings (False off glibc,
-    where nothing changes)."""
-    import ctypes   # only in a process that runs the tableau
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return False
-    return (mallopt(_M_MMAP_THRESHOLD, _SCRATCH_BYTES) == 1
-            and mallopt(_M_TRIM_THRESHOLD, 2 * _SCRATCH_BYTES) == 1)
-
 
 def _lanes(mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
     """Boolean per-shot mask -> all-ones/all-zeros word per shot."""
@@ -132,7 +105,6 @@ class BatchTableauSimulator:
             raise ValueError("need at least one qubit")
         if batch_size <= 0:
             raise ValueError("need at least one shot")
-        _recycle_scratch()
         n = int(num_qubits)
         B = int(batch_size)
         self.n = n
@@ -151,12 +123,8 @@ class BatchTableauSimulator:
         elif isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(int(rng))
         self.rng = rng
-        #: ``[deterministic_s, random_s]`` measurement wall time, filled
-        #: only while a profiling caller has installed the list.
-        self.measure_clock: Optional[List[float]] = None
         #: Per-shot log-likelihood ratios a tilted noise walk banks
-        #: (:meth:`repro.noise.base.NoiseChannel.apply_batch`); ``None``
-        #: on a nominal one.
+        #: (:func:`apply_sites`); ``None`` on a nominal one.
         self.log_weights: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -228,21 +196,13 @@ class BatchTableauSimulator:
         else:
             rand &= mask
             det = mask & ~rand
-        clock = self.measure_clock
-        t0 = perf_counter() if clock is not None else 0.0
         k = np.count_nonzero(det)
         if k:
             shots = slice(None) if k == B else np.nonzero(det)[0]
             outcomes[shots] = self._measure_det(a, shots)
-        if clock is not None:
-            t1 = perf_counter()
-            clock[0] += t1 - t0
-            t0 = t1
         k = np.count_nonzero(rand)
         if k:
             outcomes[rand] = self._measure_rand(a, rand, k)
-        if clock is not None:
-            clock[1] += perf_counter() - t0
         return outcomes
 
     def _measure_det(self, a: int, shots) -> np.ndarray:
@@ -408,9 +368,7 @@ class BatchTableauSimulator:
 
     # ------------------------------------------------------------------
     def shot_tableau(self, shot: int):
-        """Extract one shot's state as a single :class:`Tableau` (testing)."""
-        from .tableau import Tableau
-
+        """Extract one shot's state as a single :class:`Tableau`."""
         def rows(packed: np.ndarray) -> np.ndarray:
             # (..., 2, Wn) words -> (..., 2n) bits in tableau row order.
             bits = np.unpackbits(
@@ -423,3 +381,76 @@ class BatchTableauSimulator:
         t.z = rows(self.z[..., shot]).T.copy()
         t.r = rows(self.r[..., shot])
         return t
+
+
+def apply_sites(table: SiteTable, gate: Gate, sim: BatchTableauSimulator,
+                rng: np.random.Generator) -> None:
+    """The sites of ``table`` after ``gate``, across the whole batch.
+
+    Per site, in column order, one ``rng.random(B)`` row and the fault
+    applied on the shots it selects — except a certain reset site of a
+    table that does not draw there, which resets every shot.  A tilted
+    table's sites also add their log-likelihood ratios to
+    ``sim.log_weights``.
+    """
+    r, columns = table.sites_after(gate)
+    probs = table.table[r]
+    B = sim.batch_size
+    for c in columns:
+        p = probs[c]
+        if table.kind == FLIP:
+            q, axis = divmod(c, 2)
+            mask = rng.random(B) < p
+            if mask.any():
+                (sim.z_gate if axis else sim.x_gate)(q, mask)
+            continue
+        if table.kind == RESET:
+            if p >= 1.0 and not table.draw_certain:
+                sim.reset(c)
+                continue
+            mask = rng.random(B) < p
+            if mask.any():
+                sim.reset(c, mask)
+            continue
+        third = p / 3.0
+        u = rng.random(B)
+        if table.llr is not None:
+            hit, miss = table.llr[:, r, c]
+            if hit or miss:
+                sim.log_weights += np.where(u < p, hit, miss)
+        mx = u < third
+        my = (u >= third) & (u < 2 * third)
+        mz = (u >= 2 * third) & (u < p)
+        if mx.any():
+            sim.x_gate(c, mx)
+        if my.any():
+            sim.y_gate(c, my)
+        if mz.any():
+            sim.z_gate(c, mz)
+
+
+def numpy_walk(circuit: Circuit, noise: Optional[NoiseModel],
+               batch_size: int, rng: np.random.Generator, tilt=None):
+    """``run_batch_noisy(..., backend="tableau")``'s oracle, with its
+    return convention: ``circuit`` gate by gate on a
+    :class:`BatchTableauSimulator`, each channel's sites after each
+    gate in model order — read :meth:`~repro.noise.base.SiteTable.
+    tilted` under ``tilt``."""
+    sim = BatchTableauSimulator(circuit.num_qubits, batch_size, rng=rng)
+    record = np.zeros((batch_size, max(circuit.num_cbits, 1)), dtype=np.uint8)
+    if tilt is not None:
+        sim.log_weights = np.zeros(batch_size)
+    channels = [] if noise is None else list(noise)
+    if noise is not None:
+        noise.begin_run()
+    tables = [ch.site_table(circuit.num_qubits) for ch in channels]
+    if tilt is not None:
+        tables = [t.tilted(tilt) for t in tables]
+    for gate in circuit:
+        sim.apply(gate, record=record)
+        if gate.gate_type is GateType.BARRIER:
+            continue
+        for channel, table in zip(channels, tables):
+            channel.observe(gate)
+            apply_sites(table, gate, sim, rng)
+    return record if tilt is None else (record, np.exp(sim.log_weights))

@@ -10,7 +10,9 @@ from repro.codes import (
     XXZZCode,
     build_memory_experiment,
 )
-from repro.stabilizer import BatchTableauSimulator, PauliString
+from repro.stabilizer import PauliString
+
+from oracles.tableau import BatchTableauSimulator
 
 
 class TestRepetitionGeometry:

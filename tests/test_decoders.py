@@ -12,7 +12,8 @@ from repro.decoders import (
     decoder_for,
 )
 from repro.noise import DepolarizingNoise, ErasureChannel, NoiseModel, run_batch_noisy
-from repro.stabilizer import BatchTableauSimulator
+
+from oracles.tableau import BatchTableauSimulator
 
 
 def inject_after_round(exp, qubit, n_round0_measurements, gate="x"):

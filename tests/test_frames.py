@@ -23,7 +23,6 @@ from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
 from repro.decoders import decoder_for
 from repro.frames import program as frames_program
 from repro.frames import (
-    FrameLoweringError,
     FrameSimulator,
     bernoulli_words,
     compile_frame_program,
@@ -31,7 +30,6 @@ from repro.frames import (
     pack_bool,
     random_words,
     run_batch_frames,
-    supports_noise,
     unpack_words,
     words_for,
 )
@@ -57,6 +55,7 @@ from repro.injection.campaign import (
     _task_context,
 )
 from repro.injection.results import wilson_interval
+from repro.logical import LogicalFaultChannel
 from repro.noise import (
     DepolarizingNoise,
     ErasureChannel,
@@ -66,13 +65,13 @@ from repro.noise import (
     run_batch_noisy,
 )
 from repro.noise.base import NoiseChannel
-from repro.noise.executor import _walk_tableau
 from repro.rare.sampler import SamplerSpec
-from repro.stabilizer import BatchTableauSimulator, random_clifford_circuit
+from repro.stabilizer import random_clifford_circuit
 from repro.util.rng import frame_ref_seed
 
 import test_tableau_stream as tableau_stream
 from oracles import frames as oracle
+from oracles.tableau import BatchTableauSimulator, numpy_walk
 
 
 def wilson_overlap(a_errors, a_shots, b_errors, b_shots) -> bool:
@@ -257,39 +256,28 @@ class TestNoiseLowering:
         assert program.twirled_reset_sites > 0
         assert not program.exact_noise
 
-    def test_unsupported_channel_raises_and_auto_falls_back(self):
+    def test_channel_without_site_table_fails_on_every_backend(self):
+        """A channel is its site table: one without fails with one
+        error on every backend (``auto`` has nothing to fall back to),
+        while a plain subclass is its parent's table and compiles."""
+
         class Custom(NoiseChannel):
-            def apply_batch(self, gate, sim, rng):
-                pass
-
-        circ = Circuit(1).x(0).measure(0, 0)
-        noise = NoiseModel([Custom()])
-        assert not supports_noise(noise)
-        with pytest.raises(FrameLoweringError):
-            run_batch_frames(circ, noise, 10, rng=1)
-        with pytest.raises(FrameLoweringError):
-            run_batch_noisy(circ, noise, 10, rng=1, backend="frames")
-        # auto silently falls back to the tableau path
-        rec = run_batch_noisy(circ, noise, 10, rng=1, backend="auto")
-        assert (rec[:, 0] == 1).all()
-
-    def test_subclassed_channel_not_lowered(self):
-        """A subclass overriding apply_batch has tableau semantics its
-        site table no longer states, so it must not be lowered as its
-        parent; a plain subclass is its parent's table and lowers."""
-
-        class Tweaked(DepolarizingNoise):
-            def apply_batch(self, gate, sim, rng):
-                pass
+            pass
 
         class Plain(DepolarizingNoise):
             pass
 
-        assert not supports_noise(NoiseModel([Tweaked(0.1)]))
-        with pytest.raises(FrameLoweringError):
-            compile_frame_program(Circuit(1).h(0).measure(0, 0),
-                                  NoiseModel([Tweaked(0.1)]))
-        assert supports_noise(NoiseModel([Plain(0.1)]))
+        circ = Circuit(1).x(0).measure(0, 0)
+        noise = NoiseModel([Custom()])
+        for backend in ("auto", "frames", "tableau"):
+            with pytest.raises(NotImplementedError,
+                               match="Custom defines no site table"):
+                run_batch_noisy(circ, noise, 10, rng=1, backend=backend)
+        with pytest.raises(NotImplementedError,
+                           match="Custom defines no site table"):
+            run_batch_frames(circ, noise, 10, rng=1)
+        program = compile_frame_program(circ, NoiseModel([Plain(0.1)]))
+        assert program.probabilities.tolist() == [0.1]
 
     def test_executor_auto_requires_exact_lowering(self):
         """backend='auto' keeps the paper's reset semantics: a twirl
@@ -418,14 +406,13 @@ class _CountingRng:
 
 
 class TestSiteAgreement:
-    """The frame lowering and the tableau interpreter read one site
-    table, so they visit the same sites: for every lowerable noise case
-    of the tableau stream pin, the sites the tableau walk visits equal
-    the compiled structure's ``site_source``."""
+    """The frame lowering and the tableau oracle's interpreter read one
+    site table, so they visit the same sites: for every noise case of
+    the tableau stream pin, the sites the oracle's walk visits equal the
+    compiled structure's ``site_source``."""
 
     @pytest.mark.parametrize("noise_kind", [
-        kind for kind in tableau_stream.NOISES
-        if kind not in ("none", "logical")])
+        kind for kind in tableau_stream.NOISES if kind != "none"])
     @pytest.mark.parametrize("circuit_name", sorted(tableau_stream.CIRCUITS))
     def test_tableau_visits_every_frame_site(self, circuit_name, noise_kind,
                                              monkeypatch):
@@ -434,10 +421,9 @@ class TestSiteAgreement:
         def noise():
             return tableau_stream._noise(noise_kind, distances, nq, mpr)
 
-        assert supports_noise(noise())
         sites = len(frame_structure(circuit, noise(), rng=0).site_source)
-        # The numpy walk is the interpreter under test (the native one
-        # executes the structure's own stream).
+        # The oracle's walk is the interpreter under test (the native
+        # one executes the structure's own stream).
         # Every site draws one uniform row, except a certain erasure,
         # which resets every shot unmasked — as a circuit reset does.
         unmasked = [0]
@@ -449,7 +435,7 @@ class TestSiteAgreement:
 
         monkeypatch.setattr(BatchTableauSimulator, "reset", counting_reset)
         rng = _CountingRng(1)
-        _walk_tableau(circuit, noise(), 2, rng)
+        numpy_walk(circuit, noise(), 2, rng)
         circuit_resets = sum(g.gate_type is GateType.RESET for g in circuit)
         visited = rng.random_calls + unmasked[0] - circuit_resets
         assert sites > 0
@@ -550,6 +536,19 @@ def programs():
                  tilt=SamplerSpec(kind="tilt", tilt=8.0, p_cap=0.01))
     assert (capped.log_ratios == 0).all(axis=0).any()
     assert (capped.log_ratios != 0).all(axis=0).any()
+    # X and Z flip sites beside depolarize ones, plain and tilted: the
+    # tilt leaves a flip site at its p with zero ratios
+    n = small.circuit.num_qubits
+    flip_noise = NoiseModel([
+        LogicalFaultChannel({q: 0.05 for q in range(0, n, 2)},
+                            phase_rates={q: 0.2 for q in range(n)}),
+        DepolarizingNoise(2e-3)])
+    add("flip", small, flip_noise)
+    flips = add("flip-tilt", small, flip_noise,
+                tilt=SamplerSpec(kind="tilt", tilt=4.0))
+    flip_ops = [op for op in flips.ops if op[0] == frames_program.OP_FLIP]
+    assert {op[3] for op in flip_ops} == {0, 1}
+    assert (flips.log_ratios[:, [op[2] for op in flip_ops]] == 0).all()
     # a repetition strike routed onto the 5x4 mesh (exact resets)
     routed = InjectionTask(
         code=CodeSpec("repetition", (5, 1)),
@@ -570,7 +569,8 @@ class TestLanes:
     @pytest.mark.parametrize("last", [512, 200, 64])
     @pytest.mark.parametrize("lanes", [1, 2, 3, 8])
     @pytest.mark.parametrize("name", ["quiet", "twirled-strike",
-                                      "transpiled-strike", "dense", "tilt"])
+                                      "transpiled-strike", "dense", "tilt",
+                                      "flip"])
     def test_each_lane_equals_the_lone_block(self, programs, name, lanes,
                                              last, executor):
         num_qubits, program = programs[name]
@@ -627,7 +627,8 @@ class TestExecutors:
     SIZES = ([512], [512] * 8, [512, 512, 200])
     #: Plain, struck, dense and tilted programs of the fixture.
     NAMES = ["quiet", "twirled-strike", "transpiled-strike", "dense",
-             "tilt", "tilt-2", "tilt-16", "tilt-capped"]
+             "tilt", "tilt-2", "tilt-16", "tilt-capped", "flip",
+             "flip-tilt"]
 
     @staticmethod
     def run(monkeypatch, native, num_qubits, program, sizes,
@@ -680,7 +681,7 @@ class TestExecutors:
 
     @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: f"{len(s)}-lane")
     @pytest.mark.parametrize("name", ["twirled-strike", "tilt",
-                                      "tilt-capped", "tilt-16"])
+                                      "tilt-capped", "tilt-16", "flip"])
     def test_op_ranges_agree_with_the_whole_program(self, monkeypatch,
                                                     programs, name, sizes):
         """A program run op range by op range — cut anywhere, an empty

@@ -158,21 +158,12 @@ class TestDualBasisMemory:
         exp = build_memory_experiment(code, basis="X")
         dec = decoder_for(exp, basis="X")
         # Pure Z noise: dephasing only.
-        from repro.circuits import Gate, GateType
-        from repro.noise.base import NoiseChannel
+        from repro.logical import LogicalFaultChannel
 
-        class ZOnly(NoiseChannel):
-            def __init__(self, p):
-                self.p = p
-
-            def apply_batch(self, gate, sim, rng):
-                for q in gate.qubits:
-                    mask = rng.random(sim.batch_size) < self.p
-                    if mask.any():
-                        sim.z_gate(q, mask)
-
-        rec = run_batch_noisy(exp.circuit, NoiseModel([ZOnly(0.01)]),
-                              1500, rng=8)
+        z_only = LogicalFaultChannel(
+            {}, phase_rates=[0.01] * exp.circuit.num_qubits)
+        rec = run_batch_noisy(exp.circuit, NoiseModel([z_only]), 1500,
+                              rng=8)
         res = dec.decode_batch(exp, rec)
         raw_err = np.mean(exp.raw_readout(rec) != 1)
         assert res.logical_error_rate < raw_err + 1e-9

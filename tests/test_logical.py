@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.circuits import Circuit, Gate, GateType
+from repro.codes import XXZZCode, build_memory_experiment
 from repro.logical import (
     LogicalFaultChannel,
     criticality_ranking,
@@ -33,14 +35,28 @@ class TestChannel:
         ch = LogicalFaultChannel([0.1, 0.0, 0.2])
         assert ch.rates == {0: 0.1, 1: 0.0, 2: 0.2}
 
-    def test_triggers_only_on_hot_qubits(self):
-        ch = LogicalFaultChannel({1: 0.5})
-        assert not ch.triggers_on(Gate(GateType.H, (0,)))
-        assert ch.triggers_on(Gate(GateType.CX, (0, 1)))
+    def test_sites_only_on_hot_qubits(self):
+        """A flip table's columns: ``2q`` an X flip on ``q``, ``2q + 1``
+        a Z flip."""
+        table = LogicalFaultChannel({1: 0.5}).site_table(2)
+        assert table.sites_after(Gate(GateType.H, (0,))) == (0, [])
+        assert table.sites_after(Gate(GateType.CX, (0, 1))) == (0, [2])
 
-    def test_zero_rates_never_trigger(self):
-        ch = LogicalFaultChannel({0: 0.0})
-        assert not ch.triggers_on(Gate(GateType.H, (0,)))
+    def test_zero_rates_have_no_sites(self):
+        table = LogicalFaultChannel({0: 0.0}).site_table(1)
+        assert table.sites_after(Gate(GateType.H, (0,))) == (0, [])
+
+    def test_sites_per_qubit_x_then_z(self):
+        table = LogicalFaultChannel(
+            {0: 0.1, 5: 0.4}, phase_rates={0: 0.2, 1: 0.3}).site_table(2)
+        assert table.table.tolist() == [[0.1, 0.2, 0.0, 0.3]]
+        assert table.sites_after(Gate(GateType.CX, (0, 1))) == (0, [0, 1, 3])
+        assert table.sites_after(Gate(GateType.CX, (1, 0))) == (0, [3, 0, 1])
+        assert table.sites_after(Gate(GateType.BARRIER, (0, 1))) == (0, [])
+
+    def test_negative_qubits_are_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            LogicalFaultChannel({}, phase_rates={-1: 0.1})
 
     def test_flip_statistics(self):
         circ = Circuit(1).x(0).measure(0, 0)
@@ -54,6 +70,36 @@ class TestChannel:
         noise = NoiseModel([LogicalFaultChannel({}, phase_rates={0: 1.0})])
         rec = run_batch_noisy(circ, noise, 200, rng=2)
         assert (rec[:, 0] == 1).all()
+
+
+class TestBackendsAgree:
+    """The channel is a flip site table, so ``auto`` runs it on frames;
+    the frames and the tableau backends sample one distribution."""
+
+    @pytest.mark.parametrize("name", ["ghz3", "xxzz33"])
+    def test_record_marginals_chi_square(self, name):
+        chi2_contingency = pytest.importorskip("scipy.stats").chi2_contingency
+        if name == "ghz3":
+            circuit = ghz(3)
+        else:
+            circuit = build_memory_experiment(XXZZCode(3, 3)).circuit
+        n = circuit.num_qubits
+        noise = NoiseModel([LogicalFaultChannel(
+            {q: 0.05 + 0.01 * (q % 3) for q in range(n)},
+            phase_rates={q: 0.03 for q in range(0, n, 2)})])
+        native = obs.counter("stabilizer.native_blocks")
+        before = native.value
+        frames = run_batch_noisy(circuit, noise, 6000, rng=11)
+        assert native.value == before       # auto took frames
+        tableau = run_batch_noisy(circuit, noise, 6000, rng=12,
+                                  backend="tableau")
+        assert native.value == before + 1
+        for cbit in range(frames.shape[1]):
+            ones = [frames[:, cbit].sum(), tableau[:, cbit].sum()]
+            if not any(ones) or min(ones) == 6000:
+                continue    # constant on both: nothing to compare
+            table = [[ones[0], 6000 - ones[0]], [ones[1], 6000 - ones[1]]]
+            assert chi2_contingency(table).pvalue > 1e-3, (name, cbit)
 
 
 class TestDistributions:

@@ -8,7 +8,6 @@ import json
 import re
 import time
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -16,7 +15,6 @@ from repro.circuits import Circuit
 from repro.frames import run_batch_frames
 from repro.obs import bench, prof
 from repro.injection.campaign import _prepared, _task_context
-from repro.noise.executor import _walk_tableau
 from repro.injection import (
     AdaptivePolicy,
     Campaign,
@@ -202,30 +200,6 @@ class TestProfiler:
             parts += snap["paths"][f"sample/{name}"]["total_s"]
         assert parts <= sample["total_s"] + 1e-5
         assert not snap["kernels"]  # no frames block ran
-
-    def test_numpy_tableau_walk_is_attributed(self):
-        """The numpy walk — a channel without a site table takes it —
-        clocks the same four stages in Python, and they are nearly all
-        of its wall."""
-        strike = InjectionTask(
-            code=CodeSpec("xxzz", (3, 3)), intrinsic_p=1e-3,
-            fault=FaultSpec(kind="radiation", root_qubit=2, time_index=0),
-            backend="auto", shots=512, seed=7)
-        experiment, _, noise, *_ = _task_context(strike)
-        with prof.profile() as p:
-            t0 = time.perf_counter()
-            for seed in (1, 2):
-                _walk_tableau(experiment.circuit, noise, 512,
-                              np.random.default_rng(seed))
-            wall = time.perf_counter() - t0
-        stages = p.snapshot()["stages"]
-        parts = 0.0
-        for name in ("tableau.gates", "tableau.measure_det",
-                     "tableau.measure_rand", "tableau.noise"):
-            assert stages[name]["calls"] == 2
-            assert stages[name]["total_s"] > 0.0
-            parts += stages[name]["total_s"]
-        assert 0.9 * wall <= parts <= wall
 
     def test_flame_lines_collapsed_stack_format(self):
         with prof.profile() as p:

@@ -29,11 +29,12 @@ from repro.injection.store import CampaignStore, task_key
 from repro.injection.sweep import build_sweep
 from repro.noise import (DepolarizingNoise, NoiseModel, RadiationEvent,
                          run_batch_noisy)
-from repro.noise.base import NoiseChannel
-from repro.noise.executor import _walk_tableau
 from repro.rare.sampler import SamplerSpec, as_sampler
 from repro.rare.stats import (WeightStats, mc_required_shots,
                               variance_reduction_factor, wilson_from_rate)
+
+from oracles import tableau as tableau_oracle
+from oracles.tableau import numpy_walk
 
 
 def moderate_task(sampler=SamplerSpec(), shots=4096, seed=7, **kw):
@@ -272,10 +273,10 @@ class TestWeightProperties:
 
     @pytest.mark.parametrize("walk", ["native", "numpy"])
     def test_tilted_tableau_stream_matches_plain_at_q_eq_p(self, walk):
-        """The tableau tilts in its one interpreter: at ``q == p`` the
-        tilted walk must draw and flip exactly as the plain walk —
+        """The tableau tilts by reading the tilted table: at ``q == p``
+        the tilted walk must draw and flip exactly as the plain walk —
         records and generator state bit-identical — and leave every
-        shot at unit weight, natively and on the numpy walk."""
+        shot at unit weight, natively and on the oracle's numpy walk."""
         circuit = build_memory_experiment(XXZZCode(3, 3)).circuit
         n = circuit.num_qubits
         event = RadiationEvent(2, {q: abs(q - 2) for q in range(n)},
@@ -284,7 +285,7 @@ class TestWeightProperties:
         spec = SamplerSpec(kind="tilt", tilt=1.0)
         def run(rng, tilt=None):
             if walk == "numpy":
-                return _walk_tableau(circuit, plain, batch, rng, tilt)
+                return numpy_walk(circuit, plain, batch, rng, tilt)
             return run_batch_noisy(circuit, plain, batch, rng=rng,
                                    backend="tableau", tilt=tilt)
 
@@ -292,9 +293,9 @@ class TestWeightProperties:
             rngs = [np.random.default_rng(batch) for _ in range(2)]
             want = run(rngs[0])
             got, weights = run(rngs[1], spec)
-            if walk == "numpy":
-                # the walk did read the tilted table
-                assert plain.channels[0].walk_table(n).llr is not None
+            # the walk reads a table with ratios, all zero at q == p
+            llr = plain.channels[0].site_table(n).tilted(spec).llr
+            assert llr is not None and not llr.any()
             assert np.array_equal(got, want)
             assert (rngs[1].bit_generator.state
                     == rngs[0].bit_generator.state)
@@ -347,11 +348,11 @@ class TestWeightProperties:
         assert np.allclose(np.log(weights), self._site_llr(fired))
 
     def test_backends_tilt_the_same_sites(self, monkeypatch):
-        """The frame binding and the tableau interpreter read one tilted
-        table: over intrinsic depolarizing noise, a strike and a plain
-        ``DepolarizingNoise`` subclass, they visit the same sites in the
-        same order with the same ``(q, llr_hit, llr_miss)`` and bank the
-        same weights; fault-reset sites are never tilted."""
+        """The frame binding and the tableau oracle's interpreter read
+        one tilted table: over intrinsic depolarizing noise, a strike and
+        a plain ``DepolarizingNoise`` subclass, they visit the same sites
+        in the same order with the same ``(q, llr_hit, llr_miss)`` and
+        bank the same weights; fault-reset sites are never tilted."""
         from repro.frames.program import (OP_DEPOLARIZE,
                                           OP_DEPOLARIZE_LAYER,
                                           OP_RESET_NOISE)
@@ -395,20 +396,19 @@ class TestWeightProperties:
             == {8e-3, 0.5}
 
         seen = []
-        interpret = NoiseChannel.apply_batch
-        # The numpy walk is the interpreter under test (the native one
-        # executes the bound program itself).
+        interpret = tableau_oracle.apply_sites
+        # The oracle's walk is the interpreter under test (the native
+        # one executes the bound program itself).
 
-        def spy(channel, gate, sim, rng):
-            t = channel.walk_table(sim.n)
+        def spy(t, gate, sim, rng):
             r, qubits = t.sites_after(gate)
             for qubit in qubits:
                 llr = (0.0, 0.0) if t.llr is None else t.llr[:, r, qubit]
                 seen.append((t.kind, t.table[r, qubit], *llr))
-            interpret(channel, gate, sim, rng)
+            interpret(t, gate, sim, rng)
 
-        monkeypatch.setattr(NoiseChannel, "apply_batch", spy)
-        _, weights = _walk_tableau(circuit, noise, 2, _EdgeRng(), spec)
+        monkeypatch.setattr(tableau_oracle, "apply_sites", spy)
+        _, weights = numpy_walk(circuit, noise, 2, _EdgeRng(), spec)
         assert seen == frames
         # shot 0 fires every site, shot 1 none: each banks the ratios
         # one by one, in site order

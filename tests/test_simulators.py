@@ -1,7 +1,8 @@
 """Cross-validation of the three simulators.
 
 The single-shot tableau simulator is checked against the dense
-statevector simulator (exact oracle); the batched simulator is checked
+statevector simulator (exact oracle); the batched simulator (the numpy
+oracle of the native tableau, ``oracles.tableau``) is checked
 against the single-shot one with forced measurement outcomes (exact
 trajectory equality) and statistically.
 """
@@ -13,12 +14,13 @@ from hypothesis import strategies as st
 
 from repro.circuits import Circuit, GateType
 from repro.stabilizer import (
-    BatchTableauSimulator,
     TableauSimulator,
     random_clifford_circuit,
     run_shot,
 )
 from repro.statevector import StatevectorSimulator
+
+from oracles.tableau import BatchTableauSimulator
 
 
 class TestTableauVsStatevector:
@@ -193,20 +195,6 @@ class TestBatchMaskedOps:
         bs.swap(0, 1, mask)
         np.testing.assert_array_equal(bs.measure(0), [0, 1, 1, 0])
         np.testing.assert_array_equal(bs.measure(1), [1, 0, 0, 1])
-
-
-def test_batch_temporaries_are_recycled_on_glibc():
-    """A batch simulator raises glibc's mmap and trim thresholds once per
-    process, so its temporaries are reused, not mapped afresh (a no-op
-    elsewhere)."""
-    import platform
-
-    from repro.stabilizer import batch
-
-    BatchTableauSimulator(2, 8, rng=0)
-    assert batch._recycle_scratch.cache_info().currsize == 1
-    if platform.system() == "Linux" and platform.libc_ver()[0] == "glibc":
-        assert batch._recycle_scratch()
 
 
 class TestRunShot:

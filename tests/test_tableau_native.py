@@ -1,9 +1,8 @@
-"""The native tableau executor against the numpy walk.
+"""The native tableau executor against its oracle, the numpy walk.
 
 ``run_batch_noisy(..., backend="tableau")`` runs on ``_kernel.c``'s
-``repro_tableau_run`` wherever the noise lowers to site tables, else
-on :class:`~repro.stabilizer.batch.BatchTableauSimulator`
-(``_walk_tableau``, the reference, called directly here).  Both must
+``repro_tableau_run``; its oracle is ``oracles.tableau.numpy_walk``,
+the site tables interpreted on a numpy batched tableau.  Both must
 give equal records, bitwise-equal log-weights and leave the caller's
 generator in one state, for any circuit, noise, batch size, bit
 generator and tilt.
@@ -22,6 +21,7 @@ from repro.frames import compile_frame_program
 from repro.injection import (ArchSpec, CodeSpec, FaultSpec, InjectionTask,
                              run_task)
 from repro.injection.campaign import _structure_cell, _task_context
+from repro.logical import LogicalFaultChannel
 from repro.noise import (
     DepolarizingNoise,
     ErasureChannel,
@@ -29,9 +29,10 @@ from repro.noise import (
     RadiationEvent,
     run_batch_noisy,
 )
-from repro.noise.executor import _walk_tableau
 from repro.rare.sampler import SamplerSpec
 from repro.stabilizer import random_clifford_circuit
+
+from oracles.tableau import numpy_walk
 
 BATCHES = (1, 3, 4, 5, 63, 64, 65, 512, 1000)
 GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox)
@@ -53,16 +54,17 @@ def run_both(circuit, noise, batch, make_rng, tilt=None,
     native, then the numpy walk."""
     out = []
     for walk in ("native", "numpy"):
-        blocks = counted(f"stabilizer.{walk}_blocks")
+        blocks = counted("stabilizer.native_blocks")
         rng = make_rng()
         if walk == "numpy":
-            result = _walk_tableau(circuit, noise, batch, rng, tilt)
+            result = numpy_walk(circuit, noise, batch, rng, tilt)
         else:
             result = run_batch_noisy(circuit, noise, batch, rng=rng,
                                      backend="tableau", tilt=tilt,
                                      program=program)
         records, weights = result if tilt is not None else (result, None)
-        assert counted(f"stabilizer.{walk}_blocks") == blocks + 1
+        assert counted("stabilizer.native_blocks") \
+            == blocks + (walk == "native")
         out.append((records, weights, state(rng)))
     return out
 
@@ -80,8 +82,8 @@ def assert_same(native, numpy_run):
 
 def noise_model(kinds, num_qubits, p, pick):
     """A model of the channels ``kinds`` names on ``num_qubits`` qubits:
-    ``p`` is the depolarize and erasure probability (1.0 draws nothing
-    at an erasure site)."""
+    ``p`` is the depolarize, erasure and logical flip probability (1.0
+    draws nothing at an erasure site, and flips every shot)."""
     root = int(pick.integers(num_qubits))
     event = RadiationEvent(root, {q: abs(q - root) for q in range(num_qubits)},
                            num_qubits=num_qubits)
@@ -93,6 +95,9 @@ def noise_model(kinds, num_qubits, p, pick):
         "erasure": lambda: ErasureChannel(
             pick.choice(num_qubits, size=1 + num_qubits // 3,
                         replace=False).tolist(), p),
+        "logical": lambda: LogicalFaultChannel(
+            {q: p for q in range(0, num_qubits, 2)},
+            phase_rates={q: p / 2 for q in range(num_qubits // 2)}),
     }
     return NoiseModel([make[kind]() for kind in kinds])
 
@@ -105,7 +110,7 @@ def noise_model(kinds, num_qubits, p, pick):
        reset_prob=st.floats(0.0, 0.3),
        circuit_seed=st.integers(0, 2 ** 32 - 1),
        kinds=st.lists(st.sampled_from(["depolarize", "radiation", "burst",
-                                       "erasure"]), max_size=3),
+                                       "erasure", "logical"]), max_size=3),
        p=st.sampled_from([1.0, 0.3, 1e-2]),
        batch=st.sampled_from(BATCHES),
        bit_generator=st.sampled_from(GENERATORS),
@@ -143,8 +148,8 @@ def test_registers_wider_than_a_word(num_qubits, batch):
     for gate in random_clifford_circuit(num_qubits, 200, rng=12,
                                         measure_prob=0.3, reset_prob=0.1):
         circuit.append(gate)
-    noise = noise_model(["radiation", "depolarize", "erasure"], num_qubits,
-                        0.3, np.random.default_rng(13))
+    noise = noise_model(["radiation", "depolarize", "erasure", "logical"],
+                        num_qubits, 0.3, np.random.default_rng(13))
     native, numpy_run = run_both(circuit, noise, batch,
                                  lambda: np.random.default_rng(14))
     assert_same(native, numpy_run)
@@ -211,4 +216,3 @@ def test_campaign_blocks_run_native_and_count():
     assert counters["frames.compiles"] == 1
     assert counters["stabilizer.native_blocks"] \
         == counters["engine.blocks"] == 3
-    assert counters.get("stabilizer.numpy_blocks", 0) == 0

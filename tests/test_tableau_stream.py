@@ -9,9 +9,8 @@ random-branch measure, shots in ascending order, pivot = first
 stabilizer row holding ``X_a``.  Any drift in an outcome or in the
 number/order of draws fails here; no copy of an old kernel is kept as
 an oracle.  Every case runs on both executors — ``_kernel.c``'s native
-tableau through the backend, and the numpy walk called directly —
-except ``logical``, whose channel has no site table, so the backend
-takes numpy too.
+tableau through the backend, and its oracle, the numpy walk of
+``oracles.tableau``, called directly.
 (``python tests/test_tableau_stream.py`` rewrites the file — only ever
 at a commit whose stream *is* the contract.)
 """
@@ -35,8 +34,9 @@ from repro.noise import (
     RadiationEvent,
     run_batch_noisy,
 )
-from repro.noise.executor import _walk_tableau
 from repro.transpile import transpile
+
+from oracles.tableau import numpy_walk
 
 DATA = Path(__file__).parent / "data" / "tableau_records_pr20.json"
 BATCHES = (1, 63, 512, 1000)
@@ -103,7 +103,7 @@ def case_digests(circuit_name, noise_kind, batches=BATCHES,
         rng = np.random.default_rng(zlib.crc32(key.encode()))
         noise = _noise(noise_kind, distances, nq, mpr)
         if walk == "numpy":
-            records = _walk_tableau(circuit, noise, batch, rng)
+            records = numpy_walk(circuit, noise, batch, rng)
         else:
             records = run_batch_noisy(circuit, noise, batch, rng=rng,
                                       backend="tableau")
@@ -118,10 +118,9 @@ def pinned():
     return json.loads(DATA.read_text())
 
 
-def _blocks():
-    counters = obs.registry().snapshot()["counters"]
-    return {executor: counters.get(f"stabilizer.{executor}_blocks", 0)
-            for executor in ("native", "numpy")}
+def _native_blocks():
+    return obs.registry().snapshot()["counters"].get(
+        "stabilizer.native_blocks", 0)
 
 
 def test_pin_covers_every_case(pinned):
@@ -133,15 +132,13 @@ def test_pin_covers_every_case(pinned):
 @pytest.mark.parametrize("circuit_name", sorted(CIRCUITS))
 def test_records_and_rng_state_pinned(pinned, circuit_name, noise_kind,
                                       walk):
-    before = _blocks()
+    before = _native_blocks()
     for key, digests in case_digests(circuit_name, noise_kind,
                                      walk=walk).items():
         assert digests[0] == pinned[key][0], f"{key}: records drifted"
         assert digests[1] == pinned[key][1], f"{key}: rng stream drifted"
-    took = "numpy" if noise_kind == "logical" else walk
-    after = _blocks()
-    assert after[took] - before[took] == len(BATCHES)
-    assert after == {**before, took: after[took]}
+    native = len(BATCHES) if walk == "native" else 0
+    assert _native_blocks() - before == native
 
 
 def test_digests_hold_without_bitwise_count(pinned, monkeypatch):
