@@ -5,7 +5,7 @@ syndrome rounds) is the paper's low-LER regime: almost every shot
 repeats one of a few dozen light syndromes.  The redesigned decode path
 exploits exactly that — ``decode_batch`` consumes the sampler's packed
 word stream directly (no full-record ``unpack_words``), dedups the
-batch's detector patterns via ``np.unique``, decodes each distinct
+batch's detector patterns via ``unique_keys``, decodes each distinct
 pattern once, and replays repeats from the syndrome cache across
 blocks.
 
@@ -49,6 +49,13 @@ The fifth is its light-pattern twin: the distinct patterns of at most
 DP (``repro_dp_match``, beside the blossom) and one by one by the
 memoised recursion (``dp_match``, the oracle); it asserts identical
 parities and >= 1.5x.
+
+The sixth times the pattern dedup alone: 3000 x 13-byte keys
+deduplicated as one column of 13-byte void scalars
+(:func:`~repro.decoders.batch.unique_keys`) and by the structured
+``np.unique(axis=0)`` sort it replaced (``axis0_unique_keys``, the
+oracle); it asserts identical rows, order, inverse and cache keys and
+>= 5x.
 """
 
 import dataclasses
@@ -60,6 +67,7 @@ from conftest import bench_bar, bench_report, best_of
 
 from repro.decoders import SyndromeBatch, prepare_packed_inputs
 from repro.decoders import _native as decoder_native
+from repro.decoders.batch import unique_keys
 from repro.decoders.matching import _BOUNDARY_BIAS, _DP_LIMIT
 from repro.frames.packing import unpack_words
 from repro.frames.simulator import FrameSimulator
@@ -68,8 +76,8 @@ from repro.injection import (CodeSpec, InjectionTask, SIM_BLOCK,
 from repro.injection.campaign import _task_context
 from repro.obs import prof
 
-from oracles.decoders import (dp_match, mwpm_parity, nx_match,
-                              uf_decode_pattern)
+from oracles.decoders import (axis0_unique_keys, dp_match, mwpm_parity,
+                              nx_match, uf_decode_pattern)
 
 #: 8 canonical blocks: enough for the cross-block cache to matter.
 SHOTS = 4096
@@ -402,3 +410,39 @@ def test_strike_light_patterns_dp(benchmark, capsys):
     bar = bench_bar(1.5, 1.2)
     assert speedup >= bar, \
         f"native DP speedup {speedup:.2f}x < {bar}x"
+
+
+def test_pattern_dedup_void_column(benchmark, capsys):
+    """3000 x 13-byte pattern keys: the void-column dedup vs the
+    ``np.unique(axis=0)`` oracle."""
+    rng = np.random.default_rng(2024)
+    # 100 detectors' worth of sparse patterns drawn from a pool, so
+    # about one key in six is distinct, as in a mid-p block.
+    pool = np.packbits(rng.random((500, 100)) < 0.04, axis=1,
+                       bitorder="little")
+    keys = np.ascontiguousarray(pool[rng.integers(0, len(pool), 3000)])
+    assert keys.shape == (3000, 13)
+
+    rounds = 20
+    oracle_s = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        want = axis0_unique_keys(keys)
+        oracle_s = min(oracle_s, time.perf_counter() - t0)
+    got, void_s = best_of(benchmark, unique_keys, rounds, args=(keys,))
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+    speedup = oracle_s / void_s
+    bench_report(
+        benchmark, capsys,
+        f"\n[decode-batch] dedup 3000 x 13 B keys ({len(want[2])} "
+        f"distinct): void column {void_s * 1e6:.0f} us, axis=0 "
+        f"{oracle_s * 1e6:.0f} us, x{speedup:.1f}",
+        keys=int(keys.shape[0]), distinct=len(want[2]),
+        void_us=void_s * 1e6, axis0_us=oracle_s * 1e6, speedup=speedup)
+
+    bar = bench_bar(5.0, 2.0)
+    assert speedup >= bar, \
+        f"void-column dedup speedup {speedup:.2f}x < {bar}x"

@@ -24,9 +24,9 @@ import numpy as np
 from .. import obs
 from ..obs import prof as _prof
 from ..codes.base import MemoryExperiment
-from ..frames.packing import column_counts, unpack_words
+from ..frames.packing import unpack_words
 from .batch import (DecodeCache, SyndromeBatch, pack_pattern_columns,
-                    prepare_packed_inputs)
+                    prepare_packed_inputs, unique_keys)
 
 # Hot-path metric handles (module-level so the per-batch cost is a few
 # integer adds; the registry resets these in place, keeping them valid).
@@ -163,7 +163,7 @@ class Decoder(abc.ABC):
         ``decode.matcher``).
         """
         t0 = perf_counter()
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        uniq, inverse, key_bytes = unique_keys(keys)
         t1 = perf_counter()
         distinct = int(uniq.shape[0])
         cache = self._cache()
@@ -171,7 +171,6 @@ class Decoder(abc.ABC):
         if cache is None:
             missed = range(distinct)
         else:
-            key_bytes = [row.tobytes() for row in uniq]
             missed = []
             for i, key in enumerate(key_bytes):
                 parity = cache.get(num_detectors, key)
@@ -214,7 +213,8 @@ class Decoder(abc.ABC):
         entry.  The full record block is never unpacked: syndrome
         extraction and detector differencing stay in the word domain,
         and only the shots with at least one detection event (found by
-        a bit-sliced popcount) have their pattern columns extracted.
+        one whole-word OR over the detector rows) have their pattern
+        columns extracted.
         """
         if not isinstance(batch, SyndromeBatch):
             batch = SyndromeBatch.from_records(batch)
@@ -264,9 +264,11 @@ class Decoder(abc.ABC):
         corrections = np.zeros(batch_size, dtype=np.uint8)
         if D:
             planes = np.ascontiguousarray(det_words.reshape(D, W))
-            # Tail-safe per-shot event counts: shots with zero events
-            # decode to the identity, so only active shots are keyed.
-            active = column_counts(planes, batch_size) > 0
+            # Shots with zero events decode to the identity, so only
+            # active shots are keyed: one OR over the detector rows,
+            # unpacked tail-safe (count=B drops the don't-care bits).
+            active = unpack_words(np.bitwise_or.reduce(planes, axis=0),
+                                  batch_size).view(bool)
             if shots is not None:
                 active &= shots
             active = np.nonzero(active)[0]

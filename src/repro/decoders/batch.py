@@ -7,7 +7,7 @@ backend's (and most tests') ``(B, num_cbits)`` uint8 rows into it once,
 on entry.  Everything downstream — detection, recovery, decode — reads
 the one form, so there is one extraction and one decode pipeline.
 
-Three word primitives live here:
+Four word primitives live here:
 
 * :func:`detector_words` — record words to the detection events of one
   plaquette basis: syndrome extraction is row indexing, detector
@@ -21,6 +21,8 @@ Three word primitives live here:
   selected shots' detector patterns as packed little-endian byte keys,
   byte-identical to ``numpy.packbits`` over the unpacked patterns, so
   the decode cache keys do not depend on how the shots were stored.
+* :func:`unique_keys` — those keys deduplicated as one column of
+  fixed-width byte strings, with the cache-probe ``bytes`` of each.
 
 Don't-care discipline: bits past ``batch_size`` in the final word of a
 frame stream are garbage (random fills).  Per-shot quantities therefore
@@ -177,11 +179,34 @@ def pack_pattern_columns(plane_words: np.ndarray, shots: np.ndarray
     patterns (:meth:`~repro.decoders.base.Decoder.decode_detectors`).
     """
     shots = np.asarray(shots)
-    w_idx = shots // WORD_BITS
-    shift = (shots % WORD_BITS).astype(np.uint64)
-    cols = ((plane_words[:, w_idx] >> shift) & np.uint64(1)).astype(np.uint8)
+    # Shot s is bit s % 8 of byte s // 8 of a word row's little-endian
+    # bytes: gather one byte per shot, not one word.
+    row_bytes = np.ascontiguousarray(plane_words).view(np.uint8)
+    cols = (row_bytes[:, shots >> 3] >> (shots & 7).astype(np.uint8)) & 1
     return np.ascontiguousarray(
         np.packbits(cols, axis=0, bitorder="little").T)
+
+
+def unique_keys(keys: np.ndarray):
+    """Distinct rows of ``(N, nbytes)`` uint8 pattern keys.
+
+    Returns ``(uniq, inverse, key_bytes)``: ``uniq`` the ``(M, nbytes)``
+    distinct rows in byte-lexicographic order, ``inverse`` the ``(N,)``
+    index of each key's row in ``uniq``, and ``key_bytes`` each
+    distinct row as ``bytes`` (the decode-cache key).  The same result
+    as ``np.unique(keys, axis=0, return_inverse=True)`` with
+    ``row.tobytes()`` per row, but each row is sorted as one
+    ``nbytes``-wide void scalar (a byte-wise compare) rather than as a
+    structured record with one field per byte.  A ``V`` view, never
+    ``S``: an ``S`` view drops trailing NUL bytes, so keys that differ
+    only there would merge.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.uint8)
+    nbytes = keys.shape[1]
+    column = keys.view(np.dtype((np.void, nbytes))).ravel()
+    uniq, inverse = np.unique(column, return_inverse=True)
+    return (uniq.view(np.uint8).reshape(-1, nbytes), inverse.ravel(),
+            uniq.tolist())
 
 
 def detector_words(experiment: MemoryExperiment, record_words: np.ndarray,

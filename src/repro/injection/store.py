@@ -27,6 +27,7 @@ stores of several hosts is :meth:`CampaignStore.merge`.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -55,9 +56,42 @@ from .spec import InjectionTask
 KEY_VERSION = 5
 
 
+#: Leaf types ``dataclasses.asdict`` hands to ``copy.deepcopy``, which
+#: returns each of them unchanged.
+_ATOMIC = frozenset({str, int, float, bool, type(None)})
+#: Field names per dataclass, looked up once per class.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _plain(obj: object) -> object:
+    """``dataclasses.asdict``'s value walk without its per-leaf
+    ``deepcopy`` and per-node ``fields()`` call.  A task holds only
+    dataclasses, tuples, lists and atomic leaves: dataclasses become
+    dicts of their fields, tuples and lists are rebuilt, leaves of an
+    exact atomic type are used as they are, and anything else is
+    deep-copied, as ``asdict`` copies a leaf."""
+    cls = type(obj)
+    if cls in _ATOMIC:
+        return obj
+    if cls is tuple or cls is list:
+        return cls([v if type(v) in _ATOMIC else _plain(v) for v in obj])
+    names = _FIELD_NAMES.get(cls)
+    if names is None and dataclasses.is_dataclass(cls):
+        names = _FIELD_NAMES[cls] = tuple(
+            f.name for f in dataclasses.fields(cls))
+    if names is None:
+        return copy.deepcopy(obj)
+    out = {}
+    for name in names:
+        value = getattr(obj, name)
+        out[name] = value if type(value) in _ATOMIC else _plain(value)
+    return out
+
+
 def canonical_task(task: InjectionTask) -> Dict[str, object]:
-    """A plain, deterministic dict capturing the full task identity."""
-    d = dataclasses.asdict(task)
+    """A plain, deterministic dict capturing the full task identity:
+    ``dataclasses.asdict(task)`` with the tags sorted into lists."""
+    d = _plain(task)
     d["tags"] = sorted([list(kv) for kv in task.tags])
     return d
 
@@ -66,9 +100,10 @@ def canonical_task(task: InjectionTask) -> Dict[str, object]:
 def _identity(task: InjectionTask) -> Tuple[str, Dict[str, object]]:
     """A task's ``(key, canonical dict)``, worked out once per task: a
     run asks for a point's key at the resume check, at plan
-    construction and for its done record, and ``dataclasses.asdict``
-    over the nested spec is the cost of each.  Tasks are frozen and
-    hashable; the dict is shared, so it is only ever serialised."""
+    construction, for every lease it ships and for its done record,
+    and the walk over the nested spec is the cost of each.  Tasks are
+    frozen and hashable; the dict is shared, so it is only ever read
+    (serialised, or rebuilt into a task by ``task_from_dict``)."""
     canonical = canonical_task(task)
     blob = json.dumps({"v": KEY_VERSION, "task": canonical},
                       sort_keys=True, separators=(",", ":"), default=str)

@@ -43,7 +43,7 @@ from ..obs import trace
 from ..injection.campaign import DEFAULT_CHUNK_SHOTS, _normalize_chunk
 from ..injection.results import ZERO_PRIOR, ChunkResult, wilson_interval
 from ..injection.spec import InjectionTask, task_from_dict
-from ..injection.store import CampaignStore, canonical_task, task_key
+from ..injection.store import CampaignStore, _identity, task_key
 from ..injection.sweep import build_sweep
 from ..parallel.plan import ChunkLease, TaskPlan
 
@@ -114,11 +114,13 @@ class Lease:
     def to_wire(self) -> Dict[str, object]:
         """The JSON form shipped to pull runners: the canonical task
         dict (key-stable under :func:`~repro.injection.spec.
-        task_from_dict`) plus the slice coordinates and span context."""
+        task_from_dict`) plus the slice coordinates and span context.
+        The dict is the task's memoised one, shared with its key and
+        done record: readers of the wire must not mutate it."""
         wire: Dict[str, object] = {
             "lease": self.lease_id,
             "key": self.key,
-            "task": canonical_task(self.task),
+            "task": _identity(self.task)[1],
             "start": self.start,
             "shots": self.shots,
         }

@@ -41,7 +41,10 @@ from .dispatcher import Dispatcher, DispatchError, UnknownJobError
 #: How often the housekeeping task expires stale leases and (when
 #: telemetry is on) writes a snapshot record.
 HOUSEKEEP_S = 1.0
-#: Local pump idle backoff when the queue is empty.
+#: Longest an idle local pump waits before it asks for a lease again.
+#: ``/submit`` wakes the pumps at once; this timeout only covers work
+#: that appears without a submit — a failed slice requeued, an expired
+#: lease's slice returned to the queue.
 PUMP_IDLE_S = 0.05
 #: Cap on accepted request bodies (a sweep spec is tiny; chunk-row
 #: completions are bounded by slices, not shots).
@@ -112,6 +115,8 @@ class CampaignService:
         #: at completion, not at the next emit tick.
         self._job_done: Dict[str, asyncio.Event] = {}
         self.dispatcher.on_job_done = self._wake_streams
+        #: Set by ``/submit``: the idle local pumps wait on it.
+        self._work = asyncio.Event()
 
     @property
     def url(self) -> str:
@@ -234,14 +239,21 @@ class CampaignService:
 
         The executor call is the only non-loop work; lease and complete
         run on the loop, so the pump and remote runners contend for
-        slices through exactly the same dispatcher API.
+        slices through exactly the same dispatcher API.  An idle pump
+        waits for ``/submit`` to wake it, or ``PUMP_IDLE_S`` at most.
         """
         loop = asyncio.get_running_loop()
         runner = f"local-{slot}"
         while not self._stopping:
             leases = self.dispatcher.lease(runner=runner, max_leases=1)
             if not leases:
-                await asyncio.sleep(PUMP_IDLE_S)
+                # Cleared in the same loop step as the empty lease, so
+                # a submit cannot slip between the two.
+                self._work.clear()
+                try:
+                    await asyncio.wait_for(self._work.wait(), PUMP_IDLE_S)
+                except asyncio.TimeoutError:
+                    pass
                 continue
             lease = leases[0]
             wire = lease.to_wire()
@@ -497,7 +509,9 @@ class CampaignService:
             if not isinstance(spec, dict) or not spec:
                 raise DispatchError("submit needs a sweep spec (object "
                                     "body or {\"spec\": {...}})")
-            return 200, d.submit(spec)
+            reply = d.submit(spec)
+            self._work.set()
+            return 200, reply
         if path == "/lookup" and method == "POST":
             return 200, {"rows": d.lookup(spec=body.get("spec"),
                                           key=body.get("key"))}

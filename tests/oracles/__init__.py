@@ -1,4 +1,5 @@
-"""Test oracles: the Python implementations the C kernels are held to.
+"""Test oracles: the Python implementations the C kernels are held to,
+and the slower statements of two Python fast paths.
 
 Every kernel in ``src/`` (``frames/_kernel.c``, ``decoders/_unionfind.c``,
 ``decoders/_blossom.c``) has exactly one implementation there.  The
@@ -25,4 +26,11 @@ and the tests compare the two bit for bit:
   interpreter that walks noise on it (:func:`~oracles.tableau.numpy_walk`,
   :func:`~oracles.tableau.apply_sites`), whose records, log-weights and
   generator state ``repro_tableau_run`` must give.
+* :mod:`oracles.decoders` also holds the decode wrapper's pattern dedup
+  as ``np.unique(axis=0)`` (:func:`~oracles.decoders.axis0_unique_keys`),
+  whose rows, order, inverse and cache keys
+  :func:`~repro.decoders.batch.unique_keys` must give.
+* :mod:`oracles.identity` — ``canonical_task`` on ``dataclasses.asdict``
+  (:func:`~oracles.identity.asdict_canonical_task`), whose dict and task
+  key the store's field walk must give.
 """

@@ -1,4 +1,5 @@
-"""Oracles of ``decoders/_unionfind.c`` and ``decoders/_blossom.c``.
+"""Oracles of ``decoders/_unionfind.c`` and ``decoders/_blossom.c``, and
+of the decode wrapper's pattern dedup.
 
 * :func:`uf_decode_pattern` — union-find on one pattern in pure
   Python: cluster growth on a disjoint-set forest (:class:`_DSU`), then
@@ -13,6 +14,11 @@
   ``max_weight_matching`` on the pattern's negated-weight graph with
   per-event boundary copies: ``repro_blossom_match`` must return the
   same pairs, not merely a matching of equal weight.
+* :func:`axis0_unique_keys` — the pattern dedup as ``np.unique`` over
+  rows (a structured sort, one field per byte) and ``row.tobytes()``
+  per distinct row: :func:`~repro.decoders.batch.unique_keys` must
+  return its rows, order, inverse and cache keys.
+  :func:`axis0_dedup` puts it under every decoder.
 
 :func:`oracle_decoders` runs both decoders on these oracles, for tests
 that hold campaign counts to them.
@@ -27,6 +33,7 @@ import numpy as np
 import pytest
 
 from repro.decoders import MWPMDecoder, UnionFindDecoder, unionfind
+from repro.decoders import base as decoder_base
 from repro.decoders.matching import _BOUNDARY_BIAS, _DP_LIMIT
 
 #: Completion slack for float growth accumulation (half-steps are exact
@@ -314,4 +321,21 @@ def oracle_decoders():
                   loop(lambda decoder, row: mwpm_parity(decoder.graph, row)))
         m.setattr(UnionFindDecoder, "_decode_patterns",
                   loop(uf_decode_pattern))
+        yield
+
+
+def axis0_unique_keys(keys: np.ndarray):
+    """``(uniq, inverse, key_bytes)`` of ``(N, nbytes)`` uint8 pattern
+    keys, the way ``Decoder._pattern_parities`` deduplicated them before
+    the void-column sort."""
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    return uniq, inverse.reshape(-1), [row.tobytes() for row in uniq]
+
+
+@contextlib.contextmanager
+def axis0_dedup():
+    """Every decoder inside deduplicates its pattern keys with
+    :func:`axis0_unique_keys`."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(decoder_base, "unique_keys", axis0_unique_keys)
         yield

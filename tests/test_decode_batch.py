@@ -54,8 +54,9 @@ from repro.decoders import (
 )
 from repro.decoders import _native as decoder_native
 from repro.decoders import matching
-from oracles.decoders import (nx_match, nx_pairs, oracle_decoders,
-                              uf_decode_pattern)
+from repro.decoders.batch import unique_keys
+from oracles.decoders import (axis0_dedup, axis0_unique_keys, nx_match,
+                              nx_pairs, oracle_decoders, uf_decode_pattern)
 from repro.frames.packing import WORD_BITS, pack_bool_rows, unpack_words
 from repro.injection import (
     Campaign,
@@ -173,7 +174,8 @@ class TestDecodeCache:
 
 
 class TestPackPatternColumns:
-    @pytest.mark.parametrize("num_det,shots", [(1, 5), (9, 64), (23, 130)])
+    @pytest.mark.parametrize("num_det,shots", [(1, 5), (9, 64), (23, 130),
+                                               (61, 4096)])
     def test_matches_row_packbits(self, num_det, shots):
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, size=(num_det, shots), dtype=np.uint8)
@@ -182,6 +184,81 @@ class TestPackPatternColumns:
         keys = pack_pattern_columns(planes, idx)
         expect = np.packbits(bits[:, idx].T, axis=1, bitorder="little")
         np.testing.assert_array_equal(keys, expect)
+
+
+@st.composite
+def _pattern_keys(draw):
+    """``(N, nbytes)`` uint8 keys, 1-2000 x 1-17, drawn from a small
+    pool so rows repeat heavily; half the pool are copies of other
+    rows with trailing bytes zeroed, which an ``S`` view (it strips
+    trailing NULs) would merge with their originals."""
+    rows = draw(st.integers(1, 2000))
+    nbytes = draw(st.integers(1, 17))
+    pool_size = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = rng.integers(0, 256, size=(pool_size, nbytes), dtype=np.uint8)
+    pool[rng.random(pool.shape) < 0.5] = 0
+    cut = pool.copy()
+    for row in cut:
+        row[rng.integers(0, nbytes + 1):] = 0
+    pool = np.concatenate([pool, cut])
+    return np.ascontiguousarray(pool[rng.integers(0, len(pool), rows)])
+
+
+class TestUniqueKeys:
+    """The void-column dedup against the ``np.unique(axis=0)`` oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(keys=_pattern_keys())
+    def test_matches_axis0_oracle(self, keys):
+        uniq, inverse, key_bytes = unique_keys(keys)
+        want_uniq, want_inverse, want_bytes = axis0_unique_keys(keys)
+        assert uniq.dtype == np.uint8
+        np.testing.assert_array_equal(uniq, want_uniq)
+        np.testing.assert_array_equal(inverse, want_inverse)
+        assert key_bytes == want_bytes
+        np.testing.assert_array_equal(uniq[inverse], keys)
+
+    def test_trailing_zero_bytes_stay_distinct(self):
+        keys = np.array([[1, 0, 0], [1, 0, 0], [1, 0, 1], [1, 0, 0],
+                         [0, 0, 0], [1, 0, 1]], dtype=np.uint8)
+        uniq, inverse, key_bytes = unique_keys(keys)
+        assert key_bytes == [b"\x00\x00\x00", b"\x01\x00\x00",
+                             b"\x01\x00\x01"]
+        assert inverse.tolist() == [1, 1, 2, 1, 0, 2]
+
+    @pytest.mark.parametrize("kind", ["mwpm", "union-find"])
+    @pytest.mark.parametrize("struck", [False, True])
+    def test_cache_traffic_unchanged(self, kind, struck):
+        """Over a quiet and a struck XXZZ(3,3) batch sequence, the
+        corrections and the decode cache's hits, misses and size are
+        those of the ``axis=0`` dedup."""
+        from repro.noise import RadiationChannel
+
+        exp = build_memory_experiment(XXZZCode(3, 3), rounds=3)
+        channels = [DepolarizingNoise(1e-3 if struck else 5e-4)]
+        if struck:
+            probs = np.zeros(exp.circuit.num_qubits)
+            probs[[0, 1, 4]] = 0.5
+            channels.append(RadiationChannel(probs))
+        noise = NoiseModel(channels)
+        batches = [run_batch_noisy(exp.circuit, noise, 700, rng=seed)
+                   for seed in (1, 2, 3)]
+
+        def traffic():
+            dec = decoder_for(exp, kind)
+            out = [dec.decode_batch(exp, rows).corrections
+                   for rows in batches]
+            info = dec.cache_info
+            return out, (info.hits, info.misses, len(info))
+
+        got, got_cache = traffic()
+        with axis0_dedup():
+            want, want_cache = traffic()
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert got_cache == want_cache
+        assert got_cache[0] > 0 and got_cache[1] > 0
 
 
 @pytest.mark.parametrize("kind", ["mwpm", "union-find"])

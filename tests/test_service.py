@@ -437,3 +437,63 @@ class TestForkedPool:
         self.assert_rows_match_campaign(rows)
         assert obs.registry().event_counts.get(
             "service.pool_replaced", 0) == replaced + 1
+
+
+@pytest.mark.integration
+class TestPumpWake:
+    """An idle local pump waits on ``/submit``, not on a poll interval;
+    ``PUMP_IDLE_S`` is left only as the timeout that picks up requeued
+    work nothing announces."""
+
+    SPEC = {"codes": [["repetition", [3, 1]]], "p_values": [0.01],
+            "shots": 512, "rounds": 2, "root_seed": 3}
+
+    def run_job(self, tmp_path):
+        import time
+
+        from repro.service import CampaignService, ServiceClient
+
+        svc = CampaignService(str(tmp_path / "store.jsonl"), port=0,
+                              workers=1, slice_shots=512)
+        svc.start_background()
+        try:
+            time.sleep(0.3)  # the pump has found no work and is waiting
+            client = ServiceClient(svc.url)
+            t0 = time.perf_counter()
+            status = client.wait(client.submit(self.SPEC)["job"],
+                                 timeout_s=60)
+            elapsed = time.perf_counter() - t0
+        finally:
+            svc.stop_background()
+        assert status["state"] == "done"
+        assert status["shots_done"] == 512
+        return elapsed
+
+    def test_submit_wakes_an_idle_pump(self, tmp_path, monkeypatch):
+        from repro.service import server
+
+        build_sweep(self.SPEC).run(workers=1)  # build kernels, caches
+        monkeypatch.setattr(server, "PUMP_IDLE_S", 5.0)
+        assert self.run_job(tmp_path) < 2.0
+
+    def test_failed_lease_reruns_after_the_idle_timeout(self, tmp_path,
+                                                        monkeypatch):
+        """Nothing wakes the pump for a requeued slice: it runs again
+        once the pump's ``PUMP_IDLE_S`` back-off has passed."""
+        from repro.service import server
+
+        calls = []
+        execute = server._execute_slice
+
+        def fail_once(wire):
+            calls.append(wire["start"])
+            if len(calls) == 1:
+                raise RuntimeError("injected slice failure")
+            return execute(wire)
+
+        monkeypatch.setattr(server, "PUMP_IDLE_S", 0.5)
+        monkeypatch.setattr(server, "_execute_slice", fail_once)
+        failed = obs.counter("service.failed_leases").value
+        assert self.run_job(tmp_path) >= 0.5
+        assert calls == [0, 0]
+        assert obs.counter("service.failed_leases").value == failed + 1
