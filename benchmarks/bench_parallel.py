@@ -1,4 +1,4 @@
-"""Work-stealing scheduler benchmark: campaign wall-clock vs workers.
+"""Campaign scheduler benchmark: campaign wall-clock vs workers.
 
 The d=5 frames-backend campaign below is decode-bound (MWPM over 10
 syndrome rounds under a spreading radiation fault), the regime the

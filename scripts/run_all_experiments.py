@@ -5,7 +5,7 @@ Produces ``results/figN_*.txt`` / ``.json`` plus ``results/headline.txt``
 — the ``repro headline`` paper-vs-measured table.
 
 ``-j/--workers N`` spreads every campaign across N worker processes via
-the :mod:`repro.parallel` work-stealing scheduler (default: all cores;
+the :mod:`repro.parallel` scheduler (default: all cores;
 results are bit-identical to a serial run, so recorded numbers never
 depend on the machine that produced them).
 """

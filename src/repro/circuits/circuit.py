@@ -204,10 +204,6 @@ class Circuit:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def num_measurements(self) -> int:
-        return sum(1 for g in self._gates if g.is_measurement)
-
-    @property
     def num_two_qubit_gates(self) -> int:
         return sum(1 for g in self._gates if g.gate_type in TWO_QUBIT_GATES)
 

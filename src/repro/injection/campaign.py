@@ -555,10 +555,9 @@ def run_task(task: InjectionTask,
     within a segment) or on how a parallel scheduler interleaved the
     work.  Without a policy exactly ``task.shots`` run.
     """
-    from ..parallel import WorkStealingScheduler
+    from ..parallel import Scheduler
 
-    scheduler = WorkStealingScheduler(1, chunk_shots=chunk_shots,
-                                      adaptive=adaptive)
+    scheduler = Scheduler(1, chunk_shots=chunk_shots, adaptive=adaptive)
     return scheduler.run([task], priors=[prior])[0]
 
 
@@ -715,7 +714,7 @@ class Campaign:
 
     def _run(self, mon, chunk_shots, adaptive, resume, backend, recovery,
              workers, sampler, decoder) -> ResultSet:
-        from ..parallel import WorkStealingScheduler, default_workers
+        from ..parallel import Scheduler, default_workers
 
         seeded = self._seeded(backend, recovery, sampler, decoder)
         store = CampaignStore.coerce(resume)
@@ -739,7 +738,7 @@ class Campaign:
                 if banked is not None:
                     mon.task_done(seeded[i], banked.shots, banked.errors)
 
-        scheduler = WorkStealingScheduler(
+        scheduler = Scheduler(
             int(workers), chunk_shots=chunk_shots, adaptive=adaptive,
             store=store)
         for i, result in zip(todo, scheduler.run(

@@ -233,16 +233,6 @@ class InjectionResult:
         return self.errors / self.shots if self.shots else 0.0
 
     @property
-    def ht_error_rate(self) -> float:
-        """Horvitz-Thompson (unbiased) weighted estimate."""
-        return self.weight_stats.estimate("ht")
-
-    @property
-    def effective_shots(self) -> float:
-        """Kish effective sample size (== shots for plain MC)."""
-        return self.weight_stats.ess
-
-    @property
     def raw_error_rate(self) -> float:
         return self.raw_errors / self.shots if self.shots else 0.0
 

@@ -246,9 +246,7 @@ def render_report(path: Union[str, Sequence[str]]) -> str:
     leases = counters.get("scheduler.leases", 0)
     if leases or snap.get("workers"):
         lines += _section("scheduler")
-        lines.append(f"leases dispatched  {leases:,} "
-                     f"({counters.get('scheduler.steals', 0)} steal "
-                     f"refill(s))")
+        lines.append(f"leases dispatched  {leases:,}")
         crashes = counters.get("scheduler.worker_crashes", 0)
         if crashes:
             lines.append(f"worker crashes     {crashes} "

@@ -1,30 +1,28 @@
 """Campaign execution (``repro.parallel``): one scheduler, any scale.
 
-Every campaign runs through :class:`WorkStealingScheduler`, and every
-chunk is banked through :class:`TaskPlan`.  With one effective worker
+Every campaign runs through :class:`Scheduler`, and every chunk is
+banked through :class:`TaskPlan`.  With one effective worker
 (``workers=1``, or a plan of a single lease) the scheduler drains the
-plans in its own process; otherwise it spreads the canonical
-simulation blocks across worker processes by priority and work
-stealing, with crash tolerance.  Workers only compute: the process
-that owns the plans is the store's single writer.  Counts and
-adaptive stop shots are bit-identical either way.  Reached
-through ``Campaign.run(workers=N)``, the sweep-spec ``"workers"`` key
-and ``-j/--workers N`` on every campaign-running command; with none of
+plans in its own process; otherwise it sends worker processes runs of
+canonical simulation blocks straight from the plans' pending leases,
+deepest point first, with crash tolerance.  Workers only compute: the
+process that owns the plans is the store's single writer.  Counts and
+adaptive stop shots are bit-identical either way.  Reached through
+``Campaign.run(workers=N)``, the sweep-spec ``"workers"`` key and
+``-j/--workers N`` on every campaign-running command; with none of
 them, :func:`default_workers` (``REPRO_WORKERS``, else the CPU count)
 decides.
 """
 
 from .plan import ChunkLease, TaskPlan, plan_leases
-from .scheduler import (WorkStealingScheduler, default_workers,
-                        lease_run_size)
+from .scheduler import Scheduler, default_workers
 from .worker import execute_lease
 
 __all__ = [
     "ChunkLease",
+    "Scheduler",
     "TaskPlan",
-    "WorkStealingScheduler",
     "default_workers",
     "execute_lease",
-    "lease_run_size",
     "plan_leases",
 ]

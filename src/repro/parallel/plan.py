@@ -90,17 +90,17 @@ class TaskPlan(ChunkTally):
 
     The only frontier aggregator in the system: serial runs, forked
     workers, store resume and the campaign service all bank chunks
-    through it.  Tracks which leases are pending (unleased), leased (on
-    some worker's deque or in flight), and completed; advances the
-    contiguous frontier as results arrive (the inherited
-    :class:`ChunkTally` holds the counts along it); and evaluates the
-    adaptive policy at each watermark the frontier reaches, truncating
-    the plan when the point resolves early.  ``banked`` — a store's
-    chunks for the point, in start order — is replayed on top of
-    ``prior`` before the remainder is planned.  With a ``store`` (and
-    the point's ``key`` in it) ``banked`` is read from it, every chunk
-    the frontier then advances over is appended to it, and so is the
-    done record once the plan completes.
+    through it.  Tracks which leases are pending (unleased), leased (in
+    flight to a worker or runner, or executing in-process), and
+    completed; advances the contiguous frontier as results arrive (the
+    inherited :class:`ChunkTally` holds the counts along it); and
+    evaluates the adaptive policy at each watermark the frontier
+    reaches, truncating the plan when the point resolves early.
+    ``banked`` — a store's chunks for the point, in start order — is
+    replayed on top of ``prior`` before the remainder is planned.  With
+    a ``store`` (and the point's ``key`` in it) ``banked`` is read from
+    it, every chunk the frontier then advances over is appended to it,
+    and so is the done record once the plan completes.
     """
 
     def __init__(self, index: int, task: InjectionTask, prior: Prior,
@@ -123,7 +123,7 @@ class TaskPlan(ChunkTally):
         self.pending: Deque[ChunkLease] = deque()
         #: Completed-but-not-yet-contiguous results, keyed by start.
         self._completed: Dict[int, ChunkResult] = {}
-        #: Leases currently owned by a worker (deque or in flight).
+        #: Leases taken off ``pending`` and not yet recorded or given back.
         self.leased: Dict[int, ChunkLease] = {}
         # A prior sitting ON the watermark grid replays its decision; an
         # off-grid one (e.g. a fine-grained checkpoint) resumes sampling

@@ -1,4 +1,4 @@
-"""Multiprocess work-stealing campaign scheduler.
+"""Multiprocess campaign scheduler.
 
 The paper's conclusions rest on millions of injections; the frame
 backend made sampling cheap enough that a single interpreter became
@@ -6,27 +6,27 @@ the bottleneck.  This scheduler makes campaign wall-clock scale with
 the hardware while keeping the engine's reproducibility contract
 intact:
 
-* **Priority queue** — tasks are dispensed in order of expected
-  remaining shots (deepest first), so the low-LER tail points that
-  adaptive stopping cannot shorten start early and never straggle
-  behind a line of quick mid-rate points.
-* **Per-worker deques + stealing** — each worker owns a deque of
-  block-aligned :class:`ChunkLease` runs (locality: consecutive leases
-  of one task reuse the worker's cached compiled program).  A worker
-  that drains its deque first refills from the priority queue, then
-  steals the back half of the longest deque.  Leases queue on the
-  parent side; only a small pipeline is ever buffered in a worker, so
-  almost all planned work remains stealable.
+* **One queue, deepest first** — the plans' own pending leases are the
+  only queue.  A priority heap orders the plans by expected remaining
+  shots, so the low-LER tail points that adaptive stopping cannot
+  shorten start early and never straggle behind a line of quick
+  mid-rate points.  A worker with pipeline room is sent the next run
+  of the deepest plan (:meth:`Scheduler._take_run`): contiguous,
+  equally sized leases, at most ``WIDE_BLOCKS`` blocks and at most a
+  fair share of that plan's pending leases, so a small deep point
+  still spreads over the fleet.  Only a small pipeline is ever
+  buffered in a worker; everything else stays on the parent side for
+  whichever worker has room next.
 * **One loop, in-process or forked** — the scheduler is the engine's
   only executor.  With one effective worker (``workers=1``, or a plan
   of a single lease) it drains the plans itself, in task order, at the
   engine's checkpoint grain; otherwise it forks, and each worker gets
-  its own duplex pipe.  Either way the engine is handed runs of
-  contiguous equal leases (:meth:`WorkStealingScheduler._take_run`),
-  which it executes as wide spans.  The choice is computed from the
-  inputs, never set by the caller, and both routes bank every chunk
-  through the same :class:`~repro.parallel.plan.TaskPlan`.
-* **Crash tolerance** — a dead worker's leased chunks are requeued
+  its own duplex pipe.  Either way the engine is handed runs taken by
+  the same :meth:`Scheduler._take_run`, which it executes as wide
+  spans.  The choice is computed from the inputs, never set by the
+  caller, and both routes bank every chunk through the same
+  :class:`~repro.parallel.plan.TaskPlan`.
+* **Crash tolerance** — a dead worker's in-flight runs are requeued
   and the campaign completes with a :class:`RuntimeWarning`; if every
   worker dies (or none can be started), the remaining leases finish
   through that same in-process drain.  A worker's death reads as EOF
@@ -69,37 +69,15 @@ from .plan import ChunkLease, Prior, TaskPlan
 
 #: Runs buffered inside a worker process (sent, not yet reported) at
 #: any time.  Enough to hide the pipe round-trip behind compute; small
-#: enough that nearly all planned work stays on the parent side,
-#: stealable.
+#: enough that nearly all planned work stays on the parent side, free
+#: for whichever worker has room next.
 PIPELINE_DEPTH = 2
-#: Lease run handed to one worker before any wall-clock observation.
-MAX_LEASE_RUN = 8
-#: Adaptive lease sizing: target wall-clock for one refill's lease run.
-#: Once a task's chunk rate is observed, runs are sized so a worker
-#: holds roughly this many seconds of leased work — deep/slow tasks
-#: shrink to single-lease runs (everything else stays stealable),
-#: cheap tasks batch up to :data:`LEASE_RUN_CAP` to amortise the pipe
-#: round-trip.
-TARGET_LEASE_RUN_S = 1.0
-#: Hard cap on an adaptively-sized lease run.
-LEASE_RUN_CAP = 32
-#: EWMA smoothing for observed per-shot wall-clock.
-_RATE_ALPHA = 0.5
 
 #: Scheduler metric handles (parent-process registry; cached once —
 #: obs.reset zeroes them in place).
 _OBS_LEASES = obs.counter("scheduler.leases")
-_OBS_STEALS = obs.counter("scheduler.steals")
 _OBS_CRASHES = obs.counter("scheduler.worker_crashes")
 _OBS_REQUEUED = obs.counter("scheduler.requeued_leases")
-_OBS_WORKERS = obs.counter("scheduler.workers_started")
-_OBS_QUEUE = obs.gauge("scheduler.pending_leases")
-#: Lease wall-clock distribution (drives the lease-sizing EWMA; the
-#: histogram makes its spread visible in /metrics and reports).
-_OBS_LEASE_RUN = obs.registry().histogram(
-    "scheduler.lease_run_s",
-    (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
-     60.0, 120.0))
 
 
 def default_workers(spec_workers: Optional[int] = None) -> int:
@@ -118,32 +96,13 @@ def default_workers(spec_workers: Optional[int] = None) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def lease_run_size(pending: int, alive: int, chunk_shots: int,
-                   sec_per_shot: Optional[float]) -> int:
-    """How many leases one refill should hand a worker.
-
-    Pure sizing rule (unit-testable, scheduling-only — counts never
-    depend on it): before any observation, fall back to the fixed
-    fair-share bound; afterwards, target :data:`TARGET_LEASE_RUN_S`
-    seconds of work per run from the task's observed per-shot
-    wall-clock, clamped by the fair share so one worker can never
-    drain a task other workers are starving for.
-    """
-    fair = max(1, -(-pending // max(1, alive)))
-    if sec_per_shot is None or sec_per_shot <= 0.0:
-        return max(1, min(MAX_LEASE_RUN, fair))
-    per_lease = sec_per_shot * max(1, chunk_shots)
-    desired = max(1, int(TARGET_LEASE_RUN_S / max(per_lease, 1e-9)))
-    return max(1, min(LEASE_RUN_CAP, fair, desired))
-
-
 def _mp_context():
     """Prefer fork (fast spawn, inherited imports); fall back cleanly."""
     methods = mp.get_all_start_methods()
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
-class WorkStealingScheduler:
+class Scheduler:
     """Execute a list of campaign points, in-process or across worker
     processes."""
 
@@ -155,9 +114,10 @@ class WorkStealingScheduler:
             raise ValueError("workers must be at least 1")
         self.requested_workers = int(workers)
         # Default grain: a fleet leases one canonical SIM_BLOCK at a
-        # time — the finest stealable grain the reproducibility
-        # contract allows; a lone worker has nobody to share with and
-        # takes the engine's checkpoint chunk.
+        # time — the finest grain the reproducibility contract allows,
+        # so a point's leases spread over every worker; a lone worker
+        # has nobody to share with and takes the engine's checkpoint
+        # chunk.
         if chunk_shots is not None:
             self.chunk_shots = _normalize_chunk(chunk_shots)
         else:
@@ -208,13 +168,9 @@ class WorkStealingScheduler:
         tasks = [plan.task for plan in plans]
         #: Live workers: wid -> (process, the scheduler's end of its pipe).
         self._workers: Dict[int, Tuple[object, object]] = {}
-        self._deques: Dict[int, Deque[ChunkLease]] = defaultdict(deque)
         #: Runs sent to each worker and not yet reported, oldest first.
         self._inflight: Dict[int, Deque[List[ChunkLease]]] = \
             defaultdict(deque)
-        #: Observed per-shot wall-clock EWMA per task (adaptive lease
-        #: sizing; scheduling-only state).
-        self._sec_per_shot: Dict[int, float] = {}
         self._heap: List[Tuple[int, int, int]] = []
         self._heap_seq = 0
         for plan in plans:
@@ -253,9 +209,8 @@ class WorkStealingScheduler:
                     # so its death reads as EOF here.
                     child_end.close()
                 self._workers[wid] = (proc, conn)
-                _OBS_WORKERS.inc()
-            # One run per worker per pass, so every worker starts at the
-            # front of its own point.
+            # One run per worker per pass, so every worker has a run
+            # before any has two.
             for _ in range(PIPELINE_DEPTH):
                 self._pump()
             while not all(plan.done for plan in plans):
@@ -292,11 +247,10 @@ class WorkStealingScheduler:
                             f"{plans[task_index].task.label!r} failed in "
                             f"a worker:\n{tb}")
         except KeyboardInterrupt:
-            # Requeue every lease still on a deque or in flight (parent
-            # bookkeeping so the plans' pending state is honest) and
-            # count what the interrupt abandoned.  Every chunk banked
-            # so far is already in the store; the finally stops the
-            # workers.
+            # Requeue every run still in flight (parent bookkeeping so
+            # the plans' pending state is honest) and count what the
+            # interrupt abandoned.  Every chunk banked so far is
+            # already in the store; the finally stops the workers.
             requeued = sum(self._requeue(wid) for wid in self._workers)
             done = sum(plan.done for plan in plans)
             warnings.warn(
@@ -335,30 +289,10 @@ class WorkStealingScheduler:
 
     def _on_chunk(self, wid: int, task_index: int, chunk: ChunkResult,
                   metrics_snap: Optional[dict] = None) -> None:
-        plan = self._plans[task_index]
-        if chunk.shots and chunk.elapsed_s > 0.0:
-            _OBS_LEASE_RUN.observe(chunk.elapsed_s)
-            rate = chunk.elapsed_s / chunk.shots
-            prev = self._sec_per_shot.get(task_index)
-            self._sec_per_shot[task_index] = rate if prev is None else \
-                _RATE_ALPHA * rate + (1.0 - _RATE_ALPHA) * prev
         mon = obs.active()
-        if mon is not None:
-            if metrics_snap is not None:
-                mon.worker_snapshot(wid, metrics_snap)
-            _OBS_QUEUE.set(sum(len(p.pending) for p in self._plans))
-        target_before = plan.target
-        self._bank(plan, chunk)
-        if plan.target < target_before:
-            # Adaptive stop: drop the task's now-moot leases from every
-            # deque (in-flight ones finish and are discarded on
-            # arrival), freeing workers for the deep tail.
-            for dq in self._deques.values():
-                stale = [lease for lease in dq
-                         if lease.task_index == task_index
-                         and lease.start >= plan.target]
-                for lease in stale:
-                    dq.remove(lease)
+        if mon is not None and metrics_snap is not None:
+            mon.worker_snapshot(wid, metrics_snap)
+        self._bank(self._plans[task_index], chunk)
 
     def _bank(self, plan: TaskPlan, chunk: ChunkResult) -> None:
         """Fold one finished chunk into its plan — which checkpoints it
@@ -380,85 +314,62 @@ class WorkStealingScheduler:
             self._report_done(plan)
 
     def _pump(self) -> None:
-        """Send each live worker one more run if its pipeline has room,
-        refilling or stealing when its deque drains — every worker, not
-        just one that reported: a worker that went idle while all work
-        was in flight elsewhere picks new leases back up here."""
+        """Send each live worker whose pipeline has room one run of the
+        deepest plan — every worker, not just one that reported: a
+        worker that went idle while all work was in flight elsewhere
+        picks new leases back up here."""
         for wid, (_, conn) in sorted(self._workers.items()):
-            dq, inflight = self._deques[wid], self._inflight[wid]
-            while len(inflight) < PIPELINE_DEPTH \
-                    and (dq or self._refill(wid)):
-                run = self._take_run(dq)
-                if not run:
-                    continue    # only leases stopped while queued
-                inflight.append(run)
-                _OBS_LEASES.inc(len(run))
-                lease = run[0]
-                try:
-                    conn.send(("run", lease.task_index, lease.start,
-                               lease.shots, len(run)))
-                except OSError:
-                    pass    # dead: its sentinel fires, _reap requeues
-                break
+            inflight = self._inflight[wid]
+            if len(inflight) >= PIPELINE_DEPTH:
+                continue
+            while self._heap:
+                plan = self._plans[heapq.heappop(self._heap)[2]]
+                if plan.pending:
+                    break
+            else:
+                return    # nothing pending: the rest is in flight
+            run = self._take_run(plan, len(self._workers))
+            self._push_plan(plan)
+            inflight.append(run)
+            _OBS_LEASES.inc(len(run))
+            lease = run[0]
+            try:
+                conn.send(("run", lease.task_index, lease.start,
+                           lease.shots, len(run)))
+            except OSError:
+                pass    # dead: its sentinel fires, _reap requeues
 
-    def _take_run(self, leases: Deque[ChunkLease]) -> List[ChunkLease]:
-        """Pop the next run off ``leases``: contiguous, equally sized
-        leases of one plan, at most ``WIDE_BLOCKS`` blocks, which the
-        engine executes as wide spans.  Leases already past their
-        plan's target are dropped.  An adaptive plan's run reaches no
-        further past the frontier than the frontier has come, so a
-        point that resolves at its first watermark pays no
-        speculation; what lies past a later stop is dropped by
-        ``TaskPlan.record``."""
-        while leases:
-            first = leases.popleft()
-            plan = self._plans[first.task_index]
-            if first.start < plan.target:
-                break
-        else:
+    @staticmethod
+    def _take_run(plan: TaskPlan, workers: int) -> List[ChunkLease]:
+        """Lease the next run off ``plan.pending``: contiguous, equally
+        sized leases, at most ``WIDE_BLOCKS`` blocks, which the engine
+        executes as wide spans, and at most ⌈pending / ``workers``⌉
+        leases, so the rest of the point is left for the other
+        workers.  An adaptive plan's run reaches no further past the
+        frontier than the frontier has come, so a point that resolves
+        at its first watermark pays no speculation; what lies past a
+        later stop is dropped by ``TaskPlan.record``."""
+        pending = plan.pending
+        if not pending:
             return []
+        share = -(-len(pending) // workers)
+        first = pending[0]
         # (The width is read where the engine reads it.)
         end = first.start + _engine.WIDE_BLOCKS * SIM_BLOCK
         if plan.adaptive is not None:
             end = min(end, 2 * plan.shots)
-        run = [first]
-        while leases and leases[0].end <= end and leases[0] == ChunkLease(
-                first.task_index, run[-1].end, first.shots):
-            run.append(leases.popleft())
-        return run
-
-    def _refill(self, wid: int) -> bool:
-        """Refill ``wid``'s deque: priority queue first, then steal."""
-        while self._heap:
-            _, _, task_index = heapq.heappop(self._heap)
-            plan = self._plans[task_index]
-            if not plan.pending:
-                continue
-            run = lease_run_size(len(plan.pending), len(self._workers),
-                                 self.chunk_shots,
-                                 self._sec_per_shot.get(task_index))
-            self._deques[wid].extend(plan.take(run))
-            self._push_plan(plan)
-            return True
-        victims = [w for w in self._workers
-                   if w != wid and len(self._deques[w]) > 0]
-        if not victims:
-            return False
-        victim = max(victims, key=lambda w: len(self._deques[w]))
-        steal = (len(self._deques[victim]) + 1) // 2
-        stolen = [self._deques[victim].pop() for _ in range(steal)]
-        self._deques[wid].extend(reversed(stolen))
-        _OBS_STEALS.inc()
-        obs.counter("scheduler.stolen_leases").inc(steal)
-        return True
+        run = 1
+        while run < share and pending[run].end <= end \
+                and pending[run] == ChunkLease(
+                    first.task_index, pending[run - 1].end, first.shots):
+            run += 1
+        return plan.take(run)
 
     def _requeue(self, wid: int) -> int:
-        """Give every lease ``wid`` holds, in flight or on its deque,
-        back to its plan; returns how many."""
-        leases = [lease for run in self._inflight[wid] for lease in run] \
-            + list(self._deques[wid])
+        """Give every lease in ``wid``'s in-flight runs back to its
+        plan; returns how many."""
+        leases = [lease for run in self._inflight[wid] for lease in run]
         self._inflight[wid].clear()
-        self._deques[wid].clear()
         # Descending-start order: give_back appendlefts, so the
         # requeued chunks come out front-first again and survivors
         # keep extending the contiguous frontier.
@@ -494,7 +405,7 @@ class WorkStealingScheduler:
         ``WIDE_BLOCKS`` blocks, 4096 shots)."""
         for plan in plans:
             while plan.shots < plan.target \
-                    and (run := self._take_run(plan.pending)):
+                    and (run := self._take_run(plan, 1)):
                 # Through the module, so a wrapper installed on
                 # ``worker.execute_lease`` (the e2e tracer) sees it.
                 for chunk in worker.execute_lease(

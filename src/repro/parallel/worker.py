@@ -1,4 +1,4 @@
-"""Worker-process side of the work-stealing campaign scheduler.
+"""Worker-process side of the multiprocess campaign scheduler.
 
 Each worker owns one end of a duplex pipe; the scheduler holds the
 other.  A worker only ever sees runs of

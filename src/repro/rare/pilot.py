@@ -161,7 +161,6 @@ def resolve_tilt(task, experiment, decoder, noise, program, tableau=None
         rungs = run_pilot(task, experiment, decoder, noise, program,
                           sampler, tableau=tableau)
         tilt = choose_tilt(rungs, sampler.target_rel)
-    obs.counter("rare.pilots").inc()
     obs.gauge("rare.pilot_tilt").set(max(1.0, float(tilt)))
     return dataclasses.replace(sampler, tilt=max(1.0, float(tilt)))
 

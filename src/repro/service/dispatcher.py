@@ -89,6 +89,45 @@ class DispatchError(ValueError):
     """A malformed request (bad spec, unknown lease) — client error."""
 
 
+#: What ``/metrics`` folds of a runner's registry snapshot: section ->
+#: the fields each of its rows must carry (``()``: the row is a bare
+#: number).  Any value a row holds must be a number or a list of them.
+_SNAPSHOT_ROWS = {"counters": (), "gauges": (), "events": (),
+                  "spans": ("total_s", "count"),
+                  "histograms": ("bounds", "counts", "total", "sum")}
+_PROFILE_ROWS = {"sampling": (), "kernels": ("total_s", "calls", "ops"),
+                 "stages": ("total_s", "calls"),
+                 "paths": ("total_s", "count")}
+
+
+def _numeric(value: Any) -> bool:
+    return isinstance(value, numbers.Real) or (
+        isinstance(value, list)
+        and all(isinstance(v, numbers.Real) for v in value))
+
+
+def _check_snapshot(snap: Any, rows: Mapping[str, tuple],
+                    where: str) -> None:
+    """Refuse a runner snapshot that :func:`repro.obs.merge_snapshots`
+    could not fold: stored as it is, it would break every later
+    ``/metrics`` and the telemetry writer until that runner reported
+    again."""
+    if not isinstance(snap, Mapping):
+        raise DispatchError(f"{where} must be an object")
+    for section, fields in rows.items():
+        table = snap.get(section, {})
+        if not isinstance(table, Mapping):
+            raise DispatchError(f"{where}.{section} must be an object")
+        for name, row in table.items():
+            ok = isinstance(name, str) and (
+                _numeric(row) if not fields else
+                isinstance(row, Mapping) and all(f in row for f in fields)
+                and all(map(_numeric, row.values())))
+            if not ok:
+                raise DispatchError(
+                    f"{where}.{section}[{name!r}] is malformed")
+
+
 class UnknownJobError(KeyError):
     """Status query for a job id this service never issued."""
 
@@ -562,8 +601,24 @@ class Dispatcher:
         process) merge idempotently by span id — a requeued re-run
         derives the same ids, so duplicates collapse.
         ``obs_snapshot`` (a remote runner's cumulative registry
-        snapshot) replaces that runner's previous one.
+        snapshot) replaces that runner's previous one.  A malformed
+        chunk row, a non-string ``key`` or a snapshot the metrics merge
+        could not fold is a :class:`DispatchError` (HTTP 400), raised
+        before any state changes: the lease stays outstanding, so it
+        still expires and its slice is requeued.
         """
+        if key is not None and not isinstance(key, str):
+            raise DispatchError(f"complete key must be a string, "
+                                f"got {key!r}")
+        if obs_snapshot:
+            _check_snapshot(obs_snapshot, _SNAPSHOT_ROWS, "obs")
+            _check_snapshot(obs_snapshot.get("profile") or {},
+                            _PROFILE_ROWS, "obs.profile")
+        try:
+            chunks = [ChunkResult.from_row(dict(row))
+                      for row in chunk_rows]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DispatchError(f"malformed chunk row: {exc}") from exc
         if spans:
             self.traces.absorb(spans)
         lease = self._leases.pop(lease_id, None)
@@ -589,11 +644,6 @@ class Dispatcher:
                     "point_done": point_key is not None
                     and point_key in self.store.keys()}
         accepted = 0
-        try:
-            chunks = [ChunkResult.from_row(dict(row))
-                      for row in chunk_rows]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DispatchError(f"malformed chunk row: {exc}") from exc
         frontier = point.shots
         for chunk in chunks:
             if point.record(chunk):

@@ -25,10 +25,6 @@ from .. import obs
 from .client import ServiceClient, ServiceError
 from .dispatcher import execute_lease_wire
 
-_OBS_SLICES = obs.counter("runner.slices")
-_OBS_SHOTS = obs.counter("runner.shots")
-_OBS_ERRORS = obs.counter("runner.slice_errors")
-
 
 def default_runner_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
@@ -77,7 +73,6 @@ def run_runner(url: str, runner_id: Optional[str] = None,
                 # fleet-wide `/metrics` view.
                 payload = execute_lease_wire(wire, ship_obs=True)
             except Exception as exc:  # noqa: BLE001 — report, keep pulling
-                _OBS_ERRORS.inc()
                 obs.event("runner.slice_error", repr(exc),
                           lease=wire.get("lease"), runner=runner)
                 try:
@@ -91,8 +86,6 @@ def run_runner(url: str, runner_id: Optional[str] = None,
                             spans=payload.get("spans"),
                             obs_snapshot=payload.get("obs"))
             done += 1
-            _OBS_SLICES.inc()
-            _OBS_SHOTS.inc(int(wire["shots"]))
     obs.event("runner.stopped", f"runner {runner}: {done} slice(s)",
               runner=runner)
     return done

@@ -1,4 +1,4 @@
-"""Tests for the multiprocess work-stealing campaign scheduler:
+"""Tests for the multiprocess campaign scheduler:
 worker-count determinism, watermark-based adaptive stopping, the
 single-writer store contract, and crash tolerance."""
 
@@ -29,7 +29,7 @@ from repro.injection.results import ZERO_PRIOR, ChunkResult
 from repro.injection.store import task_key
 from repro.rare.sampler import as_sampler
 from repro.parallel import TaskPlan, default_workers, plan_leases
-from repro.parallel.scheduler import WorkStealingScheduler
+from repro.parallel.scheduler import Scheduler
 from repro.parallel.worker import (CRASH_AFTER_ENV, CRASH_WORKER_ENV,
                                    execute_lease)
 from repro.service.dispatcher import Dispatcher, execute_lease_wire
@@ -63,7 +63,7 @@ def interrupted_run(campaign, store_path, nth=3, **run_kwargs):
     """Run ``campaign`` on two workers against ``store_path`` and hit
     it with a KeyboardInterrupt as its ``nth`` chunk arrives (``nth -
     1`` have been banked)."""
-    original = WorkStealingScheduler._on_chunk
+    original = Scheduler._on_chunk
     seen = {"chunks": 0}
 
     def interrupting(self, *args, **kwargs):
@@ -73,7 +73,7 @@ def interrupted_run(campaign, store_path, nth=3, **run_kwargs):
         return original(self, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(WorkStealingScheduler, "_on_chunk", interrupting)
+        patch.setattr(Scheduler, "_on_chunk", interrupting)
         with pytest.warns(RuntimeWarning, match="campaign interrupted"):
             with pytest.raises(KeyboardInterrupt):
                 campaign.run(workers=2, resume=store_path, **run_kwargs)
@@ -94,7 +94,7 @@ class TestWorkerCountDeterminism:
     def test_fixed_budget_counts_identical(self, backend):
         campaign = d3_sweep_tasks(backend)
         serial = Campaign(campaign.tasks, root_seed=29).run(workers=1)
-        for workers in (2, 4):
+        for workers in (2, 3, 4):
             par = Campaign(campaign.tasks, root_seed=29).run(
                 workers=workers)
             assert par.counts() == serial.counts()
@@ -142,6 +142,19 @@ class TestWorkerCountDeterminism:
         serial = run_task(t)
         par = Campaign([t]).run(workers=4)
         assert par[0].counts == serial.counts
+
+    def test_small_deep_point_reaches_every_worker(self, tmp_path):
+        """A run is at most a fair share of its point's pending leases:
+        the startup passes send a 6-lease point to all four workers
+        before any of them replies."""
+        t = mid_rate_tasks(n=1, shots=6 * SIM_BLOCK, seed=41)[0]
+        with obs.session(telemetry=str(tmp_path / "t.jsonl"),
+                         quiet=True) as monitor:
+            Campaign([t]).run(workers=4)
+        snaps = monitor._worker_snaps
+        assert sorted(snaps) == [0, 1, 2, 3]
+        assert all(snap["counters"].get("engine.blocks", 0) > 0
+                   for snap in snaps.values())
 
 
 #: One weighted point (tilted sampler: the weight moments are non-trivial
@@ -796,7 +809,7 @@ class TestSpanWidth:
             name, 1, 1, str(tmp_path / "w1-j1.jsonl"), monkeypatch)
         assert want_chunks and sum(c["shots"] for c in want_chunks) \
             == want.shots
-        for width, workers in ((8, 1), (1, 2), (8, 2), (8, 4)):
+        for width, workers in ((8, 1), (1, 2), (8, 2), (8, 3), (8, 4)):
             got, row, chunks = self.run(
                 name, width, workers,
                 str(tmp_path / f"w{width}-j{workers}.jsonl"), monkeypatch)

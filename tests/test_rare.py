@@ -718,33 +718,3 @@ class TestSweepIntegration:
     def test_unknown_key_without_match_lists_keys(self):
         with pytest.raises(ValueError, match="recognised"):
             build_sweep(dict(self.BASE, zzzqqq=1))
-
-
-# ----------------------------------------------------------------------
-# Adaptive lease sizing (satellite)
-# ----------------------------------------------------------------------
-class TestLeaseSizing:
-    def test_default_before_observation(self):
-        from repro.parallel import lease_run_size
-        from repro.parallel.scheduler import MAX_LEASE_RUN
-
-        assert lease_run_size(100, 4, 512, None) == \
-            min(MAX_LEASE_RUN, 25)
-        assert lease_run_size(2, 4, 512, None) == 1
-
-    def test_slow_tasks_shrink_to_single_leases(self):
-        from repro.parallel import lease_run_size
-
-        # 10 ms/shot * 512-shot lease = 5.12 s >> 1 s target
-        assert lease_run_size(1000, 2, 512, 0.01) == 1
-
-    def test_fast_tasks_batch_up_to_cap(self):
-        from repro.parallel import lease_run_size
-        from repro.parallel.scheduler import LEASE_RUN_CAP
-
-        assert lease_run_size(10_000, 2, 512, 1e-7) == LEASE_RUN_CAP
-
-    def test_fair_share_still_binds(self):
-        from repro.parallel import lease_run_size
-
-        assert lease_run_size(8, 4, 512, 1e-7) == 2

@@ -3,6 +3,7 @@ request coalescing, slice dispatch, runner-crash requeue, and the
 HTTP front end — all against the engine's bit-identity contract."""
 
 import json
+import time
 
 import pytest
 
@@ -284,6 +285,66 @@ class TestDispatcherErrors:
         assert d.lease(runner="good", max_leases=1, ttl_s=5)
 
 
+#: ``/complete`` bodies the head must refuse (HTTP 400) before it
+#: stores anything: a runner snapshot the metrics merge cannot fold, a
+#: point key that is not a string, and a chunk row that is not one.
+BAD_COMPLETIONS = [
+    {"lease": "x", "runner": "r", "obs": {"counters": "oops"}},
+    {"lease": "x", "runner": "r", "obs": "oops"},
+    {"lease": "x", "runner": "r", "obs": {"counters": {"a": "1"}}},
+    {"lease": "x", "runner": "r", "obs": {"gauges": {"a": [1, "b"]}}},
+    {"lease": "x", "runner": "r",
+     "obs": {"spans": {"sample": {"total_s": 1.0}}}},
+    {"lease": "x", "runner": "r",
+     "obs": {"histograms": {"h": {"bounds": [1.0], "counts": "1",
+                                  "total": 1, "sum": 0.5}}}},
+    {"lease": "x", "runner": "r", "obs": {"profile": {"kernels": {"k": 1}}}},
+    {"lease": "x", "runner": "r", "obs": {"profile": ["oops"]}},
+    {"lease": "x", "key": ["x"]},
+    {"lease": "x", "chunks": [{"start": 0}]},
+]
+
+
+def post_completion(d, body, lease_id=None):
+    return d.complete(lease_id or body["lease"], body.get("chunks", ()),
+                      runner=body.get("runner"), key=body.get("key"),
+                      obs_snapshot=body.get("obs"))
+
+
+class TestMalformedCompletion:
+    @pytest.mark.parametrize("body", BAD_COMPLETIONS)
+    def test_rejected_before_any_state_changes(self, tmp_path, body):
+        """Rejected on a live lease too: the lease stays outstanding
+        (so it can still expire and requeue), no runner is registered
+        and the merged metrics still render."""
+        d = make_dispatcher(tmp_path)
+        d.submit(SPEC)
+        lease = d.lease(runner="held", max_leases=1)[0]
+        with pytest.raises(DispatchError):
+            post_completion(d, body, lease.lease_id)
+        assert lease.lease_id in d._leases
+        assert "r" not in d.runners
+        assert d.runners["held"]["completed"] == 0
+        obs.render_prometheus(d.metrics_snapshot())
+
+    def test_runner_snapshots_pass(self, tmp_path):
+        """What a real runner ships (profiler section included) is
+        accepted and merged."""
+        d = make_dispatcher(tmp_path)
+        d.submit(SPEC)
+        lease = d.lease(runner="remote", max_leases=1)[0]
+        with obs.prof.profile():
+            payload = execute_lease_wire(lease.to_wire(), ship_obs=True)
+            payload["obs"]["profile"] = obs.prof.snapshot_active()
+        assert payload["obs"]["profile"]["kernels"]
+        out = d.complete(payload["lease"], payload["chunks"],
+                         key=payload["key"], obs_snapshot=payload["obs"])
+        assert out["accepted"] == 1
+        assert "remote" in d._runner_snaps
+        assert "repro_kernel_seconds_total" in obs.render_prometheus(
+            d.metrics_snapshot())
+
+
 @pytest.mark.integration
 class TestHTTPService:
     """End-to-end over a real asyncio HTTP server (ephemeral port)."""
@@ -355,6 +416,36 @@ class TestHTTPService:
         assert "lease" in str(err.value)
         assert client._request("POST", "/lease", {"max": 2}) == {
             "leases": []}
+
+
+    def test_bad_completions_leave_metrics_and_expiry_working(
+            self, tmp_path):
+        """Each malformed ``/complete`` is a 400; afterwards ``/metrics``
+        still answers and housekeeping (which writes telemetry from the
+        same merge) still expires a short-TTL lease."""
+        from repro.service import CampaignService, ServiceClient, \
+            ServiceError
+
+        svc = CampaignService(str(tmp_path / "store.jsonl"), port=0,
+                              workers=0, slice_shots=512,
+                              telemetry=str(tmp_path / "svc.jsonl"))
+        svc.start_background()
+        try:
+            client = ServiceClient(svc.url)
+            client.submit(SPEC)
+            for body in BAD_COMPLETIONS:
+                with pytest.raises(ServiceError) as err:
+                    client._request("POST", "/complete", body)
+                assert err.value.status == 400, body
+            assert "counters" in client.metrics()
+            assert client.lease(runner="short", ttl_s=0.2)
+            deadline = time.monotonic() + 10.0
+            while not client.status()["runners"]["short"]["expired"]:
+                assert time.monotonic() < deadline, "lease never expired"
+                time.sleep(0.05)
+            assert "counters" in client.metrics()
+        finally:
+            svc.stop_background()
 
 
 @pytest.mark.integration
