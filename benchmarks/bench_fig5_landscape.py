@@ -20,7 +20,8 @@ P_BENCH = (1e-8, 1e-5, 1e-2, 1e-1)
 
 def test_fig5_landscape(benchmark, bench_shots, capsys):
     def run():
-        return fig5_landscape.run(shots=bench_shots, p_values=P_BENCH)
+        return fig5_landscape.analyze(fig5_landscape.build_campaign(
+            shots=bench_shots, p_values=P_BENCH).run())
 
     landscapes = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = fig5_landscape.summarize(landscapes)

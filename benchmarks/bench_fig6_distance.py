@@ -14,7 +14,8 @@ pytestmark = pytest.mark.figure
 
 def test_fig6_distance_sweep(benchmark, bench_shots, capsys):
     def run():
-        return fig6_distance.run(shots=bench_shots, max_roots=3)
+        return fig6_distance.analyze(fig6_distance.build_campaign(
+            shots=bench_shots, max_roots=3).run())
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     with capsys.disabled():

@@ -14,7 +14,8 @@ pytestmark = pytest.mark.figure
 
 def test_fig7_spread(benchmark, bench_shots, capsys):
     def run():
-        return fig7_spread.run(shots=bench_shots, samples_per_size=3)
+        return fig7_spread.analyze(fig7_spread.build_campaign(
+            shots=bench_shots, samples_per_size=3).run())
 
     data = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = []

@@ -27,10 +27,9 @@ BENCH_CONFIGS = (
 
 def test_fig8_architectures(benchmark, bench_shots, capsys):
     def run():
-        return fig8_architecture.run(shots=bench_shots,
-                                     configs=BENCH_CONFIGS,
-                                     time_indices=(0, 4),
-                                     max_roots=8)
+        return fig8_architecture.analyze(fig8_architecture.build_campaign(
+            shots=bench_shots, configs=BENCH_CONFIGS, time_indices=(0, 4),
+            max_roots=8).run())
 
     data = benchmark.pedantic(run, rounds=1, iterations=1)
     with capsys.disabled():

@@ -15,8 +15,8 @@ pytestmark = pytest.mark.figure
 
 def test_rounds_ablation(benchmark, bench_shots, capsys):
     def run():
-        return rounds_ablation.run(shots=bench_shots,
-                                   rounds_list=(1, 2, 4))
+        return rounds_ablation.analyze(rounds_ablation.build_campaign(
+            shots=bench_shots, rounds_list=(1, 2, 4)).run())
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     with capsys.disabled():

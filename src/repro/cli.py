@@ -75,9 +75,10 @@ def _policy(args):
 
 
 def _engine_kwargs(args) -> dict:
-    """Campaign-engine pass-through shared by figure subcommands."""
+    """The engine flags as :meth:`Campaign.run
+    <repro.injection.Campaign.run>` keywords."""
     return {
-        "store": args.store,
+        "resume": args.store,
         "adaptive": _policy(args),
         "chunk_shots": args.chunk_shots,
         "backend": args.backend,
@@ -88,7 +89,6 @@ def _engine_kwargs(args) -> dict:
 def cmd_fig3(args) -> None:
     from .experiments import fig3_temporal
 
-    fig3_temporal.run()
     _write(fig3_temporal.sample_table(),
            "Fig. 3 — sampled injection probabilities (gamma=10, ns=10)",
            args.csv)
@@ -108,95 +108,37 @@ def cmd_fig4(args) -> None:
            "Fig. 4 — spatial damping S(d) radial profile (n=1)", args.csv)
 
 
-def cmd_fig5(args) -> None:
-    from .experiments import fig5_landscape
+def cmd_figure(args) -> None:
+    """``repro fig5`` ... ``fig8`` and ``headline``: run the figure's
+    campaign once (headline's spans Figs. 5-8), analyse it, print."""
+    from .experiments import FIGURES
 
-    landscapes = fig5_landscape.run(shots=args.shots, **_engine_kwargs(args))
-    rows = []
-    for ls in landscapes.values():
-        rows.extend(ls.to_rows())
-        print(ls.ascii_heatmap())
-        print()
-    _write(fig5_landscape.summarize(landscapes), "Fig. 5 — landscape summary")
+    figure = FIGURES[args.command]
+    extra = ({"deep": args.deep, "deep_p": args.deep_p}
+             if args.command == "fig6" else {})
+    campaign = figure.build_campaign(shots=args.shots, **extra)
+    report = figure.report(figure.analyze(
+        campaign.run(**_engine_kwargs(args))))
+    print(report.head)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(to_csv(rows))
-        print(f"[full surface written to {args.csv}]")
-
-
-def cmd_fig6(args) -> None:
-    from .experiments import fig6_distance
-
-    rows = fig6_distance.run(shots=args.shots, deep=args.deep,
-                             deep_p=args.deep_p, **_engine_kwargs(args))
-    _write([r.to_row() for r in rows],
-           "Fig. 6 — logical error criticality by code distance"
-           + (" (+ deep intrinsic-noise floor)" if args.deep else ""),
-           args.csv)
-    adv = fig6_distance.bitflip_advantage(rows)
-    if adv:
-        print()
-        print(ascii_table(adv, title="Observation IV — bit-flip advantage"))
-
-
-def cmd_fig7(args) -> None:
-    from .experiments import fig7_spread
-
-    data = fig7_spread.run(shots=args.shots, **_engine_kwargs(args))
-    rows = []
-    for d in data:
-        rows.extend(d.to_rows())
-    _write(rows, "Fig. 7 — fault spread vs erasure count", args.csv)
-    for d in data:
-        eq = fig7_spread.equivalent_erasures(d)
-        print(f"{d.code_label}: spreading fault ~ "
-              f"{eq if eq is not None else '>max'} simultaneous erasures "
-              f"(radiation line {percent(d.radiation_ler)})")
-
-
-def cmd_fig8(args) -> None:
-    from .experiments import fig8_architecture
-
-    data = fig8_architecture.run(shots=args.shots, **_engine_kwargs(args))
-    _write([d.to_row() for d in data],
-           "Fig. 8 — logical error by architecture", args.csv)
-    print()
-    per_qubit = []
-    for d in data:
-        for q in d.per_qubit:
-            per_qubit.append({"code": d.code_label, "arch": d.arch_label,
-                              "qubit": q.root, "role": q.role,
-                              "median_ler": q.median_ler})
-    print(ascii_table(per_qubit, title="Per-qubit criticality"))
-
-
-def cmd_headline(args) -> None:
-    from .experiments import (fig5_landscape, fig6_distance, fig7_spread,
-                              fig8_architecture, headline)
-
-    shots = args.shots
-    kwargs = _engine_kwargs(args)
-    print("[1/4] Fig. 5 landscape...", flush=True)
-    landscapes = fig5_landscape.run(shots=shots, **kwargs)
-    print("[2/4] Fig. 6 distances...", flush=True)
-    distance_rows = fig6_distance.run(shots=shots, **kwargs)
-    print("[3/4] Fig. 7 spread...", flush=True)
-    spread_data = fig7_spread.run(shots=shots, **kwargs)
-    print("[4/4] Fig. 8 architectures...", flush=True)
-    arch_data = fig8_architecture.run(shots=max(200, shots // 2), **kwargs)
-    checks = headline.check_all(landscapes, distance_rows, spread_data,
-                                arch_data)
-    _write([c.to_row() for c in checks],
-           "Paper observations I-VIII — paper vs measured", args.csv)
+            fh.write(to_csv(report.rows))
+        print(report.note.format(args.csv))
+    if report.tail:
+        print(report.tail)
 
 
 def cmd_detect(args) -> None:
     from .experiments import fig_detect
 
-    roc, policies = fig_detect.run(
+    roc = fig_detect.roc_series(
+        shots=args.shots, distance=args.distance, rounds=args.rounds,
+        strike_round=args.strike_round)
+    campaign = fig_detect.build_campaign(
         shots=args.shots, distance=args.distance, rounds=args.rounds,
         strike_round=args.strike_round, intensity=args.intensity,
-        decoder=args.decoder, **_engine_kwargs(args))
+        decoder=args.decoder)
+    policies = fig_detect.analyze(campaign.run(**_engine_kwargs(args)))
     _write([p.to_row() for p in roc],
            "Detection — ROC / latency / localisation vs strike intensity",
            args.csv)
@@ -730,11 +672,11 @@ def cmd_perf(args) -> None:
 COMMANDS = {
     "fig3": cmd_fig3,
     "fig4": cmd_fig4,
-    "fig5": cmd_fig5,
-    "fig6": cmd_fig6,
-    "fig7": cmd_fig7,
-    "fig8": cmd_fig8,
-    "headline": cmd_headline,
+    "fig5": cmd_figure,
+    "fig6": cmd_figure,
+    "fig7": cmd_figure,
+    "fig8": cmd_figure,
+    "headline": cmd_figure,
     "detect": cmd_detect,
     "campaign": cmd_campaign,
     "rare": cmd_rare,
@@ -839,8 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
                  "headline"):
         sub = subs.add_parser(name, help=f"regenerate {name} data")
-        sub.add_argument("--shots", type=int, default=800,
-                         help="shots per configuration point")
         sub.add_argument("--csv", type=str, default=None,
                          help="also write rows to this CSV file")
         if name == "fig6":
@@ -854,6 +794,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="intrinsic noise level of the deep "
                                   "baseline points")
         if name not in ("fig3", "fig4"):  # analytic: no campaign to run
+            sub.add_argument("--shots", type=int, default=800,
+                             help="shots per configuration point")
             _add_engine_options(sub)
     det = subs.add_parser(
         "detect", help="strike-detection ROC + recovery-policy LER "

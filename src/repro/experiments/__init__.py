@@ -10,6 +10,17 @@ Each module regenerates one figure's data series:
 * :mod:`.fig8_architecture` — per-qubit criticality across topologies.
 * :mod:`.fig_detect` — strike-detection ROC and recovery-policy LER.
 * :mod:`.headline` — Observation I-VIII paper-vs-measured checks.
+* :mod:`.rounds_ablation` — syndrome-round sweep (beyond the paper).
+
+Figs. 3-4 are analytic (``run()``).  Every campaign figure is a task
+list plus an analysis — ``build_campaign(shots, ...)`` returns a
+:class:`~repro.injection.Campaign`, ``analyze(results)`` turns its
+:class:`~repro.injection.results.ResultSet` into the figure's series —
+and :data:`FIGURES` adds ``report(data)``, the tables ``repro <name>``
+prints::
+
+    data = fig6_distance.analyze(
+        fig6_distance.build_campaign(shots=200).run(workers=2))
 """
 
 from . import (
@@ -24,7 +35,18 @@ from . import (
     rounds_ablation,
 )
 
+#: The figures ``repro fig5`` ... ``repro fig8`` and ``repro headline``
+#: run, by command name; ``headline``'s campaign spans Figs. 5-8.
+FIGURES = {
+    "fig5": fig5_landscape,
+    "fig6": fig6_distance,
+    "fig7": fig7_spread,
+    "fig8": fig8_architecture,
+    "headline": headline,
+}
+
 __all__ = [
+    "FIGURES",
     "fig3_temporal",
     "fig4_spatial",
     "fig5_landscape",

@@ -1,10 +1,18 @@
 """Shared experiment plumbing.
 
-Every figure module follows the same pattern:
+Every campaign figure module follows the same pattern:
 
-* ``build_campaign(shots, ...)`` — the exact task list,
-* ``run(shots, ..., workers)`` — execute and post-process,
-* ``format_table(data)`` — the rows/series the paper's figure reports.
+* ``build_campaign(shots, ...)`` — the exact task list, as a
+  :class:`~repro.injection.Campaign`; run it with
+  :meth:`Campaign.run <repro.injection.Campaign.run>` and whatever
+  engine options the caller wants (workers, store, adaptive, backend),
+* ``analyze(results)`` — the figure's data series from the
+  :class:`~repro.injection.results.ResultSet`: it keeps the results
+  tagged with its own figure and reads every spec parameter (p values,
+  codes, roots, architectures) back from the tasks, so the results of
+  one campaign spanning several figures analyse per figure,
+* ``report(data)`` — the tables the figure prints, as a
+  :class:`Report`.
 
 Shot counts default to laptop-scale statistics (Wilson CIs of a few
 percent); benchmarks pass smaller values, and the ``repro headline``
@@ -14,13 +22,11 @@ table is computed at the defaults.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Hashable, Iterable, List, Tuple
 
-from ..injection.adaptive import AdaptivePolicy
-from ..injection.campaign import Campaign, _prepared
-from ..injection.results import ResultSet
-from ..injection.spec import ArchSpec, CodeSpec, InjectionTask
-from ..injection.store import CampaignStore
+from ..injection.campaign import _prepared
+from ..injection.spec import ArchSpec, CodeSpec
 
 #: Paper default intrinsic noise (§IV-C).
 DEFAULT_P = 0.01
@@ -30,29 +36,29 @@ DEFAULT_ROUNDS = 2
 NUM_TIME_SAMPLES = 10
 
 
-def execute(campaign: Campaign,
-            store: Union[CampaignStore, str, None] = None,
-            adaptive: Optional[AdaptivePolicy] = None,
-            chunk_shots: Optional[int] = None,
-            backend: Optional[str] = None,
-            workers: Optional[int] = None) -> ResultSet:
-    """Run a figure campaign through the orchestration engine.
+@dataclass(frozen=True)
+class Report:
+    """What a figure prints, and the data rows behind it.
 
-    The single funnel every experiment module uses, so campaign-level
-    features — chunked streaming, JSONL checkpoint/resume (``store``
-    takes a :class:`CampaignStore` or a path), adaptive shot allocation,
-    backend selection (``backend="auto"|"frames"|"tableau"``; tasks
-    default to "auto", which prefers the bit-packed Pauli-frame sampler),
-    block-level scheduling (``workers`` processes under the
-    :mod:`repro.parallel` scheduler — ``None`` = ``REPRO_WORKERS``, else
-    all cores; ``1`` = the same loop in-process; counts bit-identical
-    at any value) — apply uniformly to all figures without per-module
-    plumbing.
+    ``head`` prints first; given ``--csv``, the CLI then writes ``rows``
+    to that file and prints ``note`` (formatted with the path);
+    ``tail`` prints last.  ``scripts/run_all_experiments.py`` saves
+    :attr:`text` and ``rows`` (as JSON).
     """
-    return campaign.run(chunk_shots=chunk_shots, adaptive=adaptive,
-                        backend=backend,
-                        resume=CampaignStore.coerce(store),
-                        workers=workers)
+
+    head: str
+    rows: List[Dict[str, object]]
+    tail: str = ""
+    note: str = "\n[csv written to {}]"
+
+    @property
+    def text(self) -> str:
+        return f"{self.head}\n{self.tail}" if self.tail else self.head
+
+
+def distinct(values: Iterable[Hashable]) -> list:
+    """``values`` without repeats, in first-seen (campaign) order."""
+    return list(dict.fromkeys(values))
 
 
 def fitting_mesh(num_qubits: int, max_cols: int = 6) -> ArchSpec:

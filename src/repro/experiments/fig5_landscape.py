@@ -13,16 +13,17 @@ dips as either noise source intensifies (Observation II).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.landscape import Landscape
+from ..analysis.report import ascii_table
 from ..injection import Campaign, InjectionTask
+from ..injection.results import ResultSet
 from ..injection.spec import ArchSpec, CodeSpec, FaultSpec
 from ..noise.radiation import sample_times, temporal_decay
-from .common import DEFAULT_ROUNDS, NUM_TIME_SAMPLES, execute
+from .common import DEFAULT_ROUNDS, NUM_TIME_SAMPLES, Report, distinct
 
 #: The two paper configurations: (code, lattice, root qubit).
 CONFIGS: Tuple[Tuple[CodeSpec, ArchSpec, int], ...] = (
@@ -52,24 +53,18 @@ def build_campaign(shots: int = 1500,
     return Campaign(tasks, root_seed=root_seed)
 
 
-def run(shots: int = 1500, p_values: Sequence[float] = P_VALUES,
-        configs=CONFIGS, store=None, adaptive=None,
-        chunk_shots: Optional[int] = None, backend: Optional[str] = None,
-        workers: Optional[int] = None) -> Dict[str, Landscape]:
-    """Execute the sweep and assemble one landscape per code."""
-    campaign = build_campaign(shots=shots, p_values=p_values,
-                              configs=configs)
-    results = execute(campaign, store=store, adaptive=adaptive,
-                      chunk_shots=chunk_shots,
-                      backend=backend, workers=workers)
+def analyze(results: ResultSet) -> Dict[str, Landscape]:
+    """One landscape per code from the ``fig5`` results: the p axis and
+    the codes read back from the tasks, in campaign order."""
+    results = results.filter_tags(fig="fig5")
+    p_values = distinct(r.task.intrinsic_p for r in results)
     times = sample_times(NUM_TIME_SAMPLES)
     landscapes: Dict[str, Landscape] = {}
-    for code, _, _ in configs:
+    for code in distinct(r.task.code for r in results):
         rates = np.full((len(p_values), NUM_TIME_SAMPLES), np.nan)
         for r in results.filter_tags(code=code.label):
-            tags = dict(r.task.tags)
-            i = list(p_values).index(float(tags["p"]))
-            j = int(tags["t"])
+            i = p_values.index(r.task.intrinsic_p)
+            j = int(dict(r.task.tags)["t"])
             rates[i, j] = r.logical_error_rate
         landscapes[code.label] = Landscape(
             code_label=code.label,
@@ -96,3 +91,14 @@ def summarize(landscapes: Dict[str, Landscape]) -> List[Dict[str, object]]:
             "dip_violations": ls.monotone_violations(axis=0, tol=0.03),
         })
     return rows
+
+
+def report(landscapes: Dict[str, Landscape]) -> Report:
+    """The heatmaps and summary ``repro fig5`` prints; the rows are the
+    full surface."""
+    heatmaps = "".join(ls.ascii_heatmap() + "\n\n"
+                       for ls in landscapes.values())
+    rows = [row for ls in landscapes.values() for row in ls.to_rows()]
+    return Report(heatmaps + ascii_table(summarize(landscapes),
+                                         title="Fig. 5 — landscape summary"),
+                  rows, note="[full surface written to {}]")

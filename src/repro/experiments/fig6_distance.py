@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ..analysis.report import ascii_table
 from ..analysis.stats import median_with_iqr
 from ..injection import Campaign, InjectionTask
+from ..injection.results import ResultSet
 from ..injection.spec import ArchSpec, CodeSpec, FaultSpec
-from .common import (DEFAULT_P, DEFAULT_ROUNDS, execute, fitting_mesh,
-                     used_physical_qubits)
+from .common import (DEFAULT_P, DEFAULT_ROUNDS, Report, distinct,
+                     fitting_mesh, used_physical_qubits)
 
 #: Repetition-code distances of Fig. 6a.
 REP_DISTANCES: Tuple[Tuple[int, int], ...] = (
@@ -121,40 +121,30 @@ class DistanceRow:
         }
 
 
-def run(shots: int = 600, max_roots: Optional[int] = None,
-        store=None, adaptive=None, chunk_shots: Optional[int] = None,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-        deep: bool = False, deep_p: float = DEEP_P) -> List[DistanceRow]:
-    campaign = build_campaign(shots=shots, max_roots=max_roots,
-                              deep=deep, deep_p=deep_p)
-    results = execute(campaign, store=store, adaptive=adaptive,
-                      chunk_shots=chunk_shots,
-                      backend=backend, workers=workers)
+def analyze(results: ResultSet) -> List[DistanceRow]:
+    """One bar per code from the ``fig6`` results, plus one ``+deep``
+    row per code where the campaign carried deep floor points."""
+    results = results.filter_tags(fig="fig6")
     rows: List[DistanceRow] = []
-    for spec, _ in _configs():
-        sub = results.filter_tags(family=spec.kind,
-                                  dz=spec.distance[0], dx=spec.distance[1])
-        fault_sub = (sub.filter(lambda r: "deep" not in dict(r.task.tags))
-                     if deep else sub)
-        rates = fault_sub.rates()
-        med, q25, q75 = median_with_iqr(rates)
+    for spec in distinct(r.task.code for r in results):
+        sub = results.filter(lambda r: r.task.code == spec)
+        fault_sub = sub.filter(lambda r: "deep" not in dict(r.task.tags))
+        med, q25, q75 = median_with_iqr(fault_sub.rates())
         rows.append(DistanceRow(
             family=spec.kind, distance=spec.distance,
             circuit_size=spec.build().num_qubits,
             median_ler=med, q25=q25, q75=q75,
             num_roots=len(fault_sub)))
-        if deep:
-            # The weighted tail estimate: one row per code, the Wilson
-            # CI of the importance-sampled rate standing in for the
-            # IQR of the root sweep.
-            for r in sub.filter_tags(deep=1):
-                lo, hi = r.confidence_interval
-                rows.append(DistanceRow(
-                    family=f"{spec.kind}+deep", distance=spec.distance,
-                    circuit_size=spec.build().num_qubits,
-                    median_ler=r.logical_error_rate, q25=lo, q75=hi,
-                    num_roots=1))
+        # The weighted tail estimate: one row per code, the Wilson CI
+        # of the importance-sampled rate standing in for the IQR of the
+        # root sweep.
+        for r in sub.filter_tags(deep=1):
+            lo, hi = r.confidence_interval
+            rows.append(DistanceRow(
+                family=f"{spec.kind}+deep", distance=spec.distance,
+                circuit_size=spec.build().num_qubits,
+                median_ler=r.logical_error_rate, q25=lo, q75=hi,
+                num_roots=1))
     return rows
 
 
@@ -175,3 +165,20 @@ def bitflip_advantage(rows: Sequence[DistanceRow]) -> List[Dict[str, object]]:
                 "advantage": p.median_ler - b.median_ler,
             })
     return out
+
+
+def report(rows: Sequence[DistanceRow]) -> Report:
+    """The distance table ``repro fig6`` prints, then Observation IV's
+    bit-flip advantage."""
+    deep = any(r.family.endswith("+deep") for r in rows)
+    table = [r.to_row() for r in rows]
+    head = ascii_table(table,
+                       title="Fig. 6 — logical error criticality by code "
+                             "distance"
+                             + (" (+ deep intrinsic-noise floor)"
+                                if deep else ""))
+    adv = bitflip_advantage(rows)
+    tail = ("\n" + ascii_table(adv,
+                               title="Observation IV — bit-flip advantage")
+            if adv else "")
+    return Report(head, table, tail)

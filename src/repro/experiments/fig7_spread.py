@@ -19,12 +19,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.report import ascii_table, percent
 from ..analysis.stats import median_with_iqr
 from ..injection import Campaign, InjectionTask
+from ..injection.results import ResultSet
 from ..injection.spec import ArchSpec, CodeSpec, FaultSpec
 from ..injection.campaign import build_arch
-from .common import (DEFAULT_P, DEFAULT_ROUNDS, execute, fitting_mesh,
-                     used_physical_qubits)
+from .common import (DEFAULT_P, DEFAULT_ROUNDS, Report, distinct,
+                     fitting_mesh, used_physical_qubits)
 
 #: Paper configurations: code, erased-cluster sizes shown on the x-axis.
 CONFIGS: Tuple[Tuple[CodeSpec, Tuple[int, ...]], ...] = (
@@ -131,34 +133,27 @@ class SpreadData:
         return rows
 
 
-def run(shots: int = 800, samples_per_size: int = SAMPLES_PER_SIZE,
-        configs=CONFIGS, store=None, adaptive=None,
-        chunk_shots: Optional[int] = None,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None) -> List[SpreadData]:
-    campaign = build_campaign(shots=shots,
-                              samples_per_size=samples_per_size,
-                              configs=configs)
-    results = execute(campaign, store=store, adaptive=adaptive,
-                      chunk_shots=chunk_shots,
-                      backend=backend, workers=workers)
+def analyze(results: ResultSet) -> List[SpreadData]:
+    """One panel per code from the ``fig7`` results: the per-size
+    cluster medians, in campaign order, against the red line."""
+    results = results.filter_tags(fig="fig7")
     out: List[SpreadData] = []
-    for code, sizes in configs:
-        sub = results.filter_tags(fig="fig7", code=code.label)
-        med_list, q25_list, q75_list, size_list = [], [], [], []
+    for code in distinct(r.task.code for r in results):
+        sub = results.filter_tags(code=code.label)
+        sizes = distinct(int(size) for size in
+                         (dict(r.task.tags)["size"] for r in sub)
+                         if size != "radiation")
+        med_list, q25_list, q75_list = [], [], []
         for size in sizes:
-            pts = sub.filter_tags(size=size)
-            if not len(pts):
-                continue
-            med, q25, q75 = median_with_iqr(pts.rates())
-            size_list.append(size)
+            med, q25, q75 = median_with_iqr(
+                sub.filter_tags(size=size).rates())
             med_list.append(med)
             q25_list.append(q25)
             q75_list.append(q75)
         rad = sub.filter_tags(size="radiation")
         rad_med, _, _ = median_with_iqr(rad.rates())
         out.append(SpreadData(
-            code_label=code.label, sizes=size_list, median_ler=med_list,
+            code_label=code.label, sizes=sizes, median_ler=med_list,
             q25=q25_list, q75=q75_list, radiation_ler=rad_med,
             num_qubits=code.build().num_qubits))
     return out
@@ -171,3 +166,17 @@ def equivalent_erasures(data: SpreadData) -> Optional[int]:
         if m >= data.radiation_ler:
             return s
     return None
+
+
+def report(data: Sequence[SpreadData]) -> Report:
+    """The size table ``repro fig7`` prints, then how many erasures
+    one spreading fault is worth per code."""
+    rows = [row for d in data for row in d.to_rows()]
+    lines = []
+    for d in data:
+        eq = equivalent_erasures(d)
+        lines.append(f"{d.code_label}: spreading fault ~ "
+                     f"{eq if eq is not None else '>max'} simultaneous "
+                     f"erasures (radiation line {percent(d.radiation_ler)})")
+    title = "Fig. 7 — fault spread vs erasure count"
+    return Report(ascii_table(rows, title=title), rows, "\n".join(lines))

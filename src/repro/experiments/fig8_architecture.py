@@ -18,15 +18,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.report import ascii_table
 from ..analysis.stats import median_with_iqr
 from ..injection import Campaign, InjectionTask
+from ..injection.results import ResultSet
 from ..injection.spec import ArchSpec, CodeSpec, FaultSpec
 from ..injection.campaign import _prepared
 from .common import (
     DEFAULT_P,
     DEFAULT_ROUNDS,
     NUM_TIME_SAMPLES,
-    execute,
+    Report,
+    distinct,
     initial_layout_roles,
     used_physical_qubits,
 )
@@ -102,10 +105,18 @@ class QubitCriticality:
 class ArchitectureData:
     """One architecture's panel entry."""
 
-    code_label: str
-    arch_label: str
+    code: CodeSpec
+    arch: ArchSpec
     swap_count: int
     per_qubit: List[QubitCriticality]
+
+    @property
+    def code_label(self) -> str:
+        return self.code.label
+
+    @property
+    def arch_label(self) -> str:
+        return self.arch.label
 
     @property
     def median_ler(self) -> float:
@@ -131,60 +142,44 @@ class ArchitectureData:
         }
 
 
-def run(shots: int = 400, configs=CONFIGS,
-        time_indices: Optional[Sequence[int]] = None,
-        max_roots: Optional[int] = None, store=None, adaptive=None,
-        chunk_shots: Optional[int] = None,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None) -> List[ArchitectureData]:
-    campaign = build_campaign(shots=shots, configs=configs,
-                              time_indices=time_indices,
-                              max_roots=max_roots)
-    results = execute(campaign, store=store, adaptive=adaptive,
-                      chunk_shots=chunk_shots,
-                      backend=backend, workers=workers)
+def analyze(results: ResultSet) -> List[ArchitectureData]:
+    """One panel entry per (code, architecture) from the ``fig8``
+    results, each root's median taken over its time samples."""
+    results = results.filter_tags(fig="fig8")
     out: List[ArchitectureData] = []
-    for code, archs in configs:
-        for arch in archs:
-            sub = results.filter_tags(fig="fig8", code=code.label,
-                                      arch=arch.label)
-            if not len(sub):
-                continue
-            roles = initial_layout_roles(code, arch)
-            roots = sorted({int(dict(r.task.tags)["root"]) for r in sub})
-            per_qubit = []
-            swap_count = sub[0].swap_count
-            for root in roots:
-                pts = sub.filter_tags(root=root)
-                med, q25, q75 = median_with_iqr(pts.rates())
-                per_qubit.append(QubitCriticality(
-                    arch=arch.label, root=root,
-                    role=roles.get(root, "-"),
-                    median_ler=med, q25=q25, q75=q75))
-            out.append(ArchitectureData(
-                code_label=code.label, arch_label=arch.label,
-                swap_count=swap_count, per_qubit=per_qubit))
+    for code, arch in distinct((r.task.code, r.task.arch) for r in results):
+        sub = results.filter_tags(code=code.label, arch=arch.label)
+        roles = initial_layout_roles(code, arch)
+        roots = sorted({int(dict(r.task.tags)["root"]) for r in sub})
+        per_qubit = []
+        for root in roots:
+            pts = sub.filter_tags(root=root)
+            med, q25, q75 = median_with_iqr(pts.rates())
+            per_qubit.append(QubitCriticality(
+                arch=arch.label, root=root,
+                role=roles.get(root, "-"),
+                median_ler=med, q25=q25, q75=q75))
+        out.append(ArchitectureData(
+            code=code, arch=arch, swap_count=sub[0].swap_count,
+            per_qubit=per_qubit))
     return out
 
 
-def index_correlation(data: ArchitectureData) -> float:
-    """Spearman correlation between root index and median LER.
-
-    Observation VII predicts a *negative* value: higher-indexed (later
-    used) qubits suffer lower medians.
-    """
-    from scipy.stats import spearmanr
-
-    roots = [q.root for q in data.per_qubit]
-    lers = [q.median_ler for q in data.per_qubit]
-    if len(roots) < 3:
-        return float("nan")
-    rho, _ = spearmanr(roots, lers)
-    return float(rho)
+def report(data: Sequence[ArchitectureData]) -> Report:
+    """The architecture table ``repro fig8`` prints, then every
+    injection point's median."""
+    rows = [d.to_row() for d in data]
+    per_qubit = [{"code": d.code_label, "arch": d.arch_label,
+                  "qubit": q.root, "role": q.role,
+                  "median_ler": q.median_ler}
+                 for d in data for q in d.per_qubit]
+    return Report(
+        ascii_table(rows, title="Fig. 8 — logical error by architecture"),
+        rows,
+        "\n" + ascii_table(per_qubit, title="Per-qubit criticality"))
 
 
-def first_use_correlation(code: CodeSpec, arch: ArchSpec,
-                          data: ArchitectureData) -> float:
+def first_use_correlation(data: ArchitectureData) -> float:
     """Spearman correlation between a root's *first-use gate index* in
     the transpiled circuit and its median LER.
 
@@ -194,8 +189,8 @@ def first_use_correlation(code: CodeSpec, arch: ArchSpec,
     """
     from scipy.stats import spearmanr
 
-    experiment, _, _ = _prepared(code, DEFAULT_ROUNDS, "Z", arch, "best",
-                                 "mwpm", "ancilla")
+    experiment, _, _ = _prepared(data.code, DEFAULT_ROUNDS, "Z", data.arch,
+                                 "best", "mwpm", "ancilla")
     first_use: Dict[int, int] = {}
     for gi, gate in enumerate(experiment.circuit):
         for q in gate.qubits:

@@ -37,10 +37,9 @@ from ..detect import (
 from ..detect.recovery import RECOVERY_POLICIES
 from ..frames import FrameSimulator, compile_frame_program
 from ..injection import Campaign, InjectionTask
-from ..injection.results import wilson_interval
+from ..injection.results import ResultSet, wilson_interval
 from ..injection.spec import CodeSpec, FaultSpec
 from ..noise import DepolarizingNoise, NoiseModel, RadiationEvent
-from .common import execute
 
 #: Detection-scenario defaults: a long memory so the strike has a
 #: genuine pre/post window, struck mid-run at the lattice centre.
@@ -162,9 +161,10 @@ def build_campaign(shots: int = 2048, distance: int = DEFAULT_DISTANCE,
     return Campaign(tasks, root_seed=root_seed)
 
 
-def policy_rows(results) -> List[Dict[str, object]]:
+def analyze(results: ResultSet) -> List[Dict[str, object]]:
+    """The policy panel: one row per ``detect`` result."""
     rows = []
-    for r in results:
+    for r in results.filter_tags(fig="detect"):
         lo, hi = wilson_interval(r.errors, r.shots)
         rows.append({"policy": dict(r.task.tags)["policy"],
                      "decoder": r.task.decoder.label,
@@ -172,28 +172,3 @@ def policy_rows(results) -> List[Dict[str, object]]:
                      "ler": r.logical_error_rate,
                      "ler_lo": lo, "ler_hi": hi})
     return rows
-
-
-def run(shots: int = 1024, distance: int = DEFAULT_DISTANCE,
-        rounds: int = DEFAULT_ROUNDS,
-        strike_round: int = DEFAULT_STRIKE_ROUND,
-        intensity: float = 1.0, decoder: str = "mwpm",
-        store=None, adaptive=None,
-        chunk_shots: Optional[int] = None, backend: Optional[str] = None,
-        workers: Optional[int] = None
-        ) -> Tuple[List[RocPoint], List[Dict[str, object]]]:
-    """Both panels at one call (the ``repro detect`` CLI entry).
-
-    ``backend`` is accepted for engine-flag uniformity; the policy
-    campaign pins ``frames`` regardless (the only backend fast enough
-    for detection-scale batches) unless an override is passed.
-    """
-    roc = roc_series(shots=shots, distance=distance, rounds=rounds,
-                     strike_round=strike_round)
-    campaign = build_campaign(shots=shots, distance=distance, rounds=rounds,
-                              strike_round=strike_round, intensity=intensity,
-                              decoder=decoder)
-    results = execute(campaign, store=store, adaptive=adaptive,
-                      chunk_shots=chunk_shots,
-                      backend=backend, workers=workers)
-    return roc, policy_rows(results)

@@ -1,10 +1,11 @@
 """Headline observation checks (paper Observations I-VIII).
 
-Consumes the figure campaigns' outputs and evaluates every qualitative
-claim of the paper, producing the paper-vs-measured rows of the
-``repro headline`` table.  Each check is a *shape* assertion — orderings, trends,
-crossovers — rather than an absolute-number comparison (our substrate
-is a simulator stack, not the authors' exact qtcodes/Qiskit versions).
+Runs Figs. 5-8 as one campaign, analyses each figure's share of the
+results and evaluates every qualitative claim of the paper, producing
+the paper-vs-measured rows of the ``repro headline`` table.  Each check
+is a *shape* assertion — orderings, trends, crossovers — rather than an
+absolute-number comparison (our substrate is a simulator stack, not the
+authors' exact qtcodes/Qiskit versions).
 """
 
 from __future__ import annotations
@@ -15,9 +16,14 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..analysis.landscape import Landscape
+from ..analysis.report import ascii_table
+from ..injection import Campaign
+from ..injection.results import ResultSet
+from . import fig5_landscape, fig6_distance, fig7_spread, fig8_architecture
+from .common import Report
 from .fig6_distance import DistanceRow, bitflip_advantage
 from .fig7_spread import SpreadData
-from .fig8_architecture import ArchitectureData, index_correlation
+from .fig8_architecture import ArchitectureData, first_use_correlation
 
 
 @dataclass
@@ -157,25 +163,9 @@ def check_observation_7(arch_data: Sequence[ArchitectureData]
     noise — we require the *direction* (negative mean correlation), and
     the ``repro headline`` table reports the measured magnitude.
     """
-    from ..injection.spec import ArchSpec, CodeSpec
-    from .fig8_architecture import first_use_correlation
-
-    def spec_of(d: ArchitectureData):
-        kind, dist = d.code_label.split("-(")
-        dz, dx = dist.rstrip(")").split(",")
-        code = CodeSpec(kind, (int(dz), int(dx)))
-        label = d.arch_label
-        if label.startswith(("mesh-", "linear-", "complete-")):
-            name, args = label.split("-", 1)
-            arch = ArchSpec(name, tuple(int(x) for x in args.split("x")))
-        else:
-            arch = ArchSpec(label)
-        return code, arch
-
     rhos = []
     for d in arch_data:
-        code, arch = spec_of(d)
-        rho = first_use_correlation(code, arch, d)
+        rho = first_use_correlation(d)
         if np.isfinite(rho):
             rhos.append(rho)
     mean_rho = float(np.mean(rhos)) if rhos else float("nan")
@@ -242,3 +232,32 @@ def check_all(landscapes: Optional[Dict[str, Landscape]] = None,
         checks.append(check_observation_7(arch_data))
         checks.append(check_observation_8(arch_data))
     return checks
+
+
+def build_campaign(shots: int = 800) -> Campaign:
+    """Figs. 5-8 as one campaign (Fig. 8 at ``max(200, shots // 2)``).
+
+    Each figure's tasks are seeded by its own campaign first, so every
+    point keeps the seed — and the store key — it has when that figure
+    runs alone.
+    """
+    campaigns = (fig5_landscape.build_campaign(shots=shots),
+                 fig6_distance.build_campaign(shots=shots),
+                 fig7_spread.build_campaign(shots=shots),
+                 fig8_architecture.build_campaign(shots=max(200, shots // 2)))
+    return Campaign([t for c in campaigns for t in c._seeded()])
+
+
+def analyze(results: ResultSet) -> List[ObservationCheck]:
+    """Every observation the figures in ``results`` carry data for."""
+    return check_all(fig5_landscape.analyze(results),
+                     fig6_distance.analyze(results),
+                     fig7_spread.analyze(results),
+                     fig8_architecture.analyze(results))
+
+
+def report(checks: Sequence[ObservationCheck]) -> Report:
+    """The ``repro headline`` table."""
+    rows = [c.to_row() for c in checks]
+    return Report(ascii_table(
+        rows, title="Paper observations I-VIII — paper vs measured"), rows)

@@ -12,11 +12,12 @@ guidance in the spirit of the paper's RQ3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..injection import Campaign, InjectionTask
+from ..injection.results import ResultSet
 from ..injection.spec import ArchSpec, CodeSpec, FaultSpec
-from .common import DEFAULT_P, execute
+from .common import DEFAULT_P, distinct
 
 #: Round counts swept (paper value: 2).
 ROUND_COUNTS: Tuple[int, ...] = (1, 2, 3, 4, 6)
@@ -53,15 +54,11 @@ class RoundsRow:
                 "strike_ler": self.strike_ler}
 
 
-def run(shots: int = 1000, rounds_list: Sequence[int] = ROUND_COUNTS,
-        store=None, adaptive=None, chunk_shots: Optional[int] = None,
-        workers: Optional[int] = None) -> List[RoundsRow]:
-    results = execute(build_campaign(shots=shots, rounds_list=rounds_list),
-                      store=store, adaptive=adaptive,
-                      chunk_shots=chunk_shots,
-                      workers=workers)
+def analyze(results: ResultSet) -> List[RoundsRow]:
+    """One row per round count of the ``rounds`` results."""
+    results = results.filter_tags(fig="rounds")
     rows = []
-    for rounds in rounds_list:
+    for rounds in distinct(r.task.rounds for r in results):
         sub = results.filter_tags(rounds=rounds)
         noise = sub.filter_tags(scenario="noise-only")
         strike = sub.filter_tags(scenario="strike")

@@ -589,7 +589,7 @@ class Campaign:
     Parameters
     ----------
     tasks:
-        Initial task list (more can be added).
+        The task list.
     root_seed:
         Seeds every task missing an explicit non-zero seed, derived
         per-index via ``SeedSequence`` so the campaign is reproducible
@@ -606,12 +606,6 @@ class Campaign:
         self.tasks: List[InjectionTask] = list(tasks or [])
         self.root_seed = int(root_seed)
         self.workers = None if workers is None else int(workers)
-
-    def add(self, task: InjectionTask) -> None:
-        self.tasks.append(task)
-
-    def extend(self, tasks: Iterable[InjectionTask]) -> None:
-        self.tasks.extend(tasks)
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -709,7 +703,8 @@ class Campaign:
             if mon is not None:
                 # Campaign boundary, not session end: force a telemetry
                 # snapshot/redraw but leave the ambient session open
-                # (headline runs several campaigns in one session).
+                # (scripts/run_all_experiments.py runs one campaign per
+                # figure in one session).
                 mon.campaign_end()
 
     def _run(self, mon, chunk_shots, adaptive, resume, backend, recovery,

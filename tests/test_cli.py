@@ -47,10 +47,33 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    @pytest.mark.parametrize("fig", ["fig3", "fig4"])
+    def test_analytic_figures_take_no_shots(self, fig, capsys):
+        """fig3/fig4 run no campaign, so a --shots flag would be inert."""
+        with pytest.raises(SystemExit) as exc:
+            main([fig, "--shots", "100"])
+        assert exc.value.code == 2
+
     def test_help(self):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+
+@pytest.mark.slow
+class TestFigureCommands:
+    @pytest.mark.parametrize("command",
+                             ["fig5", "fig6", "fig7", "fig8", "headline"])
+    def test_runs_and_writes_csv(self, command, capsys, tmp_path):
+        csv_path = tmp_path / f"{command}.csv"
+        assert main([command, "--shots", "16", "-j", "1", "--quiet",
+                     "--csv", str(csv_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"written to {csv_path}]" in out
+        lines = csv_path.read_text().splitlines()
+        assert len(lines) > 1
+        if command == "headline":
+            assert len(lines) == 1 + 8  # header + Observations I-VIII
 
 
 class TestCampaignCommand:

@@ -96,8 +96,9 @@ class TestFig5Small:
         # Tiny configuration: one code, two p values, all time samples.
         configs = ((CodeSpec("repetition", (3, 1)), ArchSpec("mesh", (2, 3)),
                     1),)
-        return fig5_landscape.run(shots=120, p_values=(1e-8, 1e-1),
-                                  configs=configs, workers=2)
+        return fig5_landscape.analyze(fig5_landscape.build_campaign(
+            shots=120, p_values=(1e-8, 1e-1), configs=configs
+        ).run(workers=2))
 
     def test_shape(self, landscapes):
         ls = landscapes["repetition-(3,1)"]
@@ -123,7 +124,8 @@ class TestFig5Small:
 @pytest.mark.slow
 class TestFig6Small:
     def test_rows_structure(self):
-        rows = fig6_distance.run(shots=60, workers=4, max_roots=2)
+        rows = fig6_distance.analyze(fig6_distance.build_campaign(
+            shots=60, max_roots=2).run(workers=4))
         families = {(r.family, r.distance) for r in rows}
         assert ("repetition", (3, 1)) in families
         assert ("xxzz", (3, 3)) in families
@@ -131,7 +133,8 @@ class TestFig6Small:
             assert 0.0 <= r.median_ler <= 1.0
 
     def test_bitflip_advantage_pairs(self):
-        rows = fig6_distance.run(shots=60, workers=4, max_roots=2)
+        rows = fig6_distance.analyze(fig6_distance.build_campaign(
+            shots=60, max_roots=2).run(workers=4))
         adv = fig6_distance.bitflip_advantage(rows)
         assert len(adv) == 2
 
@@ -140,8 +143,8 @@ class TestFig6Small:
 class TestFig7Small:
     def test_spread_data(self):
         configs = ((CodeSpec("repetition", (5, 1)), (1, 3, 6)),)
-        data = fig7_spread.run(shots=80, samples_per_size=2,
-                               configs=configs, workers=4)
+        data = fig7_spread.analyze(fig7_spread.build_campaign(
+            shots=80, samples_per_size=2, configs=configs).run(workers=4))
         d = data[0]
         assert d.sizes == [1, 3, 6]
         assert 0 <= d.radiation_ler <= 1
@@ -166,9 +169,8 @@ class TestFig8Small:
     def arch_data(self):
         configs = ((CodeSpec("repetition", (3, 1)),
                     (ArchSpec("mesh", (2, 3)), ArchSpec("linear", (6,)))),)
-        return fig8_architecture.run(shots=60, configs=configs,
-                                     time_indices=(0, 5),
-                                     workers=4)
+        return fig8_architecture.analyze(fig8_architecture.build_campaign(
+            shots=60, configs=configs, time_indices=(0, 5)).run(workers=4))
 
     def test_panels(self, arch_data):
         assert len(arch_data) == 2
@@ -184,6 +186,31 @@ class TestFig8Small:
     def test_row_rendering(self, arch_data):
         row = arch_data[0].to_row()
         assert set(row) >= {"code", "arch", "swaps", "median_ler"}
+
+
+@pytest.mark.slow
+class TestHeadlineCampaign:
+    def test_one_campaign_matches_the_figure_campaigns(self):
+        """Headline runs Figs. 5-8 as one campaign: every point keeps
+        the seed, shots and errors it gets in its own figure's run (a
+        re-seed under one root seed would move them), and the
+        observation rows are the ones the separate runs give."""
+        shots = 16
+        combined = headline.build_campaign(shots=shots).run(workers=2)
+        figures = (fig5_landscape, fig6_distance, fig7_spread,
+                   fig8_architecture)
+        separate = [
+            fig.build_campaign(shots=shots if fig is not fig8_architecture
+                               else max(200, shots // 2)).run(workers=2)
+            for fig in figures]
+        alone = [(r.task.seed, r.shots, r.errors)
+                 for results in separate for r in results]
+        assert [(r.task.seed, r.shots, r.errors) for r in combined] == alone
+        checks = headline.check_all(*(fig.analyze(results) for fig, results
+                                      in zip(figures, separate)))
+        assert [c.to_row() for c in headline.analyze(combined)] \
+            == [c.to_row() for c in checks]
+        assert len(checks) == 8
 
 
 @pytest.mark.slow

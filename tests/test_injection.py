@@ -151,10 +151,8 @@ class TestCampaign:
         rs = Campaign([t]).run(workers=1)
         assert rs[0].task.seed == 12345
 
-    def test_extend_and_len(self):
-        c = Campaign()
-        c.extend(self.make_tasks(3))
-        c.add(self.make_tasks(1)[0])
+    def test_len(self):
+        c = Campaign(self.make_tasks(3) + self.make_tasks(1))
         assert len(c) == 4
 
 

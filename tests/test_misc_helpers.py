@@ -48,8 +48,8 @@ class TestAsciiHeatmap:
 
 class TestRoundsAblation:
     def test_small_sweep(self):
-        rows = rounds_ablation.run(shots=80, rounds_list=(1, 2),
-                                   workers=2)
+        rows = rounds_ablation.analyze(rounds_ablation.build_campaign(
+            shots=80, rounds_list=(1, 2)).run(workers=2))
         assert [r.rounds for r in rows] == [1, 2]
         for r in rows:
             assert 0.0 <= r.noise_only_ler <= 1.0
