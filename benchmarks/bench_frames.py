@@ -16,8 +16,7 @@ import pytest
 from conftest import bench_bar, bench_report, best_of
 
 from repro.codes import XXZZCode, build_memory_experiment
-from repro.frames import (FrameSimulator, _native, compile_frame_program,
-                          run_batch_frames)
+from repro.frames import FrameSimulator, _native, compile_frame_program
 from repro.frames import program as frames_program
 from repro.noise import (
     DepolarizingNoise,
@@ -290,7 +289,19 @@ def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
             out = inner(*args)
             spent[name] += time.perf_counter() - t0
             return out
-        return run
+
+        def units(*args):
+            # fuse_layers yields its units as encode_ops writes them:
+            # time each step here, and take it out of encoding's share.
+            steps = inner(*args)
+            while True:
+                t0 = time.perf_counter()
+                unit = next(steps, None)
+                spent[name] += time.perf_counter() - t0
+                if unit is None:
+                    return
+                yield unit
+        return units if name == "fuse_layers" else run
 
     def compile_once():
         return frames_program.frame_structure(experiment.circuit, noise,
@@ -309,6 +320,7 @@ def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
                 compile_once()
                 times.append(time.perf_counter() - t0)
         split = {name: 1e3 * spent[name] / reps for name in parts}
+        split["encode_ops"] -= split["fuse_layers"]
         return 1e3 * sum(times) / reps, split
 
     native = compile_once()
@@ -516,7 +528,8 @@ def test_frames_vs_tableau_speedup(benchmark, d5_experiment, d5_noise,
     circuit = d5_experiment.circuit
     t0 = time.perf_counter()
     benchmark.pedantic(
-        lambda: run_batch_frames(circuit, d5_noise, SHOTS, rng=5),
+        lambda: run_batch_noisy(circuit, d5_noise, SHOTS, rng=5,
+                                backend="frames"),
         rounds=1, iterations=1)
     frames_s = time.perf_counter() - t0
     frames_sps = SHOTS / frames_s
@@ -543,7 +556,8 @@ def test_frames_statistics_match_tableau(d5_experiment, d5_noise):
     """Sanity riding along with the bench: the two backends agree on the
     raw readout error rate within loose statistical bounds."""
     circuit = d5_experiment.circuit
-    rec_f = run_batch_frames(circuit, d5_noise, 4096, rng=7)
+    rec_f = run_batch_noisy(circuit, d5_noise, 4096, rng=7,
+                            backend="frames")
     rec_t = run_batch_noisy(circuit, d5_noise, 1024, rng=8,
                             backend="tableau")
     raw_f = np.mean(d5_experiment.raw_readout(rec_f)

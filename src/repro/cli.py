@@ -723,7 +723,7 @@ def _add_engine_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_backend_option(sub: argparse.ArgumentParser) -> None:
-    from .frames.backend import BACKENDS
+    from .noise.executor import BACKENDS
 
     sub.add_argument("--backend", type=str, default=None,
                      choices=BACKENDS,

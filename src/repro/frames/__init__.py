@@ -10,11 +10,11 @@ shots packed per ``uint64`` word.
   reference seeds through :meth:`FrameStructure.reseed`) followed by
   :meth:`FrameStructure.bind`.
 * :class:`FrameSimulator` — bit-packed frame propagation.
-* :func:`run_batch_frames` — drop-in counterpart of
-  :func:`repro.noise.executor.run_batch_noisy`.
+
+:func:`repro.noise.executor.run_batch_noisy` with ``backend="frames"``
+composes the two for one batch.
 """
 
-from .backend import BACKENDS, run_batch_frames, validate_backend
 from .packing import (
     bernoulli_words,
     column_counts,
@@ -29,13 +29,11 @@ from .program import (
     FrameStructure,
     compile_frame_program,
     frame_structure,
-    fuse_layers,
     site_signature,
 )
 from .simulator import FrameSimulator
 
 __all__ = [
-    "BACKENDS",
     "FrameProgram",
     "FrameSimulator",
     "FrameStructure",
@@ -43,13 +41,10 @@ __all__ = [
     "column_counts",
     "compile_frame_program",
     "frame_structure",
-    "fuse_layers",
     "pack_bool",
     "popcount_words",
     "random_words",
-    "run_batch_frames",
     "site_signature",
     "unpack_words",
-    "validate_backend",
     "words_for",
 ]

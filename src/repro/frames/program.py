@@ -12,8 +12,10 @@ tableau, recording every measurement's outcome and whether it took the
 random-outcome CHP branch (some stabilizer anticommutes with the
 measured ``Z``), and answering at every fault-reset site whether the
 qubit holds a definite ``Z`` value there, and which.  The one Python
-walk of :func:`frame_structure` builds the scalar op list and, beside
-it, a flat int64 *reference stream*: an opcode (``REF_*``) and its
+walk of :func:`frame_structure` builds a list of scalar op tuples,
+which :func:`fuse_layers` schedules and :func:`encode_ops` writes as
+``code`` — the program's one compiled form — and, beside it, a flat
+int64 *reference stream*: an opcode (``REF_*``) and its
 qubits per gate — the Paulis too, which move reference signs but no
 frame — and the *noise entries*, in walk order: one ``REF_QUERY`` per
 fault-reset site, one ``REF_DEPOLARIZE`` per depolarize site and one
@@ -67,8 +69,8 @@ bit-packed sampler:
   ``OP_FLIP``: ``u < p`` toggles the frame's X (or Z) bit (exact).
 
 **Depolarize draws.**  A depolarize site draws its own uniform row —
-one double per shot, ``u < p`` fires it — where it stands in the op
-list; a fused layer draws its rows in site order.  No draw is shared
+one double per shot, ``u < p`` fires it — where it stands in the
+program; a fused layer draws its rows in site order.  No draw is shared
 between ops, so the executors run any op range of a program
 (``run_packed``'s ``start``/``stop``, the splitting sampler's
 segments) exactly as the whole program runs those ops.
@@ -77,14 +79,14 @@ segments) exactly as the whole program runs those ops.
 model only through *which sites fire* — never on how probable they
 are — so compilation is two steps.  :func:`frame_structure` does the
 expensive one: the reference pass, the Z-determinacy of every fault
-reset site and fusion, over one op list whose noise ops carry *site
-numbers* — the structure's op list, built once, holding neither a
-probability nor a reference answer.  :meth:`FrameStructure.bind` does
-the cheap one: it reads every site's probability off a noise model
-with the same site signature (:func:`site_signature`) in one gather
-(``site_source``) into the program's ``probabilities``; the program
-shares the op list, ``code`` and every index array — read-only — with
-all programs bound from the structure.  :func:`compile_frame_program`
+reset site, fusion and encoding, into a ``code`` whose noise ops carry
+*site numbers* — built once, holding no probability.
+:meth:`FrameStructure.bind` does the cheap one: it reads every site's
+probability off a noise model with the same site signature
+(:func:`site_signature`) in one gather (``site_source``) into the
+program's ``probabilities``; the program shares ``code`` and every
+index array — read-only — with all programs bound from the
+structure.  :func:`compile_frame_program`
 is the two composed; a sweep whose points share a circuit and differ
 in strike root, time sample or ``p`` compiles one structure and binds
 it per point (:func:`repro.injection.campaign._frame_program`).
@@ -100,7 +102,7 @@ not operands of an op — and :func:`frame_structure` notes each
 answer's word (``answer_slots``) and writes the answers through the
 path :meth:`FrameStructure.reseed` takes for any later seed: the pass
 runs again, and only ``code``, ``reference_record``, ``random_cbits``
-and the reset counts are rebuilt; the op list is shared.  A reseeded
+and the reset counts are rebuilt; every other array is shared.  A reseeded
 structure is the one a compile at that seed gives, down to the
 generator's state; a sweep over task seeds on one circuit compiles
 once and reseeds per point.  An importance-
@@ -114,7 +116,7 @@ probability.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -122,42 +124,40 @@ from .. import obs
 from ..circuits import Circuit, GateType
 from ..noise.base import DEPOLARIZE, FLIP, NoiseModel, SiteTable
 
-#: Frame-propagation opcodes (ints for cheap dispatch).
+#: Frame-propagation opcodes (ints for cheap dispatch).  A scalar op is
+#: the tuple the walk builds; its words in ``code`` are the tuple's, plus
+#: an answer word for a measure and a fault reset.
 OP_H = 0            # (OP_H, qubit)
 OP_S = 1            # (OP_S, qubit) — S and SDG propagate frames identically
 OP_CX = 2           # (OP_CX, control, target)
 OP_CZ = 3           # (OP_CZ, a, b)
 OP_SWAP = 4         # (OP_SWAP, a, b)
-OP_MEASURE = 5      # (OP_MEASURE, qubit, cbit) — its reference bit is
-                    # a word of ``code`` only
+OP_MEASURE = 5      # (OP_MEASURE, qubit, cbit), then its reference bit
 OP_RESET = 6        # (OP_RESET, qubit) — circuit reset (in the reference too)
 OP_DEPOLARIZE = 7   # (OP_DEPOLARIZE, qubit, site)
-OP_RESET_NOISE = 8  # (OP_RESET_NOISE, qubit, site) — fault reset; its
-                    # x_value is a word of ``code`` only
+OP_RESET_NOISE = 8  # (OP_RESET_NOISE, qubit, site), then its x_value
 OP_FLIP = 9         # (OP_FLIP, qubit, site, 0 for X or 1 for Z)
 
-#: Fused-layer opcodes: a group of qubit-disjoint same-type ops
-#: collapsed into one vectorised (len(layer), W) kernel sweep.  See
+#: Fused-layer opcodes: a unit of ``k`` qubit-disjoint scalar ops of one
+#: opcode, run as one vectorised (k, W) kernel sweep.  Its words are the
+#: layer opcode, ``k``, then each operand column of the scalar ops in
+#: turn (``k`` words each; a measure layer's reference bits last).  See
 #: :func:`fuse_layers` for why fused programs sample bit-identically to
 #: their scalar form.
-OP_H_LAYER = 10          # (OP_H_LAYER, qubit_array)
-OP_S_LAYER = 11          # (OP_S_LAYER, qubit_array)
-OP_CX_LAYER = 12         # (OP_CX_LAYER, control_array, target_array)
-OP_CZ_LAYER = 13         # (OP_CZ_LAYER, a_array, b_array)
-OP_SWAP_LAYER = 14       # (OP_SWAP_LAYER, a_array, b_array)
-OP_MEASURE_LAYER = 15    # (OP_MEASURE_LAYER, qubit_array, cbit_array) —
-                         # reference bits in ``code`` only
-OP_RESET_LAYER = 16      # (OP_RESET_LAYER, qubit_array)
-OP_DEPOLARIZE_LAYER = 17  # (OP_DEPOLARIZE_LAYER, qubit_array, site_array)
+OP_H_LAYER = 10          # qubits
+OP_S_LAYER = 11          # qubits
+OP_CX_LAYER = 12         # controls, targets
+OP_CZ_LAYER = 13         # a, b
+OP_SWAP_LAYER = 14       # a, b
+OP_MEASURE_LAYER = 15    # qubits, cbits, reference bits
+OP_RESET_LAYER = 16      # qubits
+OP_DEPOLARIZE_LAYER = 17  # qubits, sites
 
 #: Scalar opcode → its fused-layer twin.
 _LAYER_OF = {OP_H: OP_H_LAYER, OP_S: OP_S_LAYER, OP_CX: OP_CX_LAYER,
              OP_CZ: OP_CZ_LAYER, OP_SWAP: OP_SWAP_LAYER,
              OP_MEASURE: OP_MEASURE_LAYER, OP_RESET: OP_RESET_LAYER,
              OP_DEPOLARIZE: OP_DEPOLARIZE_LAYER}
-
-#: Every fused-layer opcode.
-LAYER_OPS = frozenset(_LAYER_OF.values())
 
 #: Opcode → profiler kernel-bucket name (:mod:`repro.obs.prof`):
 #: scalar kinds plus their ``.fused`` layer twins, so the profile
@@ -183,6 +183,9 @@ _QUBIT_ARITY = {OP_H: 1, OP_S: 1, OP_CX: 2, OP_CZ: 2, OP_SWAP: 2,
                 OP_MEASURE: 1, OP_RESET: 1, OP_DEPOLARIZE: 1,
                 OP_RESET_NOISE: 1, OP_FLIP: 1}
 
+#: Opcodes whose second operand is a site number.
+_SITE_OPS = frozenset({OP_DEPOLARIZE, OP_RESET_NOISE, OP_FLIP})
+
 _OBS_COMPILES = obs.counter("frames.compiles")
 _OBS_BINDS = obs.counter("frames.binds")
 _OBS_RESEEDS = obs.counter("frames.reseeds")
@@ -190,22 +193,21 @@ _OBS_RESEEDS = obs.counter("frames.reseeds")
 
 @dataclass
 class FrameProgram:
-    """Compiled frame program: a structure's one op list and ``code``,
-    plus this binding's per-site :attr:`probabilities` (and, tilted,
+    """Compiled frame program: a structure's ``code``, plus this
+    binding's per-site :attr:`probabilities` (and, tilted,
     :attr:`log_ratios`).
 
     Everything but those per-binding arrays is the :attr:`structure`'s
-    (the op list, ``code`` and the reference arrays of its seed), shared
+    (``code``, its op offsets and the reference arrays of its seed), shared
     with every other program bound from it: treat it as read-only.
     """
 
     num_qubits: int
     num_cbits: int
-    #: The structure's op list: noise ops carry site numbers, measures
-    #: and fault resets no answer.  The kernel reads :attr:`code`; the
-    #: list gives ``run_packed`` its op ranges and the tests' oracles
-    #: their ops.
-    ops: Sequence[Tuple]
+    #: The structure's :attr:`~FrameStructure.ops`: the word of
+    #: :attr:`code` each op starts at.  ``len(ops)`` is the op count,
+    #: and ``run_packed``'s op ranges index it.
+    ops: np.ndarray
     #: Reference measurement outcomes, indexed by cbit.
     reference_record: np.ndarray
     #: cbits whose reference measurement took the random-outcome branch.
@@ -219,7 +221,7 @@ class FrameProgram:
     twirled_reset_sites: int = 0
     #: Channels the program lowered (informational).
     num_channels: int = 0
-    #: Fused-layer ops in :attr:`ops` (feeds ``frames.fused_ops``).
+    #: Layer ops among :attr:`ops` (feeds ``frames.fused_ops``).
     fused_ops: int = 0
     #: The structure the program was bound from, which binds other noise
     #: models and tilts on its circuit too — for another task seed as it
@@ -227,10 +229,9 @@ class FrameProgram:
     #: a :meth:`~FrameStructure.reseed` at that seed.
     structure: Optional["FrameStructure"] = None
     #: What the native executor runs: the structure's :func:`encode_ops`
-    #: stream of :attr:`ops` with its seed's answers written in
-    #: (shared), and this binding's per-site probabilities.  ``None`` on
-    #: a program put together by hand, which the simulator then
-    #: refuses.
+    #: stream with its seed's answers written in (shared), and this
+    #: binding's per-site probabilities.  ``None`` on a program put
+    #: together by hand, which the simulator then refuses.
     code: Optional[np.ndarray] = None
     probabilities: Optional[np.ndarray] = None
     #: ``(2, sites)``: each site's log-likelihood ratios where it fires
@@ -263,10 +264,10 @@ class FrameStructure:
 
     num_qubits: int
     num_cbits: int
-    #: The scheduled op list, seed- and binding-free: noise ops carry
-    #: site numbers, measures and fault resets no answer.  Every
+    #: Per op, its first word in :attr:`code` (int64, read-only), from
+    #: :func:`encode_ops`: seed- and binding-free, so every
     #: :meth:`reseed` and every :meth:`bind` shares it.
-    ops: Tuple[Tuple, ...]
+    ops: np.ndarray
     #: Per site, where its probability sits in the noise model's
     #: concatenated, flattened channel site tables (read-only): what
     #: :meth:`bind` gathers.
@@ -283,8 +284,8 @@ class FrameStructure:
     exact_reset_sites: int
     twirled_reset_sites: int
     fused_ops: int
-    #: :func:`encode_ops` of :attr:`ops` with this seed's answers
-    #: written in, shared by every bound program.
+    #: The :func:`encode_ops` stream with this seed's answers written
+    #: in, shared by every bound program: noise ops carry site numbers.
     code: np.ndarray
     #: The int64 reference stream the walk wrote (read-only): what
     #: :meth:`reseed` runs the reference pass over again, and what the
@@ -357,8 +358,8 @@ class FrameStructure:
     def bind(self, noise: Optional[NoiseModel], tilt=None) -> FrameProgram:
         """The program of ``noise`` on this structure: every site's
         probability gathered off ``noise``'s site tables into
-        :attr:`FrameProgram.probabilities`; the op list and ``code`` are
-        this structure's.
+        :attr:`FrameProgram.probabilities`; ``code`` and :attr:`ops`
+        are this structure's.
 
         ``noise`` must fire at the sites the structure was compiled
         for (equal :func:`site_signature`); the result then equals a
@@ -413,20 +414,12 @@ class FrameStructure:
 _MIN_RNG_LAYER = 4
 
 
-def _emit_group(code: int, group: List[Tuple], out: List[Tuple]) -> None:
-    """Append one scheduled same-opcode group as a scalar or layer op:
-    a layer holds each operand of its ops as one index array."""
-    if len(group) == 1 or (code in _RNG_OPS and len(group) < _MIN_RNG_LAYER):
-        out.extend(group)
-        return
-    _, *operands = zip(*group)
-    out.append((_LAYER_OF[code],) + tuple(
-        np.array(column, dtype=np.intp) for column in operands))
-
-
-def fuse_layers(ops: List[Tuple]) -> List[Tuple]:
+def fuse_layers(ops: List[Tuple]) -> Iterator[List[Tuple]]:
     """Reschedule a scalar structure op list (noise ops carrying site
-    numbers) into fused ``(k, W)`` kernel sweeps.
+    numbers) into *units* for :func:`encode_ops`: lists of scalar ops,
+    where a unit of more than one op is a fused ``(k, W)`` kernel sweep.
+    The units are yielded as they are scheduled, so each is written
+    and dropped before the next is built.
 
     Per-gate execution costs one numpy dispatch per frame row — the
     dominant cost at campaign block sizes, where a row is all of eight
@@ -450,8 +443,6 @@ def fuse_layers(ops: List[Tuple]) -> List[Tuple]:
     scheduling, not approximation.
     """
     n = len(ops)
-    if n < 2:
-        return list(ops)
     succ: List[List[int]] = [[] for _ in range(n)]
     indeg = [0] * n
     last_on_qubit: dict = {}
@@ -470,7 +461,6 @@ def fuse_layers(ops: List[Tuple]) -> List[Tuple]:
                 indeg[i] += 1
             last_rng = i
 
-    out: List[Tuple] = []
     ready_cliff: List[int] = []   # program-order indices, kept sorted
     ready_rng = -1                # at most one (the rng chain head)
 
@@ -498,8 +488,7 @@ def fuse_layers(ops: List[Tuple]) -> List[Tuple]:
             by_code: dict = {}
             for i in batch:
                 by_code.setdefault(ops[i][0], []).append(ops[i])
-            for code, group in by_code.items():
-                _emit_group(code, group, out)
+            yield from by_code.values()
             emitted += len(batch)
             for i in batch:
                 release(i)
@@ -527,104 +516,91 @@ def fuse_layers(ops: List[Tuple]) -> List[Tuple]:
                 ready_rng = -1
                 emitted += 1
                 release(j)
-            _emit_group(code, group, out)
-    return out
+            # A unit per op where a layer of rng ops would not pay.
+            if 1 < len(group) < _MIN_RNG_LAYER:
+                yield from ([op] for op in group)
+            else:
+                yield group
 
 
 #: Words in front of an :func:`encode_ops` stream's first op.
 CODE_HEADER = 3
 
 
-def encode_ops(ops, num_qubits: int, num_cbits: int, num_sites: int,
-               slots: Optional[List[Tuple[int, int]]] = None
-               ) -> np.ndarray:
-    """Flatten a structure op list (noise ops carrying site numbers)
-    into the int64 stream ``_kernel.c`` executes.
+def encode_ops(units: Iterable[Sequence[Tuple]], num_qubits: int,
+               num_cbits: int, num_sites: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Write :func:`fuse_layers`' units (noise ops carrying site
+    numbers) as the int64 stream ``_kernel.c`` executes: the one
+    emitter of ``code``.
 
     The stream opens with the three bounds it was checked against —
     ``num_qubits, num_cbits, num_sites`` (:data:`CODE_HEADER` words) —
     which the simulator holds against its own arrays before every
-    run.  Then per op the opcode, and: scalar ops their operands;
-    layers their width ``k`` and each operand array in turn.  A
-    measure (each element of a measure layer) and a fault reset also
-    get an answer word — the reference bit, the ``x_value`` — written
-    blank (0) here and filled in by :meth:`FrameStructure.reseed`'s
-    path.
+    run.  Then per unit one op: a unit of one op is that op's tuple;
+    a longer unit is a layer — its ``_LAYER_OF`` opcode, its width
+    ``k``, then each operand column of its ops in turn.  A measure
+    (each element of a measure layer) and a fault reset also get an
+    answer word — the reference bit, the ``x_value`` — written blank
+    (0) here and filled in by :meth:`FrameStructure.reseed`'s path.
 
     Every qubit, cbit and site operand is checked against its range
     here, because the kernel indexes unchecked: an operand out of range
     is an ``IndexError`` before any run.
 
-    ``slots``, if given, receives one :attr:`FrameStructure.answer_slots`
-    row per answer word, in op order.
+    Returns ``code``; the first word of each op (:attr:`FrameStructure.
+    ops`); the :attr:`FrameStructure.answer_slots`, one row per answer
+    word in op order; and the number of layers — all read-only.
     """
     out: List[int] = [num_qubits, num_cbits, num_sites]
-    if slots is None:
-        slots = []
+    starts: List[int] = []
+    slots: List[Tuple[int, int]] = []
     qubits: List[int] = []
     cbits: List[int] = []
     sites: List[int] = []
-
-    def arrays(op, count: int) -> List[List[int]]:
-        lists = [np.asarray(a).tolist() for a in op[1:1 + count]]
-        if len({len(values) for values in lists}) != 1 or not lists[0]:
-            raise ValueError(f"ragged or empty layer op {op!r}")
-        return lists
-
-    for op in ops:
+    fused = 0
+    for unit in units:
+        op = unit[0]
         code = op[0]
-        out.append(code)
-        if code in (OP_H, OP_S, OP_RESET, OP_CX, OP_CZ, OP_SWAP):
-            qubits.extend(op[1:])
-            out.extend(op[1:])
-        elif code == OP_MEASURE:
-            qubits.append(op[1])
-            cbits.append(op[2])
-            out.extend((op[1], op[2], 0))
-            slots.append((len(out) - 1, op[2]))
-        elif code in (OP_DEPOLARIZE, OP_RESET_NOISE):
-            qubits.append(op[1])
-            sites.append(op[2])
-            out.extend((op[1], op[2]))
-            if code == OP_RESET_NOISE:
-                out.append(0)
-                slots.append((len(out) - 1, -1))
-        elif code == OP_FLIP:
-            qubits.append(op[1])
-            sites.append(op[2])
-            out.extend(op[1:])
-        elif code in (OP_H_LAYER, OP_S_LAYER, OP_RESET_LAYER,
-                      OP_CX_LAYER, OP_CZ_LAYER, OP_SWAP_LAYER):
-            lists = arrays(op, len(op) - 1)
-            out.append(len(lists[0]))
-            for values in lists:
-                qubits.extend(values)
-                out.extend(values)
-        elif code == OP_MEASURE_LAYER:
-            qs, cs = arrays(op, 2)
-            qubits.extend(qs)
-            cbits.extend(cs)
-            out.append(len(qs))
-            out.extend(qs + cs + [0] * len(qs))
-            first = len(out) - len(qs)
-            slots.extend((first + e, c) for e, c in enumerate(cs))
-        elif code == OP_DEPOLARIZE_LAYER:
-            qs, rows = arrays(op, 2)
-            qubits.extend(qs)
-            sites.extend(rows)
-            out.append(len(qs))
-            out.extend(qs + rows)
+        k = len(unit)
+        starts.append(len(out))
+        if k == 1:
+            out += op
+            operands = op[1:]
+        elif code in _LAYER_OF and all(o[0] == code for o in unit):
+            operands = [w for column in list(zip(*unit))[1:]
+                        for w in column]
+            out += (_LAYER_OF[code], k)
+            out += operands
+            fused += 1
         else:
+            raise ValueError(f"no layer encoding for unit {unit!r}")
+        arity = _QUBIT_ARITY.get(code)
+        if arity is None:
             raise ValueError(f"no native encoding for opcode {code!r}")
+        qubits += operands[:k * arity]
+        if code == OP_MEASURE:
+            cbits += operands[k:2 * k]
+            first = len(out)
+            out += [0] * k
+            slots += zip(range(first, first + k), operands[k:2 * k])
+        elif code in _SITE_OPS:
+            sites += operands[k:2 * k]
+            if code == OP_RESET_NOISE:
+                slots.append((len(out), -1))
+                out.append(0)
     for what, values, bound in (("qubit", qubits, num_qubits),
                                 ("cbit", cbits, num_cbits),
                                 ("site", sites, num_sites)):
         if values and not 0 <= min(values) <= max(values) < bound:
             raise IndexError(f"{what} operand outside [0, {bound}): "
                              f"{min(values)}..{max(values)}")
-    stream = np.array(out, dtype=np.int64)
-    stream.flags.writeable = False
-    return stream
+    arrays = (np.array(out, dtype=np.int64),
+              np.array(starts, dtype=np.int64),
+              np.array(slots, dtype=np.int64).reshape(-1, 2))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays + (fused,)
 
 
 #: Reference-stream opcodes (``_kernel.c``'s ``REF_*``): each entry is
@@ -677,8 +653,8 @@ def frame_structure(circuit: Circuit,
     expensive, probability-free half of :func:`compile_frame_program`
     (same arguments, same errors).
 
-    The ops carry no answer and encoding leaves every answer word of
-    ``code`` blank, noting where each goes; the answers are then
+    Encoding leaves every answer word of ``code`` blank, noting where
+    each goes; the answers are then
     written the way :meth:`FrameStructure.reseed` writes another
     seed's.
     """
@@ -730,19 +706,12 @@ def frame_structure(circuit: Circuit,
                     ops.append((OP_RESET_NOISE, c, site))
 
     # Fusion keeps the mutual order of the rng ops, so the answer words
-    # stay in stream order.
-    ops = fuse_layers(ops)
-    # Every reseed and bound program shares these arrays.
-    for op in ops:
-        for operand in op:
-            if isinstance(operand, np.ndarray):
-                operand.flags.writeable = False
-    slots: List[Tuple[int, int]] = []
-    code = encode_ops(ops, n, num_cbits, len(site_source), slots)
+    # stay in stream order.  Every reseed and bound program shares these
+    # arrays.
+    code, starts, answer_slots, fused = encode_ops(
+        fuse_layers(ops), n, num_cbits, len(site_source))
     reference_stream = np.array(stream, dtype=np.int64)
     reference_stream.flags.writeable = False
-    answer_slots = np.array(slots, dtype=np.int64).reshape(-1, 2)
-    answer_slots.flags.writeable = False
     source = np.array(site_source, dtype=np.intp)
     source.flags.writeable = False
     certain = np.array(draw_certain, dtype=np.uint8)
@@ -750,7 +719,7 @@ def frame_structure(circuit: Circuit,
     blank = FrameStructure(
         num_qubits=n,
         num_cbits=num_cbits,
-        ops=tuple(ops),
+        ops=starts,
         site_source=source,
         signature=tuple(t.key for t in tables),
         reference_record=np.zeros(num_cbits, dtype=np.uint8),
@@ -758,7 +727,7 @@ def frame_structure(circuit: Circuit,
         seeded=False,
         exact_reset_sites=0,
         twirled_reset_sites=0,
-        fused_ops=sum(1 for op in ops if op[0] in LAYER_OPS),
+        fused_ops=fused,
         code=code,
         reference_stream=reference_stream,
         answer_slots=answer_slots,

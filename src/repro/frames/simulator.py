@@ -180,7 +180,8 @@ class FrameSimulator:
         counters, whole-word XOR — without ever materialising per-shot
         uint8 records.
 
-        ``start``/``stop`` run only ``program.ops[start:stop]``, into
+        ``start``/``stop`` run only ops ``start .. stop`` (indices of
+        ``program.ops``, each op's first word in ``code``), into
         ``record_words`` if given: no draw spans two ops, so a range
         draws what it draws inside the whole program, and the splitting
         sampler (:mod:`repro.rare.split`) runs a program segment by

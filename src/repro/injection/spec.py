@@ -22,7 +22,7 @@ from ..codes import (
     build_memory_experiment,
 )
 from ..decoders.spec import DecoderSpec, as_decoder
-from ..frames.backend import validate_backend
+from ..noise.executor import validate_backend
 from ..rare.sampler import SamplerSpec, as_sampler
 
 

@@ -33,9 +33,20 @@ from .base import NoiseModel
 
 _OBS_NATIVE = obs.counter("stabilizer.native_blocks")
 
+#: Recognised backend selectors, shared by the executor, the campaign
+#: engine, the sweep spec and the CLI.
+BACKENDS = ("auto", "frames", "tableau")
+
 #: The profiler stages of a tableau walk, in ``_kernel.c``'s bucket order.
 _STAGES = ("tableau.gates", "tableau.measure_det", "tableau.measure_rand",
            "tableau.noise")
+
+
+def validate_backend(backend: str) -> str:
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    return backend
 
 
 def run_batch_noisy(circuit: Circuit, noise: Optional[NoiseModel],
@@ -64,8 +75,7 @@ def run_batch_noisy(circuit: Circuit, noise: Optional[NoiseModel],
     """
     # Imported lazily: repro.frames consumes this package's channel
     # types, so a module-level import would be circular.
-    from ..frames import (FrameSimulator, compile_frame_program,
-                          validate_backend)
+    from ..frames import FrameSimulator, compile_frame_program
 
     validate_backend(backend)
     if isinstance(rng, (int, np.integer)) or rng is None:

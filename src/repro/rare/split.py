@@ -46,11 +46,13 @@ from .sampler import SamplerSpec
 MAX_SCORE = 48
 
 
-def _measured_cbits(op) -> List[int]:
-    if op[0] == OP_MEASURE:
-        return [op[2]]
-    if op[0] == OP_MEASURE_LAYER:
-        return [int(c) for c in op[2]]
+def _measured_cbits(code: List[int], at: int) -> List[int]:
+    """The cbits the op at word ``at`` of ``code`` measures."""
+    if code[at] == OP_MEASURE:
+        return [code[at + 2]]
+    if code[at] == OP_MEASURE_LAYER:
+        k = code[at + 1]
+        return code[at + 2 + k:at + 2 + 2 * k]
     return []
 
 
@@ -81,8 +83,9 @@ def split_points(program: FrameProgram, experiment: MemoryExperiment,
     boundaries: List[Tuple[int, int]] = []   # (op_index, rounds_done)
     measured: set = set()
     want = 0
-    for i, op in enumerate(program.ops):
-        measured.update(_measured_cbits(op))
+    code = program.code.tolist()
+    for i, at in enumerate(program.ops.tolist()):
+        measured.update(_measured_cbits(code, at))
         while want < rounds - 1 and round_cbits[want] <= measured:
             boundaries.append((i + 1, want + 1))
             want += 1

@@ -7,7 +7,8 @@ plain Python or numpy statement of what each must compute lives here,
 and the tests compare the two bit for bit:
 
 * :mod:`oracles.frames` — the numpy frame executor
-  (:func:`~oracles.frames.exec_numpy`, one handler per op), which
+  (:func:`~oracles.frames.exec_numpy`, one handler per op of ``code``,
+  framed by :func:`~oracles.frames.decode` as the kernel frames it), which
   ``repro_frames_run`` must match in record words, frames, log-weights,
   depolarize counts and every lane's generator state; and the reference
   pass replayed on :class:`~repro.stabilizer.simulator.TableauSimulator`

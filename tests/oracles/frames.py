@@ -1,19 +1,20 @@
 """Oracles of ``frames/_kernel.c``: the numpy frame executor and the
 reference pass replayed on the Python tableau.
 
-**Executor.**  :func:`exec_numpy` runs a bound program's op tuples one
-numpy handler at a time on a :class:`~repro.frames.FrameSimulator`'s
-arrays and lanes, reading what the kernel reads: each site's ``p`` from
+**Executor.**  :func:`exec_numpy` runs a bound program's ``code`` one
+numpy handler per op on a :class:`~repro.frames.FrameSimulator`'s
+arrays and lanes, reading what the kernel reads: every op, its operands
+and each measure's reference bit and fault reset's ``x_value`` from
+``program.code`` (:func:`decode`), each site's ``p`` from
 ``program.probabilities`` and its tilt ratios from
-``program.log_ratios``, each measure's reference bit and each fault
-reset's ``x_value`` from ``program.code`` (:func:`op_answers`).  It
-has the signature of ``FrameSimulator._exec_native``, so
-:func:`numpy_executor` swaps it in and every ``run_packed`` caller —
-lanes, op ranges, the splitting sampler — runs on it unchanged.  Every
-op that draws makes, lane by lane, the generator calls a one-lane
-simulator of that lane's size makes; a fused layer is bit-identical to
-its scalar ops.  A tilted layer sums its rows' ratios in row order,
-then banks the sum once — the kernel's order, on any batch size.
+``program.log_ratios``.  It has the signature of
+``FrameSimulator._exec_native``, so :func:`numpy_executor` swaps it in
+and every ``run_packed`` caller — lanes, op ranges, the splitting
+sampler — runs on it unchanged.  Every op that draws makes, lane by
+lane, the generator calls a one-lane simulator of that lane's size
+makes; a fused layer is bit-identical to its scalar ops.  A tilted
+layer sums its rows' ratios in row order, then banks the sum once — the
+kernel's order, on any batch size.
 
 **Reference pass.**  :func:`replay_reference` runs a reference stream
 once on :class:`~repro.stabilizer.simulator.TableauSimulator`;
@@ -185,45 +186,63 @@ _HANDLER = {
     P.OP_RESET: reset, P.OP_RESET_LAYER: reset}
 
 
-def op_answers(program) -> List:
-    """Per op of ``program.ops`` (a program or a structure), the answer
-    its ``code`` words hold: a measure's reference bit, a measure
-    layer's bits (uint8), a fault reset's ``x_value`` (``None`` where
-    the reference is Z-indefinite); ``None`` for every other op.  Walks
-    the stream beside the ops, holding each opcode word to its op."""
+#: Words per entry of each opcode, answer word included — ``_kernel.c``'s
+#: ``ARITY``: a scalar op has one entry, a layer ``k``.
+_ENTRY_WORDS = {
+    P.OP_H: 1, P.OP_S: 1, P.OP_CX: 2, P.OP_CZ: 2, P.OP_SWAP: 2,
+    P.OP_MEASURE: 3, P.OP_RESET: 1, P.OP_DEPOLARIZE: 2,
+    P.OP_RESET_NOISE: 3, P.OP_FLIP: 3, P.OP_H_LAYER: 1, P.OP_S_LAYER: 1,
+    P.OP_CX_LAYER: 2, P.OP_CZ_LAYER: 2, P.OP_SWAP_LAYER: 2,
+    P.OP_MEASURE_LAYER: 3, P.OP_RESET_LAYER: 1, P.OP_DEPOLARIZE_LAYER: 2}
+
+#: Opcodes whose entries end in an answer word.
+_ANSWERED = (P.OP_MEASURE, P.OP_RESET_NOISE, P.OP_MEASURE_LAYER)
+
+
+def decode(program) -> List[Tuple[Tuple, object]]:
+    """Per op of ``program.code`` (a program or a structure), framed as
+    the kernel frames it: ``(op, answer)``.  ``op`` is the opcode and
+    its operands — ints for a scalar op, an index array per operand
+    column for a layer; ``answer`` is what its answer words hold: a
+    measure's reference bit, a measure layer's bits (uint8), a fault
+    reset's ``x_value`` (``None`` where the reference is Z-indefinite),
+    ``None`` for every other op.  Holds each op's first word to
+    ``program.ops``."""
     code = program.code.tolist()
     at = P.CODE_HEADER
-    answers: List = []
-    for op in program.ops:
-        assert code[at] == op[0], (at, op)
-        at += 1
-        answer = None
-        if op[0] in P.LAYER_OPS:
-            k = code[at]
-            at += 1 + k * (len(op) - 1)
-            if op[0] == P.OP_MEASURE_LAYER:
-                answer = np.array(code[at:at + k], dtype=np.uint8)
-                at += k
+    starts: List[int] = []
+    decoded: List[Tuple[Tuple, object]] = []
+    while at < len(code):
+        starts.append(at)
+        op = code[at]
+        layer = op >= P.OP_H_LAYER
+        k = code[at + 1] if layer else 1
+        at += 1 + layer
+        columns = [code[at + e * k:at + (e + 1) * k]
+                   for e in range(_ENTRY_WORDS[op])]
+        at += k * len(columns)
+        answer = columns.pop() if op in _ANSWERED else None
+        if layer:
+            operands = tuple(np.array(c, dtype=np.intp) for c in columns)
+            if answer is not None:
+                answer = np.array(answer, dtype=np.uint8)
         else:
-            at += len(op) - 1
-            if op[0] in (P.OP_MEASURE, P.OP_RESET_NOISE):
-                answer = code[at]
-                at += 1
-                if answer == P._INDEFINITE:
-                    answer = None
-        answers.append(answer)
+            operands = tuple(c[0] for c in columns)
+            if answer is not None:
+                answer = None if answer[0] == P._INDEFINITE else answer[0]
+        decoded.append(((op,) + operands, answer))
     assert at == len(code)
-    return answers
+    assert starts == program.ops.tolist()
+    return decoded
 
 
 def exec_numpy(sim, program, start: int, stop: int,
                record_words: np.ndarray) -> None:
     """Ops ``start .. stop`` of ``program`` against ``record_words``,
-    one handler call per op — ``FrameSimulator._exec_native``'s
-    oracle."""
+    one handler call per op of :func:`decode` —
+    ``FrameSimulator._exec_native``'s oracle."""
     p, llr = program.probabilities, program.log_ratios
-    for op, answer in zip(program.ops[start:stop],
-                          op_answers(program)[start:stop]):
+    for op, answer in decode(program)[start:stop]:
         code = op[0]
         if code == P.OP_MEASURE:
             record_words[op[2]] = measure(sim, op[1], answer)

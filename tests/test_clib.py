@@ -20,7 +20,7 @@ PROBE = """if True:
     import repro
     from repro.codes import RepetitionCode, build_memory_experiment
     from repro.decoders import decoder_for
-    from repro.frames import run_batch_frames
+    from repro.noise import run_batch_noisy
 
     experiment = build_memory_experiment(RepetitionCode(3), rounds=1)
 
@@ -32,8 +32,10 @@ PROBE = """if True:
 
     errors = []
     for attempt in (
-            lambda: run_batch_frames(experiment.circuit, None, 64, rng=0),
-            lambda: run_batch_frames(experiment.circuit, None, 64, rng=0),
+            lambda: run_batch_noisy(experiment.circuit, None, 64, rng=0,
+                                    backend="frames"),
+            lambda: run_batch_noisy(experiment.circuit, None, 64, rng=0,
+                                    backend="frames"),
             lambda: decode("mwpm"), lambda: decode("union-find")):
         try:
             attempt()

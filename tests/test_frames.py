@@ -29,7 +29,6 @@ from repro.frames import (
     frame_structure,
     pack_bool,
     random_words,
-    run_batch_frames,
     unpack_words,
     words_for,
 )
@@ -165,7 +164,8 @@ class TestNoiselessExactness:
         exp = build_memory_experiment(RepetitionCode(5))
         program = compile_frame_program(exp.circuit, None, rng=1)
         assert program.deterministic_reference
-        rec_frames = run_batch_frames(exp.circuit, None, 300, rng=2)
+        rec_frames = run_batch_noisy(exp.circuit, None, 300, rng=2,
+                                     backend="frames")
         rec_tableau = BatchTableauSimulator(
             exp.circuit.num_qubits, 300, rng=3).run(exp.circuit)
         assert np.array_equal(rec_frames, rec_tableau)
@@ -184,7 +184,7 @@ class TestNoiselessExactness:
         round 2 (noiseless), be ~uniform across shots, and decode to
         zero logical errors — the frame Z-randomisation at work."""
         exp = build_memory_experiment(XXZZCode(3, 3))
-        rec = run_batch_frames(exp.circuit, None, 600, rng=5)
+        rec = run_batch_noisy(exp.circuit, None, 600, rng=5, backend="frames")
         xs = np.asarray(exp.x_syndrome_cbits)
         assert np.array_equal(rec[:, xs[0]], rec[:, xs[1]])
         means = rec[:, xs[0]].mean(axis=0)
@@ -194,19 +194,19 @@ class TestNoiselessExactness:
 
     def test_plus_state_measurement_uniform(self):
         circ = Circuit(1).h(0).measure(0, 0)
-        rec = run_batch_frames(circ, None, 20_000, rng=6)
+        rec = run_batch_noisy(circ, None, 20_000, rng=6, backend="frames")
         assert rec[:, 0].mean() == pytest.approx(0.5, abs=0.02)
 
     def test_repeated_measurement_perfectly_correlated(self):
         circ = Circuit(1).h(0).measure(0, 0).measure(0, 1)
-        rec = run_batch_frames(circ, None, 4096, rng=7)
+        rec = run_batch_noisy(circ, None, 4096, rng=7, backend="frames")
         assert np.array_equal(rec[:, 0], rec[:, 1])
 
     def test_measurement_recollapse_independent(self):
         """H, M, H, M: the second outcome is uniform and independent of
         the first — measurement must re-randomise the Z frame."""
         circ = Circuit(1).h(0).measure(0, 0).h(0).measure(0, 1)
-        rec = run_batch_frames(circ, None, 20_000, rng=8)
+        rec = run_batch_noisy(circ, None, 20_000, rng=8, backend="frames")
         a = rec[:, 0].astype(float)
         b = rec[:, 1].astype(float)
         assert b.mean() == pytest.approx(0.5, abs=0.02)
@@ -214,13 +214,13 @@ class TestNoiselessExactness:
 
     def test_circuit_reset_bit_exact(self):
         circ = Circuit(1).x(0).reset(0).measure(0, 0)
-        rec = run_batch_frames(circ, None, 500, rng=9)
+        rec = run_batch_noisy(circ, None, 500, rng=9, backend="frames")
         assert not rec[:, 0].any()
 
     def test_reset_after_superposition_uniformises_next_basis(self):
         """|+> reset to |0|: a following H+measure is uniform again."""
         circ = Circuit(1).h(0).reset(0).h(0).measure(0, 0)
-        rec = run_batch_frames(circ, None, 20_000, rng=10)
+        rec = run_batch_noisy(circ, None, 20_000, rng=10, backend="frames")
         assert rec[:, 0].mean() == pytest.approx(0.5, abs=0.02)
 
 
@@ -230,7 +230,7 @@ class TestNoiseLowering:
         p = 0.3
         circ = Circuit(1).x(0).measure(0, 0)
         noise = NoiseModel([DepolarizingNoise(p)])
-        rec = run_batch_frames(circ, noise, 20_000, rng=11)
+        rec = run_batch_noisy(circ, noise, 20_000, rng=11, backend="frames")
         assert np.mean(rec[:, 0] == 0) == pytest.approx(2 * p / 3, abs=0.02)
 
     def test_erasure_full_probability_pins_qubit(self):
@@ -238,13 +238,13 @@ class TestNoiseLowering:
         noise = NoiseModel([ErasureChannel([0], 1.0)])
         program = compile_frame_program(circ, noise, rng=1)
         assert program.exact_noise       # |1> is Z-determinate
-        rec = run_batch_frames(circ, noise, 400, rng=12)
+        rec = run_batch_noisy(circ, noise, 400, rng=12, backend="frames")
         assert (rec[:, 0] == 0).all()
 
     def test_radiation_full_intensity_resets_state(self):
         circ = Circuit(1).x(0).measure(0, 0)
         noise = NoiseModel([RadiationChannel([1.0])])
-        rec = run_batch_frames(circ, noise, 400, rng=13)
+        rec = run_batch_noisy(circ, noise, 400, rng=13, backend="frames")
         assert (rec[:, 0] == 0).all()
 
     def test_twirl_sites_detected_on_entangled_targets(self):
@@ -273,9 +273,6 @@ class TestNoiseLowering:
             with pytest.raises(NotImplementedError,
                                match="Custom defines no site table"):
                 run_batch_noisy(circ, noise, 10, rng=1, backend=backend)
-        with pytest.raises(NotImplementedError,
-                           match="Custom defines no site table"):
-            run_batch_frames(circ, noise, 10, rng=1)
         program = compile_frame_program(circ, NoiseModel([Plain(0.1)]))
         assert program.probabilities.tolist() == [0.1]
 
@@ -335,7 +332,7 @@ class TestNoiseLowering:
 def reference_run(program, batch_size, seed):
     """Replay a *scalar, unfused* program's ops, reading what the
     kernel reads — each site's ``p`` from ``program.probabilities``,
-    each answer from ``program.code`` (``oracle.op_answers``): every
+    each op and answer from ``program.code`` (``oracle.decode``): every
     depolarize site draws its own ``rng.random(B)`` and XORs three
     packed masks.  The oracle the compiled (fused) programs must match
     bit for bit — kept here, not in ``src/``.  Also returns the rows'
@@ -344,7 +341,7 @@ def reference_run(program, batch_size, seed):
     sim = FrameSimulator(program.num_qubits, batch_size, rng=seed)
     words = np.zeros((program.num_cbits, sim.num_words), dtype=np.uint64)
     hits = 0
-    for op, answer in zip(program.ops, oracle.op_answers(program)):
+    for op, answer in oracle.decode(program):
         code = op[0]
         if code == P.OP_DEPOLARIZE:
             _, q, site = op
@@ -372,7 +369,8 @@ def reference_run(program, batch_size, seed):
 def scalar_program(monkeypatch, circuit, noise):
     """The lowered program before fusion."""
     with monkeypatch.context() as m:
-        m.setattr(frames_program, "fuse_layers", list)
+        m.setattr(frames_program, "fuse_layers",
+                  lambda ops: [[op] for op in ops])
         return compile_frame_program(circuit, noise, rng=1)
 
 
@@ -477,20 +475,20 @@ class TestDrawApply:
         program, sim = self.assert_matches_reference(
             monkeypatch, experiment, strike_noise(experiment, p, strike),
             batch_size)
+        ops = [op for op, _ in oracle.decode(program)]
         if strike != "none":
-            assert any(op[0] == frames_program.OP_RESET_NOISE
-                       for op in program.ops)
+            assert any(op[0] == frames_program.OP_RESET_NOISE for op in ops)
         # one row per depolarize site of the program
         rows = sum(1 if op[0] == frames_program.OP_DEPOLARIZE else len(op[1])
-                   for op in program.ops
+                   for op in ops
                    if op[0] in (frames_program.OP_DEPOLARIZE,
                                 frames_program.OP_DEPOLARIZE_LAYER))
         sites, hits = sim.depolarize_stats
         assert sites == rows > 0
         if p * batch_size > 4:
             assert hits > 0
-        assert program.fused_ops == sum(op[0] in frames_program.LAYER_OPS
-                                        for op in program.ops)
+        assert program.fused_ops == sum(
+            op[0] >= frames_program.OP_H_LAYER for op in ops)
 
     @pytest.mark.parametrize("k,B", [(1, 64), (7, 100), (184, 512)])
     def test_numpy_block_draw_contract(self, k, B):
@@ -546,7 +544,8 @@ def programs():
     add("flip", small, flip_noise)
     flips = add("flip-tilt", small, flip_noise,
                 tilt=SamplerSpec(kind="tilt", tilt=4.0))
-    flip_ops = [op for op in flips.ops if op[0] == frames_program.OP_FLIP]
+    flip_ops = [op for op, _ in oracle.decode(flips)
+                if op[0] == frames_program.OP_FLIP]
     assert {op[3] for op in flip_ops} == {0, 1}
     assert (flips.log_ratios[:, [op[2] for op in flip_ops]] == 0).all()
     # a repetition strike routed onto the 5x4 mesh (exact resets)
@@ -615,6 +614,13 @@ class TestLanes:
         FrameSimulator(num_qubits, [512, 512, 64],
                        rng=[1, 2, 3]).run_packed(program)
         assert blocks.value - before == 3
+
+
+def hand_layer(opcode, *columns):
+    """The unit of scalar ``opcode`` ops over ``columns`` — one operand
+    per column, entry by entry — that :func:`encode_ops` writes as a
+    layer."""
+    return [(opcode,) + entry for entry in zip(*columns)]
 
 
 class TestExecutors:
@@ -703,13 +709,13 @@ class TestExecutors:
         two, and a plain batch of one."""
         P = frames_program
         k = 12
-        ops = [(P.OP_DEPOLARIZE_LAYER, np.arange(k), np.arange(k)),
-               (P.OP_MEASURE_LAYER, np.arange(k), np.arange(k))]
+        units = [hand_layer(P.OP_DEPOLARIZE, range(k), range(k)),
+                 hand_layer(P.OP_MEASURE, range(k), range(k))]
         llr = np.random.default_rng(0).normal(size=(2, k))
-        tilted = self.hand_program(ops, [0.2] * k, k, k, llr)
+        tilted = self.hand_program(units, [0.2] * k, k, k, llr)
         self.assert_executors_agree(monkeypatch, k, tilted, [1])
         self.assert_executors_agree(monkeypatch, k, tilted, [2])
-        plain = self.hand_program(ops, [0.2] * k, k, k)
+        plain = self.hand_program(units, [0.2] * k, k, k)
         self.assert_executors_agree(monkeypatch, k, plain, [1])
 
     @pytest.mark.parametrize("bit_generator", [np.random.Philox,
@@ -773,10 +779,11 @@ class TestExecutors:
                             shared.bit_generator.state))
         np.testing.assert_equal(*results)
 
-    def hand_program(self, ops, probabilities, num_qubits, num_cbits,
+    def hand_program(self, units, probabilities, num_qubits, num_cbits,
                      log_ratios=None, answers=()):
-        """A program from structure-form ``ops`` (noise ops carrying
-        site numbers, no answers) the way ``bind`` makes one — for site
+        """A program from ``encode_ops`` ``units`` — lists of scalar ops,
+        a longer one a layer (noise ops carrying site numbers, no
+        answers) — the way ``bind`` makes one: for site
         probabilities (and, given ``(2, sites)`` ``log_ratios``, tilt
         ratios) no noise model binds (a site exists iff its
         ``p > 0``).  ``answers`` — reference bits and fault-reset
@@ -785,17 +792,17 @@ class TestExecutors:
         P = frames_program
         p = np.asarray(probabilities, dtype=float)
         llr = None if log_ratios is None else np.array(log_ratios, float)
-        slots = []
-        code = P.encode_ops(ops, num_qubits, num_cbits, len(p), slots)
+        code, ops, slots, fused = P.encode_ops(units, num_qubits,
+                                               num_cbits, len(p))
         if answers:
             assert len(answers) == len(slots)
             code = code.copy()
-            code[[word for word, _ in slots]] = [
+            code[slots[:, 0]] = [
                 P._INDEFINITE if a is None else a for a in answers]
         return P.FrameProgram(
             num_qubits=num_qubits, num_cbits=num_cbits, ops=ops,
-            reference_record=np.zeros(num_cbits, np.uint8), code=code,
-            probabilities=p, log_ratios=llr)
+            reference_record=np.zeros(num_cbits, np.uint8),
+            fused_ops=fused, code=code, probabilities=p, log_ratios=llr)
 
     @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: f"{len(s)}-lane")
     def test_reset_sites_at_p_zero_one_and_twirled(self, monkeypatch, sizes):
@@ -804,22 +811,23 @@ class TestExecutors:
         before Z words."""
         P = frames_program
         n = 4
-        ops = [(P.OP_H_LAYER, np.arange(n))]
+        units = [hand_layer(P.OP_H, range(n))]
         probabilities, answers = [], []
         for p in (0.0, 1.0, 1e-4, 0.3):
             for q, x_value in enumerate((None, 0, 1, None)):
-                ops.append((P.OP_RESET_NOISE, q, len(probabilities)))
+                units.append([(P.OP_RESET_NOISE, q, len(probabilities))])
                 probabilities.append(p)
                 answers.append(x_value)
-            ops += [(P.OP_CX, 0, 1), (P.OP_S, 2), (P.OP_CZ, 2, 3),
-                    (P.OP_SWAP, 1, 3), (P.OP_H, 0)]
-        ops += [(P.OP_MEASURE, 0, 0), (P.OP_RESET, 0),
-                (P.OP_MEASURE_LAYER, np.arange(n), np.arange(1, n + 1)),
-                (P.OP_RESET_LAYER, np.array([1, 3]))]
+            units += [[(P.OP_CX, 0, 1)], [(P.OP_S, 2)], [(P.OP_CZ, 2, 3)],
+                      [(P.OP_SWAP, 1, 3)], [(P.OP_H, 0)]]
+        units += [[(P.OP_MEASURE, 0, 0)], [(P.OP_RESET, 0)],
+                  hand_layer(P.OP_MEASURE, range(n), range(1, n + 1)),
+                  hand_layer(P.OP_RESET, [1, 3])]
         answers += [1, 0, 1, 0, 1]
-        program = self.hand_program(ops, probabilities, n, n + 1,
+        program = self.hand_program(units, probabilities, n, n + 1,
                                     answers=answers)
-        assert oracle.op_answers(program)[1:5] == [None, 0, 1, None]
+        assert [answer for _, answer in oracle.decode(program)[1:5]] \
+            == [None, 0, 1, None]
         words, *_ = self.assert_executors_agree(monkeypatch, n, program,
                                                 sizes)
         assert words.any()
@@ -830,12 +838,12 @@ class TestExecutors:
         """Hand-built depolarize sites, scalar and fused, tilted or not
         — a scalar site and a layer row with both ratios 0 included."""
         P = frames_program
-        ops = [(P.OP_DEPOLARIZE, 0, 0),
-               (P.OP_DEPOLARIZE_LAYER, np.array([1, 2]), np.array([1, 2])),
-               (P.OP_DEPOLARIZE, 3, 3),
-               (P.OP_MEASURE_LAYER, np.arange(4), np.arange(4))]
+        units = [[(P.OP_DEPOLARIZE, 0, 0)],
+                 hand_layer(P.OP_DEPOLARIZE, [1, 2], [1, 2]),
+                 [(P.OP_DEPOLARIZE, 3, 3)],
+                 hand_layer(P.OP_MEASURE, range(4), range(4))]
         llr = [[-1.2, 0.5, 0.0, 0.0], [0.1, -0.01, 0.0, 0.0]]
-        program = self.hand_program(ops, [0.3, 1e-3, 0.02, 0.05], 4, 4,
+        program = self.hand_program(units, [0.3, 1e-3, 0.02, 0.05], 4, 4,
                                     llr if weighted else None)
         _, _, _, log_weights, stats, _ = self.assert_executors_agree(
             monkeypatch, 4, program, [512, 200])
@@ -843,14 +851,12 @@ class TestExecutors:
         assert (log_weights is not None) == weighted
 
     @pytest.mark.parametrize("op,what", [
-        ((frames_program.OP_CX, 0, 5), "qubit"),
-        ((frames_program.OP_H, -1), "qubit"),
-        ((frames_program.OP_MEASURE, 0, 3), "cbit"),
-        ((frames_program.OP_RESET_NOISE, 0, 2), "site"),
-        ((frames_program.OP_CX_LAYER, np.array([0, 1]), np.array([2, 7])),
-         "qubit"),
-        ((frames_program.OP_DEPOLARIZE_LAYER, np.array([0, 1]),
-          np.array([0, 2])), "site"),
+        ([(frames_program.OP_CX, 0, 5)], "qubit"),
+        ([(frames_program.OP_H, -1)], "qubit"),
+        ([(frames_program.OP_MEASURE, 0, 3)], "cbit"),
+        ([(frames_program.OP_RESET_NOISE, 0, 2)], "site"),
+        (hand_layer(frames_program.OP_CX, [0, 1], [2, 7]), "qubit"),
+        (hand_layer(frames_program.OP_DEPOLARIZE, [0, 1], [0, 2]), "site"),
     ])
     def test_out_of_range_operand_is_rejected_at_encode_time(self, op, what):
         """The kernel indexes unchecked; where the numpy executor would
@@ -894,15 +900,19 @@ class TestExecutors:
         two = structure.bind(strike_noise(experiment, 0.02, "burst"))
         tilted = structure.bind(strike_noise(experiment, 0.01, "burst"),
                                 SamplerSpec(kind="tilt", tilt=4.0))
-        # one op list and one code, shared by identity
+        # one code and its op offsets, shared by identity
         assert one.ops is two.ops is tilted.ops is structure.ops
         assert one.code is two.code is tilted.code is structure.code
-        assert structure.code.dtype == np.int64
-        assert not structure.code.flags.writeable
-        # no noise op holds a float, no measure or fault reset an answer
-        kinds = {op[0] for op in structure.ops}
+        for array in (structure.code, structure.ops):
+            assert array.dtype == np.int64
+            assert not array.flags.writeable
+        # no noise op holds a float, no measure or fault reset an
+        # answer beside its answer word
+        ops = [op for op, _ in oracle.decode(structure)]
+        assert len(ops) == len(structure.ops)
+        kinds = {op[0] for op in ops}
         assert {P.OP_DEPOLARIZE, P.OP_RESET_NOISE, P.OP_MEASURE} <= kinds
-        for op in structure.ops:
+        for op in ops:
             assert all(np.asarray(operand).dtype.kind == "i"
                        for operand in op), op
             if op[0] in (P.OP_MEASURE, P.OP_RESET_NOISE, P.OP_DEPOLARIZE,
@@ -1103,13 +1113,11 @@ class TestStructureAndBinding:
             experiment.circuit, strike_noise(experiment, 0.01, "none"))
         one = structure.bind(strike_noise(experiment, 0.01, "none"))
         two = structure.bind(strike_noise(experiment, 0.02, "none"))
-        layers = [x for op in structure.ops for x in op
-                  if isinstance(x, np.ndarray)]
-        assert layers
-        shared = layers + [one.code, one.reference_record] + [
+        shared = [one.ops, one.code, one.reference_record] + [
             getattr(structure, name) for name in (
                 "site_source", "reference_stream", "answer_slots",
                 "draw_certain")]
+        assert one.ops is two.ops
         assert one.code is two.code
         assert one.reference_record is two.reference_record
         for array in shared:
@@ -1339,9 +1347,9 @@ class TestReferencePass:
 
     @pytest.mark.parametrize("time_index", [0, 1, 2])
     def test_batch_records_reuse_the_compile_generator(self, time_index):
-        """``run_batch_frames`` and ``run_batch_noisy(backend="frames")``
-        sample from the generator their compile drew from: equal
-        records on both reference executors."""
+        """``run_batch_noisy(backend="frames")`` samples from the
+        generator its compile drew from: equal records on both
+        reference executors."""
         task = InjectionTask(
             code=CodeSpec("xxzz", (3, 3)), rounds=3,
             fault=FaultSpec(kind="radiation", root_qubit=4,
@@ -1352,12 +1360,11 @@ class TestReferencePass:
             task.decoder, task.readout)
         noise = _build_noise(task, experiment)
         circuit = experiment.circuit
-        for run in (lambda: run_batch_frames(circuit, noise, 300, rng=17),
-                    lambda: run_batch_noisy(circuit, noise, 300, rng=17,
-                                            backend="frames")):
-            native, python = (on_reference(e, run)
-                              for e in ("native", "python"))
-            assert np.array_equal(native, python)
+        native, python = (
+            on_reference(e, run_batch_noisy, circuit, noise, 300, rng=17,
+                         backend="frames")
+            for e in ("native", "python"))
+        assert np.array_equal(native, python)
 
     def test_a_zero_qubit_circuit_is_rejected_on_both(self):
         circuit = Circuit(1)
@@ -1369,8 +1376,7 @@ class TestReferencePass:
 
 def measure_layers(structure):
     """Each measure layer's reference bits, as ``code`` holds them."""
-    return [answer for op, answer in zip(structure.ops,
-                                         oracle.op_answers(structure))
+    return [answer for op, answer in oracle.decode(structure)
             if op[0] == frames_program.OP_MEASURE_LAYER]
 
 

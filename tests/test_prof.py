@@ -12,7 +12,6 @@ import pytest
 
 from repro import obs
 from repro.circuits import Circuit
-from repro.frames import run_batch_frames
 from repro.obs import bench, prof
 from repro.injection.campaign import _prepared, _task_context
 from repro.injection import (
@@ -24,6 +23,7 @@ from repro.injection import (
     build_sweep,
     run_task,
 )
+from repro.noise import run_batch_noisy
 
 
 @pytest.fixture(autouse=True)
@@ -94,7 +94,8 @@ class TestProfiler:
     def test_kernel_buckets_and_decode_stages(self):
         # first-call costs (library load, numpy's ctypes interface) are
         # not the loop's
-        run_batch_frames(Circuit(1).h(0).measure(0, 0), None, 64, rng=0)
+        run_batch_noisy(Circuit(1).h(0).measure(0, 0), None, 64, rng=0,
+                        backend="frames")
         # ... and no earlier run may have left the decoder warm (the
         # matcher assertions below)
         _task_context.cache_clear()

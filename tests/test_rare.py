@@ -33,6 +33,7 @@ from repro.rare.sampler import SamplerSpec, as_sampler
 from repro.rare.stats import (WeightStats, mc_required_shots,
                               variance_reduction_factor, wilson_from_rate)
 
+from oracles import frames as frames_oracle
 from oracles import tableau as tableau_oracle
 from oracles.tableau import numpy_walk
 
@@ -370,18 +371,19 @@ class TestWeightProperties:
         structure = frame_structure(circuit, noise, rng=0)
         nominal = structure.bind(noise).probabilities
         program = structure.bind(noise, spec)
-        reset_sites = {op[2] for op in structure.ops
-                       if op[0] == OP_RESET_NOISE}
+        ops = [op for op, _ in frames_oracle.decode(structure)]
+        reset_sites = {op[2] for op in ops if op[0] == OP_RESET_NOISE}
         assert reset_sites
-        depolarize_sites = {site for op in structure.ops
+        depolarize_sites = {site for op in ops
                             if op[0] in (OP_DEPOLARIZE, OP_DEPOLARIZE_LAYER)
                             for site in np.atleast_1d(op[2]).tolist()}
         sites = len(structure.site_source)
         assert depolarize_sites | reset_sites == set(range(sites))
         assert not depolarize_sites & reset_sites
         # every depolarize site's ratios sit in the bound arrays, which
-        # the tilt moved; the op list is the structure's
+        # the tilt moved; the code is the structure's
         assert program.ops is structure.ops
+        assert program.code is structure.code
         assert program.log_ratios.dtype == np.float64
         assert program.log_ratios.shape == (2, sites)
         assert program.log_ratios.flags.c_contiguous
@@ -458,7 +460,14 @@ class TestSplitting:
         round: the segment before it has written every record bit the
         scores read, and no op after it measures that round."""
         from repro.frames.program import OP_MEASURE, OP_MEASURE_LAYER
-        from repro.rare.split import _measured_cbits, split_points
+        from repro.rare.split import split_points
+
+        def measured(op):
+            if op[0] == OP_MEASURE:
+                return {op[2]}
+            if op[0] == OP_MEASURE_LAYER:
+                return set(op[2].tolist())
+            return set()
 
         task = moderate_task(SamplerSpec(kind="split", levels=rounds),
                              code=CodeSpec("xxzz", (distance, distance)),
@@ -466,16 +475,14 @@ class TestSplitting:
         experiment, _, _, program, _, _ = _task_context(task)
         points = split_points(program, experiment, rounds)
         assert len(points) == rounds - 1
+        ops = [op for op, _ in frames_oracle.decode(program)]
         for op_index, rounds_done in points:
-            assert program.ops[op_index - 1][0] in (OP_MEASURE,
-                                                    OP_MEASURE_LAYER)
+            assert ops[op_index - 1][0] in (OP_MEASURE, OP_MEASURE_LAYER)
             round_cbits = {int(c) for table in (
                 experiment.z_syndrome_cbits, experiment.x_syndrome_cbits)
                 for c in table[rounds_done - 1]}
-            before = {c for op in program.ops[:op_index]
-                      for c in _measured_cbits(op)}
-            after = {c for op in program.ops[op_index:]
-                     for c in _measured_cbits(op)}
+            before = set().union(*map(measured, ops[:op_index]))
+            after = set().union(*map(measured, ops[op_index:]))
             assert round_cbits <= before and not round_cbits & after
 
     def test_split_requires_frame_backend(self):
