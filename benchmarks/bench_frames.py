@@ -8,7 +8,9 @@ backend was >= 5x shots/second; measured speedups are orders of
 magnitude beyond that.
 """
 
+import contextlib
 import dataclasses
+import gc
 import time
 
 import numpy as np
@@ -267,8 +269,9 @@ def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
     ``_kernel.c`` and on its oracle, the Python tableau replay
     (``tests/oracles``), in ms per compile
     split into the reference pass, fusion, encoding and the walk that
-    is left.  Same structure either way (checked here); the native
-    compile must be >= 3x faster.
+    is left.  The two sides are timed in alternating rounds, so host
+    load drifts onto both alike.  Same structure either way (checked
+    here); the native compile must be >= 3x faster.
 
     Measured on a 2-vCPU Intel Xeon host when the native pass landed
     (ms per compile, python -> native, three runs): 60-73 -> 15-19.5 in
@@ -279,9 +282,10 @@ def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
     #: Each timed part: where it is looked up, and under which name.
     parts = {"reference": _native.Kernel, "fuse_layers": frames_program,
              "encode_ops": frames_program}
-    spent = dict.fromkeys(parts, 0.0)
+    #: The reference pass of each side.
+    sides = {"native": contextlib.nullcontext, "python": python_reference}
 
-    def timed(name):
+    def timed(name, spent):
         inner = getattr(parts[name], name)
 
         def run(*args):
@@ -307,27 +311,35 @@ def test_frames_compile_struck_d5(benchmark, capsys, monkeypatch):
         return frames_program.frame_structure(experiment.circuit, noise,
                                               rng=1)
 
-    def split_ms(reps=10):
-        """Mean ms per compile, whole and by part."""
-        with monkeypatch.context() as m:
-            for name, owner in parts.items():
-                m.setattr(owner, name, timed(name))
-            for name in parts:
-                spent[name] = 0.0
-            times = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                compile_once()
-                times.append(time.perf_counter() - t0)
-        split = {name: 1e3 * spent[name] / reps for name in parts}
-        split["encode_ops"] -= split["fuse_layers"]
-        return 1e3 * sum(times) / reps, split
+    def split_ms(rounds=10):
+        """Mean ms per compile of each side, whole and by part: one
+        compile of each side per round, each from a collected heap so
+        that neither side's garbage is collected on the other's clock."""
+        spent = {side: dict.fromkeys(parts, 0.0) for side in sides}
+        total = dict.fromkeys(sides, 0.0)
+        for _ in range(rounds):
+            for side, reference in sides.items():
+                with reference(), monkeypatch.context() as m:
+                    for name, owner in parts.items():
+                        m.setattr(owner, name, timed(name, spent[side]))
+                    gc.collect()
+                    t0 = time.perf_counter()
+                    compile_once()
+                    total[side] += time.perf_counter() - t0
+        out = {}
+        for side in sides:
+            split = {name: 1e3 * spent[side][name] / rounds
+                     for name in parts}
+            split["encode_ops"] -= split["fuse_layers"]
+            out[side] = (1e3 * total[side] / rounds, split)
+        return out
 
     native = compile_once()
-    native_ms, native_split = split_ms()
     with python_reference():
         python = compile_once()
-        python_ms, python_split = split_ms()
+    ms = split_ms()
+    native_ms, native_split = ms["native"]
+    python_ms, python_split = ms["python"]
     assert native.twirled_reset_sites and native.seeded
     assert np.array_equal(native.code, python.code)
     assert native.random_cbits == python.random_cbits

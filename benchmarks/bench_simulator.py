@@ -26,8 +26,9 @@ from repro.noise import (
     run_batch_noisy,
 )
 from repro.transpile import transpile
-from repro.stabilizer import TableauSimulator, random_clifford_circuit
 
+from oracles.chp import TableauSimulator
+from oracles.circuits import random_clifford_circuit
 from oracles.tableau import BatchTableauSimulator, numpy_walk
 
 BATCH = 1024

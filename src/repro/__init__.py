@@ -4,8 +4,10 @@ Compensating for Radiation Events in Superconducting Devices" (SC 2024).
 The package implements, from scratch, the full stack the paper's study
 rests on:
 
-* a Clifford circuit IR and stabilizer/statevector simulators
-  (:mod:`repro.circuits`, :mod:`repro.stabilizer`, :mod:`repro.statevector`);
+* a Clifford circuit IR and its Pauli algebra (:mod:`repro.circuits`,
+  :mod:`repro.stabilizer`);
+* the Pauli-frame sampler and the batched stabilizer tableau, both in
+  one native kernel (:mod:`repro.frames`);
 * the intrinsic depolarizing noise model and the radiation-induced
   transient fault model, Eqs. 4-7 (:mod:`repro.noise`);
 * architecture graphs and a transpiler (:mod:`repro.arch`,
@@ -69,11 +71,7 @@ from .noise import (
     temporal_decay,
     transient_decay,
 )
-from .stabilizer import (
-    PauliString,
-    Tableau,
-    TableauSimulator,
-)
+from .stabilizer import PauliString
 from .transpile import RoutedCircuit, transpile
 
 __version__ = "1.0.0"
@@ -82,8 +80,8 @@ __all__ = [
     "__version__",
     # circuits
     "Circuit", "Gate", "GateType",
-    # simulators
-    "PauliString", "Tableau", "TableauSimulator",
+    # Pauli algebra
+    "PauliString",
     # noise
     "NoiseChannel", "NoiseModel", "DepolarizingNoise", "ErasureChannel",
     "RadiationChannel", "RadiationEvent", "temporal_decay",

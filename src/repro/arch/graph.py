@@ -199,24 +199,6 @@ class ArchitectureGraph:
             frontier |= set(self._adj[pick])
         return tuple(sorted(chosen))
 
-    def sample_connected_subgraphs(self, size: int, count: int,
-                                   rng: np.random.Generator
-                                   ) -> List[Tuple[int, ...]]:
-        """Sample up to ``count`` *distinct* connected subgraphs."""
-        seen = set()
-        out: List[Tuple[int, ...]] = []
-        attempts = 0
-        while len(out) < count and attempts < 50 * count:
-            attempts += 1
-            try:
-                sub = self.sample_connected_subgraph(size, rng)
-            except ValueError:
-                continue
-            if sub not in seen:
-                seen.add(sub)
-                out.append(sub)
-        return out
-
     # ------------------------------------------------------------------
     def subgraph(self, qubits: Sequence[int], name: str = "") -> "ArchitectureGraph":
         """Induced subgraph relabelled to 0..k-1 (sorted order)."""

@@ -199,11 +199,15 @@ REGISTRY = {
 }
 
 
-def by_name(name: str, *args) -> ArchitectureGraph:
-    """Instantiate a registered architecture by name."""
+def factory(name: str):
+    """The registered builder of architecture ``name``."""
     try:
-        factory = REGISTRY[name]
+        return REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown architecture {name!r}; "
                        f"known: {sorted(REGISTRY)}") from None
-    return factory(*args)
+
+
+def by_name(name: str, *args) -> ArchitectureGraph:
+    """Instantiate a registered architecture by name."""
+    return factory(name)(*args)

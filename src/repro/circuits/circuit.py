@@ -159,32 +159,6 @@ class Circuit:
                              cbit=cbit, tag=g.tag))
         return self
 
-    def remap_qubits(self, mapping) -> "Circuit":
-        """Return a new circuit with all qubit indices remapped.
-
-        ``mapping`` maps old index -> new index and must be injective on
-        the qubits used.  The resulting circuit has ``num_qubits`` equal
-        to ``max(new indices) + 1`` (at least the current size when the
-        mapping is a permutation).
-        """
-        if isinstance(mapping, dict):
-            values = list(mapping.values())
-        else:
-            values = list(mapping)
-        new_n = max(values) + 1 if values else self.num_qubits
-        out = Circuit(max(new_n, 1), self.num_cbits, name=self.name)
-        for g in self._gates:
-            out.append(g.remap(mapping))
-        return out
-
-    def without_tag(self, tag: str) -> "Circuit":
-        """Return a copy with every gate carrying ``tag`` removed."""
-        out = Circuit(self.num_qubits, self.num_cbits, name=self.name)
-        for g in self._gates:
-            if g.tag != tag:
-                out.append(g)
-        return out
-
     def copy(self) -> "Circuit":
         out = Circuit(self.num_qubits, self.num_cbits, name=self.name)
         out._gates = list(self._gates)

@@ -341,7 +341,7 @@ def cmd_serve(args) -> None:
 
 def _follow_job(client, job: str, timeout_s: float):
     """Stream one job to completion with a live progress line on a
-    TTY (plain polling + silent progress otherwise)."""
+    TTY (silent progress otherwise)."""
     from .obs.sinks import ProgressRenderer, job_progress_line
 
     renderer = ProgressRenderer() if ProgressRenderer.wants_tty() \
@@ -377,9 +377,7 @@ def cmd_submit(args) -> None:
                 return
             status = client.status(receipt["job"])
         else:
-            # Streaming by default: the server holds the response
-            # open and pushes progress; falls back to polling against
-            # an old head.
+            # The server holds the response open and pushes progress.
             status = _follow_job(client, receipt["job"],
                                  args.wait_timeout)
     except ServiceError as exc:

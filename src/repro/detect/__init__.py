@@ -6,7 +6,7 @@ The detect → adapt → recover axis on top of the injection engine:
   streams; popcount/bit-sliced reductions, no unpack to uint8.
 * :class:`StreamingDetector` / :class:`DetectorConfig` /
   :class:`DetectionReport` — per-shot CUSUM change-point detection of
-  strike bursts, plus :func:`roc_curve` / :func:`roc_auc`.
+  strike bursts, plus :func:`roc_auc`.
 * :func:`estimate_cluster` / :class:`StrikeCluster` — strike epicenter
   and blast-radius localisation on the plaquette graph.
 * :class:`RecoveryPolicy` / :class:`BurstAdaptiveDecoder` /
@@ -22,7 +22,6 @@ from .detector import (
     DetectorConfig,
     StreamingDetector,
     roc_auc,
-    roc_curve,
 )
 from .recovery import (
     RECOVERY_POLICIES,
@@ -52,5 +51,4 @@ __all__ = [
     "plaquette_adjacency",
     "reweight_graph",
     "roc_auc",
-    "roc_curve",
 ]

@@ -94,11 +94,6 @@ class DetectionReport:
             return np.zeros(self.scores.shape[0])
         return self.scores.max(axis=1)
 
-    def latencies(self, strike_round: int) -> np.ndarray:
-        """Detection delays (rounds) of flagged shots w.r.t. a known
-        strike round — negative entries are pre-strike false alarms."""
-        return self.flag_round[self.flagged] - int(strike_round)
-
 
 class StreamingDetector:
     """CUSUM change-point detector over packed syndrome streams."""
@@ -148,22 +143,6 @@ class StreamingDetector:
 # ----------------------------------------------------------------------
 # ROC analysis
 # ----------------------------------------------------------------------
-def roc_curve(pos_scores: np.ndarray, neg_scores: np.ndarray
-              ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(fpr, tpr)`` points sweeping the threshold over all scores."""
-    pos = np.asarray(pos_scores, dtype=float)
-    neg = np.asarray(neg_scores, dtype=float)
-    thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
-    tpr = [0.0]
-    fpr = [0.0]
-    for t in thresholds:
-        tpr.append(float(np.mean(pos >= t)) if pos.size else 0.0)
-        fpr.append(float(np.mean(neg >= t)) if neg.size else 0.0)
-    tpr.append(1.0)
-    fpr.append(1.0)
-    return np.asarray(fpr), np.asarray(tpr)
-
-
 def roc_auc(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
     """Area under the ROC curve: ``P(pos > neg) + 0.5 P(pos == neg)``
     (Mann–Whitney), exact under ties."""

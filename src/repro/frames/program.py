@@ -30,9 +30,8 @@ blank, and the stream's answers are written into ``code`` afterwards.  The
 stream runs on ``_kernel.c``'s bit-packed tableau
 (``repro_frames_reference``), which draws a random branch's outcome as
 ``Generator.integers(0, 2)`` does; the tests hold it to a replay of the
-stream on the Python
-:class:`~repro.stabilizer.simulator.TableauSimulator` — one structure,
-one generator state.
+stream on the single-shot Python tableau of ``tests/oracles/chp.py`` —
+one structure, one generator state.
 
 Random-branch measurements are still sampled exactly by the frame
 backend — the simulator's Z-frame randomisation at initialisation,

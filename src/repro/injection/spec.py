@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..arch import ArchitectureGraph, by_name
+from ..arch.library import factory
 from ..codes import (
     MemoryExperiment,
     RepetitionCode,
@@ -61,6 +62,9 @@ class ArchSpec:
 
     name: str
     args: Tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        factory(self.name)      # an unknown name fails here, not in a worker
 
     def build(self) -> ArchitectureGraph:
         return by_name(self.name, *self.args)
@@ -118,6 +122,10 @@ class FaultSpec:
             raise ValueError("strike_round only applies to radiation faults")
         if not 0.0 <= self.intensity <= 1.0:
             raise ValueError("intensity must lie in [0, 1]")
+        if not 0.0 <= self.probability <= 1.0:
+            raise ValueError("probability must lie in [0, 1]")
+        if self.root_qubit < 0 or any(q < 0 for q in self.qubits):
+            raise ValueError("fault qubits must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -170,6 +178,10 @@ class InjectionTask:
 
     def __post_init__(self) -> None:
         validate_backend(self.backend)
+        if self.rounds < 1:
+            raise ValueError("a memory experiment needs rounds >= 1")
+        if not 0.0 <= self.intrinsic_p <= 1.0:
+            raise ValueError("intrinsic_p must lie in [0, 1]")
         if not isinstance(self.decoder, DecoderSpec):
             object.__setattr__(self, "decoder", as_decoder(self.decoder))
         # Imported here: repro.detect consumes the decoder/code layers,

@@ -35,7 +35,7 @@ view in Prometheus text or JSON.
 
 from .dispatcher import Dispatcher, DispatchError, UnknownJobError
 from .client import ServiceClient, ServiceError
-from .fleet import fleet_overview, fleet_report, render_fleet
+from .fleet import fleet_overview, render_fleet
 from .server import CampaignService
 
 __all__ = [
@@ -46,6 +46,5 @@ __all__ = [
     "ServiceError",
     "UnknownJobError",
     "fleet_overview",
-    "fleet_report",
     "render_fleet",
 ]

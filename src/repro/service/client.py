@@ -113,41 +113,23 @@ class ServiceClient:
                 f"{exc.reason}") from exc
 
     def wait(self, job: str, timeout_s: float = 300.0,
-             poll_s: float = 0.2, stream: bool = True,
-             on_progress=None) -> Dict[str, object]:
-        """Follow one job to completion; returns its final status.
-
-        Prefers the held-open streaming endpoint (no polling); if the
-        stream ends without a final record — an old server that
-        ignores ``?stream=1`` answers once and closes — falls back to
-        the polling loop.  ``on_progress`` (if given) receives every
-        intermediate status snapshot.
+             poll_s: float = 0.2, on_progress=None) -> Dict[str, object]:
+        """Follow one job to completion over the held-open streaming
+        endpoint (one snapshot every ``poll_s``); returns its final
+        status.  ``on_progress`` (if given) receives every intermediate
+        status snapshot.  A stream that closes without a final record —
+        the head shut down — raises :class:`ServiceError`.
         """
-        if stream:
-            for status in self.stream(job, interval_s=poll_s,
-                                      timeout_s=timeout_s):
-                if "error" in status:
-                    raise ServiceError(str(status["error"]))
-                if status.get("final") \
-                        or status.get("state") == "done":
-                    return status
-                if on_progress is not None:
-                    on_progress(status)
-            # Stream closed with no final record (an old server
-            # answered the path once and hung up): poll instead.
-        deadline = time.monotonic() + timeout_s
-        while True:
-            status = self.status(job)
-            if status.get("state") == "done":
+        for status in self.stream(job, interval_s=poll_s,
+                                  timeout_s=timeout_s):
+            if "error" in status:
+                raise ServiceError(str(status["error"]))
+            if status.get("final") or status.get("state") == "done":
                 return status
             if on_progress is not None:
                 on_progress(status)
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"job {job} still running after {timeout_s:g}s "
-                    f"({status.get('shots_done')}/"
-                    f"{status.get('shots_target')} shots)")
-            time.sleep(poll_s)
+        raise ServiceError(
+            f"stream of job {job} closed before the job finished")
 
     def lookup(self, spec: Optional[Mapping[str, Any]] = None,
                key: Optional[str] = None) -> List[Dict[str, object]]:

@@ -140,10 +140,3 @@ def render_fleet(overview: Dict[str, object],
         lines.append(ascii_table(rows, title="slowest spans "
                                  f"(fleet-wide, top {len(rows)})"))
     return "\n".join(lines)
-
-
-def fleet_report(urls: Sequence[str], timeout_s: float = 10.0,
-                 top_spans: int = 8) -> str:
-    """Poll + render in one call (the ``repro fleet`` body)."""
-    return render_fleet(fleet_overview(urls, timeout_s=timeout_s),
-                        top_spans=top_spans)

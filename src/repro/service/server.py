@@ -115,6 +115,9 @@ class CampaignService:
         #: at completion, not at the next emit tick.
         self._job_done: Dict[str, asyncio.Event] = {}
         self.dispatcher.on_job_done = self._wake_streams
+        #: Writers of the held-open job streams: ``stop`` closes them,
+        #: so a following client sees its stream end, not stall.
+        self._streams: set = set()
         #: Set by ``/submit``: the idle local pumps wait on it.
         self._work = asyncio.Event()
 
@@ -146,6 +149,8 @@ class CampaignService:
 
     async def stop(self) -> None:
         self._stopping = True
+        for writer in list(self._streams):
+            writer.close()
         for task in self._tasks:
             task.cancel()
         for task in self._tasks:
@@ -454,6 +459,7 @@ class CampaignService:
                 "Content-Type: application/x-ndjson\r\n"
                 "Cache-Control: no-cache\r\n"
                 "Connection: close\r\n\r\n").encode()
+        self._streams.add(writer)
         try:
             writer.write(head)
             await writer.drain()
@@ -486,6 +492,7 @@ class CampaignService:
         except (ConnectionError, asyncio.CancelledError):
             return
         finally:
+            self._streams.discard(writer)
             try:
                 writer.close()
             except Exception:  # noqa: BLE001 — already torn down

@@ -9,7 +9,6 @@ from .layout import (
 )
 from .routing import RoutedCircuit, route
 from .transpiler import transpile
-from .verify import check_connectivity, records_equal
 
 __all__ = [
     "LAYOUTS",
@@ -19,6 +18,4 @@ __all__ = [
     "RoutedCircuit",
     "route",
     "transpile",
-    "check_connectivity",
-    "records_equal",
 ]

@@ -1,8 +1,8 @@
 """Word-level bit primitives shared by the packed layouts.
 
-Lives below both :mod:`repro.frames` (64 shots per word) and
-:mod:`repro.stabilizer` (64 tableau rows per word) so neither has to
-import the other for a popcount.
+Lives below :mod:`repro.frames` (64 shots per word), which re-exports
+it, so the numpy batched-tableau oracle in ``tests/oracles`` (64
+tableau rows per word) takes its popcount without the frames package.
 """
 
 from __future__ import annotations

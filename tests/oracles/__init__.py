@@ -1,5 +1,6 @@
 """Test oracles: the Python implementations the C kernels are held to,
-and the slower statements of two Python fast paths.
+the slower statements of two Python fast paths, and the reference
+simulators and circuit checks only the tests use.
 
 Every kernel in ``src/`` (``frames/_kernel.c``, ``decoders/_unionfind.c``,
 ``decoders/_blossom.c``) has exactly one implementation there.  The
@@ -11,7 +12,7 @@ and the tests compare the two bit for bit:
   framed by :func:`~oracles.frames.decode` as the kernel frames it), which
   ``repro_frames_run`` must match in record words, frames, log-weights,
   depolarize counts and every lane's generator state; and the reference
-  pass replayed on :class:`~repro.stabilizer.simulator.TableauSimulator`
+  pass replayed on :class:`~oracles.chp.TableauSimulator`
   (:func:`~oracles.frames.replay_reference`), which
   ``repro_frames_reference`` must match in every answer and the
   generator state it leaves.
@@ -34,4 +35,16 @@ and the tests compare the two bit for bit:
 * :mod:`oracles.identity` — ``canonical_task`` on ``dataclasses.asdict``
   (:func:`~oracles.identity.asdict_canonical_task`), whose dict and task
   key the store's field walk must give.
+* :mod:`oracles.chp` — the single-shot CHP tableau
+  (:class:`~oracles.chp.Tableau`, :class:`~oracles.chp.TableauSimulator`,
+  :func:`~oracles.chp.run_shot`): the reference pass replay runs on it,
+  and each shot of the numpy batched tableau must equal it row for row.
+* :mod:`oracles.statevector` — the dense statevector simulator
+  (:class:`~oracles.statevector.StatevectorSimulator`), which the
+  single-shot tableau's stabilizers and records must agree with.
+* :mod:`oracles.circuits` — random Clifford circuits
+  (:func:`~oracles.circuits.random_clifford_circuit`) for the
+  property tests, and the transpiler's checks: every two-qubit gate on
+  an edge (:func:`~oracles.circuits.check_connectivity`) and equal
+  records before and after routing (:func:`~oracles.circuits.records_equal`).
 """

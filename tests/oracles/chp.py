@@ -1,21 +1,29 @@
-"""Aaronson–Gottesman stabilizer tableau (single state).
+"""Oracle of the stabilizer kernels: the Aaronson–Gottesman tableau
+(single state) and a single-shot circuit simulator on it.
 
-The tableau tracks ``2n`` rows — ``n`` destabilizers followed by ``n``
-stabilizers — each a Pauli in the symplectic representation, plus a sign
-bit per row.  Gate conjugation and measurement follow the CHP algorithm
-(Aaronson & Gottesman, "Improved simulation of stabilizer circuits",
-2004).  This is the *reference* implementation; the frames reference
-pass and the batched tableau in ``frames/_kernel.c`` are validated
-against it.
+:class:`Tableau` tracks ``2n`` rows — ``n`` destabilizers followed by
+``n`` stabilizers — each a Pauli in the symplectic representation, plus
+a sign bit per row.  Gate conjugation and measurement follow the CHP
+algorithm (Aaronson & Gottesman, "Improved simulation of stabilizer
+circuits", 2004).  :class:`TableauSimulator` executes one shot of a
+:class:`~repro.circuits.Circuit` on it, exactly for Clifford +
+measure/reset circuits.
+
+The frames reference pass (``repro_frames_reference``, replayed here by
+:func:`oracles.frames.replay_reference`) and the numpy batched tableau
+(:class:`oracles.tableau.BatchTableauSimulator`, one shot of which is a
+:class:`Tableau`) are held to it; it is in turn held to the dense
+statevector of :mod:`oracles.statevector`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from .pauli import PauliString
+from repro.circuits import Circuit, Gate, GateType
+from repro.stabilizer import PauliString
 
 
 def _g(xi: np.ndarray, zi: np.ndarray, xh: np.ndarray, zh: np.ndarray) -> np.ndarray:
@@ -271,3 +279,82 @@ def _gf2_rank(mat: np.ndarray) -> int:
         if rank == rows:
             break
     return rank
+
+
+class TableauSimulator:
+    """Stateful single-shot simulator.
+
+    Parameters
+    ----------
+    num_qubits:
+        Register width.
+    rng:
+        NumPy random generator (or an int seed) supplying random
+        measurement outcomes.
+    """
+
+    def __init__(self, num_qubits: int,
+                 rng: Optional[np.random.Generator | int] = None) -> None:
+        self.tableau = Tableau(num_qubits)
+        if rng is None:
+            rng = np.random.default_rng()
+        elif isinstance(rng, (int, np.integer)):
+            rng = np.random.default_rng(int(rng))
+        self.rng = rng
+        self.record: Dict[int, int] = {}
+
+    @property
+    def num_qubits(self) -> int:
+        return self.tableau.n
+
+    # ------------------------------------------------------------------
+    def apply(self, gate: Gate) -> Optional[int]:
+        """Apply one gate; returns the outcome for measurements."""
+        t = self.tableau
+        gt = gate.gate_type
+        if gt is GateType.I or gt is GateType.BARRIER:
+            return None
+        if gt is GateType.X:
+            t.x_gate(gate.qubits[0])
+        elif gt is GateType.Y:
+            t.y_gate(gate.qubits[0])
+        elif gt is GateType.Z:
+            t.z_gate(gate.qubits[0])
+        elif gt is GateType.H:
+            t.h(gate.qubits[0])
+        elif gt is GateType.S:
+            t.s(gate.qubits[0])
+        elif gt is GateType.SDG:
+            t.sdg(gate.qubits[0])
+        elif gt is GateType.CX:
+            t.cx(*gate.qubits)
+        elif gt is GateType.CZ:
+            t.cz(*gate.qubits)
+        elif gt is GateType.SWAP:
+            t.swap(*gate.qubits)
+        elif gt is GateType.RESET:
+            t.reset(gate.qubits[0], self.rng)
+        elif gt is GateType.MEASURE:
+            outcome = t.measure(gate.qubits[0], self.rng)
+            self.record[gate.cbit] = outcome
+            return outcome
+        else:  # pragma: no cover - defensive
+            raise NotImplementedError(gt)
+        return None
+
+    def run(self, circuit: Circuit) -> Dict[int, int]:
+        """Execute every gate in order; returns {cbit: outcome}."""
+        if circuit.num_qubits > self.num_qubits:
+            raise ValueError("circuit wider than simulator register")
+        for gate in circuit:
+            self.apply(gate)
+        return dict(self.record)
+
+    def stabilizers(self):
+        return self.tableau.stabilizers()
+
+
+def run_shot(circuit: Circuit, seed: Optional[int] = None) -> Dict[int, int]:
+    """Convenience: run one shot of ``circuit`` from |0...0>."""
+    sim = TableauSimulator(circuit.num_qubits, rng=seed)
+    return sim.run(circuit)

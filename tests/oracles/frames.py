@@ -17,7 +17,7 @@ layer sums its rows' ratios in row order, then banks the sum once — the
 kernel's order, on any batch size.
 
 **Reference pass.**  :func:`replay_reference` runs a reference stream
-once on :class:`~repro.stabilizer.simulator.TableauSimulator`;
+once on :class:`~oracles.chp.TableauSimulator`;
 :func:`python_reference` makes every frame compile and reseed use it.
 """
 
@@ -37,8 +37,8 @@ from repro.frames.packing import (
     pack_bool_rows,
     random_words,
 )
-from repro.stabilizer.simulator import TableauSimulator
-from repro.stabilizer.tableau import Tableau
+
+from oracles.chp import Tableau, TableauSimulator
 
 
 # ----------------------------------------------------------------------

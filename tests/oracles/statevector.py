@@ -1,9 +1,9 @@
-"""Dense statevector simulator (correctness oracle).
+"""Oracle of :mod:`oracles.chp`: a dense statevector simulator.
 
 Exact simulation of the full gate set — including the non-unitary
-``RESET`` and ``MEASURE`` — on up to ~14 qubits.  It exists so that the
-stabilizer simulators can be cross-validated on arbitrary Clifford
-circuits; production campaigns never use it.
+``RESET`` and ``MEASURE`` — on up to 16 qubits, so that the single-shot
+tableau can be cross-validated on arbitrary Clifford circuits
+(``tests/test_simulators.py``).
 
 Qubit ordering: qubit 0 is the *most significant* bit of the state
 index, matching the left-to-right order of Pauli labels in
@@ -16,8 +16,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..circuits import Circuit, Gate, GateType
-from ..stabilizer.pauli import PauliString
+from repro.circuits import Circuit, Gate, GateType
+from repro.stabilizer import PauliString
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -59,26 +59,22 @@ class StatevectorSimulator:
         self.record: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    def _axis(self, qubit: int) -> int:
-        """Tensor axis of ``qubit`` (qubit 0 = axis 0 = MSB)."""
-        return qubit
-
+    # Qubit q is tensor axis q of the state reshaped to [2] * n.
     def _apply_1q(self, mat: np.ndarray, qubit: int) -> None:
         psi = self.state.reshape([2] * self.n)
-        psi = np.moveaxis(psi, self._axis(qubit), 0)
+        psi = np.moveaxis(psi, qubit, 0)
         psi = np.tensordot(mat, psi, axes=([1], [0]))
-        psi = np.moveaxis(psi, 0, self._axis(qubit))
+        psi = np.moveaxis(psi, 0, qubit)
         self.state = np.ascontiguousarray(psi).reshape(-1)
 
     def _apply_two(self, mat4: np.ndarray, q0: int, q1: int) -> None:
         psi = self.state.reshape([2] * self.n)
-        a0, a1 = self._axis(q0), self._axis(q1)
-        psi = np.moveaxis(psi, (a0, a1), (0, 1))
+        psi = np.moveaxis(psi, (q0, q1), (0, 1))
         shape = psi.shape
         psi = psi.reshape(4, -1)
         psi = mat4 @ psi
         psi = psi.reshape(shape)
-        psi = np.moveaxis(psi, (0, 1), (a0, a1))
+        psi = np.moveaxis(psi, (0, 1), (q0, q1))
         self.state = np.ascontiguousarray(psi).reshape(-1)
 
     # ------------------------------------------------------------------
@@ -123,7 +119,7 @@ class StatevectorSimulator:
     def prob_one(self, qubit: int) -> float:
         """Probability of measuring |1> on ``qubit``."""
         psi = self.state.reshape([2] * self.n)
-        psi = np.moveaxis(psi, self._axis(qubit), 0)
+        psi = np.moveaxis(psi, qubit, 0)
         return float(np.sum(np.abs(psi[1]) ** 2))
 
     def measure(self, qubit: int,
@@ -137,11 +133,11 @@ class StatevectorSimulator:
             if prob < 1e-12:
                 raise ValueError("forced outcome has zero probability")
         psi = self.state.reshape([2] * self.n)
-        psi = np.moveaxis(psi, self._axis(qubit), 0).copy()
+        psi = np.moveaxis(psi, qubit, 0).copy()
         psi[1 - outcome] = 0.0
         norm = np.linalg.norm(psi)
         psi /= norm
-        psi = np.moveaxis(psi, 0, self._axis(qubit))
+        psi = np.moveaxis(psi, 0, qubit)
         self.state = np.ascontiguousarray(psi).reshape(-1)
         return outcome
 

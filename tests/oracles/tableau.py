@@ -40,7 +40,7 @@ range of 2 keeps the top bit and never rejects); the noise walk adds
 one ``rng.random(B)`` (``B`` ``next_double`` calls) per drawing site.
 The pivot is the first stabilizer row holding ``X_a`` and the
 destabilizer slot receives the old pivot row, so every shot's tableau
-equals the single-shot :class:`~repro.stabilizer.tableau.Tableau`
+equals the single-shot :class:`~oracles.chp.Tableau`
 reference bit for bit (``tests/test_tableau_stream.py`` pins records
 and generator state).
 
@@ -56,8 +56,9 @@ import numpy as np
 
 from repro.circuits import Circuit, Gate, GateType
 from repro.noise.base import FLIP, RESET, NoiseModel, SiteTable
-from repro.stabilizer.tableau import Tableau
 from repro.util.bits import popcount_words
+
+from oracles.chp import Tableau
 
 _ZERO = np.uint64(0)
 _ONE = np.uint64(1)

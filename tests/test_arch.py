@@ -162,11 +162,6 @@ class TestSubgraphSampling:
         with pytest.raises(ValueError):
             g.sample_connected_subgraph(4, np.random.default_rng(0))
 
-    def test_distinct_subgraphs(self):
-        g = mesh(4, 4)
-        subs = g.sample_connected_subgraphs(3, 10, np.random.default_rng(3))
-        assert len(subs) == len(set(subs)) == 10
-
 
 def networkx_twin(factory, *args):
     """``factory(*args)`` and a NetworkX graph built from the same edge

@@ -98,12 +98,6 @@ class TestTransformation:
         assert a[1].cbit == 1
         assert a.num_cbits == 2
 
-    def test_remap_qubits(self):
-        c = Circuit(2).cx(0, 1)
-        r = c.remap_qubits({0: 4, 1: 2})
-        assert r[0].qubits == (4, 2)
-        assert r.num_qubits == 5
-
     def test_inverse_reverses_and_inverts(self):
         c = Circuit(1).h(0).s(0)
         inv = c.inverse()
@@ -112,12 +106,6 @@ class TestTransformation:
     def test_inverse_rejects_measurement(self):
         with pytest.raises(ValueError):
             Circuit(1).measure(0, 0).inverse()
-
-    def test_without_tag(self):
-        c = Circuit(1).x(0, tag="noise").h(0)
-        clean = c.without_tag("noise")
-        assert len(clean) == 1
-        assert clean[0].gate_type is GateType.H
 
     def test_copy_is_independent(self):
         c = Circuit(1).x(0)

@@ -65,11 +65,11 @@ from repro.noise import (
 )
 from repro.noise.base import NoiseChannel
 from repro.rare.sampler import SamplerSpec
-from repro.stabilizer import random_clifford_circuit
 from repro.util.rng import frame_ref_seed
 
 import test_tableau_stream as tableau_stream
 from oracles import frames as oracle
+from oracles.circuits import random_clifford_circuit
 from oracles.tableau import BatchTableauSimulator, numpy_walk
 
 

@@ -13,6 +13,7 @@ from repro.injection import (
     InjectionResult,
     InjectionTask,
     ResultSet,
+    build_sweep,
     run_task,
     wilson_interval,
 )
@@ -53,6 +54,47 @@ class TestSpecs:
             FaultSpec(kind="erasure")           # needs qubits
         with pytest.raises(ValueError):
             FaultSpec(kind="radiation", time_index=99)
+
+    def test_unknown_arch_fails_at_construction(self):
+        with pytest.raises(KeyError, match="unknown architecture 'nope'"):
+            ArchSpec("nope")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"root_qubit": -1},
+        {"kind": "erasure", "qubits": (0, -2)},
+        {"kind": "erasure", "qubits": (0,), "probability": 1.5},
+        {"probability": -0.1},
+    ])
+    def test_fault_spec_rejects_bad_qubits_and_probability(self, kwargs):
+        with pytest.raises(ValueError):
+            FaultSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rounds": 0}, {"rounds": -1}, {"intrinsic_p": 2.0},
+        {"intrinsic_p": -1e-3}, {"intrinsic_p": float("nan")},
+    ])
+    def test_task_rejects_unrunnable_rounds_and_p(self, kwargs):
+        with pytest.raises(ValueError):
+            InjectionTask(code=CodeSpec("repetition", (3, 1)), **kwargs)
+
+    @pytest.mark.parametrize("axis", [
+        {"archs": ["nope"]}, {"rounds": 0}, {"p_values": [2.0]},
+        {"faults": [{"kind": "radiation", "root_qubit": -1}]},
+    ])
+    def test_sweep_rejects_unrunnable_spec(self, axis):
+        with pytest.raises((KeyError, ValueError)):
+            build_sweep(dict({"codes": [["repetition", [3, 1]]]}, **axis))
+
+    def test_boundary_values_still_accepted(self):
+        """The checks reject only what can never run: p at 0 and 1, one
+        round, qubit 0 and certain erasure all build."""
+        for p in (0, 0.0, 1, 1.0):
+            InjectionTask(code=CodeSpec("repetition", (3, 1)),
+                          intrinsic_p=p, rounds=1)
+        FaultSpec(kind="erasure", qubits=(0,), probability=1.0)
+        FaultSpec(kind="erasure", qubits=(0,), probability=0.0)
+        for name in ("linear", "mesh", "cairo", "heavy_hex"):
+            ArchSpec(name)
 
     def test_task_tags(self):
         t = InjectionTask(code=CodeSpec("repetition", (3, 1)))

@@ -6,7 +6,9 @@ from repro.analysis.landscape import Landscape
 from repro.arch import linear
 from repro.circuits import Circuit
 from repro.experiments import rounds_ablation
-from repro.transpile import records_equal, transpile
+from repro.transpile import transpile
+
+from oracles.circuits import records_equal
 
 
 class TestRecordsEqual:

@@ -18,9 +18,9 @@ from repro.circuits import Circuit
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
 from repro.decoders import decoder_for
 from repro.noise import RadiationEvent
-from repro.stabilizer import random_clifford_circuit
-from repro.transpile import check_connectivity, transpile
+from repro.transpile import transpile
 
+from oracles.circuits import check_connectivity, random_clifford_circuit
 from oracles.tableau import BatchTableauSimulator
 
 _SETTINGS = dict(max_examples=25, deadline=None,

@@ -45,6 +45,15 @@ def engine_shots():
     return obs.counter("engine.shots").value
 
 
+#: Specs whose every point would fail at execution.  Each is refused at
+#: submit; accepted as fresh work, its slices would be requeued forever.
+NEVER_RUNNABLE = [
+    pytest.param(dict(SPEC, archs=["nope"]), id="unknown-arch"),
+    pytest.param(dict(SPEC, rounds=0), id="zero-rounds"),
+    pytest.param(dict(SPEC, p_values=[2.0]), id="p-above-one"),
+]
+
+
 class TestTaskWireFormat:
     def test_round_trip_preserves_task_key(self):
         tasks = build_sweep(SPEC)._seeded()
@@ -253,6 +262,13 @@ class TestDispatcherErrors:
         with pytest.raises(DispatchError):
             d.submit({"codes": [["repetition", [3, 1]]], "pvals": [1]})
 
+    @pytest.mark.parametrize("spec", NEVER_RUNNABLE)
+    def test_never_runnable_spec_is_refused(self, tmp_path, spec):
+        d = make_dispatcher(tmp_path)
+        with pytest.raises(DispatchError, match="bad sweep spec"):
+            d.submit(spec)
+        assert not d.points and d.lease(runner="idle") == []
+
     def test_unknown_job(self, tmp_path):
         d = make_dispatcher(tmp_path)
         with pytest.raises(UnknownJobError):
@@ -403,6 +419,17 @@ class TestHTTPService:
             client.submit({"codes": []})
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("spec", NEVER_RUNNABLE)
+    def test_never_runnable_spec_is_400(self, service, spec):
+        from repro.service import ServiceClient, ServiceError
+
+        client = ServiceClient(service.url)
+        with pytest.raises(ServiceError) as err:
+            client.submit(spec)
+        assert err.value.status == 400
+        assert "bad sweep spec" in str(err.value)
+        assert client.status()["jobs"] == 0
+
     @pytest.mark.parametrize("body", [
         {"max": "abc"}, {"max": -3}, {"max": 0}, {"ttl_s": "soon"},
         {"ttl_s": -1}])
@@ -417,6 +444,43 @@ class TestHTTPService:
         assert client._request("POST", "/lease", {"max": 2}) == {
             "leases": []}
 
+
+    def test_wait_fails_when_the_head_stops_mid_stream(self, tmp_path):
+        """A head with no workers never finishes the job; stopping it
+        while ``wait`` follows the stream ends the stream without a
+        final record, and ``wait`` names the job in its error."""
+        import threading
+
+        from repro.service import CampaignService, ServiceClient, \
+            ServiceError
+
+        svc = CampaignService(str(tmp_path / "store.jsonl"), port=0,
+                              workers=0, slice_shots=512)
+        svc.start_background()
+        try:
+            client = ServiceClient(svc.url)
+            job = client.submit(SPEC)["job"]
+            streaming = threading.Event()
+            outcome = {}
+
+            def follow():
+                try:
+                    outcome["status"] = client.wait(
+                        job, timeout_s=60, poll_s=0.05,
+                        on_progress=lambda status: streaming.set())
+                except ServiceError as exc:
+                    outcome["error"] = exc
+
+            follower = threading.Thread(target=follow)
+            follower.start()
+            assert streaming.wait(30), "wait never received a snapshot"
+        finally:
+            svc.stop_background()
+        follower.join(30)
+        assert not follower.is_alive()
+        assert "status" not in outcome
+        assert job in str(outcome["error"])
+        assert "closed before the job finished" in str(outcome["error"])
 
     def test_bad_completions_leave_metrics_and_expiry_working(
             self, tmp_path):

@@ -13,13 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import Circuit, GateType
-from repro.stabilizer import (
-    TableauSimulator,
-    random_clifford_circuit,
-    run_shot,
-)
-from repro.statevector import StatevectorSimulator
-
+from oracles.chp import TableauSimulator, run_shot
+from oracles.circuits import random_clifford_circuit
+from oracles.statevector import StatevectorSimulator
 from oracles.tableau import BatchTableauSimulator
 
 

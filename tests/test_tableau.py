@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.stabilizer import PauliString, Tableau
-from repro.stabilizer.tableau import _gf2_rank
+from repro.stabilizer import PauliString
+
+from oracles.chp import Tableau, _gf2_rank
 
 
 def rng():

@@ -30,8 +30,8 @@ from repro.noise import (
     run_batch_noisy,
 )
 from repro.rare.sampler import SamplerSpec
-from repro.stabilizer import random_clifford_circuit
 
+from oracles.circuits import random_clifford_circuit
 from oracles.tableau import numpy_walk
 
 BATCHES = (1, 3, 4, 5, 63, 64, 65, 512, 1000)

@@ -6,14 +6,15 @@ import pytest
 from repro.arch import complete, linear, mesh, cairo
 from repro.circuits import Circuit, GateType
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
-from repro.stabilizer import TableauSimulator
 from repro.transpile import (
     GreedyConnectedLayout,
     SnakeLayout,
     TrivialLayout,
-    check_connectivity,
     transpile,
 )
+
+from oracles.chp import TableauSimulator
+from oracles.circuits import check_connectivity
 
 
 def ghz_circuit(n):
