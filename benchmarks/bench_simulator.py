@@ -18,7 +18,7 @@ import pytest
 from conftest import bench_bar, bench_report
 
 from repro.arch import mesh
-from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
+from repro.codes import XXZZCode, build_memory_experiment
 from repro.noise import (
     DepolarizingNoise,
     NoiseModel,

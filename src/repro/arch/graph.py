@@ -175,31 +175,6 @@ class ArchitectureGraph:
         return int(self.distance_matrix().max())
 
     # ------------------------------------------------------------------
-    # Connected-subgraph sampling (Fig. 6/7 "hypernodes")
-    # ------------------------------------------------------------------
-    def sample_connected_subgraph(self, size: int,
-                                  rng: np.random.Generator,
-                                  seed_qubit: Optional[int] = None
-                                  ) -> Tuple[int, ...]:
-        """Sample one connected vertex set of ``size`` qubits by random
-        BFS growth from a (random) seed qubit."""
-        if not 1 <= size <= self.num_qubits:
-            raise ValueError(f"bad subgraph size {size}")
-        if seed_qubit is None:
-            seed_qubit = int(rng.integers(self.num_qubits))
-        chosen = {seed_qubit}
-        frontier = set(self._adj[seed_qubit])
-        while len(chosen) < size:
-            frontier -= chosen
-            if not frontier:
-                raise ValueError(
-                    f"component around {seed_qubit} smaller than {size}")
-            pick = int(rng.choice(sorted(frontier)))
-            chosen.add(pick)
-            frontier |= set(self._adj[pick])
-        return tuple(sorted(chosen))
-
-    # ------------------------------------------------------------------
     def subgraph(self, qubits: Sequence[int], name: str = "") -> "ArchitectureGraph":
         """Induced subgraph relabelled to 0..k-1 (sorted order)."""
         qubits = sorted(int(q) for q in qubits)

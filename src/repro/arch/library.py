@@ -13,7 +13,7 @@ drive the paper's Observation VIII, are preserved (see DESIGN.md §1).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .graph import ArchitectureGraph
 

@@ -179,17 +179,6 @@ class Gate:
             raise ValueError(f"{self.gate_type.value} has no inverse")
         return Gate(inv, self.qubits, tag=self.tag)
 
-    def remap(self, mapping) -> "Gate":
-        """Return a copy with qubit indices remapped through ``mapping``.
-
-        ``mapping`` may be a dict or a sequence indexed by old qubit.
-        """
-        if isinstance(mapping, dict):
-            new_qubits = tuple(mapping[q] for q in self.qubits)
-        else:
-            new_qubits = tuple(mapping[q] for q in self.qubits)
-        return Gate(self.gate_type, new_qubits, cbit=self.cbit, tag=self.tag)
-
     def __str__(self) -> str:
         args = ",".join(str(q) for q in self.qubits)
         if self.gate_type is GateType.MEASURE:

@@ -32,6 +32,7 @@ in-flight work when identical, and simulated only on miss.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -81,9 +82,20 @@ def _engine_kwargs(args) -> dict:
         "resume": args.store,
         "adaptive": _policy(args),
         "chunk_shots": args.chunk_shots,
-        "backend": args.backend,
         "workers": args.workers,
     }
+
+
+def _override(campaign, **fields):
+    """``campaign`` with every task's ``fields`` set to the values given
+    on the command line (``None``: keep each task's own).  Each field is
+    part of the task key, so the override lands before anything counts
+    or runs a task."""
+    from .injection import Campaign
+
+    fields = {k: v for k, v in fields.items() if v is not None}
+    return Campaign([dataclasses.replace(t, **fields) for t in campaign.tasks],
+                    root_seed=campaign.root_seed, workers=campaign.workers)
 
 
 def cmd_fig3(args) -> None:
@@ -116,7 +128,8 @@ def cmd_figure(args) -> None:
     figure = FIGURES[args.command]
     extra = ({"deep": args.deep, "deep_p": args.deep_p}
              if args.command == "fig6" else {})
-    campaign = figure.build_campaign(shots=args.shots, **extra)
+    campaign = _override(figure.build_campaign(shots=args.shots, **extra),
+                         backend=args.backend)
     report = figure.report(figure.analyze(
         campaign.run(**_engine_kwargs(args))))
     print(report.head)
@@ -134,10 +147,10 @@ def cmd_detect(args) -> None:
     roc = fig_detect.roc_series(
         shots=args.shots, distance=args.distance, rounds=args.rounds,
         strike_round=args.strike_round)
-    campaign = fig_detect.build_campaign(
+    campaign = _override(fig_detect.build_campaign(
         shots=args.shots, distance=args.distance, rounds=args.rounds,
         strike_round=args.strike_round, intensity=args.intensity,
-        decoder=args.decoder)
+        decoder=args.decoder), backend=args.backend)
     policies = fig_detect.analyze(campaign.run(**_engine_kwargs(args)))
     _write([p.to_row() for p in roc],
            "Detection — ROC / latency / localisation vs strike intensity",
@@ -148,21 +161,6 @@ def cmd_detect(args) -> None:
            f"strike at round {args.strike_round} "
            f"(intensity {args.intensity:g}, paired seeds)",
            args.csv and _sibling_csv(args.csv, "policies"))
-
-
-def _sampler_override(args):
-    """The ``--sampler``/``--tilt`` override, or ``None`` (keep each
-    task's own sampler)."""
-    if args.tilt is not None and args.sampler != "tilt":
-        sys.exit("error: --tilt only applies with --sampler tilt")
-    if args.sampler is None:
-        return None
-    from .rare.sampler import SamplerSpec
-
-    try:
-        return SamplerSpec(kind=args.sampler, tilt=args.tilt or 0.0)
-    except ValueError as exc:
-        sys.exit(f"error: {exc}")
 
 
 def _load_spec(path: str, shots: Optional[int] = None):
@@ -193,28 +191,22 @@ def cmd_campaign(args) -> None:
     from .injection.store import CampaignStore
     from .parallel import default_workers
 
-    _, campaign = _load_spec(args.spec, args.shots)
+    campaign = _override(_load_spec(args.spec, args.shots)[1],
+                         backend=args.backend, recovery=args.recovery,
+                         sampler=args.sampler, decoder=args.decoder)
     policy = _policy(args)
-    sampler = _sampler_override(args)
-    decoder = args.decoder
     store = CampaignStore(args.store) if args.store else None
     workers = args.workers
     if workers is None:
         workers = default_workers(campaign.workers)
-    banked = campaign.banked(store, adaptive=policy, backend=args.backend,
-                             recovery=args.recovery, sampler=sampler,
-                             decoder=decoder)
+    banked = campaign.banked(store, adaptive=policy)
     print(f"campaign: {len(campaign)} points, {workers} worker(s)"
           + (f" ({banked} already complete in {args.store})" if store
              else ""))
     try:
         results = campaign.run(workers=workers,
                                chunk_shots=args.chunk_shots,
-                               adaptive=policy, resume=store,
-                               backend=args.backend,
-                               recovery=args.recovery,
-                               sampler=sampler,
-                               decoder=decoder)
+                               adaptive=policy, resume=store)
     except ValueError as exc:
         if "frame backend" not in str(exc):
             raise
@@ -266,8 +258,6 @@ def cmd_rare(args) -> None:
     if sampler.auto_tilt:
         # Pin the rung the pilot just chose: the auto resolver would
         # deterministically re-run the identical ladder otherwise.
-        import dataclasses
-
         chosen = next(float(r["tilt"]) for r in rows if r["chosen"])
         task = dataclasses.replace(
             task, sampler=dataclasses.replace(sampler,
@@ -733,20 +723,25 @@ def _add_backend_option(sub: argparse.ArgumentParser) -> None:
                           "tableau elsewhere")
 
 
-def _decoder_spec(text: str):
-    """``--decoder`` type: ``KIND[:MODS]`` parsed by ``as_decoder``; a
-    bad kind or modifier is an argparse usage error (exit 2)."""
-    from .decoders import as_decoder
+def _spec_type(parse):
+    """An argparse ``type`` from a spec parser (``as_decoder``,
+    ``as_sampler``: the sweep spec's grammar for the same key): a
+    string it rejects is a usage error (exit 2)."""
 
-    try:
-        return as_decoder(text)
-    except (KeyError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    def parsed(text: str):
+        try:
+            return parse(text)
+        except (KeyError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+    return parsed
 
 
 def _add_decoder_option(sub: argparse.ArgumentParser, default: Optional[str],
                         what: str) -> None:
-    sub.add_argument("--decoder", type=_decoder_spec, default=default,
+    from .decoders import as_decoder
+
+    sub.add_argument("--decoder", type=_spec_type(as_decoder), default=default,
                      metavar="KIND[:MODS]",
                      help=f"{what}: 'mwpm' or 'union-find', with optional "
                           "comma-joined mods after a colon — 'hooks' adds "
@@ -834,19 +829,19 @@ def build_parser() -> argparse.ArgumentParser:
                            "shots' burst-window detectors, 'static' = "
                            "plain decode (default: the task's own "
                            "setting)")
-    from .rare.sampler import SAMPLER_KINDS
+    from .rare.sampler import as_sampler
 
-    camp.add_argument("--sampler", type=str, default=None,
-                      choices=SAMPLER_KINDS,
+    camp.add_argument("--sampler", type=_spec_type(as_sampler), default=None,
+                      metavar="KIND[:ARG]",
                       help="rare-event sampling measure for every "
                            "point: 'tilt' = importance-sample boosted "
                            "intrinsic noise with per-shot likelihood "
-                           "weights, 'split' = multilevel splitting "
-                           "over frame batches, 'mc' = plain Monte "
-                           "Carlo (default: the task's own setting)")
-    camp.add_argument("--tilt", type=float, default=None,
-                      help="tilt factor for --sampler tilt (default: "
-                           "auto via a pilot run)")
+                           "weights ('tilt:8' pins the tilt factor, "
+                           "plain 'tilt' picks it by a pilot run), "
+                           "'split' = multilevel splitting over frame "
+                           "batches ('split:3' sets the levels), 'mc' = "
+                           "plain Monte Carlo (default: the task's own "
+                           "setting)")
     _add_decoder_option(camp, None, "decoder for every point (default: "
                                     "the task's own setting)")
     rare = subs.add_parser(

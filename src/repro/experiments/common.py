@@ -5,7 +5,8 @@ Every campaign figure module follows the same pattern:
 * ``build_campaign(shots, ...)`` — the exact task list, as a
   :class:`~repro.injection.Campaign`; run it with
   :meth:`Campaign.run <repro.injection.Campaign.run>` and whatever
-  engine options the caller wants (workers, store, adaptive, backend),
+  engine options the caller wants (workers, store, adaptive); a task
+  field such as the backend is set on the tasks themselves,
 * ``analyze(results)`` — the figure's data series from the
   :class:`~repro.injection.results.ResultSet`: it keeps the results
   tagged with its own figure and reads every spec parameter (p values,

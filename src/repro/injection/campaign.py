@@ -57,8 +57,8 @@ from ..noise import (
     RadiationEvent,
     run_batch_noisy,
 )
-from ..decoders import DecoderSpec, SyndromeBatch, as_decoder, decoder_for
-from ..rare.sampler import SamplerSpec, as_sampler
+from ..decoders import DecoderSpec, SyndromeBatch, decoder_for
+from ..rare.sampler import SamplerSpec
 from ..rare.stats import WeightStats
 from ..transpile import transpile
 from ..util.rng import block_seed, frame_ref_seed, task_seed
@@ -144,10 +144,6 @@ def _build_noise(task: InjectionTask, experiment: MemoryExperiment
             event = RadiationEvent.from_positions(
                 fault.root_qubit, positions, **model_kwargs)
         if fault.strike_round >= 0:
-            if fault.strike_round >= task.rounds:
-                raise ValueError(
-                    f"strike_round {fault.strike_round} outside the "
-                    f"{task.rounds}-round experiment")
             channels.append(event.burst(
                 fault.strike_round,
                 max(1, experiment.code.measures_per_round),
@@ -610,25 +606,11 @@ class Campaign:
     def __len__(self) -> int:
         return len(self.tasks)
 
-    def _seeded(self, backend: Optional[str] = None,
-                recovery: Optional[str] = None,
-                sampler: Union[SamplerSpec, str, None] = None,
-                decoder: Union[DecoderSpec, str, None] = None
-                ) -> List[InjectionTask]:
-        sampler = as_sampler(sampler) if sampler is not None else None
-        decoder = as_decoder(decoder) if decoder is not None else None
+    def _seeded(self) -> List[InjectionTask]:
         out = []
         for i, t in enumerate(self.tasks):
             if t.seed == 0:
                 t = dataclasses.replace(t, seed=task_seed(self.root_seed, i))
-            if backend is not None and t.backend != backend:
-                t = dataclasses.replace(t, backend=backend)
-            if recovery is not None and t.recovery != recovery:
-                t = dataclasses.replace(t, recovery=recovery)
-            if sampler is not None and t.sampler != sampler:
-                t = dataclasses.replace(t, sampler=sampler)
-            if decoder is not None and t.decoder != decoder:
-                t = dataclasses.replace(t, decoder=decoder)
             if t.sampler.auto_tilt:
                 # Resolve auto-tilt in the parent, once per task:
                 # workers receive the pinned tilt instead of each
@@ -639,31 +621,20 @@ class Campaign:
         return out
 
     def banked(self, store: Union[CampaignStore, str, None],
-               adaptive: Optional[AdaptivePolicy] = None,
-               backend: Optional[str] = None,
-               recovery: Optional[str] = None,
-               sampler: Union[SamplerSpec, str, None] = None,
-               decoder: Union[DecoderSpec, str, None] = None) -> int:
+               adaptive: Optional[AdaptivePolicy] = None) -> int:
         """How many of *this campaign's* points a resume would skip
         (store files are shared across campaigns, so ``len(store)``
-        over-counts).  Pass the same ``backend``/``recovery``/
-        ``sampler``/``decoder`` overrides as the run: all participate
-        in the task key."""
+        over-counts)."""
         store = CampaignStore.coerce(store)
         if store is None:
             return 0
-        return sum(1 for t in self._seeded(backend, recovery, sampler,
-                                           decoder)
+        return sum(1 for t in self._seeded()
                    if _reusable(store.result_for(t), adaptive))
 
     def run(self, chunk_shots: Optional[int] = None,
             adaptive: Optional[AdaptivePolicy] = None,
             resume: Union[CampaignStore, str, None] = None,
-            backend: Optional[str] = None,
-            recovery: Optional[str] = None,
-            workers: Optional[int] = None,
-            sampler: Union[SamplerSpec, str, None] = None,
-            decoder: Union[DecoderSpec, str, None] = None) -> ResultSet:
+            workers: Optional[int] = None) -> ResultSet:
         """Run all tasks through the :mod:`repro.parallel` scheduler.
 
         ``workers`` — worker processes (``None`` falls back to the
@@ -682,23 +653,13 @@ class Campaign:
         killed campaign picks up where it stopped with identical
         results.  ``adaptive`` applies an early-stopping policy to every
         point (``task.shots`` becomes the ceiling unless the policy
-        carries its own).  ``backend`` overrides every task's simulation
-        backend ("auto"/"frames"/"tableau"); since the backend is part
-        of the task identity, stores keep per-backend results distinct.
-        ``recovery`` likewise overrides every task's burst-recovery
-        policy ("static"/"reweight"/"discard_window"), ``sampler`` the
-        rare-event sampling measure ("mc"/"tilt"/"split", a
-        :class:`~repro.rare.sampler.SamplerSpec`, or a string like
-        "tilt:8" — see :func:`repro.rare.sampler.as_sampler`), and
-        ``decoder`` the decoding configuration (a :class:`~repro.
-        decoders.spec.DecoderSpec` or a string like "mwpm" /
-        "union-find:hooks" — see :func:`repro.decoders.spec.
-        as_decoder`).
+        carries its own).  Backend, decoder, sampler and recovery
+        policy are fields of each task (and of its store key), set
+        where the task is built.
         """
         mon = obs.active()
         try:
-            return self._run(mon, chunk_shots, adaptive, resume, backend,
-                             recovery, workers, sampler, decoder)
+            return self._run(mon, chunk_shots, adaptive, resume, workers)
         finally:
             if mon is not None:
                 # Campaign boundary, not session end: force a telemetry
@@ -707,11 +668,10 @@ class Campaign:
                 # figure in one session).
                 mon.campaign_end()
 
-    def _run(self, mon, chunk_shots, adaptive, resume, backend, recovery,
-             workers, sampler, decoder) -> ResultSet:
+    def _run(self, mon, chunk_shots, adaptive, resume, workers) -> ResultSet:
         from ..parallel import Scheduler, default_workers
 
-        seeded = self._seeded(backend, recovery, sampler, decoder)
+        seeded = self._seeded()
         store = CampaignStore.coerce(resume)
         if workers is None:
             workers = default_workers(self.workers)

@@ -9,9 +9,9 @@ cache naturally, and every result is reproducible from its spec alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 from ..arch import ArchitectureGraph, by_name
 from ..arch.library import factory
@@ -180,6 +180,10 @@ class InjectionTask:
         validate_backend(self.backend)
         if self.rounds < 1:
             raise ValueError("a memory experiment needs rounds >= 1")
+        if self.fault.strike_round >= self.rounds:
+            raise ValueError(
+                f"strike_round {self.fault.strike_round} outside the "
+                f"{self.rounds}-round experiment")
         if not 0.0 <= self.intrinsic_p <= 1.0:
             raise ValueError("intrinsic_p must lie in [0, 1]")
         if not isinstance(self.decoder, DecoderSpec):

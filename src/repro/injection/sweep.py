@@ -39,7 +39,8 @@ from typing import Any, List, Mapping, Optional, Sequence
 from ..decoders.spec import as_decoder
 from ..rare.sampler import as_sampler
 from .campaign import Campaign
-from .spec import ArchSpec, CodeSpec, FaultSpec, InjectionTask
+from .spec import (ArchSpec, CodeSpec, FaultSpec, InjectionTask, build_arch,
+                   build_experiment)
 
 #: Recognised top-level spec keys (anything else is a typo worth failing
 #: loudly on — a silently ignored axis would corrupt a week-long sweep).
@@ -109,6 +110,24 @@ def fault_label(fault: FaultSpec) -> str:
     return "none"
 
 
+def _check_fault_qubits(fault: FaultSpec, code: CodeSpec,
+                        arch: Optional[ArchSpec], rounds: int,
+                        basis: str) -> None:
+    """Reject a fault on a qubit the device lacks: the engine would
+    index past it (a radiation root) or inject nothing (an erasure).
+    The device is sized by the engine's own cached builders."""
+    qubits = (fault.root_qubit,) if fault.kind == "radiation" \
+        else fault.qubits
+    if not qubits:
+        return
+    size = (build_arch(arch).num_qubits if arch is not None
+            else build_experiment(code, rounds, basis).circuit.num_qubits)
+    if max(qubits) >= size:
+        device = arch.label if arch is not None else code.label
+        raise ValueError(f"fault qubit {max(qubits)} outside {device}'s "
+                         f"{size} qubits")
+
+
 def _axes(spec: Mapping[str, Any]):
     """Validate + normalize the four product axes (shared by
     :func:`build_sweep` and :func:`sweep_size`, so the pre-flight count
@@ -154,6 +173,8 @@ def build_sweep(spec: Mapping[str, Any]) -> Campaign:
     for code in codes:
         for arch in archs:
             for fault in faults:
+                _check_fault_qubits(fault, code, arch, common["rounds"],
+                                    common["basis"])
                 for p in p_values:
                     task = InjectionTask(code=code, arch=arch, fault=fault,
                                          intrinsic_p=p, **common)

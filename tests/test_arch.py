@@ -1,6 +1,7 @@
 """Tests for architecture graphs."""
 
 import copy
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,11 @@ import pytest
 
 from repro.arch import library
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
+from repro.experiments import fig7_spread
+from repro.experiments.common import fitting_mesh, used_physical_qubits
+from repro.experiments.fig7_spread import _subgraph_pool
+from repro.injection.spec import CodeSpec, build_arch
+from repro.injection.store import task_key
 from repro.transpile import transpile
 from repro.arch import (
     ArchitectureGraph,
@@ -139,28 +145,44 @@ class TestDistances:
 
 
 class TestSubgraphSampling:
+    """Fig. 7's erased clusters (``fig7_spread._subgraph_pool``):
+    connected, of the asked size, distinct, inside the qubits the
+    transpiled circuit uses."""
+
+    CODE = CodeSpec("xxzz", (3, 3))
+    ARCH = fitting_mesh(CODE.build().num_qubits)
+
+    def pool(self, size, count=20, seed=0):
+        return _subgraph_pool(self.CODE, self.ARCH, size, count, seed)
+
     def test_sampled_subgraph_is_connected(self):
-        g = mesh(4, 4)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            sub = g.sample_connected_subgraph(5, rng)
-            assert len(sub) == 5
-            assert g.subgraph(sub).is_connected()
+        graph = build_arch(self.ARCH)
+        used = set(used_physical_qubits(self.CODE, self.ARCH))
+        pool = self.pool(5)
+        assert pool and len(set(pool)) == len(pool)
+        for cluster in pool:
+            assert len(cluster) == 5 and set(cluster) <= used
+            assert graph.subgraph(cluster).is_connected()
 
     def test_sample_size_one(self):
-        g = mesh(2, 2)
-        rng = np.random.default_rng(1)
-        assert len(g.sample_connected_subgraph(1, rng)) == 1
+        used = used_physical_qubits(self.CODE, self.ARCH)
+        pool = self.pool(1, count=len(used))
+        assert all(len(c) == 1 for c in pool)
+        assert len(set(pool)) == len(pool)
+        assert set(q for c in pool for q in c) <= set(used)
 
     def test_sample_whole_graph(self):
-        g = linear(4)
-        rng = np.random.default_rng(2)
-        assert g.sample_connected_subgraph(4, rng) == (0, 1, 2, 3)
+        used = used_physical_qubits(self.CODE, self.ARCH)
+        assert self.pool(len(used), count=3) == [tuple(sorted(used))]
 
-    def test_oversized_sample_rejected(self):
-        g = linear(3)
-        with pytest.raises(ValueError):
-            g.sample_connected_subgraph(4, np.random.default_rng(0))
+    def test_fig7_pool_unchanged(self):
+        """Fig. 7's campaign, and so every cluster in it, keeps its task
+        keys."""
+        keys = [task_key(t)
+                for t in fig7_spread.build_campaign(shots=16)._seeded()]
+        assert len(keys) == 178
+        assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == (
+            "7d6b1721ae6646196cc19f50b1ea4d3fe76955f347ee43ca02fb208ef97da7ea")
 
 
 def networkx_twin(factory, *args):

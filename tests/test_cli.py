@@ -143,6 +143,9 @@ class TestCampaignCommand:
         ('[1, 2]', "not a JSON object"),
         ('{"codes": [["repetition", [3, 1]]], "colour": 1}',
          "bad sweep spec"),
+        ('{"codes": [["repetition", [3, 1]]], '
+         '"faults": [{"kind": "erasure", "qubits": [40]}]}',
+         "bad sweep spec"),
     ])
     def test_bad_spec_is_an_error_line(self, tmp_path, command, content,
                                        message):
@@ -203,6 +206,34 @@ class TestCampaignCommand:
         assert main(["rare", "--pilot-only", "--decoder", "uf:hooks"]) == 0
         assert seen[0].decoder == as_decoder("union-find:hooks")
 
+    def test_flag_overrides_are_the_spec_keys(self, capsys, tmp_path):
+        """``--backend/--recovery/--sampler/--decoder`` set the same task
+        fields as the spec keys: a spec carrying them finds every point
+        the flagged run banked and prints the same rows."""
+        base = {**self.SPEC, "rounds": 3, "shots": 512,
+                "faults": [{"kind": "none"},
+                           {"kind": "radiation", "root_qubit": 1,
+                            "strike_round": 1}]}
+        fields = {"backend": "tableau", "recovery": "discard_window",
+                  "sampler": "tilt:4", "decoder": "union-find"}
+        store = str(tmp_path / "store.jsonl")
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(base))
+        flags = [arg for key, value in fields.items()
+                 for arg in (f"--{key}", value)]
+        assert main(["campaign", str(plain), "-j", "1", "--quiet",
+                     "--store", store] + flags) == 0
+        first = capsys.readouterr().out.splitlines()
+        keyed = tmp_path / "keyed.json"
+        keyed.write_text(json.dumps({**base, **fields}))
+        assert main(["campaign", str(keyed), "-j", "1", "--quiet",
+                     "--store", store]) == 0
+        second = capsys.readouterr().out.splitlines()
+        assert "(2 already complete" in second[0]
+        assert [line.replace(str(keyed), "S") for line in second[1:]] \
+            == [line.replace(str(plain), "S") for line in first[1:]]
+        assert "tilt:4" in "\n".join(second)
+
     def test_adaptive_knobs_require_adaptive(self, tmp_path):
         """--min/--max-shots without --adaptive would be silently
         ignored; fail loudly instead."""
@@ -260,20 +291,22 @@ class TestRareCommand:
             "codes": [["xxzz", [3, 3]]], "p_values": [0.004],
             "readout": "data", "shots": 1024}))
         assert main(["campaign", str(spec), "--workers", "1",
-                     "--sampler", "tilt", "--tilt", "4"]) == 0
+                     "--sampler", "tilt:4"]) == 0
         out = capsys.readouterr().out
         assert "tilt:4" in out
         assert "ess" in out
 
-    def test_tilt_requires_tilt_sampler(self, tmp_path):
+    def test_tilt_requires_tilt_sampler(self, tmp_path, capsys):
+        """Only ``tilt`` and ``split`` take an argument: ``mc:4`` is a
+        CLI error, not a traceback."""
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "codes": [["repetition", [3, 1]]], "shots": 512}))
-        with pytest.raises(SystemExit):
-            main(["campaign", str(spec), "--tilt", "4"])
-        with pytest.raises(SystemExit):
-            main(["campaign", str(spec), "--sampler", "split",
-                  "--tilt", "4"])
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", str(spec), "--sampler", "mc:4"])
+        assert exc.value.code != 0
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_split_on_tableau_fails_cleanly(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -291,9 +324,10 @@ class TestRareCommand:
         spec.write_text(json.dumps({
             "codes": [["repetition", [3, 1]]], "shots": 512}))
         with pytest.raises(SystemExit) as exc:
-            main(["campaign", str(spec), "--sampler", "tilt",
-                  "--tilt", "0.5"])
-        assert "error:" in str(exc.value)
+            main(["campaign", str(spec), "--sampler", "tilt:0.5"])
+        assert exc.value.code != 0
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
         with pytest.raises(SystemExit) as exc:
             main(["rare", "--tilt", "0.5", "--pilot-only"])
         assert "error:" in str(exc.value)

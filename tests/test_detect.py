@@ -1,7 +1,6 @@
 """Tests for repro.detect — packed streams, CUSUM detection, strike
 localisation, burst-adaptive recovery, and the campaign/CLI threading."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -470,10 +469,9 @@ class TestCampaignThreading:
             FaultSpec(kind="radiation", strike_round=1, intensity=2.0)
 
     def test_strike_round_outside_rounds_rejected(self):
-        task = _burst_task(fault=FaultSpec(kind="radiation", root_qubit=4,
-                                           strike_round=9), shots=512)
         with pytest.raises(ValueError, match="outside"):
-            run_task(task)
+            _burst_task(fault=FaultSpec(kind="radiation", root_qubit=4,
+                                        strike_round=9), shots=512)
 
     def test_counts_invariant_to_chunking(self):
         task = _burst_task()

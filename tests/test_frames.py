@@ -1698,9 +1698,10 @@ class TestEngineIntegration:
         assert rs[0].counts == run_task(t).counts
 
     def test_campaign_backend_override(self):
-        tasks = [self.make_task(seed=s, shots=600) for s in (1, 2)]
-        frames = Campaign(tasks).run(workers=1, backend="frames")
-        tableau = Campaign(tasks).run(workers=1, backend="tableau")
+        frames, tableau = (
+            Campaign([self.make_task(seed=s, shots=600, backend=backend)
+                      for s in (1, 2)]).run(workers=1)
+            for backend in ("frames", "tableau"))
         assert all(r.task.backend == "frames" for r in frames)
         assert all(r.task.backend == "tableau" for r in tableau)
         # different random streams, same physics

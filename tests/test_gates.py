@@ -84,22 +84,6 @@ class TestGateInverse:
             Gate(GateType.RESET, (0,)).inverse()
 
 
-class TestGateRemap:
-    def test_remap_with_dict(self):
-        g = Gate(GateType.CX, (0, 1)).remap({0: 5, 1: 3})
-        assert g.qubits == (5, 3)
-
-    def test_remap_with_list(self):
-        g = Gate(GateType.CX, (0, 1)).remap([7, 2])
-        assert g.qubits == (7, 2)
-
-    def test_remap_preserves_cbit_and_tag(self):
-        g = Gate(GateType.MEASURE, (0,), cbit=2, tag="syndrome")
-        r = g.remap({0: 9})
-        assert r.cbit == 2
-        assert r.tag == "syndrome"
-
-
 class TestGateSets:
     def test_unitary_and_nonunitary_partition(self):
         assert GateType.MEASURE not in UNITARY_GATES

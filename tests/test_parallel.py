@@ -485,16 +485,14 @@ class TestCrashTolerance:
 
     @staticmethod
     def bad_task():
-        """Two leases of a task whose strike round is outside the
-        experiment: every execution raises ValueError."""
-        bad = InjectionTask(code=CodeSpec("repetition", (3, 1)),
-                            fault=FaultSpec(kind="radiation",
-                                            root_qubit=0, time_index=0,
-                                            strike_round=1),
-                            rounds=4, intrinsic_p=0.05,
-                            shots=2 * SIM_BLOCK, seed=3)
-        object.__setattr__(bad.fault, "strike_round", 10)  # > rounds
-        return bad
+        """Two leases of a task rooted off the 6-qubit device (only a
+        sweep spec checks the root against the device): every execution
+        raises IndexError."""
+        return InjectionTask(code=CodeSpec("repetition", (3, 1)),
+                             fault=FaultSpec(kind="radiation",
+                                             root_qubit=99, time_index=0),
+                             rounds=4, intrinsic_p=0.05,
+                             shots=2 * SIM_BLOCK, seed=3)
 
     def test_worker_exception_propagates(self):
         """A deterministic task failure surfaces as a campaign error,
@@ -505,7 +503,7 @@ class TestCrashTolerance:
     def test_in_process_exception_propagates(self):
         """The same failure on the in-process route surfaces as itself
         instead of looping."""
-        with pytest.raises(ValueError, match="strike_round 10 outside"):
+        with pytest.raises(IndexError, match="index 99"):
             Campaign([self.bad_task()]).run(workers=1)
 
     def test_death_mid_send_cannot_hang(self):

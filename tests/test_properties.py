@@ -6,8 +6,6 @@ any single injected Pauli at any circuit position, and the radiation
 model must behave monotonically in time and space.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings

@@ -51,6 +51,14 @@ NEVER_RUNNABLE = [
     pytest.param(dict(SPEC, archs=["nope"]), id="unknown-arch"),
     pytest.param(dict(SPEC, rounds=0), id="zero-rounds"),
     pytest.param(dict(SPEC, p_values=[2.0]), id="p-above-one"),
+    pytest.param(dict(SPEC, faults=[{"kind": "radiation", "root_qubit": 99,
+                                     "time_index": 0}]),
+                 id="root-off-device"),
+    pytest.param(dict(SPEC, faults=[{"kind": "radiation", "root_qubit": 0,
+                                     "strike_round": 7}]),
+                 id="strike-past-rounds"),
+    pytest.param(dict(SPEC, faults=[{"kind": "erasure", "qubits": [40]}]),
+                 id="erasure-off-device"),
 ]
 
 
