@@ -9,25 +9,13 @@ import numpy as np
 from ..injection.results import wilson_interval
 
 __all__ = ["wilson_interval", "wilson_halfwidth", "median_with_iqr",
-           "bootstrap_median_ci", "binomial_stderr",
-           "shots_for_rel_halfwidth"]
+           "bootstrap_median_ci", "binomial_stderr"]
 
 
 def wilson_halfwidth(errors: int, shots: int, z: float = 1.96) -> float:
     """Half-width of the Wilson interval — the campaign precision metric."""
     lo, hi = wilson_interval(errors, shots, z)
     return (hi - lo) / 2.0
-
-
-def shots_for_rel_halfwidth(p: float, rel: float, z: float = 1.96) -> int:
-    """Shots needed so a point at rate ``p`` reaches relative half-width
-    ``rel`` (normal approximation) — for sizing campaign budgets and
-    adaptive ceilings by hand; the stopping rule itself measures the
-    real Wilson interval as data arrives.
-    """
-    if not 0.0 < p < 1.0 or rel <= 0.0:
-        return 0
-    return int(np.ceil(z * z * (1.0 - p) / (p * rel * rel)))
 
 
 def median_with_iqr(values: Sequence[float]

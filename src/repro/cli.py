@@ -201,8 +201,8 @@ def cmd_campaign(args) -> None:
         workers = default_workers(campaign.workers)
     banked = campaign.banked(store, adaptive=policy)
     print(f"campaign: {len(campaign)} points, {workers} worker(s)"
-          + (f" ({banked} already complete in {args.store})" if store
-             else ""))
+          + (f" ({banked} already complete in {args.store})"
+             if store is not None else ""))
     try:
         results = campaign.run(workers=workers,
                                chunk_shots=args.chunk_shots,
@@ -924,9 +924,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("-j", "--workers", dest="serve_workers",
                        type=int, default=1, metavar="N",
                        help="local slice workers: 1 (default) runs "
-                            "in-process, N>1 forks a pool, 0 serves "
-                            "dispatch only (remote runners do the "
-                            "work)")
+                            "in-process, N>1 forks N workers (one that "
+                            "dies costs only its own slice; all exit "
+                            "with the head), 0 serves dispatch only "
+                            "(remote runners do the work)")
     serve.add_argument("--slice-shots", type=int, default=None,
                        help="shots per dispatched slice (block-"
                             "aligned; default: the engine's chunk "

@@ -20,12 +20,15 @@ intact:
 * **One loop, in-process or forked** — the scheduler is the engine's
   only executor.  With one effective worker (``workers=1``, or a plan
   of a single lease) it drains the plans itself, in task order, at the
-  engine's checkpoint grain; otherwise it forks, and each worker gets
-  its own duplex pipe.  Either way the engine is handed runs taken by
+  engine's checkpoint grain; otherwise it forks workers, each on its own
+  duplex pipe.  Either way the engine is handed runs taken by
   the same :meth:`Scheduler._take_run`, which it executes as wide
   spans.  The choice is computed from the inputs, never set by the
   caller, and both routes bank every chunk through the same
-  :class:`~repro.parallel.plan.TaskPlan`.
+  :class:`~repro.parallel.plan.TaskPlan`.  A forked worker is a
+  :class:`~repro.parallel.worker.Worker` — the same process the
+  service head's ``-j N`` slots run — and each run is sent to it as a
+  wire lease, the dict pull runners are sent.
 * **Crash tolerance** — a dead worker's in-flight runs are requeued
   and the campaign completes with a :class:`RuntimeWarning`; if every
   worker dies (or none can be started), the remaining leases finish
@@ -63,7 +66,7 @@ from ..injection.campaign import DEFAULT_CHUNK_SHOTS, _normalize_chunk
 from ..injection.results import (SIM_BLOCK, ZERO_PRIOR, ChunkResult,
                                  InjectionResult)
 from ..injection.spec import InjectionTask
-from ..injection.store import CampaignStore, task_key
+from ..injection.store import CampaignStore, _identity, task_key
 from . import worker
 from .plan import ChunkLease, Prior, TaskPlan
 
@@ -165,9 +168,8 @@ class Scheduler:
     def _execute(self, plans: List[TaskPlan], total_leases: int) -> None:
         ctx = _mp_context()
         num_workers = min(self.requested_workers, total_leases)
-        tasks = [plan.task for plan in plans]
-        #: Live workers: wid -> (process, the scheduler's end of its pipe).
-        self._workers: Dict[int, Tuple[object, object]] = {}
+        #: Live workers by id.
+        self._workers: Dict[int, worker.Worker] = {}
         #: Runs sent to each worker and not yet reported, oldest first.
         self._inflight: Dict[int, Deque[List[ChunkLease]]] = \
             defaultdict(deque)
@@ -191,24 +193,14 @@ class Scheduler:
                                           _term_to_interrupt)
         try:
             for wid in range(num_workers):
-                conn, child_end = ctx.Pipe()
-                proc = ctx.Process(target=worker.worker_main,
-                                   args=(wid, tasks, child_end),
-                                   daemon=True)
                 try:
-                    proc.start()
+                    self._workers[wid] = worker.Worker(wid, ctx)
                 except OSError as exc:
-                    conn.close()
                     warnings.warn(
                         f"could not start parallel worker {wid} ({exc}); "
                         f"continuing with {len(self._workers)} worker(s)",
                         RuntimeWarning, stacklevel=2)
                     break
-                finally:
-                    # The worker holds the only other copy of its end,
-                    # so its death reads as EOF here.
-                    child_end.close()
-                self._workers[wid] = (proc, conn)
             # One run per worker per pass, so every worker has a run
             # before any has two.
             for _ in range(PIPELINE_DEPTH):
@@ -225,27 +217,28 @@ class Scheduler:
                     self._drain(plans)
                     return
                 handles = {}
-                for wid, (proc, conn) in self._workers.items():
-                    handles[conn] = handles[proc.sentinel] = wid
+                for wid, handle in self._workers.items():
+                    handles[handle.conn] = \
+                        handles[handle.process.sentinel] = wid
                 for wid in sorted({handles[ready]
                                    for ready in wait(list(handles))}):
-                    message = self._recv(self._workers[wid][1])
-                    if message is None:
+                    reply = self._workers[wid].recv()
+                    if reply is None:
                         self._reap(wid)
-                    elif message[0] == "chunks":
-                        _, task_index, rows, metrics_snap = message
-                        for row in rows:
-                            self._on_chunk(wid, task_index,
-                                           ChunkResult.from_row(row),
-                                           metrics_snap)
-                        self._inflight[wid].popleft()
-                        self._pump()
-                    else:
-                        _, task_index, tb = message
+                        continue
+                    plan = plans[reply["lease"]]
+                    if "error" in reply:
                         raise RuntimeError(
                             f"parallel campaign point "
-                            f"{plans[task_index].task.label!r} failed in "
-                            f"a worker:\n{tb}")
+                            f"{plan.task.label!r} failed in a worker:\n"
+                            f"{reply['error']}")
+                    self._inflight[wid].popleft()
+                    mon = obs.active()
+                    if mon is not None:
+                        mon.worker_snapshot(wid, reply["obs"])
+                    for row in reply["chunks"]:
+                        self._bank(plan, ChunkResult.from_row(row))
+                    self._pump()
         except KeyboardInterrupt:
             # Requeue every run still in flight (parent bookkeeping so
             # the plans' pending state is honest) and count what the
@@ -270,29 +263,12 @@ class Scheduler:
             if previous_term is not None:
                 signal.signal(signal.SIGTERM, previous_term)
 
-    @staticmethod
-    def _recv(conn):
-        """A worker's next message, or ``None`` once it is dead: its
-        sentinel fired with nothing left to read, its end closed (EOF),
-        or it died mid-message (a cut-off frame reads as OSError)."""
-        try:
-            return conn.recv() if conn.poll() else None
-        except (EOFError, OSError):
-            return None
-
     def _push_plan(self, plan: TaskPlan) -> None:
         """(Re-)enter a task into the priority queue, deepest-first."""
         if plan.pending:
             heapq.heappush(self._heap,
                            (-plan.remaining, self._heap_seq, plan.index))
             self._heap_seq += 1
-
-    def _on_chunk(self, wid: int, task_index: int, chunk: ChunkResult,
-                  metrics_snap: Optional[dict] = None) -> None:
-        mon = obs.active()
-        if mon is not None and metrics_snap is not None:
-            mon.worker_snapshot(wid, metrics_snap)
-        self._bank(self._plans[task_index], chunk)
 
     def _bank(self, plan: TaskPlan, chunk: ChunkResult) -> None:
         """Fold one finished chunk into its plan — which checkpoints it
@@ -318,7 +294,7 @@ class Scheduler:
         deepest plan — every worker, not just one that reported: a
         worker that went idle while all work was in flight elsewhere
         picks new leases back up here."""
-        for wid, (_, conn) in sorted(self._workers.items()):
+        for wid, handle in sorted(self._workers.items()):
             inflight = self._inflight[wid]
             if len(inflight) >= PIPELINE_DEPTH:
                 continue
@@ -332,12 +308,13 @@ class Scheduler:
             self._push_plan(plan)
             inflight.append(run)
             _OBS_LEASES.inc(len(run))
-            lease = run[0]
-            try:
-                conn.send(("run", lease.task_index, lease.start,
-                           lease.shots, len(run)))
-            except OSError:
-                pass    # dead: its sentinel fires, _reap requeues
+            # The wire lease a pull runner gets, with the plan index as
+            # its id.  A dead worker's send is dropped: its sentinel
+            # fires and _reap requeues the run.
+            key, task = _identity(plan.task)
+            handle.send({"lease": plan.index, "key": key, "task": task,
+                         "start": run[0].start, "shots": run[0].shots,
+                         "run": len(run)})
 
     @staticmethod
     def _take_run(plan: TaskPlan, workers: int) -> List[ChunkLease]:
@@ -382,21 +359,20 @@ class Scheduler:
 
     def _reap(self, wid: int) -> None:
         """Requeue the leases of a worker that died."""
-        proc, conn = self._workers.pop(wid)
-        proc.kill()    # a worker whose pipe broke can never report again
-        proc.join(timeout=5.0)
-        conn.close()
+        handle = self._workers.pop(wid)
+        handle.kill()    # a worker whose pipe broke can never report again
+        exitcode = handle.process.exitcode
         requeued = self._requeue(wid)
         warnings.warn(
-            f"parallel worker {wid} died (exit code {proc.exitcode}); "
+            f"parallel worker {wid} died (exit code {exitcode}); "
             f"requeued {requeued} leased chunk(s) — the campaign "
             f"continues on {len(self._workers)} worker(s)",
             RuntimeWarning, stacklevel=2)
         _OBS_CRASHES.inc()
         _OBS_REQUEUED.inc(requeued)
         obs.event("scheduler.worker_crash",
-                  f"worker {wid} died (exit code {proc.exitcode})",
-                  worker=wid, exitcode=proc.exitcode, requeued=requeued)
+                  f"worker {wid} died (exit code {exitcode})",
+                  worker=wid, exitcode=exitcode, requeued=requeued)
         self._pump()
 
     def _drain(self, plans: List[TaskPlan]) -> None:
@@ -413,14 +389,4 @@ class Scheduler:
                     self._bank(plan, chunk)
 
     def _shutdown(self) -> None:
-        for _, conn in self._workers.values():
-            try:
-                conn.send(("exit",))
-            except OSError:
-                pass    # already gone
-        for proc, conn in self._workers.values():
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-            conn.close()
+        worker.stop(self._workers.values())

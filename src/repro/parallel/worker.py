@@ -1,15 +1,13 @@
-"""Worker-process side of the multiprocess campaign scheduler.
+"""The one forked worker process, and the wire lease it executes.
 
-Each worker owns one end of a duplex pipe; the scheduler holds the
-other.  A worker only ever sees runs of
-:class:`~repro.parallel.plan.ChunkLease` slices — contiguous, equally
-sized leases of one task: it executes a run through the exact same
-:func:`execute_lease` call the scheduler's in-process drain uses (so
-counts are bit-identical by construction) and reports the run's chunks
-upstream in one message.  That is all a worker does — it holds no
-store handle and writes no file; the scheduler process, which owns the
-plans, banks and checkpoints every chunk.  A worker whose scheduler
-has died exits on its own.
+Every route that runs blocks outside the process owning the plans
+sends a *wire lease* (:meth:`~repro.service.dispatcher.Lease.to_wire`,
+plus a ``run`` count) and gets back :func:`execute_lease_wire`'s
+payload: pull runners over HTTP, the campaign scheduler and the
+service head's ``-j N`` slots over the pipe of a :class:`Worker`.  A
+worker only computes — the plans' owner banks and stores every chunk.
+Its death reads as ``None`` on its handle, costing only its own
+leases, and a worker whose parent has died exits on its own.
 """
 
 from __future__ import annotations
@@ -20,25 +18,26 @@ import pickle
 import signal
 import struct
 import traceback
-from typing import List
+from multiprocessing.connection import wait
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from .. import obs
 from ..injection.campaign import iter_task_chunks
 from ..injection.results import ChunkResult
-from ..injection.spec import InjectionTask
+from ..injection.spec import InjectionTask, task_from_dict
+from ..obs import trace
 
 #: Test-only crash injection: a worker whose id matches
 #: ``REPRO_TEST_CRASH_WORKER`` SIGKILLs itself after completing
-#: ``REPRO_TEST_CRASH_AFTER`` runs, half way through writing the last
+#: ``REPRO_TEST_CRASH_AFTER`` leases, half way through writing the last
 #: one's reply — the crash-tolerance tests use it to die mid-campaign,
 #: mid-message, exactly like an OOM-killed or segfaulted worker.
 CRASH_WORKER_ENV = "REPRO_TEST_CRASH_WORKER"
 CRASH_AFTER_ENV = "REPRO_TEST_CRASH_AFTER"
 
 #: How long an idle worker waits on its pipe between checks that its
-#: scheduler is still alive.  Workers forked after this one inherit
-#: the scheduler's end of its pipe, so a dead scheduler need not show
-#: up as EOF.
+#: parent is still alive.  Workers forked after this one inherit the
+#: parent's end of its pipe, so a dead parent need not show up as EOF.
 PARENT_POLL_S = 1.0
 
 
@@ -57,6 +56,30 @@ def execute_lease(task: InjectionTask, start: int, shots: int,
     return chunks
 
 
+def execute_lease_wire(lease: Mapping[str, Any]) -> Dict[str, object]:
+    """Execute one wire lease (``run`` leases from ``start``, default
+    1) through :func:`execute_lease` and return the completion payload:
+    ``lease``, ``key``, chunk rows and — when the lease carries a span
+    context — the lease span, with engine phase deltas as children and
+    the chunk as a grandchild.  Tracing never touches the engine, so
+    counts stay bit-identical.  A process of its own (a forked worker,
+    a pull runner) attaches its registry snapshot itself."""
+    task = task_from_dict(lease["task"])
+    start, shots = int(lease["start"]), int(lease["shots"])
+    run = int(lease.get("run", 1))
+    ctx = trace.from_wire(lease.get("trace"))
+    with trace.span(ctx, "lease", here=True, phases=True,
+                    key=str(lease["key"])[:16], start=start) as lctx:
+        with trace.span(lctx, "chunk", start, shots=shots * run):
+            chunks = execute_lease(task, start, shots, run)
+    payload: Dict[str, object] = {
+        "lease": lease["lease"], "key": lease["key"],
+        "chunks": [chunk.to_row() for chunk in chunks]}
+    if ctx is not None:
+        payload["spans"] = trace.drain()
+    return payload
+
+
 def _maybe_crash(worker_id: int, completed: int, conn, reply) -> None:
     doomed = os.environ.get(CRASH_WORKER_ENV, "")
     if str(worker_id) not in doomed.split(","):
@@ -70,51 +93,97 @@ def _maybe_crash(worker_id: int, completed: int, conn, reply) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def worker_main(worker_id: int, tasks: List[InjectionTask], conn) -> None:
-    """Process entry point: execute runs of leases until told to exit.
+def worker_main(worker_id: int, conn) -> None:
+    """Process entry point: execute wire leases until told to exit.
 
-    Messages in: ``("run", task_index, start, shots, n)`` — ``n``
-    leases of ``shots`` shots from ``start`` — / ``("exit",)``.
-    Messages out, one per run: ``("chunks", task_index, rows,
-    metrics_snapshot)`` / ``("error", task_index, traceback)``.
-    Failures are reported, not raised — a task that cannot execute
-    must surface in the scheduler as a campaign error, not as a silent
-    worker death that looks requeue-able.
+    In: a wire lease, or ``None`` to exit.  Out, one per lease: its
+    payload plus ``obs``, the worker's cumulative registry snapshot
+    (zeroed at start; the parent merges by replacement, so nothing can
+    double-count) — or ``{"lease": id, "error": traceback}``: a task
+    that cannot execute is an error, not a requeue-able death.
 
-    The metrics snapshot riding every reply is the worker's
-    *cumulative* registry state (zeroed at worker start, so fork
-    inheritance never leaks parent counts): the scheduler merges per
-    worker by replacement, making the transport idempotent — a lost or
-    reordered message can never double-count.
-
-    The scheduler's death (a SIGKILL skips its shutdown) is noticed by
-    the parent pid changing, checked before every run, or by its end of
-    the pipe closing: the worker drops what is left in its pipeline and
-    returns.
+    The parent's death (a SIGKILL skips its shutdown) is noticed by the
+    parent pid changing, checked before every lease, or by its end of
+    the pipe closing: the worker drops its pipeline and returns.
     """
     obs.reset()
-    # The pid recorded when the scheduler created this process, not
-    # getppid() now: the scheduler may already be gone.
-    scheduler_pid = mp.parent_process().pid
+    # The pid recorded when the parent created this process, not
+    # getppid() now: the parent may already be gone.
+    parent_pid = mp.parent_process().pid
     completed = 0
     try:
-        while os.getppid() == scheduler_pid:
+        while os.getppid() == parent_pid:
             if not conn.poll(PARENT_POLL_S):
                 continue
-            message = conn.recv()
-            if message[0] == "exit":
+            lease = conn.recv()
+            if lease is None:
                 return
-            _, task_index, start, shots, run = message
             try:
-                chunks = execute_lease(tasks[task_index], start, shots, run)
+                reply = execute_lease_wire(lease)
             except Exception:
-                conn.send(("error", task_index, traceback.format_exc()))
+                conn.send({"lease": lease.get("lease"),
+                           "error": traceback.format_exc()})
                 continue
-            reply = ("chunks", task_index,
-                     [chunk.to_row() for chunk in chunks],
-                     obs.registry().snapshot())
+            reply["obs"] = obs.registry().snapshot()
             completed += 1
             _maybe_crash(worker_id, completed, conn, reply)
             conn.send(reply)
     except (EOFError, OSError):
-        return    # the scheduler's end of the pipe is gone
+        return    # the parent's end of the pipe is gone
+
+
+class Worker:
+    """The parent's handle on one :func:`worker_main` process."""
+
+    def __init__(self, worker_id: int, ctx=None) -> None:
+        ctx = ctx or mp.get_context("fork")
+        self.conn, child_end = ctx.Pipe()
+        self.process = ctx.Process(target=worker_main,
+                                   args=(worker_id, child_end), daemon=True)
+        try:
+            self.process.start()
+        finally:
+            # The worker holds the only other copy of its end, so its
+            # death reads as EOF here.
+            child_end.close()
+
+    def send(self, lease: Optional[Mapping[str, Any]]) -> None:
+        """Queue a wire lease (``None``: exit) on the worker's pipe."""
+        try:
+            self.conn.send(lease)
+        except OSError:
+            pass    # dead: the next recv reads None
+
+    def recv(self) -> Optional[Dict[str, object]]:
+        """The worker's next reply — ``None`` once it is dead: its
+        sentinel fired with nothing to read, EOF, or a cut-off frame."""
+        try:
+            wait([self.conn, self.process.sentinel])
+            return self.conn.recv() if self.conn.poll() else None
+        except (EOFError, OSError):
+            return None
+
+    def call(self, lease: Mapping[str, Any]) -> Optional[Dict[str, object]]:
+        """Send one lease and wait for its reply."""
+        self.send(lease)
+        return self.recv()
+
+    def kill(self) -> None:
+        """End a worker that can never report again."""
+        self.process.kill()
+        self.process.join(timeout=5.0)
+        self.conn.close()
+
+
+def stop(workers: Iterable[Worker]) -> None:
+    """Tell every worker to exit, then join (or terminate) each: their
+    leases in flight finish side by side."""
+    workers = list(workers)
+    for handle in workers:
+        handle.send(None)
+    for handle in workers:
+        handle.process.join(timeout=5.0)
+        if handle.process.is_alive():
+            handle.process.terminate()
+            handle.process.join(timeout=5.0)
+        handle.conn.close()

@@ -14,7 +14,8 @@ as the system of record and simulates **only on cache miss**:
   one in-flight computation) and fresh work (block-aligned slice
   leases with crash-expiry requeue).
 * :mod:`repro.service.server` — the asyncio JSON-over-HTTP front end
-  (stdlib only) plus the in-process local runner pool.
+  (stdlib only) plus its local slots, in-process or each on a forked
+  :class:`~repro.parallel.worker.Worker`.
 * :mod:`repro.service.runner` — the pull-based runner loop: a second
   host leases slices over the same HTTP API and returns chunk rows
   for the head to bank (``repro serve --runner URL``).
@@ -23,7 +24,7 @@ as the system of record and simulates **only on cache miss**:
 * :mod:`repro.service.fleet` — ``repro fleet URL...``: poll several
   heads' ``/status`` + ``/metrics`` and fold them into one report.
 
-Every dispatch topology — in-process pool, remote runners, or a plain
+Every dispatch topology — local slots, remote runners, or a plain
 ``repro campaign`` against the same store — produces bit-identical
 counts: slices are canonical-block aligned, so a chunk's counts are a
 pure function of ``(task, start, shots)`` no matter who ran it.

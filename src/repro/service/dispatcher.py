@@ -20,8 +20,8 @@ Traffic splits three ways at submit time, per point:
 ``fresh``
     Remaining shots (the store's chunks for the point are replayed
     first, so even a half-finished point never re-simulates) are
-    partitioned into block-aligned slice leases that local pool
-    workers and remote pull runners drain through one API.
+    partitioned into block-aligned slice leases that the head's local
+    slots and remote pull runners drain through one API.
 
 Leases carry a deadline: a runner that crashes mid-slice simply never
 completes it, the lease expires, and the slice is requeued — canonical
@@ -42,10 +42,12 @@ from .. import obs
 from ..obs import trace
 from ..injection.campaign import DEFAULT_CHUNK_SHOTS, _normalize_chunk
 from ..injection.results import ZERO_PRIOR, ChunkResult, wilson_interval
-from ..injection.spec import InjectionTask, task_from_dict
+from ..injection.spec import InjectionTask
 from ..injection.store import CampaignStore, _identity, task_key
 from ..injection.sweep import build_sweep
 from ..parallel.plan import ChunkLease, TaskPlan
+# The runner side of the lease API, named here beside the dispatch side.
+from ..parallel.worker import execute_lease_wire  # noqa: F401
 
 #: Default lease time-to-live: a slice not completed (or failed) this
 #: many seconds after leasing is presumed lost to a runner crash and
@@ -65,7 +67,7 @@ _OBS_CRASHES = obs.counter("service.runner_crashes")
 _OBS_FAILED = obs.counter("service.failed_leases")
 
 #: Bucket edges (seconds) for the per-runner lease histograms: the
-#: short end resolves thread-pool slices, the long end TTL requeues.
+#: short end resolves local slices, the long end TTL requeues.
 LEASE_BOUNDS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
                 10.0, 30.0, 60.0, 120.0)
 
@@ -298,8 +300,9 @@ class Dispatcher:
         #: with no other lease outstanding and clears on next contact.
         self.runners: Dict[str, Dict[str, object]] = {}
         #: Latest cumulative registry snapshot per remote runner /
-        #: pool worker, merged by replacement (each is cumulative for
-        #: its process, so replacement is idempotent like counters).
+        #: forked local worker, merged by replacement (each is
+        #: cumulative for its process, so replacement is idempotent
+        #: like counters).
         self._runner_snaps: Dict[str, Dict[str, object]] = {}
         #: Called with a job's id when its last point finishes (the
         #: server wakes that job's held-open streams with it).
@@ -436,8 +439,8 @@ class Dispatcher:
 
     def _job_telemetry(self) -> Dict[str, object]:
         """The engine-counter snapshot slice a polling client cares
-        about (per-process; the local pool's thread executor keeps
-        these in the service process)."""
+        about (per-process; a ``workers == 1`` head runs its slices
+        in the service process, so it keeps all of them)."""
         snap = obs.registry().snapshot()
         counters = snap.get("counters", {})
         keep = {k: v for k, v in counters.items()
@@ -657,7 +660,7 @@ class Dispatcher:
 
     def fail(self, lease_id: str, error: str = "") -> Dict[str, object]:
         """A runner reports it could not execute a slice: requeue it
-        (another runner — or the local pool — picks it up)."""
+        (another runner — or a local slot — picks it up)."""
         lease = self._leases.pop(lease_id, None)
         if lease is None:
             return {"ok": True, "stale": True}
@@ -703,9 +706,6 @@ class Dispatcher:
                               f"none outstanding)", runner=lease.runner)
         return len(expired)
 
-    def has_work(self) -> bool:
-        return any(point.pending for point in self.points.values())
-
     # -- completion ----------------------------------------------------
     def _finalize(self, point: PointState) -> None:
         """Retire a completed point (its plan has written the done
@@ -750,8 +750,8 @@ class Dispatcher:
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """The head's registry merged with every remote runner's /
-        pool worker's latest cumulative snapshot — the `/metrics`
-        scrape body (JSON form; the Prometheus rendering is
+        forked local worker's latest cumulative snapshot — the
+        `/metrics` scrape body (JSON form; the Prometheus rendering is
         :func:`repro.obs.metrics.render_prometheus` of this)."""
         snap = obs.merge_snapshots(obs.registry().snapshot(),
                                    list(self._runner_snaps.values()))
@@ -759,38 +759,3 @@ class Dispatcher:
         if profile is not None:
             snap["profile"] = profile
         return snap
-
-
-def execute_lease_wire(lease: Mapping[str, Any],
-                       ship_obs: bool = False) -> Dict[str, object]:
-    """Execute one wire-form lease (runner side): rebuild the task from
-    its canonical dict, run the slice through the engine's canonical
-    block stream, and return the completion payload.
-
-    If the lease carries a span context it is rehydrated here and the
-    lease span (with engine phase deltas as children and the chunk as
-    a grandchild) is recorded and drained into the payload — tracing
-    never touches the engine itself, so counts stay bit-identical.
-
-    ``ship_obs=True`` attaches this process's cumulative registry
-    snapshot (remote runners and forked pool workers only — the
-    in-process thread pool shares the head's registry and must *not*
-    re-ship it, or every counter would double).
-    """
-    from ..parallel.worker import execute_lease
-
-    task = task_from_dict(lease["task"])
-    start, shots = int(lease["start"]), int(lease["shots"])
-    ctx = trace.from_wire(lease.get("trace"))
-    with trace.span(ctx, "lease", here=True, phases=True,
-                    key=str(lease["key"])[:16], start=start) as lctx:
-        with trace.span(lctx, "chunk", start, shots=shots):
-            chunks = execute_lease(task, start, shots)
-    payload: Dict[str, object] = {
-        "lease": lease["lease"], "key": lease["key"],
-        "chunks": [chunk.to_row() for chunk in chunks]}
-    if ctx is not None:
-        payload["spans"] = trace.drain()
-    if ship_obs:
-        payload["obs"] = obs.registry().snapshot()
-    return payload

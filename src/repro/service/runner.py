@@ -67,11 +67,7 @@ def run_runner(url: str, runner_id: Optional[str] = None,
         idle_since = None
         for wire in leases:
             try:
-                # ship_obs: the runner is its own process, so its
-                # cumulative registry snapshot rides every completion
-                # and the head merges it (by replacement) into the
-                # fleet-wide `/metrics` view.
-                payload = execute_lease_wire(wire, ship_obs=True)
+                payload = execute_lease_wire(wire)
             except Exception as exc:  # noqa: BLE001 — report, keep pulling
                 obs.event("runner.slice_error", repr(exc),
                           lease=wire.get("lease"), runner=runner)
@@ -81,10 +77,13 @@ def run_runner(url: str, runner_id: Optional[str] = None,
                 except ServiceError:
                     pass
                 continue
+            # The runner is its own process, so its cumulative registry
+            # snapshot rides every completion and the head merges it
+            # (by replacement) into the fleet-wide `/metrics` view.
             client.complete(str(payload["lease"]), payload["chunks"],
                             runner=runner, key=payload.get("key"),
                             spans=payload.get("spans"),
-                            obs_snapshot=payload.get("obs"))
+                            obs_snapshot=obs.registry().snapshot())
             done += 1
     obs.event("runner.stopped", f"runner {runner}: {done} slice(s)",
               runner=runner)

@@ -1,4 +1,4 @@
-"""The asyncio JSON-over-HTTP front end and local runner pool.
+"""The asyncio JSON-over-HTTP front end and its local slots.
 
 Stdlib only: the server speaks a deliberately small HTTP/1.1 subset
 over :mod:`asyncio` streams (one JSON request, one JSON response,
@@ -9,14 +9,17 @@ All dispatcher state lives on the event-loop thread: request handlers
 and the local pump both mutate it via plain synchronous calls from
 coroutines, so no locks are needed and the coalescing / cache-split
 decisions are race-free by construction.  Only slice *execution* —
-the actual simulation — leaves the loop, via an executor:
+the actual simulation — leaves the loop, on a thread per local slot:
 
-* ``workers <= 1`` (default): a single-thread executor.  Simulation
-  happens in the service process, so the ``engine.*`` obs counters a
-  client polls are live — this is also what lets the test suite prove
-  a resubmission simulated **zero** new shots.
-* ``workers > 1``: a fork-based process pool, one slice per worker at
-  a time, same topology as ``Campaign.run(workers=N)``.
+* ``workers == 1`` (default): the slot executes the slice in the
+  service process, so the ``engine.*`` obs counters a client polls are
+  live — this is also what lets the test suite prove a resubmission
+  simulated **zero** new shots.
+* ``workers > 1``: each slot sends its slice's wire lease to its own
+  forked :class:`~repro.parallel.worker.Worker`, the process
+  ``Campaign.run(workers=N)`` forks.  A worker that dies costs its own
+  slice (failed and requeued) and is replaced; the other slots keep
+  running, and the workers exit with their head.
 
 Either way the counts are bit-identical: slices are canonical-block
 aligned, so the executor choice only changes wall-clock.
@@ -28,14 +31,13 @@ import asyncio
 import json
 import threading
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, \
-    ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, Optional, Tuple, Union
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .. import obs
 from ..injection.store import CampaignStore
 from ..obs.sinks import TelemetryWriter
+from ..parallel import worker
 from .dispatcher import Dispatcher, DispatchError, UnknownJobError
 
 #: How often the housekeeping task expires stale leases and (when
@@ -52,25 +54,13 @@ MAX_BODY = 8 * 1024 * 1024
 #: Default emit interval for streaming job-progress responses.
 STREAM_INTERVAL_S = 0.5
 
-#: True in forked pool children only (set by the pool initializer):
-#: they carry their own registry, so their slices must ship snapshots
-#: back; the in-process thread pool shares the head's registry and
-#: must not (every counter would double on merge).
-_FORKED = False
-
 
 def _execute_slice(wire: Dict[str, object]) -> Dict[str, object]:
-    """Executor entry point (thread or forked process)."""
+    """Execute a slice in this process (``workers == 1``), whose
+    registry is the head's: no snapshot rides the payload."""
     from .dispatcher import execute_lease_wire
 
-    return execute_lease_wire(wire, ship_obs=_FORKED)
-
-
-def _worker_init() -> None:
-    """Forked pool children get a clean worker-local registry."""
-    global _FORKED
-    _FORKED = True
-    obs.reset()
+    return execute_lease_wire(wire)
 
 
 class _BadRequest(Exception):
@@ -104,7 +94,9 @@ class CampaignService:
         self.telemetry_path = telemetry
         self._writer: Optional[TelemetryWriter] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._executor: Optional[Executor] = None
+        self._executor: Optional[ThreadPoolExecutor] = None
+        #: One forked worker per local slot (``workers > 1`` only).
+        self._workers: List[worker.Worker] = []
         self._tasks: list = []
         self._stopping = False
         self._started = time.perf_counter()
@@ -131,11 +123,14 @@ class CampaignService:
         self._started = time.perf_counter()
         if self.telemetry_path:
             self._writer = TelemetryWriter(self.telemetry_path)
-        if self.workers > 1:
-            self._executor = self._new_pool()
-        elif self.workers == 1:
+        if self.workers > 0:
             self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-slice")
+                max_workers=self.workers, thread_name_prefix="repro-slice")
+        if self.workers > 1:
+            # Forked before the listener and any slot thread exist, so
+            # the workers inherit neither.
+            self._workers = [worker.Worker(slot)
+                             for slot in range(self.workers)]
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -164,8 +159,12 @@ class CampaignService:
             await self._server.wait_closed()
             self._server = None
         if self._executor is not None:
-            self._executor.shutdown(wait=True)
+            # Slices already sent finish first: a slot's thread is the
+            # only writer on its worker's pipe.
+            self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
+        worker.stop(self._workers)
+        self._workers = []
         if self._writer is not None:
             self._writer.write(self._snapshot_record(final=True))
             self._writer.close()
@@ -219,25 +218,6 @@ class CampaignService:
             self._thread.join(timeout_s)
             self._thread = None
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        import multiprocessing as mp
-
-        return ProcessPoolExecutor(max_workers=self.workers,
-                                   mp_context=mp.get_context("fork"),
-                                   initializer=_worker_init)
-
-    def _replace_pool(self, broken: Executor) -> None:
-        """A pool child died: ``ProcessPoolExecutor`` then refuses every
-        later submit, so swap in a fresh pool — once, however many
-        slots saw ``broken`` fail — and let the requeued slices rerun
-        (slices are canonical, so counts do not move)."""
-        if self._executor is not broken or self._stopping:
-            return
-        broken.shutdown(wait=False)
-        self._executor = self._new_pool()
-        obs.event("service.pool_replaced",
-                  "a pool worker died; started a fresh pool")
-
     # -- local pump ----------------------------------------------------
     async def _pump(self, slot: int) -> None:
         """One local worker slot: lease → execute (off-loop) → absorb.
@@ -261,20 +241,22 @@ class CampaignService:
                     pass
                 continue
             lease = leases[0]
-            wire = lease.to_wire()
-            executor = self._executor
+            execute = self._workers[slot].call if self._workers \
+                else _execute_slice
             try:
                 payload = await loop.run_in_executor(
-                    executor, _execute_slice, wire)
+                    self._executor, execute, lease.to_wire())
             except asyncio.CancelledError:
                 self.dispatcher.fail(lease.lease_id, "pump cancelled")
                 raise
             except Exception as exc:  # noqa: BLE001 — requeue, keep serving
-                self.dispatcher.fail(lease.lease_id, repr(exc))
-                obs.event("service.local_slice_error", repr(exc),
+                payload = {"error": repr(exc)}
+            if payload is None:
+                payload = {"error": self._replace_worker(slot)}
+            if "error" in payload:
+                self.dispatcher.fail(lease.lease_id, payload["error"])
+                obs.event("service.local_slice_error", payload["error"],
                           lease=lease.lease_id)
-                if isinstance(exc, BrokenProcessPool):
-                    self._replace_pool(executor)
                 await asyncio.sleep(PUMP_IDLE_S)
                 continue
             self.dispatcher.complete(payload["lease"],
@@ -282,6 +264,20 @@ class CampaignService:
                                      key=payload.get("key"),
                                      spans=payload.get("spans"),
                                      obs_snapshot=payload.get("obs"))
+
+    def _replace_worker(self, slot: int) -> str:
+        """Give ``slot`` a fresh worker in place of its dead one — no
+        other slot is touched — and return the failure its slice
+        reports (the slice is requeued; a canonical rerun cannot move
+        a count)."""
+        dead = self._workers[slot]
+        dead.kill()
+        self._workers[slot] = worker.Worker(slot)
+        error = (f"local worker {slot} died "
+                 f"(exit code {dead.process.exitcode})")
+        obs.event("service.worker_replaced",
+                  f"{error}; started a fresh one", slot=slot)
+        return error
 
     async def _housekeeping(self) -> None:
         while not self._stopping:

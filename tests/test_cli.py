@@ -114,7 +114,8 @@ class TestCampaignCommand:
         store = str(tmp_path / "store.jsonl")
         assert main(["campaign", spec, "--workers", "1",
                      "--store", store]) == 0
-        capsys.readouterr()
+        # a new, empty store still reports its (zero) banked count
+        assert "(0 already complete" in capsys.readouterr().out
         assert main(["campaign", spec, "--workers", "1",
                      "--store", store]) == 0
         assert "1 already complete" in capsys.readouterr().out

@@ -34,6 +34,8 @@ from repro.parallel.worker import (CRASH_AFTER_ENV, CRASH_WORKER_ENV,
                                    execute_lease)
 from repro.service.dispatcher import Dispatcher, execute_lease_wire
 
+from proctree import alive, children
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -63,7 +65,7 @@ def interrupted_run(campaign, store_path, nth=3, **run_kwargs):
     """Run ``campaign`` on two workers against ``store_path`` and hit
     it with a KeyboardInterrupt as its ``nth`` chunk arrives (``nth -
     1`` have been banked)."""
-    original = Scheduler._on_chunk
+    original = Scheduler._bank
     seen = {"chunks": 0}
 
     def interrupting(self, *args, **kwargs):
@@ -73,7 +75,7 @@ def interrupted_run(campaign, store_path, nth=3, **run_kwargs):
         return original(self, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Scheduler, "_on_chunk", interrupting)
+        patch.setattr(Scheduler, "_bank", interrupting)
         with pytest.warns(RuntimeWarning, match="campaign interrupted"):
             with pytest.raises(KeyboardInterrupt):
                 campaign.run(workers=2, resume=store_path, **run_kwargs)
@@ -180,8 +182,8 @@ def _run_route(route, task, policy, store):
     if route == "dispatcher":
         dispatcher = Dispatcher(store)
         dispatcher.submit(ROUTE_SPEC)
-        while dispatcher.has_work():
-            for lease in dispatcher.lease("test", max_leases=3):
+        while leases := dispatcher.lease("test", max_leases=3):
+            for lease in leases:
                 done = execute_lease_wire(lease.to_wire())
                 dispatcher.complete(done["lease"], done["chunks"])
         return store.result_for(task)
@@ -876,31 +878,6 @@ class TestSpanWidth:
         assert row == want_row
 
 
-def _proc_stat(pid):
-    """``(state, ppid)`` of a process from ``/proc``, ``None`` once it
-    is gone."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            # "pid (comm) state ppid ..."; comm may hold spaces
-            state, ppid = fh.read().rpartition(")")[2].split()[:2]
-    except OSError:
-        return None
-    return state, int(ppid)
-
-
-def _alive(pid):
-    stat = _proc_stat(pid)
-    return stat is not None and stat[0] != "Z"
-
-
-def _children(pid):
-    """Pids of the live (non-zombie) direct children of ``pid``."""
-    stats = {int(entry): _proc_stat(entry)
-             for entry in os.listdir("/proc") if entry.isdigit()}
-    return [child for child, stat in stats.items()
-            if stat is not None and stat[0] != "Z" and stat[1] == pid]
-
-
 @pytest.mark.skipif(not hasattr(signal, "SIGKILL")
                     or not os.path.isdir("/proc/self"),
                     reason="needs SIGKILL and /proc")
@@ -940,14 +917,14 @@ class TestHardKill:
             while proc.poll() is None and time.monotonic() < deadline \
                     and chunks_on_disk() < self.BANKED_BEFORE_KILL:
                 time.sleep(0.01)
-            workers = _children(proc.pid)
+            workers = children(proc.pid)
         finally:
             proc.kill()
             proc.wait(timeout=30)
         yield {"store": store_path, "workers": workers,
                "exit": proc.returncode}
         for pid in workers:
-            if _alive(pid):
+            if alive(pid):
                 os.kill(pid, signal.SIGKILL)
 
     def test_orphaned_workers_exit(self, killed):
@@ -955,9 +932,9 @@ class TestHardKill:
         assert len(killed["workers"]) == 2
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline \
-                and any(_alive(pid) for pid in killed["workers"]):
+                and any(alive(pid) for pid in killed["workers"]):
             time.sleep(0.05)
-        assert not [pid for pid in killed["workers"] if _alive(pid)]
+        assert not [pid for pid in killed["workers"] if alive(pid)]
 
     def test_banked_chunks_survive_and_resume_is_exact(self, killed):
         assert killed["exit"] == -signal.SIGKILL

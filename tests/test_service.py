@@ -3,6 +3,10 @@ request coalescing, slice dispatch, runner-crash requeue, and the
 HTTP front end — all against the engine's bit-identity contract."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -13,6 +17,8 @@ from repro.injection.spec import task_from_dict
 from repro.injection.store import canonical_task, task_key
 from repro.service import Dispatcher, DispatchError, UnknownJobError
 from repro.service.dispatcher import execute_lease_wire
+
+from proctree import alive, children
 
 SPEC = {
     "codes": [["repetition", [3, 1]]],
@@ -358,7 +364,8 @@ class TestMalformedCompletion:
         d.submit(SPEC)
         lease = d.lease(runner="remote", max_leases=1)[0]
         with obs.prof.profile():
-            payload = execute_lease_wire(lease.to_wire(), ship_obs=True)
+            payload = execute_lease_wire(lease.to_wire())
+            payload["obs"] = obs.registry().snapshot()
             payload["obs"]["profile"] = obs.prof.snapshot_active()
         assert payload["obs"]["profile"]["kernels"]
         out = d.complete(payload["lease"], payload["chunks"],
@@ -549,11 +556,11 @@ class TestRemoteRunnerTopology:
 
 @pytest.mark.integration
 class TestForkedPool:
-    """``workers > 1`` runs slices in a forked process pool; a pool
-    child that dies costs a fresh pool and a rerun slice, never the job
-    or a count."""
+    """``workers > 1`` gives each local slot a forked worker; a worker
+    that dies costs its own slot one failed (requeued) slice and a
+    fresh worker, never the job, another slot or a count."""
 
-    #: 2 points x 16 slices: children are still busy when one is killed.
+    #: 2 points x 16 slices: workers are still busy when one is killed.
     SPEC = {"codes": [["xxzz", [3, 3]]], "p_values": [0.004, 0.008],
             "rounds": 3, "shots": 8192, "root_seed": 23}
 
@@ -577,7 +584,7 @@ class TestForkedPool:
                     assert time.monotonic() < deadline, "no slice finished"
                     time.sleep(0.02)
                 children = multiprocessing.active_children()
-                assert children, "no pool child to kill"
+                assert len(children) == 2, "one worker per slot"
                 os.kill(children[0].pid, signal.SIGKILL)
             status = client.wait(job, timeout_s=120)
         finally:
@@ -593,13 +600,64 @@ class TestForkedPool:
     def test_rows_equal_campaign_run(self, tmp_path):
         self.assert_rows_match_campaign(self.run_job(tmp_path, kill=False))
 
-    def test_killed_child_is_replaced_and_the_job_finishes(self, tmp_path):
-        replaced = obs.registry().event_counts.get("service.pool_replaced",
-                                                   0)
+    def test_killed_worker_fails_one_lease_and_is_replaced(self, tmp_path):
+        replaced = obs.registry().event_counts.get(
+            "service.worker_replaced", 0)
+        failed = obs.counter("service.failed_leases").value
         rows = self.run_job(tmp_path, kill=True)
         self.assert_rows_match_campaign(rows)
+        assert obs.counter("service.failed_leases").value == failed + 1
         assert obs.registry().event_counts.get(
-            "service.pool_replaced", 0) == replaced + 1
+            "service.worker_replaced", 0) == replaced + 1
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL")
+                    or not os.path.isdir("/proc/self"),
+                    reason="needs SIGKILL and /proc")
+class TestHardKill:
+    """SIGKILL a ``workers=2`` head with a job in flight: no finally
+    runs and nobody tells its workers, which must exit on their own."""
+
+    #: 2 points x 64 slices: still running when the kill lands.
+    SPEC = {"codes": [["xxzz", [3, 3]]], "p_values": [0.004, 0.008],
+            "rounds": 3, "shots": 32768, "root_seed": 23}
+
+    def test_orphaned_workers_exit(self, tmp_path):
+        script = (
+            "import time\n"
+            "from repro.service import CampaignService, ServiceClient\n"
+            f"svc = CampaignService({str(tmp_path / 'store.jsonl')!r}, "
+            "port=0, workers=2, slice_shots=512)\n"
+            "client = ServiceClient(svc.start_background())\n"
+            f"job = client.submit({self.SPEC!r})['job']\n"
+            "while client.status(job)['shots_done'] == 0:\n"
+            "    time.sleep(0.02)\n"
+            "print('running', flush=True)\n"
+            "time.sleep(600)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [p for p in sys.path if p] + [env.get("PYTHONPATH", "")])
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        workers = []
+        try:
+            assert proc.stdout.readline().strip() == "running"
+            workers = children(proc.pid)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        try:
+            assert proc.returncode == -signal.SIGKILL
+            assert len(workers) == 2
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline \
+                    and any(alive(pid) for pid in workers):
+                time.sleep(0.05)
+            assert not [pid for pid in workers if alive(pid)]
+        finally:
+            for pid in workers:
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 @pytest.mark.integration

@@ -50,20 +50,21 @@ def make_dispatcher(tmp_path, name="store.jsonl", **kwargs):
     return Dispatcher(CampaignStore(tmp_path / name), **kwargs)
 
 
-def drain(dispatcher, runner="local-0", ship_obs=False):
-    """Synchronous pump that forwards spans (and optionally registry
-    snapshots) exactly like the server pump / remote runner do."""
+def drain(dispatcher, runner="local-0", snapshot=False):
+    """Synchronous pump that forwards spans (and, with ``snapshot``,
+    this process's registry snapshot) exactly like the server pump /
+    remote runner do."""
     while True:
         leases = dispatcher.lease(runner=runner, max_leases=8)
         if not leases:
             break
         for lease in leases:
-            payload = execute_lease_wire(lease.to_wire(),
-                                         ship_obs=ship_obs)
+            payload = execute_lease_wire(lease.to_wire())
             dispatcher.complete(payload["lease"], payload["chunks"],
                                 runner=runner, key=payload["key"],
                                 spans=payload.get("spans"),
-                                obs_snapshot=payload.get("obs"))
+                                obs_snapshot=obs.registry().snapshot()
+                                if snapshot else None)
 
 
 class TestTraceIds:
@@ -167,7 +168,7 @@ class TestTopologyStability:
 
         d2 = make_dispatcher(tmp_path / "b")
         d2.submit(SPEC)
-        drain(d2, runner="remote-host-4242", ship_obs=True)
+        drain(d2, runner="remote-host-4242", snapshot=True)
         t2 = d2.job_trace("job-1")
 
         assert t1["trace"] == t2["trace"]
@@ -280,7 +281,7 @@ repro_service_lease_run_s_count{runner="local-0"} 3
     def test_real_scrape_parses_under_grammar(self, tmp_path):
         d = make_dispatcher(tmp_path)
         d.submit(SPEC)
-        drain(d, runner="remote-1", ship_obs=True)
+        drain(d, runner="remote-1", snapshot=True)
         text = render_prometheus(d.metrics_snapshot())
         typed = {}
         current = None
