@@ -1080,9 +1080,17 @@ def _run(args) -> Optional[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    telemetry = _run(build_parser().parse_args(argv))
-    if telemetry:
-        print(f"[telemetry written to {telemetry}]")
+    try:
+        telemetry = _run(build_parser().parse_args(argv))
+        if telemetry:
+            print(f"[telemetry written to {telemetry}]")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader hung up (``repro campaign SPEC | head -1``): end
+        # quietly.  Python flushes stdout again at exit, so point it at
+        # /dev/null first; exit 1 as an EPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

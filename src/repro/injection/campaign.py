@@ -537,8 +537,8 @@ def run_task(task: InjectionTask,
              prior: Tuple = ZERO_PRIOR) -> InjectionResult:
     """Execute one campaign point in this process.
 
-    A one-task campaign on the scheduler's in-process route: build the
-    point's :class:`~repro.parallel.plan.TaskPlan`, drain it in order.
+    A one-task campaign on the scheduler's in-process slot: build the
+    point's :class:`~repro.parallel.plan.TaskPlan` and lease it dry.
 
     ``prior`` — ``(shots, errors, raw_errors, corrections, elapsed_s,
     chunks[, weight_moments])`` already banked for this point (store

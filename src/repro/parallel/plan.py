@@ -1,22 +1,20 @@
-"""Deterministic chunk planning, watermark aggregation, and the store
-write path.
+"""Deterministic chunk planning, watermark aggregation, the store write
+path, and the one lease queue.
 
-The scheduler never hands a worker anything but a :class:`ChunkLease` —
-a ``[start, start + shots)`` slice of one task's canonical block
-stream.  Because every block is seeded from the task seed by its block
-index alone (:func:`repro.util.rng.block_seed`), a lease's counts are a
-pure function of ``(task, start, shots)``: it does not matter which
-worker runs it, when, or how many times (a re-run after a crash is
-bit-identical, so duplicates are discarded on arrival).  How the
-engine executes a lease — block by block or as wide spans of several
-blocks, alone or in a run with its neighbours — is invisible here:
-every block draws from its own seed.
+Every route hands its executor a :class:`Lease` — a run of contiguous
+:class:`ChunkLease` slices, each a ``[start, start + shots)`` slice of
+one task's canonical block stream.  Because every block is seeded from
+the task seed by its block index alone
+(:func:`repro.util.rng.block_seed`), a slice's counts are a pure
+function of ``(task, start, shots)``: it does not matter which worker
+runs it, when, in which run, or how many times (a re-run after a crash
+is bit-identical, so duplicates are discarded on arrival).
 
 :class:`TaskPlan` owns the other half of the determinism contract: it
-aggregates completed leases into a *contiguous frontier* and evaluates
+aggregates completed slices into a *contiguous frontier* and evaluates
 the adaptive policy only when the frontier crosses a decision
 watermark, with the cumulative counts **at exactly that watermark**.
-Leases are pre-split so none straddles a watermark, so those prefix
+Slices are pre-split so none straddles a watermark, so those prefix
 counts — and therefore the stop shot — are identical for one worker or
 many, whatever order results arrive in.
 
@@ -25,19 +23,30 @@ plan appends each chunk as the frontier advances over it and the done
 record when the plan completes, so a store holds, per point, exactly
 the canonical prefix its plans folded — in stream order, no
 speculative past-stop chunk, no requeue duplicate.
+
+:class:`LeaseQueue` is the one queue the campaign scheduler and the
+service's dispatcher both lease from.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import itertools
+import math
 from collections import deque
-from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import (Deque, Dict, Hashable, Iterable, List, NamedTuple,
+                    Optional, Tuple)
 
 from .. import obs
+from ..injection import campaign as _engine
 from ..injection.adaptive import AdaptivePolicy
 from ..injection.results import (SIM_BLOCK, ChunkResult, ChunkTally,
                                  InjectionResult)
 from ..injection.spec import InjectionTask
-from ..injection.store import CampaignStore
+from ..injection.store import CampaignStore, _identity
+from ..obs import trace
 from ..rare.stats import WeightStats
 
 #: Counts tuple banked per task before the run (store resume):
@@ -123,7 +132,8 @@ class TaskPlan(ChunkTally):
         self.pending: Deque[ChunkLease] = deque()
         #: Completed-but-not-yet-contiguous results, keyed by start.
         self._completed: Dict[int, ChunkResult] = {}
-        #: Leases taken off ``pending`` and not yet recorded or given back.
+        #: Slices taken off ``pending`` and not yet recorded or given
+        #: back.
         self.leased: Dict[int, ChunkLease] = {}
         # A prior sitting ON the watermark grid replays its decision; an
         # off-grid one (e.g. a fine-grained checkpoint) resumes sampling
@@ -150,23 +160,6 @@ class TaskPlan(ChunkTally):
         """The frontier has reached the target (a requeued duplicate
         may still be running somewhere; its result is discarded)."""
         return self.shots >= self.target
-
-    def take(self, max_leases: int) -> List[ChunkLease]:
-        """Lease up to ``max_leases`` pending chunks (front first, so a
-        worker extends the frontier rather than sampling far ahead)."""
-        out = []
-        while self.pending and len(out) < max_leases:
-            lease = self.pending.popleft()
-            self.leased[lease.start] = lease
-            out.append(lease)
-        return out
-
-    def give_back(self, lease: ChunkLease) -> None:
-        """Return a leased chunk to the pending pool (worker death)."""
-        if self.leased.pop(lease.start, None) is None:
-            return
-        if lease.start < self.target:
-            self.pending.appendleft(lease)
 
     # -- result aggregation -------------------------------------------
     def record(self, chunk: ChunkResult) -> bool:
@@ -273,3 +266,111 @@ class TaskPlan(ChunkTally):
         from ..injection.campaign import _assemble
 
         return _assemble(self.task, *self.prior())
+
+
+@dataclass(eq=False)
+class Lease:
+    """A run of ``run`` contiguous ``shots``-shot slices from ``start``
+    of one plan, held by reference (the service builds every plan with
+    index 0).  The service head sets the holder fields below."""
+
+    lease_id: str
+    plan: TaskPlan
+    start: int
+    shots: int
+    run: int
+    runner: str = ""
+    deadline: float = math.inf    # monotonic; past it, presumed lost
+    trace: Optional[trace.TraceContext] = None    # shipped on the wire
+    t_leased: float = 0.0         # monotonic
+
+    @property
+    def task(self) -> InjectionTask:
+        return self.plan.task
+
+    @property
+    def key(self) -> Optional[str]:
+        return self.plan.key
+
+    def to_wire(self) -> Dict[str, object]:
+        """What an executor outside the plans' process is sent: the
+        task's memoised canonical dict (shared with its key and done
+        record — readers must not mutate it), the run's coordinates and
+        the span context."""
+        key, task = _identity(self.plan.task)
+        wire: Dict[str, object] = {
+            "lease": self.lease_id, "key": key, "task": task,
+            "start": self.start, "shots": self.shots, "run": self.run}
+        if self.trace is not None:
+            wire["trace"] = self.trace.to_wire()
+        return wire
+
+
+class LeaseQueue:
+    """The plans' pending slices.  A lessee keeps leasing the plan it
+    leased last while that plan has pending slices, so its per-point
+    caches stay warm; otherwise it takes the deepest plan (by the
+    remaining shots it was queued with: the low-LER tail never
+    straggles behind quick points), which then goes behind the plans
+    as deep as it, so the next lessee starts another.  A lease is the
+    next run of the plan: contiguous, equally sized slices, at most
+    ``WIDE_BLOCKS`` blocks and ⌈pending / ``lessees``⌉ slices, and no
+    further past an adaptive plan's frontier than the frontier has
+    come."""
+
+    def __init__(self, plans: Iterable[TaskPlan] = ()) -> None:
+        self._heap: List[Tuple[int, int, TaskPlan]] = []
+        self._seq = itertools.count()
+        #: The plan each lessee leased last.
+        self._last: Dict[Hashable, TaskPlan] = {}
+        for plan in plans:
+            self.add(plan)
+
+    def add(self, plan: TaskPlan) -> None:
+        """Queue ``plan`` behind every plan at least as deep (one that
+        is queued already may be queued twice: harmless)."""
+        if plan.pending and not plan.done:
+            heapq.heappush(self._heap,
+                           (-plan.remaining, next(self._seq), plan))
+
+    def lease(self, lessees: int, lessee: Hashable) -> Optional[Lease]:
+        """``lessee``'s next run (``None``: nothing pending)."""
+        plan = self._last.get(lessee)
+        while plan is None or not plan.pending or plan.done:
+            if not self._heap:
+                return None
+            plan = self._last[lessee] = heapq.heappop(self._heap)[2]
+            self.add(plan)
+        pending = plan.pending
+        share = -(-len(pending) // lessees)
+        first = pending[0]
+        # (The width is read where the engine reads it.)
+        end = first.start + _engine.WIDE_BLOCKS * SIM_BLOCK
+        if plan.adaptive is not None:
+            end = min(end, 2 * plan.shots)
+        run = 1
+        while run < share and pending[run].end <= end \
+                and pending[run] == ChunkLease(
+                    first.task_index, pending[run - 1].end, first.shots):
+            run += 1
+        for _ in range(run):
+            piece = pending.popleft()
+            plan.leased[piece.start] = piece
+        # The key in the id: an earlier head's lease id names its point.
+        return Lease(f"L{next(self._seq)}-{(plan.key or '')[:8]}", plan,
+                     first.start, first.shots, run)
+
+    def give_back(self, leases: Iterable[Lease]) -> int:
+        """The one requeue path, for failed and expired leases: every
+        slice goes back into its plan's pending slices in start order,
+        so the front comes out first again; returns how many."""
+        pieces = [(lease.plan, lease.start + i * lease.shots, lease.shots)
+                  for lease in leases for i in range(lease.run)]
+        for plan, start, shots in pieces:
+            if plan.leased.pop(start, None) is not None \
+                    and start < plan.target:
+                bisect.insort(plan.pending,
+                              ChunkLease(plan.index, start, shots))
+        for plan in {id(plan): plan for plan, _, _ in pieces}.values():
+            self.add(plan)
+        return len(pieces)

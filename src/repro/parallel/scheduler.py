@@ -1,55 +1,31 @@
-"""Multiprocess campaign scheduler.
+"""Multiprocess campaign scheduler: campaign wall-clock scales with the
+hardware while the engine's reproducibility contract holds.
 
-The paper's conclusions rest on millions of injections; the frame
-backend made sampling cheap enough that a single interpreter became
-the bottleneck.  This scheduler makes campaign wall-clock scale with
-the hardware while keeping the engine's reproducibility contract
-intact:
-
-* **One queue, deepest first** — the plans' own pending leases are the
-  only queue.  A priority heap orders the plans by expected remaining
-  shots, so the low-LER tail points that adaptive stopping cannot
-  shorten start early and never straggle behind a line of quick
-  mid-rate points.  A worker with pipeline room is sent the next run
-  of the deepest plan (:meth:`Scheduler._take_run`): contiguous,
-  equally sized leases, at most ``WIDE_BLOCKS`` blocks and at most a
-  fair share of that plan's pending leases, so a small deep point
-  still spreads over the fleet.  Only a small pipeline is ever
-  buffered in a worker; everything else stays on the parent side for
-  whichever worker has room next.
-* **One loop, in-process or forked** — the scheduler is the engine's
-  only executor.  With one effective worker (``workers=1``, or a plan
-  of a single lease) it drains the plans itself, in task order, at the
-  engine's checkpoint grain; otherwise it forks workers, each on its own
-  duplex pipe.  Either way the engine is handed runs taken by
-  the same :meth:`Scheduler._take_run`, which it executes as wide
-  spans.  The choice is computed from the inputs, never set by the
-  caller, and both routes bank every chunk through the same
-  :class:`~repro.parallel.plan.TaskPlan`.  A forked worker is a
-  :class:`~repro.parallel.worker.Worker` — the same process the
-  service head's ``-j N`` slots run — and each run is sent to it as a
-  wire lease, the dict pull runners are sent.
-* **Crash tolerance** — a dead worker's in-flight runs are requeued
-  and the campaign completes with a :class:`RuntimeWarning`; if every
-  worker dies (or none can be started), the remaining leases finish
-  through that same in-process drain.  A worker's death reads as EOF
-  (or a cut-off message) on its own pipe, so it costs that worker and
-  never the campaign.
-  Requeued chunks may execute twice; canonical block seeding makes the
-  re-run bit-identical, and the plan discards the duplicate on arrival.
-* **Deterministic aggregation, one writer** — workers only compute:
-  every chunk comes back over its worker's pipe and is banked by this
-  process through the point's :class:`~repro.parallel.plan.TaskPlan`,
-  which is also what writes it to the store.  Adaptive stop decisions
-  are made only at shots-completed watermarks over the contiguous
-  frontier, never on worker arrival order, so final counts and stop
-  shots are bit-identical for ``workers=1|2|4`` — and a hard kill of
-  this process loses only chunks that had not yet joined a frontier.
+* **One queue, one loop** — lease from the
+  :class:`~repro.parallel.plan.LeaseQueue` the service head leases
+  from, execute, bank.  With one effective worker (``workers=1``, or a
+  plan of a single lease) the lessee is an in-process slot, so nothing
+  forks and the parent's profiler sees the work; otherwise each forked
+  :class:`~repro.parallel.worker.Worker` (the process the service
+  head's ``-j N`` slots run) is sent wire leases over its own pipe,
+  ``PIPELINE_DEPTH`` at a time.  The choice is computed from the
+  inputs, never set by the caller.
+* **Crash tolerance** — a dead worker (EOF or a cut-off message on its
+  pipe) fails every lease it holds, and the campaign completes with a
+  :class:`RuntimeWarning`; if every worker dies, or none starts, the
+  in-process slot finishes in the same loop.  A requeued slice may run
+  twice: canonical block seeding makes the re-run bit-identical, and
+  the plan discards the duplicate.
+* **Deterministic aggregation, one writer** — workers only compute;
+  this process banks every chunk through its point's
+  :class:`~repro.parallel.plan.TaskPlan`, which writes the store.  Stop
+  decisions are made only at watermarks over the contiguous frontier,
+  so counts and stop shots are bit-identical for ``workers=1|2|4``, and
+  a hard kill loses only chunks that had not joined a frontier.
 """
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing as mp
 import os
 import signal
@@ -57,24 +33,26 @@ import threading
 import warnings
 from collections import defaultdict, deque
 from multiprocessing.connection import wait
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from .. import obs
-from ..injection import campaign as _engine
 from ..injection.adaptive import AdaptivePolicy
 from ..injection.campaign import DEFAULT_CHUNK_SHOTS, _normalize_chunk
 from ..injection.results import (SIM_BLOCK, ZERO_PRIOR, ChunkResult,
                                  InjectionResult)
 from ..injection.spec import InjectionTask
-from ..injection.store import CampaignStore, _identity, task_key
+from ..injection.store import CampaignStore, task_key
 from . import worker
-from .plan import ChunkLease, Prior, TaskPlan
+from .plan import Lease, LeaseQueue, Prior, TaskPlan
 
 #: Runs buffered inside a worker process (sent, not yet reported) at
 #: any time.  Enough to hide the pipe round-trip behind compute; small
 #: enough that nearly all planned work stays on the parent side, free
 #: for whichever worker has room next.
 PIPELINE_DEPTH = 2
+
+#: The in-process slot's key among the lessees.
+INLINE = -1
 
 #: Scheduler metric handles (parent-process registry; cached once —
 #: obs.reset zeroes them in place).
@@ -142,18 +120,14 @@ class Scheduler:
                           store=store,
                           key=None if store is None else task_key(task))
                  for i, (task, prior) in enumerate(zip(tasks, priors))]
-        self._plans = plans
         for plan in plans:
             if plan.done:
                 self._report_done(plan)
-        total_leases = sum(len(p.pending) for p in plans)
-        if min(self.requested_workers, total_leases) > 1:
-            self._execute(plans, total_leases)
-        else:
-            # One effective worker: a process fleet would only add
-            # fork and pipe cost (and hide the work from the parent's
-            # profiler).
-            self._drain(plans)
+        fleet = min(self.requested_workers,
+                    sum(len(p.pending) for p in plans))
+        # One effective worker: a process fleet would only add fork and
+        # pipe cost (and hide the work from the parent's profiler).
+        self._execute(plans, fleet if fleet > 1 else 0)
         return [plan.result() for plan in plans]
 
     @staticmethod
@@ -165,18 +139,14 @@ class Scheduler:
             mon.tick()
 
     # -- the scheduling loop -------------------------------------------
-    def _execute(self, plans: List[TaskPlan], total_leases: int) -> None:
-        ctx = _mp_context()
-        num_workers = min(self.requested_workers, total_leases)
+    def _execute(self, plans: List[TaskPlan], fleet: int) -> None:
+        """Lease → execute → bank until the queue runs dry, on ``fleet``
+        forked workers or, with none (left), the in-process slot."""
+        self._queue = LeaseQueue(plans)
         #: Live workers by id.
         self._workers: Dict[int, worker.Worker] = {}
-        #: Runs sent to each worker and not yet reported, oldest first.
-        self._inflight: Dict[int, Deque[List[ChunkLease]]] = \
-            defaultdict(deque)
-        self._heap: List[Tuple[int, int, int]] = []
-        self._heap_seq = 0
-        for plan in plans:
-            self._push_plan(plan)
+        #: Leases each lessee holds, oldest first.
+        self._inflight: Dict[int, Deque[Lease]] = defaultdict(deque)
         # Graceful shutdown: a SIGTERM (service stop, batch-system
         # preemption) becomes a KeyboardInterrupt so it unwinds through
         # the same finally as Ctrl+C — leases requeued, workers told to
@@ -192,59 +162,52 @@ class Scheduler:
             previous_term = signal.signal(signal.SIGTERM,
                                           _term_to_interrupt)
         try:
-            for wid in range(num_workers):
+            for wid in range(fleet):
                 try:
-                    self._workers[wid] = worker.Worker(wid, ctx)
+                    self._workers[wid] = worker.Worker(wid, _mp_context())
                 except OSError as exc:
                     warnings.warn(
                         f"could not start parallel worker {wid} ({exc}); "
                         f"continuing with {len(self._workers)} worker(s)",
                         RuntimeWarning, stacklevel=2)
                     break
-            # One run per worker per pass, so every worker has a run
+            # One lease per worker per pass, so every worker has a run
             # before any has two.
             for _ in range(PIPELINE_DEPTH):
                 self._pump()
-            while not all(plan.done for plan in plans):
-                if not self._workers:
+            while True:
+                if self._workers:
+                    if not any(self._inflight.values()):
+                        return    # nothing pending, nothing in flight
+                    self._collect()
+                    continue
+                if fleet:
                     # None is left (or none could be started): finish
                     # in this process so the campaign still completes.
+                    fleet = 0
                     warnings.warn(
                         "no parallel workers remain alive; finishing the "
                         "campaign in-process", RuntimeWarning, stacklevel=2)
                     obs.event("scheduler.inline_fallback",
                               "all workers dead; finishing in-process")
-                    self._drain(plans)
+                lease = self._queue.lease(1, INLINE)
+                if lease is None:
                     return
-                handles = {}
-                for wid, handle in self._workers.items():
-                    handles[handle.conn] = \
-                        handles[handle.process.sentinel] = wid
-                for wid in sorted({handles[ready]
-                                   for ready in wait(list(handles))}):
-                    reply = self._workers[wid].recv()
-                    if reply is None:
-                        self._reap(wid)
-                        continue
-                    plan = plans[reply["lease"]]
-                    if "error" in reply:
-                        raise RuntimeError(
-                            f"parallel campaign point "
-                            f"{plan.task.label!r} failed in a worker:\n"
-                            f"{reply['error']}")
-                    self._inflight[wid].popleft()
-                    mon = obs.active()
-                    if mon is not None:
-                        mon.worker_snapshot(wid, reply["obs"])
-                    for row in reply["chunks"]:
-                        self._bank(plan, ChunkResult.from_row(row))
-                    self._pump()
+                self._inflight[INLINE].append(lease)
+                # Through the module, so a wrapper installed on
+                # ``worker.execute_lease`` (the e2e tracer) sees it.
+                chunks = worker.execute_lease(lease.task, lease.start,
+                                              lease.shots, lease.run)
+                self._inflight[INLINE].popleft()
+                for chunk in chunks:
+                    self._bank(lease.plan, chunk)
         except KeyboardInterrupt:
-            # Requeue every run still in flight (parent bookkeeping so
-            # the plans' pending state is honest) and count what the
+            # Fail every lease still held (parent bookkeeping so the
+            # plans' pending state is honest) and count what the
             # interrupt abandoned.  Every chunk banked so far is
             # already in the store; the finally stops the workers.
-            requeued = sum(self._requeue(wid) for wid in self._workers)
+            requeued = self._queue.give_back(
+                lease for held in self._inflight.values() for lease in held)
             done = sum(plan.done for plan in plans)
             warnings.warn(
                 f"campaign interrupted: {done}/{len(plans)} point(s) "
@@ -259,16 +222,31 @@ class Scheduler:
                       requeued=requeued)
             raise
         finally:
-            self._shutdown()
+            worker.stop(self._workers.values())
             if previous_term is not None:
                 signal.signal(signal.SIGTERM, previous_term)
 
-    def _push_plan(self, plan: TaskPlan) -> None:
-        """(Re-)enter a task into the priority queue, deepest-first."""
-        if plan.pending:
-            heapq.heappush(self._heap,
-                           (-plan.remaining, self._heap_seq, plan.index))
-            self._heap_seq += 1
+    def _collect(self) -> None:
+        """Wait for the workers; bank each reply, reap each death."""
+        handles = {}
+        for wid, handle in self._workers.items():
+            handles[handle.conn] = handles[handle.process.sentinel] = wid
+        for wid in sorted({handles[ready] for ready in wait(list(handles))}):
+            reply = self._workers[wid].recv()
+            if reply is None:
+                self._reap(wid)
+                continue
+            lease = self._inflight[wid].popleft()
+            if "error" in reply:
+                raise RuntimeError(
+                    f"parallel campaign point {lease.task.label!r} "
+                    f"failed in a worker:\n{reply['error']}")
+            mon = obs.active()
+            if mon is not None:
+                mon.worker_snapshot(wid, reply["obs"])
+            for row in reply["chunks"]:
+                self._bank(lease.plan, ChunkResult.from_row(row))
+            self._pump()
 
     def _bank(self, plan: TaskPlan, chunk: ChunkResult) -> None:
         """Fold one finished chunk into its plan — which checkpoints it
@@ -290,79 +268,27 @@ class Scheduler:
             self._report_done(plan)
 
     def _pump(self) -> None:
-        """Send each live worker whose pipeline has room one run of the
-        deepest plan — every worker, not just one that reported: a
-        worker that went idle while all work was in flight elsewhere
-        picks new leases back up here."""
+        """Send each live worker whose pipeline has room one run —
+        every worker, not just one that reported: a worker that went
+        idle while all work was in flight elsewhere picks new leases
+        back up here.  A dead worker's send is dropped: its sentinel
+        fires and :meth:`_reap` fails its leases."""
         for wid, handle in sorted(self._workers.items()):
-            inflight = self._inflight[wid]
-            if len(inflight) >= PIPELINE_DEPTH:
+            if len(self._inflight[wid]) >= PIPELINE_DEPTH:
                 continue
-            while self._heap:
-                plan = self._plans[heapq.heappop(self._heap)[2]]
-                if plan.pending:
-                    break
-            else:
+            lease = self._queue.lease(len(self._workers), wid)
+            if lease is None:
                 return    # nothing pending: the rest is in flight
-            run = self._take_run(plan, len(self._workers))
-            self._push_plan(plan)
-            inflight.append(run)
-            _OBS_LEASES.inc(len(run))
-            # The wire lease a pull runner gets, with the plan index as
-            # its id.  A dead worker's send is dropped: its sentinel
-            # fires and _reap requeues the run.
-            key, task = _identity(plan.task)
-            handle.send({"lease": plan.index, "key": key, "task": task,
-                         "start": run[0].start, "shots": run[0].shots,
-                         "run": len(run)})
-
-    @staticmethod
-    def _take_run(plan: TaskPlan, workers: int) -> List[ChunkLease]:
-        """Lease the next run off ``plan.pending``: contiguous, equally
-        sized leases, at most ``WIDE_BLOCKS`` blocks, which the engine
-        executes as wide spans, and at most ⌈pending / ``workers``⌉
-        leases, so the rest of the point is left for the other
-        workers.  An adaptive plan's run reaches no further past the
-        frontier than the frontier has come, so a point that resolves
-        at its first watermark pays no speculation; what lies past a
-        later stop is dropped by ``TaskPlan.record``."""
-        pending = plan.pending
-        if not pending:
-            return []
-        share = -(-len(pending) // workers)
-        first = pending[0]
-        # (The width is read where the engine reads it.)
-        end = first.start + _engine.WIDE_BLOCKS * SIM_BLOCK
-        if plan.adaptive is not None:
-            end = min(end, 2 * plan.shots)
-        run = 1
-        while run < share and pending[run].end <= end \
-                and pending[run] == ChunkLease(
-                    first.task_index, pending[run - 1].end, first.shots):
-            run += 1
-        return plan.take(run)
-
-    def _requeue(self, wid: int) -> int:
-        """Give every lease in ``wid``'s in-flight runs back to its
-        plan; returns how many."""
-        leases = [lease for run in self._inflight[wid] for lease in run]
-        self._inflight[wid].clear()
-        # Descending-start order: give_back appendlefts, so the
-        # requeued chunks come out front-first again and survivors
-        # keep extending the contiguous frontier.
-        for lease in sorted(leases, key=lambda lease: lease.start,
-                            reverse=True):
-            self._plans[lease.task_index].give_back(lease)
-        for task_index in {lease.task_index for lease in leases}:
-            self._push_plan(self._plans[task_index])
-        return len(leases)
+            self._inflight[wid].append(lease)
+            _OBS_LEASES.inc(lease.run)
+            handle.send(lease.to_wire())
 
     def _reap(self, wid: int) -> None:
-        """Requeue the leases of a worker that died."""
+        """Fail every lease of a worker that died."""
         handle = self._workers.pop(wid)
         handle.kill()    # a worker whose pipe broke can never report again
         exitcode = handle.process.exitcode
-        requeued = self._requeue(wid)
+        requeued = self._queue.give_back(self._inflight.pop(wid, ()))
         warnings.warn(
             f"parallel worker {wid} died (exit code {exitcode}); "
             f"requeued {requeued} leased chunk(s) — the campaign "
@@ -374,19 +300,3 @@ class Scheduler:
                   f"worker {wid} died (exit code {exitcode})",
                   worker=wid, exitcode=exitcode, requeued=requeued)
         self._pump()
-
-    def _drain(self, plans: List[TaskPlan]) -> None:
-        """Run every remaining lease in this process, in task order (a
-        kill mid-point loses at most the run being executed — up to
-        ``WIDE_BLOCKS`` blocks, 4096 shots)."""
-        for plan in plans:
-            while plan.shots < plan.target \
-                    and (run := self._take_run(plan, 1)):
-                # Through the module, so a wrapper installed on
-                # ``worker.execute_lease`` (the e2e tracer) sees it.
-                for chunk in worker.execute_lease(
-                        plan.task, run[0].start, run[0].shots, len(run)):
-                    self._bank(plan, chunk)
-
-    def _shutdown(self) -> None:
-        worker.stop(self._workers.values())

@@ -1,11 +1,12 @@
 """The one forked worker process, and the wire lease it executes.
 
 Every route that runs blocks outside the process owning the plans
-sends a *wire lease* (:meth:`~repro.service.dispatcher.Lease.to_wire`,
-plus a ``run`` count) and gets back :func:`execute_lease_wire`'s
-payload: pull runners over HTTP, the campaign scheduler and the
-service head's ``-j N`` slots over the pipe of a :class:`Worker`.  A
-worker only computes — the plans' owner banks and stores every chunk.
+sends a *wire lease* (:meth:`~repro.parallel.plan.Lease.to_wire`: a run
+of slices off the one lease queue) and gets back
+:func:`execute_lease_wire`'s payload: pull runners over HTTP, the
+campaign scheduler and the service head's ``-j N`` slots over the pipe
+of a :class:`Worker`.  A worker only computes — the plans' owner banks
+and stores every chunk.
 Its death reads as ``None`` on its handle, costing only its own
 leases, and a worker whose parent has died exits on its own.
 """
@@ -46,7 +47,7 @@ def execute_lease(task: InjectionTask, start: int, shots: int,
     """Execute ``run`` contiguous leases of ``shots`` shots each from
     ``start`` and return their chunks in order, one per lease — the
     one call every route executes blocks through: forked workers, the
-    scheduler's in-process drain, and the service's runners.  The
+    scheduler's in-process slot, and the service's runners.  The
     engine runs the leases as wide spans."""
     chunks = list(iter_task_chunks(
         task, chunk_shots=shots, start_shot=start,

@@ -1,32 +1,25 @@
-"""The service core: content-addressed cache front + slice dispatch.
+"""The service core: content-addressed cache front + lease dispatch.
 
 The dispatcher is deliberately synchronous and single-threaded: every
-method is called from the server's event loop (or directly from tests),
-so its state transitions are atomic by construction — a slice completes
-and its point's plan banks it, checkpointing to the shared
-:class:`~repro.injection.store.CampaignStore`, in one indivisible
-step, and two identical submissions racing each other can never both
-miss the in-flight table.
+method is called from the server's event loop (or directly from
+tests), so its state transitions are atomic by construction — a chunk
+arrives and its point's plan banks it, checkpointing to the shared
+:class:`~repro.injection.store.CampaignStore`, in one step, and two
+identical submissions can never both miss the in-flight table.
 
-Traffic splits three ways at submit time, per point:
+Traffic splits three ways at submit time, per point: a **cache hit**
+(the store already holds a completed result with at least the
+requested budget) is served without simulating; a **coalesced** point
+(already in flight for another job) subscribes the new job to that
+computation; a **fresh** point's remaining shots (after the store's
+chunks for it are replayed) are split into block-aligned slices in the
+:class:`~repro.parallel.plan.LeaseQueue` the campaign scheduler leases
+from, which the head's local slots and remote pull runners drain
+through one API.
 
-``cache hit``
-    The store already holds a completed result with at least the
-    requested budget — served without simulating anything.
-``coalesced``
-    The point is already in flight (another job asked for the same
-    task key); the new job subscribes to the existing computation
-    instead of duplicating it.
-``fresh``
-    Remaining shots (the store's chunks for the point are replayed
-    first, so even a half-finished point never re-simulates) are
-    partitioned into block-aligned slice leases that the head's local
-    slots and remote pull runners drain through one API.
-
-Leases carry a deadline: a runner that crashes mid-slice simply never
-completes it, the lease expires, and the slice is requeued — canonical
-block seeding makes the re-run bit-identical, so crash recovery never
-perturbs counts.
+A lease carries a deadline: a runner that crashes mid-run never
+completes it, the lease expires, and its slices go back to the queue —
+canonical block seeding makes the re-run bit-identical.
 """
 
 from __future__ import annotations
@@ -35,7 +28,6 @@ import itertools
 import math
 import numbers
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from .. import obs
@@ -43,13 +35,13 @@ from ..obs import trace
 from ..injection.campaign import DEFAULT_CHUNK_SHOTS, _normalize_chunk
 from ..injection.results import ZERO_PRIOR, ChunkResult, wilson_interval
 from ..injection.spec import InjectionTask
-from ..injection.store import CampaignStore, _identity, task_key
+from ..injection.store import CampaignStore, task_key
 from ..injection.sweep import build_sweep
-from ..parallel.plan import ChunkLease, TaskPlan
+from ..parallel.plan import Lease, LeaseQueue, TaskPlan
 # The runner side of the lease API, named here beside the dispatch side.
 from ..parallel.worker import execute_lease_wire  # noqa: F401
 
-#: Default lease time-to-live: a slice not completed (or failed) this
+#: Default lease time-to-live: a run not completed (or failed) this
 #: many seconds after leasing is presumed lost to a runner crash and
 #: requeued.
 DEFAULT_LEASE_TTL_S = 120.0
@@ -134,79 +126,25 @@ class UnknownJobError(KeyError):
     """Status query for a job id this service never issued."""
 
 
-@dataclass
-class Lease:
-    """One outstanding slice lease."""
-
-    lease_id: str
-    key: str
-    task: InjectionTask
-    start: int
-    shots: int
-    runner: str
-    deadline: float
-    #: Span context shipped on the wire (``None`` = tracing off).
-    trace: Optional[trace.TraceContext] = None
-    #: When the lease was handed out / when its slice was queued
-    #: (monotonic) — the run-time and queue-time histogram inputs.
-    t_leased: float = 0.0
-    t_queued: float = 0.0
-
-    def to_wire(self) -> Dict[str, object]:
-        """The JSON form shipped to pull runners: the canonical task
-        dict (key-stable under :func:`~repro.injection.spec.
-        task_from_dict`) plus the slice coordinates and span context.
-        The dict is the task's memoised one, shared with its key and
-        done record: readers of the wire must not mutate it."""
-        wire: Dict[str, object] = {
-            "lease": self.lease_id,
-            "key": self.key,
-            "task": _identity(self.task)[1],
-            "start": self.start,
-            "shots": self.shots,
-        }
-        if self.trace is not None:
-            wire["trace"] = self.trace.to_wire()
-        return wire
-
-
 class PointState(TaskPlan):
-    """One in-flight campaign point: a fixed-budget
-    :class:`~repro.parallel.plan.TaskPlan` plus the service's own
-    bookkeeping.
-
+    """One in-flight point: a :class:`~repro.parallel.plan.TaskPlan`
+    plus who is waiting, its trace context and its submission time.
     Service jobs run their spec's budget without adaptive stopping —
-    which is what makes a cached result reusable by *every* later
-    request for the same key — so the plan is built with
-    ``adaptive=None``.  Slice queue, contiguous frontier, duplicate
-    discard, the weight-fold order and the store reads and writes are
-    the plan's; this class adds who is waiting, the trace context and
-    the queue clock.
-    """
+    what makes a cached result reusable by every later request for the
+    key — so the plan is built with ``adaptive=None``."""
 
     def __init__(self, key: str, task: InjectionTask, slice_shots: int,
                  store: CampaignStore,
                  ctx: Optional[trace.TraceContext] = None) -> None:
         super().__init__(0, task, ZERO_PRIOR, slice_shots, None,
                          store=store, key=key)
-        #: The creating job's point span context — leases derive from
-        #: it, so span ids are stable across dispatch topologies.
+        #: The creating job's point span context (leases derive theirs).
         self.ctx = ctx
+        #: Every slice is queued at submission: the queue and latency
+        #: histograms measure from it.
         self.created = time.time()
-        now = time.monotonic()
-        #: Per-slice enqueue time (monotonic), refreshed on requeue —
-        #: feeds the queue-time histogram at lease handout.
-        self.queued_at: Dict[int, float] = {
-            lease.start: now for lease in self.pending}
         #: Job ids subscribed to this computation.
         self.jobs: set = set()
-
-    def requeue(self, start: int, shots: int) -> None:
-        """Return an expired/failed lease's slice to the front of the
-        queue (front-first keeps the frontier contiguous)."""
-        if start in self.leased:
-            self.queued_at[start] = time.monotonic()
-        self.give_back(ChunkLease(self.index, start, shots))
 
     def row(self) -> Dict[str, object]:
         """Progress row for status responses (partial results included:
@@ -276,9 +214,10 @@ class Dispatcher:
         self.slice_shots = _normalize_chunk(
             DEFAULT_CHUNK_SHOTS if slice_shots is None else slice_shots)
         self.lease_ttl_s = float(lease_ttl_s)
-        #: In-flight points by task key (insertion order = dispatch
-        #: order; completed points leave the table).
+        #: In-flight points by task key (completed points leave).
         self.points: Dict[str, PointState] = {}
+        #: Their pending slices, shared among the runners.
+        self.queue = LeaseQueue()
         self.jobs: Dict[str, Job] = {}
         #: ``key -> (progress row, result row)`` of every finished
         #: point a status call has served.  A key names one task spec
@@ -287,7 +226,6 @@ class Dispatcher:
         self._finished: Dict[str, tuple] = {}
         self._leases: Dict[str, Lease] = {}
         self._job_seq = itertools.count(1)
-        self._lease_seq = itertools.count(1)
         #: Fresh-work progress (banked-prefix shots vs. targets of
         #: every point the service ever queued; cache hits excluded —
         #: they are not work).
@@ -352,6 +290,7 @@ class Dispatcher:
             job.fresh += 1
             point.jobs.add(job_id)
             self.points[key] = point
+            self.queue.add(point)
             job.pending.add(key)
             _OBS_POINTS.inc()
             self._shots_done += point.shots
@@ -504,23 +443,16 @@ class Dispatcher:
             except (KeyError, TypeError, ValueError) as exc:
                 raise DispatchError(f"bad sweep spec: {exc}") from exc
             for task in tasks:
-                k = task_key(task)
-                point = self.points.get(k)
-                if point is not None:
-                    row = point.row()
-                    row["status"] = "in-flight"
-                    rows.append(row)
-                else:
-                    rows.append(self.store.lookup(task))
+                point = self.points.get(task_key(task))
+                rows.append(self.store.lookup(task) if point is None
+                            else dict(point.row(), status="in-flight"))
         elif key is not None:
             for k in self.store.find_keys(str(key)):
                 rows.append(self.store.key_stats(k))
-            for k, point in self.points.items():
-                if k.startswith(str(key)) \
-                        and all(r["key"] != k for r in rows):
-                    row = point.row()
-                    row["status"] = "in-flight"
-                    rows.append(row)
+            rows += [dict(point.row(), status="in-flight")
+                     for k, point in self.points.items()
+                     if k.startswith(str(key))
+                     and all(r["key"] != k for r in rows)]
         else:
             raise DispatchError("lookup needs a sweep spec or a key "
                                 "prefix")
@@ -530,11 +462,10 @@ class Dispatcher:
     def lease(self, runner: str = "anonymous", max_leases: int = 1,
               ttl_s: Optional[float] = None,
               now: Optional[float] = None) -> List[Lease]:
-        """Hand out up to ``max_leases`` pending slices, oldest point
-        first (so one submission's points finish roughly in order).
-        A ``max_leases`` that is not a positive integer, or a ``ttl_s``
-        that is not a positive finite number, is a :class:`DispatchError`
-        (HTTP 400)."""
+        """Hand out up to ``max_leases`` runs off the lease queue,
+        shared among :meth:`_lessees`.  A ``max_leases`` that is not a
+        positive integer, or a ``ttl_s`` that is not a positive finite
+        number, is a :class:`DispatchError` (HTTP 400)."""
         if not _positive(max_leases, numbers.Integral):
             raise DispatchError(f"lease max must be a positive integer, "
                                 f"got {max_leases!r}")
@@ -544,28 +475,34 @@ class Dispatcher:
         now = time.monotonic() if now is None else now
         self.expire(now)
         ttl = self.lease_ttl_s if ttl_s is None else float(ttl_s)
-        health = self._touch_runner(str(runner))
+        runner = str(runner)
+        health = self._touch_runner(runner)
+        lessees = self._lessees()
         out: List[Lease] = []
-        for point in self.points.values():
-            for _, start, shots in point.take(max_leases - len(out)):
-                lease = Lease(
-                    lease_id=f"L{next(self._lease_seq)}-{point.key[:8]}",
-                    key=point.key, task=point.task, start=start,
-                    shots=shots, runner=str(runner),
-                    deadline=now + ttl,
-                    trace=point.ctx.child("lease", start)
-                    if point.ctx is not None else None,
-                    t_leased=now,
-                    t_queued=point.queued_at.pop(start, now))
-                self._leases[lease.lease_id] = lease
-                _OBS_LEASES.inc()
-                health["leases"] = int(health["leases"]) + 1
-                _lease_hist("queue", lease.runner).observe(
-                    max(0.0, now - lease.t_queued))
-                out.append(lease)
-            if len(out) >= max_leases:
+        while len(out) < max_leases:
+            lease = self.queue.lease(lessees, runner)
+            if lease is None:
                 break
+            lease.runner, lease.deadline, lease.t_leased = \
+                runner, now + ttl, now
+            point = lease.plan
+            if point.ctx is not None:
+                lease.trace = point.ctx.child("lease", lease.start)
+            self._leases[lease.lease_id] = lease
+            _OBS_LEASES.inc()
+            health["leases"] = int(health["leases"]) + 1
+            _lease_hist("queue", runner).observe(
+                max(0.0, time.time() - point.created))
+            out.append(lease)
         return out
+
+    def _lessees(self) -> int:
+        """Runners that hold a lease or were seen within one lease TTL
+        (local slots included: they lease continuously)."""
+        holders = {lease.runner for lease in self._leases.values()}
+        seen = time.time() - self.lease_ttl_s
+        return sum(1 for rid, health in self.runners.items()
+                   if rid in holders or health["last_seen"] > seen)
 
     def _touch_runner(self, runner: str) -> Dict[str, object]:
         """Record contact from a runner (lease / complete / fail); a
@@ -589,26 +526,18 @@ class Dispatcher:
                  spans: Optional[List[Mapping[str, Any]]] = None,
                  obs_snapshot: Optional[Mapping[str, Any]] = None
                  ) -> Dict[str, object]:
-        """Absorb a finished slice's chunk rows into its point's plan.
+        """Bank a finished run's chunk rows through its point's plan,
+        which appends each to the store as the frontier folds it.
 
-        Idempotent and late-arrival tolerant: a lease that already
-        expired (its slice requeued, possibly re-run elsewhere) still
-        has its bit-identical chunks accepted — matched by the payload
-        ``key`` — if they cover new ground, and discarded silently
-        otherwise.  The plan is the store's writer: a chunk is appended
-        in the same synchronous step that folds it into the frontier
-        (one accepted ahead of a gap waits in memory until the gap
-        closes), and the done record when that completes the point.
-
-        ``spans`` (completed span summaries from the executing
-        process) merge idempotently by span id — a requeued re-run
-        derives the same ids, so duplicates collapse.
-        ``obs_snapshot`` (a remote runner's cumulative registry
-        snapshot) replaces that runner's previous one.  A malformed
-        chunk row, a non-string ``key`` or a snapshot the metrics merge
-        could not fold is a :class:`DispatchError` (HTTP 400), raised
-        before any state changes: the lease stays outstanding, so it
-        still expires and its slice is requeued.
+        Idempotent and late-arrival tolerant: chunks of a lease that
+        already expired are matched by the payload ``key`` and accepted
+        if they cover new ground, discarded otherwise.  ``spans`` merge
+        by span id, so a re-run's duplicates collapse; ``obs_snapshot``
+        (a runner's cumulative registry) replaces that runner's last
+        one.  A malformed chunk row, a non-string ``key`` or a snapshot
+        the metrics merge could not fold is a :class:`DispatchError`
+        (HTTP 400) raised before any state changes: the lease stays
+        outstanding, so it still expires and is requeued.
         """
         if key is not None and not isinstance(key, str):
             raise DispatchError(f"complete key must be a string, "
@@ -632,11 +561,10 @@ class Dispatcher:
             if obs_snapshot:
                 self._runner_snaps[str(runner_id)] = dict(obs_snapshot)
         if lease is not None:
-            now = time.monotonic()
             _lease_hist("run", lease.runner).observe(
-                max(0.0, now - lease.t_leased))
+                max(0.0, time.monotonic() - lease.t_leased))
             _lease_hist("latency", lease.runner).observe(
-                max(0.0, now - lease.t_queued))
+                max(0.0, time.time() - lease.plan.created))
         point_key = lease.key if lease is not None else key
         point = self.points.get(point_key) if point_key else None
         if point is None:
@@ -652,15 +580,15 @@ class Dispatcher:
             if point.record(chunk):
                 accepted += 1
         self._shots_done += point.shots - frontier
-        _OBS_SLICES.inc()
+        _OBS_SLICES.inc(len(chunks))
         if point.done:
             self._finalize(point)
         return {"ok": True, "accepted": accepted,
                 "point_done": point.done}
 
     def fail(self, lease_id: str, error: str = "") -> Dict[str, object]:
-        """A runner reports it could not execute a slice: requeue it
-        (another runner — or a local slot — picks it up)."""
+        """A runner reports it could not execute a run: requeue its
+        slices (another runner — or a local slot — picks them up)."""
         lease = self._leases.pop(lease_id, None)
         if lease is None:
             return {"ok": True, "stale": True}
@@ -670,10 +598,10 @@ class Dispatcher:
         obs.event("service.lease_failed",
                   f"lease {lease_id} failed on {lease.runner}: {error}",
                   lease=lease_id, runner=lease.runner)
-        point = self.points.get(lease.key)
-        if point is not None:
-            point.requeue(lease.start, lease.shots)
-        return {"ok": True, "requeued": point is not None}
+        requeued = lease.key in self.points
+        if requeued:
+            self.queue.give_back([lease])
+        return {"ok": True, "requeued": requeued}
 
     def expire(self, now: Optional[float] = None) -> int:
         """Requeue every lease past its deadline (runner crash path)."""
@@ -685,11 +613,10 @@ class Dispatcher:
             _OBS_CRASHES.inc()
             obs.event("service.lease_expired",
                       f"lease {lease.lease_id} ({lease.runner}) expired; "
-                      f"slice requeued", lease=lease.lease_id,
+                      f"run requeued", lease=lease.lease_id,
                       runner=lease.runner)
-            point = self.points.get(lease.key)
-            if point is not None:
-                point.requeue(lease.start, lease.shots)
+            if lease.key in self.points:
+                self.queue.give_back([lease])
             health = self.runners.get(lease.runner)
             if health is not None:
                 health["expired"] = int(health["expired"]) + 1

@@ -1,17 +1,13 @@
 """Pull-based remote runner: ``repro serve --runner URL``.
 
-A runner is the inverse of the server's local pump: it *pulls* slice
-leases over the same HTTP API the pump uses in-process, executes them
-through the engine's canonical block stream, and pushes the resulting
-chunk rows back; the head alone banks them and writes the store — a
-runner never opens it.  Because a chunk's
-counts are a pure function of ``(task, start, shots)``, a sweep
-finished by three runners on three hosts is bit-identical to the same
-sweep run by the dispatch head alone.
-
-Crash semantics need no runner-side state: a runner that dies
-mid-slice simply never completes its lease, the dispatch head expires
-it after the TTL, and the slice is requeued for whoever leases next.
+A runner is one more lessee of the head's lease queue: it pulls leases
+(runs of slices) over the HTTP API the local slots use in-process,
+executes them through the engine's canonical block stream and pushes
+the chunk rows back; the head alone banks them and writes the store.
+A chunk's counts are a pure function of ``(task, start, shots)``, so a
+sweep finished by runners on three hosts is bit-identical to the head
+running it alone.  A runner that dies mid-run never completes its
+lease; the head expires it after the TTL and requeues its slices.
 """
 
 from __future__ import annotations
@@ -38,7 +34,8 @@ def run_runner(url: str, runner_id: Optional[str] = None,
 
     ``idle_timeout_s`` bounds how long the runner polls an empty queue
     before exiting (``None`` = poll forever); ``max_slices`` caps total
-    work (tests).  Returns the number of slices completed.
+    work (tests): no lease is taken once that many slices are done.
+    Returns the number of slices completed.
     """
     client = ServiceClient(url)
     runner = runner_id or default_runner_id()
@@ -84,7 +81,7 @@ def run_runner(url: str, runner_id: Optional[str] = None,
                             runner=runner, key=payload.get("key"),
                             spans=payload.get("spans"),
                             obs_snapshot=obs.registry().snapshot())
-            done += 1
+            done += len(payload["chunks"])
     obs.event("runner.stopped", f"runner {runner}: {done} slice(s)",
               runner=runner)
     return done

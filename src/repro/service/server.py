@@ -1,28 +1,21 @@
 """The asyncio JSON-over-HTTP front end and its local slots.
 
-Stdlib only: the server speaks a deliberately small HTTP/1.1 subset
-over :mod:`asyncio` streams (one JSON request, one JSON response,
-``Connection: close``) — enough for ``curl``, :class:`~repro.service.
-client.ServiceClient` and pull runners, with zero dependencies.
+Stdlib only: a deliberately small HTTP/1.1 subset over :mod:`asyncio`
+streams (one JSON request, one JSON response, ``Connection: close``) —
+enough for ``curl``, :class:`~repro.service.client.ServiceClient` and
+pull runners.  All dispatcher state lives on the event-loop thread, so
+no locks are needed and the coalescing / cache-split decisions are
+race-free by construction.
 
-All dispatcher state lives on the event-loop thread: request handlers
-and the local pump both mutate it via plain synchronous calls from
-coroutines, so no locks are needed and the coalescing / cache-split
-decisions are race-free by construction.  Only slice *execution* —
-the actual simulation — leaves the loop, on a thread per local slot:
-
-* ``workers == 1`` (default): the slot executes the slice in the
-  service process, so the ``engine.*`` obs counters a client polls are
-  live — this is also what lets the test suite prove a resubmission
-  simulated **zero** new shots.
-* ``workers > 1``: each slot sends its slice's wire lease to its own
-  forked :class:`~repro.parallel.worker.Worker`, the process
-  ``Campaign.run(workers=N)`` forks.  A worker that dies costs its own
-  slice (failed and requeued) and is replaced; the other slots keep
-  running, and the workers exit with their head.
-
-Either way the counts are bit-identical: slices are canonical-block
-aligned, so the executor choice only changes wall-clock.
+Each local slot is a lessee of the dispatcher's queue, like a remote
+runner: lease → execute → complete, or fail on error.  Only execution
+leaves the loop, on a thread per slot: with ``workers == 1`` the run
+executes in the service process (so the ``engine.*`` counters a client
+polls are live); with ``workers > 1`` each slot sends its wire lease to
+its own forked :class:`~repro.parallel.worker.Worker`, the process
+``Campaign.run(workers=N)`` forks.  A worker that dies fails its own
+lease and is replaced; the workers exit with their head.  Slices are
+canonical-block aligned, so the executor only changes wall-clock.
 """
 
 from __future__ import annotations
@@ -43,20 +36,18 @@ from .dispatcher import Dispatcher, DispatchError, UnknownJobError
 #: How often the housekeeping task expires stale leases and (when
 #: telemetry is on) writes a snapshot record.
 HOUSEKEEP_S = 1.0
-#: Longest an idle local pump waits before it asks for a lease again.
-#: ``/submit`` wakes the pumps at once; this timeout only covers work
-#: that appears without a submit — a failed slice requeued, an expired
-#: lease's slice returned to the queue.
+#: Longest an idle local pump waits before it asks for a lease again
+#: (``/submit`` wakes it at once; requeued slices appear unannounced).
 PUMP_IDLE_S = 0.05
 #: Cap on accepted request bodies (a sweep spec is tiny; chunk-row
-#: completions are bounded by slices, not shots).
+#: completions are bounded by a run's slices, not shots).
 MAX_BODY = 8 * 1024 * 1024
 #: Default emit interval for streaming job-progress responses.
 STREAM_INTERVAL_S = 0.5
 
 
 def _execute_slice(wire: Dict[str, object]) -> Dict[str, object]:
-    """Execute a slice in this process (``workers == 1``), whose
+    """Execute a wire lease in this process (``workers == 1``), whose
     registry is the head's: no snapshot rides the payload."""
     from .dispatcher import execute_lease_wire
 
@@ -100,7 +91,6 @@ class CampaignService:
         self._tasks: list = []
         self._stopping = False
         self._started = time.perf_counter()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         #: Set when its job finishes: the job's held-open streams wait
         #: on it between progress records, so the final record leaves
@@ -119,7 +109,6 @@ class CampaignService:
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
         self._started = time.perf_counter()
         if self.telemetry_path:
             self._writer = TelemetryWriter(self.telemetry_path)
@@ -159,7 +148,7 @@ class CampaignService:
             await self._server.wait_closed()
             self._server = None
         if self._executor is not None:
-            # Slices already sent finish first: a slot's thread is the
+            # Leases already sent finish first: a slot's thread is the
             # only writer on its worker's pipe.
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
@@ -171,16 +160,6 @@ class CampaignService:
             self._writer = None
         self.store.close()
         obs.event("service.stopped", "service shut down")
-
-    async def serve_forever(self) -> None:
-        await self.start()
-        assert self._server is not None
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await self.stop()
 
     # Background-thread lifecycle (tests, CI smoke assertions from the
     # same process).
@@ -220,13 +199,9 @@ class CampaignService:
 
     # -- local pump ----------------------------------------------------
     async def _pump(self, slot: int) -> None:
-        """One local worker slot: lease → execute (off-loop) → absorb.
-
-        The executor call is the only non-loop work; lease and complete
-        run on the loop, so the pump and remote runners contend for
-        slices through exactly the same dispatcher API.  An idle pump
-        waits for ``/submit`` to wake it, or ``PUMP_IDLE_S`` at most.
-        """
+        """One local slot: lease → execute (off-loop) → complete, through
+        the dispatcher API remote runners use.  An idle pump waits for
+        ``/submit`` to wake it, or ``PUMP_IDLE_S`` at most."""
         loop = asyncio.get_running_loop()
         runner = f"local-{slot}"
         while not self._stopping:
@@ -266,10 +241,8 @@ class CampaignService:
                                      obs_snapshot=payload.get("obs"))
 
     def _replace_worker(self, slot: int) -> str:
-        """Give ``slot`` a fresh worker in place of its dead one — no
-        other slot is touched — and return the failure its slice
-        reports (the slice is requeued; a canonical rerun cannot move
-        a count)."""
+        """Give ``slot`` a fresh worker in place of its dead one (no other
+        slot is touched) and return the failure its lease reports."""
         dead = self._workers[slot]
         dead.kill()
         self._workers[slot] = worker.Worker(slot)

@@ -133,6 +133,32 @@ class TestCampaignCommand:
                      "--shots", "512"]) == 0
         assert "512 shots" in capsys.readouterr().out
 
+    def test_closed_pipe_ends_quietly(self, tmp_path):
+        """``repro campaign SPEC | head -1``: the reader leaves after
+        one line, and the command ends with exit 1 and no traceback.
+        Unbuffered (``-u``), the header reaches the pipe before the run
+        starts, so the result rows are written after the reader left."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        spec = self.write_spec(tmp_path)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__))]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "campaign", spec,
+             "-j", "1"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in stderr, stderr
+
     def test_missing_spec_fails(self, tmp_path):
         with pytest.raises(SystemExit, match="^error: cannot read"):
             main(["campaign", str(tmp_path / "nope.json")])

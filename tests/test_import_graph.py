@@ -45,13 +45,36 @@ PROBE = ("import sys, repro; print('\\n'.join(sorted(m for m in sys.modules "
 
 
 def test_import_repro_loads_the_pinned_modules():
+    assert probe(PROBE) == IMPORT_REPRO
+
+
+#: A one-worker campaign, then every ``repro.*`` module it loaded.
+CAMPAIGN_PROBE = (
+    "import sys\n"
+    "from repro import Campaign, CodeSpec, InjectionTask\n"
+    "task = InjectionTask(code=CodeSpec('repetition', (3, 1)),\n"
+    "                     intrinsic_p=0.05, shots=1024, seed=1)\n"
+    "Campaign([task]).run(workers=1)\n"
+    "print('\\n'.join(sorted(m for m in sys.modules\n"
+    "                         if m.startswith('repro.'))))\n")
+
+
+def probe(script):
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == IMPORT_REPRO
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.split()
+
+
+def test_one_worker_campaign_loads_no_service_module():
+    """The campaign scheduler shares its lease queue with the service
+    head, but ``repro.parallel`` must never pull in the HTTP head."""
+    loaded = probe(CAMPAIGN_PROBE)
+    assert "repro.parallel.plan" in loaded
+    assert not [m for m in loaded if m.startswith("repro.service")]
 
 
 def test_public_names_ship_no_oracle():

@@ -328,6 +328,31 @@ class TestWatermarkPolicy:
             [(0, 1024), (1024, 1024), (2048, 512)]
 
 
+class TestLeaseQueue:
+    def test_each_lessee_stays_on_its_plan(self):
+        """A lessee keeps leasing the plan it leased last until that
+        plan runs dry, so its per-point caches stay warm (a lone lessee
+        drains the plans one after another); a fresh pick takes the
+        deepest plan and moves it behind the plans as deep as it, so the
+        next lessee starts another."""
+        from repro.parallel.plan import LeaseQueue
+
+        def queue():
+            tasks = mid_rate_tasks(n=3, shots=16 * SIM_BLOCK)
+            return LeaseQueue(TaskPlan(i, t, ZERO_PRIOR, SIM_BLOCK, None)
+                              for i, t in enumerate(tasks))
+
+        alone = queue()
+        runs = [alone.lease(1, "a") for _ in range(6)]
+        assert [(run.plan.index, run.start, run.run) for run in runs] \
+            == [(i, start, 8) for i in range(3) for start in (0, 4096)]
+        assert alone.lease(1, "a") is None
+        shared = queue()
+        assert [(lessee, shared.lease(2, lessee).plan.index)
+                for lessee in "abab"] \
+            == [("a", 0), ("b", 1), ("a", 0), ("b", 1)]
+
+
 class TestShardedStore:
     def test_parallel_store_run_is_resumable(self, tmp_path):
         tasks = mid_rate_tasks(n=3, shots=1536)

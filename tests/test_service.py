@@ -29,6 +29,10 @@ SPEC = {
 }
 
 
+#: Two points of 16 slices of 512 shots each.
+DEEP_SPEC = dict(SPEC, shots=8192)
+
+
 def make_dispatcher(tmp_path, **kwargs):
     store = CampaignStore(tmp_path / "store.jsonl")
     kwargs.setdefault("slice_shots", 512)
@@ -135,11 +139,12 @@ class TestCacheAndCoalescing:
         job = d.submit(SPEC)["job"]
         keys = d.jobs[job].keys
         assert reads == keys                   # the cache check, by key
-        lease = d.lease(runner="t", max_leases=2)[:2]
-        for one in lease:                      # finish the first point only
-            payload = execute_lease_wire(one.to_wire())
-            d.complete(payload["lease"], payload["chunks"],
-                       key=payload["key"])
+        # A lone lessee's run is the first point's two slices: it
+        # finishes that point only.
+        (lease,) = d.lease(runner="t", max_leases=1)
+        assert (lease.key, lease.run) == (keys[0], 2)
+        payload = execute_lease_wire(lease.to_wire())
+        d.complete(payload["lease"], payload["chunks"], key=payload["key"])
         del reads[:]
         running = [d.job_status(job) for _ in range(5)]
         assert all("results" not in s and s["points_done"] == 1
@@ -180,8 +185,10 @@ class TestCacheAndCoalescing:
             assert row["raw_ler"] == pytest.approx(res.raw_error_rate)
 
     def test_partial_point_progress_visible(self, tmp_path):
+        """One completed run of a 16-slice point (8 slices: a run is
+        at most ``WIDE_BLOCKS`` blocks) shows as live partial counts."""
         d = make_dispatcher(tmp_path)
-        job = d.submit(SPEC)["job"]
+        job = d.submit(DEEP_SPEC)["job"]
         leases = d.lease(runner="t", max_leases=1)
         payload = execute_lease_wire(leases[0].to_wire())
         d.complete(payload["lease"], payload["chunks"],
@@ -190,28 +197,28 @@ class TestCacheAndCoalescing:
         assert status["state"] == "running"
         running = [r for r in status["tasks"]
                    if r["status"] in ("running", "queued")]
-        assert running and any(r["shots"] == 512 for r in running)
+        assert running and any(r["shots"] == 4096 for r in running)
         # lookup reports the in-flight partial too
-        rows = d.lookup(spec=SPEC)
+        rows = d.lookup(spec=DEEP_SPEC)
         inflight = [r for r in rows if r["status"] == "in-flight"]
-        assert inflight and inflight[0]["target"] == 1024
+        assert inflight and inflight[0]["target"] == 8192
         drain(d)
         assert d.job_status(job)["state"] == "done"
 
     def test_partial_store_prefix_not_resimulated(self, tmp_path):
         d = make_dispatcher(tmp_path)
-        d.submit(SPEC)
+        d.submit(DEEP_SPEC)
         leases = d.lease(runner="t", max_leases=1)
         payload = execute_lease_wire(leases[0].to_wire())
         d.complete(payload["lease"], payload["chunks"],
                    key=payload["key"])
-        # A new dispatcher over the same store banks the 512-shot
-        # prefix and only simulates the remainder.
+        # A new dispatcher over the same store banks the run's
+        # 4096-shot prefix and only simulates the remainder.
         d2 = Dispatcher(d.store, slice_shots=512)
-        d2.submit(SPEC)
+        d2.submit(DEEP_SPEC)
         before = engine_shots()
         drain(d2)
-        assert engine_shots() - before == 2 * 1024 - 512
+        assert engine_shots() - before == 2 * 8192 - 4096
 
 
 class TestLeaseLifecycle:
@@ -249,15 +256,16 @@ class TestLeaseLifecycle:
         assert d.store.key_stats(lost[0].key)["shots"] == done_shots
 
     def test_failed_lease_requeues(self, tmp_path):
+        """A failed run gives every one of its slices back."""
         d = make_dispatcher(tmp_path)
         d.submit(SPEC)
+        pending_before = sum(len(p.pending) for p in d.points.values())
         lease = d.lease(runner="t", max_leases=1)[0]
-        pending_after_lease = sum(len(p.pending)
-                                  for p in d.points.values())
+        assert lease.run == 2
         out = d.fail(lease.lease_id, "simulated failure")
         assert out["requeued"]
         assert sum(len(p.pending) for p in d.points.values()) \
-            == pending_after_lease + 1
+            == pending_before
         drain(d)
         assert not d.points
 
@@ -268,6 +276,89 @@ class TestLeaseLifecycle:
         wire = json.loads(json.dumps(wire))  # HTTP round trip
         assert task_key(task_from_dict(wire["task"])) == wire["key"]
         assert wire["shots"] == 512
+
+
+class TestLeaseRuns:
+    """The head leases from the scheduler's queue: a lease is a run of
+    slices — at most ``WIDE_BLOCKS`` blocks, at most a fair share of
+    the point among the lessees the head can see."""
+
+    def test_lone_runner_gets_a_wide_run(self, tmp_path):
+        from repro.injection import campaign as engine
+
+        d = make_dispatcher(tmp_path)
+        d.submit(dict(DEEP_SPEC, p_values=[0.01]))
+        (lease,) = d.lease(runner="alone", max_leases=1)
+        wire = json.loads(json.dumps(lease.to_wire()))
+        assert (wire["start"], wire["shots"], wire["run"]) \
+            == (0, 512, engine.WIDE_BLOCKS)
+        payload = execute_lease_wire(wire)
+        assert [row["start"] for row in payload["chunks"]] \
+            == list(range(0, 4096, 512))
+
+    def test_two_lessees_get_at_most_a_fair_share(self, tmp_path):
+        d = make_dispatcher(tmp_path)
+        d.submit(dict(DEEP_SPEC, p_values=[0.01]))
+        (point,) = d.points.values()
+        d.lease(runner="a", max_leases=1)          # alone: a run of 8
+        for runner in ("b", "a", "b", "a"):
+            pending = len(point.pending)
+            (lease,) = d.lease(runner=runner, max_leases=1)
+            assert lease.run <= -(-pending // 2), (runner, pending)
+        assert not point.pending
+
+    def test_failed_and_expired_runs_requeue_front_first(self, tmp_path):
+        d = make_dispatcher(tmp_path, lease_ttl_s=30.0)
+        spec = dict(DEEP_SPEC, p_values=[0.01])
+        job = d.submit(spec)["job"]
+        (point,) = d.points.values()
+        (first,) = d.lease(runner="a", max_leases=1, now=0.0)
+        (second,) = d.lease(runner="b", max_leases=1, ttl_s=1.0, now=0.0)
+        assert (first.start, first.run, second.start, second.run) \
+            == (0, 8, 4096, 4)
+        assert d.fail(first.lease_id)["requeued"]
+        assert [piece.start for piece in point.pending] \
+            == list(range(0, 4096, 512)) + list(range(6144, 8192, 512))
+        # The later run comes back behind the earlier one, not ahead.
+        assert d.expire(now=2.0) == 1
+        assert [piece.start for piece in point.pending] \
+            == list(range(0, 8192, 512))
+        assert not point.leased
+        drain(d)
+        direct = build_sweep(spec).run(workers=1)
+        assert [(row["shots"], row["errors"])
+                for row in d.job_status(job)["results"]] \
+            == [(res.shots, res.errors) for res in direct]
+
+    def test_previous_heads_lease_leaves_this_heads_points_alone(
+            self, tmp_path):
+        """A runner that outlived a head restart completes a lease the
+        old head issued.  The new head counts its leases afresh, but the
+        id still names the old lease's point, so another point's lease
+        and rows are untouched."""
+        old = make_dispatcher(tmp_path)
+        old.submit(SPEC)
+        (stale,) = old.lease(runner="r", max_leases=1)
+        payload = execute_lease_wire(stale.to_wire())
+        new = make_dispatcher(tmp_path)
+        job = new.submit(dict(SPEC, p_values=[0.02, 0.03]))["job"]
+        (held,) = new.lease(runner="r", max_leases=1)
+        assert held.key != stale.key
+        assert held.lease_id.split("-")[0] == stale.lease_id.split("-")[0]
+        out = new.complete(payload["lease"], payload["chunks"],
+                           key=payload["key"])
+        assert out["stale"] and out["accepted"] == 0
+        assert held.lease_id in new._leases
+        assert new.points[held.key].shots == 0
+        assert not new.store.chunks_for(held.key)
+        payload = execute_lease_wire(held.to_wire())
+        new.complete(payload["lease"], payload["chunks"])
+        drain(new)
+        direct = build_sweep(dict(SPEC, p_values=[0.02, 0.03])).run(
+            workers=1)
+        assert [(row["shots"], row["errors"])
+                for row in new.job_status(job)["results"]] \
+            == [(res.shots, res.errors) for res in direct]
 
 
 class TestDispatcherErrors:
@@ -370,7 +461,7 @@ class TestMalformedCompletion:
         assert payload["obs"]["profile"]["kernels"]
         out = d.complete(payload["lease"], payload["chunks"],
                          key=payload["key"], obs_snapshot=payload["obs"])
-        assert out["accepted"] == 1
+        assert out["accepted"] == lease.run == 2
         assert "remote" in d._runner_snaps
         assert "repro_kernel_seconds_total" in obs.render_prometheus(
             d.metrics_snapshot())
@@ -553,6 +644,36 @@ class TestRemoteRunnerTopology:
         finally:
             svc.stop_background()
 
+    def test_pull_runner_banks_every_chunk_of_its_runs(self, tmp_path):
+        """A lone runner is handed runs of 8 slices over HTTP, and the
+        head banks each chunk of each run: the store tiles the point."""
+        from repro.service import CampaignService, ServiceClient
+        from repro.service.runner import run_runner
+
+        spec = dict(DEEP_SPEC, p_values=[0.01])
+        svc = CampaignService(str(tmp_path / "store.jsonl"), port=0,
+                              workers=0, slice_shots=512)
+        svc.start_background()
+        try:
+            client = ServiceClient(svc.url)
+            job = client.submit(spec)["job"]
+            done = run_runner(svc.url, runner_id="wide", poll_s=0.05,
+                              idle_timeout_s=1.0)
+            status = client.wait(job, timeout_s=30)
+            health = client.status()["runners"]["wide"]
+        finally:
+            svc.stop_background()
+        assert (done, health["leases"], health["completed"]) == (16, 2, 2)
+        (task,) = build_sweep(spec)._seeded()
+        chunks = CampaignStore(tmp_path / "store.jsonl").chunks_for(
+            task_key(task))
+        assert [chunk.start for chunk in chunks] \
+            == list(range(0, 8192, 512))
+        assert [(row["shots"], row["errors"])
+                for row in status["results"]] \
+            == [(res.shots, res.errors)
+                for res in build_sweep(spec).run(workers=1)]
+
 
 @pytest.mark.integration
 class TestForkedPool:
@@ -560,9 +681,11 @@ class TestForkedPool:
     that dies costs its own slot one failed (requeued) slice and a
     fresh worker, never the job, another slot or a count."""
 
-    #: 2 points x 16 slices: workers are still busy when one is killed.
+    #: 2 points x 256 slices: workers are still busy when one is killed
+    #: (leases are runs of up to 8 slices, so 16 slices per point were
+    #: done before the first poll could see a shot).
     SPEC = {"codes": [["xxzz", [3, 3]]], "p_values": [0.004, 0.008],
-            "rounds": 3, "shots": 8192, "root_seed": 23}
+            "rounds": 3, "shots": 131072, "root_seed": 23}
 
     def run_job(self, tmp_path, kill):
         import multiprocessing
