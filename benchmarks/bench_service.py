@@ -24,6 +24,13 @@ point pays its key, context and lease, while the compiled structures
 stay warm).  It reports ms per point split into the frames kernel and
 the rest — lease, wire, task context, decode, completion, store — and
 holds the rest to a bar.
+
+The third bench is the head's own cost on those tiny points: each
+round runs them, on a fresh root seed, through a background
+:class:`~repro.service.CampaignService` with one in-process slot
+(submit over HTTP, wait on the job stream) and through
+``Campaign.run(workers=1)``, interleaved, and holds the best-of ratio
+of the two walls to a bar.
 """
 
 import time
@@ -31,9 +38,9 @@ import time
 from conftest import bench_bar, bench_report, best_of
 
 from repro.frames import _native as frames_native
-from repro.injection import CampaignStore
+from repro.injection import CampaignStore, build_sweep
 from repro.obs import trace
-from repro.service import Dispatcher
+from repro.service import CampaignService, Dispatcher, ServiceClient
 from repro.service.dispatcher import execute_lease_wire
 
 #: 8 canonical blocks, same workload as bench_decode_batch / bench_obs.
@@ -190,3 +197,58 @@ def test_tiny_point_cost(benchmark, capsys, tmp_path, monkeypatch):
     bar = bench_bar(2.5, 5.0)
     assert rest_ms < bar, \
         f"tiny point costs {rest_ms:.2f} ms outside the kernel >= {bar} ms"
+
+
+def test_head_overhead(benchmark, capsys, tmp_path):
+    """Wall of the tiny points through the service head over the wall
+    of the same points through ``Campaign.run(workers=1)``."""
+    seeds = iter(range(3000, 4000))
+    build_sweep(dict(TINY_SPEC, root_seed=next(seeds))).run(workers=1)
+    svc = CampaignService(str(tmp_path / "head.jsonl"), port=0, workers=1)
+    client = ServiceClient(svc.start_background())
+
+    def served(seed):
+        t0 = time.perf_counter()
+        status = client.wait(
+            client.submit(dict(TINY_SPEC, root_seed=seed))["job"])
+        wall = time.perf_counter() - t0
+        return wall, [(r["shots"], r["errors"]) for r in status["results"]]
+
+    def direct(seed):
+        t0 = time.perf_counter()
+        results = build_sweep(dict(TINY_SPEC, root_seed=seed)).run(
+            workers=1)
+        wall = time.perf_counter() - t0
+        return wall, [(r.shots, r.errors) for r in results]
+
+    head, engine = [], []
+    try:
+        for _ in range(REPEATS):
+            # Each side on seeds of its own: a point run once keeps its
+            # task context warm for the next run of it.
+            seed = next(seeds)
+            wall, rows = served(seed)
+            head.append(wall)
+            engine.append(direct(next(seeds))[0])
+        assert len(rows) == TINY_POINTS
+        assert rows == direct(seed)[1], "the head moved a count"
+        benchmark.pedantic(lambda: served(next(seeds)), rounds=1,
+                           iterations=1)
+    finally:
+        svc.stop_background()
+
+    head_s, engine_s = min(head), min(engine)
+    ratio = head_s / engine_s
+    bench_report(
+        benchmark, capsys,
+        f"\n[service] {TINY_POINTS} tiny points x 512 shots: head "
+        f"{head_s * 1e3:.1f} ms, Campaign.run {engine_s * 1e3:.1f} ms, "
+        f"overhead ratio {ratio:.2f}",
+        points=TINY_POINTS, head_s=head_s, engine_s=engine_s,
+        overhead_ratio=ratio)
+
+    # Measured on a 2-core host: 1.49-1.57 with the slot's pipeline,
+    # 1.89 with one lease in flight at a time.
+    bar = bench_bar(1.75, 2.5)
+    assert ratio < bar, \
+        f"head overhead ratio {ratio:.2f} >= {bar} on tiny points"

@@ -818,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--csv", type=str, default=None,
                       help="also write result rows to this CSV file")
     _add_engine_options(camp)
-    from .detect.recovery import RECOVERY_POLICIES
+    from .decoders.spec import RECOVERY_POLICIES
 
     camp.add_argument("--recovery", type=str, default=None,
                       choices=RECOVERY_POLICIES,

@@ -54,6 +54,11 @@ _KIND_ALIASES = {
 #: Recognised weighting modes.
 WEIGHTING_MODES = ("weighted", "uniform")
 
+#: Burst-recovery policy names (``InjectionTask.recovery``), kept here
+#: so that building a task loads no :mod:`repro.detect` module, whose
+#: ``RecoveryPolicy`` implements each.
+RECOVERY_POLICIES = ("static", "reweight", "discard_window")
+
 #: ``kind:modifier`` string grammar (CLI / sweep specs): comma-separated
 #: modifiers after the colon.
 _MODIFIERS = ("hooks", "nocache", "uniform")

@@ -47,6 +47,7 @@ from ..codes.base import MemoryExperiment
 from ..decoders.base import Decoder, DecodeResult
 from ..decoders.batch import SyndromeBatch
 from ..decoders.detector_graph import BOUNDARY, ERASED_WEIGHT, DetectorGraph
+from ..decoders.spec import RECOVERY_POLICIES
 from ..noise.radiation import (
     DEFAULT_GAMMA,
     sample_times,
@@ -59,7 +60,8 @@ from .stream import PackedSyndromes, pack_shot_mask
 
 
 class RecoveryPolicy(enum.Enum):
-    """What a flagged burst window does to decoding."""
+    """What a flagged burst window does to decoding (one member per
+    name in :data:`~repro.decoders.spec.RECOVERY_POLICIES`)."""
 
     STATIC = "static"
     REWEIGHT = "reweight"
@@ -76,9 +78,6 @@ class RecoveryPolicy(enum.Enum):
                 f"unknown recovery policy {value!r}; expected one of "
                 f"{RECOVERY_POLICIES}") from None
 
-
-#: Recognised policy names (spec/CLI validation).
-RECOVERY_POLICIES = tuple(p.value for p in RecoveryPolicy)
 
 #: Per-edge flip probability above which an edge counts as *erased*
 #: (near-certain reset): it drops to ERASED_WEIGHT, which union-find

@@ -22,7 +22,7 @@ from ..codes import (
     XXZZCode,
     build_memory_experiment,
 )
-from ..decoders.spec import DecoderSpec, as_decoder
+from ..decoders.spec import RECOVERY_POLICIES, DecoderSpec, as_decoder
 from ..noise.executor import validate_backend
 from ..rare.sampler import SamplerSpec, as_sampler
 
@@ -188,10 +188,6 @@ class InjectionTask:
             raise ValueError("intrinsic_p must lie in [0, 1]")
         if not isinstance(self.decoder, DecoderSpec):
             object.__setattr__(self, "decoder", as_decoder(self.decoder))
-        # Imported here: repro.detect consumes the decoder/code layers,
-        # which the spec module must stay importable without.
-        from ..detect.recovery import RECOVERY_POLICIES
-
         if self.recovery not in RECOVERY_POLICIES:
             raise ValueError(
                 f"unknown recovery policy {self.recovery!r}; expected "

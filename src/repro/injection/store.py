@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from .results import SIM_BLOCK, ChunkResult, ChunkTally, InjectionResult
-from .spec import InjectionTask
+from .spec import InjectionTask, task_from_dict
 
 #: Bump when the canonical task serialization changes shape.
 #: v2: InjectionTask grew the ``backend`` field (frame sampling PR) —
@@ -96,7 +96,15 @@ def canonical_task(task: InjectionTask) -> Dict[str, object]:
     return d
 
 
-@lru_cache(maxsize=8192)
+#: Entries :func:`_identity` keeps.
+_IDENTITIES = 8192
+
+#: Each key's memoised canonical dict and the task it was made from
+#: (as many as :func:`_identity` keeps): see :func:`task_from_wire`.
+_WIRED: Dict[str, Tuple[Dict[str, object], InjectionTask]] = {}
+
+
+@lru_cache(maxsize=_IDENTITIES)
 def _identity(task: InjectionTask) -> Tuple[str, Dict[str, object]]:
     """A task's ``(key, canonical dict)``, worked out once per task: a
     run asks for a point's key at the resume check, at plan
@@ -107,7 +115,25 @@ def _identity(task: InjectionTask) -> Tuple[str, Dict[str, object]]:
     canonical = canonical_task(task)
     blob = json.dumps({"v": KEY_VERSION, "task": canonical},
                       sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20], canonical
+    key = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
+    _WIRED[key] = canonical, task
+    if len(_WIRED) > _IDENTITIES:
+        del _WIRED[next(iter(_WIRED))]
+    return key, canonical
+
+
+def task_from_wire(key: str, canonical: Dict[str, object]
+                   ) -> InjectionTask:
+    """The task a wire lease names by ``key`` and canonical dict.  A
+    lease executed in the process that made it (the service head's
+    in-process slot) carries the very dict :func:`_identity` memoised
+    for its task, and gets that task back; any other dict (one that
+    crossed a pipe or HTTP) is rebuilt by :func:`task_from_dict`, which
+    hashes to the same key."""
+    known = _WIRED.get(key) if isinstance(key, str) else None
+    if known is not None and known[0] is canonical:
+        return known[1]
+    return task_from_dict(canonical)
 
 
 def task_key(task: InjectionTask) -> str:

@@ -30,17 +30,17 @@ into the dispatch head's per-trace table keyed by span id.
 from __future__ import annotations
 
 import time as _time
+from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass
 from hashlib import sha1
 from time import perf_counter
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set
 
 from .metrics import registry
 
-#: Spans kept per process buffer / per trace on the dispatch head.  A
-#: campaign point is a handful of spans; a whole sweep stays far below
-#: this — the cap only guards against unbounded service uptime.
+#: Spans kept per process buffer, and in total on the dispatch head.
+#: A campaign point is a handful of spans; a whole sweep stays far
+#: below this — the cap only guards against unbounded service uptime.
 MAX_SPANS = 4096
 
 #: Process-global tracing switch (``set_enabled``); the dispatcher
@@ -63,12 +63,12 @@ def is_enabled() -> bool:
 
 def derive_id(*parts: object) -> str:
     """A 16-hex deterministic span/trace id from the causal path."""
-    return sha1("/".join(str(p) for p in parts).encode()).hexdigest()[:16]
+    return sha1("/".join(map(str, parts)).encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """The propagated context: which trace, and which span is parent."""
+class TraceContext(NamedTuple):
+    """The propagated context: which trace, and which span is parent.
+    (A tuple: several are made per lease, on the head and the runner.)"""
 
     trace_id: str
     span_id: str
@@ -221,11 +221,20 @@ class TraceStore:
     Absorption is idempotent by span id — a requeued lease re-run on
     another runner derives the same ids, so late or duplicate
     completions collapse exactly like duplicate chunks do.
+
+    At most ``max_spans`` spans are held in all.  A span arriving at
+    the cap evicts the oldest finished trace (see :meth:`finish`)
+    whole, and later spans of an evicted trace are dropped; with no
+    finished trace to evict, the arriving span is dropped.
     """
 
     def __init__(self, max_spans: int = MAX_SPANS) -> None:
         self.max_spans = max_spans
+        #: Trace tables in creation order.
         self._traces: Dict[str, Dict[str, Dict[str, object]]] = {}
+        self._finished: Set[str] = set()
+        self._evicted: Set[str] = set()
+        self._held = 0
 
     def absorb(self, spans) -> int:
         """Bank wire-form spans; returns how many were new."""
@@ -237,12 +246,36 @@ class TraceStore:
             span_id = wire.get("span")
             if not trace_id or not span_id:
                 continue
-            table = self._traces.setdefault(str(trace_id), {})
-            if str(span_id) in table or len(table) >= self.max_spans:
+            trace_id, span_id = str(trace_id), str(span_id)
+            if trace_id in self._evicted:
                 continue
-            table[str(span_id)] = dict(wire)
+            table = self._traces.setdefault(trace_id, {})
+            if span_id in table or (self._held >= self.max_spans
+                                    and not self._evict(trace_id)):
+                continue
+            table[span_id] = dict(wire)
+            self._held += 1
             fresh += 1
         return fresh
+
+    def finish(self, trace_id: str) -> None:
+        """Mark a trace complete, so the cap may evict it."""
+        if trace_id in self._traces:
+            self._finished.add(trace_id)
+
+    def evicted(self, trace_id: str) -> bool:
+        return trace_id in self._evicted
+
+    def _evict(self, keep: str) -> bool:
+        """Drop the oldest finished trace other than ``keep``; False if
+        there is none."""
+        for trace_id in self._traces:
+            if trace_id in self._finished and trace_id != keep:
+                self._held -= len(self._traces.pop(trace_id))
+                self._finished.discard(trace_id)
+                self._evicted.add(trace_id)
+                return True
+        return False
 
     def spans(self, trace_id: str) -> List[Dict[str, object]]:
         """A trace's spans, parents before children, then by time."""

@@ -25,7 +25,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional
 from .. import obs
 from ..injection.campaign import iter_task_chunks
 from ..injection.results import ChunkResult
-from ..injection.spec import InjectionTask, task_from_dict
+from ..injection.spec import InjectionTask
+from ..injection.store import task_from_wire
 from ..obs import trace
 
 #: Test-only crash injection: a worker whose id matches
@@ -65,7 +66,7 @@ def execute_lease_wire(lease: Mapping[str, Any]) -> Dict[str, object]:
     the chunk as a grandchild.  Tracing never touches the engine, so
     counts stay bit-identical.  A process of its own (a forked worker,
     a pull runner) attaches its registry snapshot itself."""
-    task = task_from_dict(lease["task"])
+    task = task_from_wire(lease["key"], lease["task"])
     start, shots = int(lease["start"]), int(lease["shots"])
     run = int(lease.get("run", 1))
     ctx = trace.from_wire(lease.get("trace"))

@@ -68,7 +68,10 @@ def _lease_hist(kind: str, runner: str):
     """The per-runner lease histogram ``service.lease_<kind>_s`` with
     the runner id folded into the name (``/runner=<id>``) — the
     registry stays label-free and the Prometheus renderer splits the
-    convention back into a real label."""
+    convention back into a real label.  ``queue`` runs from submission
+    to lease, ``latency`` from submission to completion and ``run``
+    from lease to completion: for the head's pipelined in-process slot
+    that includes the time a lease waits behind the slot's other one."""
     return obs.registry().histogram(
         f"service.lease_{kind}_s/runner={runner}", LEASE_BOUNDS)
 
@@ -225,6 +228,8 @@ class Dispatcher:
         #: store and built once, for every job and poll that shows it.
         self._finished: Dict[str, tuple] = {}
         self._leases: Dict[str, Lease] = {}
+        #: The task of every key submitted, shared by all its jobs.
+        self._tasks: Dict[str, InjectionTask] = {}
         self._job_seq = itertools.count(1)
         #: Fresh-work progress (banked-prefix shots vs. targets of
         #: every point the service ever queued; cache hits excluded —
@@ -261,6 +266,10 @@ class Dispatcher:
             raise DispatchError(f"bad sweep spec: {exc}") from exc
         job_id = f"job-{next(self._job_seq)}"
         keys = [task_key(t) for t in tasks]
+        # One task object per key however often it is submitted: a
+        # finished job holds the head's tasks, not copies of them.
+        tasks = [self._tasks.setdefault(key, task)
+                 for key, task in zip(keys, tasks)]
         job = Job(job_id, tasks, keys)
         for task, key in zip(tasks, keys):
             point_ctx = job.ctx.child("point", key) \
@@ -324,6 +333,7 @@ class Dispatcher:
             self.traces.absorb([trace.make_span(
                 job.ctx, "job", time.time() - job.created,
                 t0=job.created, job=job.job_id, points=len(job.tasks))])
+            self.traces.finish(job.trace_id)
 
     # -- status / results ----------------------------------------------
     def job_status(self, job_id: str,
@@ -666,12 +676,16 @@ class Dispatcher:
     def job_trace(self, job_id: str) -> Dict[str, object]:
         """The causally-linked span tree for one job (parents before
         children; spans from remote runners included once their
-        completions have been absorbed)."""
+        completions have been absorbed).  A finished job whose trace
+        the span cap evicted reports no spans and ``"evicted": true``."""
         job = self.jobs.get(job_id)
         if job is None:
             raise UnknownJobError(job_id)
         if job.trace_id is None:
             return {"job": job_id, "trace": None, "spans": []}
+        if self.traces.evicted(job.trace_id):
+            return {"job": job_id, "trace": job.trace_id, "spans": [],
+                    "evicted": True}
         return {"job": job_id, "trace": job.trace_id,
                 "spans": self.traces.spans(job.trace_id)}
 

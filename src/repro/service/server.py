@@ -9,10 +9,13 @@ race-free by construction.
 
 Each local slot is a lessee of the dispatcher's queue, like a remote
 runner: lease → execute → complete, or fail on error.  Only execution
-leaves the loop, on a thread per slot: with ``workers == 1`` the run
+leaves the loop, on a thread per slot.  With ``workers == 1`` the run
 executes in the service process (so the ``engine.*`` counters a client
-polls are live); with ``workers > 1`` each slot sends its wire lease to
-its own forked :class:`~repro.parallel.worker.Worker`, the process
+polls are live), and the slot keeps the campaign scheduler's
+``PIPELINE_DEPTH`` leases in flight: its thread starts the next run
+while the loop completes the last one.  With ``workers > 1`` each slot
+sends one wire lease at a time to its own forked
+:class:`~repro.parallel.worker.Worker`, the process
 ``Campaign.run(workers=N)`` forks.  A worker that dies fails its own
 lease and is replaced; the workers exit with their head.  Slices are
 canonical-block aligned, so the executor only changes wall-clock.
@@ -22,15 +25,18 @@ from __future__ import annotations
 
 import asyncio
 import json
+import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple, Union
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from .. import obs
 from ..injection.store import CampaignStore
 from ..obs.sinks import TelemetryWriter
 from ..parallel import worker
+from ..parallel.plan import Lease
+from ..parallel.scheduler import PIPELINE_DEPTH
 from .dispatcher import Dispatcher, DispatchError, UnknownJobError
 
 #: How often the housekeeping task expires stale leases and (when
@@ -52,6 +58,53 @@ def _execute_slice(wire: Dict[str, object]) -> Dict[str, object]:
     from .dispatcher import execute_lease_wire
 
     return execute_lease_wire(wire)
+
+
+class _SlotThread:
+    """A local slot's thread: it executes the wire leases the slot
+    sends, in order, and settles each one's future on the event loop.
+    A lease whose future was cancelled before it started is skipped."""
+
+    def __init__(self, slot: int, loop: asyncio.AbstractEventLoop) -> None:
+        self._loop = loop
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        name=f"repro-slice-{slot}")
+        self._thread.start()
+
+    def submit(self, execute: Callable[[Dict[str, object]], Any],
+               wire: Dict[str, object]) -> asyncio.Future:
+        reply = self._loop.create_future()
+        self._queue.put((reply, execute, wire))
+        return reply
+
+    def stop(self) -> None:
+        """Let the lease executing finish (its reply is discarded),
+        skip the cancelled ones queued behind it, and join."""
+        self._queue.put(None)
+        self._thread.join()
+
+    def _run(self) -> None:
+        while True:
+            item = self._queue.get()
+            if item is None:
+                return
+            reply, execute, wire = item
+            if reply.cancelled():
+                continue
+            try:
+                outcome = (True, execute(wire))
+            except BaseException as exc:  # noqa: BLE001 — the pump decides
+                outcome = (False, exc)
+            self._loop.call_soon_threadsafe(_settle, reply, *outcome)
+
+
+def _settle(reply: asyncio.Future, ok: bool, value: Any) -> None:
+    if not reply.cancelled():
+        if ok:
+            reply.set_result(value)
+        else:
+            reply.set_exception(value)
 
 
 class _BadRequest(Exception):
@@ -85,7 +138,9 @@ class CampaignService:
         self.telemetry_path = telemetry
         self._writer: Optional[TelemetryWriter] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
+        #: One thread per local slot, the only one to execute its
+        #: leases (and so the only writer on its forked worker's pipe).
+        self._slots: List[_SlotThread] = []
         #: One forked worker per local slot (``workers > 1`` only).
         self._workers: List[worker.Worker] = []
         self._tasks: list = []
@@ -112,14 +167,14 @@ class CampaignService:
         self._started = time.perf_counter()
         if self.telemetry_path:
             self._writer = TelemetryWriter(self.telemetry_path)
-        if self.workers > 0:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-slice")
         if self.workers > 1:
             # Forked before the listener and any slot thread exist, so
             # the workers inherit neither.
             self._workers = [worker.Worker(slot)
                              for slot in range(self.workers)]
+        loop = asyncio.get_running_loop()
+        self._slots = [_SlotThread(slot, loop)
+                       for slot in range(max(self.workers, 0))]
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -147,11 +202,11 @@ class CampaignService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._executor is not None:
-            # Leases already sent finish first: a slot's thread is the
-            # only writer on its worker's pipe.
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
+        # Leases already executing finish first: a slot's thread is
+        # the only writer on its worker's pipe.
+        for slot_thread in self._slots:
+            slot_thread.stop()
+        self._slots = []
         worker.stop(self._workers)
         self._workers = []
         if self._writer is not None:
@@ -200,45 +255,68 @@ class CampaignService:
     # -- local pump ----------------------------------------------------
     async def _pump(self, slot: int) -> None:
         """One local slot: lease → execute (off-loop) → complete, through
-        the dispatcher API remote runners use.  An idle pump waits for
-        ``/submit`` to wake it, or ``PUMP_IDLE_S`` at most."""
-        loop = asyncio.get_running_loop()
+        the dispatcher API remote runners use.
+
+        The in-process slot (``workers == 1``) keeps ``PIPELINE_DEPTH``
+        leases in flight, as the campaign scheduler does per worker:
+        they queue on its slot thread, so the next run is already
+        executing while the loop completes the last one and leases
+        another.  A forked slot holds one lease: its thread is the only
+        writer on its worker's pipe, and a dead worker fails exactly
+        that lease.  An idle pump waits for ``/submit`` to wake it, or
+        ``PUMP_IDLE_S`` at most."""
         runner = f"local-{slot}"
-        while not self._stopping:
-            leases = self.dispatcher.lease(runner=runner, max_leases=1)
-            if not leases:
-                # Cleared in the same loop step as the empty lease, so
-                # a submit cannot slip between the two.
-                self._work.clear()
+        depth = 1 if self._workers else PIPELINE_DEPTH
+        #: Leases sent to the slot thread and their replies, oldest
+        #: first.
+        inflight: Deque[Tuple[Lease, asyncio.Future]] = deque()
+        try:
+            while not self._stopping:
+                while len(inflight) < depth:
+                    leases = self.dispatcher.lease(runner=runner,
+                                                   max_leases=1)
+                    if not leases:
+                        break
+                    execute = self._workers[slot].call if self._workers \
+                        else _execute_slice
+                    inflight.append((leases[0], self._slots[slot].submit(
+                        execute, leases[0].to_wire())))
+                if not inflight:
+                    # Cleared in the same loop step as the empty lease,
+                    # so a submit cannot slip between the two.
+                    self._work.clear()
+                    try:
+                        await asyncio.wait_for(self._work.wait(),
+                                               PUMP_IDLE_S)
+                    except asyncio.TimeoutError:
+                        pass
+                    continue
+                lease, reply = inflight[0]
                 try:
-                    await asyncio.wait_for(self._work.wait(), PUMP_IDLE_S)
-                except asyncio.TimeoutError:
-                    pass
-                continue
-            lease = leases[0]
-            execute = self._workers[slot].call if self._workers \
-                else _execute_slice
-            try:
-                payload = await loop.run_in_executor(
-                    self._executor, execute, lease.to_wire())
-            except asyncio.CancelledError:
+                    payload = await reply
+                except Exception as exc:  # noqa: BLE001 — requeue, serve on
+                    payload = {"error": repr(exc)}
+                inflight.popleft()
+                if payload is None:
+                    payload = {"error": self._replace_worker(slot)}
+                if "error" in payload:
+                    self.dispatcher.fail(lease.lease_id, payload["error"])
+                    obs.event("service.local_slice_error",
+                              payload["error"], lease=lease.lease_id)
+                    await asyncio.sleep(PUMP_IDLE_S)
+                    continue
+                self.dispatcher.complete(payload["lease"],
+                                         payload["chunks"], runner=runner,
+                                         key=payload.get("key"),
+                                         spans=payload.get("spans"),
+                                         obs_snapshot=payload.get("obs"))
+        except asyncio.CancelledError:
+            # A queued run never starts; one already executing finishes
+            # on its thread (``stop`` waits for it) and is discarded.
+            for lease, reply in inflight:
+                reply.cancel()
                 self.dispatcher.fail(lease.lease_id, "pump cancelled")
-                raise
-            except Exception as exc:  # noqa: BLE001 — requeue, keep serving
-                payload = {"error": repr(exc)}
-            if payload is None:
-                payload = {"error": self._replace_worker(slot)}
-            if "error" in payload:
-                self.dispatcher.fail(lease.lease_id, payload["error"])
-                obs.event("service.local_slice_error", payload["error"],
-                          lease=lease.lease_id)
-                await asyncio.sleep(PUMP_IDLE_S)
-                continue
-            self.dispatcher.complete(payload["lease"],
-                                     payload["chunks"], runner=runner,
-                                     key=payload.get("key"),
-                                     spans=payload.get("spans"),
-                                     obs_snapshot=payload.get("obs"))
+            raise
 
     def _replace_worker(self, slot: int) -> str:
         """Give ``slot`` a fresh worker in place of its dead one (no other
@@ -434,17 +512,16 @@ class CampaignService:
             await writer.drain()
             while True:
                 try:
-                    status = self.dispatcher.job_status(
-                        job_id, include_results=False)
+                    # Results ride only the status of a finished job.
+                    status = self.dispatcher.job_status(job_id)
                 except UnknownJobError:
                     status = {"error": f"unknown job {job_id!r}",
                               "final": True}
                 done = status.get("state") == "done" \
                     or status.get("final")
-                if done and "error" not in status:
-                    status = self.dispatcher.job_status(job_id)
+                if done:
                     status["final"] = True
-                elif not done:
+                else:
                     # Taken in the same loop step as the status, so a
                     # job that finishes during the write is not missed.
                     finished = self._job_done.setdefault(

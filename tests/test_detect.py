@@ -238,6 +238,9 @@ class TestRecovery:
             RecoveryPolicy.coerce("bogus")
         assert set(RECOVERY_POLICIES) == {"static", "reweight",
                                           "discard_window"}
+        # The spec reads the names without importing repro.detect; the
+        # enum implements exactly those.
+        assert RECOVERY_POLICIES == tuple(p.value for p in RecoveryPolicy)
 
     def test_reweight_graph_erases_blast_volume(self, strike_setup,
                                                 struck_words):

@@ -80,3 +80,20 @@ def test_one_worker_campaign_loads_no_service_module():
 def test_public_names_ship_no_oracle():
     assert len(repro.__all__) == 38
     assert not {"Tableau", "TableauSimulator"} & set(repro.__all__)
+
+
+#: Build a task with a non-default recovery policy (validated against
+#: the policy names), then every ``repro.detect`` module loaded.
+TASK_PROBE = (
+    "import sys\n"
+    "from repro import CodeSpec, InjectionTask\n"
+    "InjectionTask(code=CodeSpec('repetition', (3, 1)),\n"
+    "              recovery='reweight')\n"
+    "print('\\n'.join(sorted(m for m in sys.modules\n"
+    "                         if m.startswith('repro.detect'))))\n")
+
+
+def test_building_a_task_loads_no_detect_module():
+    """The spec checks the recovery name without importing the policies'
+    implementation: every campaign, worker and runner builds tasks."""
+    assert probe(TASK_PROBE) == []

@@ -90,6 +90,23 @@ class TestTaskWireFormat:
             wire = json.loads(json.dumps(canonical_task(task)))
             assert task_key(task_from_dict(wire)) == task_key(task)
 
+    def test_in_process_wire_returns_the_leased_task(self, tmp_path):
+        """A lease executed where it was made skips the rebuild; one
+        whose dict crossed a process boundary is rebuilt equal."""
+        from repro.injection.store import task_from_wire
+
+        d = make_dispatcher(tmp_path)
+        d.submit(SPEC)
+        (lease,) = d.lease(runner="local-0", max_leases=1)
+        wire = lease.to_wire()
+        # The memoised task (the first one seen equal to this lease's).
+        known = task_from_wire(wire["key"], wire["task"])
+        assert known == lease.task
+        assert task_from_wire(wire["key"], wire["task"]) is known
+        shipped = json.loads(json.dumps(wire))
+        rebuilt = task_from_wire(shipped["key"], shipped["task"])
+        assert rebuilt is not known and rebuilt == lease.task
+
 
 class TestCacheAndCoalescing:
     def test_concurrent_identical_submissions_simulate_once(self, tmp_path):
@@ -122,6 +139,58 @@ class TestCacheAndCoalescing:
         assert engine_shots() == before, \
             "cache-served resubmission must not simulate"
         assert d.job_status(receipt["job"])["results"] == first
+
+    def test_resubmissions_hold_no_task_copies_and_capped_spans(
+            self, tmp_path):
+        """A finished job keeps the head's task objects, not copies, and
+        the span table stays under its cap by evicting the oldest
+        finished trace: 20 cached resubmits of 24 points grow the head
+        by a few KB each (they grew it by ~40 KB each with a task copy
+        per point and every job's spans kept)."""
+        import tracemalloc
+
+        spec = dict(SPEC, p_values=[0.001 * (i + 1) for i in range(24)],
+                    shots=512)
+        d = make_dispatcher(tmp_path)
+        first = d.submit(spec)
+        for lease in d.lease(runner="r", max_leases=24):
+            payload = execute_lease_wire(lease.to_wire())
+            d.complete(payload["lease"], payload["chunks"],
+                       key=payload["key"], spans=payload["spans"])
+        assert d.job_status(first["job"])["state"] == "done"
+        fresh_spans = len(d.job_trace(first["job"])["spans"])
+        d.traces.max_spans = 64
+
+        def resubmit():
+            job = d.submit(spec)["job"]
+            return job, d.job_status(job)["results"]
+
+        for _ in range(4):
+            resubmit()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            jobs = [resubmit() for _ in range(20)]
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        growth = sum(s.size_diff for s in after.compare_to(before,
+                                                           "filename"))
+        assert growth < 20 * 8192, f"{growth} B over 20 resubmits"
+        rows = d.job_status(first["job"])["results"]
+        assert all(results == rows for _, results in jobs)
+        # One task object per key, shared by every job.
+        assert all(a is b for job in list(d.jobs.values())[1:]
+                   for a, b in zip(job.tasks, d.jobs[first["job"]].tasks))
+        # The fresh job's trace went first; the newest is whole.
+        assert fresh_spans > 64
+        assert d.job_trace(first["job"]) == {
+            "job": first["job"], "trace": first["trace"], "spans": [],
+            "evicted": True}
+        newest = d.job_trace(jobs[-1][0])
+        assert "evicted" not in newest
+        assert [s["name"] for s in newest["spans"]] == ["job"] + \
+            ["point"] * 24
 
     def test_polling_reads_each_finished_point_once(self, tmp_path,
                                                    monkeypatch):
@@ -841,3 +910,131 @@ class TestPumpWake:
         assert self.run_job(tmp_path) >= 0.5
         assert calls == [0, 0]
         assert obs.counter("service.failed_leases").value == failed + 1
+
+
+@pytest.mark.integration
+class TestPipelinedSlot:
+    """The in-process slot (``workers == 1``) keeps ``PIPELINE_DEPTH``
+    leases in flight on its one executor thread: the counts, the store
+    and the failure accounting are those of one lease at a time."""
+
+    #: 8 points of one 2-slice run each: 8 leases.
+    SPEC = {"codes": [["repetition", [3, 1]]],
+            "p_values": [0.005 * (i + 1) for i in range(8)],
+            "shots": 1024, "rounds": 2, "root_seed": 29}
+
+    @staticmethod
+    def store_lines(path):
+        """Store records in file order, ``elapsed_s`` stripped."""
+        with open(path) as fh:
+            recs = [json.loads(line) for line in fh]
+        for rec in recs:
+            rec.pop("elapsed_s", None)
+        return recs
+
+    def serve(self, store):
+        from repro.service import CampaignService, ServiceClient
+
+        svc = CampaignService(str(store), port=0, workers=1,
+                              slice_shots=512)
+        svc.start_background()
+        try:
+            client = ServiceClient(svc.url)
+            status = client.wait(client.submit(self.SPEC)["job"],
+                                 timeout_s=120)
+        finally:
+            svc.stop_background()
+        assert status["state"] == "done"
+        return [(row["shots"], row["errors"]) for row in status["results"]]
+
+    def direct(self, tmp_path):
+        store = tmp_path / "direct.jsonl"
+        results = build_sweep(self.SPEC).run(chunk_shots=512, workers=1,
+                                             resume=str(store))
+        return [(res.shots, res.errors) for res in results], store
+
+    def test_rows_and_store_lines_equal_campaign_run(self, tmp_path):
+        rows, direct_store = self.direct(tmp_path)
+        assert self.serve(tmp_path / "served.jsonl") == rows
+        served = self.store_lines(tmp_path / "served.jsonl")
+        assert served == self.store_lines(direct_store)
+        assert sum(rec["kind"] == "chunk" for rec in served) == 16
+
+    def test_slot_holds_at_most_pipeline_depth_leases(self, tmp_path,
+                                                      monkeypatch):
+        from repro.parallel.scheduler import PIPELINE_DEPTH
+
+        held = []
+        lease = Dispatcher.lease
+
+        def watched(self, **kwargs):
+            out = lease(self, **kwargs)
+            held.append(sum(1 for l in self._leases.values()
+                            if l.runner == "local-0"))
+            return out
+
+        monkeypatch.setattr(Dispatcher, "lease", watched)
+        rows, _ = self.direct(tmp_path)
+        assert self.serve(tmp_path / "store.jsonl") == rows
+        assert max(held) == PIPELINE_DEPTH == 2
+
+    def test_failed_lease_fails_alone_while_another_is_queued(
+            self, tmp_path, monkeypatch):
+        from repro.service import server
+
+        calls = []
+        execute = server._execute_slice
+
+        def fail_first(wire):
+            calls.append((wire["key"], wire["start"]))
+            if len(calls) == 1:
+                raise RuntimeError("injected slice failure")
+            return execute(wire)
+
+        monkeypatch.setattr(server, "PUMP_IDLE_S", 0.05)
+        monkeypatch.setattr(server, "_execute_slice", fail_first)
+        failed = obs.counter("service.failed_leases").value
+        rows, _ = self.direct(tmp_path)
+        assert self.serve(tmp_path / "store.jsonl") == rows
+        assert obs.counter("service.failed_leases").value == failed + 1
+        # The queued lease ran once; the failed one ran again.
+        assert len(calls) == 9 and len(set(calls)) == 8
+        assert calls.count(calls[0]) == 2
+
+    def test_stop_with_two_leases_in_flight_then_restart(self, tmp_path,
+                                                         monkeypatch):
+        import threading
+
+        from repro.service import CampaignService, ServiceClient, server
+
+        gate = threading.Event()
+        started = []
+        execute = server._execute_slice
+
+        def gated(wire):
+            started.append(wire["lease"])
+            gate.wait(30)
+            return execute(wire)
+
+        monkeypatch.setattr(server, "_execute_slice", gated)
+        store = tmp_path / "store.jsonl"
+        svc = CampaignService(str(store), port=0, workers=1,
+                              slice_shots=512)
+        svc.start_background()
+        try:
+            ServiceClient(svc.url).submit(self.SPEC)
+            deadline = time.monotonic() + 30
+            while len(svc.dispatcher._leases) < 2:
+                assert time.monotonic() < deadline, "no second lease"
+                time.sleep(0.01)
+            assert {l.runner for l in svc.dispatcher._leases.values()} \
+                == {"local-0"}
+        finally:
+            # The executing run finishes while ``stop`` waits for it.
+            threading.Timer(0.2, gate.set).start()
+            svc.stop_background()
+        # The queued run never started, and neither run was banked.
+        assert len(started) == 1
+        assert not store.exists() or not self.store_lines(store)
+        rows, _ = self.direct(tmp_path)
+        assert self.serve(store) == rows

@@ -154,6 +154,29 @@ class TestTraceStore:
         ])
         assert [s["span"] for s in store.spans("t")] == ["a", "b", "c"]
 
+    def test_cap_evicts_oldest_finished_trace_first(self):
+        store = trace.TraceStore(max_spans=4)
+
+        def spans(trace_id, *ids):
+            return [{"trace": trace_id, "span": i} for i in ids]
+
+        assert store.absorb(spans("t1", "a", "b")) == 2
+        assert store.absorb(spans("t2", "c")) == 1
+        assert store.absorb(spans("t3", "d")) == 1
+        # Full and nothing finished: the arriving span is dropped.
+        assert store.absorb(spans("t3", "e")) == 0
+        store.finish("t2")
+        store.finish("t1")
+        # t1 is the oldest finished trace: it goes whole, first.
+        assert store.absorb(spans("t3", "e", "f")) == 2
+        assert store.evicted("t1") and not store.evicted("t2")
+        assert store.spans("t1") == []
+        assert store.absorb(spans("t1", "g")) == 0
+        assert store.absorb(spans("t3", "h")) == 1
+        assert store.evicted("t2")
+        assert [s["span"] for s in store.spans("t3")] == ["d", "e", "f",
+                                                          "h"]
+
 
 class TestTopologyStability:
     def test_structural_span_ids_identical_across_topologies(
