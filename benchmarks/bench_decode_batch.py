@@ -19,8 +19,8 @@ bit-identically.
 Acceptance (PR 6): >= 3x end-to-end campaign shots/s over the per-shot
 loop at d=5, p=5e-4, frames + MWPM.  ``REPRO_BENCH_LAX`` relaxes the
 bar for contended CI runners (the smoke lane sets it); the run always
-records shots/s for both paths plus the decode-cache hit rate in the
-``--bench-json`` perf trajectory.
+records shots/s for both paths plus the decode-cache hit rate in its
+``extra_info`` (pytest-benchmark's ``--benchmark-json`` row).
 
 The second bench is the opposite regime — the paper's: a radiation
 strike, where nearly every shot has its own syndrome, dedup and cache

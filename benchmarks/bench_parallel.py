@@ -7,8 +7,8 @@ paper's million-shot campaigns live in, executed at the canonical
 campaign at ``workers=1`` (serial engine), ``workers=2`` and
 ``workers=4`` (scheduler), asserts the merged counts are
 **bit-identical** across all settings — the subsystem's determinism
-contract — and records shots/second per setting for the
-``--bench-json`` perf trajectory.
+contract — and records shots/second per setting in its ``extra_info``
+(pytest-benchmark's ``--benchmark-json`` row).
 
 Acceptance (PR 4): >= 3x wall-clock speedup at ``workers=4`` on a
 >= 4-core machine.  The speedup bars are gated on the cores this host

@@ -11,8 +11,8 @@ the weighted CI meets the target, then compares the shots actually
 spent against the analytic plain-MC requirement
 ``z^2 (1-p) / (rel^2 p)`` at the measured rate — running the actual
 multi-million-shot MC comparison would defeat the point of the
-subsystem.  Both numbers land in ``--bench-json`` as the
-variance-reduction trajectory.
+subsystem.  Both numbers land in the bench's ``extra_info``
+(pytest-benchmark's ``--benchmark-json`` row).
 
 The speedup ratio is a property of the sampled streams (deterministic
 given the seed), not of the host's wall-clock, so the acceptance bar

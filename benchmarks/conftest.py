@@ -6,16 +6,11 @@ visible at bench scale) and print the same rows the paper reports.
 Full-scale numbers come from ``repro headline`` and
 ``scripts/run_all_experiments.py`` (``results/``).
 
-``--bench-json PATH`` dumps a machine-readable summary of every
-benchmark that ran — wall time, rounds, and shots/second for
-benchmarks that declare ``extra_info["shots"]`` — so the performance
-trajectory can be tracked across commits (CI uploads the bench-smoke
-job's file as an artifact, named ``BENCH_*.json`` when archived).
-The payload also embeds the session's ``repro.obs`` telemetry
-snapshot, so decode-cache hit rates, phase timings and shot counters
-ride the same perf-trajectory file, and a ``provenance`` block (git
-sha, python version, platform, cpu count) — the identity
-``repro perf ingest`` keys the durable bench history on.
+CI's microbench step passes pytest-benchmark's own ``--benchmark-json
+PATH``: its rows carry each benchmark's ``extra_info`` (shots, rates,
+bars) with the machine and commit info.  ``BENCH_*.json`` at the repo
+root is an end-to-end report of ``benchmarks/e2e/run.py``, which
+``benchmarks/e2e/compare.py`` judges parent against change.
 
 Shared helpers (benchmarks import them ``from conftest``):
 
@@ -30,10 +25,7 @@ Benchmarks that time a C kernel against its Python oracle import the
 oracle from ``tests/oracles`` (put on ``sys.path`` below).
 """
 
-import json
 import os
-import platform
-import subprocess
 import sys
 import time
 
@@ -58,7 +50,7 @@ def bench_bar(strict, lax):
 
 def bench_report(benchmark, capsys, message, **extra):
     """Record ``extra`` into the benchmark's ``extra_info`` (the
-    ``--bench-json`` row) and print ``message`` past capture."""
+    ``--benchmark-json`` row) and print ``message`` past capture."""
     for key, value in extra.items():
         benchmark.extra_info[key] = value
     with capsys.disabled():
@@ -89,12 +81,6 @@ def best_of(benchmark, target, rounds, args=(), setup=None):
     return result, min(times)
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json", action="store", default=None, metavar="PATH",
-        help="write per-benchmark wall-time / shots-per-second JSON here")
-
-
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "figure: regenerates a paper figure's data series")
@@ -104,78 +90,3 @@ def pytest_configure(config):
 def bench_shots():
     """Shots per configuration point at bench scale."""
     return 200
-
-
-def _bench_row(bench):
-    """One JSON row per benchmark; defensive — a malformed stats object
-    (e.g. under ``--benchmark-disable``) must not break the session."""
-    try:
-        data = bench.as_dict(include_data=False)
-    except Exception:
-        return None
-    stats = data.get("stats") or {}
-    row = {
-        "name": data.get("name"),
-        "fullname": data.get("fullname"),
-        "group": data.get("group"),
-        "mean_s": stats.get("mean"),
-        "min_s": stats.get("min"),
-        "stddev_s": stats.get("stddev"),
-        "rounds": stats.get("rounds"),
-        "extra_info": data.get("extra_info") or {},
-    }
-    shots = row["extra_info"].get("shots")
-    if shots and row["min_s"]:
-        row["shots_per_s"] = shots / row["min_s"]
-    return row
-
-
-def _git_sha():
-    """Best-effort HEAD sha; ``None`` outside a checkout (or without
-    git) — `repro perf ingest` keys such points on their timestamp."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True, text=True, timeout=10)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
-
-
-def _provenance():
-    """The provenance block ``repro perf ingest`` keys history on:
-    commit identity plus the machine fingerprint inputs."""
-    return {
-        "git_sha": _git_sha(),
-        "python": sys.version.split()[0],
-        "system": platform.system(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def pytest_sessionfinish(session, exitstatus):
-    path = session.config.getoption("bench_json")
-    if not path:
-        return
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    benchmarks = getattr(bench_session, "benchmarks", None) or []
-    rows = [r for r in map(_bench_row, benchmarks) if r is not None]
-    payload = {
-        "python": sys.version.split()[0],
-        "machine": platform.machine(),
-        "provenance": _provenance(),
-        "benchmarks": rows,
-    }
-    try:
-        from repro import obs
-    except ImportError:
-        pass
-    else:
-        payload["telemetry"] = obs.registry().snapshot()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=str)
-        fh.write("\n")

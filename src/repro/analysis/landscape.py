@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -26,12 +26,6 @@ class Landscape:
     @property
     def peak(self) -> float:
         return float(np.nanmax(self.rates))
-
-    @property
-    def peak_coords(self) -> Tuple[float, float]:
-        i, j = np.unravel_index(int(np.nanargmax(self.rates)),
-                                self.rates.shape)
-        return (float(self.p_values[i]), float(self.root_probs[j]))
 
     def at_strike(self) -> np.ndarray:
         """LER column at the moment of impact (t = 0, 100% root prob)."""

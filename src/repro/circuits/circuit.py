@@ -181,13 +181,6 @@ class Circuit:
     def num_two_qubit_gates(self) -> int:
         return sum(1 for g in self._gates if g.gate_type in TWO_QUBIT_GATES)
 
-    def count_ops(self) -> Dict[str, int]:
-        """Histogram of gate types by name."""
-        counts: Dict[str, int] = {}
-        for g in self._gates:
-            counts[g.gate_type.value] = counts.get(g.gate_type.value, 0) + 1
-        return counts
-
     def qubits_used(self) -> Tuple[int, ...]:
         """Sorted tuple of qubit indices touched by at least one gate."""
         seen = set()
@@ -196,11 +189,6 @@ class Circuit:
                 continue
             seen.update(g.qubits)
         return tuple(sorted(seen))
-
-    def gate_sites(self, qubit: int) -> List[int]:
-        """Indices into the gate list of operations touching ``qubit``."""
-        return [i for i, g in enumerate(self._gates)
-                if not g.is_barrier and qubit in g.qubits]
 
     def depth(self) -> int:
         """Circuit depth counting each non-barrier gate as unit time."""

@@ -433,6 +433,10 @@ def _watch_status(args, client) -> None:
 
 
 def _print_job_status(status) -> None:
+    if status.get("evicted"):
+        print(f"{status['job']}: done — evicted from the head's job "
+              f"table; resubmit its spec for the cached results")
+        return
     print(f"{status['job']}: {status['state']} — "
           f"{status['points_done']}/{status['points']} point(s), "
           f"{status['shots_done']}/{status['shots_target']} shots "
@@ -563,7 +567,8 @@ def cmd_report(args) -> None:
     print(render_report(files[0] if len(files) == 1 else files))
 
 
-def _perf_record(args) -> None:
+def cmd_perf(args) -> None:
+    """``repro perf record``, the one ``perf`` subcommand."""
     from .obs import prof
 
     cmd = list(args.cmd)
@@ -594,67 +599,6 @@ def _perf_record(args) -> None:
         print(f"[flamegraph stacks written to {args.flame}]")
     if telemetry:
         print(f"[telemetry written to {telemetry}]")
-
-
-def _perf_ingest(args) -> None:
-    from .obs import bench
-
-    with open(args.bench_json, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    history = args.history or bench.DEFAULT_HISTORY
-    stats = bench.ingest(payload, history,
-                         source=os.path.basename(args.bench_json))
-    print(f"{history}: {stats['added']} point(s) added, "
-          f"{stats['updated']} updated")
-
-
-def _perf_trend(args) -> None:
-    from .obs import bench
-
-    history_path = args.history or bench.DEFAULT_HISTORY
-    rows = bench.trend_rows(bench.load_history(history_path),
-                            bench=args.bench)
-    if args.json:
-        print(json.dumps(rows, indent=2, sort_keys=True))
-        return
-    if not rows:
-        print(f"{history_path}: no history points")
-        return
-    print(f"bench trend — {history_path}")
-    print(bench.render_trend(rows))
-
-
-def _perf_check(args) -> None:
-    from .obs import bench
-
-    history_path = args.history or bench.DEFAULT_HISTORY
-    history = bench.load_history(history_path)
-    current = None
-    if args.bench_json:
-        with open(args.bench_json, "r", encoding="utf-8") as fh:
-            current = bench.payload_records(json.load(fh))
-    rel_tol = args.rel_tol
-    if rel_tol is None:
-        rel_tol = bench.rel_tol_default(lax=True if args.lax else None)
-    results = bench.check(history, current, rel_tol=rel_tol,
-                          mad_k=args.mad_k,
-                          min_history=args.min_history)
-    if args.json:
-        print(json.dumps(results, indent=2, sort_keys=True))
-    elif not results:
-        print(f"{history_path}: nothing to check")
-    else:
-        print(f"bench check — {history_path} "
-              f"(rel_tol {rel_tol:.0%}, mad_k {args.mad_k:g})")
-        print(bench.render_check(results))
-    if any(r["status"] == "regression" for r in results) \
-            and not args.warn_only:
-        sys.exit(1)
-
-
-def cmd_perf(args) -> None:
-    {"record": _perf_record, "ingest": _perf_ingest,
-     "trend": _perf_trend, "check": _perf_check}[args.perf_command](args)
 
 
 COMMANDS = {
@@ -756,12 +700,6 @@ def _add_service_options(sub: argparse.ArgumentParser) -> None:
                      help="service base URL")
     sub.add_argument("--timeout", type=float, default=60.0,
                      help="per-request HTTP timeout, seconds")
-
-
-def _add_history_option(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--history", type=str, default=None, metavar="PATH",
-                     help="history JSONL (default: "
-                          "results/bench/history.jsonl)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1007,8 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("file", type=str, nargs="+",
                         help="telemetry JSONL file(s) to summarise")
     perf = subs.add_parser(
-        "perf", help="performance observatory: profile any command, "
-                     "keep a bench history, gate perf regressions")
+        "perf", help="performance observatory: profile any command")
     perf_subs = perf.add_subparsers(dest="perf_command", required=True,
                                     metavar="perf_command")
     record = perf_subs.add_parser(
@@ -1026,44 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("cmd", nargs=argparse.REMAINDER, metavar="CMD",
                         help="the repro command to profile, e.g. "
                              "'-- campaign spec.json --shots 4096'")
-    ingest = perf_subs.add_parser(
-        "ingest", help="append a --bench-json payload to the bench "
-                       "history, keyed by (git sha, machine "
-                       "fingerprint, benchmark)")
-    ingest.add_argument("bench_json", type=str,
-                        help="payload written by pytest --bench-json")
-    _add_history_option(ingest)
-    trend = perf_subs.add_parser(
-        "trend", help="per-benchmark shots/s series across commits")
-    _add_history_option(trend)
-    trend.add_argument("--bench", type=str, default=None,
-                       help="restrict to one benchmark name")
-    trend.add_argument("--json", action="store_true",
-                       help="emit the series as JSON")
-    check = perf_subs.add_parser(
-        "check", help="noise-aware perf-regression gate: current rate "
-                      "vs median of same-fingerprint history, MAD-"
-                      "scaled band; exits 1 on a confirmed regression")
-    check.add_argument("bench_json", type=str, nargs="?", default=None,
-                       help="payload to judge (default: the latest "
-                            "history point per benchmark)")
-    _add_history_option(check)
-    check.add_argument("--rel-tol", type=float, default=None,
-                       help="relative regression floor (default 0.10, "
-                            "0.30 lax)")
-    check.add_argument("--mad-k", type=float, default=4.0,
-                       help="MAD multiplier for the noise band")
-    check.add_argument("--min-history", type=int, default=3,
-                       help="baseline points needed before the gate "
-                            "arms")
-    check.add_argument("--lax", action="store_true",
-                       help="force the lax relative floor (otherwise "
-                            "REPRO_BENCH_LAX decides)")
-    check.add_argument("--warn-only", action="store_true",
-                       help="report regressions but always exit 0 "
-                            "(CI warm-up mode while history accrues)")
-    check.add_argument("--json", action="store_true",
-                       help="emit the verdicts as JSON")
     return parser
 
 

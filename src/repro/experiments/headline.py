@@ -54,7 +54,7 @@ def check_observation_1(landscapes: Dict[str, Landscape]
         paper_claim="LER at strike stays >20% even at p=1e-8 "
                     "(24% rep / 52% xxzz)",
         measured=f"LER at strike, p=1e-8: {measured}",
-        holds=all(v > 0.15 for v in floors.values()),
+        holds=all(v > 0.20 for v in floors.values()),
     )
 
 

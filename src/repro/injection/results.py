@@ -326,10 +326,6 @@ class ResultSet:
         rates = self.rates()
         return float(np.median(rates)) if rates.size else float("nan")
 
-    def mean_rate(self) -> float:
-        rates = self.rates()
-        return float(np.mean(rates)) if rates.size else float("nan")
-
     def pooled_rate(self) -> float:
         """Error rate pooling shots across all points."""
         shots = sum(r.shots for r in self.results)
@@ -349,13 +345,6 @@ class ResultSet:
         """Like :meth:`counts` but including weight moments, so two
         weighted runs must also agree on every importance weight."""
         return [r.payload for r in self.results]
-
-    def group_by(self, key: Callable[[InjectionResult], object]
-                 ) -> Dict[object, "ResultSet"]:
-        groups: Dict[object, ResultSet] = {}
-        for r in self.results:
-            groups.setdefault(key(r), ResultSet()).append(r)
-        return groups
 
     # ------------------------------------------------------------------
     def to_rows(self) -> List[Dict[str, object]]:

@@ -25,12 +25,13 @@ engine's bit-identity contract is property-tested with telemetry on):
 * :mod:`repro.obs.prof` — the opt-in deterministic profiler
   (``repro perf record``): per-op-kind kernel buckets, decode-stage
   attribution, span-path self-times and flamegraph export.
-* :mod:`repro.obs.bench` — the bench history store behind
-  ``repro perf ingest/trend/check``: per-(sha, machine, benchmark)
-  shots/s series with noise-aware regression detection.
+
+Performance regressions are judged outside the package: CI runs the
+end-to-end benchmark (``benchmarks/e2e``) on the parent and the change
+on one host and ``benchmarks/e2e/compare.py`` gives the verdicts.
 """
 
-from . import bench, prof, trace
+from . import prof, trace
 from .metrics import (
     SCHEMA_VERSION,
     Counter,
@@ -83,7 +84,6 @@ __all__ = [
     "reset",
     "merge_snapshots",
     "render_prometheus",
-    "bench",
     "prof",
     "trace",
     "CampaignMonitor",

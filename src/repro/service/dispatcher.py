@@ -24,7 +24,7 @@ canonical block seeding makes the re-run bit-identical.
 
 from __future__ import annotations
 
-import itertools
+import collections
 import math
 import numbers
 import time
@@ -45,6 +45,11 @@ from ..parallel.worker import execute_lease_wire  # noqa: F401
 #: many seconds after leasing is presumed lost to a runner crash and
 #: requeued.
 DEFAULT_LEASE_TTL_S = 120.0
+
+#: Finished jobs the head keeps for status calls; past it the oldest
+#: finished job is evicted (its results stay in the store).  Running
+#: jobs are never evicted.
+MAX_JOBS = 256
 
 #: Service metric handles (cached once; obs.reset zeroes in place).
 _OBS_JOBS = obs.counter("service.jobs")
@@ -127,6 +132,13 @@ def _check_snapshot(snap: Any, rows: Mapping[str, tuple],
 
 class UnknownJobError(KeyError):
     """Status query for a job id this service never issued."""
+
+
+def _job_seq(job_id: str) -> int:
+    """The sequence number of a ``job-N`` id; 0 for any other string."""
+    prefix, _, seq = job_id.partition("-")
+    return int(seq) if prefix == "job" and seq.isdecimal() \
+        and seq == str(int(seq)) else 0
 
 
 class PointState(TaskPlan):
@@ -221,7 +233,10 @@ class Dispatcher:
         self.points: Dict[str, PointState] = {}
         #: Their pending slices, shared among the runners.
         self.queue = LeaseQueue()
+        #: Running jobs and the last ``MAX_JOBS`` finished ones.
         self.jobs: Dict[str, Job] = {}
+        #: Finished job ids in finish order, oldest first.
+        self._done_jobs: collections.deque = collections.deque()
         #: ``key -> (progress row, result row)`` of every finished
         #: point a status call has served.  A key names one task spec
         #: and its done record never changes, so each is read from the
@@ -230,7 +245,7 @@ class Dispatcher:
         self._leases: Dict[str, Lease] = {}
         #: The task of every key submitted, shared by all its jobs.
         self._tasks: Dict[str, InjectionTask] = {}
-        self._job_seq = itertools.count(1)
+        self._jobs_issued = 0
         #: Fresh-work progress (banked-prefix shots vs. targets of
         #: every point the service ever queued; cache hits excluded —
         #: they are not work).
@@ -264,7 +279,8 @@ class Dispatcher:
             tasks = campaign._seeded()
         except (KeyError, TypeError, ValueError) as exc:
             raise DispatchError(f"bad sweep spec: {exc}") from exc
-        job_id = f"job-{next(self._job_seq)}"
+        self._jobs_issued += 1
+        job_id = f"job-{self._jobs_issued}"
         keys = [task_key(t) for t in tasks]
         # One task object per key however often it is submitted: a
         # finished job holds the head's tasks, not copies of them.
@@ -307,8 +323,7 @@ class Dispatcher:
         self.jobs[job_id] = job
         _OBS_JOBS.inc()
         if job.done:
-            _OBS_JOBS_DONE.inc()
-            self._record_job_span(job)
+            self._retire(job)
         obs.event("service.job_submitted",
                   f"{job_id}: {len(tasks)} point(s), "
                   f"{job.cache_hits} cached, {job.coalesced} coalesced, "
@@ -328,22 +343,38 @@ class Dispatcher:
             receipt["trace"] = job.trace_id
         return receipt
 
-    def _record_job_span(self, job: Job) -> None:
+    def _retire(self, job: Job) -> None:
+        """Count a finished job, close its trace, and evict the oldest
+        finished jobs past ``MAX_JOBS``."""
+        _OBS_JOBS_DONE.inc()
         if job.ctx is not None:
             self.traces.absorb([trace.make_span(
                 job.ctx, "job", time.time() - job.created,
                 t0=job.created, job=job.job_id, points=len(job.tasks))])
             self.traces.finish(job.trace_id)
+        self._done_jobs.append(job.job_id)
+        while len(self._done_jobs) > MAX_JOBS:
+            del self.jobs[self._done_jobs.popleft()]
+
+    def _job(self, job_id: str) -> Optional[Job]:
+        """The job of ``job_id``; ``None`` when it was issued and has
+        since been evicted; :class:`UnknownJobError` when never issued."""
+        job = self.jobs.get(job_id)
+        if job is None and not 0 < _job_seq(job_id) <= self._jobs_issued:
+            raise UnknownJobError(job_id)
+        return job
 
     # -- status / results ----------------------------------------------
     def job_status(self, job_id: str,
                    include_results: bool = True) -> Dict[str, object]:
         """Live status of one job, with partial per-point progress and
         — once complete — the full result rows, straight from the
-        content-addressed store."""
-        job = self.jobs.get(job_id)
+        content-addressed store.  A finished job evicted past
+        ``MAX_JOBS`` reports only ``"state": "done"`` and
+        ``"evicted": true``."""
+        job = self._job(job_id)
         if job is None:
-            raise UnknownJobError(job_id)
+            return {"job": job_id, "state": "done", "evicted": True}
         status = self._receipt(job)
         status["created"] = job.created
         rows: List[Dict[str, object]] = []
@@ -665,10 +696,9 @@ class Dispatcher:
                     coalesced=ctx != point.ctx)])
             job.pending.discard(point.key)
             if job.done:
-                _OBS_JOBS_DONE.inc()
                 obs.event("service.job_done", f"{job_id} complete",
                           job=job_id)
-                self._record_job_span(job)
+                self._retire(job)
                 if self.on_job_done is not None:
                     self.on_job_done(job_id)
 
@@ -677,10 +707,12 @@ class Dispatcher:
         """The causally-linked span tree for one job (parents before
         children; spans from remote runners included once their
         completions have been absorbed).  A finished job whose trace
-        the span cap evicted reports no spans and ``"evicted": true``."""
-        job = self.jobs.get(job_id)
+        the span cap evicted, or whose job ``MAX_JOBS`` evicted, reports
+        no spans and ``"evicted": true``."""
+        job = self._job(job_id)
         if job is None:
-            raise UnknownJobError(job_id)
+            return {"job": job_id, "trace": None, "spans": [],
+                    "evicted": True}
         if job.trace_id is None:
             return {"job": job_id, "trace": None, "spans": []}
         if self.traces.evicted(job.trace_id):

@@ -49,11 +49,6 @@ class TestLandscape:
     def test_peak(self):
         assert self.make().peak == 0.5
 
-    def test_peak_coords(self):
-        p, root = self.make().peak_coords
-        assert p == 1e-1
-        assert root == 1.0
-
     def test_at_strike(self):
         np.testing.assert_allclose(self.make().at_strike(), [0.1, 0.5])
 

@@ -41,10 +41,6 @@ class TestBuilding:
 
 
 class TestIntrospection:
-    def test_count_ops(self):
-        c = Circuit(2).h(0).h(1).cx(0, 1).measure(0, 0)
-        assert c.count_ops() == {"h": 2, "cx": 1, "measure": 1}
-
     def test_depth_parallel_gates(self):
         c = Circuit(4).h(0).h(1).h(2).h(3)
         assert c.depth() == 1
@@ -64,11 +60,6 @@ class TestIntrospection:
     def test_qubits_used_ignores_barriers(self):
         c = Circuit(5).x(1).barrier(0, 4)
         assert c.qubits_used() == (1,)
-
-    def test_gate_sites(self):
-        c = Circuit(2).h(0).cx(0, 1).x(1)
-        assert c.gate_sites(0) == [0, 1]
-        assert c.gate_sites(1) == [1, 2]
 
     def test_interaction_graph_counts(self):
         c = Circuit(3).cx(0, 1).cx(1, 0).cz(1, 2)

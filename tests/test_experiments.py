@@ -222,9 +222,11 @@ class TestHeadlineChecks:
         check = headline.check_observation_1({"c": ls})
         assert check.holds
 
-    def test_observation_1_fails_on_low_floor(self):
+    # 0.18: the bar is the paper's "> 20 %", not a looser one.
+    @pytest.mark.parametrize("floor", [0.01, 0.18])
+    def test_observation_1_fails_on_low_floor(self, floor):
         ls = Landscape("c", np.array([1e-8]), np.arange(10),
-                       np.linspace(1, 0, 10), np.full((1, 10), 0.01))
+                       np.linspace(1, 0, 10), np.full((1, 10), floor))
         assert not headline.check_observation_1({"c": ls}).holds
 
     def test_observation_3_rising(self):

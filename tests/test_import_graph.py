@@ -30,9 +30,9 @@ IMPORT_REPRO = [
     "repro.injection.store", "repro.injection.sweep", "repro.noise",
     "repro.noise.base", "repro.noise.depolarizing",
     "repro.noise.erasure", "repro.noise.executor",
-    "repro.noise.radiation", "repro.obs", "repro.obs.bench",
-    "repro.obs.metrics", "repro.obs.prof", "repro.obs.report",
-    "repro.obs.sinks", "repro.obs.trace", "repro.rare",
+    "repro.noise.radiation", "repro.obs", "repro.obs.metrics",
+    "repro.obs.prof", "repro.obs.report", "repro.obs.sinks",
+    "repro.obs.trace", "repro.rare",
     "repro.rare.sampler", "repro.rare.stats", "repro.stabilizer",
     "repro.stabilizer.pauli", "repro.transpile",
     "repro.transpile.layout", "repro.transpile.routing",

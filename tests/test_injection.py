@@ -222,17 +222,10 @@ class TestResults:
         sub = rs.filter_tags(grp=0)
         assert len(sub) == 3
 
-    def test_median_mean_pooled(self):
+    def test_median_and_pooled_rates(self):
         rs = ResultSet([self.make_result(e, 100) for e in (10, 20, 60)])
         assert rs.median_rate() == pytest.approx(0.2)
-        assert rs.mean_rate() == pytest.approx(0.3)
         assert rs.pooled_rate() == pytest.approx(90 / 300)
-
-    def test_group_by(self):
-        rs = ResultSet([self.make_result(i, 100, grp=i % 2)
-                        for i in range(4)])
-        groups = rs.group_by(lambda r: dict(r.task.tags)["grp"])
-        assert set(groups) == {"0", "1"}
 
     def test_json_roundtrip(self, tmp_path):
         rs = ResultSet([self.make_result(5, 50)])

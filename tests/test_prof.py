@@ -1,7 +1,6 @@
-"""Tests for the performance observatory (``repro.obs.prof`` +
-``repro.obs.bench``): profiler attribution, the bit-identity contract
-with profiling enabled, flamegraph export, `repro perf` CLI, and the
-bench-history regression gate."""
+"""Tests for the performance observatory (``repro.obs.prof``):
+profiler attribution, the bit-identity contract with profiling
+enabled, flamegraph export and the `repro perf record` CLI."""
 
 import dataclasses
 import json
@@ -12,7 +11,7 @@ import pytest
 
 from repro import obs
 from repro.circuits import Circuit
-from repro.obs import bench, prof
+from repro.obs import prof
 from repro.injection.campaign import _prepared, _task_context
 from repro.injection import (
     AdaptivePolicy,
@@ -342,208 +341,19 @@ class TestPerfRecordCli:
         with pytest.raises(SystemExit):
             main(["perf", "record"])
 
-
-def hist_point(bench_name="bench_a", rate=100.0, sha="c0ffee123",
-               fp="py3.11-linux-x86_64-8cpu", t=1000.0):
-    return {"schema": 1, "time": t, "git_sha": sha, "fingerprint": fp,
-            "bench": bench_name, "shots_per_s": rate, "min_s": None,
-            "mean_s": None, "shots": 4096, "source": "test"}
-
-
-def history_series(rates, bench_name="bench_a",
-                   fp="py3.11-linux-x86_64-8cpu"):
-    return [hist_point(bench_name=bench_name, rate=r, sha=f"sha{i}",
-                       fp=fp, t=1000.0 + i)
-            for i, r in enumerate(rates)]
-
-
-class TestBenchHistory:
-    PAYLOAD = {
-        "python": "3.11.9",
-        "machine": "x86_64",
-        "provenance": {"git_sha": "abc123def", "python": "3.11.9",
-                       "system": "Linux", "machine": "x86_64",
-                       "cpu_count": 8},
-        "benchmarks": [
-            {"name": "bench_a", "min_s": 0.5, "mean_s": 0.6,
-             "extra_info": {"shots": 4096}, "shots_per_s": 8192.0},
-            {"name": "bench_b", "min_s": 0.25, "mean_s": 0.3,
-             "shots_per_s": None},
-            {"name": "bench_skipped", "min_s": None,
-             "shots_per_s": None},
-        ],
-    }
-
-    def test_fingerprint_drops_patch_and_kernel_detail(self):
-        fp = bench.fingerprint({"python": "3.11.9", "system": "Linux",
-                                "machine": "x86_64", "cpu_count": 8})
-        assert fp == "py3.11-linux-x86_64-8cpu"
-
-    def test_ingest_and_load_roundtrip(self, tmp_path):
-        path = str(tmp_path / "history.jsonl")
-        stats = bench.ingest(self.PAYLOAD, path, source="ci", now=1000.0)
-        assert stats == {"added": 2, "updated": 0}  # no-timing row skipped
-        history = bench.load_history(path)
-        assert {r["bench"] for r in history} == {"bench_a", "bench_b"}
-        a = next(r for r in history if r["bench"] == "bench_a")
-        assert a["git_sha"] == "abc123def"
-        assert a["fingerprint"] == "py3.11-linux-x86_64-8cpu"
-        assert bench.rate_of(a) == 8192.0
-        b = next(r for r in history if r["bench"] == "bench_b")
-        assert bench.rate_of(b) == 4.0  # 1 / min_s fallback
-
-    def test_reingest_same_sha_dedups_last_wins(self, tmp_path):
-        path = str(tmp_path / "history.jsonl")
-        bench.ingest(self.PAYLOAD, path, now=1000.0)
-        stats = bench.ingest(self.PAYLOAD, path, now=2000.0)
-        assert stats == {"added": 0, "updated": 2}
-        history = bench.load_history(path)
-        assert len(history) == 2  # one point per (sha, fp, bench)
-        assert all(r["time"] == 2000.0 for r in history)
-
-    def test_no_sha_points_key_on_time(self, tmp_path):
-        path = str(tmp_path / "history.jsonl")
-        payload = dict(self.PAYLOAD,
-                       provenance=dict(self.PAYLOAD["provenance"],
-                                       git_sha=None))
-        bench.ingest(payload, path, now=1000.0)
-        bench.ingest(payload, path, now=2000.0)
-        assert len(bench.load_history(path)) == 4  # nothing clobbered
-
-    def test_malformed_lines_skipped(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        path.write_text(json.dumps(hist_point()) + "\n"
-                        + "{torn line\n" + "[1, 2]\n")
-        assert len(bench.load_history(str(path))) == 1
-
-    def test_trend_rows_deltas(self):
-        history = history_series([100.0, 110.0, 99.0])
-        rows = bench.trend_rows(history)
-        assert [r["rate"] for r in rows] == [100.0, 110.0, 99.0]
-        assert rows[0]["delta_pct"] is None
-        assert rows[1]["delta_pct"] == 10.0
-        assert rows[2]["delta_pct"] == -10.0
-        assert rows[0]["sha"] == "sha0"
-
-
-class TestBenchCheck:
-    def test_synthetic_2x_slowdown_flagged(self):
-        history = history_series([100.0, 102.0, 98.0, 101.0, 99.0])
-        current = [hist_point(rate=50.0, sha="new1", t=2000.0)]
-        results = bench.check(history, current, rel_tol=0.10)
-        assert results[0]["status"] == "regression"
-        assert results[0]["baseline_n"] == 5
-
-    def test_jitter_only_passes(self):
-        history = history_series([100.0, 102.0, 98.0, 101.0, 99.0])
-        current = [hist_point(rate=95.0, sha="new1", t=2000.0)]
-        results = bench.check(history, current, rel_tol=0.10)
-        assert results[0]["status"] == "ok"
-
-    def test_mad_widens_band_for_noisy_benches(self):
-        """The same 6% dip regresses a stable bench but passes a noisy
-        one — the MAD term earns jittery benches a wider band."""
-        current = [hist_point(rate=94.0, sha="new1", t=2000.0)]
-        stable = history_series([100.0, 100.5, 99.5, 100.2, 99.8])
-        noisy = history_series([100.0, 120.0, 80.0, 110.0, 90.0])
-        assert bench.check(stable, current,
-                           rel_tol=0.01)[0]["status"] == "regression"
-        assert bench.check(noisy, current,
-                           rel_tol=0.01)[0]["status"] == "ok"
-
-    def test_improvement_labelled(self):
-        history = history_series([100.0, 102.0, 98.0])
-        current = [hist_point(rate=150.0, sha="new1", t=2000.0)]
-        assert bench.check(history, current,
-                           rel_tol=0.10)[0]["status"] == "improved"
-
-    def test_insufficient_history_never_fails(self):
-        history = history_series([100.0, 101.0])
-        current = [hist_point(rate=10.0, sha="new1", t=2000.0)]
-        assert bench.check(history, current)[0]["status"] == "no-baseline"
-
-    def test_other_fingerprints_excluded_from_baseline(self):
-        history = history_series([100.0] * 5) \
-            + history_series([500.0] * 5, fp="py3.12-linux-arm64-2cpu")
-        current = [hist_point(rate=95.0, sha="new1", t=2000.0)]
-        row = bench.check(history, current, rel_tol=0.10)[0]
-        assert row["baseline_n"] == 5
-        assert row["status"] == "ok"
-
-    def test_current_point_excluded_from_its_own_baseline(self):
-        history = history_series([100.0, 101.0, 99.0, 100.0])
-        # Judge the already-ingested latest point: baseline is the rest.
-        results = bench.check(history)
-        assert results[0]["baseline_n"] == 3
-
-    def test_lax_env_relaxes_floor(self, monkeypatch):
-        history = history_series([100.0, 100.5, 99.5, 100.2, 99.8])
-        current = [hist_point(rate=80.0, sha="new1", t=2000.0)]
-        monkeypatch.delenv("REPRO_BENCH_LAX", raising=False)
-        assert bench.check(history, current)[0]["status"] == "regression"
-        monkeypatch.setenv("REPRO_BENCH_LAX", "1")
-        assert bench.check(history, current)[0]["status"] == "ok"
-
-
-class TestPerfHistoryCli:
-    def write_payload(self, tmp_path, rate=8192.0, sha="abc123"):
-        payload = {
-            "provenance": {"git_sha": sha, "python": "3.11.9",
-                           "system": "Linux", "machine": "x86_64",
-                           "cpu_count": 8},
-            "benchmarks": [{"name": "bench_a", "min_s": 4096.0 / rate,
-                            "shots_per_s": rate}],
-        }
-        path = tmp_path / f"bench-{sha}.json"
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_ingest_trend_check_workflow(self, tmp_path, capsys):
+    def test_record_is_the_only_subcommand(self, capsys):
+        """The bench-history gate is gone: ``perf`` offers ``record``
+        alone and refuses the old ``ingest``/``trend``/``check``."""
         from repro.cli import main
 
-        history = str(tmp_path / "history.jsonl")
-        for i, rate in enumerate([8000.0, 8100.0, 7900.0, 8050.0]):
-            payload = self.write_payload(tmp_path, rate=rate,
-                                         sha=f"sha{i}")
-            assert main(["perf", "ingest", payload,
-                         "--history", history]) == 0
-        out = capsys.readouterr().out
-        assert "1 point(s) added" in out
-        assert main(["perf", "trend", "--history", history]) == 0
-        assert "bench_a" in capsys.readouterr().out
-        assert main(["perf", "trend", "--history", history,
-                     "--json"]) == 0
-        rows = json.loads(capsys.readouterr().out)
-        assert [r["rate"] for r in rows] \
-            == [8000.0, 8100.0, 7900.0, 8050.0]
-        # A healthy fresh payload passes the strict gate.
-        fresh = self.write_payload(tmp_path, rate=8020.0, sha="new")
-        assert main(["perf", "check", fresh, "--history", history,
-                     "--rel-tol", "0.10"]) == 0
-        assert "0 regression(s)" in capsys.readouterr().out
-
-    def test_check_exits_nonzero_on_regression(self, tmp_path, capsys):
-        from repro.cli import main
-
-        history = str(tmp_path / "history.jsonl")
-        for i, rate in enumerate([8000.0, 8100.0, 7900.0, 8050.0]):
-            main(["perf", "ingest",
-                  self.write_payload(tmp_path, rate=rate, sha=f"sha{i}"),
-                  "--history", history])
-        capsys.readouterr()
-        slow = self.write_payload(tmp_path, rate=4000.0, sha="slow")
         with pytest.raises(SystemExit) as exc:
-            main(["perf", "check", slow, "--history", history,
-                  "--rel-tol", "0.10"])
-        assert exc.value.code == 1
-        assert "regression" in capsys.readouterr().out
-        # --warn-only reports but exits 0 (CI warm-up mode).
-        assert main(["perf", "check", slow, "--history", history,
-                     "--rel-tol", "0.10", "--warn-only"]) == 0
-
-    def test_check_empty_history_is_clean(self, tmp_path, capsys):
-        from repro.cli import main
-
-        history = str(tmp_path / "missing.jsonl")
-        assert main(["perf", "check", "--history", history]) == 0
-        assert "nothing to check" in capsys.readouterr().out
+            main(["perf", "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        listed = re.findall(r"^    (\w+) ", usage, flags=re.M)
+        assert listed == ["record"]
+        for gone in ("ingest", "trend", "check"):
+            with pytest.raises(SystemExit) as exc:
+                main(["perf", gone])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{gone}'" in capsys.readouterr().err

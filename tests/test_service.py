@@ -192,6 +192,50 @@ class TestCacheAndCoalescing:
         assert [s["name"] for s in newest["spans"]] == ["job"] + \
             ["point"] * 24
 
+    def test_job_table_keeps_at_most_max_jobs_finished(self, tmp_path):
+        """Past ``MAX_JOBS`` finished jobs the oldest finished one is
+        evicted; a running job never is.  An evicted id answers
+        ``evicted: true``, unlike an id that was never issued."""
+        from repro.service.dispatcher import MAX_JOBS
+
+        d = make_dispatcher(tmp_path)
+        first = d.submit(SPEC)["job"]
+        drain(d)
+        running = d.submit(dict(SPEC, root_seed=18))["job"]
+        cached = [d.submit(SPEC)["job"] for _ in range(MAX_JOBS + 8)]
+        assert len(d.jobs) == MAX_JOBS + 1
+        assert d.job_status(running)["state"] == "running"
+        for job in [first] + cached[:8]:
+            assert d.job_status(job) == {"job": job, "state": "done",
+                                         "evicted": True}
+            assert d.job_trace(job)["evicted"] is True
+        assert d.job_status(cached[-1])["results"] == \
+            d.job_status(cached[8])["results"]
+        for never in (f"job-{len(cached) + 3}", "job-0", "job-01", "x"):
+            with pytest.raises(UnknownJobError):
+                d.job_status(never)
+        drain(d)
+        assert d.job_status(running)["state"] == "done"
+        assert len(d.jobs) == MAX_JOBS
+        assert d.job_status(cached[8])["evicted"] is True
+
+    def test_job_table_evicts_in_finish_order(self, tmp_path,
+                                              monkeypatch):
+        """The oldest *finished* job goes first: a job submitted early
+        but finished last outlives a cached job submitted after it."""
+        monkeypatch.setattr("repro.service.dispatcher.MAX_JOBS", 1)
+        d = make_dispatcher(tmp_path)
+        first = d.submit(SPEC)["job"]
+        drain(d)
+        slow = d.submit(dict(SPEC, root_seed=18))["job"]
+        cached = d.submit(SPEC)["job"]
+        assert d.job_status(first)["evicted"] is True
+        assert set(d.jobs) == {slow, cached}
+        drain(d)
+        assert set(d.jobs) == {slow}
+        assert d.job_status(cached)["evicted"] is True
+        assert len(d.job_status(slow)["results"]) == 2
+
     def test_polling_reads_each_finished_point_once(self, tmp_path,
                                                    monkeypatch):
         """A finished point is immutable: however many jobs show it and
@@ -593,6 +637,23 @@ class TestHTTPService:
         with pytest.raises(ServiceError) as err:
             client.submit({"codes": []})
         assert err.value.status == 400
+
+    def test_evicted_job_answers_200_never_issued_404(self, service,
+                                                      monkeypatch):
+        from repro.service import ServiceClient, ServiceError
+
+        monkeypatch.setattr("repro.service.dispatcher.MAX_JOBS", 1)
+        client = ServiceClient(service.url)
+        first = client.submit(SPEC)["job"]
+        assert client.wait(first, timeout_s=120)["state"] == "done"
+        again = client.submit(SPEC)["job"]
+        assert client.status(first) == {"job": first, "state": "done",
+                                        "evicted": True}
+        assert client.status(again)["cache_hits"] == 2
+        assert client.status()["job_ids"] == [again]
+        with pytest.raises(ServiceError) as err:
+            client.status("job-3")
+        assert err.value.status == 404
 
     @pytest.mark.parametrize("spec", NEVER_RUNNABLE)
     def test_never_runnable_spec_is_400(self, service, spec):
