@@ -1,4 +1,4 @@
-"""Figure 3 bench — temporal decay T(t) and its step approximation.
+"""Figure 3 bench — the sampled temporal decay T̂(t).
 
 Prints the paper's sampled injection probabilities and the n_s ablation
 (the accuracy/cost trade-off behind the paper's n_s = 10 choice).
@@ -13,11 +13,11 @@ pytestmark = pytest.mark.figure
 
 
 def test_fig3_series(benchmark, capsys):
-    data = benchmark(fig3_temporal.run)
-    assert data.continuous[0] == pytest.approx(1.0)
+    rows = benchmark(fig3_temporal.sample_table)
+    assert rows[0]["injection_prob"] == pytest.approx(1.0)
     with capsys.disabled():
         print("\n" + ascii_table(
-            fig3_temporal.sample_table(),
+            rows,
             title="Fig. 3 — T̂ sampled injection probabilities "
                   "(gamma=10, n_s=10)"))
 

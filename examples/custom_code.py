@@ -19,6 +19,8 @@ from repro import (
     run_batch_noisy,
 )
 from repro.codes import StabilizerCode
+from repro.detect import BurstAdaptiveDecoder
+from repro.noise import RadiationBurst, RadiationEvent
 
 
 class FourQubitCode(StabilizerCode):
@@ -61,6 +63,23 @@ def main() -> None:
         records = run_batch_noisy(experiment.circuit, noise, 3000, rng=9)
         result = decoder.decode_batch(experiment, records)
         print(f"{label:30s} {result.logical_error_rate:10.2%}")
+
+    # A radiation burst striking data qubit 0 at round 2 of a 10-round
+    # memory.  The burst-adaptive decoder flags the struck shots; this
+    # patch defines no planar embedding (``qubit_positions``), so it
+    # erases the blast cluster instead of inverting the strike model.
+    experiment = build_memory_experiment(code, rounds=10)
+    event = RadiationEvent(root_qubit=0, distances=[0, 1, 1, 2, 1, 1, 2],
+                           num_qubits=code.num_qubits)
+    noise = NoiseModel([DepolarizingNoise(0.002),
+                        RadiationBurst(event, strike_round=2,
+                                       measures_per_round=2)])
+    records = run_batch_noisy(experiment.circuit, noise, 3000, rng=9)
+    adaptive = BurstAdaptiveDecoder(decoder_for(experiment))
+    result = adaptive.decode_batch(experiment, records)
+    flagged = int(adaptive.last_report.flagged.sum())
+    print(f"{'burst at round 2 (adaptive)':30s} "
+          f"{result.logical_error_rate:10.2%}  ({flagged} shots flagged)")
 
     print("\nEverything downstream of the code class — circuits, noise, "
           "injection, decoding — came from the library unchanged.")

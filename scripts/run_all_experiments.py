@@ -45,6 +45,13 @@ def save(name: str, text: str, rows=None) -> None:
     print(f"=== {name} ===\n{text}\n", flush=True)
 
 
+def save_report(name: str, report) -> None:
+    """Save a figure's :class:`~repro.experiments.common.Report` as the
+    CLI prints it (head, then tail) plus its rows."""
+    text = f"{report.head}\n{report.tail}" if report.tail else report.head
+    save(name, text, report.rows)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-j", "--workers", type=int, default=None,
@@ -92,11 +99,11 @@ def _run_all(workers) -> None:
         data.append(figure.analyze(
             figure.build_campaign(shots=shots).run(workers=workers)))
         report = figure.report(data[-1])
-        save(figure.__name__.rpartition(".")[2], report.text, report.rows)
+        save_report(figure.__name__.rpartition(".")[2], report)
 
     print(f"[{time.time()-t_start:.0f}s] headline checks...", flush=True)
     report = headline.report(headline.check_all(*data))
-    save("headline", report.text, report.rows)
+    save_report("headline", report)
 
     print(f"total {time.time()-t_start:.0f}s", flush=True)
 

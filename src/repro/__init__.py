@@ -69,7 +69,6 @@ from .noise import (
     run_batch_noisy,
     spatial_damping,
     temporal_decay,
-    transient_decay,
 )
 from .stabilizer import PauliString
 from .transpile import RoutedCircuit, transpile
@@ -85,7 +84,7 @@ __all__ = [
     # noise
     "NoiseChannel", "NoiseModel", "DepolarizingNoise", "ErasureChannel",
     "RadiationChannel", "RadiationEvent", "temporal_decay",
-    "spatial_damping", "transient_decay", "run_batch_noisy",
+    "spatial_damping", "run_batch_noisy",
     # arch / transpile
     "ArchitectureGraph", "architecture_by_name", "transpile",
     "RoutedCircuit",

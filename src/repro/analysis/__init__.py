@@ -2,12 +2,7 @@
 
 from .landscape import Landscape
 from .report import ascii_table, percent, to_csv
-from .stats import (
-    binomial_stderr,
-    bootstrap_median_ci,
-    median_with_iqr,
-    wilson_interval,
-)
+from .stats import median_with_iqr, wilson_interval
 
 __all__ = [
     "Landscape",
@@ -16,6 +11,4 @@ __all__ = [
     "percent",
     "wilson_interval",
     "median_with_iqr",
-    "bootstrap_median_ci",
-    "binomial_stderr",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -30,10 +30,6 @@ class Landscape:
     def at_strike(self) -> np.ndarray:
         """LER column at the moment of impact (t = 0, 100% root prob)."""
         return self.rates[:, 0]
-
-    def noise_floor_row(self) -> np.ndarray:
-        """LER row at the lowest intrinsic noise (radiation-only)."""
-        return self.rates[int(np.argmin(self.p_values)), :]
 
     def monotone_violations(self, axis: int, tol: float = 0.0) -> int:
         """Count strict monotonicity violations along an axis.

@@ -8,7 +8,7 @@ distance; the transpiler must respect adjacency.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -65,11 +65,6 @@ class ArchitectureGraph:
     def num_edges(self) -> int:
         return len(self._edge_set)
 
-    def edges(self) -> List[Tuple[int, int]]:
-        """``(a, b)`` with ``a < b``: by ``a``, then in insertion order."""
-        return [(a, b) for a, nbrs in enumerate(self._adj)
-                for b in nbrs if b > a]
-
     def neighbors(self, q: int) -> List[int]:
         return sorted(self._adj[q])
 
@@ -79,10 +74,6 @@ class ArchitectureGraph:
     def average_degree(self) -> float:
         n = self.num_qubits
         return 2.0 * self.num_edges / n if n else 0.0
-
-    def is_connected(self) -> bool:
-        return bool(self.num_qubits) \
-            and bool(np.isfinite(self.distance_matrix()[0]).all())
 
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self._edge_set
@@ -111,9 +102,6 @@ class ArchitectureGraph:
                 rows.append(row)
             self._dist_cache = np.array(rows, dtype=float).reshape(n, n)
         return self._dist_cache
-
-    def distance(self, a: int, b: int) -> float:
-        return float(self.distance_matrix()[a, b])
 
     def distances_from(self, root: int) -> Dict[int, float]:
         """Graph distance from ``root`` to every reachable qubit."""
@@ -168,21 +156,6 @@ class ArchitectureGraph:
             path.append(node)
             node = succ[node]
         return path
-
-    def diameter(self) -> int:
-        if not self.is_connected():
-            raise ValueError("diameter undefined for disconnected graph")
-        return int(self.distance_matrix().max())
-
-    # ------------------------------------------------------------------
-    def subgraph(self, qubits: Sequence[int], name: str = "") -> "ArchitectureGraph":
-        """Induced subgraph relabelled to 0..k-1 (sorted order)."""
-        qubits = sorted(int(q) for q in qubits)
-        remap = {q: i for i, q in enumerate(qubits)}
-        edges = [(remap[a], remap[b]) for a, b in self.edges()
-                 if a in remap and b in remap]
-        return ArchitectureGraph(edges, num_qubits=len(qubits),
-                                 name=name or f"{self.name}[{len(qubits)}]")
 
     def __repr__(self) -> str:
         return (f"ArchitectureGraph({self.name!r}, qubits={self.num_qubits}, "

@@ -72,25 +72,6 @@ SINGLE_QUBIT_GATES = frozenset(
 #: Pauli gate types (used by noise channels).
 PAULI_GATES = (GateType.X, GateType.Y, GateType.Z)
 
-#: Self-inverse gate types.
-SELF_INVERSE_GATES = frozenset(
-    {
-        GateType.I,
-        GateType.X,
-        GateType.Y,
-        GateType.Z,
-        GateType.H,
-        GateType.CX,
-        GateType.CZ,
-        GateType.SWAP,
-    }
-)
-
-_INVERSES = {
-    GateType.S: GateType.SDG,
-    GateType.SDG: GateType.S,
-}
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -143,41 +124,12 @@ class Gate:
             raise ValueError(f"{self.gate_type.value} must not carry a cbit")
 
     @property
-    def is_unitary(self) -> bool:
-        """Whether this operation is reversible (no collapse)."""
-        return self.gate_type in UNITARY_GATES
-
-    @property
-    def is_measurement(self) -> bool:
-        return self.gate_type is GateType.MEASURE
-
-    @property
-    def is_reset(self) -> bool:
-        return self.gate_type is GateType.RESET
-
-    @property
     def is_barrier(self) -> bool:
         return self.gate_type is GateType.BARRIER
 
     @property
     def num_qubits(self) -> int:
         return len(self.qubits)
-
-    def inverse(self) -> "Gate":
-        """Return the inverse gate.
-
-        Raises
-        ------
-        ValueError
-            If the operation is not unitary (measure/reset have no
-            inverse).
-        """
-        if self.gate_type in SELF_INVERSE_GATES:
-            return self
-        inv = _INVERSES.get(self.gate_type)
-        if inv is None:
-            raise ValueError(f"{self.gate_type.value} has no inverse")
-        return Gate(inv, self.qubits, tag=self.tag)
 
     def __str__(self) -> str:
         args = ",".join(str(q) for q in self.qubits)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -623,7 +624,7 @@ COMMANDS = {
 
 
 def _add_engine_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-j", "--workers", type=int, default=None,
+    sub.add_argument("-j", "--workers", type=_count_type(1), default=None,
                      metavar="N",
                      help="worker processes for the repro.parallel "
                           "scheduler (default: the sweep spec's "
@@ -679,6 +680,29 @@ def _spec_type(parse):
             raise argparse.ArgumentTypeError(exc.args[0]) from None
 
     return parsed
+
+
+def _count_type(minimum: int):
+    """An argparse ``type``: an integer of at least ``minimum``; a
+    smaller one is a usage error (exit 2), not a traceback later."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
+
+
+def _seconds(text: str) -> float:
+    """An argparse ``type``: a positive, finite number of seconds."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text}")
+    return value
 
 
 def _add_decoder_option(sub: argparse.ArgumentParser, default: Optional[str],
@@ -860,17 +884,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8765,
                        help="bind port (0 = ephemeral; default 8765)")
     serve.add_argument("-j", "--workers", dest="serve_workers",
-                       type=int, default=1, metavar="N",
+                       type=_count_type(0), default=1, metavar="N",
                        help="local slice workers: 1 (default) runs "
                             "in-process, N>1 forks N workers (one that "
                             "dies costs only its own slice; all exit "
                             "with the head), 0 serves dispatch only "
                             "(remote runners do the work)")
-    serve.add_argument("--slice-shots", type=int, default=None,
+    serve.add_argument("--slice-shots", type=_count_type(1), default=None,
                        help="shots per dispatched slice (block-"
                             "aligned; default: the engine's chunk "
                             "size)")
-    serve.add_argument("--lease-ttl", type=float, default=None,
+    serve.add_argument("--lease-ttl", type=_seconds, default=None,
                        metavar="SECONDS",
                        help="slice lease expiry — a runner silent this "
                             "long is presumed crashed and its slice "

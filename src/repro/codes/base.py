@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,10 +64,6 @@ class StabilizerCode(abc.ABC):
     def num_qubits(self) -> int:
         return (len(self.data_qubits) + len(self.z_ancillas)
                 + len(self.x_ancillas) + 1)
-
-    @property
-    def num_data(self) -> int:
-        return len(self.data_qubits)
 
     def role(self, qubit: int) -> QubitRole:
         if qubit in self.data_qubits:
@@ -198,31 +194,9 @@ class MemoryExperiment:
     expected_logical: int = 1
 
     # -- record accessors ------------------------------------------------
-    def syndromes(self, records: np.ndarray, basis: Optional[str] = None
-                  ) -> np.ndarray:
-        """Extract syndrome bits, shape ``(B, rounds, n_plaquettes)``.
-
-        ``basis`` defaults to the plaquette type relevant for decoding
-        this experiment ('Z'-basis memory decodes Z-plaquettes).
-        """
-        basis = basis or self.basis
-        table = (self.z_syndrome_cbits if basis == "Z"
-                 else self.x_syndrome_cbits)
-        if not table or not table[0]:
-            return np.zeros((records.shape[0], self.rounds, 0), dtype=np.uint8)
-        idx = np.asarray(table)  # (rounds, n_plaq)
-        return records[:, idx]
-
     def raw_readout(self, records: np.ndarray) -> np.ndarray:
         """The raw ancilla parity readout, shape ``(B,)``."""
         return records[:, self.readout_cbit]
-
-    def data_measurements(self, records: np.ndarray) -> Optional[np.ndarray]:
-        """Final data measurement bits ``(B, num_data)`` in data order."""
-        if self.data_cbits is None:
-            return None
-        cols = [self.data_cbits[q] for q in self.code.data_qubits]
-        return records[:, cols]
 
 
 def build_memory_experiment(code: StabilizerCode, rounds: int = 2,

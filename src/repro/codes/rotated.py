@@ -22,7 +22,7 @@ distance ``(d, 1)`` behaves like a repetition code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,6 @@ class RotatedLattice:
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise ValueError(f"({r}, {c}) outside {self.rows}x{self.cols}")
         return r * self.cols + c
-
-    def data_position(self, idx: int) -> Tuple[int, int]:
-        return divmod(idx, self.cols)
 
     @property
     def num_data(self) -> int:

@@ -138,14 +138,6 @@ class Decoder(abc.ABC):
             self.__dict__["_decode_cache"] = cache
         return cache
 
-    @property
-    def cache_info(self) -> Optional[DecodeCache]:
-        """The live cache for diagnostics (``None`` when disabled or
-        never touched)."""
-        if not getattr(self, "cache_decodes", True):
-            return None
-        return self.__dict__.get("_decode_cache")
-
     def _pattern_parities(self, keys: np.ndarray, num_detectors: int
                           ) -> np.ndarray:
         """Correction parities for packed pattern keys, shape ``(N,)``.

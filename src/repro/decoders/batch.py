@@ -86,11 +86,6 @@ class SyndromeBatch:
         """Wrap a ``(num_cbits, W)`` packed word stream."""
         return cls(batch_size, record_words)
 
-    # ------------------------------------------------------------------
-    @property
-    def num_cbits(self) -> int:
-        return int(self.record_words.shape[0])
-
     def shots(self, start: int, size: int) -> "SyndromeBatch":
         """Shots ``[start, start + size)`` as a batch of their own, cut
         at words: ``start`` must be a multiple of 64."""
@@ -107,7 +102,7 @@ class SyndromeBatch:
 
     def __repr__(self) -> str:
         return (f"SyndromeBatch(B={self.batch_size}, "
-                f"cbits={self.num_cbits})")
+                f"cbits={self.record_words.shape[0]})")
 
 
 class DecodeCache:
@@ -152,11 +147,6 @@ class DecodeCache:
     def put(self, num_detectors: int, key: bytes, parity: int) -> None:
         if len(self.table) < self.capacity:
             self.table[(num_detectors, key)] = int(parity) & 1
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def __len__(self) -> int:
         return len(self.table)

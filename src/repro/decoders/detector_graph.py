@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..codes.base import MemoryExperiment, StabilizerCode
+from ..codes.base import StabilizerCode
 
 #: Virtual boundary node id (all real nodes are >= 0).
 BOUNDARY = -1
@@ -198,31 +198,6 @@ class DetectorGraph:
     def node_id(self, round_index: int, plaquette_index: int) -> int:
         return round_index * self.num_plaquettes + plaquette_index
 
-    def node_round_plaquette(self, node: int) -> Tuple[int, int]:
-        return divmod(node, self.num_plaquettes)[0], node % self.num_plaquettes
-
-    # ------------------------------------------------------------------
-    # Detection events
-    # ------------------------------------------------------------------
-    def detection_events(self, syndromes: np.ndarray) -> np.ndarray:
-        """Detector values from raw syndromes, shape ``(B, rounds, P)``.
-
-        Round 0 compares against the known initial eigenstate when the
-        decode basis matches the preparation basis (the paper's setup);
-        later rounds compare consecutive measurements.  When the decode
-        basis is the *dual* of the preparation (round-0 outcomes are
-        random projections) the round-0 detector is suppressed.
-        """
-        det = syndromes.copy()
-        det[:, 1:, :] ^= syndromes[:, :-1, :]
-        return det
-
-    def dual_detection_events(self, syndromes: np.ndarray) -> np.ndarray:
-        """Detectors for the dual-basis graph: no round-0 reference."""
-        det = self.detection_events(syndromes)
-        det[:, 0, :] = 0
-        return det
-
     # ------------------------------------------------------------------
     # All-pairs shortest paths with logical parity
     # ------------------------------------------------------------------
@@ -304,14 +279,6 @@ class DetectorGraph:
     def parities(self) -> np.ndarray:
         """Logical parity along a BFS shortest path (same shape)."""
         return self.derived("paths", DetectorGraph._build_paths)[1]
-
-    def distance_between(self, u: int, v: int = BOUNDARY) -> float:
-        col = self.num_nodes if v == BOUNDARY else v
-        return float(self.distances[u, col])
-
-    def parity_between(self, u: int, v: int = BOUNDARY) -> int:
-        col = self.num_nodes if v == BOUNDARY else v
-        return int(self.parities[u, col])
 
     def __repr__(self) -> str:
         return (f"DetectorGraph({self.code.name}, basis={self.basis}, "

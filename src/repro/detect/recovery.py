@@ -319,14 +319,6 @@ class BurstAdaptiveDecoder:
     def __post_init__(self) -> None:
         self.policy = RecoveryPolicy.coerce(self.policy)
 
-    @property
-    def name(self) -> str:
-        return f"{self.base.name}+{self.policy.value}"
-
-    @property
-    def graph(self) -> DetectorGraph:
-        return self.base.graph
-
     # ------------------------------------------------------------------
     def decode_batch(self, experiment: MemoryExperiment, batch
                      ) -> DecodeResult:

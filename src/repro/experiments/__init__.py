@@ -10,9 +10,8 @@ Each module regenerates one figure's data series:
 * :mod:`.fig8_architecture` — per-qubit criticality across topologies.
 * :mod:`.fig_detect` — strike-detection ROC and recovery-policy LER.
 * :mod:`.headline` — Observation I-VIII paper-vs-measured checks.
-* :mod:`.rounds_ablation` — syndrome-round sweep (beyond the paper).
 
-Figs. 3-4 are analytic (``run()``).  Every campaign figure is a task
+Figs. 3-4 are analytic tables.  Every campaign figure is a task
 list plus an analysis — ``build_campaign(shots, ...)`` returns a
 :class:`~repro.injection.Campaign`, ``analyze(results)`` turns its
 :class:`~repro.injection.results.ResultSet` into the figure's series —
@@ -32,7 +31,6 @@ from . import (
     fig8_architecture,
     fig_detect,
     headline,
-    rounds_ablation,
 )
 
 #: The figures ``repro fig5`` ... ``repro fig8`` and ``repro headline``
@@ -55,5 +53,4 @@ __all__ = [
     "fig8_architecture",
     "fig_detect",
     "headline",
-    "rounds_ablation",
 ]

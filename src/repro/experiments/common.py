@@ -44,17 +44,13 @@ class Report:
     ``head`` prints first; given ``--csv``, the CLI then writes ``rows``
     to that file and prints ``note`` (formatted with the path);
     ``tail`` prints last.  ``scripts/run_all_experiments.py`` saves
-    :attr:`text` and ``rows`` (as JSON).
+    ``head`` and ``tail`` as text and ``rows`` as JSON.
     """
 
     head: str
     rows: List[Dict[str, object]]
     tail: str = ""
     note: str = "\n[csv written to {}]"
-
-    @property
-    def text(self) -> str:
-        return f"{self.head}\n{self.tail}" if self.tail else self.head
 
 
 def distinct(values: Iterable[Hashable]) -> list:

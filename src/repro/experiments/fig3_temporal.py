@@ -1,14 +1,13 @@
 """Figure 3 — temporal decay of the radiation fault.
 
-Regenerates the two series of the paper's Fig. 3: the continuous decay
-``T(t) = exp(-10 t)`` and its 10-sample step approximation ``T̂(t)``,
+Tabulates the paper's Fig. 3: the ``n_s = 10`` samples of the decay
+``T(t) = exp(-10 t)`` that the step approximation ``T̂(t)`` injects,
 plus an ``n_s`` ablation quantifying the accuracy/cost trade-off the
 paper mentions when fixing ``n_s = 10``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -20,34 +19,6 @@ from ..noise.radiation import (
     stepped_temporal_decay,
     temporal_decay,
 )
-
-
-@dataclass
-class TemporalDecayData:
-    """Series behind Fig. 3."""
-
-    t: np.ndarray
-    continuous: np.ndarray
-    stepped: np.ndarray
-    gamma: float
-    num_samples: int
-
-    def to_rows(self) -> List[Dict[str, object]]:
-        return [{"t": float(tt), "T(t)": float(c), "That(t)": float(s)}
-                for tt, c, s in zip(self.t, self.continuous, self.stepped)]
-
-
-def run(num_points: int = 101, gamma: float = DEFAULT_GAMMA,
-        num_samples: int = DEFAULT_NUM_SAMPLES) -> TemporalDecayData:
-    """Evaluate both curves on a dense grid over the fault window."""
-    t = np.linspace(0.0, 1.0, num_points)
-    return TemporalDecayData(
-        t=t,
-        continuous=temporal_decay(t, gamma),
-        stepped=stepped_temporal_decay(t, gamma, num_samples),
-        gamma=gamma,
-        num_samples=num_samples,
-    )
 
 
 def sample_table(gamma: float = DEFAULT_GAMMA,

@@ -37,19 +37,6 @@ class SpatialDecayData:
                                  np.median(self.probabilities[mask]))})
         return rows
 
-    def to_rows(self) -> List[Dict[str, object]]:
-        rows = []
-        E = self.extent
-        for i in range(2 * E + 1):
-            for j in range(2 * E + 1):
-                rows.append({
-                    "x": j - E,
-                    "y": i - E,
-                    "distance": float(self.distances[i, j]),
-                    "injection_prob": float(self.probabilities[i, j]),
-                })
-        return rows
-
 
 def run(extent: int = 10, n: float = DEFAULT_SPATIAL_N) -> SpatialDecayData:
     """Evaluate the field on a ``(2*extent+1)^2`` mesh around the root.

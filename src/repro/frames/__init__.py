@@ -16,7 +16,6 @@ composes the two for one batch.
 """
 
 from .packing import (
-    bernoulli_words,
     column_counts,
     pack_bool,
     popcount_words,
@@ -37,7 +36,6 @@ __all__ = [
     "FrameProgram",
     "FrameSimulator",
     "FrameStructure",
-    "bernoulli_words",
     "column_counts",
     "compile_frame_program",
     "frame_structure",

@@ -121,21 +121,3 @@ def column_counts(planes: np.ndarray, batch_size: int) -> np.ndarray:
     for k, plane in enumerate(counters):
         counts += unpack_words(plane, batch_size).astype(np.int64) << k
     return counts
-
-
-def bernoulli_words(rng: np.random.Generator, p: float, batch_size: int
-                    ) -> np.ndarray:
-    """Bit-packed Bernoulli(``p``) mask over ``batch_size`` shots.
-
-    The packed tail past ``batch_size`` is zero, so the mask never
-    selects don't-care bits.
-    """
-    if p >= 1.0:
-        mask = np.full(words_for(batch_size), FULL_WORD, dtype=np.uint64)
-        tail = batch_size % WORD_BITS
-        if tail:
-            mask[-1] = np.uint64((1 << tail) - 1)
-        return mask
-    if p <= 0.0:
-        return np.zeros(words_for(batch_size), dtype=np.uint64)
-    return pack_bool(rng.random(batch_size) < p)

@@ -239,12 +239,6 @@ class FrameProgram:
     log_ratios: Optional[np.ndarray] = None
 
     @property
-    def deterministic_reference(self) -> bool:
-        """True when every reference measurement was deterministic, so a
-        noiseless frame run reproduces the reference record bit-exactly."""
-        return not self.random_cbits
-
-    @property
     def exact_noise(self) -> bool:
         """True when every lowered noise site is distribution-exact."""
         return self.twirled_reset_sites == 0

@@ -289,11 +289,3 @@ class FrameSimulator:
         """
         return np.ascontiguousarray(
             unpack_words(self.run_packed(program), self.batch_size).T)
-
-    # ------------------------------------------------------------------
-    # Introspection (tests / debugging)
-    # ------------------------------------------------------------------
-    def frame_bits(self, qubit: int) -> np.ndarray:
-        """``(2, B)`` uint8: the X and Z frame bits of one qubit."""
-        return unpack_words(
-            np.stack([self.x[qubit], self.z[qubit]]), self.batch_size)

@@ -13,7 +13,7 @@ from ..rare.sampler import SamplerSpec
 from .results import ChunkResult, InjectionResult, ResultSet, wilson_interval
 from .spec import ArchSpec, CodeSpec, FaultSpec, InjectionTask
 from .store import CampaignStore, task_key
-from .sweep import build_sweep, sweep_size
+from .sweep import build_sweep
 
 __all__ = [
     "AdaptivePolicy",
@@ -25,7 +25,6 @@ __all__ = [
     "SIM_BLOCK",
     "WIDE_BLOCKS",
     "build_sweep",
-    "sweep_size",
     "iter_task_chunks",
     "run_task",
     "task_key",

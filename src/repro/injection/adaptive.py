@@ -22,7 +22,7 @@ resumed, or spread across N workers by :mod:`repro.parallel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..rare.stats import WeightStats
 from .results import SIM_BLOCK, wilson_interval
@@ -99,14 +99,6 @@ class AdaptivePolicy:
             return ceiling
         step = self.decision_step
         return min((shots // step + 1) * step, ceiling)
-
-    def watermarks(self, start: int, task_shots: int) -> Iterator[int]:
-        """The decision points in ``(start, ceiling]``, ascending."""
-        pos = start
-        ceiling = self.ceiling(task_shots)
-        while pos < ceiling:
-            pos = self.next_watermark(pos, task_shots)
-            yield pos
 
     def satisfied(self, errors: int, shots: int,
                   weights: Optional[WeightStats] = None) -> bool:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -126,15 +124,6 @@ class ChunkResult:
                                        float(self.errors))])
         return fold_moments(acc, self.block_weights)
 
-    @property
-    def weight_stats(self) -> WeightStats:
-        """This chunk's weighted moments (unit-weight for MC chunks)."""
-        if self.block_weights is None:
-            return WeightStats.from_counts(self.shots, self.errors)
-        wsum, wsq, esum, esq = self.fold_weights(ZERO_MOMENTS)
-        return WeightStats(shots=self.shots, wsum=wsum, wsq=wsq,
-                           esum=esum, esq=esq)
-
     def to_row(self) -> Dict[str, object]:
         row: Dict[str, object] = {
             "start": self.start, "shots": self.shots,
@@ -242,22 +231,6 @@ class InjectionResult:
             return self.weight_stats.wilson_interval()
         return wilson_interval(self.errors, self.shots)
 
-    @property
-    def counts(self) -> Tuple[int, int, int, int]:
-        """``(shots, errors, raw_errors, corrections)`` — the
-        deterministic payload, excluding timing/bookkeeping."""
-        return (self.shots, self.errors, self.raw_errors,
-                self.corrections_applied)
-
-    @property
-    def payload(self) -> Tuple:
-        """The full deterministic payload: counts plus, for weighted
-        runs, the four weight moments — two runs of a weighted point
-        must agree on *this*, not just on :attr:`counts`."""
-        if self.weights is None:
-            return self.counts
-        return self.counts + self.weights
-
     def to_row(self) -> Dict[str, object]:
         lo, hi = self.confidence_interval
         row: Dict[str, object] = {
@@ -292,9 +265,6 @@ class ResultSet:
     def __init__(self, results: Optional[Iterable[InjectionResult]] = None
                  ) -> None:
         self.results: List[InjectionResult] = list(results or [])
-
-    def append(self, result: InjectionResult) -> None:
-        self.results.append(result)
 
     def __len__(self) -> int:
         return len(self.results)
@@ -336,23 +306,6 @@ class ResultSet:
         """Shots spent across the whole set (adaptive-run budget line)."""
         return sum(r.shots for r in self.results)
 
-    def counts(self) -> List[Tuple[int, int, int, int]]:
-        """Per-point deterministic payloads, in task order — two runs of
-        the same campaign are equal iff their ``counts()`` are."""
-        return [r.counts for r in self.results]
-
-    def payloads(self) -> List[Tuple]:
-        """Like :meth:`counts` but including weight moments, so two
-        weighted runs must also agree on every importance weight."""
-        return [r.payload for r in self.results]
-
     # ------------------------------------------------------------------
     def to_rows(self) -> List[Dict[str, object]]:
         return [r.to_row() for r in self.results]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_rows(), indent=2, default=str)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())

@@ -201,9 +201,7 @@ class CampaignStore:
                     f"store file {os.fspath(path)!r} contains undecodable "
                     f"bytes; keeping the records read so far",
                     RuntimeWarning, stacklevel=2)
-                obs.event("store.undecodable_bytes",
-                          f"undecodable bytes in {os.fspath(path)!r}",
-                          path=os.fspath(path))
+                obs.event("store.undecodable_bytes")
 
     def _load(self) -> None:
         for rec in self._iter_records(self.path):
@@ -218,9 +216,7 @@ class CampaignStore:
                 warnings.warn(
                     f"skipping malformed {kind!r} record in {self.path!r}",
                     RuntimeWarning, stacklevel=2)
-                obs.event("store.malformed_record",
-                          f"malformed {kind!r} record in {self.path!r}",
-                          path=self.path)
+                obs.event("store.malformed_record")
 
     def done_record(self, key: str) -> Optional[Dict[str, object]]:
         return self._done.get(key)
@@ -470,16 +466,14 @@ class CampaignStore:
             except OSError as exc:
                 warnings.warn(f"skipping unreadable store shard {path!r}: "
                               f"{exc}", RuntimeWarning, stacklevel=2)
-                obs.event("store.skipped_shard",
-                          f"unreadable shard {path!r}: {exc}", path=path)
+                obs.event("store.skipped_shard")
                 stats["skipped_inputs"] += 1
                 continue
             if not records:
                 warnings.warn(f"store shard {path!r} holds no usable "
                               f"records; skipping", RuntimeWarning,
                               stacklevel=2)
-                obs.event("store.skipped_shard",
-                          f"empty shard {path!r}", path=path)
+                obs.event("store.skipped_shard")
                 stats["skipped_inputs"] += 1
                 continue
             for rec in records:
@@ -491,9 +485,7 @@ class CampaignStore:
                         warnings.warn(
                             f"dropping done record without a key in "
                             f"{path!r}", RuntimeWarning, stacklevel=2)
-                        obs.event("store.malformed_record",
-                                  f"done record without a key in {path!r}",
-                                  path=path)
+                        obs.event("store.malformed_record")
                         continue
                     prev = done.get(key)
                     if prev is None:
@@ -516,9 +508,7 @@ class CampaignStore:
                         warnings.warn(
                             f"dropping malformed chunk record in {path!r}",
                             RuntimeWarning, stacklevel=2)
-                        obs.event("store.malformed_record",
-                                  f"malformed chunk record in {path!r}",
-                                  path=path)
+                        obs.event("store.malformed_record")
                         continue
                     prev = chunks.get(ck)
                     if prev is None:

@@ -129,9 +129,8 @@ def _check_fault_qubits(fault: FaultSpec, code: CodeSpec,
 
 
 def _axes(spec: Mapping[str, Any]):
-    """Validate + normalize the four product axes (shared by
-    :func:`build_sweep` and :func:`sweep_size`, so the pre-flight count
-    can never disagree with the expansion)."""
+    """Validate + normalize the four product axes of
+    :func:`build_sweep`."""
     unknown = set(spec) - SPEC_KEYS
     if unknown:
         raise _unknown_key_error(unknown)
@@ -185,9 +184,3 @@ def build_sweep(spec: Mapping[str, Any]) -> Campaign:
     workers = spec.get("workers")
     return Campaign(tasks, root_seed=int(spec.get("root_seed", 2024)),
                     workers=None if workers is None else int(workers))
-
-
-def sweep_size(spec: Mapping[str, Any]) -> int:
-    """Number of points a spec expands to (cheap pre-flight check)."""
-    codes, archs, faults, p_values = _axes(spec)
-    return len(codes) * len(archs) * len(faults) * len(p_values)

@@ -1,8 +1,8 @@
 """Noise and fault models (paper §III).
 
 * :class:`DepolarizingNoise` — intrinsic Pauli noise, Eq. 4.
-* :func:`temporal_decay` / :func:`spatial_damping` / :func:`transient_decay`
-  — Eqs. 5-7.
+* :func:`temporal_decay` / :func:`spatial_damping` — Eqs. 5-6 (their
+  product is Eq. 7's transient).
 * :class:`RadiationEvent` / :class:`RadiationChannel` — a particle
   strike on an architecture graph.
 * :class:`RadiationBurst` — the same strike landing mid-run at a
@@ -26,7 +26,6 @@ from .radiation import (
     spatial_damping,
     stepped_temporal_decay,
     temporal_decay,
-    transient_decay,
 )
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "temporal_decay",
     "stepped_temporal_decay",
     "spatial_damping",
-    "transient_decay",
     "sample_times",
     "DEFAULT_GAMMA",
     "DEFAULT_SPATIAL_N",

@@ -152,10 +152,6 @@ class NoiseModel:
     def __init__(self, channels: Optional[Iterable[NoiseChannel]] = None) -> None:
         self.channels: List[NoiseChannel] = list(channels or [])
 
-    def add(self, channel: NoiseChannel) -> "NoiseModel":
-        self.channels.append(channel)
-        return self
-
     def __iter__(self):
         return iter(self.channels)
 
@@ -167,10 +163,3 @@ class NoiseModel:
         :meth:`NoiseChannel.begin_run`)."""
         for ch in self.channels:
             ch.begin_run()
-
-    @classmethod
-    def compose(cls, *models: "NoiseModel") -> "NoiseModel":
-        out = cls()
-        for m in models:
-            out.channels.extend(m.channels)
-        return out

@@ -65,12 +65,6 @@ def spatial_damping(d, n: float = DEFAULT_SPATIAL_N):
     return (n ** 2) / ((d + n) ** 2)
 
 
-def transient_decay(t, d, gamma: float = DEFAULT_GAMMA,
-                    n: float = DEFAULT_SPATIAL_N):
-    """``F(t, d) = T(t) S(d)`` (Eq. 7)."""
-    return temporal_decay(t, gamma) * spatial_damping(d, n)
-
-
 class RadiationEvent:
     """A single particle strike bound to an architecture graph.
 
@@ -260,11 +254,6 @@ class RadiationBurst(NoiseChannel):
         if k < 0:
             return None
         return min(k, self.probs.shape[0] - 1)
-
-    def current_probs(self) -> Optional[np.ndarray]:
-        """Per-qubit reset probabilities now, or ``None`` pre-strike."""
-        k = self.current_sample()
-        return None if k is None else self.probs[k]
 
     # -- channel interface ---------------------------------------------
     def site_table(self, num_qubits: int) -> SiteTable:

@@ -7,7 +7,7 @@ engine's bit-identity contract is property-tested with telemetry on):
 * :mod:`repro.obs.metrics` — the process-local
   :class:`MetricsRegistry` of counters / gauges / histograms plus
   nestable phase spans (``compile``, ``sample``, ``detect``,
-  ``decode``, ``merge``, ``aggregate``) and a structured event log.
+  ``decode``, ``merge``, ``aggregate``) and per-kind event counts.
   Hot paths use the module-level conveniences (:func:`counter`,
   :func:`span`, ...) against the global registry; :func:`reset` zeroes
   it in place (worker processes call this at start).

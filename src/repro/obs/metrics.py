@@ -22,10 +22,9 @@ them into the campaign-wide view.
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: Telemetry snapshot schema version (the ``"schema"`` field of every
 #: exported JSONL record).  Bump when the snapshot shape changes.
@@ -33,11 +32,6 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 #: the input to the self-time column) and snapshots may carry an
 #: optional ``profile`` section from :mod:`repro.obs.prof`.
 SCHEMA_VERSION = 2
-
-#: Recent events kept verbatim (per kind, total) for the snapshot's
-#: ``recent_events`` field; per-kind totals are unbounded counters.
-EVENT_BUFFER = 64
-
 
 class Counter:
     """A monotonically increasing integer (per process)."""
@@ -127,7 +121,6 @@ class MetricsRegistry:
         self._histograms: Dict[str, Histogram] = {}
         self._stack: List[str] = []
         self._event_counts: Dict[str, int] = {}
-        self._events: Deque[Dict[str, object]] = deque(maxlen=EVENT_BUFFER)
         self._span_hook = None
         self._start = perf_counter()
 
@@ -184,13 +177,6 @@ class MetricsRegistry:
         window)."""
         self._span_hook = hook
 
-    def span_stack(self) -> Tuple[str, ...]:
-        """The currently open spans, outermost first."""
-        return tuple(self._stack)
-
-    def span_stats(self, name: str) -> Optional[SpanStats]:
-        return self._spans.get(name)
-
     def span_totals(self) -> Dict[str, Tuple[float, int]]:
         """``{name: (total_s, count)}`` for every phase span — the
         cheap before/after delta hook the tracer uses to attribute
@@ -198,29 +184,10 @@ class MetricsRegistry:
         return {k: (s.total_s, s.count) for k, s in self._spans.items()}
 
     # -- events --------------------------------------------------------
-    def event(self, kind: str, message: str = "", **fields: object) -> None:
-        """Record one structured event (warn+skip paths, crashes, ...).
-
-        Per-kind totals always accumulate; the most recent
-        :data:`EVENT_BUFFER` events are kept verbatim for the snapshot.
-        """
+    def event(self, kind: str) -> None:
+        """Count one event (warn+skip paths, crashes, ...) under its
+        ``kind`` — the snapshot's ``events`` totals."""
         self._event_counts[kind] = self._event_counts.get(kind, 0) + 1
-        ev: Dict[str, object] = {
-            "kind": kind,
-            "uptime_s": round(perf_counter() - self._start, 3)}
-        if message:
-            ev["message"] = message
-        if fields:
-            ev.update(fields)
-        self._events.append(ev)
-
-    @property
-    def event_counts(self) -> Dict[str, int]:
-        return dict(self._event_counts)
-
-    @property
-    def recent_events(self) -> List[Dict[str, object]]:
-        return list(self._events)
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -262,7 +229,6 @@ class MetricsRegistry:
             h.sum = 0.0
         self._stack.clear()
         self._event_counts.clear()
-        self._events.clear()
         self._start = perf_counter()
 
 
@@ -528,5 +494,5 @@ def span(name: str):
     return _REGISTRY.span(name)
 
 
-def event(kind: str, message: str = "", **fields: object) -> None:
-    _REGISTRY.event(kind, message, **fields)
+def event(kind: str) -> None:
+    _REGISTRY.event(kind)

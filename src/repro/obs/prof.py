@@ -241,10 +241,6 @@ class Profiler:
 _ACTIVE: Optional[Profiler] = None
 
 
-def active() -> Optional[Profiler]:
-    return _ACTIVE
-
-
 def enable() -> Profiler:
     """Install (or return) the process profiler and tap the registry's
     span exits."""

@@ -153,10 +153,6 @@ class TraceBuffer:
 _BUFFER = TraceBuffer()
 
 
-def buffer() -> TraceBuffer:
-    return _BUFFER
-
-
 def record(span: Dict[str, object]) -> None:
     _BUFFER.record(span)
 

@@ -188,8 +188,7 @@ class Scheduler:
                     warnings.warn(
                         "no parallel workers remain alive; finishing the "
                         "campaign in-process", RuntimeWarning, stacklevel=2)
-                    obs.event("scheduler.inline_fallback",
-                              "all workers dead; finishing in-process")
+                    obs.event("scheduler.inline_fallback")
                 lease = self._queue.lease(1, INLINE)
                 if lease is None:
                     return
@@ -215,11 +214,7 @@ class Scheduler:
                 f"chunks are checkpointed — rerun with the same store "
                 f"to resume", RuntimeWarning, stacklevel=2)
             _OBS_REQUEUED.inc(requeued)
-            obs.event("scheduler.interrupted",
-                      f"interrupt: {done}/{len(plans)} point(s) done, "
-                      f"{requeued} lease(s) requeued",
-                      points_done=done, points_total=len(plans),
-                      requeued=requeued)
+            obs.event("scheduler.interrupted")
             raise
         finally:
             worker.stop(self._workers.values())
@@ -296,7 +291,5 @@ class Scheduler:
             RuntimeWarning, stacklevel=2)
         _OBS_CRASHES.inc()
         _OBS_REQUEUED.inc(requeued)
-        obs.event("scheduler.worker_crash",
-                  f"worker {wid} died (exit code {exitcode})",
-                  worker=wid, exitcode=exitcode, requeued=requeued)
+        obs.event("scheduler.worker_crash")
         self._pump()

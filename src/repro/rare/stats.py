@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 def wilson_from_rate(p: float, n: float, z: float = 1.96
@@ -125,12 +125,6 @@ class WeightStats:
     def ess_fraction(self) -> float:
         return self.ess / self.shots if self.shots else 0.0
 
-    @property
-    def weight_mean(self) -> float:
-        """Mean per-shot weight: 1.0 in expectation for any unbiased
-        importance scheme (the weight-conservation invariant)."""
-        return self.wsum / self.shots if self.shots else 0.0
-
     # -- point estimates -----------------------------------------------
     def estimate(self, mode: str = "sn") -> float:
         """Weighted logical-error-rate estimate (``sn`` or ``ht``)."""
@@ -180,16 +174,6 @@ class WeightStats:
         design-effect effective sample size (reduces to the classic
         interval at unit weights)."""
         return wilson_from_rate(self.estimate("sn"), self.design_ess, z)
-
-    def rel_halfwidth(self, z: float = 1.96) -> float:
-        """Wilson half-width relative to the weighted rate (the
-        adaptive stopping statistic); ``inf`` until the rate is
-        positive."""
-        p = self.estimate("sn")
-        if p <= 0.0:
-            return float("inf")
-        lo, hi = self.wilson_interval(z)
-        return (hi - lo) / (2.0 * p)
 
 
 def required_shots(variance_per_shot: float, rate: float,

@@ -131,40 +131,9 @@ class ServiceClient:
         raise ServiceError(
             f"stream of job {job} closed before the job finished")
 
-    def lookup(self, spec: Optional[Mapping[str, Any]] = None,
-               key: Optional[str] = None) -> List[Dict[str, object]]:
-        body: Dict[str, Any] = {}
-        if spec is not None:
-            body["spec"] = dict(spec)
-        if key is not None:
-            body["key"] = key
-        rows = self._request("POST", "/lookup", body).get("rows", [])
-        return list(rows)
-
-    def store_stats(self) -> Dict[str, object]:
-        return self._request("GET", "/store")
-
     def metrics(self) -> Dict[str, object]:
         """The merged registry snapshot (JSON rendering of /metrics)."""
         return self._request("GET", "/metrics?format=json")
-
-    def metrics_text(self) -> str:
-        """The Prometheus text rendering of /metrics."""
-        req = urllib.request.Request(
-            self.base_url + "/metrics?format=text",
-            headers={"Accept": "text/plain"})
-        try:
-            with urllib.request.urlopen(req,
-                                        timeout=self.timeout_s) as resp:
-                return resp.read().decode()
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"service unreachable at {self.base_url}: "
-                f"{getattr(exc, 'reason', exc)}") from exc
-
-    def trace(self, job: str) -> Dict[str, object]:
-        """The causally-linked span tree for one job."""
-        return self._request("GET", f"/jobs/{job}/trace")
 
     # -- runner surface ------------------------------------------------
     def lease(self, runner: str = "remote", max_leases: int = 1,

@@ -229,6 +229,11 @@ class Dispatcher:
         self.slice_shots = _normalize_chunk(
             DEFAULT_CHUNK_SHOTS if slice_shots is None else slice_shots)
         self.lease_ttl_s = float(lease_ttl_s)
+        if not (math.isfinite(self.lease_ttl_s) and self.lease_ttl_s > 0):
+            # A runner counts as alive for lease_ttl_s seconds: at zero
+            # none ever does, and the lease split divides by their count.
+            raise ValueError(f"lease_ttl_s must be a positive number of "
+                             f"seconds, got {lease_ttl_s}")
         #: In-flight points by task key (completed points leave).
         self.points: Dict[str, PointState] = {}
         #: Their pending slices, shared among the runners.
@@ -324,10 +329,7 @@ class Dispatcher:
         _OBS_JOBS.inc()
         if job.done:
             self._retire(job)
-        obs.event("service.job_submitted",
-                  f"{job_id}: {len(tasks)} point(s), "
-                  f"{job.cache_hits} cached, {job.coalesced} coalesced, "
-                  f"{job.fresh} fresh", job=job_id)
+        obs.event("service.job_submitted")
         return self._receipt(job)
 
     def _receipt(self, job: Job) -> Dict[str, object]:
@@ -555,8 +557,7 @@ class Dispatcher:
                 "expired": 0, "lost": False}
         elif health["lost"]:
             health["lost"] = False
-            obs.event("service.runner_recovered",
-                      f"runner {runner} is back", runner=runner)
+            obs.event("service.runner_recovered")
         health["last_seen"] = time.time()
         return health
 
@@ -636,9 +637,7 @@ class Dispatcher:
         health = self._touch_runner(lease.runner)
         health["failed"] = int(health["failed"]) + 1
         _OBS_FAILED.inc()
-        obs.event("service.lease_failed",
-                  f"lease {lease_id} failed on {lease.runner}: {error}",
-                  lease=lease_id, runner=lease.runner)
+        obs.event("service.lease_failed")
         requeued = lease.key in self.points
         if requeued:
             self.queue.give_back([lease])
@@ -652,10 +651,7 @@ class Dispatcher:
         for lease in expired:
             del self._leases[lease.lease_id]
             _OBS_CRASHES.inc()
-            obs.event("service.lease_expired",
-                      f"lease {lease.lease_id} ({lease.runner}) expired; "
-                      f"run requeued", lease=lease.lease_id,
-                      runner=lease.runner)
+            obs.event("service.lease_expired")
             if lease.key in self.points:
                 self.queue.give_back([lease])
             health = self.runners.get(lease.runner)
@@ -668,10 +664,7 @@ class Dispatcher:
                                   for l in self._leases.values())
                 if not outstanding and not health["lost"]:
                     health["lost"] = True
-                    obs.event("service.runner_lost",
-                              f"runner {lease.runner} presumed lost "
-                              f"(lease {lease.lease_id} expired with "
-                              f"none outstanding)", runner=lease.runner)
+                    obs.event("service.runner_lost")
         return len(expired)
 
     # -- completion ----------------------------------------------------
@@ -696,8 +689,7 @@ class Dispatcher:
                     coalesced=ctx != point.ctx)])
             job.pending.discard(point.key)
             if job.done:
-                obs.event("service.job_done", f"{job_id} complete",
-                          job=job_id)
+                obs.event("service.job_done")
                 self._retire(job)
                 if self.on_job_done is not None:
                     self.on_job_done(job_id)

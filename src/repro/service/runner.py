@@ -40,17 +40,16 @@ def run_runner(url: str, runner_id: Optional[str] = None,
     client = ServiceClient(url)
     runner = runner_id or default_runner_id()
     client.health()
-    obs.event("runner.started", f"runner {runner} pulling from {url}",
-              runner=runner)
+    obs.event("runner.started")
     done = 0
     idle_since: Optional[float] = None
     while max_slices is None or done < max_slices:
         try:
             leases = client.lease(runner=runner, max_leases=1)
-        except ServiceError as exc:
+        except ServiceError:
             # A dispatch head mid-restart is indistinguishable from an
             # empty queue; back off rather than crash the runner.
-            obs.event("runner.lease_error", str(exc), runner=runner)
+            obs.event("runner.lease_error")
             leases = []
         if not leases:
             now = time.monotonic()
@@ -66,8 +65,7 @@ def run_runner(url: str, runner_id: Optional[str] = None,
             try:
                 payload = execute_lease_wire(wire)
             except Exception as exc:  # noqa: BLE001 — report, keep pulling
-                obs.event("runner.slice_error", repr(exc),
-                          lease=wire.get("lease"), runner=runner)
+                obs.event("runner.slice_error")
                 try:
                     client.fail(str(wire["lease"]), repr(exc),
                                 runner=runner)
@@ -82,6 +80,5 @@ def run_runner(url: str, runner_id: Optional[str] = None,
                             spans=payload.get("spans"),
                             obs_snapshot=obs.registry().snapshot())
             done += len(payload["chunks"])
-    obs.event("runner.stopped", f"runner {runner}: {done} slice(s)",
-              runner=runner)
+    obs.event("runner.stopped")
     return done

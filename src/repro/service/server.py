@@ -182,9 +182,7 @@ class CampaignService:
             self._tasks.append(
                 asyncio.ensure_future(self._pump(slot)))
         self._tasks.append(asyncio.ensure_future(self._housekeeping()))
-        obs.event("service.started",
-                  f"listening on {self.url} "
-                  f"({self.workers} local worker(s))", url=self.url)
+        obs.event("service.started")
 
     async def stop(self) -> None:
         self._stopping = True
@@ -214,7 +212,7 @@ class CampaignService:
             self._writer.close()
             self._writer = None
         self.store.close()
-        obs.event("service.stopped", "service shut down")
+        obs.event("service.stopped")
 
     # Background-thread lifecycle (tests, CI smoke assertions from the
     # same process).
@@ -301,8 +299,7 @@ class CampaignService:
                     payload = {"error": self._replace_worker(slot)}
                 if "error" in payload:
                     self.dispatcher.fail(lease.lease_id, payload["error"])
-                    obs.event("service.local_slice_error",
-                              payload["error"], lease=lease.lease_id)
+                    obs.event("service.local_slice_error")
                     await asyncio.sleep(PUMP_IDLE_S)
                     continue
                 self.dispatcher.complete(payload["lease"],
@@ -326,8 +323,7 @@ class CampaignService:
         self._workers[slot] = worker.Worker(slot)
         error = (f"local worker {slot} died "
                  f"(exit code {dead.process.exitcode})")
-        obs.event("service.worker_replaced",
-                  f"{error}; started a fresh one", slot=slot)
+        obs.event("service.worker_replaced")
         return error
 
     async def _housekeeping(self) -> None:

@@ -1,12 +1,10 @@
 """Stabilizer (Pauli) algebra.
 
 * :class:`PauliString` — symplectic Pauli algebra.
-* :func:`symplectic_commutes` — commutation of symplectic vectors.
 """
 
-from .pauli import PauliString, symplectic_commutes
+from .pauli import PauliString
 
 __all__ = [
     "PauliString",
-    "symplectic_commutes",
 ]

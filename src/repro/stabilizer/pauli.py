@@ -11,11 +11,8 @@ and the reference implementation the simulators are tested against.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple, Union
-
 import numpy as np
 
-_CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_CHAR = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 
@@ -49,64 +46,12 @@ class PauliString:
     def identity(cls, n: int) -> "PauliString":
         return cls(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
 
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        """Parse e.g. ``"+XIZ"``, ``"-YY"``, ``"iXZ"``, ``"XX"``.
-
-        The leftmost character of the body acts on qubit 0.
-        """
-        phase = 0
-        body = label
-        while body and body[0] in "+-i":
-            if body[0] == "-":
-                phase += 2
-            elif body[0] == "i":
-                phase += 1
-            body = body[1:]
-        if not body:
-            raise ValueError(f"empty Pauli label: {label!r}")
-        xs, zs = [], []
-        n_y = 0
-        for ch in body.upper():
-            if ch not in _CHAR_TO_XZ:
-                raise ValueError(f"bad Pauli character {ch!r} in {label!r}")
-            xb, zb = _CHAR_TO_XZ[ch]
-            xs.append(xb)
-            zs.append(zb)
-            n_y += xb & zb
-        # Y = i XZ, so a label "Y" corresponds to x=z=1 with an extra i.
-        return cls(np.array(xs), np.array(zs), (phase + n_y) % 4)
-
-    @classmethod
-    def single(cls, n: int, qubit: int, kind: str) -> "PauliString":
-        """Weight-one Pauli ``kind`` in an n-qubit register."""
-        p = cls.identity(n)
-        xb, zb = _CHAR_TO_XZ[kind.upper()]
-        p.x[qubit] = xb
-        p.z[qubit] = zb
-        if xb and zb:
-            p.phase = 1
-        return p
-
     # ------------------------------------------------------------------
     # Properties
     # ------------------------------------------------------------------
     @property
     def num_qubits(self) -> int:
         return int(self.x.shape[0])
-
-    @property
-    def weight(self) -> int:
-        """Number of qubits acted on non-trivially."""
-        return int(np.count_nonzero(self.x | self.z))
-
-    def support(self) -> Tuple[int, ...]:
-        return tuple(int(q) for q in np.nonzero(self.x | self.z)[0])
-
-    def is_hermitian(self) -> bool:
-        """True when the operator is Hermitian (phase real after Y-factors)."""
-        n_y = int(np.count_nonzero(self.x & self.z))
-        return (self.phase - n_y) % 2 == 0
 
     # ------------------------------------------------------------------
     # Algebra
@@ -157,32 +102,3 @@ class PauliString:
 
     def __repr__(self) -> str:
         return f"PauliString({self.label()!r})"
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense matrix (for tests on few qubits only)."""
-        I = np.eye(2, dtype=complex)
-        X = np.array([[0, 1], [1, 0]], dtype=complex)
-        Z = np.array([[1, 0], [0, -1]], dtype=complex)
-        out = np.array([[1.0 + 0j]])
-        for xb, zb in zip(self.x, self.z):
-            m = I
-            if xb and zb:
-                m = X @ Z
-            elif xb:
-                m = X
-            elif zb:
-                m = Z
-            out = np.kron(out, m)
-        return (1j ** self.phase) * out
-
-
-def symplectic_commutes(x1: np.ndarray, z1: np.ndarray,
-                        x2: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Vectorized commutation test over batches of Pauli bit-vectors.
-
-    Returns a boolean array: True where the row pairs commute.  Inputs
-    broadcast against each other along leading dimensions.
-    """
-    sym = (np.sum(x1 & z2, axis=-1, dtype=np.int64)
-           + np.sum(z1 & x2, axis=-1, dtype=np.int64)) % 2
-    return sym == 0

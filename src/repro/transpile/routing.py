@@ -28,12 +28,6 @@ class RoutedCircuit:
     swap_count: int
     arch: ArchitectureGraph
 
-    @property
-    def overhead(self) -> float:
-        """Added gates as a fraction of the original two-qubit count."""
-        base = self.circuit.num_two_qubit_gates - 3 * self.swap_count
-        return (3 * self.swap_count / base) if base else 0.0
-
 
 #: Gates of lookahead used when scoring which operand to walk.
 _LOOKAHEAD_WINDOW = 12

@@ -8,25 +8,7 @@ a requirement for the paper's "deterministically chosen" configurations.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
-
 import numpy as np
-
-RngLike = Union[np.random.Generator, int, None]
-
-
-def as_generator(rng: RngLike) -> np.random.Generator:
-    """Coerce ``None`` / int seed / Generator into a Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
-def spawn_seeds(root_seed: int, count: int) -> List[int]:
-    """Derive ``count`` independent 64-bit seeds from ``root_seed``."""
-    ss = np.random.SeedSequence(root_seed)
-    return [int(s.generate_state(1, dtype=np.uint64)[0])
-            for s in ss.spawn(count)]
 
 
 def derive_seed(base_seed: int, *path: int) -> int:

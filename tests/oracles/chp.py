@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.circuits import Circuit, Gate, GateType
 from repro.stabilizer import PauliString
+from oracles.pauli import is_hermitian
 
 
 def _g(xi: np.ndarray, zi: np.ndarray, xh: np.ndarray, zh: np.ndarray) -> np.ndarray:
@@ -187,7 +188,7 @@ class Tableau:
         """
         if pauli.num_qubits != self.n:
             raise ValueError("qubit-count mismatch")
-        if not pauli.is_hermitian():
+        if not is_hermitian(pauli):
             raise ValueError("expectation defined for Hermitian Paulis only")
         n = self.n
         # Anticommutation with any stabilizer -> indefinite.

@@ -34,6 +34,7 @@ import pytest
 
 from repro.decoders import MWPMDecoder, UnionFindDecoder, unionfind
 from repro.decoders import base as decoder_base
+from repro.decoders.detector_graph import BOUNDARY
 from repro.decoders.matching import _BOUNDARY_BIAS, _DP_LIMIT
 
 #: Completion slack for float growth accumulation (half-steps are exact
@@ -339,3 +340,27 @@ def axis0_dedup():
     with pytest.MonkeyPatch.context() as m:
         m.setattr(decoder_base, "unique_keys", axis0_unique_keys)
         yield
+
+
+def decode_cache(decoder):
+    """The decoder's live syndrome cache: ``None`` when caching is off
+    or nothing has been decoded yet."""
+    if not getattr(decoder, "cache_decodes", True):
+        return None
+    return decoder.__dict__.get("_decode_cache")
+
+
+def distance_between(graph, u: int, v: int = BOUNDARY) -> float:
+    """Shortest-path weight from node ``u`` to ``v`` (the boundary by
+    default) on a :class:`~repro.decoders.DetectorGraph`."""
+    return float(graph.distances[u, graph.num_nodes if v == BOUNDARY else v])
+
+
+def parity_between(graph, u: int, v: int = BOUNDARY) -> int:
+    """Logical parity along that shortest path."""
+    return int(graph.parities[u, graph.num_nodes if v == BOUNDARY else v])
+
+
+def node_round_plaquette(graph, node: int) -> Tuple[int, int]:
+    """``(round, plaquette)`` of a detector node."""
+    return divmod(node, graph.num_plaquettes)

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.circuits import Circuit, Gate, GateType
 from repro.stabilizer import PauliString
+from oracles.pauli import to_matrix
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -150,7 +151,7 @@ class StatevectorSimulator:
         """Exact <psi| P |psi> (real part; P assumed Hermitian)."""
         if pauli.num_qubits != self.n:
             raise ValueError("qubit-count mismatch")
-        mat = pauli.to_matrix()
+        mat = to_matrix(pauli)
         return float(np.real(np.conj(self.state) @ (mat @ self.state)))
 
     def probabilities(self) -> np.ndarray:

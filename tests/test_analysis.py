@@ -1,13 +1,10 @@
 """Tests for analysis helpers (stats, landscape, report)."""
 
 import numpy as np
-import pytest
 
 from repro.analysis import (
     Landscape,
     ascii_table,
-    binomial_stderr,
-    bootstrap_median_ci,
     median_with_iqr,
     percent,
     to_csv,
@@ -25,19 +22,6 @@ class TestStats:
         med, q25, q75 = median_with_iqr([])
         assert np.isnan(med)
 
-    def test_bootstrap_ci_contains_median(self):
-        vals = [0.1, 0.2, 0.25, 0.3, 0.32, 0.4, 0.5]
-        lo, hi = bootstrap_median_ci(vals, num_resamples=500)
-        assert lo <= np.median(vals) <= hi
-
-    def test_bootstrap_empty(self):
-        lo, hi = bootstrap_median_ci([])
-        assert np.isnan(lo)
-
-    def test_binomial_stderr(self):
-        assert binomial_stderr(50, 100) == pytest.approx(0.05)
-        assert np.isnan(binomial_stderr(0, 0))
-
 
 class TestLandscape:
     def make(self):
@@ -51,10 +35,6 @@ class TestLandscape:
 
     def test_at_strike(self):
         np.testing.assert_allclose(self.make().at_strike(), [0.1, 0.5])
-
-    def test_noise_floor_row(self):
-        np.testing.assert_allclose(self.make().noise_floor_row(),
-                                   [0.1, 0.05, 0.02])
 
     def test_monotone_violations_none(self):
         assert self.make().monotone_violations(axis=0) == 0

@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.stats import wilson_halfwidth
 from repro.injection import (
     SIM_BLOCK,
     AdaptivePolicy,
@@ -18,9 +17,17 @@ from repro.injection import (
     build_sweep,
     iter_task_chunks,
     run_task,
-    sweep_size,
     task_key,
 )
+from repro.injection.results import wilson_interval
+from oracles.results import counts
+
+
+def wilson_halfwidth(errors, shots):
+    """Half-width of the Wilson interval: the precision adaptive
+    stopping targets."""
+    lo, hi = wilson_interval(errors, shots)
+    return (hi - lo) / 2.0
 
 
 def mid_rate_task(shots=1536, seed=42, **kw):
@@ -47,8 +54,8 @@ class TestExecutorInvariance:
 
         def run():
             campaign = Campaign(tasks, root_seed=11)
-            return (campaign.run(workers=workers).counts(),
-                    campaign.run(workers=workers, adaptive=policy).counts())
+            return (counts(campaign.run(workers=workers)),
+                    counts(campaign.run(workers=workers, adaptive=policy)))
 
         native = run()
         ran = []
@@ -71,8 +78,8 @@ class TestChunkedExecution:
         t = mid_rate_task(shots=1300)
         single = run_task(t, chunk_shots=t.shots)      # one chunk
         for chunk_shots in (SIM_BLOCK, 1000, None):
-            assert run_task(t, chunk_shots=chunk_shots).counts \
-                == single.counts
+            assert counts(run_task(t, chunk_shots=chunk_shots)) \
+                == counts(single)
 
     def test_streamed_chunks_sum_to_run_task(self):
         t = mid_rate_task(shots=1100)
@@ -83,7 +90,7 @@ class TestChunkedExecution:
                  sum(c.errors for c in chunks),
                  sum(c.raw_errors for c in chunks),
                  sum(c.corrections_applied for c in chunks))
-        assert total == run_task(t).counts
+        assert total == counts(run_task(t))
 
     def test_resume_from_prior_identical(self):
         """Banking the first chunk and continuing equals one pass."""
@@ -91,11 +98,11 @@ class TestChunkedExecution:
         full = run_task(t, chunk_shots=SIM_BLOCK)
         first = next(iter_task_chunks(t, chunk_shots=SIM_BLOCK))
         resumed = run_task(t, chunk_shots=SIM_BLOCK,
-                           prior=(first.end, first.errors,
+                           prior=(first.start + first.shots, first.errors,
                                   first.raw_errors,
                                   first.corrections_applied,
                                   first.elapsed_s, 1))
-        assert resumed.counts == full.counts
+        assert counts(resumed) == counts(full)
         assert resumed.chunks == full.chunks
 
     def test_misaligned_resume_rejected(self):
@@ -210,7 +217,7 @@ class TestAdaptivePolicy:
         assert wilson_halfwidth(r.errors, r.shots) \
             <= 0.25 * r.logical_error_rate
         # deterministic: the adaptive trajectory replays exactly
-        assert run_task(t, adaptive=policy).counts == r.counts
+        assert counts(run_task(t, adaptive=policy)) == counts(r)
 
     def test_adaptive_campaign_spends_less(self):
         tasks = [mid_rate_task(shots=8192, seed=s) for s in (3, 4)]
@@ -283,13 +290,13 @@ class TestStoreResume:
         # second life: full campaign against the same store
         resumed = Campaign(tasks, root_seed=11).run(
             workers=workers, resume=CampaignStore(path))
-        assert resumed.counts() == uninterrupted.counts()
+        assert counts(resumed) == counts(uninterrupted)
         # and all 5 are now banked: a third run re-executes nothing
         store = CampaignStore(path)
         assert len(store) == 5
         again = Campaign(tasks, root_seed=11).run(workers=workers,
                                                   resume=store)
-        assert again.counts() == uninterrupted.counts()
+        assert counts(again) == counts(uninterrupted)
 
     def test_mid_point_chunk_resume(self, tmp_path):
         """A kill mid-point loses at most a chunk: banked chunks are
@@ -305,7 +312,7 @@ class TestStoreResume:
         st2 = CampaignStore(path)
         assert st2.partial(key)[0] == SIM_BLOCK
         rs = Campaign([t]).run(workers=1, resume=st2)
-        assert rs[0].counts == run_task(t).counts
+        assert counts(rs[0]) == counts(run_task(t))
 
     def test_torn_final_line_tolerated(self, tmp_path):
         t = mid_rate_task(shots=600, seed=3)
@@ -324,7 +331,7 @@ class TestStoreResume:
                                   resume=CampaignStore(path))
         second = Campaign([t]).run(workers=1, adaptive=policy,
                                    resume=CampaignStore(path))
-        assert second[0].counts == first[0].counts
+        assert counts(second[0]) == counts(first[0])
 
     def test_fixed_resume_tops_up_adaptive_result(self, tmp_path):
         """An adaptive early stop must not alias a full-budget result:
@@ -340,11 +347,11 @@ class TestStoreResume:
         topped = Campaign([t]).run(workers=1,
                                    resume=CampaignStore(path))
         assert topped[0].shots == t.shots
-        assert topped[0].counts == run_task(t).counts
+        assert counts(topped[0]) == counts(run_task(t))
         # and an adaptive resume happily reuses the richer result
         reread = Campaign([t]).run(workers=1, adaptive=policy,
                                    resume=CampaignStore(path))
-        assert reread[0].counts == topped[0].counts
+        assert counts(reread[0]) == counts(topped[0])
 
     def test_raising_ceiling_over_partial_block_result(self, tmp_path):
         """A completed point whose budget wasn't a SIM_BLOCK multiple
@@ -361,7 +368,7 @@ class TestStoreResume:
         topped = Campaign([t]).run(workers=1, adaptive=policy,
                                    resume=CampaignStore(path))
         fresh = run_task(t, adaptive=policy)
-        assert topped[0].counts == fresh.counts
+        assert counts(topped[0]) == counts(fresh)
 
 
 class TestSweepSpec:
@@ -380,7 +387,7 @@ class TestSweepSpec:
 
     def test_expansion(self):
         campaign = build_sweep(self.SPEC)
-        assert len(campaign) == sweep_size(self.SPEC) == 16
+        assert len(campaign) == 16
         tags = dict(campaign.tasks[0].tags)
         assert tags["sweep"] == "unit"
         assert tags["code"] == "repetition-(3,1)"
@@ -404,14 +411,11 @@ class TestSweepSpec:
             build_sweep({"codes": []})
 
     def test_empty_axis_rejected_everywhere(self):
-        """build_sweep and sweep_size share validation: an explicitly
-        empty axis fails loudly instead of silently expanding to zero
-        points (or the two disagreeing)."""
+        """An explicitly empty axis fails loudly instead of silently
+        expanding to zero points."""
         spec = {"codes": [["repetition", [3, 1]]], "archs": []}
         with pytest.raises(ValueError, match="archs"):
             build_sweep(spec)
-        with pytest.raises(ValueError, match="archs"):
-            sweep_size(spec)
 
     def test_json_roundtrip_runs(self, tmp_path):
         spec = {"codes": [["repetition", [3, 1]]], "shots": 128,

@@ -59,6 +59,33 @@ class TestCli:
             main(["--help"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["serve", "--store", "s.jsonl", "--lease-ttl", "0"], "--lease-ttl"),
+        (["serve", "--store", "s.jsonl", "--lease-ttl", "-5"],
+         "--lease-ttl"),
+        (["serve", "--store", "s.jsonl", "--lease-ttl", "nan"],
+         "--lease-ttl"),
+        (["serve", "--store", "s.jsonl", "--slice-shots", "0"],
+         "--slice-shots"),
+        (["serve", "--store", "s.jsonl", "-j", "-1"], "-j/--workers"),
+        (["campaign", "spec.json", "-j", "0"], "-j/--workers"),
+        (["campaign", "spec.json", "-j", "-2"], "-j/--workers"),
+        (["fig5", "-j", "0"], "-j/--workers"),
+    ], ids=["serve-ttl-0", "serve-ttl-neg", "serve-ttl-nan",
+            "serve-slice-0", "serve-j-neg", "campaign-j-0", "campaign-j-neg",
+            "fig5-j-0"])
+    def test_out_of_range_numbers_are_usage_errors(self, argv, flag,
+                                                   capsys):
+        """Refused at parse time with one line, exit 2: no traceback
+        from deep in the scheduler, no head that hangs every job, no
+        negative worker count read as dispatch-only."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+
 
 @pytest.mark.slow
 class TestFigureCommands:
@@ -137,14 +164,20 @@ class TestCampaignCommand:
         """``repro campaign SPEC | head -1``: the reader leaves after
         one line, and the command ends with exit 1 and no traceback.
         Unbuffered (``-u``), the header reaches the pipe before the run
-        starts, so the result rows are written after the reader left."""
+        starts.  The 800 rows after it (~130 KiB) overflow a 64 KiB pipe
+        buffer, so however fast the run, the child still writes after
+        the reader left."""
         import os
         import subprocess
         import sys
 
         import repro
 
-        spec = self.write_spec(tmp_path)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            **self.SPEC, "shots": 64,
+            "p_values": [round(1e-4 * (i + 1), 4) for i in range(800)]}))
+        spec = str(spec)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.dirname(os.path.dirname(repro.__file__))]

@@ -8,7 +8,7 @@ The redesign's contract, pinned here from four sides:
   same bits and leave the same ``decode.*`` counters, including when
   the stream's tail word carries garbage don't-care bits; the word
   front-end is checked against the per-shot reference
-  (``DetectorGraph.detection_events`` over ``experiment.syndromes``).
+  (``oracles.syndromes``).
 * **Cache transparency** — the syndrome-dedup cache is exact: cache
   on/off, fresh-vs-warm caches, and a cache that fills up mid-batch
   never change a single decoded bit.
@@ -55,8 +55,9 @@ from repro.decoders import (
 from repro.decoders import _native as decoder_native
 from repro.decoders import matching
 from repro.decoders.batch import unique_keys
-from oracles.decoders import (axis0_dedup, axis0_unique_keys, nx_match,
-                              nx_pairs, oracle_decoders, uf_decode_pattern)
+from oracles.decoders import (axis0_dedup, axis0_unique_keys, decode_cache,
+                              node_round_plaquette, nx_match, nx_pairs,
+                              oracle_decoders, uf_decode_pattern)
 from repro.frames.packing import WORD_BITS, pack_bool_rows, unpack_words
 from repro.injection import (
     Campaign,
@@ -69,6 +70,9 @@ from repro.injection import (
 from repro.noise import DepolarizingNoise, NoiseModel, run_batch_noisy
 from repro import obs
 from repro.obs import prof
+from oracles.results import counts
+from oracles.syndromes import (data_measurements, detection_events,
+                                dual_detection_events, syndromes)
 
 
 def _noisy_records(exp, p, shots, rng):
@@ -94,7 +98,7 @@ class TestSyndromeBatch:
         rec = rng.integers(0, 2, size=(100, 9), dtype=np.uint8)
         batch = SyndromeBatch.from_records(rec)
         assert batch.batch_size == 100
-        assert batch.num_cbits == 9
+        assert batch.record_words.shape[0] == 9
         np.testing.assert_array_equal(batch.record_words,
                                       _pack_records(rec))
         np.testing.assert_array_equal(batch.bit_column(3), rec[:, 3])
@@ -104,10 +108,15 @@ class TestSyndromeBatch:
         rec = rng.integers(0, 2, size=(70, 5), dtype=np.uint8)
         words = _pack_records(rec, rng)   # garbage bits 70..127
         batch = SyndromeBatch.from_record_words(words, 70)
-        assert batch.num_cbits == 5
+        assert batch.record_words.shape[0] == 5
         for cbit in range(5):
             np.testing.assert_array_equal(batch.bit_column(cbit),
                                           rec[:, cbit])
+
+    def test_repr(self):
+        rec = np.zeros((70, 5), dtype=np.uint8)
+        assert repr(SyndromeBatch.from_records(rec)) \
+            == "SyndromeBatch(B=70, cbits=5)"
 
     def test_shots_cuts_on_word_boundaries(self):
         rng = np.random.default_rng(2)
@@ -146,7 +155,6 @@ class TestDecodeCache:
         cache.put(4, b"\x01", 1)
         assert cache.get(4, b"\x01") == 1
         assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
-        assert cache.hit_rate == 0.5
 
     def test_pattern_length_disambiguates(self):
         cache = DecodeCache()
@@ -168,9 +176,9 @@ class TestDecodeCache:
         exp = build_memory_experiment(RepetitionCode(5))
         dec = decoder_for(exp, "mwpm")
         dec.decode_batch(exp, _noisy_records(exp, 0.05, 256, rng=3))
-        assert len(dec.cache_info) > 0
+        assert len(decode_cache(dec)) > 0
         clone = dataclasses.replace(dec, graph=dec.graph)
-        assert clone.cache_info is None or len(clone.cache_info) == 0
+        assert decode_cache(clone) is None or len(decode_cache(clone)) == 0
 
 
 class TestPackPatternColumns:
@@ -249,7 +257,7 @@ class TestUniqueKeys:
             dec = decoder_for(exp, kind)
             out = [dec.decode_batch(exp, rows).corrections
                    for rows in batches]
-            info = dec.cache_info
+            info = decode_cache(dec)
             return out, (info.hits, info.misses, len(info))
 
         got, got_cache = traffic()
@@ -327,8 +335,8 @@ class TestPackedRowsBitIdentity:
                             use_final_data=use_final)
         r_cached = cached.decode_batch(exp, rec)
         r_plain = plain.decode_batch(exp, rec)
-        assert plain.cache_info is None
-        assert cached.cache_info.hits + cached.cache_info.misses > 0
+        assert decode_cache(plain) is None
+        assert decode_cache(cached).hits + decode_cache(cached).misses > 0
         np.testing.assert_array_equal(r_cached.decoded, r_plain.decoded)
 
     def test_warm_cache_identical(self, kind, code_factory, readout):
@@ -338,7 +346,7 @@ class TestPackedRowsBitIdentity:
         dec = decoder_for(exp, kind, use_final_data=readout == "data")
         first = dec.decode_batch(exp, rec)
         again = dec.decode_batch(exp, rec)
-        assert dec.cache_info.hits > 0
+        assert decode_cache(dec).hits > 0
         np.testing.assert_array_equal(first.decoded, again.decoded)
 
 
@@ -359,7 +367,7 @@ class TestBatchedMisses:
         dec = decoder_for(exp, kind)
         dec.__dict__["_decode_cache"] = DecodeCache(capacity=7)
         first = dec.decode_batch(exp, rec)
-        info = dec.cache_info
+        info = decode_cache(dec)
         assert len(info) == 7 < info.misses     # filled, then refused
         np.testing.assert_array_equal(first.corrections, want)
         again = dec.decode_batch(exp, rec)
@@ -376,7 +384,7 @@ class TestBatchedMisses:
             dec.decode_batch(exp, rec[:50])     # all hits: no matcher call
         np.testing.assert_array_equal(got, want)
         stages = p.snapshot()["stages"]
-        info = dec.cache_info
+        info = decode_cache(dec)
         assert stages["decode.dedup"]["calls"] == 2
         assert stages["decode.cache_probe"]["calls"] \
             == info.hits + info.misses
@@ -403,7 +411,7 @@ class TestBatchedMisses:
         reference = decoder_for(exp, kind)
         want = reference.decode_batch(exp, rec)
         np.testing.assert_array_equal(got.corrections, want.corrections)
-        assert OneHook.patterns == reference.cache_info.misses
+        assert OneHook.patterns == decode_cache(reference).misses
 
         class NoHook(Decoder):
             name = "no-hook"
@@ -763,7 +771,7 @@ class TestWidePatterns:
 class TestPackedPrepare:
     def test_word_domain_mirror(self):
         """prepare_packed_inputs against the per-shot reference:
-        ``DetectorGraph.detection_events`` over ``experiment.syndromes``
+        ``oracles.syndromes.detection_events`` over its ``syndromes``
         plus, for data readout, the final round reconstructed here from
         ``data_measurements`` — bit for bit, garbage tail and all."""
         exp = build_memory_experiment(XXZZCode(3, 3), rounds=3)
@@ -772,9 +780,9 @@ class TestPackedPrepare:
         rng = np.random.default_rng(13)
         rec = _noisy_records(exp, 0.03, 90, rng=6)
         words = _pack_records(rec, rng)
-        syn = exp.syndromes(rec)                       # (B, rounds, P)
-        det = graph.detection_events(syn)
-        data = exp.data_measurements(rec)              # (B, n_data)
+        syn = syndromes(exp, rec)                       # (B, rounds, P)
+        det = detection_events(syn)
+        data = data_measurements(exp, rec)              # (B, n_data)
         col = {q: i for i, q in enumerate(code.data_qubits)}
 
         def parity(qubits):
@@ -800,7 +808,7 @@ class TestPackedPrepare:
         exp = build_memory_experiment(XXZZCode(3, 3), rounds=3)
         graph = DetectorGraph(exp.code, rounds=exp.rounds, basis="X")
         rec = _noisy_records(exp, 0.03, 90, rng=7)
-        det_ref = graph.dual_detection_events(exp.syndromes(rec, "X"))
+        det_ref = dual_detection_events(syndromes(exp, rec, "X"))
         det_w, raw_w = prepare_packed_inputs(
             exp, _pack_records(rec, np.random.default_rng(8)), 90, graph,
             False)
@@ -822,7 +830,7 @@ class TestCacheHitRate:
         exp = build_memory_experiment(XXZZCode(3, 3), rounds=3)
         dec = decoder_for(exp, "mwpm")
         dec.decode_batch(exp, _noisy_records(exp, 5e-4, 2048, rng=9))
-        info = dec.cache_info
+        info = decode_cache(dec)
         assert len(info) < 100          # ~31 distinct patterns / 2048 shots
         assert len(info) == info.misses
         first_misses = info.misses
@@ -840,7 +848,7 @@ class TestCacheHitRate:
         experiment, decoder, noise, program, sampler, _ = _task_context(task)
         execute_block(experiment, decoder, noise, program, sampler,
                       [512], [np.random.default_rng(0)])
-        info = decoder.cache_info
+        info = decode_cache(decoder)
         assert info.misses > 0 and info.misses < 200   # in-batch dedup
         execute_block(experiment, decoder, noise, program, sampler,
                       [512], [np.random.default_rng(1)])
@@ -873,8 +881,8 @@ class TestWeightedUnionFindWithHooks:
         assert len(hooked.edges) == len(plain.edges) + len(hooks)
         for e in hooks:    # diagonal space-time: distinct rounds
             assert BOUNDARY not in (e.u, e.v)
-            assert hooked.node_round_plaquette(e.u)[0] \
-                != hooked.node_round_plaquette(e.v)[0]
+            assert node_round_plaquette(hooked, e.u)[0] \
+                != node_round_plaquette(hooked, e.v)[0]
 
     def test_single_errors_with_hooks_crossval(self, hooked):
         """Every single mechanism — hook or not — decodes to its true
@@ -938,25 +946,25 @@ class TestEngineInvariance:
         t = self._task(backend)
         single = run_task(t, chunk_shots=t.shots)
         for chunk_shots in (512, 1024):
-            assert run_task(t, chunk_shots=chunk_shots).counts \
-                == single.counts
+            assert counts(run_task(t, chunk_shots=chunk_shots)) \
+                == counts(single)
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_worker_invariance(self, workers):
         tasks = [self._task("frames", seed=s) for s in (1, 2)]
         serial = Campaign(tasks).run(workers=1)
         parallel = Campaign(tasks).run(workers=workers)
-        assert serial.counts() == parallel.counts()
+        assert counts(serial) == counts(parallel)
 
     def test_store_resume_identity(self, tmp_path):
         t = self._task("frames")
-        full = run_task(t).counts
+        full = counts(run_task(t))
         store = CampaignStore(str(tmp_path / "resume.jsonl"))
         camp = Campaign([t])
-        first = camp.run(chunk_shots=512, resume=store,
-                         adaptive=None).counts()
-        resumed = Campaign([t]).run(resume=CampaignStore(
-            str(tmp_path / "resume.jsonl"))).counts()
+        first = counts(camp.run(chunk_shots=512, resume=store,
+                                adaptive=None))
+        resumed = counts(Campaign([t]).run(resume=CampaignStore(
+            str(tmp_path / "resume.jsonl"))))
         assert first == [full]
         assert resumed == [full]
 
@@ -1003,4 +1011,4 @@ class TestEngineInvariance:
         with contextlib.ExitStack() as stack:
             if path == "oracle":
                 stack.enter_context(oracle_decoders())
-            assert campaign.run(workers=1).counts() == parent_counts
+            assert counts(campaign.run(workers=1)) == parent_counts

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit
+from repro.circuits import Circuit, Gate, GateType
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
 from repro.decoders import (
     DetectorGraph,
@@ -24,10 +24,10 @@ def inject_after_round(exp, qubit, n_round0_measurements, gate="x"):
     inserted = False
     for g in exp.circuit:
         circ.append(g)
-        if g.is_measurement:
+        if g.gate_type is GateType.MEASURE:
             seen += 1
             if seen == n_round0_measurements and not inserted:
-                getattr(circ, gate)(qubit, tag="inject")
+                circ.append(Gate(GateType(gate), (qubit,), tag="inject"))
                 inserted = True
     return circ
 
@@ -132,6 +132,14 @@ class TestUnionFindDetails:
         r_mwpm = mwpm.decode_batch(exp, rec)
         r_uf = uf.decode_batch(exp, rec)
         assert r_mwpm.logical_error_rate <= r_uf.logical_error_rate + 0.02
+
+
+@pytest.mark.parametrize("kind", ["mwpm", "union-find"])
+def test_decoder_name_is_its_kind(kind):
+    """Reports key per-decoder figures on ``name`` (the e2e tracer's
+    ``decoders.mwpm_s`` and ``decoders.uf_s``)."""
+    exp = build_memory_experiment(RepetitionCode(3))
+    assert decoder_for(exp, kind).name == kind
 
 
 class TestReadoutModes:

@@ -30,10 +30,11 @@ from repro.injection.store import task_key
 from repro.noise import (
     DepolarizingNoise,
     NoiseModel,
-    RadiationBurst,
     RadiationEvent,
     run_batch_noisy,
 )
+from oracles.results import counts
+from oracles.syndromes import detection_events, syndromes
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +121,7 @@ class TestPackedSyndromes:
         code, experiment, _, _, _ = strike_setup
         records = np.ascontiguousarray(unpack_words(struck_words, 1024).T)
         graph = DetectorGraph(code, ROUNDS)
-        det_ref = graph.detection_events(experiment.syndromes(records))
+        det_ref = detection_events(syndromes(experiment, records))
         packed = PackedSyndromes.from_record_words(struck_words, experiment,
                                                    1024)
         got = np.stack([
@@ -406,20 +407,19 @@ class TestRadiationBurst:
         burst = self._burst(strike_round=1)
         circ = Circuit(3)
         circ.measure(0, 0)
-        gates = [circ.gates[0]]
-        assert burst.current_probs() is None  # round 0, pre-strike
-        for _ in range(2):                    # two measures = one round
-            burst.observe(gates[0])
+        assert burst.current_sample() is None  # round 0, pre-strike
+        for _ in range(2):                     # two measures = one round
+            burst.observe(circ[0])
         assert burst.current_round == 1
-        probs = burst.current_probs()
-        assert probs is not None and probs[0] == 1.0  # T(0) at the root
+        k = burst.current_sample()
+        assert k is not None and burst.probs[k][0] == 1.0  # T(0) at the root
         burst.begin_run()
         assert burst.current_round == 0
-        assert burst.current_probs() is None
+        assert burst.current_sample() is None
 
     def test_scale_and_validation(self):
         burst = self._burst(strike_round=0, scale=0.25)
-        assert burst.current_probs()[0] == pytest.approx(0.25)
+        assert burst.probs[burst.current_sample()][0] == pytest.approx(0.25)
         with pytest.raises(ValueError, match="scale"):
             self._burst(scale=1.5)
         with pytest.raises(ValueError, match="strike_round"):
@@ -440,7 +440,7 @@ class TestRadiationBurst:
         for backend, seed in (("tableau", 3), ("frames", 4)):
             rec = run_batch_noisy(experiment.circuit, noise, 512, rng=seed,
                                   backend=backend)
-            det = graph.detection_events(experiment.syndromes(rec))
+            det = detection_events(syndromes(experiment, rec))
             profiles.append(det.mean(axis=(0, 2)))
         for prof in profiles:
             assert prof[3] > 3 * prof[:3].max()
@@ -480,7 +480,7 @@ class TestCampaignThreading:
         task = _burst_task()
         a = run_task(task, chunk_shots=512)
         b = run_task(task, chunk_shots=2048)
-        assert a.counts == b.counts
+        assert counts(a) == counts(b)
 
     def test_policies_share_sampled_records(self):
         """Same seed, different recovery: raw (pre-decode) error counts

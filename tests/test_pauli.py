@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stabilizer import PauliString
-from repro.stabilizer.pauli import symplectic_commutes
+
+from oracles.pauli import (from_label, is_hermitian, single, support,
+                           symplectic_commutes, to_matrix, weight)
 
 
 def pauli_strategy(n=4):
@@ -21,27 +23,27 @@ def pauli_strategy(n=4):
 class TestConstruction:
     def test_identity(self):
         p = PauliString.identity(3)
-        assert p.weight == 0
+        assert weight(p) == 0
         assert p.label() == "+III"
 
     def test_from_label_roundtrip(self):
         for label in ["+XIZ", "-YY", "+ZZZZ", "-IXYZ"]:
-            assert PauliString.from_label(label).label() == label
+            assert from_label(label).label() == label
 
     def test_from_label_phases(self):
-        assert PauliString.from_label("iX").phase == 1
-        assert PauliString.from_label("-X").phase == 2
+        assert from_label("iX").phase == 1
+        assert from_label("-X").phase == 2
 
     def test_y_carries_i_factor(self):
-        y = PauliString.from_label("Y")
+        y = from_label("Y")
         assert y.phase == 1  # Y = i XZ
 
     def test_bad_character_rejected(self):
         with pytest.raises(ValueError):
-            PauliString.from_label("XQ")
+            from_label("XQ")
 
     def test_single(self):
-        p = PauliString.single(3, 1, "Y")
+        p = single(3, 1, "Y")
         assert p.label() == "+IYI"
 
     def test_mismatched_xz_rejected(self):
@@ -51,17 +53,17 @@ class TestConstruction:
 
 class TestAlgebra:
     def test_xz_anticommute(self):
-        x = PauliString.from_label("X")
-        z = PauliString.from_label("Z")
+        x = from_label("X")
+        z = from_label("Z")
         assert not x.commutes_with(z)
 
     def test_xx_zz_commute(self):
-        assert PauliString.from_label("XX").commutes_with(
-            PauliString.from_label("ZZ"))
+        assert from_label("XX").commutes_with(
+            from_label("ZZ"))
 
     def test_product_xy(self):
-        x = PauliString.from_label("X")
-        y = PauliString.from_label("Y")
+        x = from_label("X")
+        y = from_label("Y")
         # X @ Y = iZ
         assert (x * y).label() == "iZ"
 
@@ -73,16 +75,16 @@ class TestAlgebra:
             b = PauliString(rng.integers(0, 2, 3), rng.integers(0, 2, 3),
                             int(rng.integers(0, 4)))
             np.testing.assert_allclose(
-                (a * b).to_matrix(), a.to_matrix() @ b.to_matrix(),
+                to_matrix(a * b), to_matrix(a) @ to_matrix(b),
                 atol=1e-12)
 
     def test_neg(self):
-        p = PauliString.from_label("X")
+        p = from_label("X")
         assert (-p).label() == "-X"
 
     def test_hermitian_detection(self):
-        assert PauliString.from_label("XYZ").is_hermitian()
-        assert not PauliString(np.array([1]), np.array([0]), 1).is_hermitian()
+        assert is_hermitian(from_label("XYZ"))
+        assert not is_hermitian(PauliString(np.array([1]), np.array([0]), 1))
 
 
 class TestProperties:
@@ -90,7 +92,7 @@ class TestProperties:
     @given(pauli_strategy(), pauli_strategy())
     def test_commutation_matches_matrix(self, a, b):
         mat_comm = np.allclose(
-            a.to_matrix() @ b.to_matrix(), b.to_matrix() @ a.to_matrix())
+            to_matrix(a) @ to_matrix(b), to_matrix(b) @ to_matrix(a))
         assert a.commutes_with(b) == mat_comm
 
     @settings(max_examples=60, deadline=None)
@@ -102,8 +104,8 @@ class TestProperties:
     @given(pauli_strategy(), pauli_strategy())
     def test_product_weight_support(self, a, b):
         prod = a * b
-        support = set(prod.support())
-        assert support <= set(a.support()) | set(b.support())
+        prod_support = set(support(prod))
+        assert prod_support <= set(support(a)) | set(support(b))
 
     @settings(max_examples=60, deadline=None)
     @given(pauli_strategy(), pauli_strategy(), pauli_strategy())
@@ -114,7 +116,7 @@ class TestProperties:
     @given(pauli_strategy())
     def test_square_is_scalar(self, p):
         sq = p * p
-        assert sq.weight == 0
+        assert weight(sq) == 0
 
 
 class TestSymplecticBatch:

@@ -23,6 +23,7 @@ from repro.injection import (
     run_task,
 )
 from repro.noise import run_batch_noisy
+from oracles.results import counts, payload
 
 
 @pytest.fixture(autouse=True)
@@ -50,20 +51,20 @@ FRAMES_TASK = InjectionTask(code=CodeSpec("xxzz", (3, 3)),
 
 class TestProfiler:
     def test_off_by_default_and_zero_cost_check(self):
-        assert prof.active() is None
+        assert prof._ACTIVE is None
         assert prof.snapshot_active() is None
 
     def test_enable_disable_lifecycle(self):
         p = prof.enable()
-        assert prof.active() is p
+        assert prof._ACTIVE is p
         assert prof.enable() is p  # idempotent
         prof.disable()
-        assert prof.active() is None
+        assert prof._ACTIVE is None
 
     def test_obs_reset_disables(self):
         prof.enable()
         obs.reset()
-        assert prof.active() is None
+        assert prof._ACTIVE is None
 
     def test_span_path_self_time(self):
         with prof.profile() as p:
@@ -142,7 +143,7 @@ class TestProfiler:
         with prof.profile() as p:
             profiled = run_task(deep)
         snap = p.snapshot()
-        assert profiled.payload == baseline.payload
+        assert payload(profiled) == payload(baseline)
         assert snap["sampling"]["blocks"] == snap["sampling"]["sampled"] == 1
         counters = obs.registry().snapshot()["counters"]
         assert counters["frames.blocks"] == counters["engine.blocks"] == 8
@@ -242,8 +243,8 @@ class TestBitIdentity:
         with prof.profile():
             profiled = Campaign(campaign.tasks, root_seed=29).run(
                 workers=1)
-        assert profiled.counts() == baseline.counts()
-        assert profiled.payloads() == baseline.payloads()
+        assert counts(profiled) == counts(baseline)
+        assert payload(profiled) == payload(baseline)
 
     def test_adaptive_stop_shots_identical(self, backend):
         campaign = d3_sweep(backend, shots=8192)
@@ -254,7 +255,7 @@ class TestBitIdentity:
             profiled = Campaign(campaign.tasks, root_seed=29).run(
                 workers=1, adaptive=policy)
         assert [r.shots for r in profiled] == [r.shots for r in baseline]
-        assert profiled.counts() == baseline.counts()
+        assert counts(profiled) == counts(baseline)
 
     def test_parallel_counts_identical(self, backend):
         """Workers fork with the profiler enabled in the parent; the
@@ -266,7 +267,7 @@ class TestBitIdentity:
         with prof.profile():
             profiled = Campaign(campaign.tasks, root_seed=29).run(
                 workers=2)
-        assert profiled.counts() == baseline.counts()
+        assert counts(profiled) == counts(baseline)
 
 
 class TestTelemetryIntegration:
@@ -333,7 +334,7 @@ class TestPerfRecordCli:
         snap = obs.last_snapshot(obs.load_telemetry(telemetry))
         assert snap["profile"]["kernels"]
         # The profiler does not leak past the command.
-        assert prof.active() is None
+        assert prof._ACTIVE is None
 
     def test_record_without_command_errors(self):
         from repro.cli import main

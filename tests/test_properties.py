@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.arch import linear, mesh
-from repro.circuits import Circuit
+from repro.circuits import Circuit, Gate, GateType
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
 from repro.decoders import decoder_for
 from repro.noise import RadiationEvent
@@ -76,7 +76,7 @@ class TestCodeDecodeProperties:
         circ = Circuit(exp.circuit.num_qubits, exp.circuit.num_cbits)
         for i, g in enumerate(exp.circuit):
             if i == cut:
-                getattr(circ, pauli)(q, tag="inject")
+                circ.append(Gate(GateType(pauli), (q,), tag="inject"))
             circ.append(g)
         rec = BatchTableauSimulator(circ.num_qubits, 2, rng=1).run(circ)
         res = dec.decode_batch(exp, rec)

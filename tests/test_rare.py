@@ -36,6 +36,7 @@ from repro.rare.stats import (WeightStats, mc_required_shots,
 from oracles import frames as frames_oracle
 from oracles import tableau as tableau_oracle
 from oracles.tableau import numpy_walk
+from oracles.results import payload
 
 
 def moderate_task(sampler=SamplerSpec(), shots=4096, seed=7, **kw):
@@ -225,7 +226,7 @@ class TestWeightProperties:
         n = st.shots
         var_w = max(st.wsq / n - (st.wsum / n) ** 2, 0.0)
         se = math.sqrt(var_w / n)
-        assert abs(st.weight_mean - 1.0) <= 5.0 * se + 1e-9
+        assert abs(st.wsum / st.shots - 1.0) <= 5.0 * se + 1e-9
 
     def test_split_weight_conservation(self):
         """Systematic resampling conserves total weight in expectation
@@ -234,7 +235,7 @@ class TestWeightProperties:
         st = run_task(moderate_task(SamplerSpec(kind="split", levels=1),
                                     backend="frames",
                                     shots=8192)).weight_stats
-        assert abs(st.weight_mean - 1.0) < 0.1
+        assert abs(st.wsum / st.shots - 1.0) < 0.1
 
     def test_ess_monotone_in_tilt(self):
         """More tilt, more weight spread, less effective sample."""
@@ -562,9 +563,9 @@ class TestWeightedDeterminism:
 
     @pytest.mark.parametrize("name", sorted(RECORDED))
     def test_payloads_match_recorded(self, name):
-        spec, payload = self.RECORDED[name]
+        spec, recorded = self.RECORDED[name]
         task = InjectionTask(shots=1024, backend="frames", **spec)
-        assert run_task(task).payload == payload
+        assert payload(run_task(task)) == recorded
 
     @pytest.mark.parametrize("name", ["d3_strike_tilt", "d5_split"])
     def test_each_executor_samples_the_recorded_payload(self, name,
@@ -572,27 +573,27 @@ class TestWeightedDeterminism:
         """Tilted programs and split segments run on the native op loop
         like plain ones, and on its oracle, the numpy executor: one
         payload, every block counted."""
-        spec, payload = self.RECORDED[name]
+        spec, recorded = self.RECORDED[name]
         task = InjectionTask(shots=1024, backend="frames", **spec)
         blocks = obs.counter("frames.blocks")
         before = blocks.value
-        assert run_task(task).payload == payload
+        assert payload(run_task(task)) == recorded
         assert blocks.value - before == 2
 
     def test_workers_bit_identical_weighted(self):
         """workers=1|2|4 must agree on counts AND weight moments."""
-        serial = self._campaign().run(workers=1).payloads()
-        assert self._campaign().run(workers=2).payloads() == serial
-        assert self._campaign().run(workers=4).payloads() == serial
+        serial = payload(self._campaign().run(workers=1))
+        assert payload(self._campaign().run(workers=2)) == serial
+        assert payload(self._campaign().run(workers=4)) == serial
 
     def test_chunk_size_invariance(self):
         t = moderate_task(SamplerSpec(kind="tilt", tilt=4.0), shots=3072)
-        assert run_task(t, chunk_shots=SIM_BLOCK).payload == \
-            run_task(t, chunk_shots=4 * SIM_BLOCK).payload
+        assert payload(run_task(t, chunk_shots=SIM_BLOCK)) == \
+            payload(run_task(t, chunk_shots=4 * SIM_BLOCK))
 
     def test_store_resume_weighted(self, tmp_path):
         t = moderate_task(SamplerSpec(kind="tilt", tilt=4.0), shots=2048)
-        full = run_task(t).payload
+        full = payload(run_task(t))
         store = CampaignStore(tmp_path / "w.jsonl")
         key = task_key(t)
         for chunk in list(iter_task_chunks(t, chunk_shots=SIM_BLOCK))[:2]:
@@ -601,7 +602,7 @@ class TestWeightedDeterminism:
         reloaded = CampaignStore(tmp_path / "w.jsonl")
         prior = reloaded.partial(key)
         assert prior[0] == 2 * SIM_BLOCK and prior[6] is not None
-        assert run_task(t, prior=prior).payload == full
+        assert payload(run_task(t, prior=prior)) == full
 
     def test_adaptive_weighted_stop_worker_invariant(self):
         def camp():
@@ -610,8 +611,8 @@ class TestWeightedDeterminism:
                 intrinsic_p=0.01, seed=0)], root_seed=3)
 
         policy = AdaptivePolicy(rel_halfwidth=0.25)
-        serial = camp().run(workers=1, adaptive=policy).payloads()
-        par = camp().run(workers=4, adaptive=policy).payloads()
+        serial = payload(camp().run(workers=1, adaptive=policy))
+        par = payload(camp().run(workers=4, adaptive=policy))
         assert serial == par
         assert serial[0][0] < 16384  # the policy actually stopped early
 
@@ -624,13 +625,12 @@ class TestWeightedDeterminism:
         row = json.loads(json.dumps(chunk.to_row()))
         back = ChunkResult.from_row(row)
         assert back == chunk
-        assert back.weight_stats.wsum == 1023.0
+        assert sum(w[0] for w in back.block_weights) == 1023.0
 
     def test_mc_chunk_rows_stay_legacy_shaped(self):
         chunk = ChunkResult(start=0, shots=512, errors=1, raw_errors=1,
                             corrections_applied=1)
         assert "weights" not in chunk.to_row()
-        assert chunk.weight_stats.wsum == 512.0
 
     def test_done_record_roundtrips_weights(self, tmp_path):
         t = moderate_task(SamplerSpec(kind="tilt", tilt=4.0), shots=1024)

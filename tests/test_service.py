@@ -487,6 +487,14 @@ class TestDispatcherErrors:
             d.submit(spec)
         assert not d.points and d.lease(runner="idle") == []
 
+    @pytest.mark.parametrize("ttl", [0.0, -5.0, float("nan"),
+                                     float("inf")])
+    def test_lease_ttl_must_be_positive_and_finite(self, tmp_path, ttl):
+        """A runner counts as alive for ``lease_ttl_s``: at zero none
+        ever does, and every job used to hang with no lease handed out."""
+        with pytest.raises(ValueError, match="lease_ttl_s"):
+            make_dispatcher(tmp_path, lease_ttl_s=ttl)
+
     def test_unknown_job(self, tmp_path):
         d = make_dispatcher(tmp_path)
         with pytest.raises(UnknownJobError):
@@ -621,11 +629,11 @@ class TestHTTPService:
                                                      res.errors)
 
         # lookup + overview endpoints
-        rows = client.lookup(spec=SPEC)
+        rows = client._request("POST", "/lookup", {"spec": SPEC})["rows"]
         assert all(r["status"] == "done" for r in rows)
         overview = client.status()
         assert overview["store_done"] == 2
-        assert client.store_stats()["done"] == 2
+        assert client._request("GET", "/store")["done"] == 2
 
     def test_http_error_statuses(self, service):
         from repro.service import ServiceClient, ServiceError
@@ -854,13 +862,13 @@ class TestForkedPool:
         self.assert_rows_match_campaign(self.run_job(tmp_path, kill=False))
 
     def test_killed_worker_fails_one_lease_and_is_replaced(self, tmp_path):
-        replaced = obs.registry().event_counts.get(
+        replaced = obs.registry().snapshot()["events"].get(
             "service.worker_replaced", 0)
         failed = obs.counter("service.failed_leases").value
         rows = self.run_job(tmp_path, kill=True)
         self.assert_rows_match_campaign(rows)
         assert obs.counter("service.failed_leases").value == failed + 1
-        assert obs.registry().event_counts.get(
+        assert obs.registry().snapshot()["events"].get(
             "service.worker_replaced", 0) == replaced + 1
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro.stabilizer import PauliString
 
 from oracles.chp import Tableau, _gf2_rank
+from oracles.pauli import from_label
 
 
 def rng():
@@ -80,8 +81,8 @@ class TestGateConjugation:
         t = Tableau(2)
         t.x_gate(0)
         t.swap(0, 1)
-        assert t.expectation(PauliString.from_label("ZI")) == 1
-        assert t.expectation(PauliString.from_label("IZ")) == -1
+        assert t.expectation(from_label("ZI")) == 1
+        assert t.expectation(from_label("IZ")) == -1
 
     def test_gates_preserve_validity(self):
         t = Tableau(4)
@@ -157,17 +158,17 @@ class TestExpectation:
         t = Tableau(2)
         t.h(0)
         t.cx(0, 1)
-        assert t.expectation(PauliString.from_label("XX")) == 1
-        assert t.expectation(PauliString.from_label("ZZ")) == 1
+        assert t.expectation(from_label("XX")) == 1
+        assert t.expectation(from_label("ZZ")) == 1
 
     def test_anticommuting_gives_zero(self):
         t = Tableau(1)
-        assert t.expectation(PauliString.from_label("X")) == 0
+        assert t.expectation(from_label("X")) == 0
 
     def test_negative_expectation(self):
         t = Tableau(1)
         t.x_gate(0)
-        assert t.expectation(PauliString.from_label("Z")) == -1
+        assert t.expectation(from_label("Z")) == -1
 
     def test_non_hermitian_rejected(self):
         t = Tableau(1)
@@ -178,8 +179,8 @@ class TestExpectation:
         t = Tableau(1)
         c = t.copy()
         c.x_gate(0)
-        assert t.expectation(PauliString.from_label("Z")) == 1
-        assert c.expectation(PauliString.from_label("Z")) == -1
+        assert t.expectation(from_label("Z")) == 1
+        assert c.expectation(from_label("Z")) == -1
 
 
 class TestGf2Rank:

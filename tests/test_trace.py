@@ -9,6 +9,7 @@ import re
 import socket
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -367,14 +368,14 @@ class TestRunnerHealth:
         assert d.expire(now=t0 + 10.0) == 1
         health = d.runners["flaky"]
         assert health["lost"] and health["expired"] == 1
-        events = obs.registry().event_counts
+        events = obs.registry().snapshot()["events"]
         assert events.get("service.runner_lost") == 1
         assert events.get("service.lease_expired") == 1
         # The slice went back to the queue; the runner coming back
         # clears the lost flag.
         d.lease(runner="flaky", max_leases=1, now=t0 + 11.0)
         assert not d.runners["flaky"]["lost"]
-        assert obs.registry().event_counts.get(
+        assert obs.registry().snapshot()["events"].get(
             "service.runner_recovered") == 1
 
     def test_expiry_with_other_leases_outstanding_is_not_lost(
@@ -474,7 +475,10 @@ class TestHTTPObservability:
         client = ServiceClient(service.url)
         client.submit(SPEC)
         client.wait("job-1", timeout_s=120)
-        text = client.metrics_text()
+        req = urllib.request.Request(service.url + "/metrics?format=text",
+                                     headers={"Accept": "text/plain"})
+        with urllib.request.urlopen(req, timeout=60) as resp:
+            text = resp.read().decode()
         assert text.startswith("# HELP repro_uptime_seconds")
         assert "repro_engine_shots_total" in text
         snap = client.metrics()
@@ -524,7 +528,7 @@ class TestHTTPObservability:
         client = ServiceClient(service.url)
         receipt = client.submit(SPEC)
         client.wait(receipt["job"], timeout_s=120)
-        tr = client.trace(receipt["job"])
+        tr = client._request("GET", f"/jobs/{receipt['job']}/trace")
         assert tr["trace"] == receipt["trace"]
         names = [s["name"] for s in tr["spans"]]
         assert names.count("job") == 1
@@ -614,7 +618,7 @@ class TestFleetAggregation:
             # Same submission → same trace id on both heads; the
             # remote runner's spans landed on head B.
             assert ra["trace"] == rb["trace"]
-            tb = cb.trace(rb["job"])
+            tb = cb._request("GET", f"/jobs/{rb['job']}/trace")
             assert {s["name"] for s in tb["spans"]} >= {
                 "job", "point", "lease", "chunk"}
 

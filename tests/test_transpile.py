@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arch import complete, linear, mesh, cairo
-from repro.circuits import Circuit, GateType
+from repro.circuits import Circuit, Gate, GateType
 from repro.codes import RepetitionCode, XXZZCode, build_memory_experiment
 from repro.transpile import (
     GreedyConnectedLayout,
@@ -106,7 +106,7 @@ class TestRouting:
 
     def test_barrier_remapped(self):
         c = Circuit(2)
-        c.barrier(0, 1)
+        c.append(Gate(GateType.BARRIER, (0, 1)))
         c.cx(0, 1)
         routed = transpile(c, linear(4), layout={0: 1, 1: 3})
         assert routed.circuit[0].gate_type is GateType.BARRIER
@@ -166,8 +166,3 @@ class TestRoutingQuality:
         on_line = transpile(exp.circuit, linear(22), layout="best")
         # The syndrome chain embeds perfectly; only the readout walks.
         assert on_line.swap_count < 30
-
-    def test_overhead_property(self):
-        exp = build_memory_experiment(RepetitionCode(5))
-        routed = transpile(exp.circuit, mesh(5, 2), layout="best")
-        assert routed.overhead >= 0.0
